@@ -1,73 +1,67 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test perf-smoke fault-smoke obs-smoke overload-smoke routing-smoke recovery-smoke health-smoke shard-smoke bench all
+## Tier 2 smoke gates, one `name:test_file` pair each: `make <name>-smoke`
+## runs benchmarks/<test_file>.py. What each gate asserts is described
+## below; .github/workflows/ci.yml runs this same list.
+SMOKES := perf:test_perf_matchmaking fault:test_fault_smoke obs:test_obs_smoke \
+          overload:test_e17_overload routing:test_e18_routing \
+          recovery:test_e19_recovery health:test_e20_health shard:test_e21_sharding
+SMOKE_TARGETS := $(foreach s,$(SMOKES),$(firstword $(subst :, ,$(s)))-smoke)
+
+.PHONY: test bench all smoke $(SMOKE_TARGETS)
 
 ## Tier 1: the full unit/integration suite. Must always be green.
 test:
 	$(PYTHON) -m pytest -x -q
 
-## Tier 2: perf smoke for the registry query path. Fails if the indexed
+## perf-smoke: the registry query path. Fails if the indexed
 ## path ever evaluates more profiles than the linear scan, if the
 ## evaluation reduction at 10k advertisements drops below 5x, or if the
 ## 100k scaling sweep breaks its count-based sub-linear gates (fitted
 ## evaluations-per-query growth exponent < 1.0, absolute cap at 100k).
 ## Rewrites BENCH_matchmaking.json and BENCH_query_100k.json at the repo
 ## root.
-perf-smoke:
-	$(PYTHON) -m pytest benchmarks/test_perf_matchmaking.py -q
 
-## Tier 2: fault smoke — the canonical E3/E11 fault scenarios plus the
+## fault-smoke: the canonical E3/E11 fault scenarios plus the
 ## anti-entropy convergence sweep and the circuit-breaker degraded-latency
 ## check. Fails if replicated stores do not reconverge within bounded
 ## rounds or the invariant sweeps find bookkeeping rot.
-fault-smoke:
-	$(PYTHON) -m pytest benchmarks/test_fault_smoke.py -q
 
-## Tier 2: observability smoke — two same-seed E7 WAN runs must export
+## obs-smoke: two same-seed E7 WAN runs must export
 ## byte-identical trace JSONL, the trace must cover the query path
 ## end-to-end, and E1/E5/E7 tables must carry latency percentiles.
-obs-smoke:
-	$(PYTHON) -m pytest benchmarks/test_obs_smoke.py -q
 
-## Tier 2: overload smoke — replays the E17 query flood at a fixed seed
+## overload-smoke: replays the E17 query flood at a fixed seed
 ## and asserts the shape of overload protection: lease renewals outlive
 ## queries under saturation, BUSY retry-after hints are monotone in
 ## queue depth, goodput plateaus instead of cliffing, and the flood is
 ## deterministic.
-overload-smoke:
-	$(PYTHON) -m pytest benchmarks/test_e17_overload.py -q
 
-## Tier 2: routing smoke — replays the E18 skewed flood at a fixed seed
+## routing-smoke: replays the E18 skewed flood at a fixed seed
 ## and asserts that least-loaded routing beats static order on p99
 ## discovery latency AND in-window goodput at 4x single-registry
 ## capacity, that adaptive routing is same-seed deterministic, and that
 ## the default (static) configuration stays byte-identical to the
 ## pre-routing behavior regardless of routing tunables.
-routing-smoke:
-	$(PYTHON) -m pytest benchmarks/test_e18_routing.py -q
 
-## Tier 2: recovery smoke — replays the E19 whole-LAN blackout at a
+## recovery-smoke: replays the E19 whole-LAN blackout at a
 ## fixed seed and asserts the durability gates: >= 99% of non-expired
 ## advertisements recovered from local WAL+snapshot replay alone with
 ## zero re-publish traffic, time-to-full-query-success at least 5x
 ## better than memory-only, injected torn/corrupt disk faults survived
 ## without crashing recovery, and the default (durability off)
 ## configuration attaching no disks at all.
-recovery-smoke:
-	$(PYTHON) -m pytest benchmarks/test_e19_recovery.py -q
 
-## Tier 2: health smoke — replays the E20 fault sequence at a fixed seed
+## health-smoke: replays the E20 fault sequence at a fixed seed
 ## and asserts the runtime health layer's gates: zero alarms on the
 ## clean control run, every injected fault class (flood, crash,
 ## partition) raising its matched alarm in-window with a flight-recorder
 ## dump attached, byte-identical same-seed alarm timelines and dumps,
 ## and the default (health off) configuration exporting byte-identical
 ## traces for the same faulted scenario.
-health-smoke:
-	$(PYTHON) -m pytest benchmarks/test_e20_health.py -q
 
-## Tier 2: shard smoke — replays the E21 sharded-federation scenario at
+## shard-smoke: replays the E21 sharded-federation scenario at
 ## a fixed seed and asserts its gates: per-node store load and digest
 ## bytes tracking ~K*R/S on the 100k-ad ring sweep, join/leave moving
 ## no more than K*R/S copies, probe success >= 0.99 while R-1 replicas
@@ -75,11 +69,13 @@ health-smoke:
 ## the end, byte-identical same-seed traces, and the default (sharding
 ## off) configuration exporting byte-identical traces with every shard
 ## counter at zero.
-shard-smoke:
-	$(PYTHON) -m pytest benchmarks/test_e21_sharding.py -q
+$(SMOKE_TARGETS): %-smoke:
+	$(PYTHON) -m pytest benchmarks/$(patsubst $*:%,%,$(filter $*:%,$(SMOKES))).py -q
 
 ## Full experiment/benchmark sweep (slow).
 bench:
 	$(PYTHON) -m pytest benchmarks -q
 
-all: test perf-smoke fault-smoke obs-smoke overload-smoke routing-smoke recovery-smoke health-smoke shard-smoke
+smoke: $(SMOKE_TARGETS)
+
+all: test smoke

@@ -40,6 +40,7 @@ from repro.core import protocol
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.registry_node import RegistryNode
     from repro.core.config import DiscoveryConfig
+    from repro.netsim.messages import Envelope
 
 
 class AntiEntropy:
@@ -50,7 +51,7 @@ class AntiEntropy:
         self.config = config
         #: Last known origin epoch per stored advertisement. Epochs come
         #: from the home registry's lease clock (see
-        #: ``RegistryNode._lease_epoch``) so every replica converges on
+        #: ``RegistryNode.lease_epoch``) so every replica converges on
         #: the same ``(version, epoch)`` coordinates per advertisement.
         self.epochs: dict[str, int] = {}
         #: Explicitly removed advertisements: ad_id -> (version, noted_at).
@@ -82,7 +83,7 @@ class AntiEntropy:
         self.epochs.clear()
         self.tombstones.clear()
 
-    # -- store bookkeeping (called by the registry node) -------------------
+    # -- store bookkeeping (called only by the registry's write path) ------
 
     def note_stored(self, ad_id: str, epoch: int) -> None:
         """An advertisement was stored/refreshed with origin ``epoch``."""
@@ -157,11 +158,10 @@ class AntiEntropy:
         scales with the shared shards (~K·R/S ads), not the whole store.
         """
         self._prune_tombstones()
-        shard = getattr(self.registry, "shard", None)
-        scoped = peer is not None and shard is not None and shard.active()
+        scoped = peer is not None and self.registry.shard.active()
 
         def covered(ad_id: str) -> bool:
-            return not scoped or shard.co_owned(ad_id, peer)
+            return not scoped or self.registry.shard.co_owned(ad_id, peer)
 
         entries = tuple(
             (ad.ad_id, ad.version, self.epochs.get(ad.ad_id, 0))
@@ -196,15 +196,12 @@ class AntiEntropy:
         network = self.registry.network
         if network is not None and network.health.active:
             network.health.feed_liveness("antientropy-round", self.registry.node_id)
-        if sharded:
-            for neighbor in neighbors:
-                self.registry.send(
-                    neighbor, protocol.ANTIENTROPY_DIGEST, self.digest(neighbor)
-                )
-        else:
-            payload = self.digest()
-            for neighbor in neighbors:
-                self.registry.send(neighbor, protocol.ANTIENTROPY_DIGEST, payload)
+        whole = None if sharded else self.digest()
+        for neighbor in neighbors:
+            self.registry.send(
+                neighbor, protocol.ANTIENTROPY_DIGEST,
+                self.digest(neighbor) if sharded else whole,
+            )
 
     def sync_with(self, peer: str) -> None:
         """Kick off a digest exchange with one peer (join, promotion)."""
@@ -214,7 +211,7 @@ class AntiEntropy:
 
     # -- message handling --------------------------------------------------
 
-    def handle_digest(self, src: str, payload: protocol.DigestPayload) -> None:
+    def handle_antientropy_digest(self, envelope: "Envelope") -> None:
         """Compare a peer's digest against our store; pull and push deltas.
 
         One received digest drives both directions: we pull what the peer
@@ -222,8 +219,13 @@ class AntiEntropy:
         peer lacks (or holds stale) — so a single digest send reconciles
         the pair without waiting for the peer's next round.
         """
-        if not self.enabled():
+        src, payload = envelope.src, envelope.payload
+        if not isinstance(payload, protocol.DigestPayload):
             return
+        # A digest is direct proof of life: replay any hinted writes
+        # before reconciling, so the peer's digest round converges on
+        # the post-handoff store.
+        self.registry.shard.peer_alive(src)
         store = self.registry.store
         # Adopt the peer's tombstones: delete our replica of anything the
         # peer saw removed, and remember the removal ourselves.
@@ -241,19 +243,17 @@ class AntiEntropy:
                 # (the origin stopped renewing at removal) expires it
                 # within one lease_duration anyway.
                 continue
-            self.tombstones[ad_id] = (version, self._now())
             if existing is not None and existing.version <= version:
-                store.discard(ad_id)
-                self.epochs.pop(ad_id, None)
-                if self.registry.leases is not None:
-                    self.registry.leases.cancel_for_ad(ad_id)
+                self.registry.remove_ad(ad_id, version=version)
                 self.removals_applied += 1
                 self._record("antientropy-removal")
+            else:
+                self.tombstones[ad_id] = (version, self._now())
 
         theirs = {ad_id: (version, epoch) for ad_id, version, epoch in payload.entries}
         their_tombs = dict(payload.tombstones)
-        shard = getattr(self.registry, "shard", None)
-        sharded = shard is not None and shard.active()
+        shard = self.registry.shard
+        sharded = shard.active()
 
         wants = sorted(
             ad_id
@@ -286,11 +286,10 @@ class AntiEntropy:
         if push:
             self._send_ads(src, [ad.ad_id for ad in push])
 
-    def handle_pull(self, src: str, payload: protocol.DigestPullPayload) -> None:
+    def handle_antientropy_pull(self, envelope: "Envelope") -> None:
         """A peer asked for advertisements our digest showed it lacks."""
-        if not self.enabled():
-            return
-        self._send_ads(src, payload.ad_ids)
+        if isinstance(envelope.payload, protocol.DigestPullPayload):
+            self._send_ads(envelope.src, envelope.payload.ad_ids)
 
     def _send_ads(self, dst: str, ad_ids) -> None:
         """Ship full advertisements with their *remaining* lease time."""
@@ -323,12 +322,12 @@ class AntiEntropy:
         self.registry.send(dst, protocol.ANTIENTROPY_ADS,
                            protocol.SyncAdsPayload(ads=tuple(entries)))
 
-    def handle_ads(self, src: str, payload: protocol.SyncAdsPayload) -> None:
+    def handle_antientropy_ads(self, envelope: "Envelope") -> None:
         """Absorb pulled/pushed advertisements (no onward flooding)."""
-        if not self.enabled():
+        if not isinstance(envelope.payload, protocol.SyncAdsPayload):
             return
-        for entry in payload.ads:
-            if self.registry._absorb_replica(entry):
+        for entry in envelope.payload.ads:
+            if self.registry.absorb_replica(entry):
                 self.ads_applied += 1
                 self._record("antientropy-ads-applied")
 

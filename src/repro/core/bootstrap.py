@@ -143,15 +143,13 @@ class RegistryTracker:
             if current_desc is not None and current_desc.lan_name != self.node.lan_name:
                 self._attach(self._best_candidate() or description.registry_id)
 
-    def handle_registry_probe_reply(self, envelope: Envelope) -> None:
-        """Wire handler for :data:`protocol.REGISTRY_PROBE_REPLY`."""
+    def handle_registry_beacon(self, envelope: Envelope) -> None:
+        """Wire handler for :data:`protocol.REGISTRY_BEACON` and
+        :data:`protocol.REGISTRY_PROBE_REPLY`, adopted by the host node."""
         if isinstance(envelope.payload, RegistryDescription):
             self.observe_registry(envelope.payload)
 
-    def handle_registry_beacon(self, envelope: Envelope) -> None:
-        """Wire handler for :data:`protocol.REGISTRY_BEACON`."""
-        if isinstance(envelope.payload, RegistryDescription):
-            self.observe_registry(envelope.payload)
+    handle_registry_probe_reply = handle_registry_beacon
 
     def handle_registry_list_reply(self, envelope: Envelope) -> None:
         """Wire handler for registry signalling: merge alternatives."""

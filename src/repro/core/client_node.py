@@ -145,6 +145,7 @@ class ClientNode(Node):
         self.tracker = RegistryTracker(self, config,
                                        on_attached=self._on_attached,
                                        router=self.router)
+        self.adopt_handlers(self.tracker)
         self.calls: list[DiscoveryCall] = []
         self._by_wire_id: dict[str, DiscoveryCall] = {}
         #: Routing bookkeeping per in-flight registry attempt: wire id →
@@ -644,14 +645,3 @@ class ClientNode(Node):
             model = self.models.get("semantic")
             if isinstance(model, SemanticModel):
                 model.attach_ontology(payload.artifact)
-
-    # -- registry discovery -----------------------------------------------------------------
-
-    def handle_registry_probe_reply(self, envelope: Envelope) -> None:
-        self.tracker.handle_registry_probe_reply(envelope)
-
-    def handle_registry_beacon(self, envelope: Envelope) -> None:
-        self.tracker.handle_registry_beacon(envelope)
-
-    def handle_registry_list_reply(self, envelope: Envelope) -> None:
-        self.tracker.handle_registry_list_reply(envelope)

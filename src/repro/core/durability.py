@@ -500,17 +500,10 @@ class DurabilityManager:
             if registry.config.leasing_enabled and expires_at <= now:
                 dropped_expired += 1
                 continue
-            registry.store.put(ad)
-            registry.antientropy.note_stored(ad_id, origin_epoch)
-            if (
-                registry.config.leasing_enabled
-                and registry.leases is not None
-                and lease_id
-            ):
-                registry.leases.restore(
-                    ad_id, lease_id=lease_id, duration=duration,
-                    expires_at=expires_at,
-                )
+            registry.store_ad(
+                ad, lease_duration=duration, epoch=origin_epoch,
+                restore=(lease_id, expires_at),
+            )
             replayed += 1
         for ad_id in sorted(tombstones):
             registry.antientropy.tombstones[ad_id] = tombstones[ad_id]

@@ -31,6 +31,7 @@ from repro.registry.rim import RegistryDescription
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.registry_node import RegistryNode
+    from repro.netsim.messages import Envelope
 
 
 class Federation:
@@ -87,16 +88,16 @@ class Federation:
         self.joins_sent += 1
         self.registry.send(other_id, protocol.FEDERATION_JOIN, self.describe())
 
-    def handle_join(self, src: str, description: RegistryDescription | None) -> None:
+    def handle_federation_join(self, envelope: "Envelope") -> None:
         """A peer wants to federate: accept and acknowledge."""
-        self._add_neighbor(src, description)
-        self.registry.send(src, protocol.FEDERATION_JOIN_ACK, self.describe())
+        self._add_neighbor(envelope)
+        self.registry.send(envelope.src, protocol.FEDERATION_JOIN_ACK, self.describe())
 
-    def handle_join_ack(self, src: str, description: RegistryDescription | None) -> None:
+    def handle_federation_join_ack(self, envelope: "Envelope") -> None:
         """Our join was accepted."""
-        self._add_neighbor(src, description)
+        self._add_neighbor(envelope)
 
-    def handle_leave(self, src: str, member: str = "") -> None:
+    def handle_federation_leave(self, envelope: "Envelope") -> None:
         """A peer announced a graceful departure (possibly relayed).
 
         The announcement is flooded: each registry forwards it once to
@@ -105,6 +106,9 @@ class Federation:
         description, re-growing the shard ring) learn of the departure
         too. The ``departed`` tombstone deduplicates the flood.
         """
+        src = envelope.src
+        member = envelope.payload.member \
+            if isinstance(envelope.payload, protocol.LeavePayload) else ""
         member = member or src
         if member == self.registry.node_id or member in self.departed:
             return
@@ -138,7 +142,12 @@ class Federation:
         self._missed_pongs.clear()
         self.breakers.clear()
 
-    def _add_neighbor(self, other_id: str, description: RegistryDescription | None) -> None:
+    def _add_neighbor(self, envelope: "Envelope") -> None:
+        """Link with the sender of a join or join-ack (which normally
+        carries its self-description)."""
+        other_id = envelope.src
+        description = envelope.payload \
+            if isinstance(envelope.payload, RegistryDescription) else None
         is_new = other_id not in self.neighbors
         self.departed.pop(other_id, None)  # a direct (re)join is proof of return
         self.neighbors.add(other_id)
@@ -158,6 +167,16 @@ class Federation:
                                    self.registry_list())
 
     # -- observation -----------------------------------------------------------
+
+    def handle_registry_probe(self, envelope: "Envelope") -> None:
+        self.registry.send(envelope.src, protocol.REGISTRY_PROBE_REPLY, self.describe())
+
+    def handle_registry_beacon(self, envelope: "Envelope") -> None:
+        """A beacon or probe reply: a registry announced itself."""
+        if isinstance(envelope.payload, RegistryDescription):
+            self.observe(envelope.payload)
+
+    handle_registry_probe_reply = handle_registry_beacon
 
     def observe(self, description: RegistryDescription) -> None:
         """Record a registry seen via beacon/probe/gossip.
@@ -225,11 +244,17 @@ class Federation:
             if seed not in self.neighbors and seed != self.registry.node_id:
                 self.join(seed)
 
-    def handle_pong(self, src: str) -> None:
+    def handle_registry_ping(self, envelope: "Envelope") -> None:
+        self.registry.send(envelope.src, protocol.REGISTRY_PONG)
+
+    def handle_registry_pong(self, envelope: "Envelope") -> None:
         """A neighbor answered: reset its failure counter."""
+        src = envelope.src
         if src in self.neighbors:
             self._missed_pongs[src] = 0
             self.record_neighbor_success(src)
+        # Proof of life: replay any writes hinted while the peer was down.
+        self.registry.shard.peer_alive(src)
 
     def _neighbor_lost(self, neighbor: str) -> None:
         """Failure detector fired: unlink and try to re-wire the network."""
@@ -355,10 +380,14 @@ class Federation:
         entries.extend(self.known[rid] for rid in sorted(self.known))
         return protocol.RegistryListPayload(registries=tuple(entries))
 
-    def handle_registry_list(self, payload: protocol.RegistryListPayload) -> None:
+    def handle_registry_list_request(self, envelope: "Envelope") -> None:
+        self.registry.send(envelope.src, protocol.REGISTRY_LIST_REPLY, self.registry_list())
+
+    def handle_registry_list_reply(self, envelope: "Envelope") -> None:
         """Merge a received registry list into the known cache."""
-        for description in payload.registries:
-            self.observe(description)
+        if isinstance(envelope.payload, protocol.RegistryListPayload):
+            for description in envelope.payload.registries:
+                self.observe(description)
 
     # -- gateway election ------------------------------------------------------------
 

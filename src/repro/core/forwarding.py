@@ -13,23 +13,29 @@ This module holds the bookkeeping shared by all strategies:
   timeout), completing exactly once,
 * :class:`RingController` — the expanding-ring round schedule,
 * :class:`WalkCoordinator` — collects random-walk hit streams,
+* :class:`RandomWalk` — the random-walk strategy itself: starting a
+  walk, relaying one, and the ``walk*`` message handlers the registry
+  node adopts into its dispatch table,
 * :class:`CircuitBreaker` — per-neighbor health gating the fan-out, so
   degraded-mode queries stop paying the aggregation timeout for peers
   the failure detector already suspects.
 
-The registry node wires these to the protocol handlers.
+The registry node wires the rest to its protocol handlers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable
 
 from repro.core import protocol
 from repro.registry.matching import QueryEvaluator, QueryHit
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.core.registry_node import RegistryNode
+    from repro.netsim.messages import Envelope
     from repro.netsim.node import Node, Timer
+    from repro.obs.tracing import Span
 
 
 class SeenQueries:
@@ -338,6 +344,119 @@ class WalkCoordinator:
     @property
     def done(self) -> bool:
         return self._done
+
+
+class RandomWalk:
+    """The random-walk strategy of one registry.
+
+    "Random walks" instead of flooding: the query visits one registry
+    after another, each reporting its local matches straight back to
+    the registry that started the walk. This class starts walks for
+    client queries (one :class:`WalkCoordinator` each, in
+    :attr:`active`) and relays other registries' walks one hop on.
+    """
+
+    def __init__(self, registry: "RegistryNode") -> None:
+        self.registry = registry
+        #: Walks this registry coordinates, by query id.
+        self.active: dict[str, WalkCoordinator] = {}
+
+    def start(
+        self, client: str, payload: protocol.QueryPayload, *, span: "Span | None" = None
+    ) -> None:
+        """Answer ``client`` from the local store plus one walk."""
+        registry = self.registry
+        config = registry.config
+        local = registry._local_hits(payload, parent=span)
+        target_count = payload.max_results if payload.max_results is not None else 1
+        targets = registry.federation.forward_targets({client})
+        if len(local) >= target_count or not targets or config.walk_length <= 1:
+            registry._respond(client, payload.query_id, local, 1, span=span)
+            return
+
+        def complete(hits: list[QueryHit], responders: int) -> None:
+            self.active.pop(payload.query_id, None)
+            registry._respond(client, payload.query_id, hits, responders, span=span)
+
+        self.active[payload.query_id] = WalkCoordinator(
+            registry,
+            query_id=payload.query_id,
+            local_hits=local,
+            timeout=config.aggregation_timeout * config.walk_length,
+            max_results=payload.max_results,
+            on_complete=complete,
+        )
+        self._hand_on(
+            protocol.WalkPayload(
+                query_id=payload.query_id,
+                model_id=payload.model_id,
+                query=payload.query,
+                coordinator=registry.node_id,
+                remaining=config.walk_length - 1,
+                visited=(registry.node_id,),
+                max_results=payload.max_results,
+            ),
+            targets, hops=1,
+        )
+
+    def _hand_on(self, walk: protocol.WalkPayload, candidates: list[str], *, hops: int) -> None:
+        """Send the walk to its next hop, picked among ``candidates``."""
+        registry = self.registry
+        next_hop = registry.router.pick_walk(candidates, rng=registry.sim.rng)
+        registry.send(next_hop, protocol.WALK, walk, hops=hops)
+        registry.rim.queries_forwarded += 1
+
+    def handle_walk(self, envelope: "Envelope") -> None:
+        """A walk reached us: report our matches, pass it on or end it."""
+        payload = envelope.payload
+        if not isinstance(payload, protocol.WalkPayload):
+            return
+        registry = self.registry
+        local = registry._local_hits(protocol.QueryPayload(
+            query_id=payload.query_id,
+            model_id=payload.model_id,
+            query=payload.query,
+            max_results=payload.max_results,
+        ))
+        if local:
+            registry.send(
+                payload.coordinator,
+                protocol.WALK_HITS,
+                protocol.ResponsePayload(
+                    query_id=payload.query_id, hits=tuple(local), responders=1
+                ),
+            )
+        visited = set(payload.visited) | {registry.node_id}
+        candidates = [
+            t for t in registry.federation.forward_targets({envelope.src})
+            if t not in visited
+        ]
+        if payload.remaining <= 1 or not candidates:
+            registry.send(
+                payload.coordinator,
+                protocol.WALK_END,
+                protocol.ResponsePayload(query_id=payload.query_id, hits=(), responders=0),
+            )
+            return
+        self._hand_on(
+            replace(payload, remaining=payload.remaining - 1,
+                    visited=tuple(sorted(visited))),
+            candidates, hops=envelope.hops + 1,
+        )
+
+    def handle_walk_hits(self, envelope: "Envelope") -> None:
+        payload = envelope.payload
+        if isinstance(payload, protocol.ResponsePayload):
+            walk = self.active.get(payload.query_id)
+            if walk is not None:
+                walk.add_hits(payload.hits)
+
+    def handle_walk_end(self, envelope: "Envelope") -> None:
+        payload = envelope.payload
+        if isinstance(payload, protocol.ResponsePayload):
+            walk = self.active.get(payload.query_id)
+            if walk is not None:
+                walk.walk_ended()
 
 
 #: Circuit-breaker states.

@@ -185,8 +185,8 @@ def _canonical_ring(system: "DiscoverySystem", members):
     for registry in members:
         ring.add(registry.node_id, getattr(registry, "ring_identity", registry.node_id))
     for registry in sorted(members, key=lambda r: r.node_id):
-        live = getattr(registry, "shard", None)
-        if live is None or not live.configured():
+        live = registry.shard
+        if not live.configured():
             continue
         for member in sorted(live.ring.members()):
             if member not in ring:

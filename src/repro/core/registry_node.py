@@ -22,7 +22,8 @@ durable registry storage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Any
 
 from repro.core import protocol
@@ -44,14 +45,15 @@ from repro.core.durability import (
 from repro.core.federation import Federation
 from repro.core.forwarding import (
     PendingAggregation,
+    RandomWalk,
     RingController,
     SeenQueries,
-    WalkCoordinator,
 )
 from repro.core.repository import ArtifactRepository
 from repro.core.routing import Router
 from repro.core.sharding import ShardManager
 from repro.descriptions.base import DescriptionModel, ModelRegistry
+from repro.errors import LeaseError
 from repro.netsim.messages import Envelope
 from repro.netsim.node import Node
 from repro.obs.metrics import COUNT_BUCKETS
@@ -130,7 +132,16 @@ class RegistryNode(Node):
         self.leases: LeaseManager | None = None
         self._seen: SeenQueries | None = None
         self._pending: dict[str, PendingAggregation] = {}
-        self._walks: dict[str, WalkCoordinator] = {}
+        #: Random-walk strategy: walks we coordinate, walks we relay.
+        self.walk = RandomWalk(self)
+        # Components serve their own message types — a switched-off one
+        # none, so its traffic is an unknown message type here.
+        self.adopt_handlers(self.federation)
+        self.adopt_handlers(self.walk)
+        if self.antientropy.enabled():
+            self.adopt_handlers(self.antientropy)
+        if self.shard.configured():
+            self.adopt_handlers(self.shard)
         self._seen_ad_pushes: set[tuple[str, int, int]] = set()
         self._subscriptions: dict[str, _Subscription] = {}
         self.responses_sent = 0
@@ -138,6 +149,17 @@ class RegistryNode(Node):
         #: Query responses that arrived after their aggregation completed
         #: (work the aggregation timeout threw away).
         self.late_responses = 0
+        #: How this registry starts a client query: a replica-group cover
+        #: under sharding, else the configured forwarding strategy.
+        self._start_query = (
+            partial(self._scatter, plan=self.shard.plan_read)
+            if self.shard.active() else {
+                STRATEGY_FLOODING: partial(self._scatter, plan=self._plan_flood),
+                STRATEGY_INFORMED: partial(self._scatter, plan=self._plan_informed),
+                STRATEGY_EXPANDING_RING: self._start_ring,
+                STRATEGY_RANDOM_WALK: self.walk.start,
+            }[config.strategy]
+        )
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -192,7 +214,7 @@ class RegistryNode(Node):
         self.federation.reset()
         self.antientropy.reset()
         self._pending.clear()
-        self._walks.clear()
+        self.walk.active.clear()
         self._seen_ad_pushes.clear()
         self._subscriptions.clear()
         self._peer_incarnations.clear()
@@ -224,6 +246,13 @@ class RegistryNode(Node):
             payload_type=payload_type, headers=headers, hops=hops,
         )
 
+    def dispatch(self, envelope: Envelope) -> None:
+        """Fence replication traffic once, for every handler (the
+        receive-side twin of :meth:`send`), then route as usual."""
+        if envelope.msg_type in FENCED_MSG_TYPES and self._fence_stale(envelope):
+            return
+        super().dispatch(envelope)
+
     def _fence_stale(self, envelope: Envelope) -> bool:
         """Drop replication traffic from a peer's previous incarnation.
 
@@ -247,7 +276,7 @@ class RegistryNode(Node):
                     trace.event(
                         "durability.fenced",
                         node=self.node_id,
-                        ctx=self._trace_ctx,
+                        ctx=TraceRecorder.extract(envelope.headers),
                         attrs={"from": envelope.src, "stale": stamp,
                                "current": known},
                     )
@@ -274,8 +303,7 @@ class RegistryNode(Node):
         Semantic advertisements index their category and outputs *plus all
         ancestors*, so a summary holding ``Radar`` also answers to a
         request for ``Sensor`` — subsumption-aware routing without
-        shipping the advertisements themselves. THING is excluded (it
-        would match everything).
+        shipping the advertisements themselves.
         """
         if not self.config.summaries_enabled():
             return ()
@@ -292,12 +320,7 @@ class RegistryNode(Node):
             elif ad.model_id == "template":
                 terms |= tokenize(description.category)
             elif ad.model_id == "semantic" and isinstance(description, ServiceProfile):
-                concepts = {description.category, *description.outputs}
-                terms |= concepts
-                if reasoner is not None:
-                    for concept in concepts:
-                        if concept in ontology:
-                            terms |= reasoner.ancestors_of(concept)
+                terms |= self._with_ancestors({description.category, *description.outputs})
         terms.discard(THING)
         if reasoner is not None:
             # Near-root concepts (depth <= 1) match almost any query and
@@ -320,10 +343,22 @@ class RegistryNode(Node):
             return getattr(model, "ontology", None), getattr(model, "reasoner", None)
         return None, None
 
+    def _with_ancestors(self, concepts: set[str]) -> set[str]:
+        """``concepts`` plus all their ontology ancestors, minus THING
+        (it would match everything)."""
+        from repro.semantics.ontology import THING
+
+        ontology, reasoner = self._semantic_reasoner()
+        terms = set(concepts)
+        if reasoner is not None:
+            for concept in concepts:
+                if concept in ontology:
+                    terms |= reasoner.ancestors_of(concept)
+        terms.discard(THING)
+        return terms
+
     def _query_terms(self, payload: protocol.QueryPayload) -> frozenset[str]:
         """The index terms a query can match against summaries."""
-        from repro.descriptions.template import tokenize
-        from repro.semantics.ontology import THING
         from repro.semantics.profiles import ServiceRequest
 
         query = payload.query
@@ -332,69 +367,16 @@ class RegistryNode(Node):
         if payload.model_id == "template":
             return frozenset(query.tokens)
         if payload.model_id == "semantic" and isinstance(query, ServiceRequest):
-            terms: set[str] = set()
             concepts = set(query.desired_outputs)
             if query.category is not None:
                 concepts.add(query.category)
-            terms |= concepts
-            ontology, reasoner = self._semantic_reasoner()
-            if reasoner is not None:
-                for concept in concepts:
-                    if concept in ontology:
-                        terms |= reasoner.ancestors_of(concept)
-            terms.discard(THING)
-            return frozenset(terms)
+            return frozenset(self._with_ancestors(concepts))
         return frozenset()
 
     # -- registry network maintenance ----------------------------------------
 
     def _beacon(self) -> None:
         self.multicast(protocol.REGISTRY_BEACON, self.describe())
-
-    def handle_registry_probe(self, envelope: Envelope) -> None:
-        self.send(envelope.src, protocol.REGISTRY_PROBE_REPLY, self.describe())
-
-    def handle_registry_probe_reply(self, envelope: Envelope) -> None:
-        if isinstance(envelope.payload, RegistryDescription):
-            self.federation.observe(envelope.payload)
-
-    def handle_registry_beacon(self, envelope: Envelope) -> None:
-        if isinstance(envelope.payload, RegistryDescription):
-            self.federation.observe(envelope.payload)
-
-    def handle_registry_ping(self, envelope: Envelope) -> None:
-        self.send(envelope.src, protocol.REGISTRY_PONG)
-
-    def handle_registry_pong(self, envelope: Envelope) -> None:
-        self.federation.handle_pong(envelope.src)
-        # Proof of life: replay any writes hinted while the peer was down.
-        self.shard.peer_alive(envelope.src)
-
-    def handle_registry_list_request(self, envelope: Envelope) -> None:
-        self.send(envelope.src, protocol.REGISTRY_LIST_REPLY, self.federation.registry_list())
-
-    def handle_registry_list_reply(self, envelope: Envelope) -> None:
-        if isinstance(envelope.payload, protocol.RegistryListPayload):
-            self.federation.handle_registry_list(envelope.payload)
-
-    def handle_federation_join(self, envelope: Envelope) -> None:
-        if self._fence_stale(envelope):
-            return
-        description = envelope.payload if isinstance(envelope.payload, RegistryDescription) \
-            else None
-        self.federation.handle_join(envelope.src, description)
-
-    def handle_federation_join_ack(self, envelope: Envelope) -> None:
-        if self._fence_stale(envelope):
-            return
-        description = envelope.payload if isinstance(envelope.payload, RegistryDescription) \
-            else None
-        self.federation.handle_join_ack(envelope.src, description)
-
-    def handle_federation_leave(self, envelope: Envelope) -> None:
-        member = envelope.payload.member \
-            if isinstance(envelope.payload, protocol.LeavePayload) else ""
-        self.federation.handle_leave(envelope.src, member)
 
     # -- repository (§4.6) ------------------------------------------------------
 
@@ -417,6 +399,151 @@ class RegistryNode(Node):
             ),
         )
 
+    # -- the replica-state write path ----------------------------------------------
+    #
+    # These four methods are the only code that changes what this replica
+    # holds. Each states one policy once, so every way in — client
+    # requests, AD_FORWARD floods, shard quorum traffic, anti-entropy,
+    # lease expiry, rebalancing, WAL replay — leaves the store, the lease
+    # table, the digest bookkeeping and the durable log in agreement.
+
+    def store_ad(
+        self,
+        ad: Advertisement,
+        *,
+        lease_duration: float | None,
+        epoch: int,
+        notify: bool = True,
+        restore: tuple[str, float] | None = None,
+    ) -> Lease | None:
+        """Store or refresh ``ad``: store → epoch → lease → WAL → subscribers.
+
+        Returns the lease now backing it (``None`` with leasing off).
+        ``restore`` is WAL replay: the persisted ``(lease_id, expires_at)``
+        is reinstated instead of a fresh grant, and nothing is logged or
+        announced again.
+        """
+        stored = self.store.put(ad)
+        self.antientropy.note_stored(ad.ad_id, epoch)
+        lease = None
+        if self.config.leasing_enabled and self.leases is not None:
+            if restore is None:
+                lease = self.leases.grant(ad.ad_id, lease_duration)
+            elif restore[0]:
+                lease = self.leases.restore(
+                    ad.ad_id, lease_id=restore[0], duration=lease_duration,
+                    expires_at=restore[1],
+                )
+        if restore is None:
+            # Log what the store kept: its version guard may have held on
+            # to a newer copy, and replay must never bring back an older one.
+            self.durability.log_store(
+                stored,
+                lease_id=lease.lease_id if lease is not None else "",
+                duration=lease.duration if lease is not None else float("inf"),
+                expires_at=lease.expires_at if lease is not None else float("inf"),
+                origin_epoch=epoch,
+            )
+            if notify:
+                self._notify_subscribers(ad)
+        return lease
+
+    def renew_ad(
+        self,
+        ad_id: str,
+        *,
+        epoch: int,
+        lease_id: str | None = None,
+        duration: float | None = None,
+    ) -> bool:
+        """Extend the lease of ``ad_id``; True when the ad is held here.
+
+        The owning service renews by ``lease_id`` (an unknown or lapsed
+        one raises :class:`LeaseError` — the service must republish,
+        §4.8); a replica refresh names only the ad and gets a fresh lease
+        of ``duration``.
+        """
+        held = ad_id in self.store
+        lease = None
+        if self.config.leasing_enabled and self.leases is not None:
+            if lease_id is not None:
+                lease = self.leases.renew(lease_id)
+            elif held:
+                lease = self.leases.grant(ad_id, duration)
+        if held:
+            self.antientropy.note_stored(ad_id, epoch)
+            if lease is not None:
+                self.durability.log_renew(
+                    ad_id, expires_at=lease.expires_at, origin_epoch=epoch,
+                )
+        return held
+
+    def remove_ad(self, ad_id: str, *, version: int | None = None) -> Advertisement | None:
+        """Explicitly remove ``ad_id``, leaving a tombstone so a stale
+        replica cannot resurrect it through anti-entropy reconciliation.
+
+        ``version`` is the tombstone a peer handed us (adoption); by
+        default the removed copy's own version is tombstoned.
+        """
+        removed = self.store.discard(ad_id)
+        if self.leases is not None:
+            self.leases.cancel_for_ad(ad_id)
+        if removed is not None:
+            self.rim.removals += 1
+            version = removed.version if version is None else version
+            self.antientropy.note_removed(ad_id, version)
+            self.durability.log_remove(ad_id, version)
+        return removed
+
+    def drop_ad(self, ad_id: str) -> Advertisement | None:
+        """Let go of ``ad_id`` without a tombstone (lease expiry, shard
+        hand-off): every replica's lease lapses on its own, and the ad
+        may legitimately come back."""
+        removed = self.store.discard(ad_id)
+        if self.leases is not None:
+            self.leases.cancel_for_ad(ad_id)
+        if removed is not None:
+            self.rim.removals += 1
+            self.antientropy.note_dropped(ad_id)
+            self.durability.log_expire(ad_id)
+        return removed
+
+    def lease_epoch(self) -> int:
+        """Monotone epoch advancing once per renew interval."""
+        return int(self.sim.now / max(self.config.renew_interval, 1e-9))
+
+    def absorb_replica(self, payload: protocol.AdForwardPayload) -> bool:
+        """Integrate one replicated advertisement into the local store.
+
+        The guarded way into :meth:`store_ad` for copies arriving from
+        peers (``AD_FORWARD`` flood, shard writes and transfers,
+        anti-entropy sync); returns True when the advertisement was
+        stored (or refreshed). Tombstoned advertisements are never
+        resurrected; the store's version guard rejects stale copies on
+        its own.
+        """
+        ad = payload.advertisement
+        if self.antientropy.blocked(ad.ad_id, ad.version):
+            self.antientropy.resurrections_blocked += 1
+            if self.network is not None:
+                self.network.stats.record_recovery("resurrection-blocked")
+            return False
+        if not (self.models.supports(ad.model_id) and self._has_room_for(ad.ad_id)):
+            self.models.discarded_payloads += 1
+            return False
+        self.store_ad(
+            ad, lease_duration=payload.lease_duration, epoch=payload.epoch,
+            notify=ad.ad_id not in self.store,
+        )
+        return True
+
+    def _has_room_for(self, ad_id: str) -> bool:
+        return (
+            self.capacity is None
+            or len(self.store) < self.capacity
+            or ad_id in self.store
+        )
+
     # -- publishing ---------------------------------------------------------------
 
     def handle_publish(self, envelope: Envelope) -> None:
@@ -428,26 +555,24 @@ class RegistryNode(Node):
             # publisher will fail over to a capable registry on timeout.
             self.models.discarded_payloads += 1
             return
-        if self.shard.active():
-            # Sharded federation: this registry coordinates a quorum
-            # write to the advertisement's replica set instead of
-            # storing locally and flooding.
-            self._shard_publish(envelope.src, payload)
-            return
         ad_id = payload.ad_id or new_uuid("ad")
-        if (
-            self.capacity is not None
-            and len(self.store) >= self.capacity
-            and ad_id not in self.store
-        ):
+        # Under sharding only the advertisement's replica set stores it;
+        # this registry coordinates the quorum write either way.
+        sharded = self.shard.active()
+        holds = not sharded or self.shard.owns_local(ad_id)
+
+        def nack(reason: str) -> None:
             self.send(
                 envelope.src,
                 protocol.PUBLISH_NACK,
-                protocol.PublishNack(ad_id=ad_id, model_id=payload.model_id),
+                protocol.PublishNack(ad_id=ad_id, model_id=payload.model_id,
+                                     reason=reason),
             )
+
+        if holds and not self._has_room_for(ad_id):
+            nack("capacity")
             return
-        existing = self.store.discard(ad_id)
-        version = existing.version + 1 if existing is not None else 1
+        self.rim.publishes += 1
         ad = Advertisement(
             ad_id=ad_id,
             service_node=payload.service_node,
@@ -455,38 +580,44 @@ class RegistryNode(Node):
             endpoint=payload.endpoint,
             model_id=payload.model_id,
             description=payload.description,
-            version=version,
+            version=self.store.get(ad_id).version + 1 if ad_id in self.store else 1,
             published_at=self.sim.now,
             home_registry=self.node_id,
         )
-        self.store.put(ad)
-        self.antientropy.note_stored(ad_id, self._lease_epoch())
-        self.rim.publishes += 1
-        lease_id = ""
-        duration = float("inf")
-        expires_at = float("inf")
-        if self.config.leasing_enabled and self.leases is not None:
-            lease = self.leases.grant(ad_id, payload.lease_duration)
-            lease_id = lease.lease_id
-            duration = lease.duration
-            expires_at = lease.expires_at
-        self.durability.log_store(
-            ad, lease_id=lease_id, duration=duration, expires_at=expires_at,
-            origin_epoch=self._lease_epoch(),
-        )
-        self.send(
-            envelope.src,
-            protocol.PUBLISH_ACK,
-            protocol.PublishAck(
-                ad_id=ad_id,
-                lease_id=lease_id,
-                lease_duration=duration,
-                model_id=payload.model_id,
-            ),
-        )
-        self._notify_subscribers(ad)
+        epoch = self.lease_epoch()
+        lease = self.store_ad(
+            ad, lease_duration=payload.lease_duration, epoch=epoch,
+        ) if holds else None
+        if lease is not None:
+            lease_id, duration = lease.lease_id, lease.duration
+        elif sharded:
+            # No lease of our own to hand out: the service renews a
+            # "shard:" lease, which we relay to the replicas' real ones.
+            lease_id = f"shard:{ad_id}"
+            duration = payload.lease_duration or self.config.lease_duration
+        else:
+            lease_id, duration = "", float("inf")
+
+        def ack() -> None:
+            self.send(
+                envelope.src,
+                protocol.PUBLISH_ACK,
+                protocol.PublishAck(
+                    ad_id=ad_id, lease_id=lease_id,
+                    lease_duration=duration, model_id=payload.model_id,
+                ),
+            )
+
+        if sharded:
+            # Acked once W of the R replicas confirmed the write.
+            self.shard.replicate_store(
+                ad, duration, epoch,
+                on_success=ack, on_failure=lambda: nack("quorum"),
+            )
+            return
+        ack()
         if self.config.cooperation == COOPERATION_REPLICATE_ADS:
-            self._push_ad(ad, exclude=set())
+            self._push_ad(ad)
 
     def handle_renew(self, envelope: Envelope) -> None:
         payload = envelope.payload
@@ -496,61 +627,47 @@ class RegistryNode(Node):
         if not self.config.leasing_enabled or self.leases is None:
             self.send(envelope.src, protocol.RENEW_ACK, payload)
             return
-        if self.shard.active() and payload.lease_id.startswith("shard:"):
+        sharded = self.shard.active()
+        if sharded and payload.lease_id.startswith("shard:"):
             # The service published through us while we were not in the
             # advertisement's replica set: relay the renewal to the
             # replicas actually holding the leases.
-            self._shard_renew_relay(envelope.src, payload)
+            self.shard.relay_renew(envelope.src, payload)
             return
         try:
-            lease = self.leases.renew(payload.lease_id)
-        except Exception:
+            held = self.renew_ad(
+                payload.ad_id, epoch=self.lease_epoch(), lease_id=payload.lease_id,
+            )
+        except LeaseError:
             # Unknown/expired lease: the service must republish (§4.8).
             self.send(envelope.src, protocol.RENEW_NACK, payload)
             return
         self.send(envelope.src, protocol.RENEW_ACK, payload)
-        if payload.ad_id in self.store:
-            self.antientropy.note_stored(payload.ad_id, self._lease_epoch())
-            self.durability.log_renew(
-                payload.ad_id, expires_at=lease.expires_at,
-                origin_epoch=self._lease_epoch(),
-            )
-        if self.config.cooperation == COOPERATION_REPLICATE_ADS and payload.ad_id in self.store:
-            if self.shard.active():
+        if held and self.config.cooperation == COOPERATION_REPLICATE_ADS:
+            if sharded:
                 # Refresh only the other replicas of this ad's shard —
                 # a compact SHARD_RENEW, not a full-store flood.
-                self._shard_refresh(payload.ad_id)
+                self.shard.refresh_replicas(payload.ad_id)
             else:
                 # Refresh replicas: the lease epoch advances the dedup
                 # key so the push floods through.
-                self._push_ad(self.store.get(payload.ad_id), exclude=set())
+                self._push_ad(self.store.get(payload.ad_id))
 
     def handle_remove(self, envelope: Envelope) -> None:
         payload = envelope.payload
         if not isinstance(payload, protocol.RemovePayload):
             return
-        if self.shard.active():
-            self._shard_remove(envelope.src, payload)
-            return
-        removed = self.store.discard(payload.ad_id)
-        if self.leases is not None:
-            self.leases.cancel_for_ad(payload.ad_id)
-        if removed is not None:
-            self.rim.removals += 1
-            # Tombstone the removal so a stale replica cannot resurrect
-            # the advertisement through anti-entropy reconciliation.
-            self.antientropy.note_removed(payload.ad_id, removed.version)
-            self.durability.log_remove(payload.ad_id, removed.version)
+        self.remove_ad(payload.ad_id)
+        # Always acked: removal is idempotent and leases expire regardless.
         self.send(envelope.src, protocol.REMOVE_ACK, payload)
+        if self.shard.active():
+            self.shard.replicate_remove(payload.ad_id)
 
     def _purge(self) -> None:
         """Expire lapsed leases/subscriptions and drop their state."""
         if self.leases is not None:
             for ad_id in self.leases.expired_ads():
-                if self.store.discard(ad_id) is not None:
-                    self.rim.removals += 1
-                    self.antientropy.note_dropped(ad_id)
-                    self.durability.log_expire(ad_id)
+                self.drop_ad(ad_id)
         now = self.sim.now
         lapsed = [sid for sid, sub in self._subscriptions.items()
                   if now >= sub.expires_at]
@@ -650,15 +767,8 @@ class RegistryNode(Node):
             # the only repair channels — never ship the whole (sharded)
             # store to a neighbor that mostly does not own it.
             return
-        epoch = self._lease_epoch()
         for ad in self.store.all():
-            payload = protocol.AdForwardPayload(
-                advertisement=ad,
-                lease_duration=self.config.lease_duration,
-                epoch=epoch,
-            )
-            self._seen_ad_pushes.add(payload.dedup_key())
-            self.send(neighbor, protocol.AD_FORWARD, payload)
+            self._push_ad(ad, [neighbor])
 
     def handle_artifact_reply(self, envelope: Envelope) -> None:
         """An artifact arrived from a peer: host it, and use it.
@@ -681,66 +791,22 @@ class RegistryNode(Node):
 
     # -- replication cooperation ---------------------------------------------------
 
-    def _lease_epoch(self) -> int:
-        """Monotone epoch advancing once per renew interval."""
-        return int(self.sim.now / max(self.config.renew_interval, 1e-9))
-
-    def _push_ad(self, ad: Advertisement, *, exclude: set[str]) -> None:
+    def _push_ad(self, ad: Advertisement, targets: list[str] | None = None) -> None:
+        """Flood ``ad`` to ``targets`` (default: every forward target)."""
         payload = protocol.AdForwardPayload(
             advertisement=ad,
             lease_duration=self.config.lease_duration,
-            epoch=self._lease_epoch(),
+            epoch=self.lease_epoch(),
         )
         self._seen_ad_pushes.add(payload.dedup_key())
-        for neighbor in self.federation.forward_targets(exclude):
-            self.send(neighbor, protocol.AD_FORWARD, payload)
-
-    def _absorb_replica(self, payload: protocol.AdForwardPayload) -> bool:
-        """Integrate one replicated advertisement into the local store.
-
-        Shared by the ``AD_FORWARD`` flood and anti-entropy sync; returns
-        True when the advertisement was stored (or refreshed). Tombstoned
-        advertisements are never resurrected; the store's version guard
-        rejects stale copies on its own.
-        """
-        ad = payload.advertisement
-        if self.antientropy.blocked(ad.ad_id, ad.version):
-            self.antientropy.resurrections_blocked += 1
-            if self.network is not None:
-                self.network.stats.record_recovery("resurrection-blocked")
-            return False
-        over_capacity = (
-            self.capacity is not None
-            and len(self.store) >= self.capacity
-            and ad.ad_id not in self.store
-        )
-        if not self.models.supports(ad.model_id) or over_capacity:
-            self.models.discarded_payloads += 1
-            return False
-        fresh = ad.ad_id not in self.store
-        self.store.put(ad)
-        self.antientropy.note_stored(ad.ad_id, payload.epoch)
-        lease_id = ""
-        duration = payload.lease_duration
-        expires_at = float("inf")
-        if self.config.leasing_enabled and self.leases is not None:
-            lease = self.leases.grant(ad.ad_id, payload.lease_duration)
-            lease_id = lease.lease_id
-            duration = lease.duration
-            expires_at = lease.expires_at
-        self.durability.log_store(
-            ad, lease_id=lease_id, duration=duration, expires_at=expires_at,
-            origin_epoch=payload.epoch,
-        )
-        if fresh:
-            self._notify_subscribers(ad)
-        return True
+        if targets is None:
+            targets = self.federation.forward_targets(set())
+        for target in targets:
+            self.send(target, protocol.AD_FORWARD, payload)
 
     def handle_ad_forward(self, envelope: Envelope) -> None:
         payload = envelope.payload
         if not isinstance(payload, protocol.AdForwardPayload):
-            return
-        if self._fence_stale(envelope):
             return
         key = payload.dedup_key()
         if key in self._seen_ad_pushes:
@@ -751,298 +817,15 @@ class RegistryNode(Node):
             # SHARD_STORE/SHARD_TRANSFER; a stray flood push must not
             # violate placement or re-fan out to every neighbor.
             if self.shard.owns_local(payload.advertisement.ad_id):
-                self._absorb_replica(payload)
+                self.absorb_replica(payload)
             return
-        self._absorb_replica(payload)
+        self.absorb_replica(payload)
         # Flood onward regardless of local support — we may bridge two
         # capable registries.
         for neighbor in self.federation.forward_targets({envelope.src}):
             self.send(neighbor, protocol.AD_FORWARD, payload)
 
-    # -- sharded federation (quorum replication) -----------------------------------
-
-    def _shard_publish(self, requester: str, payload: protocol.PublishPayload) -> None:
-        """Coordinate a quorum write for one publish (sharding on).
-
-        The advertisement's replica set comes from the consistent-hash
-        ring; this registry stores a copy only if it is *in* that set.
-        The service is acked once W replicas confirmed; a replica that
-        stays silent past the quorum timeout gets the write buffered as
-        a hint and replayed on its next proof of life.
-        """
-        ad_id = payload.ad_id or new_uuid("ad")
-        replicas = self.shard.replicas_for(ad_id)
-        me = self.node_id
-        epoch = self._lease_epoch()
-        existing = self.store.get(ad_id) if ad_id in self.store else None
-        version = existing.version + 1 if existing is not None else 1
-        ad = Advertisement(
-            ad_id=ad_id,
-            service_node=payload.service_node,
-            service_name=payload.service_name,
-            endpoint=payload.endpoint,
-            model_id=payload.model_id,
-            description=payload.description,
-            version=version,
-            published_at=self.sim.now,
-            home_registry=me,
-        )
-        self.rim.publishes += 1
-        acked = 0
-        lease_id = f"shard:{ad_id}"
-        duration = payload.lease_duration or self.config.lease_duration
-        if me in replicas:
-            if (
-                self.capacity is not None
-                and len(self.store) >= self.capacity
-                and ad_id not in self.store
-            ):
-                self.send(
-                    requester,
-                    protocol.PUBLISH_NACK,
-                    protocol.PublishNack(ad_id=ad_id, model_id=payload.model_id),
-                )
-                return
-            self.store.put(ad)
-            self.antientropy.note_stored(ad_id, epoch)
-            expires_at = float("inf")
-            if self.config.leasing_enabled and self.leases is not None:
-                lease = self.leases.grant(ad_id, payload.lease_duration)
-                lease_id = lease.lease_id
-                duration = lease.duration
-                expires_at = lease.expires_at
-            self.durability.log_store(
-                ad, lease_id=lease_id, duration=duration,
-                expires_at=expires_at, origin_epoch=epoch,
-            )
-            self._notify_subscribers(ad)
-            acked = 1
-
-        def on_success() -> None:
-            self.send(
-                requester,
-                protocol.PUBLISH_ACK,
-                protocol.PublishAck(
-                    ad_id=ad_id, lease_id=lease_id,
-                    lease_duration=duration, model_id=payload.model_id,
-                ),
-            )
-
-        def on_failure() -> None:
-            self.send(
-                requester,
-                protocol.PUBLISH_NACK,
-                protocol.PublishNack(
-                    ad_id=ad_id, model_id=payload.model_id, reason="quorum",
-                ),
-            )
-
-        others = [r for r in replicas if r != me]
-        needed = min(self.shard.cfg.write_quorum, max(len(replicas), 1))
-        if not others:
-            on_success() if acked >= needed else on_failure()
-            return
-        entry = protocol.AdForwardPayload(
-            advertisement=ad, lease_duration=duration, epoch=epoch,
-        )
-        request_id = self.shard.begin_write(
-            ad_id=ad_id, targets=others, needed=needed, acked=acked,
-            on_success=on_success, on_failure=on_failure,
-        )
-        # The hint copy carries no request id — replays need no ack.
-        self.shard.park_hint_payload(
-            request_id, protocol.SHARD_STORE,
-            protocol.ShardStorePayload(request_id="", entry=entry),
-        )
-        store_payload = protocol.ShardStorePayload(request_id=request_id, entry=entry)
-        for target in others:
-            self.send(target, protocol.SHARD_STORE, store_payload)
-
-    def _shard_renew_relay(self, requester: str, payload: protocol.RenewPayload) -> None:
-        """Relay a renewal for an advertisement we do not replicate."""
-        ad_id = payload.ad_id
-        replicas = [r for r in self.shard.replicas_for(ad_id) if r != self.node_id]
-        if not replicas:
-            self.send(requester, protocol.RENEW_NACK, payload)
-            return
-
-        def on_success() -> None:
-            self.send(requester, protocol.RENEW_ACK, payload)
-
-        def on_failure() -> None:
-            # No replica still holds the lease: the service republishes.
-            self.send(requester, protocol.RENEW_NACK, payload)
-
-        request_id = self.shard.begin_write(
-            ad_id=ad_id, targets=tuple(replicas), needed=1,
-            on_success=on_success, on_failure=on_failure,
-        )
-        renew = protocol.ShardRenewPayload(
-            request_id=request_id, ad_id=ad_id,
-            epoch=self._lease_epoch(), duration=self.config.lease_duration,
-        )
-        for target in replicas:
-            self.send(target, protocol.SHARD_RENEW, renew)
-
-    def _shard_refresh(self, ad_id: str) -> None:
-        """Fire-and-forget replica-lease refresh after a local renewal."""
-        renew = protocol.ShardRenewPayload(
-            request_id="", ad_id=ad_id,
-            epoch=self._lease_epoch(), duration=self.config.lease_duration,
-        )
-        for target in self.shard.replicas_for(ad_id):
-            if target != self.node_id:
-                self.send(target, protocol.SHARD_RENEW, renew)
-
-    def _shard_remove(self, requester: str, payload: protocol.RemovePayload) -> None:
-        """Quorum remove: tombstone the ad across its replica set.
-
-        The service is always acked (removal is idempotent and leases
-        expire regardless); the quorum machinery still tracks W acks so
-        silent replicas get a tombstone hint replayed later instead of
-        resurrecting the ad through anti-entropy.
-        """
-        ad_id = payload.ad_id
-        replicas = self.shard.replicas_for(ad_id)
-        me = self.node_id
-        acked = 0
-        removed = self.store.discard(ad_id)
-        if self.leases is not None:
-            self.leases.cancel_for_ad(ad_id)
-        if removed is not None:
-            self.rim.removals += 1
-            self.antientropy.note_removed(ad_id, removed.version)
-            self.durability.log_remove(ad_id, removed.version)
-        if me in replicas:
-            acked = 1
-        self.send(requester, protocol.REMOVE_ACK, payload)
-        others = [r for r in replicas if r != me]
-        if not others:
-            return
-        needed = min(self.shard.cfg.write_quorum, max(len(replicas), 1))
-        request_id = self.shard.begin_write(
-            ad_id=ad_id, targets=others, needed=needed, acked=acked,
-            on_success=lambda: None, on_failure=lambda: None,
-        )
-        self.shard.park_hint_payload(
-            request_id, protocol.SHARD_REMOVE,
-            protocol.ShardRemovePayload(request_id="", ad_id=ad_id),
-        )
-        remove = protocol.ShardRemovePayload(request_id=request_id, ad_id=ad_id)
-        for target in others:
-            self.send(target, protocol.SHARD_REMOVE, remove)
-
-    def handle_shard_store(self, envelope: Envelope) -> None:
-        payload = envelope.payload
-        if not isinstance(payload, protocol.ShardStorePayload):
-            return
-        if self._fence_stale(envelope):
-            return
-        absorbed = self._absorb_replica(payload.entry)
-        ad_id = payload.entry.advertisement.ad_id
-        held = ad_id in self.store
-        if payload.request_id:
-            self.send(
-                envelope.src,
-                protocol.SHARD_STORE_ACK,
-                protocol.ShardAckPayload(
-                    request_id=payload.request_id,
-                    ad_id=ad_id,
-                    # Holding an equal-or-newer copy satisfies the write
-                    # even when the incoming version was stale.
-                    found=absorbed or held,
-                    version=self.store.get(ad_id).version if held else 0,
-                ),
-            )
-        self.shard.publish_gauges()
-
-    def handle_shard_store_ack(self, envelope: Envelope) -> None:
-        payload = envelope.payload
-        if not isinstance(payload, protocol.ShardAckPayload):
-            return
-        if self._fence_stale(envelope):
-            return
-        self.shard.on_ack(payload.request_id, envelope.src, ok=payload.found)
-        # An ack is proof of life: flush any hints parked for the peer.
-        self.shard.peer_alive(envelope.src)
-
-    def handle_shard_renew(self, envelope: Envelope) -> None:
-        payload = envelope.payload
-        if not isinstance(payload, protocol.ShardRenewPayload):
-            return
-        if self._fence_stale(envelope):
-            return
-        found = payload.ad_id in self.store
-        if found:
-            if self.config.leasing_enabled and self.leases is not None:
-                lease = self.leases.grant(payload.ad_id, payload.duration)
-                self.durability.log_renew(
-                    payload.ad_id, expires_at=lease.expires_at,
-                    origin_epoch=payload.epoch,
-                )
-            self.antientropy.note_stored(payload.ad_id, payload.epoch)
-        if payload.request_id:
-            version = self.store.get(payload.ad_id).version if found else 0
-            self.send(
-                envelope.src,
-                protocol.SHARD_RENEW_ACK,
-                protocol.ShardAckPayload(
-                    request_id=payload.request_id, ad_id=payload.ad_id,
-                    found=found, version=version,
-                ),
-            )
-
-    def handle_shard_renew_ack(self, envelope: Envelope) -> None:
-        payload = envelope.payload
-        if not isinstance(payload, protocol.ShardAckPayload):
-            return
-        if self._fence_stale(envelope):
-            return
-        self.shard.on_ack(payload.request_id, envelope.src, ok=payload.found)
-        self.shard.peer_alive(envelope.src)
-
-    def handle_shard_remove(self, envelope: Envelope) -> None:
-        payload = envelope.payload
-        if not isinstance(payload, protocol.ShardRemovePayload):
-            return
-        if self._fence_stale(envelope):
-            return
-        removed = self.store.discard(payload.ad_id)
-        if self.leases is not None:
-            self.leases.cancel_for_ad(payload.ad_id)
-        if removed is not None:
-            self.rim.removals += 1
-            self.antientropy.note_removed(payload.ad_id, removed.version)
-            self.durability.log_remove(payload.ad_id, removed.version)
-        if payload.request_id:
-            self.send(
-                envelope.src,
-                protocol.SHARD_REMOVE_ACK,
-                protocol.ShardAckPayload(
-                    request_id=payload.request_id, ad_id=payload.ad_id,
-                ),
-            )
-
-    def handle_shard_remove_ack(self, envelope: Envelope) -> None:
-        payload = envelope.payload
-        if not isinstance(payload, protocol.ShardAckPayload):
-            return
-        if self._fence_stale(envelope):
-            return
-        self.shard.on_ack(payload.request_id, envelope.src, ok=payload.found)
-        self.shard.peer_alive(envelope.src)
-
-    def handle_shard_transfer(self, envelope: Envelope) -> None:
-        """Bulk key movement from a rebalancing peer: absorb, don't flood."""
-        payload = envelope.payload
-        if not isinstance(payload, protocol.SyncAdsPayload):
-            return
-        if self._fence_stale(envelope):
-            return
-        for entry in payload.ads:
-            if self._absorb_replica(entry):
-                self.shard.ads_moved_in += 1
-        self.shard.publish_gauges()
+    # -- federation membership hooks -----------------------------------------------
 
     def on_registry_observed(self, description: RegistryDescription) -> None:
         """Federation learned of a registry: place it on the shard ring."""
@@ -1072,30 +855,6 @@ class RegistryNode(Node):
         """We are leaving the federation: answer what we can, now."""
         for pending in list(self._pending.values()):
             pending.flush()
-
-    # -- anti-entropy reconciliation ----------------------------------------------
-
-    def handle_antientropy_digest(self, envelope: Envelope) -> None:
-        if self._fence_stale(envelope):
-            return
-        if isinstance(envelope.payload, protocol.DigestPayload):
-            # A digest is direct proof of life: replay any hinted writes
-            # before reconciling, so the peer's digest round converges on
-            # the post-handoff store.
-            self.shard.peer_alive(envelope.src)
-            self.antientropy.handle_digest(envelope.src, envelope.payload)
-
-    def handle_antientropy_pull(self, envelope: Envelope) -> None:
-        if self._fence_stale(envelope):
-            return
-        if isinstance(envelope.payload, protocol.DigestPullPayload):
-            self.antientropy.handle_pull(envelope.src, envelope.payload)
-
-    def handle_antientropy_ads(self, envelope: Envelope) -> None:
-        if self._fence_stale(envelope):
-            return
-        if isinstance(envelope.payload, protocol.SyncAdsPayload):
-            self.antientropy.handle_ads(envelope.src, envelope.payload)
 
     # -- observability hooks ------------------------------------------------------
 
@@ -1152,7 +911,7 @@ class RegistryNode(Node):
         late duplicate would re-enter the fan-out and double-count hits
         in the pending aggregation.
         """
-        return query_id in self._pending or query_id in self._walks
+        return query_id in self._pending or query_id in self.walk.active
 
     def _local_hits(
         self, payload: protocol.QueryPayload, *, parent: Span | None = None
@@ -1268,120 +1027,93 @@ class RegistryNode(Node):
             self.network.metrics.counter("admission.busy_received").inc()
         pending = self._pending.get(payload.request_id)
         if pending is not None:
-            pending.add_response(
-                protocol.ResponsePayload(
-                    query_id=payload.request_id, hits=(), responders=0
-                ),
-                src=envelope.src,
-            )
+            pending.drain_target(envelope.src)
             return
-        walk = self._walks.get(payload.request_id)
+        walk = self.walk.active.get(payload.request_id)
         if walk is not None:
             walk.walk_ended()
+
+    def _duplicate_query(self, query_id: str) -> bool:
+        """Whether ``query_id`` was seen before (marking it seen if not).
+
+        Checking live aggregation/walk state first is belt and braces
+        against loop-table eviction: a duplicate of a query we are still
+        aggregating must never restart it.
+        """
+        assert self._seen is not None
+        return self._query_in_flight(query_id) \
+            or not self._seen.check_and_mark(query_id)
 
     def handle_query(self, envelope: Envelope) -> None:
         """A client query: this registry is the entry point/coordinator."""
         payload = envelope.payload
         if not isinstance(payload, protocol.QueryPayload):
             return
-        assert self._seen is not None
         self.rim.queries_served += 1
-        if self._query_in_flight(payload.query_id):
-            # Belt and braces against loop-table eviction: a duplicate of
-            # a query we are still aggregating must never restart it.
-            return
-        if not self._seen.check_and_mark(payload.query_id):
+        if self._duplicate_query(payload.query_id):
             return
         client = envelope.src
         span = self._query_span("registry.query", envelope, payload)
-        if self._overload_shortcut(client, payload, span):
-            return
-        if self.shard.active():
-            # Sharded federation: contact one healthy member per replica
-            # group instead of flooding every neighbor.
-            self._start_shard_query(client, payload, span=span)
-            return
-        if self.config.strategy == STRATEGY_EXPANDING_RING:
-            self._start_ring(client, payload, span=span)
-        elif self.config.strategy == STRATEGY_RANDOM_WALK:
-            self._start_walk(client, payload, span=span)
-        elif self.config.strategy == STRATEGY_INFORMED:
-            self._start_informed(client, payload, span=span)
-        else:
-            self._start_flood(client, payload, span=span)
+        if not self._overload_shortcut(client, payload, span):
+            self._start_query(client, payload, span=span)
 
-    # .. sharded replica reads ..............................................
+    # .. scatter-gather (flooding, informed, sharded reads) ..................
 
-    def _start_shard_query(
-        self, client: str, payload: protocol.QueryPayload, *, span: Span | None = None
+    def _scatter(
+        self,
+        requester: str,
+        payload: protocol.QueryPayload,
+        *,
+        plan,
+        span: Span | None = None,
+        hops: int = 1,
+        on_complete=None,
     ) -> None:
-        """Bounded scatter-gather over a replica-group cover set.
+        """Gather the local hits plus those of whoever ``plan`` says to ask.
 
-        Advertisements are sharded by ``ad_id``, which a query does not
-        know — so full coverage needs one live replica of *every* shard.
-        The cover is ~S/R registries (vs all S under flooding), chosen
-        health-first so fail-stopped replicas are masked; a chosen
-        replica that stays silent is retried once on a sibling replica
-        before the aggregation gives up on its groups.
+        ``plan(requester, payload, local)`` runs after local evaluation
+        and returns ``(targets, ttl, retarget_planner)``: who gets the
+        query, the TTL it is forwarded with, and (optionally) how to
+        replace a target that stays silent. No targets — done already.
+        ``on_complete(hits, responders)`` defaults to answering
+        ``requester``.
         """
         local = self._local_hits(payload, parent=span)
-        self.shard.observe_read(payload.query_id, self.node_id, local)
-        targets = self.shard.read_cover()
+        targets, ttl, retarget_planner = plan(requester, payload, local)
+        if on_complete is None:
+            def on_complete(hits: list[QueryHit], responders: int) -> None:
+                self._respond(requester, payload.query_id, hits, responders, span=span)
         if not targets:
-            self.shard.end_read(payload.query_id)
-            self._respond(client, payload.query_id, local, 1, span=span)
+            on_complete(local, 1)
             return
         self._fan_out(
-            payload.with_ttl(0),
-            targets,
-            local,
-            on_complete=lambda hits, responders: self._respond(
-                client, payload.query_id, hits, responders, span=span
-            ),
-            parent=span,
-            retarget_planner=self._shard_retarget_planner(),
+            payload.with_ttl(ttl), targets, local, on_complete=on_complete,
+            parent=span, hops=hops, retarget_planner=retarget_planner,
         )
 
-    def _shard_retarget_planner(self):
-        """Alternate-replica picker for fan-out targets that stay silent."""
-        if not self.shard.cfg.read_retry:
-            return None
+    def _plan_flood(self, requester: str, payload: protocol.QueryPayload, local):
+        """Every neighbor but the one we got it from, while TTL lasts."""
+        if payload.ttl <= 0:
+            return [], 0, None
+        return self.federation.forward_targets({requester}), payload.ttl - 1, None
 
-        def plan(failed: list[str], contacted: set[str]) -> list[str]:
-            replacements: list[str] = []
-            used = set(contacted)
-            for target in failed:
-                alternate = self.shard.alternate_for(target, used)
-                if alternate is not None:
-                    replacements.append(alternate)
-                    used.add(alternate)
-                    self.shard.read_retries += 1
-                    if self.network is not None:
-                        self.network.metrics.counter("shard.read_retries").inc()
-            return replacements
+    def _plan_informed(self, requester: str, payload: protocol.QueryPayload, local):
+        """Route the query directly to summary-matching registries.
 
-        return plan
-
-    # .. flooding ..........................................................
-
-    def _start_flood(
-        self, client: str, payload: protocol.QueryPayload, *, span: Span | None = None
-    ) -> None:
-        local = self._local_hits(payload, parent=span)
-        ttl = payload.ttl
-        targets = self.federation.forward_targets({client}) if ttl > 0 else []
-        if not targets:
-            self._respond(client, payload.query_id, local, 1, span=span)
-            return
-        self._fan_out(
-            payload.with_ttl(ttl - 1),
-            targets,
-            local,
-            on_complete=lambda hits, responders: self._respond(
-                client, payload.query_id, hits, responders, span=span
-            ),
-            parent=span,
-        )
+        Content summaries learned through gossip tell us *which* known
+        registries plausibly hold matches; each gets the query with TTL 0
+        (evaluate-locally-and-answer). Registries without summary overlap
+        are never bothered — the bandwidth win over flooding; a stale or
+        missing summary is the recall risk (measured in E13).
+        """
+        terms = self._query_terms(payload)
+        candidates = [
+            rid
+            for rid, desc in sorted(self.federation.known.items())
+            if rid != self.node_id and desc.summary_terms
+            and terms & frozenset(desc.summary_terms)
+        ]
+        return candidates, 0, None
 
     def _fan_out(
         self,
@@ -1493,37 +1225,17 @@ class RegistryNode(Node):
         payload = envelope.payload
         if not isinstance(payload, protocol.QueryPayload):
             return
-        assert self._seen is not None
         parent = envelope.src
-        if self._query_in_flight(payload.query_id):
-            # Belt and braces against loop-table eviction: we are still
-            # aggregating this id — answer empty (draining the parent's
-            # outstanding counter) instead of re-entering the fan-out.
-            self._respond(parent, payload.query_id, [], 0)
-            return
-        if not self._seen.check_and_mark(payload.query_id):
-            # Duplicate via another path: answer empty so the parent's
-            # outstanding counter drains without waiting for the timeout.
+        if self._duplicate_query(payload.query_id):
+            # Duplicate via another path (or of a query we are still
+            # aggregating): answer empty so the parent's outstanding
+            # counter drains without waiting for the timeout.
             self._respond(parent, payload.query_id, [], 0)
             return
         span = self._query_span("registry.forward", envelope, payload)
-        if self._overload_shortcut(parent, payload, span):
-            return
-        local = self._local_hits(payload, parent=span)
-        targets = self.federation.forward_targets({parent}) if payload.ttl > 0 else []
-        if not targets:
-            self._respond(parent, payload.query_id, local, 1, span=span)
-            return
-        self._fan_out(
-            payload.with_ttl(payload.ttl - 1),
-            targets,
-            local,
-            on_complete=lambda hits, responders: self._respond(
-                parent, payload.query_id, hits, responders, span=span
-            ),
-            parent=span,
-            hops=envelope.hops + 1,
-        )
+        if not self._overload_shortcut(parent, payload, span):
+            self._scatter(parent, payload, plan=self._plan_flood, span=span,
+                          hops=envelope.hops + 1)
 
     def handle_query_response(self, envelope: Envelope) -> None:
         payload = envelope.payload
@@ -1533,15 +1245,12 @@ class RegistryNode(Node):
         self.federation.record_neighbor_success(envelope.src)
         trace = self.trace
         pending = self._pending.get(payload.query_id)
-        if pending is not None:
-            self.router.on_response(
-                envelope.src,
-                rtt=self.sim.now - pending.started_at,
-                queue_depth=payload.queue_depth,
-            )
-        else:
-            # No round-trip to attribute, but the depth is still fresh.
-            self.router.on_response(envelope.src, queue_depth=payload.queue_depth)
+        self.router.on_response(
+            envelope.src,
+            # Late: no round-trip to attribute, but the depth is still fresh.
+            rtt=self.sim.now - pending.started_at if pending is not None else None,
+            queue_depth=payload.queue_depth,
+        )
         if pending is None:
             # The aggregation already completed (timeout or duplicate):
             # the response's work is wasted — count it so experiments can
@@ -1576,40 +1285,6 @@ class RegistryNode(Node):
         self.shard.observe_read(payload.query_id, envelope.src, payload.hits)
         pending.add_response(payload, src=envelope.src)
 
-    # .. summary-informed routing ............................................
-
-    def _start_informed(
-        self, client: str, payload: protocol.QueryPayload, *, span: Span | None = None
-    ) -> None:
-        """Route the query directly to summary-matching registries.
-
-        Content summaries learned through gossip tell us *which* known
-        registries plausibly hold matches; each gets the query with TTL 0
-        (evaluate-locally-and-answer). Registries without summary overlap
-        are never bothered — the bandwidth win over flooding; a stale or
-        missing summary is the recall risk (measured in E13).
-        """
-        local = self._local_hits(payload, parent=span)
-        terms = self._query_terms(payload)
-        candidates = [
-            rid
-            for rid, desc in sorted(self.federation.known.items())
-            if rid != self.node_id and desc.summary_terms
-            and terms & frozenset(desc.summary_terms)
-        ]
-        if not candidates:
-            self._respond(client, payload.query_id, local, 1, span=span)
-            return
-        self._fan_out(
-            payload.with_ttl(0),
-            candidates,
-            local,
-            on_complete=lambda hits, responders: self._respond(
-                client, payload.query_id, hits, responders, span=span
-            ),
-            parent=span,
-        )
-
     # .. expanding ring ......................................................
 
     def _start_ring(
@@ -1621,29 +1296,16 @@ class RegistryNode(Node):
     def _run_ring_round(
         self, client: str, ring: RingController, span: Span | None
     ) -> None:
-        ttl = ring.current_ttl()
-        round_payload = protocol.QueryPayload(
-            query_id=ring.round_query_id(),
-            model_id=ring.payload.model_id,
-            query=ring.payload.query,
-            max_results=ring.payload.max_results,
-            ttl=max(ttl - 1, 0),
-        )
-        local = self._local_hits(ring.payload, parent=span)
-        targets = self.federation.forward_targets({client}) if ttl > 0 else []
-        if not targets:
-            ring.record_round(local)
+        """One ring = one flood under a round-scoped query id and TTL."""
+        def done(hits: list[QueryHit], _responders: int) -> None:
+            ring.record_round(hits)
             self._ring_round_done(client, ring, span)
-            return
-        self._fan_out(
-            round_payload,
-            targets,
-            local,
-            on_complete=lambda hits, _responders: (
-                ring.record_round(hits),
-                self._ring_round_done(client, ring, span),
-            ),
-            parent=span,
+
+        self._scatter(
+            client,
+            replace(ring.payload, query_id=ring.round_query_id(),
+                    ttl=ring.current_ttl()),
+            plan=self._plan_flood, span=span, on_complete=done,
         )
 
     def _ring_round_done(
@@ -1656,108 +1318,6 @@ class RegistryNode(Node):
             )
             return
         self._run_ring_round(client, ring, span)
-
-    # .. random walk ...........................................................
-
-    def _start_walk(
-        self, client: str, payload: protocol.QueryPayload, *, span: Span | None = None
-    ) -> None:
-        local = self._local_hits(payload, parent=span)
-        target_count = payload.max_results if payload.max_results is not None else 1
-        targets = self.federation.forward_targets({client})
-        if len(local) >= target_count or not targets or self.config.walk_length <= 1:
-            self._respond(client, payload.query_id, local, 1, span=span)
-            return
-
-        def complete(hits: list[QueryHit], responders: int) -> None:
-            self._walks.pop(payload.query_id, None)
-            self._respond(client, payload.query_id, hits, responders, span=span)
-
-        self._walks[payload.query_id] = WalkCoordinator(
-            self,
-            query_id=payload.query_id,
-            local_hits=local,
-            timeout=self.config.aggregation_timeout * self.config.walk_length,
-            max_results=payload.max_results,
-            on_complete=complete,
-        )
-        next_hop = self.router.pick_walk(targets, rng=self.sim.rng)
-        self.send(
-            next_hop,
-            protocol.WALK,
-            protocol.WalkPayload(
-                query_id=payload.query_id,
-                model_id=payload.model_id,
-                query=payload.query,
-                coordinator=self.node_id,
-                remaining=self.config.walk_length - 1,
-                visited=(self.node_id,),
-                max_results=payload.max_results,
-            ),
-            hops=1,
-        )
-        self.rim.queries_forwarded += 1
-
-    def handle_walk(self, envelope: Envelope) -> None:
-        payload = envelope.payload
-        if not isinstance(payload, protocol.WalkPayload):
-            return
-        query = protocol.QueryPayload(
-            query_id=payload.query_id,
-            model_id=payload.model_id,
-            query=payload.query,
-            max_results=payload.max_results,
-        )
-        local = self._local_hits(query)
-        if local:
-            self.send(
-                payload.coordinator,
-                protocol.WALK_HITS,
-                protocol.ResponsePayload(
-                    query_id=payload.query_id, hits=tuple(local), responders=1
-                ),
-            )
-        visited = set(payload.visited) | {self.node_id}
-        candidates = [
-            t for t in self.federation.forward_targets({envelope.src}) if t not in visited
-        ]
-        if payload.remaining <= 1 or not candidates:
-            self.send(
-                payload.coordinator,
-                protocol.WALK_END,
-                protocol.ResponsePayload(query_id=payload.query_id, hits=(), responders=0),
-            )
-            return
-        next_hop = self.router.pick_walk(candidates, rng=self.sim.rng)
-        self.send(
-            next_hop,
-            protocol.WALK,
-            protocol.WalkPayload(
-                query_id=payload.query_id,
-                model_id=payload.model_id,
-                query=payload.query,
-                coordinator=payload.coordinator,
-                remaining=payload.remaining - 1,
-                visited=tuple(sorted(visited)),
-                max_results=payload.max_results,
-            ),
-            hops=envelope.hops + 1,
-        )
-        self.rim.queries_forwarded += 1
-
-    def handle_walk_hits(self, envelope: Envelope) -> None:
-        payload = envelope.payload
-        if isinstance(payload, protocol.ResponsePayload):
-            walk = self._walks.get(payload.query_id)
-            if walk is not None:
-                walk.add_hits(payload.hits)
-
-    def handle_walk_end(self, envelope: Envelope) -> None:
-        payload = envelope.payload
-        if isinstance(payload, protocol.ResponsePayload):
-            walk = self._walks.get(payload.query_id)
-            if walk is not None:
-                walk.walk_ended()
 
     # .. decentralized LAN mode (Fig. 3 fallback) ...............................
 

@@ -74,6 +74,7 @@ class ServiceNode(Node):
         self.tracker = RegistryTracker(
             self, config, on_attached=self._on_attached, router=self.router
         )
+        self.adopt_handlers(self.tracker)
         #: Renew send times by lease id (latest send wins): the ack's
         #: round-trip is a passive latency sample for the router.
         self._renew_sent_at: dict[str, float] = {}
@@ -446,17 +447,6 @@ class ServiceNode(Node):
                 record.acked = False
         if self.tracker.current is not None:
             self._publish_all(self.tracker.current)
-
-    # -- registry discovery -------------------------------------------------------------
-
-    def handle_registry_probe_reply(self, envelope: Envelope) -> None:
-        self.tracker.handle_registry_probe_reply(envelope)
-
-    def handle_registry_beacon(self, envelope: Envelope) -> None:
-        self.tracker.handle_registry_beacon(envelope)
-
-    def handle_registry_list_reply(self, envelope: Envelope) -> None:
-        self.tracker.handle_registry_list_reply(envelope)
 
     # -- decentralized LAN mode -----------------------------------------------------------
 

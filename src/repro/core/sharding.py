@@ -30,12 +30,14 @@ from __future__ import annotations
 import hashlib
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable
 
+from repro.core import protocol
 from repro.errors import ReproError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from repro.core.registry_node import RegistryNode
+    from repro.netsim.messages import Envelope
 
 
 @dataclass(frozen=True)
@@ -167,17 +169,18 @@ class ConsistentHashRing:
         Fewer than ``r`` members ⇒ every member replicates every key —
         sharding degrades gracefully to full replication on tiny rings.
         """
-        points = self._points
-        if not points:
+        if not self._points:
             return ()
-        start = bisect_right(points, (_hash64(key), "￿"))
-        replicas: list[str] = []
-        seen: set[str] = set()
+        return self._walk(bisect_right(self._points, (_hash64(key), "￿")), r)
+
+    def _walk(self, start: int, r: int) -> tuple[str, ...]:
+        """The first ``r`` distinct members clockwise from point ``start``."""
+        points = self._points
         n = len(points)
+        replicas: list[str] = []
         for offset in range(n):
             member = points[(start + offset) % n][1]
-            if member not in seen:
-                seen.add(member)
+            if member not in replicas:
                 replicas.append(member)
                 if len(replicas) >= r:
                     break
@@ -193,21 +196,7 @@ class ConsistentHashRing:
         arc the key hashes into) — the query planner covers *groups*, so
         one healthy contact per group answers for every key in it.
         """
-        points = self._points
-        n = len(points)
-        groups: set[tuple[str, ...]] = set()
-        for start in range(n):
-            replicas: list[str] = []
-            seen: set[str] = set()
-            for offset in range(n):
-                member = points[(start + offset) % n][1]
-                if member not in seen:
-                    seen.add(member)
-                    replicas.append(member)
-                    if len(replicas) >= r:
-                        break
-            groups.add(tuple(replicas))
-        return tuple(sorted(groups))
+        return tuple(sorted({self._walk(start, r) for start in range(len(self._points))}))
 
     def partners(self, member: str, r: int) -> tuple[str, ...]:
         """Members sharing at least one replica group with ``member``."""
@@ -227,26 +216,25 @@ class _PendingQuorumWrite:
         manager: "ShardManager",
         *,
         request_id: str,
-        ad_id: str,
         targets: tuple[str, ...],
         needed: int,
         acked: int,
         on_success: Callable[[], None],
         on_failure: Callable[[], None],
+        hint: tuple[str, object] | None,
     ) -> None:
         self.manager = manager
         self.request_id = request_id
-        self.ad_id = ad_id
         self.silent: set[str] = set(targets)
+        #: ``(msg_type, body)`` buffered at the quorum timeout for every
+        #: replica still silent then (hinted handoff), if any.
+        self.hint = hint
         self.needed = needed
         self.acked = acked
         self.on_success = on_success
         self.on_failure = on_failure
         self.done = False
-        registry = manager.registry
-        self._timer = registry.after(
-            manager.cfg.quorum_timeout, self._timeout
-        )
+        self._timer = manager.registry.after(manager.cfg.quorum_timeout, self._timeout)
         if self.acked >= self.needed:
             # Degenerate quorum (W=1 and the coordinator is a replica):
             # succeed immediately; silent replicas become hints on the
@@ -267,10 +255,14 @@ class _PendingQuorumWrite:
             self._finish(success=False)
 
     def _timeout(self) -> None:
-        self.manager.hint_silent(self)
+        manager = self.manager
+        if manager.cfg.hinted_handoff and self.hint is not None:
+            # Buffer the write for every replica that never answered.
+            for target in sorted(self.silent):
+                manager.buffer_hint(target, *self.hint)
         if not self.done:
             self._finish(success=self.acked >= self.needed)
-        self.manager.retire(self)
+        manager.retire(self)
 
     def _finish(self, *, success: bool) -> None:
         self.done = True
@@ -284,7 +276,11 @@ class ShardManager:
     """Per-registry sharding state: ring view, quorum writes, hints.
 
     Owned by every :class:`RegistryNode`; a no-op shell unless
-    ``config.sharding.enabled`` (so the default deployment pays nothing).
+    ``config.sharding.enabled`` (so the default deployment pays nothing):
+    the node then never adopts its ``handle_shard_*`` handlers. Enabled,
+    it replicates what the node's write path (``store_ad`` / ``renew_ad``
+    / ``remove_ad`` / ``drop_ad``) applied locally and never touches the
+    store, leases or WAL itself.
     Ring membership follows the federation's gossip: every observed
     registry description adds a member, a graceful FEDERATION_LEAVE
     removes one.  *Crashes do not shrink the ring* — transient failures
@@ -292,18 +288,22 @@ class ShardManager:
     flapping nodes cannot thrash K/S keys back and forth.
     """
 
+    #: Per-registry event counts, each an attribute of that name
+    #: (surfaced via :meth:`counters` and the experiment tables).
+    COUNTERS = (
+        "quorum_writes", "quorum_acked", "quorum_failed", "late_acks",
+        "hints_buffered", "hints_replayed", "hints_dropped",
+        "read_repairs", "read_retries",
+        "rebalances", "ads_moved_out", "ads_moved_in",
+    )
+
     def __init__(self, registry: "RegistryNode", config) -> None:
         self.registry = registry
         self.cfg: ShardingConfig = config.sharding
-        self.ring = ConsistentHashRing(
-            virtual_nodes=self.cfg.virtual_nodes, seed=self.cfg.ring_seed
-        )
         #: In-flight quorum writes by request id.
         self._writes: dict[str, _PendingQuorumWrite] = {}
         #: Hinted handoff buffers: down replica → [(msg_type, payload)].
         self._hints: dict[str, list[tuple[str, object]]] = {}
-        #: Write payloads parked until the quorum timer decides who to hint.
-        self._hint_payloads: dict[str, tuple[str, object]] = {}
         #: Per-query read state for repair: query_id → ad_id → (version, src).
         self._reads: dict[str, dict[str, tuple[int, str]]] = {}
         #: Ring-identity claims: ring_id → (claim time, member). The
@@ -315,20 +315,9 @@ class ShardManager:
         #: comparison, so membership cannot ping-pong.
         self._identity_claims: dict[str, tuple[float, str]] = {}
         self._write_seq = 0
-        self._rebalance_armed = False
-        # Counters (surfaced via :meth:`counters` and experiment tables).
-        self.quorum_writes = 0
-        self.quorum_acked = 0
-        self.quorum_failed = 0
-        self.late_acks = 0
-        self.hints_buffered = 0
-        self.hints_replayed = 0
-        self.hints_dropped = 0
-        self.read_repairs = 0
-        self.read_retries = 0
-        self.rebalances = 0
-        self.ads_moved_out = 0
-        self.ads_moved_in = 0
+        self.reset()
+        for name in self.COUNTERS:
+            setattr(self, name, 0)
 
     # -- config gates -------------------------------------------------------
 
@@ -351,6 +340,7 @@ class ShardManager:
 
     def reset(self) -> None:
         """Restart hygiene: volatile state dies with the incarnation."""
+        #: This registry's view of the consistent-hash ring.
         self.ring = ConsistentHashRing(
             virtual_nodes=self.cfg.virtual_nodes, seed=self.cfg.ring_seed
         )
@@ -416,44 +406,135 @@ class ShardManager:
 
     # -- quorum writes ------------------------------------------------------
 
-    def next_request_id(self) -> str:
-        self._write_seq += 1
-        return f"{self.registry.node_id}/w{self._write_seq}"
-
     def begin_write(
         self,
         *,
-        ad_id: str,
-        targets: Iterable[str],
+        targets: tuple[str, ...],
         needed: int,
         acked: int = 0,
         on_success: Callable[[], None],
         on_failure: Callable[[], None],
+        hint: tuple[str, object] | None = None,
     ) -> str:
         """Track a quorum write; returns the request id to stamp sends."""
-        request_id = self.next_request_id()
+        self._write_seq += 1
+        request_id = f"{self.registry.node_id}/w{self._write_seq}"
         self.quorum_writes += 1
         self._writes[request_id] = _PendingQuorumWrite(
             self,
             request_id=request_id,
-            ad_id=ad_id,
-            targets=tuple(targets),
+            targets=targets,
             needed=needed,
             acked=acked,
             on_success=on_success,
             on_failure=on_failure,
+            hint=hint,
         )
         return request_id
 
-    def on_ack(self, request_id: str, src: str, *, ok: bool = True) -> None:
-        write = self._writes.get(request_id)
-        if write is None:
-            self.late_acks += 1
+    def _replicate(
+        self,
+        ad_id: str,
+        msg_type: str,
+        body: Callable[[str], object],
+        *,
+        on_success: Callable[[], None] = lambda: None,
+        on_failure: Callable[[], None] = lambda: None,
+    ) -> None:
+        """Fan a write this registry already applied (when it is a
+        replica) out to the rest of the replica set.
+
+        ``body(request_id)`` builds the message; the outcome callback
+        fires at W of R acks or on quorum timeout, and a replica still
+        silent by then gets ``body("")`` — a copy that needs no ack —
+        buffered as a hint.
+        """
+        registry = self.registry
+        replicas = self.replicas_for(ad_id)
+        others = tuple(r for r in replicas if r != registry.node_id)
+        acked = len(replicas) - len(others)
+        needed = min(self.cfg.write_quorum, max(len(replicas), 1))
+        if not others:
+            (on_success if acked >= needed else on_failure)()
             return
-        if ok:
-            write.ack(src)
-        else:
-            write.nack(src)
+        request_id = self.begin_write(
+            targets=others, needed=needed, acked=acked,
+            on_success=on_success, on_failure=on_failure,
+            hint=(msg_type, body("")),
+        )
+        payload = body(request_id)
+        for target in others:
+            registry.send(target, msg_type, payload)
+
+    def replicate_store(
+        self,
+        ad,
+        lease_duration: float,
+        epoch: int,
+        *,
+        on_success: Callable[[], None],
+        on_failure: Callable[[], None],
+    ) -> None:
+        """Push a freshly published advertisement to its replica set
+        (the coordinator stored its own copy already if it is *in* that
+        set); ``on_success`` fires once W replicas confirmed."""
+        entry = protocol.AdForwardPayload(
+            advertisement=ad, lease_duration=lease_duration, epoch=epoch,
+        )
+        self._replicate(
+            ad.ad_id, protocol.SHARD_STORE,
+            lambda rid: protocol.ShardStorePayload(request_id=rid, entry=entry),
+            on_success=on_success, on_failure=on_failure,
+        )
+
+    def replicate_remove(self, ad_id: str) -> None:
+        """Tombstone a removed advertisement across its replica set.
+
+        The service was acked already; the write is still tracked so
+        silent replicas get a tombstone hint replayed later instead of
+        resurrecting the ad through anti-entropy.
+        """
+        self._replicate(
+            ad_id, protocol.SHARD_REMOVE,
+            lambda rid: protocol.ShardRemovePayload(request_id=rid, ad_id=ad_id),
+        )
+
+    def relay_renew(self, requester: str, payload: protocol.RenewPayload) -> None:
+        """Relay a renewal for an advertisement we do not replicate."""
+        registry = self.registry
+        ad_id = payload.ad_id
+        replicas = tuple(r for r in self.replicas_for(ad_id) if r != registry.node_id)
+
+        def nack() -> None:
+            # No replica still holds the lease: the service republishes.
+            registry.send(requester, protocol.RENEW_NACK, payload)
+
+        if not replicas:
+            nack()
+            return
+        request_id = self.begin_write(
+            targets=replicas, needed=1,
+            on_success=lambda: registry.send(requester, protocol.RENEW_ACK, payload),
+            on_failure=nack,
+        )
+        self._send_renew(ad_id, replicas, request_id)
+
+    def refresh_replicas(self, ad_id: str) -> None:
+        """Fire-and-forget replica-lease refresh after a local renewal."""
+        self._send_renew(
+            ad_id,
+            [r for r in self.replicas_for(ad_id) if r != self.registry.node_id],
+            "",
+        )
+
+    def _send_renew(self, ad_id: str, targets, request_id: str) -> None:
+        registry = self.registry
+        renew = protocol.ShardRenewPayload(
+            request_id=request_id, ad_id=ad_id,
+            epoch=registry.lease_epoch(), duration=registry.config.lease_duration,
+        )
+        for target in targets:
+            registry.send(target, protocol.SHARD_RENEW, renew)
 
     def retire(self, write: _PendingQuorumWrite) -> None:
         self._writes.pop(write.request_id, None)
@@ -462,21 +543,78 @@ class ShardManager:
         else:
             self.quorum_failed += 1
 
+    # -- replica-side message handlers --------------------------------------
+
+    def _ack(self, envelope: "Envelope", msg_type: str, ad_id: str, *, found: bool = True) -> None:
+        """Answer a write that asked for an ack (hint replays and
+        fire-and-forget refreshes carry no request id)."""
+        request_id = envelope.payload.request_id
+        if not request_id:
+            return
+        store = self.registry.store
+        self.registry.send(
+            envelope.src, msg_type,
+            protocol.ShardAckPayload(
+                request_id=request_id, ad_id=ad_id, found=found,
+                version=store.get(ad_id).version if ad_id in store else 0,
+            ),
+        )
+
+    def handle_shard_store(self, envelope: "Envelope") -> None:
+        payload = envelope.payload
+        if not isinstance(payload, protocol.ShardStorePayload):
+            return
+        absorbed = self.registry.absorb_replica(payload.entry)
+        ad_id = payload.entry.advertisement.ad_id
+        # Holding an equal-or-newer copy satisfies the write even when
+        # the incoming version was stale.
+        self._ack(envelope, protocol.SHARD_STORE_ACK, ad_id,
+                  found=absorbed or ad_id in self.registry.store)
+        self.publish_gauges()
+
+    def handle_shard_renew(self, envelope: "Envelope") -> None:
+        payload = envelope.payload
+        if not isinstance(payload, protocol.ShardRenewPayload):
+            return
+        found = self.registry.renew_ad(
+            payload.ad_id, epoch=payload.epoch, duration=payload.duration,
+        )
+        self._ack(envelope, protocol.SHARD_RENEW_ACK, payload.ad_id, found=found)
+
+    def handle_shard_remove(self, envelope: "Envelope") -> None:
+        payload = envelope.payload
+        if not isinstance(payload, protocol.ShardRemovePayload):
+            return
+        self.registry.remove_ad(payload.ad_id)
+        self._ack(envelope, protocol.SHARD_REMOVE_ACK, payload.ad_id)
+
+    def handle_shard_transfer(self, envelope: "Envelope") -> None:
+        """Bulk key movement from a rebalancing peer: absorb, don't flood."""
+        payload = envelope.payload
+        if not isinstance(payload, protocol.SyncAdsPayload):
+            return
+        for entry in payload.ads:
+            if self.registry.absorb_replica(entry):
+                self.ads_moved_in += 1
+        self.publish_gauges()
+
+    def handle_shard_store_ack(self, envelope: "Envelope") -> None:
+        payload = envelope.payload
+        if not isinstance(payload, protocol.ShardAckPayload):
+            return
+        write = self._writes.get(payload.request_id)
+        if write is None:
+            self.late_acks += 1
+        elif payload.found:
+            write.ack(envelope.src)
+        else:
+            write.nack(envelope.src)
+        # An ack is proof of life: flush any hints parked for the peer.
+        self.peer_alive(envelope.src)
+
+    handle_shard_renew_ack = handle_shard_remove_ack = handle_shard_store_ack
+
     # -- hinted handoff -----------------------------------------------------
-
-    def hint_silent(self, write: _PendingQuorumWrite) -> None:
-        """Buffer the write for every replica that never answered."""
-        if not self.cfg.hinted_handoff or not write.silent:
-            return
-        payload = self._hint_payloads.pop(write.request_id, None)
-        if payload is None:
-            return
-        msg_type, body = payload
-        for target in sorted(write.silent):
-            self.buffer_hint(target, msg_type, body)
-
-    def park_hint_payload(self, request_id: str, msg_type: str, body) -> None:
-        self._hint_payloads[request_id] = (msg_type, body)
 
     def buffer_hint(self, target: str, msg_type: str, body) -> None:
         queue = self._hints.setdefault(target, [])
@@ -536,8 +674,6 @@ class ShardManager:
                     self._repair(src, fresh)
 
     def _repair(self, stale_src: str, ad) -> None:
-        from repro.core import protocol
-
         if stale_src == self.registry.node_id:
             return
         self.read_repairs += 1
@@ -549,7 +685,7 @@ class ShardManager:
                 entry=protocol.AdForwardPayload(
                     advertisement=ad,
                     lease_duration=self.registry.config.lease_duration,
-                    epoch=self.registry._lease_epoch(),
+                    epoch=self.registry.lease_epoch(),
                 ),
             ),
         )
@@ -561,7 +697,37 @@ class ShardManager:
 
     # -- query planning -----------------------------------------------------
 
-    def read_cover(self, *, exclude: frozenset[str] = frozenset()) -> list[str]:
+    def plan_read(self, requester: str, payload, local):
+        """Scatter plan for a client query: a replica-group cover set.
+
+        Advertisements are sharded by ``ad_id``, which a query does not
+        know — so full coverage needs one live replica of *every* shard.
+        The cover is ~S/R registries (vs all S under flooding), chosen
+        health-first so fail-stopped replicas are masked; a chosen
+        replica that stays silent is retried once on a sibling replica
+        before the aggregation gives up on its groups.
+        """
+        self.observe_read(payload.query_id, self.registry.node_id, local)
+        targets = self.read_cover()
+        if not targets:
+            self.end_read(payload.query_id)
+        return targets, 0, self._retarget if self.cfg.read_retry else None
+
+    def _retarget(self, failed: list[str], contacted: set[str]) -> list[str]:
+        """Alternate replicas for fan-out targets that stayed silent."""
+        replacements: list[str] = []
+        used = set(contacted)
+        for target in failed:
+            alternate = self.alternate_for(target, used)
+            if alternate is not None:
+                replacements.append(alternate)
+                used.add(alternate)
+                self.read_retries += 1
+                if self.registry.network is not None:
+                    self.registry.network.metrics.counter("shard.read_retries").inc()
+        return replacements
+
+    def read_cover(self) -> list[str]:
         """A health-aware minimal contact set covering every replica group.
 
         Greedy set cover: repeatedly pick the usable registry covering
@@ -571,11 +737,10 @@ class ShardManager:
         no other member, masking fail-stopped replicas.
         """
         me = self.registry.node_id
-        groups = [
+        uncovered = [
             frozenset(g) for g in self.ring.replica_groups(self.r)
             if me not in g
         ]
-        uncovered = [g for g in groups if not (g & exclude)]
         registry = self.registry
         healthy = {
             m for m in self.ring.members()
@@ -631,14 +796,12 @@ class ShardManager:
         self.registry.after(0.0, lambda: self._rebalance(baseline))
 
     def _rebalance(self, prev: ConsistentHashRing | None) -> None:
-        from repro.core import protocol
-
         self._rebalance_armed = False
         registry = self.registry
         if not registry.alive or not self.active():
             return
         me = registry.node_id
-        epoch = registry._lease_epoch()
+        epoch = registry.lease_epoch()
         outgoing: dict[str, list] = {}
         dropped = 0
         for ad in list(registry.store.all()):
@@ -646,27 +809,22 @@ class ShardManager:
             if not new_set:
                 continue
             old_set = prev.replicas_for(ad.ad_id, self.r) if prev is not None else ()
-            entry = None
             if me not in new_set:
                 # No longer ours: hand the copy to the new owners, drop it.
-                entry = self._transfer_entry(ad, epoch)
-                for target in new_set:
-                    outgoing.setdefault(target, []).append(entry)
-                registry.store.discard(ad.ad_id)
-                if registry.leases is not None:
-                    registry.leases.cancel_for_ad(ad.ad_id)
-                registry.antientropy.note_dropped(ad.ad_id)
-                registry.durability.log_expire(ad.ad_id)
-                dropped += 1
+                targets = new_set
             else:
                 # Still ours: the lowest surviving co-owner seeds members
                 # that just joined the set (exactly one pusher per ad).
-                gained = [t for t in new_set if t not in old_set and t != me]
                 survivors = sorted(set(old_set) & set(new_set)) or [me]
-                if gained and survivors[0] == me:
-                    entry = self._transfer_entry(ad, epoch)
-                    for target in gained:
-                        outgoing.setdefault(target, []).append(entry)
+                targets = [t for t in new_set if t not in old_set and t != me] \
+                    if survivors[0] == me else ()
+            if targets:
+                entry = self._transfer_entry(ad, epoch)
+                for target in targets:
+                    outgoing.setdefault(target, []).append(entry)
+            if me not in new_set:
+                registry.drop_ad(ad.ad_id)
+                dropped += 1
         moved = 0
         for target in sorted(outgoing):
             entries = outgoing[target]
@@ -709,8 +867,6 @@ class ShardManager:
             self._rebalance(self.ring.clone())
 
     def _transfer_entry(self, ad, epoch: int):
-        from repro.core import protocol
-
         registry = self.registry
         duration = registry.config.lease_duration
         if registry.leases is not None:
@@ -733,17 +889,4 @@ class ShardManager:
         network.metrics.gauge("shard.ring_members").set(len(self.ring))
 
     def counters(self) -> dict[str, int]:
-        return {
-            "quorum_writes": self.quorum_writes,
-            "quorum_acked": self.quorum_acked,
-            "quorum_failed": self.quorum_failed,
-            "late_acks": self.late_acks,
-            "hints_buffered": self.hints_buffered,
-            "hints_replayed": self.hints_replayed,
-            "hints_dropped": self.hints_dropped,
-            "read_repairs": self.read_repairs,
-            "read_retries": self.read_retries,
-            "rebalances": self.rebalances,
-            "ads_moved_out": self.ads_moved_out,
-            "ads_moved_in": self.ads_moved_in,
-        }
+        return {name: getattr(self, name) for name in self.COUNTERS}

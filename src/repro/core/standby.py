@@ -115,10 +115,12 @@ class StandbyRegistry(RegistryNode):
             return
         if not self.alive:
             return
-        if envelope.msg_type == protocol.REGISTRY_BEACON and isinstance(
-            envelope.payload, RegistryDescription
-        ):
-            description = envelope.payload
+        if envelope.msg_type == protocol.REGISTRY_BEACON:
+            self._note_beacon(envelope.payload)
+
+    def _note_beacon(self, description: object) -> None:
+        """Remember when (and on which ring identity) a registry beaconed."""
+        if isinstance(description, RegistryDescription):
             self._beacon_seen[description.registry_id] = self.sim.now
             self._beacon_ring[description.registry_id] = (
                 description.ring_id or description.registry_id
@@ -226,13 +228,8 @@ class StandbyRegistry(RegistryNode):
     # -- active behaviour ----------------------------------------------------------
 
     def handle_registry_beacon(self, envelope: Envelope) -> None:
-        if isinstance(envelope.payload, RegistryDescription):
-            description = envelope.payload
-            self._beacon_seen[description.registry_id] = self.sim.now
-            self._beacon_ring[description.registry_id] = (
-                description.ring_id or description.registry_id
-            )
-        super().handle_registry_beacon(envelope)
+        self._note_beacon(envelope.payload)
+        self.federation.handle_registry_beacon(envelope)
 
     def _evaluate_active(self) -> None:
         """Step down when the LAN is over-provisioned.
@@ -268,7 +265,7 @@ class StandbyRegistry(RegistryNode):
         # stale ads, so drop the WAL + snapshot (the incarnation survives).
         self.durability.discard()
         self._pending.clear()
-        self._walks.clear()
+        self.walk.active.clear()
         self._subscriptions.clear()
         if self.leases is not None:
             self.leases.clear()

@@ -64,11 +64,14 @@ class Timer:
 class Node:
     """A network endpoint with mailbox dispatch and crash/restart semantics.
 
-    Message dispatch is by naming convention: an envelope with
-    ``msg_type="query"`` is delivered to ``self.handle_query(envelope)``
-    if that method exists, otherwise to :meth:`handle_message`. Unknown
-    message types are counted and silently discarded — the paper's "nodes
-    quickly filter and silently discard messages they cannot understand".
+    Message dispatch goes through a per-node table built once at
+    construction: every ``handle_<type>`` method is registered under its
+    message type (``handle_registry_probe`` serves ``"registry-probe"``),
+    and :meth:`adopt_handlers` adds those of a component the node owns —
+    a subsystem that is switched off is simply never adopted. Types
+    without an entry go to :meth:`handle_message`, which counts and
+    silently discards them — the paper's "nodes quickly filter and
+    silently discard messages they cannot understand".
     """
 
     #: Role tag used by experiments for reporting; subclasses override.
@@ -83,6 +86,9 @@ class Node:
         self._periodics: list["PeriodicHandle"] = []
         self.unknown_messages = 0
         self.crash_count = 0
+        #: Message type → handler; see the class docstring.
+        self.handlers: dict[str, Callable[[Envelope], None]] = {}
+        self.adopt_handlers(self)
         #: Causal context of the envelope currently being handled, set by
         #: :meth:`receive` for the duration of the dispatch. Synchronous
         #: sends made inside a handler inherit it automatically; work
@@ -270,11 +276,20 @@ class Node:
         """
         return False
 
+    def adopt_handlers(self, component: Any) -> None:
+        """Register ``component``'s ``handle_<type>`` methods for the
+        message types they name; entries already present (the node's own
+        handlers come first) take precedence."""
+        for name in dir(type(component)):
+            if name.startswith("handle_") and name != "handle_message":
+                msg_type = name[len("handle_"):].replace("_", "-")
+                self.handlers.setdefault(msg_type, getattr(component, name))
+
     def dispatch(self, envelope: Envelope) -> None:
         """Route ``envelope`` to its handler (possibly after queueing)."""
         self._trace_ctx = TraceRecorder.extract(envelope.headers)
         try:
-            handler = getattr(self, f"handle_{envelope.msg_type.replace('-', '_')}", None)
+            handler = self.handlers.get(envelope.msg_type)
             if handler is not None:
                 handler(envelope)
             else:

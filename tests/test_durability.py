@@ -15,6 +15,7 @@ import pytest
 from repro.core.config import COOPERATION_REPLICATE_ADS, DiscoveryConfig
 from repro.core.durability import (
     DurabilityConfig,
+    FENCED_MSG_TYPES,
     FileDisk,
     INCARNATION_HEADER,
     SNAPSHOT_FILE,
@@ -274,6 +275,40 @@ class TestRecovery:
             assert ad_id in registry.antientropy.tombstones
             assert ad_id not in registry.store
 
+    def test_adopted_tombstone_survives_replica_restart(self):
+        """A removal a replica only learned through anti-entropy is as
+        durable as one it was told directly: crash before the next
+        snapshot, restart alone — the ad stays gone, the tombstone stays."""
+        config = _durable_config(
+            durability=DurabilityConfig(enabled=True, snapshot_interval=None),
+        )
+        system = DiscoverySystem(seed=7, ontology=battlefield_ontology(),
+                                 config=config)
+        system.add_lan("lan-0")
+        registries = [system.add_registry("lan-0"), system.add_registry("lan-0")]
+        for i in range(3):
+            system.add_service("lan-0", _radar(f"radar-{i}"))
+        system.run(until=6.0)
+        victim = system.services[0]
+        home = next(r for r in registries if r.node_id == victim.tracker.current)
+        replica = next(r for r in registries if r is not home)
+        ad_ids = [ad.ad_id for ad in home.store.all()
+                  if ad.service_node == victim.node_id]
+        assert ad_ids and all(ad_id in replica.store for ad_id in ad_ids)
+        victim.deregister()
+        system.run_for(3 * config.antientropy_interval)
+        assert replica.antientropy.removals_applied == len(ad_ids)
+        assert replica.durability.snapshots == 0
+        pre = store_snapshot(replica)
+        for registry in registries:
+            registry.crash()
+        system.run_for(1.0)
+        replica.restart()
+        assert_recovery(replica, pre)
+        for ad_id in ad_ids:
+            assert ad_id not in replica.store
+            assert ad_id in replica.antientropy.tombstones
+
     def test_snapshot_compaction_truncates_wal(self):
         config = _durable_config(
             durability=DurabilityConfig(enabled=True, max_wal_records=5),
@@ -399,6 +434,26 @@ class TestFencing:
         unstamped = Envelope(msg_type="ad-forward", src="peer-x",
                              dst=registry.node_id)
         assert not registry._fence_stale(unstamped)
+
+    @pytest.mark.parametrize("msg_type", sorted(FENCED_MSG_TYPES))
+    def test_every_fenced_type_is_fenced_before_its_handler(self, msg_type):
+        """The fence sits in front of the dispatch table, keyed by the
+        same set ``send()`` stamps by — no handler has to opt in."""
+        system, registry, client = _single_lan(_durable_config())
+        system.run(until=2.0)
+        handled = []
+        registry.handlers[msg_type] = handled.append
+
+        def envelope(stamp):
+            return Envelope(msg_type=msg_type, src="peer-x",
+                            dst=registry.node_id,
+                            headers={INCARNATION_HEADER: stamp})
+
+        registry.dispatch(envelope(3))  # learn epoch 3
+        assert len(handled) == 1 and registry.durability.fenced == 0
+        registry.dispatch(envelope(2))  # a previous life of peer-x
+        assert len(handled) == 1 and registry.durability.fenced == 1
+        assert system.network.metrics.counter("durability.fenced").value == 1
 
     def test_restart_bumps_advertised_incarnation(self):
         system, registry, client = _single_lan(_durable_config())

@@ -54,6 +54,41 @@ def test_hyphenated_msg_type_dispatch(net):
     assert Hy.got == 1
 
 
+def test_instance_level_handle_message_override_wins(net):
+    """The fallback is looked up per message, not frozen into the table."""
+    a = net.add_node(Typed("a"), "lan")
+    b = net.add_node(Typed("b"), "lan")
+    seen = []
+    b.handle_message = lambda env: seen.append(env.msg_type)
+    a.send("b", "ping")
+    a.send("b", "mystery")
+    net.sim.run(until=1.0)
+    assert b.pings == 1 and b.others == 0
+    assert seen == ["mystery"]
+
+
+def test_adopted_component_handlers_yield_to_the_nodes_own(net):
+    class Part:
+        def __init__(self):
+            self.got = []
+
+        def handle_ping(self, envelope):
+            self.got.append("ping")
+
+        def handle_part_only(self, envelope):
+            self.got.append("part-only")
+
+    a = net.add_node(Typed("a"), "lan")
+    b = net.add_node(Typed("b"), "lan")
+    part = Part()
+    b.adopt_handlers(part)
+    a.send("b", "ping")
+    a.send("b", "part-only")
+    net.sim.run(until=1.0)
+    assert b.pings == 1 and b.others == 0
+    assert part.got == ["part-only"]
+
+
 def test_unknown_messages_counted(net):
     a = net.add_node(Node("a"), "lan")
     b = net.add_node(Node("b"), "lan")

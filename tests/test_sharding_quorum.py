@@ -225,11 +225,41 @@ def test_stale_epoch_shard_store_fenced_on_rejoining_replica():
     fenced_before = receiver.durability.fenced
     version_before = receiver.store.get(ad.ad_id).version \
         if ad.ad_id in receiver.store else None
-    receiver.handle_shard_store(shard_store(2))
+    receiver.dispatch(shard_store(2))
     assert receiver.durability.fenced == fenced_before + 1
     after = receiver.store.get(ad.ad_id).version \
         if ad.ad_id in receiver.store else None
     assert after == version_before  # the stale write never landed
+
+
+def test_shard_traffic_is_unknown_to_an_unsharded_registry():
+    """Sharding off means its handlers were never registered: a stray
+    SHARD_STORE is just a message type this node does not understand."""
+    system = DiscoverySystem(
+        seed=7, ontology=battlefield_ontology(),
+        config=DiscoveryConfig(cooperation=COOPERATION_REPLICATE_ADS),
+    )
+    system.add_lan("lan-0")
+    registry = system.add_registry("lan-0")
+    system.add_service("lan-0", _radar("radar-0"))
+    system.run(until=5.0)
+    assert not any(t.startswith("shard-") for t in registry.handlers)
+    ad = next(iter(registry.store.all()))
+    before = (len(registry.store), len(registry.leases),
+              dict(registry.antientropy.epochs))
+    registry.dispatch(Envelope(
+        msg_type=protocol.SHARD_STORE, src="registry-09", dst=registry.node_id,
+        payload=protocol.ShardStorePayload(
+            request_id="w1",
+            entry=protocol.AdForwardPayload(
+                advertisement=replace(ad, ad_id="ad-stray"), lease_duration=30.0,
+            ),
+        ),
+    ))
+    assert registry.unknown_messages == 1
+    assert "ad-stray" not in registry.store
+    assert before == (len(registry.store), len(registry.leases),
+                      dict(registry.antientropy.epochs))
 
 
 def test_queries_survive_replica_downtime():
