@@ -12,8 +12,11 @@ writes ``BENCH_query_100k.json`` (build seconds, queries/sec, and
 evaluations-per-query per size). Its CI gates are **count-based only** —
 deterministic across machines: the fitted log-log growth exponent of
 evaluations-per-query vs. store size must stay below 1.0 (sub-linear),
-and the absolute evaluations-per-query at 100k must stay under a hard
-cap. Wall-clock numbers are recorded for the trajectory but never gated.
+the absolute evaluations-per-query at 100k must stay under a hard cap,
+and the index must expand from its bitsets exactly the ids the evaluator
+scores (``ids_expanded_per_query == descriptions_scored_per_query``: no
+candidate group is expanded before its bound is checked). Wall-clock
+numbers are recorded for the trajectory but never gated.
 
 Run directly (no pytest-benchmark dependency)::
 
@@ -84,8 +87,10 @@ def _measure(ontology, profiles, requests, *, use_indexes: bool) -> dict:
     for request in requests:
         evaluator.evaluate("semantic", request, max_results=MAX_RESULTS)
 
+    index = store.index_for("semantic")
     evals_before = model.matchmaker.evaluations
     scored_before = evaluator.descriptions_evaluated
+    expanded_before = index.expanded if index is not None else 0
     hits_digest = []
     query_start = time.perf_counter()
     for request in requests:
@@ -95,13 +100,16 @@ def _measure(ontology, profiles, requests, *, use_indexes: bool) -> dict:
         ))
     elapsed = time.perf_counter() - query_start
     n = len(requests)
-    return {
+    result = {
         "build_seconds": round(build_seconds, 6),
         "queries_per_sec": round(n / elapsed, 2) if elapsed > 0 else float("inf"),
         "evaluations_per_query": (model.matchmaker.evaluations - evals_before) / n,
         "descriptions_scored_per_query": (evaluator.descriptions_evaluated - scored_before) / n,
         "_hits_digest": hits_digest,
     }
+    if index is not None:
+        result["ids_expanded_per_query"] = (index.expanded - expanded_before) / n
+    return result
 
 
 @pytest.fixture(scope="module")
@@ -220,7 +228,8 @@ def test_query_100k_trajectory_written(scaling_results, results_dir):
             "max_results": MAX_RESULTS,
             "ontology": "OntologyGenerator(42).random_ontology()  # 40+60 classes",
             "requests": "anchored, generalize=1 (selective)",
-            "gates": "count-based only: growth exponent + absolute cap",
+            "gates": "count-based only: growth exponent + absolute cap "
+                     "+ ids expanded == descriptions scored",
         },
         "sizes": scaling_results,
         "fitted_evaluations_exponent": round(exponent, 4),
@@ -229,13 +238,14 @@ def test_query_100k_trajectory_written(scaling_results, results_dir):
     BENCH_100K_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     lines = [
         f"{'store':>7} {'build s':>9} {'idx q/s':>10} {'idx ev/q':>9} "
-        f"{'scored/q':>9}"
+        f"{'scored/q':>9} {'expanded/q':>11}"
     ]
     for row in scaling_results:
         lines.append(
             f"{row['store_size']:>7} {row['build_seconds']:>9.3f} "
             f"{row['queries_per_sec']:>10} {row['evaluations_per_query']:>9.1f} "
-            f"{row['descriptions_scored_per_query']:>9.1f}"
+            f"{row['descriptions_scored_per_query']:>9.1f} "
+            f"{row['ids_expanded_per_query']:>11.1f}"
         )
     lines.append(f"fitted evaluations-growth exponent: {exponent:.3f} "
                  f"(gate: < {MAX_EVALUATIONS_GROWTH_EXPONENT})")
@@ -253,6 +263,14 @@ def test_scaling_is_sublinear_through_100k(scaling_results):
     assert exponent < MAX_EVALUATIONS_GROWTH_EXPONENT, scaling_results
     assert largest["evaluations_per_query"] \
         <= MAX_EVALUATIONS_PER_QUERY_AT_100K, largest
+
+
+def test_every_expanded_id_is_scored_at_100k(scaling_results):
+    """ISSUE gate: no candidate group is expanded before its bound is checked."""
+    largest = scaling_results[-1]
+    assert largest["store_size"] == 100_000
+    assert largest["ids_expanded_per_query"] \
+        == largest["descriptions_scored_per_query"], largest
 
 
 def test_indexed_never_scores_more_than_linear(bench_results):

@@ -10,8 +10,9 @@ bookkeeping rot the recovery paths can leave behind:
 * **single completion** — no discovery call ever completes twice;
 * **wire-id drain** — no client keeps a wire-id entry for a completed
   call (after every call has resolved, the maps are empty);
-* **lease/store agreement** — no lease outlives its advertisement, and
-  the lease manager's two maps mirror each other exactly;
+* **lease/store agreement** — no lease outlives its advertisement, the
+  lease manager's two maps mirror each other exactly, and every live
+  lease is due in the expiry heap no later than it expires;
 * **queue drain** — every message a registry's admission controller
   intercepted was either dispatched, explicitly shed with exactly one
   BUSY, lost to a crash, or is still pending — and no message was both
@@ -78,7 +79,14 @@ def check_invariants(system: "DiscoverySystem") -> list[str]:
         store = getattr(registry, "store", None)
         if leases is None or store is None:
             continue
+        due_of = {id(lease): due for due, _no, lease in leases._expiry_heap}
         for lease in leases._by_lease.values():
+            if due_of.get(id(lease), float("inf")) > lease.expires_at:
+                violations.append(
+                    f"{registry.node_id}: lease {lease.lease_id} is not due "
+                    f"in the expiry heap by {lease.expires_at:g}; the purge "
+                    f"sweep would find it late or never"
+                )
             if lease.ad_id not in store:
                 violations.append(
                     f"{registry.node_id}: lease {lease.lease_id} outlives "

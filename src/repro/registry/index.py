@@ -42,8 +42,9 @@ field. The same per-field table membership classifies every candidate
 with its exact per-field degree, which :meth:`candidate_buckets` exposes
 as descending **degree upper bounds** (the overall degree can only be
 lowered further by input/QoS checks, never raised). The query evaluator
-uses those bounds for bounded top-k early termination: buckets whose
-upper bound can no longer crack the top k are never even enumerated.
+uses those bounds for bounded top-k early termination: each group's
+bound is handed out before its body, and a group whose bound can no
+longer crack the top k is never expanded from its bitset at all.
 
 The candidate set is concept-exact per field; residual false positives
 (e.g. QoS-violating or input-incompatible profiles) are harmless because
@@ -59,12 +60,16 @@ repository experiments do this — never yields stale candidates. Bulk
 loads stay cheap because ancestor-closure keys are memoized per *concept*
 (expanded once from the reasoner's closure bitsets), not recomputed per
 advertisement, and the per-concept posting bitsets are materialized
-lazily at query time and invalidated per key on mutation.
+lazily at query time; once one is cached, a mutation sets or clears the
+slot's bit in it instead of dropping it, so a write never makes the next
+query rebuild a posting from its slot set. Postings no query has asked
+for stay uncached, which keeps the bulk load free of bitset work.
 """
 
 from __future__ import annotations
 
 import abc
+from itertools import chain
 from typing import Any, Iterable, Iterator, TYPE_CHECKING
 
 from repro.semantics.ontology import THING
@@ -104,15 +109,22 @@ class ConceptIndexer(abc.ABC):
     def candidate_ids(self, query: Any) -> set[str] | None:
         """Superset of matching ad ids, or ``None`` to force a linear scan."""
 
-    def candidate_buckets(self, query: Any) -> Iterator[tuple[int, list[str]]] | None:
+    def candidate_buckets(
+        self, query: Any
+    ) -> Iterator[tuple[int, Iterable[str]]] | None:
         """Candidates grouped by descending match-degree upper bound.
 
         Yields ``(upper_bound, ad_ids)`` pairs with strictly descending
         bounds; the union of all groups must obey the same superset
         contract as :meth:`candidate_ids`, and no advertisement outside a
-        group may ever match above that group's bound. ``None`` (the
-        default) means the indexer cannot rank this query and the
-        evaluator should fall back to unranked candidates.
+        group may ever match above that group's bound. ``ad_ids`` is a
+        **single-pass iterable**: the consumer checks the bound first and
+        iterates the ids at most once, only if the group can still change
+        its answer, so an indexer may produce them on demand (a list is
+        the simplest valid group). Groups and the iterator itself must be
+        consumed before the next store mutation. ``None`` (the default)
+        means the indexer cannot rank this query and the evaluator should
+        fall back to unranked candidates.
         """
         return None
 
@@ -133,7 +145,7 @@ class SemanticConceptIndex(ConceptIndexer):
     are ``set[int]`` of slots with lazily cached int-bitset form, so the
     per-query field combination is a handful of big-int AND/OR operations
     regardless of posting-list length. Freed slots are recycled, and every
-    mutation invalidates exactly the posting bitsets it touched.
+    mutation patches exactly the cached posting bitsets it touched.
     """
 
     model_id = "semantic"
@@ -159,15 +171,19 @@ class SemanticConceptIndex(ConceptIndexer):
         #: per ontology version, not once per advertisement).
         self._closure_key_cache: dict[str, frozenset[str]] = {}
         #: (table, concept) -> posting bitset, built on first use and
-        #: dropped whenever that posting list mutates.
+        #: patched bit by bit whenever that posting list mutates.
         self._mask_cache: dict[tuple[int, str], int] = {}
-        #: Bitset of every occupied slot; ``None`` marks it dirty.
-        self._profiles_mask: int | None = 0
+        #: Bitset of every occupied slot, kept like a posting bitset:
+        #: ``None`` until a query first needs it, patched from then on.
+        self._profiles_mask: int | None = None
         self._indexed_ontology: Any = None
         self._indexed_version: int | None = None
         self.rebuilds = 0
         self.lookups = 0
         self.fallbacks = 0
+        #: Ad ids handed out by bitset expansion, across all queries. On
+        #: the ranked path every one of them is scored by the evaluator.
+        self.expanded = 0
 
     # -- store notifications ---------------------------------------------
 
@@ -192,7 +208,7 @@ class SemanticConceptIndex(ConceptIndexer):
         self._ad_at.clear()
         self._free_slots.clear()
         self._clear_tables()
-        self._profiles_mask = 0
+        self._profiles_mask = None
         self._indexed_ontology = None
         self._indexed_version = None
 
@@ -205,7 +221,8 @@ class SemanticConceptIndex(ConceptIndexer):
         slot = self._slot_of.pop(ad_id)
         self._ad_at[slot] = None
         self._free_slots.append(slot)
-        self._profiles_mask = None
+        if self._profiles_mask is not None:
+            self._profiles_mask &= ~(1 << slot)
 
     def _allocate_slot(self, ad_id: str) -> int:
         if self._free_slots:
@@ -215,7 +232,8 @@ class SemanticConceptIndex(ConceptIndexer):
             slot = len(self._ad_at)
             self._ad_at.append(ad_id)
         self._slot_of[ad_id] = slot
-        self._profiles_mask = None
+        if self._profiles_mask is not None:
+            self._profiles_mask |= 1 << slot
         return slot
 
     def _clear_tables(self) -> None:
@@ -244,7 +262,9 @@ class SemanticConceptIndex(ConceptIndexer):
             found |= self._unindexable
         return found
 
-    def candidate_buckets(self, query: Any) -> Iterator[tuple[int, list[str]]] | None:
+    def candidate_buckets(
+        self, query: Any
+    ) -> Iterator[tuple[int, Iterator[str]]] | None:
         """Candidates in descending degree-upper-bound groups.
 
         The bound per group is the exact per-field degree implied by the
@@ -253,21 +273,20 @@ class SemanticConceptIndex(ConceptIndexer):
         minimized across the requested fields — a true upper bound on the
         overall degree, since input and QoS checks can only lower it.
         Unindexable records ride in the strongest group so they are always
-        scored. Groups are enumerated lazily: a consumer that stops early
-        never pays for expanding the weaker posting bitsets. Consume the
-        iterator before the next store mutation.
+        scored. A group's ids are expanded from its bitset only as the
+        consumer iterates them: a consumer that checks the bound and stops
+        never pays for expanding that group or any weaker one. Each group
+        is single-pass; consume it, and the iterator, before the next
+        store mutation.
         """
         masks = self._query_masks(query)
         if masks is None:
             return None
 
-        def _groups() -> Iterator[tuple[int, list[str]]]:
+        def _groups() -> Iterator[tuple[int, Iterator[str]]]:
             exact, plugin, subsumes = masks
-            strongest = self._ids_from_mask(exact)
-            if self._unindexable:
-                strongest.extend(sorted(self._unindexable))
-            if strongest:
-                yield 3, strongest
+            if exact or self._unindexable:
+                yield 3, chain(self._ids_from_mask(exact), sorted(self._unindexable))
             if plugin:
                 yield 2, self._ids_from_mask(plugin)
             if subsumes:
@@ -358,7 +377,7 @@ class SemanticConceptIndex(ConceptIndexer):
         return cached
 
     def _all_profiles_mask(self) -> int:
-        """Bitset of every occupied slot, rebuilt only when dirtied."""
+        """Bitset of every occupied slot, built on first use."""
         if self._profiles_mask is None:
             self._profiles_mask = self._bits_of(self._slot_of.values())
         return self._profiles_mask
@@ -370,15 +389,22 @@ class SemanticConceptIndex(ConceptIndexer):
             buf[slot >> 3] |= 1 << (slot & 7)
         return int.from_bytes(buf, "little")
 
-    def _ids_from_mask(self, bits: int) -> list[str]:
-        """Expand a slot bitset to ad ids (ascending slot order)."""
+    def _ids_from_mask(self, bits: int) -> Iterator[str]:
+        """Expand a slot bitset to ad ids, lazily, in ascending slot order.
+
+        One linear pass: the mask is rendered to binary digits once and
+        ``str.rfind`` walks the set bits from the low end, so the cost is
+        O(mask width + ids taken) — nothing until the first id is asked
+        for, and no big-int arithmetic per id.
+        """
         ad_at = self._ad_at
-        found = []
-        while bits:
-            low = bits & -bits
-            found.append(ad_at[low.bit_length() - 1])
-            bits ^= low
-        return found
+        digits = bin(bits)  # "0b1…", most significant bit first
+        top = len(digits) - 1
+        at = digits.rfind("1")
+        while at > 0:
+            self.expanded += 1
+            yield ad_at[top - at]
+            at = digits.rfind("1", 0, at)
 
     # -- maintenance -----------------------------------------------------
 
@@ -416,7 +442,6 @@ class SemanticConceptIndex(ConceptIndexer):
             tuple(o for o in profile.outputs if o in ontology),
         )
         self._keys[ad_id] = per_table
-        mask_cache = self._mask_cache
         for table_id, keys in enumerate(per_table):
             table = self._tables[table_id]
             for key in keys:
@@ -424,7 +449,7 @@ class SemanticConceptIndex(ConceptIndexer):
                 if bucket is None:
                     table[key] = bucket = set()
                 bucket.add(slot)
-                mask_cache.pop((table_id, key), None)
+        self._patch_masks(per_table, slot, present=True)
 
     def _closure_keys(self, concept: str) -> frozenset[str]:
         """Ancestor-or-self keys for one advertised concept, memoized.
@@ -454,7 +479,6 @@ class SemanticConceptIndex(ConceptIndexer):
         if per_table is None:
             return
         slot = self._slot_of[ad_id]
-        mask_cache = self._mask_cache
         for table_id, keys in enumerate(per_table):
             table = self._tables[table_id]
             for key in keys:
@@ -463,4 +487,26 @@ class SemanticConceptIndex(ConceptIndexer):
                     bucket.discard(slot)
                     if not bucket:
                         del table[key]
-                mask_cache.pop((table_id, key), None)
+        self._patch_masks(per_table, slot, present=False)
+
+    def _patch_masks(
+        self, per_table: tuple[tuple[str, ...], ...], slot: int, *, present: bool
+    ) -> None:
+        """Set or clear ``slot``'s bit in every *cached* posting bitset.
+
+        Keys no query has materialized stay uncached (a bulk load into a
+        fresh index touches no bitset at all); a cached key costs one
+        big-int OR/AND instead of a rebuild from its slot set on the next
+        query.
+        """
+        mask_cache = self._mask_cache
+        if not mask_cache:
+            return
+        bit = 1 << slot
+        for table_id, keys in enumerate(per_table):
+            for key in keys:
+                cached = mask_cache.get((table_id, key))
+                if cached is not None:
+                    mask_cache[table_id, key] = (
+                        cached | bit if present else cached & ~bit
+                    )

@@ -8,11 +8,14 @@ purged from the registry." (§4.8; mechanism as in Jini and JXTA.)
 
 The :class:`LeaseManager` is pure bookkeeping over an injected clock (the
 simulator's ``now``), so it is unit-testable without a network. The
-registry node wires :meth:`expired_ads` to a periodic purge task.
+registry node wires :meth:`expired_ads` to a periodic purge task; leases
+are kept in an expiry-ordered heap so a purge that finds nothing lapsed
+costs nothing, however many leases are live.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Callable
 
@@ -71,6 +74,14 @@ class LeaseManager:
         self.on_event = on_event
         self._by_lease: dict[str, Lease] = {}
         self._by_ad: dict[str, str] = {}
+        #: Min-heap of ``(due, grant_no, lease)`` with ``due <=
+        #: lease.expires_at``, one entry per lease object, invalidated
+        #: lazily: an entry whose lease was dropped is skipped when popped,
+        #: and one whose lease was renewed since is pushed back under the
+        #: new expiry. ``grant_no`` orders leases as ``_by_lease`` does, and
+        #: breaks ties before the (unorderable) lease is ever compared.
+        self._expiry_heap: list[tuple[float, int, Lease]] = []
+        self._grants = 0
         self.expired_total = 0
 
     def _notify(self, kind: str, lease: Lease) -> None:
@@ -101,8 +112,7 @@ class LeaseManager:
             duration=length,
             expires_at=self.clock() + length,
         )
-        self._by_lease[lease.lease_id] = lease
-        self._by_ad[ad_id] = lease.lease_id
+        self._track(lease)
         self._notify("grant", lease)
         return lease
 
@@ -155,8 +165,7 @@ class LeaseManager:
             expires_at=expires_at,
             renewals=renewals,
         )
-        self._by_lease[lease.lease_id] = lease
-        self._by_ad[ad_id] = lease.lease_id
+        self._track(lease)
         self._notify("restore", lease)
         return lease
 
@@ -178,15 +187,47 @@ class LeaseManager:
         """Advertisement ids whose leases have lapsed, removing the leases.
 
         The caller (the registry's purge task) removes the advertisements
-        themselves.
+        themselves. Costs O(lapsed · log n): only heap entries that have
+        come due are looked at, so a sweep that finds nothing expired is
+        O(1) regardless of how many leases are live. ``"expire"`` events
+        fire in the order the leases were granted.
         """
         now = self.clock()
-        lapsed = [lease for lease in self._by_lease.values() if lease.expired(now)]
-        for lease in lapsed:
+        heap = self._expiry_heap
+        lapsed: list[tuple[int, Lease]] = []
+        while heap and heap[0][0] <= now:
+            _due, grant_no, lease = heapq.heappop(heap)
+            if self._by_lease.get(lease.lease_id) is not lease:
+                continue  # cancelled, replaced or already purged
+            if lease.expired(now):
+                lapsed.append((grant_no, lease))
+            else:  # renewed since the entry was pushed
+                heapq.heappush(heap, (lease.expires_at, grant_no, lease))
+        lapsed.sort()
+        for _grant_no, lease in lapsed:
             self._drop(lease)
             self._notify("expire", lease)
         self.expired_total += len(lapsed)
-        return sorted(lease.ad_id for lease in lapsed)
+        return sorted(lease.ad_id for _grant_no, lease in lapsed)
+
+    def _track(self, lease: Lease) -> None:
+        """Enter a new lease into both maps and the expiry heap."""
+        self._by_lease[lease.lease_id] = lease
+        self._by_ad[lease.ad_id] = lease.lease_id
+        heap = self._expiry_heap
+        if len(heap) > 2 * len(self._by_lease) + 16:
+            # Mostly dead entries (publish/remove churn under leases too
+            # long to ever come due): keep only those of live leases.
+            by_lease = self._by_lease
+            heap[:] = [e for e in heap if by_lease.get(e[2].lease_id) is e[2]]
+            heapq.heapify(heap)
+        self._grants += 1
+        # A renewal must never move the expiry before the entry's due
+        # time, or the sweep would find it late. ``renew`` sets now +
+        # duration, so due <= now + duration guarantees it; that only
+        # binds for a restored lease whose expiry lies beyond one duration.
+        due = min(lease.expires_at, self.clock() + lease.duration)
+        heapq.heappush(heap, (due, self._grants, lease))
 
     def _drop(self, lease: Lease) -> None:
         self._by_lease.pop(lease.lease_id, None)
@@ -197,3 +238,4 @@ class LeaseManager:
         """Drop all leases (registry crash)."""
         self._by_lease.clear()
         self._by_ad.clear()
+        self._expiry_heap.clear()

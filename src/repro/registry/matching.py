@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from repro.descriptions.base import DescriptionModel, ModelRegistry
 from repro.registry.advertisements import Advertisement
@@ -79,7 +79,7 @@ class QueryEvaluator:
         #: Candidates rejected by the model's QoS pre-filter before any
         #: semantic scoring (they would have evaluated to FAIL).
         self.prefiltered = 0
-        #: Queries whose top-k settled before every candidate was scored.
+        #: Queries whose top-k settled with a candidate group left unopened.
         self.early_terminations = 0
         if use_indexes:
             for model_id in models.model_ids():
@@ -131,7 +131,7 @@ class QueryEvaluator:
         self,
         model: DescriptionModel,
         query: Any,
-        ranked: Iterator[tuple[int, list[Advertisement]]],
+        ranked: Iterator[tuple[int, Iterable[Advertisement]]],
         max_results: int,
     ) -> list[QueryHit]:
         """Score ranked candidate groups until the top-k cannot change.
@@ -139,9 +139,11 @@ class QueryEvaluator:
         Groups arrive in strictly descending degree-upper-bound order, so
         once ``max_results`` hits hold a degree strictly above the next
         group's bound, every unscored candidate ranks below all of them
-        (the sort key compares degree first) and scoring stops. Hits are
-        deterministic per (advertisement, query), so the capped ranking is
-        bit-identical to exhaustively scoring every candidate.
+        (the sort key compares degree first) and scoring stops. The bound
+        is tested before the group is touched: group bodies are lazy, so
+        the group that ends the query is never expanded or resolved. Hits
+        are deterministic per (advertisement, query), so the capped
+        ranking is bit-identical to exhaustively scoring every candidate.
         """
         hits: list[QueryHit] = []
         for upper_bound, ads in ranked:

@@ -12,7 +12,7 @@ store size.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any, Iterator, TYPE_CHECKING
+from typing import Any, Iterable, Iterator, TYPE_CHECKING
 
 from repro.errors import AdvertisementNotFoundError
 from repro.registry.advertisements import Advertisement
@@ -141,7 +141,7 @@ class AdvertisementStore:
 
     def ranked_candidates(
         self, model_id: str, query: Any
-    ) -> Iterator[tuple[int, list[Advertisement]]] | None:
+    ) -> Iterator[tuple[int, Iterable[Advertisement]]] | None:
         """Candidates grouped by descending match-degree upper bound.
 
         Thin resolution layer over the model indexer's
@@ -149,10 +149,12 @@ class AdvertisementStore:
         yields ``(upper_bound, advertisements)`` groups, strongest first,
         for the evaluator's bounded top-k early termination. ``None``
         when no indexer is attached or the query cannot be ranked (the
-        evaluator then uses :meth:`candidates`). Groups are resolved
-        lazily — a consumer that stops early never materializes the
-        weaker groups — so consume the iterator before mutating the
-        store.
+        evaluator then uses :meth:`candidates`). Each group is a
+        single-pass iterable that resolves ids to records only as it is
+        iterated — a consumer that checks the bound and stops never
+        materializes that group or any weaker one — so consume groups and
+        iterator before mutating the store. A group may turn out empty
+        (every id stale); the bound it carries is still valid.
         """
         indexer = self._indexes.get(model_id)
         if indexer is None:
@@ -160,15 +162,12 @@ class AdvertisementStore:
         buckets = indexer.candidate_buckets(query)
         if buckets is None:
             return None
-        by_id = self._by_id
-
-        def _resolve() -> Iterator[tuple[int, list[Advertisement]]]:
-            for upper_bound, ad_ids in buckets:
-                ads = [by_id[aid] for aid in ad_ids if aid in by_id]
-                if ads:
-                    yield upper_bound, ads
-
-        return _resolve()
+        lookup = self._by_id.get
+        # ``filter(None, …)`` drops the ``None`` a stale id resolves to.
+        return (
+            (upper_bound, filter(None, map(lookup, ad_ids)))
+            for upper_bound, ad_ids in buckets
+        )
 
     def service_nodes(self) -> list[str]:
         """Service nodes with at least one stored advertisement."""

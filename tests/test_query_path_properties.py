@@ -22,6 +22,7 @@ import pytest
 from repro.descriptions.base import ModelRegistry
 from repro.descriptions.semantic import SemanticModel
 from repro.registry.advertisements import Advertisement
+from repro.registry.index import ConceptIndexer, SemanticConceptIndex
 from repro.registry.matching import QueryEvaluator
 from repro.registry.store import AdvertisementStore
 from repro.semantics.generator import OntologyGenerator, ProfileGenerator
@@ -245,3 +246,124 @@ def test_early_termination_counter_fires():
     # Termination must actually save work relative to the linear scan.
     assert paths.indexed.descriptions_evaluated \
         < paths.linear.descriptions_evaluated
+
+
+# -- bound before body: the registry expands only the candidates it scores ----
+
+
+@pytest.mark.parametrize("seed", range(N_SEEDS))
+def test_every_id_the_index_expands_is_scored(seed):
+    """Ranked queries: ``index.expanded`` moves exactly with the evaluator's
+    scored count — the group that ends a query is never expanded — and the
+    hits still equal the linear oracle, also after slot-recycling churn."""
+    ontology = OntologyGenerator(60 + seed).random_ontology()
+    gen = ProfileGenerator(ontology, seed=60 + seed)
+    rng = random.Random(3000 + seed)
+    paths = _TwinPaths(ontology)
+    profiles = gen.profiles(STORE_SIZE * 3)
+    for i, profile in enumerate(profiles):
+        paths.put(_ad(i, profile))
+    index = paths.indexed_store.index_for("semantic")
+    assert not index._unindexable
+    skipped_a_group = 0
+    for round_no in range(3):
+        for request in _request_corpus(gen, profiles, rng):
+            expanded, scored = index.expanded, paths.indexed.descriptions_evaluated
+            fallbacks = index.fallbacks
+            terminated = paths.indexed.early_terminations
+            capped = paths.indexed.evaluate("semantic", request,
+                                            max_results=request.max_results)
+            exhaustive = paths.linear.evaluate("semantic", request, max_results=None)
+            assert _rows(capped) == _rows(exhaustive)[: request.max_results]
+            if index.fallbacks > fallbacks:  # keyword-only: linear scan, no bitsets
+                assert index.expanded == expanded
+                continue
+            taken = index.expanded - expanded
+            assert taken == paths.indexed.descriptions_evaluated - scored, \
+                (seed, request)
+            if paths.indexed.early_terminations > terminated:
+                assert taken < len(index.candidate_ids(request))
+                skipped_a_group += 1
+        for i in rng.sample(range(STORE_SIZE * 3), 30):
+            paths.indexed_store.discard(f"ad-{i:06d}")
+            paths.linear_store.discard(f"ad-{i:06d}")
+        for i in rng.sample(range(STORE_SIZE * 3), 20):
+            paths.put(_ad(i, gen.random_profile(20_000 * (round_no + 1) + i),
+                          version=round_no + 2))
+    assert skipped_a_group > 0
+
+
+def _request_with_all_three_groups(gen, profiles, index):
+    for anchor in profiles:
+        request = gen.request_for(anchor, generalize=1, max_results=2)
+        groups = {bound: list(ids) for bound, ids in index.candidate_buckets(request)}
+        if sorted(groups) == [1, 2, 3]:
+            return request, groups
+    raise AssertionError("no request produced EXACT, PLUGIN and SUBSUMES groups")
+
+
+@pytest.mark.parametrize("stale_bound", (3, 2, 1))
+def test_all_stale_group_changes_neither_hits_nor_termination_count(stale_bound):
+    """A group whose every id left the store behind the indexer's back
+    resolves to an empty body; its bound is still checked like any other."""
+    ontology = OntologyGenerator(5).random_ontology()
+    gen = ProfileGenerator(ontology, seed=5)
+    paths = _TwinPaths(ontology)
+    profiles = gen.profiles(STORE_SIZE * 3)
+    for i, profile in enumerate(profiles):
+        paths.put(_ad(i, profile))
+    index = paths.indexed_store.index_for("semantic")
+    request, groups = _request_with_all_three_groups(gen, profiles, index)
+    for ad_id in groups[stale_bound]:
+        del paths.indexed_store._by_id[ad_id]  # the indexer is not told
+        paths.linear_store.discard(ad_id)
+    for max_results in (1, 2, 5, 1000):
+        before = paths.indexed.early_terminations
+        capped = paths.indexed.evaluate("semantic", request, max_results=max_results)
+        exhaustive = paths.linear.evaluate("semantic", request, max_results=None)
+        assert _rows(capped) == _rows(exhaustive)[:max_results]
+        assert paths.indexed.early_terminations - before <= 1
+    assert paths.indexed.early_terminations > 0
+
+
+def test_list_groups_from_a_third_party_indexer_still_work():
+    """The group protocol asks for an iterable; a plain list is one."""
+
+    class ListIndexer(ConceptIndexer):
+        model_id = "semantic"
+
+        def __init__(self, model):
+            self.inner = SemanticConceptIndex(model)
+
+        def add(self, ad):
+            self.inner.add(ad)
+
+        def discard(self, ad):
+            self.inner.discard(ad)
+
+        def reset(self):
+            self.inner.reset()
+
+        def candidate_ids(self, query):
+            return self.inner.candidate_ids(query)
+
+        def candidate_buckets(self, query):
+            buckets = self.inner.candidate_buckets(query)
+            if buckets is None:
+                return None
+            return iter([(bound, list(ids)) for bound, ids in buckets])
+
+    ontology = OntologyGenerator(6).random_ontology()
+    gen = ProfileGenerator(ontology, seed=6)
+    rng = random.Random(6)
+    paths = _TwinPaths(ontology)
+    paths.indexed_store.attach_index(ListIndexer(paths.indexed_model))
+    profiles = gen.profiles(STORE_SIZE)
+    for i, profile in enumerate(profiles):
+        paths.put(_ad(i, profile))
+    for request in _request_corpus(gen, profiles, rng):
+        capped = paths.indexed.evaluate("semantic", request,
+                                        max_results=request.max_results)
+        exhaustive = paths.linear.evaluate("semantic", request, max_results=None)
+        assert _rows(capped) == _rows(exhaustive)[: request.max_results]
+    assert paths.indexed.early_terminations > 0

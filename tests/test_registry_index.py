@@ -312,3 +312,152 @@ def test_ontology_swap_rebuilds_index_even_at_same_version():
     hits = paths.assert_equivalent(
         ServiceRequest.build(outputs=[profiles[0].outputs[0]]))
     assert any(h.advertisement.ad_id == "ad-000888" for h in hits)
+
+
+# -- bitset expansion and write-patched posting bitsets -----------------------
+
+
+def _lowest_set_bit_expansion(ad_at: list, bits: int) -> list:
+    """The expansion loop ``_ids_from_mask`` replaced: the oracle."""
+    found = []
+    while bits:
+        low = bits & -bits
+        found.append(ad_at[low.bit_length() - 1])
+        bits ^= low
+    return found
+
+
+@pytest.mark.parametrize("width", (1, 7, 8, 9, 64, 1000))
+def test_mask_expansion_matches_the_lowest_set_bit_loop(width):
+    index = SemanticConceptIndex(SemanticModel(OntologyGenerator(0).random_ontology()))
+    index._ad_at = [f"ad-{slot:06d}" for slot in range(width)]
+    rng = random.Random(width)
+    masks = {
+        "empty": 0,
+        "single bit": 1 << (width // 2),
+        "lowest bit only": 1,
+        "top bit only": 1 << (width - 1),
+        "all ones": (1 << width) - 1,
+        "sparse": sum(1 << slot for slot in rng.sample(range(width), max(1, width // 9))),
+        "dense": ((1 << width) - 1) & ~sum(1 << rng.randrange(width) for _ in range(3)),
+    }
+    for name, bits in masks.items():
+        before = index.expanded
+        ids = list(index._ids_from_mask(bits))
+        assert ids == _lowest_set_bit_expansion(index._ad_at, bits), name
+        assert ids == sorted(ids), name  # ascending slot order
+        assert index.expanded - before == bits.bit_count(), name
+
+
+def test_mask_expansion_is_lazy_and_counts_only_ids_taken():
+    index = SemanticConceptIndex(SemanticModel(OntologyGenerator(0).random_ontology()))
+    index._ad_at = [f"ad-{slot:06d}" for slot in range(500)]
+    ids = index._ids_from_mask((1 << 500) - 1)
+    assert index.expanded == 0  # nothing until the first id is asked for
+    assert [next(ids), next(ids), next(ids)] == ["ad-000000", "ad-000001", "ad-000002"]
+    assert index.expanded == 3
+
+
+def _assert_masks_mirror_tables(index: SemanticConceptIndex) -> None:
+    """Every cached bitset equals its posting list rebuilt from scratch."""
+    for (table_id, concept), cached in index._mask_cache.items():
+        assert cached == index._bits_of(index._tables[table_id].get(concept, ())), \
+            (table_id, concept)
+    if index._profiles_mask is not None:
+        assert index._profiles_mask == index._bits_of(index._slot_of.values())
+    occupied = {slot for slot, ad_id in enumerate(index._ad_at) if ad_id is not None}
+    assert set(index._slot_of.values()) == occupied
+    assert index._all_profiles_mask() == sum(1 << slot for slot in occupied)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_writes_patch_cached_masks_instead_of_dropping_them(seed):
+    ontology = OntologyGenerator(50 + seed).random_ontology()
+    gen = ProfileGenerator(ontology, seed=50 + seed)
+    rng = random.Random(50 + seed)
+    paths = _Paths(ontology)
+    profiles = gen.profiles(60)
+    for i, profile in enumerate(profiles):
+        paths.put(_ad(i, profile))
+    index = paths.indexed_store.index_for("semantic")
+    assert not index._mask_cache and index._profiles_mask is None  # bulk load: none built
+    requests = list(_requests(gen, profiles, rng)) + [ServiceRequest.build(THING)]
+    for request in requests:
+        paths.assert_equivalent(request, max_results=request.max_results)
+    assert index._mask_cache and index._profiles_mask is not None
+
+    live = set(range(60))
+    for step in range(200):
+        op = rng.choice(("add", "replace", "discard", "discard"))
+        cached_before = set(index._mask_cache)
+        if op == "add":
+            i = 1000 + step
+            paths.put(_ad(i, gen.random_profile(i)))
+            live.add(i)
+        elif op == "replace" and live:
+            i = rng.choice(sorted(live))
+            paths.put(_ad(i, gen.random_profile(5000 + step), version=step + 2))
+        elif live:
+            i = rng.choice(sorted(live))
+            paths.discard(f"ad-{i:06d}")
+            live.discard(i)
+        # Patched in place: no write drops a cached key or builds a new one.
+        assert set(index._mask_cache) == cached_before
+        assert index._profiles_mask is not None
+        _assert_masks_mirror_tables(index)
+        if step % 20 == 0:
+            for request in requests:
+                paths.assert_equivalent(request, max_results=request.max_results)
+    assert index._free_slots or len(index._ad_at) < 60 + 200  # slots were recycled
+    assert index.rebuilds == 1
+
+    # A version bump, then an ontology swap, each still drop every mask.
+    ontology.add_class("gen:PatchGrown", parents=[profiles[0].category])
+    paths.assert_equivalent(requests[0])
+    assert index.rebuilds == 2
+    _assert_masks_mirror_tables(index)
+    stale_keys = set(index._mask_cache)
+    swapped = OntologyGenerator(50 + seed).random_ontology()
+    paths.indexed_model.attach_ontology(swapped)
+    paths.linear_model.attach_ontology(swapped)
+    index._ensure_synced()
+    assert index.rebuilds == 3 and stale_keys and not index._mask_cache
+    for request in requests:
+        paths.assert_equivalent(request, max_results=request.max_results)
+    _assert_masks_mirror_tables(index)
+
+
+def test_thing_request_after_a_write_reads_the_patched_profiles_mask(monkeypatch):
+    ontology = OntologyGenerator(8).random_ontology()
+    gen = ProfileGenerator(ontology, seed=8)
+    paths = _Paths(ontology)
+    for i, profile in enumerate(gen.profiles(20)):
+        paths.put(_ad(i, profile))
+    index = paths.indexed_store.index_for("semantic")
+    thing = ServiceRequest.build(THING, max_results=50)
+    assert len(paths.assert_equivalent(thing, max_results=50)) == 20
+    paths.put(_ad(99, gen.random_profile(99)))
+    paths.discard("ad-000003")
+    monkeypatch.setattr(index, "_bits_of", lambda slots: pytest.fail("mask rebuilt"))
+    hits = paths.assert_equivalent(thing, max_results=50)
+    assert len(hits) == 20
+    assert {"ad-000099"} <= {h.advertisement.ad_id for h in hits}
+    assert "ad-000003" not in {h.advertisement.ad_id for h in hits}
+
+
+def test_unindexable_records_ride_in_the_strongest_group_unexpanded():
+    ontology = OntologyGenerator(9).random_ontology()
+    gen = ProfileGenerator(ontology, seed=9)
+    index = SemanticConceptIndex(SemanticModel(ontology))
+    profiles = gen.profiles(15)
+    for i, profile in enumerate(profiles):
+        index.add(_ad(i, profile))
+    index.add(Advertisement(ad_id="ad-opaque", service_node="n", service_name="s",
+                            endpoint="e", model_id="semantic", description="opaque"))
+    request = gen.request_for(profiles[0], generalize=0)
+    (bound, strongest), *weaker = index.candidate_buckets(request)
+    assert index.expanded == 0  # bounds handed out, no body expanded yet
+    ids = list(strongest)
+    assert bound == 3 and ids[-1] == "ad-opaque" and "ad-000000" in ids
+    assert index.expanded == len(ids) - 1
+    assert "ad-opaque" in index.candidate_ids(request)
