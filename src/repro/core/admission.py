@@ -88,8 +88,6 @@ class AdmissionPolicy:
 
     Attributes
     ----------
-    enabled:
-        Master switch. Disabled, every message dispatches instantly.
     renew_cost, publish_cost, query_cost, forward_cost, sync_cost:
         Service time (seconds) per message of that class. A class with
         cost 0.0 bypasses the queue entirely — the default for *every*
@@ -111,7 +109,6 @@ class AdmissionPolicy:
         push clients off a saturated registry progressively harder.
     """
 
-    enabled: bool = True
     renew_cost: float = 0.0
     publish_cost: float = 0.0
     query_cost: float = 0.0
@@ -149,9 +146,7 @@ class AdmissionPolicy:
 
     def active(self) -> bool:
         """Whether any class actually pays service time."""
-        return self.enabled and any(
-            self.cost_for(cls) > 0 for cls in PRIORITY
-        )
+        return any(self.cost_for(cls) > 0 for cls in PRIORITY)
 
     def retry_after(self, queue_depth: int) -> float:
         """The BUSY back-off hint for a shed at ``queue_depth``."""
@@ -263,8 +258,6 @@ class AdmissionController:
         False tells the caller to dispatch it synchronously as before.
         """
         policy = self.policy
-        if not policy.enabled:
-            return False
         admission_class = policy.classify(envelope.msg_type)
         if admission_class is None:
             return False

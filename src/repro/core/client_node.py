@@ -33,11 +33,6 @@ from repro.registry.matching import QueryEvaluator, QueryHit
 from repro.semantics.ontology import Ontology
 from repro.semantics.profiles import ServiceRequest
 
-#: Attempts before a query gives up on registries entirely. Kept as the
-#: historical default; the live budget is ``config.query_retry.max_attempts``.
-MAX_ATTEMPTS = 3
-
-
 @dataclass
 class Watch:
     """A standing query: hits arrive as services are published.
@@ -59,6 +54,17 @@ class Watch:
     def service_names(self) -> list[str]:
         """Names of all services notified so far, in arrival order."""
         return [hit.advertisement.service_name for hit in self.hits]
+
+
+@dataclass
+class _Attempt:
+    """The one registry attempt a call has in flight: who was asked,
+    when, and the span that closes when the attempt ends — by a
+    response, a timeout, a BUSY or a crash."""
+
+    registry: str
+    sent_at: float
+    span: Span | None
 
 
 @dataclass
@@ -107,6 +113,7 @@ class DiscoveryCall:
     trace_id: int | None = None
     _fallback_batches: list[list[QueryHit]] = field(default_factory=list)
     _span: Span | None = field(default=None, repr=False)
+    _attempt: _Attempt | None = field(default=None, repr=False)
 
     @property
     def succeeded(self) -> bool:
@@ -147,14 +154,9 @@ class ClientNode(Node):
                                        router=self.router)
         self.adopt_handlers(self.tracker)
         self.calls: list[DiscoveryCall] = []
+        #: Calls awaiting an answer, by the wire id of the attempt (or
+        #: fallback multicast) in flight.
         self._by_wire_id: dict[str, DiscoveryCall] = {}
-        #: Routing bookkeeping per in-flight registry attempt: wire id →
-        #: (target registry, send time). Drained in lock-step with
-        #: ``_by_wire_id`` — the invariant checker asserts the subset.
-        self._route_meta: dict[str, tuple[str, float]] = {}
-        #: Open per-attempt spans keyed by wire id; closed on response,
-        #: timeout, or crash.
-        self._attempt_spans: dict[str, Span] = {}
         self.watches: dict[str, Watch] = {}
         self.fallback_queries = 0
         self.query_retries = 0
@@ -182,13 +184,12 @@ class ClientNode(Node):
         for; leaving the calls pending would strand wire-id entries across
         the restart and undercount failures in experiments.
         """
-        for wire_id in sorted(self._attempt_spans):
-            self._end_attempt(wire_id, status="crashed")
+        for wire_id in sorted(self._by_wire_id):
+            self._end_attempt(self._by_wire_id[wire_id], status="crashed")
         for call in list(self._by_wire_id.values()):
             if not call.completed:
                 self._complete(call, [], via="crashed")
         self._by_wire_id.clear()
-        self._route_meta.clear()
 
     def on_restart(self) -> None:
         self.tracker.current = None
@@ -246,24 +247,23 @@ class ClientNode(Node):
         self._dispatch(call)
         return call
 
-    def _wire_id(self, call: DiscoveryCall) -> str:
-        """Retries use fresh wire ids so loop suppression cannot eat them."""
-        return f"{call.query_id}/{call.attempts}"
+    def _query_payload(self, call: DiscoveryCall) -> protocol.QueryPayload:
+        """``call``'s query under the wire id of its current attempt —
+        retries use fresh wire ids so loop suppression cannot eat them."""
+        return protocol.QueryPayload(
+            query_id=f"{call.query_id}/{call.attempts}",
+            model_id=call.model_id,
+            query=self.models.get(call.model_id).query_from(call.request),
+            max_results=call.request.max_results,
+            ttl=call.ttl,
+        )
 
     def _dispatch(self, call: DiscoveryCall) -> None:
         if call.completed:
             # A backoff-delayed retry can race a crash-time completion.
             return
-        model = self.models.get(call.model_id)
-        query = model.query_from(call.request)
-        wire_id = self._wire_id(call)
-        payload = protocol.QueryPayload(
-            query_id=wire_id,
-            model_id=call.model_id,
-            query=query,
-            max_results=call.request.max_results,
-            ttl=call.ttl,
-        )
+        payload = self._query_payload(call)
+        wire_id = payload.query_id
         registry = self.tracker.current
         if registry is not None and self.router.adaptive:
             # Load-aware per-query selection: the attachment stays where
@@ -283,21 +283,20 @@ class ClientNode(Node):
             # Register the wire id only on paths that await a response —
             # an immediate failure must not strand a map entry.
             self._by_wire_id[wire_id] = call
-            self._route_meta[wire_id] = (registry, self.sim.now)
+            call._attempt = attempt = _Attempt(registry, self.sim.now, None)
             call.via = f"registry:{registry}"
             call.sent_to = registry
             headers = None
             trace = self.trace
             if trace is not None and call._span is not None:
-                attempt = trace.start_span(
+                attempt.span = trace.start_span(
                     "client.attempt",
                     node=self.node_id,
                     ctx=call._span.context,
                     attrs={"attempt": call.attempts, "registry": registry},
                 )
-                self._attempt_spans[wire_id] = attempt
                 headers = {}
-                TraceRecorder.inject(headers, attempt.context)
+                TraceRecorder.inject(headers, attempt.span.context)
             self.send(registry, protocol.QUERY, payload,
                       payload_type=call.model_id, headers=headers)
             self.after(self.config.query_timeout, lambda: self._query_timed_out(call, wire_id))
@@ -307,61 +306,86 @@ class ClientNode(Node):
             self._complete(call, [], via="failed")
 
     def _end_attempt(
-        self, wire_id: str, *, status: str = "ok",
+        self, call: DiscoveryCall, *, status: str = "ok",
         attrs: dict[str, object] | None = None,
-    ) -> None:
-        """Close the attempt span registered under ``wire_id``, if any."""
-        span = self._attempt_spans.pop(wire_id, None)
-        if span is not None and self.trace is not None:
-            self.trace.end_span(span, status=status, attrs=attrs)
+    ) -> _Attempt | None:
+        """Take ``call``'s in-flight attempt (if any), closing its span."""
+        attempt, call._attempt = call._attempt, None
+        if attempt is not None and attempt.span is not None and self.trace is not None:
+            self.trace.end_span(attempt.span, status=status, attrs=attrs)
+        return attempt
 
     def _query_timed_out(self, call: DiscoveryCall, wire_id: str) -> None:
-        if call.completed or self._by_wire_id.get(wire_id) is not call:
-            return
+        if not call.completed and self._by_wire_id.get(wire_id) is call:
+            self._attempt_over(call, wire_id)
+
+    def _attempt_over(
+        self, call: DiscoveryCall, wire_id: str,
+        busy: protocol.BusyPayload | None = None,
+    ) -> None:
+        """The attempt under ``wire_id`` got no answer: it timed out, or
+        the registry shed it (``busy``). Retry, fall back, or fail.
+
+        A timeout blames the registry and retries on our own capped
+        exponential backoff, if another registry is there to take the
+        retry. A BUSY means the registry is *saturated*, not dead: the
+        retry waits out the server's ``retry_after`` (it knows its
+        backlog better than we can guess) and only the second BUSY from
+        the same attachment — or a hint that cannot fit the deadline —
+        moves to a sibling registry. With the attempt budget spent, the
+        decentralized LAN fallback answers from the services directly.
+        """
         del self._by_wire_id[wire_id]
-        meta = self._route_meta.pop(wire_id, None)
-        if meta is not None:
-            self.router.on_timeout(meta[0])
-        self._end_attempt(wire_id, status="timeout")
-        call.attempts += 1
-        if self.tracker.current == call.sent_to:
-            # The registry this attempt used is still "current": blame it
-            # and fail over.
-            replacement = self.tracker.registry_failed()
-        else:
-            # A concurrent failover already replaced it; don't evict the
-            # (possibly healthy) new attachment — just retry there.
-            replacement = self.tracker.current
+        attempt = self._end_attempt(call, status="timeout" if busy is None else "busy")
+        # Only blame the registry this attempt used while it is still
+        # "current": a concurrent failover already replaced it otherwise,
+        # and the (possibly healthy) new attachment must not be evicted.
+        attached = self.tracker.current == attempt.registry
         policy = self.config.query_retry
-        if replacement is not None and call.attempts <= policy.max_attempts:
-            # Capped exponential backoff with deterministic jitter keyed
-            # by the call, so concurrent clients de-synchronize instead of
-            # stampeding the replacement registry.
+        call.attempts += 1
+        retry = call.attempts <= policy.max_attempts
+        hint = budget = None
+        if busy is None:
+            self.router.on_timeout(attempt.registry)
+            replacement = self.tracker.registry_failed() if attached \
+                else self.tracker.current
+            retry = retry and replacement is not None
+        else:
+            self.busy_rejections += 1
+            call.busy_responses += 1
+            budget = call.deadline - self.sim.now
+            retry = retry and budget > 0
+            if retry:
+                # A hint that cannot fit the remaining deadline would just
+                # die in the query timeout: fail over now and retry on our
+                # own (budget-clamped) schedule instead.
+                unaffordable = busy.retry_after > budget
+                hint = None if unaffordable else busy.retry_after
+                if attached and (unaffordable or call.busy_responses >= 2):
+                    self.tracker.registry_failed()
+        if retry:
+            # Deterministic jitter keyed by the call, so concurrent
+            # clients de-synchronize instead of stampeding the
+            # replacement registry.
             self.query_retries += 1
-            if self.network is not None:
-                self.network.stats.record_retry("query")
+            self.network.stats.record_retry("query" if busy is None else "query-busy")
             delay = policy.delay(
                 call.attempts - 1, seed=self.sim.seed,
                 key=f"{self.node_id}/{call.seq}",
+                retry_after=hint, budget=budget,
             )
             trace = self.trace
             if trace is not None and call._span is not None:
                 trace.event(
-                    "query.retry",
+                    "query.retry" if busy is None else "query.busy",
                     node=self.node_id,
                     ctx=call._span.context,
-                    attrs={"attempt": call.attempts, "delay": delay},
+                    attrs={"attempt": call.attempts,
+                           "delay" if busy is None else "retry_after": delay},
                 )
             self.after(delay, lambda: self._dispatch(call))
         elif self.config.fallback_enabled:
-            model = self.models.get(call.model_id)
-            payload = protocol.QueryPayload(
-                query_id=self._wire_id(call),
-                model_id=call.model_id,
-                query=model.query_from(call.request),
-                max_results=call.request.max_results,
-            )
-            self._fallback(call, payload)
+            self._fallback(call, self._query_payload(call))
         else:
             self._complete(call, [], via="failed")
 
@@ -421,18 +445,17 @@ class ClientNode(Node):
         if not isinstance(payload, protocol.ResponsePayload):
             return
         call = self._by_wire_id.pop(payload.query_id, None)
-        meta = self._route_meta.pop(payload.query_id, None)
-        if meta is not None:
+        if call is None or call.completed:
+            return
+        attempt = self._end_attempt(call, attrs={"hits": len(payload.hits)})
+        if attempt is not None:
             # Passive health: the answered attempt's round-trip plus the
             # registry's piggybacked queue depth feed target selection.
             self.router.on_response(
                 envelope.src,
-                rtt=self.sim.now - meta[1],
+                rtt=self.sim.now - attempt.sent_at,
                 queue_depth=payload.queue_depth,
             )
-        if call is None or call.completed:
-            return
-        self._end_attempt(payload.query_id, attrs={"hits": len(payload.hits)})
         call.responses += 1
         call.response_bytes += envelope.size_bytes
         call.responders += payload.responders
@@ -440,15 +463,7 @@ class ClientNode(Node):
         self._complete(call, list(payload.hits), via=call.via)
 
     def handle_busy(self, envelope: Envelope) -> None:
-        """The registry shed this query attempt: back off on its schedule.
-
-        The BUSY's ``retry_after`` hint replaces our own exponential
-        backoff for this attempt (the server knows its backlog better
-        than we can guess). Repeated BUSYs from the same registry mean it
-        is *saturated*, not dead — after the second one we fail over to a
-        sibling registry; with the attempt budget spent, the decentralized
-        LAN fallback answers from the services directly.
-        """
+        """The registry shed this query attempt: see :meth:`_attempt_over`."""
         payload = envelope.payload
         if not isinstance(payload, protocol.BusyPayload):
             return
@@ -471,58 +486,7 @@ class ClientNode(Node):
             # shared busy_rejections counter must not double-count a call
             # that already paid for its registry-path rejections.
             return
-        wire_id = payload.request_id
-        del self._by_wire_id[wire_id]
-        self._route_meta.pop(wire_id, None)
-        self._end_attempt(wire_id, status="busy")
-        self.busy_rejections += 1
-        call.busy_responses += 1
-        call.attempts += 1
-        policy = self.config.query_retry
-        remaining = call.deadline - self.sim.now
-        if call.attempts <= policy.max_attempts and remaining > 0:
-            retry_after: float | None = payload.retry_after
-            if retry_after > remaining:
-                # The server's back-off hint cannot fit in the remaining
-                # deadline: waiting it out would just die in the query
-                # timeout. Fail over immediately and retry on our own
-                # (budget-clamped) schedule instead.
-                if self.tracker.current == call.sent_to:
-                    self.tracker.registry_failed()
-                retry_after = None
-            elif call.busy_responses >= 2 and self.tracker.current == call.sent_to:
-                # Two rejections from the same attachment: it is staying
-                # saturated, move to a sibling registry if one exists.
-                self.tracker.registry_failed()
-            self.query_retries += 1
-            if self.network is not None:
-                self.network.stats.record_retry("query-busy")
-            delay = policy.delay(
-                call.attempts - 1, seed=self.sim.seed,
-                key=f"{self.node_id}/{call.seq}",
-                retry_after=retry_after,
-                budget=remaining,
-            )
-            trace = self.trace
-            if trace is not None and call._span is not None:
-                trace.event(
-                    "query.busy",
-                    node=self.node_id,
-                    ctx=call._span.context,
-                    attrs={"attempt": call.attempts, "retry_after": delay},
-                )
-            self.after(delay, lambda: self._dispatch(call))
-        elif self.config.fallback_enabled:
-            model = self.models.get(call.model_id)
-            fallback_payload = protocol.QueryPayload(
-                query_id=self._wire_id(call),
-                model_id=call.model_id,
-                query=model.query_from(call.request),
-                max_results=call.request.max_results,
-            )
-            self._fallback(call, fallback_payload)
-        else:
-            self._complete(call, [], via="failed")
+        self._attempt_over(call, payload.request_id, payload)
 
     def _complete(self, call: DiscoveryCall, hits: list[QueryHit], *, via: str) -> None:
         call.completions += 1

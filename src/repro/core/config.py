@@ -123,11 +123,6 @@ class DiscoveryConfig:
     #: under ``COOPERATION_REPLICATE_ADS`` — forwarding registries hold
     #: disjoint stores by design, so there is nothing to reconcile.
     antientropy_interval: float | None = 10.0
-    #: Whether a promoting standby registry bootstraps its store with an
-    #: anti-entropy pull from known peers instead of activating empty.
-    standby_warm_sync: bool = True
-    #: Whether per-neighbor circuit breakers gate query fan-out.
-    breaker_enabled: bool = True
     #: Consecutive failures (missed pongs, aggregation timeouts) that trip
     #: a neighbor's breaker from closed to open.
     breaker_failure_threshold: int = 3
@@ -188,14 +183,10 @@ class DiscoveryConfig:
     health: HealthConfig = HealthConfig()
 
     # -- recovery / retries ------------------------------------------------
-    #: Backoff between client query attempts (failover retries). The
-    #: attempt budget replaces the old fixed MAX_ATTEMPTS constant.
+    #: Backoff between client query attempts (failover retries) and the
+    #: attempt budget of one call.
     query_retry: RetryPolicy = RetryPolicy(
         base=0.2, factor=2.0, cap=2.0, max_attempts=3, jitter=0.1
-    )
-    #: Retransmission of unacked publishes (lost on a lossy link).
-    publish_retry: RetryPolicy = RetryPolicy(
-        base=1.0, factor=2.0, cap=8.0, max_attempts=4, jitter=0.1
     )
     #: Retransmission of unacked lease renewals. Keeping this shorter than
     #: the renew interval lets a transiently lost RENEW recover without

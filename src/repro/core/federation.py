@@ -317,15 +317,11 @@ class Federation:
 
     def record_neighbor_failure(self, neighbor: str) -> None:
         """Feed one failure signal (missed pong, aggregation timeout)."""
-        if not self.config.breaker_enabled:
-            return
         if self._breaker(neighbor).record_failure():
             self._record_recovery("breaker-open", neighbor=neighbor)
 
     def record_neighbor_success(self, neighbor: str) -> None:
         """Feed one success signal (pong, query response, join)."""
-        if not self.config.breaker_enabled:
-            return
         breaker = self.breakers.get(neighbor)
         if breaker is not None and breaker.record_success():
             self._record_recovery("breaker-close", neighbor=neighbor)
@@ -337,8 +333,6 @@ class Federation:
         admit the caller as the probe; otherwise the neighbor is skipped
         (and not counted as outstanding by the aggregation).
         """
-        if not self.config.breaker_enabled:
-            return True
         breaker = self.breakers.get(neighbor)
         if breaker is None:
             return True

@@ -9,10 +9,9 @@ registry network … Loop avoidance must also be taken care of."
 This module holds the bookkeeping shared by all strategies:
 
 * :class:`SeenQueries` — query-id based loop avoidance with pruning,
-* :class:`PendingAggregation` — a fan-out awaiting responses (or a
-  timeout), completing exactly once,
+* :class:`PendingAggregation` — hits awaited from a fan-out's targets
+  or from a random walk (or a timeout), completing exactly once,
 * :class:`RingController` — the expanding-ring round schedule,
-* :class:`WalkCoordinator` — collects random-walk hit streams,
 * :class:`RandomWalk` — the random-walk strategy itself: starting a
   walk, relaying one, and the ``walk*`` message handlers the registry
   node adopts into its dispatch table,
@@ -117,16 +116,22 @@ class SeenQueries:
 
 
 class PendingAggregation:
-    """One in-flight fan-out: local hits plus awaited neighbor responses.
+    """One in-flight query: local hits plus awaited neighbor responses.
 
-    Completes exactly once — either when every outstanding response has
-    arrived or when the aggregation timeout fires — by calling
-    ``on_complete`` with the merged, response-controlled hit list.
+    Completes exactly once — when every outstanding response has
+    arrived, when :meth:`flush` is called, or when the aggregation
+    timeout fires — by calling ``on_complete`` with the merged,
+    response-controlled hit list.
 
     When the fan-out ``targets`` are known, the aggregation tracks which
     of them answered; a timeout reports each silent target through
     ``on_target_timeout`` so the caller can feed its failure detector
     (circuit breakers, §4.9 aliveness).
+
+    Without a target set (and no ``outstanding`` count) nobody knows how
+    many registries will answer — a random walk: every visited registry
+    that has matches reports them, and only :meth:`flush` (the walk's
+    end) or the timeout (the walk died mid-way) completes it.
     """
 
     def __init__(
@@ -146,7 +151,10 @@ class PendingAggregation:
     ) -> None:
         self.query_id = query_id
         self.batches: list[list[QueryHit]] = [local_hits]
-        self.outstanding = len(targets) if outstanding is None else outstanding
+        self.outstanding: float = (
+            outstanding if outstanding is not None
+            else len(targets) or float("inf")
+        )
         self.silent: set[str] = set(targets)
         #: Every target contacted so far (originals plus retarget
         #: replacements) — the retarget planner must not re-pick them.
@@ -232,9 +240,10 @@ class PendingAggregation:
             self._complete()
 
     def flush(self) -> None:
-        """Complete immediately with whatever has arrived (we are leaving).
+        """Complete immediately with whatever has arrived: the walk
+        ended, or we are leaving the federation.
 
-        Unlike a timeout, no target is blamed — the departure is ours.
+        Unlike a timeout, no target is blamed.
         """
         if not self._done:
             self._complete()
@@ -295,71 +304,19 @@ class RingController:
         return self.round_index < len(self.ttls)
 
 
-class WalkCoordinator:
-    """Collects the hit stream of one random walk.
-
-    Visited registries unicast their hits straight back to the coordinator
-    (``WALK_HITS``); the final registry sends ``WALK_END``. A timeout
-    bounds the wait when the walk dies mid-way (crashed registry,
-    partition).
-    """
-
-    def __init__(
-        self,
-        node: "Node",
-        *,
-        query_id: str,
-        local_hits: list[QueryHit],
-        timeout: float,
-        max_results: int | None,
-        on_complete: Callable[[list[QueryHit], int], None],
-    ) -> None:
-        self.query_id = query_id
-        self.batches: list[list[QueryHit]] = [local_hits]
-        self.responders = 1
-        self.max_results = max_results
-        self._on_complete = on_complete
-        self._done = False
-        self._timer: "Timer" = node.after(timeout, self._finish)
-
-    def add_hits(self, hits: tuple[QueryHit, ...]) -> None:
-        """One visited registry reported its local matches."""
-        if self._done:
-            return
-        self.batches.append(list(hits))
-        self.responders += 1
-
-    def walk_ended(self) -> None:
-        """The walk reached its end: complete now."""
-        self._finish()
-
-    def _finish(self) -> None:
-        if self._done:
-            return
-        self._done = True
-        self._timer.cancel()
-        merged = QueryEvaluator.merge(self.batches, max_results=self.max_results)
-        self._on_complete(merged, self.responders)
-
-    @property
-    def done(self) -> bool:
-        return self._done
-
-
 class RandomWalk:
     """The random-walk strategy of one registry.
 
     "Random walks" instead of flooding: the query visits one registry
     after another, each reporting its local matches straight back to
-    the registry that started the walk. This class starts walks for
-    client queries (one :class:`WalkCoordinator` each, in
-    :attr:`active`) and relays other registries' walks one hop on.
+    the registry that started the walk (``WALK_HITS``); the last one
+    sends ``WALK_END``. This class starts walks for client queries (one
+    target-less :class:`PendingAggregation` each, in the registry's
+    in-flight map) and relays other registries' walks one hop on.
     """
 
     def __init__(self, registry: "RegistryNode") -> None:
         self.registry = registry
-        #: Walks this registry coordinates, by query id.
-        self.active: dict[str, WalkCoordinator] = {}
 
     def start(
         self, client: str, payload: protocol.QueryPayload, *, span: "Span | None" = None
@@ -375,13 +332,15 @@ class RandomWalk:
             return
 
         def complete(hits: list[QueryHit], responders: int) -> None:
-            self.active.pop(payload.query_id, None)
+            registry._pending.pop(payload.query_id, None)
             registry._respond(client, payload.query_id, hits, responders, span=span)
 
-        self.active[payload.query_id] = WalkCoordinator(
+        registry._pending[payload.query_id] = PendingAggregation(
             registry,
             query_id=payload.query_id,
             local_hits=local,
+            # Bounds the wait when the walk dies mid-way (crashed
+            # registry, partition).
             timeout=config.aggregation_timeout * config.walk_length,
             max_results=payload.max_results,
             on_complete=complete,
@@ -445,18 +404,20 @@ class RandomWalk:
         )
 
     def handle_walk_hits(self, envelope: "Envelope") -> None:
+        """One visited registry reported its local matches."""
         payload = envelope.payload
         if isinstance(payload, protocol.ResponsePayload):
-            walk = self.active.get(payload.query_id)
+            walk = self.registry._pending.get(payload.query_id)
             if walk is not None:
-                walk.add_hits(payload.hits)
+                walk.add_response(payload)
 
     def handle_walk_end(self, envelope: "Envelope") -> None:
+        """The walk reached its end: complete now."""
         payload = envelope.payload
         if isinstance(payload, protocol.ResponsePayload):
-            walk = self.active.get(payload.query_id)
+            walk = self.registry._pending.get(payload.query_id)
             if walk is not None:
-                walk.walk_ended()
+                walk.flush()
 
 
 #: Circuit-breaker states.

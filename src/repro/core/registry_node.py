@@ -131,8 +131,10 @@ class RegistryNode(Node):
         self._peer_incarnations: dict[str, int] = {}
         self.leases: LeaseManager | None = None
         self._seen: SeenQueries | None = None
+        #: Every query this registry is gathering answers for, by query
+        #: id: fan-outs and the random walks it coordinates alike.
         self._pending: dict[str, PendingAggregation] = {}
-        #: Random-walk strategy: walks we coordinate, walks we relay.
+        #: Random-walk strategy: starting walks, relaying others'.
         self.walk = RandomWalk(self)
         # Components serve their own message types — a switched-off one
         # none, so its traffic is an unknown message type here.
@@ -142,7 +144,10 @@ class RegistryNode(Node):
             self.adopt_handlers(self.antientropy)
         if self.shard.configured():
             self.adopt_handlers(self.shard)
+        #: Dedup keys ``(ad_id, version, epoch)`` of replica pushes seen,
+        #: pruned below ``_push_floor`` (see :meth:`_purge`).
         self._seen_ad_pushes: set[tuple[str, int, int]] = set()
+        self._push_floor = 0
         self._subscriptions: dict[str, _Subscription] = {}
         self.responses_sent = 0
         self.notifications_sent = 0
@@ -171,8 +176,11 @@ class RegistryNode(Node):
             default_duration=self.config.lease_duration,
             on_event=self._lease_event,
         )
+        # A flood filling the loop-avoidance table must not evict the id
+        # of a query still in flight here, or a late duplicate would
+        # re-enter the fan-out and double-count hits.
         self._seen = SeenQueries(lambda: self.sim.now,
-                                 protected=self._query_in_flight)
+                                 protected=self._pending.__contains__)
         if self.config.beacon_interval is not None:
             self.every(self.config.beacon_interval, self._beacon,
                        initial_delay=self.config.beacon_interval)
@@ -214,7 +222,6 @@ class RegistryNode(Node):
         self.federation.reset()
         self.antientropy.reset()
         self._pending.clear()
-        self.walk.active.clear()
         self._seen_ad_pushes.clear()
         self._subscriptions.clear()
         self._peer_incarnations.clear()
@@ -673,6 +680,17 @@ class RegistryNode(Node):
                   if now >= sub.expires_at]
         for sub_id in lapsed:
             del self._subscriptions[sub_id]
+        # Replica refreshes add one dedup key per advertisement per renew
+        # interval. A push can sit in a flooded peer's admission queue
+        # for several renew intervals, but one older than two lease
+        # durations is no longer travelling and its key guards nothing.
+        # One sweep per epoch, not per purge.
+        floor = self.lease_epoch() - int(2 / self.config.renew_fraction) - 1
+        if floor > self._push_floor:
+            self._push_floor = floor
+            self._seen_ad_pushes = {
+                key for key in self._seen_ad_pushes if key[2] >= floor
+            }
 
     # -- subscriptions / notifications ------------------------------------------
 
@@ -903,16 +921,6 @@ class RegistryNode(Node):
 
     # -- querying ----------------------------------------------------------------------
 
-    def _query_in_flight(self, query_id: str) -> bool:
-        """Whether a query id still has live aggregation/walk state.
-
-        Used as the :class:`SeenQueries` eviction guard: a flood filling
-        the loop-avoidance table must not evict an in-flight id, or a
-        late duplicate would re-enter the fan-out and double-count hits
-        in the pending aggregation.
-        """
-        return query_id in self._pending or query_id in self.walk.active
-
     def _local_hits(
         self, payload: protocol.QueryPayload, *, parent: Span | None = None
     ) -> list[QueryHit]:
@@ -1012,7 +1020,8 @@ class RegistryNode(Node):
         circuit breaker as missed pongs and aggregation timeouts, so a
         chronically saturated neighbor drops out of the fan-out until it
         recovers. The pending aggregation drains immediately with an
-        empty answer instead of riding out the timeout.
+        empty answer instead of riding out the timeout; a shed walk has
+        nobody left to carry it on and ends here.
         """
         payload = envelope.payload
         if not isinstance(payload, protocol.BusyPayload):
@@ -1026,12 +1035,12 @@ class RegistryNode(Node):
         if self.network is not None:
             self.network.metrics.counter("admission.busy_received").inc()
         pending = self._pending.get(payload.request_id)
-        if pending is not None:
-            pending.drain_target(envelope.src)
+        if pending is None:
             return
-        walk = self.walk.active.get(payload.request_id)
-        if walk is not None:
-            walk.walk_ended()
+        if payload.msg_type == protocol.WALK:
+            pending.flush()
+        else:
+            pending.drain_target(envelope.src)
 
     def _duplicate_query(self, query_id: str) -> bool:
         """Whether ``query_id`` was seen before (marking it seen if not).
@@ -1041,7 +1050,7 @@ class RegistryNode(Node):
         aggregating must never restart it.
         """
         assert self._seen is not None
-        return self._query_in_flight(query_id) \
+        return query_id in self._pending \
             or not self._seen.check_and_mark(query_id)
 
     def handle_query(self, envelope: Envelope) -> None:

@@ -67,6 +67,11 @@ _ROUTING_STRATEGIES = frozenset({
     ROUTING_COOLDOWN_FAILOVER,
 })
 
+#: Cooldown growth per consecutive failure of the same target, and the
+#: upper bound on one cooldown interval (seconds).
+COOLDOWN_FACTOR = 2.0
+COOLDOWN_MAX = 10.0
+
 
 @dataclass(frozen=True)
 class RoutingConfig:
@@ -80,18 +85,14 @@ class RoutingConfig:
     ewma_alpha:
         Weight of the newest latency sample in the per-target EWMA.
     cooldown_base:
-        First cooldown after a failure signal (seconds).
-    cooldown_factor:
-        Cooldown growth per *consecutive* failure of the same target.
-    cooldown_max:
-        Upper bound on one cooldown interval (seconds).
+        First cooldown after a failure signal (seconds); it grows by
+        :data:`COOLDOWN_FACTOR` per *consecutive* failure of the same
+        target, up to :data:`COOLDOWN_MAX`.
     """
 
     strategy: str = ROUTING_STATIC
     ewma_alpha: float = 0.3
     cooldown_base: float = 0.5
-    cooldown_factor: float = 2.0
-    cooldown_max: float = 10.0
 
     def __post_init__(self) -> None:
         if self.strategy not in _ROUTING_STRATEGIES:
@@ -101,14 +102,10 @@ class RoutingConfig:
             )
         if not 0.0 < self.ewma_alpha <= 1.0:
             raise ReproError(f"ewma_alpha must be in (0, 1], got {self.ewma_alpha}")
-        if self.cooldown_base <= 0:
-            raise ReproError(f"cooldown_base must be positive, got {self.cooldown_base}")
-        if self.cooldown_factor < 1.0:
-            raise ReproError(f"cooldown_factor must be >= 1, got {self.cooldown_factor}")
-        if self.cooldown_max < self.cooldown_base:
+        if not 0 < self.cooldown_base <= COOLDOWN_MAX:
             raise ReproError(
-                f"cooldown_max {self.cooldown_max} must be >= "
-                f"cooldown_base {self.cooldown_base}"
+                f"cooldown_base must be in (0, {COOLDOWN_MAX}], "
+                f"got {self.cooldown_base}"
             )
 
 
@@ -345,8 +342,8 @@ class Router:
         self.cooldowns = CooldownManager(
             self._now,
             base=config.cooldown_base,
-            factor=config.cooldown_factor,
-            maximum=config.cooldown_max,
+            factor=COOLDOWN_FACTOR,
+            maximum=COOLDOWN_MAX,
         )
         self.strategy: RoutingStrategy = _STRATEGY_CLASSES[config.strategy](
             self.health, self.cooldowns

@@ -22,11 +22,11 @@ descriptions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.core import protocol
 from repro.core.bootstrap import RegistryTracker
 from repro.core.config import DiscoveryConfig
+from repro.core.retry import RetryPolicy
 from repro.core.routing import Router
 from repro.descriptions.base import DescriptionModel, ModelRegistry
 from repro.netsim.messages import Envelope
@@ -35,8 +35,12 @@ from repro.registry.advertisements import Advertisement, new_uuid
 from repro.registry.matching import QueryHit
 from repro.semantics.profiles import ServiceProfile
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.obs.health import HealthMonitor
+#: Retransmission of unacked publishes (lost on a lossy link).
+PUBLISH_RETRY = RetryPolicy(base=1.0, factor=2.0, cap=8.0, max_attempts=4, jitter=0.1)
+
+#: The :class:`PublishedAd` field a BUSY's ``request_id`` echoes, per shed
+#: message type (see :func:`repro.core.admission.request_id_of`).
+_BUSY_ECHOES = {protocol.RENEW: "lease_id", protocol.PUBLISH: "ad_id"}
 
 
 @dataclass
@@ -49,6 +53,15 @@ class PublishedAd:
     registry: str = ""
     acked: bool = False
     renew_outstanding: bool = False
+    #: When the latest publish / renew left (``None`` once answered): the
+    #: ack's round-trip is a latency sample for the health layer's SLOs
+    #: and, for renews, a passive probe for the router.
+    publish_sent_at: float | None = None
+    renew_sent_at: float | None = None
+
+    def awaiting(self, kind: str) -> bool:
+        """Whether the latest PUBLISH / RENEW (``kind``) is unanswered."""
+        return self.renew_outstanding if kind == protocol.RENEW else not self.acked
 
 
 class ServiceNode(Node):
@@ -75,12 +88,6 @@ class ServiceNode(Node):
             self, config, on_attached=self._on_attached, router=self.router
         )
         self.adopt_handlers(self.tracker)
-        #: Renew send times by lease id (latest send wins): the ack's
-        #: round-trip is a passive latency sample for the router.
-        self._renew_sent_at: dict[str, float] = {}
-        #: Publish send times by ad id (latest send wins) — round-trip
-        #: latency samples for the health layer's PUBLISH objective.
-        self._publish_sent_at: dict[str, float] = {}
         self._published: dict[str, PublishedAd] = {
             model_id: PublishedAd(model_id=model_id) for model_id in self.models.model_ids()
         }
@@ -93,10 +100,19 @@ class ServiceNode(Node):
         #: BUSY rejections honored by deferring on the server's hint.
         self.busy_deferrals = 0
 
-    def _health(self) -> "HealthMonitor | None":
-        """The run's health monitor, or None when the layer is off."""
+    def _record_request(self, kind: str, *, ok: bool,
+                        sent_at: float | None = None) -> None:
+        """Feed one answered publish/renew to the health layer's SLOs."""
         if self.network is not None and self.network.health.active:
-            return self.network.health
+            self.network.health.record_request(
+                kind, ok=ok,
+                latency=(self.sim.now - sent_at) if sent_at is not None else 0.0,
+            )
+
+    def _record_for(self, *, lease_id: str) -> PublishedAd | None:
+        for record in self._published.values():
+            if record.lease_id == lease_id:
+                return record
         return None
 
     def _describe_all(self) -> dict[str, object]:
@@ -168,10 +184,10 @@ class ServiceNode(Node):
                 record.ad_id = new_uuid("ad")
             self.publishes_sent += 1
             self._send_publish(registry_id, record)
-            self._arm_publish_retry(record, registry_id, attempt=1)
+            self._resend_unless_answered(protocol.PUBLISH, record, registry_id)
 
     def _send_publish(self, registry_id: str, record: PublishedAd) -> None:
-        self._publish_sent_at[record.ad_id] = self.sim.now
+        record.publish_sent_at = self.sim.now
         self.send(
             registry_id,
             protocol.PUBLISH,
@@ -186,36 +202,58 @@ class ServiceNode(Node):
             payload_type=record.model_id,
         )
 
-    def _arm_publish_retry(self, record: PublishedAd, registry_id: str,
-                           attempt: int) -> None:
-        """Retransmit an unacked publish with capped exponential backoff.
+    def _resend_unless_answered(
+        self, kind: str, record: PublishedAd, registry_id: str, *,
+        attempt: int = 1, hint: float | None = None,
+    ) -> None:
+        """Arm one resend of ``record``'s publish or renew (``kind`` is
+        the message type) to ``registry_id``.
 
-        A publish lost on a lossy link used to stay silent for almost a
-        whole renew interval before the failover heuristic noticed;
-        retrying recovers within seconds without evicting a healthy
-        registry. Exhaustion hands the case back to the renew-tick
-        failover heuristic unchanged.
+        It fires unless by then the message was answered, the record was
+        re-homed to another registry, its lease was superseded, or our
+        attachment moved. The delay comes from the retry policy — the
+        capped, jittered backoff for ``attempt``, after which the chain
+        re-arms itself until the policy is spent — or from a BUSY's
+        ``hint``: one deferred resend beside the chain armed at send time.
+
+        A message lost on a lossy link used to look identical to a dead
+        registry at the next renew tick (``stale_renew`` /
+        ``publish_unacked``); a few quick retransmissions let transient
+        loss resolve without tearing down a healthy attachment. The
+        failover heuristic is untouched — it still fires if every resend
+        drowns.
         """
-        policy = self.config.publish_retry
-        if attempt > policy.max_attempts:
-            return
-        delay = policy.delay(
-            attempt, seed=self.sim.seed,
-            key=f"{self.node_id}/{record.model_id}/publish",
-        )
+        renew = kind == protocol.RENEW
+        if hint is None:
+            policy = self.config.renew_retry if renew else PUBLISH_RETRY
+            if attempt > policy.max_attempts:
+                return
+            delay = policy.delay(
+                attempt, seed=self.sim.seed,
+                key=f"{self.node_id}/{record.model_id}/{kind}",
+            )
+        else:
+            delay = hint
+        lease_id = record.lease_id
 
-        def maybe_resend() -> None:
-            if record.acked or record.registry != registry_id:
+        def resend() -> None:
+            if not record.awaiting(kind):
+                return
+            if record.lease_id != lease_id or record.registry != registry_id:
                 return
             if self.tracker.current != registry_id:
                 return
-            self.publish_retries += 1
-            if self.network is not None:
-                self.network.stats.record_retry("publish")
-            self._send_publish(registry_id, record)
-            self._arm_publish_retry(record, registry_id, attempt + 1)
+            if renew:
+                self.renew_retries += 1
+            else:
+                self.publish_retries += 1
+            self.network.stats.record_retry(kind)
+            (self._send_renew if renew else self._send_publish)(registry_id, record)
+            if hint is None:
+                self._resend_unless_answered(
+                    kind, record, registry_id, attempt=attempt + 1)
 
-        self.after(delay, maybe_resend)
+        self.after(delay, resend)
 
     def handle_publish_ack(self, envelope: Envelope) -> None:
         ack = envelope.payload
@@ -224,13 +262,8 @@ class ServiceNode(Node):
         record = self._published.get(ack.model_id)
         if record is None or record.registry != envelope.src:
             return
-        sent_at = self._publish_sent_at.pop(record.ad_id, None)
-        health = self._health()
-        if health is not None:
-            health.record_request(
-                "publish", ok=True,
-                latency=(self.sim.now - sent_at) if sent_at is not None else 0.0,
-            )
+        sent_at, record.publish_sent_at = record.publish_sent_at, None
+        self._record_request(protocol.PUBLISH, ok=True, sent_at=sent_at)
         record.ad_id = ack.ad_id
         record.lease_id = ack.lease_id
         record.acked = True
@@ -272,66 +305,29 @@ class ServiceNode(Node):
             if record.acked and record.lease_id:
                 record.renew_outstanding = True
                 self._send_renew(registry, record)
-                self._arm_renew_retry(record, registry, record.lease_id, attempt=1)
+                self._resend_unless_answered(protocol.RENEW, record, registry)
 
     def _send_renew(self, registry_id: str, record: PublishedAd) -> None:
-        self._renew_sent_at[record.lease_id] = self.sim.now
+        record.renew_sent_at = self.sim.now
         self.send(
             registry_id,
             protocol.RENEW,
             protocol.RenewPayload(lease_id=record.lease_id, ad_id=record.ad_id),
         )
 
-    def _arm_renew_retry(self, record: PublishedAd, registry_id: str,
-                         lease_id: str, attempt: int) -> None:
-        """Retransmit an unanswered renew before the next tick fails over.
-
-        A single lost RENEW used to look identical to a dead registry at
-        the next tick (``stale_renew``); a couple of quick retransmissions
-        let transient loss resolve without tearing down the attachment.
-        The failover heuristic is untouched — it still fires if every
-        retry drowns.
-        """
-        policy = self.config.renew_retry
-        if attempt > policy.max_attempts:
-            return
-        delay = policy.delay(
-            attempt, seed=self.sim.seed,
-            key=f"{self.node_id}/{record.model_id}/renew",
-        )
-
-        def maybe_resend() -> None:
-            if not record.renew_outstanding:
-                return
-            if record.lease_id != lease_id or record.registry != registry_id:
-                return
-            if self.tracker.current != registry_id:
-                return
-            self.renew_retries += 1
-            if self.network is not None:
-                self.network.stats.record_retry("renew")
-            self._send_renew(registry_id, record)
-            self._arm_renew_retry(record, registry_id, lease_id, attempt + 1)
-
-        self.after(delay, maybe_resend)
-
     def handle_renew_ack(self, envelope: Envelope) -> None:
         payload = envelope.payload
         if not isinstance(payload, protocol.RenewPayload):
             return
-        sent_at = self._renew_sent_at.pop(payload.lease_id, None)
+        record = self._record_for(lease_id=payload.lease_id)
+        sent_at = None
+        if record is not None:
+            sent_at, record.renew_sent_at = record.renew_sent_at, None
+            record.renew_outstanding = False
         if sent_at is not None:
             # Renew round-trips double as passive latency probes.
             self.router.on_response(envelope.src, rtt=self.sim.now - sent_at)
-        health = self._health()
-        if health is not None:
-            health.record_request(
-                "renew", ok=True,
-                latency=(self.sim.now - sent_at) if sent_at is not None else 0.0,
-            )
-        for record in self._published.values():
-            if record.lease_id == payload.lease_id:
-                record.renew_outstanding = False
+        self._record_request(protocol.RENEW, ok=True, sent_at=sent_at)
 
     def handle_publish_nack(self, envelope: Envelope) -> None:
         """The registry refused us (at capacity): publish elsewhere.
@@ -342,9 +338,7 @@ class ServiceNode(Node):
         payload = envelope.payload
         if not isinstance(payload, protocol.PublishNack):
             return
-        health = self._health()
-        if health is not None:
-            health.record_request("publish", ok=False)
+        self._record_request(protocol.PUBLISH, ok=False)
         if self.tracker.current != envelope.src:
             return
         if payload.reason == "quorum":
@@ -370,81 +364,35 @@ class ServiceNode(Node):
         payload = envelope.payload
         if not isinstance(payload, protocol.BusyPayload):
             return
-        health = self._health()
-        if health is not None and payload.msg_type in (protocol.RENEW, protocol.PUBLISH):
-            health.record_request(
-                "renew" if payload.msg_type == protocol.RENEW else "publish",
-                ok=False,
-            )
+        key = _BUSY_ECHOES.get(payload.msg_type)
+        if key is not None:
+            self._record_request(payload.msg_type, ok=False)
         self.router.on_busy(
             envelope.src,
             retry_after=payload.retry_after,
             queue_depth=payload.queue_depth,
         )
-        if self.tracker.current != envelope.src:
+        if key is None or self.tracker.current != envelope.src:
             return
-        if payload.msg_type == protocol.RENEW:
-            for record in self._published.values():
-                if record.lease_id == payload.request_id:
-                    self._defer_renew(record, envelope.src, payload)
-                    return
-        elif payload.msg_type == protocol.PUBLISH:
-            for record in self._published.values():
-                if record.ad_id == payload.request_id:
-                    self._defer_publish(record, envelope.src, payload)
-                    return
-
-    def _defer_renew(self, record: PublishedAd, registry_id: str,
-                     payload: protocol.BusyPayload) -> None:
-        if not record.renew_outstanding:
-            return
-        self.busy_deferrals += 1
-        lease_id = record.lease_id
-
-        def resend() -> None:
-            if not record.renew_outstanding:
+        for record in self._published.values():
+            if getattr(record, key) == payload.request_id:
+                if record.awaiting(payload.msg_type):
+                    self.busy_deferrals += 1
+                    self._resend_unless_answered(
+                        payload.msg_type, record, envelope.src,
+                        hint=payload.retry_after)
                 return
-            if record.lease_id != lease_id or record.registry != registry_id:
-                return
-            if self.tracker.current != registry_id:
-                return
-            self.renew_retries += 1
-            if self.network is not None:
-                self.network.stats.record_retry("renew")
-            self._send_renew(registry_id, record)
-
-        self.after(payload.retry_after, resend)
-
-    def _defer_publish(self, record: PublishedAd, registry_id: str,
-                       payload: protocol.BusyPayload) -> None:
-        if record.acked:
-            return
-        self.busy_deferrals += 1
-
-        def resend() -> None:
-            if record.acked or record.registry != registry_id:
-                return
-            if self.tracker.current != registry_id:
-                return
-            self.publish_retries += 1
-            if self.network is not None:
-                self.network.stats.record_retry("publish")
-            self._send_publish(registry_id, record)
-
-        self.after(payload.retry_after, resend)
 
     def handle_renew_nack(self, envelope: Envelope) -> None:
         """Lease lapsed at the registry (e.g. it restarted): republish."""
         payload = envelope.payload
         if not isinstance(payload, protocol.RenewPayload):
             return
-        health = self._health()
-        if health is not None:
-            health.record_request("renew", ok=False)
-        for record in self._published.values():
-            if record.lease_id == payload.lease_id:
-                record.renew_outstanding = False
-                record.acked = False
+        self._record_request(protocol.RENEW, ok=False)
+        record = self._record_for(lease_id=payload.lease_id)
+        if record is not None:
+            record.renew_outstanding = False
+            record.acked = False
         if self.tracker.current is not None:
             self._publish_all(self.tracker.current)
 

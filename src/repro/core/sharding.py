@@ -56,21 +56,12 @@ class ShardingConfig:
     write_quorum: int = 2
     #: Virtual nodes per registry on the ring (uniformity knob).
     virtual_nodes: int = 64
-    #: Seed mixed into every ring position — two deployments with the
-    #: same members and seed place identically.
-    ring_seed: int = 0
     #: Seconds the write coordinator waits for quorum acks.
     quorum_timeout: float = 1.0
-    #: Buffer writes for unreachable replicas and replay them on the
-    #: replica's next proof of life.
-    hinted_handoff: bool = True
-    #: Hints buffered per down replica before the oldest are dropped.
+    #: Hints buffered per down replica (hinted handoff: writes for an
+    #: unreachable replica are parked and replayed on its next proof of
+    #: life) before the oldest are dropped.
     handoff_limit: int = 256
-    #: Push the freshest version to stale replicas spotted during reads.
-    read_repair: bool = True
-    #: Re-send a query once to an alternate replica when the chosen one
-    #: stays silent past the aggregation timeout (fault-masked reads).
-    read_retry: bool = True
     #: A promoted warm standby inherits the ring identity of the dead
     #: registry it replaces, so promotion moves no keys (satellite fix).
     standby_inherit_ring: bool = True
@@ -256,7 +247,7 @@ class _PendingQuorumWrite:
 
     def _timeout(self) -> None:
         manager = self.manager
-        if manager.cfg.hinted_handoff and self.hint is not None:
+        if self.hint is not None:
             # Buffer the write for every replica that never answered.
             for target in sorted(self.silent):
                 manager.buffer_hint(target, *self.hint)
@@ -342,7 +333,7 @@ class ShardManager:
         """Restart hygiene: volatile state dies with the incarnation."""
         #: This registry's view of the consistent-hash ring.
         self.ring = ConsistentHashRing(
-            virtual_nodes=self.cfg.virtual_nodes, seed=self.cfg.ring_seed
+            virtual_nodes=self.cfg.virtual_nodes
         )
         self._writes.clear()
         self._hints.clear()
@@ -653,7 +644,7 @@ class ShardManager:
 
     def observe_read(self, query_id: str, src: str, hits) -> None:
         """Track per-replica answer versions; repair stale replicas."""
-        if not (self.active() and self.cfg.read_repair):
+        if not self.active():
             return
         best = self._reads.setdefault(query_id, {})
         for hit in hits:
@@ -711,7 +702,7 @@ class ShardManager:
         targets = self.read_cover()
         if not targets:
             self.end_read(payload.query_id)
-        return targets, 0, self._retarget if self.cfg.read_retry else None
+        return targets, 0, self._retarget
 
     def _retarget(self, failed: list[str], contacted: set[str]) -> list[str]:
         """Alternate replicas for fan-out targets that stayed silent."""

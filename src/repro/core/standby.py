@@ -208,7 +208,7 @@ class StandbyRegistry(RegistryNode):
         and the configured seeds, so replicated advertisements stream in
         within one round-trip instead of one lease period.
         """
-        if not (self.config.standby_warm_sync and self.antientropy.enabled()):
+        if not self.antientropy.enabled():
             return
         peers = sorted(set(self._live_lan_registries()) | set(self.seeds))
         synced = 0
@@ -265,7 +265,6 @@ class StandbyRegistry(RegistryNode):
         # stale ads, so drop the WAL + snapshot (the incarnation survives).
         self.durability.discard()
         self._pending.clear()
-        self.walk.active.clear()
         self._subscriptions.clear()
         if self.leases is not None:
             self.leases.clear()

@@ -132,6 +132,38 @@ def stdev(values: Iterable[float]) -> float:
     return (sum((x - mu) ** 2 for x in items) / len(items)) ** 0.5
 
 
+def schedule_discovers(system, arrivals: Iterable[tuple[float, Any, Any]]) -> list:
+    """Schedule one semantic ``discover`` per ``(time, client, request)``.
+
+    Arrivals are scheduled (and drawn, if ``arrivals`` is a generator) in
+    iteration order; a client that is down at its arrival time issues
+    nothing. Returns the list the issued calls are appended to.
+    """
+    calls: list = []
+    for when, client, request in arrivals:
+
+        def issue(client=client, request=request) -> None:
+            if client.alive:
+                calls.append(client.discover(request, model_id="semantic"))
+
+        system.sim.schedule_at(when, issue)
+    return calls
+
+
+def round_robin_probes(system, clients, request, *, start: float, stop: float,
+                       step: float) -> list:
+    """A steady background feed: one query every ``step`` seconds in
+    ``[start, stop)``, the clients taking turns."""
+    def arrivals():
+        t, i = start, 0
+        while t < stop:
+            yield t, clients[i % len(clients)], request
+            t += step
+            i += 1
+
+    return schedule_discovers(system, arrivals())
+
+
 def repeat_runs(
     run_fn: Callable[..., ExperimentResult],
     *,

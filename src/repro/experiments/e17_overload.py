@@ -38,7 +38,7 @@ from repro.core.admission import AdmissionPolicy
 from repro.core.config import DiscoveryConfig
 from repro.core.invariants import assert_invariants
 from repro.core.retry import RetryPolicy
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import ExperimentResult, schedule_discovers
 from repro.obs.report import build_capacity_report, write_report
 from repro.semantics.generator import battlefield_ontology
 from repro.workloads.queries import QueryWorkload
@@ -152,6 +152,39 @@ def _p99(values: list[float]) -> float:
     return ordered[index]
 
 
+def _offer_flood(built, clients, rate: float, *, window: float, seed: int):
+    """Offer ``rate`` queries/s through ``clients`` for ``window`` seconds.
+
+    Measures at the window's end — *before* the backlog drains — then
+    lets every queue empty and every call resolve and asserts the
+    invariants. Returns ``(issued, renew_survival, ok_in_window,
+    completed_in_window)``.
+    """
+    system = built.system
+    count = max(1, round(rate * window))
+    interval = window / count
+    requests = QueryWorkload.anchored(
+        built.generator, built.profiles, min(count, 64), generalize=1
+    ).labelled
+    rng = random.Random(seed)
+    t0 = system.sim.now
+    issued = schedule_discovers(system, (
+        (t0 + i * interval, clients[rng.randrange(len(clients))],
+         requests[i % len(requests)].request)
+        for i in range(count)
+    ))
+    system.run(until=t0 + window)
+    renew_survival = _renew_survival(system)
+    ok_in_window = sum(1 for call in issued if call.completed and call.hits)
+    completed_in_window = sum(1 for call in issued if call.completed)
+    backlog = max(
+        (r.admission.backlog_cost for r in system.registries), default=0.0
+    )
+    system.run_for(30.0 + 2.0 * backlog)
+    assert_invariants(system)
+    return issued, renew_survival, ok_in_window, completed_in_window
+
+
 def _run_flood(
     mode: str,
     multiplier: float,
@@ -172,43 +205,10 @@ def _run_flood(
     system = built.system
     system.run(until=8.0)  # bootstrap: probes, publishes, first renews
 
-    policy = system.config.admission
-    clients = list(system.clients)
-    capacity_qps = len(system.registries) / policy.query_cost
+    capacity_qps = len(system.registries) / system.config.admission.query_cost
     rate = multiplier * capacity_qps
-    count = max(1, round(rate * window))
-    interval = window / count
-
-    workload = QueryWorkload.anchored(
-        built.generator, built.profiles, min(count, 64), generalize=1
-    )
-    requests = workload.labelled
-    rng = random.Random(seed)
-    issued = []
-    t0 = system.sim.now
-    for i in range(count):
-        item = requests[i % len(requests)]
-        client = clients[rng.randrange(len(clients))]
-
-        def issue(client=client, item=item) -> None:
-            if not client.alive:
-                return
-            issued.append(client.discover(item.request, model_id="semantic"))
-
-        system.sim.schedule_at(t0 + i * interval, issue)
-
-    # -- window end: measure BEFORE the backlog drains -------------------
-    system.run(until=t0 + window)
-    renew_survival = _renew_survival(system)
-    ok_in_window = sum(1 for call in issued if call.completed and call.hits)
-    completed_in_window = sum(1 for call in issued if call.completed)
-    backlog = max(
-        (r.admission.backlog_cost for r in system.registries), default=0.0
-    )
-
-    # -- drain: let every queue empty and every call resolve -------------
-    system.run_for(30.0 + 2.0 * backlog)
-    assert_invariants(system)
+    issued, renew_survival, ok_in_window, completed_in_window = _offer_flood(
+        built, list(system.clients), rate, window=window, seed=seed)
 
     shed = sum(r.admission.shed for r in system.registries)
     busy = sum(r.admission.busy_sent for r in system.registries)

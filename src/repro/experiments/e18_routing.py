@@ -32,11 +32,9 @@ number — and every trace byte — exactly.
 
 from __future__ import annotations
 
-import random
+from dataclasses import replace
 
 from repro.core.config import COOPERATION_REPLICATE_ADS, DiscoveryConfig
-from repro.core.invariants import assert_invariants
-from repro.core.retry import RetryPolicy
 from repro.core.routing import (
     ROUTING_COOLDOWN_FAILOVER,
     ROUTING_LEAST_LOADED,
@@ -45,7 +43,12 @@ from repro.core.routing import (
     RoutingConfig,
 )
 from repro.experiments.common import ExperimentResult
-from repro.experiments.e17_overload import _renew_survival, _p99, shedding_policy
+from repro.experiments.e17_overload import (
+    _config as _overload_config,
+    _offer_flood,
+    _p99,
+    shedding_policy,
+)
 from repro.obs.report import build_capacity_report, write_report
 from repro.semantics.generator import battlefield_ontology
 from repro.workloads.queries import QueryWorkload
@@ -61,28 +64,13 @@ MULTIPLIERS = (2.0, 4.0)
 
 
 def _config(routing: RoutingConfig) -> DiscoveryConfig:
-    """The E17 fast-clock shedding deployment, plus a routing strategy."""
-    return DiscoveryConfig(
-        lease_duration=6.0,
-        renew_fraction=0.5,
-        purge_interval=1.5,
-        default_ttl=1,
-        aggregation_timeout=0.5,
-        query_timeout=3.0,
-        fallback_timeout=0.25,
-        beacon_interval=2.0,
-        signalling_interval=None,
-        ping_interval=2.0,
-        breaker_failure_threshold=3,
-        breaker_reset_timeout=5.0,
+    """The E17 fast-clock shedding deployment, replicated, plus a
+    routing strategy."""
+    return replace(
+        _overload_config(shedding_policy()),
         cooperation=COOPERATION_REPLICATE_ADS,
         antientropy_interval=1.0,
-        admission=shedding_policy(),
         routing=routing,
-        query_retry=RetryPolicy(base=0.2, factor=2.0, cap=2.0,
-                                max_attempts=3, jitter=0.1),
-        renew_retry=RetryPolicy(base=0.5, factor=2.0, cap=2.0,
-                                max_attempts=3, jitter=0.1),
     )
 
 
@@ -146,40 +134,10 @@ def _run_skewed(
     for client in clients:
         client.tracker.seed(hot.node_id)
 
-    policy = system.config.admission
-    rate = multiplier / policy.query_cost  # × one registry's capacity
-    count = max(1, round(rate * window))
-    interval = window / count
-
-    workload = QueryWorkload.anchored(
-        built.generator, built.profiles, min(count, 64), generalize=1
-    )
-    requests = workload.labelled
-    rng = random.Random(seed)
-    issued = []
-    t0 = system.sim.now
-    for i in range(count):
-        item = requests[i % len(requests)]
-        client = clients[rng.randrange(len(clients))]
-
-        def issue(client=client, item=item) -> None:
-            if not client.alive:
-                return
-            issued.append(client.discover(item.request, model_id="semantic"))
-
-        system.sim.schedule_at(t0 + i * interval, issue)
-
-    # -- window end: measure BEFORE the backlog drains -------------------
-    system.run(until=t0 + window)
-    renew_survival = _renew_survival(system)
-    ok_in_window = sum(1 for call in issued if call.completed and call.hits)
-    backlog = max(
-        (r.admission.backlog_cost for r in system.registries), default=0.0
-    )
-
-    # -- drain: let every queue empty and every call resolve -------------
-    system.run_for(30.0 + 2.0 * backlog)
-    assert_invariants(system)
+    # × one registry's capacity
+    rate = multiplier / system.config.admission.query_cost
+    issued, renew_survival, ok_in_window, _ = _offer_flood(
+        built, clients, rate, window=window, seed=seed)
 
     latencies = [call.latency for call in issued if call.completed]
     succeeded = sum(1 for call in issued if call.completed and call.hits)

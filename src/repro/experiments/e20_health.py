@@ -37,7 +37,11 @@ from repro.core.admission import AdmissionPolicy
 from repro.core.config import COOPERATION_REPLICATE_ADS, DiscoveryConfig
 from repro.core.invariants import assert_invariants
 from repro.core.system import DiscoverySystem
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import (
+    ExperimentResult,
+    round_robin_probes,
+    schedule_discovers,
+)
 from repro.netsim.faults import FaultPlan
 from repro.obs.health import HealthConfig
 from repro.obs.report import build_capacity_report, write_report
@@ -132,37 +136,14 @@ def _build(seed: int, health: HealthConfig):
     return system, clients
 
 
-def _schedule_probes(system, clients) -> list:
-    """One background query per second: the SLO stream's steady feed."""
-    calls: list = []
-    t, i = 5.0, 0
-    while t < END_AT - 2.0:
-        client = clients[i % len(clients)]
-
-        def probe(client=client) -> None:
-            if client.alive:
-                calls.append(client.discover(REQUEST, model_id="semantic"))
-
-        system.sim.schedule_at(t, probe)
-        t += 1.0
-        i += 1
-    return calls
-
-
 def _schedule_flood(system, clients) -> list:
     """The overload fault: 3x capacity for the flood window, round-robin."""
-    calls: list = []
     count = int(FLOOD_QPS * (FLOOD_END - FLOOD_START))
     interval = (FLOOD_END - FLOOD_START) / count
-    for i in range(count):
-        client = clients[i % len(clients)]
-
-        def issue(client=client) -> None:
-            if client.alive:
-                calls.append(client.discover(REQUEST, model_id="semantic"))
-
-        system.sim.schedule_at(FLOOD_START + i * interval, issue)
-    return calls
+    return schedule_discovers(system, (
+        (FLOOD_START + i * interval, clients[i % len(clients)], REQUEST)
+        for i in range(count)
+    ))
 
 
 def _fault_plan(registry_id: str) -> FaultPlan:
@@ -178,7 +159,9 @@ def _fault_plan(registry_id: str) -> FaultPlan:
 def _run_scenario(*, seed: int, faulted: bool, health: HealthConfig) -> dict:
     """One full run; returns everything the smoke and report need."""
     system, clients = _build(seed, health)
-    probes = _schedule_probes(system, clients)
+    # One background query per second: the SLO stream's steady feed.
+    probes = round_robin_probes(system, clients, REQUEST,
+                                start=5.0, stop=END_AT - 2.0, step=1.0)
     flood = _schedule_flood(system, clients) if faulted else []
     applied = None
     if faulted:

@@ -36,7 +36,7 @@ from repro.core.invariants import (
 from repro.core.protocol import DigestPayload
 from repro.core.sharding import ConsistentHashRing, ShardingConfig
 from repro.core.system import DiscoverySystem
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import ExperimentResult, round_robin_probes
 from repro.netsim.faults import FaultPlan
 from repro.semantics.generator import battlefield_ontology
 from repro.semantics.profiles import ServiceProfile, ServiceRequest
@@ -161,28 +161,13 @@ def _build_live(seed: int, config: DiscoveryConfig):
     return system, clients
 
 
-def _schedule_probes(system, clients) -> list:
-    calls: list = []
-    t, i = 5.0, 0
-    while t < END_AT - 2.0:
-        client = clients[i % len(clients)]
-
-        def probe(client=client) -> None:
-            if client.alive:
-                calls.append(client.discover(REQUEST, model_id="semantic"))
-
-        system.sim.schedule_at(t, probe)
-        t += PROBE_INTERVAL
-        i += 1
-    return calls
-
-
 def run_live_scenario(*, seed: int = 0, faulted: bool = True,
                       config: DiscoveryConfig | None = None) -> dict:
     """One full live run; returns probe stats, traces, and counters."""
     config = config or _sharded_config()
     system, clients = _build_live(seed, config)
-    probes = _schedule_probes(system, clients)
+    probes = round_robin_probes(system, clients, REQUEST, start=5.0,
+                                stop=END_AT - 2.0, step=PROBE_INTERVAL)
     applied = None
     if faulted:
         # R−1 replicas of one shard fail-stop at once and stay down.

@@ -15,8 +15,8 @@ runs on:
   — LAN segments are multicast domains; LANs are joined by WAN links.
 * :class:`~repro.netsim.messages.Envelope` — every message carries a byte
   size so bandwidth claims are *measured*, not asserted.
-* :mod:`~repro.netsim.failures` — churn processes, crash schedules, and
-  random/targeted attack generators.
+* :mod:`~repro.netsim.failures` — churn processes and random/targeted
+  attack generators.
 * :mod:`~repro.netsim.faults` — declarative :class:`~repro.netsim.faults.
   FaultPlan` schedules (crash/restart, partition/heal, loss bursts,
   latency spikes) driving the primitives above deterministically.
@@ -27,14 +27,13 @@ from repro.netsim.network import Lan, LatencySpike, LossWindow, Network
 from repro.netsim.node import Node, Timer
 from repro.netsim.simulator import Simulator
 from repro.netsim.stats import TrafficStats
-from repro.netsim.failures import AttackSchedule, ChurnProcess, CrashSchedule
+from repro.netsim.failures import AttackSchedule, ChurnProcess
 from repro.netsim.faults import AppliedFaults, FaultAction, FaultPlan
 
 __all__ = [
     "AppliedFaults",
     "AttackSchedule",
     "ChurnProcess",
-    "CrashSchedule",
     "Envelope",
     "FaultAction",
     "FaultPlan",

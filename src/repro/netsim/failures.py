@@ -2,11 +2,10 @@
 
 Dynamic environments are "surroundings with continuous change … both
 services and registries can come and go. In other words, they are
-transient." This module provides the three ways a run exercises that
-transience:
+transient." This module provides the two randomized ways a run exercises
+that transience (scripted crashes at known times are
+:meth:`repro.netsim.faults.FaultPlan.crash` / ``restart``):
 
-* :class:`CrashSchedule` — scripted crash/restart events at known times
-  (used by deterministic integration tests and the E6 fallback timeline).
 * :class:`ChurnProcess` — a Poisson process of crashes with exponential
   downtimes over a pool of nodes (E4 staleness vs churn rate).
 * :class:`AttackSchedule` — progressive removal of nodes, either uniformly
@@ -32,38 +31,6 @@ class FailureEvent:
     time: float
     kind: str
     node_id: str
-
-
-class CrashSchedule:
-    """Scripted crash and restart events.
-
-    Example
-    -------
-    >>> schedule = CrashSchedule(sim, network)         # doctest: +SKIP
-    >>> schedule.crash_at(10.0, "registry-0")          # doctest: +SKIP
-    >>> schedule.restart_at(30.0, "registry-0")        # doctest: +SKIP
-    """
-
-    def __init__(self, sim: Simulator, network: Network) -> None:
-        self.sim = sim
-        self.network = network
-        self.history: list[FailureEvent] = []
-
-    def crash_at(self, when: float, node_id: str) -> None:
-        """Crash ``node_id`` at absolute time ``when``."""
-        self.sim.schedule_at(when, self._crash, node_id)
-
-    def restart_at(self, when: float, node_id: str) -> None:
-        """Restart ``node_id`` at absolute time ``when``."""
-        self.sim.schedule_at(when, self._restart, node_id)
-
-    def _crash(self, node_id: str) -> None:
-        self.network.node(node_id).crash()
-        self.history.append(FailureEvent(self.sim.now, "crash", node_id))
-
-    def _restart(self, node_id: str) -> None:
-        self.network.node(node_id).restart()
-        self.history.append(FailureEvent(self.sim.now, "restart", node_id))
 
 
 class ChurnProcess:

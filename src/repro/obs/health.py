@@ -68,6 +68,13 @@ DEFAULT_OBJECTIVES: tuple[SLOObjective, ...] = (
 )
 
 
+#: Watchdog windows (sim-seconds): queue-depth mean, breaker flap
+#: count, shed count.
+QUEUE_WINDOW = 5.0
+FLAP_WINDOW = 30.0
+SHED_WINDOW = 5.0
+
+
 @dataclass(frozen=True)
 class HealthConfig:
     """Tunables of the runtime health layer (inert when ``enabled=False``)."""
@@ -81,9 +88,7 @@ class HealthConfig:
     #: Automatic dumps retained per run (oldest dropped beyond this).
     max_dumps: int = 32
 
-    # -- SLO windows -------------------------------------------------------
-    #: Sim-seconds per SLO bucket.
-    slo_bucket: float = 1.0
+    # -- SLO windows (one-second buckets) ----------------------------------
     #: Fast burn-rate window (reacts quickly).
     fast_window: float = 5.0
     #: Slow burn-rate window (suppresses blips).
@@ -98,19 +103,18 @@ class HealthConfig:
     # -- watchdogs ---------------------------------------------------------
     #: Seconds between watchdog/SLO evaluation ticks.
     watchdog_interval: float = 1.0
-    #: Queue-depth growth: time-weighted mean window and depth threshold.
-    queue_window: float = 5.0
+    #: Queue-depth growth: time-weighted mean depth over
+    #: :data:`QUEUE_WINDOW`.
     queue_depth_threshold: float = 8.0
-    #: Breaker flapping: open→half-open→open cycles within the window.
-    flap_window: float = 30.0
+    #: Breaker flapping: open→half-open→open cycles within
+    #: :data:`FLAP_WINDOW`.
     breaker_flap_threshold: int = 2
     #: Anti-entropy staleness: silence bound for a registry's rounds.
     antientropy_stale_after: float = 30.0
     #: Lease-expiry spike: expiries within the window.
     lease_window: float = 10.0
     lease_expiry_spike: int = 3
-    #: Shed-rate step: sheds within the window.
-    shed_window: float = 5.0
+    #: Shed-rate step: sheds within :data:`SHED_WINDOW`.
     shed_step_threshold: int = 10
 
     def __post_init__(self) -> None:
@@ -124,8 +128,7 @@ class HealthConfig:
             )
         if not self.objectives:
             raise ReproError("health needs at least one SLO objective")
-        for window in (self.queue_window, self.flap_window, self.lease_window,
-                       self.shed_window, self.antientropy_stale_after):
+        for window in (self.lease_window, self.antientropy_stale_after):
             if window <= 0:
                 raise ReproError(f"watchdog windows must be positive, got {window}")
 
@@ -228,21 +231,20 @@ class HealthMonitor:
         self.slo = SLOTracker(
             self.clock,
             objectives=cfg.objectives,
-            bucket=cfg.slo_bucket,
             fast_window=cfg.fast_window,
             slow_window=cfg.slow_window,
             burn_threshold=cfg.burn_threshold,
             min_samples=cfg.min_samples,
         )
         self.watchdogs = [
-            QueueDepthGrowth(window=cfg.queue_window,
+            QueueDepthGrowth(window=QUEUE_WINDOW,
                              threshold=cfg.queue_depth_threshold),
-            BreakerFlapping(window=cfg.flap_window,
+            BreakerFlapping(window=FLAP_WINDOW,
                             threshold=cfg.breaker_flap_threshold),
             AntiEntropyStaleness(stale_after=cfg.antientropy_stale_after),
             LeaseExpirySpike(window=cfg.lease_window,
                              threshold=cfg.lease_expiry_spike),
-            ShedRateStep(window=cfg.shed_window,
+            ShedRateStep(window=SHED_WINDOW,
                          threshold=cfg.shed_step_threshold),
         ]
 

@@ -30,7 +30,6 @@ from repro.semantics.profiles import ServiceProfile, ServiceRequest
 
 def test_policy_defaults_are_inert():
     policy = AdmissionPolicy()
-    assert policy.enabled
     assert not policy.active()  # every cost 0.0 -> nothing intercepted
 
 

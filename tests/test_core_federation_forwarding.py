@@ -5,12 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.core import protocol
-from repro.core.config import DiscoveryConfig
+from repro.core.config import STRATEGY_RANDOM_WALK, DiscoveryConfig
 from repro.core.forwarding import (
     PendingAggregation,
     RingController,
     SeenQueries,
-    WalkCoordinator,
 )
 from repro.core.registry_node import RegistryNode
 from repro.core.system import DiscoverySystem, make_models
@@ -19,6 +18,8 @@ from repro.netsim.node import Node
 from repro.netsim.simulator import Simulator
 from repro.registry.advertisements import Advertisement
 from repro.registry.matching import QueryHit
+from repro.semantics.generator import battlefield_ontology
+from repro.semantics.profiles import ServiceRequest
 
 
 def _hit(ad_id, degree=1, score=0.5):
@@ -155,18 +156,24 @@ def test_ring_merged_dedupes_across_rounds():
     assert len(ring.merged()) == 2
 
 
-# -- WalkCoordinator ---------------------------------------------------------------------
+# -- PendingAggregation without a target set (a random walk) ---------------------------
+
+def _walk_hits(*hits):
+    """What a visited registry reports: its matches, one responder."""
+    return protocol.ResponsePayload("q", hits, 1)
+
 
 def test_walk_collects_until_end(host):
     done = []
-    walk = WalkCoordinator(
+    walk = PendingAggregation(
         host, query_id="q", local_hits=[_hit("ad-0")], timeout=10.0,
         max_results=None,
         on_complete=lambda hits, responders: done.append((hits, responders)),
     )
-    walk.add_hits((_hit("ad-1"),))
-    walk.add_hits((_hit("ad-2"),))
-    walk.walk_ended()
+    walk.add_response(_walk_hits(_hit("ad-1")))
+    walk.add_response(_walk_hits(_hit("ad-2")))
+    assert not walk.done  # no count of answers completes a walk
+    walk.flush()
     hits, responders = done[0]
     assert {h.advertisement.ad_id for h in hits} == {"ad-0", "ad-1", "ad-2"}
     assert responders == 3
@@ -174,7 +181,7 @@ def test_walk_collects_until_end(host):
 
 def test_walk_timeout_completes(host):
     done = []
-    WalkCoordinator(
+    PendingAggregation(
         host, query_id="q", local_hits=[], timeout=1.0, max_results=None,
         on_complete=lambda hits, responders: done.append(hits),
     )
@@ -184,13 +191,13 @@ def test_walk_timeout_completes(host):
 
 def test_walk_ignores_hits_after_done(host):
     done = []
-    walk = WalkCoordinator(
+    walk = PendingAggregation(
         host, query_id="q", local_hits=[], timeout=10.0, max_results=None,
         on_complete=lambda hits, responders: done.append(hits),
     )
-    walk.walk_ended()
-    walk.add_hits((_hit("ad-late"),))
-    walk.walk_ended()
+    walk.flush()
+    walk.add_response(_walk_hits(_hit("ad-late")))
+    walk.flush()
     assert done == [[]]
 
 
@@ -343,6 +350,33 @@ def test_breaker_flapping_reopens_on_each_failed_probe():
 
 
 # -- Federation leave / re-join ------------------------------------------------
+
+def test_graceful_leave_flushes_in_flight_walk():
+    # A walk is an aggregation like any fan-out, so a departing
+    # coordinator answers it at once with what has arrived instead of
+    # leaving the client to its query timeout.
+    config = DiscoveryConfig(strategy=STRATEGY_RANDOM_WALK, walk_length=3,
+                             aggregation_timeout=1.0, ping_interval=50.0,
+                             signalling_interval=None)
+    system = DiscoverySystem(seed=3, ontology=battlefield_ontology(),
+                             config=config)
+    for i in range(3):
+        system.add_lan(f"lan-{i}")
+        system.add_registry(f"lan-{i}")
+    system.federate_chain()
+    client = system.add_client("lan-0")
+    system.run(until=2.0)
+    coordinator, first_hop, _ = system.registries
+    first_hop.crash()  # the walk dies there: only its 3 s timeout is left
+    call = client.discover(ServiceRequest.build(
+        "ncw:SensorService", outputs=["ncw:Track"]))
+    system.run_for(0.5)
+    assert list(coordinator._pending) and not call.completed
+    coordinator.federation.leave()
+    assert not coordinator._pending
+    system.run_for(0.1)
+    assert call.completed and call.latency < 1.0
+
 
 def test_leave_and_rejoin_resets_failure_detector_state():
     config = DiscoveryConfig(ping_interval=1.0, ping_failure_threshold=3,

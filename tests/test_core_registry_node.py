@@ -260,6 +260,30 @@ def test_replication_late_joiner_catches_up():
     assert len(rb.store) == len(ra.store) > 0
 
 
+def test_replication_dedup_keys_stay_bounded():
+    # Every renew refreshes the replicas under a new epoch, i.e. a new
+    # dedup key per advertisement per renew interval at every registry;
+    # keys more than two lease durations old go with the lease purge.
+    config = DiscoveryConfig(cooperation=COOPERATION_REPLICATE_ADS,
+                             default_ttl=0, lease_duration=5.0,
+                             purge_interval=1.0)
+    system = DiscoverySystem(seed=14, ontology=battlefield_ontology(),
+                             config=config)
+    registries = []
+    for i in range(3):
+        system.add_lan(f"lan-{i}")
+        registries.append(system.add_registry(f"lan-{i}"))
+        system.add_service(f"lan-{i}", ServiceProfile.build(
+            f"radar-{i}", "ncw:RadarService", outputs=["ncw:AirTrack"]))
+    system.federate_ring()
+    system.run(until=40 * config.renew_interval)
+    epochs_kept = 2 / config.renew_fraction + 2
+    for registry in registries:
+        live = len(registry.store)
+        assert live == 9  # 3 services x 3 description models, replicated
+        assert 0 < len(registry._seen_ad_pushes) <= epochs_kept * live
+
+
 def test_decentral_query_answered_by_registry(setup):
     system, registry, probe = setup
     ontology = battlefield_ontology()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import protocol
 from repro.core.config import DiscoveryConfig
 from repro.core.system import DiscoverySystem
 from repro.semantics.generator import battlefield_ontology
@@ -117,6 +118,80 @@ def test_service_fails_over_to_surviving_registry(fast):
     assert service.tracker.current != first
     survivor = system.network.node(service.tracker.current)
     assert len(survivor.store.by_service(service.node_id)) == 3
+
+
+# -- the publish/renew resend chain --------------------------------------------
+
+def _answered(service, record, kind):
+    if kind == protocol.RENEW:
+        record.renew_outstanding = False
+    else:
+        record.acked = True
+
+
+def _rehomed(service, record, kind):
+    record.registry = "registry-elsewhere"
+
+
+def _lease_superseded(service, record, kind):
+    record.lease_id = "lease-newer"
+
+
+def _attachment_changed(service, record, kind):
+    service.tracker.current = "registry-elsewhere"
+
+
+def _armed_resend(fast, kind, hint):
+    """A quiet service with one unanswered ``kind`` and one resend armed."""
+    system = _system(fast)
+    service = system.add_service("lan-0", _radar())
+    system.run(until=2.0)
+    service.cancel_tasks()  # no renew tick, no chain left over from start-up
+    record = service._published["semantic"]
+    assert record.acked and record.lease_id
+    if kind == protocol.RENEW:
+        record.renew_outstanding = True
+    else:
+        record.acked = False
+    sent = []
+    send = service.send
+    service.send = lambda dst, msg_type, *a, **k: (
+        sent.append(msg_type), send(dst, msg_type, *a, **k))[1]
+    service._resend_unless_answered(
+        kind, record, service.tracker.current, hint=hint)
+    return system, service, record, sent
+
+
+def _retry_counters(system, service):
+    return (service.publish_retries, service.renew_retries,
+            dict(system.network.stats.retries))
+
+
+@pytest.mark.parametrize("hint", [None, 0.3], ids=["policy", "busy-hint"])
+@pytest.mark.parametrize("kind", [protocol.PUBLISH, protocol.RENEW])
+@pytest.mark.parametrize("outcome", [
+    _answered, _rehomed, _lease_superseded, _attachment_changed,
+], ids=lambda f: f.__name__.strip("_"))
+def test_resend_stands_down(fast, kind, outcome, hint):
+    system, service, record, sent = _armed_resend(fast, kind, hint)
+    before = _retry_counters(system, service)
+    outcome(service, record, kind)
+    system.run_for(10.0)
+    assert sent == []
+    assert _retry_counters(system, service) == before
+
+
+@pytest.mark.parametrize("kind", [protocol.PUBLISH, protocol.RENEW])
+def test_resend_fires_while_unanswered(fast, kind):
+    # The control for the table above: nothing intervenes, so the BUSY
+    # hint resends once and the registry's answer settles the record.
+    system, service, record, sent = _armed_resend(fast, kind, 0.3)
+    system.run_for(1.0)
+    assert sent == [kind]
+    assert not record.awaiting(kind)
+    assert system.network.stats.retries[kind] == 1
+    assert (service.publish_retries, service.renew_retries) == (
+        (1, 0) if kind == protocol.PUBLISH else (0, 1))
 
 
 def test_service_answers_decentral_queries_directly(fast):

@@ -1,11 +1,11 @@
-"""Unit tests for crash schedules, churn, and attack plans."""
+"""Unit tests for churn and attack plans."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.netsim.failures import AttackSchedule, ChurnProcess, CrashSchedule
+from repro.netsim.failures import AttackSchedule, ChurnProcess
 from repro.netsim.network import Network
 from repro.netsim.node import Node
 from repro.netsim.simulator import Simulator
@@ -18,17 +18,6 @@ def net():
     for i in range(6):
         network.add_node(Node(f"n{i}"), "lan")
     return network
-
-
-def test_crash_schedule_crashes_and_restarts(net):
-    schedule = CrashSchedule(net.sim, net)
-    schedule.crash_at(1.0, "n0")
-    schedule.restart_at(2.0, "n0")
-    net.sim.run(until=1.5)
-    assert not net.node("n0").alive
-    net.sim.run(until=2.5)
-    assert net.node("n0").alive
-    assert [e.kind for e in schedule.history] == ["crash", "restart"]
 
 
 def test_churn_crashes_pool_members(net):

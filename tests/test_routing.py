@@ -77,8 +77,7 @@ def test_config_defaults_to_static():
     {"ewma_alpha": 1.5},
     {"cooldown_base": 0.0},
     {"cooldown_base": -1.0},
-    {"cooldown_factor": 0.5},
-    {"cooldown_max": 0.1},  # < default cooldown_base 0.5
+    {"cooldown_base": 20.0},  # > the fixed COOLDOWN_MAX
 ])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ReproError):

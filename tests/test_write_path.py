@@ -127,7 +127,7 @@ def test_every_store_entry_leaves_the_replica_consistent(deployment, entry):
 def _foreign_key(registry, peer):
     """An ad id the ring hands to ``peer`` once it joins (R = 1)."""
     cfg = registry.config.sharding
-    ring = ConsistentHashRing(virtual_nodes=cfg.virtual_nodes, seed=cfg.ring_seed)
+    ring = ConsistentHashRing(virtual_nodes=cfg.virtual_nodes)
     ring.add(registry.node_id)
     ring.add(peer.node_id)
     return next(f"ad-{i}" for i in range(1000)
