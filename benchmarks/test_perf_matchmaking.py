@@ -15,8 +15,12 @@ evaluations-per-query vs. store size must stay below 1.0 (sub-linear),
 the absolute evaluations-per-query at 100k must stay under a hard cap,
 and the index must expand from its bitsets exactly the ids the evaluator
 scores (``ids_expanded_per_query == descriptions_scored_per_query``: no
-candidate group is expanded before its bound is checked). Wall-clock
-numbers are recorded for the trajectory but never gated.
+candidate group is expanded before its bound is checked), and the
+matchmaker must resolve each request once per query
+(``request_plans_per_query == 1.0`` at 10k and at 100k). Wall-clock
+numbers — queries/sec, and ``match_us_each``, the cost of one
+``SemanticModel.evaluate`` — are recorded for the trajectory but never
+gated.
 
 Run directly (no pytest-benchmark dependency)::
 
@@ -46,6 +50,8 @@ STORE_SIZES = (100, 1_000, 10_000)
 QUERIES_PER_SIZE = 25
 MAX_RESULTS = 5
 SEED = 42
+#: Profiles each request is matched against for ``match_us_each``.
+MATCH_SAMPLE = 400
 #: Required evaluations-per-query reduction at the largest store size.
 MIN_REDUCTION_AT_10K = 5.0
 
@@ -89,6 +95,7 @@ def _measure(ontology, profiles, requests, *, use_indexes: bool) -> dict:
 
     index = store.index_for("semantic")
     evals_before = model.matchmaker.evaluations
+    plans_before = model.matchmaker.plans_built
     scored_before = evaluator.descriptions_evaluated
     expanded_before = index.expanded if index is not None else 0
     hits_digest = []
@@ -100,11 +107,25 @@ def _measure(ontology, profiles, requests, *, use_indexes: bool) -> dict:
         ))
     elapsed = time.perf_counter() - query_start
     n = len(requests)
+    evaluations = model.matchmaker.evaluations - evals_before
+    plans = model.matchmaker.plans_built - plans_before
+    # The matchmaker alone, request-major as a registry drives it: one
+    # ``SemanticModel.evaluate`` per (request, profile) over a fixed sample;
+    # the first pass fills the pair tables, the second is timed.
+    sample = profiles[:MATCH_SAMPLE]
+    for _pass in range(2):
+        match_start = time.perf_counter()
+        for request in requests:
+            for profile in sample:
+                model.evaluate(profile, request)
+        match_seconds = time.perf_counter() - match_start
     result = {
         "build_seconds": round(build_seconds, 6),
         "queries_per_sec": round(n / elapsed, 2) if elapsed > 0 else float("inf"),
-        "evaluations_per_query": (model.matchmaker.evaluations - evals_before) / n,
+        "evaluations_per_query": evaluations / n,
         "descriptions_scored_per_query": (evaluator.descriptions_evaluated - scored_before) / n,
+        "request_plans_per_query": plans / n,
+        "match_us_each": round(match_seconds * 1e6 / (n * len(sample)), 3),
         "_hits_digest": hits_digest,
     }
     if index is not None:
@@ -229,7 +250,8 @@ def test_query_100k_trajectory_written(scaling_results, results_dir):
             "ontology": "OntologyGenerator(42).random_ontology()  # 40+60 classes",
             "requests": "anchored, generalize=1 (selective)",
             "gates": "count-based only: growth exponent + absolute cap "
-                     "+ ids expanded == descriptions scored",
+                     "+ ids expanded == descriptions scored "
+                     "+ one request plan per query",
         },
         "sizes": scaling_results,
         "fitted_evaluations_exponent": round(exponent, 4),
@@ -271,6 +293,16 @@ def test_every_expanded_id_is_scored_at_100k(scaling_results):
     assert largest["store_size"] == 100_000
     assert largest["ids_expanded_per_query"] \
         == largest["descriptions_scored_per_query"], largest
+
+
+def test_one_request_plan_per_query(bench_results, scaling_results):
+    """ISSUE gate: the matchmaker reads a request once per query, not once
+    per candidate — on either path at 10k, and on the indexed path at 100k."""
+    at_10k, at_100k = bench_results[-1], scaling_results[-1]
+    assert (at_10k["store_size"], at_100k["store_size"]) == (10_000, 100_000)
+    assert at_10k["indexed"]["request_plans_per_query"] == 1.0, at_10k
+    assert at_10k["linear"]["request_plans_per_query"] == 1.0, at_10k
+    assert at_100k["request_plans_per_query"] == 1.0, at_100k
 
 
 def test_indexed_never_scores_more_than_linear(bench_results):

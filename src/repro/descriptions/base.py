@@ -31,7 +31,11 @@ class ModelMatch:
 
     @staticmethod
     def no_match() -> "ModelMatch":
-        return ModelMatch(matched=False, degree=0, score=0.0)
+        return NO_MATCH
+
+
+#: The one no-match verdict (instances are immutable, so it is shared).
+NO_MATCH = ModelMatch(matched=False)
 
 
 class DescriptionModel(abc.ABC):

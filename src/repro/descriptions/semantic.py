@@ -14,8 +14,8 @@ the ontology from the registry network's repository (§4.6, experiment E12).
 
 from __future__ import annotations
 
-from repro.descriptions.base import DescriptionModel, ModelMatch
-from repro.semantics.matchmaker import Matchmaker
+from repro.descriptions.base import NO_MATCH, DescriptionModel, ModelMatch
+from repro.semantics.matchmaker import DegreeOfMatch, Matchmaker
 from repro.semantics.ontology import Ontology
 from repro.semantics.profiles import ServiceProfile, ServiceRequest
 from repro.semantics.reasoner import Reasoner
@@ -29,6 +29,8 @@ class SemanticModel(DescriptionModel):
     def __init__(self, ontology: Ontology | None = None) -> None:
         self._matchmaker: Matchmaker | None = None
         self.missing_ontology_failures = 0
+        #: Descriptions or queries of the wrong type offered to ``evaluate``.
+        self.malformed_payloads = 0
         if ontology is not None:
             self.attach_ontology(ontology)
 
@@ -79,7 +81,7 @@ class SemanticModel(DescriptionModel):
         A profile violating any hard QoS constraint evaluates to FAIL
         (``Matchmaker.match`` checks constraints before anything else), so
         rejecting it here skips the semantic scoring without changing the
-        hit list. Non-profile payloads pass through untouched.
+        hit list. Non-profile payloads pass through (``evaluate`` counts them).
         """
         if not isinstance(query, ServiceRequest) or not query.qos_constraints:
             return True
@@ -93,8 +95,13 @@ class SemanticModel(DescriptionModel):
     def evaluate(self, description: ServiceProfile, query: ServiceRequest) -> ModelMatch:
         if self._matchmaker is None:
             self.missing_ontology_failures += 1
-            return ModelMatch.no_match()
-        result = self._matchmaker.match(description, query)
-        if not result.matched:
-            return ModelMatch.no_match()
-        return ModelMatch(matched=True, degree=int(result.degree), score=result.score)
+            return NO_MATCH
+        if not isinstance(description, ServiceProfile) or not isinstance(query, ServiceRequest):
+            # Anything can arrive in a PUBLISH or QUERY under this model's
+            # id; a payload of the wrong type matches nothing.
+            self.malformed_payloads += 1
+            return NO_MATCH
+        verdict = self._matchmaker.verdict(description, query)
+        if verdict[0] is DegreeOfMatch.FAIL:
+            return NO_MATCH
+        return ModelMatch(matched=True, degree=int(verdict[0]), score=verdict[1])

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.descriptions.base import DescriptionModel, ModelRegistry
 from repro.registry.advertisements import Advertisement
@@ -110,16 +110,8 @@ class QueryEvaluator:
             ranked = self.store.ranked_candidates(model.model_id, query)
             if ranked is not None:
                 return self._evaluate_top_k(model, query, ranked, max_results)
-        hits = []
-        for ad in self.store.candidates(model.model_id, query):
-            self.descriptions_evaluated += 1
-            if not model.prefilter(ad.description, query):
-                self.prefiltered += 1
-                continue
-            verdict = model.evaluate(ad.description, query)
-            if verdict.matched:
-                hits.append(QueryHit(advertisement=ad, degree=verdict.degree,
-                                     score=verdict.score))
+        hits: list[QueryHit] = []
+        self._scorer(model, query, hits)(self.store.candidates(model.model_id, query))
         if max_results is not None:
             # Top-k selection (O(n log k)); ``nsmallest`` is stable, so
             # this is exactly the full sort's prefix.
@@ -146,22 +138,36 @@ class QueryEvaluator:
         ranking is bit-identical to exhaustively scoring every candidate.
         """
         hits: list[QueryHit] = []
+        score = self._scorer(model, query, hits)
         for upper_bound, ads in ranked:
             if len(hits) >= max_results and sum(
                 1 for hit in hits if hit.degree > upper_bound
             ) >= max_results:
                 self.early_terminations += 1
                 break
+            score(ads)
+        return heapq.nsmallest(max_results, hits, key=QueryHit.sort_key)
+
+    def _scorer(self, model: DescriptionModel, query: Any, hits: list[QueryHit]) -> Callable:
+        """The one scoring loop: count, pre-filter, evaluate, collect.
+
+        Binds the model's ``prefilter``/``evaluate`` once per query and
+        returns a function appending the hits among ``ads`` to ``hits``.
+        """
+        prefilter, evaluate = model.prefilter, model.evaluate
+
+        def score(ads: Iterable[Advertisement]) -> None:
             for ad in ads:
                 self.descriptions_evaluated += 1
-                if not model.prefilter(ad.description, query):
+                description = ad.description
+                if not prefilter(description, query):
                     self.prefiltered += 1
                     continue
-                verdict = model.evaluate(ad.description, query)
+                verdict = evaluate(description, query)
                 if verdict.matched:
-                    hits.append(QueryHit(advertisement=ad, degree=verdict.degree,
-                                         score=verdict.score))
-        return heapq.nsmallest(max_results, hits, key=QueryHit.sort_key)
+                    hits.append(QueryHit(ad, verdict.degree, verdict.score))
+
+        return score
 
     @staticmethod
     def merge(

@@ -25,6 +25,14 @@ The overall degree of a profile is the minimum over all requested outputs
 (every desired output must be served), combined with the input and
 category degrees; ranking is lexicographic on (degree, score), where the
 score blends semantic similarity and QoS headroom.
+
+A registry scores all candidates of one request back to back, so the
+request is read once per query, not once per candidate: a single-slot
+**plan**, keyed by request identity and ontology version, holds the
+request's constraints and, for its category and each desired output, that
+concept's **pair table** ``advertised -> (degree, similarity)``. Tables
+fill on a miss, live for one ontology version, and make scoring a
+candidate one string-keyed lookup per advertised concept.
 """
 
 from __future__ import annotations
@@ -73,6 +81,42 @@ class MatchResult:
         return (-int(self.degree), -self.score, self.profile.service_name)
 
 
+class _PairTable(dict):
+    """``advertised -> (degree, similarity)`` for one requested concept.
+
+    Fills itself on a miss, so the matchmaker's hot loops pay one
+    string-keyed subscript per advertised concept for both numbers.
+    ``degree`` is ``None`` while a pair has only been read for its
+    similarity (an output listed after an EXACT one): no subsumption
+    check is spent on a degree nobody asked for.
+    """
+
+    __slots__ = ("requested", "matchmaker")
+
+    def __init__(self, requested: str, matchmaker: "Matchmaker") -> None:
+        self.requested = requested
+        self.matchmaker = matchmaker
+
+    def __missing__(self, advertised: str) -> tuple[DegreeOfMatch, float]:
+        pair = self[advertised] = self.matchmaker._compute_pair(self.requested, advertised)
+        return pair
+
+    def degree(self, advertised: str) -> DegreeOfMatch:
+        """The pair's degree, reasoned now if only its similarity was."""
+        pair = self[advertised]
+        if pair[0] is None:
+            pair = self.__missing__(advertised)
+        return pair[0]
+
+    def similarity(self, advertised: str) -> float:
+        """The pair's similarity alone (a miss leaves the degree unreasoned)."""
+        pair = self.get(advertised)
+        if pair is None:
+            pair = self[advertised] = self.matchmaker._compute_pair(
+                self.requested, advertised, degree=False)
+        return pair[1]
+
+
 class Matchmaker:
     """Ranks :class:`ServiceProfile` advertisements against requests.
 
@@ -88,85 +132,78 @@ class Matchmaker:
     def __init__(self, reasoner: Reasoner) -> None:
         self.reasoner = reasoner
         self.evaluations = 0
-        #: Memoized (requested, advertised) -> degree, valid for one
-        #: ontology version (mirrors ``Reasoner.sync``).
-        self._degree_cache: dict[tuple[str, str], DegreeOfMatch] = {}
-        #: Memoized (requested, advertised) -> Wu-Palmer similarity; same
-        #: lifetime as the degree cache. Similarity dominates per-candidate
-        #: scoring cost (LCA + depth computations), and stores draw their
-        #: concepts from a small vocabulary, so the pair space is tiny.
-        self._similarity_cache: dict[tuple[str, str], float] = {}
-        self._cached_version = reasoner.ontology.version
-
-    def _sync(self) -> None:
-        """One version check per query entry: drop memoized degrees when
-        the ontology changed, and let the reasoner do the same."""
-        version = self.reasoner.ontology.version
-        if version != self._cached_version:
-            self._degree_cache.clear()
-            self._similarity_cache.clear()
-            self._cached_version = version
-        self.reasoner.sync()
+        #: Request plans resolved; one per query while a registry scores
+        #: the candidates of one request back to back.
+        self.plans_built = 0
+        #: requested -> pair table, valid for one ontology version. Stores
+        #: draw their concepts from a small vocabulary, so the pair space
+        #: is tiny next to the number of (profile, request) evaluations.
+        self._pair_tables: dict[str, _PairTable] = {}
+        self._tables_version = reasoner.ontology.version
+        #: The single-slot request plan (see :meth:`_plan_for`).
+        self._plan: tuple = (None,)
 
     # -- concept-level degrees -------------------------------------------
 
     def concept_degree(self, requested: str, advertised: str) -> DegreeOfMatch:
         """Paolucci degree of ``advertised`` against ``requested``."""
-        self._sync()
-        return self._degree(requested, advertised)
+        return self._table(requested).degree(advertised)
 
-    def _degree(self, requested: str, advertised: str) -> DegreeOfMatch:
-        """Memoized degree; ``_sync`` must have run for the current query."""
-        key = (requested, advertised)
-        cached = self._degree_cache.get(key)
-        if cached is None:
-            cached = self._compute_degree(requested, advertised)
-            self._degree_cache[key] = cached
-        return cached
+    def _table(self, requested: str) -> _PairTable:
+        """Pair table of ``requested`` under the current ontology version.
 
-    def _compute_degree(self, requested: str, advertised: str) -> DegreeOfMatch:
-        ontology = self.reasoner.ontology
+        The one place the matchmaker compares versions: every table is
+        dropped when the ontology moved (the reasoner's public methods
+        sync their own caches on the misses that follow).
+        """
+        version = self.reasoner.ontology.version
+        if version != self._tables_version:
+            self._pair_tables.clear()
+            self._tables_version = version
+        table = self._pair_tables.get(requested)
+        if table is None:
+            table = self._pair_tables[requested] = _PairTable(requested, self)
+        return table
+
+    def _compute_pair(self, requested: str, advertised: str, *, degree: bool = True) -> tuple:
+        """Degree (unless declined) and Wu-Palmer similarity of one pair.
+
+        A concept outside the ontology fails the pair; its similarity is
+        0.0, the floor every score part starts from, so it can never
+        raise one.
+        """
+        reasoner = self.reasoner
+        ontology = reasoner.ontology
         if requested not in ontology or advertised not in ontology:
-            return DegreeOfMatch.FAIL
+            return DegreeOfMatch.FAIL, 0.0
+        similarity = reasoner.similarity(requested, advertised)
+        if not degree:
+            return None, similarity
         if requested == advertised:
-            return DegreeOfMatch.EXACT
+            return DegreeOfMatch.EXACT, similarity
         if advertised in ontology.parents(requested):
             # Requested is a direct subclass of advertised: treated as exact.
-            return DegreeOfMatch.EXACT
-        if self.reasoner.subsumes(advertised, requested):
-            return DegreeOfMatch.PLUGIN
-        if self.reasoner.subsumes(requested, advertised):
-            return DegreeOfMatch.SUBSUMES
-        return DegreeOfMatch.FAIL
+            return DegreeOfMatch.EXACT, similarity
+        if reasoner.subsumes(advertised, requested):
+            return DegreeOfMatch.PLUGIN, similarity
+        if reasoner.subsumes(requested, advertised):
+            return DegreeOfMatch.SUBSUMES, similarity
+        return DegreeOfMatch.FAIL, similarity
 
-    def _best_output_degree(self, requested: str, profile: ServiceProfile) -> DegreeOfMatch:
-        """Best degree any advertised output achieves for one requested output."""
-        best = DegreeOfMatch.FAIL
-        for advertised in profile.outputs:
-            degree = self._degree(requested, advertised)
-            if degree > best:
-                best = degree
-                if best is DegreeOfMatch.EXACT:
-                    break
-        return best
-
-    def _input_degree(self, profile: ServiceProfile, request: ServiceRequest) -> DegreeOfMatch:
+    def _input_degree(self, inputs: tuple[str, ...], provided: tuple[str, ...]) -> DegreeOfMatch:
         """Whether the client can feed every input the service requires.
 
         For each advertised input ``inA`` the client must provide some
         concept ``inR`` with ``inA`` subsuming ``inR`` (the service accepts
-        anything at least as specific as what it asks for). Requests that
-        declare no inputs are taken as unconstrained clients.
+        anything at least as specific as what it asks for). Not asked when
+        the request declares no inputs: such a client is unconstrained.
         """
-        if not profile.inputs:
-            return DegreeOfMatch.EXACT
-        if not request.provided_inputs:
-            return DegreeOfMatch.EXACT
         overall = DegreeOfMatch.EXACT
-        for advertised in profile.inputs:
+        for advertised in inputs:
+            table = self._table(advertised)
             best = DegreeOfMatch.FAIL
-            for provided in request.provided_inputs:
-                degree = self._degree(advertised, provided)
+            for concept in provided:
+                degree = table.degree(concept)
                 if degree > best:
                     best = degree
                     if best is DegreeOfMatch.EXACT:
@@ -178,58 +215,88 @@ class Matchmaker:
 
     # -- profile-level matching ------------------------------------------
 
-    def match(self, profile: ServiceProfile, request: ServiceRequest) -> MatchResult:
-        """Evaluate one advertisement against one request."""
-        self.evaluations += 1
-        self._sync()
+    def _plan_for(self, request: ServiceRequest) -> tuple:
+        """Everything ``verdict`` reads from ``request``, resolved once.
 
-        failed = ()
-        if request.qos_constraints:
+        One slot, keyed by request *identity* and ontology version: a
+        registry scores all candidates of one request back to back, and
+        the plan holds the request, so its ``id`` cannot be reused while
+        the slot is live. Building one is a handful of dict lookups.
+        """
+        self.plans_built += 1
+        category_table = None if request.category is None else self._table(request.category)
+        output_tables = tuple(self._table(out) for out in request.desired_outputs)
+        self._plan = plan = (
+            request, self.reasoner.ontology.version, request.qos_constraints,
+            category_table, output_tables, request.provided_inputs,
+        )
+        return plan
+
+    def verdict(self, profile: ServiceProfile, request: ServiceRequest) -> tuple:
+        """:meth:`match` unwrapped — ``(degree, score, output_degree,
+        input_degree, category_degree, failed_constraints)`` — for callers
+        scoring many candidates that keep only the first two."""
+        self.evaluations += 1
+        plan = self._plan
+        if plan[0] is not request or plan[1] != self.reasoner.ontology.version:
+            plan = self._plan_for(request)
+        _, _, constraints, category_table, output_tables, provided_inputs = plan
+        FAIL, EXACT = DegreeOfMatch.FAIL, DegreeOfMatch.EXACT
+
+        if constraints:
             failed = tuple(
                 constraint.attribute
-                for constraint in request.qos_constraints
+                for constraint in constraints
                 if not constraint.satisfied_by(profile.qos_value(constraint.attribute))
             )
-        if failed:
-            return MatchResult(
-                profile=profile,
-                degree=DegreeOfMatch.FAIL,
-                score=0.0,
-                output_degree=DegreeOfMatch.FAIL,
-                input_degree=DegreeOfMatch.FAIL,
-                category_degree=DegreeOfMatch.FAIL,
-                failed_constraints=failed,
-            )
+            if failed:
+                return FAIL, 0.0, FAIL, FAIL, FAIL, failed
 
-        if request.category is not None:
-            category_degree = self._degree(request.category, profile.category)
-        else:
-            category_degree = DegreeOfMatch.EXACT
-
-        if request.desired_outputs:
-            output_degree = min(
-                (self._best_output_degree(out, profile) for out in request.desired_outputs),
-                default=DegreeOfMatch.FAIL,
-            )
-        else:
-            output_degree = DegreeOfMatch.EXACT
-
-        input_degree = self._input_degree(profile, request)
+        # Score parts, in order: category, outputs in request order, QoS.
+        parts: list[float] = []
+        category_degree = output_degree = input_degree = EXACT
+        if category_table is not None:
+            category_degree, similarity = category_table[profile.category]
+            if category_degree is None:
+                category_degree = category_table.degree(profile.category)
+            parts.append(similarity)
+        outputs = profile.outputs
+        for table in output_tables:
+            best_degree = FAIL
+            best_similarity = 0.0
+            for advertised in outputs:
+                if best_degree is EXACT:
+                    # Only the similarity of the remaining outputs matters.
+                    similarity = table.similarity(advertised)
+                else:
+                    degree, similarity = table[advertised]
+                    if degree is None:
+                        degree = table.degree(advertised)
+                    if degree > best_degree:
+                        best_degree = degree
+                if similarity > best_similarity:
+                    best_similarity = similarity
+            if best_degree < output_degree:
+                output_degree = best_degree
+            parts.append(best_similarity)
+        if provided_inputs and profile.inputs:
+            input_degree = self._input_degree(profile.inputs, provided_inputs)
 
         overall = min(category_degree, output_degree, input_degree)
-        # The QoS gate above already established every constraint holds, so
-        # the satisfied ratio on the scoring path is 1.0 by construction —
-        # pass it through instead of re-evaluating each constraint.
-        score = self._score(profile, request, qos_ratio=1.0) \
-            if overall > DegreeOfMatch.FAIL else 0.0
-        return MatchResult(
-            profile=profile,
-            degree=overall,
-            score=score,
-            output_degree=output_degree,
-            input_degree=input_degree,
-            category_degree=category_degree,
-        )
+        if overall is FAIL:
+            return FAIL, 0.0, output_degree, input_degree, category_degree, ()
+        # A match has every requested concept (and the profile's category)
+        # inside the ontology, so each part above is a real similarity.
+        # The QoS gate already established every constraint holds: the
+        # satisfied ratio is 1.0 by construction.
+        if constraints:
+            parts.append(1.0)
+        score = sum(parts) / len(parts) if parts else 1.0
+        return overall, score, output_degree, input_degree, category_degree, ()
+
+    def match(self, profile: ServiceProfile, request: ServiceRequest) -> MatchResult:
+        """Evaluate one advertisement against one request."""
+        return MatchResult(profile, *self.verdict(profile, request))
 
     def rank(
         self,
@@ -252,48 +319,3 @@ class Matchmaker:
             # so capped results stay a prefix of the full ranking.
             return heapq.nsmallest(limit, matched, key=MatchResult.sort_key)
         return sorted(matched, key=MatchResult.sort_key)
-
-    # -- scoring ----------------------------------------------------------
-
-    def _similarity(self, requested: str, advertised: str) -> float:
-        """Memoized Wu-Palmer similarity; ``_sync`` must already have run."""
-        key = (requested, advertised)
-        cached = self._similarity_cache.get(key)
-        if cached is None:
-            cached = self.reasoner.similarity(requested, advertised)
-            self._similarity_cache[key] = cached
-        return cached
-
-    def _score(
-        self,
-        profile: ServiceProfile,
-        request: ServiceRequest,
-        *,
-        qos_ratio: float = 1.0,
-    ) -> float:
-        """Tie-break score in [0, 1]: semantic similarity + QoS headroom.
-
-        ``qos_ratio`` is the caller's already-known fraction of satisfied
-        QoS constraints (``match`` only scores profiles that passed every
-        constraint, so it passes 1.0).
-        """
-        parts: list[float] = []
-        ontology = self.reasoner.ontology
-        if request.category is not None and profile.category in ontology \
-                and request.category in ontology:
-            parts.append(self._similarity(request.category, profile.category))
-        for requested in request.desired_outputs:
-            if requested not in ontology:
-                continue
-            best = 0.0
-            for advertised in profile.outputs:
-                if advertised in ontology:
-                    sim = self._similarity(requested, advertised)
-                    if sim > best:
-                        best = sim
-            parts.append(best)
-        if request.qos_constraints:
-            parts.append(qos_ratio)
-        if not parts:
-            return 1.0
-        return sum(parts) / len(parts)

@@ -170,6 +170,34 @@ def test_query_returns_ranked_hits(setup):
     assert [h.advertisement.service_name for h in hits] == ["radar-1"]
 
 
+def test_malformed_semantic_publish_does_not_kill_later_queries(setup):
+    """Anything can arrive as a ``semantic`` description; a payload that is
+    not a profile is stored, matches nothing, and the next QUERY is still
+    answered (it used to raise out of the query handler)."""
+    system, registry, probe = setup
+    good = ServiceProfile.build("radar-1", "ncw:RadarService",
+                                outputs=["ncw:AirTrack"])
+    _publish(probe, registry, name="radar-1", model_id="semantic",
+             description=good)
+    _publish(probe, registry, name="junk", model_id="semantic",
+             description="not a profile")
+    system.run_for(0.5)
+    assert len(registry.store) == 2
+    probe.send(
+        registry.node_id,
+        protocol.QUERY,
+        protocol.QueryPayload(query_id="q-after-junk", model_id="semantic",
+                              query=ServiceRequest.build("ncw:SensorService"),
+                              max_results=3),
+    )
+    system.run_for(0.5)
+    responses = probe.of_type(protocol.QUERY_RESPONSE)
+    assert len(responses) == 1
+    hits = responses[0].payload.hits
+    assert [h.advertisement.service_name for h in hits] == ["radar-1"]
+    assert registry.models.get("semantic").malformed_payloads == 1
+
+
 def test_duplicate_query_from_client_ignored(setup):
     system, registry, probe = setup
     from repro.descriptions.uri import UriQuery

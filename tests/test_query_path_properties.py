@@ -367,3 +367,86 @@ def test_list_groups_from_a_third_party_indexer_still_work():
         exhaustive = paths.linear.evaluate("semantic", request, max_results=None)
         assert _rows(capped) == _rows(exhaustive)[: request.max_results]
     assert paths.indexed.early_terminations > 0
+
+
+# -- malformed payloads: a bad record is not a query of death -----------------
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_malformed_advertisement_changes_no_answer(seed):
+    """A stored description that is not a profile is offered to the model on
+    both paths ("unindexable, always scored") and matches nothing: hits are
+    the same with and without it, capped and uncapped."""
+    ontology = OntologyGenerator(80 + seed).random_ontology()
+    gen = ProfileGenerator(ontology, seed=80 + seed)
+    clean, dirty = _TwinPaths(ontology), _TwinPaths(ontology)
+    profiles = gen.profiles(STORE_SIZE)
+    for i, profile in enumerate(profiles):
+        clean.put(_ad(i, profile))
+        dirty.put(_ad(i, profile))
+    for i, junk in enumerate(("not a profile", None), start=STORE_SIZE):
+        dirty.put(Advertisement(
+            ad_id=f"ad-{i:06d}", service_node="svc-junk", service_name="junk",
+            endpoint="svc://junk", model_id="semantic", description=junk,
+        ))
+    requests = list(_request_corpus(gen, profiles, random.Random(seed)))
+    for request in requests:
+        for cap in (request.max_results, None):
+            expected = _rows(clean.linear.evaluate("semantic", request, max_results=cap))
+            assert _rows(dirty.indexed.evaluate("semantic", request, max_results=cap)) \
+                == expected
+            assert _rows(dirty.linear.evaluate("semantic", request, max_results=cap)) \
+                == expected
+    assert clean.indexed_model.malformed_payloads == 0
+    assert clean.linear_model.malformed_payloads == 0
+    # The linear path offers both bad records to every query, twice.
+    assert dirty.linear_model.malformed_payloads == 2 * 2 * len(requests)
+    assert dirty.indexed_model.malformed_payloads > 0
+
+
+def test_malformed_query_matches_nothing():
+    ontology = OntologyGenerator(5).random_ontology()
+    gen = ProfileGenerator(ontology, seed=5)
+    paths = _TwinPaths(ontology)
+    for i, profile in enumerate(gen.profiles(10)):
+        paths.put(_ad(i, profile))
+    for evaluator, model in ((paths.indexed, paths.indexed_model),
+                             (paths.linear, paths.linear_model)):
+        assert evaluator.evaluate("semantic", "not a request", max_results=3) == []
+        assert evaluator.evaluate("semantic", {"category": "x"}) == []
+        assert model.malformed_payloads == 20
+        assert model.matchmaker.evaluations == 0
+
+
+# -- one plan per query, the same reasoning as before -------------------------
+
+
+def test_plans_and_reasoning_counts_on_a_fixed_10k_query_set():
+    """One request plan per scoring query on either path, and exactly the matches
+    and subsumption checks the pre-plan matchmaker spent on this query set
+    (values recorded at the parent commit): the pair tables reason about a
+    pair when, and only when, the two memo dicts they replaced did."""
+    ontology = OntologyGenerator(42).random_ontology()
+    gen = ProfileGenerator(ontology, seed=42)
+    paths = _TwinPaths(ontology)
+    profiles = gen.profiles(10_000)
+    for i, profile in enumerate(profiles):
+        paths.put(_ad(i, profile))
+    requests = [gen.request_for(profiles[(i * 37) % 10_000], generalize=1, max_results=5)
+                for i in range(40)]
+    requests += list(_request_corpus(gen, profiles, random.Random(42)))
+    def run(evaluator, model, request, cap):
+        matchmaker = model.matchmaker
+        plans, scored = matchmaker.plans_built, matchmaker.evaluations
+        evaluator.evaluate("semantic", request, max_results=cap)
+        assert matchmaker.plans_built - plans == (matchmaker.evaluations > scored)
+
+    indexed, linear = paths.indexed_model, paths.linear_model
+    for request in requests:
+        run(paths.indexed, indexed, request, request.max_results)
+    for request in requests[::5]:
+        run(paths.linear, linear, request, None)
+    assert (indexed.reasoner.subsumption_checks, indexed.matchmaker.evaluations) \
+        == (2126, 21702)
+    assert (linear.reasoner.subsumption_checks, linear.matchmaker.evaluations) \
+        == (2067, 91123)

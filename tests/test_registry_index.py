@@ -256,7 +256,7 @@ def test_mid_run_growth_refreshes_every_cache_layer():
     request = ServiceRequest.build(outputs=[parent])
     # Warm every layer: closure bitsets, degree memo, posting bitsets.
     paths.assert_equivalent(request)
-    assert matchmaker._degree_cache and index._mask_cache
+    assert any(matchmaker._pair_tables.values()) and index._mask_cache
     parent_bits_before = reasoner.closure_bits(parent)
 
     ontology.add_class("gen:DataLate", parents=[parent])

@@ -158,9 +158,14 @@ def test_degree_cache_invalidated_by_version_bump(ont, r):
     request = ServiceRequest.build("LandVehicle", outputs=["Car"])
     mm.match(profile, request)
     warm_checks = r.subsumption_checks
+    warm_tables = dict(mm._pair_tables)
+    assert warm_tables["Car"]["Sedan"][0] is not None  # the degree memo
     ont.add_class("Hovercraft", parents=["LandVehicle", "WaterVehicle"])
     mm.match(profile, request)  # must re-reason against the new version
     assert r.subsumption_checks > warm_checks
+    # Every pair table was dropped wholesale and refilled, none reused.
+    assert mm._pair_tables.keys() == warm_tables.keys()
+    assert all(mm._pair_tables[c] is not warm_tables[c] for c in warm_tables)
 
 
 # -- closure bitsets ----------------------------------------------------------
