@@ -9,7 +9,7 @@ SMOKES := perf:test_perf_matchmaking fault:test_fault_smoke obs:test_obs_smoke \
           recovery:test_e19_recovery health:test_e20_health shard:test_e21_sharding
 SMOKE_TARGETS := $(foreach s,$(SMOKES),$(firstword $(subst :, ,$(s)))-smoke)
 
-.PHONY: test bench all smoke $(SMOKE_TARGETS)
+.PHONY: test bench all smoke results-check $(SMOKE_TARGETS)
 
 ## Tier 1: the full unit/integration suite. Must always be green.
 test:
@@ -77,5 +77,16 @@ bench:
 	$(PYTHON) -m pytest benchmarks -q
 
 smoke: $(SMOKE_TARGETS)
+
+## results-check: regenerate every experiment/ablation table and let git
+## say which committed file under benchmarks/results moved (none should,
+## unless the change means to re-record it). Left out: the harness
+## self-test, test_perf_matchmaking (it rewrites the root BENCH_*.json),
+## and the two kinds of file with wall-clock columns, e5.txt and perf_*.txt.
+results-check:
+	$(PYTHON) -m pytest benchmarks -q --ignore=benchmarks/perf \
+		--ignore=benchmarks/test_perf_matchmaking.py
+	git diff --exit-code --stat -- benchmarks/results \
+		':!benchmarks/results/e5.txt' ':!benchmarks/results/perf_*.txt'
 
 all: test smoke

@@ -13,7 +13,7 @@ from repro.baselines.wsdiscovery import WsDiscoverySystem, wsdiscovery_config
 from repro.core.config import DiscoveryConfig
 from repro.metrics.retrieval import score_queries
 from repro.metrics.staleness import registry_staleness
-from repro.workloads.churn import ServiceChurn
+from repro.netsim.faults import FaultPlan
 from repro.workloads.queries import QueryDriver, QueryWorkload
 from repro.workloads.scenarios import build_scenario, crisis_scenario
 
@@ -50,10 +50,11 @@ def main() -> None:
         system = built.system
         system.run(until=3.0)
 
-        churn = ServiceChurn(system, rate=0.05, permanent=True).start()
-        system.run_for(60.0)
-        churn.stop()
-        system.run_for(20.0)
+        FaultPlan.churn(
+            [s.node_id for s in system.services], rate=0.05, window=60.0,
+            seed=11, mean_downtime=None, start=system.sim.now,
+        ).apply(system)
+        system.run_for(80.0)
 
         workload = QueryWorkload.anchored(built.generator, built.profiles,
                                           8, generalize=1)

@@ -26,10 +26,10 @@ from repro.experiments.common import ExperimentResult, mean
 from repro.metrics.bandwidth import TrafficWindow
 from repro.metrics.retrieval import score_queries
 from repro.metrics.staleness import registry_staleness
+from repro.netsim.faults import FaultPlan
 from repro.netsim.messages import SizeModel
 from repro.semantics.generator import battlefield_ontology
 from repro.semantics.profiles import ServiceProfile, ServiceRequest
-from repro.workloads.churn import ServiceChurn
 from repro.workloads.queries import QueryDriver, QueryWorkload
 from repro.workloads.scenarios import ScenarioSpec, build_scenario
 
@@ -73,15 +73,17 @@ def lease_duration_sweep(
         system = built.system
         system.run(until=3.0)
         traffic = TrafficWindow.open(system.network.stats, system.sim.now)
-        churn = ServiceChurn(system, rate=churn_rate, permanent=True).start()
+        FaultPlan.churn(
+            [s.node_id for s in system.services], rate=churn_rate,
+            window=window, seed=seed, mean_downtime=None, start=system.sim.now,
+        ).apply(system)
         system.run_for(window)
-        churn.stop()
         report = traffic.close(system.sim.now)
         renew_bytes = traffic.bytes_by_type().get("renew", 0) + \
             traffic.bytes_by_type().get("renew-ack", 0)
         result.add(
             lease_s=duration,
-            services_dead=len(churn.dead_service_names()),
+            services_dead=sum(1 for s in system.services if not s.alive),
             staleness_at_end=registry_staleness(system),
             renew_bytes_per_s=renew_bytes / report["duration"],
         )

@@ -19,6 +19,8 @@ edges; LAN cliques for the registry-less case), and compute:
 
 from __future__ import annotations
 
+import random
+
 from repro.core.config import DiscoveryConfig
 from repro.core.invariants import assert_invariants
 from repro.experiments.common import ExperimentResult
@@ -29,7 +31,7 @@ from repro.metrics.topology import (
     largest_component_fraction,
     reachability_under_removal,
 )
-from repro.netsim.failures import AttackSchedule
+from repro.netsim.faults import removal_order
 from repro.semantics.generator import battlefield_ontology
 from repro.workloads.scenarios import ScenarioSpec, build_scenario
 
@@ -59,7 +61,8 @@ def run(
             "connected_frac": largest_component_fraction(graph),
         }
         for strategy in ("random", "targeted"):
-            order = _removal_order(graph, strategy, seed)
+            order = removal_order(sorted(graph.nodes), strategy,
+                                  rng=random.Random(seed), value=graph.degree)
             curve = reachability_under_removal(graph, order)
             row = dict(base)
             row["attack"] = strategy
@@ -162,14 +165,3 @@ def run_fault_scenario(
         "recoveries": dict(system.network.stats.recoveries),
     }
 
-
-def _removal_order(graph, strategy: str, seed: int) -> list[str]:
-    """Removal order without needing a live simulator."""
-    import random
-
-    nodes = sorted(graph.nodes)
-    if strategy == "random":
-        rng = random.Random(seed)
-        rng.shuffle(nodes)
-        return nodes
-    return sorted(nodes, key=lambda n: (-graph.degree(n), n))

@@ -19,6 +19,7 @@ from __future__ import annotations
 from repro.core.config import COOPERATION_REPLICATE_ADS, DiscoveryConfig
 from repro.core.system import DiscoverySystem
 from repro.experiments.common import ExperimentResult
+from repro.netsim.faults import FaultPlan
 from repro.semantics.generator import battlefield_ontology
 from repro.semantics.profiles import ServiceProfile, ServiceRequest
 
@@ -64,8 +65,10 @@ def _run_one(with_standby: bool, n_queries: int, outage_at: float,
         "radar", "ncw:RadarService", outputs=["ncw:AirTrack"]))
     client = system.add_client("lan-0")
     system.run(until=3.0)
-    system.sim.schedule_at(outage_at, primary.crash)
-    system.sim.schedule_at(restart_at, primary.restart)
+    (FaultPlan()
+     .crash(outage_at, primary.node_id)
+     .restart(restart_at, primary.node_id)
+     .apply(system))
 
     served_by_registry = 0
     served = 0
@@ -139,7 +142,7 @@ def _run_warm_one(warm: bool, outage_at: float, window: float, seed: int) -> dic
         "radar", "ncw:RadarService", outputs=["ncw:AirTrack"]))
     client = system.add_client("lan-0")
     system.run(until=3.0)
-    system.sim.schedule_at(outage_at, primary.crash)
+    FaultPlan().crash(outage_at, primary.node_id).apply(system)
     system.run(until=outage_at + 0.1)
 
     deadline = outage_at + window

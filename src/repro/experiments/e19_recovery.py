@@ -158,9 +158,11 @@ def _run_one(durable: bool, window: float, seed: int) -> dict:
     pre_counts = {rid: len(snap) for rid, snap in pre_stores.items()}
     pre_traffic = system.network.stats.snapshot()
 
+    blackout = FaultPlan()
     for registry in system.registries:
-        system.sim.schedule_at(BLACKOUT_AT, registry.crash)
-        system.sim.schedule_at(RESTART_AT, registry.restart)
+        blackout.crash(BLACKOUT_AT, registry.node_id)
+        blackout.restart(RESTART_AT, registry.node_id)
+    blackout.apply(system)
     system.run(until=RESTART_AT + 0.001)
 
     # Recovered fraction from *local replay alone*: measured immediately

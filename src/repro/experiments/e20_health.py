@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import json
 
-from repro.core.admission import AdmissionPolicy
 from repro.core.config import COOPERATION_REPLICATE_ADS, DiscoveryConfig
 from repro.core.invariants import assert_invariants
 from repro.core.system import DiscoverySystem
@@ -42,6 +41,7 @@ from repro.experiments.common import (
     round_robin_probes,
     schedule_discovers,
 )
+from repro.experiments.e17_overload import shedding_policy
 from repro.netsim.faults import FaultPlan
 from repro.obs.health import HealthConfig
 from repro.obs.report import build_capacity_report, write_report
@@ -103,17 +103,7 @@ def _config(health: HealthConfig) -> DiscoveryConfig:
         # scenario tests the *health* layer's detectors, not neighbor
         # eviction (E13 covers that).
         ping_failure_threshold=10,
-        admission=AdmissionPolicy(
-            queue_limit=32,
-            prioritized=True,
-            degrade_at=0.5,
-            retry_after_base=0.1,
-            query_cost=0.1,
-            forward_cost=0.05,
-            publish_cost=0.02,
-            renew_cost=0.01,
-            sync_cost=0.01,
-        ),
+        admission=shedding_policy(),
         health=health,
     )
 

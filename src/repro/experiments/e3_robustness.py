@@ -21,8 +21,7 @@ from repro.core.invariants import assert_invariants
 from repro.experiments.common import ExperimentResult
 from repro.metrics.retrieval import score_queries
 from repro.metrics.topology import degree_of, discovery_graph
-from repro.netsim.failures import AttackSchedule
-from repro.netsim.faults import FaultPlan
+from repro.netsim.faults import FaultPlan, removal_order
 from repro.semantics.generator import battlefield_ontology
 from repro.workloads.queries import QueryDriver, QueryWorkload
 from repro.workloads.scenarios import ScenarioSpec, build_scenario
@@ -126,17 +125,12 @@ def _run_one(
     killed: list[str] = []
     if n_kill:
         graph = discovery_graph(system)
-        attack = AttackSchedule(
-            sim=system.sim,
-            network=system.network,
-            targets=registries,
-            strategy=strategy,
-            value=lambda nid: float(degree_of(graph, nid)),
-        )
-        killed = attack.plan()[:n_kill]
-        # The attack ordering picks the victims; a FaultPlan executes
-        # the crashes so they are scheduled, counted, and auditable like
-        # every other injected fault.
+        killed = removal_order(
+            registries, strategy, rng=system.sim.rng,
+            value=lambda nid: degree_of(graph, nid),
+        )[:n_kill]
+        # A plan executes the crashes so they are scheduled, counted and
+        # auditable like every other injected fault.
         plan = FaultPlan()
         for node_id in killed:
             plan.crash(system.sim.now, node_id)

@@ -15,11 +15,11 @@ runs on:
   — LAN segments are multicast domains; LANs are joined by WAN links.
 * :class:`~repro.netsim.messages.Envelope` — every message carries a byte
   size so bandwidth claims are *measured*, not asserted.
-* :mod:`~repro.netsim.failures` — churn processes and random/targeted
-  attack generators.
-* :mod:`~repro.netsim.faults` — declarative :class:`~repro.netsim.faults.
-  FaultPlan` schedules (crash/restart, partition/heal, loss bursts,
-  latency spikes) driving the primitives above deterministically.
+* :mod:`~repro.netsim.faults` — the one way a run makes nodes fail:
+  declarative :class:`~repro.netsim.faults.FaultPlan` schedules
+  (crash/restart, seeded churn, partition/heal, loss bursts, latency
+  spikes) driving the primitives above deterministically, and
+  :func:`~repro.netsim.faults.removal_order` for random/targeted attacks.
 """
 
 from repro.netsim.messages import Envelope, SizeModel
@@ -27,13 +27,10 @@ from repro.netsim.network import Lan, LatencySpike, LossWindow, Network
 from repro.netsim.node import Node, Timer
 from repro.netsim.simulator import Simulator
 from repro.netsim.stats import TrafficStats
-from repro.netsim.failures import AttackSchedule, ChurnProcess
-from repro.netsim.faults import AppliedFaults, FaultAction, FaultPlan
+from repro.netsim.faults import AppliedFaults, FaultAction, FaultPlan, removal_order
 
 __all__ = [
     "AppliedFaults",
-    "AttackSchedule",
-    "ChurnProcess",
     "Envelope",
     "FaultAction",
     "FaultPlan",
@@ -46,4 +43,5 @@ __all__ = [
     "Simulator",
     "Timer",
     "TrafficStats",
+    "removal_order",
 ]

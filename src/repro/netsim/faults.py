@@ -13,7 +13,7 @@ Two properties make plans useful for experiments:
 * **Determinism** — a plan holds no hidden randomness; applying the same
   plan to two identically seeded deployments produces bit-identical runs
   (the stochastic churn builder draws from its *own* seeded RNG at build
-  time, like :class:`~repro.workloads.trace.DynamicsTrace`).
+  time, and :func:`removal_order` shuffles with the RNG it is handed).
 * **Accounting** — every injected fault is counted in
   ``network.stats.faults`` and recorded in the applied plan's history, so
   an experiment row can state exactly what it survived.
@@ -36,10 +36,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable
 
 from repro.errors import SimulationError
-from repro.netsim.failures import FailureEvent
 from repro.netsim.network import LatencySpike, LossWindow, Network
 from repro.netsim.simulator import Simulator
 
@@ -53,6 +52,40 @@ KIND_LATENCY = "latency-spike"
 KIND_DISK_TORN = "disk-torn-write"
 KIND_DISK_CORRUPT = "disk-corruption"
 KIND_REPLICA_KILL = "replica-kill"
+
+
+@dataclass
+class FailureEvent:
+    """One executed fault in :attr:`AppliedFaults.history` (``kind`` is a ``KIND_*``)."""
+
+    time: float
+    kind: str
+    node_id: str
+
+
+def removal_order(
+    targets: Iterable[str],
+    strategy: str,
+    *,
+    rng: random.Random,
+    value: Callable[[str], float] | None = None,
+) -> list[str]:
+    """The order an attack removes ``targets`` in (E3/E11).
+
+    ``"random"`` shuffles ``targets``, taken in the order given, with
+    ``rng``; ``"targeted"`` puts the highest ``value`` first with the
+    node id breaking ties (no ``value``: id order). Crash the prefix you
+    want with :meth:`FaultPlan.crash`.
+    """
+    order = list(targets)
+    if strategy == "random":
+        rng.shuffle(order)
+    elif strategy == "targeted":
+        key = value or (lambda _node_id: 0.0)
+        order.sort(key=lambda node_id: (-key(node_id), node_id))
+    else:
+        raise SimulationError(f"unknown attack strategy {strategy!r}")
+    return order
 
 
 @dataclass(frozen=True)
@@ -224,15 +257,21 @@ class FaultPlan:
 
         The randomness is consumed *here*, from a private RNG, so the
         resulting plan is a fixed schedule — every deployment it is
-        applied to sees byte-identical dynamics (the recorded-trace
-        discipline of :class:`~repro.workloads.trace.DynamicsTrace`).
-        ``mean_downtime=None`` makes crashes permanent.
+        applied to sees byte-identical dynamics, whatever else consumes
+        its simulator's RNG. ``mean_downtime=None`` makes crashes
+        permanent; ``0`` restarts a victim at the instant it crashed
+        (after the crash); otherwise downtimes are exponential with that
+        mean, and a restart that would fall outside the window is dropped.
         """
         pool = sorted(node_ids)
         if not pool:
             raise SimulationError("churn plan needs at least one node")
         if rate <= 0:
             raise SimulationError(f"churn rate must be positive, got {rate}")
+        if mean_downtime is not None and mean_downtime < 0:
+            raise SimulationError(
+                f"mean_downtime must be non-negative, got {mean_downtime}"
+            )
         rng = random.Random(seed)
         plan = FaultPlan()
         down: set[str] = set()
@@ -249,7 +288,9 @@ class FaultPlan:
             if mean_downtime is None:
                 down.add(victim)
             else:
-                back = now + rng.expovariate(1.0 / mean_downtime)
+                back = now
+                if mean_downtime > 0:
+                    back += rng.expovariate(1.0 / mean_downtime)
                 if back < start + window:
                     plan.restart(back, victim)
                 else:

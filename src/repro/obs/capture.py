@@ -20,6 +20,7 @@ from repro.core.client_node import DiscoveryCall
 from repro.core.config import DiscoveryConfig
 from repro.core.routing import ROUTING_LEAST_LOADED, RoutingConfig
 from repro.core.system import DiscoverySystem
+from repro.netsim.faults import FaultPlan
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import TraceRecorder
 from repro.semantics.generator import battlefield_ontology
@@ -123,9 +124,11 @@ def run_traced(experiment: str = "e7", seed: int = 0) -> TracedRun:
     if experiment == "e19":
         # Crash and restart the registry after bootstrap so the workload
         # below queries the *replayed* store.
-        registry = system.registries[0]
-        system.sim.schedule_at(system.sim.now + 0.5, registry.crash)
-        system.sim.schedule_at(system.sim.now + 1.0, registry.restart)
+        registry = system.registries[0].node_id
+        (FaultPlan()
+         .crash(system.sim.now + 0.5, registry)
+         .restart(system.sim.now + 1.0, registry)
+         .apply(system))
         system.run_for(1.5)
     workload = QueryWorkload.anchored(built.generator, built.profiles, 4, generalize=1)
     driver = QueryDriver(system, workload, model_id="semantic",

@@ -1,4 +1,4 @@
-"""Workload generation: scenarios, churn, and query drivers.
+"""Workload generation: scenarios and query drivers.
 
 The paper motivates the architecture with two concrete dynamic
 environments — a multi-agency crisis-management operation (§1) and the
@@ -9,9 +9,12 @@ faithful workloads:
 * :mod:`~repro.workloads.scenarios` — deployment builders populating a
   :class:`~repro.core.DiscoverySystem` (or a baseline system) with LANs,
   registries, services drawn from a domain ontology, and clients.
-* :mod:`~repro.workloads.churn` — service/registry transience over time.
 * :mod:`~repro.workloads.queries` — timed query workloads with
   ontology-derived ground-truth relevance for recall/precision metrics.
+
+Transience over time is not generated here: it is a
+:class:`~repro.netsim.faults.FaultPlan` (``FaultPlan.churn`` for Poisson
+service churn) applied to the built deployment.
 """
 
 from repro.workloads.scenarios import (
@@ -20,17 +23,12 @@ from repro.workloads.scenarios import (
     build_scenario,
     crisis_scenario,
 )
-from repro.workloads.churn import ServiceChurn
 from repro.workloads.queries import QueryDriver, QueryWorkload
-from repro.workloads.trace import DynamicsTrace, TraceEvent
 
 __all__ = [
-    "DynamicsTrace",
     "QueryDriver",
     "QueryWorkload",
     "ScenarioSpec",
-    "ServiceChurn",
-    "TraceEvent",
     "battlefield_scenario",
     "build_scenario",
     "crisis_scenario",

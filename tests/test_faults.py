@@ -274,6 +274,25 @@ class TestFaultPlan:
         with pytest.raises(SimulationError):
             FaultPlan.churn(["n1"], rate=0.0, window=10.0)
 
+    def test_churn_rejects_negative_mean_downtime(self):
+        with pytest.raises(SimulationError):
+            FaultPlan.churn(["a", "b"], rate=1.0, window=5.0, mean_downtime=-1.0)
+
+    def test_churn_zero_downtime_restarts_at_the_crash_instant(self, net):
+        _add(net, "a", "lan-a")
+        _add(net, "b", "lan-a")
+        plan = FaultPlan.churn(["a", "b"], rate=1.0, window=5.0, mean_downtime=0.0)
+        actions = plan.actions()
+        assert actions and len(actions) % 2 == 0
+        for crash, restart in zip(actions[::2], actions[1::2]):
+            assert (crash.kind, restart.kind) == ("crash", "restart")
+            assert (crash.time, crash.node_id) == (restart.time, restart.node_id)
+        applied = plan.apply(net)
+        net.sim.run(until=5.0)
+        half = len(actions) // 2
+        assert applied.counts() == {"crash": half, "restart": half}
+        assert net.node("a").alive and net.node("b").alive
+
 
 class TestDiskFaultActions:
     def test_describe_mentions_node_and_file(self):

@@ -7,9 +7,9 @@ import pytest
 from repro.core.config import DiscoveryConfig
 from repro.core.system import DiscoverySystem
 from repro.metrics.retrieval import score_queries
+from repro.netsim.faults import FaultPlan
 from repro.semantics.generator import battlefield_ontology
 from repro.semantics.profiles import ServiceProfile, ServiceRequest
-from repro.workloads.churn import ServiceChurn
 from repro.workloads.queries import QueryDriver, QueryWorkload
 from repro.workloads.scenarios import battlefield_scenario, build_scenario, crisis_scenario
 
@@ -47,11 +47,13 @@ def test_churn_with_leasing_keeps_responses_fresh():
                                            seed=3), config=config)
     system = built.system
     system.run(until=3.0)
-    churn = ServiceChurn(system, rate=0.5, permanent=True).start()
+    FaultPlan.churn(
+        [s.node_id for s in system.services], rate=0.5, window=30.0, seed=3,
+        start=system.sim.now,
+    ).apply(system)
     system.run_for(30.0)
-    churn.stop()
     system.run_for(12.0)  # two lease durations drain the stale entries
-    dead = churn.dead_service_names()
+    dead = {s.profile.service_name for s in system.services if not s.alive}
     assert dead  # churn actually happened
     for registry in built.registries:
         for ad in registry.store.all():

@@ -1,4 +1,4 @@
-"""Tests for recorded dynamics traces (record/replay transience)."""
+"""Tests for churn plans as recorded dynamics (one plan, any number of deployments)."""
 
 from __future__ import annotations
 
@@ -6,68 +6,71 @@ import pytest
 
 from repro.core.config import DiscoveryConfig
 from repro.core.system import DiscoverySystem
-from repro.errors import WorkloadError
+from repro.errors import SimulationError
+from repro.netsim.faults import KIND_CRASH, KIND_RESTART, FaultPlan
 from repro.semantics.generator import battlefield_ontology
 from repro.semantics.profiles import ServiceProfile
-from repro.workloads.trace import (
-    DynamicsTrace,
-    OP_CRASH,
-    OP_MOVE,
-    OP_RESTART,
-    TraceEvent,
-)
+
+
+def _ids(n):
+    return [f"service-{i:03d}" for i in range(n)]
+
+
+def _events(plan):
+    return [(a.time, a.kind, a.node_id) for a in plan.actions()]
+
+
+def _dead_at_end(plan):
+    """Node ids the plan itself leaves down once its whole schedule has run."""
+    down = set()
+    for action in plan.actions():
+        if action.kind == KIND_CRASH:
+            down.add(action.node_id)
+        else:
+            down.discard(action.node_id)
+    return frozenset(down)
 
 
 def test_churn_trace_deterministic():
-    a = DynamicsTrace.churn(n_services=5, rate=0.5, window=60.0, seed=9)
-    b = DynamicsTrace.churn(n_services=5, rate=0.5, window=60.0, seed=9)
-    assert a.events == b.events
-    c = DynamicsTrace.churn(n_services=5, rate=0.5, window=60.0, seed=10)
-    assert a.events != c.events
+    a = FaultPlan.churn(_ids(5), rate=0.5, window=60.0, seed=9)
+    b = FaultPlan.churn(_ids(5), rate=0.5, window=60.0, seed=9)
+    assert _events(a) == _events(b)
+    c = FaultPlan.churn(_ids(5), rate=0.5, window=60.0, seed=10)
+    assert _events(a) != _events(c)
 
 
 def test_churn_trace_sorted_and_in_window():
-    trace = DynamicsTrace.churn(n_services=4, rate=1.0, window=30.0, seed=1,
-                                start=5.0)
-    times = [e.time for e in trace.events]
-    assert times == sorted(times)
+    plan = FaultPlan.churn(_ids(4), rate=1.0, window=30.0, seed=1, start=5.0)
+    times = [a.time for a in plan.actions()]
+    assert times and times == sorted(times)
     assert all(5.0 <= t < 35.0 for t in times)
 
 
 def test_permanent_churn_never_restarts_same_index_twice():
-    trace = DynamicsTrace.churn(n_services=3, rate=5.0, window=60.0, seed=2)
-    assert all(e.op == OP_CRASH for e in trace.events)
-    crashed = [e.index for e in trace.events]
+    plan = FaultPlan.churn(_ids(3), rate=5.0, window=60.0, seed=2)
+    assert all(a.kind == KIND_CRASH for a in plan.actions())
+    crashed = [a.node_id for a in plan.actions()]
     assert len(crashed) == len(set(crashed)) <= 3
 
 
 def test_transient_churn_interleaves_restarts():
-    trace = DynamicsTrace.churn(n_services=3, rate=1.0, window=120.0, seed=3,
-                                mean_downtime=5.0)
-    ops = {e.op for e in trace.events}
-    assert ops == {OP_CRASH, OP_RESTART}
-    # dead_indexes reflects the crash/restart interleaving.
-    assert trace.dead_indexes(0.0) == frozenset()
+    plan = FaultPlan.churn(_ids(3), rate=1.0, window=120.0, seed=3,
+                           mean_downtime=5.0)
+    assert {a.kind for a in plan.actions()} == {KIND_CRASH, KIND_RESTART}
+    # Each restart belongs to an earlier crash of the same node.
+    crashed_at: dict[str, float] = {}
+    for action in plan.actions():
+        if action.kind == KIND_CRASH:
+            crashed_at.setdefault(action.node_id, action.time)
+        else:
+            assert crashed_at[action.node_id] < action.time
 
 
 def test_churn_trace_validation():
-    with pytest.raises(WorkloadError):
-        DynamicsTrace.churn(n_services=0, rate=1.0, window=10.0)
-    with pytest.raises(WorkloadError):
-        DynamicsTrace.churn(n_services=2, rate=0.0, window=10.0)
-
-
-def test_roaming_trace_targets_known_lans():
-    trace = DynamicsTrace.roaming(n_services=4, lans=("a", "b"),
-                                  interval=5.0, window=30.0, seed=4)
-    assert len(trace) == 6
-    assert all(e.op == OP_MOVE and e.lan in ("a", "b") for e in trace.events)
-
-
-def test_roaming_requires_two_lans():
-    with pytest.raises(WorkloadError):
-        DynamicsTrace.roaming(n_services=2, lans=("only",), interval=1.0,
-                              window=5.0)
+    with pytest.raises(SimulationError):
+        FaultPlan.churn([], rate=1.0, window=10.0)
+    with pytest.raises(SimulationError):
+        FaultPlan.churn(_ids(2), rate=0.0, window=10.0)
 
 
 def _system(n_services=3):
@@ -85,12 +88,12 @@ def _system(n_services=3):
 
 def test_apply_crashes_the_right_services():
     system = _system()
-    trace = DynamicsTrace(events=[
-        TraceEvent(time=2.0, op=OP_CRASH, index=1),
-        TraceEvent(time=3.0, op=OP_CRASH, index=2),
-        TraceEvent(time=4.0, op=OP_RESTART, index=1),
-    ])
-    trace.apply(system)
+    ids = [service.node_id for service in system.services]
+    (FaultPlan()
+     .crash(2.0, ids[1])
+     .crash(3.0, ids[2])
+     .restart(4.0, ids[1])
+     .apply(system))
     system.run(until=3.5)
     assert not system.services[1].alive
     assert not system.services[2].alive
@@ -99,45 +102,22 @@ def test_apply_crashes_the_right_services():
     assert system.services[1].alive
 
 
-def test_apply_moves_services():
-    system = _system(n_services=1)
-    system.add_lan("lan-1")
-    system.add_registry("lan-1")
-    trace = DynamicsTrace(events=[
-        TraceEvent(time=3.0, op=OP_MOVE, index=0, lan="lan-1"),
-    ])
-    trace.apply(system)
-    system.run(until=6.0)
-    assert system.services[0].lan_name == "lan-1"
-
-
-def test_apply_rejects_out_of_range_index():
-    system = _system(n_services=1)
-    trace = DynamicsTrace(events=[TraceEvent(time=1.0, op=OP_CRASH, index=5)])
-    with pytest.raises(WorkloadError):
-        trace.apply(system)
-
-
-def test_apply_rejects_unknown_op():
-    system = _system(n_services=1)
-    trace = DynamicsTrace(events=[TraceEvent(time=1.0, op="explode", index=0)])
-    with pytest.raises(WorkloadError):
-        trace.apply(system)
-
-
 def test_same_trace_on_two_systems_is_identical_dynamics():
-    trace = DynamicsTrace.churn(n_services=3, rate=0.5, window=40.0, seed=6)
+    first, second = _system(), _system()
+    ids = [service.node_id for service in first.services]
+    assert ids == [service.node_id for service in second.services]
+    plan = FaultPlan.churn(ids, rate=0.5, window=40.0, seed=6)
 
     def dead_after(system):
-        trace.apply(system)
+        plan.apply(system)
         system.run(until=60.0)
-        return frozenset(i for i, s in enumerate(system.services)
-                         if not s.alive)
+        return frozenset(s.node_id for s in system.services if not s.alive)
 
-    assert dead_after(_system()) == dead_after(_system()) == \
-        trace.dead_indexes(float("inf"))
+    dead = dead_after(first)
+    assert dead and dead == dead_after(second) == _dead_at_end(plan)
 
 
 def test_crash_count():
-    trace = DynamicsTrace.churn(n_services=3, rate=2.0, window=60.0, seed=7)
-    assert trace.crash_count() == len(trace.events) == 3
+    plan = FaultPlan.churn(_ids(3), rate=2.0, window=60.0, seed=7)
+    crashes = [a for a in plan.actions() if a.kind == KIND_CRASH]
+    assert len(crashes) == len(plan) == 3

@@ -1,4 +1,4 @@
-"""Tests for scenario builders, churn wrappers, and query drivers."""
+"""Tests for scenario builders, churn over their services, and query drivers."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.config import DiscoveryConfig
 from repro.errors import WorkloadError
-from repro.workloads.churn import ServiceChurn
+from repro.netsim.faults import FaultPlan
 from repro.workloads.queries import QueryDriver, QueryWorkload
 from repro.workloads.scenarios import (
     ScenarioSpec,
@@ -90,25 +90,17 @@ def test_service_churn_tracks_alive_and_dead():
     built = build_scenario(crisis_scenario(agencies=1, services_per_lan=4))
     system = built.system
     system.run(until=1.0)
-    churn = ServiceChurn(system, rate=2.0, permanent=True).start()
+    applied = FaultPlan.churn(
+        [s.node_id for s in system.services], rate=2.0, window=20.0,
+        start=system.sim.now,
+    ).apply(system)
     system.run_for(20.0)
-    dead = churn.dead_service_names()
-    alive = churn.alive_service_names()
-    assert dead and alive is not None
+    dead = {s.profile.service_name for s in system.services if not s.alive}
+    alive = {s.profile.service_name for s in system.services if s.alive}
+    assert dead
     assert dead | alive == {p.service_name for p in built.profiles}
     assert not dead & alive
-    assert churn.crash_count() == len(dead)
-
-
-def test_service_churn_stop_halts_crashes():
-    built = build_scenario(crisis_scenario(agencies=1, services_per_lan=4))
-    system = built.system
-    churn = ServiceChurn(system, rate=5.0, permanent=True).start()
-    system.run(until=0.01)
-    churn.stop()
-    before = churn.crash_count()
-    system.run_for(20.0)
-    assert churn.crash_count() == before
+    assert applied.counts() == {"crash": len(dead)}
 
 
 # -- query workloads ---------------------------------------------------------------
