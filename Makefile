@@ -9,7 +9,7 @@ SMOKES := perf:test_perf_matchmaking fault:test_fault_smoke obs:test_obs_smoke \
           recovery:test_e19_recovery health:test_e20_health shard:test_e21_sharding
 SMOKE_TARGETS := $(foreach s,$(SMOKES),$(firstword $(subst :, ,$(s)))-smoke)
 
-.PHONY: test bench all smoke results-check $(SMOKE_TARGETS)
+.PHONY: test bench all smoke results-check perf-pairs $(SMOKE_TARGETS)
 
 ## Tier 1: the full unit/integration suite. Must always be green.
 test:
@@ -88,5 +88,17 @@ results-check:
 		--ignore=benchmarks/test_perf_matchmaking.py
 	git diff --exit-code --stat -- benchmarks/results \
 		':!benchmarks/results/e5.txt' ':!benchmarks/results/perf_*.txt'
+
+## perf-pairs: `make perf-pairs PARENT=<rev> WORKLOAD=<name> [PAIRS=10]
+## [SEED=1000]` runs benchmarks/perf/run.py at BENCHMARK.json's run length
+## on <rev> (exported to a temp dir) and on this tree, PAIRS times,
+## alternating which goes first, and prints per end-to-end metric both
+## medians and quartiles, wins/ties/losses and gain / regression /
+## unchanged / unresolved (see tools/perf_pairs.py). ~40 s per pair.
+PAIRS ?= 10
+SEED ?= 1000
+perf-pairs:
+	$(PYTHON) tools/perf_pairs.py --parent $(PARENT) --workload $(WORKLOAD) \
+		--pairs $(PAIRS) --seed $(SEED)
 
 all: test smoke

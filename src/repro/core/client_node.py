@@ -494,6 +494,8 @@ class ClientNode(Node):
         call.via = via
         call.completed = True
         call.completed_at = self.sim.now
+        # Only ``hits`` is read from here on; late replies return early.
+        call._fallback_batches.clear()
         if self.network is not None:
             self.network.metrics.histogram("query.e2e_latency").observe(call.latency)
             if self.network.health.active:

@@ -22,7 +22,7 @@ from repro.netsim.node import Node
 from repro.netsim.simulator import Simulator
 from repro.netsim.stats import TrafficStats
 from repro.obs.health import HealthMonitor
-from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS, HOP_BUCKETS, MetricsRegistry
+from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS, HOP_BUCKETS, Histogram, MetricsRegistry
 from repro.obs.tracing import TraceRecorder
 
 
@@ -172,6 +172,10 @@ class Network:
         #: recovery/drop counters here so event rates are queryable too.
         self.metrics = MetricsRegistry()
         self.stats.metrics = self.metrics
+        #: Message type → its ``latency.<type>`` histogram and the shared
+        #: ``hops.delivered`` one, asked of the registry on the type's
+        #: first delivery and not again.
+        self._delivery_histograms: dict[str, tuple[Histogram, Histogram]] = {}
         #: The run's health monitor (flight recorders, SLO windows,
         #: watchdogs — see :mod:`repro.obs.health`). Constructed inert:
         #: until :meth:`~repro.obs.health.HealthMonitor.configure` enables
@@ -418,9 +422,9 @@ class Network:
     def multicast(self, envelope: Envelope) -> None:
         """Deliver ``envelope`` to every other node on the sender's LAN.
 
-        One transmission is accounted (broadcast medium); each receiver
-        gets its *own envelope copy*, so a handler mutating headers or
-        routing metadata cannot contaminate sibling deliveries.
+        One transmission is accounted (broadcast medium) and loss is drawn
+        per receiver now, in sorted id order; the copies that survive
+        arrive in one scheduled event (:meth:`_deliver_multicast`).
         """
         sender = self.nodes.get(envelope.src)
         if sender is None or sender.lan_name is None:
@@ -434,6 +438,7 @@ class Network:
         done_at = lan.transmission_done(self.sim.now, size)
         fault_loss = self._fault_loss(lan_name, lan_name)
         latency = self.lan_latency + self._extra_latency(lan_name, lan_name)
+        receivers = []
         for dst_id in sorted(lan.node_ids):
             if dst_id == envelope.src:
                 continue
@@ -445,8 +450,17 @@ class Network:
                 self.stats.record_drop("fault-loss")
                 self._trace_drop(envelope, "fault-loss", dst=dst_id)
                 continue
-            self.sim.schedule_at(done_at + latency, self._deliver,
-                                 envelope.copy_for(dst_id), dst_id)
+            receivers.append(dst_id)
+        if receivers:
+            self.sim.schedule_at(done_at + latency, self._deliver_multicast,
+                                 envelope, receivers)
+
+    def _deliver_multicast(self, envelope: Envelope, receivers: list[str]) -> None:
+        """Multicast arrival: each receiver gets its *own envelope copy*,
+        in the order given, so a handler mutating headers or routing
+        metadata cannot contaminate sibling deliveries."""
+        for dst_id in receivers:
+            self._deliver(envelope.copy_for(dst_id), dst_id)
 
     def _deliver(self, envelope: Envelope, dst_id: str) -> None:
         """Delivery event: hand the envelope to the destination if it is up."""
@@ -466,12 +480,16 @@ class Network:
             return
         self.stats.record_delivery(dst_id, envelope.size_bytes)
         latency = self.sim.now - envelope.sent_at
-        self.metrics.histogram(
-            f"latency.{envelope.msg_type}", buckets=DEFAULT_LATENCY_BUCKETS
-        ).observe(latency)
-        self.metrics.histogram("hops.delivered", buckets=HOP_BUCKETS).observe(
-            envelope.hops
-        )
+        try:
+            latencies, hops = self._delivery_histograms[envelope.msg_type]
+        except KeyError:
+            latencies, hops = self._delivery_histograms[envelope.msg_type] = (
+                self.metrics.histogram(f"latency.{envelope.msg_type}",
+                                       buckets=DEFAULT_LATENCY_BUCKETS),
+                self.metrics.histogram("hops.delivered", buckets=HOP_BUCKETS),
+            )
+        latencies.observe(latency)
+        hops.observe(envelope.hops)
         if envelope.hops > 0:
             self.metrics.histogram(
                 f"hops.{envelope.msg_type}", buckets=HOP_BUCKETS

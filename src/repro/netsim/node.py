@@ -39,17 +39,12 @@ class Timer:
 
         def guarded() -> None:
             self._fired = True
-            # Drop the bookkeeping reference so long-lived nodes do not
-            # accumulate fired timers (a slow leak under heavy retrying).
-            try:
-                node._timers.remove(self)
-            except ValueError:
-                pass
+            node._timers.pop(self, None)
             if node.alive:
                 fn()
 
         self._handle: "EventHandle" = node.sim.schedule(delay, guarded)
-        node._timers.append(self)
+        node._timers[self] = None
 
     @property
     def pending(self) -> bool:
@@ -59,6 +54,7 @@ class Timer:
     def cancel(self) -> None:
         """Prevent the callback from firing. Idempotent."""
         self._handle.cancel()
+        self._node._timers.pop(self, None)
 
 
 class Node:
@@ -82,7 +78,9 @@ class Node:
         self.alive = True
         self.network: "Network | None" = None
         self.lan_name: str | None = None
-        self._timers: list[Timer] = []
+        #: Pending timers only, in creation order: a timer leaves when it
+        #: fires or is cancelled, so a long-lived node pins neither.
+        self._timers: dict[Timer, None] = {}
         self._periodics: list["PeriodicHandle"] = []
         self.unknown_messages = 0
         self.crash_count = 0
@@ -125,9 +123,8 @@ class Node:
         Used by :meth:`crash` and by role changes (e.g. a standby registry
         demoting itself) that must stop activity without dying.
         """
-        for timer in self._timers:
+        for timer in list(self._timers):
             timer.cancel()
-        self._timers.clear()
         for periodic in self._periodics:
             periodic.stop()
         self._periodics.clear()

@@ -1,7 +1,7 @@
 """Deterministic discrete-event scheduler.
 
 The simulator is the single source of time and randomness for a run.
-Events are ``(time, sequence, callback)`` triples on a binary heap; the
+Events are ``[time, sequence, callback, args]`` lists on a binary heap; the
 monotonically increasing sequence number breaks ties so that two events
 scheduled for the same instant always fire in scheduling order, which makes
 whole-system runs deterministic under a fixed seed.
@@ -11,44 +11,36 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.errors import SimulationError
 from repro.obs.tracing import TraceRecorder
 
 
-@dataclass(order=True)
-class _Event:
-    """A single scheduled callback. Ordered by (time, seq)."""
+class EventHandle(list):
+    """A heap entry ``[time, seq, callback, args]``, handed back by
+    :meth:`Simulator.schedule` so the caller can cancel it.
 
-    time: float
-    seq: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    Lists compare item by item in C and ``seq`` is unique, so ordering
+    two entries never reaches the callback. A cancelled entry stays in
+    the heap with its callback slot cleared and is skipped when popped.
+    """
 
-
-class EventHandle:
-    """Handle returned by :meth:`Simulator.schedule`; allows cancellation."""
-
-    __slots__ = ("_event",)
-
-    def __init__(self, event: _Event) -> None:
-        self._event = event
+    __slots__ = ()
 
     @property
     def time(self) -> float:
         """The simulated time at which the event will fire."""
-        return self._event.time
+        return self[0]
 
     @property
     def cancelled(self) -> bool:
         """Whether :meth:`cancel` has been called."""
-        return self._event.cancelled
+        return self[2] is None
 
     def cancel(self) -> None:
         """Prevent the event from firing. Idempotent."""
-        self._event.cancelled = True
+        self[2] = None
 
 
 class PeriodicHandle:
@@ -96,7 +88,7 @@ class Simulator:
     """
 
     def __init__(self, seed: int = 0) -> None:
-        self._heap: list[_Event] = []
+        self._heap: list[EventHandle] = []
         self._seq = 0
         self._now = 0.0
         self._running = False
@@ -128,10 +120,9 @@ class Simulator:
         if when < self._now:
             raise SimulationError(f"cannot schedule at {when} < now={self._now}")
         self._seq += 1
-        bound = (lambda: callback(*args)) if args else callback
-        event = _Event(time=when, seq=self._seq, callback=bound)
-        heapq.heappush(self._heap, event)
-        return EventHandle(event)
+        entry = EventHandle((when, self._seq, callback, args))
+        heapq.heappush(self._heap, entry)
+        return entry
 
     def every(
         self,
@@ -159,14 +150,14 @@ class Simulator:
         fired = 0
         try:
             while self._heap:
-                event = self._heap[0]
-                if until is not None and event.time > until:
+                when, _, callback, args = self._heap[0]
+                if until is not None and when > until:
                     break
                 heapq.heappop(self._heap)
-                if event.cancelled:
+                if callback is None:
                     continue
-                self._now = event.time
-                event.callback()
+                self._now = when
+                callback(*args)
                 self.events_processed += 1
                 fired += 1
                 if max_events is not None and fired >= max_events:
@@ -186,14 +177,15 @@ class Simulator:
         callers stepping toward a deadline never execute past it.
         """
         while self._heap:
-            if self._heap[0].cancelled:
+            when, _, callback, args = self._heap[0]
+            if callback is None:
                 heapq.heappop(self._heap)
                 continue
-            if until is not None and self._heap[0].time > until:
+            if until is not None and when > until:
                 return False
-            event = heapq.heappop(self._heap)
-            self._now = event.time
-            event.callback()
+            heapq.heappop(self._heap)
+            self._now = when
+            callback(*args)
             self.events_processed += 1
             return True
         return False

@@ -7,6 +7,7 @@ import pytest
 from repro.core import protocol
 from repro.core.config import DiscoveryConfig
 from repro.core.system import DiscoverySystem
+from repro.registry.matching import QueryEvaluator
 from repro.semantics.generator import battlefield_ontology
 from repro.semantics.profiles import ServiceProfile, ServiceRequest
 
@@ -341,6 +342,46 @@ def test_wire_id_map_drains_on_fallback_path(fast):
     assert call.via == "fallback"
     assert client._by_wire_id == {}
     assert call.completions == 1
+
+
+def _fallback_lan_with_tapped_client(fast):
+    """Six responders, no registry; ``seen`` collects every reply the
+    client is handed, before the client sees it."""
+    system = _system(fast, registries=False)
+    for i in range(6):
+        system.add_service("lan-0", _radar(f"radar-{i}"))
+    client = system.add_client("lan-0")
+    seen = []
+    handle = client.handlers[protocol.DECENTRAL_RESPONSE]
+    client.handlers[protocol.DECENTRAL_RESPONSE] = \
+        lambda envelope: (seen.append(envelope), handle(envelope))
+    system.run(until=2.0)
+    return system, client, seen
+
+
+def test_completed_fallback_call_lets_go_of_its_responders_batches(fast):
+    system, client, seen = _fallback_lan_with_tapped_client(fast)
+    capped = ServiceRequest.build("ncw:SensorService", max_results=2)
+    call = system.discover(client, capped)
+    assert call.via == "fallback" and len(seen) == 6
+    assert call.hits == QueryEvaluator.merge(
+        [list(envelope.payload.hits) for envelope in seen], max_results=2)
+    assert len(call.hits) == 2
+    assert (call.responses, call.responders) == (6, 6)
+    assert call.response_bytes == sum(envelope.size_bytes for envelope in seen)
+    assert call._fallback_batches == []
+
+
+def test_fallback_call_failed_by_a_crash_lets_go_of_its_batches(fast):
+    system, client, seen = _fallback_lan_with_tapped_client(fast)
+    call = client.discover(REQUEST)
+    system.run_for(fast.fallback_timeout / 2)
+    assert len(seen) == 6 and len(call._fallback_batches) == 6
+    assert not call.completed
+    client.crash()
+    assert call.completed and call.via == "crashed" and call.hits == []
+    assert (call.responses, call.responders) == (6, 6)
+    assert call._fallback_batches == []
 
 
 def test_wire_id_map_empty_when_call_fails_immediately():

@@ -30,6 +30,7 @@ from repro.netsim.disk import SimDisk
 from repro.netsim.messages import Envelope
 from repro.semantics.generator import battlefield_ontology
 from repro.semantics.profiles import ServiceProfile, ServiceRequest
+from tests.deployments import e7_ring
 
 REQUEST = ServiceRequest.build("ncw:SensorService", outputs=["ncw:Track"])
 
@@ -483,6 +484,19 @@ class TestTimerLeaks:
             system.run_for(0.5)
             assert len(registry._periodics) == baseline
             assert len(registry._timers) <= baseline + len(system.services)
+
+    def test_answered_queries_leave_no_timer_behind(self):
+        """Completing an aggregation cancels its timeout; a cancelled
+        timer must leave ``Node._timers`` like a fired one does."""
+        ring = e7_ring()
+        held = []
+        for discovers in (100, 200):
+            ring.discover(discovers)
+            for node in ring.system.network.nodes.values():
+                assert len(node._timers) == sum(t.pending for t in node._timers), \
+                    node.node_id
+            held.append([len(r._timers) for r in ring.system.registries])
+        assert held[0] == held[1]
 
     def test_standby_periodics_stable_across_promote_demote(self):
         config = DiscoveryConfig(

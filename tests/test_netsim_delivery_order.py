@@ -1,0 +1,171 @@
+"""Delivery-order oracle for the batched multicast: model vs reference.
+
+``Network.multicast`` schedules one event that delivers every surviving
+copy. The reference below is the transport it replaced — one ``(time,
+seq)`` scheduler entry per receiver, the copy made at send time. A
+seeded random plan of multicasts, unicasts and timers at colliding
+instants, with a crash, a roaming node, a partition formed while copies
+are in flight, a bandwidth-limited LAN and handlers that answer at once,
+must be indistinguishable on the two: same receive log, same traffic
+and metric counters, same RNG state afterwards, same trace export.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from repro.netsim.messages import Envelope
+from repro.netsim.network import Network
+from repro.netsim.node import Node
+from repro.netsim.simulator import Simulator
+from repro.obs.tracing import TraceRecorder
+
+SEEDS = range(50)
+#: Everything in a plan happens on this grid, so sends, deliveries (one
+#: LAN latency later), timers and topology changes collide all the time.
+TICK = 0.001
+TICKS = 30
+NODES = {"a": ("a0", "a1", "a2", "a3", "a4"), "b": ("b0", "b1", "b2")}
+RING = [node_id for ids in NODES.values() for node_id in ids]
+
+
+class PerReceiverNetwork(Network):
+    """The reference: every copy of a multicast is its own scheduled event."""
+
+    def multicast(self, envelope: Envelope) -> None:
+        lan_name = self.nodes[envelope.src].lan_name
+        lan = self.lans[lan_name]
+        size = self.size_model.message_size(envelope.payload)
+        envelope.size_bytes = size
+        envelope.sent_at = self.sim.now
+        self.stats.record_send(envelope.msg_type, envelope.src, size,
+                               wan=False, multicast=True)
+        done_at = lan.transmission_done(self.sim.now, size)
+        fault_loss = self._fault_loss(lan_name, lan_name)
+        latency = self.lan_latency + self._extra_latency(lan_name, lan_name)
+        for dst_id in sorted(lan.node_ids):
+            if dst_id == envelope.src:
+                continue
+            if self.loss_rate and self.sim.rng.random() < self.loss_rate:
+                self.stats.record_drop("loss")
+                self._trace_drop(envelope, "loss", dst=dst_id)
+                continue
+            if fault_loss and self.sim.rng.random() < fault_loss:
+                self.stats.record_drop("fault-loss")
+                self._trace_drop(envelope, "fault-loss", dst=dst_id)
+                continue
+            self.sim.schedule_at(done_at + latency, self._deliver,
+                                 envelope.copy_for(dst_id), dst_id)
+
+
+class Chatty(Node):
+    """Logs every receive; answers some message types on the spot."""
+
+    def __init__(self, node_id: str, log: list) -> None:
+        super().__init__(node_id)
+        self.log = log
+
+    def handle_message(self, envelope: Envelope) -> None:
+        self.log.append((self.sim.now, self.node_id, envelope.msg_type,
+                         envelope.src, envelope.hops))
+
+    def handle_ping(self, envelope: Envelope) -> None:
+        self.handle_message(envelope)
+        self.send(envelope.src, "pong")
+
+    def handle_shout(self, envelope: Envelope) -> None:
+        self.handle_message(envelope)
+        self.multicast("echo", payload="e" * 16)
+
+    def handle_relay(self, envelope: Envelope) -> None:
+        self.handle_message(envelope)
+        if envelope.hops < 2:
+            self.forward(envelope, RING[(RING.index(self.node_id) + 3) % len(RING)])
+
+
+def play(network_cls: type[Network], seed: int, loss_rate: float):
+    """Run plan ``seed`` on a fresh ``network_cls``; everything observable."""
+    plan = random.Random(seed)
+    sim = Simulator(seed=seed)
+    # Even seeds have no LAN latency at all: a reply sent from a handler
+    # is due at the very instant the multicast it answers is arriving.
+    net = network_cls(sim, lan_latency=TICK * (seed % 2), wan_latency=2 * TICK,
+                      loss_rate=loss_rate)
+    net.add_lan("a")
+    net.add_lan("b", bandwidth_bps=400_000.0)
+    log: list = []
+    for lan, ids in NODES.items():
+        for node_id in ids:
+            net.add_node(Chatty(node_id, log), lan)
+
+    def at() -> float:
+        return plan.randrange(TICKS) * TICK
+
+    def traced(node: Node) -> dict:
+        span = sim.trace.start_span("op", node=node.node_id)
+        return TraceRecorder.inject({}, span.context)
+
+    def multicast(node: Node, msg_type: str) -> None:
+        node.multicast(msg_type, payload="m" * 40, headers=traced(node))
+
+    def unicast(node: Node, dst: str, msg_type: str) -> None:
+        node.send(dst, msg_type, payload="u" * 24, headers=traced(node))
+
+    for _ in range(40):
+        node = net.nodes[plan.choice(RING)]
+        kind = plan.choice(("multicast", "multicast", "unicast", "timer"))
+        if kind == "multicast":
+            action = (multicast, node, plan.choice(("ping", "shout", "relay", "note")))
+        else:
+            action = (unicast, node, plan.choice(RING), plan.choice(("ping", "relay")))
+        if kind == "timer":
+            sim.schedule_at(at(), node.after, plan.randrange(4) * TICK,
+                            lambda action=action: action[0](*action[1:]))
+        else:
+            sim.schedule_at(at(), *action)
+    victim, roamer = plan.sample(RING, 2)
+    sim.schedule_at(at(), net.nodes[victim].crash)
+    sim.schedule_at(at(), net.move_node, roamer, "b" if roamer in NODES["a"] else "a")
+    sim.schedule_at(at(), net.partition, [["a"], ["b"]])
+    sim.schedule_at(TICKS * TICK, net.heal_partition)
+    sim.run(until=1.0)
+    return {
+        "log": log,
+        "stats": net.stats.snapshot(),
+        "drops": dict(net.stats.drops_by_reason),
+        "metrics": net.metrics.snapshot(),
+        "rng": sim.rng.getstate(),
+        "trace": sim.trace.export_jsonl(),
+    }
+
+
+@pytest.mark.parametrize("loss_rate", (0.0, 0.3))
+def test_batched_multicast_is_indistinguishable_from_per_receiver_events(loss_rate):
+    drops: dict[str, int] = {}
+    for seed in SEEDS:
+        real = play(Network, seed, loss_rate)
+        reference = play(PerReceiverNetwork, seed, loss_rate)
+        for key in reference:
+            assert real[key] == reference[key], (seed, key)
+        assert len(real["log"]) > 40, seed
+        for reason, count in real["drops"].items():
+            drops[reason] = drops.get(reason, 0) + count
+    # The plans did reach the cases they were written for.
+    assert drops.get("dead-dst") and drops.get("partition-in-flight")
+    assert bool(drops.get("loss")) == bool(loss_rate)
+
+
+def test_reference_really_schedules_one_event_per_copy():
+    """Guards the oracle itself: the two transports differ where they should."""
+    counts = {}
+    for cls in (Network, PerReceiverNetwork):
+        sim = Simulator(seed=0)
+        net = cls(sim)
+        net.add_lan("a")
+        nodes = [net.add_node(Node(f"n{i}"), "a") for i in range(6)]
+        nodes[0].multicast("note")
+        sim.run()
+        counts[cls] = (sim.events_processed, net.stats.messages_delivered)
+    assert counts == {Network: (1, 5), PerReceiverNetwork: (5, 5)}

@@ -1,0 +1,200 @@
+"""Count gates on what the simulator pays per message and keeps per run.
+
+Machine-independent: every assertion is a count — scheduler events per
+multicast, registry lookups per delivery, objects a long-lived deployment
+still holds after its queries completed — never a time.
+"""
+
+from __future__ import annotations
+
+import gc
+from collections import Counter
+
+import pytest
+
+from repro.netsim.network import Network
+from repro.netsim.node import Node
+from repro.netsim.simulator import Simulator
+from tests.deployments import e7_ring, fallback_lan
+
+
+def _lan(n_nodes: int) -> tuple[Network, list[Node]]:
+    net = Network(Simulator(seed=3))
+    net.add_lan("lan")
+    return net, [net.add_node(Node(f"n{i:02d}"), "lan") for i in range(n_nodes)]
+
+
+def _delta_after(net: Network, action) -> tuple[int, int]:
+    """(scheduler events fired, copies delivered) by ``action`` + a run."""
+    before = net.sim.events_processed, net.stats.messages_delivered
+    action()
+    net.sim.run()
+    return (net.sim.events_processed - before[0],
+            net.stats.messages_delivered - before[1])
+
+
+# -- (i) one scheduled event per multicast -----------------------------------
+
+
+def test_one_multicast_is_one_event_whatever_the_fan_out():
+    net, nodes = _lan(20)
+    assert _delta_after(net, lambda: nodes[0].multicast("beacon")) == (1, 19)
+    assert net.sim.pending() == 0
+
+
+def test_multicast_that_loses_every_copy_schedules_nothing():
+    class AlwaysLow:
+        def random(self) -> float:
+            return 0.0
+
+    net, nodes = _lan(20)
+    net.loss_rate = 0.5
+    net.sim.rng = AlwaysLow()
+    assert _delta_after(net, lambda: nodes[0].multicast("beacon")) == (0, 0)
+    assert net.stats.drops_by_reason["loss"] == 19
+
+
+def test_multicast_from_a_node_alone_on_its_lan_schedules_nothing():
+    net, nodes = _lan(1)
+    assert _delta_after(net, lambda: nodes[0].multicast("beacon")) == (0, 0)
+    assert net.stats.messages_sent == 1
+
+
+# -- (ii) heap entries carry the callback itself ------------------------------
+
+
+def test_heap_entry_holds_the_callback_and_its_arguments_not_a_closure():
+    sim = Simulator()
+    got = []
+
+    def fn(a, b):
+        got.append((a, b))
+
+    handle = sim.schedule(1.0, fn, "a", "b")
+    (entry,) = sim._heap
+    assert entry[2] is fn and entry[3] == ("a", "b")
+    assert (handle.time, handle.cancelled) == (1.0, False)
+    sim.run()
+    assert got == [("a", "b")]
+
+
+def test_cancelling_an_entry_drops_its_callback_at_once():
+    sim = Simulator()
+    handle = sim.schedule(1.0, lambda: pytest.fail("cancelled event fired"))
+    handle.cancel()
+    (entry,) = sim._heap
+    assert entry[2] is None and handle.cancelled and sim.pending() == 0
+    sim.run()
+    assert sim.events_processed == 0
+
+
+# -- (iii) what a deployment still holds after its queries completed ---------
+
+
+def _census() -> Counter:
+    """Live instances of this package's classes, by class name."""
+    gc.collect()
+    return Counter(
+        type(obj).__qualname__ for obj in gc.get_objects()
+        if type(obj).__module__.startswith("repro.")
+    )
+
+
+@pytest.mark.parametrize("deploy", (e7_ring, fallback_lan))
+def test_only_the_documented_histories_grow_with_the_run(deploy):
+    """A completed query leaves three things behind: its trace records,
+    its ``DiscoveryCall`` in ``client.calls``, and that call's hits
+    (at most ``max_results``; a directly-answering service builds the
+    advertisement record of its hit per reply, so there each kept hit
+    keeps one). Nothing else may be held per query — not the timers,
+    aggregations and payloads of answered queries, not the responders'
+    batches of a completed fallback call."""
+    dep = deploy()
+    dep.discover(128)
+    before = _census()
+    calls = dep.discover(256)
+    after = _census()
+    grown = {name: after[name] - before[name]
+             for name in after if after[name] > before[name]}
+    kept_hits = sum(len(call.hits) for call in calls)
+    assert grown.pop("TraceEvent") > 0 and grown.pop("Span") > 0
+    assert grown.pop("DiscoveryCall") == len(calls)
+    assert grown.pop("QueryHit") == kept_hits
+    if deploy is fallback_lan:
+        assert grown.pop("Advertisement") == kept_hits
+    assert grown == {}
+
+
+# -- (iv) delivery instruments are fetched once, not per copy -----------------
+
+
+def test_warm_delivery_asks_the_registry_for_no_histogram():
+    net, nodes = _lan(5)
+    nodes[0].send("n01", "ping")
+    nodes[0].multicast("beacon")
+    net.sim.run()
+    asked = []
+    histogram = net.metrics.histogram
+    net.metrics.histogram = lambda name, **kw: (asked.append(name), histogram(name, **kw))[1]
+    assert _delta_after(net, lambda: (nodes[0].send("n01", "ping"),
+                                      nodes[2].multicast("beacon"))) == (2, 5)
+    assert asked == []
+    # A forwarded copy (hops > 0) still files under its per-type name.
+    envelope = nodes[0].send("n01", "ping")
+    nodes[1].forward(envelope, "n02")
+    net.sim.run()
+    assert asked == ["hops.ping"]
+    snapshot = net.metrics.snapshot()["histograms"]
+    assert sorted(snapshot) == ["hops.delivered", "hops.ping",
+                                "latency.beacon", "latency.ping"]
+    assert snapshot["hops.delivered"]["count"] == net.stats.messages_delivered
+
+
+SUMMARY_FIELDS = ("count", "sum", "min", "max", "p50", "p95", "p99")
+#: ``metrics.snapshot()["histograms"]`` of :func:`e7_ring` after 50
+#: discovers, as recorded before the delivery histograms were cached
+#: (``mean`` is ``sum / count`` in every row).
+E7_RING_50_HISTOGRAMS = {
+    "hops.delivered": (905, 300.0, 0.0, 2.0, 0.0, 1.5474999999999999, 1.9095000000000004),
+    "hops.query-forward": (200, 300.0, 1.0, 2.0, 1.0, 1.9, 1.98),
+    "latency.federation-join": (9, 0.44999999999999996, 0.05, 0.05, 0.05, 0.05, 0.05),
+    "latency.federation-join-ack": (9, 0.44999999999999996, 0.05, 0.05, 0.05, 0.05, 0.05),
+    "latency.publish": (36, 0.03600000000000003) + (0.0010000000000000009,) * 5,
+    "latency.publish-ack": (36, 0.03600000000000003) + (0.0010000000000000009,) * 5,
+    "latency.query": (50, 0.05000000000002558, 0.0009999999999994458)
+                     + (0.0010000000000012221,) * 4,
+    "latency.query-forward": (200, 10.000000000000142) + (0.05000000000000071,) * 5,
+    "latency.query-response": (250, 10.050000000000166, 0.0009999999999994458)
+                              + (0.05000000000000071,) * 4,
+    "latency.registry-beacon": (60, 0.060000000000006715, 0.0009999999999994458,
+                                0.0010000000000012221, 0.001,
+                                0.0010000000000012221, 0.0010000000000012221),
+    "latency.registry-list-reply": (57, 0.6450000000000186, 0.0009999999999994458,
+                                    0.05000000000000071, 0.001675,
+                                    0.05000000000000071, 0.05000000000000071),
+    "latency.registry-list-request": (45, 0.04500000000001003, 0.0009999999999994458)
+                                     + (0.0010000000000012221,) * 4,
+    "latency.registry-ping": (24, 1.2000000000000117, 0.04999999999999982)
+                             + (0.05000000000000071,) * 4,
+    "latency.registry-pong": (24, 1.2000000000000117, 0.04999999999999982)
+                             + (0.05000000000000071,) * 4,
+    "latency.registry-probe": (90, 0.09000000000000007) + (0.001,) * 5,
+    "latency.registry-probe-reply": (15, 0.015000000000000006) + (0.001,) * 5,
+    "matchmaker.evals_per_query": (150, 84.0, 0.0, 3.0, 0.5319148936170213, 1.3, 3.0),
+    "query.e2e_latency": (50, 10.100000000000193, 0.20200000000000173,
+                          0.2020000000000053, 0.20200000000000173,
+                          0.2020000000000053, 0.2020000000000053),
+}
+
+
+def test_metrics_snapshot_of_a_fixed_run_is_what_it_was():
+    ring = e7_ring()
+    ring.discover(50)
+    assert ring.system.metrics.snapshot() == {
+        "counters": {"lease.grant": 36},
+        "gauges": {},
+        "histograms": {
+            name: dict(zip(SUMMARY_FIELDS, row), mean=row[1] / row[0])
+            for name, row in E7_RING_50_HISTOGRAMS.items()
+        },
+    }

@@ -130,6 +130,44 @@ def test_timer_guard_on_crash_between_schedule_and_fire(net):
     assert fired == []
 
 
+def test_cancelled_timer_leaves_the_node(net):
+    node = net.add_node(Typed("n"), "lan")
+    fired = []
+    timer = node.after(1.0, lambda: fired.append(1))
+    assert list(node._timers) == [timer] and timer.pending
+    timer.cancel()
+    assert not node._timers and not timer.pending
+    timer.cancel()  # twice: no-op
+    net.sim.run(until=5.0)
+    assert fired == [] and not node._timers
+
+
+def test_fired_timer_leaves_the_node_and_cancel_after_is_a_noop(net):
+    node = net.add_node(Typed("n"), "lan")
+    fired = []
+    first = node.after(1.0, lambda: fired.append("first"))
+    second = node.after(2.0, lambda: fired.append("second"))
+    net.sim.run(until=1.5)
+    assert fired == ["first"] and list(node._timers) == [second]
+    first.cancel()
+    assert not first.pending and list(node._timers) == [second]
+    net.sim.run(until=5.0)
+    assert fired == ["first", "second"] and not node._timers
+
+
+def test_crash_cancels_a_thousand_pending_timers(net):
+    node = net.add_node(Typed("n"), "lan")
+    fired = []
+    timers = [node.after(1.0 + i * 0.001, lambda: fired.append(1)) for i in range(1000)]
+    assert len(node._timers) == 1000
+    node.crash()
+    assert not node._timers and not any(t.pending for t in timers)
+    timers[0].cancel()  # after the crash: no-op
+    node.restart()
+    net.sim.run(until=5.0)
+    assert fired == [] and net.sim.pending() == 0
+
+
 def test_restart_invokes_hook(net):
     events = []
 
