@@ -19,7 +19,8 @@ test:
 ## path ever evaluates more profiles than the linear scan, if the
 ## evaluation reduction at 10k advertisements drops below 5x, or if the
 ## 100k scaling sweep breaks its count-based sub-linear gates (fitted
-## evaluations-per-query growth exponent < 1.0, absolute cap at 100k).
+## evaluations-per-query growth exponent < 1.0, absolute cap at 100k),
+## or if a query builds more QueryHit objects than it returns.
 ## Rewrites BENCH_matchmaking.json and BENCH_query_100k.json at the repo
 ## root.
 
@@ -95,6 +96,8 @@ results-check:
 ## alternating which goes first, and prints per end-to-end metric both
 ## medians and quartiles, wins/ties/losses and gain / regression /
 ## unchanged / unresolved (see tools/perf_pairs.py). ~40 s per pair.
+## WORKLOAD=all runs every workload of BENCHMARK.json in turn, one table
+## each, and fails if any regressed.
 PAIRS ?= 10
 SEED ?= 1000
 perf-pairs:

@@ -15,12 +15,15 @@ evaluations-per-query vs. store size must stay below 1.0 (sub-linear),
 the absolute evaluations-per-query at 100k must stay under a hard cap,
 and the index must expand from its bitsets exactly the ids the evaluator
 scores (``ids_expanded_per_query == descriptions_scored_per_query``: no
-candidate group is expanded before its bound is checked), and the
+candidate group is expanded before its bound is checked), the
 matchmaker must resolve each request once per query
-(``request_plans_per_query == 1.0`` at 10k and at 100k). Wall-clock
-numbers — queries/sec, and ``match_us_each``, the cost of one
-``SemanticModel.evaluate`` — are recorded for the trajectory but never
-gated.
+(``request_plans_per_query == 1.0`` at 10k and at 100k), and the
+evaluator must build a ``QueryHit`` only for an advertisement it returns
+(``hits_built_per_query <= max_results`` on both paths at 10k and at
+100k). Wall-clock numbers — queries/sec, ``match_us_each`` (the cost of
+one ``SemanticModel.evaluate``) and ``expand_us_per_group`` (expanding the
+bitset of one candidate group the evaluator opened) — are recorded for
+the trajectory but never gated.
 
 Run directly (no pytest-benchmark dependency)::
 
@@ -33,13 +36,16 @@ import json
 import math
 import pathlib
 import time
+from unittest import mock
 
 import pytest
 
 from repro.descriptions.base import ModelRegistry
 from repro.descriptions.semantic import SemanticModel
+from repro.registry import matching
 from repro.registry.advertisements import Advertisement
-from repro.registry.matching import QueryEvaluator
+from repro.registry.index import SemanticConceptIndex
+from repro.registry.matching import QueryEvaluator, QueryHit
 from repro.registry.store import AdvertisementStore
 from repro.semantics.generator import OntologyGenerator, ProfileGenerator
 
@@ -76,6 +82,33 @@ def _advertise(profile, index: int) -> Advertisement:
         model_id="semantic",
         description=profile,
     )
+
+
+def _counted_pass(evaluator, requests) -> tuple[int, list[int]]:
+    """One more, untimed pass over ``requests``: how many ``QueryHit``
+    objects it builds, and the bitset of every candidate group the
+    evaluator opened (a group whose bound ends the query is never started)."""
+    built = 0
+    opened: list[int] = []
+    expand = SemanticConceptIndex._ids_from_mask
+
+    class CountedHit(QueryHit):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs):
+            nonlocal built
+            built += 1
+            super().__init__(*args, **kwargs)
+
+    def recording(index, bits: int):
+        opened.append(bits)  # runs at the group's first ``next()``
+        yield from expand(index, bits)
+
+    with mock.patch.object(matching, "QueryHit", CountedHit), \
+            mock.patch.object(SemanticConceptIndex, "_ids_from_mask", recording):
+        for request in requests:
+            evaluator.evaluate("semantic", request, max_results=MAX_RESULTS)
+    return built, opened
 
 
 def _measure(ontology, profiles, requests, *, use_indexes: bool) -> dict:
@@ -130,6 +163,18 @@ def _measure(ontology, profiles, requests, *, use_indexes: bool) -> dict:
     }
     if index is not None:
         result["ids_expanded_per_query"] = (index.expanded - expanded_before) / n
+    built, opened = _counted_pass(evaluator, requests)
+    result["hits_built_per_query"] = built / n
+    if opened:
+        # Expansion alone, replayed over those groups; the best of five passes.
+        expand_seconds = float("inf")
+        for _pass in range(5):
+            expand_start = time.perf_counter()
+            for bits in opened:
+                for _ad_id in index._ids_from_mask(bits):
+                    pass
+            expand_seconds = min(expand_seconds, time.perf_counter() - expand_start)
+        result["expand_us_per_group"] = round(expand_seconds * 1e6 / len(opened), 3)
     return result
 
 
@@ -251,7 +296,8 @@ def test_query_100k_trajectory_written(scaling_results, results_dir):
             "requests": "anchored, generalize=1 (selective)",
             "gates": "count-based only: growth exponent + absolute cap "
                      "+ ids expanded == descriptions scored "
-                     "+ one request plan per query",
+                     "+ one request plan per query "
+                     "+ hits built <= max_results",
         },
         "sizes": scaling_results,
         "fitted_evaluations_exponent": round(exponent, 4),
@@ -260,14 +306,15 @@ def test_query_100k_trajectory_written(scaling_results, results_dir):
     BENCH_100K_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     lines = [
         f"{'store':>7} {'build s':>9} {'idx q/s':>10} {'idx ev/q':>9} "
-        f"{'scored/q':>9} {'expanded/q':>11}"
+        f"{'scored/q':>9} {'expanded/q':>11} {'hits built/q':>13} {'expand us/group':>16}"
     ]
     for row in scaling_results:
         lines.append(
             f"{row['store_size']:>7} {row['build_seconds']:>9.3f} "
             f"{row['queries_per_sec']:>10} {row['evaluations_per_query']:>9.1f} "
             f"{row['descriptions_scored_per_query']:>9.1f} "
-            f"{row['ids_expanded_per_query']:>11.1f}"
+            f"{row['ids_expanded_per_query']:>11.1f} "
+            f"{row['hits_built_per_query']:>13.1f} {row['expand_us_per_group']:>16.1f}"
         )
     lines.append(f"fitted evaluations-growth exponent: {exponent:.3f} "
                  f"(gate: < {MAX_EVALUATIONS_GROWTH_EXPONENT})")
@@ -303,6 +350,16 @@ def test_one_request_plan_per_query(bench_results, scaling_results):
     assert at_10k["indexed"]["request_plans_per_query"] == 1.0, at_10k
     assert at_10k["linear"]["request_plans_per_query"] == 1.0, at_10k
     assert at_100k["request_plans_per_query"] == 1.0, at_100k
+
+
+def test_a_hit_is_built_only_for_a_returned_advertisement(bench_results, scaling_results):
+    """ISSUE gate: the evaluator ranks on plain tuples and builds a ``QueryHit``
+    for the survivors of the cap only — never one per scored match."""
+    at_10k, at_100k = bench_results[-1], scaling_results[-1]
+    assert (at_10k["store_size"], at_100k["store_size"]) == (10_000, 100_000)
+    assert at_10k["indexed"]["hits_built_per_query"] <= MAX_RESULTS, at_10k
+    assert at_10k["linear"]["hits_built_per_query"] <= MAX_RESULTS, at_10k
+    assert at_100k["hits_built_per_query"] <= MAX_RESULTS, at_100k
 
 
 def test_indexed_never_scores_more_than_linear(bench_results):

@@ -9,15 +9,13 @@ discard" it — the registry counts those so E10 can report them.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 from repro.errors import UnsupportedModelError
 from repro.semantics.profiles import ServiceProfile, ServiceRequest
 
 
-@dataclass(frozen=True)
-class ModelMatch:
+class ModelMatch(NamedTuple):
     """A model-agnostic match verdict.
 
     ``degree`` orders match strength within a model (semantic models map
@@ -48,6 +46,9 @@ class DescriptionModel(abc.ABC):
 
     #: Unique "next header" value for this model.
     model_id: str = ""
+    #: Wrong-typed descriptions or queries offered to ``evaluate`` (anything
+    #: can arrive in a PUBLISH or QUERY under a model's id): they match nothing.
+    malformed_payloads: int = 0
 
     @abc.abstractmethod
     def describe(self, profile: ServiceProfile, endpoint: str) -> Any:
@@ -70,6 +71,11 @@ class DescriptionModel(abc.ABC):
         query's hit list. The default accepts everything.
         """
         return True
+
+    def prefilter_for(self, query: Any) -> Callable[[Any, Any], bool] | None:
+        """Asked once per query: :meth:`prefilter`, or ``None`` when it can
+        reject no candidate of ``query`` and the call per candidate is skipped."""
+        return self.prefilter
 
     def can_evaluate(self) -> bool:
         """Whether this node currently has what it needs to evaluate

@@ -20,6 +20,8 @@ from repro.semantics.ontology import Ontology
 from repro.semantics.profiles import ServiceProfile, ServiceRequest
 from repro.semantics.reasoner import Reasoner
 
+_FAIL = DegreeOfMatch.FAIL
+
 
 class SemanticModel(DescriptionModel):
     """Degree-of-match evaluation over OWL-S-like profiles."""
@@ -29,8 +31,6 @@ class SemanticModel(DescriptionModel):
     def __init__(self, ontology: Ontology | None = None) -> None:
         self._matchmaker: Matchmaker | None = None
         self.missing_ontology_failures = 0
-        #: Descriptions or queries of the wrong type offered to ``evaluate``.
-        self.malformed_payloads = 0
         if ontology is not None:
             self.attach_ontology(ontology)
 
@@ -92,16 +92,20 @@ class SemanticModel(DescriptionModel):
                 return False
         return True
 
+    def prefilter_for(self, query: ServiceRequest):
+        """``None`` unless ``query`` carries QoS constraints (see :meth:`prefilter`)."""
+        if not isinstance(query, ServiceRequest) or not query.qos_constraints:
+            return None
+        return self.prefilter
+
     def evaluate(self, description: ServiceProfile, query: ServiceRequest) -> ModelMatch:
         if self._matchmaker is None:
             self.missing_ontology_failures += 1
             return NO_MATCH
         if not isinstance(description, ServiceProfile) or not isinstance(query, ServiceRequest):
-            # Anything can arrive in a PUBLISH or QUERY under this model's
-            # id; a payload of the wrong type matches nothing.
             self.malformed_payloads += 1
             return NO_MATCH
         verdict = self._matchmaker.verdict(description, query)
-        if verdict[0] is DegreeOfMatch.FAIL:
+        if verdict[0] is _FAIL:
             return NO_MATCH
-        return ModelMatch(matched=True, degree=int(verdict[0]), score=verdict[1])
+        return ModelMatch(True, int(verdict[0]), verdict[1])

@@ -95,6 +95,9 @@ class TemplateModel(DescriptionModel):
         return TemplateQuery(tokens=frozenset(tokens), max_results=request.max_results)
 
     def evaluate(self, description: TemplateDescription, query: TemplateQuery) -> ModelMatch:
+        if not (isinstance(description, TemplateDescription) and isinstance(query, TemplateQuery)):
+            self.malformed_payloads += 1
+            return ModelMatch.no_match()
         if not query.tokens:
             return ModelMatch.no_match()
         if query.tokens <= description.keywords:

@@ -67,6 +67,9 @@ class UriModel(DescriptionModel):
         return UriQuery(type_uri=type_uri, max_results=request.max_results)
 
     def evaluate(self, description: UriDescription, query: UriQuery) -> ModelMatch:
+        if not isinstance(description, UriDescription) or not isinstance(query, UriQuery):
+            self.malformed_payloads += 1
+            return ModelMatch.no_match()
         if description.type_uri == query.type_uri:
             return ModelMatch(matched=True, degree=1, score=1.0)
         return ModelMatch.no_match()

@@ -45,6 +45,9 @@ lowered further by input/QoS checks, never raised). The query evaluator
 uses those bounds for bounded top-k early termination: each group's
 bound is handed out before its body, and a group whose bound can no
 longer crack the top k is never expanded from its bitset at all.
+Expansion scans bytes, not bits: ``bytes.translate`` marks the mask's
+non-zero bytes, ``bytes.find`` hops between them and a 256-entry table
+gives each byte's set bits — O(mask bytes + ids taken).
 
 The candidate set is concept-exact per field; residual false positives
 (e.g. QoS-violating or input-incompatible profiles) are harmless because
@@ -114,8 +117,8 @@ class ConceptIndexer(abc.ABC):
     ) -> Iterator[tuple[int, Iterable[str]]] | None:
         """Candidates grouped by descending match-degree upper bound.
 
-        Yields ``(upper_bound, ad_ids)`` pairs with strictly descending
-        bounds; the union of all groups must obey the same superset
+        Yields disjoint ``(upper_bound, ad_ids)`` groups with strictly
+        descending bounds; their union must obey the same superset
         contract as :meth:`candidate_ids`, and no advertisement outside a
         group may ever match above that group's bound. ``ad_ids`` is a
         **single-pass iterable**: the consumer checks the bound first and
@@ -131,6 +134,11 @@ class ConceptIndexer(abc.ABC):
 
 #: Table order used throughout: closure tables first, exact tables second.
 _CATEGORY_CLOSURE, _OUTPUT_CLOSURE, _CATEGORY_EXACT, _OUTPUT_EXACT = range(4)
+
+#: Bitset expansion: byte value -> its set bits, ascending; and the
+#: ``bytes.translate`` table that marks every non-zero byte with a 1.
+_SET_BITS = tuple(tuple(bit for bit in range(8) if byte >> bit & 1) for byte in range(256))
+_NONZERO_BYTES = bytes([0] + [1] * 255)
 
 
 class SemanticConceptIndex(ConceptIndexer):
@@ -392,19 +400,19 @@ class SemanticConceptIndex(ConceptIndexer):
     def _ids_from_mask(self, bits: int) -> Iterator[str]:
         """Expand a slot bitset to ad ids, lazily, in ascending slot order.
 
-        One linear pass: the mask is rendered to binary digits once and
-        ``str.rfind`` walks the set bits from the low end, so the cost is
-        O(mask width + ids taken) — nothing until the first id is asked
-        for, and no big-int arithmetic per id.
+        A scan of the mask's bytes (see the module docstring): nothing until
+        the first id is asked for, and no big-int arithmetic per id.
         """
         ad_at = self._ad_at
-        digits = bin(bits)  # "0b1…", most significant bit first
-        top = len(digits) - 1
-        at = digits.rfind("1")
-        while at > 0:
-            self.expanded += 1
-            yield ad_at[top - at]
-            at = digits.rfind("1", 0, at)
+        octets = bits.to_bytes((bits.bit_length() + 7) >> 3, "little")
+        nonzero = octets.translate(_NONZERO_BYTES)
+        at = nonzero.find(1)
+        while at >= 0:
+            base = at << 3
+            for offset in _SET_BITS[octets[at]]:
+                self.expanded += 1
+                yield ad_at[base + offset]
+            at = nonzero.find(1, at + 1)
 
     # -- maintenance -----------------------------------------------------
 

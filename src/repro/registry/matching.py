@@ -13,7 +13,8 @@ returning bit-identical results:
   offered to the model's cheap :meth:`~repro.descriptions.base.DescriptionModel.prefilter`;
   an advertisement that cannot satisfy the request's hard QoS constraints
   would evaluate to FAIL anyway, so rejecting it early never changes the
-  hit list.
+  hit list. The model is asked once per query (``prefilter_for``) whether
+  the filter can reject anything; when it cannot, no candidate pays the call.
 * **Bounded top-k early termination** — when the query carries
   ``max_results`` and the store can rank candidates by degree upper bound
   (:meth:`~repro.registry.store.AdvertisementStore.ranked_candidates`),
@@ -21,6 +22,12 @@ returning bit-identical results:
   as the k-th best hit's degree strictly exceeds the next group's bound:
   no unscored advertisement can then displace any of the top k, so the
   capped ranking equals the exhaustive one bit for bit.
+
+A hit is built only for an advertisement that is returned: per match the
+scoring loop allocates one rank key ``(-degree, -score, ad_id, ad)`` —
+:meth:`QueryHit.sort_key` plus the record, which is never compared because
+``ad_id`` is unique in a store — so selection orders keys in C with no key
+function, and negating an int or a float twice gives the verdict's value back.
 """
 
 from __future__ import annotations
@@ -49,6 +56,11 @@ class QueryHit:
     def size_bytes(self) -> int:
         """A hit on the wire is the full advertisement plus rank fields."""
         return self.advertisement.size_bytes() + 16
+
+
+def _hits(keys: Iterable[tuple]) -> list[QueryHit]:
+    """The hits of rank keys (see the module docstring), in their order."""
+    return [QueryHit(ad, -neg_degree, -neg_score) for neg_degree, neg_score, _, ad in keys]
 
 
 class QueryEvaluator:
@@ -110,14 +122,14 @@ class QueryEvaluator:
             ranked = self.store.ranked_candidates(model.model_id, query)
             if ranked is not None:
                 return self._evaluate_top_k(model, query, ranked, max_results)
-        hits: list[QueryHit] = []
-        self._scorer(model, query, hits)(self.store.candidates(model.model_id, query))
+        keys: list[tuple] = []
+        self._scorer(model, query, keys)(self.store.candidates(model.model_id, query))
         if max_results is not None:
             # Top-k selection (O(n log k)); ``nsmallest`` is stable, so
             # this is exactly the full sort's prefix.
-            return heapq.nsmallest(max_results, hits, key=QueryHit.sort_key)
-        hits.sort(key=QueryHit.sort_key)
-        return hits
+            return _hits(heapq.nsmallest(max_results, keys))
+        keys.sort()
+        return _hits(keys)
 
     def _evaluate_top_k(
         self,
@@ -137,35 +149,40 @@ class QueryEvaluator:
         are deterministic per (advertisement, query), so the capped
         ranking is bit-identical to exhaustively scoring every candidate.
         """
-        hits: list[QueryHit] = []
-        score = self._scorer(model, query, hits)
+        keys: list[tuple] = []
+        score = self._scorer(model, query, keys)
         for upper_bound, ads in ranked:
-            if len(hits) >= max_results and sum(
-                1 for hit in hits if hit.degree > upper_bound
-            ) >= max_results:
-                self.early_terminations += 1
-                break
+            if len(keys) >= max_results:
+                floor, above = -upper_bound, 0
+                for key in keys:
+                    if key[0] < floor:
+                        above += 1
+                if above >= max_results:
+                    self.early_terminations += 1
+                    break
             score(ads)
-        return heapq.nsmallest(max_results, hits, key=QueryHit.sort_key)
+        return _hits(heapq.nsmallest(max_results, keys))
 
-    def _scorer(self, model: DescriptionModel, query: Any, hits: list[QueryHit]) -> Callable:
+    def _scorer(self, model: DescriptionModel, query: Any, keys: list[tuple]) -> Callable:
         """The one scoring loop: count, pre-filter, evaluate, collect.
 
-        Binds the model's ``prefilter``/``evaluate`` once per query and
-        returns a function appending the hits among ``ads`` to ``hits``.
+        Binds the model's ``evaluate`` and its pre-filter for this query (if any)
+        and returns a function appending the rank keys of ``ads`` to ``keys``.
         """
-        prefilter, evaluate = model.prefilter, model.evaluate
+        prefilter, evaluate = model.prefilter_for(query), model.evaluate
 
         def score(ads: Iterable[Advertisement]) -> None:
+            scored = 0
             for ad in ads:
-                self.descriptions_evaluated += 1
+                scored += 1
                 description = ad.description
-                if not prefilter(description, query):
+                if prefilter is not None and not prefilter(description, query):
                     self.prefiltered += 1
                     continue
                 verdict = evaluate(description, query)
                 if verdict.matched:
-                    hits.append(QueryHit(ad, verdict.degree, verdict.score))
+                    keys.append((-verdict.degree, -verdict.score, ad.ad_id, ad))
+            self.descriptions_evaluated += scored
 
         return score
 

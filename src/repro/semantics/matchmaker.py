@@ -54,6 +54,10 @@ class DegreeOfMatch(enum.IntEnum):
     EXACT = 3
 
 
+#: Read per scored candidate: module globals, not class attribute lookups.
+_FAIL, _EXACT = DegreeOfMatch.FAIL, DegreeOfMatch.EXACT
+
+
 @dataclass(frozen=True, slots=True)
 class MatchResult:
     """Outcome of matching one profile against one request.
@@ -241,7 +245,7 @@ class Matchmaker:
         if plan[0] is not request or plan[1] != self.reasoner.ontology.version:
             plan = self._plan_for(request)
         _, _, constraints, category_table, output_tables, provided_inputs = plan
-        FAIL, EXACT = DegreeOfMatch.FAIL, DegreeOfMatch.EXACT
+        FAIL, EXACT = _FAIL, _EXACT
 
         if constraints:
             failed = tuple(
@@ -254,11 +258,12 @@ class Matchmaker:
 
         # Score parts, in order: category, outputs in request order, QoS.
         parts: list[float] = []
-        category_degree = output_degree = input_degree = EXACT
+        overall = category_degree = output_degree = input_degree = EXACT
         if category_table is not None:
             category_degree, similarity = category_table[profile.category]
             if category_degree is None:
                 category_degree = category_table.degree(profile.category)
+            overall = category_degree
             parts.append(similarity)
         outputs = profile.outputs
         for table in output_tables:
@@ -279,10 +284,13 @@ class Matchmaker:
             if best_degree < output_degree:
                 output_degree = best_degree
             parts.append(best_similarity)
+        if output_degree < overall:
+            overall = output_degree
         if provided_inputs and profile.inputs:
             input_degree = self._input_degree(profile.inputs, provided_inputs)
+            if input_degree < overall:
+                overall = input_degree
 
-        overall = min(category_degree, output_degree, input_degree)
         if overall is FAIL:
             return FAIL, 0.0, output_degree, input_degree, category_degree, ()
         # A match has every requested concept (and the profile's category)

@@ -198,6 +198,80 @@ def test_malformed_semantic_publish_does_not_kill_later_queries(setup):
     assert registry.models.get("semantic").malformed_payloads == 1
 
 
+def _good_payloads(registry, model_id):
+    """A matching (description, query) pair rendered by the registry's own model."""
+    model = registry.models.get(model_id)
+    profile = ServiceProfile.build("radar-1", "ncw:RadarService", outputs=["ncw:AirTrack"])
+    request = ServiceRequest.build("ncw:RadarService", outputs=["ncw:AirTrack"])
+    return model.describe(profile, "svc://radar-1"), model.query_from(request)
+
+
+def _query(probe, registry, query_id, model_id, query):
+    probe.send(registry.node_id, protocol.QUERY,
+               protocol.QueryPayload(query_id=query_id, model_id=model_id,
+                                     query=query, max_results=3))
+
+
+@pytest.mark.parametrize("junk", ("description", "query"))
+@pytest.mark.parametrize("model_id", ("semantic", "template", "uri"))
+def test_malformed_payload_is_not_a_query_of_death(setup, model_id, junk):
+    """For every model: a stored description or a query of the wrong type
+    matches nothing and is counted; it never raises out of the query
+    handler, and the next QUERY is answered from the good record."""
+    system, registry, probe = setup
+    description, query = _good_payloads(registry, model_id)
+    _publish(probe, registry, name="radar-1", model_id=model_id, description=description)
+    if junk == "description":
+        _publish(probe, registry, name="junk", model_id=model_id,
+                 description="not a description")
+    else:
+        _query(probe, registry, "q-junk", model_id, "not a query")
+    system.run_for(0.5)
+    assert len(registry.store) == (2 if junk == "description" else 1)
+    _query(probe, registry, "q-good", model_id, query)
+    system.run_for(0.5)
+    by_id = {e.payload.query_id: e.payload.hits
+             for e in probe.of_type(protocol.QUERY_RESPONSE)}
+    assert [h.advertisement.service_name for h in by_id["q-good"]] == ["radar-1"]
+    if junk == "query":
+        assert by_id["q-junk"] == ()
+    assert registry.models.get(model_id).malformed_payloads == 1
+
+
+@pytest.mark.parametrize("model_id", ("semantic", "template", "uri"))
+def test_malformed_subscription_does_not_kill_the_next_publish(setup, model_id):
+    system, registry, probe = setup
+    description, query = _good_payloads(registry, model_id)
+    for sub_id, sub_query in (("sub-junk", "not a query"), ("sub-good", query)):
+        probe.send(registry.node_id, protocol.SUBSCRIBE,
+                   protocol.SubscribePayload(sub_id=sub_id, model_id=model_id,
+                                             query=sub_query, duration=30.0))
+    system.run_for(0.5)
+    _publish(probe, registry, name="radar-1", model_id=model_id, description=description)
+    system.run_for(0.5)
+    assert probe.of_type(protocol.PUBLISH_ACK)
+    assert [e.payload.sub_id for e in probe.of_type(protocol.NOTIFY)] == ["sub-good"]
+    assert registry.models.get(model_id).malformed_payloads == 1
+
+
+@pytest.mark.parametrize("model_id", ("semantic", "template", "uri"))
+def test_malformed_decentral_query_is_ignored_by_services(setup, model_id):
+    """Registry-less fallback: every service evaluates a multicast query itself."""
+    system, registry, probe = setup
+    profile = ServiceProfile.build("radar-1", "ncw:RadarService", outputs=["ncw:AirTrack"])
+    service = system.add_service("lan-0", profile)
+    system.run_for(0.5)
+    _, query = _good_payloads(registry, model_id)
+    for query_id, decentral in (("d-junk", "not a query"), ("d-good", query)):
+        probe.multicast(protocol.DECENTRAL_QUERY,
+                        protocol.QueryPayload(query_id=query_id, model_id=model_id,
+                                              query=decentral))
+    system.run_for(0.5)
+    assert [e.payload.query_id for e in probe.of_type(protocol.DECENTRAL_RESPONSE)
+            if e.src == service.node_id] == ["d-good"]
+    assert service.models.get(model_id).malformed_payloads == 1
+
+
 def test_duplicate_query_from_client_ignored(setup):
     system, registry, probe = setup
     from repro.descriptions.uri import UriQuery

@@ -15,19 +15,23 @@ assert, for every request shape the registries serve:
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import random
+from collections import Counter
 
 import pytest
 
 from repro.descriptions.base import ModelRegistry
 from repro.descriptions.semantic import SemanticModel
 from repro.registry.advertisements import Advertisement
+from repro.registry import matching
 from repro.registry.index import ConceptIndexer, SemanticConceptIndex
-from repro.registry.matching import QueryEvaluator
+from repro.registry.matching import QueryEvaluator, QueryHit
 from repro.registry.store import AdvertisementStore
 from repro.semantics.generator import OntologyGenerator, ProfileGenerator
 from repro.semantics.ontology import THING
-from repro.semantics.profiles import ServiceProfile, ServiceRequest
+from repro.semantics.profiles import QoSConstraint, ServiceProfile, ServiceRequest
 
 N_SEEDS = 6
 STORE_SIZE = 80
@@ -421,11 +425,7 @@ def test_malformed_query_matches_nothing():
 # -- one plan per query, the same reasoning as before -------------------------
 
 
-def test_plans_and_reasoning_counts_on_a_fixed_10k_query_set():
-    """One request plan per scoring query on either path, and exactly the matches
-    and subsumption checks the pre-plan matchmaker spent on this query set
-    (values recorded at the parent commit): the pair tables reason about a
-    pair when, and only when, the two memo dicts they replaced did."""
+def _fixed_10k_query_set():
     ontology = OntologyGenerator(42).random_ontology()
     gen = ProfileGenerator(ontology, seed=42)
     paths = _TwinPaths(ontology)
@@ -435,6 +435,16 @@ def test_plans_and_reasoning_counts_on_a_fixed_10k_query_set():
     requests = [gen.request_for(profiles[(i * 37) % 10_000], generalize=1, max_results=5)
                 for i in range(40)]
     requests += list(_request_corpus(gen, profiles, random.Random(42)))
+    return paths, requests
+
+
+def test_plans_and_reasoning_counts_on_a_fixed_10k_query_set():
+    """One request plan per scoring query on either path, and exactly the matches
+    and subsumption checks the pre-plan matchmaker spent on this query set
+    (values recorded at the parent commit): the pair tables reason about a
+    pair when, and only when, the two memo dicts they replaced did."""
+    paths, requests = _fixed_10k_query_set()
+
     def run(evaluator, model, request, cap):
         matchmaker = model.matchmaker
         plans, scored = matchmaker.plans_built, matchmaker.evaluations
@@ -450,3 +460,122 @@ def test_plans_and_reasoning_counts_on_a_fixed_10k_query_set():
         == (2126, 21702)
     assert (linear.reasoner.subsumption_checks, linear.matchmaker.evaluations) \
         == (2067, 91123)
+
+
+# -- ranking oracle: rank keys against a hit per match -------------------------
+
+
+def _constrained(request: ServiceRequest) -> ServiceRequest:
+    return dataclasses.replace(
+        request, qos_constraints=(QoSConstraint("latency_ms", maximum=250.0),))
+
+
+def _reference_ranking(model: SemanticModel, ads, query, max_results):
+    """The scoring loop as it stood before rank keys, verbatim: a
+    ``QueryHit`` per match, ordered by ``QueryHit.sort_key``."""
+    hits = []
+    for ad in ads:
+        description = ad.description
+        if not model.prefilter(description, query):
+            continue
+        verdict = model.evaluate(description, query)
+        if verdict.matched:
+            hits.append(QueryHit(ad, verdict.degree, verdict.score))
+    return sorted(hits, key=QueryHit.sort_key)[:max_results]
+
+
+@pytest.mark.parametrize("size", (50, 2_000))
+@pytest.mark.parametrize("seed", range(8))
+def test_ranking_equals_the_hit_per_match_reference(seed, size):
+    """Same records, same order, same degree and score objects' values —
+    capped and uncapped, indexed and linear — on stores where a fifth of
+    the records are copies of seven profiles under other ids (ties on
+    degree and score, broken by id) and slot order is not id order."""
+    ontology = OntologyGenerator(seed).random_ontology()
+    gen = ProfileGenerator(ontology, seed=seed)
+    rng = random.Random(4000 + seed)
+    paths = _TwinPaths(ontology)
+    distinct = gen.profiles(size * 4 // 5)
+    profiles = distinct + [distinct[i % 7] for i in range(size - len(distinct))]
+    ids = list(range(size))
+    rng.shuffle(ids)
+    for i, profile in zip(ids, profiles):
+        paths.put(_ad(i, profile))
+    for i, junk in enumerate(("not a profile", None), start=size):
+        paths.put(dataclasses.replace(_ad(i, distinct[0]), description=junk))
+    stored = paths.linear_store.of_model("semantic")
+    reference_model = SemanticModel(ontology)
+
+    requests = list(_request_corpus(gen, distinct, rng))
+    requests += [gen.request_for(distinct[i], generalize=i % 2) for i in range(7)]
+    requests += [_constrained(request) for request in requests[::3]]
+    tied = 0
+    for request in requests:
+        full = _reference_ranking(reference_model, stored, request, None)
+        tied += any(a.degree == b.degree and a.score == b.score
+                    for a, b in zip(full, full[1:]))
+        for cap in (1, 5, None):
+            for evaluator in (paths.indexed, paths.linear):
+                hits = evaluator.evaluate("semantic", request, max_results=cap)
+                assert [(h.advertisement.ad_id, h.degree, h.score) for h in hits] \
+                    == [(h.advertisement.ad_id, h.degree, h.score) for h in full[:cap]], \
+                    (seed, request, cap)
+                assert all(h.advertisement is e.advertisement for h, e in zip(hits, full))
+                assert all(type(h.degree) is int and type(h.score) is float for h in hits)
+    assert tied > 0
+
+
+# -- a hit only for what is returned, a pre-filter only when it can reject ----
+
+
+def test_allocation_and_model_call_counts_on_the_fixed_10k_query_set(monkeypatch):
+    """Machine-independent gates on what one ``evaluate`` costs: it builds a
+    ``QueryHit`` per advertisement it returns (not per match), calls the
+    model's ``evaluate`` once per candidate the pre-filter let through, and
+    calls ``prefilter`` per candidate only for a request with QoS
+    constraints — where the rejected count and the hits are the ones the
+    per-candidate loop produced (literals recorded at the parent commit)."""
+    paths, requests = _fixed_10k_query_set()
+    unconstrained = [r for r in requests if not r.qos_constraints]
+    calls: Counter = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    class CountedHit(QueryHit):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs):
+            calls["hits"] += 1
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(matching, "QueryHit", CountedHit)
+    for method in ("prefilter", "evaluate"):
+        monkeypatch.setattr(SemanticModel, method,
+                            counted(method, SemanticModel.__dict__[method]))
+
+    def run(evaluator, request):
+        before = Counter(calls)
+        scored, rejected = evaluator.descriptions_evaluated, evaluator.prefiltered
+        hits = evaluator.evaluate("semantic", request, max_results=request.max_results)
+        spent = calls - before
+        scored = evaluator.descriptions_evaluated - scored
+        assert spent["hits"] == len(hits) <= request.max_results
+        assert spent["evaluate"] == scored - (evaluator.prefiltered - rejected)
+        assert spent["prefilter"] == (scored if request.qos_constraints else 0)
+        return _rows(hits)
+
+    for evaluator, subset in ((paths.indexed, unconstrained),
+                              (paths.linear, unconstrained[::5])):
+        for request in subset:
+            run(evaluator, request)
+        assert evaluator.prefiltered == 0
+    rows = [run(paths.indexed, _constrained(request)) for request in unconstrained]
+    assert rows[::5] == [run(paths.linear, _constrained(request))
+                         for request in unconstrained[::5]]
+    assert (paths.indexed.prefiltered, paths.linear.prefiltered) == (19799, 62500)
+    assert (sum(map(len, rows)), hashlib.sha256(repr(rows).encode()).hexdigest()[:16]) \
+        == (226, "d0c0fa296093fd11")

@@ -340,7 +340,13 @@ def test_mask_expansion_matches_the_lowest_set_bit_loop(width):
         "all ones": (1 << width) - 1,
         "sparse": sum(1 << slot for slot in rng.sample(range(width), max(1, width // 9))),
         "dense": ((1 << width) - 1) & ~sum(1 << rng.randrange(width) for _ in range(3)),
+        # Both sides of a byte and of a 64-bit word, and the last slot.
+        "byte and word edges": sum(1 << bit for bit in {7, 8, 63, 64, width - 1}
+                                   if bit < width),
     }
+    if width >= 8:  # a mask whose most significant byte is exactly 0x80
+        top = width - width % 8 - 1
+        masks["top byte 0x80"] = 1 << top | (1 if top > 7 else 0)  # plus bit 0 when apart
     for name, bits in masks.items():
         before = index.expanded
         ids = list(index._ids_from_mask(bits))
@@ -356,6 +362,28 @@ def test_mask_expansion_is_lazy_and_counts_only_ids_taken():
     assert index.expanded == 0  # nothing until the first id is asked for
     assert [next(ids), next(ids), next(ids)] == ["ad-000000", "ad-000001", "ad-000002"]
     assert index.expanded == 3
+
+
+def test_mask_expansion_over_recycled_slots():
+    """Freed slots are holes the mask never names; reused ones yield the new id."""
+    ontology = OntologyGenerator(3).random_ontology()
+    gen = ProfileGenerator(ontology, seed=3)
+    index = SemanticConceptIndex(SemanticModel(ontology))
+    ads = [_ad(i, profile) for i, profile in enumerate(gen.profiles(70))]
+    for ad in ads:
+        index.add(ad)
+    for ad in ads[5:70:3]:  # frees slots 5, 8, …, 62, 65, 68
+        index.discard(ad)
+    for i in range(100, 109):
+        index.add(_ad(i, gen.random_profile(i)))
+    assert index._free_slots and len(index._ad_at) == 70  # some reused, some still free
+    live = set(index._slot_of)
+    assert {f"ad-{i:06d}" for i in range(100, 109)} <= live
+    bits = index._all_profiles_mask()
+    ids = list(index._ids_from_mask(bits))
+    assert ids == _lowest_set_bit_expansion(index._ad_at, bits)
+    assert len(ids) == len(live) and set(ids) == live
+    assert index.candidate_ids(ServiceRequest.build(THING)) == live
 
 
 def _assert_masks_mirror_tables(index: SemanticConceptIndex) -> None:

@@ -1,7 +1,7 @@
 """Alternating parent/change pairs of the repo's benchmark, with a verdict.
 
-    make perf-pairs PARENT=<rev> WORKLOAD=<name> [PAIRS=10] [SEED=1000]
-    python3 tools/perf_pairs.py --parent <rev> --workload <name> [--pairs N] [--seed S]
+    make perf-pairs PARENT=<rev> WORKLOAD=<name>|all [PAIRS=10] [SEED=1000]
+    python3 tools/perf_pairs.py --parent <rev> --workload <name>|all [--pairs N] [--seed S]
 
 The *change* is this working tree; the *parent* is ``<rev>`` exported into
 a temporary directory (``git archive``: nothing is written under ``.git``,
@@ -29,17 +29,22 @@ unresolved
     neither, and the spread is wider than the bound.
 
 Every run made is listed, so the output can be pasted as the record.
+``--workload all`` does this for every workload of ``BENCHMARK.json`` in
+turn, one table each, against one export of the parent; the exit status is
+1 if any of them regressed.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import pathlib
 import statistics
 import subprocess
 import sys
 import tempfile
+from typing import Iterator
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 HARNESS = ("BENCHMARK.json", "benchmarks/perf")
@@ -96,44 +101,40 @@ def run_once(tree: pathlib.Path, workload: str, seed: int, seconds: float) -> di
     return json.loads(lines[-1])
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--parent", required=True, help="revision to compare against")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=1000, help="pair i runs seed S+i")
-    args = parser.parse_args(argv)
-
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    if args.workload not in {w["name"] for w in spec["workloads"]}:
-        parser.error(f"unknown workload {args.workload!r}")
-    seconds = spec["run_seconds"]
-    if subprocess.run(["git", "diff", "--quiet", args.parent, "--", *HARNESS],
+@contextlib.contextmanager
+def exported(rev: str) -> Iterator[pathlib.Path]:
+    """``rev`` exported into a temporary directory, removed on exit."""
+    if subprocess.run(["git", "diff", "--quiet", rev, "--", *HARNESS],
                       cwd=ROOT).returncode:
-        sys.exit(f"{' and '.join(HARNESS)} differ from {args.parent}: "
+        sys.exit(f"{' and '.join(HARNESS)} differ from {rev}: "
                  "a change that edits the benchmark cannot be paired against it")
-
     with tempfile.TemporaryDirectory(prefix="perf-pairs-") as tmp:
-        archive = subprocess.run(["git", "archive", args.parent], cwd=ROOT,
+        archive = subprocess.run(["git", "archive", rev], cwd=ROOT,
                                  check=True, capture_output=True).stdout
         subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
-        trees = {"parent": pathlib.Path(tmp), "change": ROOT}
-        names = [m["name"] for m in spec["end_to_end"]]
-        values = {side: {name: [] for name in names} for side in trees}
-        ops = {side: [0, 0] for side in trees}  # failed, attempted
-        print(f"# {args.workload}: {args.pairs} pairs, parent {args.parent}, "
-              f"--seconds {seconds} --trace 0")
-        print(f"# {'seed':>6} {'side':<7}" + "".join(f"{n:>19}" for n in names))
-        for i in range(args.pairs):
-            for side in (("parent", "change"), ("change", "parent"))[i % 2]:
-                result = run_once(trees[side], args.workload, args.seed + i, seconds)
-                ops[side][0] += result["failed"]
-                ops[side][1] += result["attempted"]
-                row = [result["metrics"][name]["value"] for name in names]
-                for name, value in zip(names, row):
-                    values[side][name].append(value)
-                print(f"  {args.seed + i:>6} {side:<7}"
-                      + "".join(f"{v:>19.6g}" for v in row), flush=True)
+        yield pathlib.Path(tmp)
+
+
+def compare(trees: dict[str, pathlib.Path], spec: dict, workload: str,
+            *, parent: str, pairs: int, seed: int) -> bool:
+    """Run and print one workload's pairs and table; whether it regressed."""
+    seconds = spec["run_seconds"]
+    names = [m["name"] for m in spec["end_to_end"]]
+    values = {side: {name: [] for name in names} for side in trees}
+    ops = {side: [0, 0] for side in trees}  # failed, attempted
+    print(f"# {workload}: {pairs} pairs, parent {parent}, "
+          f"--seconds {seconds} --trace 0")
+    print(f"# {'seed':>6} {'side':<7}" + "".join(f"{n:>19}" for n in names))
+    for i in range(pairs):
+        for side in (("parent", "change"), ("change", "parent"))[i % 2]:
+            result = run_once(trees[side], workload, seed + i, seconds)
+            ops[side][0] += result["failed"]
+            ops[side][1] += result["attempted"]
+            row = [result["metrics"][name]["value"] for name in names]
+            for name, value in zip(names, row):
+                values[side][name].append(value)
+            print(f"  {seed + i:>6} {side:<7}"
+                  + "".join(f"{v:>19.6g}" for v in row), flush=True)
 
     def cell(q: tuple[float, float, float]) -> str:
         return f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]"
@@ -151,7 +152,30 @@ def main(argv: list[str] | None = None) -> int:
               f"{v['verdict']} ({metric['better']} is better, bound {metric['bound']})")
     for side, (failed, attempted) in ops.items():
         print(f"{side}: {failed} failed of {attempted} operations attempted")
-    return 1 if regressed or ops["change"][0] > ops["parent"][0] else 0
+    return regressed or ops["change"][0] > ops["parent"][0]
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="revision to compare against")
+    parser.add_argument("--workload", required=True,
+                        help="a workload of BENCHMARK.json, or 'all' for each in turn")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=1000, help="pair i runs seed S+i")
+    args = parser.parse_args(argv)
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in spec["workloads"]]
+    if args.workload != "all":
+        if args.workload not in workloads:
+            parser.error(f"unknown workload {args.workload!r}")
+        workloads = [args.workload]
+    with exported(args.parent) as parent:
+        trees = {"parent": parent, "change": ROOT}
+        regressed = [compare(trees, spec, workload, parent=args.parent,
+                             pairs=args.pairs, seed=args.seed)
+                     for workload in workloads]
+    return 1 if any(regressed) else 0
 
 
 if __name__ == "__main__":
