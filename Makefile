@@ -67,9 +67,7 @@ test:
 ## bytes tracking ~K*R/S on the 100k-ad ring sweep, join/leave moving
 ## no more than K*R/S copies, probe success >= 0.99 while R-1 replicas
 ## of a shard are fail-stopped, a clean placement/convergence sweep at
-## the end, byte-identical same-seed traces, and the default (sharding
-## off) configuration exporting byte-identical traces with every shard
-## counter at zero.
+## the end, and byte-identical same-seed traces.
 $(SMOKE_TARGETS): %-smoke:
 	$(PYTHON) -m pytest benchmarks/$(patsubst $*:%,%,$(filter $*:%,$(SMOKES))).py -q
 

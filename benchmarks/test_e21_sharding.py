@@ -18,9 +18,10 @@ Gates the PR's acceptance criteria:
   anti-entropy re-fill the surviving replicas.
 * **Determinism** — two same-seed faulted runs export byte-identical
   trace JSONL.
-* **Inertness** — sharding knobs present-but-disabled produce the exact
-  trace bytes of a config that never mentions sharding, and every shard
-  counter stays zero: the default-off contract.
+
+That sharding left disabled changes nothing is not gated here: a
+registry whose configuration does not enable it registers none of it,
+which ``tests/test_kernel_surface.py`` states for every subsystem.
 """
 
 from repro.experiments.e21_sharding import R, run, run_shard_smoke
@@ -64,9 +65,3 @@ def test_e21_smoke_gates():
     # Determinism: same seed, same trace bytes.
     assert faulted["trace"] == smoke["repeat_trace"]
     assert faulted["trace"]
-
-    # Inertness: tuned-but-disabled sharding is byte-identical to a
-    # config that never mentions sharding, and touches no shard counter.
-    assert smoke["off_trace_tuned"] == smoke["off_trace_plain"]
-    assert smoke["off_trace_tuned"]
-    assert all(v == 0 for v in smoke["off_counters"].values())

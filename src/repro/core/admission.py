@@ -186,11 +186,12 @@ def request_id_of(envelope: Envelope) -> str:
 class AdmissionController:
     """The bounded single-server queue in front of one registry.
 
-    :meth:`intercept` is called from :meth:`~repro.netsim.node.Node.receive`
-    before dispatch. Messages whose class carries a positive cost are
-    queued (or shed with a BUSY); a service timer dispatches the head of
-    the queue after its cost elapses. Everything else — and everything
-    when the policy is inert — flows through untouched.
+    Registered as the registry's ``interceptor`` where the policy is
+    active: :meth:`~repro.netsim.node.Node.receive` then calls
+    :meth:`intercept` before dispatch. Messages whose class carries a
+    positive cost are queued (or shed with a BUSY); a service timer
+    dispatches the head of the queue after its cost elapses. Everything
+    else flows through untouched.
 
     Accounting is exhaustive so the queue-drain invariant can audit it:
     every intercepted message is eventually *dispatched*, *shed* (with
@@ -243,11 +244,11 @@ class AdmissionController:
         """Whether the degraded-mode threshold has been crossed.
 
         Only a *bounded* queue can be overloaded: the unbounded baseline
-        never degrades (and never sheds) — it just falls behind.
+        never degrades (and never sheds) — it just falls behind; an
+        inert policy queues nothing, and depth 0 is below any threshold.
         """
-        if not self.policy.active() or self.policy.queue_limit is None:
-            return False
-        return self.depth >= self.policy.degrade_at * self.policy.queue_limit
+        limit = self.policy.queue_limit
+        return limit is not None and self.depth >= self.policy.degrade_at * limit
 
     # -- interception ----------------------------------------------------
 

@@ -28,7 +28,8 @@ updates epidemically — K rounds cover a federation of diameter K, the
 bound the convergence invariant in :mod:`repro.core.invariants` asserts.
 
 Only meaningful under ``COOPERATION_REPLICATE_ADS``; forwarding registries
-hold disjoint stores by design and never reconcile.
+hold disjoint stores by design and never reconcile: there the registry
+registers none of this — no bookkeeping, no handler, no round.
 """
 
 from __future__ import annotations
@@ -68,14 +69,9 @@ class AntiEntropy:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def enabled(self) -> bool:
-        """Whether reconciliation is active for this deployment."""
-        return self.config.antientropy_enabled()
-
     def start(self) -> None:
-        """Arm the periodic digest round (no-op when disabled)."""
-        if self.enabled():
-            assert self.config.antientropy_interval is not None
+        """Arm the periodic digest round, where the deployment has one."""
+        if self.config.antientropy_interval is not None:
             self.registry.every(self.config.antientropy_interval, self.run_round)
 
     def reset(self) -> None:
@@ -83,21 +79,25 @@ class AntiEntropy:
         self.epochs.clear()
         self.tombstones.clear()
 
-    # -- store bookkeeping (called only by the registry's write path) ------
+    # -- store bookkeeping: a write observer, in DurabilityManager.log_*'s shape
 
-    def note_stored(self, ad_id: str, epoch: int) -> None:
-        """An advertisement was stored/refreshed with origin ``epoch``."""
-        if epoch > self.epochs.get(ad_id, -1):
-            self.epochs[ad_id] = epoch
+    def log_store(self, ad, *, origin_epoch: int, **_lease) -> None:
+        """An advertisement was stored/refreshed with ``origin_epoch``."""
+        self.log_renew(ad.ad_id, origin_epoch=origin_epoch)
+
+    def log_renew(self, ad_id: str, *, origin_epoch: int, **_lease) -> None:
+        """A held advertisement's lease was extended in ``origin_epoch``."""
+        if origin_epoch > self.epochs.get(ad_id, -1):
+            self.epochs[ad_id] = origin_epoch
         self.tombstones.pop(ad_id, None)
 
-    def note_dropped(self, ad_id: str) -> None:
+    def log_expire(self, ad_id: str) -> None:
         """An advertisement left the store without an explicit removal
-        (lease expiry, capacity eviction): no tombstone — expiry is
+        (lease expiry, shard hand-off): no tombstone — expiry is
         already convergent, every replica's lease lapses on its own."""
         self.epochs.pop(ad_id, None)
 
-    def note_removed(self, ad_id: str, version: int) -> None:
+    def log_remove(self, ad_id: str, version: int) -> None:
         """An advertisement was explicitly removed: tombstone it so a
         stale replica cannot resurrect it through reconciliation."""
         self.epochs.pop(ad_id, None)
@@ -112,8 +112,10 @@ class AntiEntropy:
     def _now(self) -> float:
         return self.registry.sim.now if self.registry.network is not None else 0.0
 
-    def _prune_tombstones(self) -> None:
-        """Bound tombstone growth: age horizon plus a hard size cap.
+    def prune_tombstones(self) -> None:
+        """Bound tombstone growth: age horizon plus a hard size cap. Runs
+        before every digest and — for deployments without digest rounds —
+        on the registry's purge sweep.
 
         The age prune drops tombstones older than ``2 * lease_duration`` —
         by then every replica's lease lapsed on its own. Under
@@ -157,11 +159,10 @@ class AntiEntropy:
         only the co-owned replica ranges — the per-round digest cost
         scales with the shared shards (~K·R/S ads), not the whole store.
         """
-        self._prune_tombstones()
-        scoped = peer is not None and self.registry.shard.active()
+        self.prune_tombstones()
 
         def covered(ad_id: str) -> bool:
-            return not scoped or self.registry.shard.co_owned(ad_id, peer)
+            return peer is None or self.registry.replication.co_owned(ad_id, peer)
 
         entries = tuple(
             (ad.ad_id, ad.version, self.epochs.get(ad.ad_id, 0))
@@ -176,19 +177,9 @@ class AntiEntropy:
         return protocol.DigestPayload(entries=entries, tombstones=tombstones)
 
     def run_round(self) -> None:
-        """One periodic round: send our digest to every neighbor."""
-        if not self.enabled():
-            return
-        sharded = self.registry.shard.active()
-        if sharded:
-            # Per-shard rounds: gossip only with registries sharing a
-            # replica range, each digest scoped to the shared shards.
-            # The stray sweep runs first so the digests reflect the
-            # post-placement store.
-            self.registry.shard.sweep_strays()
-            neighbors = sorted(self.registry.shard.shard_peers())
-        else:
-            neighbors = sorted(self.registry.federation.neighbors)
+        """One periodic round: send each gossip peer the digest of what we
+        share with it (under sharding: the co-owned replica ranges)."""
+        neighbors = self.registry.replication.gossip_peers()
         if not neighbors:
             return
         self.rounds_run += 1
@@ -196,17 +187,12 @@ class AntiEntropy:
         network = self.registry.network
         if network is not None and network.health.active:
             network.health.feed_liveness("antientropy-round", self.registry.node_id)
-        whole = None if sharded else self.digest()
         for neighbor in neighbors:
-            self.registry.send(
-                neighbor, protocol.ANTIENTROPY_DIGEST,
-                self.digest(neighbor) if sharded else whole,
-            )
+            self.registry.send(neighbor, protocol.ANTIENTROPY_DIGEST,
+                               self.digest(neighbor))
 
     def sync_with(self, peer: str) -> None:
         """Kick off a digest exchange with one peer (join, promotion)."""
-        if not self.enabled() or peer == self.registry.node_id:
-            return
         self.registry.send(peer, protocol.ANTIENTROPY_DIGEST, self.digest(peer))
 
     # -- message handling --------------------------------------------------
@@ -225,7 +211,8 @@ class AntiEntropy:
         # A digest is direct proof of life: replay any hinted writes
         # before reconciling, so the peer's digest round converges on
         # the post-handoff store.
-        self.registry.shard.peer_alive(src)
+        replication = self.registry.replication
+        replication.peer_alive(src)
         store = self.registry.store
         # Adopt the peer's tombstones: delete our replica of anything the
         # peer saw removed, and remember the removal ourselves.
@@ -252,14 +239,12 @@ class AntiEntropy:
 
         theirs = {ad_id: (version, epoch) for ad_id, version, epoch in payload.entries}
         their_tombs = dict(payload.tombstones)
-        shard = self.registry.shard
-        sharded = shard.active()
 
         wants = sorted(
             ad_id
             for ad_id, (version, epoch) in theirs.items()
             if not self.blocked(ad_id, version)
-            and (not sharded or shard.owns_local(ad_id))
+            and replication.holds(ad_id)
             and (
                 ad_id not in store
                 or (version, epoch)
@@ -277,7 +262,7 @@ class AntiEntropy:
         push = [
             ad for ad in store.all()
             if ad.version > their_tombs.get(ad.ad_id, -1)
-            and (not sharded or shard.co_owned(ad.ad_id, src))
+            and replication.co_owned(ad.ad_id, src)
             and (
                 ad.ad_id not in theirs
                 or (ad.version, self.epochs.get(ad.ad_id, 0)) > theirs[ad.ad_id]

@@ -24,13 +24,11 @@ from repro.core.bootstrap import RegistryTracker
 from repro.core.config import DiscoveryConfig
 from repro.core.routing import Router
 from repro.descriptions.base import DescriptionModel, ModelRegistry
-from repro.descriptions.semantic import SemanticModel
 from repro.netsim.messages import Envelope
 from repro.netsim.node import Node
 from repro.obs.tracing import Span, TraceRecorder
 from repro.registry.advertisements import new_uuid
 from repro.registry.matching import QueryEvaluator, QueryHit
-from repro.semantics.ontology import Ontology
 from repro.semantics.profiles import ServiceRequest
 
 @dataclass
@@ -607,7 +605,5 @@ class ClientNode(Node):
         if not isinstance(payload, protocol.ArtifactReplyPayload) or not payload.found:
             return
         self.artifacts_fetched[payload.artifact_name] = payload.artifact
-        if isinstance(payload.artifact, Ontology) and self.models.supports("semantic"):
-            model = self.models.get("semantic")
-            if isinstance(model, SemanticModel):
-                model.attach_ontology(payload.artifact)
+        for model in self.models:
+            model.accept_artifact(payload.artifact)

@@ -132,7 +132,7 @@ class DiscoveryConfig:
     #: remove-heavy churn the tombstone map would otherwise grow without
     #: limit; past the cap, tombstones older than the resurrection-safe
     #: floor (``lease_duration + 2 * purge_interval`` — see
-    #: :meth:`~repro.core.antientropy.AntiEntropy._prune_tombstones`)
+    #: :meth:`~repro.core.antientropy.AntiEntropy.prune_tombstones`)
     #: are evicted oldest-first. ``None`` disables the size cap (the
     #: ``2 * lease_duration`` age prune still applies).
     antientropy_tombstone_cap: int | None = 4096
@@ -168,10 +168,10 @@ class DiscoveryConfig:
 
     # -- sharded federation --------------------------------------------------
     #: Consistent-hash partitioning with quorum writes and replica-set
-    #: query routing (see :mod:`repro.core.sharding`). The default has
-    #: sharding off and fully inert: replicate-ads cooperation keeps its
-    #: replicate-everywhere flood and traces stay byte-identical to a
-    #: pre-sharding deployment.
+    #: query routing (see :mod:`repro.core.sharding`); needs
+    #: ``replicate-ads``. The default has sharding off: replicate-ads
+    #: cooperation keeps its replicate-everywhere flood and traces stay
+    #: byte-identical to a pre-sharding deployment.
     sharding: ShardingConfig = ShardingConfig()
 
     # -- runtime health ------------------------------------------------------
@@ -201,6 +201,11 @@ class DiscoveryConfig:
         if self.cooperation not in _COOPERATION:
             raise ReproError(
                 f"unknown cooperation {self.cooperation!r}; choose from {sorted(_COOPERATION)}"
+            )
+        if self.sharding.enabled and self.cooperation != COOPERATION_REPLICATE_ADS:
+            raise ReproError(
+                "sharding.enabled partitions what replicate-ads cooperation "
+                f"replicates; it cannot be combined with {self.cooperation!r}"
             )
         if not 0.0 < self.renew_fraction < 1.0:
             raise ReproError(f"renew_fraction must be in (0, 1), got {self.renew_fraction}")

@@ -28,7 +28,8 @@ Torn tail writes stop replay at the damaged frame; records whose CRC
 fails are skipped and counted (``durability.corrupt_skipped``) — the
 next anti-entropy round repairs whatever a skipped record lost.
 
-The all-off default (``DurabilityConfig()``) is fully inert: no disk is
+With the all-off default (``DurabilityConfig()``) the registry registers
+none of this — no write is observed, no snapshot armed — so no disk is
 ever attached, no header is added to any message, and event timing is
 bit-identical to a build without this module.
 """
@@ -309,9 +310,7 @@ class DurabilityManager:
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> None:
-        """Load persisted meta and arm the periodic snapshot (if enabled)."""
-        if not self.enabled:
-            return
+        """Load persisted meta and arm the periodic snapshot."""
         if not self._meta_loaded:
             self._meta_loaded = True
             records, _corrupt, _torn = scan_records(self.port().read(META_FILE))
@@ -334,7 +333,10 @@ class DurabilityManager:
         port.write(SNAPSHOT_FILE, b"")
         self._records_since_snapshot = 0
 
-    # -- logging (called by the registry on every store mutation) ----------
+    def reset(self) -> None:
+        """A crash loses nothing here: what was logged is on the disk."""
+
+    # -- logging: a write observer of the registry's write path ------------
 
     def _append(self, record: tuple) -> None:
         self.port().append(WAL_FILE, frame_record(record))
@@ -358,32 +360,24 @@ class DurabilityManager:
         origin_epoch: int,
     ) -> None:
         """An advertisement was stored or refreshed (publish/absorb)."""
-        if self.enabled:
-            self._append(
-                ("store", ad, lease_id, duration, expires_at, origin_epoch)
-            )
+        self._append(("store", ad, lease_id, duration, expires_at, origin_epoch))
 
     def log_renew(self, ad_id: str, *, expires_at: float, origin_epoch: int) -> None:
         """A lease renewal extended an advertisement's expiry."""
-        if self.enabled:
-            self._append(("renew", ad_id, expires_at, origin_epoch))
+        self._append(("renew", ad_id, expires_at, origin_epoch))
 
     def log_remove(self, ad_id: str, version: int) -> None:
         """An advertisement was explicitly removed (tombstoned)."""
-        if self.enabled:
-            self._append(("remove", ad_id, version, self.registry.sim.now))
+        self._append(("remove", ad_id, version, self.registry.sim.now))
 
     def log_expire(self, ad_id: str) -> None:
         """The purge task dropped an advertisement whose lease lapsed."""
-        if self.enabled:
-            self._append(("expire", ad_id))
+        self._append(("expire", ad_id))
 
     # -- snapshots ---------------------------------------------------------
 
     def snapshot(self) -> None:
         """Write a full-state snapshot and truncate the WAL (compaction)."""
-        if not self.enabled:
-            return
         registry = self.registry
         entries = []
         for ad in sorted(registry.store.all(), key=lambda a: a.ad_id):
@@ -505,8 +499,11 @@ class DurabilityManager:
                 restore=(lease_id, expires_at),
             )
             replayed += 1
-        for ad_id in sorted(tombstones):
-            registry.antientropy.tombstones[ad_id] = tombstones[ad_id]
+        # Only where they are read: a registry that replicates nothing
+        # keeps no replica bookkeeping.
+        if registry.antientropy in registry.write_observers:
+            for ad_id in sorted(tombstones):
+                registry.antientropy.tombstones[ad_id] = tombstones[ad_id]
 
         self.incarnation += 1
         self.recoveries += 1

@@ -157,14 +157,9 @@ class Federation:
         self.record_neighbor_success(other_id)
         if description is not None:
             self.known[other_id] = description
-            self.registry.on_registry_observed(description)
+            self.registry.replication.registry_observed(description)
         if is_new:
             self.registry.on_neighbor_added(other_id)
-            if self.registry.shard.configured():
-                # Hand the new neighbor our full membership view at once
-                # (same convergence rationale as the observe() rumor).
-                self.registry.send(other_id, protocol.REGISTRY_LIST_REPLY,
-                                   self.registry_list())
 
     # -- observation -----------------------------------------------------------
 
@@ -198,20 +193,8 @@ class Federation:
             return
         is_new = current is None
         self.known[description.registry_id] = description
-        self.registry.on_registry_observed(description)
-        if is_new and self.registry.shard.configured():
-            # Sharded mode: key placement is only correct once every
-            # member sees the same ring, so a first sighting is rumored
-            # to the neighbors immediately instead of waiting for the
-            # periodic signalling round (which moves knowledge one hop
-            # per round — O(diameter × interval) to converge). Each
-            # registry forwards a given member at most once, so the
-            # flood is bounded at N² messages federation-wide.
-            rumor = protocol.RegistryListPayload(registries=(description,))
-            for neighbor in sorted(self.neighbors):
-                if neighbor != description.registry_id:
-                    self.registry.send(neighbor, protocol.REGISTRY_LIST_REPLY,
-                                       rumor)
+        self.registry.replication.registry_observed(description,
+                                                    first_sighting=is_new)
         if (
             description.lan_name == self.registry.lan_name
             and description.registry_id not in self.neighbors
@@ -254,7 +237,7 @@ class Federation:
             self._missed_pongs[src] = 0
             self.record_neighbor_success(src)
         # Proof of life: replay any writes hinted while the peer was down.
-        self.registry.shard.peer_alive(src)
+        self.registry.replication.peer_alive(src)
 
     def _neighbor_lost(self, neighbor: str) -> None:
         """Failure detector fired: unlink and try to re-wire the network."""

@@ -185,8 +185,6 @@ def _canonical_ring(system: "DiscoverySystem", members):
         ring.add(registry.node_id, getattr(registry, "ring_identity", registry.node_id))
     for registry in sorted(members, key=lambda r: r.node_id):
         live = registry.shard
-        if not live.configured():
-            continue
         for member in sorted(live.ring.members()):
             if member not in ring:
                 ring.add(member, live.ring.ring_id_of(member))
@@ -228,12 +226,7 @@ def check_shard_placement(system: "DiscoverySystem") -> list[str]:
     every live advertisement must still have at least one alive assigned
     replica holding it. Vacuous when sharding is off.
     """
-    from repro.core.config import COOPERATION_REPLICATE_ADS
-
-    if (
-        not system.config.sharding.enabled
-        or system.config.cooperation != COOPERATION_REPLICATE_ADS
-    ):
+    if not system.config.sharding.enabled:
         return []
     members = [
         r for r in system.registries

@@ -11,8 +11,9 @@ storage), a :class:`~repro.registry.LeaseManager` (aliveness, §4.8), a
 :class:`~repro.registry.QueryEvaluator` over pluggable description models,
 an :class:`~repro.core.repository.ArtifactRepository` (§4.6), and a
 :class:`~repro.core.federation.Federation` (registry network maintenance,
-§4.9). Query forwarding strategies live in
-:mod:`repro.core.forwarding` and are selected by configuration.
+§4.9). Query forwarding strategies live in :mod:`repro.core.forwarding`,
+the cooperation over advertisements in :mod:`repro.core.replication`;
+both are selected by configuration, once, in the constructor.
 
 Registry content is *soft state*: a crash loses everything, and the
 architecture rebuilds it from service-node republishes and leases — which
@@ -49,6 +50,7 @@ from repro.core.forwarding import (
     RingController,
     SeenQueries,
 )
+from repro.core.replication import FloodReplicator, Replication
 from repro.core.repository import ArtifactRepository
 from repro.core.routing import Router
 from repro.core.sharding import ShardManager
@@ -108,6 +110,9 @@ class RegistryNode(Node):
             lan_name="",
             supported_models=self.models.model_ids(),
         )
+        # Every registry constructs every subsystem (their counters are
+        # read where they are off); one the configuration leaves off is
+        # registered nowhere below, and never asked whether it is on.
         self.federation = Federation(self, config, describe=self.describe)
         self.antientropy = AntiEntropy(self, config)
         #: Overload protection: bounded service queue + BUSY shedding.
@@ -116,7 +121,6 @@ class RegistryNode(Node):
         #: passively by forwarded-query round-trips and peer BUSYs.
         self.router = Router(config.routing, self)
         #: WAL + snapshot persistence and epoch-fenced crash recovery.
-        #: Inert (no disk, no headers) unless ``config.durability`` opts in.
         self.durability = DurabilityManager(self, config.durability)
         #: Identity under which this registry's virtual nodes hash onto
         #: the consistent-hash ring. Normally the node id; a promoted
@@ -124,7 +128,6 @@ class RegistryNode(Node):
         #: replaces so promotion moves no keys.
         self.ring_identity = node_id
         #: Consistent-hash placement, quorum writes, hinted handoff.
-        #: Inert unless ``config.sharding`` opts in.
         self.shard = ShardManager(self, config)
         #: Highest incarnation epoch seen per peer (fencing state); only
         #: ever populated by peers that stamp their replication traffic.
@@ -136,35 +139,50 @@ class RegistryNode(Node):
         self._pending: dict[str, PendingAggregation] = {}
         #: Random-walk strategy: starting walks, relaying others'.
         self.walk = RandomWalk(self)
-        # Components serve their own message types — a switched-off one
-        # none, so its traffic is an unknown message type here.
-        self.adopt_handlers(self.federation)
-        self.adopt_handlers(self.walk)
-        if self.antientropy.enabled():
-            self.adopt_handlers(self.antientropy)
-        if self.shard.configured():
-            self.adopt_handlers(self.shard)
-        #: Dedup keys ``(ad_id, version, epoch)`` of replica pushes seen,
-        #: pruned below ``_push_floor`` (see :meth:`_purge`).
-        self._seen_ad_pushes: set[tuple[str, int, int]] = set()
-        self._push_floor = 0
         self._subscriptions: dict[str, _Subscription] = {}
         self.responses_sent = 0
         self.notifications_sent = 0
         #: Query responses that arrived after their aggregation completed
         #: (work the aggregation timeout threw away).
         self.late_responses = 0
-        #: How this registry starts a client query: a replica-group cover
-        #: under sharding, else the configured forwarding strategy.
-        self._start_query = (
-            partial(self._scatter, plan=self.shard.plan_read)
-            if self.shard.active() else {
-                STRATEGY_FLOODING: partial(self._scatter, plan=self._plan_flood),
-                STRATEGY_INFORMED: partial(self._scatter, plan=self._plan_informed),
-                STRATEGY_EXPANDING_RING: self._start_ring,
-                STRATEGY_RANDOM_WALK: self.walk.start,
-            }[config.strategy]
-        )
+        #: How this registry starts a client query: the configured
+        #: forwarding strategy, unless the replication below plans reads.
+        self._start_query = {
+            STRATEGY_FLOODING: partial(self._scatter, plan=self._plan_flood),
+            STRATEGY_INFORMED: partial(self._scatter, plan=self._plan_informed),
+            STRATEGY_EXPANDING_RING: self._start_ring,
+            STRATEGY_RANDOM_WALK: self.walk.start,
+        }[config.strategy]
+        #: What happens to a write beyond this store (§4.9), picked once:
+        #: nothing, the flood, or the shard ring — see ``replication.py``.
+        replicating = config.cooperation == COOPERATION_REPLICATE_ADS
+        if not replicating:
+            self.replication: Replication = Replication()
+        elif config.sharding.enabled:
+            self.replication = self.shard
+            # A replica-group cover instead of the forwarding strategy.
+            self._start_query = partial(self._scatter, plan=self.shard.plan_read)
+        else:
+            self.replication = FloodReplicator(self)
+        #: Told of every change to what this replica holds, in this order:
+        #: digest bookkeeping where it replicates, the WAL where durable.
+        self.write_observers: list[Any] = []
+        if replicating:
+            self.write_observers.append(self.antientropy)
+        if config.durability.enabled:
+            self.write_observers.append(self.durability)
+        #: The optional subsystems in use, in the order they are started
+        #: with the registry and reset when it loses its volatile state.
+        self.components: list[Any] = [*self.write_observers, self.replication]
+        if config.admission.active():
+            self.interceptor = self.admission
+        # Components serve their own message types — one that is not in
+        # use none, so its traffic is an unknown message type here.
+        self.adopt_handlers(self.federation)
+        self.adopt_handlers(self.walk)
+        if config.antientropy_enabled():
+            self.adopt_handlers(self.antientropy)
+        self.adopt_handlers(self.replication)
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -187,22 +205,13 @@ class RegistryNode(Node):
         if self.config.leasing_enabled:
             self.every(self.config.purge_interval, self._purge)
         self.federation.start()
-        self.antientropy.start()
-        self.durability.start()
-        # Seed the shard ring with ourselves; gossip adds the rest. Our
-        # own claim is stamped *now* so it beats any stale gossiped
-        # snapshot of a previous identity holder.
-        self.shard.note_member(self.node_id, self.ring_identity,
-                               at=self.sim.now)
+        for component in self.components:
+            component.start()
         # Find same-LAN peer registries immediately (gateway election needs
         # them) and join the statically seeded WAN peers.
         self.multicast(protocol.REGISTRY_PROBE)
         for seed in self.seeds:
             self.federation.join(seed)
-
-    def admission_intercept(self, envelope: Envelope) -> bool:
-        """Route deliveries through the admission controller."""
-        return self.admission.intercept(envelope)
 
     def on_crash(self) -> None:
         """Queued-but-unserved work dies with the registry."""
@@ -220,12 +229,11 @@ class RegistryNode(Node):
         self.store.clear()
         self.repository.clear()
         self.federation.reset()
-        self.antientropy.reset()
         self._pending.clear()
-        self._seen_ad_pushes.clear()
         self._subscriptions.clear()
         self._peer_incarnations.clear()
-        self.shard.reset()
+        for component in self.components:
+            component.reset()
         self.start()
         self.durability.recover()
 
@@ -297,88 +305,13 @@ class RegistryNode(Node):
             advertisement_count=len(self.store),
             neighbor_count=len(self.federation.neighbors),
             artifact_names=tuple(self.repository.names()),
-            summary_terms=self._summary_terms(),
+            # Index terms of the stored advertisements (content summary).
+            summary_terms=self.models.summary_terms(self.store.all())
+            if self.config.summaries_enabled() else (),
             issued_at=self.sim.now if self.network is not None else 0.0,
-            # Carried only under sharding so peers place us (and a future
-            # standby can inherit our positions); "" adds zero bytes.
-            ring_id=self.ring_identity if self.shard.configured() else "",
+            # Empty (zero bytes) unless replication places us on a ring.
+            ring_id=self.replication.ring_id(),
         )
-
-    def _summary_terms(self) -> tuple[str, ...]:
-        """Index terms of the stored advertisements (content summary).
-
-        Semantic advertisements index their category and outputs *plus all
-        ancestors*, so a summary holding ``Radar`` also answers to a
-        request for ``Sensor`` — subsumption-aware routing without
-        shipping the advertisements themselves.
-        """
-        if not self.config.summaries_enabled():
-            return ()
-        from repro.descriptions.template import tokenize
-        from repro.semantics.ontology import THING
-        from repro.semantics.profiles import ServiceProfile
-
-        ontology, reasoner = self._semantic_reasoner()
-        terms: set[str] = set()
-        for ad in self.store.all():
-            description = ad.description
-            if ad.model_id == "uri":
-                terms.add(description.type_uri)
-            elif ad.model_id == "template":
-                terms |= tokenize(description.category)
-            elif ad.model_id == "semantic" and isinstance(description, ServiceProfile):
-                terms |= self._with_ancestors({description.category, *description.outputs})
-        terms.discard(THING)
-        if reasoner is not None:
-            # Near-root concepts (depth <= 1) match almost any query and
-            # would make every summary a false positive: drop them.
-            terms = {
-                t for t in terms
-                if t not in ontology or reasoner.depth_of(t) > 1
-            }
-        return tuple(sorted(terms))
-
-    def _semantic_reasoner(self):
-        """The semantic model's (ontology, cached reasoner), if present.
-
-        Summary and query-term expansion reuse the reasoner's memoized
-        ancestor closures instead of re-walking the ontology DAG per
-        concept — the same caches the query-path concept index warms.
-        """
-        if self.models.supports("semantic"):
-            model = self.models.get("semantic")
-            return getattr(model, "ontology", None), getattr(model, "reasoner", None)
-        return None, None
-
-    def _with_ancestors(self, concepts: set[str]) -> set[str]:
-        """``concepts`` plus all their ontology ancestors, minus THING
-        (it would match everything)."""
-        from repro.semantics.ontology import THING
-
-        ontology, reasoner = self._semantic_reasoner()
-        terms = set(concepts)
-        if reasoner is not None:
-            for concept in concepts:
-                if concept in ontology:
-                    terms |= reasoner.ancestors_of(concept)
-        terms.discard(THING)
-        return terms
-
-    def _query_terms(self, payload: protocol.QueryPayload) -> frozenset[str]:
-        """The index terms a query can match against summaries."""
-        from repro.semantics.profiles import ServiceRequest
-
-        query = payload.query
-        if payload.model_id == "uri":
-            return frozenset({query.type_uri})
-        if payload.model_id == "template":
-            return frozenset(query.tokens)
-        if payload.model_id == "semantic" and isinstance(query, ServiceRequest):
-            concepts = set(query.desired_outputs)
-            if query.category is not None:
-                concepts.add(query.category)
-            return frozenset(self._with_ancestors(concepts))
-        return frozenset()
 
     # -- registry network maintenance ----------------------------------------
 
@@ -413,6 +346,9 @@ class RegistryNode(Node):
     # requests, AD_FORWARD floods, shard quorum traffic, anti-entropy,
     # lease expiry, rebalancing, WAL replay — leaves the store, the lease
     # table, the digest bookkeeping and the durable log in agreement.
+    # Each ends by telling ``write_observers``, by method name on the
+    # registered object (``benchmarks/perf`` wraps those methods on their
+    # classes after a deployment is built: capture no bound method).
 
     def store_ad(
         self,
@@ -423,15 +359,14 @@ class RegistryNode(Node):
         notify: bool = True,
         restore: tuple[str, float] | None = None,
     ) -> Lease | None:
-        """Store or refresh ``ad``: store → epoch → lease → WAL → subscribers.
+        """Store or refresh ``ad``: store → lease → observers → subscribers.
 
         Returns the lease now backing it (``None`` with leasing off).
         ``restore`` is WAL replay: the persisted ``(lease_id, expires_at)``
-        is reinstated instead of a fresh grant, and nothing is logged or
-        announced again.
+        is reinstated instead of a fresh grant, and neither the WAL nor
+        the subscribers hear of it again.
         """
         stored = self.store.put(ad)
-        self.antientropy.note_stored(ad.ad_id, epoch)
         lease = None
         if self.config.leasing_enabled and self.leases is not None:
             if restore is None:
@@ -441,18 +376,20 @@ class RegistryNode(Node):
                     ad.ad_id, lease_id=restore[0], duration=lease_duration,
                     expires_at=restore[1],
                 )
-        if restore is None:
-            # Log what the store kept: its version guard may have held on
-            # to a newer copy, and replay must never bring back an older one.
-            self.durability.log_store(
+        for observer in self.write_observers:
+            if restore is not None and observer is self.durability:
+                continue
+            # What the store kept: its version guard may have held on to a
+            # newer copy, and replay must never bring back an older one.
+            observer.log_store(
                 stored,
                 lease_id=lease.lease_id if lease is not None else "",
                 duration=lease.duration if lease is not None else float("inf"),
                 expires_at=lease.expires_at if lease is not None else float("inf"),
                 origin_epoch=epoch,
             )
-            if notify:
-                self._notify_subscribers(ad)
+        if restore is None and notify:
+            self._notify_subscribers(ad)
         return lease
 
     def renew_ad(
@@ -478,11 +415,9 @@ class RegistryNode(Node):
             elif held:
                 lease = self.leases.grant(ad_id, duration)
         if held:
-            self.antientropy.note_stored(ad_id, epoch)
-            if lease is not None:
-                self.durability.log_renew(
-                    ad_id, expires_at=lease.expires_at, origin_epoch=epoch,
-                )
+            expires_at = lease.expires_at if lease is not None else float("inf")
+            for observer in self.write_observers:
+                observer.log_renew(ad_id, expires_at=expires_at, origin_epoch=epoch)
         return held
 
     def remove_ad(self, ad_id: str, *, version: int | None = None) -> Advertisement | None:
@@ -498,8 +433,8 @@ class RegistryNode(Node):
         if removed is not None:
             self.rim.removals += 1
             version = removed.version if version is None else version
-            self.antientropy.note_removed(ad_id, version)
-            self.durability.log_remove(ad_id, version)
+            for observer in self.write_observers:
+                observer.log_remove(ad_id, version)
         return removed
 
     def drop_ad(self, ad_id: str) -> Advertisement | None:
@@ -511,8 +446,8 @@ class RegistryNode(Node):
             self.leases.cancel_for_ad(ad_id)
         if removed is not None:
             self.rim.removals += 1
-            self.antientropy.note_dropped(ad_id)
-            self.durability.log_expire(ad_id)
+            for observer in self.write_observers:
+                observer.log_expire(ad_id)
         return removed
 
     def lease_epoch(self) -> int:
@@ -564,9 +499,9 @@ class RegistryNode(Node):
             return
         ad_id = payload.ad_id or new_uuid("ad")
         # Under sharding only the advertisement's replica set stores it;
-        # this registry coordinates the quorum write either way.
-        sharded = self.shard.active()
-        holds = not sharded or self.shard.owns_local(ad_id)
+        # this registry coordinates the write either way.
+        replication = self.replication
+        holds = replication.holds(ad_id)
 
         def nack(reason: str) -> None:
             self.send(
@@ -597,13 +532,8 @@ class RegistryNode(Node):
         ) if holds else None
         if lease is not None:
             lease_id, duration = lease.lease_id, lease.duration
-        elif sharded:
-            # No lease of our own to hand out: the service renews a
-            # "shard:" lease, which we relay to the replicas' real ones.
-            lease_id = f"shard:{ad_id}"
-            duration = payload.lease_duration or self.config.lease_duration
         else:
-            lease_id, duration = "", float("inf")
+            lease_id, duration = replication.proxy_lease(ad_id, payload.lease_duration)
 
         def ack() -> None:
             self.send(
@@ -615,16 +545,9 @@ class RegistryNode(Node):
                 ),
             )
 
-        if sharded:
-            # Acked once W of the R replicas confirmed the write.
-            self.shard.replicate_store(
-                ad, duration, epoch,
-                on_success=ack, on_failure=lambda: nack("quorum"),
-            )
-            return
-        ack()
-        if self.config.cooperation == COOPERATION_REPLICATE_ADS:
-            self._push_ad(ad)
+        # Acked at once, and then flooded — or, under sharding, acked
+        # once W of the R replicas confirmed the write.
+        replication.published(ad, duration, epoch, ack=ack, nack=nack)
 
     def handle_renew(self, envelope: Envelope) -> None:
         payload = envelope.payload
@@ -634,12 +557,7 @@ class RegistryNode(Node):
         if not self.config.leasing_enabled or self.leases is None:
             self.send(envelope.src, protocol.RENEW_ACK, payload)
             return
-        sharded = self.shard.active()
-        if sharded and payload.lease_id.startswith("shard:"):
-            # The service published through us while we were not in the
-            # advertisement's replica set: relay the renewal to the
-            # replicas actually holding the leases.
-            self.shard.relay_renew(envelope.src, payload)
+        if self.replication.relay_renew(envelope.src, payload):
             return
         try:
             held = self.renew_ad(
@@ -650,15 +568,8 @@ class RegistryNode(Node):
             self.send(envelope.src, protocol.RENEW_NACK, payload)
             return
         self.send(envelope.src, protocol.RENEW_ACK, payload)
-        if held and self.config.cooperation == COOPERATION_REPLICATE_ADS:
-            if sharded:
-                # Refresh only the other replicas of this ad's shard —
-                # a compact SHARD_RENEW, not a full-store flood.
-                self.shard.refresh_replicas(payload.ad_id)
-            else:
-                # Refresh replicas: the lease epoch advances the dedup
-                # key so the push floods through.
-                self._push_ad(self.store.get(payload.ad_id))
+        if held:
+            self.replication.renewed(payload.ad_id)
 
     def handle_remove(self, envelope: Envelope) -> None:
         payload = envelope.payload
@@ -667,8 +578,7 @@ class RegistryNode(Node):
         self.remove_ad(payload.ad_id)
         # Always acked: removal is idempotent and leases expire regardless.
         self.send(envelope.src, protocol.REMOVE_ACK, payload)
-        if self.shard.active():
-            self.shard.replicate_remove(payload.ad_id)
+        self.replication.removed(payload.ad_id)
 
     def _purge(self) -> None:
         """Expire lapsed leases/subscriptions and drop their state."""
@@ -680,17 +590,7 @@ class RegistryNode(Node):
                   if now >= sub.expires_at]
         for sub_id in lapsed:
             del self._subscriptions[sub_id]
-        # Replica refreshes add one dedup key per advertisement per renew
-        # interval. A push can sit in a flooded peer's admission queue
-        # for several renew intervals, but one older than two lease
-        # durations is no longer travelling and its key guards nothing.
-        # One sweep per epoch, not per purge.
-        floor = self.lease_epoch() - int(2 / self.config.renew_fraction) - 1
-        if floor > self._push_floor:
-            self._push_floor = floor
-            self._seen_ad_pushes = {
-                key for key in self._seen_ad_pushes if key[2] >= floor
-            }
+        self.replication.purge()
 
     # -- subscriptions / notifications ------------------------------------------
 
@@ -750,20 +650,10 @@ class RegistryNode(Node):
             )
 
     def on_neighbor_added(self, neighbor: str) -> None:
-        """A federation link formed: synchronize state over it.
-
-        In replicate-advertisements cooperation, a new link triggers
-        anti-entropy: with reconciliation enabled, the two sides exchange
-        a compact store digest and delta-pull only the missing or stale
-        advertisements — so members joining (or re-joining after a crash
-        or partition heal) catch up within one round-trip without either
-        waiting for the next lease refresh or re-shipping the whole
-        store. With reconciliation disabled, the pre-digest behavior
-        remains: every stored advertisement is pushed to the new
-        neighbor. Independently, repository artifacts the neighbor
-        advertises and we lack are fetched (§4.6), so ontologies spread
-        through the registry network without any Internet dependency.
-        """
+        """A federation link formed: fetch the repository artifacts the
+        neighbor advertises and we lack (§4.6: ontologies spread without
+        any Internet dependency), then let the replication in use bring
+        the advertisements in sync."""
         if self.config.artifact_sync:
             known = self.federation.known.get(neighbor)
             if known is not None:
@@ -774,84 +664,20 @@ class RegistryNode(Node):
                             protocol.ARTIFACT_REQUEST,
                             protocol.ArtifactRequestPayload(artifact_name=name),
                         )
-        if self.config.cooperation != COOPERATION_REPLICATE_ADS:
-            return
-        self.shard.peer_alive(neighbor)
-        if self.antientropy.enabled():
-            self.antientropy.sync_with(neighbor)
-            return
-        if self.shard.active():
-            # Without reconciliation, hinted handoff and rebalancing are
-            # the only repair channels — never ship the whole (sharded)
-            # store to a neighbor that mostly does not own it.
-            return
-        for ad in self.store.all():
-            self._push_ad(ad, [neighbor])
+        self.replication.neighbor_added(neighbor)
 
     def handle_artifact_reply(self, envelope: Envelope) -> None:
-        """An artifact arrived from a peer: host it, and use it.
-
-        Ontologies are attached to our semantic model immediately, turning
-        a registry that could not evaluate semantic queries into one that
-        can (experiment E12).
-        """
+        """An artifact arrived from a peer: host it, and offer it to the
+        models that cannot evaluate yet (an ontology, in experiment E12)."""
         payload = envelope.payload
         if not isinstance(payload, protocol.ArtifactReplyPayload) or not payload.found:
             return
         self.repository.store(payload.artifact_name, payload.artifact)
-        from repro.descriptions.semantic import SemanticModel
-        from repro.semantics.ontology import Ontology
-
-        if isinstance(payload.artifact, Ontology) and self.models.supports("semantic"):
-            model = self.models.get("semantic")
-            if isinstance(model, SemanticModel) and not model.can_evaluate():
-                model.attach_ontology(payload.artifact)
-
-    # -- replication cooperation ---------------------------------------------------
-
-    def _push_ad(self, ad: Advertisement, targets: list[str] | None = None) -> None:
-        """Flood ``ad`` to ``targets`` (default: every forward target)."""
-        payload = protocol.AdForwardPayload(
-            advertisement=ad,
-            lease_duration=self.config.lease_duration,
-            epoch=self.lease_epoch(),
-        )
-        self._seen_ad_pushes.add(payload.dedup_key())
-        if targets is None:
-            targets = self.federation.forward_targets(set())
-        for target in targets:
-            self.send(target, protocol.AD_FORWARD, payload)
-
-    def handle_ad_forward(self, envelope: Envelope) -> None:
-        payload = envelope.payload
-        if not isinstance(payload, protocol.AdForwardPayload):
-            return
-        key = payload.dedup_key()
-        if key in self._seen_ad_pushes:
-            return
-        self._seen_ad_pushes.add(key)
-        if self.shard.active():
-            # Defensive: replication under sharding travels via
-            # SHARD_STORE/SHARD_TRANSFER; a stray flood push must not
-            # violate placement or re-fan out to every neighbor.
-            if self.shard.owns_local(payload.advertisement.ad_id):
-                self.absorb_replica(payload)
-            return
-        self.absorb_replica(payload)
-        # Flood onward regardless of local support — we may bridge two
-        # capable registries.
-        for neighbor in self.federation.forward_targets({envelope.src}):
-            self.send(neighbor, protocol.AD_FORWARD, payload)
+        for model in self.models:
+            if not model.can_evaluate():
+                model.accept_artifact(payload.artifact)
 
     # -- federation membership hooks -----------------------------------------------
-
-    def on_registry_observed(self, description: RegistryDescription) -> None:
-        """Federation learned of a registry: place it on the shard ring."""
-        self.shard.note_member(
-            description.registry_id,
-            description.ring_id or description.registry_id,
-            at=description.issued_at,
-        )
 
     def on_peer_departed(self, peer: str, *, left_ring: bool = False) -> None:
         """A federation member left gracefully or was declared dead.
@@ -867,7 +693,7 @@ class RegistryNode(Node):
         for pending in list(self._pending.values()):
             pending.drain_target(peer)
         if left_ring:
-            self.shard.drop_member(peer)
+            self.replication.drop_member(peer)
 
     def on_departing(self) -> None:
         """We are leaving the federation: answer what we can, now."""
@@ -1115,7 +941,7 @@ class RegistryNode(Node):
         are never bothered — the bandwidth win over flooding; a stale or
         missing summary is the recall risk (measured in E13).
         """
-        terms = self._query_terms(payload)
+        terms = self.models.query_terms(payload.model_id, payload.query)
         candidates = [
             rid
             for rid, desc in sorted(self.federation.known.items())
@@ -1177,7 +1003,7 @@ class RegistryNode(Node):
 
         def complete(hits: list[QueryHit], responders: int) -> None:
             self._pending.pop(query_id, None)
-            self.shard.end_read(query_id)
+            self.replication.end_read(query_id)
             if fanout is not None and trace is not None:
                 trace.end_span(
                     fanout, attrs={"hits": len(hits), "responders": responders}
@@ -1291,7 +1117,7 @@ class RegistryNode(Node):
             )
         # Read repair: compare this replica's answer versions against the
         # freshest seen so far, pushing the newer copy to stale holders.
-        self.shard.observe_read(payload.query_id, envelope.src, payload.hits)
+        self.replication.observe_read(payload.query_id, envelope.src, payload.hits)
         pending.add_response(payload, src=envelope.src)
 
     # .. expanding ring ......................................................

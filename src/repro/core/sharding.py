@@ -20,9 +20,9 @@ assigns each advertisement to ``replication_factor`` replica registries.
 * **Rebalancing is bounded** — ring membership changes move only the
   ~K/S advertisements whose replica set actually changed.
 
-Everything here is **inert by default**: ``ShardingConfig(enabled=False)``
-leaves the replicate-everywhere flood byte-identical to previous
-releases (the obs-smoke determinism gate enforces this).
+Everything here is **off by default**: a registry whose configuration
+does not enable sharding registers none of it — no handler, no ring
+membership, no call from the write or read path.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from repro.core import protocol
+from repro.core.replication import Replication
 from repro.errors import ReproError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
@@ -48,7 +49,8 @@ class ShardingConfig:
     and queries to replica-set routing.
     """
 
-    #: Master switch. Off ⇒ every field below is ignored.
+    #: Master switch (``replicate-ads`` cooperation only). Off ⇒ every
+    #: field below is ignored.
     enabled: bool = False
     #: R: registries holding a copy of each advertisement.
     replication_factor: int = 3
@@ -263,12 +265,12 @@ class _PendingQuorumWrite:
             self.on_failure()
 
 
-class ShardManager:
+class ShardManager(Replication):
     """Per-registry sharding state: ring view, quorum writes, hints.
 
-    Owned by every :class:`RegistryNode`; a no-op shell unless
-    ``config.sharding.enabled`` (so the default deployment pays nothing):
-    the node then never adopts its ``handle_shard_*`` handlers. Enabled,
+    Constructed by every :class:`RegistryNode`, but its ``replication``
+    — whose calls and ``handle_shard_*`` handlers are the only ones
+    reached — only where ``config.sharding.enabled``. There
     it replicates what the node's write path (``store_ad`` / ``renew_ad``
     / ``remove_ad`` / ``drop_ad``) applied locally and never touches the
     store, leases or WAL itself.
@@ -310,24 +312,23 @@ class ShardManager:
         for name in self.COUNTERS:
             setattr(self, name, 0)
 
-    # -- config gates -------------------------------------------------------
-
-    def configured(self) -> bool:
-        """Sharding requested in the config (regardless of cooperation)."""
-        return self.cfg.enabled
-
-    def active(self) -> bool:
-        """Sharding actually governs this registry's replication."""
-        from repro.core.config import COOPERATION_REPLICATE_ADS
-
-        return self.cfg.enabled and \
-            self.registry.config.cooperation == COOPERATION_REPLICATE_ADS
-
     @property
     def r(self) -> int:
         return self.cfg.replication_factor
 
     # -- ring membership ----------------------------------------------------
+
+    def start(self) -> None:
+        """Seed the ring with ourselves; gossip adds the rest. Our own
+        claim is stamped *now* so it beats any stale gossiped snapshot of
+        a previous identity holder."""
+        registry = self.registry
+        self.note_member(registry.node_id, registry.ring_identity,
+                         at=registry.sim.now)
+
+    def ring_id(self) -> str:
+        """So peers place us (and a standby can inherit our positions)."""
+        return self.registry.ring_identity
 
     def reset(self) -> None:
         """Restart hygiene: volatile state dies with the incarnation."""
@@ -349,8 +350,6 @@ class ShardManager:
         ``issued_at``); the freshest claimant of a ring identity wins
         its positions and the superseded claimant leaves the ring.
         """
-        if not self.configured():
-            return
         rid = ring_id or member
         holder = self._identity_claims.get(rid)
         if holder is not None and holder[1] != member and at <= holder[0]:
@@ -367,10 +366,37 @@ class ShardManager:
         if changed:
             self._schedule_rebalance(prev)
 
+    def registry_observed(self, description, *, first_sighting: bool = False) -> None:
+        """Place a registry the federation heard of on the ring.
+
+        Key placement is only correct once every member sees the same
+        ring, so a first sighting is rumored to the neighbors at once, not
+        one hop per signalling round (O(diameter × interval) to converge).
+        Each registry forwards a given member at most once, so the flood
+        is bounded at N² messages federation-wide.
+        """
+        self.note_member(description.registry_id, description.ring_id,
+                         at=description.issued_at)
+        if first_sighting:
+            rumor = protocol.RegistryListPayload(registries=(description,))
+            for neighbor in sorted(self.registry.federation.neighbors):
+                if neighbor != description.registry_id:
+                    self.registry.send(neighbor, protocol.REGISTRY_LIST_REPLY, rumor)
+
+    def neighbor_added(self, neighbor: str) -> None:
+        """Replay the new neighbor's hints, reconcile the shards shared
+        with it (without rounds, hinted handoff and rebalancing are the
+        only repair: the store is never shipped whole to a neighbor that
+        mostly does not own it), and hand it our membership view at once."""
+        registry = self.registry
+        self.peer_alive(neighbor)
+        if registry.config.antientropy_interval is not None:
+            registry.antientropy.sync_with(neighbor)
+        registry.send(neighbor, protocol.REGISTRY_LIST_REPLY,
+                      registry.federation.registry_list())
+
     def drop_member(self, member: str) -> None:
         """A registry *gracefully left*: its ranges move to successors."""
-        if not self.configured():
-            return
         prev = self.ring.clone() if len(self.ring) else None
         if self.ring.remove(member):
             self._hints.pop(member, None)
@@ -385,6 +411,8 @@ class ShardManager:
     def owns_local(self, ad_id: str) -> bool:
         return self.ring.owns(self.registry.node_id, ad_id, self.r)
 
+    holds = owns_local
+
     def co_owned(self, ad_id: str, peer: str) -> bool:
         """Both this registry and ``peer`` replicate ``ad_id``."""
         replicas = self.replicas_for(ad_id)
@@ -394,6 +422,15 @@ class ShardManager:
         """Registries sharing at least one replica range with us —
         the per-shard anti-entropy gossip set."""
         return self.ring.partners(self.registry.node_id, self.r)
+
+    def gossip_peers(self) -> list[str]:
+        """Whom a reconciliation round sends a (shard-scoped) digest to —
+        after the stray sweep, so digests reflect the post-placement store."""
+        self.sweep_strays()
+        return sorted(self.shard_peers())
+
+    def purge(self) -> None:
+        self.registry.antientropy.prune_tombstones()
 
     # -- quorum writes ------------------------------------------------------
 
@@ -457,28 +494,25 @@ class ShardManager:
         for target in others:
             registry.send(target, msg_type, payload)
 
-    def replicate_store(
-        self,
-        ad,
-        lease_duration: float,
-        epoch: int,
-        *,
-        on_success: Callable[[], None],
-        on_failure: Callable[[], None],
-    ) -> None:
+    def proxy_lease(self, ad_id: str, requested: float | None) -> tuple[str, float]:
+        """No lease of our own to hand out: the service renews a ``shard:``
+        lease, which :meth:`relay_renew` relays to the replicas' real ones."""
+        return f"shard:{ad_id}", requested or self.registry.config.lease_duration
+
+    def published(self, ad, lease_duration: float, epoch: int, *, ack, nack) -> None:
         """Push a freshly published advertisement to its replica set
         (the coordinator stored its own copy already if it is *in* that
-        set); ``on_success`` fires once W replicas confirmed."""
+        set); the service is acked once W replicas confirmed."""
         entry = protocol.AdForwardPayload(
             advertisement=ad, lease_duration=lease_duration, epoch=epoch,
         )
         self._replicate(
             ad.ad_id, protocol.SHARD_STORE,
             lambda rid: protocol.ShardStorePayload(request_id=rid, entry=entry),
-            on_success=on_success, on_failure=on_failure,
+            on_success=ack, on_failure=lambda: nack("quorum"),
         )
 
-    def replicate_remove(self, ad_id: str) -> None:
+    def removed(self, ad_id: str) -> None:
         """Tombstone a removed advertisement across its replica set.
 
         The service was acked already; the write is still tracked so
@@ -490,8 +524,12 @@ class ShardManager:
             lambda rid: protocol.ShardRemovePayload(request_id=rid, ad_id=ad_id),
         )
 
-    def relay_renew(self, requester: str, payload: protocol.RenewPayload) -> None:
-        """Relay a renewal for an advertisement we do not replicate."""
+    def relay_renew(self, requester: str, payload: protocol.RenewPayload) -> bool:
+        """Relay the renewal of a ``shard:`` lease — the service published
+        through us while we were not in the advertisement's replica set —
+        to the replicas actually holding the leases."""
+        if not payload.lease_id.startswith("shard:"):
+            return False
         registry = self.registry
         ad_id = payload.ad_id
         replicas = tuple(r for r in self.replicas_for(ad_id) if r != registry.node_id)
@@ -502,16 +540,18 @@ class ShardManager:
 
         if not replicas:
             nack()
-            return
+            return True
         request_id = self.begin_write(
             targets=replicas, needed=1,
             on_success=lambda: registry.send(requester, protocol.RENEW_ACK, payload),
             on_failure=nack,
         )
         self._send_renew(ad_id, replicas, request_id)
+        return True
 
-    def refresh_replicas(self, ad_id: str) -> None:
-        """Fire-and-forget replica-lease refresh after a local renewal."""
+    def renewed(self, ad_id: str) -> None:
+        """Fire-and-forget refresh of the other replicas' leases after a
+        local renewal — a compact SHARD_RENEW, not a full-store flood."""
         self._send_renew(
             ad_id,
             [r for r in self.replicas_for(ad_id) if r != self.registry.node_id],
@@ -620,8 +660,6 @@ class ShardManager:
 
     def peer_alive(self, peer: str) -> None:
         """Proof of life from ``peer``: replay its buffered hints."""
-        if not self.active():
-            return
         queue = self._hints.pop(peer, None)
         if not queue:
             return
@@ -644,8 +682,6 @@ class ShardManager:
 
     def observe_read(self, query_id: str, src: str, hits) -> None:
         """Track per-replica answer versions; repair stale replicas."""
-        if not self.active():
-            return
         best = self._reads.setdefault(query_id, {})
         for hit in hits:
             ad = hit.advertisement
@@ -778,9 +814,7 @@ class ShardManager:
         The *first* pre-change ring of the burst is kept as the baseline
         so one pass sees the net movement, not every intermediate step.
         """
-        if not self.active() or self.registry.network is None:
-            return
-        if self._rebalance_armed:
+        if self._rebalance_armed or self.registry.network is None:
             return
         self._rebalance_armed = True
         baseline = prev
@@ -789,7 +823,7 @@ class ShardManager:
     def _rebalance(self, prev: ConsistentHashRing | None) -> None:
         self._rebalance_armed = False
         registry = self.registry
-        if not registry.alive or not self.active():
+        if not registry.alive:
             return
         me = registry.node_id
         epoch = registry.lease_epoch()
@@ -854,7 +888,7 @@ class ShardManager:
         Diffing against the *current* ring makes it a pure stray sweep:
         owned ads see no gained members and are untouched.
         """
-        if self.active() and not self._rebalance_armed:
+        if not self._rebalance_armed:
             self._rebalance(self.ring.clone())
 
     def _transfer_entry(self, ad, epoch: int):
@@ -872,7 +906,7 @@ class ShardManager:
 
     def publish_gauges(self) -> None:
         network = self.registry.network
-        if network is None or not self.active():
+        if network is None:
             return
         network.metrics.gauge(
             f"shard.store_size.{self.registry.node_id}"

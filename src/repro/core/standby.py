@@ -93,8 +93,8 @@ class StandbyRegistry(RegistryNode):
         self.store.clear()
         self.repository.clear()
         self.federation.reset()
-        self.antientropy.reset()
-        self.shard.reset()
+        for component in self.components:
+            component.reset()
         self.ring_identity = self.node_id
         self.start()
 
@@ -208,7 +208,7 @@ class StandbyRegistry(RegistryNode):
         and the configured seeds, so replicated advertisements stream in
         within one round-trip instead of one lease period.
         """
-        if not self.antientropy.enabled():
+        if not self.config.antientropy_enabled():
             return
         peers = sorted(set(self._live_lan_registries()) | set(self.seeds))
         synced = 0
@@ -257,8 +257,8 @@ class StandbyRegistry(RegistryNode):
         self.federation.leave()
         self.cancel_tasks()
         self.store.clear()
-        self.antientropy.reset()
-        self.shard.reset()
+        for component in self.components:
+            component.reset()
         self.ring_identity = self.node_id
         # A graceful step-down hands the content back to the LAN's live
         # registries; replaying it at the *next* promotion would resurrect

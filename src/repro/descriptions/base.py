@@ -9,9 +9,10 @@ discard" it — the registry counts those so E10 can report them.
 from __future__ import annotations
 
 import abc
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from repro.errors import UnsupportedModelError
+from repro.semantics.ontology import THING
 from repro.semantics.profiles import ServiceProfile, ServiceRequest
 
 
@@ -46,8 +47,9 @@ class DescriptionModel(abc.ABC):
 
     #: Unique "next header" value for this model.
     model_id: str = ""
-    #: Wrong-typed descriptions or queries offered to ``evaluate`` (anything
-    #: can arrive in a PUBLISH or QUERY under a model's id): they match nothing.
+    #: Wrong-typed descriptions or queries offered to ``evaluate``,
+    #: ``summary_terms`` or ``query_terms`` (anything can arrive in a PUBLISH
+    #: or QUERY under a model's id): they match nothing and index nothing.
     malformed_payloads: int = 0
 
     @abc.abstractmethod
@@ -87,6 +89,33 @@ class DescriptionModel(abc.ABC):
         model's advertisements, or ``None`` when the model's queries can
         only be answered by a linear scan (the default)."""
         return None
+
+    # -- content summaries (summary-informed routing) ----------------------
+
+    def summary_terms(self, description: Any) -> Iterable[str]:
+        """The index terms one stored description adds to its registry's
+        content summary; none by default, and none for a wrong-typed one."""
+        return ()
+
+    def query_terms(self, query: Any) -> Iterable[str]:
+        """The index terms a query can meet in a content summary."""
+        return ()
+
+    def too_general(self, term: str) -> bool:
+        """Whether ``term`` would match almost any query and so stays out
+        of every summary, whichever model indexed it."""
+        return False
+
+    def _well_typed(self, payload: Any, expected: type) -> bool:
+        """Whether ``payload`` is an ``expected``; a wrong-typed one is counted."""
+        if isinstance(payload, expected):
+            return True
+        self.malformed_payloads += 1
+        return False
+
+    def accept_artifact(self, artifact: Any) -> bool:
+        """Offered a repository artifact (§4.6); True when put to use."""
+        return False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} id={self.model_id!r}>"
@@ -130,3 +159,24 @@ class ModelRegistry:
     def model_ids(self) -> list[str]:
         """Supported model ids, sorted."""
         return sorted(self._models)
+
+    def __iter__(self) -> Iterator[DescriptionModel]:
+        return iter(self._models.values())
+
+    def summary_terms(self, advertisements: Iterable[Any]) -> tuple[str, ...]:
+        """The content summary of ``advertisements``: what each one's own
+        model indexes, minus the terms any model finds too general."""
+        terms: set[str] = set()
+        for ad in advertisements:
+            model = self._models.get(ad.model_id)
+            if model is not None:
+                terms.update(model.summary_terms(ad.description))
+        terms.discard(THING)
+        return tuple(sorted(
+            t for t in terms if not any(m.too_general(t) for m in self)
+        ))
+
+    def query_terms(self, model_id: str | None, query: Any) -> frozenset[str]:
+        """The index terms ``query`` can meet in a content summary."""
+        model = self._models.get(model_id or "")
+        return frozenset(model.query_terms(query)) if model is not None else frozenset()

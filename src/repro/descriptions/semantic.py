@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from repro.descriptions.base import NO_MATCH, DescriptionModel, ModelMatch
 from repro.semantics.matchmaker import DegreeOfMatch, Matchmaker
-from repro.semantics.ontology import Ontology
+from repro.semantics.ontology import THING, Ontology
 from repro.semantics.profiles import ServiceProfile, ServiceRequest
 from repro.semantics.reasoner import Reasoner
 
@@ -55,6 +55,13 @@ class SemanticModel(DescriptionModel):
 
     def can_evaluate(self) -> bool:
         return self._matchmaker is not None
+
+    def accept_artifact(self, artifact) -> bool:
+        """A fetched ontology is attached at once (experiment E12)."""
+        accepted = isinstance(artifact, Ontology)
+        if accepted:
+            self.attach_ontology(artifact)
+        return accepted
 
     def make_index(self):
         """An inverted concept index over this model's advertisements.
@@ -97,6 +104,41 @@ class SemanticModel(DescriptionModel):
         if not isinstance(query, ServiceRequest) or not query.qos_constraints:
             return None
         return self.prefilter
+
+    def summary_terms(self, description: ServiceProfile) -> set[str]:
+        """Category and outputs *plus all their ancestors*: a summary
+        holding ``Radar`` also answers to a request for ``Sensor`` —
+        subsumption-aware routing without shipping the advertisements."""
+        if not self._well_typed(description, ServiceProfile):
+            return set()
+        return self._with_ancestors({description.category, *description.outputs})
+
+    def query_terms(self, query: ServiceRequest) -> set[str]:
+        if not self._well_typed(query, ServiceRequest):
+            return set()
+        concepts = set(query.desired_outputs)
+        if query.category is not None:
+            concepts.add(query.category)
+        return self._with_ancestors(concepts)
+
+    def _with_ancestors(self, concepts: set[str]) -> set[str]:
+        """``concepts`` plus their ontology ancestors (the reasoner's
+        memoized closures), minus THING — it would match everything."""
+        terms = set(concepts)
+        reasoner = self.reasoner
+        if reasoner is not None:
+            for concept in concepts:
+                if concept in reasoner.ontology:
+                    terms |= reasoner.ancestors_of(concept)
+        terms.discard(THING)
+        return terms
+
+    def too_general(self, term: str) -> bool:
+        """Near-root concepts (depth <= 1) match almost any query and
+        would make every summary a false positive."""
+        reasoner = self.reasoner
+        return (reasoner is not None and term in reasoner.ontology
+                and reasoner.depth_of(term) <= 1)
 
     def evaluate(self, description: ServiceProfile, query: ServiceRequest) -> ModelMatch:
         if self._matchmaker is None:

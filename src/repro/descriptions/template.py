@@ -106,3 +106,11 @@ class TemplateModel(DescriptionModel):
             score = 1.0 / (1.0 + extra)
             return ModelMatch(matched=True, degree=1, score=score)
         return ModelMatch.no_match()
+
+    def summary_terms(self, description: TemplateDescription) -> frozenset[str]:
+        if not self._well_typed(description, TemplateDescription):
+            return frozenset()
+        return tokenize(description.category)
+
+    def query_terms(self, query: TemplateQuery) -> frozenset[str]:
+        return query.tokens if self._well_typed(query, TemplateQuery) else frozenset()

@@ -73,3 +73,9 @@ class UriModel(DescriptionModel):
         if description.type_uri == query.type_uri:
             return ModelMatch(matched=True, degree=1, score=1.0)
         return ModelMatch.no_match()
+
+    def summary_terms(self, description: UriDescription) -> tuple[str, ...]:
+        return (description.type_uri,) if self._well_typed(description, UriDescription) else ()
+
+    def query_terms(self, query: UriQuery) -> tuple[str, ...]:
+        return (query.type_uri,) if self._well_typed(query, UriQuery) else ()

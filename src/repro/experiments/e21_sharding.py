@@ -19,20 +19,13 @@ deployment with sharding on (R=3, W=2) absorbs an adversarial
 *stay down*. A steady probe stream must keep succeeding — the planner's
 read cover routes around the dead replicas and the retarget path masks
 the stragglers — with success >= 0.99 across the run. Two same-seed
-runs must export byte-identical traces, and the scenario with sharding
-*disabled* (knobs present but ``enabled=False``) must be byte-identical
-to one that never mentions sharding at all: the inert-by-default
-contract the shard-smoke gate enforces.
+runs must export byte-identical traces.
 """
 
 from __future__ import annotations
 
 from repro.core.config import COOPERATION_REPLICATE_ADS, DiscoveryConfig
-from repro.core.invariants import (
-    assert_invariants,
-    check_convergence,
-    check_shard_placement,
-)
+from repro.core.invariants import check_convergence, check_shard_placement
 from repro.core.protocol import DigestPayload
 from repro.core.sharding import ConsistentHashRing, ShardingConfig
 from repro.core.system import DiscoverySystem
@@ -132,20 +125,17 @@ def ring_sweep(*, keys: int = SWEEP_KEYS, sizes=SWEEP_SIZES,
 # -- live fault scenario -----------------------------------------------------
 
 
-def _sharded_config(enabled: bool = True) -> DiscoveryConfig:
-    return DiscoveryConfig(
+def _build_live(seed: int):
+    """One registry per LAN, chained seeds, services round-robin."""
+    config = DiscoveryConfig(
         cooperation=COOPERATION_REPLICATE_ADS, default_ttl=0,
         antientropy_interval=2.0, lease_duration=30.0, purge_interval=2.0,
         query_timeout=2.0, aggregation_timeout=0.3,
         sharding=ShardingConfig(
-            enabled=enabled, replication_factor=R, write_quorum=2,
+            enabled=True, replication_factor=R, write_quorum=2,
             quorum_timeout=0.5,
         ),
     )
-
-
-def _build_live(seed: int, config: DiscoveryConfig):
-    """One registry per LAN, chained seeds, services round-robin."""
     system = DiscoverySystem(seed=seed, ontology=battlefield_ontology(),
                              config=config)
     for i in range(LIVE_REGISTRIES):
@@ -161,25 +151,21 @@ def _build_live(seed: int, config: DiscoveryConfig):
     return system, clients
 
 
-def run_live_scenario(*, seed: int = 0, faulted: bool = True,
-                      config: DiscoveryConfig | None = None) -> dict:
+def run_live_scenario(*, seed: int = 0) -> dict:
     """One full live run; returns probe stats, traces, and counters."""
-    config = config or _sharded_config()
-    system, clients = _build_live(seed, config)
+    system, clients = _build_live(seed)
     probes = round_robin_probes(system, clients, REQUEST, start=5.0,
                                 stop=END_AT - 2.0, step=PROBE_INTERVAL)
-    applied = None
-    if faulted:
-        # R−1 replicas of one shard fail-stop at once and stay down.
-        applied = FaultPlan().kill_replicas(
-            KILL_AT, key="ad-kill-probe", count=R - 1
-        ).apply(system)
+    # R−1 replicas of one shard fail-stop at once and stay down.
+    applied = FaultPlan().kill_replicas(
+        KILL_AT, key="ad-kill-probe", count=R - 1
+    ).apply(system)
     system.run(until=END_AT)
     system.run_for(5.0)  # drain in-flight probes
 
     victims = sorted(
         {e.node_id for e in applied.history if e.kind == "crash"}
-    ) if applied else []
+    )
     dead_lans = {
         r.lan_name for r in system.registries if r.node_id in victims
     }
@@ -203,18 +189,13 @@ def run_live_scenario(*, seed: int = 0, faulted: bool = True,
             shard_counters[key] = shard_counters.get(key, 0) + value
     # Digest economics measured on the live stores: scoped partner
     # digests vs the full digest the unsharded protocol would gossip.
-    digest_scoped = digest_full = 0
-    probe_registry = next((r for r in registries if r.shard.active()), None)
-    if probe_registry is not None:
-        peers = probe_registry.shard.shard_peers()
-        if peers:
-            digest_scoped = max(
-                probe_registry.antientropy.digest(p).size_bytes()
-                for p in peers
-            )
-        digest_full = probe_registry.antientropy.digest().size_bytes()
-    if not faulted:
-        assert_invariants(system)
+    probe_registry = registries[0]
+    digest_scoped = max(
+        (probe_registry.antientropy.digest(p).size_bytes()
+         for p in probe_registry.shard.shard_peers()),
+        default=0,
+    )
+    digest_full = probe_registry.antientropy.digest().size_bytes()
     return {
         "victims": victims,
         "probes": len(probes),
@@ -229,7 +210,7 @@ def run_live_scenario(*, seed: int = 0, faulted: bool = True,
         "placement_violations": check_shard_placement(system),
         "convergence_violations": check_convergence(system),
         "trace": system.sim.trace.export_jsonl(),
-        "faults": dict(applied.counts()) if applied is not None else {},
+        "faults": dict(applied.counts()),
     }
 
 
@@ -246,7 +227,7 @@ def run(*, seed: int = 0) -> ExperimentResult:
     )
     for row in ring_sweep():
         result.add(run="ring-sweep", **row)
-    live = run_live_scenario(seed=seed, faulted=True)
+    live = run_live_scenario(seed=seed)
     result.add(
         run="replica-kill",
         registries=LIVE_REGISTRIES,
@@ -282,36 +263,12 @@ def run_shard_smoke(*, seed: int = 0) -> dict:
 
     Returns everything the smoke assertions need: the faulted run's
     probe stats and placement sweep, a same-seed repeat (trace bytes
-    asserted identical), the analytic sweep bounds, and the inertness
-    pair — the live scenario with sharding knobs present-but-disabled
-    vs a config that never mentions sharding, asserted byte-identical.
+    asserted identical) and the analytic sweep bounds.
     """
-    faulted = run_live_scenario(seed=seed, faulted=True)
-    repeat = run_live_scenario(seed=seed, faulted=True)
-    # Inertness: non-default shard knobs behind enabled=False must be
-    # indistinguishable from the built-in default configuration.
-    tuned_off = DiscoveryConfig(
-        cooperation=COOPERATION_REPLICATE_ADS, default_ttl=0,
-        antientropy_interval=2.0, lease_duration=30.0, purge_interval=2.0,
-        query_timeout=2.0, aggregation_timeout=0.3,
-        sharding=ShardingConfig(
-            enabled=False, replication_factor=5, write_quorum=4,
-            virtual_nodes=16, quorum_timeout=9.0,
-        ),
-    )
-    plain = DiscoveryConfig(
-        cooperation=COOPERATION_REPLICATE_ADS, default_ttl=0,
-        antientropy_interval=2.0, lease_duration=30.0, purge_interval=2.0,
-        query_timeout=2.0, aggregation_timeout=0.3,
-    )
-    off_a = run_live_scenario(seed=seed, faulted=False, config=tuned_off)
-    off_b = run_live_scenario(seed=seed, faulted=False, config=plain)
+    faulted = run_live_scenario(seed=seed)
+    repeat = run_live_scenario(seed=seed)
     return {
-        "seed": seed,
         "sweep": ring_sweep(),
         "faulted": faulted,
         "repeat_trace": repeat["trace"],
-        "off_trace_tuned": off_a["trace"],
-        "off_trace_plain": off_b["trace"],
-        "off_counters": off_a["shard_counters"],
     }

@@ -388,7 +388,7 @@ class AppliedFaults:
                 node.alive
                 and getattr(node, "active", True)  # skip dormant standbys
                 and shard is not None
-                and shard.active()
+                and node.replication is shard
             ):
                 replicas = [
                     rid for rid in shard.replicas_for(key)

@@ -87,6 +87,10 @@ class Node:
         #: Message type → handler; see the class docstring.
         self.handlers: dict[str, Callable[[Envelope], None]] = {}
         self.adopt_handlers(self)
+        #: Registered by a node with a bounded service model (a registry
+        #: under admission control): ``intercept(envelope)`` returns True
+        #: to take the delivery over — queue, delay or shed it.
+        self.interceptor: Any = None
         #: Causal context of the envelope currently being handled, set by
         #: :meth:`receive` for the duration of the dispatch. Synchronous
         #: sends made inside a handler inherit it automatically; work
@@ -260,18 +264,10 @@ class Node:
         """Entry point called by the network on delivery."""
         if not self.alive:
             return
-        if self.admission_intercept(envelope):
+        gate = self.interceptor
+        if gate is not None and gate.intercept(envelope):
             return
         self.dispatch(envelope)
-
-    def admission_intercept(self, envelope: Envelope) -> bool:
-        """Hook called before dispatch; return True to take ownership.
-
-        Nodes with a bounded service model (registries under admission
-        control) override this to queue, delay, or shed the message.
-        The default admits everything synchronously.
-        """
-        return False
 
     def adopt_handlers(self, component: Any) -> None:
         """Register ``component``'s ``handle_<type>`` methods for the

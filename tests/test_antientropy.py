@@ -371,7 +371,7 @@ def test_tombstone_cap_never_evicts_within_prune_horizon():
     — so nothing can be resurrected inside the prune horizon."""
     ae, sim = _pruner(cap=5)  # floor 6s, age horizon 8s
     for i in range(20):
-        ae.note_removed(f"ad-{i:03d}", version=1)
+        ae.log_remove(f"ad-{i:03d}", version=1)
     ae.digest()  # digest prunes; all 20 are younger than the floor
     assert len(ae.tombstones) == 20
     assert ae.tombstones_pruned == 0
@@ -382,7 +382,7 @@ def test_tombstone_cap_evicts_oldest_past_the_safety_floor():
     ae, sim = _pruner(cap=5)
     for i in range(15):
         sim.now = 0.05 * i  # staggered removals, all within 0.7s
-        ae.note_removed(f"ad-{i:03d}", version=1)
+        ae.log_remove(f"ad-{i:03d}", version=1)
     sim.now = 7.0  # past the 6s floor, inside the 8s age horizon
     ae.digest()
     assert len(ae.tombstones) == 5
@@ -394,7 +394,7 @@ def test_tombstone_cap_evicts_oldest_past_the_safety_floor():
 def test_tombstone_age_horizon_clears_everything():
     ae, sim = _pruner(cap=None)
     for i in range(30):
-        ae.note_removed(f"ad-{i:03d}", version=1)
+        ae.log_remove(f"ad-{i:03d}", version=1)
     sim.now = 9.0  # past 2 * lease_duration = 8s
     ae.digest()
     assert ae.tombstones == {}
@@ -444,3 +444,82 @@ def test_tombstone_growth_bounded_under_remove_churn():
         assert all(ad_id not in registry.store for ad_id in removed)
     assert check_convergence(system) == []
     assert_invariants(system)
+
+
+# -- tombstones are pruned wherever they are kept ------------------------------
+
+
+def _publish_then_remove_everything(config, *, services=30):
+    """``services`` publish at one registry, deregister and crash; returns
+    the advertisements the registry held before the removals."""
+    system = DiscoverySystem(seed=23, ontology=battlefield_ontology(),
+                             config=config)
+    system.add_lan("lan-0")
+    registry = system.add_registry("lan-0")
+    nodes = [system.add_service("lan-0", _radar(f"radar-{i}"))
+             for i in range(services)]
+    system.run(until=3.0)
+    held = list(registry.store.all())
+    assert len(held) >= services
+    for node in nodes:
+        node.deregister()
+    system.run_for(0.5)
+    for node in nodes:
+        node.crash()  # gone for good: nothing republishes
+    assert len(registry.store) == 0
+    return system, registry, held
+
+
+def test_forwarding_registry_keeps_no_tombstones():
+    """Nothing reads a tombstone where nothing is replicated: a default
+    (forward-queries) registry keeps none — in memory, in its snapshot of
+    the empty store, or after replaying the WAL's ``remove`` records."""
+    from repro.core.durability import DurabilityConfig, SNAPSHOT_FILE, scan_records
+
+    config = DiscoveryConfig(lease_duration=10.0, purge_interval=1.0,
+                             durability=DurabilityConfig(enabled=True))
+    system, registry, _held = _publish_then_remove_everything(config)
+    system.run_for(10 * config.lease_duration)
+    assert len(registry.antientropy.tombstones) == 0
+
+    def snapshot_tombstones():
+        disk = system.network.disk(registry.node_id)
+        (record,), _corrupt, _torn = scan_records(disk.read(SNAPSHOT_FILE))
+        assert record[1] == ()  # the store is empty
+        return record[2]
+
+    registry.durability.snapshot()
+    assert snapshot_tombstones() == {}
+    registry.crash()
+    registry.restart()  # replays, then snapshots again
+    assert len(registry.antientropy.tombstones) == 0
+    assert snapshot_tombstones() == {}
+
+
+def test_flood_only_registry_prunes_tombstones_on_the_purge_sweep():
+    """``replicate-ads`` without digest rounds: the tombstones are kept
+    while they guard something — a replayed stale AD_FORWARD is still
+    blocked — and go with the purge sweep past ``2 * lease_duration``."""
+    from repro.core import protocol
+    from repro.netsim.node import Node
+
+    config = DiscoveryConfig(
+        cooperation=COOPERATION_REPLICATE_ADS, default_ttl=0,
+        antientropy_interval=None, lease_duration=10.0, purge_interval=1.0,
+    )
+    system, registry, held = _publish_then_remove_everything(config)
+    antientropy = registry.antientropy
+    assert sorted(antientropy.tombstones) == sorted(ad.ad_id for ad in held)
+
+    peer = system.network.add_node(Node("stale-peer"), "lan-0")
+    peer.send(registry.node_id, protocol.AD_FORWARD, protocol.AdForwardPayload(
+        advertisement=held[0], lease_duration=10.0,
+        epoch=registry.lease_epoch() + 1,
+    ))
+    system.run_for(0.5)
+    assert len(registry.store) == 0
+    assert antientropy.resurrections_blocked == 1
+
+    system.run_for(2 * config.lease_duration + 2 * config.purge_interval)
+    assert len(antientropy.tombstones) == 0
+    assert antientropy.tombstones_pruned == len(held)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import protocol
 from repro.core.config import DiscoveryConfig
+from repro.core.sharding import ShardingConfig
 from repro.errors import ReproError
 from repro.registry.advertisements import Advertisement
 from repro.registry.matching import QueryHit
@@ -25,6 +26,17 @@ def test_unknown_strategy_rejected():
 def test_unknown_cooperation_rejected():
     with pytest.raises(ReproError):
         DiscoveryConfig(cooperation="osmosis")
+
+
+def test_sharding_requires_replication():
+    """Sharding partitions what replicate-ads replicates: under
+    forward-queries there is nothing to place, so the pair is rejected
+    instead of being silently ignored."""
+    sharding = ShardingConfig(enabled=True)
+    with pytest.raises(ReproError, match="replicate-ads"):
+        DiscoveryConfig(sharding=sharding)
+    DiscoveryConfig(cooperation="replicate-ads", sharding=sharding)
+    DiscoveryConfig(sharding=ShardingConfig(enabled=False, replication_factor=5))
 
 
 def test_renew_fraction_bounds():

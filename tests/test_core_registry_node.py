@@ -30,13 +30,12 @@ class Probe(Node):
         return [e for e in self.inbox if e.msg_type == msg_type]
 
 
-@pytest.fixture
-def setup():
+def _setup(**config):
     ontology = battlefield_ontology()
     system = DiscoverySystem(
         seed=11, ontology=ontology,
-        config=DiscoveryConfig(lease_duration=10.0, purge_interval=1.0,
-                               beacon_interval=None),
+        config=DiscoveryConfig(**{"lease_duration": 10.0, "purge_interval": 1.0,
+                                  "beacon_interval": None, **config}),
     )
     system.add_lan("lan-0")
     registry = system.add_registry("lan-0")
@@ -44,6 +43,11 @@ def setup():
     system.network.add_node(probe, "lan-0")
     system.run(until=0.5)
     return system, registry, probe
+
+
+@pytest.fixture
+def setup():
+    return _setup()
 
 
 def _uri_description(type_uri="ncw:RadarService", name="radar-1"):
@@ -212,13 +216,18 @@ def _query(probe, registry, query_id, model_id, query):
                                      query=query, max_results=3))
 
 
-@pytest.mark.parametrize("junk", ("description", "query"))
+@pytest.mark.parametrize("junk", ("description", "query",
+                                  "description-informed", "query-informed"))
 @pytest.mark.parametrize("model_id", ("semantic", "template", "uri"))
-def test_malformed_payload_is_not_a_query_of_death(setup, model_id, junk):
+def test_malformed_payload_is_not_a_query_of_death(model_id, junk):
     """For every model: a stored description or a query of the wrong type
     matches nothing and is counted; it never raises out of the query
-    handler, and the next QUERY is answered from the good record."""
-    system, registry, probe = setup
+    handler, and the next QUERY is answered from the good record. Under
+    the ``informed`` strategy the payload is also read for index terms —
+    the junk description by every beacon, the junk query by the plan."""
+    junk, _, informed = junk.partition("-")
+    system, registry, probe = _setup(
+        strategy="informed", beacon_interval=1.0) if informed else _setup()
     description, query = _good_payloads(registry, model_id)
     _publish(probe, registry, name="radar-1", model_id=model_id, description=description)
     if junk == "description":
@@ -226,7 +235,7 @@ def test_malformed_payload_is_not_a_query_of_death(setup, model_id, junk):
                  description="not a description")
     else:
         _query(probe, registry, "q-junk", model_id, "not a query")
-    system.run_for(0.5)
+    system.run_for(3.5 if informed else 0.5)  # informed: three beacons
     assert len(registry.store) == (2 if junk == "description" else 1)
     _query(probe, registry, "q-good", model_id, query)
     system.run_for(0.5)
@@ -235,7 +244,12 @@ def test_malformed_payload_is_not_a_query_of_death(setup, model_id, junk):
     assert [h.advertisement.service_name for h in by_id["q-good"]] == ["radar-1"]
     if junk == "query":
         assert by_id["q-junk"] == ()
-    assert registry.models.get(model_id).malformed_payloads == 1
+    malformed = registry.models.get(model_id).malformed_payloads
+    if informed:
+        assert len(probe.of_type(protocol.REGISTRY_BEACON)) >= 3
+        assert malformed >= 1  # a summary is rebuilt per beacon
+    else:
+        assert malformed == 1
 
 
 @pytest.mark.parametrize("model_id", ("semantic", "template", "uri"))
@@ -383,7 +397,7 @@ def test_replication_dedup_keys_stay_bounded():
     for registry in registries:
         live = len(registry.store)
         assert live == 9  # 3 services x 3 description models, replicated
-        assert 0 < len(registry._seen_ad_pushes) <= epochs_kept * live
+        assert 0 < len(registry.replication._seen_pushes) <= epochs_kept * live
 
 
 def test_decentral_query_answered_by_registry(setup):

@@ -1,0 +1,299 @@
+"""The registry kernel's surface: what a ``RegistryNode`` registers, and
+ratchets on how it decides.
+
+"Off means absent": every registry constructs every subsystem (its
+counters stay readable everywhere), but one the configuration does not
+turn on holds no handler, periodic task, write observer, component slot
+or interceptor — and the node never asks a subsystem whether it is on.
+One structural statement covers all of them, in place of a same-seed
+byte-identity gate per subsystem; the ratchets keep it true, in the shape
+of ``tests/test_config_surface.py``.
+"""
+
+from __future__ import annotations
+
+import ast
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+import repro
+from repro.core import protocol
+from repro.core.admission import AdmissionController, AdmissionPolicy
+from repro.core.config import COOPERATION_REPLICATE_ADS, DiscoveryConfig
+from repro.core.durability import DurabilityConfig, DurabilityManager
+from repro.core.sharding import ShardingConfig
+from repro.core.system import DiscoverySystem
+from repro.descriptions.uri import UriDescription, UriQuery
+from repro.netsim.node import Node
+from repro.semantics.generator import battlefield_ontology
+from tests.deployments import e7_ring
+
+SRC = Path(repro.__file__).parent
+REPO = SRC.parent.parent
+
+
+# -- off means absent -----------------------------------------------------------
+
+
+def _registry(config):
+    system = DiscoverySystem(seed=1, ontology=battlefield_ontology(), config=config)
+    system.add_lan("lan-0")
+    registry = system.add_registry("lan-0")
+    system.run(until=0.1)  # start() has run
+    return system, registry
+
+
+def _surface(config):
+    """Everything one registry registered, by name."""
+    _system, registry = _registry(config)
+    return {
+        "handlers": frozenset(registry.handlers),
+        "periodic tasks": len(registry._periodics),
+        "write observers": [type(o).__name__ for o in registry.write_observers],
+        "components": [type(c).__name__ for c in registry.components],
+        "interceptor": type(registry.interceptor).__name__,
+    }
+
+
+def _replicating(**overrides):
+    return DiscoveryConfig(cooperation=COOPERATION_REPLICATE_ADS, **overrides)
+
+
+#: subsystem -> a config that tunes it without enabling it.
+TUNED_OFF = {
+    "sharding": DiscoveryConfig(sharding=ShardingConfig(
+        enabled=False, replication_factor=5, write_quorum=4, virtual_nodes=16,
+        quorum_timeout=9.0, handoff_limit=3)),
+    "flood replication": DiscoveryConfig(antientropy_tombstone_cap=7),
+    "anti-entropy rounds": DiscoveryConfig(antientropy_interval=2.0),
+    "durability": DiscoveryConfig(durability=DurabilityConfig(
+        enabled=False, snapshot_interval=3.0, max_wal_records=7)),
+    "admission": DiscoveryConfig(admission=AdmissionPolicy(
+        queue_limit=3, prioritized=False, degrade_at=0.9)),
+}
+
+SHARD_TYPES = {
+    protocol.SHARD_STORE, protocol.SHARD_STORE_ACK, protocol.SHARD_RENEW,
+    protocol.SHARD_RENEW_ACK, protocol.SHARD_REMOVE, protocol.SHARD_REMOVE_ACK,
+    protocol.SHARD_TRANSFER,
+}
+ANTIENTROPY_TYPES = {
+    protocol.ANTIENTROPY_DIGEST, protocol.ANTIENTROPY_PULL, protocol.ANTIENTROPY_ADS,
+}
+
+#: subsystem -> (config without it, config with it, what it alone adds).
+ENABLED = {
+    "sharding": (
+        _replicating(antientropy_interval=None),
+        _replicating(antientropy_interval=None,
+                     sharding=ShardingConfig(enabled=True)),
+        # Replaces the flood: its own messages in, the flood's out.
+        {"handlers": (SHARD_TYPES, {protocol.AD_FORWARD}),
+         "components": ["AntiEntropy", "ShardManager"]},
+    ),
+    "flood replication": (
+        DiscoveryConfig(),
+        _replicating(antientropy_interval=None),
+        {"handlers": ({protocol.AD_FORWARD}, set()),
+         "write observers": ["AntiEntropy"],
+         "components": ["AntiEntropy", "FloodReplicator"]},
+    ),
+    "anti-entropy rounds": (
+        _replicating(antientropy_interval=None),
+        _replicating(antientropy_interval=2.0),
+        {"handlers": (ANTIENTROPY_TYPES, set()), "periodic tasks": +1},
+    ),
+    "durability": (
+        DiscoveryConfig(),
+        DiscoveryConfig(durability=DurabilityConfig(enabled=True)),
+        {"periodic tasks": +1, "write observers": ["DurabilityManager"],
+         "components": ["DurabilityManager", "Replication"]},
+    ),
+    "admission": (
+        DiscoveryConfig(),
+        DiscoveryConfig(admission=AdmissionPolicy(query_cost=0.01)),
+        {"interceptor": "AdmissionController"},
+    ),
+}
+
+
+@pytest.mark.parametrize("subsystem", sorted(TUNED_OFF))
+def test_tuned_but_off_registers_nothing(subsystem):
+    plain = _surface(DiscoveryConfig())
+    assert _surface(TUNED_OFF[subsystem]) == plain
+    assert plain["write observers"] == []
+    assert plain["components"] == ["Replication"]
+    assert plain["interceptor"] == "NoneType"
+    assert not plain["handlers"] & (SHARD_TYPES | ANTIENTROPY_TYPES
+                                    | {protocol.AD_FORWARD})
+
+
+@pytest.mark.parametrize("subsystem", sorted(ENABLED))
+def test_enabling_adds_exactly_its_own_registrations(subsystem):
+    without, with_it, adds = ENABLED[subsystem]
+    adds = dict(adds)
+    before, after = _surface(without), _surface(with_it)
+    gained, lost = adds.pop("handlers", (set(), set()))
+    assert after["handlers"] - before["handlers"] == gained
+    assert before["handlers"] - after["handlers"] == lost
+    expected = dict(before, handlers=after["handlers"], **{
+        key: before[key] + value if key == "periodic tasks" else value
+        for key, value in adds.items()
+    })
+    assert after == expected
+
+
+def test_plain_deployment_never_touches_the_shard_manager():
+    deployment = e7_ring()
+    deployment.discover(6)
+    for registry in deployment.system.registries:
+        assert set(registry.shard.counters().values()) == {0}
+        assert len(registry.shard.ring) == 0
+        assert registry.unknown_messages == 0
+
+
+def test_foreign_replication_traffic_is_an_unknown_message():
+    """AD_FORWARD outside flood mode is counted like any other message
+    type no component of this registry serves."""
+    for config in (DiscoveryConfig(),
+                   _replicating(sharding=ShardingConfig(enabled=True))):
+        system, registry = _registry(config)
+        peer = system.network.add_node(Node("peer"), "lan-0")
+        peer.send(registry.node_id, protocol.AD_FORWARD, None)
+        system.run_for(0.1)
+        assert registry.unknown_messages == 1
+
+
+# -- ratchets -------------------------------------------------------------------
+
+#: Allowed only to fall (ROADMAP item 2 aims at ~600).
+REGISTRY_NODE_LINE_CEILING = 1172
+
+
+def test_registry_node_does_not_grow():
+    lines = len((SRC / "core" / "registry_node.py").read_text().splitlines())
+    assert lines <= REGISTRY_NODE_LINE_CEILING, (
+        f"core/registry_node.py has {lines} lines (ceiling "
+        f"{REGISTRY_NODE_LINE_CEILING}): move the new code behind a "
+        "component, or lower the ceiling if the file shrank."
+    )
+
+
+def _owner(node: ast.Attribute) -> str:
+    value = node.value
+    return value.attr if isinstance(value, ast.Attribute) else getattr(value, "id", "")
+
+
+def _enable_predicates(path: Path, *, exempt: tuple[str, ...] = ()) -> list[str]:
+    """Every place a function of ``path`` asks whether something is on."""
+    found = []
+    for func in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(func, ast.FunctionDef) or func.name in exempt:
+            continue
+        for node in ast.walk(func):
+            what = None
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                attr = node.func.attr
+                if attr in ("active", "configured") or \
+                        (attr == "enabled" and _owner(node.func) == "antientropy"):
+                    what = f".{attr}()"
+            elif isinstance(node, ast.Attribute):
+                if node.attr == "enabled" and _owner(node) == "durability":
+                    what = "durability.enabled"
+            elif isinstance(node, ast.Compare):
+                sides = [node.left, *node.comparators]
+                if any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops) and \
+                        any(isinstance(s, ast.Attribute) and s.attr == "cooperation"
+                            for s in sides):
+                    what = "cooperation ==/!="
+            if what:
+                found.append(f"{path.name}:{node.lineno} {func.name}: {what}")
+    return found
+
+
+def test_nobody_is_asked_who_is_on():
+    """The constructor decides what is registered; after that the node
+    calls what was registered. The epoch fence (``send`` /
+    ``_fence_stale``) stores values to detect a fault and is left alone."""
+    core = SRC / "core"
+    assert _enable_predicates(
+        core / "registry_node.py", exempt=("__init__", "send", "_fence_stale")
+    ) == []
+    assert _enable_predicates(core / "antientropy.py") == []
+    assert _enable_predicates(core / "federation.py") == []
+
+
+def _harness_spans():
+    """``benchmarks/perf/spans.py``, loaded by path (read-only)."""
+    spec = importlib.util.spec_from_file_location(
+        "_perf_spans", REPO / "benchmarks" / "perf" / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class _Peer(Node):
+    """Stands in for a service and a client; keeps what it is sent."""
+
+    def __init__(self, node_id="peer"):
+        super().__init__(node_id)
+        self.inbox = []
+
+    def handle_message(self, envelope):
+        self.inbox.append(envelope)
+
+
+def test_the_wall_clock_harness_stays_attached():
+    """The harness wraps these methods *on their classes*, most of them
+    after the deployment is built: each must be an attribute of the class
+    it names, and the ones the write path, the restart and the receive
+    path reach must be looked up when called — a bound method captured at
+    construction would leave the harness timing nothing."""
+    spans = _harness_spans()
+    targets = spans.TIMER_TARGETS + spans.HOT_TARGETS + spans.RECOVER_TARGETS
+    missing = [f"{cls.__name__}.{attr}" for cls, attr, _ in targets
+               if attr not in cls.__dict__]
+    assert missing == []
+
+    system, registry = _registry(DiscoveryConfig(
+        lease_duration=5.0, purge_interval=0.5, beacon_interval=None,
+        durability=DurabilityConfig(enabled=True, snapshot_interval=None),
+        admission=AdmissionPolicy(query_cost=0.001, publish_cost=0.001,
+                                  renew_cost=0.001),
+    ))
+    peer = system.network.add_node(_Peer(), "lan-0")
+    rerouted = tuple(t for t in targets
+                     if t[0] in (DurabilityManager, AdmissionController))
+    rec = spans.SpanRecorder()
+
+    def publish(ad_id, lease_duration=None):
+        peer.send(registry.node_id, protocol.PUBLISH, protocol.PublishPayload(
+            service_node=peer.node_id, service_name=ad_id, endpoint="svc://x",
+            model_id="uri", description=UriDescription("ncw:RadarService", "svc://x"),
+            ad_id=ad_id, lease_duration=lease_duration,
+        ))
+
+    with spans.patched(rec, rerouted):  # after the build, as run.per_layer does
+        publish("ad-kept")
+        publish("ad-lapsing", lease_duration=1.0)
+        system.run_for(0.2)
+        lease_id = next(e.payload.lease_id for e in peer.inbox
+                        if e.msg_type == protocol.PUBLISH_ACK
+                        and e.payload.ad_id == "ad-kept")
+        peer.send(registry.node_id, protocol.RENEW,
+                  protocol.RenewPayload(lease_id=lease_id, ad_id="ad-kept"))
+        system.run_for(2.0)  # ad-lapsing expires
+        peer.send(registry.node_id, protocol.QUERY, protocol.QueryPayload(
+            query_id="q", model_id="uri", query=UriQuery("ncw:RadarService")))
+        peer.send(registry.node_id, protocol.REMOVE,
+                  protocol.RemovePayload(ad_id="ad-kept"))
+        system.run_for(0.2)
+        registry.durability.snapshot()
+        registry.crash()
+        registry.restart()
+    entered = {name for name in rec.names if rec.durations_ns(name)}
+    assert entered == {f"{cls.__name__}.{attr}" for cls, attr, _ in rerouted}
+    assert [e.payload.query_id for e in peer.inbox
+            if e.msg_type == protocol.QUERY_RESPONSE] == ["q"]
