@@ -53,15 +53,8 @@ class UddiRegistry(RegistryNode):
         """UDDI has no multicast discovery: probes go unanswered."""
 
     def start(self) -> None:
-        """No beacons, no federation probing — just passive serving."""
-        self.rim.lan_name = self.lan_name or ""
-        from repro.core.forwarding import SeenQueries
-        from repro.registry.leases import LeaseManager
-
-        self.leases = LeaseManager(
-            lambda: self.sim.now, default_duration=self.config.lease_duration
-        )
-        self._seen = SeenQueries(lambda: self.sim.now)
+        """No beacons, no purge, no federation probing — just passive serving."""
+        self._begin_serving()
 
 
 class UddiClient(ClientNode):

@@ -165,22 +165,15 @@ class _Ticket:
 
 
 def request_id_of(envelope: Envelope) -> str:
-    """The correlation id a BUSY should echo for ``envelope``.
-
-    Chosen so the original sender can find its own bookkeeping: the wire
+    """The correlation id a BUSY should echo for ``envelope``: the field
+    its record declares (``correlation`` in :mod:`repro.core.protocol`),
+    chosen so the original sender can find its own bookkeeping — the wire
     query id for queries/walks, the lease id for renewals, the
     advertisement id for (re)publishes and removals.
     """
     payload = envelope.payload
-    if isinstance(payload, (protocol.QueryPayload, protocol.WalkPayload)):
-        return payload.query_id
-    if isinstance(payload, protocol.RenewPayload):
-        return payload.lease_id
-    if isinstance(payload, (protocol.PublishPayload, protocol.RemovePayload)):
-        return payload.ad_id
-    if isinstance(payload, (protocol.SubscribePayload, protocol.UnsubscribePayload)):
-        return payload.sub_id
-    return ""
+    field = getattr(payload, "correlation", "")
+    return getattr(payload, field) if field else ""
 
 
 class AdmissionController:

@@ -206,8 +206,6 @@ class AntiEntropy:
         the pair without waiting for the peer's next round.
         """
         src, payload = envelope.src, envelope.payload
-        if not isinstance(payload, protocol.DigestPayload):
-            return
         # A digest is direct proof of life: replay any hinted writes
         # before reconciling, so the peer's digest round converges on
         # the post-handoff store.
@@ -273,8 +271,7 @@ class AntiEntropy:
 
     def handle_antientropy_pull(self, envelope: "Envelope") -> None:
         """A peer asked for advertisements our digest showed it lacks."""
-        if isinstance(envelope.payload, protocol.DigestPullPayload):
-            self._send_ads(envelope.src, envelope.payload.ad_ids)
+        self._send_ads(envelope.src, envelope.payload.ad_ids)
 
     def _send_ads(self, dst: str, ad_ids) -> None:
         """Ship full advertisements with their *remaining* lease time."""
@@ -309,8 +306,6 @@ class AntiEntropy:
 
     def handle_antientropy_ads(self, envelope: "Envelope") -> None:
         """Absorb pulled/pushed advertisements (no onward flooding)."""
-        if not isinstance(envelope.payload, protocol.SyncAdsPayload):
-            return
         for entry in envelope.payload.ads:
             if self.registry.absorb_replica(entry):
                 self.ads_applied += 1

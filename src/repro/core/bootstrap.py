@@ -146,17 +146,14 @@ class RegistryTracker:
     def handle_registry_beacon(self, envelope: Envelope) -> None:
         """Wire handler for :data:`protocol.REGISTRY_BEACON` and
         :data:`protocol.REGISTRY_PROBE_REPLY`, adopted by the host node."""
-        if isinstance(envelope.payload, RegistryDescription):
-            self.observe_registry(envelope.payload)
+        self.observe_registry(envelope.payload)
 
     handle_registry_probe_reply = handle_registry_beacon
 
     def handle_registry_list_reply(self, envelope: Envelope) -> None:
         """Wire handler for registry signalling: merge alternatives."""
-        payload = envelope.payload
-        if isinstance(payload, protocol.RegistryListPayload):
-            for description in payload.registries:
-                self.known.setdefault(description.registry_id, description)
+        for description in envelope.payload.registries:
+            self.known.setdefault(description.registry_id, description)
 
     # -- failover -----------------------------------------------------------
 

@@ -136,6 +136,7 @@ class ClientNode(Node):
     """A consumer node issuing discovery queries."""
 
     role = "client"
+    payload_records = protocol.MESSAGE_RECORDS
 
     def __init__(
         self,
@@ -415,8 +416,6 @@ class ClientNode(Node):
 
     def handle_decentral_response(self, envelope: Envelope) -> None:
         payload = envelope.payload
-        if not isinstance(payload, protocol.ResponsePayload):
-            return
         call = self._by_wire_id.get(payload.query_id)
         if call is None or call.completed:
             return
@@ -440,8 +439,6 @@ class ClientNode(Node):
 
     def handle_query_response(self, envelope: Envelope) -> None:
         payload = envelope.payload
-        if not isinstance(payload, protocol.ResponsePayload):
-            return
         call = self._by_wire_id.pop(payload.query_id, None)
         if call is None or call.completed:
             return
@@ -463,8 +460,6 @@ class ClientNode(Node):
     def handle_busy(self, envelope: Envelope) -> None:
         """The registry shed this query attempt: see :meth:`_attempt_over`."""
         payload = envelope.payload
-        if not isinstance(payload, protocol.BusyPayload):
-            return
         # A BUSY is a health signal about its sender whatever happens to
         # the call below (no-op under the static strategy).
         self.router.on_busy(
@@ -562,16 +557,12 @@ class ClientNode(Node):
                 self._send_subscribe(watch, registry)
 
     def handle_subscribe_ack(self, envelope: Envelope) -> None:
-        payload = envelope.payload
-        if isinstance(payload, protocol.SubscribeAck):
-            watch = self.watches.get(payload.sub_id)
-            if watch is not None:
-                watch.acked = True
+        watch = self.watches.get(envelope.payload.sub_id)
+        if watch is not None:
+            watch.acked = True
 
     def handle_notify(self, envelope: Envelope) -> None:
         payload = envelope.payload
-        if not isinstance(payload, protocol.NotifyPayload):
-            return
         watch = self.watches.get(payload.sub_id)
         if watch is None or not watch.active:
             return
@@ -602,7 +593,7 @@ class ClientNode(Node):
 
     def handle_artifact_reply(self, envelope: Envelope) -> None:
         payload = envelope.payload
-        if not isinstance(payload, protocol.ArtifactReplyPayload) or not payload.found:
+        if not payload.found:
             return
         self.artifacts_fetched[payload.artifact_name] = payload.artifact
         for model in self.models:

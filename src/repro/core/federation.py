@@ -107,9 +107,7 @@ class Federation:
         too. The ``departed`` tombstone deduplicates the flood.
         """
         src = envelope.src
-        member = envelope.payload.member \
-            if isinstance(envelope.payload, protocol.LeavePayload) else ""
-        member = member or src
+        member = envelope.payload.member or src
         if member == self.registry.node_id or member in self.departed:
             return
         self.departed[member] = self.registry.sim.now
@@ -143,11 +141,9 @@ class Federation:
         self.breakers.clear()
 
     def _add_neighbor(self, envelope: "Envelope") -> None:
-        """Link with the sender of a join or join-ack (which normally
-        carries its self-description)."""
-        other_id = envelope.src
-        description = envelope.payload \
-            if isinstance(envelope.payload, RegistryDescription) else None
+        """Link with the sender of a join or join-ack, which carries its
+        self-description."""
+        other_id, description = envelope.src, envelope.payload
         is_new = other_id not in self.neighbors
         self.departed.pop(other_id, None)  # a direct (re)join is proof of return
         self.neighbors.add(other_id)
@@ -155,9 +151,8 @@ class Federation:
         # detector rather than inheriting a stale pre-departure count.
         self._missed_pongs[other_id] = 0
         self.record_neighbor_success(other_id)
-        if description is not None:
-            self.known[other_id] = description
-            self.registry.replication.registry_observed(description)
+        self.known[other_id] = description
+        self.registry.replication.registry_observed(description)
         if is_new:
             self.registry.on_neighbor_added(other_id)
 
@@ -168,8 +163,7 @@ class Federation:
 
     def handle_registry_beacon(self, envelope: "Envelope") -> None:
         """A beacon or probe reply: a registry announced itself."""
-        if isinstance(envelope.payload, RegistryDescription):
-            self.observe(envelope.payload)
+        self.observe(envelope.payload)
 
     handle_registry_probe_reply = handle_registry_beacon
 
@@ -362,9 +356,8 @@ class Federation:
 
     def handle_registry_list_reply(self, envelope: "Envelope") -> None:
         """Merge a received registry list into the known cache."""
-        if isinstance(envelope.payload, protocol.RegistryListPayload):
-            for description in envelope.payload.registries:
-                self.observe(description)
+        for description in envelope.payload.registries:
+            self.observe(description)
 
     # -- gateway election ------------------------------------------------------------
 

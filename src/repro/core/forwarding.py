@@ -368,15 +368,8 @@ class RandomWalk:
     def handle_walk(self, envelope: "Envelope") -> None:
         """A walk reached us: report our matches, pass it on or end it."""
         payload = envelope.payload
-        if not isinstance(payload, protocol.WalkPayload):
-            return
         registry = self.registry
-        local = registry._local_hits(protocol.QueryPayload(
-            query_id=payload.query_id,
-            model_id=payload.model_id,
-            query=payload.query,
-            max_results=payload.max_results,
-        ))
+        local = registry._local_hits(payload)
         if local:
             registry.send(
                 payload.coordinator,
@@ -405,19 +398,15 @@ class RandomWalk:
 
     def handle_walk_hits(self, envelope: "Envelope") -> None:
         """One visited registry reported its local matches."""
-        payload = envelope.payload
-        if isinstance(payload, protocol.ResponsePayload):
-            walk = self.registry._pending.get(payload.query_id)
-            if walk is not None:
-                walk.add_response(payload)
+        walk = self.registry._pending.get(envelope.payload.query_id)
+        if walk is not None:
+            walk.add_response(envelope.payload)
 
     def handle_walk_end(self, envelope: "Envelope") -> None:
         """The walk reached its end: complete now."""
-        payload = envelope.payload
-        if isinstance(payload, protocol.ResponsePayload):
-            walk = self.registry._pending.get(payload.query_id)
-            if walk is not None:
-                walk.flush()
+        walk = self.registry._pending.get(envelope.payload.query_id)
+        if walk is not None:
+            walk.flush()
 
 
 #: Circuit-breaker states.

@@ -5,110 +5,32 @@ regardless of the payload (based on the service description model). We
 classify such operations and messages in three categories: registry
 network maintenance, publishing, and querying."
 
-This module defines exactly those message types and their payload records.
+This module defines exactly those payload records and message types.
 Service descriptions and queries ride *inside* these payloads, typed by
 the envelope's ``payload_type`` field ("next header"), so the protocol
 never depends on any particular description model.
+
+Each record is declared once (:func:`repro.records.record`): its
+annotations are the field kinds the construction-time check and
+``size_bytes()`` derive from, ``correlation`` the field a ``BUSY`` echoes.
+Each message type is declared with the record it carries: a new message is
+one line here (and a record, if it brings one) plus its handler.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import replace
+from typing import Annotated, Any
 
+from repro.records import PerItem, Seconds, record
 from repro.registry.advertisements import Advertisement
 from repro.registry.matching import QueryHit
 from repro.registry.rim import RegistryDescription
 
-# -- message types: registry network maintenance --------------------------
-
-#: Client/service multicast: "any registries on this LAN?" (active discovery)
-REGISTRY_PROBE = "registry-probe"
-#: Registry unicast reply to a probe.
-REGISTRY_PROBE_REPLY = "registry-probe-reply"
-#: Registry multicast heartbeat (passive discovery).
-REGISTRY_BEACON = "registry-beacon"
-#: Registry-to-registry aliveness check.
-REGISTRY_PING = "registry-ping"
-REGISTRY_PONG = "registry-pong"
-#: Ask any registry for other registries it knows (registry signalling).
-REGISTRY_LIST_REQUEST = "registry-list-request"
-REGISTRY_LIST_REPLY = "registry-list-reply"
-#: Registry-to-registry federation handshake.
-FEDERATION_JOIN = "federation-join"
-FEDERATION_JOIN_ACK = "federation-join-ack"
-FEDERATION_LEAVE = "federation-leave"
-#: Repository operations (§4.6): fetch ontologies/schemas from a registry.
-ARTIFACT_REQUEST = "artifact-request"
-ARTIFACT_REPLY = "artifact-reply"
-
-# -- message types: publishing --------------------------------------------
-
-PUBLISH = "publish"
-PUBLISH_ACK = "publish-ack"
-#: Registry refused the publish (e.g. at storage capacity) — the
-#: asymmetric-resources case: the service must try another registry.
-PUBLISH_NACK = "publish-nack"
-RENEW = "renew"
-RENEW_ACK = "renew-ack"
-RENEW_NACK = "renew-nack"
-REMOVE = "remove"
-REMOVE_ACK = "remove-ack"
-#: Registry-to-registry advertisement push (replication cooperation).
-AD_FORWARD = "ad-forward"
-#: Anti-entropy reconciliation (replication cooperation): a compact store
-#: digest, a delta-pull request for missing/stale advertisements, and the
-#: bulk advertisement reply.
-ANTIENTROPY_DIGEST = "antientropy-digest"
-ANTIENTROPY_PULL = "antientropy-pull"
-ANTIENTROPY_ADS = "antientropy-ads"
-#: Sharded federation (quorum replication): the write coordinator pushes
-#: one advertisement to a replica-set member and awaits its ack.  An
-#: empty ``request_id`` marks fire-and-forget traffic (hinted-handoff
-#: replay, read repair) that needs no ack.
-SHARD_STORE = "shard-store"
-SHARD_STORE_ACK = "shard-store-ack"
-#: Replica-lease refresh and tombstoning for quorum-replicated ads.
-SHARD_RENEW = "shard-renew"
-SHARD_RENEW_ACK = "shard-renew-ack"
-SHARD_REMOVE = "shard-remove"
-SHARD_REMOVE_ACK = "shard-remove-ack"
-#: Bulk key movement after a ring membership change (rebalancing).
-SHARD_TRANSFER = "shard-transfer"
-
-# -- message types: subscriptions (notification extension) -----------------
-
-#: Client registers interest in future advertisements ("registration for
-#: notifications about service advertisements of interest").
-SUBSCRIBE = "subscribe"
-SUBSCRIBE_ACK = "subscribe-ack"
-UNSUBSCRIBE = "unsubscribe"
-#: Registry pushes a newly published matching advertisement.
-NOTIFY = "notify"
-
-# -- message types: querying ----------------------------------------------
-
-QUERY = "query"
-QUERY_FORWARD = "query-forward"
-QUERY_RESPONSE = "query-response"
-#: Overload protection: a saturated registry *answers* shed work instead
-#: of silently dropping it. The payload carries a back-off hint so the
-#: sender retries on the server's schedule, not its own guess.
-BUSY = "busy"
-#: Random-walk variants: hits stream back to the coordinator directly.
-WALK = "walk"
-WALK_HITS = "walk-hits"
-WALK_END = "walk-end"
-#: Decentralized LAN mode (Fig. 3, right): query multicast to everyone;
-#: service nodes answer for themselves.
-DECENTRAL_QUERY = "decentral-query"
-DECENTRAL_RESPONSE = "decentral-response"
-
-
 # -- payload records -------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(overhead=24, correlation="ad_id")
 class PublishPayload:
     """A service node's publish (or republish) request.
 
@@ -122,24 +44,16 @@ class PublishPayload:
     model_id: str
     description: Any
     ad_id: str = ""
-    lease_duration: float | None = None
-
-    def size_bytes(self) -> int:
-        from repro.netsim.messages import estimate_payload_size
-
-        return (
-            len(self.service_node) + len(self.service_name) + len(self.endpoint)
-            + len(self.model_id) + len(self.ad_id) + 24
-            + estimate_payload_size(self.description)
-        )
+    lease_duration: Seconds | None = None
 
 
-@dataclass(frozen=True)
+@record(overhead=16)
 class PublishAck:
     """Registry's answer to a publish: the UUID and the granted lease.
 
     ``model_id`` echoes the published description model so a service node
-    publishing under several models can correlate acks.
+    publishing under several models can correlate acks. The *granted*
+    ``lease_duration`` is ``inf`` where the registry does not lease.
     """
 
     ad_id: str
@@ -147,11 +61,8 @@ class PublishAck:
     lease_duration: float
     model_id: str = ""
 
-    def size_bytes(self) -> int:
-        return len(self.ad_id) + len(self.lease_id) + len(self.model_id) + 16
 
-
-@dataclass(frozen=True)
+@record(overhead=8)
 class PublishNack:
     """Registry's refusal of a publish, with the reason."""
 
@@ -159,22 +70,16 @@ class PublishNack:
     model_id: str
     reason: str = "capacity"
 
-    def size_bytes(self) -> int:
-        return len(self.ad_id) + len(self.model_id) + len(self.reason) + 8
 
-
-@dataclass(frozen=True)
+@record(overhead=8, correlation="lease_id")
 class RenewPayload:
     """Lease renewal request, referencing the lease by id."""
 
     lease_id: str
     ad_id: str
 
-    def size_bytes(self) -> int:
-        return len(self.lease_id) + len(self.ad_id) + 8
 
-
-@dataclass(frozen=True)
+@record(overhead=8)
 class LeavePayload:
     """Graceful departure, flooded so non-neighbors learn it too.
 
@@ -185,21 +90,15 @@ class LeavePayload:
 
     member: str = ""
 
-    def size_bytes(self) -> int:
-        return len(self.member) + 8
 
-
-@dataclass(frozen=True)
+@record(overhead=8, correlation="ad_id")
 class RemovePayload:
     """Explicit advertisement removal (graceful shutdown)."""
 
     ad_id: str
 
-    def size_bytes(self) -> int:
-        return len(self.ad_id) + 8
 
-
-@dataclass(frozen=True)
+@record(overhead=16, correlation="query_id")
 class QueryPayload:
     """A query travelling through the registry network.
 
@@ -216,21 +115,10 @@ class QueryPayload:
     ttl: int = 0
 
     def with_ttl(self, ttl: int) -> "QueryPayload":
-        return QueryPayload(
-            query_id=self.query_id,
-            model_id=self.model_id,
-            query=self.query,
-            max_results=self.max_results,
-            ttl=ttl,
-        )
-
-    def size_bytes(self) -> int:
-        from repro.netsim.messages import estimate_payload_size
-
-        return len(self.query_id) + len(self.model_id) + 16 + estimate_payload_size(self.query)
+        return replace(self, ttl=ttl)
 
 
-@dataclass(frozen=True)
+@record(overhead=16)
 class ResponsePayload:
     """Aggregated query hits flowing back toward the querying client.
 
@@ -252,18 +140,15 @@ class ResponsePayload:
     degraded: bool = False
     queue_depth: int = 0
 
-    def size_bytes(self) -> int:
-        return len(self.query_id) + 16 + sum(hit.size_bytes() for hit in self.hits)
 
-
-@dataclass(frozen=True)
+@record(overhead=16)
 class BusyPayload:
     """An admission controller's rejection of one message.
 
-    ``request_id`` echoes the correlation id of the shed request (query
-    id, lease id, or advertisement id) so the sender can find its own
-    bookkeeping; ``retry_after`` is the server's back-off hint, monotone
-    in ``queue_depth`` at shed time.
+    ``request_id`` echoes the shed request's ``correlation`` field (query
+    id, lease id, advertisement id or subscription id) so the sender can
+    find its own bookkeeping; ``retry_after`` is the server's back-off
+    hint, monotone in ``queue_depth`` at shed time.
     """
 
     request_id: str
@@ -271,11 +156,8 @@ class BusyPayload:
     retry_after: float
     queue_depth: int
 
-    def size_bytes(self) -> int:
-        return len(self.request_id) + len(self.msg_type) + 16
 
-
-@dataclass(frozen=True)
+@record(overhead=24, correlation="query_id")
 class WalkPayload:
     """A random-walk query: carries its coordinator and visited set."""
 
@@ -287,17 +169,8 @@ class WalkPayload:
     visited: tuple[str, ...] = ()
     max_results: int | None = None
 
-    def size_bytes(self) -> int:
-        from repro.netsim.messages import estimate_payload_size
 
-        return (
-            len(self.query_id) + len(self.model_id) + len(self.coordinator)
-            + sum(len(v) for v in self.visited) + 24
-            + estimate_payload_size(self.query)
-        )
-
-
-@dataclass(frozen=True)
+@record(overhead=16, correlation="sub_id")
 class SubscribePayload:
     """A standing query: notify me about future matching advertisements.
 
@@ -310,58 +183,40 @@ class SubscribePayload:
     sub_id: str
     model_id: str
     query: Any
-    duration: float
-
-    def size_bytes(self) -> int:
-        from repro.netsim.messages import estimate_payload_size
-
-        return len(self.sub_id) + len(self.model_id) + 16 + \
-            estimate_payload_size(self.query)
+    duration: Seconds
 
 
-@dataclass(frozen=True)
+@record(overhead=16)
 class SubscribeAck:
     """Registry's acceptance of a (re-)subscription."""
 
     sub_id: str
     expires_at: float
 
-    def size_bytes(self) -> int:
-        return len(self.sub_id) + 16
 
-
-@dataclass(frozen=True)
+@record(overhead=0)
 class NotifyPayload:
     """One newly published advertisement matching a subscription."""
 
     sub_id: str
     hit: QueryHit
 
-    def size_bytes(self) -> int:
-        return len(self.sub_id) + self.hit.size_bytes()
 
-
-@dataclass(frozen=True)
+@record(overhead=8, correlation="sub_id")
 class UnsubscribePayload:
     """Cancel a standing query."""
 
     sub_id: str
 
-    def size_bytes(self) -> int:
-        return len(self.sub_id) + 8
 
-
-@dataclass(frozen=True)
+@record(overhead=16)
 class RegistryListPayload:
     """Registry signalling: "share information about other registry nodes"."""
 
     registries: tuple[RegistryDescription, ...]
 
-    def size_bytes(self) -> int:
-        return 16 + sum(r.size_bytes() for r in self.registries)
 
-
-@dataclass(frozen=True)
+@record(overhead=24)
 class AdForwardPayload:
     """One advertisement pushed to a peer registry (replication).
 
@@ -371,17 +226,14 @@ class AdForwardPayload:
     """
 
     advertisement: Advertisement
-    lease_duration: float
+    lease_duration: Seconds
     epoch: int = 0
 
     def dedup_key(self) -> tuple[str, int, int]:
         return (self.advertisement.ad_id, self.advertisement.version, self.epoch)
 
-    def size_bytes(self) -> int:
-        return self.advertisement.size_bytes() + 24
 
-
-@dataclass(frozen=True)
+@record(overhead=16)
 class DigestPayload:
     """A compact snapshot of one registry's replicated store.
 
@@ -392,28 +244,18 @@ class DigestPayload:
     replicas instead of pushing them back (resurrection avoidance).
     """
 
-    entries: tuple[tuple[str, int, int], ...] = ()
-    tombstones: tuple[tuple[str, int], ...] = ()
-
-    def size_bytes(self) -> int:
-        return (
-            16
-            + sum(len(ad_id) + 16 for ad_id, _v, _e in self.entries)
-            + sum(len(ad_id) + 8 for ad_id, _v in self.tombstones)
-        )
+    entries: Annotated[tuple[tuple[str, int, int], ...], PerItem(16)] = ()
+    tombstones: Annotated[tuple[tuple[str, int], ...], PerItem(8)] = ()
 
 
-@dataclass(frozen=True)
+@record(overhead=16)
 class DigestPullPayload:
     """Delta pull: the advertisement ids a digest showed we lack."""
 
-    ad_ids: tuple[str, ...]
-
-    def size_bytes(self) -> int:
-        return 16 + sum(len(ad_id) + 8 for ad_id in self.ad_ids)
+    ad_ids: Annotated[tuple[str, ...], PerItem(8)]
 
 
-@dataclass(frozen=True)
+@record(overhead=16)
 class SyncAdsPayload:
     """Bulk anti-entropy transfer: full advertisements with lease context.
 
@@ -425,11 +267,8 @@ class SyncAdsPayload:
 
     ads: tuple[AdForwardPayload, ...]
 
-    def size_bytes(self) -> int:
-        return 16 + sum(entry.size_bytes() for entry in self.ads)
 
-
-@dataclass(frozen=True)
+@record(overhead=8)
 class ShardStorePayload:
     """One quorum-write replica push (sharded federation).
 
@@ -442,11 +281,8 @@ class ShardStorePayload:
     request_id: str
     entry: AdForwardPayload
 
-    def size_bytes(self) -> int:
-        return len(self.request_id) + self.entry.size_bytes() + 8
 
-
-@dataclass(frozen=True)
+@record(overhead=16)
 class ShardAckPayload:
     """A replica's answer to a quorum write/renew/remove.
 
@@ -461,45 +297,33 @@ class ShardAckPayload:
     found: bool = True
     version: int = 0
 
-    def size_bytes(self) -> int:
-        return len(self.request_id) + len(self.ad_id) + 16
 
-
-@dataclass(frozen=True)
+@record(overhead=24)
 class ShardRenewPayload:
     """Refresh the replica leases of one quorum-replicated advertisement."""
 
     request_id: str
     ad_id: str
     epoch: int
-    duration: float
-
-    def size_bytes(self) -> int:
-        return len(self.request_id) + len(self.ad_id) + 24
+    duration: Seconds
 
 
-@dataclass(frozen=True)
+@record(overhead=16)
 class ShardRemovePayload:
     """Tombstone one advertisement on a replica (quorum remove)."""
 
     request_id: str
     ad_id: str
 
-    def size_bytes(self) -> int:
-        return len(self.request_id) + len(self.ad_id) + 16
 
-
-@dataclass(frozen=True)
+@record(overhead=16)
 class ArtifactRequestPayload:
     """Fetch a named artifact (ontology, schema) from a registry."""
 
     artifact_name: str
 
-    def size_bytes(self) -> int:
-        return len(self.artifact_name) + 16
 
-
-@dataclass(frozen=True)
+@record(overhead=16)
 class ArtifactReplyPayload:
     """The artifact, or a not-found marker."""
 
@@ -507,7 +331,103 @@ class ArtifactReplyPayload:
     artifact: Any = None
     found: bool = True
 
-    def size_bytes(self) -> int:
-        from repro.netsim.messages import estimate_payload_size
 
-        return len(self.artifact_name) + 16 + estimate_payload_size(self.artifact)
+# -- message types ---------------------------------------------------------
+
+#: Message type → the record its payload must be (``NoneType``: none at
+#: all), filled by the declarations below. The nodes of this protocol
+#: supply it as their ``payload_records``, so ``Node.receive`` discards
+#: anything else before a handler sees it. Admission class, epoch fencing
+#: and bandwidth grouping per type stay with the subsystems that own them.
+MESSAGE_RECORDS: dict[str, type] = {}
+
+
+def _message(msg_type: str, carries: type = type(None)) -> str:
+    """Declare a message type together with the record it carries."""
+    MESSAGE_RECORDS[msg_type] = carries
+    return msg_type
+
+
+# -- message types: registry network maintenance --------------------------
+
+#: Client/service multicast: "any registries on this LAN?" (active discovery)
+REGISTRY_PROBE = _message("registry-probe")
+#: Registry unicast reply to a probe.
+REGISTRY_PROBE_REPLY = _message("registry-probe-reply", RegistryDescription)
+#: Registry multicast heartbeat (passive discovery).
+REGISTRY_BEACON = _message("registry-beacon", RegistryDescription)
+#: Registry-to-registry aliveness check.
+REGISTRY_PING = _message("registry-ping")
+REGISTRY_PONG = _message("registry-pong")
+#: Ask any registry for other registries it knows (registry signalling).
+REGISTRY_LIST_REQUEST = _message("registry-list-request")
+REGISTRY_LIST_REPLY = _message("registry-list-reply", RegistryListPayload)
+#: Registry-to-registry federation handshake.
+FEDERATION_JOIN = _message("federation-join", RegistryDescription)
+FEDERATION_JOIN_ACK = _message("federation-join-ack", RegistryDescription)
+FEDERATION_LEAVE = _message("federation-leave", LeavePayload)
+#: Repository operations (§4.6): fetch ontologies/schemas from a registry.
+ARTIFACT_REQUEST = _message("artifact-request", ArtifactRequestPayload)
+ARTIFACT_REPLY = _message("artifact-reply", ArtifactReplyPayload)
+
+# -- message types: publishing --------------------------------------------
+
+PUBLISH = _message("publish", PublishPayload)
+PUBLISH_ACK = _message("publish-ack", PublishAck)
+#: Registry refused the publish (e.g. at storage capacity) — the
+#: asymmetric-resources case: the service must try another registry.
+PUBLISH_NACK = _message("publish-nack", PublishNack)
+RENEW = _message("renew", RenewPayload)
+RENEW_ACK = _message("renew-ack", RenewPayload)
+RENEW_NACK = _message("renew-nack", RenewPayload)
+REMOVE = _message("remove", RemovePayload)
+REMOVE_ACK = _message("remove-ack", RemovePayload)
+#: Registry-to-registry advertisement push (replication cooperation).
+AD_FORWARD = _message("ad-forward", AdForwardPayload)
+#: Anti-entropy reconciliation (replication cooperation): a compact store
+#: digest, a delta-pull request for missing/stale advertisements, and the
+#: bulk advertisement reply.
+ANTIENTROPY_DIGEST = _message("antientropy-digest", DigestPayload)
+ANTIENTROPY_PULL = _message("antientropy-pull", DigestPullPayload)
+ANTIENTROPY_ADS = _message("antientropy-ads", SyncAdsPayload)
+#: Sharded federation (quorum replication): the write coordinator pushes
+#: one advertisement to a replica-set member and awaits its ack.  An
+#: empty ``request_id`` marks fire-and-forget traffic (hinted-handoff
+#: replay, read repair) that needs no ack.
+SHARD_STORE = _message("shard-store", ShardStorePayload)
+SHARD_STORE_ACK = _message("shard-store-ack", ShardAckPayload)
+#: Replica-lease refresh and tombstoning for quorum-replicated ads.
+SHARD_RENEW = _message("shard-renew", ShardRenewPayload)
+SHARD_RENEW_ACK = _message("shard-renew-ack", ShardAckPayload)
+SHARD_REMOVE = _message("shard-remove", ShardRemovePayload)
+SHARD_REMOVE_ACK = _message("shard-remove-ack", ShardAckPayload)
+#: Bulk key movement after a ring membership change (rebalancing).
+SHARD_TRANSFER = _message("shard-transfer", SyncAdsPayload)
+
+# -- message types: subscriptions (notification extension) -----------------
+
+#: Client registers interest in future advertisements ("registration for
+#: notifications about service advertisements of interest").
+SUBSCRIBE = _message("subscribe", SubscribePayload)
+SUBSCRIBE_ACK = _message("subscribe-ack", SubscribeAck)
+UNSUBSCRIBE = _message("unsubscribe", UnsubscribePayload)
+#: Registry pushes a newly published matching advertisement.
+NOTIFY = _message("notify", NotifyPayload)
+
+# -- message types: querying ----------------------------------------------
+
+QUERY = _message("query", QueryPayload)
+QUERY_FORWARD = _message("query-forward", QueryPayload)
+QUERY_RESPONSE = _message("query-response", ResponsePayload)
+#: Overload protection: a saturated registry *answers* shed work instead
+#: of silently dropping it. The payload carries a back-off hint so the
+#: sender retries on the server's schedule, not its own guess.
+BUSY = _message("busy", BusyPayload)
+#: Random-walk variants: hits stream back to the coordinator directly.
+WALK = _message("walk", WalkPayload)
+WALK_HITS = _message("walk-hits", ResponsePayload)
+WALK_END = _message("walk-end", ResponsePayload)
+#: Decentralized LAN mode (Fig. 3, right): query multicast to everyone;
+#: service nodes answer for themselves.
+DECENTRAL_QUERY = _message("decentral-query", QueryPayload)
+DECENTRAL_RESPONSE = _message("decentral-response", ResponsePayload)

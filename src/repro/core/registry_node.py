@@ -71,10 +71,8 @@ from repro.registry.store import AdvertisementStore
 class _Subscription:
     """One standing query registered by a client (notification support)."""
 
-    sub_id: str
+    request: protocol.SubscribePayload
     subscriber: str
-    model_id: str
-    query: Any
     expires_at: float
 
 
@@ -82,6 +80,7 @@ class RegistryNode(Node):
     """One autonomous registry super-peer."""
 
     role = "registry"
+    payload_records = protocol.MESSAGE_RECORDS
 
     def __init__(
         self,
@@ -188,6 +187,22 @@ class RegistryNode(Node):
 
     def start(self) -> None:
         """Arm periodic tasks, probe the LAN, and join seed registries."""
+        if self.config.beacon_interval is not None:
+            self.every(self.config.beacon_interval, self._beacon,
+                       initial_delay=self.config.beacon_interval)
+        if self.config.leasing_enabled:
+            self.every(self.config.purge_interval, self._purge)
+        self.federation.start()
+        self._begin_serving()
+        # Find same-LAN peer registries immediately (gateway election needs
+        # them) and join the statically seeded WAN peers.
+        self.multicast(protocol.REGISTRY_PROBE)
+        for seed in self.seeds:
+            self.federation.join(seed)
+
+    def _begin_serving(self) -> None:
+        """Build the volatile state and start the components in use — all
+        a registry that takes no part in dynamic discovery starts with."""
         self.rim.lan_name = self.lan_name or ""
         self.leases = LeaseManager(
             lambda: self.sim.now,
@@ -199,19 +214,8 @@ class RegistryNode(Node):
         # re-enter the fan-out and double-count hits.
         self._seen = SeenQueries(lambda: self.sim.now,
                                  protected=self._pending.__contains__)
-        if self.config.beacon_interval is not None:
-            self.every(self.config.beacon_interval, self._beacon,
-                       initial_delay=self.config.beacon_interval)
-        if self.config.leasing_enabled:
-            self.every(self.config.purge_interval, self._purge)
-        self.federation.start()
         for component in self.components:
             component.start()
-        # Find same-LAN peer registries immediately (gateway election needs
-        # them) and join the statically seeded WAN peers.
-        self.multicast(protocol.REGISTRY_PROBE)
-        for seed in self.seeds:
-            self.federation.join(seed)
 
     def on_crash(self) -> None:
         """Queued-but-unserved work dies with the registry."""
@@ -326,8 +330,6 @@ class RegistryNode(Node):
 
     def handle_artifact_request(self, envelope: Envelope) -> None:
         payload = envelope.payload
-        if not isinstance(payload, protocol.ArtifactRequestPayload):
-            return
         artifact = self.repository.fetch(payload.artifact_name)
         self.send(
             envelope.src,
@@ -490,8 +492,6 @@ class RegistryNode(Node):
 
     def handle_publish(self, envelope: Envelope) -> None:
         payload = envelope.payload
-        if not isinstance(payload, protocol.PublishPayload):
-            return
         if not self.models.supports(payload.model_id):
             # Silently discard descriptions we cannot evaluate; the
             # publisher will fail over to a capable registry on timeout.
@@ -551,8 +551,6 @@ class RegistryNode(Node):
 
     def handle_renew(self, envelope: Envelope) -> None:
         payload = envelope.payload
-        if not isinstance(payload, protocol.RenewPayload):
-            return
         self.rim.renews += 1
         if not self.config.leasing_enabled or self.leases is None:
             self.send(envelope.src, protocol.RENEW_ACK, payload)
@@ -573,8 +571,6 @@ class RegistryNode(Node):
 
     def handle_remove(self, envelope: Envelope) -> None:
         payload = envelope.payload
-        if not isinstance(payload, protocol.RemovePayload):
-            return
         self.remove_ad(payload.ad_id)
         # Always acked: removal is idempotent and leases expire regardless.
         self.send(envelope.src, protocol.REMOVE_ACK, payload)
@@ -601,19 +597,11 @@ class RegistryNode(Node):
         subscription analogue of a lease renewal.
         """
         payload = envelope.payload
-        if not isinstance(payload, protocol.SubscribePayload):
-            return
         if not self.models.supports(payload.model_id):
             self.models.discarded_payloads += 1
             return
         expires_at = self.sim.now + payload.duration
-        self._subscriptions[payload.sub_id] = _Subscription(
-            sub_id=payload.sub_id,
-            subscriber=envelope.src,
-            model_id=payload.model_id,
-            query=payload.query,
-            expires_at=expires_at,
-        )
+        self._subscriptions[payload.sub_id] = _Subscription(payload, envelope.src, expires_at)
         self.send(
             envelope.src,
             protocol.SUBSCRIBE_ACK,
@@ -621,9 +609,7 @@ class RegistryNode(Node):
         )
 
     def handle_unsubscribe(self, envelope: Envelope) -> None:
-        payload = envelope.payload
-        if isinstance(payload, protocol.UnsubscribePayload):
-            self._subscriptions.pop(payload.sub_id, None)
+        self._subscriptions.pop(envelope.payload.sub_id, None)
 
     def _notify_subscribers(self, ad: Advertisement) -> None:
         """Push a freshly stored advertisement to matching subscribers."""
@@ -632,10 +618,10 @@ class RegistryNode(Node):
         model = self.models.get(ad.model_id)
         if not model.can_evaluate():
             return
-        for sub in sorted(self._subscriptions.values(), key=lambda s: s.sub_id):
-            if sub.model_id != ad.model_id:
+        for sub_id, sub in sorted(self._subscriptions.items()):
+            if sub.request.model_id != ad.model_id:
                 continue
-            verdict = model.evaluate(ad.description, sub.query)
+            verdict = model.evaluate(ad.description, sub.request.query)
             if not verdict.matched:
                 continue
             self.notifications_sent += 1
@@ -643,7 +629,7 @@ class RegistryNode(Node):
                 sub.subscriber,
                 protocol.NOTIFY,
                 protocol.NotifyPayload(
-                    sub_id=sub.sub_id,
+                    sub_id=sub_id,
                     hit=QueryHit(advertisement=ad, degree=verdict.degree,
                                  score=verdict.score),
                 ),
@@ -670,7 +656,7 @@ class RegistryNode(Node):
         """An artifact arrived from a peer: host it, and offer it to the
         models that cannot evaluate yet (an ontology, in experiment E12)."""
         payload = envelope.payload
-        if not isinstance(payload, protocol.ArtifactReplyPayload) or not payload.found:
+        if not payload.found:
             return
         self.repository.store(payload.artifact_name, payload.artifact)
         for model in self.models:
@@ -748,7 +734,8 @@ class RegistryNode(Node):
     # -- querying ----------------------------------------------------------------------
 
     def _local_hits(
-        self, payload: protocol.QueryPayload, *, parent: Span | None = None
+        self, payload: protocol.QueryPayload | protocol.WalkPayload, *,
+        parent: Span | None = None,
     ) -> list[QueryHit]:
         before = self.evaluator.descriptions_evaluated
         hits = self.evaluator.evaluate(
@@ -850,8 +837,6 @@ class RegistryNode(Node):
         nobody left to carry it on and ends here.
         """
         payload = envelope.payload
-        if not isinstance(payload, protocol.BusyPayload):
-            return
         self.federation.record_neighbor_failure(envelope.src)
         self.router.on_busy(
             envelope.src,
@@ -882,8 +867,6 @@ class RegistryNode(Node):
     def handle_query(self, envelope: Envelope) -> None:
         """A client query: this registry is the entry point/coordinator."""
         payload = envelope.payload
-        if not isinstance(payload, protocol.QueryPayload):
-            return
         self.rim.queries_served += 1
         if self._duplicate_query(payload.query_id):
             return
@@ -1058,8 +1041,6 @@ class RegistryNode(Node):
     def handle_query_forward(self, envelope: Envelope) -> None:
         """A peer registry forwarded a query to us."""
         payload = envelope.payload
-        if not isinstance(payload, protocol.QueryPayload):
-            return
         parent = envelope.src
         if self._duplicate_query(payload.query_id):
             # Duplicate via another path (or of a query we are still
@@ -1074,8 +1055,6 @@ class RegistryNode(Node):
 
     def handle_query_response(self, envelope: Envelope) -> None:
         payload = envelope.payload
-        if not isinstance(payload, protocol.ResponsePayload):
-            return
         # Any answer is proof of life, even a late one.
         self.federation.record_neighbor_success(envelope.src)
         trace = self.trace
@@ -1159,8 +1138,6 @@ class RegistryNode(Node):
     def handle_decentral_query(self, envelope: Envelope) -> None:
         """Registries answer fallback multicasts too — they are LAN nodes."""
         payload = envelope.payload
-        if not isinstance(payload, protocol.QueryPayload):
-            return
         hits = self._local_hits(payload)
         if hits:
             self.send(

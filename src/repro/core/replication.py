@@ -156,8 +156,6 @@ class FloodReplicator(Replication):
 
     def handle_ad_forward(self, envelope: "Envelope") -> None:
         payload = envelope.payload
-        if not isinstance(payload, protocol.AdForwardPayload):
-            return
         key = payload.dedup_key()
         if key in self._seen_pushes:
             return

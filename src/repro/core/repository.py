@@ -53,19 +53,6 @@ class ArtifactRepository:
         """Modelled storage footprint of all artifacts."""
         return sum(estimate_payload_size(a) for a in self._artifacts.values())
 
-    def replicate_to(self, other: "ArtifactRepository") -> int:
-        """Copy every artifact into another repository; returns the count.
-
-        Registries joining a federation can mirror artifacts so clients
-        can fetch from their local registry.
-        """
-        count = 0
-        for name, artifact in self._artifacts.items():
-            if name not in other:
-                other.store(name, artifact)
-                count += 1
-        return count
-
     def clear(self) -> None:
         """Drop all artifacts (registry crash loses volatile state)."""
         self._artifacts.clear()

@@ -38,9 +38,8 @@ from repro.semantics.profiles import ServiceProfile
 #: Retransmission of unacked publishes (lost on a lossy link).
 PUBLISH_RETRY = RetryPolicy(base=1.0, factor=2.0, cap=8.0, max_attempts=4, jitter=0.1)
 
-#: The :class:`PublishedAd` field a BUSY's ``request_id`` echoes, per shed
-#: message type (see :func:`repro.core.admission.request_id_of`).
-_BUSY_ECHOES = {protocol.RENEW: "lease_id", protocol.PUBLISH: "ad_id"}
+#: The requests whose BUSY a service answers by resending on the hint.
+_RESENT_ON_BUSY = (protocol.RENEW, protocol.PUBLISH)
 
 
 @dataclass
@@ -68,6 +67,7 @@ class ServiceNode(Node):
     """A provider node hosting one service capability."""
 
     role = "service"
+    payload_records = protocol.MESSAGE_RECORDS
 
     def __init__(
         self,
@@ -257,8 +257,6 @@ class ServiceNode(Node):
 
     def handle_publish_ack(self, envelope: Envelope) -> None:
         ack = envelope.payload
-        if not isinstance(ack, protocol.PublishAck):
-            return
         record = self._published.get(ack.model_id)
         if record is None or record.registry != envelope.src:
             return
@@ -317,8 +315,6 @@ class ServiceNode(Node):
 
     def handle_renew_ack(self, envelope: Envelope) -> None:
         payload = envelope.payload
-        if not isinstance(payload, protocol.RenewPayload):
-            return
         record = self._record_for(lease_id=payload.lease_id)
         sent_at = None
         if record is not None:
@@ -336,8 +332,6 @@ class ServiceNode(Node):
         so beacon-driven re-homing does not bounce us back into the NACK.
         """
         payload = envelope.payload
-        if not isinstance(payload, protocol.PublishNack):
-            return
         self._record_request(protocol.PUBLISH, ok=False)
         if self.tracker.current != envelope.src:
             return
@@ -362,9 +356,10 @@ class ServiceNode(Node):
         served next time.
         """
         payload = envelope.payload
-        if not isinstance(payload, protocol.BusyPayload):
-            return
-        key = _BUSY_ECHOES.get(payload.msg_type)
+        # The :class:`PublishedAd` field of the same name as the one the
+        # shed request's record declares a BUSY to echo.
+        key = protocol.MESSAGE_RECORDS[payload.msg_type].correlation \
+            if payload.msg_type in _RESENT_ON_BUSY else None
         if key is not None:
             self._record_request(payload.msg_type, ok=False)
         self.router.on_busy(
@@ -386,8 +381,6 @@ class ServiceNode(Node):
     def handle_renew_nack(self, envelope: Envelope) -> None:
         """Lease lapsed at the registry (e.g. it restarted): republish."""
         payload = envelope.payload
-        if not isinstance(payload, protocol.RenewPayload):
-            return
         self._record_request(protocol.RENEW, ok=False)
         record = self._record_for(lease_id=payload.lease_id)
         if record is not None:
@@ -417,8 +410,6 @@ class ServiceNode(Node):
         other before they return their responses to the querying node."
         """
         payload = envelope.payload
-        if not isinstance(payload, protocol.QueryPayload):
-            return
         model = self.models.get_or_discard(payload.model_id)
         if model is None or not model.can_evaluate():
             return

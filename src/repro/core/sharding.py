@@ -593,8 +593,6 @@ class ShardManager(Replication):
 
     def handle_shard_store(self, envelope: "Envelope") -> None:
         payload = envelope.payload
-        if not isinstance(payload, protocol.ShardStorePayload):
-            return
         absorbed = self.registry.absorb_replica(payload.entry)
         ad_id = payload.entry.advertisement.ad_id
         # Holding an equal-or-newer copy satisfies the write even when
@@ -605,8 +603,6 @@ class ShardManager(Replication):
 
     def handle_shard_renew(self, envelope: "Envelope") -> None:
         payload = envelope.payload
-        if not isinstance(payload, protocol.ShardRenewPayload):
-            return
         found = self.registry.renew_ad(
             payload.ad_id, epoch=payload.epoch, duration=payload.duration,
         )
@@ -614,25 +610,18 @@ class ShardManager(Replication):
 
     def handle_shard_remove(self, envelope: "Envelope") -> None:
         payload = envelope.payload
-        if not isinstance(payload, protocol.ShardRemovePayload):
-            return
         self.registry.remove_ad(payload.ad_id)
         self._ack(envelope, protocol.SHARD_REMOVE_ACK, payload.ad_id)
 
     def handle_shard_transfer(self, envelope: "Envelope") -> None:
         """Bulk key movement from a rebalancing peer: absorb, don't flood."""
-        payload = envelope.payload
-        if not isinstance(payload, protocol.SyncAdsPayload):
-            return
-        for entry in payload.ads:
+        for entry in envelope.payload.ads:
             if self.registry.absorb_replica(entry):
                 self.ads_moved_in += 1
         self.publish_gauges()
 
     def handle_shard_store_ack(self, envelope: "Envelope") -> None:
         payload = envelope.payload
-        if not isinstance(payload, protocol.ShardAckPayload):
-            return
         write = self._writes.get(payload.request_id)
         if write is None:
             self.late_acks += 1
@@ -843,8 +832,8 @@ class ShardManager(Replication):
                 survivors = sorted(set(old_set) & set(new_set)) or [me]
                 targets = [t for t in new_set if t not in old_set and t != me] \
                     if survivors[0] == me else ()
-            if targets:
-                entry = self._transfer_entry(ad, epoch)
+            entry = self._transfer_entry(ad, epoch) if targets else None
+            if entry is not None:
                 for target in targets:
                     outgoing.setdefault(target, []).append(entry)
             if me not in new_set:
@@ -892,12 +881,16 @@ class ShardManager(Replication):
             self._rebalance(self.ring.clone())
 
     def _transfer_entry(self, ad, epoch: int):
+        """``ad`` with its *remaining* lease, or ``None`` for one whose
+        lease lapsed and only awaits the purge sweep: it is not moved."""
         registry = self.registry
         duration = registry.config.lease_duration
         if registry.leases is not None:
             lease = registry.leases.lease_for_ad(ad.ad_id)
             if lease is not None:
-                duration = max(0.0, lease.expires_at - registry.sim.now)
+                duration = lease.expires_at - registry.sim.now
+                if duration <= 0:
+                    return None
         return protocol.AdForwardPayload(
             advertisement=ad, lease_duration=duration, epoch=epoch,
         )

@@ -112,19 +112,16 @@ class StandbyRegistry(RegistryNode):
         """While dormant, observe beacons and silently ignore the rest."""
         if self.active:
             super().receive(envelope)
-            return
-        if not self.alive:
-            return
-        if envelope.msg_type == protocol.REGISTRY_BEACON:
+        elif self.alive and envelope.msg_type == protocol.REGISTRY_BEACON \
+                and not self.malformed(envelope):
             self._note_beacon(envelope.payload)
 
-    def _note_beacon(self, description: object) -> None:
+    def _note_beacon(self, description: RegistryDescription) -> None:
         """Remember when (and on which ring identity) a registry beaconed."""
-        if isinstance(description, RegistryDescription):
-            self._beacon_seen[description.registry_id] = self.sim.now
-            self._beacon_ring[description.registry_id] = (
-                description.ring_id or description.registry_id
-            )
+        self._beacon_seen[description.registry_id] = self.sim.now
+        self._beacon_ring[description.registry_id] = (
+            description.ring_id or description.registry_id
+        )
 
     def _live_lan_registries(self) -> list[str]:
         """Registries heard beaconing on this LAN recently (not ourselves)."""

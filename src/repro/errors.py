@@ -56,8 +56,8 @@ class AdvertisementNotFoundError(RegistryError):
     """Raised when referencing an advertisement UUID the registry does not hold."""
 
 
-class FederationError(ReproError):
-    """Raised for invalid registry-network (federation) operations."""
+class ProtocolError(ReproError):
+    """Raised where a protocol record is built with a field of the wrong kind."""
 
 
 class WorkloadError(ReproError):

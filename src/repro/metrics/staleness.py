@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.core.registry_node import RegistryNode
 from repro.core.system import DiscoverySystem
 from repro.workloads.queries import IssuedQuery
 
@@ -67,8 +66,3 @@ def registry_staleness(system: DiscoverySystem) -> float:
             if ad.service_name in dead:
                 stale += 1
     return stale / total if total else 0.0
-
-
-def stale_ads_in(registry: RegistryNode, dead_names: frozenset[str]) -> int:
-    """Count of one registry's advertisements naming dead services."""
-    return sum(1 for ad in registry.store.all() if ad.service_name in dead_names)

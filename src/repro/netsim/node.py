@@ -67,11 +67,16 @@ class Node:
     a subsystem that is switched off is simply never adopted. Types
     without an entry go to :meth:`handle_message`, which counts and
     silently discards them — the paper's "nodes quickly filter and
-    silently discard messages they cannot understand".
+    silently discard messages they cannot understand". So does
+    :meth:`receive` with a served type whose payload is not the record
+    ``payload_records`` declares for it: no handler asks what it was handed.
     """
 
     #: Role tag used by experiments for reporting; subclasses override.
     role = "node"
+    #: Message type → the class its payload must be an instance of; the
+    #: simulator knows no protocol, so a plain node is checked for nothing.
+    payload_records: dict[str, type] = {}
 
     def __init__(self, node_id: str) -> None:
         self.node_id = node_id
@@ -83,6 +88,7 @@ class Node:
         self._timers: dict[Timer, None] = {}
         self._periodics: list["PeriodicHandle"] = []
         self.unknown_messages = 0
+        self.malformed_messages = 0
         self.crash_count = 0
         #: Message type → handler; see the class docstring.
         self.handlers: dict[str, Callable[[Envelope], None]] = {}
@@ -264,10 +270,32 @@ class Node:
         """Entry point called by the network on delivery."""
         if not self.alive:
             return
+        expected = self.payload_records.get(envelope.msg_type)
+        if expected is not None and envelope.payload.__class__ is not expected \
+                and self.malformed(envelope):  # the call only for a near miss
+            return
         gate = self.interceptor
         if gate is not None and gate.intercept(envelope):
             return
         self.dispatch(envelope)
+
+    def malformed(self, envelope: Envelope) -> bool:
+        """Whether ``envelope`` is of a type this node serves and carries
+        something other than the record declared for it — then it is
+        counted and silently discarded, here and nowhere else."""
+        expected = self.payload_records.get(envelope.msg_type)
+        if expected is None or isinstance(envelope.payload, expected) \
+                or envelope.msg_type not in self.handlers:
+            return False
+        self.malformed_messages += 1
+        if self.network is not None:
+            self.network.metrics.counter("protocol.malformed").inc()
+            trace = self.trace
+            if trace is not None:
+                trace.event("protocol.malformed", node=self.node_id,
+                            ctx=TraceRecorder.extract(envelope.headers),
+                            attrs={"from": envelope.src, "type": envelope.msg_type})
+        return True
 
     def adopt_handlers(self, component: Any) -> None:
         """Register ``component``'s ``handle_<type>`` methods for the

@@ -124,15 +124,6 @@ class TrafficStats:
             },
         }
 
-    def fault_report(self) -> dict[str, dict[str, int]]:
-        """Detailed robustness counters (drops by cause, retries, faults)."""
-        return {
-            "drops_by_reason": dict(self.drops_by_reason),
-            "retries": dict(self.retries),
-            "faults": dict(self.faults),
-            "recoveries": dict(self.recoveries),
-        }
-
     def delta_since(self, earlier: dict[str, Any]) -> dict[str, Any]:
         """Counters accumulated since an earlier :meth:`snapshot`.
 

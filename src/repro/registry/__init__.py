@@ -17,7 +17,7 @@ These are the pieces inside every registry node (and the baselines):
 * :class:`~repro.registry.matching.QueryEvaluator` — dispatches queries
   to the right description model and applies query response control.
 * :class:`~repro.registry.rim.RegistryInfoModel` — what the registry
-  knows about itself and exposes to peers (supported models, taxonomies,
+  knows about itself and exposes to peers (supported models,
   statistics).
 """
 

@@ -84,33 +84,3 @@ class Advertisement:
     def size_bytes(self) -> int:
         """Wire size: the description payload plus record overhead."""
         return estimate_payload_size(self.description) + _RECORD_OVERHEAD_BYTES
-
-
-@dataclass(frozen=True)
-class AdvertisementSummary:
-    """The compact form exchanged during registry signalling: identity
-    only, no payload — "summary information about the advertisements
-    present in a registry"."""
-
-    ad_id: str
-    service_name: str
-    model_id: str
-    home_registry: str
-    version: int = 1
-
-    def size_bytes(self) -> int:
-        return (
-            len(self.ad_id) + len(self.service_name) + len(self.model_id)
-            + len(self.home_registry) + 16
-        )
-
-
-def summarize(ad: Advertisement) -> AdvertisementSummary:
-    """The summary record for one advertisement."""
-    return AdvertisementSummary(
-        ad_id=ad.ad_id,
-        service_name=ad.service_name,
-        model_id=ad.model_id,
-        home_registry=ad.home_registry,
-        version=ad.version,
-    )

@@ -9,8 +9,8 @@ descriptions through RIM fields ("the registry cannot assist in
 fine-grained service matching, since it does not know the meaning of the
 custom fields") — so it holds only what the registry itself must know:
 
-* which description models it supports (the plug-ins),
-* which taxonomies/ontologies have been uploaded to it (§4.6 repository),
+* which description models it supports (the plug-ins; the ontologies
+  uploaded to it live in its §4.6 repository, ``core/repository.py``),
 * operational statistics exposed to peers during registry signalling
   ("capacity and statistics reports" in the protocol-profiling list).
 """
@@ -18,11 +18,12 @@ custom fields") — so it holds only what the registry itself must know:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Annotated
 
-from repro.semantics.ontology import Ontology
+from repro.records import PerItem, record
 
 
-@dataclass(frozen=True)
+@record(overhead=32)
 class RegistryDescription:
     """The self-description a registry shares with clients and peers.
 
@@ -32,14 +33,14 @@ class RegistryDescription:
 
     registry_id: str
     lan_name: str
-    supported_models: tuple[str, ...]
+    supported_models: Annotated[tuple[str, ...], PerItem(8)]
     advertisement_count: int
     neighbor_count: int
-    artifact_names: tuple[str, ...] = ()
+    artifact_names: Annotated[tuple[str, ...], PerItem(8)] = ()
     #: Content summary: index terms of stored advertisements (§4.9 —
     #: "summary information about the advertisements present in a
     #: registry"). Empty when summaries are disabled.
-    summary_terms: tuple[str, ...] = ()
+    summary_terms: Annotated[tuple[str, ...], PerItem(8)] = ()
     #: When this snapshot was taken (simulated time); gossip keeps the
     #: freshest snapshot per registry.
     issued_at: float = 0.0
@@ -50,15 +51,6 @@ class RegistryDescription:
     #: the dead registry's positions.
     ring_id: str = ""
 
-    def size_bytes(self) -> int:
-        return (
-            len(self.registry_id) + len(self.lan_name)
-            + sum(len(m) + 8 for m in self.supported_models)
-            + sum(len(a) + 8 for a in self.artifact_names)
-            + sum(len(t) + 8 for t in self.summary_terms)
-            + len(self.ring_id) + 32
-        )
-
 
 @dataclass
 class RegistryInfoModel:
@@ -67,20 +59,11 @@ class RegistryInfoModel:
     registry_id: str
     lan_name: str
     supported_models: list[str] = field(default_factory=list)
-    taxonomies: dict[str, Ontology] = field(default_factory=dict)
     publishes: int = 0
     renews: int = 0
     removals: int = 0
     queries_served: int = 0
     queries_forwarded: int = 0
-
-    def register_taxonomy(self, ontology: Ontology) -> None:
-        """Upload a service taxonomy/ontology to this registry (§4.6)."""
-        self.taxonomies[ontology.name] = ontology
-
-    def taxonomy(self, name: str) -> Ontology | None:
-        """A previously uploaded taxonomy, or ``None``."""
-        return self.taxonomies.get(name)
 
     def describe(self, *, advertisement_count: int, neighbor_count: int,
                  artifact_names: tuple[str, ...] = (),

@@ -10,6 +10,7 @@ from repro.baselines.wsdiscovery import (
     build_wsdiscovery_system,
     wsdiscovery_config,
 )
+from repro.core.durability import DurabilityConfig
 from repro.semantics.generator import emergency_ontology
 from repro.semantics.profiles import ServiceProfile, ServiceRequest
 
@@ -95,6 +96,22 @@ def test_uddi_registry_crash_kills_discovery():
     call = system.discover(client, REQUEST, timeout=60.0)
     assert call.completed
     assert call.hits == []  # no fallback in UDDI deployments
+
+
+def test_durable_uddi_registry_starts_its_components():
+    """The baseline shares the kernel's start-up: a durable UDDI registry
+    arms its snapshot timer like any other (it used to log every write
+    and never snapshot)."""
+    system = UddiSystem(seed=1, ontology=emergency_ontology(), config=uddi_config(
+        durability=DurabilityConfig(enabled=True, snapshot_interval=5.0)))
+    system.add_lan("lan-0")
+    registry = system.add_registry("lan-0")
+    for i in range(3):
+        system.add_service("lan-0", _ambulance(f"ambu-{i}"))
+    system.run(until=30.0)
+    assert registry.durability.wal_appends == 9  # 3 services x 3 models
+    assert registry.durability.snapshots > 0
+    assert len(registry._periodics) == 1  # still no beacon, purge or ping round
 
 
 # -- WS-Discovery ----------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from repro.core import protocol
 from repro.core.config import COOPERATION_REPLICATE_ADS, DiscoveryConfig
 from repro.core.system import DiscoverySystem
+from repro.errors import ReproError
 from repro.netsim.node import Node
 from repro.semantics.generator import battlefield_ontology
 from repro.semantics.profiles import ServiceProfile, ServiceRequest
@@ -133,6 +134,33 @@ def test_renew_keeps_advertisement_alive(setup):
     system.run_for(1.0)
     assert len(registry.store) == 1
     assert probe.of_type(protocol.RENEW_ACK)
+
+
+def test_no_publish_that_can_be_built_outlives_its_lease(setup):
+    """§4.8 rests on every lease lapsing. Whatever duration a publisher
+    asks for, either the request cannot be built or the advertisement is
+    gone 3 x its lease after the last word from the service — ``nan`` and
+    ``inf`` used to be granted and kept for good, ``-5.0`` and ``"soon"``
+    to raise out of the publish handler."""
+    system, registry, probe = setup
+    sent = []
+    for i, asked in enumerate((None, 2.0, 7.5, 30, float("nan"), float("inf"),
+                               -5.0, 0, "soon")):
+        try:
+            payload = protocol.PublishPayload(
+                service_node=probe.node_id, service_name=f"radar-{i}",
+                endpoint="svc://x", model_id="uri", description=_uri_description(),
+                lease_duration=asked)
+        except ReproError:  # a ProtocolError
+            continue
+        sent.append(asked)
+        probe.send(registry.node_id, protocol.PUBLISH, payload)
+    system.run_for(0.5)
+    assert sent == [None, 2.0, 7.5, 30]
+    granted = [e.payload.lease_duration for e in probe.of_type(protocol.PUBLISH_ACK)]
+    assert granted == [10.0, 2.0, 7.5, 30] and len(registry.store) == 4
+    system.run_for(3 * max(granted))
+    assert len(registry.store) == 0 and len(registry.leases) == 0
 
 
 def test_renew_unknown_lease_nacked(setup):

@@ -127,11 +127,3 @@ def test_rim_describe_and_stats():
     assert desc.size_bytes() > 0
     rim.publishes += 1
     assert rim.stats()["publishes"] == 1
-
-
-def test_rim_taxonomy_registration():
-    rim = RegistryInfoModel(registry_id="r1", lan_name="lan-a")
-    ontology = battlefield_ontology()
-    rim.register_taxonomy(ontology)
-    assert rim.taxonomy("battlefield") is ontology
-    assert rim.taxonomy("missing") is None

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import AdvertisementNotFoundError
-from repro.registry.advertisements import Advertisement, new_uuid, summarize
+from repro.registry.advertisements import Advertisement, new_uuid
 from repro.registry.store import AdvertisementStore
 
 
@@ -143,14 +143,3 @@ def test_advertisement_size_includes_description():
         model_id="m", description="x" * 5000,
     )
     assert large.size_bytes() > small.size_bytes()
-
-
-def test_summary_is_compact():
-    ad = Advertisement(
-        ad_id="ad-x", service_node="n", service_name="s", endpoint="e",
-        model_id="semantic", description="x" * 5000,
-    )
-    summary = summarize(ad)
-    assert summary.size_bytes() < ad.size_bytes() / 10
-    assert summary.ad_id == ad.ad_id
-    assert summary.version == ad.version

@@ -35,18 +35,6 @@ def test_repository_replace_and_names():
     assert repo.fetch("b") == 3
 
 
-def test_repository_replicate_to():
-    src = ArtifactRepository()
-    src.store("x", "xx")
-    src.store("y", "yy")
-    dst = ArtifactRepository()
-    dst.store("x", "already-here")
-    copied = src.replicate_to(dst)
-    assert copied == 1
-    assert dst.fetch("x") == "already-here"  # never overwrites
-    assert dst.fetch("y") == "yy"
-
-
 def test_repository_total_bytes_and_clear():
     repo = ArtifactRepository()
     repo.store("big", "z" * 5000)

@@ -215,3 +215,35 @@ def test_placement_checker_vacuous_when_sharding_off():
     system.add_service("lan-0", _radar("radar"))
     system.run(until=5.0)
     assert check_shard_placement(system) == []
+
+
+# -- rebalancing inside the purge window ---------------------------------------
+
+
+def test_rebalance_moves_no_lapsed_advertisement():
+    """Between a lease lapsing and the purge sweep dropping it the ad is
+    still in the store: a ring change in that window must not ship it
+    (its remaining lease is zero — the receiver used to die granting it)."""
+    config = DiscoveryConfig(
+        cooperation=COOPERATION_REPLICATE_ADS, default_ttl=0,
+        lease_duration=5.0, purge_interval=50.0, beacon_interval=None,
+        sharding=ShardingConfig(enabled=True),
+    )
+    system = DiscoverySystem(seed=5, ontology=battlefield_ontology(), config=config)
+    system.add_lan("lan-0")
+    system.add_lan("lan-1")
+    first = system.add_registry("lan-0", node_id="registry-00")
+    services = [system.add_service("lan-0", _radar(f"radar-{i}")) for i in range(12)]
+    system.run(until=4.0)
+    held = len(first.store)
+    assert held >= 12
+    for service in services:
+        service.crash()
+    system.run(until=12.0)  # every lease lapsed, none purged yet
+    assert len(first.store) == held
+    joiner = system.add_registry("lan-1", node_id="registry-01",
+                                 seeds=(first.node_id,))
+    system.run(until=20.0)
+    assert joiner.alive and joiner.node_id in first.shard.ring
+    assert len(joiner.store) == 0
+    assert first.shard.ads_moved_out == 0 and joiner.shard.ads_moved_in == 0
