@@ -322,10 +322,7 @@ class AdmissionController:
         self._shed_ids.add(ticket.seq)
         self.shed_log.append((depth, retry_after))
         self.busy_sent += 1
-        headers: dict[str, object] = {}
         ctx = TraceRecorder.extract(envelope.headers)
-        if ctx is not None:
-            TraceRecorder.inject(headers, ctx)
         self.node.send(
             envelope.src,
             protocol.BUSY,
@@ -335,27 +332,15 @@ class AdmissionController:
                 retry_after=retry_after,
                 queue_depth=depth,
             ),
-            headers=headers or None,
+            headers=TraceRecorder.inject({}, ctx) if ctx is not None else None,
         )
-        network = self.node.network
-        if network is not None:
-            network.metrics.counter("admission.shed").inc()
-            network.metrics.counter(
-                f"admission.shed.{ticket.admission_class}"
-            ).inc()
-            network.metrics.counter("admission.busy").inc()
-        trace = self.node.trace
-        if trace is not None:
-            trace.event(
-                "admission.shed",
-                node=self.node.node_id,
-                ctx=ctx,
-                attrs={
-                    "type": envelope.msg_type,
-                    "depth": depth,
-                    "retry_after": retry_after,
-                },
-            )
+        self.node.count("admission.shed")
+        self.node.count(f"admission.shed.{ticket.admission_class}")
+        self.node.count("admission.busy")
+        self.node.note(
+            "admission.shed",
+            {"type": envelope.msg_type, "depth": depth, "retry_after": retry_after},
+            ctx=ctx)
         self._touch()
 
     # -- lifecycle -------------------------------------------------------
@@ -377,11 +362,7 @@ class AdmissionController:
         depth = self.depth
         if depth > self.max_depth:
             self.max_depth = depth
-        network = self.node.network
-        if network is not None:
-            network.metrics.gauge("registry.queue_depth").set(
-                depth, now=network.sim.now
-            )
+        self.node.gauge("registry.queue_depth", depth)
 
     def counters(self) -> dict[str, int]:
         """A plain snapshot for experiment rows."""

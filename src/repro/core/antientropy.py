@@ -43,6 +43,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.config import DiscoveryConfig
     from repro.netsim.messages import Envelope
 
+#: Upper bound on retained tombstones. Under remove-heavy churn the map
+#: would otherwise grow without limit; past the cap, tombstones older than
+#: the resurrection-safe floor (see :meth:`AntiEntropy.prune_tombstones`)
+#: are evicted oldest-first.
+TOMBSTONE_CAP = 4096
+
 
 class AntiEntropy:
     """Digest bookkeeping and reconciliation rounds for one registry."""
@@ -120,7 +126,7 @@ class AntiEntropy:
         The age prune drops tombstones older than ``2 * lease_duration`` —
         by then every replica's lease lapsed on its own. Under
         remove-heavy churn that horizon alone still admits unbounded
-        growth, so ``antientropy_tombstone_cap`` evicts oldest-first past
+        growth, so :data:`TOMBSTONE_CAP` evicts oldest-first past
         the cap — but never a tombstone younger than the
         *resurrection-safe floor* ``lease_duration + 2 * purge_interval``:
         after an explicit removal the origin service stops renewing, so
@@ -136,8 +142,7 @@ class AntiEntropy:
         for ad_id in stale:
             del self.tombstones[ad_id]
         self.tombstones_pruned += len(stale)
-        cap = self.config.antientropy_tombstone_cap
-        if cap is None or len(self.tombstones) <= cap:
+        if len(self.tombstones) <= TOMBSTONE_CAP:
             return
         floor = now - (self.config.lease_duration + 2 * self.config.purge_interval)
         evictable = sorted(
@@ -145,7 +150,7 @@ class AntiEntropy:
             for ad_id, (_v, at) in self.tombstones.items()
             if at < floor
         )
-        excess = len(self.tombstones) - cap
+        excess = len(self.tombstones) - TOMBSTONE_CAP
         for _at, ad_id in evictable[:excess]:
             del self.tombstones[ad_id]
             self.tombstones_pruned += 1
@@ -183,10 +188,8 @@ class AntiEntropy:
         if not neighbors:
             return
         self.rounds_run += 1
-        self._record("antientropy-round")
-        network = self.registry.network
-        if network is not None and network.health.active:
-            network.health.feed_liveness("antientropy-round", self.registry.node_id)
+        # Also the heartbeat the health layer's staleness watchdog hears.
+        self.registry.recovered("antientropy-round", attrs={"n": 1})
         for neighbor in neighbors:
             self.registry.send(neighbor, protocol.ANTIENTROPY_DIGEST,
                                self.digest(neighbor))
@@ -231,7 +234,7 @@ class AntiEntropy:
             if existing is not None and existing.version <= version:
                 self.registry.remove_ad(ad_id, version=version)
                 self.removals_applied += 1
-                self._record("antientropy-removal")
+                self.registry.recovered("antientropy-removal", attrs={"n": 1})
             else:
                 self.tombstones[ad_id] = (version, self._now())
 
@@ -251,7 +254,7 @@ class AntiEntropy:
         )
         if wants:
             self.pulls_sent += 1
-            self._record("antientropy-pull")
+            self.registry.recovered("antientropy-pull", attrs={"n": 1})
             self.registry.send(
                 src, protocol.ANTIENTROPY_PULL,
                 protocol.DigestPullPayload(ad_ids=tuple(wants)),
@@ -300,7 +303,8 @@ class AntiEntropy:
         if not entries:
             return
         self.ads_sent += len(entries)
-        self._record("antientropy-ads-sent", len(entries))
+        self.registry.recovered("antientropy-ads-sent", len(entries),
+                                {"n": len(entries)})
         self.registry.send(dst, protocol.ANTIENTROPY_ADS,
                            protocol.SyncAdsPayload(ads=tuple(entries)))
 
@@ -309,7 +313,7 @@ class AntiEntropy:
         for entry in envelope.payload.ads:
             if self.registry.absorb_replica(entry):
                 self.ads_applied += 1
-                self._record("antientropy-ads-applied")
+                self.registry.recovered("antientropy-ads-applied", attrs={"n": 1})
 
     # -- reporting ---------------------------------------------------------
 
@@ -325,16 +329,3 @@ class AntiEntropy:
             "tombstones": len(self.tombstones),
             "tombstones_pruned": self.tombstones_pruned,
         }
-
-    def _record(self, kind: str, n: int = 1) -> None:
-        if self.registry.network is None:
-            return
-        self.registry.network.stats.record_recovery(kind, n)
-        trace = self.registry.trace
-        if trace is not None:
-            trace.event(
-                kind,
-                node=self.registry.node_id,
-                ctx=self.registry._trace_ctx,
-                attrs={"n": n},
-            )

@@ -20,11 +20,15 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.core import protocol
 from repro.core.config import DiscoveryConfig
+from repro.core.routing import PassThrough
 from repro.netsim.messages import Envelope
 from repro.registry.rim import RegistryDescription
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.netsim.node import Node
+
+#: How long a prober waits for REGISTRY-PROBE replies before deciding.
+PROBE_TIMEOUT = 0.5
 
 
 class RegistryTracker:
@@ -43,10 +47,10 @@ class RegistryTracker:
         Called when the current registry is lost and no alternative was
         immediately available.
     router:
-        Optional :class:`~repro.core.routing.Router`: when set, candidate
-        selection and alternative ordering consult it. Under the default
-        ``static`` strategy the router defers to this tracker's own
-        hash-spread choice, so behavior is unchanged.
+        What candidate selection and alternative ordering consult (the
+        owning node's, see :func:`~repro.core.routing.router_for`); by
+        default a pass-through that keeps this tracker's own hash-spread
+        choice.
     """
 
     def __init__(
@@ -60,7 +64,7 @@ class RegistryTracker:
     ) -> None:
         self.node = node
         self.config = config
-        self.router = router
+        self.router = router or PassThrough()
         self.current: str | None = None
         self.known: dict[str, RegistryDescription] = {}
         #: Registries this node must not attach to (e.g. they NACKed a
@@ -80,6 +84,14 @@ class RegistryTracker:
             self.known[registry_id] = description
         self._attach(registry_id)
 
+    def reset(self) -> None:
+        """The node restarted: no attachment, nobody excluded, no probe in
+        flight (a crash cancels the timer that would have ended it). The
+        registries heard of so far stay known — a cache, not a promise."""
+        self.current = None
+        self.excluded.clear()
+        self._probing = False
+
     def probe(self) -> None:
         """Active discovery: multicast a probe, decide after the timeout."""
         if self._probing:
@@ -87,7 +99,7 @@ class RegistryTracker:
         self._probing = True
         self.probes_sent += 1
         self.node.multicast(protocol.REGISTRY_PROBE)
-        self.node.after(self.config.probe_timeout, self._probe_done)
+        self.node.after(PROBE_TIMEOUT, self._probe_done)
 
     def _probe_done(self) -> None:
         self._probing = False
@@ -197,16 +209,11 @@ class RegistryTracker:
         )
         if local:
             index = zlib.crc32(self.node.node_id.encode("utf-8")) % len(local)
-            default = local[index]
-            if self.router is not None:
-                # Adaptive strategies may override the hash-spread choice
-                # on observed health; static returns the default as-is.
-                return self.router.select(local, default=default)
-            return default
+            # Adaptive strategies may override the hash-spread choice on
+            # observed health; static returns the default as-is.
+            return self.router.select(local, default=local[index])
         remote = sorted(candidates)
-        if self.router is not None:
-            return self.router.select(remote, default=remote[0])
-        return remote[0]
+        return self.router.select(remote, default=remote[0])
 
     def _attach(self, registry_id: str) -> None:
         self.current = registry_id
@@ -230,6 +237,4 @@ class RegistryTracker:
             if self.known[rid].lan_name == self.node.lan_name
         )
         remote = sorted(rid for rid in others if rid not in local)
-        if self.router is not None:
-            return self.router.order(local) + self.router.order(remote)
-        return local + remote
+        return self.router.order(local) + self.router.order(remote)

@@ -22,11 +22,11 @@ from dataclasses import dataclass, field
 from repro.core import protocol
 from repro.core.bootstrap import RegistryTracker
 from repro.core.config import DiscoveryConfig
-from repro.core.routing import Router
+from repro.core.routing import router_for
 from repro.descriptions.base import DescriptionModel, ModelRegistry
 from repro.netsim.messages import Envelope
 from repro.netsim.node import Node
-from repro.obs.tracing import Span, TraceRecorder
+from repro.obs.tracing import Span
 from repro.registry.advertisements import new_uuid
 from repro.registry.matching import QueryEvaluator, QueryHit
 from repro.semantics.profiles import ServiceRequest
@@ -147,7 +147,7 @@ class ClientNode(Node):
         super().__init__(node_id)
         self.config = config
         self.models = ModelRegistry(models)
-        self.router = Router(config.routing, self)
+        self.router = router_for(config.routing, self)
         self.tracker = RegistryTracker(self, config,
                                        on_attached=self._on_attached,
                                        router=self.router)
@@ -191,7 +191,7 @@ class ClientNode(Node):
         self._by_wire_id.clear()
 
     def on_restart(self) -> None:
-        self.tracker.current = None
+        self.tracker.reset()
         self.start()
 
     def on_moved(self, old_lan: str, new_lan: str) -> None:
@@ -232,15 +232,12 @@ class ClientNode(Node):
             deadline=self.sim.now
             + self.config.query_retry.max_attempts * self.config.query_timeout,
         )
-        trace = self.trace
-        if trace is not None:
-            # The root span of the whole discovery trace; every retry,
-            # forward, and (late) response hangs off it.
-            call._span = trace.start_span(
-                "client.query",
-                node=self.node_id,
-                attrs={"query": trace.alias(call.query_id), "model": model_id},
-            )
+        # The root span of the whole discovery trace; every retry, forward,
+        # and (late) response hangs off it.
+        call._span = self.span(
+            "client.query", {"query": self.alias(call.query_id), "model": model_id},
+            ctx=None)
+        if call._span is not None:
             call.trace_id = call._span.trace_id
         self.calls.append(call)
         self._dispatch(call)
@@ -264,7 +261,7 @@ class ClientNode(Node):
         payload = self._query_payload(call)
         wire_id = payload.query_id
         registry = self.tracker.current
-        if registry is not None and self.router.adaptive:
+        if registry is not None:
             # Load-aware per-query selection: the attachment stays where
             # it is (publishing, subscriptions), but each query may go to
             # whichever same-LAN sibling looks healthiest right now. The
@@ -275,29 +272,19 @@ class ClientNode(Node):
                 if desc.lan_name == self.lan_name
                 and rid not in self.tracker.excluded
             )
-            if local:
-                default = registry if registry in local else local[0]
-                registry = self.router.select(local, default=default)
-        if registry is not None:
+            registry = self.router.select(local, default=registry)
             # Register the wire id only on paths that await a response —
             # an immediate failure must not strand a map entry.
             self._by_wire_id[wire_id] = call
             call._attempt = attempt = _Attempt(registry, self.sim.now, None)
             call.via = f"registry:{registry}"
             call.sent_to = registry
-            headers = None
-            trace = self.trace
-            if trace is not None and call._span is not None:
-                attempt.span = trace.start_span(
-                    "client.attempt",
-                    node=self.node_id,
-                    ctx=call._span.context,
-                    attrs={"attempt": call.attempts, "registry": registry},
-                )
-                headers = {}
-                TraceRecorder.inject(headers, attempt.span.context)
-            self.send(registry, protocol.QUERY, payload,
-                      payload_type=call.model_id, headers=headers)
+            if call._span is not None:
+                attempt.span = self.span(
+                    "client.attempt", {"attempt": call.attempts, "registry": registry},
+                    ctx=call._span.context)
+            self.send(registry, protocol.QUERY, payload, payload_type=call.model_id,
+                      headers=self.headers_for(attempt.span))
             self.after(self.config.query_timeout, lambda: self._query_timed_out(call, wire_id))
         elif self.config.fallback_enabled:
             self._fallback(call, payload)
@@ -310,8 +297,8 @@ class ClientNode(Node):
     ) -> _Attempt | None:
         """Take ``call``'s in-flight attempt (if any), closing its span."""
         attempt, call._attempt = call._attempt, None
-        if attempt is not None and attempt.span is not None and self.trace is not None:
-            self.trace.end_span(attempt.span, status=status, attrs=attrs)
+        if attempt is not None:
+            self.end(attempt.span, status=status, attrs=attrs)
         return attempt
 
     def _query_timed_out(self, call: DiscoveryCall, wire_id: str) -> None:
@@ -373,15 +360,11 @@ class ClientNode(Node):
                 key=f"{self.node_id}/{call.seq}",
                 retry_after=hint, budget=budget,
             )
-            trace = self.trace
-            if trace is not None and call._span is not None:
-                trace.event(
-                    "query.retry" if busy is None else "query.busy",
-                    node=self.node_id,
-                    ctx=call._span.context,
-                    attrs={"attempt": call.attempts,
+            if call._span is not None:
+                self.note("query.retry" if busy is None else "query.busy",
+                          {"attempt": call.attempts,
                            "delay" if busy is None else "retry_after": delay},
-                )
+                          ctx=call._span.context)
             self.after(delay, lambda: self._dispatch(call))
         elif self.config.fallback_enabled:
             self._fallback(call, self._query_payload(call))
@@ -396,19 +379,11 @@ class ClientNode(Node):
         call.via = "fallback"
         wire_id = payload.query_id
         self._by_wire_id[wire_id] = call
-        headers = None
-        trace = self.trace
-        if trace is not None and call._span is not None:
-            trace.event(
-                "client.fallback",
-                node=self.node_id,
-                ctx=call._span.context,
-                attrs={"attempt": call.attempts},
-            )
-            headers = {}
-            TraceRecorder.inject(headers, call._span.context)
-        self.multicast(protocol.DECENTRAL_QUERY, payload,
-                       payload_type=call.model_id, headers=headers)
+        if call._span is not None:
+            self.note("client.fallback", {"attempt": call.attempts},
+                      ctx=call._span.context)
+        self.multicast(protocol.DECENTRAL_QUERY, payload, payload_type=call.model_id,
+                       headers=self.headers_for(call._span))
         self.after(
             self.config.fallback_timeout,
             lambda: self._fallback_done(call, wire_id),
@@ -489,21 +464,11 @@ class ClientNode(Node):
         call.completed_at = self.sim.now
         # Only ``hits`` is read from here on; late replies return early.
         call._fallback_batches.clear()
-        if self.network is not None:
-            self.network.metrics.histogram("query.e2e_latency").observe(call.latency)
-            if self.network.health.active:
-                self.network.health.record_request(
-                    "query",
-                    ok=via not in ("failed", "crashed"),
-                    latency=call.latency,
-                )
-        if call._span is not None and self.trace is not None:
-            status = via if via in ("failed", "crashed") else ("ok" if hits else "empty")
-            self.trace.end_span(
-                call._span,
-                status=status,
-                attrs={"via": via, "hits": len(hits), "attempts": call.attempts},
-            )
+        failed = via in ("failed", "crashed")
+        self.observe("query.e2e_latency", call.latency)
+        self.answered("query", ok=not failed, latency=call.latency)
+        self.end(call._span, status=via if failed else ("ok" if hits else "empty"),
+                 attrs={"via": via, "hits": len(hits), "attempts": call.attempts})
 
     # -- standing queries (notification extension) ----------------------------------------
 

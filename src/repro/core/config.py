@@ -9,7 +9,7 @@ lives here, with defaults chosen so a LAN-scale scenario behaves sensibly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ReproError
 from repro.core.admission import AdmissionPolicy
@@ -55,8 +55,6 @@ class DiscoveryConfig:
     #: Seconds between registry beacon multicasts (passive registry
     #: discovery); ``None`` disables beacons.
     beacon_interval: float | None = 5.0
-    #: How long a prober waits for REGISTRY-PROBE replies before deciding.
-    probe_timeout: float = 0.5
     #: Seconds between aliveness pings among federated registries.
     ping_interval: float = 5.0
     #: Missed pongs before a neighbor is declared dead.
@@ -69,14 +67,6 @@ class DiscoveryConfig:
     #: Whether registries fetch missing repository artifacts (ontologies,
     #: schemas) from newly joined neighbors (§4.6).
     artifact_sync: bool = True
-    #: Whether registry descriptions carry content summaries (index terms
-    #: of stored advertisements). Enabled implicitly by the "informed"
-    #: strategy; costs larger beacons/gossip.
-    content_summaries: bool = False
-
-    def summaries_enabled(self) -> bool:
-        """Content summaries are on explicitly or via the informed strategy."""
-        return self.content_summaries or self.strategy == STRATEGY_INFORMED
 
     # -- publishing -------------------------------------------------------
     #: Advertisement lease duration granted by registries (seconds).
@@ -128,14 +118,6 @@ class DiscoveryConfig:
     breaker_failure_threshold: int = 3
     #: Seconds an open breaker waits before allowing a half-open probe.
     breaker_reset_timeout: float = 10.0
-    #: Upper bound on retained anti-entropy tombstones. Under
-    #: remove-heavy churn the tombstone map would otherwise grow without
-    #: limit; past the cap, tombstones older than the resurrection-safe
-    #: floor (``lease_duration + 2 * purge_interval`` — see
-    #: :meth:`~repro.core.antientropy.AntiEntropy.prune_tombstones`)
-    #: are evicted oldest-first. ``None`` disables the size cap (the
-    #: ``2 * lease_duration`` age prune still applies).
-    antientropy_tombstone_cap: int | None = 4096
 
     def antientropy_enabled(self) -> bool:
         """Anti-entropy runs only for replicating registries."""
@@ -226,11 +208,6 @@ class DiscoveryConfig:
         if self.breaker_reset_timeout <= 0:
             raise ReproError(
                 f"breaker_reset_timeout must be positive, got {self.breaker_reset_timeout}"
-            )
-        if self.antientropy_tombstone_cap is not None and self.antientropy_tombstone_cap < 1:
-            raise ReproError(
-                f"antientropy_tombstone_cap must be >= 1 or None, "
-                f"got {self.antientropy_tombstone_cap}"
             )
 
     @property

@@ -82,6 +82,10 @@ WAL_FILE = "wal"
 SNAPSHOT_FILE = "snap"
 META_FILE = "meta"
 
+#: Compact as soon as this many WAL records accumulated since the last
+#: snapshot, whatever the periodic task is doing.
+MAX_WAL_RECORDS = 512
+
 #: Sanity bound on a single framed record; a length prefix beyond this
 #: means the framing itself was destroyed and the rest of the log is
 #: unparseable (dropped as a corrupt tail).
@@ -101,12 +105,9 @@ class DurabilityConfig:
     #: Master switch. Off: no disk attached, no WAL, no headers.
     enabled: bool = False
     #: Seconds between periodic compacting snapshots; ``None`` disables
-    #: the periodic task (snapshots still happen on the record cap and
-    #: at recovery).
+    #: the periodic task (snapshots still happen every
+    #: :data:`MAX_WAL_RECORDS` records and at recovery).
     snapshot_interval: float | None = 30.0
-    #: Compact as soon as this many WAL records accumulated since the
-    #: last snapshot; ``None`` disables the count trigger.
-    max_wal_records: int | None = 512
     #: Root directory for the real-file backend. ``None`` (default)
     #: uses the network's in-memory :class:`~repro.netsim.disk.SimDisk`;
     #: a path stores each node's files under ``<directory>/<node_id>/``.
@@ -117,10 +118,6 @@ class DurabilityConfig:
             raise ReproError(
                 f"snapshot_interval must be positive or None, "
                 f"got {self.snapshot_interval}"
-            )
-        if self.max_wal_records is not None and self.max_wal_records < 1:
-            raise ReproError(
-                f"max_wal_records must be >= 1 or None, got {self.max_wal_records}"
             )
 
 
@@ -342,12 +339,8 @@ class DurabilityManager:
         self.port().append(WAL_FILE, frame_record(record))
         self.wal_appends += 1
         self._records_since_snapshot += 1
-        if self.registry.network is not None:
-            self.registry.network.metrics.counter("durability.wal_appends").inc()
-        if (
-            self.config.max_wal_records is not None
-            and self._records_since_snapshot >= self.config.max_wal_records
-        ):
+        self.registry.count("durability.wal_appends")
+        if self._records_since_snapshot >= MAX_WAL_RECORDS:
             self.snapshot()
 
     def log_store(
@@ -411,8 +404,7 @@ class DurabilityManager:
         port.write(WAL_FILE, b"")
         self._records_since_snapshot = 0
         self.snapshots += 1
-        if registry.network is not None:
-            registry.network.metrics.counter("durability.snapshots").inc()
+        registry.count("durability.snapshots")
 
     # -- recovery ----------------------------------------------------------
 
@@ -478,13 +470,8 @@ class DurabilityManager:
         if not self.enabled:
             return None
         registry = self.registry
-        trace = registry.trace
-        span = None
-        if trace is not None:
-            span = trace.start_span(
-                "registry.recover", node=registry.node_id,
-                attrs={"incarnation": self.incarnation + 1},
-            )
+        span = registry.span("registry.recover",
+                             {"incarnation": self.incarnation + 1}, ctx=None)
         ads, tombstones, corrupt = self._load_state()
         now = registry.sim.now
         replayed = 0
@@ -520,14 +507,11 @@ class DurabilityManager:
             "tombstones": len(tombstones),
             "incarnation": self.incarnation,
         }
-        if registry.network is not None:
-            metrics = registry.network.metrics
-            metrics.counter("durability.replayed").inc(replayed)
-            if corrupt:
-                metrics.counter("durability.corrupt_skipped").inc(corrupt)
-            registry.network.stats.record_recovery("durability-recover")
-        if trace is not None and span is not None:
-            trace.end_span(span, attrs=dict(counts))
+        registry.count("durability.replayed", replayed)
+        if corrupt:
+            registry.count("durability.corrupt_skipped", corrupt)
+        registry.recovered("durability-recover", traced=False)
+        registry.end(span, attrs=counts)
         return counts
 
     # -- fencing -----------------------------------------------------------

@@ -281,27 +281,21 @@ class Federation:
         """Mirror breaker state into metrics: a per-link state gauge
         (closed=0 / half-open=1 / open=2) and a global flap counter for
         open → half-open → open round trips (failed probes)."""
-        network = self.registry.network
-        if network is None:
-            return
-        now = self.registry.sim.now
-        gauge = network.metrics.gauge(
-            f"breaker.state.{self.registry.node_id}:{neighbor}"
-        )
-        gauge.set(self._BREAKER_LEVELS.get(new, 0.0), now=now)
+        self.registry.gauge(f"breaker.state.{self.registry.node_id}:{neighbor}",
+                            self._BREAKER_LEVELS.get(new, 0.0))
         if old == BREAKER_HALF_OPEN and new == BREAKER_OPEN:
-            network.metrics.counter("breaker.flaps").inc()
+            self.registry.count("breaker.flaps")
 
     def record_neighbor_failure(self, neighbor: str) -> None:
         """Feed one failure signal (missed pong, aggregation timeout)."""
         if self._breaker(neighbor).record_failure():
-            self._record_recovery("breaker-open", neighbor=neighbor)
+            self.registry.recovered("breaker-open", attrs={"neighbor": neighbor})
 
     def record_neighbor_success(self, neighbor: str) -> None:
         """Feed one success signal (pong, query response, join)."""
         breaker = self.breakers.get(neighbor)
         if breaker is not None and breaker.record_success():
-            self._record_recovery("breaker-close", neighbor=neighbor)
+            self.registry.recovered("breaker-close", attrs={"neighbor": neighbor})
 
     def breaker_allows(self, neighbor: str) -> bool:
         """Whether the fan-out may wait on ``neighbor`` right now.
@@ -316,26 +310,12 @@ class Federation:
         was_open = breaker.state == BREAKER_OPEN
         allowed = breaker.allows()
         if was_open and allowed:
-            self._record_recovery("breaker-half-open", neighbor=neighbor)
+            self.registry.recovered("breaker-half-open", attrs={"neighbor": neighbor})
         return allowed
 
     def breaker_states(self) -> dict[str, str]:
         """Current breaker state per tracked neighbor (reporting)."""
         return {nid: b.state for nid, b in sorted(self.breakers.items())}
-
-    def _record_recovery(self, kind: str, *, neighbor: str | None = None) -> None:
-        if self.registry.network is None:
-            return
-        self.registry.network.stats.record_recovery(kind)
-        trace = self.registry.trace
-        if trace is not None:
-            attrs = {"neighbor": neighbor} if neighbor is not None else None
-            trace.event(
-                kind,
-                node=self.registry.node_id,
-                ctx=self.registry._trace_ctx,
-                attrs=attrs,
-            )
 
     # -- signalling -------------------------------------------------------------------
 

@@ -194,13 +194,9 @@ class PendingAggregation:
         """Some neighbor never answered (crash/partition): finish anyway."""
         if self._done:
             return
-        if self.trace_ctx is not None and self._node.trace is not None:
-            self._node.trace.event(
-                "aggregation.timeout",
-                node=self._node.node_id,
-                ctx=self.trace_ctx,
-                attrs={"silent": len(self.silent)},
-            )
+        if self.trace_ctx is not None:
+            self._node.note("aggregation.timeout", {"silent": len(self.silent)},
+                            ctx=self.trace_ctx)
         if self._on_target_timeout is not None:
             for target in sorted(self.silent):
                 self._on_target_timeout(target)

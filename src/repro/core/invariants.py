@@ -111,10 +111,9 @@ def assert_invariants(system: "DiscoverySystem") -> None:
     """Raise :class:`InvariantError` listing every violation found."""
     violations = check_invariants(system)
     if violations:
-        if system.network.health.active:
-            # Capture flight-recorder dumps before raising: the rings hold
-            # the last events leading up to the rot.
-            system.network.health.on_invariant_violation("; ".join(violations))
+        # Capture flight-recorder dumps before raising (where the health
+        # layer is on): the rings hold the last events leading up to the rot.
+        system.network.health.on_invariant_violation("; ".join(violations))
         raise InvariantError(
             "invariant violations:\n  " + "\n  ".join(violations)
         )

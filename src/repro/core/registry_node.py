@@ -52,7 +52,7 @@ from repro.core.forwarding import (
 )
 from repro.core.replication import FloodReplicator, Replication
 from repro.core.repository import ArtifactRepository
-from repro.core.routing import Router
+from repro.core.routing import router_for
 from repro.core.sharding import ShardManager
 from repro.descriptions.base import DescriptionModel, ModelRegistry
 from repro.errors import LeaseError
@@ -118,7 +118,7 @@ class RegistryNode(Node):
         self.admission = AdmissionController(self, config.admission)
         #: Adaptive target selection for fan-out and walk next hops, fed
         #: passively by forwarded-query round-trips and peer BUSYs.
-        self.router = Router(config.routing, self)
+        self.router = router_for(config.routing, self)
         #: WAL + snapshot persistence and epoch-fenced crash recovery.
         self.durability = DurabilityManager(self, config.durability)
         #: Identity under which this registry's virtual nodes hash onto
@@ -288,17 +288,10 @@ class RegistryNode(Node):
         known = self._peer_incarnations.get(envelope.src, -1)
         if stamp < known:
             self.durability.fenced += 1
-            if self.network is not None:
-                self.network.metrics.counter("durability.fenced").inc()
-                trace = self.trace
-                if trace is not None:
-                    trace.event(
-                        "durability.fenced",
-                        node=self.node_id,
-                        ctx=TraceRecorder.extract(envelope.headers),
-                        attrs={"from": envelope.src, "stale": stamp,
-                               "current": known},
-                    )
+            self.count("durability.fenced")
+            self.note("durability.fenced",
+                      {"from": envelope.src, "stale": stamp, "current": known},
+                      ctx=TraceRecorder.extract(envelope.headers))
             return True
         self._peer_incarnations[envelope.src] = stamp
         return False
@@ -309,9 +302,11 @@ class RegistryNode(Node):
             advertisement_count=len(self.store),
             neighbor_count=len(self.federation.neighbors),
             artifact_names=tuple(self.repository.names()),
-            # Index terms of the stored advertisements (content summary).
+            # Index terms of the stored advertisements (content summary):
+            # carried for the one strategy that routes by them — they cost
+            # larger beacons and gossip.
             summary_terms=self.models.summary_terms(self.store.all())
-            if self.config.summaries_enabled() else (),
+            if self.config.strategy == STRATEGY_INFORMED else (),
             issued_at=self.sim.now if self.network is not None else 0.0,
             # Empty (zero bytes) unless replication places us on a ring.
             ring_id=self.replication.ring_id(),
@@ -469,8 +464,7 @@ class RegistryNode(Node):
         ad = payload.advertisement
         if self.antientropy.blocked(ad.ad_id, ad.version):
             self.antientropy.resurrections_blocked += 1
-            if self.network is not None:
-                self.network.stats.record_recovery("resurrection-blocked")
+            self.recovered("resurrection-blocked", traced=False)
             return False
         if not (self.models.supports(ad.model_id) and self._has_room_for(ad.ad_id)):
             self.models.discarded_payloads += 1
@@ -689,23 +683,11 @@ class RegistryNode(Node):
     # -- observability hooks ------------------------------------------------------
 
     def _lease_event(self, kind: str, lease: Lease) -> None:
-        """Lease lifecycle callback: mirror into metrics and the trace."""
-        if self.network is None:
-            return
-        self.network.metrics.counter(f"lease.{kind}").inc()
-        if self.network.health.active:
-            self.network.health.feed_lease(kind, self.node_id)
-        trace = self.trace
-        if trace is not None:
-            trace.event(
-                f"lease.{kind}",
-                node=self.node_id,
-                ctx=self._trace_ctx,
-                attrs={
-                    "ad": trace.alias(lease.ad_id),
-                    "lease": trace.alias(lease.lease_id),
-                },
-            )
+        """Lease lifecycle callback: mirror into metrics and the trace
+        (where the health layer hears of expiries)."""
+        self.count(f"lease.{kind}")
+        self.note(f"lease.{kind}", {"ad": self.alias(lease.ad_id),
+                                    "lease": self.alias(lease.lease_id)})
 
     def _query_span(self, name: str, envelope: Envelope, payload: protocol.QueryPayload) -> Span | None:
         """Open a processing span for a (non-duplicate) query envelope.
@@ -715,20 +697,14 @@ class RegistryNode(Node):
         synchronous child sends parent to it automatically. The span is
         closed by :meth:`_respond` when the answer leaves.
         """
-        trace = self.trace
-        if trace is None:
-            return None
-        span = trace.start_span(
+        span = self.span(
             name,
-            node=self.node_id,
+            {"query": self.alias(payload.query_id), "from": envelope.src,
+             "ttl": payload.ttl},
             ctx=TraceRecorder.extract(envelope.headers),
-            attrs={
-                "query": trace.alias(payload.query_id),
-                "from": envelope.src,
-                "ttl": payload.ttl,
-            },
         )
-        self._trace_ctx = span.context
+        if span is not None:
+            self._trace_ctx = span.context
         return span
 
     # -- querying ----------------------------------------------------------------------
@@ -741,20 +717,12 @@ class RegistryNode(Node):
         hits = self.evaluator.evaluate(
             payload.model_id, payload.query, max_results=payload.max_results
         )
-        if self.network is not None:
-            evaluated = self.evaluator.descriptions_evaluated - before
-            self.network.metrics.histogram(
-                "matchmaker.evals_per_query", buckets=COUNT_BUCKETS
-            ).observe(evaluated)
-            ctx = parent.context if parent is not None else self._trace_ctx
-            trace = self.trace
-            if ctx is not None and trace is not None:
-                trace.event(
-                    "registry.match",
-                    node=self.node_id,
-                    ctx=ctx,
-                    attrs={"evaluated": evaluated, "hits": len(hits)},
-                )
+        evaluated = self.evaluator.descriptions_evaluated - before
+        self.observe("matchmaker.evals_per_query", evaluated, COUNT_BUCKETS)
+        ctx = parent.context if parent is not None else self._trace_ctx
+        if ctx is not None:
+            self.note("registry.match", {"evaluated": evaluated, "hits": len(hits)},
+                      ctx=ctx)
         return hits
 
     def _respond(
@@ -771,10 +739,6 @@ class RegistryNode(Node):
         that span's trace — needed for completions that fire from timers,
         where no envelope context is active."""
         self.responses_sent += 1
-        headers: dict[str, Any] | None = None
-        if span is not None:
-            headers = {}
-            TraceRecorder.inject(headers, span.context)
         self.send(
             dst,
             protocol.QUERY_RESPONSE,
@@ -787,12 +751,9 @@ class RegistryNode(Node):
                 # unchanged).
                 queue_depth=self.admission.depth,
             ),
-            headers=headers,
+            headers=self.headers_for(span),
         )
-        if span is not None and self.trace is not None:
-            self.trace.end_span(
-                span, attrs={"hits": len(hits), "responders": responders}
-            )
+        self.end(span, attrs={"hits": len(hits), "responders": responders})
 
     def _overload_shortcut(
         self,
@@ -811,17 +772,10 @@ class RegistryNode(Node):
         if not self.admission.overloaded:
             return False
         local = self._local_hits(payload, parent=span)
-        if self.network is not None:
-            self.network.metrics.counter("admission.degraded").inc()
-        trace = self.trace
-        if trace is not None:
-            trace.event(
-                "admission.degraded",
-                node=self.node_id,
-                ctx=span.context if span is not None else self._trace_ctx,
-                attrs={"query": trace.alias(payload.query_id),
-                       "depth": self.admission.depth},
-            )
+        self.count("admission.degraded")
+        self.note("admission.degraded",
+                  {"query": self.alias(payload.query_id), "depth": self.admission.depth},
+                  ctx=span.context if span is not None else self._trace_ctx)
         self._respond(requester, payload.query_id, local, 1, span=span,
                       degraded=True)
         return True
@@ -843,8 +797,7 @@ class RegistryNode(Node):
             retry_after=payload.retry_after,
             queue_depth=payload.queue_depth,
         )
-        if self.network is not None:
-            self.network.metrics.counter("admission.busy_received").inc()
+        self.count("admission.busy_received")
         pending = self._pending.get(payload.request_id)
         if pending is None:
             return
@@ -954,49 +907,34 @@ class RegistryNode(Node):
         query_id = forwarded.query_id
         allowed = [t for t in targets if self.federation.breaker_allows(t)]
         skipped = len(targets) - len(allowed)
-        if skipped and self.network is not None:
-            self.network.stats.record_recovery("breaker-skip", skipped)
-        if allowed and self.router.adaptive:
-            # Best-first ordering; cooldown-failover may additionally skip
-            # targets still cooling off after a BUSY/timeout (never all —
-            # coverage beats caution when everyone looks sick).
-            allowed, cooled = self.router.usable(allowed)
-            if cooled and self.network is not None:
-                self.network.stats.record_recovery("routing-cooldown-skip", cooled)
+        if skipped:
+            self.recovered("breaker-skip", skipped, traced=False)
+        # Best-first ordering; cooldown-failover may additionally skip
+        # targets still cooling off after a BUSY/timeout (never all —
+        # coverage beats caution when everyone looks sick).
+        allowed, cooled = self.router.usable(allowed)
+        if cooled:
+            self.recovered("routing-cooldown-skip", cooled, traced=False)
         if not allowed:
             on_complete(
                 QueryEvaluator.merge([local], max_results=forwarded.max_results), 1
             )
             return
 
-        trace = self.trace
-        fanout: Span | None = None
-        if trace is not None:
-            fanout = trace.start_span(
-                "registry.fanout",
-                node=self.node_id,
-                ctx=parent.context if parent is not None else self._trace_ctx,
-                attrs={
-                    "query": trace.alias(query_id),
-                    "targets": len(allowed),
-                    "skipped": skipped,
-                    "ttl": forwarded.ttl,
-                },
-            )
+        fanout = self.span(
+            "registry.fanout",
+            {"query": self.alias(query_id), "targets": len(allowed),
+             "skipped": skipped, "ttl": forwarded.ttl},
+            ctx=parent.context if parent is not None else self._trace_ctx,
+        )
 
         def complete(hits: list[QueryHit], responders: int) -> None:
             self._pending.pop(query_id, None)
             self.replication.end_read(query_id)
-            if fanout is not None and trace is not None:
-                trace.end_span(
-                    fanout, attrs={"hits": len(hits), "responders": responders}
-                )
+            self.end(fanout, attrs={"hits": len(hits), "responders": responders})
             on_complete(hits, responders)
 
-        headers: dict[str, Any] | None = None
-        if fanout is not None:
-            headers = {}
-            TraceRecorder.inject(headers, fanout.context)
+        headers = self.headers_for(fanout)
 
         on_retarget = None
         if retarget_planner is not None:
@@ -1057,7 +995,6 @@ class RegistryNode(Node):
         payload = envelope.payload
         # Any answer is proof of life, even a late one.
         self.federation.record_neighbor_success(envelope.src)
-        trace = self.trace
         pending = self._pending.get(payload.query_id)
         self.router.on_response(
             envelope.src,
@@ -1070,30 +1007,18 @@ class RegistryNode(Node):
             # the response's work is wasted — count it so experiments can
             # report how much the timeout threw away.
             self.late_responses += 1
-            if self.network is not None:
-                self.network.stats.record_recovery("late-response")
-            if trace is not None and self._trace_ctx is not None:
+            self.recovered("late-response", traced=False)
+            if self._trace_ctx is not None:
                 # The response envelope still carries the original trace,
                 # so late work stays attributable to the query that paid
                 # for it.
-                trace.event(
-                    "late-response",
-                    node=self.node_id,
-                    ctx=self._trace_ctx,
-                    attrs={
-                        "from": envelope.src,
-                        "query": trace.alias(payload.query_id),
-                        "hits": len(payload.hits),
-                    },
-                )
+                self.note("late-response",
+                          {"from": envelope.src, "query": self.alias(payload.query_id),
+                           "hits": len(payload.hits)})
             return
-        if trace is not None and self._trace_ctx is not None:
-            trace.event(
-                "aggregation.response",
-                node=self.node_id,
-                ctx=self._trace_ctx,
-                attrs={"from": envelope.src, "hits": len(payload.hits)},
-            )
+        if self._trace_ctx is not None:
+            self.note("aggregation.response",
+                      {"from": envelope.src, "hits": len(payload.hits)})
         # Read repair: compare this replica's answer versions against the
         # freshest seen so far, pushing the newer copy to stale holders.
         self.replication.observe_read(payload.query_id, envelope.src, payload.hits)

@@ -23,11 +23,11 @@ protocol already produces everything an informed choice needs:
 Strategies:
 
 ``static``
-    Today's behavior, the default: selection returns the caller's own
-    (hash-spread or sorted) choice, ordering is the identity, and the
-    observation hooks are inert no-ops. A deployment that never sets
-    ``DiscoveryConfig.routing`` is bit-identical to one built before
-    this module existed.
+    Today's behavior, the default: no :class:`Router` at all but a
+    :class:`PassThrough` — selection returns the caller's own
+    (hash-spread or sorted) choice, ordering is the identity, nothing is
+    observed. A deployment that never sets ``DiscoveryConfig.routing`` is
+    bit-identical to one built before this module existed.
 ``nearest-latency``
     Prefer the target with the lowest EWMA response latency; targets
     with no sample yet sort after measured ones.
@@ -201,6 +201,11 @@ class CooldownManager:
             return 0.0
         return max(0.0, until - self._clock())
 
+    def hold(self, target: str, seconds: float) -> None:
+        """Keep ``target`` cooling for at least ``seconds`` from now."""
+        until = self._clock() + seconds
+        self._until[target] = max(until, self._until.get(target, until))
+
     def forget(self, target: str) -> None:
         self._until.pop(target, None)
         self._streak.pop(target, None)
@@ -215,8 +220,6 @@ class RoutingStrategy:
     quiet one on a stale latency/depth sample.
     """
 
-    name = ROUTING_STATIC
-
     def __init__(self, health: PassiveHealthTracker, cooldowns: CooldownManager) -> None:
         self.health = health
         self.cooldowns = cooldowns
@@ -226,30 +229,21 @@ class RoutingStrategy:
 
     def order(self, candidates: Sequence[str]) -> list[str]:
         """Candidates best-first; ties keep the caller's order."""
-        return sorted(
-            candidates,
-            key=lambda t: (
-                1 if self.cooldowns.in_cooldown(t) else 0,
-                self.cooldowns.remaining(t),
-                *self.sort_key(t, candidates.index(t)),
-            ),
-        )
+        return sorted(candidates, key=lambda t: self._full_key(t, candidates))
 
     def select(self, candidates: Sequence[str], default: str | None = None) -> str | None:
         """The best candidate; ``default`` wins among top-ranked ties."""
         if not candidates:
             return None
-        ordered = self.order(list(candidates))
-        best = ordered[0]
-        if default is not None and default in candidates:
-            best_key = self._full_key(best, list(candidates))
-            if self._full_key(default, list(candidates))[:-1] == best_key[:-1]:
-                # The caller's (hash-spread) choice is among the tied
-                # best: keep it, preserving the even cold-start spread.
-                return default
+        best = self.order(candidates)[0]
+        if default in candidates and \
+                self._full_key(default, candidates)[:-1] == self._full_key(best, candidates)[:-1]:
+            # The caller's (hash-spread) choice is among the tied best:
+            # keep it, preserving the even cold-start spread.
+            return default
         return best
 
-    def _full_key(self, target: str, candidates: list[str]):
+    def _full_key(self, target: str, candidates: Sequence[str]):
         return (
             1 if self.cooldowns.in_cooldown(target) else 0,
             self.cooldowns.remaining(target),
@@ -257,24 +251,8 @@ class RoutingStrategy:
         )
 
 
-class StaticOrder(RoutingStrategy):
-    """Today's behavior: selection defers entirely to the caller."""
-
-    name = ROUTING_STATIC
-
-    def order(self, candidates: Sequence[str]) -> list[str]:
-        return list(candidates)
-
-    def select(self, candidates: Sequence[str], default: str | None = None) -> str | None:
-        if default is not None:
-            return default
-        return candidates[0] if candidates else None
-
-
 class NearestLatency(RoutingStrategy):
     """Prefer the lowest EWMA response latency; unmeasured targets last."""
-
-    name = ROUTING_NEAREST_LATENCY
 
     def sort_key(self, target: str, index: int):
         ewma = self.health.latency(target)
@@ -291,8 +269,6 @@ class LeastLoaded(RoutingStrategy):
     caller's order — the tie-break chain the unit tests pin down.
     """
 
-    name = ROUTING_LEAST_LOADED
-
     def sort_key(self, target: str, index: int):
         depth = self.health.queue_depth(target)
         ewma = self.health.latency(target)
@@ -307,14 +283,11 @@ class LeastLoaded(RoutingStrategy):
 class CooldownFailover(RoutingStrategy):
     """Keep the caller's order, but cooled targets go to the back."""
 
-    name = ROUTING_COOLDOWN_FAILOVER
-
     # The shared cooldown-aware ranking in the base class is exactly
     # this strategy; only fan-out *skipping* (Router.usable) differs.
 
 
 _STRATEGY_CLASSES = {
-    ROUTING_STATIC: StaticOrder,
     ROUTING_NEAREST_LATENCY: NearestLatency,
     ROUTING_LEAST_LOADED: LeastLoaded,
     ROUTING_COOLDOWN_FAILOVER: CooldownFailover,
@@ -322,17 +295,14 @@ _STRATEGY_CLASSES = {
 
 
 class Router:
-    """Target-selection facade for one protocol agent.
+    """Adaptive target selection for one protocol agent.
 
     Owns the passive health state and the configured strategy; the
     owning node reports response round-trips, BUSY rejections, piggy-
     backed queue depths, and timeouts through the ``on_*`` hooks and
     asks for decisions through :meth:`order`, :meth:`select`,
-    :meth:`usable`, and :meth:`pick_walk`.
-
-    With the default ``static`` strategy every hook is an inert no-op
-    and every decision returns the caller's own choice — the router is
-    pure pass-through, preserving bit-identical runs.
+    :meth:`usable`, and :meth:`pick_walk`. Built by :func:`router_for`
+    for every strategy but ``static``.
     """
 
     def __init__(self, config: RoutingConfig, node: "Node") -> None:
@@ -348,7 +318,7 @@ class Router:
         self.strategy: RoutingStrategy = _STRATEGY_CLASSES[config.strategy](
             self.health, self.cooldowns
         )
-        #: Times an adaptive selection deviated from the caller's default.
+        #: Times a selection deviated from the caller's default.
         self.reroutes = 0
 
     def _now(self) -> float:
@@ -356,29 +326,23 @@ class Router:
             return 0.0
         return self._node.sim.now
 
-    @property
-    def adaptive(self) -> bool:
-        """True for every strategy except the static pass-through."""
-        return self.config.strategy != ROUTING_STATIC
-
     # -- decisions --------------------------------------------------------
 
     def order(self, candidates: Sequence[str]) -> list[str]:
-        """Candidates best-first (identity order under ``static``)."""
-        if not self.adaptive:
-            return list(candidates)
+        """Candidates best-first."""
         return self.strategy.order(candidates)
 
     def select(self, candidates: Sequence[str], default: str | None = None) -> str | None:
-        """One target from ``candidates`` (``default`` under ``static``)."""
+        """One target from ``candidates`` (``default`` with none to pick
+        from); a ``default`` that is not a candidate stands for the first."""
         if not candidates:
             return default
+        if default is not None and default not in candidates:
+            default = candidates[0]
         choice = self.strategy.select(candidates, default=default)
-        if self.adaptive and default is not None and choice != default:
+        if default is not None and choice != default:
             self.reroutes += 1
-            metrics = self._metrics()
-            if metrics is not None:
-                metrics.counter("routing.reroutes").inc()
+            self._node.count("routing.reroutes")
         return choice
 
     def usable(self, targets: Sequence[str]) -> tuple[list[str], int]:
@@ -390,8 +354,6 @@ class Router:
         strategies reorder but always keep the whole set: fan-out width
         is a coverage decision, not a load decision.
         """
-        if not self.adaptive:
-            return list(targets), 0
         ordered = self.strategy.order(targets)
         if self.config.strategy != ROUTING_COOLDOWN_FAILOVER:
             return ordered, 0
@@ -401,14 +363,7 @@ class Router:
         return kept, len(ordered) - len(kept)
 
     def pick_walk(self, candidates: Sequence[str], rng) -> str:
-        """Random-walk next hop.
-
-        Static keeps the historical uniform ``rng.choice`` — consuming
-        the simulator RNG stream exactly as before this module existed —
-        while adaptive strategies pick deterministically by rank.
-        """
-        if not self.adaptive:
-            return rng.choice(list(candidates))
+        """Random-walk next hop: deterministically by rank, no draw."""
         choice = self.strategy.select(candidates)
         assert choice is not None
         return choice
@@ -423,13 +378,9 @@ class Router:
         queue_depth: int | None = None,
     ) -> None:
         """A target answered: feed latency/depth, clear its cooldown."""
-        if not self.adaptive:
-            return
         if rtt is not None:
             self.health.observe_latency(target, rtt)
-            metrics = self._metrics()
-            if metrics is not None:
-                metrics.histogram("routing.rtt").observe(rtt)
+            self._node.observe("routing.rtt", rtt)
         if queue_depth is not None:
             self.health.observe_queue_depth(target, queue_depth)
         self.cooldowns.record_success(target)
@@ -447,31 +398,59 @@ class Router:
         re-picking the target before it asked to be retried would just
         earn another BUSY.
         """
-        if not self.adaptive:
-            return
         if queue_depth is not None:
             self.health.observe_queue_depth(target, queue_depth)
-        length = self.cooldowns.record_failure(target)
-        if retry_after is not None and retry_after > length:
-            self.cooldowns._until[target] = self._now() + retry_after
-        metrics = self._metrics()
-        if metrics is not None:
-            metrics.counter("routing.busy_observed").inc()
+        self.cooldowns.record_failure(target)
+        if retry_after is not None:
+            self.cooldowns.hold(target, retry_after)
+        self._node.count("routing.busy_observed")
 
     def on_timeout(self, target: str) -> None:
         """A target went silent: start/extend its cooldown."""
-        if not self.adaptive:
-            return
         self.cooldowns.record_failure(target)
-        metrics = self._metrics()
-        if metrics is not None:
-            metrics.counter("routing.timeouts_observed").inc()
+        self._node.count("routing.timeouts_observed")
 
     def forget(self, target: str) -> None:
         """Drop all health state about a departed target."""
         self.health.forget(target)
         self.cooldowns.forget(target)
 
-    def _metrics(self):
-        network = self._node.network
-        return network.metrics if network is not None else None
+
+class PassThrough:
+    """``static`` routing: every decision is the caller's own, nothing is
+    observed, counted or kept — a :class:`Router` that is simply not
+    there. The tracker and cooldown table exist to be read (always empty:
+    nothing here feeds them)."""
+
+    reroutes = 0
+
+    def __init__(self) -> None:
+        self.health = PassiveHealthTracker(alpha=1.0)
+        self.cooldowns = CooldownManager(lambda: 0.0, base=0.0, factor=1.0, maximum=0.0)
+
+    def order(self, candidates: Sequence[str]) -> list[str]:
+        return list(candidates)
+
+    def select(self, candidates: Sequence[str], default: str | None = None) -> str | None:
+        if default is not None or not candidates:
+            return default
+        return candidates[0]
+
+    def usable(self, targets: Sequence[str]) -> tuple[list[str], int]:
+        return list(targets), 0
+
+    def pick_walk(self, candidates: Sequence[str], rng) -> str:
+        """The historical uniform walk, one draw from the simulator's RNG."""
+        return rng.choice(list(candidates))
+
+    def on_response(self, target: str, **_signal) -> None:
+        pass
+
+    on_busy = on_timeout = forget = on_response
+
+
+def router_for(config: RoutingConfig, node: "Node") -> "Router | PassThrough":
+    """What a node constructor asks its routing questions of, picked once."""
+    if config.strategy == ROUTING_STATIC:
+        return PassThrough()
+    return Router(config, node)

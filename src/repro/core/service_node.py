@@ -27,7 +27,7 @@ from repro.core import protocol
 from repro.core.bootstrap import RegistryTracker
 from repro.core.config import DiscoveryConfig
 from repro.core.retry import RetryPolicy
-from repro.core.routing import Router
+from repro.core.routing import router_for
 from repro.descriptions.base import DescriptionModel, ModelRegistry
 from repro.netsim.messages import Envelope
 from repro.netsim.node import Node
@@ -83,7 +83,7 @@ class ServiceNode(Node):
         self.profile = profile
         self.models = ModelRegistry(models)
         self.endpoint = endpoint or f"svc://{node_id}"
-        self.router = Router(config.routing, self)
+        self.router = router_for(config.routing, self)
         self.tracker = RegistryTracker(
             self, config, on_attached=self._on_attached, router=self.router
         )
@@ -99,15 +99,6 @@ class ServiceNode(Node):
         self.renew_retries = 0
         #: BUSY rejections honored by deferring on the server's hint.
         self.busy_deferrals = 0
-
-    def _record_request(self, kind: str, *, ok: bool,
-                        sent_at: float | None = None) -> None:
-        """Feed one answered publish/renew to the health layer's SLOs."""
-        if self.network is not None and self.network.health.active:
-            self.network.health.record_request(
-                kind, ok=ok,
-                latency=(self.sim.now - sent_at) if sent_at is not None else 0.0,
-            )
 
     def _record_for(self, *, lease_id: str) -> PublishedAd | None:
         for record in self._published.values():
@@ -130,8 +121,9 @@ class ServiceNode(Node):
         self.every(self.config.renew_interval, self._renew_tick)
 
     def on_restart(self) -> None:
-        """Restart with no registry attachment and fresh advertisements."""
-        self.tracker.current = None
+        """Restart with no registry attachment, no memory of who refused
+        us (volatile state, like the attachment) and fresh advertisements."""
+        self.tracker.reset()
         for record in self._published.values():
             record.acked = False
             record.renew_outstanding = False
@@ -261,7 +253,8 @@ class ServiceNode(Node):
         if record is None or record.registry != envelope.src:
             return
         sent_at, record.publish_sent_at = record.publish_sent_at, None
-        self._record_request(protocol.PUBLISH, ok=True, sent_at=sent_at)
+        self.answered(protocol.PUBLISH, ok=True,
+                      latency=self.sim.now - sent_at if sent_at is not None else 0.0)
         record.ad_id = ack.ad_id
         record.lease_id = ack.lease_id
         record.acked = True
@@ -323,7 +316,8 @@ class ServiceNode(Node):
         if sent_at is not None:
             # Renew round-trips double as passive latency probes.
             self.router.on_response(envelope.src, rtt=self.sim.now - sent_at)
-        self._record_request(protocol.RENEW, ok=True, sent_at=sent_at)
+        self.answered(protocol.RENEW, ok=True,
+                      latency=self.sim.now - sent_at if sent_at is not None else 0.0)
 
     def handle_publish_nack(self, envelope: Envelope) -> None:
         """The registry refused us (at capacity): publish elsewhere.
@@ -332,7 +326,7 @@ class ServiceNode(Node):
         so beacon-driven re-homing does not bounce us back into the NACK.
         """
         payload = envelope.payload
-        self._record_request(protocol.PUBLISH, ok=False)
+        self.answered(protocol.PUBLISH, ok=False)
         if self.tracker.current != envelope.src:
             return
         if payload.reason == "quorum":
@@ -361,7 +355,7 @@ class ServiceNode(Node):
         key = protocol.MESSAGE_RECORDS[payload.msg_type].correlation \
             if payload.msg_type in _RESENT_ON_BUSY else None
         if key is not None:
-            self._record_request(payload.msg_type, ok=False)
+            self.answered(payload.msg_type, ok=False)
         self.router.on_busy(
             envelope.src,
             retry_after=payload.retry_after,
@@ -381,7 +375,7 @@ class ServiceNode(Node):
     def handle_renew_nack(self, envelope: Envelope) -> None:
         """Lease lapsed at the registry (e.g. it restarted): republish."""
         payload = envelope.payload
-        self._record_request(protocol.RENEW, ok=False)
+        self.answered(protocol.RENEW, ok=False)
         record = self._record_for(lease_id=payload.lease_id)
         if record is not None:
             record.renew_outstanding = False

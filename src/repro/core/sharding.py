@@ -41,6 +41,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from repro.netsim.messages import Envelope
 
 
+#: Hints buffered per down replica (hinted handoff: writes for an
+#: unreachable replica are parked and replayed on its next proof of
+#: life) before the oldest are dropped.
+HANDOFF_LIMIT = 256
+
+
 @dataclass(frozen=True)
 class ShardingConfig:
     """Knobs for the sharded federation. The default is **off** — the
@@ -60,10 +66,6 @@ class ShardingConfig:
     virtual_nodes: int = 64
     #: Seconds the write coordinator waits for quorum acks.
     quorum_timeout: float = 1.0
-    #: Hints buffered per down replica (hinted handoff: writes for an
-    #: unreachable replica are parked and replayed on its next proof of
-    #: life) before the oldest are dropped.
-    handoff_limit: int = 256
     #: A promoted warm standby inherits the ring identity of the dead
     #: registry it replaces, so promotion moves no keys (satellite fix).
     standby_inherit_ring: bool = True
@@ -80,8 +82,6 @@ class ShardingConfig:
             raise ReproError("virtual_nodes must be >= 1")
         if self.quorum_timeout <= 0:
             raise ReproError("quorum_timeout must be positive")
-        if self.handoff_limit < 0:
-            raise ReproError("handoff_limit must be >= 0")
 
 
 def _hash64(data: str) -> int:
@@ -640,12 +640,11 @@ class ShardManager(Replication):
         queue = self._hints.setdefault(target, [])
         queue.append((msg_type, body))
         self.hints_buffered += 1
-        overflow = len(queue) - self.cfg.handoff_limit
+        overflow = len(queue) - HANDOFF_LIMIT
         if overflow > 0:
             del queue[:overflow]
             self.hints_dropped += overflow
-        if self.registry.network is not None:
-            self.registry.network.metrics.counter("shard.hints_buffered").inc()
+        self.registry.count("shard.hints_buffered")
 
     def peer_alive(self, peer: str) -> None:
         """Proof of life from ``peer``: replay its buffered hints."""
@@ -655,17 +654,8 @@ class ShardManager(Replication):
         for msg_type, body in queue:
             self.registry.send(peer, msg_type, body)
             self.hints_replayed += 1
-        if self.registry.network is not None:
-            self.registry.network.metrics.counter(
-                "shard.hints_replayed").inc(len(queue))
-            trace = self.registry.trace
-            if trace is not None:
-                trace.event(
-                    "shard.handoff_replay",
-                    node=self.registry.node_id,
-                    ctx=self.registry._trace_ctx,
-                    attrs={"peer": peer, "hints": len(queue)},
-                )
+        self.registry.count("shard.hints_replayed", len(queue))
+        self.registry.note("shard.handoff_replay", {"peer": peer, "hints": len(queue)})
 
     # -- read repair --------------------------------------------------------
 
@@ -705,8 +695,7 @@ class ShardManager(Replication):
                 ),
             ),
         )
-        if self.registry.network is not None:
-            self.registry.network.metrics.counter("shard.read_repairs").inc()
+        self.registry.count("shard.read_repairs")
 
     def end_read(self, query_id: str) -> None:
         self._reads.pop(query_id, None)
@@ -739,8 +728,7 @@ class ShardManager(Replication):
                 replacements.append(alternate)
                 used.add(alternate)
                 self.read_retries += 1
-                if self.registry.network is not None:
-                    self.registry.network.metrics.counter("shard.read_retries").inc()
+                self.registry.count("shard.read_retries")
         return replacements
 
     def read_cover(self) -> list[str]:
@@ -850,19 +838,12 @@ class ShardManager(Replication):
         if moved or dropped:
             self.rebalances += 1
             self.ads_moved_out += moved
-            network = registry.network
-            if network is not None:
-                network.metrics.counter("shard.rebalances").inc()
-                network.metrics.counter("shard.ads_moved").inc(moved)
-                trace = registry.trace
-                if trace is not None:
-                    span = trace.start_span(
-                        "shard.rebalance",
-                        node=me,
-                        attrs={"moved": moved, "dropped": dropped,
-                               "members": len(self.ring)},
-                    )
-                    trace.end_span(span)
+            registry.count("shard.rebalances")
+            registry.count("shard.ads_moved", moved)
+            registry.end(registry.span(
+                "shard.rebalance",
+                {"moved": moved, "dropped": dropped, "members": len(self.ring)},
+                ctx=None))
         self.publish_gauges()
 
     def sweep_strays(self) -> None:
@@ -898,13 +879,9 @@ class ShardManager(Replication):
     # -- observability ------------------------------------------------------
 
     def publish_gauges(self) -> None:
-        network = self.registry.network
-        if network is None:
-            return
-        network.metrics.gauge(
-            f"shard.store_size.{self.registry.node_id}"
-        ).set(len(self.registry.store))
-        network.metrics.gauge("shard.ring_members").set(len(self.ring))
+        self.registry.gauge(f"shard.store_size.{self.registry.node_id}",
+                            len(self.registry.store))
+        self.registry.gauge("shard.ring_members", len(self.ring))
 
     def counters(self) -> dict[str, int]:
         return {name: getattr(self, name) for name in self.COUNTERS}

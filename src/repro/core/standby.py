@@ -154,11 +154,7 @@ class StandbyRegistry(RegistryNode):
         self.active = True
         self.promotions += 1
         self.last_promoted_at = self.sim.now
-        if self.trace is not None:
-            self.trace.event(
-                "standby-promote", node=self.node_id,
-                attrs={"promotions": self.promotions},
-            )
+        self.note("standby-promote", {"promotions": self.promotions}, ctx=None)
         self.cancel_tasks()
         # Take over the dead registry's ring position *before* start()
         # registers us on the ring (satellite: re-hashing under our own
@@ -214,13 +210,9 @@ class StandbyRegistry(RegistryNode):
                 continue
             self.antientropy.sync_with(peer)
             synced += 1
-        if synced and self.network is not None:
-            self.network.stats.record_recovery("standby-warm-sync")
-            if self.trace is not None:
-                self.trace.event(
-                    "standby-warm-sync", node=self.node_id,
-                    attrs={"peers": synced},
-                )
+        if synced:
+            self.recovered("standby-warm-sync", traced=False)
+            self.note("standby-warm-sync", {"peers": synced}, ctx=None)
 
     # -- active behaviour ----------------------------------------------------------
 
@@ -246,11 +238,7 @@ class StandbyRegistry(RegistryNode):
     def _demote(self) -> None:
         self.active = False
         self.demotions += 1
-        if self.trace is not None:
-            self.trace.event(
-                "standby-demote", node=self.node_id,
-                attrs={"demotions": self.demotions},
-            )
+        self.note("standby-demote", {"demotions": self.demotions}, ctx=None)
         self.federation.leave()
         self.cancel_tasks()
         self.store.clear()

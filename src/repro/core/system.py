@@ -85,8 +85,7 @@ class DiscoverySystem:
             self.sim, size_model=size_model, loss_rate=loss_rate
         )
         self.network.health.configure(self.config.health)
-        if self.network.health.active:
-            self.network.health.attach(self.sim)
+        self.network.health.attach(self.sim)  # arms nothing unless enabled
         self.registries: list[RegistryNode] = []
         self.services: list[ServiceNode] = []
         self.clients: list[ClientNode] = []

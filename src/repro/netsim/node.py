@@ -13,15 +13,22 @@ point" responsibility).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.errors import NetworkError
 from repro.netsim.messages import Envelope
-from repro.obs.tracing import TRACE_ID_HEADER, TraceRecorder
+from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS
+from repro.obs.tracing import TRACE_ID_HEADER, Span, TraceRecorder
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.netsim.network import Network
     from repro.netsim.simulator import EventHandle, PeriodicHandle, Simulator
+    from repro.obs.health import HealthMonitor
+    from repro.obs.metrics import MetricsRegistry
+
+#: "Under the context of the envelope being handled" — the default of
+#: :meth:`Node.note` / :meth:`Node.span`; ``ctx=None`` means under none.
+_CURRENT: Any = object()
 
 
 class Timer:
@@ -117,10 +124,105 @@ class Node:
         """This run's trace recorder (``None`` while unattached)."""
         return self.network.sim.trace if self.network is not None else None
 
+    @property
+    def metrics(self) -> "MetricsRegistry | None":
+        """This run's metrics registry (``None`` while unattached)."""
+        return self.network.metrics if self.network is not None else None
+
     def attached(self, network: "Network", lan_name: str) -> None:
         """Called by :meth:`Network.add_node`; do not call directly."""
         self.network = network
         self.lan_name = lan_name
+
+    # -- reporting ------------------------------------------------------
+    #
+    # How a protocol agent says what happened: one line, on its node. Only
+    # these functions know whether the node is attached, where the run's
+    # books are, which context is current and how a record is packed; an
+    # unattached node reports nothing and raises nothing. Every call looks
+    # the books and their methods up afresh (``benchmarks/perf`` wraps them
+    # on their classes mid-run): nothing here is cached.
+
+    def count(self, name: str, n: int = 1) -> None:
+        """Add ``n`` to the run's counter ``name``."""
+        metrics = self.metrics
+        if metrics is not None:
+            metrics.counter(name).inc(n)
+
+    def observe(self, name: str, value: float,
+                buckets: Iterable[float] = DEFAULT_LATENCY_BUCKETS) -> None:
+        """One sample for the run's histogram ``name`` (``buckets`` shape
+        it where this sample is its first)."""
+        metrics = self.metrics
+        if metrics is not None:
+            metrics.histogram(name, buckets=buckets).observe(value)
+
+    def gauge(self, name: str, value: float) -> None:
+        """Set the run's gauge ``name``, timed at the simulated now."""
+        metrics = self.metrics
+        if metrics is not None:
+            metrics.gauge(name).set(value, now=self.sim.now)
+
+    def alias(self, raw_id: str) -> str:
+        """``raw_id`` as the run-local token a trace attribute may carry."""
+        trace = self.trace
+        return trace.alias(raw_id) if trace is not None else raw_id
+
+    def note(self, name: str, attrs: dict[str, Any] | None = None, *,
+             ctx: tuple[int, int] | None = _CURRENT) -> None:
+        """Record the instant event ``name`` at this node. ``attrs`` is a
+        dict because its order is the export's order and ``"from"`` /
+        ``"class"`` are keys."""
+        trace = self.trace
+        if trace is not None:
+            trace.event(name, node=self.node_id, attrs=attrs,
+                        ctx=self._trace_ctx if ctx is _CURRENT else ctx)
+
+    def recovered(self, kind: str, n: int = 1, attrs: dict[str, Any] | None = None,
+                  *, traced: bool = True) -> None:
+        """``n`` self-healing events of ``kind``: the traffic statistics,
+        their ``recovery.<kind>`` counter and (unless ``traced=False``) an
+        event of the same name move together."""
+        if self.network is not None:
+            self.network.stats.record_recovery(kind, n)
+            if traced:
+                self.note(kind, attrs)
+
+    def span(self, name: str, attrs: dict[str, Any] | None = None, *,
+             ctx: tuple[int, int] | None = _CURRENT) -> Span | None:
+        """Open the span ``name`` at this node (``None`` while unattached);
+        ``ctx=None`` roots a new trace."""
+        trace = self.trace
+        if trace is None:
+            return None
+        return trace.start_span(name, node=self.node_id, attrs=attrs,
+                                ctx=self._trace_ctx if ctx is _CURRENT else ctx)
+
+    def end(self, span: Span | None, *, status: str = "ok",
+            attrs: dict[str, Any] | None = None) -> None:
+        """Close ``span`` (the first close wins; ``None`` is nothing to close)."""
+        if span is not None:
+            self.trace.end_span(span, status=status, attrs=attrs)
+
+    @staticmethod
+    def headers_for(span: Span | None) -> dict[str, Any] | None:
+        """Headers that put a message under ``span`` — for sends made from
+        timers, where no envelope's context is current."""
+        return None if span is None else TraceRecorder.inject({}, span.context)
+
+    def _health(self) -> "HealthMonitor | None":
+        """The run's health monitor if this node is attached and the layer
+        is on — for what has no trace record it could listen to."""
+        network = self.network
+        if network is not None and network.health.active:
+            return network.health
+        return None
+
+    def answered(self, request_class: str, *, ok: bool, latency: float = 0.0) -> None:
+        """One finished request of ``request_class``, for the SLO windows."""
+        health = self._health()
+        if health is not None:
+            health.record_request(request_class, ok=ok, latency=latency)
 
     # -- lifecycle ------------------------------------------------------
 
@@ -147,8 +249,9 @@ class Node:
         self.crash_count += 1
         self.cancel_tasks()
         self.on_crash()
-        if self.network is not None and self.network.health.active:
-            self.network.health.on_node_crash(self.node_id)
+        health = self._health()
+        if health is not None:
+            health.on_node_crash(self.node_id)
 
     def restart(self) -> None:
         """Bring a crashed node back up with empty volatile state."""
@@ -156,8 +259,9 @@ class Node:
             return
         self.alive = True
         self.on_restart()
-        if self.network is not None and self.network.health.active:
-            self.network.health.on_node_restart(self.node_id)
+        health = self._health()
+        if health is not None:
+            health.on_node_restart(self.node_id)
 
     def on_crash(self) -> None:
         """Hook invoked after a crash. Default: no-op."""
@@ -288,13 +392,9 @@ class Node:
                 or envelope.msg_type not in self.handlers:
             return False
         self.malformed_messages += 1
-        if self.network is not None:
-            self.network.metrics.counter("protocol.malformed").inc()
-            trace = self.trace
-            if trace is not None:
-                trace.event("protocol.malformed", node=self.node_id,
-                            ctx=TraceRecorder.extract(envelope.headers),
-                            attrs={"from": envelope.src, "type": envelope.msg_type})
+        self.count("protocol.malformed")
+        self.note("protocol.malformed", {"from": envelope.src, "type": envelope.msg_type},
+                  ctx=TraceRecorder.extract(envelope.headers))
         return True
 
     def adopt_handlers(self, component: Any) -> None:

@@ -23,8 +23,9 @@ registered, and no record differs by a byte from a pre-health run —
 the obs/routing/recovery smoke byte-identity gates hold unchanged.
 
 Determinism: the monitor reads only the injected sim-time clock, the
-metrics registry, and feeds pushed by protocol agents; the tick never
-touches the simulator RNG. Same-seed runs therefore produce identical
+metrics registry, the trace records it observes and the few feeds that
+have no trace record to listen to; the tick never touches the simulator
+RNG. Same-seed runs therefore produce identical
 alarm streams and byte-identical flight-recorder dumps.
 """
 
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import ReproError
@@ -41,7 +42,6 @@ from repro.obs.slo import (
     CLASS_QUERY,
     CLASS_RENEW,
     SLOObjective,
-    SLOStatus,
     SLOTracker,
 )
 from repro.obs.watchdog import (
@@ -59,7 +59,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.tracing import TraceRecorder
 
-#: Default objectives: queries may fail 5% and must answer within 2 s at
+#: The objectives: queries may fail 5% and must answer within 2 s at
 #: p95; renews are the soft-state lifeline and get a tighter target.
 DEFAULT_OBJECTIVES: tuple[SLOObjective, ...] = (
     SLOObjective(CLASS_QUERY, success_target=0.95, latency_target=2.0),
@@ -69,68 +69,46 @@ DEFAULT_OBJECTIVES: tuple[SLOObjective, ...] = (
 
 
 #: Watchdog windows (sim-seconds): queue-depth mean, breaker flap
-#: count, shed count.
+#: count, shed count, lease expiries.
 QUEUE_WINDOW = 5.0
 FLAP_WINDOW = 30.0
 SHED_WINDOW = 5.0
+LEASE_WINDOW = 10.0
+#: Seconds between watchdog/SLO evaluation ticks.
+WATCHDOG_INTERVAL = 1.0
+#: Breaker flapping: open→half-open→open cycles within :data:`FLAP_WINDOW`.
+BREAKER_FLAP_THRESHOLD = 2
+#: Lease-expiry spike: expiries within :data:`LEASE_WINDOW`.
+LEASE_EXPIRY_SPIKE = 3
+
+#: Records retained per node ring (oldest evicted beyond this), and
+#: automatic dumps retained per run (oldest dropped beyond this).
+RECORDER_CAPACITY = 256
+MAX_DUMPS = 32
 
 
 @dataclass(frozen=True)
 class HealthConfig:
-    """Tunables of the runtime health layer (inert when ``enabled=False``)."""
+    """What a deployment sets of the runtime health layer (inert when
+    ``enabled=False``); everything else is a constant of this module."""
 
     #: Master switch. Off = byte-identical to a pre-health deployment.
     enabled: bool = False
-
-    # -- flight recorder ---------------------------------------------------
-    #: Records retained per node ring (oldest evicted beyond this).
-    recorder_capacity: int = 256
-    #: Automatic dumps retained per run (oldest dropped beyond this).
-    max_dumps: int = 32
-
-    # -- SLO windows (one-second buckets) ----------------------------------
-    #: Fast burn-rate window (reacts quickly).
-    fast_window: float = 5.0
-    #: Slow burn-rate window (suppresses blips).
+    #: Slow burn-rate window (suppresses blips; the fast one is
+    #: :data:`repro.obs.slo.FAST_WINDOW`).
     slow_window: float = 60.0
-    #: Error-budget burn multiple that breaches (in BOTH windows).
-    burn_threshold: float = 2.0
-    #: Minimum fast-window samples before an objective may breach.
-    min_samples: int = 5
-    #: Per-request-class objectives.
-    objectives: tuple[SLOObjective, ...] = DEFAULT_OBJECTIVES
-
-    # -- watchdogs ---------------------------------------------------------
-    #: Seconds between watchdog/SLO evaluation ticks.
-    watchdog_interval: float = 1.0
     #: Queue-depth growth: time-weighted mean depth over
     #: :data:`QUEUE_WINDOW`.
     queue_depth_threshold: float = 8.0
-    #: Breaker flapping: open→half-open→open cycles within
-    #: :data:`FLAP_WINDOW`.
-    breaker_flap_threshold: int = 2
     #: Anti-entropy staleness: silence bound for a registry's rounds.
     antientropy_stale_after: float = 30.0
-    #: Lease-expiry spike: expiries within the window.
-    lease_window: float = 10.0
-    lease_expiry_spike: int = 3
     #: Shed-rate step: sheds within :data:`SHED_WINDOW`.
     shed_step_threshold: int = 10
 
     def __post_init__(self) -> None:
-        if self.recorder_capacity < 1:
-            raise ReproError(
-                f"recorder_capacity must be >= 1, got {self.recorder_capacity}"
-            )
-        if self.watchdog_interval <= 0:
-            raise ReproError(
-                f"watchdog_interval must be positive, got {self.watchdog_interval}"
-            )
-        if not self.objectives:
-            raise ReproError("health needs at least one SLO objective")
-        for window in (self.lease_window, self.antientropy_stale_after):
-            if window <= 0:
-                raise ReproError(f"watchdog windows must be positive, got {window}")
+        if self.antientropy_stale_after <= 0:
+            raise ReproError("watchdog windows must be positive, "
+                             f"got {self.antientropy_stale_after}")
 
 
 class FlightRecorder:
@@ -228,22 +206,16 @@ class HealthMonitor:
 
     def _build(self) -> None:
         cfg = self.config
-        self.slo = SLOTracker(
-            self.clock,
-            objectives=cfg.objectives,
-            fast_window=cfg.fast_window,
-            slow_window=cfg.slow_window,
-            burn_threshold=cfg.burn_threshold,
-            min_samples=cfg.min_samples,
-        )
+        self.slo = SLOTracker(self.clock, objectives=DEFAULT_OBJECTIVES,
+                              slow_window=cfg.slow_window)
         self.watchdogs = [
             QueueDepthGrowth(window=QUEUE_WINDOW,
                              threshold=cfg.queue_depth_threshold),
             BreakerFlapping(window=FLAP_WINDOW,
-                            threshold=cfg.breaker_flap_threshold),
+                            threshold=BREAKER_FLAP_THRESHOLD),
             AntiEntropyStaleness(stale_after=cfg.antientropy_stale_after),
-            LeaseExpirySpike(window=cfg.lease_window,
-                             threshold=cfg.lease_expiry_spike),
+            LeaseExpirySpike(window=LEASE_WINDOW,
+                             threshold=LEASE_EXPIRY_SPIKE),
             ShedRateStep(window=SHED_WINDOW,
                          threshold=cfg.shed_step_threshold),
         ]
@@ -260,20 +232,27 @@ class HealthMonitor:
         self._attached = True
         self.trace = sim.trace
         sim.trace.observers.append(self._on_trace_record)
-        sim.every(self.config.watchdog_interval, self.tick)
+        sim.every(WATCHDOG_INTERVAL, self.tick)
 
     # -- feeds -------------------------------------------------------------
 
     def _on_trace_record(self, record: dict[str, Any]) -> None:
-        """Trace observer: mirror every span/event into its node's ring."""
+        """Trace observer: mirror every span/event into its node's ring,
+        and keep what the watchdogs ask about — a registry's lease
+        lifecycle (``lease.<kind>``) and its anti-entropy heartbeat."""
         node = record.get("node") or ""
         self.recorder_for(node).note(record)
+        name = record["name"]
+        if name.startswith("lease."):
+            self._lease_events.append((record["t"], name[6:], node))
+        elif name == "antientropy-round":
+            self._liveness.setdefault(name, {})[node] = record["t"]
 
     def recorder_for(self, node_id: str) -> FlightRecorder:
         recorder = self.recorders.get(node_id)
         if recorder is None:
             recorder = self.recorders[node_id] = FlightRecorder(
-                node_id, self.config.recorder_capacity
+                node_id, RECORDER_CAPACITY
             )
         return recorder
 
@@ -291,14 +270,6 @@ class HealthMonitor:
         """SLO feed: one finished QUERY/RENEW/PUBLISH request."""
         if self.slo is not None:
             self.slo.record(request_class, ok=ok, latency=latency)
-
-    def feed_liveness(self, name: str, node: str) -> None:
-        """Heartbeat feed: ``node`` performed periodic activity ``name``."""
-        self._liveness.setdefault(name, {})[node] = self.clock()
-
-    def feed_lease(self, kind: str, node: str) -> None:
-        """Lease lifecycle feed from a registry's lease manager."""
-        self._lease_events.append((self.clock(), kind, node))
 
     def liveness(self, name: str) -> dict[str, float]:
         """Last-seen time per node for heartbeat ``name``."""
@@ -408,7 +379,7 @@ class HealthMonitor:
             records=count,
         )
         self.dumps.append(dump)
-        if len(self.dumps) > self.config.max_dumps:
+        if len(self.dumps) > MAX_DUMPS:
             del self.dumps[0]
         self.metrics.counter("health.dumps").inc()
         return dump

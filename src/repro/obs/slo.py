@@ -36,6 +36,14 @@ CLASS_PUBLISH = "publish"
 
 REQUEST_CLASSES = (CLASS_QUERY, CLASS_RENEW, CLASS_PUBLISH)
 
+#: Burn-rate evaluation (one-second buckets): the fast window reacts
+#: quickly (the slow one, ``HealthConfig.slow_window``, suppresses blips);
+#: an objective breaches at this error-budget burn multiple in BOTH
+#: windows, and only with this many fast-window samples.
+FAST_WINDOW = 5.0
+BURN_THRESHOLD = 2.0
+MIN_SAMPLES = 5
+
 
 @dataclass(frozen=True)
 class SLOObjective:
@@ -202,10 +210,10 @@ class SLOTracker:
         *,
         objectives: tuple[SLOObjective, ...],
         bucket: float = 1.0,
-        fast_window: float = 5.0,
+        fast_window: float = FAST_WINDOW,
         slow_window: float = 60.0,
-        burn_threshold: float = 2.0,
-        min_samples: int = 5,
+        burn_threshold: float = BURN_THRESHOLD,
+        min_samples: int = MIN_SAMPLES,
     ) -> None:
         if bucket <= 0 or fast_window <= 0 or slow_window < fast_window:
             raise ReproError(

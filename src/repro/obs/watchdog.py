@@ -3,8 +3,8 @@
 Each watchdog is a small detector evaluated on the health monitor's
 periodic tick. Detectors read only deterministic inputs — instrument
 values in the run's :class:`~repro.obs.metrics.MetricsRegistry`, the
-liveness/lease feeds the protocol agents push into the
-:class:`~repro.obs.health.HealthMonitor`, and the injected sim-time
+lease and anti-entropy events the
+:class:`~repro.obs.health.HealthMonitor` hears in the trace, and the injected sim-time
 clock — so two same-seed runs raise byte-identical alarm streams.
 
 Alarms fire on the **rising edge** only: a detector that stays in its

@@ -353,23 +353,26 @@ class _TombstoneClock:
         self.store = self._Store()
 
 
-def _pruner(cap, *, lease_duration=4.0, purge_interval=1.0):
+def _pruner(monkeypatch, cap, *, lease_duration=4.0, purge_interval=1.0):
+    from repro.core import antientropy
     from repro.core.antientropy import AntiEntropy
 
+    if cap is not None:
+        monkeypatch.setattr(antientropy, "TOMBSTONE_CAP", cap)
     config = DiscoveryConfig(
         cooperation=COOPERATION_REPLICATE_ADS, default_ttl=0,
         antientropy_interval=1.0, lease_duration=lease_duration,
-        purge_interval=purge_interval, antientropy_tombstone_cap=cap,
+        purge_interval=purge_interval,
     )
     registry = _TombstoneClock()
     return AntiEntropy(registry, config), registry.sim
 
 
-def test_tombstone_cap_never_evicts_within_prune_horizon():
+def test_tombstone_cap_never_evicts_within_prune_horizon(monkeypatch):
     """Safety first: a burst of fresh tombstones may exceed the cap, but
     none younger than ``lease_duration + 2 * purge_interval`` is evicted
     — so nothing can be resurrected inside the prune horizon."""
-    ae, sim = _pruner(cap=5)  # floor 6s, age horizon 8s
+    ae, sim = _pruner(monkeypatch, cap=5)  # floor 6s, age horizon 8s
     for i in range(20):
         ae.log_remove(f"ad-{i:03d}", version=1)
     ae.digest()  # digest prunes; all 20 are younger than the floor
@@ -378,8 +381,8 @@ def test_tombstone_cap_never_evicts_within_prune_horizon():
     assert all(ae.blocked(f"ad-{i:03d}", 1) for i in range(20))
 
 
-def test_tombstone_cap_evicts_oldest_past_the_safety_floor():
-    ae, sim = _pruner(cap=5)
+def test_tombstone_cap_evicts_oldest_past_the_safety_floor(monkeypatch):
+    ae, sim = _pruner(monkeypatch, cap=5)
     for i in range(15):
         sim.now = 0.05 * i  # staggered removals, all within 0.7s
         ae.log_remove(f"ad-{i:03d}", version=1)
@@ -391,8 +394,8 @@ def test_tombstone_cap_evicts_oldest_past_the_safety_floor():
     assert sorted(ae.tombstones) == [f"ad-{i:03d}" for i in range(10, 15)]
 
 
-def test_tombstone_age_horizon_clears_everything():
-    ae, sim = _pruner(cap=None)
+def test_tombstone_age_horizon_clears_everything(monkeypatch):
+    ae, sim = _pruner(monkeypatch, cap=None)  # the size cap never engages
     for i in range(30):
         ae.log_remove(f"ad-{i:03d}", version=1)
     sim.now = 9.0  # past 2 * lease_duration = 8s
@@ -401,13 +404,15 @@ def test_tombstone_age_horizon_clears_everything():
     assert ae.tombstones_pruned == 30
 
 
-def test_tombstone_growth_bounded_under_remove_churn():
+def test_tombstone_growth_bounded_under_remove_churn(monkeypatch):
     """Churn spam: waves of publish + explicit deregister must not grow
     the tombstone map without bound, and nothing pruned may resurrect."""
+    from repro.core import antientropy
+
+    monkeypatch.setattr(antientropy, "TOMBSTONE_CAP", 4)
     config = DiscoveryConfig(
         cooperation=COOPERATION_REPLICATE_ADS, default_ttl=0,
         antientropy_interval=1.0, lease_duration=3.0, purge_interval=1.0,
-        antientropy_tombstone_cap=4,
     )
     system = DiscoverySystem(seed=5, ontology=battlefield_ontology(),
                              config=config)

@@ -26,7 +26,7 @@ CONFIG_CLASSES = (
     ShardingConfig, HealthConfig, RetryPolicy,
 )
 
-CEILING = 75
+CEILING = 60
 
 
 def test_settable_values_do_not_grow():

@@ -40,7 +40,7 @@ def env():
     net = Network(sim)
     net.add_lan("lan-a")
     net.add_lan("lan-b")
-    config = DiscoveryConfig(probe_timeout=0.5, signalling_interval=None)
+    config = DiscoveryConfig(signalling_interval=None)  # PROBE_TIMEOUT is 0.5
     host = net.add_node(Host("host", config), "lan-a")
     return sim, net, host
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import durability
 from repro.core.config import COOPERATION_REPLICATE_ADS, DiscoveryConfig
 from repro.core.durability import (
     DurabilityConfig,
@@ -180,16 +181,11 @@ class TestDurabilityConfig:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"snapshot_interval": 0.0}, {"snapshot_interval": -1.0},
-         {"max_wal_records": 0}],
+        [{"snapshot_interval": 0.0}, {"snapshot_interval": -1.0}],
     )
     def test_invalid_parameters_rejected(self, kwargs):
         with pytest.raises(ReproError):
             DurabilityConfig(**kwargs)
-
-    def test_tombstone_cap_validated(self):
-        with pytest.raises(ReproError):
-            DiscoveryConfig(antientropy_tombstone_cap=0)
 
 
 # -- default-off inertness -------------------------------------------------
@@ -310,10 +306,9 @@ class TestRecovery:
             assert ad_id not in replica.store
             assert ad_id in replica.antientropy.tombstones
 
-    def test_snapshot_compaction_truncates_wal(self):
-        config = _durable_config(
-            durability=DurabilityConfig(enabled=True, max_wal_records=5),
-        )
+    def test_snapshot_compaction_truncates_wal(self, monkeypatch):
+        monkeypatch.setattr(durability, "MAX_WAL_RECORDS", 5)
+        config = _durable_config(durability=DurabilityConfig(enabled=True))
         system, registry, client = _single_lan(config, services=3)
         system.run(until=20.0)
         disk = system.network.disk(registry.node_id)
@@ -323,10 +318,9 @@ class TestRecovery:
         snap_records, _c, _t = scan_records(disk.read(SNAPSHOT_FILE))
         assert snap_records and snap_records[0][0] == "snapshot"
 
-    def test_recovery_replays_snapshot_plus_wal(self):
-        config = _durable_config(
-            durability=DurabilityConfig(enabled=True, max_wal_records=4),
-        )
+    def test_recovery_replays_snapshot_plus_wal(self, monkeypatch):
+        monkeypatch.setattr(durability, "MAX_WAL_RECORDS", 4)
+        config = _durable_config(durability=DurabilityConfig(enabled=True))
         system, registry, client = _single_lan(config, services=3)
         system.run(until=20.0)
         pre = store_snapshot(registry)
@@ -392,10 +386,9 @@ class TestDiskFaults:
         call = system.discover(client, REQUEST, timeout=3.0)
         assert call.completed
 
-    def test_corrupt_snapshot_skipped_and_counted(self):
-        config = _durable_config(
-            durability=DurabilityConfig(enabled=True, max_wal_records=4),
-        )
+    def test_corrupt_snapshot_skipped_and_counted(self, monkeypatch):
+        monkeypatch.setattr(durability, "MAX_WAL_RECORDS", 4)
+        config = _durable_config(durability=DurabilityConfig(enabled=True))
         system, registry, client = _single_lan(config, services=3)
         system.run(until=20.0)
         registry.crash()

@@ -173,24 +173,25 @@ def test_informed_skips_irrelevant_registries(informed_system):
     assert after - before == 1  # only the radar-holding registry was asked
 
 
-def test_summaries_only_when_enabled():
-    plain = DiscoveryConfig()
-    informed = DiscoveryConfig(strategy=STRATEGY_INFORMED)
-    explicit = DiscoveryConfig(content_summaries=True)
-    assert not plain.summaries_enabled()
-    assert informed.summaries_enabled()
-    assert explicit.summaries_enabled()
-
-
-def test_summary_terms_subsumption_aware(fast_cfg):
-    cfg = DiscoveryConfig(content_summaries=True)
+def _described_terms(cfg):
     system = DiscoverySystem(seed=34, ontology=battlefield_ontology(),
                              config=cfg)
     system.add_lan("lan-0")
     registry = system.add_registry("lan-0")
     system.add_service("lan-0", _radar())
     system.run(until=2.0)
-    terms = registry.describe().summary_terms
+    return registry.describe().summary_terms
+
+
+def test_summaries_only_when_enabled():
+    """Descriptions carry content summaries for the strategy that routes
+    by them, and for no other (they cost larger beacons and gossip)."""
+    assert _described_terms(DiscoveryConfig()) == ()
+    assert _described_terms(DiscoveryConfig(strategy=STRATEGY_INFORMED))
+
+
+def test_summary_terms_subsumption_aware(fast_cfg):
+    terms = _described_terms(DiscoveryConfig(strategy=STRATEGY_INFORMED))
     assert "ncw:RadarService" in terms
     assert "ncw:SensorService" in terms  # ancestor indexed
     assert "owl:Thing" not in terms
@@ -546,6 +547,53 @@ def test_capacity_allows_republish_of_existing_ad(fast_cfg):
     assert len(registry.store) == 3
     assert all(ad.version == 2 for ad in registry.store.all())
     assert service.tracker.current == registry.node_id
+
+
+def test_refused_service_is_not_locked_out_across_its_own_restart():
+    """``RegistryTracker.excluded`` is volatile state: a service that was
+    refused once (registry full) and later restarts must be able to
+    attach to that registry again — it used to stay excluded for life,
+    a live service and an empty registry on one LAN that never met."""
+    system = DiscoverySystem(seed=1, ontology=battlefield_ontology(),
+                             config=DiscoveryConfig(lease_duration=10.0))
+    system.add_lan("lan-0")
+    registry = system.add_registry("lan-0", capacity=3)
+    first, second = (system.add_service("lan-0", _radar(f"radar-{i}"))
+                     for i in range(2))
+    system.run(until=5.0)
+    (winner,) = [s for s in (first, second) if not s.tracker.excluded]
+    (loser,) = [s for s in (first, second) if s.tracker.excluded]
+    assert loser.tracker.excluded == {registry.node_id}
+    winner.crash()
+    system.run(until=41.0)
+    assert len(registry.store) == 0  # the winner's leases lapsed
+    loser.crash()
+    loser.restart()
+    system.run(until=80.0)
+    assert loser.tracker.current == registry.node_id
+    assert loser.tracker.excluded == set()
+    assert len(registry.store) == 3
+
+
+def test_node_that_crashed_mid_probe_probes_again_after_restart(fast_cfg):
+    """A crash cancels the timer that ends a probe; the restart must not
+    inherit "a probe is in flight" or the node never probes — nor attaches
+    on a beacon — again."""
+    system = DiscoverySystem(seed=52, ontology=battlefield_ontology(),
+                             config=fast_cfg)
+    system.add_lan("lan-0")
+    service = system.add_service("lan-0", _radar())
+    client = system.add_client("lan-0")
+    system.run(until=3.0)
+    for node in (service, client):
+        node.tracker.probe()  # no registry yet: the probe is in flight ...
+        node.crash()          # ... when the node dies
+    registry = system.add_registry("lan-0")
+    for node in (service, client):
+        node.restart()
+    system.run_for(3.0)
+    assert service.tracker.current == client.tracker.current == registry.node_id
+    assert len(registry.store) == 3
 
 
 def test_capacity_bounds_replication_too(fast_cfg):

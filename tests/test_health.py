@@ -23,14 +23,15 @@ from repro.core.forwarding import (
 )
 from repro.core.system import DiscoverySystem
 from repro.errors import ReproError
+from repro.obs import health
 from repro.obs.health import (
-    DEFAULT_OBJECTIVES,
     FlightRecorder,
     HealthConfig,
     HealthMonitor,
 )
 from repro.obs.metrics import Gauge, MetricsRegistry
 from repro.obs.slo import SLOObjective, SLOTracker
+from repro.obs.tracing import TraceRecorder
 from repro.semantics.generator import battlefield_ontology
 from repro.semantics.profiles import ServiceProfile, ServiceRequest
 
@@ -44,6 +45,14 @@ def _monitor(**overrides):
     config = HealthConfig(enabled=True, **overrides)
     monitor = HealthMonitor(lambda: state["t"], metrics, config=config)
     return state, metrics, monitor
+
+
+def _heard(state, monitor) -> TraceRecorder:
+    """A recorder on the monitor's clock that the monitor observes, as
+    :meth:`HealthMonitor.attach` arranges on a deployment."""
+    trace = TraceRecorder(lambda: state["t"])
+    trace.observers.append(monitor._on_trace_record)
+    return trace
 
 
 def _system(health: HealthConfig, *, seed: int = 0,
@@ -69,24 +78,9 @@ def _system(health: HealthConfig, *, seed: int = 0,
 # -- config validation -------------------------------------------------------
 
 
-def test_health_config_rejects_bad_capacity():
-    with pytest.raises(ReproError):
-        HealthConfig(recorder_capacity=0)
-
-
-def test_health_config_rejects_bad_interval():
-    with pytest.raises(ReproError):
-        HealthConfig(watchdog_interval=0.0)
-
-
-def test_health_config_rejects_empty_objectives():
-    with pytest.raises(ReproError):
-        HealthConfig(objectives=())
-
-
 def test_health_config_rejects_bad_window():
     with pytest.raises(ReproError):
-        HealthConfig(lease_window=-1.0)
+        HealthConfig(antientropy_stale_after=-1.0)
 
 
 def test_default_health_config_is_disabled():
@@ -302,12 +296,13 @@ def test_queue_growth_uses_time_weighted_mean():
 
 def test_antientropy_staleness_per_node_and_rearms():
     state, _metrics, monitor = _monitor(antientropy_stale_after=30.0)
-    monitor.feed_liveness("antientropy-round", "r1")
+    trace = _heard(state, monitor)
+    trace.event("antientropy-round", node="r1", attrs={"n": 1})
     state["t"] = 30.0
     monitor.tick()
     assert _alarm_names(monitor) == ["antientropy-stale"]
     assert monitor.alarms[0].node == "r1"
-    monitor.feed_liveness("antientropy-round", "r1")  # the node came back
+    trace.event("antientropy-round", node="r1", attrs={"n": 1})  # the node came back
     state["t"] = 31.0
     monitor.tick()
     assert len(monitor.alarms) == 1
@@ -317,10 +312,12 @@ def test_antientropy_staleness_per_node_and_rearms():
 
 
 def test_lease_expiry_spike_names_single_source_node():
-    state, _metrics, monitor = _monitor(lease_expiry_spike=3)
+    state, _metrics, monitor = _monitor()  # LEASE_EXPIRY_SPIKE is 3
+    trace = _heard(state, monitor)
     state["t"] = 1.0
-    for _ in range(3):
-        monitor.feed_lease("expire", "r1")
+    for i in range(3):
+        trace.event("lease.expire", node="r1",
+                    attrs={"ad": f"ad~{i}", "lease": f"lease~{i}"})
     state["t"] = 2.0
     monitor.tick()
     (alarm,) = monitor.alarms
@@ -330,7 +327,7 @@ def test_lease_expiry_spike_names_single_source_node():
 
 
 def test_breaker_flap_watchdog_reads_flap_counter():
-    state, metrics, monitor = _monitor(breaker_flap_threshold=2)
+    state, metrics, monitor = _monitor()  # BREAKER_FLAP_THRESHOLD is 2
     state["t"] = 1.0
     monitor.tick()
     metrics.counter("breaker.flaps").inc(2)
@@ -359,8 +356,9 @@ def test_invariant_violation_counts_and_dumps():
     assert monitor.dumps[0].reason == "invariant-violation: stale wire id"
 
 
-def test_dump_inventory_is_bounded():
-    _state, _metrics, monitor = _monitor(max_dumps=3)
+def test_dump_inventory_is_bounded(monkeypatch):
+    monkeypatch.setattr(health, "MAX_DUMPS", 3)
+    _state, _metrics, monitor = _monitor()
     for i in range(5):
         monitor.capture_dump(f"manual-{i}")
     assert len(monitor.dumps) == 3
@@ -444,10 +442,11 @@ def test_dumps_byte_identical_across_durable_crash_restart():
     assert durable_run() == durable_run()
 
 
-def test_small_ring_truncates_deterministically():
+def test_small_ring_truncates_deterministically(monkeypatch):
+    monkeypatch.setattr(health, "RECORDER_CAPACITY", 8)
+
     def windowed_run() -> str:
-        system = _system(HealthConfig(enabled=True, recorder_capacity=8),
-                         seed=4)
+        system = _system(HealthConfig(enabled=True), seed=4)
         system.run(until=10.0)
         registry = system.registries[0].node_id
         recorder = system.health.recorders[registry]

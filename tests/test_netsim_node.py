@@ -8,6 +8,8 @@ from repro.errors import NetworkError
 from repro.netsim.network import Network
 from repro.netsim.node import Node
 from repro.netsim.simulator import Simulator
+from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.tracing import TraceRecorder
 
 
 class Typed(Node):
@@ -242,3 +244,150 @@ def test_forward_preserves_payload_and_bumps_hops(net):
     assert received[0].payload == "body"
     assert received[0].hops == 1
     assert received[0].src == "b"
+
+
+# -- the reporting seam -------------------------------------------------------
+
+def _names(network):
+    """Every instrument ``MetricsRegistry.snapshot()`` shows, by section."""
+    return {section: sorted(found)
+            for section, found in network.metrics.snapshot().items() if found}
+
+
+def _trace_headers(trace_id, span_id):
+    return TraceRecorder.inject({}, (trace_id, span_id))
+
+
+#: verb -> a call of it that reports something on an attached node.
+SEAM_CALLS = {
+    "count": lambda n: n.count("things", 2),
+    "observe": lambda n: n.observe("sizes", 3.0, (1.0, 5.0)),
+    "gauge": lambda n: n.gauge("level", 4.0),
+    "alias": lambda n: n.alias("q-000123"),
+    "note": lambda n: n.note("happened", {"from": "x", "class": "y"}),
+    "recovered": lambda n: n.recovered("healed", 2, {"n": 2}),
+    "span+end": lambda n: n.end(n.span("work", {"k": 1}), attrs={"done": True}),
+    "end(None)": lambda n: n.end(None, status="timeout"),
+    "headers_for": lambda n: n.headers_for(n.span("work")),
+    "answered": lambda n: n.answered("query", ok=True, latency=0.1),
+}
+
+
+@pytest.mark.parametrize("verb", sorted(SEAM_CALLS))
+def test_unattached_node_reports_nothing_and_raises_nothing(verb):
+    """The one place the unattached case is still covered: the call sites'
+    own ``network is None`` / ``trace is None`` guards are gone, so a node
+    that was built but never added to a network (most unit tests of the
+    protocol agents) must be able to make every seam call."""
+    node = Typed("loose")
+    result = SEAM_CALLS[verb](node)
+    assert result in (None, "q-000123")  # alias: the raw id, unchanged
+    assert node.span("work") is None and node.headers_for(None) is None
+
+
+#: verb -> the only instruments its SEAM_CALLS entry may leave behind.
+SEAM_INSTRUMENTS = {
+    "count": {"counters": ["things"]},
+    "observe": {"histograms": ["sizes"]},
+    "gauge": {"gauges": ["level"]},
+    "recovered": {"counters": ["recovery.healed"]},
+}
+
+
+@pytest.mark.parametrize("verb", sorted(SEAM_CALLS))
+def test_a_seam_call_creates_exactly_the_named_instrument(net, verb):
+    node = net.add_node(Typed("n"), "lan")
+    SEAM_CALLS[verb](node)
+    assert _names(net) == SEAM_INSTRUMENTS.get(verb, {})
+
+
+def test_count_observe_gauge_write_the_runs_metrics(net):
+    node = net.add_node(Typed("n"), "lan")
+    node.count("things")
+    node.count("things", 4)
+    node.observe("sizes", 3.0, (1.0, 5.0))
+    node.observe("latency", 0.2)  # default latency buckets
+    net.sim.run(until=2.0)
+    node.gauge("level", 7.0)
+    metrics = net.metrics
+    assert metrics.counters["things"].value == 5
+    assert metrics.histograms["sizes"].count == 1
+    assert metrics.histograms["latency"].count == 1
+    assert (metrics.gauges["level"].value, metrics.gauges["level"].last_set) == (7.0, 2.0)
+
+
+def test_note_records_under_the_given_or_the_current_context(net):
+    node = net.add_node(Typed("n"), "lan")
+    trace = net.sim.trace
+    node.note("outside", {"from": "a", "class": "b", "aa": 1})
+    node.note("pinned", ctx=(7, 9))
+    seen = []
+    node.handle_message = lambda env: (
+        node.note("inside"), node.note("rootless", ctx=None),
+        seen.append(node._trace_ctx))
+    net.add_node(Typed("peer"), "lan").send("n", "data", headers=_trace_headers(3, 4))
+    net.sim.run(until=1.0)
+    by_name = {e.name: e for e in trace.events if e.node == "n"}
+    assert seen == [(3, 4)]
+    assert (by_name["outside"].trace_id, by_name["outside"].span_id) == (None, None)
+    assert list(by_name["outside"].attrs) == ["from", "class", "aa"]  # order kept
+    assert (by_name["pinned"].trace_id, by_name["pinned"].span_id) == (7, 9)
+    assert (by_name["inside"].trace_id, by_name["inside"].span_id) == (3, 4)
+    assert by_name["rootless"].trace_id is None
+    assert {e.node for e in by_name.values()} == {"n"}
+
+
+def test_recovered_moves_statistics_counter_and_trace_together(net):
+    node = net.add_node(Typed("n"), "lan")
+    node.recovered("healed", 3, {"n": 3})
+    node.recovered("skipped", 2, traced=False)
+    assert net.stats.recoveries == {"healed": 3, "skipped": 2}
+    assert net.metrics.counters["recovery.healed"].value == 3
+    assert net.metrics.counters["recovery.skipped"].value == 2
+    assert [(e.name, e.node, e.attrs) for e in net.sim.trace.events] == [
+        ("healed", "n", {"n": 3})]
+
+
+def test_span_closes_once_and_carries_its_headers(net):
+    node = net.add_node(Typed("n"), "lan")
+    root = node.span("work", {"query": node.alias("q-000123")}, ctx=None)
+    child = node.span("step", ctx=root.context)
+    assert root.parent_id is None and child.parent_id == root.span_id
+    assert root.attrs == {"query": "q~1"} and root.node == "n"
+    assert node.headers_for(child) == _trace_headers(*child.context)
+    assert node.headers_for(None) is None
+    node.end(child, status="timeout", attrs={"hits": 0})
+    net.sim.run(until=1.0)
+    node.end(child, status="ok", attrs={"hits": 9})  # the first close wins
+    assert (child.status, child.end, child.attrs) == ("timeout", 0.0, {"hits": 0})
+
+
+def test_the_seam_looks_its_books_up_on_every_call(net, monkeypatch):
+    """``benchmarks/perf`` wraps these methods on their classes mid-run: a
+    cached instrument or bound method would leave it timing nothing."""
+    node = net.add_node(Typed("n"), "lan")
+    for verb in sorted(SEAM_CALLS):
+        SEAM_CALLS[verb](node)  # warm: anything cacheable is cached by now
+    entered = []
+
+    def spy(cls, attr):
+        original = cls.__dict__[attr]
+
+        def wrapper(*args, **kwargs):
+            entered.append(f"{cls.__name__}.{attr}")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cls, attr, wrapper)
+
+    for cls, attr in [(MetricsRegistry, "counter"), (MetricsRegistry, "histogram"),
+                      (MetricsRegistry, "gauge"), (Histogram, "observe"),
+                      (TraceRecorder, "event"), (TraceRecorder, "start_span"),
+                      (TraceRecorder, "end_span")]:
+        spy(cls, attr)
+    for verb in ("count", "observe", "gauge", "note", "span+end"):
+        SEAM_CALLS[verb](node)
+    assert entered == [
+        "MetricsRegistry.counter", "MetricsRegistry.histogram", "Histogram.observe",
+        "MetricsRegistry.gauge", "TraceRecorder.event", "TraceRecorder.start_span",
+        "TraceRecorder.end_span",
+    ]

@@ -19,11 +19,12 @@ from repro.core.routing import (
     ROUTING_LEAST_LOADED,
     ROUTING_NEAREST_LATENCY,
     ROUTING_STATIC,
-    Router,
+    PassThrough,
     RoutingConfig,
-    StaticOrder,
+    router_for,
 )
 from repro.errors import ReproError
+from repro.netsim.node import Node
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -35,11 +36,6 @@ class _Clock:
         return self.now
 
 
-class _StubNetwork:
-    def __init__(self, metrics=None) -> None:
-        self.metrics = metrics
-
-
 class _StubSim:
     def __init__(self, clock) -> None:
         self._clock = clock
@@ -49,18 +45,26 @@ class _StubSim:
         return self._clock.now
 
 
-class _StubNode:
-    """Just enough node for a Router: a clock and an optional metrics."""
+class _StubNetwork:
+    def __init__(self, clock, metrics=None) -> None:
+        self.metrics = metrics
+        self.sim = _StubSim(clock)
+
+
+class _StubNode(Node):
+    """Just enough node for a Router: a clock and an optional metrics,
+    reported to through the node's own seam."""
 
     def __init__(self, metrics=None) -> None:
+        super().__init__("stub")
         self.clock = _Clock()
-        self.sim = _StubSim(self.clock)
-        self.network = _StubNetwork(metrics)
+        self.network = _StubNetwork(self.clock, metrics)
 
 
 def _router(strategy, metrics=None, **params):
+    """The router a node constructor would pick for ``strategy``."""
     node = _StubNode(metrics)
-    return Router(RoutingConfig(strategy=strategy, **params), node), node
+    return router_for(RoutingConfig(strategy=strategy, **params), node), node
 
 
 # -- RoutingConfig validation ----------------------------------------------
@@ -259,10 +263,7 @@ def test_cooldown_failover_orders_cooled_by_soonest_expiry():
 
 
 def test_static_order_is_identity():
-    _, health, cooldowns = _strategies()
-    strategy = StaticOrder(health, cooldowns)
-    health.observe_queue_depth("r2", 99)
-    cooldowns.record_failure("r1")
+    strategy = PassThrough()
     assert strategy.order(["r1", "r2"]) == ["r1", "r2"]
     assert strategy.select(["r1", "r2"], default="r2") == "r2"
     assert strategy.select(["r1", "r2"]) == "r1"

@@ -161,6 +161,4 @@ def test_sharding_config_validation():
         ShardingConfig(enabled=True, virtual_nodes=0)
     with pytest.raises(ReproError):
         ShardingConfig(enabled=True, quorum_timeout=0.0)
-    with pytest.raises(ReproError):
-        ShardingConfig(enabled=True, handoff_limit=-1)
     assert not ShardingConfig().enabled  # default off
