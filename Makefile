@@ -9,7 +9,7 @@ SMOKES := perf:test_perf_matchmaking fault:test_fault_smoke obs:test_obs_smoke \
           recovery:test_e19_recovery health:test_e20_health shard:test_e21_sharding
 SMOKE_TARGETS := $(foreach s,$(SMOKES),$(firstword $(subst :, ,$(s)))-smoke)
 
-.PHONY: test bench all smoke results-check perf-pairs $(SMOKE_TARGETS)
+.PHONY: test bench all smoke results-check perf-pairs mem-attr $(SMOKE_TARGETS)
 
 ## Tier 1: the full unit/integration suite. Must always be green.
 test:
@@ -101,5 +101,18 @@ SEED ?= 1000
 perf-pairs:
 	$(PYTHON) tools/perf_pairs.py --parent $(PARENT) --workload $(WORKLOAD) \
 		--pairs $(PAIRS) --seed $(SEED)
+
+## mem-attr: `make mem-attr [WORKLOAD=wan_100k] [SEED=1000] [TREE=<checkout>]`
+## builds one benchmark deployment (imported from benchmarks/perf, which
+## stays untouched) and prints where its memory is: first VmRSS / VmHWM
+## after each set-up phase, then — in a second process, under tracemalloc —
+## MiB and bytes per advertisement retained by the build, by src/ module
+## and by allocating line (see tools/mem_attr.py). TREE points both at
+## another checkout, e.g. an exported parent. ~1.5 min for wan_100k.
+TREE ?= .
+MEM_ATTR = $(PYTHON) tools/mem_attr.py --workload $(or $(WORKLOAD),wan_100k) --seed $(SEED) --tree $(TREE)
+mem-attr:
+	$(MEM_ATTR) --phases
+	$(MEM_ATTR)
 
 all: test smoke

@@ -11,8 +11,9 @@ bookkeeping rot the recovery paths can leave behind:
 * **wire-id drain** — no client keeps a wire-id entry for a completed
   call (after every call has resolved, the maps are empty);
 * **lease/store agreement** — no lease outlives its advertisement, the
-  lease manager's two maps mirror each other exactly, and every live
-  lease is due in the expiry heap no later than it expires;
+  lease manager's two maps mirror each other exactly, every live lease
+  is due in the expiry heap no later than it expires, and each concept
+  index passes its own :meth:`~repro.registry.index.ConceptIndexer.audit`;
 * **queue drain** — every message a registry's admission controller
   intercepted was either dispatched, explicitly shed with exactly one
   BUSY, lost to a crash, or is still pending — and no message was both
@@ -94,6 +95,9 @@ def check_invariants(system: "DiscoverySystem") -> list[str]:
                     f"{registry.node_id}: advertisement {ad_id} maps to "
                     f"dropped lease {lease_id}"
                 )
+
+        for indexer in getattr(store, "_indexes", {}).values():
+            violations.extend(f"{registry.node_id}: index: {v}" for v in indexer.audit())
 
     for registry in system.registries:
         admission = getattr(registry, "admission", None)

@@ -61,7 +61,7 @@ from repro.netsim.node import Node
 from repro.obs.metrics import COUNT_BUCKETS
 from repro.obs.tracing import Span, TraceRecorder
 from repro.registry.advertisements import Advertisement, new_uuid
-from repro.registry.leases import Lease, LeaseManager
+from repro.registry.leases import LEASE_EVENTS, Lease, LeaseManager
 from repro.registry.matching import QueryEvaluator, QueryHit
 from repro.registry.rim import RegistryDescription, RegistryInfoModel
 from repro.registry.store import AdvertisementStore
@@ -685,9 +685,9 @@ class RegistryNode(Node):
     def _lease_event(self, kind: str, lease: Lease) -> None:
         """Lease lifecycle callback: mirror into metrics and the trace
         (where the health layer hears of expiries)."""
-        self.count(f"lease.{kind}")
-        self.note(f"lease.{kind}", {"ad": self.alias(lease.ad_id),
-                                    "lease": self.alias(lease.lease_id)})
+        name = LEASE_EVENTS[kind]
+        self.count(name)
+        self.note(name, {"ad": self.alias(lease.ad_id), "lease": self.alias(lease.lease_id)})
 
     def _query_span(self, name: str, envelope: Envelope, payload: protocol.QueryPayload) -> Span | None:
         """Open a processing span for a (non-duplicate) query envelope.

@@ -43,7 +43,7 @@ SPAN_ID_HEADER = "span-id"
 TraceContext = "tuple[int, int]"
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """One timed operation inside a trace."""
 
@@ -69,7 +69,7 @@ class Span:
         return (self.end - self.start) if self.end is not None else 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceEvent:
     """One instant mark, optionally attached to a span/trace."""
 
@@ -95,6 +95,8 @@ class TraceRecorder:
         self._next_span = 0
         self._aliases: dict[str, str] = {}
         self._alias_counts: dict[str, int] = {}
+        #: Raw id head (``"q"``, ``"lease"``) -> its letters-only prefix.
+        self._alias_prefixes: dict[str, str] = {}
         #: Live subscribers (the runtime health layer's flight recorders):
         #: each closed span and each event is offered as a plain record
         #: dict. Empty by default — nothing is built or called unless a
@@ -118,7 +120,10 @@ class TraceRecorder:
         """
         token = self._aliases.get(raw_id)
         if token is None:
-            prefix = "".join(ch for ch in raw_id.split("-", 1)[0] if ch.isalpha()) or "id"
+            head = raw_id.split("-", 1)[0]
+            prefix = self._alias_prefixes.get(head)
+            if prefix is None:
+                prefix = self._alias_prefixes[head] = "".join(filter(str.isalpha, head)) or "id"
             self._alias_counts[prefix] = self._alias_counts.get(prefix, 0) + 1
             token = f"{prefix}~{self._alias_counts[prefix]}"
             self._aliases[raw_id] = token

@@ -33,21 +33,24 @@ ancestor), so closure keys exclude it; an advertisement literally
 advertising THING still carries THING as its exact key, and a request for
 THING matches every indexed profile by construction.
 
-Representation: each advertisement occupies a dense integer *slot*, and
-posting lists are intersected as int **bitsets** over the slot space —
-the per-field candidate pulls AND together (smallest posting first, with
-early exit on empty), so selectivity multiplies across the requested
-category and *every* desired output instead of being bounded by one
-field. The same per-field table membership classifies every candidate
-with its exact per-field degree, which :meth:`candidate_buckets` exposes
-as descending **degree upper bounds** (the overall degree can only be
-lowered further by input/QoS checks, never raised). The query evaluator
-uses those bounds for bounded top-k early termination: each group's
-bound is handed out before its body, and a group whose bound can no
-longer crack the top k is never expanded from its bitset at all.
-Expansion scans bytes, not bits: ``bytes.translate`` marks the mask's
-non-zero bytes, ``bytes.find`` hops between them and a 256-entry table
-gives each byte's set bits — O(mask bytes + ids taken).
+Representation: each advertisement occupies a dense integer *slot*. A
+posting is one ``bytearray`` bitset over the slot space per (table,
+concept), so a write flips one byte per key; a query reads the same bits
+as an int, built from the bytes on first use and patched bit by bit from
+then on, and intersects them — the per-field candidate pulls AND together
+(smallest posting first, with early exit on empty), so selectivity
+multiplies across the requested category and *every* desired output
+instead of being bounded by one field. The same per-field table
+membership classifies every candidate with its exact per-field degree,
+which :meth:`candidate_buckets` exposes as descending **degree upper
+bounds** (the overall degree can only be lowered further by input/QoS
+checks, never raised). The query evaluator uses those bounds for bounded
+top-k early termination: each group's bound is handed out before its
+body, and a group whose bound can no longer crack the top k is never
+expanded from its bitset at all. Expansion scans bytes, not bits:
+``bytes.translate`` marks the mask's non-zero bytes, ``bytes.find`` hops
+between them and a 256-entry table gives each byte's set bits — O(mask
+bytes + ids taken).
 
 The candidate set is concept-exact per field; residual false positives
 (e.g. QoS-violating or input-incompatible profiles) are harmless because
@@ -59,14 +62,16 @@ scan transparently.
 The index is maintained incrementally on ``put``/``remove`` and rebuilt
 lazily when the ontology's version counter moves or the ontology object is
 swapped (mirroring ``Reasoner.sync``), so mid-run ontology growth — the
-repository experiments do this — never yields stale candidates. Bulk
-loads stay cheap because ancestor-closure keys are memoized per *concept*
-(expanded once from the reasoner's closure bitsets), not recomputed per
-advertisement, and the per-concept posting bitsets are materialized
-lazily at query time; once one is cached, a mutation sets or clears the
-slot's bit in it instead of dropping it, so a write never makes the next
-query rebuild a posting from its slot set. Postings no query has asked
-for stay uncached, which keeps the bulk load free of bitset work.
+repository experiments do this — never yields stale candidates. Nothing is
+kept per advertisement beyond its profile and slot: the keys it sits under
+are derived, not stored — ancestor-closure keys are memoized per *concept*
+(expanded once from the reasoner's closure bitsets) and a removal derives
+the same keys from the same memo, while a write that finds the ontology
+moved touches no posting and leaves the record to the pending rebuild. A
+posting emptied by removals stays, as zero bytes, until that rebuild.
+Postings no query has asked for have no int form, which keeps the bulk
+load free of big-int work (:meth:`SemanticConceptIndex.audit` checks all
+of this against a rebuild).
 """
 
 from __future__ import annotations
@@ -112,6 +117,10 @@ class ConceptIndexer(abc.ABC):
     def candidate_ids(self, query: Any) -> set[str] | None:
         """Superset of matching ad ids, or ``None`` to force a linear scan."""
 
+    def audit(self) -> list[str]:
+        """Bookkeeping violations a self-check finds (``core.invariants``)."""
+        return []
+
     def candidate_buckets(
         self, query: Any
     ) -> Iterator[tuple[int, Iterable[str]]] | None:
@@ -149,11 +158,11 @@ class SemanticConceptIndex(ConceptIndexer):
     fetch, experiment E12) or swap it, and the index follows along by
     rebuilding on the next lookup.
 
-    Indexable advertisements occupy dense integer slots; posting lists
-    are ``set[int]`` of slots with lazily cached int-bitset form, so the
-    per-query field combination is a handful of big-int AND/OR operations
-    regardless of posting-list length. Freed slots are recycled, and every
-    mutation patches exactly the cached posting bitsets it touched.
+    Indexable advertisements occupy dense integer slots, recycled when
+    freed; postings are ``bytearray`` bitsets over them with a lazily
+    cached int form, so the per-query field combination is a handful of
+    big-int AND/OR operations regardless of posting-list length, and every
+    mutation patches exactly the bitsets it touched (see the module doc).
     """
 
     model_id = "semantic"
@@ -170,16 +179,15 @@ class SemanticConceptIndex(ConceptIndexer):
         self._slot_of: dict[str, int] = {}
         self._ad_at: list[str | None] = []
         self._free_slots: list[int] = []
-        #: Posting tables (see module doc), all mapping concept -> slots.
-        self._tables: tuple[dict[str, set[int]], ...] = tuple({} for _ in range(4))
-        #: ad_id -> per-table concept keys, for exact removal.
-        self._keys: dict[str, tuple[tuple[str, ...], ...]] = {}
+        #: Posting tables (see module doc), all mapping concept -> slot
+        #: bitset, little-endian; each grows with the highest slot set in it.
+        self._tables: tuple[dict[str, bytearray], ...] = tuple({} for _ in range(4))
         #: concept -> ancestor-closure keys, shared across all ads using
         #: the concept (the bulk-put fix: closures expand once per concept
         #: per ontology version, not once per advertisement).
-        self._closure_key_cache: dict[str, frozenset[str]] = {}
-        #: (table, concept) -> posting bitset, built on first use and
-        #: patched bit by bit whenever that posting list mutates.
+        self._closure_key_cache: dict[str, tuple[str, ...]] = {}
+        #: (table, concept) -> the posting as an int, built on first use
+        #: and patched bit by bit whenever that posting mutates.
         self._mask_cache: dict[tuple[int, str], int] = {}
         #: Bitset of every occupied slot, kept like a posting bitset:
         #: ``None`` until a query first needs it, patched from then on.
@@ -202,9 +210,7 @@ class SemanticConceptIndex(ConceptIndexer):
             self._unindexable.add(ad.ad_id)
             return
         self._profiles[ad.ad_id] = description
-        slot = self._allocate_slot(ad.ad_id)
-        if self._in_sync():
-            self._insert_keys(ad.ad_id, slot, description)
+        self._set_keys(self._allocate_slot(ad.ad_id), description, present=True)
 
     def discard(self, ad: "Advertisement") -> None:
         self._forget(ad.ad_id)
@@ -223,10 +229,11 @@ class SemanticConceptIndex(ConceptIndexer):
     def _forget(self, ad_id: str) -> None:
         """Drop every trace of one record (replacement or removal)."""
         self._unindexable.discard(ad_id)
-        if self._profiles.pop(ad_id, None) is None:
+        profile = self._profiles.pop(ad_id, None)
+        if profile is None:
             return
-        self._drop_keys(ad_id)
         slot = self._slot_of.pop(ad_id)
+        self._set_keys(slot, profile, present=False)
         self._ad_at[slot] = None
         self._free_slots.append(slot)
         if self._profiles_mask is not None:
@@ -247,7 +254,6 @@ class SemanticConceptIndex(ConceptIndexer):
     def _clear_tables(self) -> None:
         for table in self._tables:
             table.clear()
-        self._keys.clear()
         self._closure_key_cache.clear()
         self._mask_cache.clear()
 
@@ -380,7 +386,7 @@ class SemanticConceptIndex(ConceptIndexer):
         key = (table, concept)
         cached = self._mask_cache.get(key)
         if cached is None:
-            cached = self._bits_of(self._tables[table].get(concept, ()))
+            cached = int.from_bytes(self._tables[table].get(concept, b""), "little")
             self._mask_cache[key] = cached
         return cached
 
@@ -435,31 +441,85 @@ class SemanticConceptIndex(ConceptIndexer):
         self.rebuilds += 1
         slot_of = self._slot_of
         for ad_id, profile in self._profiles.items():
-            self._insert_keys(ad_id, slot_of[ad_id], profile)
+            self._set_keys(slot_of[ad_id], profile, present=True)
 
-    def _insert_keys(self, ad_id: str, slot: int, profile: ServiceProfile) -> None:
+    def audit(self) -> list[str]:
+        """Bookkeeping violations, empty when sound (``core.invariants``).
+
+        The slot table, the occupied-slot mask and the cached ints must
+        mirror what they cache; in sync, every posting must equal the one
+        rebuilt from ``_profiles`` and ``_slot_of``, the only record of what
+        was inserted. Out of sync, postings are stale until the next query.
+        """
+        violations: list[str] = []
+        slot_of, ad_at, in_sync = self._slot_of, self._ad_at, self._in_sync()
+        if slot_of.keys() != self._profiles.keys() or any(
+            ad_at[slot] != ad_id for ad_id, slot in slot_of.items()
+        ):
+            violations.append("slot table does not mirror the indexed profiles")
+        if self._profiles_mask not in (None, self._bits_of(slot_of.values())):
+            violations.append("occupied-slot mask differs from the occupied slots")
+        postings = {
+            (table_id, key): int.from_bytes(posting, "little")
+            for table_id, table in enumerate(self._tables)
+            for key, posting in table.items()
+        }
+        for where, cached in self._mask_cache.items():
+            if cached != postings.get(where, 0):
+                violations.append(f"cached bitset {where} differs from its posting")
+        rebuilt: dict[tuple[int, str], bytearray] = {}
+        for ad_id, profile in self._profiles.items() if in_sync else ():
+            slot = slot_of[ad_id]
+            for table_id, keys in enumerate(self._keys_of(profile)):
+                for key in keys:
+                    bits = rebuilt.setdefault((table_id, key), bytearray(len(ad_at) // 8 + 1))
+                    bits[slot >> 3] |= 1 << (slot & 7)
+        for where in sorted(postings.keys() | rebuilt.keys()):
+            found = postings.get(where, 0)
+            if found >> len(ad_at):
+                violations.append(f"posting {where} has a bit beyond the slot space")
+            if in_sync and found != int.from_bytes(rebuilt.get(where, b""), "little"):
+                violations.append(f"posting {where} differs from its rebuild")
+        return violations
+
+    def _set_keys(self, slot: int, profile: ServiceProfile, *, present: bool) -> None:
+        """Set or clear ``slot``'s bit in every posting ``profile`` sits
+        under, and in the int form of each that a query has cached (one
+        OR/AND here instead of a rebuild from the bytes on the next query).
+        """
+        if not self._in_sync():
+            # Keys derived under a moved ontology are not the keys the
+            # postings were built with: touch nothing, and rebuild at the
+            # next query even if the ontology has moved back by then.
+            self._indexed_ontology = None
+            return
+        byte, bit, mask_cache = slot >> 3, 1 << (slot & 7), self._mask_cache
+        wide = 1 << slot if mask_cache else 0  # a bulk load builds no big int
+        for table_id, keys in enumerate(self._keys_of(profile)):
+            table = self._tables[table_id]
+            for key in keys:
+                posting = table.get(key)
+                if posting is None:
+                    table[key] = posting = bytearray(byte + 1)
+                elif byte >= len(posting):
+                    posting.extend(bytes(byte + 1 - len(posting)))
+                posting[byte] = posting[byte] | bit if present else posting[byte] & ~bit
+                cached = mask_cache.get((table_id, key)) if mask_cache else None
+                if cached is not None:
+                    mask_cache[table_id, key] = cached | wide if present else cached & ~wide
+
+    def _keys_of(self, profile: ServiceProfile) -> tuple[tuple[str, ...], ...]:
+        """One profile's concept keys per table: a pure function of the
+        profile, the ontology version and the closure memo."""
         ontology = self._model.ontology
-        per_table = (
-            tuple(self._closure_keys(profile.category)),
-            tuple(
-                key
-                for output in profile.outputs
-                for key in self._closure_keys(output)
-            ),
+        return (
+            self._closure_keys(profile.category),
+            tuple(chain.from_iterable(map(self._closure_keys, profile.outputs))),
             (profile.category,) if profile.category in ontology else (),
             tuple(o for o in profile.outputs if o in ontology),
         )
-        self._keys[ad_id] = per_table
-        for table_id, keys in enumerate(per_table):
-            table = self._tables[table_id]
-            for key in keys:
-                bucket = table.get(key)
-                if bucket is None:
-                    table[key] = bucket = set()
-                bucket.add(slot)
-        self._patch_masks(per_table, slot, present=True)
 
-    def _closure_keys(self, concept: str) -> frozenset[str]:
+    def _closure_keys(self, concept: str) -> tuple[str, ...]:
         """Ancestor-or-self keys for one advertised concept, memoized.
 
         Expanded from the reasoner's closure bitset. Out-of-ontology
@@ -471,50 +531,13 @@ class SemanticConceptIndex(ConceptIndexer):
             reasoner = self._model.reasoner
             ontology = reasoner.ontology
             if concept not in ontology:
-                cached = frozenset()
+                cached = ()
             elif concept == THING:
-                cached = frozenset((THING,))
+                cached = (THING,)
             else:
                 # THING holds concept id 0 in every ontology; drop its bit
                 # so it never becomes a closure key.
                 bits = reasoner.closure_bits(concept) & ~1
-                cached = frozenset(ontology.uris_from_bits(bits))
+                cached = tuple(ontology.uris_from_bits(bits))
             self._closure_key_cache[concept] = cached
         return cached
-
-    def _drop_keys(self, ad_id: str) -> None:
-        per_table = self._keys.pop(ad_id, None)
-        if per_table is None:
-            return
-        slot = self._slot_of[ad_id]
-        for table_id, keys in enumerate(per_table):
-            table = self._tables[table_id]
-            for key in keys:
-                bucket = table.get(key)
-                if bucket is not None:
-                    bucket.discard(slot)
-                    if not bucket:
-                        del table[key]
-        self._patch_masks(per_table, slot, present=False)
-
-    def _patch_masks(
-        self, per_table: tuple[tuple[str, ...], ...], slot: int, *, present: bool
-    ) -> None:
-        """Set or clear ``slot``'s bit in every *cached* posting bitset.
-
-        Keys no query has materialized stay uncached (a bulk load into a
-        fresh index touches no bitset at all); a cached key costs one
-        big-int OR/AND instead of a rebuild from its slot set on the next
-        query.
-        """
-        mask_cache = self._mask_cache
-        if not mask_cache:
-            return
-        bit = 1 << slot
-        for table_id, keys in enumerate(per_table):
-            for key in keys:
-                cached = mask_cache.get((table_id, key))
-                if cached is not None:
-                    mask_cache[table_id, key] = (
-                        cached | bit if present else cached & ~bit
-                    )

@@ -28,8 +28,11 @@ from repro.registry.advertisements import new_uuid
 #: deployment basis".
 DEFAULT_LEASE_DURATION = 60.0
 
+#: ``on_event`` kind -> its metric / trace event name (one shared string each).
+LEASE_EVENTS = {k: f"lease.{k}" for k in ("grant", "renew", "expire", "cancel", "restore")}
 
-@dataclass
+
+@dataclass(slots=True)
 class Lease:
     """One granted lease binding an advertisement to an expiry time."""
 

@@ -2,11 +2,12 @@
 
 "Thick" storage, per the paper: registries "contain all the information in
 the service advertisements, not just pointers to where the advertisements
-are". The store is indexed by advertisement UUID, by owning service node,
-and by description model; pluggable :class:`~repro.registry.index.ConceptIndexer`
-plug-ins (attached per model) additionally maintain inverted concept
-indexes so query evaluation scales with the candidate set rather than the
-store size.
+are". The store is indexed by advertisement UUID and by description
+model; pluggable :class:`~repro.registry.index.ConceptIndexer` plug-ins
+(attached per model) additionally maintain inverted concept indexes so
+query evaluation scales with the candidate set rather than the store
+size. There is no per-service-node index (no registry path asks for one):
+:meth:`AdvertisementStore.by_service` is a scan.
 """
 
 from __future__ import annotations
@@ -22,11 +23,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class AdvertisementStore:
-    """In-memory advertisement storage with UUID, service, and model indexes."""
+    """In-memory advertisement storage with UUID and model indexes."""
 
     def __init__(self) -> None:
         self._by_id: dict[str, Advertisement] = {}
-        self._by_service: dict[str, set[str]] = defaultdict(set)
         self._by_model: dict[str, set[str]] = defaultdict(set)
         self._indexes: dict[str, "ConceptIndexer"] = {}
 
@@ -65,7 +65,6 @@ class AdvertisementStore:
         if existing is not None:
             self._unlink(existing)
         self._by_id[ad.ad_id] = ad
-        self._by_service[ad.service_node].add(ad.ad_id)
         self._by_model[ad.model_id].add(ad.ad_id)
         indexer = self._indexes.get(ad.model_id)
         if indexer is not None:
@@ -88,11 +87,6 @@ class AdvertisementStore:
 
     def _unlink(self, ad: Advertisement) -> None:
         """Drop one record's secondary-index entries (not ``_by_id``)."""
-        owned = self._by_service.get(ad.service_node)
-        if owned is not None:
-            owned.discard(ad.ad_id)
-            if not owned:
-                del self._by_service[ad.service_node]
         of_model = self._by_model.get(ad.model_id)
         if of_model is not None:
             of_model.discard(ad.ad_id)
@@ -109,8 +103,9 @@ class AdvertisementStore:
         return None
 
     def by_service(self, service_node: str) -> list[Advertisement]:
-        """All advertisements published by one service node."""
-        return [self._by_id[aid] for aid in sorted(self._by_service.get(service_node, ()))]
+        """All advertisements published by one service node (a full scan)."""
+        owned = [ad for ad in self._by_id.values() if ad.service_node == service_node]
+        return sorted(owned, key=lambda ad: ad.ad_id)
 
     def all(self) -> list[Advertisement]:
         """Every stored advertisement, ordered by UUID."""
@@ -170,13 +165,12 @@ class AdvertisementStore:
         )
 
     def service_nodes(self) -> list[str]:
-        """Service nodes with at least one stored advertisement."""
-        return sorted(self._by_service)
+        """Service nodes with at least one stored advertisement (a full scan)."""
+        return sorted({ad.service_node for ad in self._by_id.values()})
 
     def clear(self) -> None:
         """Drop all content (a registry crash loses volatile state)."""
         self._by_id.clear()
-        self._by_service.clear()
         self._by_model.clear()
         for indexer in self._indexes.values():
             indexer.reset()

@@ -136,6 +136,37 @@ def test_alias_interns_in_first_seen_order():
     assert rec.alias("ad-000007") == "ad~1"  # per-prefix numbering
 
 
+def test_alias_prefix_is_the_letters_of_the_head_whatever_the_head():
+    """The per-head memo must give exactly what cleaning each id would."""
+    rec, _clock = _recorder()
+    expected = {}
+    counts: dict[str, int] = {}
+    raw_ids = ["lease-000001", "bulk-000001", "lease-000002", "q2x-7", "qx-9", "q2x-8",
+               "123-4", "-5", "plain", "lease-000001", "x_y-1", "xy-2", "É-1"]
+    for raw in raw_ids:
+        if raw not in expected:
+            prefix = "".join(ch for ch in raw.split("-", 1)[0] if ch.isalpha()) or "id"
+            counts[prefix] = counts.get(prefix, 0) + 1
+            expected[raw] = f"{prefix}~{counts[prefix]}"
+        assert rec.alias(raw) == expected[raw], raw
+    # Heads that clean to the same letters share one numbering.
+    assert (expected["q2x-7"], expected["qx-9"], expected["q2x-8"]) == ("qx~1", "qx~2", "qx~3")
+    assert (expected["123-4"], expected["-5"]) == ("id~1", "id~2")
+
+
+def test_trace_records_have_no_instance_dict():
+    rec, _clock = _recorder()
+    span = rec.start_span("client.query", node="c-0", attrs={"k": 1})
+    event = rec.event("lease.grant", node="r-0", ctx=span.context)
+    for record in (span, event):
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(AttributeError):
+            record.note = "undeclared"
+    rec.end_span(span, status="timeout", attrs={"late": True})  # declared fields still move
+    assert (span.status, span.attrs, span.duration) == ("timeout", {"k": 1, "late": True}, 0.0)
+    assert event.trace_id == span.trace_id and event.attrs == {}
+
+
 def test_span_tree_and_context_propagation():
     rec, clock = _recorder()
     root = rec.start_span("client.query", node="client-0")
@@ -282,6 +313,9 @@ def test_lease_lifecycle_emits_events(fast):
     assert "lease.expire" in kinds
     assert system.metrics.counter("lease.grant").value >= 1
     assert system.metrics.counter("lease.expire").value >= 1
+    # One shared name string per kind, not one formatted per event.
+    renews = [ev.name for ev in system.trace.events if ev.name == "lease.renew"]
+    assert len(renews) > 1 and all(name is renews[0] for name in renews)
 
 
 # -- TrafficStats by_type / reset regression ---------------------------------

@@ -389,8 +389,8 @@ def test_mask_expansion_over_recycled_slots():
 def _assert_masks_mirror_tables(index: SemanticConceptIndex) -> None:
     """Every cached bitset equals its posting list rebuilt from scratch."""
     for (table_id, concept), cached in index._mask_cache.items():
-        assert cached == index._bits_of(index._tables[table_id].get(concept, ())), \
-            (table_id, concept)
+        posting = index._tables[table_id].get(concept, b"")
+        assert cached == int.from_bytes(posting, "little"), (table_id, concept)
     if index._profiles_mask is not None:
         assert index._profiles_mask == index._bits_of(index._slot_of.values())
     occupied = {slot for slot, ad_id in enumerate(index._ad_at) if ad_id is not None}
@@ -433,6 +433,7 @@ def test_writes_patch_cached_masks_instead_of_dropping_them(seed):
         assert set(index._mask_cache) == cached_before
         assert index._profiles_mask is not None
         _assert_masks_mirror_tables(index)
+        assert index.audit() == []
         if step % 20 == 0:
             for request in requests:
                 paths.assert_equivalent(request, max_results=request.max_results)
@@ -453,6 +454,154 @@ def test_writes_patch_cached_masks_instead_of_dropping_them(seed):
     for request in requests:
         paths.assert_equivalent(request, max_results=request.max_results)
     _assert_masks_mirror_tables(index)
+    assert index.audit() == []
+
+
+def _moved_ontology_walk(seed: int):
+    """A warmed 40-ad index plus the requests that warmed it."""
+    ontology = OntologyGenerator(70 + seed).random_ontology()
+    gen = ProfileGenerator(ontology, seed=70 + seed)
+    paths = _Paths(ontology)
+    profiles = gen.profiles(40)
+    for i, profile in enumerate(profiles):
+        paths.put(_ad(i, profile))
+    requests = list(_requests(gen, profiles, random.Random(seed)))
+    for request in requests:
+        paths.assert_equivalent(request, max_results=request.max_results)
+    index = paths.indexed_store.index_for("semantic")
+    assert index.rebuilds == 1 and index._mask_cache and index.audit() == []
+    return ontology, gen, paths, profiles, requests, index
+
+
+def _write_between_move_and_query(paths, gen, profiles):
+    """A discard, a replace and an add, none followed by a query."""
+    paths.discard("ad-000003")
+    paths.put(_ad(5, gen.random_profile(905), version=2))
+    paths.put(_ad(900, profiles[3]))  # recycles the freed slot under old keys
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_writes_after_a_version_bump_leave_no_stale_bit(seed):
+    ontology, gen, paths, profiles, requests, index = _moved_ontology_walk(seed)
+    # The bump re-parents a concept the discarded and the replaced ads sit
+    # under, so keys derived now differ from the keys they were inserted with.
+    ontology.add_class("gen:Moved")
+    for moved in {profiles[3].category, profiles[5].category}:
+        ontology.add_class(moved, parents=["gen:Moved"])
+    assert "gen:Moved" not in index._closure_keys(profiles[3].category)  # the memo is the old one
+    before = {key: bytes(p) for t in index._tables for key, p in t.items()}
+    _write_between_move_and_query(paths, gen, profiles)
+    # Out of sync: no posting was touched, the audit still holds what it can.
+    assert before == {key: bytes(p) for t in index._tables for key, p in t.items()}
+    assert index.audit() == []
+    for request in requests + [ServiceRequest.build("gen:Moved"), ServiceRequest.build(THING)]:
+        paths.assert_equivalent(request, max_results=request.max_results)
+    assert index.rebuilds == 2 and index.audit() == []
+    moved_hits = paths.assert_equivalent(ServiceRequest.build("gen:Moved"))
+    assert "ad-000900" in {h.advertisement.ad_id for h in moved_hits}
+    _assert_masks_mirror_tables(index)
+    freed = index._free_slots
+    assert all(not int.from_bytes(p, "little") >> slot & 1
+               for t in index._tables for p in t.values() for slot in freed)
+
+
+@pytest.mark.parametrize("swap_back", [False, True])
+def test_writes_after_an_ontology_swap_leave_no_stale_bit(swap_back):
+    ontology, gen, paths, profiles, requests, index = _moved_ontology_walk(0)
+    swapped = OntologyGenerator(70).random_ontology()
+    swapped.add_class("gen:OnlyInSwapped", parents=[profiles[5].category])
+    for model in (paths.indexed_model, paths.linear_model):
+        model.attach_ontology(swapped)
+    _write_between_move_and_query(paths, gen, profiles)
+    if swap_back:
+        # The index was in sync with ``ontology`` before the swap; the
+        # writes it skipped must still force the rebuild.
+        for model in (paths.indexed_model, paths.linear_model):
+            model.attach_ontology(ontology)
+    assert index.audit() == []
+    for request in requests + [ServiceRequest.build(THING, max_results=100)]:
+        paths.assert_equivalent(request, max_results=request.max_results)
+    assert index.rebuilds == 2 and index.audit() == []
+    added = paths.assert_equivalent(gen.request_for(profiles[3], generalize=0))
+    assert "ad-000900" in {h.advertisement.ad_id for h in added}
+    _assert_masks_mirror_tables(index)
+
+
+def test_postings_grow_across_byte_boundaries_and_recycled_slots():
+    ontology = OntologyGenerator(11).random_ontology()
+    gen = ProfileGenerator(ontology, seed=11)
+    paths = _Paths(ontology)
+    early, late = gen.random_profile(0), gen.random_profile(1)
+    assert early.category != late.category
+    # ``early``'s postings are created at slot 0, ``late``'s at slot 8 —
+    # after the first byte boundary — and both are then set at 7, 8, 63, 64.
+    layout = {0: early, 7: early, 8: late, 9: early, 63: late, 64: early, 65: late}
+    for i in range(70):
+        paths.put(_ad(i, layout.get(i, gen.random_profile(100 + i))))
+    index = paths.indexed_store.index_for("semantic")
+    for profile in (early, late):
+        paths.assert_equivalent(gen.request_for(profile, generalize=0), max_results=70)
+    exact = index._tables[2]  # category-exact postings
+    assert len(exact[early.category]) >= 9 and len(exact[late.category]) >= 9
+    for slot, profile in layout.items():
+        assert exact[profile.category][slot >> 3] >> (slot & 7) & 1, slot
+    assert not exact[late.category][0]  # created past byte 0, which stays zero
+    assert index.audit() == []
+    # Free the boundary slots, then refill them with the *other* profile.
+    for slot in (7, 8, 63, 64):
+        paths.discard(f"ad-{slot:06d}")
+        assert index.audit() == []
+    assert sorted(index._free_slots) == [7, 8, 63, 64]
+    for n, slot in enumerate((64, 63, 8, 7)):  # the free list pops from its end
+        other = late if layout[slot] is early else early
+        paths.put(_ad(200 + n, other))
+        assert index._slot_of[f"ad-{200 + n:06d}"] == slot
+        assert exact[other.category][slot >> 3] >> (slot & 7) & 1
+        assert not exact[layout[slot].category][slot >> 3] >> (slot & 7) & 1
+        assert index.audit() == []
+    assert len(index._ad_at) == 70 and not index._free_slots
+    for profile in (early, late):
+        paths.assert_equivalent(gen.request_for(profile, generalize=0), max_results=70)
+        paths.assert_equivalent(gen.request_for(profile, generalize=1), max_results=70)
+    _assert_masks_mirror_tables(index)
+
+
+def test_audit_names_each_kind_of_rot():
+    ontology = OntologyGenerator(12).random_ontology()
+    gen = ProfileGenerator(ontology, seed=12)
+    paths = _Paths(ontology)
+    profiles = gen.profiles(20)
+    for i, profile in enumerate(profiles):
+        paths.put(_ad(i, profile))
+    category = profiles[0].category
+    paths.assert_equivalent(ServiceRequest.build(category))  # caches its exact posting
+    paths.assert_equivalent(ServiceRequest.build(THING))
+    index = paths.indexed_store.index_for("semantic")
+    assert index.audit() == [] and (2, category) in index._mask_cache
+    slot = index._slot_of["ad-000000"]
+
+    index._tables[2][category][slot >> 3] &= ~(1 << (slot & 7))  # a lost bit
+    assert any("differs from its rebuild" in v for v in index.audit())
+    assert any("cached bitset" in v for v in index.audit())  # the int still has it
+    index._tables[2][category][slot >> 3] |= 1 << (slot & 7)
+    assert index.audit() == []
+
+    index._tables[2][category].extend(b"\x00\x01")  # a bit past the last slot
+    assert any("beyond the slot space" in v for v in index.audit())
+    del index._tables[2][category][-2:]
+
+    posting = index._tables[2].pop(category)  # a whole posting gone
+    assert any("differs from its rebuild" in v for v in index.audit())
+    index._tables[2][category] = posting
+
+    index._profiles_mask ^= 1 << slot
+    assert index.audit() == ["occupied-slot mask differs from the occupied slots"]
+    index._profiles_mask ^= 1 << slot
+
+    index._ad_at[slot] = "ad-somebody-else"
+    assert index.audit() == ["slot table does not mirror the indexed profiles"]
+    index._ad_at[slot] = "ad-000000"
+    assert index.audit() == []
 
 
 def test_thing_request_after_a_write_reads_the_patched_profiles_mask(monkeypatch):

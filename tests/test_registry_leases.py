@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.invariants import check_invariants
 from repro.errors import LeaseError
-from repro.registry.leases import DEFAULT_LEASE_DURATION, Lease, LeaseManager
+from repro.registry.leases import DEFAULT_LEASE_DURATION, LEASE_EVENTS, Lease, LeaseManager
 
 
 class Clock:
@@ -123,6 +123,29 @@ def test_clear(leases):
     leases.grant("ad-1")
     leases.clear()
     assert len(leases) == 0
+
+
+def test_lease_has_no_instance_dict(leases):
+    lease = leases.grant("ad-1")
+    assert not hasattr(lease, "__dict__")
+    with pytest.raises(AttributeError):
+        lease.renewed_by = "someone"  # undeclared: a typo must not create a field
+    lease.expires_at += 1.0  # declared fields stay writable (renew does this)
+    assert lease == Lease(lease.lease_id, "ad-1", 10.0, lease.expires_at)
+
+
+def test_lease_event_names_cover_every_transition(clock):
+    kinds = []
+    leases = LeaseManager(clock, default_duration=10.0, on_event=lambda k, _l: kinds.append(k))
+    first = leases.grant("ad-1")
+    leases.renew(first.lease_id)
+    leases.cancel_for_ad("ad-1")
+    leases.restore("ad-2", lease_id="lease-x", duration=5.0, expires_at=5.0)
+    clock.now = 6.0
+    assert leases.expired_ads() == ["ad-2"]
+    assert kinds == ["grant", "renew", "cancel", "restore", "expire"]
+    assert sorted(LEASE_EVENTS) == sorted(kinds)
+    assert all(LEASE_EVENTS[kind] == f"lease.{kind}" for kind in kinds)
 
 
 def test_default_module_duration_positive():

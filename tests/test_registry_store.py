@@ -83,6 +83,33 @@ def test_by_service_index():
     assert store.service_nodes() == ["node-b"]
 
 
+def test_by_service_scan_follows_every_kind_of_write():
+    """No per-service index is kept; the scan must still see each write."""
+    store = AdvertisementStore()
+
+    def view():
+        return {node: [a.ad_id for a in store.by_service(node)]
+                for node in store.service_nodes()}
+
+    store.put(_ad(ad_id="ad-2", service_node="node-a"))
+    store.put(_ad(ad_id="ad-1", service_node="node-a", model_id="semantic"))
+    store.put(_ad(ad_id="ad-3", service_node="node-b"))
+    assert view() == {"node-a": ["ad-1", "ad-2"], "node-b": ["ad-3"]}  # UUID order
+    assert store.by_service("node-a")[0] is store.get("ad-1")
+    # A newer version published by another service node moves the record …
+    store.put(_ad(ad_id="ad-2", service_node="node-c", version=2))
+    assert view() == {"node-a": ["ad-1"], "node-b": ["ad-3"], "node-c": ["ad-2"]}
+    # … a stale one does not.
+    store.put(_ad(ad_id="ad-2", service_node="node-d", version=1))
+    assert view() == {"node-a": ["ad-1"], "node-b": ["ad-3"], "node-c": ["ad-2"]}
+    assert store.discard("ad-1").service_node == "node-a"
+    assert view() == {"node-b": ["ad-3"], "node-c": ["ad-2"]}
+    assert store.by_service("node-a") == [] and store.by_service("never-seen") == []
+    store.clear()
+    assert view() == {} and store.by_service("node-b") == []
+    assert not hasattr(store, "_by_service")
+
+
 def test_of_model_filter():
     store = AdvertisementStore()
     store.put(_ad(ad_id="ad-1", model_id="uri"))
