@@ -8,8 +8,8 @@ paper's federated architecture is both fresh and WAN-wide.
 Run:  python examples/baseline_comparison.py
 """
 
-from repro.baselines.uddi import UddiSystem, uddi_config
-from repro.baselines.wsdiscovery import WsDiscoverySystem, wsdiscovery_config
+from dataclasses import replace
+
 from repro.core.config import DiscoveryConfig
 from repro.metrics.retrieval import score_queries
 from repro.metrics.staleness import registry_staleness
@@ -17,36 +17,16 @@ from repro.netsim.faults import FaultPlan
 from repro.workloads.queries import QueryDriver, QueryWorkload
 from repro.workloads.scenarios import build_scenario, crisis_scenario
 
-
-def build(arch: str, seed: int = 11):
-    spec = crisis_scenario(agencies=2, services_per_lan=4, seed=seed)
-    ontology = spec.ontology_factory()
-    if arch == "federated":
-        return build_scenario(spec, config=DiscoveryConfig(
-            lease_duration=10.0, purge_interval=2.0))
-    if arch == "uddi":
-        system = UddiSystem(seed=seed, ontology=ontology, config=uddi_config())
-        system.add_lan(spec.lan_names[0])
-        system.add_lan(spec.lan_names[1])
-        system.add_registry(spec.lan_names[0])
-        return build_scenario(spec, system=system, with_registries=False)
-    if arch == "wsd-adhoc":
-        system = WsDiscoverySystem(seed=seed, ontology=ontology)
-        return build_scenario(spec, system=system, with_registries=False)
-    if arch == "wsd-proxy":
-        system = WsDiscoverySystem(seed=seed, ontology=ontology,
-                                   config=wsdiscovery_config(managed=True))
-        system.add_lan(spec.lan_names[0])
-        system.add_lan(spec.lan_names[1])
-        system.add_proxy(spec.lan_names[0])
-        return build_scenario(spec, system=system, with_registries=False)
-    raise ValueError(arch)
+#: Short leases for the paper's architecture, so expiry shows within the run.
+SHORT_LEASES = {"federated": DiscoveryConfig(lease_duration=10.0, purge_interval=2.0)}
 
 
 def main() -> None:
     rows = []
+    spec = crisis_scenario(agencies=2, services_per_lan=4, seed=11)
     for arch in ("federated", "uddi", "wsd-proxy", "wsd-adhoc"):
-        built = build(arch)
+        built = build_scenario(replace(spec, architecture=arch),
+                               config=SHORT_LEASES.get(arch))
         system = built.system
         system.run(until=3.0)
 

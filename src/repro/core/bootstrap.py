@@ -25,7 +25,7 @@ from repro.netsim.messages import Envelope
 from repro.registry.rim import RegistryDescription
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.netsim.node import Node
+    from repro.netsim.node import Node, Timer
 
 #: How long a prober waits for REGISTRY-PROBE replies before deciding.
 PROBE_TIMEOUT = 0.5
@@ -51,6 +51,9 @@ class RegistryTracker:
         owning node's, see :func:`~repro.core.routing.router_for`); by
         default a pass-through that keeps this tracker's own hash-spread
         choice.
+    seeds:
+        Manually configured registry endpoints; :meth:`bootstrap` attaches
+        to the first instead of probing.
     """
 
     def __init__(
@@ -61,10 +64,12 @@ class RegistryTracker:
         on_attached: Callable[[str], None] | None = None,
         on_detached: Callable[[], None] | None = None,
         router=None,
+        seeds: tuple[str, ...] = (),
     ) -> None:
         self.node = node
         self.config = config
         self.router = router or PassThrough()
+        self.seeds = tuple(seeds)
         self.current: str | None = None
         self.known: dict[str, RegistryDescription] = {}
         #: Registries this node must not attach to (e.g. they NACKed a
@@ -72,11 +77,20 @@ class RegistryTracker:
         self.excluded: set[str] = set()
         self.on_attached = on_attached
         self.on_detached = on_detached
-        self._probing = False
+        #: The timer that closes the probe window in flight, if any.
+        self._probe: Timer | None = None
         self.probes_sent = 0
         self.failovers = 0
 
     # -- discovery --------------------------------------------------------
+
+    def bootstrap(self) -> None:
+        """Find a registry: the manually configured endpoint if there is
+        one, else an active probe of the LAN."""
+        if self.seeds:
+            self.seed(self.seeds[0])
+        else:
+            self.probe()
 
     def seed(self, registry_id: str, description: RegistryDescription | None = None) -> None:
         """Manual configuration: attach directly to a known endpoint."""
@@ -86,23 +100,32 @@ class RegistryTracker:
 
     def reset(self) -> None:
         """The node restarted: no attachment, nobody excluded, no probe in
-        flight (a crash cancels the timer that would have ended it). The
-        registries heard of so far stay known — a cache, not a promise."""
+        flight. The registries heard of so far stay known — a cache, not
+        a promise."""
         self.current = None
         self.excluded.clear()
-        self._probing = False
+        if self._probe is not None:
+            self._probe.cancel()
+            self._probe = None
+
+    def roamed(self) -> None:
+        """The node moved to another LAN: everything it knew was about the
+        old one. Start over as after a restart, forget the cache as well,
+        and find a registry here."""
+        self.reset()
+        self.known.clear()
+        self.bootstrap()
 
     def probe(self) -> None:
         """Active discovery: multicast a probe, decide after the timeout."""
-        if self._probing:
+        if self._probe is not None:
             return
-        self._probing = True
         self.probes_sent += 1
         self.node.multicast(protocol.REGISTRY_PROBE)
-        self.node.after(PROBE_TIMEOUT, self._probe_done)
+        self._probe = self.node.after(PROBE_TIMEOUT, self._probe_done)
 
     def _probe_done(self) -> None:
-        self._probing = False
+        self._probe = None
         if self.current is not None:
             return
         candidate = self._best_candidate()
@@ -137,7 +160,7 @@ class RegistryTracker:
         ("assigning clients to registries in an even distribution").
         """
         self.known[description.registry_id] = description
-        if self.current is None and not self._probing:
+        if self.current is None and self._probe is None:
             # Passive discovery: a beacon arrived while unattached.
             candidate = self._best_candidate()
             if candidate is not None:

@@ -143,6 +143,8 @@ class ClientNode(Node):
         node_id: str,
         config: DiscoveryConfig,
         models: list[DescriptionModel],
+        *,
+        seeds: tuple[str, ...] = (),
     ) -> None:
         super().__init__(node_id)
         self.config = config
@@ -150,7 +152,7 @@ class ClientNode(Node):
         self.router = router_for(config.routing, self)
         self.tracker = RegistryTracker(self, config,
                                        on_attached=self._on_attached,
-                                       router=self.router)
+                                       router=self.router, seeds=seeds)
         self.adopt_handlers(self.tracker)
         self.calls: list[DiscoveryCall] = []
         #: Calls awaiting an answer, by the wire id of the attempt (or
@@ -165,7 +167,7 @@ class ClientNode(Node):
     # -- lifecycle ------------------------------------------------------------
 
     def start(self) -> None:
-        self.tracker.probe()
+        self.tracker.bootstrap()
         self.tracker.start_signalling_refresh()
         # Keep standing queries alive across their lease horizon.
         self.every(self.config.renew_interval, self._refresh_watches)
@@ -201,9 +203,7 @@ class ClientNode(Node):
         longer local); standing queries re-establish on the next
         attachment via the tracker's on_attached hook.
         """
-        self.tracker.current = None
-        self.tracker.known.clear()
-        self.tracker.probe()
+        self.tracker.roamed()
 
     # -- the public discovery API ------------------------------------------------
 

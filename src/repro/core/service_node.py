@@ -77,6 +77,7 @@ class ServiceNode(Node):
         models: list[DescriptionModel],
         *,
         endpoint: str = "",
+        seeds: tuple[str, ...] = (),
     ) -> None:
         super().__init__(node_id)
         self.config = config
@@ -85,7 +86,8 @@ class ServiceNode(Node):
         self.endpoint = endpoint or f"svc://{node_id}"
         self.router = router_for(config.routing, self)
         self.tracker = RegistryTracker(
-            self, config, on_attached=self._on_attached, router=self.router
+            self, config, on_attached=self._on_attached, router=self.router,
+            seeds=seeds,
         )
         self.adopt_handlers(self.tracker)
         self._published: dict[str, PublishedAd] = {
@@ -116,17 +118,20 @@ class ServiceNode(Node):
 
     def start(self) -> None:
         """Bootstrap: find a registry, then keep leases alive."""
-        self.tracker.probe()
+        self.tracker.bootstrap()
         self.tracker.start_signalling_refresh()
         self.every(self.config.renew_interval, self._renew_tick)
+
+    def _forget_publications(self) -> None:
+        for record in self._published.values():
+            record.acked = False
+            record.renew_outstanding = False
 
     def on_restart(self) -> None:
         """Restart with no registry attachment, no memory of who refused
         us (volatile state, like the attachment) and fresh advertisements."""
         self.tracker.reset()
-        for record in self._published.values():
-            record.acked = False
-            record.renew_outstanding = False
+        self._forget_publications()
         self.start()
 
     def on_moved(self, old_lan: str, new_lan: str) -> None:
@@ -137,13 +142,8 @@ class ServiceNode(Node):
         old registry is concerned, which is exactly how the paper's soft-
         state design wants it.
         """
-        self.tracker.current = None
-        self.tracker.known.clear()
-        self.tracker.excluded.clear()
-        for record in self._published.values():
-            record.acked = False
-            record.renew_outstanding = False
-        self.tracker.probe()
+        self._forget_publications()
+        self.tracker.roamed()
 
     def deregister(self) -> None:
         """Graceful shutdown: explicitly remove our advertisements.

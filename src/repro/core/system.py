@@ -178,14 +178,18 @@ class DiscoverySystem:
         *,
         node_id: str | None = None,
         model_ids: tuple[str, ...] = ALL_MODEL_IDS,
+        seeds: tuple[str, ...] = (),
     ) -> ServiceNode:
-        """Add a service node hosting ``profile`` on ``lan``."""
+        """Add a service node hosting ``profile`` on ``lan``; ``seeds`` are
+        manually configured registry endpoints it attaches to (the first)
+        instead of probing."""
         node_id = node_id or f"svc-node-{next(self._counters['svc']):03d}"
         service = ServiceNode(
             node_id,
             self.config,
             profile,
             make_models(self.ontology, model_ids),
+            seeds=seeds,
         )
         self.network.add_node(service, lan)
         self.services.append(service)
@@ -199,13 +203,15 @@ class DiscoverySystem:
         node_id: str | None = None,
         model_ids: tuple[str, ...] = ALL_MODEL_IDS,
         with_ontology: bool = True,
+        seeds: tuple[str, ...] = (),
     ) -> ClientNode:
-        """Add a client node on ``lan``."""
+        """Add a client node on ``lan``; ``seeds`` as for :meth:`add_service`."""
         node_id = node_id or f"client-{next(self._counters['client']):03d}"
         client = ClientNode(
             node_id,
             self.config,
             make_models(self.ontology, model_ids, with_ontology=with_ontology),
+            seeds=seeds,
         )
         self.network.add_node(client, lan)
         self.clients.append(client)

@@ -14,9 +14,7 @@ recall against the still-alive service population.
 
 from __future__ import annotations
 
-from repro.baselines.uddi import UddiSystem
-from repro.baselines.wsdiscovery import WsDiscoverySystem
-from repro.core.config import COOPERATION_REPLICATE_ADS, DiscoveryConfig
+from repro.core.config import DiscoveryConfig
 from repro.core.invariants import assert_invariants
 from repro.experiments.common import ExperimentResult
 from repro.metrics.retrieval import score_queries
@@ -29,9 +27,10 @@ from repro.workloads.scenarios import ScenarioSpec, build_scenario
 ARCHITECTURES = ("federated", "cluster", "uddi", "wsd-adhoc")
 
 
-def _spec(arch: str, lans: int, services_per_lan: int, seed: int) -> ScenarioSpec:
+def _spec(name: str, lans: int, services_per_lan: int, seed: int,
+          architecture: str = "federated") -> ScenarioSpec:
     return ScenarioSpec(
-        name=f"e3-{arch}",
+        name=f"e3-{name}",
         lan_names=tuple(f"lan-{i}" for i in range(lans)),
         ontology_factory=battlefield_ontology,
         registries_per_lan=1,
@@ -39,33 +38,8 @@ def _spec(arch: str, lans: int, services_per_lan: int, seed: int) -> ScenarioSpe
         clients_per_lan=1,
         federation="ring",
         seed=seed,
+        architecture=architecture,
     )
-
-
-def _build(arch: str, lans: int, services_per_lan: int, seed: int):
-    spec = _spec(arch, lans, services_per_lan, seed)
-    ontology = spec.ontology_factory()
-    if arch == "federated":
-        return build_scenario(spec, config=DiscoveryConfig())
-    if arch == "cluster":
-        return build_scenario(
-            spec,
-            config=DiscoveryConfig(
-                cooperation=COOPERATION_REPLICATE_ADS, default_ttl=0
-            ),
-        )
-    if arch == "uddi":
-        system = UddiSystem(seed=seed, ontology=ontology)
-        for lan in spec.lan_names:
-            system.add_lan(lan)
-        system.add_registry(spec.lan_names[0])
-        built = build_scenario(spec, system=system, with_registries=False)
-        return built
-    if arch == "wsd-adhoc":
-        system = WsDiscoverySystem(seed=seed, ontology=ontology)
-        built = build_scenario(spec, system=system, with_registries=False)
-        return built
-    raise ValueError(f"unknown architecture {arch!r}")
 
 
 def run(
@@ -116,7 +90,7 @@ def _run_one(
     recovery: float,
     seed: int,
 ) -> dict:
-    built = _build(arch, lans, services_per_lan, seed)
+    built = build_scenario(_spec(arch, lans, services_per_lan, seed, arch))
     system = built.system
     system.run(until=12.0)  # bootstrap + a couple of signalling rounds
 
@@ -199,7 +173,7 @@ def run_fault_scenario(
     Returns a dict with the fault history counts, traffic snapshot, and
     completed-query count — the experiment row a robustness report cites.
     """
-    built = _build("federated", lans, services_per_lan, seed)
+    built = build_scenario(_spec("federated", lans, services_per_lan, seed))
     system = built.system
     system.run(until=12.0)
 
@@ -247,15 +221,8 @@ def run_convergence_scenario(
     from repro.core.invariants import assert_convergence, check_convergence
     from repro.semantics.profiles import ServiceProfile
 
-    spec = _spec("cluster-convergence", lans, services_per_lan, seed)
-    built = build_scenario(
-        spec,
-        config=DiscoveryConfig(
-            cooperation=COOPERATION_REPLICATE_ADS,
-            default_ttl=0,
-            antientropy_interval=interval,
-        ),
-    )
+    spec = _spec("cluster-convergence", lans, services_per_lan, seed, "cluster")
+    built = build_scenario(spec, config=DiscoveryConfig(antientropy_interval=interval))
     system = built.system
     system.run(until=12.0)
 

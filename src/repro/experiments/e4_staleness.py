@@ -22,8 +22,6 @@ and managed mode (proxy without leasing: stale like UDDI).
 
 from __future__ import annotations
 
-from repro.baselines.uddi import UddiSystem, uddi_config
-from repro.baselines.wsdiscovery import WsDiscoverySystem, wsdiscovery_config
 from repro.core.config import DiscoveryConfig
 from repro.experiments.common import ExperimentResult
 from repro.metrics.staleness import registry_staleness, response_staleness
@@ -37,9 +35,17 @@ ARCHITECTURES = ("leasing", "no-leasing", "uddi", "wsd-proxy", "wsd-adhoc")
 #: Short leases so expiry effects appear within a short run.
 LEASE = 10.0
 
+#: The two leasing ablations of the federated architecture; every other
+#: entry of :data:`ARCHITECTURES` names a row of the architecture table.
+ABLATIONS = {
+    "leasing": DiscoveryConfig(lease_duration=LEASE, purge_interval=2.0),
+    "no-leasing": DiscoveryConfig(lease_duration=LEASE, purge_interval=2.0,
+                                  leasing_enabled=False),
+}
 
-def _spec(arch: str, n_services: int, seed: int) -> ScenarioSpec:
-    return ScenarioSpec(
+
+def _build(arch: str, n_services: int, seed: int):
+    spec = ScenarioSpec(
         name=f"e4-{arch}",
         lan_names=("lan-0",),
         ontology_factory=emergency_ontology,
@@ -48,43 +54,9 @@ def _spec(arch: str, n_services: int, seed: int) -> ScenarioSpec:
         clients_per_lan=1,
         federation="none",
         seed=seed,
+        architecture="federated" if arch in ABLATIONS else arch,
     )
-
-
-def _build(arch: str, n_services: int, seed: int):
-    spec = _spec(arch, n_services, seed)
-    ontology = spec.ontology_factory()
-    if arch == "leasing":
-        return build_scenario(
-            spec, config=DiscoveryConfig(lease_duration=LEASE, purge_interval=2.0)
-        )
-    if arch == "no-leasing":
-        return build_scenario(
-            spec,
-            config=DiscoveryConfig(
-                lease_duration=LEASE, purge_interval=2.0, leasing_enabled=False
-            ),
-        )
-    if arch == "uddi":
-        system = UddiSystem(
-            seed=seed, ontology=ontology,
-            config=uddi_config(lease_duration=LEASE),
-        )
-        system.add_lan(spec.lan_names[0])
-        system.add_registry(spec.lan_names[0])
-        return build_scenario(spec, system=system, with_registries=False)
-    if arch == "wsd-proxy":
-        system = WsDiscoverySystem(
-            seed=seed, ontology=ontology,
-            config=wsdiscovery_config(managed=True, lease_duration=LEASE),
-        )
-        system.add_lan(spec.lan_names[0])
-        system.add_proxy(spec.lan_names[0])
-        return build_scenario(spec, system=system, with_registries=False)
-    if arch == "wsd-adhoc":
-        system = WsDiscoverySystem(seed=seed, ontology=ontology)
-        return build_scenario(spec, system=system, with_registries=False)
-    raise ValueError(f"unknown architecture {arch!r}")
+    return build_scenario(spec, config=ABLATIONS.get(arch, DiscoveryConfig(lease_duration=LEASE)))
 
 
 def run(

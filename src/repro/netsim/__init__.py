@@ -2,8 +2,8 @@
 
 The paper targets "dynamic environments" — LANs and WANs where nodes with
 wireless links appear and disappear. This package provides the deterministic
-substrate every protocol in :mod:`repro.core` and :mod:`repro.baselines`
-runs on:
+substrate every protocol in :mod:`repro.core` runs on, the paper's
+architecture and its baselines alike:
 
 * :class:`~repro.netsim.simulator.Simulator` — a heap-based discrete-event
   scheduler with a seeded RNG and stable event ordering, so every run is

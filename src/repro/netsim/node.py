@@ -1,8 +1,8 @@
 """Base class for protocol agents.
 
 A :class:`Node` is anything with an address on the simulated network:
-client nodes, service nodes, registry nodes, baseline registries. The
-paper's roles are implemented as subclasses in :mod:`repro.core`.
+client nodes, service nodes, registry nodes. The paper's roles are
+implemented as subclasses in :mod:`repro.core`.
 
 Nodes are *fail-stop*: :meth:`crash` silently drops all in-flight timers
 and future deliveries; :meth:`restart` brings the node back with empty

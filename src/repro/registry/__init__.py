@@ -1,6 +1,6 @@
 """Registry internals: advertisement storage, leases, and query evaluation.
 
-These are the pieces inside every registry node (and the baselines):
+These are the pieces inside every registry node:
 
 * :class:`~repro.registry.advertisements.Advertisement` — a stored
   description with a UUID, endpoint, model id, and lease linkage. The

@@ -433,6 +433,28 @@ def test_move_to_unknown_lan_rejected(fast_cfg):
         system.move(client, "lan-zzz")
 
 
+@pytest.mark.parametrize("role", ["client", "service"])
+def test_node_that_roams_mid_probe_probes_its_new_lan(role):
+    """A move while the start-up probe was in flight left "a probe is in
+    flight" set: the probe of the new LAN returned early and the old window
+    closed on the emptied cache. With beacons off nothing attached the node
+    again — a client never, a service only at its next renew tick."""
+    system = DiscoverySystem(seed=47, ontology=battlefield_ontology(),
+                             config=DiscoveryConfig(beacon_interval=None))
+    system.add_lan("lan-a")
+    system.add_lan("lan-b")
+    system.add_registry("lan-a")
+    rb = system.add_registry("lan-b")
+    node = system.add_client("lan-a") if role == "client" else \
+        system.add_service("lan-a", _radar("mobile"))
+    system.run(until=0.1)
+    system.move(node, "lan-b")
+    system.run_for(3.0)
+    assert node.tracker.current == rb.node_id
+    if role == "service":
+        assert len(rb.store.by_service(node.node_id)) == 3
+
+
 # -- multi-hop composition ----------------------------------------------------------
 
 def test_two_hop_translator_chain():

@@ -13,6 +13,7 @@ of ``tests/test_config_surface.py``.
 from __future__ import annotations
 
 import ast
+import importlib
 import importlib.util
 from pathlib import Path
 
@@ -241,18 +242,37 @@ def _calls(tree: ast.AST, name: str) -> list[ast.Call]:
 
 def test_no_handler_asks_what_it_was_handed():
     """``Node.receive`` matches a payload against the record its message
-    type declares, once: under ``core/`` and ``baselines/`` nothing tests
-    a value against a protocol record (or ``RegistryDescription``) again."""
+    type declares, once: under ``core/`` nothing tests a value against a
+    protocol record (or ``RegistryDescription``) again."""
     records = {cls.__name__ for cls in protocol.MESSAGE_RECORDS.values()} - {"NoneType"}
     found = []
-    for folder in ("core", "baselines"):
-        for path in sorted((SRC / folder).glob("*.py")):
-            for call in _calls(ast.parse(path.read_text()), "isinstance"):
-                against = {getattr(node, "attr", getattr(node, "id", None))
-                           for node in ast.walk(call.args[1])}
-                if against & records:
-                    found.append(f"{folder}/{path.name}:{call.lineno}")
+    for path in sorted((SRC / "core").glob("*.py")):
+        for call in _calls(ast.parse(path.read_text()), "isinstance"):
+            against = {getattr(node, "attr", getattr(node, "id", None))
+                       for node in ast.walk(call.args[1])}
+            if against & records:
+                found.append(f"core/{path.name}:{call.lineno}")
     assert found == []
+
+
+#: The only subclass of a protocol role: a dormant node that *becomes* a
+#: registry. A compared architecture is a row of the table in
+#: ``workloads/scenarios.py``, not a fork of the kernel.
+ROLE_SUBCLASSES = {"StandbyRegistry"}
+
+
+def test_a_deployment_is_a_row_not_a_fork():
+    kernel = {"DiscoverySystem", "RegistryNode", "ClientNode", "ServiceNode"}
+    subclasses = {}
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                bases = {getattr(b, "id", getattr(b, "attr", None)) for b in node.bases}
+                for base in bases & kernel:
+                    subclasses.setdefault(base, set()).add(node.name)
+    assert subclasses == {"RegistryNode": ROLE_SUBCLASSES}
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.baselines")
 
 
 def test_a_record_is_declared_not_written_out():

@@ -20,7 +20,6 @@ from typing import Annotated, Any, Union, get_args, get_origin, get_type_hints
 import pytest
 
 import repro
-from repro.baselines.uddi import UddiSystem
 from repro.core import protocol as p
 from repro.core.admission import MESSAGE_CLASS, AdmissionPolicy, request_id_of
 from repro.core.config import COOPERATION_REPLICATE_ADS, DiscoveryConfig
@@ -35,6 +34,7 @@ from repro.registry.matching import QueryHit
 from repro.registry.rim import RegistryDescription
 from repro.semantics.generator import battlefield_ontology
 from repro.semantics.profiles import ServiceProfile
+from repro.workloads.scenarios import ARCHITECTURES
 
 try:  # part (i) was recorded on the parent commit, which has none of these
     from repro.core.protocol import MESSAGE_RECORDS
@@ -179,7 +179,7 @@ ROLES = {
     "registry": (DiscoverySystem, DiscoveryConfig, _registry),
     "registry-flood": (DiscoverySystem, _flood, _registry),
     "registry-sharded": (DiscoverySystem, _sharded, _registry),
-    "registry-uddi": (UddiSystem, lambda: None, _registry),
+    "registry-uddi": (DiscoverySystem, ARCHITECTURES["uddi"].config, _registry),
     "client": (DiscoverySystem, DiscoveryConfig, lambda s: s.add_client("lan-0")),
     "service": (DiscoverySystem, DiscoveryConfig, lambda s: s.add_service(
         "lan-0", ServiceProfile.build("radar-1", "ncw:RadarService"))),
@@ -413,15 +413,14 @@ def test_a_duration_is_bounded_in_sign_and_finiteness_not_capped():
 
 def _handler_names():
     """Every ``handle_*`` defined (or aliased: ``handle_a = handle_b``)."""
-    for folder in ("core", "baselines"):
-        for path in sorted((SRC / folder).glob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text())):
-                names = [node.name] if isinstance(node, ast.FunctionDef) else \
-                    [t.id for t in node.targets if isinstance(t, ast.Name)] \
-                    if isinstance(node, ast.Assign) else []
-                for name in names:
-                    if name.startswith("handle_") and name != "handle_message":
-                        yield f"{folder}/{path.name}:{name}"
+    for path in sorted((SRC / "core").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = [node.name] if isinstance(node, ast.FunctionDef) else \
+                [t.id for t in node.targets if isinstance(t, ast.Name)] \
+                if isinstance(node, ast.Assign) else []
+            for name in names:
+                if name.startswith("handle_") and name != "handle_message":
+                    yield f"core/{path.name}:{name}"
 
 
 def test_policy_tables_and_handlers_name_declared_types_only():
