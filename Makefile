@@ -102,17 +102,24 @@ perf-pairs:
 	$(PYTHON) tools/perf_pairs.py --parent $(PARENT) --workload $(WORKLOAD) \
 		--pairs $(PAIRS) --seed $(SEED)
 
-## mem-attr: `make mem-attr [WORKLOAD=wan_100k] [SEED=1000] [TREE=<checkout>]`
-## builds one benchmark deployment (imported from benchmarks/perf, which
-## stays untouched) and prints where its memory is: first VmRSS / VmHWM
-## after each set-up phase, then — in a second process, under tracemalloc —
-## MiB and bytes per advertisement retained by the build, by src/ module
-## and by allocating line (see tools/mem_attr.py). TREE points both at
-## another checkout, e.g. an exported parent. ~1.5 min for wan_100k.
+## mem-attr: `make mem-attr [WORKLOAD=wan_100k] [SEED=1000] [TREE=<checkout>]
+## [GROWTH=N]` builds one benchmark deployment (imported from
+## benchmarks/perf, which stays untouched) and prints where its memory is:
+## first VmRSS / VmHWM after each set-up phase, then — in a second process,
+## under tracemalloc — MiB and bytes per advertisement retained by the
+## build, by src/ module and by allocating line (see tools/mem_attr.py).
+## With GROWTH=N it prints instead the bytes per operation that N
+## operations after a warm round leave behind, by module and by line: what
+## grows with a run's length. TREE points it at another checkout, e.g. an
+## exported parent. ~1.5 min for wan_100k.
 TREE ?= .
 MEM_ATTR = $(PYTHON) tools/mem_attr.py --workload $(or $(WORKLOAD),wan_100k) --seed $(SEED) --tree $(TREE)
 mem-attr:
+ifdef GROWTH
+	$(MEM_ATTR) --growth $(GROWTH)
+else
 	$(MEM_ATTR) --phases
 	$(MEM_ATTR)
+endif
 
 all: test smoke

@@ -21,8 +21,8 @@ from repro.obs.capture import run_traced
 def test_same_seed_trace_exports_are_byte_identical(results_dir):
     first = run_traced("e7", seed=0)
     second = run_traced("e7", seed=0)
-    blob = first.recorder.export_jsonl()
-    assert blob == second.recorder.export_jsonl()
+    blob = first.capture.export_jsonl()
+    assert blob == second.capture.export_jsonl()
     assert blob  # non-vacuous: the run actually traced something
     (results_dir / "obs_trace_e7.jsonl").write_text(blob + "\n")
 
@@ -30,13 +30,13 @@ def test_same_seed_trace_exports_are_byte_identical(results_dir):
 def test_trace_covers_the_query_path_end_to_end():
     run = run_traced("e7", seed=0)
     assert run.sample_trace is not None
-    names = {span.name for span in run.recorder.spans_of(run.sample_trace)}
+    names = {span.name for span in run.capture.spans_of(run.sample_trace)}
     assert {"client.query", "client.attempt", "registry.query"} <= names
     assert "registry.fanout" in names or "registry.forward" in names
-    rendered = run.recorder.render(run.sample_trace)
+    rendered = run.capture.render(run.sample_trace)
     assert "client.query" in rendered
     # Every record parses back as JSON (the export really is JSONL).
-    for line in run.recorder.export_jsonl().splitlines():
+    for line in run.capture.export_jsonl().splitlines():
         json.loads(line)
 
 

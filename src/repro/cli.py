@@ -154,10 +154,10 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
     run = run_traced(args.experiment, seed=args.seed)
     if args.jsonl:
-        print(run.recorder.export_jsonl())
+        print(run.capture.export_jsonl())
         return 0
     if args.all:
-        trace_ids = run.recorder.traces()
+        trace_ids = run.capture.traces()
     elif run.sample_trace is not None:
         trace_ids = [run.sample_trace]
     else:
@@ -166,7 +166,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         print("no completed traces recorded", file=sys.stderr)
         return 1
     for trace_id in trace_ids:
-        print(run.recorder.render(trace_id))
+        print(run.capture.render(trace_id))
         print()
     return 0
 

@@ -265,13 +265,14 @@ def trace_export(routing: RoutingConfig, *, seed: int = 0) -> str:
     )
     built = build_scenario(spec, config=config)
     system = built.system
+    capture = system.trace.capture()
     system.run(until=12.0)
     workload = QueryWorkload.anchored(built.generator, built.profiles, 4,
                                       generalize=1)
     driver = QueryDriver(system, workload, model_id="semantic",
                          interval=0.05, seed=seed)
     driver.play(settle=0.0, drain=10.0)
-    return system.trace.export_jsonl()
+    return capture.export_jsonl()
 
 
 def run_routing_smoke(*, seed: int = 0) -> dict:

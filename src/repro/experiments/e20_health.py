@@ -149,6 +149,7 @@ def _fault_plan(registry_id: str) -> FaultPlan:
 def _run_scenario(*, seed: int, faulted: bool, health: HealthConfig) -> dict:
     """One full run; returns everything the smoke and report need."""
     system, clients = _build(seed, health)
+    capture = system.trace.capture()
     # One background query per second: the SLO stream's steady feed.
     probes = round_robin_probes(system, clients, REQUEST,
                                 start=5.0, stop=END_AT - 2.0, step=1.0)
@@ -176,7 +177,7 @@ def _run_scenario(*, seed: int, faulted: bool, health: HealthConfig) -> dict:
                   for d in monitor.dumps],
         "dump_jsonl": "\n".join(d.jsonl for d in monitor.dumps),
         "snapshot": monitor.snapshot(),
-        "trace": system.sim.trace.export_jsonl(),
+        "trace": capture.export_jsonl(),
         "probe_stats": {
             "issued": len(probes),
             "ok": len(ok),

@@ -154,6 +154,7 @@ def _build_live(seed: int):
 def run_live_scenario(*, seed: int = 0) -> dict:
     """One full live run; returns probe stats, traces, and counters."""
     system, clients = _build_live(seed)
+    capture = system.trace.capture()
     probes = round_robin_probes(system, clients, REQUEST, start=5.0,
                                 stop=END_AT - 2.0, step=PROBE_INTERVAL)
     # R−1 replicas of one shard fail-stop at once and stay down.
@@ -209,7 +210,7 @@ def run_live_scenario(*, seed: int = 0) -> dict:
         "shard_counters": shard_counters,
         "placement_violations": check_shard_placement(system),
         "convergence_violations": check_convergence(system),
-        "trace": system.sim.trace.export_jsonl(),
+        "trace": capture.export_jsonl(),
         "faults": dict(applied.counts()),
     }
 

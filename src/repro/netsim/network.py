@@ -495,7 +495,7 @@ class Network:
                 f"hops.{envelope.msg_type}", buckets=HOP_BUCKETS
             ).observe(envelope.hops)
         ctx = TraceRecorder.extract(envelope.headers)
-        if ctx is not None:
+        if ctx is not None and self.sim.trace.listening:
             self.sim.trace.event(
                 "net.deliver",
                 node=dst_id,
@@ -512,7 +512,7 @@ class Network:
     def _trace_drop(self, envelope: Envelope, reason: str, *, dst: str | None = None) -> None:
         """Attach a drop event to the envelope's trace, if it carries one."""
         ctx = TraceRecorder.extract(envelope.headers)
-        if ctx is None:
+        if ctx is None or not self.sim.trace.listening:
             return
         self.sim.trace.event(
             "net.drop",

@@ -36,6 +36,7 @@ from repro.obs.tracing import (
     SPAN_ID_HEADER,
     TRACE_ID_HEADER,
     Span,
+    TraceCapture,
     TraceEvent,
     TraceRecorder,
 )
@@ -64,6 +65,7 @@ __all__ = [
     "SPAN_ID_HEADER",
     "TRACE_ID_HEADER",
     "Span",
+    "TraceCapture",
     "TraceEvent",
     "TraceRecorder",
     "Watchdog",

@@ -1,10 +1,11 @@
 """Canonical traced scenario runs backing ``repro trace``/``repro metrics``.
 
 :func:`run_traced` builds a small, deterministic deployment shaped after
-an experiment family, plays a short anchored query workload through it,
-and returns the run's trace recorder and metrics registry. Two calls
-with the same ``(experiment, seed)`` produce byte-identical
-:meth:`~repro.obs.tracing.TraceRecorder.export_jsonl` output — the
+an experiment family, attaches a trace capture before anything runs,
+plays a short anchored query workload through it, and returns the
+capture and the run's metrics registry. Two calls with the same
+``(experiment, seed)`` produce byte-identical
+:meth:`~repro.obs.tracing.TraceCapture.export_jsonl` output — the
 determinism contract ``make obs-smoke`` enforces.
 
 This module imports the full system stack, which is why it is *not*
@@ -22,7 +23,7 @@ from repro.core.routing import ROUTING_LEAST_LOADED, RoutingConfig
 from repro.core.system import DiscoverySystem
 from repro.netsim.faults import FaultPlan
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracing import TraceRecorder
+from repro.obs.tracing import TraceCapture
 from repro.semantics.generator import battlefield_ontology
 from repro.workloads.queries import QueryDriver, QueryWorkload
 from repro.workloads.scenarios import ScenarioSpec, build_scenario
@@ -40,7 +41,7 @@ class TracedRun:
 
     experiment: str
     system: DiscoverySystem
-    recorder: TraceRecorder
+    capture: TraceCapture
     metrics: MetricsRegistry
     calls: list[DiscoveryCall]
     #: Trace id of the first completed discovery call — the default trace
@@ -118,6 +119,7 @@ def run_traced(experiment: str = "e7", seed: int = 0) -> TracedRun:
     )
     built = build_scenario(spec, config=config)
     system = built.system
+    capture = system.trace.capture()
     # Let bootstrap finish (probes, publishes, first federation round)
     # before the workload starts, so traces show steady-state behavior.
     system.run(until=12.0)
@@ -141,7 +143,7 @@ def run_traced(experiment: str = "e7", seed: int = 0) -> TracedRun:
     return TracedRun(
         experiment=experiment,
         system=system,
-        recorder=system.trace,
+        capture=capture,
         metrics=system.metrics,
         calls=calls,
         sample_trace=sample,

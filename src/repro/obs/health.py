@@ -231,7 +231,7 @@ class HealthMonitor:
             return
         self._attached = True
         self.trace = sim.trace
-        sim.trace.observers.append(self._on_trace_record)
+        sim.trace.listen(self._on_trace_record)
         sim.every(WATCHDOG_INTERVAL, self.tick)
 
     # -- feeds -------------------------------------------------------------

@@ -10,21 +10,37 @@ causal context — ``(trace_id, span_id)`` — rides across hops inside
 be followed end-to-end through registry receive, matchmaking, WAN
 fan-out, aggregation, and the response (late ones included).
 
+Recording is not retaining. The recorder keeps no records of its own: it
+hands them to its listeners as they happen — a :class:`TraceCapture`
+(``recorder.capture()``), which keeps every span and event for reading
+after the run, and the ``observers`` registered with
+:meth:`TraceRecorder.listen` (the health layer's flight recorders), which
+get each closed span and each event as a plain dict. A recorder nobody
+listens to still allocates spans — their ids ride in envelope headers and
+in ``DiscoveryCall.trace_id`` — but builds no event and interns no id, so
+a long run's memory is bounded by what its agents hold, not by its length.
+
 Determinism contract
 --------------------
 Exports must be byte-identical across two same-seed runs *in the same
-process*. Two rules make that hold:
+process*. Three rules make that hold:
 
 * trace/span ids are allocated from recorder-local counters (never from
   the process-global UUID counters, which keep advancing between runs);
 * raw wire ids (query ids, ad ids, lease ids) never enter a record
   directly — :meth:`TraceRecorder.alias` interns them into run-local
   tokens like ``q~3`` in first-seen order, which *is* deterministic
-  because event order is seed-deterministic.
+  because event order is seed-deterministic;
+* listeners are attached before the first record (right after the system
+  is built: node starts are scheduled, so nothing is recorded before the
+  first ``run()``). :meth:`TraceRecorder.capture` and
+  :meth:`TraceRecorder.listen` raise :class:`RuntimeError` after that — a
+  late capture would miss records and alias ids in a different order.
 
 All timestamps are ``sim.now`` floats; the wall clock is never read.
-:meth:`export_jsonl` emits records in creation order with sorted keys and
-canonical separators, so the bytes are a pure function of the run.
+:meth:`TraceCapture.export_jsonl` emits records in creation order with
+sorted keys and canonical separators, so the bytes are a pure function of
+the run.
 """
 
 from __future__ import annotations
@@ -83,13 +99,12 @@ class TraceEvent:
 
 
 class TraceRecorder:
-    """Records spans and events against an injected sim-time clock."""
+    """Records spans and events against an injected sim-time clock, for
+    whoever listens (see the module docstring)."""
 
-    def __init__(self, clock: Callable[[], float], *, enabled: bool = True) -> None:
+    def __init__(self, clock: Callable[[], float]) -> None:
         self.clock = clock
-        self.enabled = enabled
-        self.spans: list[Span] = []
-        self.events: list[TraceEvent] = []
+        self._capture: TraceCapture | None = None
         self._seq = 0
         self._next_trace = 0
         self._next_span = 0
@@ -97,11 +112,46 @@ class TraceRecorder:
         self._alias_counts: dict[str, int] = {}
         #: Raw id head (``"q"``, ``"lease"``) -> its letters-only prefix.
         self._alias_prefixes: dict[str, str] = {}
-        #: Live subscribers (the runtime health layer's flight recorders):
-        #: each closed span and each event is offered as a plain record
-        #: dict. Empty by default — nothing is built or called unless a
-        #: subscriber registered, so the default path is unchanged.
+        #: Live subscribers registered with :meth:`listen`: each closed span
+        #: and each event is offered as a plain record dict.
         self.observers: list[Callable[[dict[str, Any]], None]] = []
+
+    # -- listeners ---------------------------------------------------------
+
+    def _before_first_record(self, what: str) -> None:
+        if self._seq:
+            raise RuntimeError(
+                f"{what} attached after the first trace record would see a "
+                "different trace; attach it right after the system is built")
+
+    def capture(self) -> TraceCapture:
+        """This recorder's :class:`TraceCapture`, attached on the first call
+        (which must come before the first record); later calls return it."""
+        if self._capture is None:
+            self._before_first_record("a trace capture")
+            self._capture = TraceCapture()
+        return self._capture
+
+    def listen(self, observer: Callable[[dict[str, Any]], None]) -> None:
+        """Offer every later closed span and event to ``observer`` as a
+        record dict (only before the first record)."""
+        self._before_first_record("a trace observer")
+        self.observers.append(observer)
+
+    @property
+    def listening(self) -> bool:
+        """Whether anything would keep or see an event recorded now."""
+        return self._capture is not None or bool(self.observers)
+
+    @property
+    def spans(self) -> list[Span] | tuple[()]:
+        """The capture's spans (empty without one)."""
+        return self._capture.spans if self._capture is not None else ()
+
+    @property
+    def events(self) -> list[TraceEvent] | tuple[()]:
+        """The capture's events (empty without one)."""
+        return self._capture.events if self._capture is not None else ()
 
     def _notify(self, record: dict[str, Any]) -> None:
         for observer in self.observers:
@@ -116,8 +166,12 @@ class TraceRecorder:
         the same raw id always maps to the same token within a run, and
         the numbering restarts per recorder — so exported attributes stay
         identical across same-seed runs even though the underlying UUID
-        counters do not.
+        counters do not. With nobody listening the raw id comes back as
+        it is and nothing is interned: it can only reach a span's attrs,
+        which nobody will read.
         """
+        if not self.listening:
+            return raw_id
         token = self._aliases.get(raw_id)
         if token is None:
             head = raw_id.split("-", 1)[0]
@@ -161,8 +215,8 @@ class TraceRecorder:
             attrs=dict(attrs or {}),
             seq=self._next_seq(),
         )
-        if self.enabled:
-            self.spans.append(span)
+        if self._capture is not None:
+            self._capture.spans.append(span)
         return span
 
     def end_span(self, span: Span, *, status: str = "ok",
@@ -188,8 +242,17 @@ class TraceRecorder:
         node: str = "",
         ctx: tuple[int, int] | None = None,
         attrs: dict[str, Any] | None = None,
-    ) -> TraceEvent:
-        """Record an instant event, attached to ``ctx`` when given."""
+    ) -> TraceEvent | None:
+        """Record an instant event, attached to ``ctx`` when given.
+
+        Returns the record, or ``None`` when nobody listens: then only the
+        sequence number advances, which still closes the door on late
+        listeners.
+        """
+        seq = self._next_seq()
+        capture = self._capture
+        if capture is None and not self.observers:
+            return None
         trace_id, span_id = ctx if ctx is not None else (None, None)
         record = TraceEvent(
             trace_id=trace_id,
@@ -198,10 +261,10 @@ class TraceRecorder:
             node=node,
             time=self.clock(),
             attrs=dict(attrs or {}),
-            seq=self._next_seq(),
+            seq=seq,
         )
-        if self.enabled:
-            self.events.append(record)
+        if capture is not None:
+            capture.events.append(record)
         if self.observers:
             self._notify({
                 "t": record.time, "kind": "event", "name": record.name,
@@ -226,6 +289,19 @@ class TraceRecorder:
             return None
         return (trace_id, headers.get(SPAN_ID_HEADER, 0))
 
+
+class TraceCapture:
+    """Every span and event of a run, kept for reading after it.
+
+    Obtained from :meth:`TraceRecorder.capture` before the first record;
+    spans are kept when they open (a span still open at the end exports
+    with ``"end": null``) and events when they happen.
+    """
+
+    def __init__(self) -> None:
+        self.spans: list[Span] = []
+        self.events: list[TraceEvent] = []
+
     # -- queries -----------------------------------------------------------
 
     def traces(self) -> list[int]:
@@ -241,7 +317,7 @@ class TraceRecorder:
         return [ev for ev in self.events if ev.trace_id == trace_id]
 
     def clear(self) -> None:
-        """Drop recorded data (id counters keep advancing)."""
+        """Drop recorded data (the recorder's id counters keep advancing)."""
         self.spans.clear()
         self.events.clear()
 

@@ -38,24 +38,27 @@ class Deployment:
         return calls
 
 
-def _settled(spec: ScenarioSpec, **kwargs) -> Deployment:
+def _settled(spec: ScenarioSpec, traced: bool, **kwargs) -> Deployment:
     built = build_scenario(spec, config=DiscoveryConfig(), **kwargs)
+    if traced:
+        built.system.trace.capture()
     built.system.run(until=SETTLE_AT)
     requests = [built.generator.request_for(profile, generalize=1, max_results=5)
                 for profile in built.profiles]
     return Deployment(built.system, requests)
 
 
-def e7_ring(seed: int = 7) -> Deployment:
+def e7_ring(seed: int = 7, *, traced: bool = False) -> Deployment:
     """E7's deployment: three ring-federated LANs with one registry, four
-    services and one client each."""
+    services and one client each. ``traced`` attaches a trace capture
+    before the first record."""
     return _settled(ScenarioSpec(
         name="ring", lan_names=("lan-0", "lan-1", "lan-2"),
         ontology_factory=battlefield_ontology, seed=seed,
-    ))
+    ), traced)
 
 
-def fallback_lan(seed: int = 7, services: int = 20) -> Deployment:
+def fallback_lan(seed: int = 7, services: int = 20, *, traced: bool = False) -> Deployment:
     """One LAN, no registry: every discover is a multicast that each of
     the ``services`` nodes evaluates on its own (Fig. 3, right)."""
     return _settled(ScenarioSpec(
@@ -63,4 +66,4 @@ def fallback_lan(seed: int = 7, services: int = 20) -> Deployment:
         ontology_factory=battlefield_ontology, registries_per_lan=0,
         services_per_lan=services, clients_per_lan=2, federation="none",
         seed=seed,
-    ), with_registries=False)
+    ), traced, with_registries=False)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.cli import EXPERIMENTS, build_parser, main
@@ -89,6 +91,18 @@ def test_trace_jsonl_dump_parses(capsys):
     records = [json.loads(line) for line in lines]
     assert any(r["kind"] == "span" for r in records)
     assert any(r["kind"] == "event" for r in records)
+
+
+#: SHA-256 of ``python -m repro trace e7 --jsonl``'s stdout (118 lines), as
+#: recorded when the recorder still kept every record itself.
+E7_TRACE_SHA256 = "86511067a4f7e095a0e376add43b18f6fc497672f5dfc5502aac8ea639be2ff5"
+
+
+def test_trace_e7_jsonl_is_pinned_by_value(capsys):
+    assert main(["trace", "e7", "--jsonl"]) == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 118
+    assert hashlib.sha256(out.encode()).hexdigest() == E7_TRACE_SHA256
 
 
 def test_trace_unknown_experiment(capsys):

@@ -51,7 +51,7 @@ def _heard(state, monitor) -> TraceRecorder:
     """A recorder on the monitor's clock that the monitor observes, as
     :meth:`HealthMonitor.attach` arranges on a deployment."""
     trace = TraceRecorder(lambda: state["t"])
-    trace.observers.append(monitor._on_trace_record)
+    trace.listen(monitor._on_trace_record)
     return trace
 
 

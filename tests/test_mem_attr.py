@@ -1,4 +1,4 @@
-"""``tools/mem_attr.py`` end to end on a 300-advertisement deployment."""
+"""``tools/mem_attr.py`` end to end on small deployments."""
 
 from __future__ import annotations
 
@@ -35,6 +35,22 @@ def test_phases_report_rss_after_each_set_up_phase():
     assert [row[0] for row in rows] == ["imports", "inputs", "build", "prepare", "one"]
     rss, hwm = [float(r[-2]) for r in rows], [float(r[-1]) for r in rows]
     assert all(0 < r <= h for r, h in zip(rss, hwm)) and hwm == sorted(hwm)
+
+
+def test_growth_reports_bytes_per_operation_by_module_and_line():
+    done = _run("--growth", "64", "--workload", "wan_small", "--top", "40")
+    assert done.returncode == 0, done.stderr
+    out = done.stdout
+    assert "retained by 64 x WanSmall.op after a warm round" in out
+    module_table, line_table = out.split("\nline ", 1)
+    assert "B/op" in module_table and "over 64 operations" in out
+    rows = {line.split()[0]: float(line.split()[2])
+            for line in module_table.splitlines() if line.startswith("src/")}
+    # Each discover keeps its DiscoveryCall; the recorder keeps only the
+    # call's root span, with nobody listening.
+    assert rows["src/repro/core/client_node.py"] > 0
+    assert 0 < rows["src/repro/obs/tracing.py"] < 1000
+    assert "src/repro/core/client_node.py:" in line_table and "call = DiscoveryCall(" in line_table
 
 
 def test_unknown_workload_is_refused():

@@ -1,4 +1,5 @@
-"""Resident bytes per stored advertisement: a ceiling that only falls.
+"""Resident bytes per stored advertisement, and per discover: ceilings
+that only fall.
 
 The paper's registries are "thick" and sit on the same resource-poor nodes
 as the services, so what one advertisement costs a registry *beyond the
@@ -22,6 +23,21 @@ store + concept index + lease manager  2,325       564
 PR 24 dropped the ``set[int]`` postings kept beside the bitsets, the
 per-advertisement key tuples, the store's per-service-node index and the
 lease's ``__dict__``.
+
+The second ceiling is what a run's trace recorder keeps per completed
+query, read over discovers 128..384 of :func:`tests.deployments.e7_ring`
+with no trace capture attached — the way every benchmark deployment runs:
+
+=====================================  ===========  ===========
+bytes retained per discover            all kept     if captured
+=====================================  ===========  ===========
+``obs/tracing.py``                     8,959        378
+=====================================  ===========  ===========
+
+The left column is the recorder that kept every span and event for the
+whole run; the right one keeps them only in a capture somebody attached.
+What is left is the root span each ``DiscoveryCall`` in ``client.calls``
+holds, so it does not grow with the run's length.
 """
 
 from __future__ import annotations
@@ -32,15 +48,19 @@ import tracemalloc
 
 from repro.descriptions.base import ModelRegistry
 from repro.descriptions.semantic import SemanticModel
+from repro.obs import tracing
 from repro.registry.leases import LeaseManager
 from repro.registry.matching import QueryEvaluator
 from repro.registry.store import AdvertisementStore
 from repro.semantics.generator import OntologyGenerator, ProfileGenerator
+from tests.deployments import e7_ring
 from tests.test_query_path_properties import _ad, _request_corpus
 
 N_ADS = 5_000
 #: ~15 % above PR 24's reading. Lowered when a change earns it, never raised.
 CEILING_BYTES_PER_AD = 650
+#: ~15 % above the capture-only reading; the same rule.
+CEILING_TRACE_BYTES_PER_DISCOVER = 435
 
 
 def retained_bytes_per_ad() -> float:
@@ -89,5 +109,35 @@ def test_bytes_retained_per_advertisement_stay_under_the_ceiling():
     )
 
 
+def trace_bytes_per_discover() -> float:
+    """What ``obs/tracing.py`` allocates and still holds per discover,
+    over discovers 128..384 of a settled E7 ring (no capture attached)."""
+    deployment = e7_ring()
+    deployment.discover(128)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot()
+        calls = deployment.discover(256)
+        gc.collect()
+        after = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    only = [tracemalloc.Filter(True, tracing.__file__)]
+    grown = after.filter_traces(only).compare_to(before.filter_traces(only), "filename")
+    return sum(stat.size_diff for stat in grown) / len(calls)
+
+
+def test_trace_bytes_retained_per_discover_stay_under_the_ceiling():
+    per_discover = trace_bytes_per_discover()
+    assert per_discover <= CEILING_TRACE_BYTES_PER_DISCOVER, (
+        f"{per_discover:.0f} bytes retained by obs/tracing.py per discover "
+        f"(ceiling {CEILING_TRACE_BYTES_PER_DISCOVER}): the trace recorder "
+        "keeps records nobody asked for again. Find them with "
+        "`make mem-attr WORKLOAD=wan_small GROWTH=512`."
+    )
+
+
 if __name__ == "__main__":
     print(f"{retained_bytes_per_ad():.0f} bytes retained per advertisement")
+    print(f"{trace_bytes_per_discover():.0f} bytes retained by obs/tracing.py per discover")

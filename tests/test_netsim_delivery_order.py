@@ -89,6 +89,7 @@ def play(network_cls: type[Network], seed: int, loss_rate: float):
     """Run plan ``seed`` on a fresh ``network_cls``; everything observable."""
     plan = random.Random(seed)
     sim = Simulator(seed=seed)
+    capture = sim.trace.capture()
     # Even seeds have no LAN latency at all: a reply sent from a handler
     # is due at the very instant the multicast it answers is arriving.
     net = network_cls(sim, lan_latency=TICK * (seed % 2), wan_latency=2 * TICK,
@@ -137,7 +138,7 @@ def play(network_cls: type[Network], seed: int, loss_rate: float):
         "drops": dict(net.stats.drops_by_reason),
         "metrics": net.metrics.snapshot(),
         "rng": sim.rng.getstate(),
-        "trace": sim.trace.export_jsonl(),
+        "trace": capture.export_jsonl(),
     }
 
 

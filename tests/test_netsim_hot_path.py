@@ -100,16 +100,9 @@ def _census() -> Counter:
     )
 
 
-@pytest.mark.parametrize("deploy", (e7_ring, fallback_lan))
-def test_only_the_documented_histories_grow_with_the_run(deploy):
-    """A completed query leaves three things behind: its trace records,
-    its ``DiscoveryCall`` in ``client.calls``, and that call's hits
-    (at most ``max_results``; a directly-answering service builds the
-    advertisement record of its hit per reply, so there each kept hit
-    keeps one). Nothing else may be held per query — not the timers,
-    aggregations and payloads of answered queries, not the responders'
-    batches of a completed fallback call."""
-    dep = deploy()
+def _grown_by_256_discovers(deploy, traced: bool) -> tuple[dict, list]:
+    """Live instances gained by discovers 128..384, and those 256 calls."""
+    dep = deploy(traced=traced)
     dep.discover(128)
     before = _census()
     calls = dep.discover(256)
@@ -117,12 +110,39 @@ def test_only_the_documented_histories_grow_with_the_run(deploy):
     grown = {name: after[name] - before[name]
              for name in after if after[name] > before[name]}
     kept_hits = sum(len(call.hits) for call in calls)
-    assert grown.pop("TraceEvent") > 0 and grown.pop("Span") > 0
     assert grown.pop("DiscoveryCall") == len(calls)
     assert grown.pop("QueryHit") == kept_hits
     if deploy is fallback_lan:
         assert grown.pop("Advertisement") == kept_hits
-    assert grown == {}
+    return grown, calls
+
+
+@pytest.mark.parametrize("deploy", (e7_ring, fallback_lan))
+def test_only_the_documented_histories_grow_with_the_run(deploy):
+    """A completed query leaves two things behind: its ``DiscoveryCall``
+    in ``client.calls`` with that call's root span, and the call's hits
+    (at most ``max_results``; a directly-answering service builds the
+    advertisement record of its hit per reply, so there each kept hit
+    keeps one). Nothing else may be held per query — not the timers,
+    aggregations and payloads of answered queries, not the responders'
+    batches of a completed fallback call, and with no trace capture
+    attached no trace record beyond the root span."""
+    grown, calls = _grown_by_256_discovers(deploy, traced=False)
+    assert grown == {"Span": len(calls)}
+
+
+#: Trace records 256 discovers add to an attached capture — 25.3 per
+#: discover on the ring, as when the recorder kept every record itself.
+CAPTURED_PER_256_DISCOVERS = {
+    "e7_ring": {"Span": 2048, "TraceEvent": 4424},
+    "fallback_lan": {"Span": 256, "TraceEvent": 6276},
+}
+
+
+@pytest.mark.parametrize("deploy", (e7_ring, fallback_lan))
+def test_a_capture_keeps_every_trace_record_and_nothing_else(deploy):
+    grown, _calls = _grown_by_256_discovers(deploy, traced=True)
+    assert grown == CAPTURED_PER_256_DISCOVERS[deploy.__name__]
 
 
 # -- (iv) delivery instruments are fetched once, not per copy -----------------

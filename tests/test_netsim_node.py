@@ -28,6 +28,7 @@ class Typed(Node):
 @pytest.fixture
 def net():
     network = Network(Simulator(seed=1))
+    network.sim.trace.capture()
     network.add_lan("lan")
     return network
 

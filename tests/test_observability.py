@@ -123,8 +123,10 @@ def test_registry_creates_on_first_use_and_reuses():
 
 
 def _recorder():
+    """A recorder with a capture attached, and its clock."""
     clock = {"now": 0.0}
     rec = TraceRecorder(lambda: clock["now"])
+    rec.capture()
     return rec, clock
 
 
@@ -183,7 +185,7 @@ def test_span_tree_and_context_propagation():
     rec.end_span(child, status="late")  # idempotent: first close wins
     assert child.status == "ok"
     rec.end_span(root)
-    rendered = rec.render(root.trace_id)
+    rendered = rec.capture().render(root.trace_id)
     assert "client.query" in rendered and "registry.query" in rendered
 
 
@@ -197,20 +199,44 @@ def test_export_jsonl_is_creation_ordered_and_parseable():
     rec.event("mark", node="n", ctx=span.context, attrs={"k": 1})
     clock["now"] = 1.0
     rec.end_span(span)
-    lines = rec.export_jsonl().splitlines()
+    lines = rec.capture().export_jsonl().splitlines()
     records = [json.loads(line) for line in lines]
     assert [r["kind"] for r in records] == ["span", "event"]
     assert records[0]["end"] == 1.0
     assert records[1]["attrs"] == {"k": 1}
 
 
-def test_disabled_recorder_records_nothing():
-    clock = {"now": 0.0}
-    rec = TraceRecorder(lambda: clock["now"], enabled=False)
-    span = rec.start_span("op")
-    rec.event("mark", ctx=span.context)
-    assert rec.spans == [] and rec.events == []
-    assert rec.export_jsonl() == ""
+def test_a_recorder_without_listeners_builds_no_event_and_interns_no_id():
+    rec = TraceRecorder(lambda: 0.0)
+    span = rec.start_span("op", attrs={"k": 1})  # its ids ride in headers
+    assert span.context == (1, 1)
+    assert rec.event("mark", ctx=span.context, attrs={"k": 1}) is None
+    assert rec.alias("q-000412") == "q-000412"
+    assert rec._aliases == {} and rec._alias_counts == {}
+    assert not rec.listening and rec.spans == () and rec.events == ()
+    rec.end_span(span, status="timeout")
+    assert (span.status, span.end) == ("timeout", 0.0)
+
+
+def test_listeners_attach_only_before_the_first_record():
+    """A capture or observer that missed records would export (or dump) a
+    different trace: refused, whichever record came first."""
+    for first in (lambda rec: rec.start_span("op"), lambda rec: rec.event("mark")):
+        rec = TraceRecorder(lambda: 0.0)
+        first(rec)
+        with pytest.raises(RuntimeError, match="first trace record"):
+            rec.capture()
+        with pytest.raises(RuntimeError, match="first trace record"):
+            rec.listen(lambda record: None)
+        assert not rec.listening
+    rec, _clock = _recorder()
+    heard: list = []
+    rec.listen(heard.append)
+    rec.event("mark", attrs={"k": 1})
+    assert rec.capture() is rec.capture()  # the attached one, not a late one
+    assert [ev.name for ev in rec.capture().events] == ["mark"]
+    assert heard == [{"t": 0.0, "kind": "event", "name": "mark", "node": "",
+                      "attrs": {"k": 1}}]
 
 
 # -- end-to-end propagation --------------------------------------------------
@@ -219,6 +245,7 @@ def test_disabled_recorder_records_nothing():
 def _system(fast, *, lans=1, seed=21):
     system = DiscoverySystem(seed=seed, ontology=battlefield_ontology(),
                              config=fast)
+    system.trace.capture()
     for i in range(lans):
         system.add_lan(f"lan-{i}")
         system.add_registry(f"lan-{i}")
@@ -232,12 +259,12 @@ def test_single_lan_query_produces_a_causal_trace(fast):
     system.run(until=2.0)
     call = system.discover(client, REQUEST)
     assert call.completed and call.trace_id is not None
-    spans = system.trace.spans_of(call.trace_id)
+    spans = system.trace.capture().spans_of(call.trace_id)
     names = [span.name for span in spans]
     assert names[0] == "client.query"
     assert "client.attempt" in names and "registry.query" in names
     assert all(span.end is not None for span in spans)
-    events = [ev.name for ev in system.trace.events_of(call.trace_id)]
+    events = [ev.name for ev in system.trace.capture().events_of(call.trace_id)]
     assert "registry.match" in events and "net.deliver" in events
 
 
@@ -250,12 +277,12 @@ def test_retried_query_keeps_one_trace_id(fast):
     system.network.node(client.tracker.current).crash()
     call = system.discover(client, REQUEST, timeout=30.0)
     assert call.attempts == 2 and call.trace_id is not None
-    attempts = [span for span in system.trace.spans_of(call.trace_id)
+    attempts = [span for span in system.trace.capture().spans_of(call.trace_id)
                 if span.name == "client.attempt"]
     assert len(attempts) == 2
     assert {span.trace_id for span in attempts} == {call.trace_id}
     assert attempts[0].status == "timeout" and attempts[1].status == "ok"
-    events = system.trace.events_of(call.trace_id)
+    events = system.trace.capture().events_of(call.trace_id)
     assert any(ev.name == "query.retry" for ev in events)
 
 
@@ -266,6 +293,7 @@ def test_late_response_attaches_to_original_trace():
     )
     system = DiscoverySystem(seed=5, ontology=battlefield_ontology(),
                              config=config)
+    system.trace.capture()
     system.add_lan("lan-0")
     system.add_lan("lan-1")
     r0 = system.add_registry("lan-0", node_id="registry-00",
@@ -281,7 +309,7 @@ def test_late_response_attaches_to_original_trace():
     late = [ev for ev in system.trace.events if ev.name == "late-response"]
     assert late, "late response should be recorded as a trace event"
     assert late[0].trace_id == call.trace_id
-    timeouts = [ev for ev in system.trace.events_of(call.trace_id)
+    timeouts = [ev for ev in system.trace.capture().events_of(call.trace_id)
                 if ev.name == "aggregation.timeout"]
     assert timeouts, "the parent aggregation's timeout shares the trace"
 
@@ -296,7 +324,7 @@ def test_forwarded_wan_query_records_hops(fast):
     assert call.completed
     hops = system.metrics.histogram("hops.query-forward")
     assert hops.count >= 1 and hops.vmin >= 1
-    deliveries = [ev for ev in system.trace.events_of(call.trace_id)
+    deliveries = [ev for ev in system.trace.capture().events_of(call.trace_id)
                   if ev.name == "net.deliver"
                   and ev.attrs.get("msg_type") == "query-forward"]
     assert deliveries and all(ev.attrs["hops"] >= 1 for ev in deliveries)

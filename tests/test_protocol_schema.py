@@ -233,6 +233,7 @@ def test_the_check_sits_before_admission_and_leaves_one_trace_event():
                              config=DiscoveryConfig(
                                  beacon_interval=None,
                                  admission=AdmissionPolicy(query_cost=0.5, queue_limit=1)))
+    system.trace.capture()
     system.add_lan("lan-0")
     registry = system.add_registry("lan-0")
     probe = system.network.add_node(Probe(), "lan-0")

@@ -67,7 +67,7 @@ def _tap(node, log: list) -> None:
 def _fingerprint(system: DiscoverySystem, log: list, **extra) -> dict:
     stats = system.network.stats
     return {
-        "trace": _sha(system.trace.export_jsonl()),
+        "trace": _sha(system.trace.capture().export_jsonl()),
         "wire": _sha(json.dumps(log)),
         "retries": dict(sorted(stats.retries.items())),
         "recoveries": dict(sorted(stats.recoveries.items())),
@@ -96,6 +96,7 @@ def flood_with_crashed_neighbour() -> dict:
     )
     system = DiscoverySystem(seed=11, ontology=battlefield_ontology(),
                              config=config)
+    system.trace.capture()
     for i in range(3):
         system.add_lan(f"lan-{i}")
         system.add_registry(f"lan-{i}")
@@ -132,6 +133,7 @@ def _walk_system(seed, *, admission=AdmissionPolicy()):
     )
     system = DiscoverySystem(seed=seed, ontology=battlefield_ontology(),
                              config=config)
+    system.trace.capture()
     for i in range(4):
         system.add_lan(f"lan-{i}")
         system.add_registry(f"lan-{i}")
@@ -204,6 +206,7 @@ def _client_system(seed):
     )
     system = DiscoverySystem(seed=seed, ontology=battlefield_ontology(),
                              config=config)
+    system.trace.capture()
     system.add_lan("lan-0")
     system.add_registry("lan-0")
     system.add_registry("lan-0")
@@ -312,6 +315,7 @@ def _service_counters(service) -> list:
 def service_publish_retransmit() -> dict:
     """A blackout swallows a republish; the chain resends it."""
     system = DiscoverySystem(seed=19, ontology=battlefield_ontology())
+    system.trace.capture()
     system.add_lan("lan-0")
     registry = system.add_registry("lan-0")
     service = system.add_service("lan-0", _radar("radar"))
@@ -331,6 +335,7 @@ def service_renew_retransmit() -> dict:
     """A blackout swallows one renew round; the chain resends it before
     the next tick would have failed over."""
     system = DiscoverySystem(seed=20, ontology=battlefield_ontology())
+    system.trace.capture()
     system.add_lan("lan-0")
     registry = system.add_registry("lan-0")
     service = system.add_service("lan-0", _radar("radar"))
@@ -357,6 +362,7 @@ def service_busy_deferred() -> dict:
     )
     system = DiscoverySystem(seed=21, ontology=battlefield_ontology(),
                              config=config)
+    system.trace.capture()
     system.add_lan("lan-0")
     registry = system.add_registry("lan-0")
     service = system.add_service("lan-0", _radar("radar"))
@@ -386,6 +392,7 @@ def service_quorum_nack_keeps_one_chain() -> dict:
     )
     system = DiscoverySystem(seed=22, ontology=battlefield_ontology(),
                              config=config)
+    system.trace.capture()
     for i in range(4):
         system.add_lan(f"lan-{i}")
     registries = [

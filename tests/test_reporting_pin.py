@@ -37,14 +37,16 @@ def _sha(text: str) -> str:
 
 
 def _ring(config, seed, lans=3):
-    return build_scenario(ScenarioSpec(
+    built = build_scenario(ScenarioSpec(
         name="ring", lan_names=tuple(f"lan-{i}" for i in range(lans)),
         ontology_factory=battlefield_ontology, seed=seed,
     ), config=config)
+    built.system.trace.capture()
+    return built
 
 
 def _plain():
-    deployment = e7_ring()
+    deployment = e7_ring(traced=True)
     deployment.discover(12)
     return deployment.system
 
@@ -111,7 +113,7 @@ def fingerprint(name: str) -> dict[str, object]:
     snapshot = system.metrics.snapshot()
     found = {
         "metrics": sorted(metric for section in snapshot.values() for metric in section),
-        "trace": _sha(system.trace.export_jsonl()),
+        "trace": _sha(system.trace.capture().export_jsonl()),
     }
     if system.health.active:
         found["alarms"] = _sha(json.dumps(system.health.alarm_timeline(), sort_keys=True))

@@ -1,8 +1,9 @@
 """Where a benchmark deployment's memory goes: by module, by line, by phase.
 
-    make mem-attr [WORKLOAD=wan_100k] [SEED=1000] [TREE=<checkout>]
+    make mem-attr [WORKLOAD=wan_100k] [SEED=1000] [TREE=<checkout>] [GROWTH=N]
     python3 tools/mem_attr.py [--workload W] [--seed N] [--scale F] [--tree DIR] [--top N]
     python3 tools/mem_attr.py --phases [...]
+    python3 tools/mem_attr.py --growth N [...]
 
 ``benchmarks/perf/run.py`` has one memory number, ``peak_rss_mb``, and the
 harness may not change under a pull request that claims a gain on it. This
@@ -18,7 +19,11 @@ generates the inputs, and then
 * with ``--phases``, runs inputs / build / prepare / one round of
   operations *without* ``tracemalloc`` (which would inflate them) and
   prints ``VmRSS`` and ``VmHWM`` from ``/proc/self/status`` after each, so
-  the phase that sets ``peak_rss_mb`` can be read off.
+  the phase that sets ``peak_rss_mb`` can be read off;
+* with ``--growth N``, builds and prepares the deployment and runs one
+  round of operations untraced, then runs ``N`` more under ``tracemalloc``
+  and prints what they leave behind in bytes per operation, by module and
+  by line: memory that grows with the length of a run, not its size.
 
 ``--tree`` points both at another checkout (``git archive <rev> | tar -x -C
 DIR``), which is how a parent/change pair of tables is made. One process,
@@ -58,12 +63,15 @@ def where(filename: str, tree: pathlib.Path) -> str:
         return "/".join(path.parts[-2:])
 
 
-def attribution(workload, inputs, tree: pathlib.Path, top: int) -> None:
-    n_ads = len(inputs.ads) or len(inputs.profiles)
+def attribution(action, title: str, count: int, unit: str, noun: str,
+                tree: pathlib.Path, top: int) -> None:
+    """Run ``action()`` under ``tracemalloc`` and print what it leaves
+    allocated — in MiB and in bytes per ``unit`` over ``count`` of them —
+    by source module and by allocating line."""
     gc.collect()
     tracemalloc.start()
     try:
-        dep = workload.build(inputs)  # noqa: F841 - alive until the snapshot is taken
+        kept = action()  # noqa: F841 - alive until the snapshot is taken
         gc.collect()
         snapshot = tracemalloc.take_snapshot()
     finally:
@@ -71,21 +79,45 @@ def attribution(workload, inputs, tree: pathlib.Path, top: int) -> None:
     snapshot = snapshot.filter_traces([tracemalloc.Filter(False, tracemalloc.__file__)])
     by_line = snapshot.statistics("lineno")
     total = sum(stat.size for stat in by_line)
-    print(f"## retained by {type(workload).__name__}.build under tracemalloc "
-          f"(input records not counted): {total / MIB:.1f} MiB, "
-          f"{total / n_ads:.0f} B/ad over {n_ads} advertisements")
-    print(f"\n{'module':<44}{'MiB':>9}{'B/ad':>9}{'share':>8}")
+    per = f"B/{unit}"
+    print(f"## retained by {title}: {total / MIB:.1f} MiB, "
+          f"{total / count:.0f} {per} over {count} {noun}")
+    print(f"\n{'module':<44}{'MiB':>9}{per:>9}{'share':>8}")
     for stat in snapshot.statistics("filename")[:top]:
         module = where(stat.traceback[0].filename, tree)
-        print(f"{module:<44}{stat.size / MIB:>9.2f}{stat.size / n_ads:>9.0f}"
+        print(f"{module:<44}{stat.size / MIB:>9.2f}{stat.size / count:>9.0f}"
               f"{stat.size / total:>8.1%}")
-    print(f"\n{'line':<44}{'MiB':>9}{'B/ad':>9}{'blocks':>9}  source")
+    print(f"\n{'line':<44}{'MiB':>9}{per:>9}{'blocks':>9}  source")
     for stat in by_line[:top]:
         frame = stat.traceback[0]
         source = linecache.getline(frame.filename, frame.lineno).strip()
         at = f"{where(frame.filename, tree)}:{frame.lineno}"
-        print(f"{at:<44}{stat.size / MIB:>9.2f}{stat.size / n_ads:>9.0f}"
+        print(f"{at:<44}{stat.size / MIB:>9.2f}{stat.size / count:>9.0f}"
               f"{stat.count:>9}  {source[:60]}")
+
+
+def build(workload, inputs, tree: pathlib.Path, top: int) -> None:
+    n_ads = len(inputs.ads) or len(inputs.profiles)
+    attribution(lambda: workload.build(inputs),
+                f"{type(workload).__name__}.build under tracemalloc (input records not counted)",
+                n_ads, "ad", "advertisements", tree, top)
+
+
+def growth(workload, inputs, tree: pathlib.Path, top: int, n_ops: int) -> None:
+    dep = workload.build(inputs)
+    workload.prepare(dep)
+    for _ in range(max(1, int(workload.round_ops * inputs.scale))):
+        workload.op(dep)
+
+    def operations() -> None:
+        for _ in range(n_ops):
+            workload.op(dep)
+
+    attribution(operations,
+                f"{n_ops} x {type(workload).__name__}.op after a warm round, under tracemalloc",
+                n_ops, "op", "operations", tree, top)
+    if dep.failed:
+        sys.exit(f"{dep.failed} of {dep.attempted} operations failed")
 
 
 def vm_mib(field: str) -> float:
@@ -133,14 +165,19 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--top", type=int, default=15, help="rows per table")
     parser.add_argument("--phases", action="store_true",
                         help="VmRSS/VmHWM per set-up phase instead of tracemalloc")
+    parser.add_argument("--growth", type=int, metavar="N",
+                        help="bytes retained per operation over N operations "
+                             "after a warm round, instead of the build")
     args = parser.parse_args(argv)
     tree = args.tree.resolve()
     workload = load_workload(tree, args.workload)
     print(f"# mem-attr {args.workload} seed={args.seed} scale={args.scale:g} tree={tree}")
     if args.phases:
         phases(workload, args.seed, args.scale)
+    elif args.growth:
+        growth(workload, workload.inputs(args.seed, args.scale), tree, args.top, args.growth)
     else:
-        attribution(workload, workload.inputs(args.seed, args.scale), tree, args.top)
+        build(workload, workload.inputs(args.seed, args.scale), tree, args.top)
     return 0
 
 
