@@ -195,8 +195,8 @@ class AdmissionController:
     def __init__(self, node: "Node", policy: AdmissionPolicy) -> None:
         self.node = node
         self.policy = policy
-        self._queue: list[tuple[int, int, _Ticket]] = []
-        self._in_service: _Ticket | None = None
+        #: Numbers the intercepted messages for the audit; it survives a
+        #: crash so one audit id never names two messages.
         self._next_seq = 0
         # -- accounting (audited by core.invariants) ---------------------
         self.intercepted = 0
@@ -211,6 +211,12 @@ class AdmissionController:
         self.shed_log: list[tuple[int, float]] = []
         self._shed_ids: set[int] = set()
         self._dispatched_ids: set[int] = set()
+        self.rebuild()
+
+    def rebuild(self) -> None:
+        """Build the server: nothing queued, nothing in service."""
+        self._queue: list[tuple[int, int, _Ticket]] = []
+        self._in_service: _Ticket | None = None
 
     # -- queue state -----------------------------------------------------
 
@@ -352,8 +358,7 @@ class AdmissionController:
         only settle the books so the drain invariant stays exact.
         """
         self.lost_on_crash += self.depth
-        self._queue.clear()
-        self._in_service = None
+        self.rebuild()
         self._touch()
 
     # -- observability / auditing ----------------------------------------

@@ -56,6 +56,20 @@ class AntiEntropy:
     def __init__(self, registry: "RegistryNode", config: "DiscoveryConfig") -> None:
         self.registry = registry
         self.config = config
+        self.rounds_run = 0
+        self.pulls_sent = 0
+        self.ads_sent = 0
+        self.ads_applied = 0
+        self.removals_applied = 0
+        self.resurrections_blocked = 0
+        self.tombstones_pruned = 0
+        self.rebuild()
+
+    # -- lifecycle ---------------------------------------------------------
+
+    def rebuild(self) -> None:
+        """Build the reconciliation state: no epoch, no tombstone (what a
+        durable registry logged comes back through WAL replay)."""
         #: Last known origin epoch per stored advertisement. Epochs come
         #: from the home registry's lease clock (see
         #: ``RegistryNode.lease_epoch``) so every replica converges on
@@ -65,25 +79,11 @@ class AntiEntropy:
         #: Pruned after ``2 * lease_duration`` — by then every replica's
         #: lease has lapsed on its own.
         self.tombstones: dict[str, tuple[int, float]] = {}
-        self.rounds_run = 0
-        self.pulls_sent = 0
-        self.ads_sent = 0
-        self.ads_applied = 0
-        self.removals_applied = 0
-        self.resurrections_blocked = 0
-        self.tombstones_pruned = 0
-
-    # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> None:
         """Arm the periodic digest round, where the deployment has one."""
         if self.config.antientropy_interval is not None:
             self.registry.every(self.config.antientropy_interval, self.run_round)
-
-    def reset(self) -> None:
-        """Drop all volatile reconciliation state (registry crash)."""
-        self.epochs.clear()
-        self.tombstones.clear()
 
     # -- store bookkeeping: a write observer, in DurabilityManager.log_*'s shape
 
@@ -286,7 +286,7 @@ class AntiEntropy:
             if ad_id not in store:
                 continue
             duration = self.config.lease_duration
-            if self.config.leasing_enabled and leases is not None:
+            if self.config.leasing_enabled:
                 lease = leases.lease_for_ad(ad_id)
                 if lease is None:
                     continue

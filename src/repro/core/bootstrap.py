@@ -70,17 +70,27 @@ class RegistryTracker:
         self.config = config
         self.router = router or PassThrough()
         self.seeds = tuple(seeds)
-        self.current: str | None = None
-        self.known: dict[str, RegistryDescription] = {}
-        #: Registries this node must not attach to (e.g. they NACKed a
-        #: publish at capacity). Cleared on restart/roam.
-        self.excluded: set[str] = set()
         self.on_attached = on_attached
         self.on_detached = on_detached
-        #: The timer that closes the probe window in flight, if any.
-        self._probe: Timer | None = None
         self.probes_sent = 0
         self.failovers = 0
+        #: The timer that closes the probe window in flight, if any.
+        self._probe: Timer | None = None
+        self.rebuild(forget=True)
+
+    def rebuild(self, *, forget: bool = False) -> None:
+        """No registry, nobody excluded, no probe window open — and with
+        ``forget`` none heard of: a roam forgets (that was the old LAN), a
+        restart keeps what it heard of, a cache and not a promise."""
+        if self._probe is not None:
+            self._probe.cancel()
+            self._probe = None
+        self.current: str | None = None
+        #: Registries this node must not attach to (e.g. they NACKed a
+        #: publish at capacity).
+        self.excluded: set[str] = set()
+        if forget:
+            self.known: dict[str, RegistryDescription] = {}
 
     # -- discovery --------------------------------------------------------
 
@@ -97,24 +107,6 @@ class RegistryTracker:
         if description is not None:
             self.known[registry_id] = description
         self._attach(registry_id)
-
-    def reset(self) -> None:
-        """The node restarted: no attachment, nobody excluded, no probe in
-        flight. The registries heard of so far stay known — a cache, not
-        a promise."""
-        self.current = None
-        self.excluded.clear()
-        if self._probe is not None:
-            self._probe.cancel()
-            self._probe = None
-
-    def roamed(self) -> None:
-        """The node moved to another LAN: everything it knew was about the
-        old one. Start over as after a restart, forget the cache as well,
-        and find a registry here."""
-        self.reset()
-        self.known.clear()
-        self.bootstrap()
 
     def probe(self) -> None:
         """Active discovery: multicast a probe, decide after the timeout."""

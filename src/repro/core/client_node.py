@@ -155,16 +155,23 @@ class ClientNode(Node):
                                        router=self.router, seeds=seeds)
         self.adopt_handlers(self.tracker)
         self.calls: list[DiscoveryCall] = []
-        #: Calls awaiting an answer, by the wire id of the attempt (or
-        #: fallback multicast) in flight.
-        self._by_wire_id: dict[str, DiscoveryCall] = {}
         self.watches: dict[str, Watch] = {}
         self.fallback_queries = 0
         self.query_retries = 0
         self.busy_rejections = 0
         self.artifacts_fetched: dict[str, object] = {}
+        self.rebuild()
 
     # -- lifecycle ------------------------------------------------------------
+
+    def rebuild(self) -> None:
+        """No call awaiting an answer, a fresh router, no attachment; a
+        restart keeps the calls and watches, and the registries heard of."""
+        #: Calls awaiting an answer, by the wire id of the attempt (or
+        #: fallback multicast) in flight.
+        self._by_wire_id: dict[str, DiscoveryCall] = {}
+        self.router.rebuild()
+        self.tracker.rebuild()
 
     def start(self) -> None:
         self.tracker.bootstrap()
@@ -182,28 +189,23 @@ class ClientNode(Node):
         """Fail every in-flight call so bookkeeping drains with the node.
 
         A crashed client can never receive the responses it is waiting
-        for; leaving the calls pending would strand wire-id entries across
-        the restart and undercount failures in experiments.
+        for; leaving the calls pending would undercount failures in
+        experiments.
         """
-        for wire_id in sorted(self._by_wire_id):
-            self._end_attempt(self._by_wire_id[wire_id], status="crashed")
-        for call in list(self._by_wire_id.values()):
+        in_flight, self._by_wire_id = self._by_wire_id, {}
+        for wire_id in sorted(in_flight):
+            self._end_attempt(in_flight[wire_id], status="crashed")
+        for call in in_flight.values():
             if not call.completed:
                 self._complete(call, [], via="crashed")
-        self._by_wire_id.clear()
-
-    def on_restart(self) -> None:
-        self.tracker.reset()
-        self.start()
 
     def on_moved(self, old_lan: str, new_lan: str) -> None:
-        """Roamed to a new LAN: drop the old attachment and re-bootstrap.
-
-        The old registry may be unreachable from here (and is certainly no
-        longer local); standing queries re-establish on the next
-        attachment via the tracker's on_attached hook.
-        """
-        self.tracker.roamed()
+        """Roamed: rebuild the attachment state — router, and a tracker
+        that forgets the old LAN's registries — and bootstrap here. Calls
+        in flight carry on; watches re-subscribe on the next attachment."""
+        self.router.rebuild()
+        self.tracker.rebuild(forget=True)
+        self.tracker.bootstrap()
 
     # -- the public discovery API ------------------------------------------------
 

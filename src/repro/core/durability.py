@@ -330,7 +330,7 @@ class DurabilityManager:
         port.write(SNAPSHOT_FILE, b"")
         self._records_since_snapshot = 0
 
-    def reset(self) -> None:
+    def rebuild(self) -> None:
         """A crash loses nothing here: what was logged is on the disk."""
 
     # -- logging: a write observer of the registry's write path ------------
@@ -377,7 +377,7 @@ class DurabilityManager:
             lease_id = ""
             duration = self.registry.config.lease_duration
             expires_at = float("inf")
-            if registry.config.leasing_enabled and registry.leases is not None:
+            if registry.config.leasing_enabled:
                 lease = registry.leases.lease_for_ad(ad.ad_id)
                 if lease is None:
                     # Lease already lapsed but the purge sweep has not
@@ -458,10 +458,10 @@ class DurabilityManager:
     def recover(self) -> dict[str, int] | None:
         """Replay persisted state into the (freshly started) registry.
 
-        Must run *after* :meth:`RegistryNode.start` re-created the lease
-        manager and scheduled the seed joins: the joins' acks arrive as
-        later events, so by the time the join-time anti-entropy digest
-        fires, the store is already warm and the digest exchange is a
+        Must run *after* the restart rebuilt the store and lease manager
+        and :meth:`RegistryNode.start` scheduled the seed joins: the
+        joins' acks arrive as later events, so by the time the join-time
+        anti-entropy digest fires, the store is already warm and the digest exchange is a
         pure delta repair round. Leases that expired in simulated time
         while the registry was down are dropped (with their ads) rather
         than resurrected. Bumps and persists the incarnation epoch so

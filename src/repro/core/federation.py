@@ -47,6 +47,16 @@ class Federation:
         self.registry = registry
         self.config = config
         self.describe = describe
+        self.joins_sent = 0
+        self.neighbors_lost = 0
+        self.reconnects = 0
+        self.rebuild()
+
+    # -- lifecycle ---------------------------------------------------------
+
+    def rebuild(self) -> None:
+        """Build the membership state: no link, nobody known, nothing
+        suspected or departed — the seeds re-form what they configure."""
         self.neighbors: set[str] = set()
         self.known: dict[str, RegistryDescription] = {}
         self._missed_pongs: dict[str, int] = {}
@@ -59,25 +69,12 @@ class Federation:
         #: *after* the departure is a genuine rejoin and clears the
         #: tombstone.
         self.departed: dict[str, float] = {}
-        self.joins_sent = 0
-        self.neighbors_lost = 0
-        self.reconnects = 0
-
-    # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> None:
         """Arm the periodic maintenance tasks."""
         self.registry.every(self.config.ping_interval, self._ping_round)
         if self.config.signalling_interval is not None:
             self.registry.every(self.config.signalling_interval, self._gossip_round)
-
-    def reset(self) -> None:
-        """Drop all volatile federation state (registry crash)."""
-        self.neighbors.clear()
-        self.known.clear()
-        self._missed_pongs.clear()
-        self.breakers.clear()
-        self.departed.clear()
 
     # -- joining ------------------------------------------------------------
 

@@ -110,10 +110,6 @@ class SeenQueries:
                 or (self._protected is not None and self._protected(qid))
             }
 
-    def clear(self) -> None:
-        """Drop all state (registry crash)."""
-        self._seen.clear()
-
 
 class PendingAggregation:
     """One in-flight query: local hits plus awaited neighbor responses.

@@ -67,10 +67,7 @@ def check_invariants(system: "DiscoverySystem") -> list[str]:
                 )
 
     for registry in system.registries:
-        leases = getattr(registry, "leases", None)
-        store = getattr(registry, "store", None)
-        if leases is None or store is None:
-            continue
+        leases, store = registry.leases, registry.store
         due_of = {id(lease): due for due, _no, lease in leases._expiry_heap}
         for lease in leases._by_lease.values():
             if due_of.get(id(lease), float("inf")) > lease.expires_at:
@@ -287,14 +284,10 @@ def store_snapshot(registry) -> dict[str, tuple[int, float]]:
     the restart. Advertisements without a lease (leasing disabled) carry
     ``float('inf')`` as their expiry.
     """
-    leases = getattr(registry, "leases", None)
     snapshot: dict[str, tuple[int, float]] = {}
     for ad in registry.store.all():
-        expires_at = float("inf")
-        if leases is not None:
-            lease = leases.lease_for_ad(ad.ad_id)
-            if lease is not None:
-                expires_at = lease.expires_at
+        lease = registry.leases.lease_for_ad(ad.ad_id)
+        expires_at = lease.expires_at if lease is not None else float("inf")
         snapshot[ad.ad_id] = (ad.version, expires_at)
     return snapshot
 

@@ -81,6 +81,8 @@ class RegistryNode(Node):
 
     role = "registry"
     payload_records = protocol.MESSAGE_RECORDS
+    #: Whether this registry serves; a standby does not while dormant.
+    active = True
 
     def __init__(
         self,
@@ -98,9 +100,6 @@ class RegistryNode(Node):
         #: are NACKed, pushing the service to another registry.
         self.capacity = capacity
         self.models = ModelRegistry(models)
-        self.store = AdvertisementStore()
-        self.evaluator = QueryEvaluator(self.store, self.models)
-        self.repository = ArtifactRepository()
         #: Static federation seeds (manual WAN configuration, §4.5);
         #: survive crashes, unlike learned neighbors.
         self.seeds = tuple(seeds)
@@ -121,24 +120,10 @@ class RegistryNode(Node):
         self.router = router_for(config.routing, self)
         #: WAL + snapshot persistence and epoch-fenced crash recovery.
         self.durability = DurabilityManager(self, config.durability)
-        #: Identity under which this registry's virtual nodes hash onto
-        #: the consistent-hash ring. Normally the node id; a promoted
-        #: warm standby inherits the identity of the registry it
-        #: replaces so promotion moves no keys.
-        self.ring_identity = node_id
         #: Consistent-hash placement, quorum writes, hinted handoff.
         self.shard = ShardManager(self, config)
-        #: Highest incarnation epoch seen per peer (fencing state); only
-        #: ever populated by peers that stamp their replication traffic.
-        self._peer_incarnations: dict[str, int] = {}
-        self.leases: LeaseManager | None = None
-        self._seen: SeenQueries | None = None
-        #: Every query this registry is gathering answers for, by query
-        #: id: fan-outs and the random walks it coordinates alike.
-        self._pending: dict[str, PendingAggregation] = {}
         #: Random-walk strategy: starting walks, relaying others'.
         self.walk = RandomWalk(self)
-        self._subscriptions: dict[str, _Subscription] = {}
         self.responses_sent = 0
         self.notifications_sent = 0
         #: Query responses that arrived after their aggregation completed
@@ -171,7 +156,7 @@ class RegistryNode(Node):
         if config.durability.enabled:
             self.write_observers.append(self.durability)
         #: The optional subsystems in use, in the order they are started
-        #: with the registry and reset when it loses its volatile state.
+        #: with the registry.
         self.components: list[Any] = [*self.write_observers, self.replication]
         if config.admission.active():
             self.interceptor = self.admission
@@ -182,28 +167,31 @@ class RegistryNode(Node):
         if config.antientropy_enabled():
             self.adopt_handlers(self.antientropy)
         self.adopt_handlers(self.replication)
+        self.rebuild()
 
     # -- lifecycle ----------------------------------------------------------
 
-    def start(self) -> None:
-        """Arm periodic tasks, probe the LAN, and join seed registries."""
-        if self.config.beacon_interval is not None:
-            self.every(self.config.beacon_interval, self._beacon,
-                       initial_delay=self.config.beacon_interval)
-        if self.config.leasing_enabled:
-            self.every(self.config.purge_interval, self._purge)
-        self.federation.start()
-        self._begin_serving()
-        # Find same-LAN peer registries immediately (gateway election needs
-        # them) and join the statically seeded WAN peers.
-        self.multicast(protocol.REGISTRY_PROBE)
-        for seed in self.seeds:
-            self.federation.join(seed)
-
-    def _begin_serving(self) -> None:
-        """Build the volatile state and start the components in use — all
-        a registry that takes no part in dynamic discovery starts with."""
-        self.rim.lan_name = self.lan_name or ""
+    def rebuild(self) -> None:
+        """Build the soft state — store, artifacts, leases, queries in
+        flight, subscriptions, fencing — and that of every component in
+        use. What a restart keeps is set in the constructor, or (through
+        :meth:`on_restart`) read back from the disk."""
+        self.store = AdvertisementStore()
+        self.evaluator = QueryEvaluator(self.store, self.models)
+        self.repository = ArtifactRepository()
+        self.rim.lan_name = ""  # described as on no LAN until it starts serving
+        #: Identity under which this registry's virtual nodes hash onto
+        #: the consistent-hash ring. Normally the node id; a promoted
+        #: warm standby inherits the identity of the registry it
+        #: replaces so promotion moves no keys.
+        self.ring_identity = self.node_id
+        #: Highest incarnation epoch seen per peer (fencing state); only
+        #: ever populated by peers that stamp their replication traffic.
+        self._peer_incarnations: dict[str, int] = {}
+        #: Every query this registry is gathering answers for, by query
+        #: id: fan-outs and the random walks it coordinates alike.
+        self._pending: dict[str, PendingAggregation] = {}
+        self._subscriptions: dict[str, _Subscription] = {}
         self.leases = LeaseManager(
             lambda: self.sim.now,
             default_duration=self.config.lease_duration,
@@ -214,32 +202,39 @@ class RegistryNode(Node):
         # re-enter the fan-out and double-count hits.
         self._seen = SeenQueries(lambda: self.sim.now,
                                  protected=self._pending.__contains__)
+        for component in (self.federation, self.admission, self.router,
+                          *self.components):
+            component.rebuild()
+
+    def start(self) -> None:
+        """Arm periodic tasks, start the components in use, probe the
+        LAN, and join seed registries."""
+        if self.config.beacon_interval is not None:
+            self.every(self.config.beacon_interval, self._beacon,
+                       initial_delay=self.config.beacon_interval)
+        if self.config.leasing_enabled:
+            self.every(self.config.purge_interval, self._purge)
+        self.federation.start()
+        self.rim.lan_name = self.lan_name or ""
         for component in self.components:
             component.start()
+        # Find same-LAN peer registries immediately (gateway election needs
+        # them) and join the statically seeded WAN peers.
+        self.multicast(protocol.REGISTRY_PROBE)
+        for seed in self.seeds:
+            self.federation.join(seed)
 
     def on_crash(self) -> None:
         """Queued-but-unserved work dies with the registry."""
         self.admission.on_crash()
 
     def on_restart(self) -> None:
-        """Come back with empty volatile state and re-bootstrap.
-
-        With durability enabled, :meth:`DurabilityManager.recover` then
-        replays the persisted snapshot+WAL *before* any seed-join ack
-        can arrive, so the join-time anti-entropy digest exchange runs
-        against a warm store — a delta repair round, not a cold
-        bootstrap.
-        """
-        self.store.clear()
-        self.repository.clear()
-        self.federation.reset()
-        self._pending.clear()
-        self._subscriptions.clear()
-        self._peer_incarnations.clear()
-        for component in self.components:
-            component.reset()
-        self.start()
-        self.durability.recover()
+        """Replay the persisted snapshot+WAL (durability on): the one step
+        a restart adds to a fresh start; a standby back dormant replays at
+        its promotion. The seed joins are sent but no ack can have arrived,
+        so the join-time digest exchange is a delta repair round."""
+        if self.active:
+            self.durability.recover()
 
     def send(
         self,
@@ -365,7 +360,7 @@ class RegistryNode(Node):
         """
         stored = self.store.put(ad)
         lease = None
-        if self.config.leasing_enabled and self.leases is not None:
+        if self.config.leasing_enabled:
             if restore is None:
                 lease = self.leases.grant(ad.ad_id, lease_duration)
             elif restore[0]:
@@ -406,7 +401,7 @@ class RegistryNode(Node):
         """
         held = ad_id in self.store
         lease = None
-        if self.config.leasing_enabled and self.leases is not None:
+        if self.config.leasing_enabled:
             if lease_id is not None:
                 lease = self.leases.renew(lease_id)
             elif held:
@@ -425,8 +420,7 @@ class RegistryNode(Node):
         default the removed copy's own version is tombstoned.
         """
         removed = self.store.discard(ad_id)
-        if self.leases is not None:
-            self.leases.cancel_for_ad(ad_id)
+        self.leases.cancel_for_ad(ad_id)
         if removed is not None:
             self.rim.removals += 1
             version = removed.version if version is None else version
@@ -439,8 +433,7 @@ class RegistryNode(Node):
         hand-off): every replica's lease lapses on its own, and the ad
         may legitimately come back."""
         removed = self.store.discard(ad_id)
-        if self.leases is not None:
-            self.leases.cancel_for_ad(ad_id)
+        self.leases.cancel_for_ad(ad_id)
         if removed is not None:
             self.rim.removals += 1
             for observer in self.write_observers:
@@ -546,7 +539,7 @@ class RegistryNode(Node):
     def handle_renew(self, envelope: Envelope) -> None:
         payload = envelope.payload
         self.rim.renews += 1
-        if not self.config.leasing_enabled or self.leases is None:
+        if not self.config.leasing_enabled:
             self.send(envelope.src, protocol.RENEW_ACK, payload)
             return
         if self.replication.relay_renew(envelope.src, payload):
@@ -572,9 +565,8 @@ class RegistryNode(Node):
 
     def _purge(self) -> None:
         """Expire lapsed leases/subscriptions and drop their state."""
-        if self.leases is not None:
-            for ad_id in self.leases.expired_ads():
-                self.drop_ad(ad_id)
+        for ad_id in self.leases.expired_ads():
+            self.drop_ad(ad_id)
         now = self.sim.now
         lapsed = [sid for sid, sub in self._subscriptions.items()
                   if now >= sub.expires_at]
@@ -813,7 +805,6 @@ class RegistryNode(Node):
         against loop-table eviction: a duplicate of a query we are still
         aggregating must never restart it.
         """
-        assert self._seen is not None
         return query_id in self._pending \
             or not self._seen.check_and_mark(query_id)
 

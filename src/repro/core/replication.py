@@ -22,11 +22,11 @@ class Replication:
     """No replication — forward-queries: hold every advertisement
     published here, acknowledge, tell nobody (queries travel instead)."""
 
+    def rebuild(self) -> None:
+        """Build the replica bookkeeping (here: none)."""
+
     def start(self) -> None:
         """The registry (re)started."""
-
-    def reset(self) -> None:
-        """The registry lost its volatile state."""
 
     # -- the write path ------------------------------------------------------
 
@@ -97,12 +97,12 @@ class FloodReplicator(Replication):
 
     def __init__(self, registry: "RegistryNode") -> None:
         self.registry = registry
+        self.rebuild()
+
+    def rebuild(self) -> None:
         #: Dedup keys of the pushes seen, pruned below ``_push_floor``.
         self._seen_pushes: set[tuple[str, int, int]] = set()
         self._push_floor = 0
-
-    def reset(self) -> None:
-        self._seen_pushes.clear()
 
     def published(self, ad, lease_duration, epoch, *, ack, nack) -> None:
         ack()

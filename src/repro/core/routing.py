@@ -308,6 +308,14 @@ class Router:
     def __init__(self, config: RoutingConfig, node: "Node") -> None:
         self.config = config
         self._node = node
+        #: Times a selection deviated from the caller's default.
+        self.reroutes = 0
+        self.rebuild()
+
+    def rebuild(self) -> None:
+        """Nothing observed, nobody cooling: a restarted or roamed node
+        forgets what traffic taught it."""
+        config = self.config
         self.health = PassiveHealthTracker(alpha=config.ewma_alpha)
         self.cooldowns = CooldownManager(
             self._now,
@@ -318,8 +326,6 @@ class Router:
         self.strategy: RoutingStrategy = _STRATEGY_CLASSES[config.strategy](
             self.health, self.cooldowns
         )
-        #: Times a selection deviated from the caller's default.
-        self.reroutes = 0
 
     def _now(self) -> float:
         if self._node.network is None:
@@ -427,6 +433,9 @@ class PassThrough:
     def __init__(self) -> None:
         self.health = PassiveHealthTracker(alpha=1.0)
         self.cooldowns = CooldownManager(lambda: 0.0, base=0.0, factor=1.0, maximum=0.0)
+
+    def rebuild(self) -> None:
+        """Nothing to forget: nothing here is ever fed."""
 
     def order(self, candidates: Sequence[str]) -> list[str]:
         return list(candidates)

@@ -90,17 +90,18 @@ class ServiceNode(Node):
             seeds=seeds,
         )
         self.adopt_handlers(self.tracker)
+        #: One record per description model; its ``ad_id`` survives.
         self._published: dict[str, PublishedAd] = {
             model_id: PublishedAd(model_id=model_id) for model_id in self.models.model_ids()
         }
         self._descriptions = self._describe_all()
-        self._attached_at: float | None = None
         self.publishes_sent = 0
         self.republish_events = 0
         self.publish_retries = 0
         self.renew_retries = 0
         #: BUSY rejections honored by deferring on the server's hint.
         self.busy_deferrals = 0
+        self.rebuild()
 
     def _record_for(self, *, lease_id: str) -> PublishedAd | None:
         for record in self._published.values():
@@ -116,34 +117,30 @@ class ServiceNode(Node):
 
     # -- lifecycle ------------------------------------------------------------
 
+    def rebuild(self) -> None:
+        """A fresh router, no attachment (a restart keeps the registries
+        heard of), and publication records that keep only their ad ids."""
+        self.router.rebuild()
+        self.tracker.rebuild()
+        self._published = {
+            model_id: PublishedAd(model_id=model_id, ad_id=record.ad_id)
+            for model_id, record in self._published.items()
+        }
+        self._attached_at: float | None = None
+
     def start(self) -> None:
         """Bootstrap: find a registry, then keep leases alive."""
         self.tracker.bootstrap()
         self.tracker.start_signalling_refresh()
         self.every(self.config.renew_interval, self._renew_tick)
 
-    def _forget_publications(self) -> None:
-        for record in self._published.values():
-            record.acked = False
-            record.renew_outstanding = False
-
-    def on_restart(self) -> None:
-        """Restart with no registry attachment, no memory of who refused
-        us (volatile state, like the attachment) and fresh advertisements."""
-        self.tracker.reset()
-        self._forget_publications()
-        self.start()
-
     def on_moved(self, old_lan: str, new_lan: str) -> None:
-        """Roamed to a new LAN: find a local registry and republish there.
-
-        The advertisements at the previous registry lapse with their
-        leases — roaming is indistinguishable from a crash as far as the
-        old registry is concerned, which is exactly how the paper's soft-
-        state design wants it.
-        """
-        self._forget_publications()
-        self.tracker.roamed()
+        """Roamed: rebuild, forget the old LAN's registries, and find one
+        here to republish at. The old registry's leases simply lapse — a
+        roam looks like a crash to it, as the soft-state design wants."""
+        self.rebuild()
+        self.tracker.rebuild(forget=True)
+        self.tracker.bootstrap()
 
     def deregister(self) -> None:
         """Graceful shutdown: explicitly remove our advertisements.

@@ -293,24 +293,12 @@ class ShardManager(Replication):
     def __init__(self, registry: "RegistryNode", config) -> None:
         self.registry = registry
         self.cfg: ShardingConfig = config.sharding
-        #: In-flight quorum writes by request id.
-        self._writes: dict[str, _PendingQuorumWrite] = {}
-        #: Hinted handoff buffers: down replica → [(msg_type, payload)].
-        self._hints: dict[str, list[tuple[str, object]]] = {}
-        #: Per-query read state for repair: query_id → ad_id → (version, src).
-        self._reads: dict[str, dict[str, tuple[int, str]]] = {}
-        #: Ring-identity claims: ring_id → (claim time, member). The
-        #: freshest claimant holds the identity's virtual-node positions;
-        #: an older claimant is evicted (a promoted heir supersedes the
-        #: dead original, and a failed-back original — whose beacons
-        #: carry a newer ``issued_at`` — reclaims it from the heir).
-        #: Stale gossip replaying a pre-crash snapshot loses the
-        #: comparison, so membership cannot ping-pong.
-        self._identity_claims: dict[str, tuple[float, str]] = {}
+        #: Numbers this registry's write request ids; it survives a crash,
+        #: so a pre-crash quorum ack can never count toward a new write.
         self._write_seq = 0
-        self.reset()
         for name in self.COUNTERS:
             setattr(self, name, 0)
+        self.rebuild()
 
     @property
     def r(self) -> int:
@@ -330,16 +318,27 @@ class ShardManager(Replication):
         """So peers place us (and a standby can inherit our positions)."""
         return self.registry.ring_identity
 
-    def reset(self) -> None:
-        """Restart hygiene: volatile state dies with the incarnation."""
+    def rebuild(self) -> None:
+        """Build the placement state: an empty ring view, no write, hint,
+        read or identity claim — all of it dies with the incarnation."""
         #: This registry's view of the consistent-hash ring.
         self.ring = ConsistentHashRing(
             virtual_nodes=self.cfg.virtual_nodes
         )
-        self._writes.clear()
-        self._hints.clear()
-        self._reads.clear()
-        self._identity_claims.clear()
+        #: In-flight quorum writes by request id.
+        self._writes: dict[str, _PendingQuorumWrite] = {}
+        #: Hinted handoff buffers: down replica → [(msg_type, payload)].
+        self._hints: dict[str, list[tuple[str, object]]] = {}
+        #: Per-query read state for repair: query_id → ad_id → (version, src).
+        self._reads: dict[str, dict[str, tuple[int, str]]] = {}
+        #: Ring-identity claims: ring_id → (claim time, member). The
+        #: freshest claimant holds the identity's virtual-node positions;
+        #: an older claimant is evicted (a promoted heir supersedes the
+        #: dead original, and a failed-back original — whose beacons
+        #: carry a newer ``issued_at`` — reclaims it from the heir).
+        #: Stale gossip replaying a pre-crash snapshot loses the
+        #: comparison, so membership cannot ping-pong.
+        self._identity_claims: dict[str, tuple[float, str]] = {}
         self._rebalance_armed = False
 
     def note_member(self, member: str, ring_id: str | None = None,
@@ -866,12 +865,11 @@ class ShardManager(Replication):
         lease lapsed and only awaits the purge sweep: it is not moved."""
         registry = self.registry
         duration = registry.config.lease_duration
-        if registry.leases is not None:
-            lease = registry.leases.lease_for_ad(ad.ad_id)
-            if lease is not None:
-                duration = lease.expires_at - registry.sim.now
-                if duration <= 0:
-                    return None
+        lease = registry.leases.lease_for_ad(ad.ad_id)
+        if lease is not None:
+            duration = lease.expires_at - registry.sim.now
+            if duration <= 0:
+                return None
         return protocol.AdForwardPayload(
             advertisement=ad, lease_duration=duration, epoch=epoch,
         )

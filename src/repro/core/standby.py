@@ -57,46 +57,30 @@ class StandbyRegistry(RegistryNode):
             raise ReproError(f"lan_target must be >= 1, got {lan_target}")
         super().__init__(node_id, config, models, seeds=seeds)
         self.lan_target = lan_target
-        self.active = False
         self.promotions = 0
         self.demotions = 0
         #: Simulation time of the most recent promotion (E15 staleness
         #: windows measure from here).
         self.last_promoted_at: float | None = None
+
+    # -- lifecycle ----------------------------------------------------------
+
+    def rebuild(self) -> None:
+        """Go dormant — after a crash whatever the role was, and after a
+        step-down: a fresh registry's soft state, no beacon heard, no
+        promotion pending. A WAL from an active life stays on the disk for
+        the next promotion to recover before warm sync."""
+        super().rebuild()
+        self.active = False
         self._beacon_seen: dict[str, float] = {}
         #: Ring identity each beaconing registry occupies (sharded
         #: federation) — what a promotion inherits from a dead peer.
         self._beacon_ring: dict[str, str] = {}
         self._promotion_pending = False
 
-    # -- lifecycle ----------------------------------------------------------
-
     def start(self) -> None:
-        if self.active:
-            super().start()
-            self.every(self._watch_interval(), self._evaluate_active)
-            return
+        """Every life of a standby starts dormant, watching the beacons."""
         self.every(self._watch_interval(), self._evaluate_dormant)
-
-    def on_restart(self) -> None:
-        """A crashed standby comes back dormant regardless of prior role.
-
-        Durable state (WAL + snapshot) from a previous *active* life is
-        deliberately kept: if this node promotes again it recovers its
-        persisted store first and lets warm sync repair only the delta.
-        """
-        self.active = False
-        self._beacon_seen.clear()
-        self._beacon_ring.clear()
-        self._promotion_pending = False
-        self._peer_incarnations.clear()
-        self.store.clear()
-        self.repository.clear()
-        self.federation.reset()
-        for component in self.components:
-            component.reset()
-        self.ring_identity = self.node_id
-        self.start()
 
     def _watch_interval(self) -> float:
         assert self.config.beacon_interval is not None
@@ -132,9 +116,8 @@ class StandbyRegistry(RegistryNode):
         )
 
     def _evaluate_dormant(self) -> None:
-        if self.active or self._promotion_pending:
-            return
-        if len(self._live_lan_registries()) >= self.lan_target:
+        if self._promotion_pending \
+                or len(self._live_lan_registries()) >= self.lan_target:
             return
         # Stagger by node-id hash so concurrent standbys race decided.
         delay = 0.05 + 0.1 * (zlib.crc32(self.node_id.encode()) % 16)
@@ -143,8 +126,6 @@ class StandbyRegistry(RegistryNode):
 
     def _maybe_promote(self) -> None:
         self._promotion_pending = False
-        if self.active:
-            return
         if len(self._live_lan_registries()) >= self.lan_target:
             return  # someone else promoted during the stagger delay
         self._promote()
@@ -179,7 +160,6 @@ class StandbyRegistry(RegistryNode):
         so promotion is a pure ownership transfer instead of a re-hash.
         """
         cfg = self.config.sharding
-        self.ring_identity = self.node_id
         if not (cfg.enabled and cfg.standby_inherit_ring):
             return
         horizon = self.sim.now - self._beacon_horizon()
@@ -229,28 +209,18 @@ class StandbyRegistry(RegistryNode):
         promotion delay lets exactly one return — the negotiation
         converges without extra messages.
         """
-        if not self.active:
-            return
-        if len(self._live_lan_registries()) < self.lan_target:
-            return
-        self._demote()
+        if len(self._live_lan_registries()) >= self.lan_target:
+            self._demote()
 
     def _demote(self) -> None:
-        self.active = False
+        """Step down gracefully, then go dormant as a restart does."""
         self.demotions += 1
         self.note("standby-demote", {"demotions": self.demotions}, ctx=None)
         self.federation.leave()
-        self.cancel_tasks()
-        self.store.clear()
-        for component in self.components:
-            component.reset()
-        self.ring_identity = self.node_id
         # A graceful step-down hands the content back to the LAN's live
         # registries; replaying it at the *next* promotion would resurrect
         # stale ads, so drop the WAL + snapshot (the incarnation survives).
         self.durability.discard()
-        self._pending.clear()
-        self._subscriptions.clear()
-        if self.leases is not None:
-            self.leases.clear()
-        self.every(self._watch_interval(), self._evaluate_dormant)
+        self.cancel_tasks()
+        self.rebuild()
+        self.start()

@@ -4,9 +4,10 @@ The paper's central claim is that autonomous federated registries with
 leasing *degrade gracefully* in dynamic environments — churn, crashes,
 partitions, lossy links. :class:`FaultPlan` turns that from a qualitative
 claim into assertable behavior: a plan is a declarative schedule of fault
-actions (node crash/restart, LAN partition/heal, timed loss bursts,
-latency spikes) that drives the existing :class:`~repro.netsim.simulator.
-Simulator` and :class:`~repro.netsim.network.Network` primitives.
+actions (node crash/restart, a roam to another LAN, LAN partition/heal,
+timed loss bursts, latency spikes) that drives the existing
+:class:`~repro.netsim.simulator.Simulator` and
+:class:`~repro.netsim.network.Network` primitives.
 
 Two properties make plans useful for experiments:
 
@@ -52,6 +53,11 @@ KIND_LATENCY = "latency-spike"
 KIND_DISK_TORN = "disk-torn-write"
 KIND_DISK_CORRUPT = "disk-corruption"
 KIND_REPLICA_KILL = "replica-kill"
+KIND_MOVE = "move"
+
+#: Roles a plan refuses to roam: a registry describes, and federates on,
+#: the LAN it started serving on for the rest of that life.
+STATIONARY_ROLES = frozenset({"registry", "standby-registry"})
 
 
 @dataclass
@@ -103,11 +109,15 @@ class FaultAction:
     key: str = ""
     #: How many of the key's alive replicas a targeted kill crashes.
     count: int = 0
+    #: The LAN a move takes its node to.
+    lan: str = ""
 
     def describe(self) -> str:
         """Human-readable one-liner for histories and experiment notes."""
         if self.kind in (KIND_CRASH, KIND_RESTART):
             return f"t={self.time:g} {self.kind} {self.node_id}"
+        if self.kind == KIND_MOVE:
+            return f"t={self.time:g} move {self.node_id} to {self.lan}"
         if self.kind == KIND_REPLICA_KILL:
             return f"t={self.time:g} replica-kill {self.count} of key {self.key!r}"
         if self.kind in (KIND_DISK_TORN, KIND_DISK_CORRUPT):
@@ -149,6 +159,14 @@ class FaultPlan:
     def restart(self, at: float, node_id: str) -> "FaultPlan":
         """Restart ``node_id`` at time ``at`` (no-op if already up)."""
         self._actions.append(FaultAction(time=at, kind=KIND_RESTART, node_id=node_id))
+        return self
+
+    def move(self, at: float, node_id: str, lan: str) -> "FaultPlan":
+        """Roam client or service ``node_id`` to ``lan`` at time ``at``
+        (no-op if it is down or already there); applying the plan where
+        it is a registry raises :class:`SimulationError`."""
+        self._actions.append(
+            FaultAction(time=at, kind=KIND_MOVE, node_id=node_id, lan=lan))
         return self
 
     def disk_torn_write(self, at: float, node_id: str, *, file: str = "wal") -> "FaultPlan":
@@ -326,6 +344,13 @@ class FaultPlan:
                 raise SimulationError(
                     f"fault action at t={action.time} is in the past (now={sim.now})"
                 )
+            if action.kind == KIND_MOVE:
+                node = network.nodes.get(action.node_id)
+                if action.lan not in network.lans:
+                    raise SimulationError(f"{action.describe()}: unknown LAN")
+                if node is not None and node.role in STATIONARY_ROLES:
+                    raise SimulationError(
+                        f"{action.describe()}: a {node.role} does not roam")
             if action.kind == KIND_LOSS:
                 network.add_loss_window(action.window)
             elif action.kind == KIND_LATENCY:
@@ -355,6 +380,11 @@ class AppliedFaults:
             if node is None or node.alive:
                 return
             node.restart()
+        elif action.kind == KIND_MOVE:
+            node = self.network.nodes.get(action.node_id)
+            if node is None or not node.alive or node.lan_name == action.lan:
+                return
+            self.network.move_node(action.node_id, action.lan)
         elif action.kind == KIND_PARTITION:
             self.network.partition(action.groups)
         elif action.kind == KIND_HEAL:

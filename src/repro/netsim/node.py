@@ -6,9 +6,12 @@ implemented as subclasses in :mod:`repro.core`.
 
 Nodes are *fail-stop*: :meth:`crash` silently drops all in-flight timers
 and future deliveries; :meth:`restart` brings the node back with empty
-volatile state (subclasses override :meth:`on_restart` to re-bootstrap,
-mirroring the paper's "service node must try to find another connection
-point" responsibility).
+volatile state and starts it again, mirroring the paper's "service node
+must try to find another connection point" responsibility. "Empty" is
+enforced: a protocol agent builds that state in :meth:`Node.rebuild`,
+which its constructor calls and a restart calls again, and
+``tests/test_lifecycle.py`` checks that a restarted node equals a fresh
+one up to a declared set of survivors.
 """
 
 from __future__ import annotations
@@ -226,6 +229,11 @@ class Node:
 
     # -- lifecycle ------------------------------------------------------
 
+    def rebuild(self) -> None:
+        """Build the volatile state — everything a crash loses. A protocol
+        agent's constructor calls it and :meth:`restart` calls it again.
+        Default: a plain node keeps none."""
+
     def start(self) -> None:
         """Begin protocol activity. Subclasses override; default is a no-op."""
 
@@ -254,20 +262,23 @@ class Node:
             health.on_node_crash(self.node_id)
 
     def restart(self) -> None:
-        """Bring a crashed node back up with empty volatile state."""
+        """Bring a crashed node back up: rebuild its volatile state, start
+        it as if new, then run :meth:`on_restart`."""
         if self.alive:
             return
         self.alive = True
+        self.rebuild()
+        self.start()
         self.on_restart()
         health = self._health()
         if health is not None:
             health.on_node_restart(self.node_id)
 
     def on_crash(self) -> None:
-        """Hook invoked after a crash. Default: no-op."""
+        """Hook invoked after a crash to settle work in flight. Default: no-op."""
 
     def on_restart(self) -> None:
-        """Hook invoked after a restart (re-bootstrap here). Default: no-op."""
+        """Hook invoked after a restart's rebuild and start. Default: no-op."""
 
     def on_moved(self, old_lan: str, new_lan: str) -> None:
         """Hook invoked after the node roamed to another LAN. Default: no-op."""

@@ -294,6 +294,54 @@ class TestFaultPlan:
         assert net.node("a").alive and net.node("b").alive
 
 
+class TestMoveAction:
+    @staticmethod
+    def _two_lans():
+        system = DiscoverySystem(seed=9, ontology=emergency_ontology())
+        system.add_lan("lan-a")
+        system.add_lan("lan-b")
+        system.add_registry("lan-a")
+        local_b = system.add_registry("lan-b")
+        client = system.add_client("lan-a")
+        service = system.add_service("lan-a", ServiceProfile.build(
+            "medic", "ems:MedicalService", outputs=["ems:CasualtyReport"]))
+        system.run(until=2.0)
+        return system, local_b, client, service
+
+    def test_describe_names_node_and_lan(self):
+        assert FaultPlan().move(4.0, "client-000", "lan-b").describe() == [
+            "t=4 move client-000 to lan-b"]
+
+    def test_a_planned_move_roams_clients_and_services(self):
+        system, local_b, client, service = self._two_lans()
+        plan = FaultPlan().move(3.0, client.node_id, "lan-b") \
+                          .move(3.0, service.node_id, "lan-b")
+        applied = plan.apply(system)
+        system.run(until=6.0)
+        assert client.lan_name == service.lan_name == "lan-b"
+        assert client.tracker.current == service.tracker.current == local_b.node_id
+        assert len(local_b.store.by_service(service.node_id)) == 3
+        assert applied.counts() == {"move": 2}
+        assert system.network.stats.faults["move"] == 2
+
+    def test_a_down_node_or_one_already_there_is_not_moved(self):
+        system, _local_b, client, service = self._two_lans()
+        client.crash()
+        plan = FaultPlan().move(3.0, client.node_id, "lan-b") \
+                          .move(3.0, service.node_id, "lan-a")
+        applied = plan.apply(system)
+        system.run(until=4.0)
+        assert client.lan_name == service.lan_name == "lan-a"
+        assert applied.counts() == {}
+
+    def test_a_registry_or_an_unknown_lan_is_refused_at_apply(self):
+        system, local_b, client, _service = self._two_lans()
+        with pytest.raises(SimulationError, match="registry does not roam"):
+            FaultPlan().move(3.0, local_b.node_id, "lan-a").apply(system)
+        with pytest.raises(SimulationError, match="unknown LAN"):
+            FaultPlan().move(3.0, client.node_id, "lan-z").apply(system)
+
+
 class TestDiskFaultActions:
     def test_describe_mentions_node_and_file(self):
         plan = (FaultPlan()

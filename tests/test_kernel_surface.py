@@ -179,7 +179,7 @@ def test_foreign_replication_traffic_is_an_unknown_message():
 # -- ratchets -------------------------------------------------------------------
 
 #: Allowed only to fall (ROADMAP item 4 aims at ~600).
-REGISTRY_NODE_LINE_CEILING = 1074
+REGISTRY_NODE_LINE_CEILING = 1065
 
 
 def test_registry_node_does_not_grow():
@@ -273,6 +273,39 @@ def test_a_deployment_is_a_row_not_a_fork():
     assert subclasses == {"RegistryNode": ROLE_SUBCLASSES}
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("repro.baselines")
+
+
+#: Lifecycle hooks a role under ``core/`` may still define, and why. All
+#: other state a transition touches is built by the role's ``rebuild()``
+#: (see ``tests/test_lifecycle.py``); ``reset`` and ``roamed`` are gone.
+DECLARED_HOOKS = {
+    "RegistryNode.on_restart": "WAL replay, the one step a restart adds to a fresh start",
+    "ClientNode.on_moved": "a roam rebuilds the attachment state and bootstraps on the new LAN",
+    "ServiceNode.on_moved": "a roam rebuilds the attachment state and bootstraps on the new LAN",
+}
+#: The methods a crash, restart, roam or role change runs.
+TRANSITIONS = {"rebuild", "on_crash", "on_restart", "on_moved", "_promote", "_demote"}
+
+
+def test_a_transition_rebuilds_instead_of_clearing():
+    """No hand-written lifecycle list under ``core/``: the hooks that remain
+    are declared above, and no transition empties a container by name."""
+    hooks, clears = [], []
+    for path in sorted((SRC / "core").glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for func in cls.body:
+                if not isinstance(func, ast.FunctionDef):
+                    continue
+                if func.name in ("reset", "on_restart", "on_moved", "roamed"):
+                    hooks.append(f"{cls.name}.{func.name}")
+                if func.name in TRANSITIONS:
+                    clears += [f"core/{path.name}:{call.lineno} {cls.name}.{func.name}"
+                               for call in ast.walk(func) if isinstance(call, ast.Call)
+                               and _chain(call.func)[-1] == "clear"]
+    assert sorted(hooks) == sorted(DECLARED_HOOKS)
+    assert clears == []
 
 
 def test_a_record_is_declared_not_written_out():
