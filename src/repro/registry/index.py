@@ -41,16 +41,22 @@ then on, and intersects them — the per-field candidate pulls AND together
 (smallest posting first, with early exit on empty), so selectivity
 multiplies across the requested category and *every* desired output
 instead of being bounded by one field. The same per-field table
-membership classifies every candidate with its exact per-field degree,
-which :meth:`candidate_buckets` exposes as descending **degree upper
-bounds** (the overall degree can only be lowered further by input/QoS
-checks, never raised). The query evaluator uses those bounds for bounded
-top-k early termination: each group's bound is handed out before its
-body, and a group whose bound can no longer crack the top k is never
-expanded from its bitset at all. Expansion scans bytes, not bits:
-``bytes.translate`` marks the mask's non-zero bytes, ``bytes.find`` hops
-between them and a 256-entry table gives each byte's set bits — O(mask
-bytes + ids taken).
+membership classifies every candidate with its exact per-field degree
+(the overall degree can only be lowered further by input/QoS checks,
+never raised), and the exact tables say which candidates advertise a
+requested concept itself or one of the concepts most similar to it —
+the levels that bound the similarity parts of its score. So
+:meth:`candidate_buckets` hands out candidates in groups of strictly
+descending **(degree, score) upper bounds**, ids ascending by ``ad_id``
+inside each, and the query evaluator stops at the first candidate whose
+best possible rank key its k-th hit already beats: before a group is
+opened, or in the middle of one (``QueryEvaluator.early_terminations``
+counts either). Each group's bound is handed out before its body; a
+degree is split by score only when its body is first iterated, and only
+when it is large enough to pay for the split (``SPLIT_ABOVE``).
+Expansion scans bytes, not bits: ``bytes.translate`` marks the mask's
+non-zero bytes, ``bytes.find`` hops between them and a 256-entry table
+gives each byte's set bits — O(mask bytes + ids).
 
 The candidate set is concept-exact per field; residual false positives
 (e.g. QoS-violating or input-incompatible profiles) are harmless because
@@ -69,6 +75,8 @@ are derived, not stored — ancestor-closure keys are memoized per *concept*
 the same keys from the same memo, while a write that finds the ontology
 moved touches no posting and leaves the record to the pending rebuild. A
 posting emptied by removals stays, as zero bytes, until that rebuild.
+The similarity levels of a requested concept are memoized per concept
+the same way; no cache is kept per request.
 Postings no query has asked for have no int form, which keeps the bulk
 load free of big-int work (:meth:`SemanticConceptIndex.audit` checks all
 of this against a rebuild).
@@ -77,9 +85,11 @@ of this against a rebuild).
 from __future__ import annotations
 
 import abc
+from functools import cache, partial
 from itertools import chain
-from typing import Any, Iterable, Iterator, TYPE_CHECKING
+from typing import Any, Callable, Collection, Iterable, Iterator, TYPE_CHECKING
 
+from repro.semantics.matchmaker import BEST_SCORE, combined_score
 from repro.semantics.ontology import THING
 from repro.semantics.profiles import ServiceProfile, ServiceRequest
 
@@ -123,26 +133,38 @@ class ConceptIndexer(abc.ABC):
 
     def candidate_buckets(
         self, query: Any
-    ) -> Iterator[tuple[int, Iterable[str]]] | None:
-        """Candidates grouped by descending match-degree upper bound.
+    ) -> Iterator[tuple[tuple[int, float], Iterable[str]]] | None:
+        """Candidates grouped by descending ``(degree, score)`` upper bound.
 
-        Yields disjoint ``(upper_bound, ad_ids)`` groups with strictly
-        descending bounds; their union must obey the same superset
-        contract as :meth:`candidate_ids`, and no advertisement outside a
-        group may ever match above that group's bound. ``ad_ids`` is a
+        Yields disjoint ``((degree, score), ad_ids)`` groups whose bounds
+        strictly descend — groups with equal bounds are one group — and
+        whose ids ascend by ``ad_id``. Their union must obey the same
+        superset contract as :meth:`candidate_ids`, and no advertisement in
+        a group may match with a ``(degree, score)`` above the group's
+        bound. The best rank key an id can then reach is ``(-degree,
+        -score, ad_id)`` of its group, and every id after it, in its group
+        or a later one, ranks below that: a consumer holding k hits stops
+        at the first id whose best key its k-th hit beats. ``ad_ids`` is a
         **single-pass iterable**: the consumer checks the bound first and
         iterates the ids at most once, only if the group can still change
-        its answer, so an indexer may produce them on demand (a list is
-        the simplest valid group). Groups and the iterator itself must be
-        consumed before the next store mutation. ``None`` (the default)
-        means the indexer cannot rank this query and the evaluator should
-        fall back to unranked candidates.
+        its answer, so an indexer may produce them on demand (a sorted list
+        is the simplest valid group). A group may be empty. Groups and the
+        iterator itself must be consumed before the next store mutation.
+        ``None`` (the default) means the indexer cannot rank this query and
+        the evaluator should fall back to unranked candidates.
         """
         return None
 
 
 #: Table order used throughout: closure tables first, exact tables second.
 _CATEGORY_CLOSURE, _OUTPUT_CLOSURE, _CATEGORY_EXACT, _OUTPUT_EXACT = range(4)
+
+#: A degree's candidates are split by score bound only when there are more
+#: than this many times the request's ``max_results`` of them. A split costs
+#: about what scoring seven candidates does, and on 10k- and 100k-ad stores
+#: splitting a degree of 10-35 candidates saved 1-7 scorings, one of 40 or
+#: more 14-47.
+SPLIT_ABOVE = 8
 
 #: Bitset expansion: byte value -> its set bits, ascending; and the
 #: ``bytes.translate`` table that marks every non-zero byte with a 1.
@@ -186,6 +208,9 @@ class SemanticConceptIndex(ConceptIndexer):
         #: the concept (the bulk-put fix: closures expand once per concept
         #: per ontology version, not once per advertisement).
         self._closure_key_cache: dict[str, tuple[str, ...]] = {}
+        #: requested concept -> its similarity levels (:meth:`_score_levels`),
+        #: memoized per ontology version like the closure keys.
+        self._level_cache: dict[str, tuple[float, tuple[str, ...], float]] = {}
         #: (table, concept) -> the posting as an int, built on first use
         #: and patched bit by bit whenever that posting mutates.
         self._mask_cache: dict[tuple[int, str], int] = {}
@@ -197,8 +222,9 @@ class SemanticConceptIndex(ConceptIndexer):
         self.rebuilds = 0
         self.lookups = 0
         self.fallbacks = 0
-        #: Ad ids handed out by bitset expansion, across all queries. On
-        #: the ranked path every one of them is scored by the evaluator.
+        #: Ad ids handed out, across all queries: each id of a candidate set,
+        #: and each id of a ranked group that its consumer took. Every one
+        #: of them is scored by the evaluator.
         self.expanded = 0
 
     # -- store notifications ---------------------------------------------
@@ -255,6 +281,7 @@ class SemanticConceptIndex(ConceptIndexer):
         for table in self._tables:
             table.clear()
         self._closure_key_cache.clear()
+        self._level_cache.clear()
         self._mask_cache.clear()
 
     # -- candidate lookup ------------------------------------------------
@@ -278,35 +305,138 @@ class SemanticConceptIndex(ConceptIndexer):
 
     def candidate_buckets(
         self, query: Any
-    ) -> Iterator[tuple[int, Iterator[str]]] | None:
-        """Candidates in descending degree-upper-bound groups.
+    ) -> Iterator[tuple[tuple[int, float], Iterator[str]]] | None:
+        """Candidates in groups of descending ``(degree, score)`` bound.
 
-        The bound per group is the exact per-field degree implied by the
+        The degree bound is the exact per-field degree implied by the
         posting tables (EXACT for the concept itself or a direct parent,
         PLUGIN for a farther ancestor, SUBSUMES for a descendant),
         minimized across the requested fields — a true upper bound on the
         overall degree, since input and QoS checks can only lower it.
-        Unindexable records ride in the strongest group so they are always
-        scored. A group's ids are expanded from its bitset only as the
-        consumer iterates them: a consumer that checks the bound and stops
-        never pays for expanding that group or any weaker one. Each group
-        is single-pass; consume it, and the iterator, before the next
-        store mutation.
+
+        A degree of at most ``SPLIT_ABOVE`` times the request's
+        ``max_results`` candidates is one group bounded by the best score
+        any match has: a consumer that wants that many hits scores most of
+        them anyway, and the split would cost more than it saves. A larger
+        one is split by score bound (:meth:`_score_groups`): first the
+        group of the best score, whose body splits the degree when it is
+        first iterated — so a consumer whose hits already beat the degree
+        pays for no split — then one group per weaker score bound.
+        Unindexable records ride in the strongest group, so they are always
+        scored. A group's ids are expanded and sorted when the consumer
+        first asks for one, and each counts in ``expanded`` once taken.
+        Each group is single-pass; consume it, and the iterator, before the
+        next store mutation.
         """
         masks = self._query_masks(query)
         if masks is None:
             return None
+        return self._groups(query, masks)
 
-        def _groups() -> Iterator[tuple[int, Iterator[str]]]:
-            exact, plugin, subsumes = masks
-            if exact or self._unindexable:
-                yield 3, chain(self._ids_from_mask(exact), sorted(self._unindexable))
-            if plugin:
-                yield 2, self._ids_from_mask(plugin)
-            if subsumes:
-                yield 1, self._ids_from_mask(subsumes)
+    def _groups(
+        self, query: ServiceRequest, masks: tuple[int, int, int]
+    ) -> Iterator[tuple[tuple[int, float], Iterator[str]]]:
+        limit = query.max_results
+        for degree, bits in zip((3, 2, 1), masks):
+            riders = self._unindexable if degree == 3 else ()
+            count = bits.bit_count() + len(riders)
+            if not count:
+                continue
+            if limit is not None and count <= SPLIT_ABOVE * limit:
+                yield (degree, BEST_SCORE), self._hand_out(bits, riders)
+                continue
+            split = cache(partial(self._score_groups, bits, query))
+            yield (degree, BEST_SCORE), self._split_group(split, 0, riders)
+            for at in range(1, len(split())):
+                yield (degree, split()[at][0]), self._split_group(split, at, ())
 
-        return _groups()
+    def _split_group(
+        self, split: Callable[[], list[tuple[float, int]]], at: int, riders: Collection[str]
+    ) -> Iterator[str]:
+        """The ids of one score group of a split degree (split on first use)."""
+        yield from self._hand_out(split()[at][1], riders)
+
+    def _hand_out(self, bits: int, riders: Collection[str]) -> Iterator[str]:
+        """One group's ids, ``bits``'s and the ``riders``', in ascending
+        ``ad_id`` order, expanded and sorted at the first ``next()``.
+
+        An id counts in ``expanded`` when the consumer comes back for the
+        next one (or the group ends): the id a consumer looks at and stops
+        on is not counted, so on the ranked path ``expanded`` moves exactly
+        with the evaluator's scored count. Riders — unindexable records,
+        not expanded from a bitset — never count.
+        """
+        ids = self._expand(bits)
+        ids += riders
+        ids.sort()
+        for ad_id in ids:
+            yield ad_id
+            if ad_id not in riders:
+                self.expanded += 1
+
+    def _score_groups(self, bits: int, query: ServiceRequest) -> list[tuple[float, int]]:
+        """Split one degree's candidates by score bound: ``(bound, bitset)``
+        groups, bounds descending, the first bounded by ``BEST_SCORE`` (and
+        empty when no candidate reaches it).
+
+        Per requested field, a candidate sits at one of three levels of its
+        best similarity to the requested concept (:meth:`_score_levels`):
+        it advertises the concept itself (1.0), one of the concepts most
+        similar to it (``top``), or neither (at most ``rest``). Each
+        combination of levels across the fields is bounded by the
+        matchmaker's own score formula over the level values — the very
+        score where no field is at ``rest`` — and combinations with equal
+        bounds share one group (``top`` may be 1.0).
+        """
+        if not bits:
+            return [(BEST_SCORE, 0)]
+        combos: list[tuple[tuple[float, ...], int]] = [((), bits)]
+        for _, table, concept in self._fields(query):
+            top, top_concepts, rest = self._score_levels(concept)
+            at_self = bits & self._mask(table, concept)
+            at_top = 0
+            for other in top_concepts:
+                at_top |= self._mask(table, other)
+            at_top &= bits ^ at_self
+            levels = ((1.0, at_self), (top, at_top), (rest, bits ^ at_self ^ at_top))
+            combos = [(parts + (value,), narrowed) for parts, within in combos
+                      for value, at in levels if (narrowed := within & at)]
+        by_bound = {BEST_SCORE: 0}
+        for parts, at in combos:
+            bound = combined_score(parts, query.qos_constraints)
+            by_bound[bound] = by_bound.get(bound, 0) | at
+        return sorted(by_bound.items(), reverse=True)
+
+    def _score_levels(self, concept: str) -> tuple[float, tuple[str, ...], float]:
+        """``(top, top_concepts, rest)`` of one requested concept, memoized.
+
+        ``top`` is the highest similarity any *other* class of the ontology
+        has to ``concept`` (1.0 is possible: the reasoner clamps
+        multi-parent ratios), ``top_concepts`` the classes that reach it,
+        and ``rest`` the next value down — a bound on every other class,
+        and on a concept outside the ontology (similarity 0.0).
+        """
+        cached = self._level_cache.get(concept)
+        if cached is None:
+            reasoner = self._model.reasoner
+            ontology = reasoner.ontology
+            by_value: dict[float, list[str]] = {}
+            for other in ontology.classes() if concept in ontology else ():
+                if other != concept:
+                    by_value.setdefault(reasoner.similarity(concept, other), []).append(other)
+            top, rest = (sorted(by_value, reverse=True) + [0.0, 0.0])[:2]
+            cached = (top, tuple(by_value[top]), rest) if top else (0.0, (), 0.0)
+            self._level_cache[concept] = cached
+        return cached
+
+    @staticmethod
+    def _fields(query: ServiceRequest) -> list[tuple[int, int, str]]:
+        """``(closure table, exact table, concept)`` per requested concept, in
+        the matchmaker's score-part order: the category, then each output."""
+        fields = [(_OUTPUT_CLOSURE, _OUTPUT_EXACT, out) for out in query.desired_outputs]
+        if query.category is not None:
+            fields.insert(0, (_CATEGORY_CLOSURE, _CATEGORY_EXACT, query.category))
+        return fields
 
     def _query_masks(self, query: Any) -> tuple[int, int, int] | None:
         """Disjoint candidate bitsets by degree upper bound (3, 2, 1)."""
@@ -322,18 +452,12 @@ class SemanticConceptIndex(ConceptIndexer):
         assert reasoner is not None
         reasoner.sync()
         self.lookups += 1
-        fields = []
-        if query.category is not None:
-            fields.append(
-                self._field_masks(_CATEGORY_CLOSURE, _CATEGORY_EXACT, query.category)
-            )
-        for requested in query.desired_outputs:
-            fields.append(
-                self._field_masks(_OUTPUT_CLOSURE, _OUTPUT_EXACT, requested)
-            )
         # Cumulative per-field masks: degree >= 3 / >= 2 / >= 1, combined
         # smallest posting first so the intersection narrows fastest.
-        cumulative = [(m3, m3 | m2, m3 | m2 | m1) for m3, m2, m1 in fields]
+        cumulative = []
+        for closure_table, exact_table, concept in self._fields(query):
+            m3, m2, m1 = self._field_masks(closure_table, exact_table, concept)
+            cumulative.append((m3, m3 | m2, m3 | m2 | m1))
         cumulative.sort(key=lambda field: field[2].bit_count())
         at_least_3, at_least_2, at_least_1 = cumulative[0]
         for c3, c2, c1 in cumulative[1:]:
@@ -403,22 +527,30 @@ class SemanticConceptIndex(ConceptIndexer):
             buf[slot >> 3] |= 1 << (slot & 7)
         return int.from_bytes(buf, "little")
 
-    def _ids_from_mask(self, bits: int) -> Iterator[str]:
-        """Expand a slot bitset to ad ids, lazily, in ascending slot order.
+    def _expand(self, bits: int) -> list[str]:
+        """A slot bitset's ad ids in ascending slot order.
 
-        A scan of the mask's bytes (see the module docstring): nothing until
-        the first id is asked for, and no big-int arithmetic per id.
+        A scan of the mask's bytes (see the module docstring): no big-int
+        arithmetic per id.
         """
         ad_at = self._ad_at
         octets = bits.to_bytes((bits.bit_length() + 7) >> 3, "little")
         nonzero = octets.translate(_NONZERO_BYTES)
+        ids: list[str] = []
         at = nonzero.find(1)
         while at >= 0:
             base = at << 3
             for offset in _SET_BITS[octets[at]]:
-                self.expanded += 1
-                yield ad_at[base + offset]
+                ids.append(ad_at[base + offset])
             at = nonzero.find(1, at + 1)
+        return ids
+
+    def _ids_from_mask(self, bits: int) -> Iterator[str]:
+        """:meth:`_expand`, handed out lazily: nothing until the first id is
+        asked for, and each id counts in ``expanded`` as it is taken."""
+        for ad_id in self._expand(bits):
+            self.expanded += 1
+            yield ad_id
 
     # -- maintenance -----------------------------------------------------
 

@@ -16,11 +16,14 @@ returning bit-identical results:
   hit list. The model is asked once per query (``prefilter_for``) whether
   the filter can reject anything; when it cannot, no candidate pays the call.
 * **Bounded top-k early termination** — when the query carries
-  ``max_results`` and the store can rank candidates by degree upper bound
+  ``max_results`` and the store can rank candidates in groups of
+  ``(degree, score)`` upper bound, ids ascending inside each
   (:meth:`~repro.registry.store.AdvertisementStore.ranked_candidates`),
-  candidates are scored strongest-group first and scoring stops as soon
-  as the k-th best hit's degree strictly exceeds the next group's bound:
-  no unscored advertisement can then displace any of the top k, so the
+  candidates are scored strongest-group first and scoring stops at the
+  first one whose best possible rank key ``(-bound degree, -bound score,
+  ad_id)`` the k-th best hit's key is strictly less than — at a group's
+  bound, before the group is opened, or in the middle of a group. No
+  unscored advertisement can then displace any of the top k, so the
   capped ranking equals the exhaustive one bit for bit.
 
 A hit is built only for an advertisement that is returned: per match the
@@ -33,8 +36,9 @@ function, and negating an int or a float twice gives the verdict's value back.
 from __future__ import annotations
 
 import heapq
+from bisect import insort
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 from repro.descriptions.base import DescriptionModel, ModelRegistry
 from repro.registry.advertisements import Advertisement
@@ -91,7 +95,8 @@ class QueryEvaluator:
         #: Candidates rejected by the model's QoS pre-filter before any
         #: semantic scoring (they would have evaluated to FAIL).
         self.prefiltered = 0
-        #: Queries whose top-k settled with a candidate group left unopened.
+        #: Ranked queries that stopped with a candidate left unscored: at a
+        #: group's bound, or at an id inside a group that could not enter.
         self.early_terminations = 0
         if use_indexes:
             for model_id in models.model_ids():
@@ -122,8 +127,7 @@ class QueryEvaluator:
             ranked = self.store.ranked_candidates(model.model_id, query)
             if ranked is not None:
                 return self._evaluate_top_k(model, query, ranked, max_results)
-        keys: list[tuple] = []
-        self._scorer(model, query, keys)(self.store.candidates(model.model_id, query))
+        keys = self._score_all(model, query, self.store.candidates(model.model_id, query))
         if max_results is not None:
             # Top-k selection (O(n log k)); ``nsmallest`` is stable, so
             # this is exactly the full sort's prefix.
@@ -135,56 +139,79 @@ class QueryEvaluator:
         self,
         model: DescriptionModel,
         query: Any,
-        ranked: Iterator[tuple[int, Iterable[Advertisement]]],
+        ranked: Iterator[tuple[tuple[int, float], Iterable[Advertisement]]],
         max_results: int,
     ) -> list[QueryHit]:
-        """Score ranked candidate groups until the top-k cannot change.
+        """Score ranked candidates until no unscored one can enter the top k.
 
-        Groups arrive in strictly descending degree-upper-bound order, so
-        once ``max_results`` hits hold a degree strictly above the next
-        group's bound, every unscored candidate ranks below all of them
-        (the sort key compares degree first) and scoring stops. The bound
-        is tested before the group is touched: group bodies are lazy, so
-        the group that ends the query is never expanded or resolved. Hits
-        are deterministic per (advertisement, query), so the capped
+        Groups arrive in strictly descending ``(degree, score)`` bound
+        order with ids ascending inside each, so the best rank key the
+        next candidate can reach is ``(-bound degree, -bound score,
+        ad_id)``, and every candidate after it ranks below that. Once
+        ``max_results`` hits are held and the k-th best key is strictly
+        less, scoring stops: at a group's bound, before its body is touched
+        (group bodies are lazy, so that group is never expanded, split or
+        resolved), or at the first id inside a group that cannot enter.
+        Hits are deterministic per (advertisement, query), so the capped
         ranking is bit-identical to exhaustively scoring every candidate.
         """
-        keys: list[tuple] = []
-        score = self._scorer(model, query, keys)
-        for upper_bound, ads in ranked:
-            if len(keys) >= max_results:
-                floor, above = -upper_bound, 0
-                for key in keys:
-                    if key[0] < floor:
-                        above += 1
-                if above >= max_results:
-                    self.early_terminations += 1
-                    break
-            score(ads)
-        return _hits(heapq.nsmallest(max_results, keys))
-
-    def _scorer(self, model: DescriptionModel, query: Any, keys: list[tuple]) -> Callable:
-        """The one scoring loop: count, pre-filter, evaluate, collect.
-
-        Binds the model's ``evaluate`` and its pre-filter for this query (if any)
-        and returns a function appending the rank keys of ``ads`` to ``keys``.
-        """
         prefilter, evaluate = model.prefilter_for(query), model.evaluate
-
-        def score(ads: Iterable[Advertisement]) -> None:
-            scored = 0
+        keys: list[tuple] = []  # the best rank keys so far, ascending
+        kth = None  # keys[-1] once ``max_results`` keys are held
+        scored = prefiltered = 0
+        stopped = False
+        for (bound_degree, bound_score), ads in ranked:
+            floor_degree, floor_score = -bound_degree, -bound_score
+            if kth is not None and (kth[0], kth[1]) < (floor_degree, floor_score):
+                stopped = True
+                break
             for ad in ads:
+                ad_id = ad.ad_id
+                if kth is not None and kth < (floor_degree, floor_score, ad_id):
+                    stopped = True
+                    break
                 scored += 1
                 description = ad.description
                 if prefilter is not None and not prefilter(description, query):
-                    self.prefiltered += 1
+                    prefiltered += 1
                     continue
                 verdict = evaluate(description, query)
                 if verdict.matched:
-                    keys.append((-verdict.degree, -verdict.score, ad.ad_id, ad))
-            self.descriptions_evaluated += scored
+                    key = (-verdict.degree, -verdict.score, ad_id, ad)
+                    if kth is None:
+                        insort(keys, key)
+                        if len(keys) == max_results:
+                            kth = keys[-1]
+                    elif key < kth:
+                        keys.pop()
+                        insort(keys, key)
+                        kth = keys[-1]
+            if stopped:
+                break
+        self.descriptions_evaluated += scored
+        self.prefiltered += prefiltered
+        self.early_terminations += stopped
+        return _hits(keys)
 
-        return score
+    def _score_all(
+        self, model: DescriptionModel, query: Any, ads: Iterable[Advertisement]
+    ) -> list[tuple]:
+        """The unranked scoring loop: count, pre-filter, evaluate, and collect
+        the rank key of every match among ``ads``."""
+        prefilter, evaluate = model.prefilter_for(query), model.evaluate
+        keys: list[tuple] = []
+        scored = 0
+        for ad in ads:
+            scored += 1
+            description = ad.description
+            if prefilter is not None and not prefilter(description, query):
+                self.prefiltered += 1
+                continue
+            verdict = evaluate(description, query)
+            if verdict.matched:
+                keys.append((-verdict.degree, -verdict.score, ad.ad_id, ad))
+        self.descriptions_evaluated += scored
+        return keys
 
     @staticmethod
     def merge(

@@ -136,13 +136,14 @@ class AdvertisementStore:
 
     def ranked_candidates(
         self, model_id: str, query: Any
-    ) -> Iterator[tuple[int, Iterable[Advertisement]]] | None:
-        """Candidates grouped by descending match-degree upper bound.
+    ) -> Iterator[tuple[tuple[int, float], Iterable[Advertisement]]] | None:
+        """Candidates grouped by descending ``(degree, score)`` upper bound.
 
         Thin resolution layer over the model indexer's
         :meth:`~repro.registry.index.ConceptIndexer.candidate_buckets`:
-        yields ``(upper_bound, advertisements)`` groups, strongest first,
-        for the evaluator's bounded top-k early termination. ``None``
+        yields its ``(bound, advertisements)`` groups, strongest first and
+        in its ``ad_id`` order, for the evaluator's bounded top-k early
+        termination. ``None``
         when no indexer is attached or the query cannot be ranked (the
         evaluator then uses :meth:`candidates`). Each group is a
         single-pass iterable that resolves ids to records only as it is
@@ -159,10 +160,7 @@ class AdvertisementStore:
             return None
         lookup = self._by_id.get
         # ``filter(None, …)`` drops the ``None`` a stale id resolves to.
-        return (
-            (upper_bound, filter(None, map(lookup, ad_ids)))
-            for upper_bound, ad_ids in buckets
-        )
+        return ((bound, filter(None, map(lookup, ad_ids))) for bound, ad_ids in buckets)
 
     def service_nodes(self) -> list[str]:
         """Service nodes with at least one stored advertisement (a full scan)."""

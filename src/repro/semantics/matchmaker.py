@@ -58,6 +58,27 @@ class DegreeOfMatch(enum.IntEnum):
 _FAIL, _EXACT = DegreeOfMatch.FAIL, DegreeOfMatch.EXACT
 
 
+#: The highest score a match can have: :func:`combined_score` of parts that
+#: are all 1.0, whatever their number.
+BEST_SCORE = 1.0
+
+
+def combined_score(parts: list[float] | tuple[float, ...], constrained: object) -> float:
+    """A match's score from its similarity parts — the category's, then each
+    desired output's in request order — plus a 1.0 QoS part when the request
+    has constraints (``constrained`` is truthy; a scored profile satisfies
+    all of them): their mean, 1.0 for no parts at all.
+
+    The one formula for a verdict's score and for the concept index's score
+    bounds. IEEE addition and division by a positive count are monotone, so
+    per-part upper bounds give an upper bound on the score, and the very
+    score wherever every bound is the part itself.
+    """
+    if constrained:
+        return (sum(parts) + 1.0) / (len(parts) + 1)
+    return sum(parts) / len(parts) if parts else 1.0
+
+
 @dataclass(frozen=True, slots=True)
 class MatchResult:
     """Outcome of matching one profile against one request.
@@ -297,9 +318,7 @@ class Matchmaker:
         # inside the ontology, so each part above is a real similarity.
         # The QoS gate already established every constraint holds: the
         # satisfied ratio is 1.0 by construction.
-        if constraints:
-            parts.append(1.0)
-        score = sum(parts) / len(parts) if parts else 1.0
+        score = combined_score(parts, constraints)
         return overall, score, output_degree, input_degree, category_degree, ()
 
     def match(self, profile: ServiceProfile, request: ServiceRequest) -> MatchResult:

@@ -25,6 +25,7 @@ import pytest
 from repro.descriptions.base import ModelRegistry
 from repro.descriptions.semantic import SemanticModel
 from repro.registry.advertisements import Advertisement
+from repro.registry import index as index_module
 from repro.registry import matching
 from repro.registry.index import ConceptIndexer, SemanticConceptIndex
 from repro.registry.matching import QueryEvaluator, QueryHit
@@ -32,6 +33,7 @@ from repro.registry.store import AdvertisementStore
 from repro.semantics.generator import OntologyGenerator, ProfileGenerator
 from repro.semantics.ontology import THING
 from repro.semantics.profiles import QoSConstraint, ServiceProfile, ServiceRequest
+from repro.semantics.reasoner import Reasoner
 
 N_SEEDS = 6
 STORE_SIZE = 80
@@ -300,7 +302,9 @@ def test_every_id_the_index_expands_is_scored(seed):
 def _request_with_all_three_groups(gen, profiles, index):
     for anchor in profiles:
         request = gen.request_for(anchor, generalize=1, max_results=2)
-        groups = {bound: list(ids) for bound, ids in index.candidate_buckets(request)}
+        groups: dict[int, list[str]] = {}
+        for (degree, _score), ids in index.candidate_buckets(request):
+            groups.setdefault(degree, []).extend(ids)
         if sorted(groups) == [1, 2, 3]:
             return request, groups
     raise AssertionError("no request produced EXACT, PLUGIN and SUBSUMES groups")
@@ -373,6 +377,100 @@ def test_list_groups_from_a_third_party_indexer_still_work():
     assert paths.indexed.early_terminations > 0
 
 
+# -- (degree, score) bounds: every candidate under its group's bound ----------
+
+
+def _with_inputs(request: ServiceRequest, gen: ProfileGenerator, rng) -> ServiceRequest:
+    return dataclasses.replace(request, provided_inputs=tuple(rng.sample(gen.data_pool, 2)))
+
+
+@pytest.mark.parametrize("split_above", (0, index_module.SPLIT_ABOVE))
+@pytest.mark.parametrize("seed", range(4))
+def test_every_candidate_scores_under_its_group_bound(seed, split_above, monkeypatch):
+    """Over the request corpus (QoS, THING, out-of-ontology, keyword-only)
+    plus requests carrying inputs, with degrees split by score always and at
+    the default size: bounds strictly descend, ids ascend inside a group,
+    groups are disjoint and make up the candidate set, and every
+    candidate's verdict ``(degree, score)`` is at most its group's bound."""
+    monkeypatch.setattr(index_module, "SPLIT_ABOVE", split_above)
+    ontology = OntologyGenerator(90 + seed).random_ontology()
+    gen = ProfileGenerator(ontology, seed=90 + seed)
+    rng = random.Random(5000 + seed)
+    paths = _TwinPaths(ontology)
+    profiles = gen.profiles(STORE_SIZE * 3)
+    for i, profile in enumerate(profiles):
+        paths.put(_ad(i, profile))
+    index = paths.indexed_store.index_for("semantic")
+    requests = list(_request_corpus(gen, profiles, rng))
+    requests += [_with_inputs(request, gen, rng) for request in requests[:5]]
+    split = 0
+    for request in requests:
+        candidates = index.candidate_ids(request)
+        buckets = index.candidate_buckets(request)
+        if candidates is None:
+            assert buckets is None
+            continue
+        bounds: list[tuple[int, float]] = []
+        grouped: set[str] = set()
+        for bound, ad_ids in buckets:
+            ad_ids = list(ad_ids)
+            assert ad_ids == sorted(ad_ids), (seed, request, bound)
+            assert grouped.isdisjoint(ad_ids), (seed, request, bound)
+            grouped.update(ad_ids)
+            bounds.append(bound)
+            for ad_id in ad_ids:
+                description = paths.linear_store.get(ad_id).description
+                verdict = paths.linear_model.evaluate(description, request)
+                assert (verdict.degree, verdict.score) <= bound, (seed, request, ad_id)
+        assert all(a > b for a, b in zip(bounds, bounds[1:])), (seed, request, bounds)
+        assert grouped == candidates
+        split += len(bounds) > len({degree for degree, _ in bounds})
+    assert split > 0  # some degree was split by score
+
+
+@pytest.mark.parametrize("requested, partner, field", [
+    ("gen:Service6", "gen:Service0", "category"),
+    ("gen:Data58", "gen:Data26", "output"),
+])
+def test_a_partner_at_similarity_one_shares_the_concepts_group(requested, partner, field):
+    """The reasoner clamps multi-parent similarity ratios, so a concept's
+    most similar other concept can score exactly 1.0: here a direct parent,
+    whose advertisers tie with the concept's own at ``(EXACT, 1.0)``. Both
+    must hand out as one group in ``ad_id`` order — as two groups with the
+    same bound, the stop rule would end the query inside the first and
+    return a wrong top k."""
+    ontology = OntologyGenerator(42).random_ontology()
+    assert Reasoner(ontology).similarity(requested, partner) == 1.0
+    assert partner in ontology.parents(requested)
+    k = 3
+
+    def profile(i: int, concept: str) -> ServiceProfile:
+        if field == "category":
+            return ServiceProfile.build(f"svc-{i}", concept, outputs=["gen:Data0"])
+        return ServiceProfile.build(f"svc-{i}", "gen:Service1", outputs=[concept])
+
+    paths = _TwinPaths(ontology)
+    for i in range(1, 1 + k):  # the partner's advertisers come first by id
+        paths.put(_ad(i, profile(i, partner)))
+    other_parent = next(p for p in sorted(ontology.parents(requested)) if p != partner)
+    for i in range(50, 50 + k):  # EXACT too, at a lower similarity
+        paths.put(_ad(i, profile(i, other_parent)))
+    for i in range(100, 100 + (index_module.SPLIT_ABOVE + 1) * k):
+        paths.put(_ad(i, profile(i, requested)))
+    if field == "category":
+        request = ServiceRequest.build(requested, max_results=k)
+    else:
+        request = ServiceRequest.build(outputs=[requested], max_results=k)
+    capped = paths.indexed.evaluate("semantic", request, max_results=k)
+    exhaustive = paths.linear.evaluate("semantic", request, max_results=None)
+    assert _rows(capped) == _rows(exhaustive)[:k]
+    assert [h.advertisement.ad_id for h in capped] == [f"ad-{i:06d}" for i in range(1, 1 + k)]
+    index = paths.indexed_store.index_for("semantic")
+    groups = [(bound, list(ids)) for bound, ids in index.candidate_buckets(request)]
+    assert groups[0][0] == (3, 1.0) and len(groups) > 1  # the degree was split
+    assert {"ad-000001", "ad-000100"} <= set(groups[0][1])
+
+
 # -- malformed payloads: a bad record is not a query of death -----------------
 
 
@@ -440,9 +538,11 @@ def _fixed_10k_query_set():
 
 def test_plans_and_reasoning_counts_on_a_fixed_10k_query_set():
     """One request plan per scoring query on either path, and exactly the matches
-    and subsumption checks the pre-plan matchmaker spent on this query set
-    (values recorded at the parent commit): the pair tables reason about a
-    pair when, and only when, the two memo dicts they replaced did."""
+    and subsumption checks spent on this query set: the pair tables reason
+    about a pair when, and only when, the two memo dicts they replaced did
+    (linear values recorded before the plans existed; the indexed ones
+    re-recorded when the top-k stop moved inside score-bounded groups,
+    from 2,126 checks and 21,702 matches)."""
     paths, requests = _fixed_10k_query_set()
 
     def run(evaluator, model, request, cap):
@@ -457,7 +557,7 @@ def test_plans_and_reasoning_counts_on_a_fixed_10k_query_set():
     for request in requests[::5]:
         run(paths.linear, linear, request, None)
     assert (indexed.reasoner.subsumption_checks, indexed.matchmaker.evaluations) \
-        == (2126, 21702)
+        == (1616, 10975)
     assert (linear.reasoner.subsumption_checks, linear.matchmaker.evaluations) \
         == (2067, 91123)
 
@@ -533,8 +633,10 @@ def test_allocation_and_model_call_counts_on_the_fixed_10k_query_set(monkeypatch
     ``QueryHit`` per advertisement it returns (not per match), calls the
     model's ``evaluate`` once per candidate the pre-filter let through, and
     calls ``prefilter`` per candidate only for a request with QoS
-    constraints — where the rejected count and the hits are the ones the
-    per-candidate loop produced (literals recorded at the parent commit)."""
+    constraints — where the hits are the ones the per-candidate loop
+    produced (literals recorded before rank keys; the indexed rejected count
+    re-recorded, from 19,799, when the top-k stop moved inside
+    score-bounded groups)."""
     paths, requests = _fixed_10k_query_set()
     unconstrained = [r for r in requests if not r.qos_constraints]
     calls: Counter = Counter()
@@ -576,6 +678,6 @@ def test_allocation_and_model_call_counts_on_the_fixed_10k_query_set(monkeypatch
     rows = [run(paths.indexed, _constrained(request)) for request in unconstrained]
     assert rows[::5] == [run(paths.linear, _constrained(request))
                          for request in unconstrained[::5]]
-    assert (paths.indexed.prefiltered, paths.linear.prefiltered) == (19799, 62500)
+    assert (paths.indexed.prefiltered, paths.linear.prefiltered) == (7002, 62500)
     assert (sum(map(len, rows)), hashlib.sha256(repr(rows).encode()).hexdigest()[:16]) \
         == (226, "d0c0fa296093fd11")

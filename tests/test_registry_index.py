@@ -635,6 +635,6 @@ def test_unindexable_records_ride_in_the_strongest_group_unexpanded():
     (bound, strongest), *weaker = index.candidate_buckets(request)
     assert index.expanded == 0  # bounds handed out, no body expanded yet
     ids = list(strongest)
-    assert bound == 3 and ids[-1] == "ad-opaque" and "ad-000000" in ids
+    assert bound == (3, 1.0) and ids[-1] == "ad-opaque" and "ad-000000" in ids
     assert index.expanded == len(ids) - 1
     assert "ad-opaque" in index.candidate_ids(request)
