@@ -11,9 +11,12 @@ storage), a :class:`~repro.registry.LeaseManager` (aliveness, §4.8), a
 :class:`~repro.registry.QueryEvaluator` over pluggable description models,
 an :class:`~repro.core.repository.ArtifactRepository` (§4.6), and a
 :class:`~repro.core.federation.Federation` (registry network maintenance,
-§4.9). Query forwarding strategies live in :mod:`repro.core.forwarding`,
-the cooperation over advertisements in :mod:`repro.core.replication`;
-both are selected by configuration, once, in the constructor.
+§4.9). Queries — local evaluation, forwarding, aggregation, the answer —
+are the :class:`~repro.core.query.QueryCoordinator`'s; the cooperation
+over advertisements is :mod:`repro.core.replication`'s. Both are selected
+by configuration, once, in the constructor. The node itself keeps the
+lifecycle, fencing, its self-description, the write path and the
+publish / renew / remove handlers, purging, subscriptions and artifacts.
 
 Registry content is *soft state*: a crash loses everything, and the
 architecture rebuilds it from service-node republishes and leases — which
@@ -23,8 +26,7 @@ durable registry storage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import partial
+from dataclasses import dataclass
 from typing import Any
 
 from repro.core import protocol
@@ -33,10 +35,7 @@ from repro.core.antientropy import AntiEntropy
 from repro.core.config import (
     COOPERATION_REPLICATE_ADS,
     DiscoveryConfig,
-    STRATEGY_EXPANDING_RING,
-    STRATEGY_FLOODING,
     STRATEGY_INFORMED,
-    STRATEGY_RANDOM_WALK,
 )
 from repro.core.durability import (
     DurabilityManager,
@@ -44,12 +43,7 @@ from repro.core.durability import (
     INCARNATION_HEADER,
 )
 from repro.core.federation import Federation
-from repro.core.forwarding import (
-    PendingAggregation,
-    RandomWalk,
-    RingController,
-    SeenQueries,
-)
+from repro.core.query import QueryCoordinator
 from repro.core.replication import FloodReplicator, Replication
 from repro.core.repository import ArtifactRepository
 from repro.core.routing import router_for
@@ -58,8 +52,7 @@ from repro.descriptions.base import DescriptionModel, ModelRegistry
 from repro.errors import LeaseError
 from repro.netsim.messages import Envelope
 from repro.netsim.node import Node
-from repro.obs.metrics import COUNT_BUCKETS
-from repro.obs.tracing import Span, TraceRecorder
+from repro.obs.tracing import TraceRecorder
 from repro.registry.advertisements import Advertisement, new_uuid
 from repro.registry.leases import LEASE_EVENTS, Lease, LeaseManager
 from repro.registry.matching import QueryEvaluator, QueryHit
@@ -122,32 +115,21 @@ class RegistryNode(Node):
         self.durability = DurabilityManager(self, config.durability)
         #: Consistent-hash placement, quorum writes, hinted handoff.
         self.shard = ShardManager(self, config)
-        #: Random-walk strategy: starting walks, relaying others'.
-        self.walk = RandomWalk(self)
-        self.responses_sent = 0
         self.notifications_sent = 0
-        #: Query responses that arrived after their aggregation completed
-        #: (work the aggregation timeout threw away).
-        self.late_responses = 0
-        #: How this registry starts a client query: the configured
-        #: forwarding strategy, unless the replication below plans reads.
-        self._start_query = {
-            STRATEGY_FLOODING: partial(self._scatter, plan=self._plan_flood),
-            STRATEGY_INFORMED: partial(self._scatter, plan=self._plan_informed),
-            STRATEGY_EXPANDING_RING: self._start_ring,
-            STRATEGY_RANDOM_WALK: self.walk.start,
-        }[config.strategy]
         #: What happens to a write beyond this store (§4.9), picked once:
         #: nothing, the flood, or the shard ring — see ``replication.py``.
         replicating = config.cooperation == COOPERATION_REPLICATE_ADS
+        read_plan = None
         if not replicating:
             self.replication: Replication = Replication()
         elif config.sharding.enabled:
             self.replication = self.shard
             # A replica-group cover instead of the forwarding strategy.
-            self._start_query = partial(self._scatter, plan=self.shard.plan_read)
+            read_plan = self.shard.plan_read
         else:
             self.replication = FloodReplicator(self)
+        #: Every query this registry evaluates, forwards or gathers for.
+        self.queries = QueryCoordinator(self, read_plan=read_plan)
         #: Told of every change to what this replica holds, in this order:
         #: digest bookkeeping where it replicates, the WAL where durable.
         self.write_observers: list[Any] = []
@@ -163,7 +145,7 @@ class RegistryNode(Node):
         # Components serve their own message types — one that is not in
         # use none, so its traffic is an unknown message type here.
         self.adopt_handlers(self.federation)
-        self.adopt_handlers(self.walk)
+        self.adopt_handlers(self.queries)
         if config.antientropy_enabled():
             self.adopt_handlers(self.antientropy)
         self.adopt_handlers(self.replication)
@@ -172,10 +154,10 @@ class RegistryNode(Node):
     # -- lifecycle ----------------------------------------------------------
 
     def rebuild(self) -> None:
-        """Build the soft state — store, artifacts, leases, queries in
-        flight, subscriptions, fencing — and that of every component in
-        use. What a restart keeps is set in the constructor, or (through
-        :meth:`on_restart`) read back from the disk."""
+        """Build the soft state — store, artifacts, leases, subscriptions,
+        fencing — and that of every component in use, queries in flight
+        included. What a restart keeps is set in the constructor, or
+        (through :meth:`on_restart`) read back from the disk."""
         self.store = AdvertisementStore()
         self.evaluator = QueryEvaluator(self.store, self.models)
         self.repository = ArtifactRepository()
@@ -188,21 +170,13 @@ class RegistryNode(Node):
         #: Highest incarnation epoch seen per peer (fencing state); only
         #: ever populated by peers that stamp their replication traffic.
         self._peer_incarnations: dict[str, int] = {}
-        #: Every query this registry is gathering answers for, by query
-        #: id: fan-outs and the random walks it coordinates alike.
-        self._pending: dict[str, PendingAggregation] = {}
         self._subscriptions: dict[str, _Subscription] = {}
         self.leases = LeaseManager(
             lambda: self.sim.now,
             default_duration=self.config.lease_duration,
             on_event=self._lease_event,
         )
-        # A flood filling the loop-avoidance table must not evict the id
-        # of a query still in flight here, or a late duplicate would
-        # re-enter the fan-out and double-count hits.
-        self._seen = SeenQueries(lambda: self.sim.now,
-                                 protected=self._pending.__contains__)
-        for component in (self.federation, self.admission, self.router,
+        for component in (self.federation, self.queries, self.admission, self.router,
                           *self.components):
             component.rebuild()
 
@@ -662,15 +636,13 @@ class RegistryNode(Node):
         selection and hinted handoff, so flapping cannot thrash keys.
         """
         self.router.forget(peer)
-        for pending in list(self._pending.values()):
-            pending.drain_target(peer)
+        self.queries.on_peer_departed(peer)
         if left_ring:
             self.replication.drop_member(peer)
 
     def on_departing(self) -> None:
         """We are leaving the federation: answer what we can, now."""
-        for pending in list(self._pending.values()):
-            pending.flush()
+        self.queries.on_departing()
 
     # -- observability hooks ------------------------------------------------------
 
@@ -680,386 +652,3 @@ class RegistryNode(Node):
         name = LEASE_EVENTS[kind]
         self.count(name)
         self.note(name, {"ad": self.alias(lease.ad_id), "lease": self.alias(lease.lease_id)})
-
-    def _query_span(self, name: str, envelope: Envelope, payload: protocol.QueryPayload) -> Span | None:
-        """Open a processing span for a (non-duplicate) query envelope.
-
-        The span continues the envelope's trace (or roots a new one for
-        untraced senders) and becomes this dispatch's active context, so
-        synchronous child sends parent to it automatically. The span is
-        closed by :meth:`_respond` when the answer leaves.
-        """
-        span = self.span(
-            name,
-            {"query": self.alias(payload.query_id), "from": envelope.src,
-             "ttl": payload.ttl},
-            ctx=TraceRecorder.extract(envelope.headers),
-        )
-        if span is not None:
-            self._trace_ctx = span.context
-        return span
-
-    # -- querying ----------------------------------------------------------------------
-
-    def _local_hits(
-        self, payload: protocol.QueryPayload | protocol.WalkPayload, *,
-        parent: Span | None = None,
-    ) -> list[QueryHit]:
-        before = self.evaluator.descriptions_evaluated
-        hits = self.evaluator.evaluate(
-            payload.model_id, payload.query, max_results=payload.max_results
-        )
-        evaluated = self.evaluator.descriptions_evaluated - before
-        self.observe("matchmaker.evals_per_query", evaluated, COUNT_BUCKETS)
-        ctx = parent.context if parent is not None else self._trace_ctx
-        if ctx is not None:
-            self.note("registry.match", {"evaluated": evaluated, "hits": len(hits)},
-                      ctx=ctx)
-        return hits
-
-    def _respond(
-        self,
-        dst: str,
-        query_id: str,
-        hits: list[QueryHit],
-        responders: int,
-        *,
-        span: Span | None = None,
-        degraded: bool = False,
-    ) -> None:
-        """Answer ``dst``; with ``span``, the response rides (and closes)
-        that span's trace — needed for completions that fire from timers,
-        where no envelope context is active."""
-        self.responses_sent += 1
-        self.send(
-            dst,
-            protocol.QUERY_RESPONSE,
-            protocol.ResponsePayload(
-                query_id=query_id, hits=tuple(hits), responders=responders,
-                degraded=degraded,
-                # Piggyback our admission-queue depth: free load signal
-                # for the receiver's router (rides in the fixed payload
-                # overhead, so wire size — and delivery time — is
-                # unchanged).
-                queue_depth=self.admission.depth,
-            ),
-            headers=self.headers_for(span),
-        )
-        self.end(span, attrs={"hits": len(hits), "responders": responders})
-
-    def _overload_shortcut(
-        self,
-        requester: str,
-        payload: protocol.QueryPayload,
-        span: Span | None,
-    ) -> bool:
-        """Degraded mode: past the threshold, skip WAN fan-out entirely.
-
-        A saturated registry stops multiplying its own load through the
-        federation — it serves whatever its local store holds and marks
-        the answer ``degraded=True`` so the client knows coverage was
-        sacrificed for latency. Returns True when the query was answered
-        here.
-        """
-        if not self.admission.overloaded:
-            return False
-        local = self._local_hits(payload, parent=span)
-        self.count("admission.degraded")
-        self.note("admission.degraded",
-                  {"query": self.alias(payload.query_id), "depth": self.admission.depth},
-                  ctx=span.context if span is not None else self._trace_ctx)
-        self._respond(requester, payload.query_id, local, 1, span=span,
-                      degraded=True)
-        return True
-
-    def handle_busy(self, envelope: Envelope) -> None:
-        """A peer registry shed our forwarded work.
-
-        Persistent BUSY is treated like suspicion: it feeds the same
-        circuit breaker as missed pongs and aggregation timeouts, so a
-        chronically saturated neighbor drops out of the fan-out until it
-        recovers. The pending aggregation drains immediately with an
-        empty answer instead of riding out the timeout; a shed walk has
-        nobody left to carry it on and ends here.
-        """
-        payload = envelope.payload
-        self.federation.record_neighbor_failure(envelope.src)
-        self.router.on_busy(
-            envelope.src,
-            retry_after=payload.retry_after,
-            queue_depth=payload.queue_depth,
-        )
-        self.count("admission.busy_received")
-        pending = self._pending.get(payload.request_id)
-        if pending is None:
-            return
-        if payload.msg_type == protocol.WALK:
-            pending.flush()
-        else:
-            pending.drain_target(envelope.src)
-
-    def _duplicate_query(self, query_id: str) -> bool:
-        """Whether ``query_id`` was seen before (marking it seen if not).
-
-        Checking live aggregation/walk state first is belt and braces
-        against loop-table eviction: a duplicate of a query we are still
-        aggregating must never restart it.
-        """
-        return query_id in self._pending \
-            or not self._seen.check_and_mark(query_id)
-
-    def handle_query(self, envelope: Envelope) -> None:
-        """A client query: this registry is the entry point/coordinator."""
-        payload = envelope.payload
-        self.rim.queries_served += 1
-        if self._duplicate_query(payload.query_id):
-            return
-        client = envelope.src
-        span = self._query_span("registry.query", envelope, payload)
-        if not self._overload_shortcut(client, payload, span):
-            self._start_query(client, payload, span=span)
-
-    # .. scatter-gather (flooding, informed, sharded reads) ..................
-
-    def _scatter(
-        self,
-        requester: str,
-        payload: protocol.QueryPayload,
-        *,
-        plan,
-        span: Span | None = None,
-        hops: int = 1,
-        on_complete=None,
-    ) -> None:
-        """Gather the local hits plus those of whoever ``plan`` says to ask.
-
-        ``plan(requester, payload, local)`` runs after local evaluation
-        and returns ``(targets, ttl, retarget_planner)``: who gets the
-        query, the TTL it is forwarded with, and (optionally) how to
-        replace a target that stays silent. No targets — done already.
-        ``on_complete(hits, responders)`` defaults to answering
-        ``requester``.
-        """
-        local = self._local_hits(payload, parent=span)
-        targets, ttl, retarget_planner = plan(requester, payload, local)
-        if on_complete is None:
-            def on_complete(hits: list[QueryHit], responders: int) -> None:
-                self._respond(requester, payload.query_id, hits, responders, span=span)
-        if not targets:
-            on_complete(local, 1)
-            return
-        self._fan_out(
-            payload.with_ttl(ttl), targets, local, on_complete=on_complete,
-            parent=span, hops=hops, retarget_planner=retarget_planner,
-        )
-
-    def _plan_flood(self, requester: str, payload: protocol.QueryPayload, local):
-        """Every neighbor but the one we got it from, while TTL lasts."""
-        if payload.ttl <= 0:
-            return [], 0, None
-        return self.federation.forward_targets({requester}), payload.ttl - 1, None
-
-    def _plan_informed(self, requester: str, payload: protocol.QueryPayload, local):
-        """Route the query directly to summary-matching registries.
-
-        Content summaries learned through gossip tell us *which* known
-        registries plausibly hold matches; each gets the query with TTL 0
-        (evaluate-locally-and-answer). Registries without summary overlap
-        are never bothered — the bandwidth win over flooding; a stale or
-        missing summary is the recall risk (measured in E13).
-        """
-        terms = self.models.query_terms(payload.model_id, payload.query)
-        candidates = [
-            rid
-            for rid, desc in sorted(self.federation.known.items())
-            if rid != self.node_id and desc.summary_terms
-            and terms & frozenset(desc.summary_terms)
-        ]
-        return candidates, 0, None
-
-    def _fan_out(
-        self,
-        forwarded: protocol.QueryPayload,
-        targets: list[str],
-        local: list[QueryHit],
-        *,
-        on_complete,
-        parent: Span | None = None,
-        hops: int = 1,
-        retarget_planner=None,
-    ) -> None:
-        """Forward to ``targets`` and aggregate their responses.
-
-        Targets whose circuit breaker is open are skipped entirely — not
-        sent to, and not counted as outstanding — so a degraded-mode
-        query completes as soon as the healthy neighbors answer instead
-        of riding out the aggregation timeout for a suspected-dead peer.
-        """
-        query_id = forwarded.query_id
-        allowed = [t for t in targets if self.federation.breaker_allows(t)]
-        skipped = len(targets) - len(allowed)
-        if skipped:
-            self.recovered("breaker-skip", skipped, traced=False)
-        # Best-first ordering; cooldown-failover may additionally skip
-        # targets still cooling off after a BUSY/timeout (never all —
-        # coverage beats caution when everyone looks sick).
-        allowed, cooled = self.router.usable(allowed)
-        if cooled:
-            self.recovered("routing-cooldown-skip", cooled, traced=False)
-        if not allowed:
-            on_complete(
-                QueryEvaluator.merge([local], max_results=forwarded.max_results), 1
-            )
-            return
-
-        fanout = self.span(
-            "registry.fanout",
-            {"query": self.alias(query_id), "targets": len(allowed),
-             "skipped": skipped, "ttl": forwarded.ttl},
-            ctx=parent.context if parent is not None else self._trace_ctx,
-        )
-
-        def complete(hits: list[QueryHit], responders: int) -> None:
-            self._pending.pop(query_id, None)
-            self.replication.end_read(query_id)
-            self.end(fanout, attrs={"hits": len(hits), "responders": responders})
-            on_complete(hits, responders)
-
-        headers = self.headers_for(fanout)
-
-        on_retarget = None
-        if retarget_planner is not None:
-            def on_retarget(failed: list[str], contacted: tuple[str, ...]) -> list[str]:
-                replacements = retarget_planner(failed, set(contacted))
-                for alternate in replacements:
-                    self.send(
-                        alternate, protocol.QUERY_FORWARD, forwarded,
-                        headers=headers, hops=hops,
-                    )
-                    self.rim.queries_forwarded += 1
-                return replacements
-
-        # The timeout must cover the *downstream* aggregation chain: a
-        # child forwarding with TTL t may itself wait ~t units for its own
-        # dead branches before answering. A flat per-hop timeout would
-        # fire before deep responses arrive and silently drop them.
-        timeout = self.config.aggregation_timeout * (forwarded.ttl + 1)
-        self._pending[query_id] = PendingAggregation(
-            self,
-            query_id=query_id,
-            local_hits=local,
-            targets=tuple(allowed),
-            timeout=timeout,
-            max_results=forwarded.max_results,
-            on_complete=complete,
-            on_target_timeout=self._forward_target_timeout,
-            trace_ctx=fanout.context if fanout is not None else None,
-            on_retarget=on_retarget,
-        )
-        for target in allowed:
-            self.send(
-                target, protocol.QUERY_FORWARD, forwarded, headers=headers, hops=hops
-            )
-            self.rim.queries_forwarded += 1
-
-    def _forward_target_timeout(self, target: str) -> None:
-        """A fan-out target stayed silent: suspicion for breaker + router."""
-        self.federation.record_neighbor_failure(target)
-        self.router.on_timeout(target)
-
-    def handle_query_forward(self, envelope: Envelope) -> None:
-        """A peer registry forwarded a query to us."""
-        payload = envelope.payload
-        parent = envelope.src
-        if self._duplicate_query(payload.query_id):
-            # Duplicate via another path (or of a query we are still
-            # aggregating): answer empty so the parent's outstanding
-            # counter drains without waiting for the timeout.
-            self._respond(parent, payload.query_id, [], 0)
-            return
-        span = self._query_span("registry.forward", envelope, payload)
-        if not self._overload_shortcut(parent, payload, span):
-            self._scatter(parent, payload, plan=self._plan_flood, span=span,
-                          hops=envelope.hops + 1)
-
-    def handle_query_response(self, envelope: Envelope) -> None:
-        payload = envelope.payload
-        # Any answer is proof of life, even a late one.
-        self.federation.record_neighbor_success(envelope.src)
-        pending = self._pending.get(payload.query_id)
-        self.router.on_response(
-            envelope.src,
-            # Late: no round-trip to attribute, but the depth is still fresh.
-            rtt=self.sim.now - pending.started_at if pending is not None else None,
-            queue_depth=payload.queue_depth,
-        )
-        if pending is None:
-            # The aggregation already completed (timeout or duplicate):
-            # the response's work is wasted — count it so experiments can
-            # report how much the timeout threw away.
-            self.late_responses += 1
-            self.recovered("late-response", traced=False)
-            if self._trace_ctx is not None:
-                # The response envelope still carries the original trace,
-                # so late work stays attributable to the query that paid
-                # for it.
-                self.note("late-response",
-                          {"from": envelope.src, "query": self.alias(payload.query_id),
-                           "hits": len(payload.hits)})
-            return
-        if self._trace_ctx is not None:
-            self.note("aggregation.response",
-                      {"from": envelope.src, "hits": len(payload.hits)})
-        # Read repair: compare this replica's answer versions against the
-        # freshest seen so far, pushing the newer copy to stale holders.
-        self.replication.observe_read(payload.query_id, envelope.src, payload.hits)
-        pending.add_response(payload, src=envelope.src)
-
-    # .. expanding ring ......................................................
-
-    def _start_ring(
-        self, client: str, payload: protocol.QueryPayload, *, span: Span | None = None
-    ) -> None:
-        ring = RingController(payload=payload, ttls=self.config.ring_ttls)
-        self._run_ring_round(client, ring, span)
-
-    def _run_ring_round(
-        self, client: str, ring: RingController, span: Span | None
-    ) -> None:
-        """One ring = one flood under a round-scoped query id and TTL."""
-        def done(hits: list[QueryHit], _responders: int) -> None:
-            ring.record_round(hits)
-            self._ring_round_done(client, ring, span)
-
-        self._scatter(
-            client,
-            replace(ring.payload, query_id=ring.round_query_id(),
-                    ttl=ring.current_ttl()),
-            plan=self._plan_flood, span=span, on_complete=done,
-        )
-
-    def _ring_round_done(
-        self, client: str, ring: RingController, span: Span | None
-    ) -> None:
-        if ring.satisfied() or not ring.advance():
-            self._respond(
-                client, ring.payload.query_id, ring.merged(), ring.rounds_run,
-                span=span,
-            )
-            return
-        self._run_ring_round(client, ring, span)
-
-    # .. decentralized LAN mode (Fig. 3 fallback) ...............................
-
-    def handle_decentral_query(self, envelope: Envelope) -> None:
-        """Registries answer fallback multicasts too — they are LAN nodes."""
-        payload = envelope.payload
-        hits = self._local_hits(payload)
-        if hits:
-            self.send(
-                envelope.src,
-                protocol.DECENTRAL_RESPONSE,
-                protocol.ResponsePayload(
-                    query_id=payload.query_id, hits=tuple(hits), responders=1
-                ),
-            )

@@ -4,7 +4,9 @@ once by the registry's constructor — a plain :class:`Replication` under
 ``forward-queries``, a :class:`FloodReplicator` under ``replicate-ads``,
 its :class:`~repro.core.sharding.ShardManager` where that is sharded. The
 node, the federation and anti-entropy call it without knowing which one
-answers; only that one's handlers are adopted.
+answers; only that one's handlers are adopted. Reads are not its business:
+a sharded registry hands its read plan (``ShardManager.plan_read``, read
+repair included) to the :class:`~repro.core.query.QueryCoordinator`.
 """
 
 from __future__ import annotations
@@ -76,13 +78,7 @@ class Replication:
         """The placement identity carried in this registry's description."""
         return ""
 
-    # -- reads, and what anti-entropy reconciles with whom ---------------------
-
-    def observe_read(self, query_id: str, src: str, hits) -> None:
-        """``src`` answered a fan-out of ``query_id`` with ``hits``."""
-
-    def end_read(self, query_id: str) -> None:
-        """The fan-out of ``query_id`` completed."""
+    # -- what anti-entropy reconciles with whom ---------------------------------
 
     def co_owned(self, ad_id: str, peer: str) -> bool:
         """Whether both this registry and ``peer`` store ``ad_id``."""

@@ -5,12 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.core import protocol
-from repro.core.config import STRATEGY_RANDOM_WALK, DiscoveryConfig
-from repro.core.forwarding import (
-    PendingAggregation,
-    RingController,
-    SeenQueries,
+from repro.core.config import (
+    STRATEGY_EXPANDING_RING,
+    STRATEGY_RANDOM_WALK,
+    DiscoveryConfig,
 )
+from repro.core.forwarding import PendingAggregation, SeenQueries
 from repro.core.registry_node import RegistryNode
 from repro.core.system import DiscoverySystem, make_models
 from repro.netsim.network import Network
@@ -19,7 +19,7 @@ from repro.netsim.simulator import Simulator
 from repro.registry.advertisements import Advertisement
 from repro.registry.matching import QueryHit
 from repro.semantics.generator import battlefield_ontology
-from repro.semantics.profiles import ServiceRequest
+from repro.semantics.profiles import ServiceProfile, ServiceRequest
 
 
 def _hit(ad_id, degree=1, score=0.5):
@@ -112,48 +112,90 @@ def test_pending_applies_response_control(host):
     assert done[0][0].advertisement.ad_id == "ad-x"  # highest degree first
 
 
-# -- RingController ------------------------------------------------------------------
+# -- the expanding ring, driven through a registry ------------------------------------
+
+def _radar(name):
+    return ServiceProfile.build(name, "ncw:RadarService", outputs=["ncw:AirTrack"])
+
+
+def _ring(radar_lans, *, ttls=(0, 1, 2, 4)):
+    """A chain of four registries (``lan-0`` … ``lan-3``) searching by
+    expanding ring, a radar on each LAN in ``radar_lans`` and a client on
+    ``lan-0``. Returns the system, the client, and the ``(query id, ttl)``
+    of every QUERY_FORWARD the client's registry sends."""
+    config = DiscoveryConfig(strategy=STRATEGY_EXPANDING_RING, ring_ttls=ttls,
+                             aggregation_timeout=0.3, ping_interval=50.0,
+                             signalling_interval=None)
+    system = DiscoverySystem(seed=3, ontology=battlefield_ontology(), config=config)
+    for i in range(4):
+        system.add_lan(f"lan-{i}")
+        system.add_registry(f"lan-{i}")
+    for lan in radar_lans:
+        system.add_service(f"lan-{lan}", _radar(f"radar-{lan}"))
+    system.federate_chain()
+    client = system.add_client("lan-0")
+    system.run(until=3.0)
+    entry, forwards = system.registries[0], []
+    send = entry.send
+
+    def logged_send(dst, msg_type, payload=None, **kwargs):
+        if msg_type == protocol.QUERY_FORWARD:
+            forwards.append((payload.query_id, payload.ttl))
+        return send(dst, msg_type, payload, **kwargs)
+
+    entry.send = logged_send
+    return system, client, forwards
+
+
+def _ring_query(system, client, *, max_results=None):
+    call = system.discover(client, ServiceRequest.build(
+        "ncw:SensorService", outputs=["ncw:Track"], max_results=max_results))
+    assert call.completed
+    return call, f"{call.query_id}/1"
+
 
 def test_ring_round_ids_differ_per_round():
-    payload = protocol.QueryPayload(query_id="q", model_id="uri", query="x")
-    ring = RingController(payload=payload, ttls=(0, 1, 2))
-    first = ring.round_query_id()
-    ring.advance()
-    assert ring.round_query_id() != first
+    system, client, forwards = _ring([2])
+    call, wire_id = _ring_query(system, client)
+    # Round 0 (TTL 0) asks nobody; rounds 1 and 2 flood under their own ids.
+    assert forwards == [(f"{wire_id}#r1", 0), (f"{wire_id}#r2", 1)]
+    assert sorted(call.service_names()) == ["radar-2"]
 
 
 def test_ring_satisfied_by_max_results():
-    payload = protocol.QueryPayload(query_id="q", model_id="uri", query="x",
-                                    max_results=2)
-    ring = RingController(payload=payload, ttls=(0, 1))
-    ring.record_round([_hit("ad-1")])
-    assert not ring.satisfied()
-    ring.record_round([_hit("ad-2")])
-    assert ring.satisfied()
+    system, client, forwards = _ring([1, 2, 3])
+    call, wire_id = _ring_query(system, client, max_results=2)
+    # One hit after round 1 is not enough; two after round 2 are, so the
+    # radar three hops out is never reached.
+    assert sorted(call.service_names()) == ["radar-1", "radar-2"]
+    assert [qid for qid, _ in forwards] == [f"{wire_id}#r1", f"{wire_id}#r2"]
+    assert call.responders == 3  # rounds run
 
 
 def test_ring_default_target_is_one_hit():
-    payload = protocol.QueryPayload(query_id="q", model_id="uri", query="x")
-    ring = RingController(payload=payload, ttls=(0, 1))
-    assert not ring.satisfied()
-    ring.record_round([_hit("ad-1")])
-    assert ring.satisfied()
+    system, client, forwards = _ring([1, 2])
+    call, wire_id = _ring_query(system, client)
+    assert sorted(call.service_names()) == ["radar-1"]
+    assert forwards == [(f"{wire_id}#r1", 0)]
+    assert call.responders == 2
 
 
 def test_ring_advance_exhausts():
-    payload = protocol.QueryPayload(query_id="q", model_id="uri", query="x")
-    ring = RingController(payload=payload, ttls=(0, 2))
-    assert ring.advance()
-    assert ring.current_ttl() == 2
-    assert not ring.advance()
+    system, client, forwards = _ring([], ttls=(0, 2))
+    call, wire_id = _ring_query(system, client)
+    # Nothing matches anywhere: every round of the schedule runs, then the
+    # (empty) answer leaves.
+    assert call.hits == []
+    assert forwards == [(f"{wire_id}#r1", 1)]
+    assert call.responders == 2
 
 
 def test_ring_merged_dedupes_across_rounds():
-    payload = protocol.QueryPayload(query_id="q", model_id="uri", query="x")
-    ring = RingController(payload=payload, ttls=(0, 1))
-    ring.record_round([_hit("ad-1")])
-    ring.record_round([_hit("ad-1"), _hit("ad-2")])
-    assert len(ring.merged()) == 2
+    system, client, _ = _ring([0, 1], ttls=(0, 1))
+    call, _ = _ring_query(system, client, max_results=3)
+    # The local radar is a hit of both rounds, and is answered once.
+    assert sorted(call.service_names()) == ["radar-0", "radar-1"]
+    assert len(call.hits) == 2
 
 
 # -- PendingAggregation without a target set (a random walk) ---------------------------
@@ -371,9 +413,9 @@ def test_graceful_leave_flushes_in_flight_walk():
     call = client.discover(ServiceRequest.build(
         "ncw:SensorService", outputs=["ncw:Track"]))
     system.run_for(0.5)
-    assert list(coordinator._pending) and not call.completed
+    assert list(coordinator.queries._pending) and not call.completed
     coordinator.federation.leave()
-    assert not coordinator._pending
+    assert not coordinator.queries._pending
     system.run_for(0.1)
     assert call.completed and call.latency < 1.0
 

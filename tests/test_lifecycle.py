@@ -47,7 +47,8 @@ from repro.workloads.scenarios import ARCHITECTURES, PER_LAN, ScenarioSpec, buil
 RESTART_SURVIVORS: dict[str, frozenset[str]] = {
     # Statistics.
     "Node": frozenset({"crash_count", "unknown_messages", "malformed_messages"}),
-    "RegistryNode": frozenset({"responses_sent", "notifications_sent", "late_responses"}),
+    "RegistryNode": frozenset({"notifications_sent"}),
+    "QueryCoordinator": frozenset({"responses_sent", "late_responses"}),
     "RegistryInfoModel": frozenset({"publishes", "renews", "removals",
                                     "queries_served", "queries_forwarded"}),
     "StandbyRegistry": frozenset({"promotions", "demotions", "last_promoted_at"}),
@@ -379,7 +380,7 @@ def test_a_standby_that_crashed_while_active_forgets_its_subscribers():
     client.crash()
     standby.crash()
     standby.restart()
-    assert standby._subscriptions == {} and standby._pending == {}
+    assert standby._subscriptions == {} and standby.queries._pending == {}
     system.run_for(10.0)
     assert standby.active
     sent = standby.notifications_sent

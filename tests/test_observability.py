@@ -305,7 +305,7 @@ def test_late_response_attaches_to_original_trace():
 
     call = system.discover(client, REQUEST, timeout=5.0)
     system.run_for(1.0)  # let the straggler response arrive
-    assert r0.late_responses >= 1
+    assert r0.queries.late_responses >= 1
     late = [ev for ev in system.trace.events if ev.name == "late-response"]
     assert late, "late response should be recorded as a trace event"
     assert late[0].trace_id == call.trace_id

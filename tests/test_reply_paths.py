@@ -112,11 +112,11 @@ def flood_with_crashed_neighbour() -> dict:
     for _ in range(5):                                 # 3 timeouts, then skips
         calls.append(system.discover(client, REQUEST))
         system.run_for(0.5)
-    assert not system.registries[0]._pending
+    assert not system.registries[0].queries._pending
     assert_invariants(system)
     return _fingerprint(
         system, log, calls=_call_summary(calls),
-        late=system.registries[0].late_responses,
+        late=system.registries[0].queries.late_responses,
     )
 
 
@@ -150,7 +150,7 @@ def walk_ended_by_walk_end() -> dict:
     _tap(system.registries[0], log)
     system.run(until=2.5)
     calls = [system.discover(client, REQUEST) for _ in range(2)]
-    assert not system.registries[0]._pending
+    assert not system.registries[0].queries._pending
     assert_invariants(system)
     return _fingerprint(system, log, calls=_call_summary(calls))
 
@@ -163,7 +163,7 @@ def walk_ended_by_dead_hop_timeout() -> dict:
     FaultPlan().crash(2.0, system.registries[2].node_id).apply(system)
     system.run(until=2.5)
     calls = [system.discover(client, REQUEST) for _ in range(2)]
-    assert not system.registries[0]._pending
+    assert not system.registries[0].queries._pending
     assert_invariants(system)
     return _fingerprint(system, log, calls=_call_summary(calls))
 
@@ -182,7 +182,7 @@ def walk_ended_by_busy() -> dict:
     calls = [client.discover(REQUEST) for client in clients]
     system.run_for(8.0)
     assert all(call.completed for call in calls)
-    assert not system.registries[0]._pending
+    assert not system.registries[0].queries._pending
     assert_invariants(system)
     return _fingerprint(
         system, log, calls=_call_summary(calls),
