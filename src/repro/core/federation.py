@@ -310,6 +310,13 @@ class Federation:
             self.registry.recovered("breaker-half-open", attrs={"neighbor": neighbor})
         return allowed
 
+    def breaker_would_allow(self, neighbor: str) -> bool:
+        """:meth:`breaker_allows` without its side effect: asking it of
+        every candidate would spend the probe of a recovered peer that is
+        then not picked, and refuse it to the one that is."""
+        breaker = self.breakers.get(neighbor)
+        return breaker is None or breaker.would_allow()
+
     def breaker_states(self) -> dict[str, str]:
         """Current breaker state per tracked neighbor (reporting)."""
         return {nid: b.state for nid, b in sorted(self.breakers.items())}
