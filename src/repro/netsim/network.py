@@ -316,12 +316,18 @@ class Network:
         """
         src = self.nodes.get(src_id)
         dst = self.nodes.get(dst_id)
-        if src is None or dst is None or src.lan_name is None or dst.lan_name is None:
+        if src is None or dst is None:
             return False
-        if src.lan_name == dst.lan_name:
+        return self._linked(src.lan_name, dst.lan_name)
+
+    def _linked(self, src_lan_name: str | None, dst_lan_name: str | None) -> bool:
+        """:meth:`reachable` between the LANs of two existing nodes."""
+        if src_lan_name is None or dst_lan_name is None:
+            return False
+        if src_lan_name == dst_lan_name:
             return True
-        src_lan = self.lans[src.lan_name]
-        dst_lan = self.lans[dst.lan_name]
+        src_lan = self.lans[src_lan_name]
+        dst_lan = self.lans[dst_lan_name]
         return (
             src_lan.wan_connected
             and dst_lan.wan_connected
@@ -424,7 +430,9 @@ class Network:
 
         One transmission is accounted (broadcast medium) and loss is drawn
         per receiver now, in sorted id order; the copies that survive
-        arrive in one scheduled event (:meth:`_deliver_multicast`).
+        arrive in one scheduled event (:meth:`_deliver_multicast`), which
+        builds a copy only for a receiver that serves the type and counts
+        the others.
         """
         sender = self.nodes.get(envelope.src)
         if sender is None or sender.lan_name is None:
@@ -456,11 +464,52 @@ class Network:
                                  envelope, receivers)
 
     def _deliver_multicast(self, envelope: Envelope, receivers: list[str]) -> None:
-        """Multicast arrival: each receiver gets its *own envelope copy*,
-        in the order given, so a handler mutating headers or routing
-        metadata cannot contaminate sibling deliveries."""
+        """Multicast arrival, receiver by receiver in the order given.
+
+        A receiver that serves the type gets its *own envelope copy*
+        through :meth:`_deliver`, so a handler mutating headers or routing
+        metadata cannot contaminate sibling deliveries. A live receiver
+        that would only count the copy (:meth:`Node.discards`) gets the
+        same partition check, its ``net.deliver`` event in the same place
+        and ``unknown_messages += 1``, but no copy and no ``receive``; the
+        traffic statistics and delivery histograms of those copies are
+        applied once, after the last receiver.
+        """
+        now = self.sim.now
+        if self.health.active:
+            self.health.advance(now)
+        msg_type = envelope.msg_type
+        latency = now - envelope.sent_at
+        ctx = TraceRecorder.extract(envelope.headers)
+        trace = self.sim.trace
+        traced = ctx is not None and trace.listening
+        sender = self.nodes.get(envelope.src)
+        src_lan = sender.lan_name if sender is not None else None
+        counted: list[str] = []
         for dst_id in receivers:
-            self._deliver(envelope.copy_for(dst_id), dst_id)
+            dst = self.nodes.get(dst_id)
+            if dst is None or not dst.alive or not dst.discards(msg_type):
+                self._deliver(envelope.copy_for(dst_id), dst_id)
+            elif not self._linked(src_lan, dst.lan_name):
+                self.stats.record_drop("partition-in-flight")
+                self._trace_drop(envelope, "partition-in-flight", dst=dst_id)
+            else:
+                if traced:
+                    trace.event("net.deliver", node=dst_id, ctx=ctx, attrs={
+                        "msg_type": msg_type, "src": envelope.src,
+                        "hops": envelope.hops, "latency": latency})
+                dst.unknown_messages += 1
+                counted.append(dst_id)
+        if counted:
+            n = len(counted)
+            self.stats.record_deliveries(counted, envelope.size_bytes)
+            latencies, hops = self._delivery_histograms_for(msg_type)
+            latencies.observe_many(latency, n)
+            hops.observe_many(envelope.hops, n)
+            if envelope.hops > 0:
+                self.metrics.histogram(
+                    f"hops.{msg_type}", buckets=HOP_BUCKETS
+                ).observe_many(envelope.hops, n)
 
     def _deliver(self, envelope: Envelope, dst_id: str) -> None:
         """Delivery event: hand the envelope to the destination if it is up."""
@@ -483,11 +532,7 @@ class Network:
         try:
             latencies, hops = self._delivery_histograms[envelope.msg_type]
         except KeyError:
-            latencies, hops = self._delivery_histograms[envelope.msg_type] = (
-                self.metrics.histogram(f"latency.{envelope.msg_type}",
-                                       buckets=DEFAULT_LATENCY_BUCKETS),
-                self.metrics.histogram("hops.delivered", buckets=HOP_BUCKETS),
-            )
+            latencies, hops = self._delivery_histograms_for(envelope.msg_type)
         latencies.observe(latency)
         hops.observe(envelope.hops)
         if envelope.hops > 0:
@@ -508,6 +553,18 @@ class Network:
                 },
             )
         dst.receive(envelope)
+
+    def _delivery_histograms_for(self, msg_type: str) -> tuple[Histogram, Histogram]:
+        """The ``latency.<msg_type>`` and ``hops.delivered`` histograms,
+        asked of the registry on the type's first delivery only."""
+        pair = self._delivery_histograms.get(msg_type)
+        if pair is None:
+            pair = self._delivery_histograms[msg_type] = (
+                self.metrics.histogram(f"latency.{msg_type}",
+                                       buckets=DEFAULT_LATENCY_BUCKETS),
+                self.metrics.histogram("hops.delivered", buckets=HOP_BUCKETS),
+            )
+        return pair
 
     def _trace_drop(self, envelope: Envelope, reason: str, *, dst: str | None = None) -> None:
         """Attach a drop event to the envelope's trace, if it carries one."""

@@ -80,6 +80,12 @@ class Node:
     silently discard messages they cannot understand". So does
     :meth:`receive` with a served type whose payload is not the record
     ``payload_records`` declares for it: no handler asks what it was handed.
+
+    Where that count is all a delivery would do, :meth:`discards` says so,
+    and the transport counts a multicast copy without building it or
+    calling :meth:`receive`. A class that overrides ``receive``,
+    ``dispatch`` or ``handle_message`` gets every copy unless it overrides
+    :meth:`discards` too.
     """
 
     #: Role tag used by experiments for reporting; subclasses override.
@@ -87,6 +93,14 @@ class Node:
     #: Message type → the class its payload must be an instance of; the
     #: simulator knows no protocol, so a plain node is checked for nothing.
     payload_records: dict[str, type] = {}
+    #: Whether a delivery to this class runs Node's own ``receive``,
+    #: ``dispatch`` and ``handle_message``; set by :meth:`__init_subclass__`.
+    _base_delivery = True
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        if any(name in vars(cls) for name in ("receive", "dispatch", "handle_message")):
+            cls._base_delivery = False
 
     def __init__(self, node_id: str) -> None:
         self.node_id = node_id
@@ -432,6 +446,14 @@ class Node:
     def handle_message(self, envelope: Envelope) -> None:
         """Fallback handler for message types without a dedicated method."""
         self.unknown_messages += 1
+
+    def discards(self, msg_type: str) -> bool:
+        """Whether a delivery of ``msg_type`` would do nothing here but
+        add one to ``unknown_messages``: no handler serves the type, no
+        interceptor may take it over, and the delivery path is Node's own.
+        The transport then counts the copy instead of delivering it."""
+        return (msg_type not in self.handlers and self.interceptor is None
+                and self._base_delivery)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "up" if self.alive else "down"

@@ -72,6 +72,16 @@ class TrafficStats:
         self.node_bytes_received[dst] += size
         self.node_messages_received[dst] += 1
 
+    def record_deliveries(self, dsts: list[str], size: int) -> None:
+        """Account for one ``size``-byte copy arriving at each of ``dsts``,
+        as :meth:`record_delivery` would once per receiver."""
+        self.messages_delivered += len(dsts)
+        self.bytes_delivered += size * len(dsts)
+        node_bytes, node_messages = self.node_bytes_received, self.node_messages_received
+        for dst in dsts:
+            node_bytes[dst] += size
+            node_messages[dst] += 1
+
     def record_drop(self, reason: str = "loss") -> None:
         """Account for a transmission that never arrived (loss/partition/crash)."""
         self.messages_dropped += 1

@@ -169,6 +169,27 @@ class Histogram:
         if value > self.vmax:
             self.vmax = value
 
+    def observe_many(self, value: float, n: int) -> None:
+        """Record ``n`` observations of ``value``: every slot as after
+        ``n`` calls of :meth:`observe`, ``total`` included bit for bit
+        (``n`` additions, not one of ``n * value``)."""
+        value = float(value)
+        index = bisect.bisect_left(self.bounds, value)
+        if index < len(self.bounds):
+            self.counts[index] += n
+        else:
+            self.overflow += n
+        self.count += n
+        total = self.total
+        for _ in range(n):
+            total += value
+        self.total = total
+        if n:
+            if value < self.vmin:
+                self.vmin = value
+            if value > self.vmax:
+                self.vmax = value
+
     def percentile(self, p: float) -> float:
         """Estimate the ``p``-quantile (``p`` in (0, 1]) from the buckets."""
         if not 0.0 < p <= 1.0:

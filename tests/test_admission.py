@@ -612,3 +612,24 @@ def test_busy_for_unknown_wire_id_is_ignored(fast_config):
     assert call.completions == 1
     from repro.core.invariants import check_invariants
     assert check_invariants(system) == []
+
+
+def test_admission_intercepts_a_multicast_its_registry_has_no_handler_for():
+    """Without anti-entropy a registry serves no ``antientropy-digest``,
+    but a positive ``sync_cost`` still queues one: a multicast copy must
+    reach the interceptor before the type's missing handler counts it."""
+    config = DiscoveryConfig(admission=AdmissionPolicy(sync_cost=0.05))
+    system = DiscoverySystem(seed=5, ontology=battlefield_ontology(), config=config)
+    system.add_lan("lan-0")
+    registry = system.add_registry("lan-0")
+    assert protocol.ANTIENTROPY_DIGEST not in registry.handlers
+    peer = system.network.add_node(Node("peer"), "lan-0")
+    system.run(until=1.0)
+    unknown = registry.unknown_messages
+    peer.multicast(protocol.ANTIENTROPY_DIGEST)
+    system.run_for(0.01)
+    assert registry.admission.intercepted == 1
+    assert registry.unknown_messages == unknown
+    system.run_for(0.1)
+    assert registry.admission.dispatched == 1
+    assert registry.unknown_messages == unknown + 1

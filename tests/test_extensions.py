@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import protocol
 from repro.core.config import DiscoveryConfig, STRATEGY_INFORMED
 from repro.core.mediation import MediationPlanner
 from repro.core.standby import StandbyRegistry
@@ -219,6 +220,28 @@ def test_standby_stays_dormant_while_quota_met(fast_cfg):
     assert not standby.active
     assert standby.promotions == 0
     assert len(standby.store) == 0
+
+
+def test_dormant_standby_on_a_probing_lan_counts_nothing_and_notes_beacons(fast_cfg):
+    """A dormant standby overrides ``receive``: the probes of the LAN's
+    services still reach it as copies, and it ignores them without
+    counting them while it keeps noting the primary's beacons."""
+    system = _single_lan(fast_cfg)
+    primary = system.registries[0]
+    standby = system.add_standby_registry("lan-0", lan_target=1)
+    services = [system.add_service("lan-0", _radar(f"radar-{i}")) for i in range(3)]
+    seen = []
+    receive = standby.receive
+    standby.receive = lambda envelope: (seen.append(envelope.msg_type), receive(envelope))
+    system.run(until=4.0)
+    for service in services:
+        service.tracker.probe()
+    system.run_for(1.0)
+    assert not standby.active
+    assert seen.count(protocol.REGISTRY_PROBE) >= 2 * len(services)
+    assert seen.count(protocol.REGISTRY_BEACON) >= 3
+    assert standby.unknown_messages == standby.malformed_messages == 0
+    assert standby._live_lan_registries() == [primary.node_id]
 
 
 def test_standby_promotes_on_registry_loss_and_serves(fast_cfg):

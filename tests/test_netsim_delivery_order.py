@@ -7,12 +7,21 @@ seeded random plan of multicasts, unicasts and timers at colliding
 instants, with a crash, a roaming node, a partition formed while copies
 are in flight, a bandwidth-limited LAN and handlers that answer at once,
 must be indistinguishable on the two: same receive log, same traffic
-and metric counters, same RNG state afterwards, same trace export.
+and metric counters, same per-node unknown / malformed counts, same RNG
+state afterwards, same trace export.
+
+Besides the ``Chatty`` nodes, which serve every type themselves, each
+LAN holds receivers the batched transport may count instead of
+delivering to — a plain ``Node`` that serves nothing, a ``Picky`` node
+that serves one type and rejects its payloads — and two it must not:
+a node behind an interceptor and one that overrides ``receive`` the way
+a dormant standby registry does.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -27,7 +36,8 @@ SEEDS = range(50)
 #: LAN latency later), timers and topology changes collide all the time.
 TICK = 0.001
 TICKS = 30
-NODES = {"a": ("a0", "a1", "a2", "a3", "a4"), "b": ("b0", "b1", "b2")}
+NODES = {"a": ("a0", "a1", "a2", "a3", "a4", "a5", "a6"),
+         "b": ("b0", "b1", "b2", "b3", "b4")}
 RING = [node_id for ids in NODES.values() for node_id in ids]
 
 
@@ -69,7 +79,7 @@ class Chatty(Node):
 
     def handle_message(self, envelope: Envelope) -> None:
         self.log.append((self.sim.now, self.node_id, envelope.msg_type,
-                         envelope.src, envelope.hops))
+                         envelope.src, envelope.dst, envelope.hops))
 
     def handle_ping(self, envelope: Envelope) -> None:
         self.handle_message(envelope)
@@ -83,6 +93,58 @@ class Chatty(Node):
         self.handle_message(envelope)
         if envelope.hops < 2:
             self.forward(envelope, RING[(RING.index(self.node_id) + 3) % len(RING)])
+
+
+class Picky(Node):
+    """Serves ``ping`` only, and declares a record no sender uses: every
+    ping is malformed, every other type is counted and nothing more."""
+
+    payload_records = {"ping": bytes}
+
+    def __init__(self, node_id: str, log: list) -> None:
+        super().__init__(node_id)
+
+    def handle_ping(self, envelope: Envelope) -> None:
+        raise AssertionError("a malformed ping reached its handler")
+
+
+class Gate:
+    """An interceptor that logs what it is offered and takes ``note``."""
+
+    def __init__(self, node: Node, log: list) -> None:
+        self.node = node
+        self.log = log
+
+    def intercept(self, envelope: Envelope) -> bool:
+        self.log.append((self.node.sim.now, self.node.node_id, "gate",
+                         envelope.msg_type, envelope.dst))
+        return envelope.msg_type == "note"
+
+
+class Gated(Node):
+    """Serves nothing, but sits behind a :class:`Gate`."""
+
+    def __init__(self, node_id: str, log: list) -> None:
+        super().__init__(node_id)
+        self.interceptor = Gate(self, log)
+
+
+class Dormant(Node):
+    """Overrides ``receive`` as a dormant standby registry does: notes one
+    type, ignores the rest and counts nothing."""
+
+    def __init__(self, node_id: str, log: list) -> None:
+        super().__init__(node_id)
+        self.log = log
+
+    def receive(self, envelope: Envelope) -> None:
+        if self.alive and envelope.msg_type == "shout":
+            self.log.append((self.sim.now, self.node_id, "heard", envelope.src))
+
+
+#: Who each node is; every id not named here is :class:`Chatty`.
+CAST = {"a5": lambda node_id, log: Node(node_id), "a6": Gated,
+        "b3": Picky, "b4": Dormant}
 
 
 def play(network_cls: type[Network], seed: int, loss_rate: float):
@@ -99,7 +161,7 @@ def play(network_cls: type[Network], seed: int, loss_rate: float):
     log: list = []
     for lan, ids in NODES.items():
         for node_id in ids:
-            net.add_node(Chatty(node_id, log), lan)
+            net.add_node(CAST.get(node_id, Chatty)(node_id, log), lan)
 
     def at() -> float:
         return plan.randrange(TICKS) * TICK
@@ -137,14 +199,27 @@ def play(network_cls: type[Network], seed: int, loss_rate: float):
         "stats": net.stats.snapshot(),
         "drops": dict(net.stats.drops_by_reason),
         "metrics": net.metrics.snapshot(),
+        "counts": {node_id: (node.unknown_messages, node.malformed_messages)
+                   for node_id, node in net.nodes.items()},
         "rng": sim.rng.getstate(),
         "trace": capture.export_jsonl(),
     }
 
 
 @pytest.mark.parametrize("loss_rate", (0.0, 0.3))
-def test_batched_multicast_is_indistinguishable_from_per_receiver_events(loss_rate):
+def test_batched_multicast_is_indistinguishable_from_per_receiver_events(
+        loss_rate, monkeypatch):
+    counted_at: Counter = Counter()
+    discards = Node.discards
+
+    def counting(node: Node, msg_type: str) -> bool:
+        answer = discards(node, msg_type)
+        counted_at[node.node_id] += answer
+        return answer
+
+    monkeypatch.setattr(Node, "discards", counting)
     drops: dict[str, int] = {}
+    counts: Counter = Counter()
     for seed in SEEDS:
         real = play(Network, seed, loss_rate)
         reference = play(PerReceiverNetwork, seed, loss_rate)
@@ -153,9 +228,19 @@ def test_batched_multicast_is_indistinguishable_from_per_receiver_events(loss_ra
         assert len(real["log"]) > 40, seed
         for reason, count in real["drops"].items():
             drops[reason] = drops.get(reason, 0) + count
+        for node_id, (unknown, malformed) in real["counts"].items():
+            counts[node_id, "unknown"] += unknown
+            counts[node_id, "malformed"] += malformed
     # The plans did reach the cases they were written for.
     assert drops.get("dead-dst") and drops.get("partition-in-flight")
     assert bool(drops.get("loss")) == bool(loss_rate)
+    # Copies were counted without a delivery, and only at the two nodes
+    # whose delivery path is Node's own and whose handlers do not serve
+    # the type; the interceptor and the ``receive`` override saw theirs.
+    assert set(+counted_at) == {"a5", "b3"}
+    assert counted_at["a5"] > 100 and counted_at["b3"] > 100
+    assert counts["b3", "malformed"] and counts["a6", "unknown"]
+    assert counts["b4", "unknown"] == counts["b4", "malformed"] == 0
 
 
 def test_reference_really_schedules_one_event_per_copy():
@@ -170,3 +255,25 @@ def test_reference_really_schedules_one_event_per_copy():
         sim.run()
         counts[cls] = (sim.events_processed, net.stats.messages_delivered)
     assert counts == {Network: (1, 5), PerReceiverNetwork: (5, 5)}
+
+
+def test_a_handle_message_override_still_gets_a_copy_of_its_own():
+    """``Chatty`` overrides ``handle_message``, so a type it has no handler
+    for still reaches it — as its own copy, with ``dst`` set to it."""
+
+    class Keeper(Chatty):
+        def handle_message(self, envelope: Envelope) -> None:
+            self.log.append(envelope)
+
+    net = Network(Simulator(seed=0))
+    net.add_lan("a")
+    got: list = []
+    sender, plain = net.add_node(Node("n0"), "a"), net.add_node(Node("n3"), "a")
+    keepers = [net.add_node(Keeper(node_id, got), "a") for node_id in ("c1", "c2")]
+    sent = sender.multicast("note", headers={"k": 1})
+    net.sim.run()
+    assert [envelope.dst for envelope in got] == ["c1", "c2"]
+    assert len({id(envelope) for envelope in [sent, *got]}) == 3
+    assert len({id(envelope.headers) for envelope in [sent, *got]}) == 3
+    assert [node.unknown_messages for node in keepers] == [0, 0]
+    assert plain.unknown_messages == 1 and net.stats.messages_delivered == 3

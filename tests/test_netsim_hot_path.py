@@ -12,9 +12,12 @@ from collections import Counter
 
 import pytest
 
+from repro.netsim.messages import Envelope
 from repro.netsim.network import Network
 from repro.netsim.node import Node
 from repro.netsim.simulator import Simulator
+from repro.netsim.stats import TrafficStats
+from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS, Histogram
 from tests.deployments import e7_ring, fallback_lan
 
 
@@ -218,3 +221,85 @@ def test_metrics_snapshot_of_a_fixed_run_is_what_it_was():
             for name, row in E7_RING_50_HISTOGRAMS.items()
         },
     }
+
+
+# -- (v) a copy that no handler serves is counted, not delivered -------------
+
+
+def test_a_copy_no_handler_serves_is_counted_and_never_built(monkeypatch):
+    """No node on a registry-less LAN serves ``registry-probe``: a round of
+    probes from every service builds no envelope copy and makes no
+    ``Node.receive`` call, yet every copy is counted — delivered, timed
+    and an unknown message at its receiver. A decentral query, which every
+    service serves and the other client does not, is copied once per
+    service."""
+    dep = fallback_lan(services=20)
+    system = dep.system
+    copies: Counter = Counter()
+    received: Counter = Counter()
+    copy_for, receive = Envelope.copy_for, Node.receive
+
+    def counted_copy(envelope, dst):
+        copies[envelope.msg_type] += 1
+        return copy_for(envelope, dst)
+
+    def counted_receive(node, envelope):
+        received[envelope.msg_type] += 1
+        return receive(node, envelope)
+
+    monkeypatch.setattr(Envelope, "copy_for", counted_copy)
+    monkeypatch.setattr(Node, "receive", counted_receive)
+    nodes = [*system.services, *system.clients]
+    timed = system.network.metrics.histograms["latency.registry-probe"]
+    before = (sum(s.tracker.probes_sent for s in system.services), timed.count,
+              sum(node.unknown_messages for node in nodes))
+    for service in system.services:
+        service.tracker.probe()
+    system.run_for(0.01)
+    probes = sum(s.tracker.probes_sent for s in system.services) - before[0]
+    assert probes == len(system.services)
+    assert timed.count - before[1] == probes * (len(nodes) - 1)
+    assert sum(node.unknown_messages for node in nodes) - before[2] == timed.count - before[1]
+    assert copies["registry-probe"] == received["registry-probe"] == 0
+
+    dep.discover(1)
+    assert copies["decentral-query"] == received["decentral-query"] == 20
+
+
+# -- (vi) batched accounting is per-copy accounting, slot for slot -------------
+
+
+def _slots(histogram: Histogram) -> tuple:
+    return (histogram.counts, histogram.overflow, histogram.count,
+            histogram.total.hex(), histogram.vmin, histogram.vmax)
+
+
+@pytest.mark.parametrize("value", (0.0, 0.0011, 0.1, 0.30000000000000004, 61.5, 1e9))
+@pytest.mark.parametrize("n", (0, 1, 3, 17))
+def test_n_observations_at_once_are_n_single_observations(value, n):
+    """Bit for bit, ``total`` too: on a histogram that already holds
+    ``0.1``, adding ``0.1`` seventeen times is not adding ``1.7``. ``61.5``
+    and ``1e9`` land in the overflow bucket."""
+    one_by_one, at_once = (Histogram("h", buckets=DEFAULT_LATENCY_BUCKETS)
+                           for _ in range(2))
+    for histogram in (one_by_one, at_once):
+        histogram.observe(0.1)
+    for _ in range(n):
+        one_by_one.observe(value)
+    at_once.observe_many(value, n)
+    assert _slots(at_once) == _slots(one_by_one)
+
+
+def test_batched_deliveries_are_single_deliveries():
+    one_by_one, at_once = TrafficStats(), TrafficStats()
+    for stats in (one_by_one, at_once):
+        stats.record_delivery("n09", 100)
+    dsts = ["n03", "n01", "n09", "n03"]
+    for dst in dsts:
+        one_by_one.record_delivery(dst, 540)
+    at_once.record_deliveries(dsts, 540)
+    assert at_once == one_by_one
+    assert list(at_once.node_bytes_received.items()) \
+        == list(one_by_one.node_bytes_received.items())
+    assert list(at_once.node_messages_received.items()) \
+        == list(one_by_one.node_messages_received.items())
