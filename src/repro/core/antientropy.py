@@ -72,7 +72,7 @@ class AntiEntropy:
         durable registry logged comes back through WAL replay)."""
         #: Last known origin epoch per stored advertisement. Epochs come
         #: from the home registry's lease clock (see
-        #: ``RegistryNode.lease_epoch``) so every replica converges on
+        #: ``WriteCoordinator.lease_epoch``) so every replica converges on
         #: the same ``(version, epoch)`` coordinates per advertisement.
         self.epochs: dict[str, int] = {}
         #: Explicitly removed advertisements: ad_id -> (version, noted_at).
@@ -167,7 +167,7 @@ class AntiEntropy:
         self.prune_tombstones()
 
         def covered(ad_id: str) -> bool:
-            return peer is None or self.registry.replication.co_owned(ad_id, peer)
+            return peer is None or self.registry.writes.mode.co_owned(ad_id, peer)
 
         entries = tuple(
             (ad.ad_id, ad.version, self.epochs.get(ad.ad_id, 0))
@@ -184,7 +184,7 @@ class AntiEntropy:
     def run_round(self) -> None:
         """One periodic round: send each gossip peer the digest of what we
         share with it (under sharding: the co-owned replica ranges)."""
-        neighbors = self.registry.replication.gossip_peers()
+        neighbors = self.registry.writes.mode.gossip_peers()
         if not neighbors:
             return
         self.rounds_run += 1
@@ -212,8 +212,8 @@ class AntiEntropy:
         # A digest is direct proof of life: replay any hinted writes
         # before reconciling, so the peer's digest round converges on
         # the post-handoff store.
-        replication = self.registry.replication
-        replication.peer_alive(src)
+        self.registry.federation.peer_alive(src)
+        placement = self.registry.writes.mode
         store = self.registry.store
         # Adopt the peer's tombstones: delete our replica of anything the
         # peer saw removed, and remember the removal ourselves.
@@ -232,7 +232,7 @@ class AntiEntropy:
                 # within one lease_duration anyway.
                 continue
             if existing is not None and existing.version <= version:
-                self.registry.remove_ad(ad_id, version=version)
+                self.registry.writes.remove_ad(ad_id, version=version)
                 self.removals_applied += 1
                 self.registry.recovered("antientropy-removal", attrs={"n": 1})
             else:
@@ -245,7 +245,7 @@ class AntiEntropy:
             ad_id
             for ad_id, (version, epoch) in theirs.items()
             if not self.blocked(ad_id, version)
-            and replication.holds(ad_id)
+            and placement.holds(ad_id)
             and (
                 ad_id not in store
                 or (version, epoch)
@@ -263,7 +263,7 @@ class AntiEntropy:
         push = [
             ad for ad in store.all()
             if ad.version > their_tombs.get(ad.ad_id, -1)
-            and replication.co_owned(ad.ad_id, src)
+            and placement.co_owned(ad.ad_id, src)
             and (
                 ad.ad_id not in theirs
                 or (ad.version, self.epochs.get(ad.ad_id, 0)) > theirs[ad.ad_id]
@@ -311,7 +311,7 @@ class AntiEntropy:
     def handle_antientropy_ads(self, envelope: "Envelope") -> None:
         """Absorb pulled/pushed advertisements (no onward flooding)."""
         for entry in envelope.payload.ads:
-            if self.registry.absorb_replica(entry):
+            if self.registry.writes.absorb_replica(entry):
                 self.ads_applied += 1
                 self.registry.recovered("antientropy-ads-applied", attrs={"n": 1})
 

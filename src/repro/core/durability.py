@@ -481,14 +481,14 @@ class DurabilityManager:
             if registry.config.leasing_enabled and expires_at <= now:
                 dropped_expired += 1
                 continue
-            registry.store_ad(
+            registry.writes.store_ad(
                 ad, lease_duration=duration, epoch=origin_epoch,
                 restore=(lease_id, expires_at),
             )
             replayed += 1
         # Only where they are read: a registry that replicates nothing
         # keeps no replica bookkeeping.
-        if registry.antientropy in registry.write_observers:
+        if registry.antientropy in registry.writes.observers:
             for ad_id in sorted(tombstones):
                 registry.antientropy.tombstones[ad_id] = tombstones[ad_id]
 

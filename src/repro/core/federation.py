@@ -13,12 +13,15 @@ The :class:`Federation` component owns, for one registry node:
 * reconnection: when a neighbor dies, try a known non-neighbor so the
   registry network stays connected,
 * same-LAN gateway election ("only one node … acts as the gateway to the
-  WAN-level registry network").
+  WAN-level registry network"),
+* membership events for the cooperation mode that needs them
+  (:meth:`Federation.watch`): a registry observed, a neighbor added, a
+  peer's proof of life, a member's graceful leave.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core import protocol
 from repro.core.config import DiscoveryConfig
@@ -50,6 +53,7 @@ class Federation:
         self.joins_sent = 0
         self.neighbors_lost = 0
         self.reconnects = 0
+        self._observers: dict[str, list[Callable[..., None]]] = {}
         self.rebuild()
 
     # -- lifecycle ---------------------------------------------------------
@@ -75,6 +79,23 @@ class Federation:
         self.registry.every(self.config.ping_interval, self._ping_round)
         if self.config.signalling_interval is not None:
             self.registry.every(self.config.signalling_interval, self._gossip_round)
+
+    # -- membership observers -------------------------------------------------
+
+    def watch(self, event: str, observer: Callable[..., None]) -> None:
+        """Have ``observer`` told of ``event`` from now on — registered by
+        the cooperation mode that needs it: ``registry_observed(description,
+        first_sighting=…)``, ``neighbor_added(peer)``, ``peer_alive(peer)``
+        (direct proof of life) or ``drop_member(peer)`` (a graceful leave)."""
+        self._observers.setdefault(event, []).append(observer)
+
+    def _tell(self, event: str, *args: Any, **kwargs: Any) -> None:
+        for observer in self._observers.get(event, ()):
+            observer(*args, **kwargs)
+
+    def peer_alive(self, peer: str) -> None:
+        """Direct proof of life from ``peer``: a pong, a digest."""
+        self._tell("peer_alive", peer)
 
     # -- joining ------------------------------------------------------------
 
@@ -116,10 +137,11 @@ class Federation:
             if neighbor != src:
                 self.registry.send(neighbor, protocol.FEDERATION_LEAVE,
                                    protocol.LeavePayload(member=member))
-        # A graceful leave is authoritative: drop the peer from the shard
-        # ring (triggering rebalance) and re-resolve any in-flight queries
-        # that were still waiting on it.
-        self.registry.on_peer_departed(member, left_ring=True)
+        # A graceful leave is authoritative: re-resolve any in-flight
+        # queries that were still waiting on it, and drop the peer from
+        # the shard ring (triggering rebalance).
+        self.registry.on_peer_departed(member)
+        self._tell("drop_member", member)
 
     def leave(self) -> None:
         """Announce graceful departure to all neighbors.
@@ -149,9 +171,10 @@ class Federation:
         self._missed_pongs[other_id] = 0
         self.record_neighbor_success(other_id)
         self.known[other_id] = description
-        self.registry.replication.registry_observed(description)
+        self._tell("registry_observed", description)
         if is_new:
             self.registry.on_neighbor_added(other_id)
+            self._tell("neighbor_added", other_id)
 
     # -- observation -----------------------------------------------------------
 
@@ -184,8 +207,7 @@ class Federation:
             return
         is_new = current is None
         self.known[description.registry_id] = description
-        self.registry.replication.registry_observed(description,
-                                                    first_sighting=is_new)
+        self._tell("registry_observed", description, first_sighting=is_new)
         if (
             description.lan_name == self.registry.lan_name
             and description.registry_id not in self.neighbors
@@ -228,7 +250,7 @@ class Federation:
             self._missed_pongs[src] = 0
             self.record_neighbor_success(src)
         # Proof of life: replay any writes hinted while the peer was down.
-        self.registry.replication.peer_alive(src)
+        self.peer_alive(src)
 
     def _neighbor_lost(self, neighbor: str) -> None:
         """Failure detector fired: unlink and try to re-wire the network."""
@@ -240,7 +262,7 @@ class Federation:
         # A crash suspicion is NOT a ring departure: the shard ring keeps
         # the member (health-aware replica selection and hinted handoff
         # mask it) so a flapping registry does not thrash key placement.
-        self.registry.on_peer_departed(neighbor, left_ring=False)
+        self.registry.on_peer_departed(neighbor)
         self._reconnect()
 
     def _reconnect(self) -> None:

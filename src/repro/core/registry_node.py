@@ -11,12 +11,14 @@ storage), a :class:`~repro.registry.LeaseManager` (aliveness, §4.8), a
 :class:`~repro.registry.QueryEvaluator` over pluggable description models,
 an :class:`~repro.core.repository.ArtifactRepository` (§4.6), and a
 :class:`~repro.core.federation.Federation` (registry network maintenance,
-§4.9). Queries — local evaluation, forwarding, aggregation, the answer —
-are the :class:`~repro.core.query.QueryCoordinator`'s; the cooperation
-over advertisements is :mod:`repro.core.replication`'s. Both are selected
-by configuration, once, in the constructor. The node itself keeps the
-lifecycle, fencing, its self-description, the write path and the
-publish / renew / remove handlers, purging, subscriptions and artifacts.
+§4.9). Writes — publish / renew / remove, the lease purge, every change
+to what this replica holds and how far it travels — are the
+:class:`~repro.core.writes.WriteCoordinator`'s; queries — local
+evaluation, forwarding, aggregation, the answer — the
+:class:`~repro.core.query.QueryCoordinator`'s. The cooperation mode both
+follow is picked by configuration, once, in the constructor. The node
+itself keeps the lifecycle, fencing, its self-description, subscriptions
+and artifacts.
 
 Registry content is *soft state*: a crash loses everything, and the
 architecture rebuilds it from service-node republishes and leases — which
@@ -44,17 +46,16 @@ from repro.core.durability import (
 )
 from repro.core.federation import Federation
 from repro.core.query import QueryCoordinator
-from repro.core.replication import FloodReplicator, Replication
 from repro.core.repository import ArtifactRepository
 from repro.core.routing import router_for
 from repro.core.sharding import ShardManager
+from repro.core.writes import FloodReplicator, WriteCoordinator
 from repro.descriptions.base import DescriptionModel, ModelRegistry
-from repro.errors import LeaseError
 from repro.netsim.messages import Envelope
 from repro.netsim.node import Node
 from repro.obs.tracing import TraceRecorder
-from repro.registry.advertisements import Advertisement, new_uuid
-from repro.registry.leases import LEASE_EVENTS, Lease, LeaseManager
+from repro.registry.advertisements import Advertisement
+from repro.registry.leases import LeaseManager
 from repro.registry.matching import QueryEvaluator, QueryHit
 from repro.registry.rim import RegistryDescription, RegistryInfoModel
 from repro.registry.store import AdvertisementStore
@@ -113,51 +114,51 @@ class RegistryNode(Node):
         self.router = router_for(config.routing, self)
         #: WAL + snapshot persistence and epoch-fenced crash recovery.
         self.durability = DurabilityManager(self, config.durability)
-        #: Consistent-hash placement, quorum writes, hinted handoff.
+        #: Consistent-hash placement, rebalancing, hinted handoff.
         self.shard = ShardManager(self, config)
         self.notifications_sent = 0
-        #: What happens to a write beyond this store (§4.9), picked once:
-        #: nothing, the flood, or the shard ring — see ``replication.py``.
-        replicating = config.cooperation == COOPERATION_REPLICATE_ADS
-        read_plan = None
-        if not replicating:
-            self.replication: Replication = Replication()
+        #: How far a write travels beyond this store (§4.9), picked once:
+        #: nowhere, the flood, or the shard ring — see ``writes.py``.
+        if config.cooperation != COOPERATION_REPLICATE_ADS:
+            mode = None
         elif config.sharding.enabled:
-            self.replication = self.shard
-            # A replica-group cover instead of the forwarding strategy.
-            read_plan = self.shard.plan_read
+            mode = self.shard
         else:
-            self.replication = FloodReplicator(self)
-        #: Every query this registry evaluates, forwards or gathers for.
-        self.queries = QueryCoordinator(self, read_plan=read_plan)
-        #: Told of every change to what this replica holds, in this order:
-        #: digest bookkeeping where it replicates, the WAL where durable.
-        self.write_observers: list[Any] = []
-        if replicating:
-            self.write_observers.append(self.antientropy)
-        if config.durability.enabled:
-            self.write_observers.append(self.durability)
+            mode = FloodReplicator(self)
+        #: Every write this registry applies, answers or sends on.
+        self.writes = WriteCoordinator(self, mode)
+        ring = self.writes.ring
+        #: Every query this registry evaluates, forwards or gathers for; a
+        #: sharded registry reads a replica-group cover instead of its
+        #: forwarding strategy.
+        self.queries = QueryCoordinator(
+            self, read_plan=ring.plan_read if ring is not None else None)
         #: The optional subsystems in use, in the order they are started
-        #: with the registry.
-        self.components: list[Any] = [*self.write_observers, self.replication]
+        #: with the registry: the write observers, then the mode.
+        self.components: list[Any] = [*self.writes.observers]
+        if mode is not None:
+            self.components.append(mode)
         if config.admission.active():
             self.interceptor = self.admission
         # Components serve their own message types — one that is not in
         # use none, so its traffic is an unknown message type here.
         self.adopt_handlers(self.federation)
         self.adopt_handlers(self.queries)
+        self.adopt_handlers(self.writes)
         if config.antientropy_enabled():
             self.adopt_handlers(self.antientropy)
-        self.adopt_handlers(self.replication)
+        if mode is not None:
+            self.adopt_handlers(mode)
         self.rebuild()
 
     # -- lifecycle ----------------------------------------------------------
 
     def rebuild(self) -> None:
         """Build the soft state — store, artifacts, leases, subscriptions,
-        fencing — and that of every component in use, queries in flight
-        included. What a restart keeps is set in the constructor, or
-        (through :meth:`on_restart`) read back from the disk."""
+        fencing — and that of every component in use, queries and writes
+        in flight included. What a restart keeps is set in the
+        constructor, or (through :meth:`on_restart`) read back from the
+        disk."""
         self.store = AdvertisementStore()
         self.evaluator = QueryEvaluator(self.store, self.models)
         self.repository = ArtifactRepository()
@@ -174,10 +175,10 @@ class RegistryNode(Node):
         self.leases = LeaseManager(
             lambda: self.sim.now,
             default_duration=self.config.lease_duration,
-            on_event=self._lease_event,
+            on_event=self.writes.lease_event,
         )
-        for component in (self.federation, self.queries, self.admission, self.router,
-                          *self.components):
+        for component in (self.federation, self.queries, self.writes, self.admission,
+                          self.router, *self.components):
             component.rebuild()
 
     def start(self) -> None:
@@ -186,8 +187,7 @@ class RegistryNode(Node):
         if self.config.beacon_interval is not None:
             self.every(self.config.beacon_interval, self._beacon,
                        initial_delay=self.config.beacon_interval)
-        if self.config.leasing_enabled:
-            self.every(self.config.purge_interval, self._purge)
+        self.writes.start()
         self.federation.start()
         self.rim.lan_name = self.lan_name or ""
         for component in self.components:
@@ -277,8 +277,9 @@ class RegistryNode(Node):
             summary_terms=self.models.summary_terms(self.store.all())
             if self.config.strategy == STRATEGY_INFORMED else (),
             issued_at=self.sim.now if self.network is not None else 0.0,
-            # Empty (zero bytes) unless replication places us on a ring.
-            ring_id=self.replication.ring_id(),
+            # Empty (zero bytes) unless we place by ring: so peers place
+            # us, and a standby can inherit our positions.
+            ring_id=self.ring_identity if self.writes.ring is not None else "",
         )
 
     # -- registry network maintenance ----------------------------------------
@@ -305,249 +306,6 @@ class RegistryNode(Node):
             ),
         )
 
-    # -- the replica-state write path ----------------------------------------------
-    #
-    # These four methods are the only code that changes what this replica
-    # holds. Each states one policy once, so every way in — client
-    # requests, AD_FORWARD floods, shard quorum traffic, anti-entropy,
-    # lease expiry, rebalancing, WAL replay — leaves the store, the lease
-    # table, the digest bookkeeping and the durable log in agreement.
-    # Each ends by telling ``write_observers``, by method name on the
-    # registered object (``benchmarks/perf`` wraps those methods on their
-    # classes after a deployment is built: capture no bound method).
-
-    def store_ad(
-        self,
-        ad: Advertisement,
-        *,
-        lease_duration: float | None,
-        epoch: int,
-        notify: bool = True,
-        restore: tuple[str, float] | None = None,
-    ) -> Lease | None:
-        """Store or refresh ``ad``: store → lease → observers → subscribers.
-
-        Returns the lease now backing it (``None`` with leasing off).
-        ``restore`` is WAL replay: the persisted ``(lease_id, expires_at)``
-        is reinstated instead of a fresh grant, and neither the WAL nor
-        the subscribers hear of it again.
-        """
-        stored = self.store.put(ad)
-        lease = None
-        if self.config.leasing_enabled:
-            if restore is None:
-                lease = self.leases.grant(ad.ad_id, lease_duration)
-            elif restore[0]:
-                lease = self.leases.restore(
-                    ad.ad_id, lease_id=restore[0], duration=lease_duration,
-                    expires_at=restore[1],
-                )
-        for observer in self.write_observers:
-            if restore is not None and observer is self.durability:
-                continue
-            # What the store kept: its version guard may have held on to a
-            # newer copy, and replay must never bring back an older one.
-            observer.log_store(
-                stored,
-                lease_id=lease.lease_id if lease is not None else "",
-                duration=lease.duration if lease is not None else float("inf"),
-                expires_at=lease.expires_at if lease is not None else float("inf"),
-                origin_epoch=epoch,
-            )
-        if restore is None and notify:
-            self._notify_subscribers(ad)
-        return lease
-
-    def renew_ad(
-        self,
-        ad_id: str,
-        *,
-        epoch: int,
-        lease_id: str | None = None,
-        duration: float | None = None,
-    ) -> bool:
-        """Extend the lease of ``ad_id``; True when the ad is held here.
-
-        The owning service renews by ``lease_id`` (an unknown or lapsed
-        one raises :class:`LeaseError` — the service must republish,
-        §4.8); a replica refresh names only the ad and gets a fresh lease
-        of ``duration``.
-        """
-        held = ad_id in self.store
-        lease = None
-        if self.config.leasing_enabled:
-            if lease_id is not None:
-                lease = self.leases.renew(lease_id)
-            elif held:
-                lease = self.leases.grant(ad_id, duration)
-        if held:
-            expires_at = lease.expires_at if lease is not None else float("inf")
-            for observer in self.write_observers:
-                observer.log_renew(ad_id, expires_at=expires_at, origin_epoch=epoch)
-        return held
-
-    def remove_ad(self, ad_id: str, *, version: int | None = None) -> Advertisement | None:
-        """Explicitly remove ``ad_id``, leaving a tombstone so a stale
-        replica cannot resurrect it through anti-entropy reconciliation.
-
-        ``version`` is the tombstone a peer handed us (adoption); by
-        default the removed copy's own version is tombstoned.
-        """
-        removed = self.store.discard(ad_id)
-        self.leases.cancel_for_ad(ad_id)
-        if removed is not None:
-            self.rim.removals += 1
-            version = removed.version if version is None else version
-            for observer in self.write_observers:
-                observer.log_remove(ad_id, version)
-        return removed
-
-    def drop_ad(self, ad_id: str) -> Advertisement | None:
-        """Let go of ``ad_id`` without a tombstone (lease expiry, shard
-        hand-off): every replica's lease lapses on its own, and the ad
-        may legitimately come back."""
-        removed = self.store.discard(ad_id)
-        self.leases.cancel_for_ad(ad_id)
-        if removed is not None:
-            self.rim.removals += 1
-            for observer in self.write_observers:
-                observer.log_expire(ad_id)
-        return removed
-
-    def lease_epoch(self) -> int:
-        """Monotone epoch advancing once per renew interval."""
-        return int(self.sim.now / max(self.config.renew_interval, 1e-9))
-
-    def absorb_replica(self, payload: protocol.AdForwardPayload) -> bool:
-        """Integrate one replicated advertisement into the local store.
-
-        The guarded way into :meth:`store_ad` for copies arriving from
-        peers (``AD_FORWARD`` flood, shard writes and transfers,
-        anti-entropy sync); returns True when the advertisement was
-        stored (or refreshed). Tombstoned advertisements are never
-        resurrected; the store's version guard rejects stale copies on
-        its own.
-        """
-        ad = payload.advertisement
-        if self.antientropy.blocked(ad.ad_id, ad.version):
-            self.antientropy.resurrections_blocked += 1
-            self.recovered("resurrection-blocked", traced=False)
-            return False
-        if not (self.models.supports(ad.model_id) and self._has_room_for(ad.ad_id)):
-            self.models.discarded_payloads += 1
-            return False
-        self.store_ad(
-            ad, lease_duration=payload.lease_duration, epoch=payload.epoch,
-            notify=ad.ad_id not in self.store,
-        )
-        return True
-
-    def _has_room_for(self, ad_id: str) -> bool:
-        return (
-            self.capacity is None
-            or len(self.store) < self.capacity
-            or ad_id in self.store
-        )
-
-    # -- publishing ---------------------------------------------------------------
-
-    def handle_publish(self, envelope: Envelope) -> None:
-        payload = envelope.payload
-        if not self.models.supports(payload.model_id):
-            # Silently discard descriptions we cannot evaluate; the
-            # publisher will fail over to a capable registry on timeout.
-            self.models.discarded_payloads += 1
-            return
-        ad_id = payload.ad_id or new_uuid("ad")
-        # Under sharding only the advertisement's replica set stores it;
-        # this registry coordinates the write either way.
-        replication = self.replication
-        holds = replication.holds(ad_id)
-
-        def nack(reason: str) -> None:
-            self.send(
-                envelope.src,
-                protocol.PUBLISH_NACK,
-                protocol.PublishNack(ad_id=ad_id, model_id=payload.model_id,
-                                     reason=reason),
-            )
-
-        if holds and not self._has_room_for(ad_id):
-            nack("capacity")
-            return
-        self.rim.publishes += 1
-        ad = Advertisement(
-            ad_id=ad_id,
-            service_node=payload.service_node,
-            service_name=payload.service_name,
-            endpoint=payload.endpoint,
-            model_id=payload.model_id,
-            description=payload.description,
-            version=self.store.get(ad_id).version + 1 if ad_id in self.store else 1,
-            published_at=self.sim.now,
-            home_registry=self.node_id,
-        )
-        epoch = self.lease_epoch()
-        lease = self.store_ad(
-            ad, lease_duration=payload.lease_duration, epoch=epoch,
-        ) if holds else None
-        if lease is not None:
-            lease_id, duration = lease.lease_id, lease.duration
-        else:
-            lease_id, duration = replication.proxy_lease(ad_id, payload.lease_duration)
-
-        def ack() -> None:
-            self.send(
-                envelope.src,
-                protocol.PUBLISH_ACK,
-                protocol.PublishAck(
-                    ad_id=ad_id, lease_id=lease_id,
-                    lease_duration=duration, model_id=payload.model_id,
-                ),
-            )
-
-        # Acked at once, and then flooded — or, under sharding, acked
-        # once W of the R replicas confirmed the write.
-        replication.published(ad, duration, epoch, ack=ack, nack=nack)
-
-    def handle_renew(self, envelope: Envelope) -> None:
-        payload = envelope.payload
-        self.rim.renews += 1
-        if not self.config.leasing_enabled:
-            self.send(envelope.src, protocol.RENEW_ACK, payload)
-            return
-        if self.replication.relay_renew(envelope.src, payload):
-            return
-        try:
-            held = self.renew_ad(
-                payload.ad_id, epoch=self.lease_epoch(), lease_id=payload.lease_id,
-            )
-        except LeaseError:
-            # Unknown/expired lease: the service must republish (§4.8).
-            self.send(envelope.src, protocol.RENEW_NACK, payload)
-            return
-        self.send(envelope.src, protocol.RENEW_ACK, payload)
-        if held:
-            self.replication.renewed(payload.ad_id)
-
-    def handle_remove(self, envelope: Envelope) -> None:
-        payload = envelope.payload
-        self.remove_ad(payload.ad_id)
-        # Always acked: removal is idempotent and leases expire regardless.
-        self.send(envelope.src, protocol.REMOVE_ACK, payload)
-        self.replication.removed(payload.ad_id)
-
-    def _purge(self) -> None:
-        """Expire lapsed leases/subscriptions and drop their state."""
-        for ad_id in self.leases.expired_ads():
-            self.drop_ad(ad_id)
-        now = self.sim.now
-        lapsed = [sid for sid, sub in self._subscriptions.items()
-                  if now >= sub.expires_at]
-        for sub_id in lapsed:
-            del self._subscriptions[sub_id]
-        self.replication.purge()
-
     # -- subscriptions / notifications ------------------------------------------
 
     def handle_subscribe(self, envelope: Envelope) -> None:
@@ -571,7 +329,15 @@ class RegistryNode(Node):
     def handle_unsubscribe(self, envelope: Envelope) -> None:
         self._subscriptions.pop(envelope.payload.sub_id, None)
 
-    def _notify_subscribers(self, ad: Advertisement) -> None:
+    def lapse_subscriptions(self) -> None:
+        """Drop the subscriptions whose expiry passed (the purge sweep)."""
+        now = self.sim.now
+        lapsed = [sid for sid, sub in self._subscriptions.items()
+                  if now >= sub.expires_at]
+        for sub_id in lapsed:
+            del self._subscriptions[sub_id]
+
+    def notify_subscribers(self, ad: Advertisement) -> None:
         """Push a freshly stored advertisement to matching subscribers."""
         if not self._subscriptions or not self.models.supports(ad.model_id):
             return
@@ -598,8 +364,8 @@ class RegistryNode(Node):
     def on_neighbor_added(self, neighbor: str) -> None:
         """A federation link formed: fetch the repository artifacts the
         neighbor advertises and we lack (§4.6: ontologies spread without
-        any Internet dependency), then let the replication in use bring
-        the advertisements in sync."""
+        any Internet dependency). The cooperation mode hears of the link
+        as a federation observer."""
         if self.config.artifact_sync:
             known = self.federation.known.get(neighbor)
             if known is not None:
@@ -610,7 +376,6 @@ class RegistryNode(Node):
                             protocol.ARTIFACT_REQUEST,
                             protocol.ArtifactRequestPayload(artifact_name=name),
                         )
-        self.replication.neighbor_added(neighbor)
 
     def handle_artifact_reply(self, envelope: Envelope) -> None:
         """An artifact arrived from a peer: host it, and offer it to the
@@ -625,30 +390,20 @@ class RegistryNode(Node):
 
     # -- federation membership hooks -----------------------------------------------
 
-    def on_peer_departed(self, peer: str, *, left_ring: bool = False) -> None:
+    def on_peer_departed(self, peer: str) -> None:
         """A federation member left gracefully or was declared dead.
 
         In-flight aggregations waiting on it drain immediately (an empty
         answer) so queries re-resolve to surviving replicas instead of
         riding out the timeout against a tombstoned member, and the
         router forgets its health/cooldown state. Only a *graceful*
-        departure shrinks the shard ring — a crash is masked by replica
-        selection and hinted handoff, so flapping cannot thrash keys.
+        departure shrinks the shard ring (the federation tells the ring
+        itself) — a crash is masked by replica selection and hinted
+        handoff, so flapping cannot thrash keys.
         """
         self.router.forget(peer)
         self.queries.on_peer_departed(peer)
-        if left_ring:
-            self.replication.drop_member(peer)
 
     def on_departing(self) -> None:
         """We are leaving the federation: answer what we can, now."""
         self.queries.on_departing()
-
-    # -- observability hooks ------------------------------------------------------
-
-    def _lease_event(self, kind: str, lease: Lease) -> None:
-        """Lease lifecycle callback: mirror into metrics and the trace
-        (where the health layer hears of expiries)."""
-        name = LEASE_EVENTS[kind]
-        self.count(name)
-        self.note(name, {"ad": self.alias(lease.ad_id), "lease": self.alias(lease.lease_id)})

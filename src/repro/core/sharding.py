@@ -1,17 +1,19 @@
 """Sharded, replicated federation: consistent hashing + quorum writes.
 
-Today every registry in replicate-advertisements cooperation holds the
-full advertisement set and WAN queries flood to all neighbors, so store
-size, fan-out, and anti-entropy digests all grow with the deployment.
-This module partitions the advertisement space instead: a deterministic
-consistent-hash ring (seeded virtual nodes, ads keyed by ``ad_id``)
-assigns each advertisement to ``replication_factor`` replica registries.
+Unsharded, a replicate-ads registry holds the full advertisement set (the
+flood of :mod:`repro.core.writes`), so store size and anti-entropy
+digests grow with the deployment. Sharding partitions the advertisement
+space instead: a deterministic consistent-hash ring (seeded virtual
+nodes, ads keyed by ``ad_id``) assigns each advertisement to
+``replication_factor`` replica registries.
 
-* **Publishes/removes become quorum writes** — the registry a service
-  talks to acts as coordinator, pushes the write to the replica set, and
-  acks the service after ``write_quorum`` of them confirmed.  A replica
-  that stays silent gets the write buffered as a *hint* and replayed on
-  its next proof of life (hinted handoff).
+* **Writes are quorum writes** — :meth:`ShardManager.plan_write` names
+  the replica set: the registry a service talks to holds a copy only when
+  it is in that set (else it hands out a ``shard:`` proxy lease), sends
+  the write to the other replicas, and the write coordinator acks the
+  service once ``write_quorum`` of them confirmed.  A replica that stays
+  silent gets the write buffered as a *hint* and replayed on its next
+  proof of life (hinted handoff).
 * **Queries route to replicas, not everyone** — the entry registry picks
   the healthiest member of each replica group (passive health + circuit
   breakers mask faults) and runs a bounded scatter-gather over that
@@ -21,20 +23,20 @@ assigns each advertisement to ``replication_factor`` replica registries.
   ~K/S advertisements whose replica set actually changed.
 
 Everything here is **off by default**: a registry whose configuration
-does not enable sharding registers none of it — no handler, no ring
-membership, no call from the write or read path.
+does not enable sharding registers none of it — no handler, no federation
+observer, no ring membership, no write or read plan.
 """
 
 from __future__ import annotations
 
 import hashlib
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from repro.core import protocol
 from repro.core.forwarding import ScatterPlan
-from repro.core.replication import Replication
+from repro.core.writes import REMOVE, RENEW, WritePlan
 from repro.errors import ReproError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
@@ -67,9 +69,6 @@ class ShardingConfig:
     virtual_nodes: int = 64
     #: Seconds the write coordinator waits for quorum acks.
     quorum_timeout: float = 1.0
-    #: A promoted warm standby inherits the ring identity of the dead
-    #: registry it replaces, so promotion moves no keys (satellite fix).
-    standby_inherit_ring: bool = True
 
     def __post_init__(self) -> None:
         if self.replication_factor < 1:
@@ -202,79 +201,16 @@ class ConsistentHashRing:
         return tuple(sorted(shared))
 
 
-class _PendingQuorumWrite:
-    """One in-flight quorum write awaiting replica acks."""
+class ShardManager:
+    """Per-registry sharding state: ring view, write plans, hints.
 
-    def __init__(
-        self,
-        manager: "ShardManager",
-        *,
-        request_id: str,
-        targets: tuple[str, ...],
-        needed: int,
-        acked: int,
-        on_success: Callable[[], None],
-        on_failure: Callable[[], None],
-        hint: tuple[str, object] | None,
-    ) -> None:
-        self.manager = manager
-        self.request_id = request_id
-        self.silent: set[str] = set(targets)
-        #: ``(msg_type, body)`` buffered at the quorum timeout for every
-        #: replica still silent then (hinted handoff), if any.
-        self.hint = hint
-        self.needed = needed
-        self.acked = acked
-        self.on_success = on_success
-        self.on_failure = on_failure
-        self.done = False
-        self._timer = manager.registry.after(manager.cfg.quorum_timeout, self._timeout)
-        if self.acked >= self.needed:
-            # Degenerate quorum (W=1 and the coordinator is a replica):
-            # succeed immediately; silent replicas become hints on the
-            # timeout tick as usual.
-            self._finish(success=True)
-
-    def ack(self, src: str) -> None:
-        if src in self.silent:
-            self.silent.discard(src)
-            self.acked += 1
-        if not self.done and self.acked >= self.needed:
-            self._finish(success=True)
-
-    def nack(self, src: str) -> None:
-        """A replica refused the write (capacity): it will never ack."""
-        self.silent.discard(src)
-        if not self.done and self.acked + len(self.silent) < self.needed:
-            self._finish(success=False)
-
-    def _timeout(self) -> None:
-        manager = self.manager
-        if self.hint is not None:
-            # Buffer the write for every replica that never answered.
-            for target in sorted(self.silent):
-                manager.buffer_hint(target, *self.hint)
-        if not self.done:
-            self._finish(success=self.acked >= self.needed)
-        manager.retire(self)
-
-    def _finish(self, *, success: bool) -> None:
-        self.done = True
-        if success:
-            self.on_success()
-        else:
-            self.on_failure()
-
-
-class ShardManager(Replication):
-    """Per-registry sharding state: ring view, quorum writes, hints.
-
-    Constructed by every :class:`RegistryNode`, but its ``replication``
-    — whose calls and ``handle_shard_*`` handlers are the only ones
-    reached — only where ``config.sharding.enabled``. There
-    it replicates what the node's write path (``store_ad`` / ``renew_ad``
-    / ``remove_ad`` / ``drop_ad``) applied locally and never touches the
-    store, leases or WAL itself.
+    Constructed by every :class:`RegistryNode` (its counters are read
+    where it is off), but registered — as the write coordinator's mode,
+    its ``handle_shard_*`` handlers, its federation observers and the
+    query coordinator's read plan — only where ``config.sharding.enabled``.
+    It never touches the store, leases or WAL itself: the replica-side
+    handlers go through the write coordinator's ``store_ad`` / ``renew_ad``
+    / ``remove_ad`` / ``drop_ad``.
     Ring membership follows the federation's gossip: every observed
     registry description adds a member, a graceful FEDERATION_LEAVE
     removes one.  *Crashes do not shrink the ring* — transient failures
@@ -283,20 +219,19 @@ class ShardManager(Replication):
     """
 
     #: Per-registry event counts, each an attribute of that name
-    #: (surfaced via :meth:`counters` and the experiment tables).
+    #: (surfaced via :meth:`counters` and the experiment tables; the
+    #: quorum counts are the write coordinator's).
     COUNTERS = (
-        "quorum_writes", "quorum_acked", "quorum_failed", "late_acks",
         "hints_buffered", "hints_replayed", "hints_dropped",
         "read_repairs", "read_retries",
         "rebalances", "ads_moved_out", "ads_moved_in",
     )
+    #: The federation events it is told of.
+    FEDERATION_EVENTS = ("registry_observed", "neighbor_added", "peer_alive", "drop_member")
 
     def __init__(self, registry: "RegistryNode", config) -> None:
         self.registry = registry
         self.cfg: ShardingConfig = config.sharding
-        #: Numbers this registry's write request ids; it survives a crash,
-        #: so a pre-crash quorum ack can never count toward a new write.
-        self._write_seq = 0
         for name in self.COUNTERS:
             setattr(self, name, 0)
         self.rebuild()
@@ -315,19 +250,13 @@ class ShardManager(Replication):
         self.note_member(registry.node_id, registry.ring_identity,
                          at=registry.sim.now)
 
-    def ring_id(self) -> str:
-        """So peers place us (and a standby can inherit our positions)."""
-        return self.registry.ring_identity
-
     def rebuild(self) -> None:
-        """Build the placement state: an empty ring view, no write, hint
-        or identity claim — all of it dies with the incarnation."""
+        """Build the placement state: an empty ring view, no hint or
+        identity claim — all of it dies with the incarnation."""
         #: This registry's view of the consistent-hash ring.
         self.ring = ConsistentHashRing(
             virtual_nodes=self.cfg.virtual_nodes
         )
-        #: In-flight quorum writes by request id.
-        self._writes: dict[str, _PendingQuorumWrite] = {}
         #: Hinted handoff buffers: down replica → [(msg_type, payload)].
         self._hints: dict[str, list[tuple[str, object]]] = {}
         #: Ring-identity claims: ring_id → (claim time, member). The
@@ -430,147 +359,50 @@ class ShardManager(Replication):
     def purge(self) -> None:
         self.registry.antientropy.prune_tombstones()
 
-    # -- quorum writes ------------------------------------------------------
+    # -- the write plan -------------------------------------------------------
 
-    def begin_write(
-        self,
-        *,
-        targets: tuple[str, ...],
-        needed: int,
-        acked: int = 0,
-        on_success: Callable[[], None],
-        on_failure: Callable[[], None],
-        hint: tuple[str, object] | None = None,
-    ) -> str:
-        """Track a quorum write; returns the request id to stamp sends."""
-        self._write_seq += 1
-        request_id = f"{self.registry.node_id}/w{self._write_seq}"
-        self.quorum_writes += 1
-        self._writes[request_id] = _PendingQuorumWrite(
-            self,
-            request_id=request_id,
-            targets=targets,
-            needed=needed,
-            acked=acked,
-            on_success=on_success,
-            on_failure=on_failure,
-            hint=hint,
-        )
-        return request_id
-
-    def _replicate(
-        self,
-        ad_id: str,
-        msg_type: str,
-        body: Callable[[str], object],
-        *,
-        on_success: Callable[[], None] = lambda: None,
-        on_failure: Callable[[], None] = lambda: None,
-    ) -> None:
-        """Fan a write this registry already applied (when it is a
-        replica) out to the rest of the replica set.
-
-        ``body(request_id)`` builds the message; the outcome callback
-        fires at W of R acks or on quorum timeout, and a replica still
-        silent by then gets ``body("")`` — a copy that needs no ack —
-        buffered as a hint.
-        """
+    def plan_write(self, kind: str, ad_id: str, *, ad=None,
+                   lease_duration: float | None = None, lease_id: str = "") -> WritePlan:
+        """A quorum over ``replicas_for(ad_id)``: a publish is held here
+        only by a replica (else the service gets a ``shard:`` proxy lease)
+        and acked at W of R, our own copy counting; a remove is acked at
+        once; both hint a replica silent at the quorum timeout. A renew
+        refreshes the other replicas fire-and-forget, or — of a ``shard:``
+        lease — is acked by the first replica still holding the ad."""
         registry = self.registry
+        me = registry.node_id
         replicas = self.replicas_for(ad_id)
-        others = tuple(r for r in replicas if r != registry.node_id)
-        acked = len(replicas) - len(others)
-        needed = min(self.cfg.write_quorum, max(len(replicas), 1))
-        if not others:
-            (on_success if acked >= needed else on_failure)()
-            return
-        request_id = self.begin_write(
-            targets=others, needed=needed, acked=acked,
-            on_success=on_success, on_failure=on_failure,
-            hint=(msg_type, body("")),
-        )
-        payload = body(request_id)
-        for target in others:
-            registry.send(target, msg_type, payload)
+        others = tuple(r for r in replicas if r != me)
+        if kind == RENEW:
+            def renew(request_id: str) -> protocol.ShardRenewPayload:
+                return protocol.ShardRenewPayload(
+                    request_id=request_id, ad_id=ad_id,
+                    epoch=registry.writes.lease_epoch(),
+                    duration=registry.config.lease_duration,
+                )
 
-    def proxy_lease(self, ad_id: str, requested: float | None) -> tuple[str, float]:
-        """No lease of our own to hand out: the service renews a ``shard:``
-        lease, which :meth:`relay_renew` relays to the replicas' real ones."""
-        return f"shard:{ad_id}", requested or self.registry.config.lease_duration
-
-    def published(self, ad, lease_duration: float, epoch: int, *, ack, nack) -> None:
-        """Push a freshly published advertisement to its replica set
-        (the coordinator stored its own copy already if it is *in* that
-        set); the service is acked once W replicas confirmed."""
+            if lease_id.startswith("shard:"):
+                return WritePlan(holds=False, targets=others, message=protocol.SHARD_RENEW,
+                                 body=renew, quorum=1, at_quorum=True)
+            return WritePlan(targets=others if ad_id in registry.store else (),
+                             message=protocol.SHARD_RENEW, body=renew)
+        quorum = min(self.cfg.write_quorum, max(len(replicas), 1)) - (me in replicas)
+        if kind == REMOVE:
+            return WritePlan(
+                targets=others, message=protocol.SHARD_REMOVE, quorum=quorum,
+                body=lambda rid: protocol.ShardRemovePayload(request_id=rid, ad_id=ad_id),
+                hint=self.buffer_hint,
+            )
+        duration = lease_duration or registry.config.lease_duration
         entry = protocol.AdForwardPayload(
-            advertisement=ad, lease_duration=lease_duration, epoch=epoch,
+            advertisement=ad, lease_duration=duration, epoch=registry.writes.lease_epoch(),
         )
-        self._replicate(
-            ad.ad_id, protocol.SHARD_STORE,
-            lambda rid: protocol.ShardStorePayload(request_id=rid, entry=entry),
-            on_success=ack, on_failure=lambda: nack("quorum"),
+        return WritePlan(
+            holds=me in replicas, targets=others, message=protocol.SHARD_STORE,
+            body=lambda rid: protocol.ShardStorePayload(request_id=rid, entry=entry),
+            quorum=quorum, at_quorum=True, hint=self.buffer_hint,
+            proxy_lease=(f"shard:{ad_id}", duration),
         )
-
-    def removed(self, ad_id: str) -> None:
-        """Tombstone a removed advertisement across its replica set.
-
-        The service was acked already; the write is still tracked so
-        silent replicas get a tombstone hint replayed later instead of
-        resurrecting the ad through anti-entropy.
-        """
-        self._replicate(
-            ad_id, protocol.SHARD_REMOVE,
-            lambda rid: protocol.ShardRemovePayload(request_id=rid, ad_id=ad_id),
-        )
-
-    def relay_renew(self, requester: str, payload: protocol.RenewPayload) -> bool:
-        """Relay the renewal of a ``shard:`` lease — the service published
-        through us while we were not in the advertisement's replica set —
-        to the replicas actually holding the leases."""
-        if not payload.lease_id.startswith("shard:"):
-            return False
-        registry = self.registry
-        ad_id = payload.ad_id
-        replicas = tuple(r for r in self.replicas_for(ad_id) if r != registry.node_id)
-
-        def nack() -> None:
-            # No replica still holds the lease: the service republishes.
-            registry.send(requester, protocol.RENEW_NACK, payload)
-
-        if not replicas:
-            nack()
-            return True
-        request_id = self.begin_write(
-            targets=replicas, needed=1,
-            on_success=lambda: registry.send(requester, protocol.RENEW_ACK, payload),
-            on_failure=nack,
-        )
-        self._send_renew(ad_id, replicas, request_id)
-        return True
-
-    def renewed(self, ad_id: str) -> None:
-        """Fire-and-forget refresh of the other replicas' leases after a
-        local renewal — a compact SHARD_RENEW, not a full-store flood."""
-        self._send_renew(
-            ad_id,
-            [r for r in self.replicas_for(ad_id) if r != self.registry.node_id],
-            "",
-        )
-
-    def _send_renew(self, ad_id: str, targets, request_id: str) -> None:
-        registry = self.registry
-        renew = protocol.ShardRenewPayload(
-            request_id=request_id, ad_id=ad_id,
-            epoch=registry.lease_epoch(), duration=registry.config.lease_duration,
-        )
-        for target in targets:
-            registry.send(target, protocol.SHARD_RENEW, renew)
-
-    def retire(self, write: _PendingQuorumWrite) -> None:
-        self._writes.pop(write.request_id, None)
-        if write.done and write.acked >= write.needed:
-            self.quorum_acked += 1
-        else:
-            self.quorum_failed += 1
 
     # -- replica-side message handlers --------------------------------------
 
@@ -591,7 +423,7 @@ class ShardManager(Replication):
 
     def handle_shard_store(self, envelope: "Envelope") -> None:
         payload = envelope.payload
-        absorbed = self.registry.absorb_replica(payload.entry)
+        absorbed = self.registry.writes.absorb_replica(payload.entry)
         ad_id = payload.entry.advertisement.ad_id
         # Holding an equal-or-newer copy satisfies the write even when
         # the incoming version was stale.
@@ -601,32 +433,26 @@ class ShardManager(Replication):
 
     def handle_shard_renew(self, envelope: "Envelope") -> None:
         payload = envelope.payload
-        found = self.registry.renew_ad(
+        found = self.registry.writes.renew_ad(
             payload.ad_id, epoch=payload.epoch, duration=payload.duration,
         )
         self._ack(envelope, protocol.SHARD_RENEW_ACK, payload.ad_id, found=found)
 
     def handle_shard_remove(self, envelope: "Envelope") -> None:
         payload = envelope.payload
-        self.registry.remove_ad(payload.ad_id)
+        self.registry.writes.remove_ad(payload.ad_id)
         self._ack(envelope, protocol.SHARD_REMOVE_ACK, payload.ad_id)
 
     def handle_shard_transfer(self, envelope: "Envelope") -> None:
         """Bulk key movement from a rebalancing peer: absorb, don't flood."""
         for entry in envelope.payload.ads:
-            if self.registry.absorb_replica(entry):
+            if self.registry.writes.absorb_replica(entry):
                 self.ads_moved_in += 1
         self.publish_gauges()
 
     def handle_shard_store_ack(self, envelope: "Envelope") -> None:
         payload = envelope.payload
-        write = self._writes.get(payload.request_id)
-        if write is None:
-            self.late_acks += 1
-        elif payload.found:
-            write.ack(envelope.src)
-        else:
-            write.nack(envelope.src)
+        self.registry.writes.confirm(payload.request_id, envelope.src, found=payload.found)
         # An ack is proof of life: flush any hints parked for the peer.
         self.peer_alive(envelope.src)
 
@@ -695,7 +521,7 @@ class ShardManager(Replication):
                 entry=protocol.AdForwardPayload(
                     advertisement=ad,
                     lease_duration=self.registry.config.lease_duration,
-                    epoch=self.registry.lease_epoch(),
+                    epoch=self.registry.writes.lease_epoch(),
                 ),
             ),
         )
@@ -804,7 +630,7 @@ class ShardManager(Replication):
         if not registry.alive:
             return
         me = registry.node_id
-        epoch = registry.lease_epoch()
+        epoch = registry.writes.lease_epoch()
         outgoing: dict[str, list] = {}
         dropped = 0
         for ad in list(registry.store.all()):
@@ -826,7 +652,7 @@ class ShardManager(Replication):
                 for target in targets:
                     outgoing.setdefault(target, []).append(entry)
             if me not in new_set:
-                registry.drop_ad(ad.ad_id)
+                registry.writes.drop_ad(ad.ad_id)
                 dropped += 1
         moved = 0
         for target in sorted(outgoing):

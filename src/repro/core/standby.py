@@ -158,9 +158,9 @@ class StandbyRegistry(RegistryNode):
         the horizon) is the one whose death triggered the promotion; its
         beaconed ``ring_id`` carries the virtual-node seeds we take over,
         so promotion is a pure ownership transfer instead of a re-hash.
+        Only where this registry places advertisements by ring.
         """
-        cfg = self.config.sharding
-        if not (cfg.enabled and cfg.standby_inherit_ring):
+        if self.writes.ring is None:
             return
         horizon = self.sim.now - self._beacon_horizon()
         silenced = [

@@ -186,7 +186,8 @@ def run_live_scenario(*, seed: int = 0) -> dict:
     stores = [len(r.store) for r in registries]
     shard_counters: dict[str, int] = {}
     for registry in registries:
-        for key, value in registry.shard.counters().items():
+        counters = {**registry.writes.counters(), **registry.shard.counters()}
+        for key, value in counters.items():
             shard_counters[key] = shard_counters.get(key, 0) + value
     # Digest economics measured on the live stores: scoped partner
     # digests vs the full digest the unsharded protocol would gossip.

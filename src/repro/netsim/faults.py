@@ -413,15 +413,15 @@ class AppliedFaults:
         """First ``count`` alive replicas of ``key``, per the live ring."""
         for node_id in sorted(self.network.nodes):
             node = self.network.nodes[node_id]
-            shard = getattr(node, "shard", None)
+            # A registry that places advertisements by ring names it.
+            ring = getattr(getattr(node, "writes", None), "ring", None)
             if (
                 node.alive
                 and getattr(node, "active", True)  # skip dormant standbys
-                and shard is not None
-                and node.replication is shard
+                and ring is not None
             ):
                 replicas = [
-                    rid for rid in shard.replicas_for(key)
+                    rid for rid in ring.replicas_for(key)
                     if (peer := self.network.nodes.get(rid)) is not None and peer.alive
                 ]
                 return replicas[:count]

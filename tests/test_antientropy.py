@@ -519,7 +519,7 @@ def test_flood_only_registry_prunes_tombstones_on_the_purge_sweep():
     peer = system.network.add_node(Node("stale-peer"), "lan-0")
     peer.send(registry.node_id, protocol.AD_FORWARD, protocol.AdForwardPayload(
         advertisement=held[0], lease_duration=10.0,
-        epoch=registry.lease_epoch() + 1,
+        epoch=registry.writes.lease_epoch() + 1,
     ))
     system.run_for(0.5)
     assert len(registry.store) == 0

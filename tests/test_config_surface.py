@@ -26,7 +26,7 @@ CONFIG_CLASSES = (
     ShardingConfig, HealthConfig, RetryPolicy,
 )
 
-CEILING = 60
+CEILING = 59
 
 
 def test_settable_values_do_not_grow():

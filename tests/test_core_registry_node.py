@@ -425,7 +425,7 @@ def test_replication_dedup_keys_stay_bounded():
     for registry in registries:
         live = len(registry.store)
         assert live == 9  # 3 services x 3 description models, replicated
-        assert 0 < len(registry.replication._seen_pushes) <= epochs_kept * live
+        assert 0 < len(registry.writes.mode.seen_pushes) <= epochs_kept * live
 
 
 def test_decentral_query_answered_by_registry(setup):

@@ -24,7 +24,6 @@ from repro.core import protocol
 from repro.core.admission import AdmissionController, AdmissionPolicy
 from repro.core.config import COOPERATION_REPLICATE_ADS, DiscoveryConfig
 from repro.core.durability import DurabilityConfig, DurabilityManager
-from repro.core.replication import Replication
 from repro.core.routing import ROUTING_LEAST_LOADED, ROUTING_STATIC, RoutingConfig
 from repro.core.sharding import ShardingConfig
 from repro.core.system import DiscoverySystem
@@ -54,7 +53,7 @@ def _surface(config):
     return {
         "handlers": frozenset(registry.handlers),
         "periodic tasks": len(registry._periodics),
-        "write observers": [type(o).__name__ for o in registry.write_observers],
+        "write observers": [type(o).__name__ for o in registry.writes.observers],
         "components": [type(c).__name__ for c in registry.components],
         "interceptor": type(registry.interceptor).__name__,
         "router": type(registry.router).__name__,
@@ -114,7 +113,7 @@ ENABLED = {
         DiscoveryConfig(),
         DiscoveryConfig(durability=DurabilityConfig(enabled=True)),
         {"periodic tasks": +1, "write observers": ["DurabilityManager"],
-         "components": ["DurabilityManager", "Replication"]},
+         "components": ["DurabilityManager"]},
     ),
     "admission": (
         DiscoveryConfig(),
@@ -134,7 +133,7 @@ def test_tuned_but_off_registers_nothing(subsystem):
     plain = _surface(DiscoveryConfig())
     assert _surface(TUNED_OFF[subsystem]) == plain
     assert plain["write observers"] == []
-    assert plain["components"] == ["Replication"]
+    assert plain["components"] == []
     assert plain["interceptor"] == "NoneType"
     assert plain["router"] == "PassThrough"
     assert not plain["handlers"] & (SHARD_TYPES | ANTIENTROPY_TYPES
@@ -179,8 +178,8 @@ def test_foreign_replication_traffic_is_an_unknown_message():
 
 # -- ratchets -------------------------------------------------------------------
 
-#: Allowed only to fall (ROADMAP item 8 aims at ~600).
-REGISTRY_NODE_LINE_CEILING = 654
+#: Allowed only to fall.
+REGISTRY_NODE_LINE_CEILING = 409
 
 
 def test_registry_node_does_not_grow():
@@ -235,21 +234,28 @@ def test_nobody_is_asked_who_is_on():
     assert _enable_predicates(core / "antientropy.py") == []
     assert _enable_predicates(core / "federation.py") == []
     assert _enable_predicates(core / "query.py", exempt=("__init__",)) == []
+    assert _enable_predicates(core / "writes.py", exempt=("__init__",)) == []
 
 
-#: Every call a registry, its federation or anti-entropy makes on the
-#: replication object. A no-op added here is a call two of the three
-#: implementations ignore: make it an observer registration instead.
-REPLICATION_CALLS = {
-    "rebuild", "start", "holds", "proxy_lease", "published", "relay_renew",
-    "renewed", "removed", "purge", "neighbor_added", "registry_observed",
-    "peer_alive", "drop_member", "ring_id", "co_owned",
-}
+#: The calls that change what a replica holds: ``(owner, method)``.
+REPLICA_CHANGES = {("store", "put"), ("store", "discard"), ("leases", "grant"),
+                   ("leases", "renew"), ("leases", "restore"), ("leases", "cancel_for_ad")}
 
 
-def test_the_replication_interface_does_not_grow():
-    public = {name for name in vars(Replication) if not name.startswith("_")}
-    assert public == REPLICATION_CALLS
+def test_only_the_write_coordinator_changes_a_replica():
+    """No module under ``src/repro/`` but ``core/writes.py`` puts into or
+    discards from a registry's store, or grants, renews, restores or
+    cancels its leases: every way in goes through ``store_ad`` /
+    ``renew_ad`` / ``remove_ad`` / ``drop_ad``."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path == SRC / "core" / "writes.py":
+            continue
+        for call in ast.walk(ast.parse(path.read_text())):
+            if isinstance(call, ast.Call) and \
+                    tuple(_chain(call.func)[-2:]) in REPLICA_CHANGES:
+                found.append(f"{path.relative_to(SRC)}:{call.lineno}")
+    assert found == []
 
 
 def test_only_the_coordinator_keeps_queries_in_flight():

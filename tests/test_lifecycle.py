@@ -23,18 +23,21 @@ from types import BuiltinMethodType, FunctionType, MethodType, MethodWrapperType
 
 import pytest
 
+from repro.core import protocol
 from repro.core.client_node import ClientNode
-from repro.core.config import DiscoveryConfig
+from repro.core.config import COOPERATION_REPLICATE_ADS, DiscoveryConfig
 from repro.core.registry_node import RegistryNode
 from repro.core.routing import ROUTING_COOLDOWN_FAILOVER, RoutingConfig
 from repro.core.service_node import ServiceNode
-from repro.core.sharding import ShardManager
+from repro.core.sharding import ShardingConfig, ShardManager
 from repro.core.standby import StandbyRegistry
 from repro.core.system import ALL_MODEL_IDS, DiscoverySystem, make_models
+from repro.core.writes import WriteCoordinator
 from repro.descriptions.base import DescriptionModel, ModelRegistry
+from repro.descriptions.uri import UriDescription
 from repro.netsim.faults import FaultPlan
 from repro.netsim.network import Network
-from repro.netsim.node import Timer
+from repro.netsim.node import Node, Timer
 from repro.netsim.simulator import PeriodicHandle, Simulator
 from repro.semantics.generator import battlefield_ontology
 from repro.semantics.profiles import ServiceProfile, ServiceRequest
@@ -60,7 +63,8 @@ RESTART_SURVIVORS: dict[str, frozenset[str]] = {
     # Statistics, and the write-request counter: a request id must not
     # repeat across a restart, or a pre-crash quorum ack would count
     # toward a new write.
-    "ShardManager": frozenset({"_write_seq", *ShardManager.COUNTERS}),
+    "WriteCoordinator": frozenset({"_write_seq", *WriteCoordinator.COUNTERS}),
+    "ShardManager": frozenset(ShardManager.COUNTERS),
     # The queue-drain audit's books, and the audit id counter behind them.
     "AdmissionController": frozenset({
         "_next_seq", "intercepted", "dispatched", "shed", "busy_sent",
@@ -257,15 +261,60 @@ def deployment(architecture: str, *, standby: str | None = None):
     return built, node
 
 
+#: No row of ``ARCHITECTURES`` shards: a sharded replicate-ads federation
+#: on three LANs in a chain, R=2, W=2.
+SHARDED = "sharded"
+SHARDED_CONFIG = DiscoveryConfig(
+    cooperation=COOPERATION_REPLICATE_ADS, default_ttl=0, antientropy_interval=2.0,
+    sharding=ShardingConfig(enabled=True, replication_factor=2, write_quorum=2),
+)
+
+
+class _Publisher(Node):
+    """Stands in for a service; ignores the answers."""
+
+    def handle_message(self, envelope):
+        pass
+
+
+def _sharded_registry(crash_at: float = 12.37):
+    """``registry-01`` of the sharded federation at ``crash_at``, with a
+    hint parked and a quorum write pending: ``registry-02`` is down, and
+    ``registry-01`` was handed a publish whose replica set holds it
+    1.2 s (timed out: hinted) and 0.2 s (pending) before."""
+    built = build_scenario(replace(SPEC, lan_names=("lan-0", "lan-1", "lan-2")),
+                           config=SHARDED_CONFIG)
+    system = built.system
+    system.run(until=6.0)
+    _exercise(built, until=9.37)
+    coordinator = system.network.node("registry-01")
+    silent = system.network.node("registry-02")
+    silent.crash()
+    publisher = system.network.add_node(_Publisher("publisher"), "lan-1")
+    ad_ids = [ad_id for ad_id in (f"ad-held-{i}" for i in range(100))
+              if silent.node_id in coordinator.shard.replicas_for(ad_id)]
+    for ad_id, at in zip(ad_ids, (crash_at - 1.2, crash_at - 0.2)):
+        system.run(until=at)
+        publisher.send(coordinator.node_id, protocol.PUBLISH, protocol.PublishPayload(
+            service_node=publisher.node_id, service_name=ad_id, endpoint="svc://x",
+            model_id="uri", description=UriDescription("ncw:RadarService", "svc://x"),
+            ad_id=ad_id,
+        ))
+    system.run(until=crash_at)
+    assert coordinator.writes._writes and coordinator.shard._hints
+    return built, coordinator
+
+
 #: Rows where a role exists: clients and services everywhere; registries
-#: wherever the row places one; standbys wherever registries beacon.
+#: wherever the row places one, and on the sharded federation; standbys
+#: wherever registries beacon.
 EVERYWHERE = sorted(ARCHITECTURES)
 WITH_REGISTRY = sorted(a for a, row in ARCHITECTURES.items() if row.registry is not None)
 WITH_STANDBY = sorted(a for a in WITH_REGISTRY
                       if ARCHITECTURES[a].config().beacon_interval is not None)
 
 ROLES = [
-    *[("registry", a) for a in WITH_REGISTRY],
+    *[("registry", a) for a in [*WITH_REGISTRY, SHARDED]],
     *[("dormant standby", a) for a in WITH_STANDBY],
     *[("active standby", a) for a in WITH_STANDBY],
     *[("client", a) for a in EVERYWHERE],
@@ -274,6 +323,8 @@ ROLES = [
 
 
 def _node_of(role: str, architecture: str):
+    if architecture == SHARDED:
+        return _sharded_registry()
     if role.endswith("standby"):
         return deployment(architecture, standby=role.split()[0])
     built, _ = deployment(architecture)
@@ -288,7 +339,7 @@ def _node_of(role: str, architecture: str):
 def test_the_table_covers_every_role_and_row():
     assert WITH_REGISTRY == ["cluster", "federated", "uddi", "wsd-proxy"]
     assert WITH_STANDBY == ["cluster", "federated", "wsd-proxy"]
-    assert len(ROLES) == 4 + 3 + 3 + 5 + 5
+    assert len(ROLES) == 5 + 3 + 3 + 5 + 5
 
 
 @pytest.mark.parametrize("role,architecture", ROLES)

@@ -408,10 +408,10 @@ def service_quorum_nack_keeps_one_chain() -> dict:
     log: list = []
     _tap(late, log)
     system.run_for(20.0)
-    assert registries[0].shard.quorum_failed > 0
+    assert registries[0].writes.quorum_failed > 0
     return _fingerprint(
         system, log, service=_service_counters(late),
-        quorum_failed=[r.shard.quorum_failed for r in registries],
+        quorum_failed=[r.writes.quorum_failed for r in registries],
     )
 
 

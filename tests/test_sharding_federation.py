@@ -15,8 +15,9 @@ from repro.core import protocol
 from repro.core.config import COOPERATION_REPLICATE_ADS, DiscoveryConfig
 from repro.core.forwarding import PendingAggregation
 from repro.core.invariants import check_convergence, check_shard_placement
-from repro.core.sharding import ShardingConfig
+from repro.core.sharding import ConsistentHashRing, ShardingConfig
 from repro.core.system import DiscoverySystem
+from repro.netsim.messages import Envelope
 from repro.semantics.generator import battlefield_ontology
 from repro.semantics.profiles import ServiceProfile, ServiceRequest
 
@@ -28,15 +29,14 @@ def _radar(name):
                                 outputs=["ncw:AirTrack"])
 
 
-def _cluster(seed=11, *, n=4, r=3, w=2, services=4, standby_on=None,
-             inherit=True):
+def _cluster(seed=11, *, n=4, r=3, w=2, services=4, standby_on=None):
     config = DiscoveryConfig(
         cooperation=COOPERATION_REPLICATE_ADS, default_ttl=0,
         antientropy_interval=2.0, lease_duration=30.0, purge_interval=2.0,
         query_timeout=2.0, aggregation_timeout=0.3,
         sharding=ShardingConfig(
             enabled=True, replication_factor=r, write_quorum=w,
-            quorum_timeout=0.5, standby_inherit_ring=inherit,
+            quorum_timeout=0.5,
         ),
     )
     system = DiscoverySystem(seed=seed, ontology=battlefield_ontology(),
@@ -101,7 +101,10 @@ def test_leave_drains_pending_aggregations():
         on_complete=lambda hits, responders: completed.append(responders),
     )
     coordinator.queries._pending["q-drain"] = pending
-    coordinator.on_peer_departed("registry-03", left_ring=True)
+    coordinator.federation.handle_federation_leave(Envelope(
+        msg_type=protocol.FEDERATION_LEAVE, src="registry-03", dst=coordinator.node_id,
+        payload=protocol.LeavePayload(member="registry-03"),
+    ))
     assert pending.done and completed == [1]
     # The departed member's ring slot and router state went with it.
     assert "registry-03" not in coordinator.shard.ring
@@ -219,23 +222,40 @@ def test_standby_promotion_inherits_ring_identity():
 
 
 def test_standby_inheritance_limits_rebalance_movement():
-    """Regression for the promotion-churn satellite: with ring
-    inheritance on, promotion moves no keys between surviving members,
-    so strictly fewer advertisements cross the wire than when the
-    standby hashes to fresh positions."""
-    moved = {}
-    for inherit in (True, False):
-        system, registries, standby = _cluster(standby_on="lan-0",
-                                               inherit=inherit)
-        system.run(until=10.0)
-        baseline = sum(r.shard.ads_moved_in for r in system.registries)
-        registries[0].crash()
-        system.run_for(30.0)
-        assert standby.active
-        moved[inherit] = (
-            sum(r.shard.ads_moved_in for r in system.registries) - baseline
-        )
-    assert moved[True] <= moved[False]
+    """Regression for churn at promotion: the promoted standby
+    takes the dead registry's ring positions, so every survivor places
+    each advertisement where the inherited ring does, and the standby is
+    handed no more copies than hashing it to fresh positions would move —
+    counted on the rings directly: the copies a member gains that it did
+    not hold before the promotion."""
+    system, registries, standby = _cluster(standby_on="lan-0")
+    system.run(until=10.0)
+    ad_ids = sorted({ad.ad_id for r in registries for ad in r.store.all()})
+    baseline = standby.shard.ads_moved_in
+    registries[0].crash()
+    system.run_for(30.0)
+    assert standby.active
+    cfg = system.config.sharding
+    r = cfg.replication_factor
+    before, inherited, fresh = (ConsistentHashRing(virtual_nodes=cfg.virtual_nodes)
+                                for _ in range(3))
+    for registry in registries:
+        before.add(registry.node_id)
+    for registry in registries[1:]:
+        inherited.add(registry.node_id)
+        fresh.add(registry.node_id)
+    inherited.add(standby.node_id, registries[0].node_id)
+    fresh.add(standby.node_id)
+
+    def moves(ring):
+        return sum(len(set(ring.replicas_for(ad_id, r)) - set(before.replicas_for(ad_id, r)))
+                   for ad_id in ad_ids)
+
+    for peer in registries[1:]:
+        assert all(peer.shard.ring.replicas_for(ad_id, r) == inherited.replicas_for(ad_id, r)
+                   for ad_id in ad_ids)
+    assert moves(inherited) < moves(fresh)
+    assert standby.shard.ads_moved_in - baseline <= moves(fresh)
 
 
 def test_demoted_standby_resets_ring_identity():

@@ -97,7 +97,7 @@ def test_quorum_failure_nacks_and_service_retries():
     late = system.add_service("lan-0", _radar("late-radar"))
     system.run_for(6.0)
     coordinator = registries[0]
-    assert coordinator.shard.quorum_failed > 0
+    assert coordinator.writes.quorum_failed > 0
     assert coordinator.node_id not in late.tracker.excluded
     assert late.publish_retries > 0
 

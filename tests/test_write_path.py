@@ -1,6 +1,6 @@
 """Write-path parity: every way into a replica's state agrees afterwards.
 
-`RegistryNode.store_ad / renew_ad / remove_ad / drop_ad` are the only
+`WriteCoordinator.store_ad / renew_ad / remove_ad / drop_ad` are the only
 code that changes what a replica holds. These tests drive each wire-level
 entry into them and assert the same post-conditions for all: the store,
 the lease table, the anti-entropy epoch/tombstone bookkeeping and — after
@@ -111,7 +111,7 @@ def _crash_and_replay(system, registry):
 def test_every_store_entry_leaves_the_replica_consistent(entry):
     # AD_FORWARD is the flood's message: a sharded registry does not serve it.
     system, registry, peer = _deployment(sharded=entry != "ad-forward")
-    expected_epoch = registry.lease_epoch() if entry == "publish" else EPOCH
+    expected_epoch = registry.writes.lease_epoch() if entry == "publish" else EPOCH
     peer.send(registry.node_id, *STORE_ENTRIES[entry]("ad-x"))
     system.run_for(0.2)
 
