@@ -42,9 +42,7 @@ test:
 ## routing-smoke: replays the E18 skewed flood at a fixed seed
 ## and asserts that least-loaded routing beats static order on p99
 ## discovery latency AND in-window goodput at 4x single-registry
-## capacity, that adaptive routing is same-seed deterministic, and that
-## the default (static) configuration stays byte-identical to the
-## pre-routing behavior regardless of routing tunables.
+## capacity, and that adaptive routing is same-seed deterministic.
 
 ## recovery-smoke: replays the E19 whole-LAN blackout at a
 ## fixed seed and asserts the durability gates: >= 99% of non-expired
@@ -59,8 +57,8 @@ test:
 ## clean control run, every injected fault class (flood, crash,
 ## partition) raising its matched alarm in-window with a flight-recorder
 ## dump attached, byte-identical same-seed alarm timelines and dumps,
-## and the default (health off) configuration exporting byte-identical
-## traces for the same faulted scenario.
+## and the default (health off) configuration building no monitor and
+## exporting byte-identical traces for the same faulted scenario.
 
 ## shard-smoke: replays the E21 sharded-federation scenario at
 ## a fixed seed and asserts its gates: per-node store load and digest

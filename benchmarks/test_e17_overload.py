@@ -13,7 +13,6 @@ regenerates in :func:`test_e17_overload`.
 
 import pytest
 
-from repro.core.admission import AdmissionPolicy
 from repro.experiments.e17_overload import (
     run,
     run_overload_smoke,
@@ -76,13 +75,6 @@ def test_goodput_plateaus_and_queue_stays_bounded(smoke):
 def test_overload_smoke_is_deterministic(smoke):
     again = run_overload_smoke(seed=0)
     assert again == smoke
-
-
-def test_policy_defaults_are_inert():
-    # The default config must not change behavior for every other
-    # experiment: no cost -> admission control stands aside entirely.
-    assert AdmissionPolicy().active() is False
-    assert shedding_policy().active() is True
 
 
 def test_e17_overload(benchmark, record):

@@ -12,9 +12,8 @@ Gates the PR's acceptance criteria:
   lease refreshes — and every alarm carries a flight-recorder dump.
 * **Determinism** — two same-seed faulted runs produce byte-identical
   alarm timelines and dump JSONL.
-* **Inertness** — two health-*disabled* runs of the same faulted
-  scenario export byte-identical trace JSONL and raise nothing: the
-  default-off configuration changes no behavior.
+* **Absence** — a health-*disabled* run builds no monitor, and two of
+  them of the same faulted scenario export byte-identical trace JSONL.
 """
 
 from repro.experiments.e20_health import PHASES, run, run_health_smoke
@@ -61,7 +60,7 @@ def test_e20_smoke_gates():
     assert smoke["faulted_dump_jsonl"] == smoke["repeat_dump_jsonl"]
     assert smoke["faulted_dump_jsonl"]
 
-    # Inertness: health off raises nothing and changes no trace byte.
-    assert smoke["off_alarms"] == []
+    # Absence: health off builds no monitor; same seed, same trace bytes.
+    assert smoke["off_health"] is None
     assert smoke["off_trace_a"] == smoke["off_trace_b"]
     assert smoke["off_trace_a"]

@@ -218,6 +218,9 @@ class AdmissionController:
         self._queue: list[tuple[int, int, _Ticket]] = []
         self._in_service: _Ticket | None = None
 
+    def start(self) -> None:
+        """Nothing to arm: deliveries drive the server."""
+
     # -- queue state -----------------------------------------------------
 
     @property

@@ -14,9 +14,10 @@ The :class:`Federation` component owns, for one registry node:
   registry network stays connected,
 * same-LAN gateway election ("only one node … acts as the gateway to the
   WAN-level registry network"),
-* membership events for the cooperation mode that needs them
+* membership events for the components that need them
   (:meth:`Federation.watch`): a registry observed, a neighbor added, a
-  peer's proof of life, a member's graceful leave.
+  peer's proof of life, a member gone, a member's graceful leave, our own
+  departure. The federation never calls its registry's components by name.
 """
 
 from __future__ import annotations
@@ -83,10 +84,13 @@ class Federation:
     # -- membership observers -------------------------------------------------
 
     def watch(self, event: str, observer: Callable[..., None]) -> None:
-        """Have ``observer`` told of ``event`` from now on — registered by
-        the cooperation mode that needs it: ``registry_observed(description,
-        first_sighting=…)``, ``neighbor_added(peer)``, ``peer_alive(peer)``
-        (direct proof of life) or ``drop_member(peer)`` (a graceful leave)."""
+        """Have ``observer`` told of ``event`` from now on, after those
+        registered before it — by the component that needs it:
+        ``registry_observed(description, first_sighting=…)``,
+        ``neighbor_added(peer)``, ``peer_alive(peer)`` (direct proof of
+        life), ``peer_departed(peer)`` (a graceful leave or a neighbor
+        declared dead), ``drop_member(peer)`` (a graceful leave, after
+        ``peer_departed``) or ``departing()`` (we are leaving)."""
         self._observers.setdefault(event, []).append(observer)
 
     def _tell(self, event: str, *args: Any, **kwargs: Any) -> None:
@@ -140,7 +144,7 @@ class Federation:
         # A graceful leave is authoritative: re-resolve any in-flight
         # queries that were still waiting on it, and drop the peer from
         # the shard ring (triggering rebalance).
-        self.registry.on_peer_departed(member)
+        self._tell("peer_departed", member)
         self._tell("drop_member", member)
 
     def leave(self) -> None:
@@ -151,7 +155,7 @@ class Federation:
         cycle and get a re-federated neighbor dropped after a single
         missed pong.
         """
-        self.registry.on_departing()
+        self._tell("departing")
         for neighbor in sorted(self.neighbors):
             self.registry.send(neighbor, protocol.FEDERATION_LEAVE,
                                protocol.LeavePayload(member=self.registry.node_id))
@@ -173,7 +177,6 @@ class Federation:
         self.known[other_id] = description
         self._tell("registry_observed", description)
         if is_new:
-            self.registry.on_neighbor_added(other_id)
             self._tell("neighbor_added", other_id)
 
     # -- observation -----------------------------------------------------------
@@ -262,7 +265,7 @@ class Federation:
         # A crash suspicion is NOT a ring departure: the shard ring keeps
         # the member (health-aware replica selection and hinted handoff
         # mask it) so a flapping registry does not thrash key placement.
-        self.registry.on_peer_departed(neighbor)
+        self._tell("peer_departed", neighbor)
         self._reconnect()
 
     def _reconnect(self) -> None:

@@ -114,7 +114,8 @@ def assert_invariants(system: "DiscoverySystem") -> None:
     if violations:
         # Capture flight-recorder dumps before raising (where the health
         # layer is on): the rings hold the last events leading up to the rot.
-        system.network.health.on_invariant_violation("; ".join(violations))
+        if system.health is not None:
+            system.health.on_invariant_violation("; ".join(violations))
         raise InvariantError(
             "invariant violations:\n  " + "\n  ".join(violations)
         )

@@ -76,6 +76,9 @@ class QueryCoordinator:
         self._seen = SeenQueries(lambda: registry.sim.now,
                                  protected=self._pending.__contains__)
 
+    def start(self) -> None:
+        """Nothing to arm: queries arrive."""
+
     def on_peer_departed(self, peer: str) -> None:
         """Aggregations waiting on ``peer`` stop waiting (an empty answer)."""
         for pending in list(self._pending.values()):

@@ -6,19 +6,21 @@ since it stores advertisements and is capable of evaluating queries. In
 addition, it is responsible for cleaning up advertisements representing
 obsolete services."
 
-Composition: an :class:`~repro.registry.AdvertisementStore` (thick
-storage), a :class:`~repro.registry.LeaseManager` (aliveness, §4.8), a
-:class:`~repro.registry.QueryEvaluator` over pluggable description models,
-an :class:`~repro.core.repository.ArtifactRepository` (§4.6), and a
+What a registry does is the list of components it registers, picked by
+configuration once, in the constructor: the
+:class:`~repro.core.writes.WriteCoordinator` (publish / renew / remove,
+the lease purge, how far a write travels), the
 :class:`~repro.core.federation.Federation` (registry network maintenance,
-§4.9). Writes — publish / renew / remove, the lease purge, every change
-to what this replica holds and how far it travels — are the
-:class:`~repro.core.writes.WriteCoordinator`'s; queries — local
-evaluation, forwarding, aggregation, the answer — the
-:class:`~repro.core.query.QueryCoordinator`'s. The cooperation mode both
-follow is picked by configuration, once, in the constructor. The node
-itself keeps the lifecycle, fencing, its self-description, subscriptions
-and artifacts.
+§4.9), the :class:`~repro.core.query.QueryCoordinator` (local evaluation,
+forwarding, aggregation), the
+:class:`~repro.core.repository.ArtifactRepository` (§4.6), the
+:class:`~repro.core.subscriptions.Subscriptions` (standing queries), and
+the optional subsystems in use. Each serves its own message types and
+hears of federation membership as an observer. The node itself keeps the
+soft state they share — an :class:`~repro.registry.AdvertisementStore`, a
+:class:`~repro.registry.LeaseManager`, a
+:class:`~repro.registry.QueryEvaluator` — plus the lifecycle, fencing and
+its self-description.
 
 Registry content is *soft state*: a crash loses everything, and the
 architecture rebuilds it from service-node republishes and leases — which
@@ -28,7 +30,6 @@ durable registry storage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
 from repro.core import protocol
@@ -49,25 +50,16 @@ from repro.core.query import QueryCoordinator
 from repro.core.repository import ArtifactRepository
 from repro.core.routing import router_for
 from repro.core.sharding import ShardManager
+from repro.core.subscriptions import Subscriptions
 from repro.core.writes import FloodReplicator, WriteCoordinator
 from repro.descriptions.base import DescriptionModel, ModelRegistry
 from repro.netsim.messages import Envelope
 from repro.netsim.node import Node
 from repro.obs.tracing import TraceRecorder
-from repro.registry.advertisements import Advertisement
 from repro.registry.leases import LeaseManager
-from repro.registry.matching import QueryEvaluator, QueryHit
+from repro.registry.matching import QueryEvaluator
 from repro.registry.rim import RegistryDescription, RegistryInfoModel
 from repro.registry.store import AdvertisementStore
-
-
-@dataclass
-class _Subscription:
-    """One standing query registered by a client (notification support)."""
-
-    request: protocol.SubscribePayload
-    subscriber: str
-    expires_at: float
 
 
 class RegistryNode(Node):
@@ -106,6 +98,10 @@ class RegistryNode(Node):
         # read where they are off); one the configuration leaves off is
         # registered nowhere below, and never asked whether it is on.
         self.federation = Federation(self, config, describe=self.describe)
+        #: Built before the cooperation mode: a new link's artifact
+        #: requests go out before any replication traffic.
+        self.repository = ArtifactRepository(self)
+        self.subscriptions = Subscriptions(self)
         self.antientropy = AntiEntropy(self, config)
         #: Overload protection: bounded service queue + BUSY shedding.
         self.admission = AdmissionController(self, config.admission)
@@ -116,7 +112,6 @@ class RegistryNode(Node):
         self.durability = DurabilityManager(self, config.durability)
         #: Consistent-hash placement, rebalancing, hinted handoff.
         self.shard = ShardManager(self, config)
-        self.notifications_sent = 0
         #: How far a write travels beyond this store (§4.9), picked once:
         #: nowhere, the flood, or the shard ring — see ``writes.py``.
         if config.cooperation != COOPERATION_REPLICATE_ADS:
@@ -133,35 +128,38 @@ class RegistryNode(Node):
         #: forwarding strategy.
         self.queries = QueryCoordinator(
             self, read_plan=ring.plan_read if ring is not None else None)
-        #: The optional subsystems in use, in the order they are started
-        #: with the registry: the write observers, then the mode.
-        self.components: list[Any] = [*self.writes.observers]
+        # A member gone: the router forgets it, then the aggregations
+        # waiting on it stop waiting; leaving, we answer what we can now.
+        self.federation.watch("peer_departed", self.router.forget)
+        self.federation.watch("peer_departed", self.queries.on_peer_departed)
+        self.federation.watch("departing", self.queries.on_departing)
+        #: Every component in use, in the order each is rebuilt and
+        #: started: the core, then the write observers, then the mode.
+        self.components: list[Any] = [
+            self.writes, self.federation, self.queries, self.repository,
+            self.subscriptions, self.admission, self.router, *self.writes.observers,
+        ]
         if mode is not None:
             self.components.append(mode)
         if config.admission.active():
             self.interceptor = self.admission
-        # Components serve their own message types — one that is not in
-        # use none, so its traffic is an unknown message type here.
-        self.adopt_handlers(self.federation)
-        self.adopt_handlers(self.queries)
-        self.adopt_handlers(self.writes)
-        if config.antientropy_enabled():
-            self.adopt_handlers(self.antientropy)
-        if mode is not None:
-            self.adopt_handlers(mode)
+        # Components serve their own message types (anti-entropy only where
+        # it runs rounds); one not in use serves none, so its traffic is an
+        # unknown message type here.
+        for component in self.components:
+            if component is not self.antientropy or config.antientropy_enabled():
+                self.adopt_handlers(component)
         self.rebuild()
 
     # -- lifecycle ----------------------------------------------------------
 
     def rebuild(self) -> None:
-        """Build the soft state — store, artifacts, leases, subscriptions,
-        fencing — and that of every component in use, queries and writes
-        in flight included. What a restart keeps is set in the
-        constructor, or (through :meth:`on_restart`) read back from the
-        disk."""
+        """Build the soft state — store, leases, fencing — and that of
+        every component, queries and writes in flight included. What a
+        restart keeps is set in the constructor, or (through
+        :meth:`on_restart`) read back from the disk."""
         self.store = AdvertisementStore()
         self.evaluator = QueryEvaluator(self.store, self.models)
-        self.repository = ArtifactRepository()
         self.rim.lan_name = ""  # described as on no LAN until it starts serving
         #: Identity under which this registry's virtual nodes hash onto
         #: the consistent-hash ring. Normally the node id; a promoted
@@ -171,24 +169,20 @@ class RegistryNode(Node):
         #: Highest incarnation epoch seen per peer (fencing state); only
         #: ever populated by peers that stamp their replication traffic.
         self._peer_incarnations: dict[str, int] = {}
-        self._subscriptions: dict[str, _Subscription] = {}
         self.leases = LeaseManager(
             lambda: self.sim.now,
             default_duration=self.config.lease_duration,
             on_event=self.writes.lease_event,
         )
-        for component in (self.federation, self.queries, self.writes, self.admission,
-                          self.router, *self.components):
+        for component in self.components:
             component.rebuild()
 
     def start(self) -> None:
-        """Arm periodic tasks, start the components in use, probe the
-        LAN, and join seed registries."""
+        """Arm the beacon, start every component, probe the LAN, and join
+        seed registries."""
         if self.config.beacon_interval is not None:
             self.every(self.config.beacon_interval, self._beacon,
                        initial_delay=self.config.beacon_interval)
-        self.writes.start()
-        self.federation.start()
         self.rim.lan_name = self.lan_name or ""
         for component in self.components:
             component.start()
@@ -286,124 +280,3 @@ class RegistryNode(Node):
 
     def _beacon(self) -> None:
         self.multicast(protocol.REGISTRY_BEACON, self.describe())
-
-    # -- repository (§4.6) ------------------------------------------------------
-
-    def store_artifact(self, name: str, artifact: Any) -> None:
-        """Host an ontology/schema so disconnected clients can fetch it."""
-        self.repository.store(name, artifact)
-
-    def handle_artifact_request(self, envelope: Envelope) -> None:
-        payload = envelope.payload
-        artifact = self.repository.fetch(payload.artifact_name)
-        self.send(
-            envelope.src,
-            protocol.ARTIFACT_REPLY,
-            protocol.ArtifactReplyPayload(
-                artifact_name=payload.artifact_name,
-                artifact=artifact,
-                found=artifact is not None,
-            ),
-        )
-
-    # -- subscriptions / notifications ------------------------------------------
-
-    def handle_subscribe(self, envelope: Envelope) -> None:
-        """Register (or refresh) a standing query.
-
-        Re-subscribing with the same ``sub_id`` extends the expiry — the
-        subscription analogue of a lease renewal.
-        """
-        payload = envelope.payload
-        if not self.models.supports(payload.model_id):
-            self.models.discarded_payloads += 1
-            return
-        expires_at = self.sim.now + payload.duration
-        self._subscriptions[payload.sub_id] = _Subscription(payload, envelope.src, expires_at)
-        self.send(
-            envelope.src,
-            protocol.SUBSCRIBE_ACK,
-            protocol.SubscribeAck(sub_id=payload.sub_id, expires_at=expires_at),
-        )
-
-    def handle_unsubscribe(self, envelope: Envelope) -> None:
-        self._subscriptions.pop(envelope.payload.sub_id, None)
-
-    def lapse_subscriptions(self) -> None:
-        """Drop the subscriptions whose expiry passed (the purge sweep)."""
-        now = self.sim.now
-        lapsed = [sid for sid, sub in self._subscriptions.items()
-                  if now >= sub.expires_at]
-        for sub_id in lapsed:
-            del self._subscriptions[sub_id]
-
-    def notify_subscribers(self, ad: Advertisement) -> None:
-        """Push a freshly stored advertisement to matching subscribers."""
-        if not self._subscriptions or not self.models.supports(ad.model_id):
-            return
-        model = self.models.get(ad.model_id)
-        if not model.can_evaluate():
-            return
-        for sub_id, sub in sorted(self._subscriptions.items()):
-            if sub.request.model_id != ad.model_id:
-                continue
-            verdict = model.evaluate(ad.description, sub.request.query)
-            if not verdict.matched:
-                continue
-            self.notifications_sent += 1
-            self.send(
-                sub.subscriber,
-                protocol.NOTIFY,
-                protocol.NotifyPayload(
-                    sub_id=sub_id,
-                    hit=QueryHit(advertisement=ad, degree=verdict.degree,
-                                 score=verdict.score),
-                ),
-            )
-
-    def on_neighbor_added(self, neighbor: str) -> None:
-        """A federation link formed: fetch the repository artifacts the
-        neighbor advertises and we lack (§4.6: ontologies spread without
-        any Internet dependency). The cooperation mode hears of the link
-        as a federation observer."""
-        if self.config.artifact_sync:
-            known = self.federation.known.get(neighbor)
-            if known is not None:
-                for name in known.artifact_names:
-                    if name not in self.repository:
-                        self.send(
-                            neighbor,
-                            protocol.ARTIFACT_REQUEST,
-                            protocol.ArtifactRequestPayload(artifact_name=name),
-                        )
-
-    def handle_artifact_reply(self, envelope: Envelope) -> None:
-        """An artifact arrived from a peer: host it, and offer it to the
-        models that cannot evaluate yet (an ontology, in experiment E12)."""
-        payload = envelope.payload
-        if not payload.found:
-            return
-        self.repository.store(payload.artifact_name, payload.artifact)
-        for model in self.models:
-            if not model.can_evaluate():
-                model.accept_artifact(payload.artifact)
-
-    # -- federation membership hooks -----------------------------------------------
-
-    def on_peer_departed(self, peer: str) -> None:
-        """A federation member left gracefully or was declared dead.
-
-        In-flight aggregations waiting on it drain immediately (an empty
-        answer) so queries re-resolve to surviving replicas instead of
-        riding out the timeout against a tombstoned member, and the
-        router forgets its health/cooldown state. Only a *graceful*
-        departure shrinks the shard ring (the federation tells the ring
-        itself) — a crash is masked by replica selection and hinted
-        handoff, so flapping cannot thrash keys.
-        """
-        self.router.forget(peer)
-        self.queries.on_peer_departed(peer)
-
-    def on_departing(self) -> None:
-        """We are leaving the federation: answer what we can, now."""
-        self.queries.on_departing()

@@ -9,22 +9,41 @@ Artifacts are named blobs; ontologies are the artifact type the semantic
 description model actually needs (experiment E12 shows discovery failing
 without it). The repository also accepts opaque artifacts (schemas,
 transformations) as sized byte strings.
+
+:class:`ArtifactRepository` is a registry component (``registry.repository``)
+that answers artifact requests, hosts what peers send back and — where
+``artifact_sync`` is on — asks each new neighbor for what it lacks.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
+from repro.core import protocol
 from repro.netsim.messages import estimate_payload_size
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.core.registry_node import RegistryNode
+    from repro.netsim.messages import Envelope
 
 
 class ArtifactRepository:
     """Named artifact storage inside one registry node."""
 
-    def __init__(self) -> None:
+    def __init__(self, registry: "RegistryNode") -> None:
+        self.registry = registry
+        if registry.config.artifact_sync:
+            registry.federation.watch("neighbor_added", self.neighbor_added)
+        self.rebuild()
+
+    def rebuild(self) -> None:
+        """Build an empty repository, its request counters at zero."""
         self._artifacts: dict[str, Any] = {}
         self.requests_served = 0
         self.requests_missed = 0
+
+    def start(self) -> None:
+        """Nothing to arm: requests and new links drive the repository."""
 
     def __len__(self) -> int:
         return len(self._artifacts)
@@ -53,6 +72,38 @@ class ArtifactRepository:
         """Modelled storage footprint of all artifacts."""
         return sum(estimate_payload_size(a) for a in self._artifacts.values())
 
-    def clear(self) -> None:
-        """Drop all artifacts (registry crash loses volatile state)."""
-        self._artifacts.clear()
+    # -- the registry's artifact traffic ---------------------------------------
+
+    def handle_artifact_request(self, envelope: "Envelope") -> None:
+        name = envelope.payload.artifact_name
+        artifact = self.fetch(name)
+        self.registry.send(
+            envelope.src,
+            protocol.ARTIFACT_REPLY,
+            protocol.ArtifactReplyPayload(
+                artifact_name=name, artifact=artifact, found=artifact is not None,
+            ),
+        )
+
+    def handle_artifact_reply(self, envelope: "Envelope") -> None:
+        """An artifact arrived from a peer: host it, and offer it to the
+        models that cannot evaluate yet (an ontology, in experiment E12)."""
+        payload = envelope.payload
+        if not payload.found:
+            return
+        self.store(payload.artifact_name, payload.artifact)
+        for model in self.registry.models:
+            if not model.can_evaluate():
+                model.accept_artifact(payload.artifact)
+
+    def neighbor_added(self, neighbor: str) -> None:
+        """A federation link formed: ask the neighbor for the artifacts it
+        advertises and this registry lacks."""
+        registry = self.registry
+        known = registry.federation.known.get(neighbor)
+        if known is None:
+            return
+        for name in known.artifact_names:
+            if name not in self._artifacts:
+                registry.send(neighbor, protocol.ARTIFACT_REQUEST,
+                              protocol.ArtifactRequestPayload(artifact_name=name))

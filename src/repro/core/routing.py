@@ -327,6 +327,9 @@ class Router:
             self.health, self.cooldowns
         )
 
+    def start(self) -> None:
+        """Nothing to arm: traffic feeds the tracker."""
+
     def _now(self) -> float:
         if self._node.network is None:
             return 0.0
@@ -436,6 +439,9 @@ class PassThrough:
 
     def rebuild(self) -> None:
         """Nothing to forget: nothing here is ever fed."""
+
+    def start(self) -> None:
+        """Nothing to arm."""
 
     def order(self, candidates: Sequence[str]) -> list[str]:
         return list(candidates)

@@ -84,19 +84,20 @@ class DiscoverySystem:
         self.network = Network(
             self.sim, size_model=size_model, loss_rate=loss_rate
         )
-        self.network.health.configure(self.config.health)
-        self.network.health.attach(self.sim)  # arms nothing unless enabled
+        #: The run's health monitor where ``config.health`` enables the
+        #: layer, else ``None``; nodes reach it through their network.
+        self.health: HealthMonitor | None = None
+        if self.config.health.enabled:
+            self.health = HealthMonitor(lambda: self.sim.now, self.network.metrics,
+                                        self.config.health)
+            self.health.attach(self.sim)
+            self.network.health = self.health
         self.registries: list[RegistryNode] = []
         self.services: list[ServiceNode] = []
         self.clients: list[ClientNode] = []
         self._counters = {"registry": itertools.count(), "svc": itertools.count(),
                           "client": itertools.count()}
         self._started = False
-
-    @property
-    def health(self) -> "HealthMonitor":
-        """The run's health monitor (inert unless ``config.health`` enables it)."""
-        return self.network.health
 
     # -- topology ------------------------------------------------------------
 
@@ -134,7 +135,7 @@ class DiscoverySystem:
         self.network.add_node(registry, lan)
         self.registries.append(registry)
         if self.ontology is not None and with_ontology:
-            registry.store_artifact(self.ontology.name, self.ontology)
+            registry.repository.store(self.ontology.name, self.ontology)
         self._schedule_start(registry)
         return registry
 
@@ -167,7 +168,7 @@ class DiscoverySystem:
         self.network.add_node(standby, lan)
         self.registries.append(standby)
         if self.ontology is not None:
-            standby.store_artifact(self.ontology.name, self.ontology)
+            standby.repository.store(self.ontology.name, self.ontology)
         self._schedule_start(standby)
         return standby
 

@@ -214,7 +214,7 @@ class WriteCoordinator:
                 origin_epoch=epoch,
             )
         if restore is None and notify:
-            registry.notify_subscribers(ad)
+            registry.subscriptions.notify(ad)
         return lease
 
     def renew_ad(self, ad_id: str, *, epoch: int, lease_id: str | None = None,
@@ -438,7 +438,7 @@ class WriteCoordinator:
         registry = self.registry
         for ad_id in registry.leases.expired_ads():
             self.drop_ad(ad_id)
-        registry.lapse_subscriptions()
+        registry.subscriptions.lapse()
         if self.mode is not None:
             self.mode.purge()
 

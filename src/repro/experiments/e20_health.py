@@ -25,8 +25,8 @@ must raise *zero* alarms: a health layer that cries wolf on a healthy
 system is worse than none. And because the detectors read only sim-time,
 metrics, and protocol feeds, two same-seed faulted runs must produce
 byte-identical alarm timelines and dumps, while two *health-disabled*
-runs of the very same faulted scenario must stay byte-identical at the
-trace level — the inert-by-default contract.
+runs of the very same faulted scenario build no monitor at all and stay
+byte-identical at the trace level.
 """
 
 from __future__ import annotations
@@ -161,22 +161,14 @@ def _run_scenario(*, seed: int, faulted: bool, health: HealthConfig) -> dict:
     system.run_for(8.0)  # drain: every call resolved, every queue empty
     assert_invariants(system)
 
-    monitor = system.health
-    timeline = monitor.alarm_timeline()
     completed = [c for c in probes if c.completed]
     ok = [c for c in completed if c.hits]
     latencies = sorted(c.latency for c in ok)
     p95 = latencies[min(len(latencies) - 1,
                         int(0.95 * len(latencies)))] if latencies else 0.0
-    return {
-        "alarms": timeline,
-        "alarm_names": sorted({a["alarm"] for a in timeline}),
-        "alarm_json": json.dumps(timeline, sort_keys=True,
-                                 separators=(",", ":")),
-        "dumps": [(d.reason, d.node, d.time, d.records)
-                  for d in monitor.dumps],
-        "dump_jsonl": "\n".join(d.jsonl for d in monitor.dumps),
-        "snapshot": monitor.snapshot(),
+    monitor = system.health
+    outcome = {
+        "health": monitor,
         "trace": capture.export_jsonl(),
         "probe_stats": {
             "issued": len(probes),
@@ -186,6 +178,20 @@ def _run_scenario(*, seed: int, faulted: bool, health: HealthConfig) -> dict:
             "flood_issued": len(flood),
         },
         "faults": dict(applied.counts()) if applied is not None else {},
+    }
+    if monitor is None:
+        return outcome
+    timeline = monitor.alarm_timeline()
+    return {
+        **outcome,
+        "alarms": timeline,
+        "alarm_names": sorted({a["alarm"] for a in timeline}),
+        "alarm_json": json.dumps(timeline, sort_keys=True,
+                                 separators=(",", ":")),
+        "dumps": [(d.reason, d.node, d.time, d.records)
+                  for d in monitor.dumps],
+        "dump_jsonl": "\n".join(d.jsonl for d in monitor.dumps),
+        "snapshot": monitor.snapshot(),
     }
 
 
@@ -297,8 +303,8 @@ def run_health_smoke(*, seed: int = 0) -> dict:
     phase's expected detector must appear), dump inventory (the crash
     must have captured one), a same-seed repeat of the faulted run
     (alarm timeline and dump bytes asserted identical), and two
-    health-*disabled* runs of the same faulted scenario (trace exports
-    asserted byte-identical — the inert-by-default contract).
+    health-*disabled* runs of the same faulted scenario (no monitor
+    built, and trace exports asserted byte-identical).
     """
     clean = _run_scenario(seed=seed, faulted=False, health=health_config())
     faulted = _run_scenario(seed=seed, faulted=True, health=health_config())
@@ -320,7 +326,7 @@ def run_health_smoke(*, seed: int = 0) -> dict:
         "repeat_dump_jsonl": repeat["dump_jsonl"],
         "off_trace_a": off_a["trace"],
         "off_trace_b": off_b["trace"],
-        "off_alarms": off_a["alarms"],
+        "off_health": off_a["health"],
         "probe_stats": {"clean": clean["probe_stats"],
                         "faulted": faulted["probe_stats"]},
         "faults": faulted["faults"],

@@ -13,7 +13,7 @@ paper's "network disconnect between branches" scenario.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from repro.errors import NetworkError, UnknownNodeError
 from repro.netsim.disk import SimDisk
@@ -21,9 +21,11 @@ from repro.netsim.messages import Envelope, SizeModel
 from repro.netsim.node import Node
 from repro.netsim.simulator import Simulator
 from repro.netsim.stats import TrafficStats
-from repro.obs.health import HealthMonitor
 from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS, HOP_BUCKETS, Histogram, MetricsRegistry
 from repro.obs.tracing import TraceRecorder
+
+if TYPE_CHECKING:  # pragma: no cover - the health layer is built above netsim
+    from repro.obs.health import HealthMonitor
 
 
 @dataclass(frozen=True)
@@ -177,11 +179,9 @@ class Network:
         #: first delivery and not again.
         self._delivery_histograms: dict[str, tuple[Histogram, Histogram]] = {}
         #: The run's health monitor (flight recorders, SLO windows,
-        #: watchdogs — see :mod:`repro.obs.health`). Constructed inert:
-        #: until :meth:`~repro.obs.health.HealthMonitor.configure` enables
-        #: it, ``active`` is False and every feed call short-circuits.
-        self.health = HealthMonitor(lambda: sim.now, self.metrics,
-                                    trace=sim.trace)
+        #: watchdogs — see :mod:`repro.obs.health`) where the deployment
+        #: built one; the transport never touches it.
+        self.health: "HealthMonitor | None" = None
         self.nodes: dict[str, Node] = {}
         self.lans: dict[str, Lan] = {}
         #: Fault-injection state (see :mod:`repro.netsim.faults`): timed
@@ -476,8 +476,6 @@ class Network:
         applied once, after the last receiver.
         """
         now = self.sim.now
-        if self.health.active:
-            self.health.advance(now)
         msg_type = envelope.msg_type
         latency = now - envelope.sent_at
         ctx = TraceRecorder.extract(envelope.headers)
@@ -513,10 +511,6 @@ class Network:
 
     def _deliver(self, envelope: Envelope, dst_id: str) -> None:
         """Delivery event: hand the envelope to the destination if it is up."""
-        if self.health.active:
-            # Keep the SLO windows rolling with traffic so burn rates are
-            # current even between watchdog ticks. No-op when health is off.
-            self.health.advance(self.sim.now)
         dst = self.nodes.get(dst_id)
         if dst is None or not dst.alive:
             self.stats.record_drop("dead-dst")

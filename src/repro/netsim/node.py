@@ -228,12 +228,10 @@ class Node:
         return None if span is None else TraceRecorder.inject({}, span.context)
 
     def _health(self) -> "HealthMonitor | None":
-        """The run's health monitor if this node is attached and the layer
-        is on — for what has no trace record it could listen to."""
-        network = self.network
-        if network is not None and network.health.active:
-            return network.health
-        return None
+        """The run's health monitor where this node is attached and the
+        deployment built one — for what has no trace record it could
+        listen to."""
+        return self.network.health if self.network is not None else None
 
     def answered(self, request_class: str, *, ok: bool, latency: float = 0.0) -> None:
         """One finished request of ``request_class``, for the SLO windows."""

@@ -14,13 +14,13 @@ runtime layer:
 * :class:`HealthMonitor` — owns the per-node recorders, a windowed
   :class:`~repro.obs.slo.SLOTracker`, and the
   :mod:`~repro.obs.watchdog` detectors; evaluated on a periodic
-  sim-time tick when enabled.
+  sim-time tick.
 
-**Inert by default.** Like admission control, routing, and durability,
-the default :class:`HealthConfig` has ``enabled=False``: no periodic
-tick is scheduled, no instrument is created, no trace observer is
-registered, and no record differs by a byte from a pre-health run —
-the obs/routing/recovery smoke byte-identity gates hold unchanged.
+**Absent unless enabled.** A deployment builds a monitor only where its
+:class:`HealthConfig` has ``enabled=True``. Under the default
+``DiscoverySystem.health`` is ``None``: no tick is scheduled, no trace
+observer is registered, and nobody asks whether the layer is on. A
+monitor that exists is on.
 
 Determinism: the monitor reads only the injected sim-time clock, the
 metrics registry, the trace records it observes and the few feeds that
@@ -89,10 +89,11 @@ MAX_DUMPS = 32
 
 @dataclass(frozen=True)
 class HealthConfig:
-    """What a deployment sets of the runtime health layer (inert when
-    ``enabled=False``); everything else is a constant of this module."""
+    """What a deployment sets of the runtime health layer (no monitor is
+    built when ``enabled=False``); everything else is a constant of this
+    module."""
 
-    #: Master switch. Off = byte-identical to a pre-health deployment.
+    #: Master switch. Off = no monitor, so nothing to feed or ask.
     enabled: bool = False
     #: Slow burn-rate window (suppresses blips; the fast one is
     #: :data:`repro.obs.slo.FAST_WINDOW`).
@@ -161,75 +162,44 @@ class HealthDump:
 class HealthMonitor:
     """The per-run health brain: recorders + SLO windows + watchdogs.
 
-    Owned by the :class:`~repro.netsim.network.Network` next to the
-    metrics registry, so every protocol agent reaches it the same way
-    it reaches metrics. Construction is cheap and inert; the monitor
-    only becomes live when :meth:`configure` receives an enabled
-    :class:`HealthConfig` and :meth:`attach` arms the periodic tick.
+    Built by :class:`~repro.core.system.DiscoverySystem` where the
+    deployment enables the layer; :meth:`attach` then arms the periodic
+    tick and the trace observer. Protocol agents reach it through their
+    network's ``health`` slot, which holds it there and ``None``
+    everywhere else.
     """
 
     def __init__(
         self,
         clock: Callable[[], float],
         metrics: "MetricsRegistry",
-        trace: "TraceRecorder | None" = None,
-        config: HealthConfig | None = None,
+        config: HealthConfig,
     ) -> None:
         self.clock = clock
         self.metrics = metrics
-        self.trace = trace
-        self.config = config or HealthConfig()
+        self.trace: "TraceRecorder | None" = None
         self.recorders: dict[str, FlightRecorder] = {}
         self.alarms: list[Alarm] = []
         self.dumps: list[HealthDump] = []
-        self.slo: SLOTracker | None = None
-        self.watchdogs: list[Watchdog] = []
         self._liveness: dict[str, dict[str, float]] = {}
         self._lease_events: deque[tuple[float, str, str]] = deque(maxlen=4096)
         self._slo_breached: set[str] = set()
-        self._attached = False
-        if self.config.enabled:
-            self._build()
-
-    # -- lifecycle ---------------------------------------------------------
-
-    @property
-    def active(self) -> bool:
-        """Whether the health layer is live for this run."""
-        return self.config.enabled
-
-    def configure(self, config: HealthConfig) -> None:
-        """Adopt a deployment's health config (resets tracker state)."""
-        self.config = config
-        if config.enabled:
-            self._build()
-
-    def _build(self) -> None:
-        cfg = self.config
-        self.slo = SLOTracker(self.clock, objectives=DEFAULT_OBJECTIVES,
-                              slow_window=cfg.slow_window)
-        self.watchdogs = [
+        self.slo = SLOTracker(clock, objectives=DEFAULT_OBJECTIVES,
+                              slow_window=config.slow_window)
+        self.watchdogs: list[Watchdog] = [
             QueueDepthGrowth(window=QUEUE_WINDOW,
-                             threshold=cfg.queue_depth_threshold),
+                             threshold=config.queue_depth_threshold),
             BreakerFlapping(window=FLAP_WINDOW,
                             threshold=BREAKER_FLAP_THRESHOLD),
-            AntiEntropyStaleness(stale_after=cfg.antientropy_stale_after),
+            AntiEntropyStaleness(stale_after=config.antientropy_stale_after),
             LeaseExpirySpike(window=LEASE_WINDOW,
                              threshold=LEASE_EXPIRY_SPIKE),
             ShedRateStep(window=SHED_WINDOW,
-                         threshold=cfg.shed_step_threshold),
+                         threshold=config.shed_step_threshold),
         ]
 
     def attach(self, sim: "Simulator") -> None:
-        """Arm the periodic tick and the trace observer (enabled runs only).
-
-        This is the one hook the simulator side provides: nothing is
-        scheduled — and the trace recorder gains no observer — unless the
-        deployment opted in, so default runs stay byte-identical.
-        """
-        if not self.active or self._attached:
-            return
-        self._attached = True
+        """Listen to the run's trace and arm the periodic tick."""
         self.trace = sim.trace
         sim.trace.listen(self._on_trace_record)
         sim.every(WATCHDOG_INTERVAL, self.tick)
@@ -258,8 +228,6 @@ class HealthMonitor:
 
     def note(self, node: str, name: str, **attrs: Any) -> None:
         """Record an explicit state transition into a node's ring."""
-        if not self.active:
-            return
         self.recorder_for(node).note({
             "t": self.clock(), "kind": "mark", "name": name,
             "node": node, "attrs": attrs,
@@ -268,8 +236,7 @@ class HealthMonitor:
     def record_request(self, request_class: str, *, ok: bool,
                        latency: float = 0.0) -> None:
         """SLO feed: one finished QUERY/RENEW/PUBLISH request."""
-        if self.slo is not None:
-            self.slo.record(request_class, ok=ok, latency=latency)
+        self.slo.record(request_class, ok=ok, latency=latency)
 
     def liveness(self, name: str) -> dict[str, float]:
         """Last-seen time per node for heartbeat ``name``."""
@@ -280,29 +247,18 @@ class HealthMonitor:
         return [(t, node) for t, k, node in self._lease_events
                 if k == kind and t >= since]
 
-    def advance(self, now: float) -> None:
-        """Network hook: roll SLO windows between ticks (cheap)."""
-        if self.slo is not None:
-            self.slo.advance(now)
-
     # -- lifecycle events --------------------------------------------------
 
     def on_node_crash(self, node_id: str) -> None:
         """A node failed-stop: mark it and capture its flight recorder."""
-        if not self.active:
-            return
         self.note(node_id, "node.crash")
         self.capture_dump("crash", node=node_id)
 
     def on_node_restart(self, node_id: str) -> None:
-        if not self.active:
-            return
         self.note(node_id, "node.restart")
 
     def on_invariant_violation(self, summary: str) -> None:
         """An invariant sweep failed: dump everything we have."""
-        if not self.active:
-            return
         self.metrics.counter("health.invariant_violations").inc()
         self.capture_dump("invariant-violation", detail=summary)
 
@@ -310,11 +266,7 @@ class HealthMonitor:
 
     def tick(self) -> None:
         """Evaluate watchdogs and SLO burn rates (periodic, sim-time)."""
-        if not self.active:
-            return
         now = self.clock()
-        if self.slo is not None:
-            self.slo.advance(now)
         raised: list[Alarm] = []
         for watchdog in self.watchdogs:
             raised.extend(watchdog.check(self, now))
@@ -323,8 +275,6 @@ class HealthMonitor:
             self._raise(alarm)
 
     def _check_slo(self, now: float) -> list[Alarm]:
-        if self.slo is None:
-            return []
         alarms = []
         for status in self.slo.check():
             cls = status.objective.request_class
@@ -396,8 +346,7 @@ class HealthMonitor:
     def snapshot(self) -> dict[str, Any]:
         """Health state for reports: SLOs, alarms, dump inventory."""
         return {
-            "enabled": self.active,
-            "slo": self.slo.snapshot() if self.slo is not None else {},
+            "slo": self.slo.snapshot(),
             "alarms": self.alarm_timeline(),
             "dumps": [
                 {"reason": d.reason, "node": d.node, "t": d.time,

@@ -95,7 +95,7 @@ def build_capacity_report(
         report["shed"] = shed
     if monitor is not None:
         report["alarms"] = monitor.alarm_timeline()
-        report["slo"] = monitor.slo.snapshot() if monitor.slo else {}
+        report["slo"] = monitor.slo.snapshot()
     if notes:
         report["notes"] = list(notes)
     return report

@@ -122,19 +122,16 @@ class _ClassWindow:
         self.total_err = 0
 
     def _bucket(self, now: float) -> _Bucket:
+        """The bucket of ``now``. Opening one evicts those that fell out of
+        the retained horizon, so a ring never holds more than ``_keep + 1``;
+        an answer reads only the buckets inside its window."""
         index = int(now // self._width)
         bucket = self._buckets.get(index)
         if bucket is None:
             bucket = self._buckets[index] = _Bucket(index)
-            self.roll(now)
+            for old in [i for i in self._buckets if i < index - self._keep]:
+                del self._buckets[old]
         return bucket
-
-    def roll(self, now: float) -> None:
-        """Evict buckets that have fallen out of the retained horizon."""
-        floor = int(now // self._width) - self._keep
-        if len(self._buckets) > self._keep:
-            for index in [i for i in self._buckets if i < floor]:
-                del self._buckets[index]
 
     def record(self, now: float, ok: bool, latency: float) -> None:
         self._bucket(now).record(ok, latency)
@@ -238,11 +235,6 @@ class SLOTracker:
         window = self._windows.get(request_class)
         if window is not None:
             window.record(self.clock(), ok, latency)
-
-    def advance(self, now: float) -> None:
-        """Roll every ring forward (cheap; safe to call often)."""
-        for window in self._windows.values():
-            window.roll(now)
 
     # -- evaluation --------------------------------------------------------
 

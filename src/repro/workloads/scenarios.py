@@ -179,7 +179,7 @@ def build_scenario(
             seeds = (architecture.registry,)
     if not architecture.hosts_ontology:
         for registry in system.registries:
-            registry.repository.clear()
+            registry.repository.rebuild()
 
     index = 0
     for lan in spec.lan_names:

@@ -28,11 +28,6 @@ from repro.semantics.profiles import ServiceProfile, ServiceRequest
 
 # -- AdmissionPolicy ----------------------------------------------------------
 
-def test_policy_defaults_are_inert():
-    policy = AdmissionPolicy()
-    assert not policy.active()  # every cost 0.0 -> nothing intercepted
-
-
 def test_policy_validation():
     with pytest.raises(ReproError):
         AdmissionPolicy(query_cost=-0.1)

@@ -188,22 +188,6 @@ class TestDurabilityConfig:
             DurabilityConfig(**kwargs)
 
 
-# -- default-off inertness -------------------------------------------------
-
-
-class TestInertDefault:
-    def test_no_disk_attached_and_no_headers(self, ontology):
-        system = DiscoverySystem(seed=7, ontology=ontology)
-        system.add_lan("lan-0")
-        registry = system.add_registry("lan-0")
-        system.add_service("lan-0", _radar("radar-0"))
-        system.run(until=5.0)
-        assert system.network.disks == {}
-        assert registry.durability.counters()["wal_appends"] == 0
-        env = registry.send(registry.node_id, "ad-forward")
-        assert INCARNATION_HEADER not in env.headers
-
-
 # -- recovery end to end ---------------------------------------------------
 
 

@@ -96,10 +96,30 @@ def test_abandoned_subscription_expires_at_registry(fast_cfg):
     system.run(until=2.0)
     client.watch(REQUEST)
     system.run_for(0.5)
-    assert len(registry._subscriptions) == 1
+    assert len(registry.subscriptions) == 1
     client.crash()  # no more refreshes
     system.run_for(3 * fast_cfg.lease_duration)
-    assert len(registry._subscriptions) == 0
+    assert len(registry.subscriptions) == 0
+
+
+def test_expired_subscription_is_not_notified_without_leasing():
+    """With leasing off no purge runs, so nothing lapsed an abandoned
+    subscription: a publish long after its expiry still sent a NOTIFY to
+    the crashed client."""
+    system = _single_lan(DiscoveryConfig(leasing_enabled=False, lease_duration=10.0))
+    client = system.add_client("lan-0")
+    registry = system.registries[0]
+    system.run(until=2.0)
+    client.watch(REQUEST)
+    system.run(until=3.0)
+    assert len(registry.subscriptions) == 1
+    client.crash()
+    system.run(until=40.0)
+    system.add_service("lan-0", _radar())
+    system.run_for(2.0)
+    assert registry.subscriptions.notifications_sent == 0
+    assert protocol.NOTIFY not in system.network.stats.snapshot()["by_type"]
+    assert len(registry.subscriptions) == 0
 
 
 def test_watch_reestablished_after_registry_failover(fast_cfg):

@@ -367,35 +367,12 @@ def test_dump_inventory_is_bounded(monkeypatch):
     ]
 
 
-def test_inactive_monitor_is_inert():
-    metrics = MetricsRegistry()
-    monitor = HealthMonitor(lambda: 0.0, metrics)
-    assert not monitor.active
-    monitor.note("n1", "anything")
-    monitor.record_request("query", ok=False)
-    monitor.tick()
-    monitor.on_node_crash("n1")
-    assert monitor.recorders == {} and monitor.alarms == []
-    assert monitor.dumps == [] and metrics.counters == {}
-
-
 # -- wired into a deployment -------------------------------------------------
-
-
-def test_default_config_registers_no_observers_or_instruments():
-    system = _system(HealthConfig())
-    system.run(until=6.0)
-    assert not system.health.active
-    assert system.sim.trace.observers == []
-    assert system.health.recorders == {}
-    assert not any(name.startswith("health.")
-                   for name in system.network.metrics.counters)
 
 
 def test_enabled_monitor_mirrors_trace_into_rings():
     system = _system(HealthConfig(enabled=True))
     system.run(until=6.0)
-    assert system.health.active
     assert len(system.sim.trace.observers) == 1
     registry = system.registries[0].node_id
     recorder = system.health.recorders[registry]

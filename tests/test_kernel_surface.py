@@ -1,13 +1,16 @@
-"""The registry kernel's surface: what a ``RegistryNode`` registers, and
+"""The registry kernel's surface: what a deployment registers, and
 ratchets on how it decides.
 
 "Off means absent": every registry constructs every subsystem (its
 counters stay readable everywhere), but one the configuration does not
-turn on holds no handler, periodic task, write observer, component slot
-or interceptor — and the node never asks a subsystem whether it is on.
-One structural statement covers all of them, in place of a same-seed
-byte-identity gate per subsystem; the ratchets keep it true, in the shape
-of ``tests/test_config_surface.py``.
+turn on holds no handler, periodic task, write observer, component slot,
+federation watcher or interceptor; a node routes through a
+``PassThrough`` unless adaptive routing is on; a deployment builds no
+health monitor, trace observer or disk it was not asked for — and
+nothing asks a subsystem whether it is on. One structural statement
+covers all of them, in place of a same-seed byte-identity gate per
+subsystem; the ratchets keep it true, in the shape of
+``tests/test_config_surface.py``.
 """
 
 from __future__ import annotations
@@ -23,13 +26,16 @@ import repro
 from repro.core import protocol
 from repro.core.admission import AdmissionController, AdmissionPolicy
 from repro.core.config import COOPERATION_REPLICATE_ADS, DiscoveryConfig
-from repro.core.durability import DurabilityConfig, DurabilityManager
+from repro.core.durability import DurabilityConfig, DurabilityManager, INCARNATION_HEADER
 from repro.core.routing import ROUTING_LEAST_LOADED, ROUTING_STATIC, RoutingConfig
 from repro.core.sharding import ShardingConfig
 from repro.core.system import DiscoverySystem
 from repro.descriptions.uri import UriDescription, UriQuery
+from repro.experiments.e17_overload import shedding_policy
 from repro.netsim.node import Node
+from repro.obs.health import HealthConfig
 from repro.semantics.generator import battlefield_ontology
+from repro.semantics.profiles import ServiceProfile
 from tests.deployments import e7_ring
 
 SRC = Path(repro.__file__).parent
@@ -47,17 +53,42 @@ def _registry(config):
     return system, registry
 
 
+def _names(objects):
+    return [type(o).__name__ for o in objects]
+
+
 def _surface(config):
-    """Everything one registry registered, by name."""
-    _system, registry = _registry(config)
+    """Everything a one-LAN deployment — a registry, a service and a
+    client — registered, by name."""
+    system, registry = _registry(config)
+    service = system.add_service("lan-0", ServiceProfile.build(
+        "radar-0", "ncw:RadarService", outputs=["ncw:AirTrack"]))
+    client = system.add_client("lan-0")
+    system.run_for(0.1)
+    fenced = registry.send(registry.node_id, protocol.AD_FORWARD)
     return {
         "handlers": frozenset(registry.handlers),
         "periodic tasks": len(registry._periodics),
-        "write observers": [type(o).__name__ for o in registry.writes.observers],
-        "components": [type(c).__name__ for c in registry.components],
+        "write observers": _names(registry.writes.observers),
+        "components": _names(registry.components),
         "interceptor": type(registry.interceptor).__name__,
-        "router": type(registry.router).__name__,
+        "routers": _names(node.router for node in (registry, service, client)),
+        "neighbor_added watchers": _names(
+            watcher.__self__
+            for watcher in registry.federation._observers.get("neighbor_added", ())),
+        "health": type(system.health).__name__,
+        "trace observers": len(system.trace.observers),
+        "health metrics": sorted(name for section in system.metrics.snapshot().values()
+                                 for name in section if name.startswith("health.")),
+        "disks": len(system.network.disks),
+        "fenced header": INCARNATION_HEADER in fenced.headers,
     }
+
+
+#: The components every registry registers, in the order each is rebuilt
+#: and started; the optional ones in use follow.
+CORE = ["WriteCoordinator", "Federation", "QueryCoordinator", "ArtifactRepository",
+        "Subscriptions", "AdmissionController", "PassThrough"]
 
 
 def _replicating(**overrides):
@@ -76,6 +107,7 @@ TUNED_OFF = {
         queue_limit=3, prioritized=False, degrade_at=0.9)),
     "routing": DiscoveryConfig(routing=RoutingConfig(
         strategy=ROUTING_STATIC, ewma_alpha=0.9, cooldown_base=2.0)),
+    "health": DiscoveryConfig(health=HealthConfig(enabled=False, shed_step_threshold=2)),
 }
 
 SHARD_TYPES = {
@@ -95,14 +127,16 @@ ENABLED = {
                      sharding=ShardingConfig(enabled=True)),
         # Replaces the flood: its own messages in, the flood's out.
         {"handlers": (SHARD_TYPES, {protocol.AD_FORWARD}),
-         "components": ["AntiEntropy", "ShardManager"]},
+         "components": [*CORE, "AntiEntropy", "ShardManager"],
+         "neighbor_added watchers": ["ArtifactRepository", "ShardManager"]},
     ),
     "flood replication": (
         DiscoveryConfig(),
         _replicating(antientropy_interval=None),
         {"handlers": ({protocol.AD_FORWARD}, set()),
          "write observers": ["AntiEntropy"],
-         "components": ["AntiEntropy", "FloodReplicator"]},
+         "components": [*CORE, "AntiEntropy", "FloodReplicator"],
+         "neighbor_added watchers": ["ArtifactRepository", "FloodReplicator"]},
     ),
     "anti-entropy rounds": (
         _replicating(antientropy_interval=None),
@@ -113,17 +147,27 @@ ENABLED = {
         DiscoveryConfig(),
         DiscoveryConfig(durability=DurabilityConfig(enabled=True)),
         {"periodic tasks": +1, "write observers": ["DurabilityManager"],
-         "components": ["DurabilityManager"]},
+         "components": [*CORE, "DurabilityManager"], "disks": 1, "fenced header": True},
     ),
     "admission": (
         DiscoveryConfig(),
-        DiscoveryConfig(admission=AdmissionPolicy(query_cost=0.01)),
+        DiscoveryConfig(admission=shedding_policy()),
         {"interceptor": "AdmissionController"},
     ),
     "routing": (
         DiscoveryConfig(),
         DiscoveryConfig(routing=RoutingConfig(strategy=ROUTING_LEAST_LOADED)),
-        {"router": "Router"},
+        {"routers": ["Router"] * 3, "components": [*CORE[:-1], "Router"]},
+    ),
+    "health": (
+        DiscoveryConfig(),
+        DiscoveryConfig(health=HealthConfig(enabled=True)),
+        {"health": "HealthMonitor", "trace observers": 1},
+    ),
+    "artifact sync": (
+        DiscoveryConfig(artifact_sync=False),
+        DiscoveryConfig(),
+        {"neighbor_added watchers": ["ArtifactRepository"]},
     ),
 }
 
@@ -133,9 +177,13 @@ def test_tuned_but_off_registers_nothing(subsystem):
     plain = _surface(DiscoveryConfig())
     assert _surface(TUNED_OFF[subsystem]) == plain
     assert plain["write observers"] == []
-    assert plain["components"] == []
+    assert plain["components"] == CORE
     assert plain["interceptor"] == "NoneType"
-    assert plain["router"] == "PassThrough"
+    assert plain["routers"] == ["PassThrough"] * 3
+    assert plain["neighbor_added watchers"] == ["ArtifactRepository"]
+    assert plain["health"] == "NoneType"
+    assert plain["trace observers"] == 0 and plain["health metrics"] == []
+    assert plain["disks"] == 0 and not plain["fenced header"]
     assert not plain["handlers"] & (SHARD_TYPES | ANTIENTROPY_TYPES
                                     | {protocol.AD_FORWARD})
 
@@ -179,7 +227,7 @@ def test_foreign_replication_traffic_is_an_unknown_message():
 # -- ratchets -------------------------------------------------------------------
 
 #: Allowed only to fall.
-REGISTRY_NODE_LINE_CEILING = 409
+REGISTRY_NODE_LINE_CEILING = 282
 
 
 def test_registry_node_does_not_grow():
@@ -212,6 +260,10 @@ def _enable_predicates(path: Path, *, exempt: tuple[str, ...] = ()) -> list[str]
             elif isinstance(node, ast.Attribute):
                 if node.attr == "enabled" and _owner(node) == "durability":
                     what = "durability.enabled"
+                elif node.attr == "active" and _owner(node) == "health":
+                    what = "health.active"
+                elif node.attr == "artifact_sync":
+                    what = "artifact_sync"
             elif isinstance(node, ast.Compare):
                 sides = [node.left, *node.comparators]
                 if any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops) and \
@@ -233,8 +285,46 @@ def test_nobody_is_asked_who_is_on():
     ) == []
     assert _enable_predicates(core / "antientropy.py") == []
     assert _enable_predicates(core / "federation.py") == []
-    assert _enable_predicates(core / "query.py", exempt=("__init__",)) == []
-    assert _enable_predicates(core / "writes.py", exempt=("__init__",)) == []
+    for path in (core / "query.py", core / "writes.py", core / "subscriptions.py",
+                 core / "repository.py", SRC / "obs" / "health.py"):
+        assert _enable_predicates(path, exempt=("__init__",)) == []
+
+
+def test_federation_calls_the_registry_by_no_hook():
+    """Federation tells its watchers (``Federation.watch``) of membership
+    events; it calls no ``self.registry.on_*`` of the node it serves."""
+    tree = ast.parse((SRC / "core" / "federation.py").read_text())
+    hooks = [f"federation.py:{call.lineno} {'.'.join(_chain(call.func))}"
+             for call in ast.walk(tree) if isinstance(call, ast.Call)
+             and _chain(call.func)[:2] == ["self", "registry"]
+             and _chain(call.func)[-1].startswith("on_")]
+    assert hooks == []
+
+
+def _type_checking_only(tree: ast.AST) -> set[ast.AST]:
+    """The import statements inside an ``if TYPE_CHECKING:`` block."""
+    return {node for block in ast.walk(tree) if isinstance(block, ast.If)
+            and getattr(block.test, "id", None) == "TYPE_CHECKING"
+            for stmt in block.body for node in ast.walk(stmt)}
+
+
+def test_netsim_does_not_build_the_health_layer():
+    """The deployment builds the health monitor and hands it to the
+    network; ``repro.netsim`` names its type for annotations only."""
+    found = []
+    for path in sorted((SRC / "netsim").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        typing_only = _type_checking_only(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                continue
+            if "repro.obs.health" in modules and node not in typing_only:
+                found.append(f"netsim/{path.name}:{node.lineno}")
+    assert found == []
 
 
 #: The calls that change what a replica holds: ``(owner, method)``.
@@ -376,7 +466,7 @@ def test_the_busy_correlation_id_is_looked_up_not_laddered():
 
 
 #: ``Node``'s reporting seam: the only functions that may touch the run's
-#: books (and the one test of "attached and the health layer listening").
+#: books (and the one test of "attached to a deployment with a monitor").
 SEAM = {"trace", "metrics", "count", "observe", "gauge", "alias", "note",
         "recovered", "span", "end", "headers_for", "_health", "answered"}
 
@@ -438,9 +528,9 @@ def _none_tests(tree: ast.AST, name: str) -> int:
 
 
 def test_nobody_but_the_seam_asks_whether_there_is_anyone_to_tell():
-    """``health.active`` is asked by the seam, nowhere else under ``core/``
-    or in ``Node`` (the wiring in ``system.py`` and the invariant sweep
-    call methods that are inert while the layer is off); and the "am I attached" / "is there a recorder" tests that
+    """``health.active`` is asked nowhere under ``core/`` or in ``Node`` (a
+    monitor exists only where it is on; the seam reaches it through the
+    network's one optional slot); and the "am I attached" / "is there a recorder" tests that
     used to guard every report stay deleted (40 and 28 before the seam —
     what is left is ``Node.sim`` / ``trace`` / ``metrics``, three ``send``
     errors, two ``_now()`` defaults, ``describe()``'s ``issued_at``, the

@@ -50,7 +50,7 @@ from repro.workloads.scenarios import ARCHITECTURES, PER_LAN, ScenarioSpec, buil
 RESTART_SURVIVORS: dict[str, frozenset[str]] = {
     # Statistics.
     "Node": frozenset({"crash_count", "unknown_messages", "malformed_messages"}),
-    "RegistryNode": frozenset({"notifications_sent"}),
+    "Subscriptions": frozenset({"notifications_sent"}),
     "QueryCoordinator": frozenset({"responses_sent", "late_responses"}),
     "RegistryInfoModel": frozenset({"publishes", "renews", "removals",
                                     "queries_served", "queries_forwarded"}),
@@ -431,14 +431,14 @@ def test_a_standby_that_crashed_while_active_forgets_its_subscribers():
     client.crash()
     standby.crash()
     standby.restart()
-    assert standby._subscriptions == {} and standby.queries._pending == {}
+    assert len(standby.subscriptions) == 0 and standby.queries._pending == {}
     system.run_for(10.0)
     assert standby.active
-    sent = standby.notifications_sent
+    sent = standby.subscriptions.notifications_sent
     system.add_service("lan-0", RADAR)
     system.run_for(3.0)
     assert len(standby.store) == 3
-    assert standby.notifications_sent == sent
+    assert standby.subscriptions.notifications_sent == sent
 
 
 def test_a_demoted_standby_keeps_nothing_of_its_active_life():

@@ -115,7 +115,7 @@ def fingerprint(name: str) -> dict[str, object]:
         "metrics": sorted(metric for section in snapshot.values() for metric in section),
         "trace": _sha(system.trace.capture().export_jsonl()),
     }
-    if system.health.active:
+    if system.health is not None:
         found["alarms"] = _sha(json.dumps(system.health.alarm_timeline(), sort_keys=True))
         found["dumps"] = _sha("\n".join(
             f"{d.reason}|{d.node}|{d.time}|{d.jsonl}" for d in system.health.dumps))

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core import protocol
 from repro.core.config import DiscoveryConfig
-from repro.core.repository import ArtifactRepository
+from repro.core.registry_node import RegistryNode
 from repro.core.system import DiscoverySystem
 from repro.semantics.generator import battlefield_ontology
 from repro.semantics.profiles import ServiceProfile, ServiceRequest
@@ -15,8 +15,13 @@ from repro.semantics.profiles import ServiceProfile, ServiceRequest
 
 # -- ArtifactRepository -----------------------------------------------------
 
+def _repository():
+    """A registry's artifact repository, the registry unattached."""
+    return RegistryNode("registry-00", DiscoveryConfig(), []).repository
+
+
 def test_repository_store_fetch_counters():
-    repo = ArtifactRepository()
+    repo = _repository()
     repo.store("ont", "data" * 100)
     assert "ont" in repo
     assert len(repo) == 1
@@ -27,7 +32,7 @@ def test_repository_store_fetch_counters():
 
 
 def test_repository_replace_and_names():
-    repo = ArtifactRepository()
+    repo = _repository()
     repo.store("b", 1)
     repo.store("a", 2)
     repo.store("b", 3)
@@ -36,16 +41,16 @@ def test_repository_replace_and_names():
 
 
 def test_repository_total_bytes_and_clear():
-    repo = ArtifactRepository()
+    repo = _repository()
     repo.store("big", "z" * 5000)
     assert repo.total_bytes() >= 5000
-    repo.clear()
+    repo.rebuild()
     assert len(repo) == 0
     assert repo.total_bytes() == 0
 
 
 def test_repository_hosts_ontologies():
-    repo = ArtifactRepository()
+    repo = _repository()
     ont = battlefield_ontology()
     repo.store(ont.name, ont)
     assert repo.total_bytes() == ont.size_bytes()

@@ -88,8 +88,9 @@ def test_graceful_leave_shrinks_ring_and_rebalances():
 
 
 def test_leave_drains_pending_aggregations():
-    """on_peer_departed / on_departing release waiting fan-outs at once
-    instead of riding out the aggregation timeout (satellite 1)."""
+    """A member's leave (``peer_departed``) and our own (``departing``)
+    release waiting fan-outs at once instead of riding out the
+    aggregation timeout."""
     system, registries, _ = _cluster()
     system.run(until=5.0)
     coordinator = registries[0]
@@ -118,7 +119,7 @@ def test_leave_drains_pending_aggregations():
         on_complete=lambda hits, responders: flushed.append(responders),
     )
     coordinator.queries._pending["q-flush"] = ours
-    coordinator.on_departing()  # we are the one leaving
+    coordinator.federation.leave()  # we are the one leaving
     assert ours.done and flushed == [1]
 
 
