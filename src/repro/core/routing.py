@@ -67,45 +67,29 @@ _ROUTING_STRATEGIES = frozenset({
     ROUTING_COOLDOWN_FAILOVER,
 })
 
-#: Cooldown growth per consecutive failure of the same target, and the
-#: upper bound on one cooldown interval (seconds).
+#: Weight of the newest latency sample in the per-target EWMA.
+EWMA_ALPHA = 0.3
+
+#: First cooldown after a failure signal (seconds); it grows by
+#: :data:`COOLDOWN_FACTOR` per *consecutive* failure of the same target,
+#: up to :data:`COOLDOWN_MAX` (seconds).
+COOLDOWN_BASE = 0.5
 COOLDOWN_FACTOR = 2.0
 COOLDOWN_MAX = 10.0
 
 
 @dataclass(frozen=True)
 class RoutingConfig:
-    """Routing strategy selection plus its tunables.
-
-    Attributes
-    ----------
-    strategy:
-        One of ``static`` (default), ``nearest-latency``,
-        ``least-loaded``, ``cooldown-failover``.
-    ewma_alpha:
-        Weight of the newest latency sample in the per-target EWMA.
-    cooldown_base:
-        First cooldown after a failure signal (seconds); it grows by
-        :data:`COOLDOWN_FACTOR` per *consecutive* failure of the same
-        target, up to :data:`COOLDOWN_MAX`.
-    """
+    """Routing strategy selection: one of ``static`` (default),
+    ``nearest-latency``, ``least-loaded``, ``cooldown-failover``."""
 
     strategy: str = ROUTING_STATIC
-    ewma_alpha: float = 0.3
-    cooldown_base: float = 0.5
 
     def __post_init__(self) -> None:
         if self.strategy not in _ROUTING_STRATEGIES:
             raise ReproError(
                 f"unknown routing strategy {self.strategy!r}; "
                 f"choose from {sorted(_ROUTING_STRATEGIES)}"
-            )
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ReproError(f"ewma_alpha must be in (0, 1], got {self.ewma_alpha}")
-        if not 0 < self.cooldown_base <= COOLDOWN_MAX:
-            raise ReproError(
-                f"cooldown_base must be in (0, {COOLDOWN_MAX}], "
-                f"got {self.cooldown_base}"
             )
 
 
@@ -315,15 +299,14 @@ class Router:
     def rebuild(self) -> None:
         """Nothing observed, nobody cooling: a restarted or roamed node
         forgets what traffic taught it."""
-        config = self.config
-        self.health = PassiveHealthTracker(alpha=config.ewma_alpha)
+        self.health = PassiveHealthTracker(alpha=EWMA_ALPHA)
         self.cooldowns = CooldownManager(
             self._now,
-            base=config.cooldown_base,
+            base=COOLDOWN_BASE,
             factor=COOLDOWN_FACTOR,
             maximum=COOLDOWN_MAX,
         )
-        self.strategy: RoutingStrategy = _STRATEGY_CLASSES[config.strategy](
+        self.strategy: RoutingStrategy = _STRATEGY_CLASSES[self.config.strategy](
             self.health, self.cooldowns
         )
 

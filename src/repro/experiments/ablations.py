@@ -22,23 +22,17 @@ from __future__ import annotations
 
 from repro.core.config import DiscoveryConfig
 from repro.core.system import DiscoverySystem
-from repro.experiments.common import ExperimentResult, mean
+from repro.experiments.common import REQUEST, ExperimentResult, mean, radar
 from repro.metrics.bandwidth import TrafficWindow
 from repro.metrics.retrieval import score_queries
 from repro.metrics.staleness import registry_staleness
 from repro.netsim.faults import FaultPlan
 from repro.netsim.messages import SizeModel
 from repro.semantics.generator import battlefield_ontology
-from repro.semantics.profiles import ServiceProfile, ServiceRequest
-from repro.workloads.queries import QueryDriver, QueryWorkload
-from repro.workloads.scenarios import ScenarioSpec, build_scenario
+from repro.semantics.profiles import ServiceRequest
+from repro.workloads.queries import play
+from repro.workloads.scenarios import ScenarioSpec, build_scenario, lans as lan_ids
 
-REQUEST = ServiceRequest.build("ncw:SensorService", outputs=["ncw:Track"])
-
-
-def _radar(name: str) -> ServiceProfile:
-    return ServiceProfile.build(name, "ncw:RadarService",
-                                outputs=["ncw:AirTrack"])
 
 
 # -- lease duration -----------------------------------------------------------
@@ -60,15 +54,8 @@ def lease_duration_sweep(
     for duration in durations:
         config = DiscoveryConfig(lease_duration=duration,
                                  purge_interval=duration / 5.0)
-        spec = ScenarioSpec(
-            name=f"a-lease-{duration}",
-            lan_names=("lan-0",),
-            ontology_factory=battlefield_ontology,
-            services_per_lan=n_services,
-            clients_per_lan=1,
-            federation="none",
-            seed=seed,
-        )
+        spec = ScenarioSpec(lan_names=lan_ids(1), services_per_lan=n_services,
+                            federation="none", seed=seed)
         built = build_scenario(spec, config=config)
         system = built.system
         system.run(until=3.0)
@@ -116,7 +103,7 @@ def beacon_interval_sweep(
                                  config=config)
         system.add_lan("lan-0")
         registry = system.add_registry("lan-0")
-        system.add_service("lan-0", _radar("radar"))
+        system.add_service("lan-0", radar("radar"))
         client = system.add_client("lan-0")
         system.run(until=5.0)
         upkeep = TrafficWindow.open(system.network.stats, system.sim.now)
@@ -164,33 +151,16 @@ def ttl_sweep(
     for ttl in ttls:
         config = DiscoveryConfig(default_ttl=ttl, aggregation_timeout=0.3,
                                  query_timeout=max(2.0, 0.4 * (ttl + 2)))
-        spec = ScenarioSpec(
-            name=f"a-ttl-{ttl}",
-            lan_names=tuple(f"lan-{i}" for i in range(lans)),
-            ontology_factory=battlefield_ontology,
-            services_per_lan=2,
-            clients_per_lan=1,
-            federation="chain",
-            seed=seed,
-        )
+        spec = ScenarioSpec(lan_names=lan_ids(lans), services_per_lan=2,
+                            federation="chain", seed=seed)
         built = build_scenario(spec, config=config)
-        system = built.system
-        system.run(until=10.0)
-        workload = QueryWorkload.anchored(built.generator, built.profiles,
-                                          n_queries, generalize=1)
-        window = TrafficWindow.open(system.network.stats, system.sim.now)
-        driver = QueryDriver(system, workload, interval=0.5, seed=seed)
-        issued = driver.play(settle=0.0, drain=15.0,
-                             clients=[built.clients[0]])
-        window.close(system.sim.now)
-        scores = score_queries(issued)
+        built.system.run(until=10.0)
+        played = play(built, n_queries, drain=15.0, clients=[built.clients[0]])
         result.add(
             ttl=ttl,
-            recall=scores.recall,
-            forward_bytes=window.bytes_by_type().get("query-forward", 0),
-            mean_latency=mean(
-                q.call.latency for q in issued if q.call.completed
-            ),
+            recall=score_queries(played.issued).recall,
+            forward_bytes=played.window.bytes_by_type().get("query-forward", 0),
+            mean_latency=mean(q.call.latency for q in played.completed),
         )
     result.note(
         "recall saturates once the TTL covers the chain from the querying "
@@ -222,7 +192,7 @@ def compression_sweep(
         system.add_lan("lan-0")
         system.add_registry("lan-0")
         for i in range(n_services):
-            system.add_service("lan-0", _radar(f"radar-{i}"),
+            system.add_service("lan-0", radar(f"radar-{i}"),
                                model_ids=("semantic",))
         client = system.add_client("lan-0", model_ids=("semantic",))
         system.run(until=3.0)
@@ -272,7 +242,7 @@ def narrowband_sweep(
             )
             system.network.add_lan("radio", bandwidth_bps=bandwidth)
             system.add_registry("radio", model_ids=(model_id,))
-            system.add_service("radio", _radar("radar"),
+            system.add_service("radio", radar("radar"),
                                model_ids=(model_id,))
             client = system.add_client("radio", model_ids=(model_id,))
             system.run(until=3.0)

@@ -5,7 +5,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
+from repro.core.client_node import ClientNode
+from repro.core.config import DiscoveryConfig
+from repro.core.system import DiscoverySystem
 from repro.errors import ExperimentError
+from repro.semantics.generator import battlefield_ontology
+from repro.semantics.profiles import ServiceProfile, ServiceRequest
+from repro.workloads.scenarios import lans
+
+#: The request every :func:`radar` profile answers.
+REQUEST = ServiceRequest.build("ncw:SensorService", outputs=["ncw:Track"])
 
 
 @dataclass
@@ -130,6 +139,26 @@ def stdev(values: Iterable[float]) -> float:
         return 0.0
     mu = mean(items)
     return (sum((x - mu) ** 2 for x in items) / len(items)) ** 0.5
+
+
+def radar(name: str) -> ServiceProfile:
+    """A ``ncw:RadarService`` producing ``ncw:AirTrack``."""
+    return ServiceProfile.build(name, "ncw:RadarService", outputs=["ncw:AirTrack"])
+
+
+def radar_ring(config: DiscoveryConfig, seed: int, *,
+               clients: int) -> tuple[DiscoverySystem, list[ClientNode]]:
+    """Three LANs with one registry each, ring-federated, services
+    ``radar-{i}-{j}`` (two per LAN) and ``clients`` clients on lan-0."""
+    system = DiscoverySystem(seed=seed, ontology=battlefield_ontology(), config=config)
+    for lan in lans(3):
+        system.add_lan(lan)
+        system.add_registry(lan)
+    system.federate_ring()
+    for i, lan in enumerate(lans(3)):
+        for j in range(2):
+            system.add_service(lan, radar(f"radar-{i}-{j}"))
+    return system, [system.add_client("lan-0") for _ in range(clients)]
 
 
 def schedule_discovers(system, arrivals: Iterable[tuple[float, Any, Any]]) -> list:

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from repro.core.config import DiscoveryConfig
 from repro.experiments.common import ExperimentResult
-from repro.netsim.messages import SizeModel
-from repro.semantics.generator import ProfileGenerator, emergency_ontology
-from repro.workloads.scenarios import ScenarioSpec, build_scenario
-from repro.workloads.queries import QueryWorkload, QueryDriver
+from repro.netsim.messages import SizeModel, estimate_payload_size
+from repro.semantics.generator import emergency_ontology
+from repro.workloads.queries import play
+from repro.workloads.scenarios import ScenarioSpec, build_scenario, lans
 
 MODELS = ("uri", "template", "semantic")
 
@@ -58,12 +58,9 @@ def run(
 def _run_one(model_id: str, n_services: int, n_queries: int, seed: int,
              *, size_model: SizeModel, label: str | None = None) -> dict:
     spec = ScenarioSpec(
-        name=f"e10-{label or model_id}",
-        lan_names=("lan-0",),
+        lan_names=lans(1),
         ontology_factory=emergency_ontology,
-        registries_per_lan=1,
         services_per_lan=n_services,
-        clients_per_lan=1,
         federation="none",
         model_ids=(model_id,),
         seed=seed,
@@ -73,18 +70,14 @@ def _run_one(model_id: str, n_services: int, n_queries: int, seed: int,
     system.network.size_model = size_model
     system.run(until=2.0)
 
-    workload = QueryWorkload.anchored(
-        built.generator, built.profiles, n_queries, generalize=1
-    )
-    driver = QueryDriver(system, workload, model_id=model_id, interval=0.5, seed=seed)
-    issued = driver.play(settle=0.0, drain=30.0)
-    completed = [q for q in issued if q.call.completed]
+    played = play(built, n_queries, drain=30.0, model_id=model_id)
+    completed = played.completed
 
     stats = system.network.stats
     model = system.clients[0].models.get(model_id)
     sample_profile = built.profiles[0]
     ad_payload = model.describe(sample_profile, "svc://sample")
-    query_payload = model.query_from(workload.labelled[0].request)
+    query_payload = model.query_from(played.issued[0].call.request)
 
     def per_message(msg_type: str) -> float:
         count = stats.by_type_count.get(msg_type, 0)
@@ -107,6 +100,4 @@ def _run_one(model_id: str, n_services: int, n_queries: int, seed: int,
 
 
 def _payload_size(payload, size_model: SizeModel) -> int:
-    from repro.netsim.messages import estimate_payload_size
-
     return int(estimate_payload_size(payload) * size_model.compression_ratio)

@@ -20,6 +20,7 @@ edges; LAN cliques for the registry-less case), and compute:
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 from repro.core.config import DiscoveryConfig
 from repro.core.invariants import assert_invariants
@@ -32,8 +33,7 @@ from repro.metrics.topology import (
     reachability_under_removal,
 )
 from repro.netsim.faults import removal_order
-from repro.semantics.generator import battlefield_ontology
-from repro.workloads.scenarios import ScenarioSpec, build_scenario
+from repro.workloads.scenarios import ScenarioSpec, build_scenario, lans as lan_ids
 
 ARCHITECTURES = ("decentralized", "centralized", "distributed")
 
@@ -81,41 +81,19 @@ def run(
 
 
 def _build_graph(arch: str, lans: int, services_per_lan: int, seed: int):
-    registries = {"decentralized": 0, "centralized": 1, "distributed": 1}[arch]
-    spec = ScenarioSpec(
-        name=f"e11-{arch}",
-        lan_names=tuple(f"lan-{i}" for i in range(lans)),
-        ontology_factory=battlefield_ontology,
-        registries_per_lan=registries,
-        services_per_lan=services_per_lan,
-        clients_per_lan=1,
-        federation="mesh" if arch == "distributed" else "none",
-        seed=seed,
-    )
+    spec = ScenarioSpec(lan_names=lan_ids(lans), services_per_lan=services_per_lan,
+                        federation="mesh", seed=seed)
+    if arch != "distributed":
+        spec = replace(spec, registries_per_lan=0, federation="none")
+    system = build_scenario(spec, config=DiscoveryConfig(),
+                            with_registries=arch == "distributed").system
     if arch == "centralized":
         # One registry total: place it on lan-0 and seed everyone to it.
-        spec = ScenarioSpec(
-            name=spec.name,
-            lan_names=spec.lan_names,
-            ontology_factory=spec.ontology_factory,
-            registries_per_lan=0,
-            services_per_lan=services_per_lan,
-            clients_per_lan=1,
-            federation="none",
-            seed=seed,
-        )
-        built = build_scenario(spec, config=DiscoveryConfig(),
-                               with_registries=False)
-        system = built.system
         hub = system.add_registry("lan-0")
         for node in list(system.services) + list(system.clients):
             system.sim.schedule(0.5, lambda n=node: n.tracker.seed(hub.node_id))
-        system.run(until=12.0)
-        return discovery_graph(system)
-    built = build_scenario(spec, config=DiscoveryConfig(),
-                           with_registries=registries > 0)
-    built.system.run(until=12.0)
-    return discovery_graph(built.system)
+    system.run(until=12.0)
+    return discovery_graph(system)
 
 
 def run_fault_scenario(
@@ -133,16 +111,8 @@ def run_fault_scenario(
     """
     from repro.experiments.e3_robustness import canonical_fault_plan
 
-    spec = ScenarioSpec(
-        name="e11-fault-scenario",
-        lan_names=tuple(f"lan-{i}" for i in range(lans)),
-        ontology_factory=battlefield_ontology,
-        registries_per_lan=1,
-        services_per_lan=services_per_lan,
-        clients_per_lan=1,
-        federation="mesh",
-        seed=seed,
-    )
+    spec = ScenarioSpec(lan_names=lan_ids(lans), services_per_lan=services_per_lan,
+                        federation="mesh", seed=seed)
     built = build_scenario(spec, config=DiscoveryConfig())
     system = built.system
     system.run(until=12.0)

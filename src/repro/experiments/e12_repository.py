@@ -28,7 +28,6 @@ from repro.core.config import DiscoveryConfig
 from repro.core.system import DiscoverySystem
 from repro.experiments.common import ExperimentResult
 from repro.semantics.generator import ProfileGenerator, emergency_ontology
-from repro.semantics.profiles import ServiceRequest
 
 
 def run(*, n_services: int = 3, n_queries: int = 5, seed: int = 0) -> ExperimentResult:

@@ -18,13 +18,9 @@ from __future__ import annotations
 
 from repro.core.config import DiscoveryConfig
 from repro.core.system import DiscoverySystem
-from repro.experiments.common import ExperimentResult, mean
+from repro.experiments.common import REQUEST, ExperimentResult, mean, radar
 from repro.metrics.bandwidth import TrafficWindow
 from repro.semantics.generator import battlefield_ontology
-from repro.semantics.profiles import ServiceProfile, ServiceRequest
-
-#: The standing need used by every mode.
-REQUEST = ServiceRequest.build("ncw:SensorService", outputs=["ncw:Track"])
 
 
 def _deploy(seed: int):
@@ -45,11 +41,7 @@ def _arrival_schedule(n_arrivals: int, spacing: float, start: float = 5.0):
 def _spawn_services(system, arrivals):
     for index, when in enumerate(arrivals):
         system.sim.schedule_at(when, lambda i=index: system.add_service(
-            "lan-0",
-            ServiceProfile.build(
-                f"late-radar-{i}", "ncw:RadarService", outputs=["ncw:AirTrack"]
-            ),
-        ))
+            "lan-0", radar(f"late-radar-{i}")))
 
 
 def run(

@@ -18,12 +18,9 @@ from __future__ import annotations
 
 from repro.core.config import COOPERATION_REPLICATE_ADS, DiscoveryConfig
 from repro.core.system import DiscoverySystem
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import REQUEST, ExperimentResult, radar
 from repro.netsim.faults import FaultPlan
 from repro.semantics.generator import battlefield_ontology
-from repro.semantics.profiles import ServiceProfile, ServiceRequest
-
-REQUEST = ServiceRequest.build("ncw:SensorService", outputs=["ncw:Track"])
 
 
 def run(
@@ -61,8 +58,7 @@ def _run_one(with_standby: bool, n_queries: int, outage_at: float,
     primary = system.add_registry("lan-0")
     standby = system.add_standby_registry("lan-0", lan_target=1) \
         if with_standby else None
-    system.add_service("lan-0", ServiceProfile.build(
-        "radar", "ncw:RadarService", outputs=["ncw:AirTrack"]))
+    system.add_service("lan-0", radar("radar"))
     client = system.add_client("lan-0")
     system.run(until=3.0)
     (FaultPlan()
@@ -138,8 +134,7 @@ def _run_warm_one(warm: bool, outage_at: float, window: float, seed: int) -> dic
         "lan-0", lan_target=1,
         seeds=(remote.node_id,) if warm else (),
     )
-    system.add_service("lan-1", ServiceProfile.build(
-        "radar", "ncw:RadarService", outputs=["ncw:AirTrack"]))
+    system.add_service("lan-1", radar("radar"))
     client = system.add_client("lan-0")
     system.run(until=3.0)
     FaultPlan().crash(outage_at, primary.node_id).apply(system)

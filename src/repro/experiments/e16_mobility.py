@@ -20,11 +20,9 @@ import random
 
 from repro.core.config import DiscoveryConfig
 from repro.experiments.common import ExperimentResult, mean
-from repro.metrics.bandwidth import TrafficWindow
 from repro.metrics.retrieval import score_queries
-from repro.semantics.generator import battlefield_ontology
-from repro.workloads.queries import QueryDriver, QueryWorkload
-from repro.workloads.scenarios import ScenarioSpec, build_scenario
+from repro.workloads.queries import play
+from repro.workloads.scenarios import ScenarioSpec, build_scenario, lans as lan_ids
 
 
 def run(
@@ -56,15 +54,7 @@ def _run_one(move_interval: float | None, lans: int, services_per_lan: int,
         lease_duration=8.0, purge_interval=1.0, beacon_interval=2.0,
         aggregation_timeout=0.3, query_timeout=3.0,
     )
-    spec = ScenarioSpec(
-        name=f"e16-{move_interval}",
-        lan_names=tuple(f"lan-{i}" for i in range(lans)),
-        ontology_factory=battlefield_ontology,
-        services_per_lan=services_per_lan,
-        clients_per_lan=1,
-        federation="ring",
-        seed=seed,
-    )
+    spec = ScenarioSpec(lan_names=lan_ids(lans), services_per_lan=services_per_lan, seed=seed)
     built = build_scenario(spec, config=config)
     system = built.system
     system.run(until=5.0)
@@ -84,21 +74,12 @@ def _run_one(move_interval: float | None, lans: int, services_per_lan: int,
 
         system.sim.every(move_interval, roam)
 
-    window = TrafficWindow.open(system.network.stats, system.sim.now)
-    workload = QueryWorkload.anchored(built.generator, built.profiles,
-                                      n_queries, generalize=1)
-    driver = QueryDriver(system, workload, interval=6.0, seed=seed)
-    issued = driver.play(settle=2.0, drain=15.0)
-    report = window.close(system.sim.now)
-
-    scores = score_queries(issued)
+    played = play(built, n_queries, interval=6.0, settle=2.0, drain=15.0)
     return {
         "move_interval": move_interval if move_interval is not None else "static",
         "moves": moves,
-        "recall": scores.recall,
-        "completed": sum(1 for q in issued if q.call.completed),
-        "maintenance_bytes_per_s": window.maintenance_bytes() / report["duration"],
-        "mean_latency": mean(
-            q.call.latency for q in issued if q.call.completed
-        ),
+        "recall": score_queries(played.issued).recall,
+        "completed": len(played.completed),
+        "maintenance_bytes_per_s": played.window.maintenance_bytes() / played.traffic["duration"],
+        "mean_latency": mean(q.call.latency for q in played.completed),
     }

@@ -33,6 +33,7 @@ touched), so a fixed seed reproduces every number exactly.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 from repro.core.admission import AdmissionPolicy
 from repro.core.config import DiscoveryConfig
@@ -40,9 +41,8 @@ from repro.core.invariants import assert_invariants
 from repro.core.retry import RetryPolicy
 from repro.experiments.common import ExperimentResult, schedule_discovers
 from repro.obs.report import build_capacity_report, write_report
-from repro.semantics.generator import battlefield_ontology
 from repro.workloads.queries import QueryWorkload
-from repro.workloads.scenarios import ScenarioSpec, build_scenario
+from repro.workloads.scenarios import ScenarioSpec, build_scenario, lans
 
 MODES = ("shedding", "baseline")
 MULTIPLIERS = (0.5, 1.0, 2.0, 4.0)
@@ -102,19 +102,14 @@ def _config(policy: AdmissionPolicy) -> DiscoveryConfig:
     )
 
 
+#: The flooded deployment E17 and E18 build on (each adds lan-0 siblings).
+FLOOD_SPEC = ScenarioSpec(lan_names=lans(2), services_per_lan=5, clients_per_lan=4,
+                          federation="chain", model_ids=("semantic",))
+
+
 def _build(mode: str, seed: int):
     policy = shedding_policy() if mode == "shedding" else baseline_policy()
-    spec = ScenarioSpec(
-        name=f"e17-{mode}",
-        lan_names=("lan-0", "lan-1"),
-        ontology_factory=battlefield_ontology,
-        registries_per_lan=1,
-        services_per_lan=5,
-        clients_per_lan=4,
-        federation="chain",
-        model_ids=("semantic",),
-        seed=seed,
-    )
+    spec = replace(FLOOD_SPEC, seed=seed)
     built = build_scenario(spec, config=_config(policy))
     # A sibling registry on the flooded LAN: client hashing spreads the
     # offered load across both, and BUSY-driven failover has somewhere

@@ -44,15 +44,16 @@ from repro.core.routing import (
 )
 from repro.experiments.common import ExperimentResult
 from repro.experiments.e17_overload import (
+    FLOOD_SPEC,
     _config as _overload_config,
     _offer_flood,
     _p99,
     shedding_policy,
 )
+from repro.obs.capture import TINY_QUEUE
 from repro.obs.report import build_capacity_report, write_report
-from repro.semantics.generator import battlefield_ontology
-from repro.workloads.queries import QueryWorkload
-from repro.workloads.scenarios import ScenarioSpec, build_scenario
+from repro.workloads.queries import play
+from repro.workloads.scenarios import ScenarioSpec, build_scenario, lans
 
 STRATEGIES = (
     ROUTING_STATIC,
@@ -75,31 +76,15 @@ def _config(routing: RoutingConfig) -> DiscoveryConfig:
 
 
 def _build(routing: RoutingConfig, seed: int):
-    spec = ScenarioSpec(
-        name=f"e18-{routing.strategy}",
-        lan_names=("lan-0", "lan-1"),
-        ontology_factory=battlefield_ontology,
-        registries_per_lan=1,
-        services_per_lan=5,
-        clients_per_lan=4,
-        federation="chain",
-        model_ids=("semantic",),
-        seed=seed,
-    )
-    built = build_scenario(spec, config=_config(routing))
+    built = build_scenario(replace(FLOOD_SPEC, seed=seed), config=_config(routing))
     # The idle replicas on the flooded LAN: the relief valves the routing
-    # strategies are supposed to find. Seeding them with the gateway pulls
-    # them into the federation so anti-entropy replicates the full
-    # advertisement set onto each — any sibling can answer any query.
-    gateway = min(
-        r.node_id
-        for r in built.system.registries
-        if r.lan_name == "lan-0"
-    )
+    # strategies are supposed to find. Seeding them with lan-0's gateway
+    # (the first registry) pulls them into the federation so anti-entropy
+    # replicates the full advertisement set onto each — any sibling can
+    # answer any query.
+    gateway = built.system.registries[0].node_id
     for _ in range(4):
-        built.system.add_registry(
-            "lan-0", model_ids=spec.model_ids, seeds=(gateway,)
-        )
+        built.system.add_registry("lan-0", model_ids=FLOOD_SPEC.model_ids, seeds=(gateway,))
     return built
 
 
@@ -109,7 +94,6 @@ def _run_skewed(
     *,
     seed: int,
     window: float = 10.0,
-    routing_params: dict | None = None,
 ) -> dict:
     """Skewed flood: every lan-0 client starts on the same registry.
 
@@ -120,8 +104,7 @@ def _run_skewed(
     Returns the experiment row after the backlog has drained and the
     invariants have been checked.
     """
-    routing = RoutingConfig(strategy=strategy, **(routing_params or {}))
-    built = _build(routing, seed)
+    built = _build(RoutingConfig(strategy=strategy), seed)
     system = built.system
     system.run(until=8.0)  # bootstrap: probes, publishes, first renews
 
@@ -239,39 +222,15 @@ def trace_export(routing: RoutingConfig, *, seed: int = 0) -> str:
     A single-LAN deployment with two registries and a deliberately tiny
     admission queue, so a short query burst produces BUSY shedding and
     (under adaptive strategies) rerouting. Used by the routing smoke to
-    assert that (a) any two same-seed runs are byte-identical under every
-    strategy, and (b) *static* runs are byte-identical across differing
-    routing parameters — the strategy's tunables must be completely inert
-    until an adaptive strategy is selected.
+    assert that any two same-seed runs are byte-identical under every
+    strategy.
     """
-    from repro.core.admission import AdmissionPolicy
-    from repro.workloads.queries import QueryDriver
-
-    config = DiscoveryConfig(
-        admission=AdmissionPolicy(query_cost=0.4, queue_limit=1,
-                                  degrade_at=1.0, retry_after_base=0.1),
-        routing=routing,
-    )
-    spec = ScenarioSpec(
-        name="e18-trace",
-        lan_names=("lan-0",),
-        ontology_factory=battlefield_ontology,
-        registries_per_lan=2,
-        services_per_lan=2,
-        clients_per_lan=1,
-        federation="none",
-        model_ids=("semantic",),
-        seed=seed,
-    )
-    built = build_scenario(spec, config=config)
-    system = built.system
-    capture = system.trace.capture()
-    system.run(until=12.0)
-    workload = QueryWorkload.anchored(built.generator, built.profiles, 4,
-                                      generalize=1)
-    driver = QueryDriver(system, workload, model_id="semantic",
-                         interval=0.05, seed=seed)
-    driver.play(settle=0.0, drain=10.0)
+    spec = ScenarioSpec(lan_names=lans(1), registries_per_lan=2, services_per_lan=2,
+                        federation="none", model_ids=("semantic",), seed=seed)
+    built = build_scenario(spec, config=DiscoveryConfig(admission=TINY_QUEUE, routing=routing))
+    capture = built.system.trace.capture()
+    built.system.run(until=12.0)
+    play(built, 4, interval=0.05)
     return capture.export_jsonl()
 
 

@@ -38,14 +38,9 @@ from repro.core.invariants import (
     check_recovery,
     store_snapshot,
 )
-from repro.core.system import DiscoverySystem
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import REQUEST, ExperimentResult, radar_ring
 from repro.netsim.faults import FaultPlan
 from repro.obs.report import build_capacity_report, write_report
-from repro.semantics.generator import battlefield_ontology
-from repro.semantics.profiles import ServiceProfile, ServiceRequest
-
-REQUEST = ServiceRequest.build("ncw:SensorService", outputs=["ncw:Track"])
 
 #: Whole-LAN blackout window: between the renew ticks at 24s and 48s
 #: (lease 60s, renew fraction 0.4), so services themselves never notice.
@@ -68,21 +63,9 @@ def _config(durable: bool) -> DiscoveryConfig:
     )
 
 
-def _build(durable: bool, seed: int, *, services_per_lan: int = 2):
-    """Three replicating LANs, one registry each, ring-federated."""
-    system = DiscoverySystem(
-        seed=seed, ontology=battlefield_ontology(), config=_config(durable)
-    )
-    for i in range(3):
-        system.add_lan(f"lan-{i}")
-        system.add_registry(f"lan-{i}")
-    system.federate_ring()
-    for i in range(3):
-        for j in range(services_per_lan):
-            system.add_service(f"lan-{i}", ServiceProfile.build(
-                f"radar-{i}-{j}", "ncw:RadarService", outputs=["ncw:AirTrack"]
-            ))
-    client = system.add_client("lan-0")
+def _build(durable: bool, seed: int):
+    """Three replicating LANs and one client: ``(system, client)``."""
+    system, (client,) = radar_ring(_config(durable), seed, clients=1)
     return system, client
 
 

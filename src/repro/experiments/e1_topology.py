@@ -21,18 +21,13 @@ from repro.core.config import DiscoveryConfig
 from repro.experiments.common import ExperimentResult, mean
 from repro.metrics.bandwidth import TrafficWindow
 from repro.metrics.retrieval import score_queries
-from repro.workloads.queries import QueryDriver, QueryWorkload
-from repro.workloads.scenarios import ScenarioSpec, build_scenario
-from repro.semantics.generator import battlefield_ontology
+from repro.workloads.queries import play
+from repro.workloads.scenarios import ScenarioSpec, build_scenario, lans
 
 ARCHITECTURES = ("decentralized", "centralized", "distributed")
 
 #: Registries per architecture on the single LAN.
 _REGISTRY_COUNT = {"decentralized": 0, "centralized": 1, "distributed": 3}
-
-
-def _config() -> DiscoveryConfig:
-    return DiscoveryConfig(lease_duration=20.0, purge_interval=5.0)
 
 
 def run(
@@ -50,11 +45,8 @@ def run(
     )
     for n_services in service_counts:
         for arch in ARCHITECTURES:
-            row = _run_one(arch, n_services, n_clients, n_queries,
-                           maintenance_window, seed)
-            summary = row.pop("_obs")
-            result.metrics[f"query.e2e_latency[{arch}/{n_services}]"] = summary
-            result.add(**row)
+            _add_row(result, arch, n_services, n_clients, n_queries,
+                     maintenance_window, seed)
     result.note(
         "decentralized pays per-query multicast + per-provider responses; "
         "centralized pays maintenance and concentrates load; distributed "
@@ -63,18 +55,17 @@ def run(
     return result
 
 
-def _run_one(
+def _add_row(
+    result: ExperimentResult,
     arch: str,
     n_services: int,
     n_clients: int,
     n_queries: int,
     maintenance_window: float,
     seed: int,
-) -> dict:
+) -> None:
     spec = ScenarioSpec(
-        name=f"e1-{arch}",
-        lan_names=("lan-0",),
-        ontology_factory=battlefield_ontology,
+        lan_names=lans(1),
         registries_per_lan=_REGISTRY_COUNT[arch],
         services_per_lan=n_services,
         clients_per_lan=n_clients,
@@ -82,7 +73,8 @@ def _run_one(
         seed=seed,
     )
     built = build_scenario(
-        spec, config=_config(), with_registries=_REGISTRY_COUNT[arch] > 0
+        spec, config=DiscoveryConfig(lease_duration=20.0, purge_interval=5.0),
+        with_registries=_REGISTRY_COUNT[arch] > 0,
     )
     system = built.system
     system.run(until=2.0)
@@ -93,30 +85,22 @@ def _run_one(
     upkeep_report = upkeep.close(system.sim.now)
 
     # Query phase.
-    workload = QueryWorkload.anchored(
-        built.generator, built.profiles, n_queries, generalize=1
-    )
-    window = TrafficWindow.open(system.network.stats, system.sim.now)
-    driver = QueryDriver(system, workload, interval=0.5, seed=seed)
-    issued = driver.play(settle=0.0, drain=8.0)
-    window.close(system.sim.now)
-
-    completed = [q for q in issued if q.call.completed]
-    scores = score_queries(issued)
+    played = play(built, n_queries, drain=8.0)
+    completed = played.completed
     max_node, max_load = system.network.stats.max_node_load()
-    latency = system.metrics.histogram("query.e2e_latency").summary()
-    return {
-        "arch": arch,
-        "services": n_services,
-        "queries_done": len(completed),
-        "recall": scores.recall,
-        "mean_responses": mean(q.call.responses for q in completed),
-        "query_bytes_per_q": window.query_bytes() / max(len(completed), 1),
-        "upkeep_bytes_per_s": upkeep_report["bytes_per_second"],
-        "max_node_load_bytes": max_load,
-        "max_node": max_node,
-        "p50_ms": latency["p50"] * 1000.0,
-        "p95_ms": latency["p95"] * 1000.0,
-        "p99_ms": latency["p99"] * 1000.0,
-        "_obs": latency,
-    }
+    latency = played.latency
+    result.metrics[f"query.e2e_latency[{arch}/{n_services}]"] = latency
+    result.add(
+        arch=arch,
+        services=n_services,
+        queries_done=len(completed),
+        recall=score_queries(played.issued).recall,
+        mean_responses=mean(q.call.responses for q in completed),
+        query_bytes_per_q=played.window.query_bytes() / max(len(completed), 1),
+        upkeep_bytes_per_s=upkeep_report["bytes_per_second"],
+        max_node_load_bytes=max_load,
+        max_node=max_node,
+        p50_ms=latency["p50"] * 1000.0,
+        p95_ms=latency["p95"] * 1000.0,
+        p99_ms=latency["p99"] * 1000.0,
+    )

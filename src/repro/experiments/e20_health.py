@@ -35,9 +35,10 @@ import json
 
 from repro.core.config import COOPERATION_REPLICATE_ADS, DiscoveryConfig
 from repro.core.invariants import assert_invariants
-from repro.core.system import DiscoverySystem
 from repro.experiments.common import (
+    REQUEST,
     ExperimentResult,
+    radar_ring,
     round_robin_probes,
     schedule_discovers,
 )
@@ -45,10 +46,6 @@ from repro.experiments.e17_overload import shedding_policy
 from repro.netsim.faults import FaultPlan
 from repro.obs.health import HealthConfig
 from repro.obs.report import build_capacity_report, write_report
-from repro.semantics.generator import battlefield_ontology
-from repro.semantics.profiles import ServiceProfile, ServiceRequest
-
-REQUEST = ServiceRequest.build("ncw:SensorService", outputs=["ncw:Track"])
 
 #: Fault schedule (sim-seconds). The phases are spaced so every
 #: detector's rising edge clears between faults: the lease window (10 s)
@@ -108,24 +105,6 @@ def _config(health: HealthConfig) -> DiscoveryConfig:
     )
 
 
-def _build(seed: int, health: HealthConfig):
-    """Three replicating LANs, one registry each, two clients on lan-0."""
-    system = DiscoverySystem(
-        seed=seed, ontology=battlefield_ontology(), config=_config(health)
-    )
-    for i in range(3):
-        system.add_lan(f"lan-{i}")
-        system.add_registry(f"lan-{i}")
-    system.federate_ring()
-    for i in range(3):
-        for j in range(2):
-            system.add_service(f"lan-{i}", ServiceProfile.build(
-                f"radar-{i}-{j}", "ncw:RadarService", outputs=["ncw:AirTrack"]
-            ))
-    clients = [system.add_client("lan-0"), system.add_client("lan-0")]
-    return system, clients
-
-
 def _schedule_flood(system, clients) -> list:
     """The overload fault: 3x capacity for the flood window, round-robin."""
     count = int(FLOOD_QPS * (FLOOD_END - FLOOD_START))
@@ -148,7 +127,7 @@ def _fault_plan(registry_id: str) -> FaultPlan:
 
 def _run_scenario(*, seed: int, faulted: bool, health: HealthConfig) -> dict:
     """One full run; returns everything the smoke and report need."""
-    system, clients = _build(seed, health)
+    system, clients = radar_ring(_config(health), seed, clients=2)
     capture = system.trace.capture()
     # One background query per second: the SLO stream's steady feed.
     probes = round_robin_probes(system, clients, REQUEST,

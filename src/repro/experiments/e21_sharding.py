@@ -29,12 +29,9 @@ from repro.core.invariants import check_convergence, check_shard_placement
 from repro.core.protocol import DigestPayload
 from repro.core.sharding import ConsistentHashRing, ShardingConfig
 from repro.core.system import DiscoverySystem
-from repro.experiments.common import ExperimentResult, round_robin_probes
+from repro.experiments.common import REQUEST, ExperimentResult, radar, round_robin_probes
 from repro.netsim.faults import FaultPlan
 from repro.semantics.generator import battlefield_ontology
-from repro.semantics.profiles import ServiceProfile, ServiceRequest
-
-REQUEST = ServiceRequest.build("ncw:SensorService", outputs=["ncw:Track"])
 
 #: Ring-sweep scale: the acceptance criteria quote 100k advertisements.
 SWEEP_KEYS = 100_000
@@ -49,11 +46,6 @@ LIVE_SERVICES = 32
 KILL_AT = 20.0
 END_AT = 80.0
 PROBE_INTERVAL = 0.5
-
-
-def _radar(name: str) -> ServiceProfile:
-    return ServiceProfile.build(name, "ncw:RadarService",
-                                outputs=["ncw:AirTrack"])
 
 
 # -- ring sweep (analytic) ---------------------------------------------------
@@ -146,7 +138,7 @@ def _build_live(seed: int):
             seeds=(f"registry-{(i + 1) % LIVE_REGISTRIES:02d}",),
         )
     for i in range(LIVE_SERVICES):
-        system.add_service(f"lan-{i % LIVE_REGISTRIES}", _radar(f"radar-{i}"))
+        system.add_service(f"lan-{i % LIVE_REGISTRIES}", radar(f"radar-{i}"))
     clients = [system.add_client(f"lan-{i}") for i in range(4)]
     return system, clients
 

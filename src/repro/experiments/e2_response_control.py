@@ -21,9 +21,8 @@ from __future__ import annotations
 
 from repro.core.config import DiscoveryConfig
 from repro.experiments.common import ExperimentResult
-from repro.semantics.generator import battlefield_ontology
 from repro.semantics.profiles import ServiceRequest
-from repro.workloads.scenarios import ScenarioSpec, build_scenario
+from repro.workloads.scenarios import ScenarioSpec, build_scenario, lans
 
 #: A deliberately broad request: the root service category.
 BROAD_CATEGORY = "ncw:Service"
@@ -42,8 +41,7 @@ def run(
     )
     for arch in ("decentralized", "registry"):
         for cap in caps:
-            row = _run_one(arch, cap, n_services, seed)
-            result.add(**row)
+            result.add(**_run_one(arch, cap, n_services, seed))
     result.note(
         "decentralized response count tracks the matching population "
         "regardless of the cap (implosion); a registry returns one "
@@ -54,12 +52,9 @@ def run(
 
 def _run_one(arch: str, cap: int | None, n_services: int, seed: int) -> dict:
     spec = ScenarioSpec(
-        name=f"e2-{arch}",
-        lan_names=("lan-0",),
-        ontology_factory=battlefield_ontology,
+        lan_names=lans(1),
         registries_per_lan=1 if arch == "registry" else 0,
         services_per_lan=n_services,
-        clients_per_lan=1,
         federation="none",
         seed=seed,
     )

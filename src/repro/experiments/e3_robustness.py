@@ -15,31 +15,16 @@ recall against the still-alive service population.
 from __future__ import annotations
 
 from repro.core.config import DiscoveryConfig
-from repro.core.invariants import assert_invariants
-from repro.experiments.common import ExperimentResult
+from repro.core.invariants import assert_convergence, assert_invariants, check_convergence
+from repro.experiments.common import ExperimentResult, radar
 from repro.metrics.retrieval import score_queries
 from repro.metrics.topology import degree_of, discovery_graph
 from repro.netsim.faults import FaultPlan, removal_order
-from repro.semantics.generator import battlefield_ontology
-from repro.workloads.queries import QueryDriver, QueryWorkload
-from repro.workloads.scenarios import ScenarioSpec, build_scenario
+from repro.semantics.profiles import ServiceProfile, ServiceRequest
+from repro.workloads.queries import play
+from repro.workloads.scenarios import ScenarioSpec, build_scenario, lans as lan_ids
 
 ARCHITECTURES = ("federated", "cluster", "uddi", "wsd-adhoc")
-
-
-def _spec(name: str, lans: int, services_per_lan: int, seed: int,
-          architecture: str = "federated") -> ScenarioSpec:
-    return ScenarioSpec(
-        name=f"e3-{name}",
-        lan_names=tuple(f"lan-{i}" for i in range(lans)),
-        ontology_factory=battlefield_ontology,
-        registries_per_lan=1,
-        services_per_lan=services_per_lan,
-        clients_per_lan=1,
-        federation="ring",
-        seed=seed,
-        architecture=architecture,
-    )
 
 
 def run(
@@ -69,9 +54,8 @@ def run(
             for fraction in fractions:
                 if arch == "wsd-adhoc" and fraction > 0.0 and fraction < 1.0:
                     continue  # no registries to fail: endpoints identical
-                row = _run_one(arch, strategy, fraction, lans,
-                               services_per_lan, n_queries, recovery, seed)
-                result.add(**row)
+                result.add(**_run_one(arch, strategy, fraction, lans,
+                                      services_per_lan, n_queries, recovery, seed))
     result.note(
         "uddi collapses at any failure touching its single registry; "
         "wsd-adhoc is registry-free (immune but LAN-local); federated "
@@ -90,7 +74,8 @@ def _run_one(
     recovery: float,
     seed: int,
 ) -> dict:
-    built = build_scenario(_spec(arch, lans, services_per_lan, seed, arch))
+    built = build_scenario(ScenarioSpec(lan_names=lan_ids(lans), services_per_lan=services_per_lan,
+                                        seed=seed, architecture=arch))
     system = built.system
     system.run(until=12.0)  # bootstrap + a couple of signalling rounds
 
@@ -111,11 +96,7 @@ def _run_one(
         plan.apply(system)
         system.run_for(recovery)
 
-    workload = QueryWorkload.anchored(
-        built.generator, built.profiles, n_queries, generalize=1
-    )
-    driver = QueryDriver(system, workload, interval=0.5, seed=seed)
-    issued = driver.play(settle=1.0, drain=20.0)
+    issued = play(built, n_queries, settle=1.0, drain=20.0).issued
     alive = frozenset(
         s.profile.service_name for s in system.services if s.alive
     )
@@ -173,18 +154,15 @@ def run_fault_scenario(
     Returns a dict with the fault history counts, traffic snapshot, and
     completed-query count — the experiment row a robustness report cites.
     """
-    built = build_scenario(_spec("federated", lans, services_per_lan, seed))
+    built = build_scenario(ScenarioSpec(lan_names=lan_ids(lans), services_per_lan=services_per_lan,
+                                        seed=seed))
     system = built.system
     system.run(until=12.0)
 
     plan = canonical_fault_plan(system)
     applied = plan.apply(system)
 
-    workload = QueryWorkload.anchored(
-        built.generator, built.profiles, n_queries, generalize=1
-    )
-    driver = QueryDriver(system, workload, interval=2.0, seed=seed)
-    issued = driver.play(settle=1.0, drain=30.0)
+    issued = play(built, n_queries, interval=2.0, settle=1.0, drain=30.0).issued
     # Let retries, renew cycles, and purge timers settle before sweeping.
     system.run_for(2 * system.config.lease_duration)
     assert_invariants(system)
@@ -218,10 +196,8 @@ def run_convergence_scenario(
     clean — the bounded-round reconvergence the reconciliation protocol
     promises (asserted ≤ ``max_rounds``).
     """
-    from repro.core.invariants import assert_convergence, check_convergence
-    from repro.semantics.profiles import ServiceProfile
-
-    spec = _spec("cluster-convergence", lans, services_per_lan, seed, "cluster")
+    spec = ScenarioSpec(lan_names=lan_ids(lans), services_per_lan=services_per_lan, seed=seed,
+                        architecture="cluster")
     built = build_scenario(spec, config=DiscoveryConfig(antientropy_interval=interval))
     system = built.system
     system.run(until=12.0)
@@ -237,8 +213,7 @@ def run_convergence_scenario(
     system.run_for(5.0)
     # Mid-partition publishes on both sides: replication floods cannot
     # cross the split, so the stores diverge for real.
-    system.add_service(lan_names[0], ServiceProfile.build(
-        "split-a", "ncw:RadarService", outputs=["ncw:AirTrack"]))
+    system.add_service(lan_names[0], radar("split-a"))
     system.add_service(lan_names[1], ServiceProfile.build(
         "split-b", "ncw:SensorService", outputs=["ncw:Track"]))
     system.run_for(17.0)  # rest of the partition + the heal
@@ -288,12 +263,10 @@ def run_degraded_latency(
         aggregation_timeout=0.5,
         breaker_reset_timeout=300.0,
     )
-    spec = _spec("degraded-latency", 2, services_per_lan, seed)
+    spec = ScenarioSpec(lan_names=lan_ids(2), services_per_lan=services_per_lan, seed=seed)
     built = build_scenario(spec, config=config)
     system = built.system
     system.run(until=6.0)
-
-    from repro.semantics.profiles import ServiceRequest
 
     client = system.clients[0]
     anchor = built.profiles[0]

@@ -27,8 +27,8 @@ from repro.experiments.common import ExperimentResult
 from repro.metrics.staleness import registry_staleness, response_staleness
 from repro.semantics.generator import emergency_ontology
 from repro.netsim.faults import FaultPlan
-from repro.workloads.queries import QueryDriver, QueryWorkload
-from repro.workloads.scenarios import ScenarioSpec, build_scenario
+from repro.workloads.queries import play
+from repro.workloads.scenarios import ScenarioSpec, build_scenario, lans
 
 ARCHITECTURES = ("leasing", "no-leasing", "uddi", "wsd-proxy", "wsd-adhoc")
 
@@ -42,21 +42,6 @@ ABLATIONS = {
     "no-leasing": DiscoveryConfig(lease_duration=LEASE, purge_interval=2.0,
                                   leasing_enabled=False),
 }
-
-
-def _build(arch: str, n_services: int, seed: int):
-    spec = ScenarioSpec(
-        name=f"e4-{arch}",
-        lan_names=("lan-0",),
-        ontology_factory=emergency_ontology,
-        registries_per_lan=1,
-        services_per_lan=n_services,
-        clients_per_lan=1,
-        federation="none",
-        seed=seed,
-        architecture="federated" if arch in ABLATIONS else arch,
-    )
-    return build_scenario(spec, config=ABLATIONS.get(arch, DiscoveryConfig(lease_duration=LEASE)))
 
 
 def run(
@@ -91,7 +76,15 @@ def _run_one(
     n_queries: int,
     seed: int,
 ) -> dict:
-    built = _build(arch, n_services, seed)
+    spec = ScenarioSpec(
+        lan_names=lans(1),
+        ontology_factory=emergency_ontology,
+        services_per_lan=n_services,
+        federation="none",
+        seed=seed,
+        architecture="federated" if arch in ABLATIONS else arch,
+    )
+    built = build_scenario(spec, config=ABLATIONS.get(arch, DiscoveryConfig(lease_duration=LEASE)))
     system = built.system
     system.run(until=3.0)
     # A fixed fault schedule, not a live churn process: every architecture
@@ -114,11 +107,7 @@ def _run_one(
     )
     reg_staleness = registry_staleness(system)
 
-    workload = QueryWorkload.anchored(
-        built.generator, built.profiles, n_queries, generalize=1
-    )
-    driver = QueryDriver(system, workload, interval=0.5, seed=seed)
-    issued = driver.play(settle=0.5, drain=15.0)
+    issued = play(built, n_queries, settle=0.5, drain=15.0).issued
     dead_at_completion = {
         q.call.query_id: dead for q in issued if q.call.completed
     }

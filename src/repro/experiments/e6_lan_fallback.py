@@ -28,7 +28,7 @@ from repro.core.config import DiscoveryConfig
 from repro.experiments.common import ExperimentResult, mean
 from repro.metrics.bandwidth import TrafficWindow
 from repro.semantics.generator import emergency_ontology
-from repro.workloads.scenarios import ScenarioSpec, build_scenario
+from repro.workloads.scenarios import ScenarioSpec, build_scenario, lans
 
 
 def run(
@@ -49,16 +49,8 @@ def run(
         query_timeout=2.0,
         fallback_timeout=0.5,
     )
-    spec = ScenarioSpec(
-        name="e6",
-        lan_names=("lan-0",),
-        ontology_factory=emergency_ontology,
-        registries_per_lan=1,
-        services_per_lan=n_services,
-        clients_per_lan=1,
-        federation="none",
-        seed=seed,
-    )
+    spec = ScenarioSpec(lan_names=lans(1), ontology_factory=emergency_ontology,
+                        services_per_lan=n_services, federation="none", seed=seed)
     built = build_scenario(spec, config=config)
     system = built.system
     client = system.clients[0]

@@ -20,17 +20,17 @@ Three sub-studies on the multi-LAN scenario:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.core.config import (
     COOPERATION_FORWARD_QUERIES,
     COOPERATION_REPLICATE_ADS,
     DiscoveryConfig,
 )
 from repro.experiments.common import ExperimentResult, mean
-from repro.metrics.bandwidth import TrafficWindow
 from repro.metrics.retrieval import score_queries
-from repro.semantics.generator import battlefield_ontology
-from repro.workloads.queries import QueryDriver, QueryWorkload
-from repro.workloads.scenarios import ScenarioSpec, build_scenario
+from repro.workloads.queries import play
+from repro.workloads.scenarios import ScenarioSpec, build_scenario, lans as lan_ids
 
 
 def run(
@@ -45,20 +45,22 @@ def run(
         experiment="E7",
         description="WAN federation: seeding, cooperation, gateways (Figs. 2/4)",
     )
+    spec = ScenarioSpec(lan_names=lan_ids(lans), services_per_lan=services_per_lan, seed=seed)
     for shape in ("none", "chain", "ring", "mesh"):
-        row = _seeding_row(shape, lans, services_per_lan, n_queries, seed)
-        result.metrics[f"query.e2e_latency[seeding/{shape}]"] = row.pop("_obs")
-        result.add(**row)
+        _add_row(result, "seeding", shape, replace(spec, federation=shape), n_queries)
     for cooperation in (COOPERATION_FORWARD_QUERIES, COOPERATION_REPLICATE_ADS):
-        row = _cooperation_row(cooperation, lans, services_per_lan,
-                               n_queries, seed)
-        result.metrics[f"query.e2e_latency[cooperation/{cooperation}]"] = row.pop("_obs")
-        result.add(**row)
+        config = DiscoveryConfig(
+            cooperation=cooperation,
+            default_ttl=0 if cooperation == COOPERATION_REPLICATE_ADS else 4,
+        )
+        _add_row(result, "cooperation", cooperation, spec, n_queries, config=config)
     for election in (True, False):
-        row = _gateway_row(election, lans, services_per_lan,
-                           n_queries, seed)
-        result.metrics[f"query.e2e_latency[gateway/{row['variant']}]"] = row.pop("_obs")
-        result.add(**row)
+        # Two registries per LAN, every one with WAN links (a full mesh
+        # over all of them): this is the configuration where redundant WAN
+        # forwarding arises and gateway election pays off.
+        _add_row(result, "gateway", "elected" if election else "all-forward",
+                 replace(spec, registries_per_lan=2, federation="none"), n_queries,
+                 config=DiscoveryConfig(gateway_election=election), mesh=True)
     result.note(
         "shape=none keeps discovery LAN-local (recall ~ 1/LANs); any "
         "connected seeding restores full recall; replication trades query "
@@ -68,84 +70,27 @@ def run(
     return result
 
 
-def _base_spec(name: str, lans: int, services_per_lan: int, seed: int,
-               *, registries_per_lan: int = 1, federation: str = "ring") -> ScenarioSpec:
-    return ScenarioSpec(
-        name=name,
-        lan_names=tuple(f"lan-{i}" for i in range(lans)),
-        ontology_factory=battlefield_ontology,
-        registries_per_lan=registries_per_lan,
-        services_per_lan=services_per_lan,
-        clients_per_lan=1,
-        federation=federation,
-        seed=seed,
-    )
-
-
-def _measure(built, n_queries: int, seed: int) -> dict:
-    system = built.system
-    system.run(until=12.0)
-    workload = QueryWorkload.anchored(
-        built.generator, built.profiles, n_queries, generalize=1
-    )
-    window = TrafficWindow.open(system.network.stats, system.sim.now)
-    driver = QueryDriver(system, workload, interval=0.5, seed=seed)
-    issued = driver.play(settle=0.0, drain=15.0)
-    window.close(system.sim.now)
-    completed = [q for q in issued if q.call.completed]
-    scores = score_queries(issued)
-    wan_delta = window.stats.snapshot()["bytes_wan"] - window.baseline["bytes_wan"]
-    latency = system.metrics.histogram("query.e2e_latency").summary()
-    return {
-        "recall": scores.recall,
-        "completed": len(completed),
-        "query_bytes_per_q": window.query_bytes() / max(len(completed), 1),
-        "maintenance_bytes": window.maintenance_bytes(),
-        "wan_bytes": wan_delta,
-        "mean_latency": mean(q.call.latency for q in completed),
-        "p50_ms": latency["p50"] * 1000.0,
-        "p95_ms": latency["p95"] * 1000.0,
-        "p99_ms": latency["p99"] * 1000.0,
-        "_obs": latency,
-    }
-
-
-def _seeding_row(shape: str, lans: int, services_per_lan: int,
-                 n_queries: int, seed: int) -> dict:
-    spec = _base_spec(f"e7-seed-{shape}", lans, services_per_lan, seed,
-                      federation=shape)
-    built = build_scenario(spec, config=DiscoveryConfig())
-    row = {"study": "seeding", "variant": shape}
-    row.update(_measure(built, n_queries, seed))
-    return row
-
-
-def _cooperation_row(cooperation: str, lans: int, services_per_lan: int,
-                     n_queries: int, seed: int) -> dict:
-    config = DiscoveryConfig(
-        cooperation=cooperation,
-        default_ttl=0 if cooperation == COOPERATION_REPLICATE_ADS else 4,
-    )
-    spec = _base_spec(f"e7-coop-{cooperation}", lans, services_per_lan, seed,
-                      federation="ring")
+def _add_row(result: ExperimentResult, study: str, variant: str, spec: ScenarioSpec,
+             n_queries: int, *, config: DiscoveryConfig | None = None,
+             mesh: bool = False) -> None:
     built = build_scenario(spec, config=config)
-    row = {"study": "cooperation", "variant": cooperation}
-    row.update(_measure(built, n_queries, seed))
-    return row
-
-
-def _gateway_row(election: bool, lans: int, services_per_lan: int,
-                 n_queries: int, seed: int) -> dict:
-    config = DiscoveryConfig(gateway_election=election)
-    spec = _base_spec(
-        f"e7-gw-{election}", lans, services_per_lan, seed,
-        registries_per_lan=2, federation="none",
+    if mesh:
+        built.system.federate_mesh()
+    built.system.run(until=12.0)
+    played = play(built, n_queries, drain=15.0)
+    completed = played.completed
+    latency = played.latency
+    result.metrics[f"query.e2e_latency[{study}/{variant}]"] = latency
+    result.add(
+        study=study,
+        variant=variant,
+        recall=score_queries(played.issued).recall,
+        completed=len(completed),
+        query_bytes_per_q=played.window.query_bytes() / max(len(completed), 1),
+        maintenance_bytes=played.window.maintenance_bytes(),
+        wan_bytes=played.traffic["bytes_wan"],
+        mean_latency=mean(q.call.latency for q in completed),
+        p50_ms=latency["p50"] * 1000.0,
+        p95_ms=latency["p95"] * 1000.0,
+        p99_ms=latency["p99"] * 1000.0,
     )
-    built = build_scenario(spec, config=config)
-    # Every registry gets WAN links (full mesh over all of them): this is
-    # the configuration where redundant WAN forwarding arises and gateway
-    # election pays off.
-    built.system.federate_mesh()
-    row = {"study": "gateway", "variant": "elected" if election else "all-forward"}
-    row.update(_measure(built, n_queries, seed))
-    return row

@@ -31,11 +31,9 @@ from repro.core.config import (
     STRATEGY_RANDOM_WALK,
 )
 from repro.experiments.common import ExperimentResult, mean
-from repro.metrics.bandwidth import TrafficWindow
 from repro.metrics.retrieval import score_queries
-from repro.semantics.generator import battlefield_ontology
-from repro.workloads.queries import QueryDriver, QueryWorkload
-from repro.workloads.scenarios import ScenarioSpec, build_scenario
+from repro.workloads.queries import play
+from repro.workloads.scenarios import ScenarioSpec, build_scenario, lans as lan_ids
 
 STRATEGIES = (STRATEGY_FLOODING, STRATEGY_EXPANDING_RING,
               STRATEGY_RANDOM_WALK, STRATEGY_INFORMED)
@@ -81,37 +79,20 @@ def _run_one(
         aggregation_timeout=0.5,
         signalling_interval=5.0,   # informed routing needs summary gossip
     )
-    spec = ScenarioSpec(
-        name=f"e8-{strategy}",
-        lan_names=tuple(f"lan-{i}" for i in range(lans)),
-        ontology_factory=battlefield_ontology,
-        registries_per_lan=1,
-        services_per_lan=services_per_lan,
-        clients_per_lan=1,
-        federation="ring",
-        seed=seed,
-    )
+    spec = ScenarioSpec(lan_names=lan_ids(lans), services_per_lan=services_per_lan, seed=seed)
     built = build_scenario(spec, config=config)
     system = built.system
     # Long enough for content summaries to gossip across the ring's
     # diameter (one hop per signalling round).
     system.run(until=6.0 * lans)
-    workload = QueryWorkload.anchored(
-        built.generator, built.profiles, n_queries, generalize=1,
-        max_results=max_results,
-    )
-    window = TrafficWindow.open(system.network.stats, system.sim.now)
-    driver = QueryDriver(system, workload, interval=1.0, seed=seed)
-    issued = driver.play(settle=0.0, drain=20.0)
-    window.close(system.sim.now)
-    completed = [q for q in issued if q.call.completed]
-    scores = score_queries(issued)
-    by_type = window.bytes_by_type()
+    played = play(built, n_queries, interval=1.0, drain=20.0, max_results=max_results)
+    completed = played.completed
+    by_type = played.window.bytes_by_type()
     return {
         "strategy": strategy,
-        "recall": scores.recall,
+        "recall": score_queries(played.issued).recall,
         "completed": len(completed),
-        "query_bytes_per_q": window.query_bytes() / max(len(completed), 1),
+        "query_bytes_per_q": played.window.query_bytes() / max(len(completed), 1),
         "forward_bytes": by_type.get("query-forward", 0) + by_type.get("walk", 0),
         "mean_latency": mean(q.call.latency for q in completed),
     }

@@ -23,9 +23,8 @@ from __future__ import annotations
 from repro.core.config import DiscoveryConfig
 from repro.experiments.common import ExperimentResult, mean
 from repro.metrics.retrieval import score_queries
-from repro.semantics.generator import battlefield_ontology
-from repro.workloads.queries import QueryDriver, QueryWorkload
-from repro.workloads.scenarios import ScenarioSpec, build_scenario
+from repro.workloads.queries import play
+from repro.workloads.scenarios import ScenarioSpec, build_scenario, lans as lan_ids
 
 
 def run(
@@ -59,16 +58,7 @@ def _run_one(signalling: bool, lans: int, services_per_lan: int,
         lease_duration=15.0,      # orphaned services fail over within the run
         purge_interval=3.0,
     )
-    spec = ScenarioSpec(
-        name=f"e9-{signalling}",
-        lan_names=tuple(f"lan-{i}" for i in range(lans)),
-        ontology_factory=battlefield_ontology,
-        registries_per_lan=1,
-        services_per_lan=services_per_lan,
-        clients_per_lan=1,
-        federation="ring",
-        seed=seed,
-    )
+    spec = ScenarioSpec(lan_names=lan_ids(lans), services_per_lan=services_per_lan, seed=seed)
     built = build_scenario(spec, config=config)
     system = built.system
     system.run(until=15.0)  # a signalling round must have happened
@@ -80,18 +70,13 @@ def _run_one(signalling: bool, lans: int, services_per_lan: int,
     system.network.node(victim).crash()
     system.run_for(0.5)
 
-    workload = QueryWorkload.anchored(
-        built.generator, built.profiles, n_queries, generalize=1
-    )
-    driver = QueryDriver(system, workload, interval=1.0, seed=seed)
-    issued = driver.play(clients=[client], settle=0.0, drain=20.0)
-    completed = [q for q in issued if q.call.completed]
-    scores = score_queries(issued)
+    played = play(built, n_queries, interval=1.0, drain=20.0, clients=[client])
+    completed = played.completed
     return {
         "signalling": "on" if signalling else "off",
         "killed": victim,
         "completed": len(completed),
-        "recall": scores.recall,
+        "recall": score_queries(played.issued).recall,
         "mean_attempts": mean(q.call.attempts for q in completed),
         "first_query_latency": completed[0].call.latency if completed else None,
         "probes_after_crash": client.tracker.probes_sent - probes_before,

@@ -10,6 +10,7 @@ phase and reports the delta.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
 from repro.netsim.stats import TrafficStats
 
@@ -28,18 +29,12 @@ class TrafficWindow:
 
     stats: TrafficStats
     opened_at: float
-    baseline: dict[str, int] = field(default_factory=dict)
-    type_baseline: dict[str, int] = field(default_factory=dict)
+    baseline: dict[str, Any] = field(default_factory=dict)
 
     @staticmethod
     def open(stats: TrafficStats, now: float) -> "TrafficWindow":
         """Start a measurement window at simulated time ``now``."""
-        return TrafficWindow(
-            stats=stats,
-            opened_at=now,
-            baseline=stats.snapshot(),
-            type_baseline=dict(stats.by_type_bytes),
-        )
+        return TrafficWindow(stats=stats, opened_at=now, baseline=stats.snapshot())
 
     def close(self, now: float) -> dict[str, float]:
         """Scalar deltas since open, plus the per-second rate."""
@@ -53,10 +48,11 @@ class TrafficWindow:
 
     def bytes_by_type(self) -> dict[str, int]:
         """Per-message-type byte deltas since open (e.g. 'publish', 'query')."""
+        before = {msg_type: entry["bytes"] for msg_type, entry in self.baseline["by_type"].items()}
         return {
-            msg_type: self.stats.by_type_bytes[msg_type] - self.type_baseline.get(msg_type, 0)
-            for msg_type in self.stats.by_type_bytes
-            if self.stats.by_type_bytes[msg_type] != self.type_baseline.get(msg_type, 0)
+            msg_type: bytes_ - before.get(msg_type, 0)
+            for msg_type, bytes_ in self.stats.by_type_bytes.items()
+            if bytes_ != before.get(msg_type, 0)
         }
 
     def maintenance_bytes(self) -> int:

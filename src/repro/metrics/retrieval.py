@@ -32,14 +32,9 @@ class RetrievalScores:
         """Score (returned, relevant) set pairs; macro-averaged."""
         if not pairs:
             return RetrievalScores(0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        precisions, recalls = [], []
-        for returned, relevant in pairs:
-            correct = len(returned & relevant)
-            precisions.append(correct / len(returned) if returned else
-                              (1.0 if not relevant else 0.0))
-            recalls.append(correct / len(relevant) if relevant else 1.0)
-        precision = sum(precisions) / len(pairs)
-        recall = sum(recalls) / len(pairs)
+        scored = [_precision_recall(returned, relevant) for returned, relevant in pairs]
+        precision = sum(p for p, _ in scored) / len(pairs)
+        recall = sum(r for _, r in scored) / len(pairs)
         f1 = (2 * precision * recall / (precision + recall)) if (precision + recall) else 0.0
         return RetrievalScores(
             queries=len(pairs),
@@ -58,7 +53,10 @@ def returned_names(call: DiscoveryCall) -> frozenset[str]:
 
 def score_call(call: DiscoveryCall, relevant: frozenset[str]) -> tuple[float, float]:
     """(precision, recall) of one call against its ground truth."""
-    returned = returned_names(call)
+    return _precision_recall(returned_names(call), relevant)
+
+
+def _precision_recall(returned: frozenset[str], relevant: frozenset[str]) -> tuple[float, float]:
     correct = len(returned & relevant)
     precision = correct / len(returned) if returned else (1.0 if not relevant else 0.0)
     recall = correct / len(relevant) if relevant else 1.0

@@ -28,8 +28,27 @@ if TYPE_CHECKING:  # pragma: no cover - the health layer is built above netsim
     from repro.obs.health import HealthMonitor
 
 
+class _FaultWindow:
+    """What the fault windows share: ``[start, end)`` on traffic touching
+    ``lan``, between the two LANs of ``link``, or (both ``None``) anywhere."""
+
+    def _check_span(self, what: str) -> None:
+        if self.end <= self.start:
+            raise NetworkError(f"{what} must end after it starts ({self.start} .. {self.end})")
+
+    def applies(self, now: float, src_lan: str, dst_lan: str) -> bool:
+        """Whether this window affects a delivery between the LANs at ``now``."""
+        if not self.start <= now < self.end:
+            return False
+        if self.lan is not None:
+            return self.lan in (src_lan, dst_lan)
+        if self.link is not None:
+            return self.link == frozenset((src_lan, dst_lan))
+        return True
+
+
 @dataclass(frozen=True)
-class LossWindow:
+class LossWindow(_FaultWindow):
     """A timed burst of extra delivery loss on part of the network.
 
     ``lan`` scopes the burst to traffic touching one LAN; ``link`` to
@@ -47,23 +66,11 @@ class LossWindow:
     def __post_init__(self) -> None:
         if not 0.0 <= self.rate <= 1.0:
             raise NetworkError(f"loss window rate must be in [0, 1], got {self.rate}")
-        if self.end <= self.start:
-            raise NetworkError(f"loss window must end after it starts "
-                               f"({self.start} .. {self.end})")
-
-    def applies(self, now: float, src_lan: str, dst_lan: str) -> bool:
-        """Whether this window affects a delivery between the LANs at ``now``."""
-        if not self.start <= now < self.end:
-            return False
-        if self.lan is not None:
-            return self.lan in (src_lan, dst_lan)
-        if self.link is not None:
-            return self.link == frozenset((src_lan, dst_lan))
-        return True
+        self._check_span("loss window")
 
 
 @dataclass(frozen=True)
-class LatencySpike:
+class LatencySpike(_FaultWindow):
     """A timed additive delivery-latency increase, scoped like a
     :class:`LossWindow` (per-LAN, per-link, or global)."""
 
@@ -76,19 +83,7 @@ class LatencySpike:
     def __post_init__(self) -> None:
         if self.extra < 0:
             raise NetworkError(f"latency spike must be non-negative, got {self.extra}")
-        if self.end <= self.start:
-            raise NetworkError(f"latency spike must end after it starts "
-                               f"({self.start} .. {self.end})")
-
-    def applies(self, now: float, src_lan: str, dst_lan: str) -> bool:
-        """Whether this spike affects a delivery between the LANs at ``now``."""
-        if not self.start <= now < self.end:
-            return False
-        if self.lan is not None:
-            return self.lan in (src_lan, dst_lan)
-        if self.link is not None:
-            return self.link == frozenset((src_lan, dst_lan))
-        return True
+        self._check_span("latency spike")
 
 
 @dataclass

@@ -19,13 +19,14 @@ from dataclasses import dataclass
 from repro.core.admission import AdmissionPolicy
 from repro.core.client_node import DiscoveryCall
 from repro.core.config import DiscoveryConfig
+from repro.core.durability import DurabilityConfig
 from repro.core.routing import ROUTING_LEAST_LOADED, RoutingConfig
 from repro.core.system import DiscoverySystem
 from repro.netsim.faults import FaultPlan
+from repro.obs.health import HealthConfig
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import TraceCapture
-from repro.semantics.generator import battlefield_ontology
-from repro.workloads.queries import QueryDriver, QueryWorkload
+from repro.workloads.queries import play
 from repro.workloads.scenarios import ScenarioSpec, build_scenario
 
 #: Experiment families whose canonical capture is a federated multi-LAN
@@ -33,6 +34,12 @@ from repro.workloads.scenarios import ScenarioSpec, build_scenario
 MULTI_LAN_EXPERIMENTS = frozenset(
     {"e2", "e6", "e7", "e8", "e9", "e10", "e11", "e13", "e14", "e15", "e16"}
 )
+
+#: A deliberately tiny admission queue: a four-query burst saturates the
+#: registry, so the trace shows admission.shed events and query.busy
+#: retries (the e17, e18 and e20 captures, and E18's routing trace).
+TINY_QUEUE = AdmissionPolicy(query_cost=0.4, queue_limit=1, degrade_at=1.0,
+                             retry_after_base=0.1)
 
 
 @dataclass
@@ -58,41 +65,27 @@ def run_traced(experiment: str = "e7", seed: int = 0) -> TracedRun:
     """
     lans = 3 if experiment in MULTI_LAN_EXPERIMENTS else 1
     config = None
-    interval = 0.5
     if experiment == "e17":
-        # The overload capture: a deliberately tiny admission queue so a
-        # four-query burst saturates the registry — the trace then shows
-        # admission.shed events and query.busy retries, and the metrics
-        # block carries the admission.* counters and the
-        # registry.queue_depth gauge.
-        config = DiscoveryConfig(
-            admission=AdmissionPolicy(query_cost=0.4, queue_limit=1,
-                                      degrade_at=1.0, retry_after_base=0.1),
-        )
-        interval = 0.05
+        # The overload capture: the metrics block carries the admission.*
+        # counters and the registry.queue_depth gauge.
+        config = DiscoveryConfig(admission=TINY_QUEUE)
     if experiment == "e20":
         # The health capture: the e17 tiny-queue saturation with the
         # runtime health layer enabled and its thresholds tightened so
         # the four-query burst trips the shed watchdog — the trace then
         # shows health.alarm events and the metrics block carries the
         # health.alarms / health.dumps counters.
-        from repro.obs.health import HealthConfig
-
         config = DiscoveryConfig(
-            admission=AdmissionPolicy(query_cost=0.4, queue_limit=1,
-                                      degrade_at=1.0, retry_after_base=0.1),
+            admission=TINY_QUEUE,
             health=HealthConfig(enabled=True, shed_step_threshold=2,
                                 queue_depth_threshold=1.0),
         )
-        interval = 0.05
     registries_per_lan = 1
     if experiment == "e19":
         # The recovery capture: durability on, with the registry crashed
         # and restarted mid-capture — the trace then shows the
         # registry.recover span and the metrics block carries the
         # durability.wal_appends / durability.replayed counters.
-        from repro.core.durability import DurabilityConfig
-
         config = DiscoveryConfig(durability=DurabilityConfig(enabled=True))
     if experiment == "e18":
         # The routing capture: the e17 tiny-queue saturation plus a
@@ -101,19 +94,13 @@ def run_traced(experiment: str = "e7", seed: int = 0) -> TracedRun:
         # metrics block carries the routing.rtt histogram and the
         # routing.reroutes / routing.busy_observed counters.
         config = DiscoveryConfig(
-            admission=AdmissionPolicy(query_cost=0.4, queue_limit=1,
-                                      degrade_at=1.0, retry_after_base=0.1),
-            routing=RoutingConfig(strategy=ROUTING_LEAST_LOADED),
+            admission=TINY_QUEUE, routing=RoutingConfig(strategy=ROUTING_LEAST_LOADED),
         )
-        interval = 0.05
         registries_per_lan = 2
     spec = ScenarioSpec(
-        name=f"capture-{experiment}",
         lan_names=tuple(f"lan-{chr(ord('a') + i)}" for i in range(lans)),
-        ontology_factory=battlefield_ontology,
         registries_per_lan=registries_per_lan,
         services_per_lan=2,
-        clients_per_lan=1,
         federation="ring" if lans > 1 else "none",
         seed=seed,
     )
@@ -132,11 +119,9 @@ def run_traced(experiment: str = "e7", seed: int = 0) -> TracedRun:
          .restart(system.sim.now + 1.0, registry)
          .apply(system))
         system.run_for(1.5)
-    workload = QueryWorkload.anchored(built.generator, built.profiles, 4, generalize=1)
-    driver = QueryDriver(system, workload, model_id="semantic",
-                         interval=interval, seed=seed)
-    issued = driver.play(settle=0.0, drain=10.0)
-    calls = [q.call for q in issued]
+    # The tiny-queue captures issue their four queries as a burst.
+    interval = 0.05 if experiment in ("e17", "e18", "e20") else 0.5
+    calls = [q.call for q in play(built, 4, interval=interval).issued]
     sample = next(
         (c.trace_id for c in calls if c.completed and c.trace_id is not None), None
     )

@@ -5,20 +5,27 @@ the ontology-derived set of relevant service names); a
 :class:`QueryDriver` plays a workload against a deployment — issuing each
 query from a deterministic-randomly chosen client at a steady rate — and
 collects the completed :class:`~repro.core.DiscoveryCall` handles for the
-metrics layer.
+metrics layer. :func:`play` is the measured play every experiment runs:
+an anchored workload, a driver, and a traffic window around both.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 from repro.core.client_node import ClientNode, DiscoveryCall
 from repro.core.system import DiscoverySystem
 from repro.errors import WorkloadError
+from repro.obs.metrics import Histogram
 from repro.semantics.generator import LabelledRequest, ProfileGenerator
 from repro.semantics.matchmaker import DegreeOfMatch
-from repro.semantics.profiles import ServiceProfile, ServiceRequest
+from repro.semantics.profiles import ServiceProfile
+from repro.workloads.scenarios import BuiltScenario
+
+if TYPE_CHECKING:
+    from repro.metrics.bandwidth import TrafficWindow
 
 
 @dataclass
@@ -29,9 +36,6 @@ class QueryWorkload:
 
     def __len__(self) -> int:
         return len(self.labelled)
-
-    def requests(self) -> list[ServiceRequest]:
-        return [item.request for item in self.labelled]
 
     @staticmethod
     def anchored(
@@ -54,17 +58,7 @@ class QueryWorkload:
         )
         if max_results is not None:
             labelled = [
-                LabelledRequest(
-                    request=ServiceRequest(
-                        category=item.request.category,
-                        desired_outputs=item.request.desired_outputs,
-                        provided_inputs=item.request.provided_inputs,
-                        qos_constraints=item.request.qos_constraints,
-                        keywords=item.request.keywords,
-                        max_results=max_results,
-                    ),
-                    relevant=item.relevant,
-                )
+                replace(item, request=replace(item.request, max_results=max_results))
                 for item in labelled
             ]
         return QueryWorkload(labelled=labelled)
@@ -134,3 +128,50 @@ class QueryDriver:
     def completed(self) -> list[IssuedQuery]:
         """The issued queries whose calls completed."""
         return [q for q in self.issued if q.call.completed]
+
+
+@dataclass
+class Play:
+    """One measured play (see :func:`play`); scoring is the caller's."""
+
+    issued: list[IssuedQuery]
+    completed: list[IssuedQuery]
+    window: TrafficWindow
+    #: The window's :meth:`~TrafficWindow.close` report.
+    traffic: dict[str, float]
+    #: The run's cumulative ``query.e2e_latency`` summary after the play.
+    latency: dict[str, float]
+
+
+def play(
+    built: BuiltScenario,
+    n_queries: int,
+    *,
+    interval: float = 0.5,
+    settle: float = 0.0,
+    drain: float = 10.0,
+    clients: list[ClientNode] | None = None,
+    model_id: str = "semantic",
+    max_results: int | None = None,
+) -> Play:
+    """Play ``n_queries`` requests anchored at the deployed profiles.
+
+    A :class:`QueryDriver` seeded with the spec's seed issues them
+    ``interval`` apart after ``settle`` seconds and runs ``drain``
+    seconds past the last; the traffic window opens before the settle
+    and closes after the drain.
+    """
+    # Imported here: repro.metrics imports this module, and networkx.
+    from repro.metrics.bandwidth import TrafficWindow
+
+    system = built.system
+    workload = QueryWorkload.anchored(built.generator, built.profiles, n_queries,
+                                      generalize=1, max_results=max_results)
+    window = TrafficWindow.open(system.network.stats, system.sim.now)
+    driver = QueryDriver(system, workload, model_id=model_id, interval=interval,
+                         seed=built.spec.seed)
+    issued = driver.play(clients=clients, settle=settle, drain=drain)
+    traffic = window.close(system.sim.now)
+    name = "query.e2e_latency"
+    latency = (system.metrics.histograms.get(name) or Histogram(name)).summary()
+    return Play(issued, driver.completed(), window, traffic, latency)

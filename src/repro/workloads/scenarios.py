@@ -29,6 +29,11 @@ from repro.semantics.profiles import ServiceProfile
 PER_LAN = "per-lan"
 
 
+def lans(n: int) -> tuple[str, ...]:
+    """The LAN names ``lan-0`` .. ``lan-{n-1}``."""
+    return tuple(f"lan-{i}" for i in range(n))
+
+
 @dataclass(frozen=True)
 class Architecture:
     """One compared deployment of the same system.
@@ -89,14 +94,16 @@ ARCHITECTURES: dict[str, Architecture] = {
 class ScenarioSpec:
     """A reproducible deployment description.
 
-    ``federation`` selects how WAN seeding wires the registries:
-    ``"chain"``, ``"ring"``, ``"mesh"``, or ``"none"``. ``architecture``
-    names a row of :data:`ARCHITECTURES`.
+    Only ``lan_names`` is required; a spec writes what differs from the
+    defaults. ``federation`` selects how WAN seeding wires the
+    registries: ``"chain"``, ``"ring"``, ``"mesh"``, or ``"none"``.
+    ``architecture`` names a row of :data:`ARCHITECTURES`. ``name`` is a
+    label nothing reads.
     """
 
-    name: str
     lan_names: tuple[str, ...]
-    ontology_factory: Callable[[], Ontology]
+    name: str = ""
+    ontology_factory: Callable[[], Ontology] = battlefield_ontology
     registries_per_lan: int = 1
     services_per_lan: int = 4
     clients_per_lan: int = 1
@@ -235,7 +242,6 @@ def crisis_scenario(
     if agencies < 1 or agencies > len(names):
         raise WorkloadError(f"agencies must be in 1..{len(names)}, got {agencies}")
     return ScenarioSpec(
-        name="crisis",
         lan_names=tuple(f"agency-{n}" for n in names[:agencies]),
         ontology_factory=emergency_ontology,
         registries_per_lan=registries_per_lan,
@@ -264,9 +270,7 @@ def battlefield_scenario(
     if units < 1 or units > 26:
         raise WorkloadError(f"units must be in 1..26, got {units}")
     return ScenarioSpec(
-        name="battlefield",
         lan_names=tuple(f"unit-{chr(ord('a') + i)}" for i in range(units)),
-        ontology_factory=battlefield_ontology,
         registries_per_lan=registries_per_lan,
         services_per_lan=services_per_lan,
         clients_per_lan=clients_per_lan,

@@ -105,6 +105,26 @@ def test_trace_e7_jsonl_is_pinned_by_value(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == E7_TRACE_SHA256
 
 
+#: The same pin, (lines, SHA-256), for the captures with a deployment of
+#: their own (tiny admission queue, routing, durability, health), recorded
+#: before those captures were rewritten onto ``workloads.queries.play``.
+TRACE_PINS = {
+    "e17": (53, "68f2ca008efb6706cc9b00009e22bbcea0f52eda6a8491a46d5fbd5ecbf98b43"),
+    "e18": (50, "88e540911be3ffab692a83b322905105721096d18df4b04d4450ba06bb55bf90"),
+    "e19": (43, "bc6edfea570ff2d2785daf808f8800f001a433cc5dfdd67f9d5a37cc790d355e"),
+    "e20": (54, "cc9170d6cd88f737f545903ef03c8f26cf784fee7abda8c6e5562a9ec33c6252"),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(TRACE_PINS))
+def test_trace_jsonl_is_pinned_by_value(capsys, experiment):
+    assert main(["trace", experiment, "--jsonl"]) == 0
+    out = capsys.readouterr().out
+    lines, sha256 = TRACE_PINS[experiment]
+    assert len(out.splitlines()) == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
 def test_trace_unknown_experiment(capsys):
     assert main(["trace", "e99"]) == 2
     assert "unknown experiment" in capsys.readouterr().err

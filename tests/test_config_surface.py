@@ -26,7 +26,7 @@ CONFIG_CLASSES = (
     ShardingConfig, HealthConfig, RetryPolicy,
 )
 
-CEILING = 59
+CEILING = 57
 
 
 def test_settable_values_do_not_grow():

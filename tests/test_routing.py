@@ -77,11 +77,6 @@ def test_config_defaults_to_static():
 
 @pytest.mark.parametrize("kwargs", [
     {"strategy": "round-robin"},
-    {"ewma_alpha": 0.0},
-    {"ewma_alpha": 1.5},
-    {"cooldown_base": 0.0},
-    {"cooldown_base": -1.0},
-    {"cooldown_base": 20.0},  # > the fixed COOLDOWN_MAX
 ])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ReproError):
