@@ -395,18 +395,12 @@ class Network:
             self.stats.record_drop("unreachable")
             self._trace_drop(envelope, "unreachable")
             return
-        if self.loss_rate and self.sim.rng.random() < self.loss_rate:
-            self.stats.record_drop("loss")
-            self._trace_drop(envelope, "loss")
-            return
         sender = self.nodes.get(envelope.src)
         receiver = self.nodes.get(envelope.dst)
         src_lan = sender.lan_name if sender is not None else ""
         dst_lan = receiver.lan_name if receiver is not None else ""
-        fault_loss = self._fault_loss(src_lan or "", dst_lan or "")
-        if fault_loss and self.sim.rng.random() < fault_loss:
-            self.stats.record_drop("fault-loss")
-            self._trace_drop(envelope, "fault-loss")
+        if self._lost(envelope, envelope.dst,
+                      self._fault_loss(src_lan or "", dst_lan or "")):
             return
         latency = self.wan_latency if wan else self.lan_latency
         latency += self._extra_latency(src_lan or "", dst_lan or "")
@@ -423,11 +417,12 @@ class Network:
     def multicast(self, envelope: Envelope) -> None:
         """Deliver ``envelope`` to every other node on the sender's LAN.
 
-        One transmission is accounted (broadcast medium) and loss is drawn
-        per receiver now, in sorted id order; the copies that survive
-        arrive in one scheduled event (:meth:`_deliver_multicast`), which
-        builds a copy only for a receiver that serves the type and counts
-        the others.
+        One transmission is accounted (broadcast medium). The receivers
+        are the LAN's other members in sorted id order; while a loss is in
+        force, :meth:`_lost` draws it for each of them in that order and
+        drops its copy. The copies that survive arrive in one scheduled
+        event (:meth:`_deliver_multicast`), which builds a copy only for a
+        receiver that serves the type and counts the others.
         """
         sender = self.nodes.get(envelope.src)
         if sender is None or sender.lan_name is None:
@@ -441,22 +436,29 @@ class Network:
         done_at = lan.transmission_done(self.sim.now, size)
         fault_loss = self._fault_loss(lan_name, lan_name)
         latency = self.lan_latency + self._extra_latency(lan_name, lan_name)
-        receivers = []
-        for dst_id in sorted(lan.node_ids):
-            if dst_id == envelope.src:
-                continue
-            if self.loss_rate and self.sim.rng.random() < self.loss_rate:
-                self.stats.record_drop("loss")
-                self._trace_drop(envelope, "loss", dst=dst_id)
-                continue
-            if fault_loss and self.sim.rng.random() < fault_loss:
-                self.stats.record_drop("fault-loss")
-                self._trace_drop(envelope, "fault-loss", dst=dst_id)
-                continue
-            receivers.append(dst_id)
+        src = envelope.src
+        receivers = [dst_id for dst_id in sorted(lan.node_ids) if dst_id != src]
+        if self.loss_rate or fault_loss:
+            receivers = [dst_id for dst_id in receivers
+                         if not self._lost(envelope, dst_id, fault_loss)]
         if receivers:
             self.sim.schedule_at(done_at + latency, self._deliver_multicast,
                                  envelope, receivers)
+
+    def _lost(self, envelope: Envelope, dst_id: str, fault_loss: float) -> bool:
+        """Whether the copy for ``dst_id`` is lost: ambient ``loss_rate``
+        is drawn first, then the windows' ``fault_loss``, each only when
+        non-zero. A lost copy is recorded and traced as a drop."""
+        rng = self.sim.rng
+        if self.loss_rate and rng.random() < self.loss_rate:
+            reason = "loss"
+        elif fault_loss and rng.random() < fault_loss:
+            reason = "fault-loss"
+        else:
+            return False
+        self.stats.record_drop(reason)
+        self._trace_drop(envelope, reason, dst=dst_id)
+        return True
 
     def _deliver_multicast(self, envelope: Envelope, receivers: list[str]) -> None:
         """Multicast arrival, receiver by receiver in the order given.
@@ -464,11 +466,12 @@ class Network:
         A receiver that serves the type gets its *own envelope copy*
         through :meth:`_deliver`, so a handler mutating headers or routing
         metadata cannot contaminate sibling deliveries. A live receiver
-        that would only count the copy (:meth:`Node.discards`) gets the
-        same partition check, its ``net.deliver`` event in the same place
-        and ``unknown_messages += 1``, but no copy and no ``receive``; the
-        traffic statistics and delivery histograms of those copies are
-        applied once, after the last receiver.
+        that would only count the copy (:meth:`Node.discards`) costs that
+        one check: on the sender's LAN it is linked without asking
+        :meth:`_linked`, it gets its ``net.deliver`` event in the same
+        place and ``unknown_messages += 1``, but no copy and no
+        ``receive``. The traffic statistics and delivery histograms of
+        those copies are applied once, after the last receiver.
         """
         now = self.sim.now
         msg_type = envelope.msg_type
@@ -476,14 +479,17 @@ class Network:
         ctx = TraceRecorder.extract(envelope.headers)
         trace = self.sim.trace
         traced = ctx is not None and trace.listening
-        sender = self.nodes.get(envelope.src)
+        nodes = self.nodes
+        sender = nodes.get(envelope.src)
+        # A live receiver always has a LAN, so a sender that is gone
+        # (``None``) never takes the same-LAN shortcut.
         src_lan = sender.lan_name if sender is not None else None
         counted: list[str] = []
         for dst_id in receivers:
-            dst = self.nodes.get(dst_id)
+            dst = nodes.get(dst_id)
             if dst is None or not dst.alive or not dst.discards(msg_type):
                 self._deliver(envelope.copy_for(dst_id), dst_id)
-            elif not self._linked(src_lan, dst.lan_name):
+            elif dst.lan_name != src_lan and not self._linked(src_lan, dst.lan_name):
                 self.stats.record_drop("partition-in-flight")
                 self._trace_drop(envelope, "partition-in-flight", dst=dst_id)
             else:

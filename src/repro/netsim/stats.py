@@ -26,9 +26,8 @@ class TrafficStats:
     bytes_multicast: int = 0
     by_type_count: Counter = field(default_factory=Counter)
     by_type_bytes: Counter = field(default_factory=Counter)
-    node_bytes_sent: Counter = field(default_factory=Counter)
+    #: Bytes delivered per receiving node (E1's ``max_node_load``).
     node_bytes_received: Counter = field(default_factory=Counter)
-    node_messages_received: Counter = field(default_factory=Counter)
     #: Drops broken down by cause: "loss" (ambient loss_rate),
     #: "fault-loss" (an injected loss window), "unreachable", "dead-dst",
     #: "partition-in-flight".
@@ -59,7 +58,6 @@ class TrafficStats:
         self.bytes_sent += size
         self.by_type_count[msg_type] += 1
         self.by_type_bytes[msg_type] += size
-        self.node_bytes_sent[src] += size
         if wan:
             self.bytes_wan += size
         if multicast:
@@ -70,17 +68,17 @@ class TrafficStats:
         self.messages_delivered += 1
         self.bytes_delivered += size
         self.node_bytes_received[dst] += size
-        self.node_messages_received[dst] += 1
 
     def record_deliveries(self, dsts: list[str], size: int) -> None:
         """Account for one ``size``-byte copy arriving at each of ``dsts``,
-        as :meth:`record_delivery` would once per receiver."""
+        as :meth:`record_delivery` would once per receiver (a new node's
+        key in receiver order), without a Python-level call per copy."""
         self.messages_delivered += len(dsts)
         self.bytes_delivered += size * len(dsts)
-        node_bytes, node_messages = self.node_bytes_received, self.node_messages_received
+        node_bytes = self.node_bytes_received
+        get = node_bytes.get
         for dst in dsts:
-            node_bytes[dst] += size
-            node_messages[dst] += 1
+            node_bytes[dst] = get(dst, 0) + size
 
     def record_drop(self, reason: str = "loss") -> None:
         """Account for a transmission that never arrived (loss/partition/crash)."""
@@ -182,9 +180,7 @@ class TrafficStats:
         self.bytes_multicast = 0
         self.by_type_count.clear()
         self.by_type_bytes.clear()
-        self.node_bytes_sent.clear()
         self.node_bytes_received.clear()
-        self.node_messages_received.clear()
         self.drops_by_reason.clear()
         self.retries.clear()
         self.faults.clear()

@@ -172,7 +172,10 @@ class Histogram:
     def observe_many(self, value: float, n: int) -> None:
         """Record ``n`` observations of ``value``: every slot as after
         ``n`` calls of :meth:`observe`, ``total`` included bit for bit
-        (``n`` additions, not one of ``n * value``)."""
+        (``n`` additions, not one of ``n * value``). A zero of either sign
+        is added once: ``x + 0.0`` is ``x`` for every ``x`` but ``-0.0``,
+        which the first addition turns into ``0.0``, and ``x + -0.0`` is
+        always ``x``."""
         value = float(value)
         index = bisect.bisect_left(self.bounds, value)
         if index < len(self.bounds):
@@ -181,7 +184,7 @@ class Histogram:
             self.overflow += n
         self.count += n
         total = self.total
-        for _ in range(n):
+        for _ in range(min(n, 1) if value == 0.0 else n):
             total += value
         self.total = total
         if n:

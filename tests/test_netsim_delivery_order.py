@@ -8,7 +8,9 @@ instants, with a crash, a roaming node, a partition formed while copies
 are in flight, a bandwidth-limited LAN and handlers that answer at once,
 must be indistinguishable on the two: same receive log, same traffic
 and metric counters, same per-node unknown / malformed counts, same RNG
-state afterwards, same trace export.
+state afterwards, same trace export — with no loss, ambient loss, a loss
+window on one LAN, and both at once, so the loss draws are compared in
+order and by reason too.
 
 Besides the ``Chatty`` nodes, which serve every type themselves, each
 LAN holds receivers the batched transport may count instead of
@@ -26,7 +28,7 @@ from collections import Counter
 import pytest
 
 from repro.netsim.messages import Envelope
-from repro.netsim.network import Network
+from repro.netsim.network import LossWindow, Network
 from repro.netsim.node import Node
 from repro.netsim.simulator import Simulator
 from repro.obs.tracing import TraceRecorder
@@ -147,7 +149,12 @@ CAST = {"a5": lambda node_id, log: Node(node_id), "a6": Gated,
         "b3": Picky, "b4": Dormant}
 
 
-def play(network_cls: type[Network], seed: int, loss_rate: float):
+#: A loss burst on LAN ``a`` over the middle third of every plan.
+WINDOW = LossWindow(start=10 * TICK, end=20 * TICK, rate=0.5, lan="a")
+
+
+def play(network_cls: type[Network], seed: int, loss_rate: float,
+         window: LossWindow | None = None):
     """Run plan ``seed`` on a fresh ``network_cls``; everything observable."""
     plan = random.Random(seed)
     sim = Simulator(seed=seed)
@@ -158,6 +165,8 @@ def play(network_cls: type[Network], seed: int, loss_rate: float):
                       loss_rate=loss_rate)
     net.add_lan("a")
     net.add_lan("b", bandwidth_bps=400_000.0)
+    if window is not None:
+        net.add_loss_window(window)
     log: list = []
     for lan, ids in NODES.items():
         for node_id in ids:
@@ -206,9 +215,14 @@ def play(network_cls: type[Network], seed: int, loss_rate: float):
     }
 
 
-@pytest.mark.parametrize("loss_rate", (0.0, 0.3))
+@pytest.mark.parametrize("loss_rate, window", (
+    pytest.param(0.0, None, id="0.0"),
+    pytest.param(0.3, None, id="0.3"),
+    pytest.param(0.0, WINDOW, id="0.0-window"),
+    pytest.param(0.3, WINDOW, id="0.3-window"),
+))
 def test_batched_multicast_is_indistinguishable_from_per_receiver_events(
-        loss_rate, monkeypatch):
+        loss_rate, window, monkeypatch):
     counted_at: Counter = Counter()
     discards = Node.discards
 
@@ -221,8 +235,8 @@ def test_batched_multicast_is_indistinguishable_from_per_receiver_events(
     drops: dict[str, int] = {}
     counts: Counter = Counter()
     for seed in SEEDS:
-        real = play(Network, seed, loss_rate)
-        reference = play(PerReceiverNetwork, seed, loss_rate)
+        real = play(Network, seed, loss_rate, window)
+        reference = play(PerReceiverNetwork, seed, loss_rate, window)
         for key in reference:
             assert real[key] == reference[key], (seed, key)
         assert len(real["log"]) > 40, seed
@@ -234,6 +248,7 @@ def test_batched_multicast_is_indistinguishable_from_per_receiver_events(
     # The plans did reach the cases they were written for.
     assert drops.get("dead-dst") and drops.get("partition-in-flight")
     assert bool(drops.get("loss")) == bool(loss_rate)
+    assert bool(drops.get("fault-loss")) == (window is not None)
     # Copies were counted without a delivery, and only at the two nodes
     # whose delivery path is Node's own and whose handlers do not serve
     # the type; the interceptor and the ``receive`` override saw theirs.

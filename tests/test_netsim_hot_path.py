@@ -8,6 +8,7 @@ still holds after its queries completed — never a time.
 from __future__ import annotations
 
 import gc
+import sys
 from collections import Counter
 
 import pytest
@@ -266,6 +267,45 @@ def test_a_copy_no_handler_serves_is_counted_and_never_built(monkeypatch):
     assert copies["decentral-query"] == received["decentral-query"] == 20
 
 
+#: Python-level calls a discarded multicast arrival may make beyond one
+#: ``Node.discards`` per receiver: the arrival itself, its trace context,
+#: the batched traffic statistics and the two delivery histograms.
+DISCARDED_ARRIVAL_OVERHEAD = 10
+
+
+def test_a_discarded_probe_arrival_is_one_call_per_receiver():
+    """One ``registry-probe`` arriving at the N nodes of a registry-less
+    LAN, none of which serves it, makes at most N + 10 Python-level
+    calls (``sys.setprofile`` "call" events): each receiver is asked
+    ``discards`` once, and its LAN, statistics and histograms cost no
+    call of their own."""
+    dep = fallback_lan(services=20)
+    network = dep.system.network
+    service = dep.system.services[0]
+    service.tracker.probe()
+    (envelope, receivers), = [
+        entry[3] for entry in network.sim._heap
+        if entry[2] == network._deliver_multicast
+        and entry[3][0].src == service.node_id
+        and entry[3][0].msg_type == "registry-probe"]
+    nodes = [network.nodes[dst_id] for dst_id in receivers]
+    unknown_before = sum(node.unknown_messages for node in nodes)
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        calls[event] += 1
+
+    sys.setprofile(profile)
+    try:
+        network._deliver_multicast(envelope, receivers)
+    finally:
+        sys.setprofile(None)
+    n = len(receivers)
+    assert n == 21
+    assert sum(node.unknown_messages for node in nodes) - unknown_before == n
+    assert calls["call"] <= n + DISCARDED_ARRIVAL_OVERHEAD
+
+
 # -- (vi) batched accounting is per-copy accounting, slot for slot -------------
 
 
@@ -274,20 +314,23 @@ def _slots(histogram: Histogram) -> tuple:
             histogram.total.hex(), histogram.vmin, histogram.vmax)
 
 
-@pytest.mark.parametrize("value", (0.0, 0.0011, 0.1, 0.30000000000000004, 61.5, 1e9))
+@pytest.mark.parametrize("value", (0.0, -0.0, 0.0011, 0.1, 0.30000000000000004, 61.5, 1e9))
 @pytest.mark.parametrize("n", (0, 1, 3, 17))
 def test_n_observations_at_once_are_n_single_observations(value, n):
     """Bit for bit, ``total`` too: on a histogram that already holds
-    ``0.1``, adding ``0.1`` seventeen times is not adding ``1.7``. ``61.5``
+    ``0.1``, adding ``0.1`` seventeen times is not adding ``1.7``. A zero
+    of either sign, added once instead of ``n`` times, must leave the same
+    ``total`` after a first ``-0.0`` or an overflow value too. ``61.5``
     and ``1e9`` land in the overflow bucket."""
-    one_by_one, at_once = (Histogram("h", buckets=DEFAULT_LATENCY_BUCKETS)
-                           for _ in range(2))
-    for histogram in (one_by_one, at_once):
-        histogram.observe(0.1)
-    for _ in range(n):
-        one_by_one.observe(value)
-    at_once.observe_many(value, n)
-    assert _slots(at_once) == _slots(one_by_one)
+    for first in (0.1, -0.0, 61.5):
+        one_by_one, at_once = (Histogram("h", buckets=DEFAULT_LATENCY_BUCKETS)
+                               for _ in range(2))
+        for histogram in (one_by_one, at_once):
+            histogram.observe(first)
+        for _ in range(n):
+            one_by_one.observe(value)
+        at_once.observe_many(value, n)
+        assert _slots(at_once) == _slots(one_by_one), first
 
 
 def test_batched_deliveries_are_single_deliveries():
@@ -301,5 +344,3 @@ def test_batched_deliveries_are_single_deliveries():
     assert at_once == one_by_one
     assert list(at_once.node_bytes_received.items()) \
         == list(one_by_one.node_bytes_received.items())
-    assert list(at_once.node_messages_received.items()) \
-        == list(one_by_one.node_messages_received.items())
