@@ -103,13 +103,15 @@ perf-pairs:
 ## mem-attr: `make mem-attr [WORKLOAD=wan_100k] [SEED=1000] [TREE=<checkout>]
 ## [GROWTH=N]` builds one benchmark deployment (imported from
 ## benchmarks/perf, which stays untouched) and prints where its memory is:
-## first VmRSS / VmHWM after each set-up phase, then — in a second process,
-## under tracemalloc — MiB and bytes per advertisement retained by the
-## build, by src/ module and by allocating line (see tools/mem_attr.py).
+## first VmRSS / VmHWM after each set-up phase, then — in further
+## processes, under tracemalloc — MiB and bytes per generated profile
+## record held by the inputs, and MiB and bytes per advertisement retained
+## by the build, each by module and by allocating line (see
+## tools/mem_attr.py).
 ## With GROWTH=N it prints instead the bytes per operation that N
 ## operations after a warm round leave behind, by module and by line: what
 ## grows with a run's length. TREE points it at another checkout, e.g. an
-## exported parent. ~1.5 min for wan_100k.
+## exported parent. ~2 min for wan_100k.
 TREE ?= .
 MEM_ATTR = $(PYTHON) tools/mem_attr.py --workload $(or $(WORKLOAD),wan_100k) --seed $(SEED) --tree $(TREE)
 mem-attr:
@@ -117,6 +119,7 @@ ifdef GROWTH
 	$(MEM_ATTR) --growth $(GROWTH)
 else
 	$(MEM_ATTR) --phases
+	$(MEM_ATTR) --inputs
 	$(MEM_ATTR)
 endif
 

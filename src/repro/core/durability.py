@@ -380,8 +380,10 @@ class DurabilityManager:
             if registry.config.leasing_enabled:
                 lease = registry.leases.lease_for_ad(ad.ad_id)
                 if lease is None:
-                    # Lease already lapsed but the purge sweep has not
-                    # run yet; the snapshot must not immortalize the ad.
+                    # An ad without a lease (``check_invariants`` flags
+                    # one): the snapshot must not immortalize it. A lapsed
+                    # lease the purge has not reached yet is kept, and
+                    # replay drops the ad by its expiry.
                     continue
                 lease_id = lease.lease_id
                 duration = lease.duration

@@ -10,10 +10,11 @@ bookkeeping rot the recovery paths can leave behind:
 * **single completion** — no discovery call ever completes twice;
 * **wire-id drain** — no client keeps a wire-id entry for a completed
   call (after every call has resolved, the maps are empty);
-* **lease/store agreement** — no lease outlives its advertisement, the
-  lease manager's two maps mirror each other exactly, every live lease
-  is due in the expiry heap no later than it expires, and each concept
-  index passes its own :meth:`~repro.registry.index.ConceptIndexer.audit`;
+* **lease/store agreement** — no lease outlives its advertisement, with
+  leasing on no advertisement lives without a lease, the lease manager's
+  two maps mirror each other exactly, every live lease is due in the
+  expiry heap no later than it expires, and each concept index passes
+  its own :meth:`~repro.registry.index.ConceptIndexer.audit`;
 * **queue drain** — every message a registry's admission controller
   intercepted was either dispatched, explicitly shed with exactly one
   BUSY, lost to a crash, or is still pending — and no message was both
@@ -68,9 +69,9 @@ def check_invariants(system: "DiscoverySystem") -> list[str]:
 
     for registry in system.registries:
         leases, store = registry.leases, registry.store
-        due_of = {id(lease): due for due, _no, lease in leases._expiry_heap}
+        in_heap = {id(lease) for lease in leases._expiry_heap}
         for lease in leases._by_lease.values():
-            if due_of.get(id(lease), float("inf")) > lease.expires_at:
+            if id(lease) not in in_heap or lease.due > lease.expires_at:
                 violations.append(
                     f"{registry.node_id}: lease {lease.lease_id} is not due "
                     f"in the expiry heap by {lease.expires_at:g}; the purge "
@@ -92,6 +93,14 @@ def check_invariants(system: "DiscoverySystem") -> list[str]:
                     f"{registry.node_id}: advertisement {ad_id} maps to "
                     f"dropped lease {lease_id}"
                 )
+        config = getattr(registry, "config", None)
+        if config is not None and config.leasing_enabled:
+            for ad in store.all():
+                if ad.ad_id not in leases._by_ad:
+                    violations.append(
+                        f"{registry.node_id}: advertisement {ad.ad_id} has no "
+                        f"lease; no purge will ever remove it"
+                    )
 
         for indexer in getattr(store, "_indexes", {}).values():
             violations.extend(f"{registry.node_id}: index: {v}" for v in indexer.audit())

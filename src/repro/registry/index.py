@@ -191,15 +191,15 @@ class SemanticConceptIndex(ConceptIndexer):
 
     def __init__(self, model: "SemanticModel") -> None:
         self._model = model
-        #: ad_id -> profile for every indexable record (rebuild source).
-        self._profiles: dict[str, ServiceProfile] = {}
         #: Records whose description is not a ServiceProfile; always kept
         #: in the candidate set so indexed evaluation sees exactly what a
         #: linear scan would.
         self._unindexable: set[str] = set()
-        #: Dense slot space for indexable records.
+        #: Dense slot space for indexable records: each slot's ad id and
+        #: profile (the rebuild source), ``None`` in both where it is free.
         self._slot_of: dict[str, int] = {}
         self._ad_at: list[str | None] = []
+        self._profiles: list[ServiceProfile | None] = []
         self._free_slots: list[int] = []
         #: Posting tables (see module doc), all mapping concept -> slot
         #: bitset, little-endian; each grows with the highest slot set in it.
@@ -235,17 +235,16 @@ class SemanticConceptIndex(ConceptIndexer):
         if not isinstance(description, ServiceProfile):
             self._unindexable.add(ad.ad_id)
             return
-        self._profiles[ad.ad_id] = description
-        self._set_keys(self._allocate_slot(ad.ad_id), description, present=True)
+        self._set_keys(self._allocate_slot(ad.ad_id, description), description, present=True)
 
     def discard(self, ad: "Advertisement") -> None:
         self._forget(ad.ad_id)
 
     def reset(self) -> None:
-        self._profiles.clear()
         self._unindexable.clear()
         self._slot_of.clear()
         self._ad_at.clear()
+        self._profiles.clear()
         self._free_slots.clear()
         self._clear_tables()
         self._profiles_mask = None
@@ -255,23 +254,24 @@ class SemanticConceptIndex(ConceptIndexer):
     def _forget(self, ad_id: str) -> None:
         """Drop every trace of one record (replacement or removal)."""
         self._unindexable.discard(ad_id)
-        profile = self._profiles.pop(ad_id, None)
-        if profile is None:
+        slot = self._slot_of.pop(ad_id, None)
+        if slot is None:
             return
-        slot = self._slot_of.pop(ad_id)
-        self._set_keys(slot, profile, present=False)
-        self._ad_at[slot] = None
+        self._set_keys(slot, self._profiles[slot], present=False)
+        self._ad_at[slot] = self._profiles[slot] = None
         self._free_slots.append(slot)
         if self._profiles_mask is not None:
             self._profiles_mask &= ~(1 << slot)
 
-    def _allocate_slot(self, ad_id: str) -> int:
+    def _allocate_slot(self, ad_id: str, profile: ServiceProfile) -> int:
         if self._free_slots:
             slot = self._free_slots.pop()
             self._ad_at[slot] = ad_id
+            self._profiles[slot] = profile
         else:
             slot = len(self._ad_at)
             self._ad_at.append(ad_id)
+            self._profiles.append(profile)
         self._slot_of[ad_id] = slot
         if self._profiles_mask is not None:
             self._profiles_mask |= 1 << slot
@@ -571,22 +571,26 @@ class SemanticConceptIndex(ConceptIndexer):
         self._indexed_ontology = ontology
         self._indexed_version = ontology.version
         self.rebuilds += 1
-        slot_of = self._slot_of
-        for ad_id, profile in self._profiles.items():
-            self._set_keys(slot_of[ad_id], profile, present=True)
+        for slot, profile in enumerate(self._profiles):
+            if profile is not None:
+                self._set_keys(slot, profile, present=True)
 
     def audit(self) -> list[str]:
         """Bookkeeping violations, empty when sound (``core.invariants``).
 
         The slot table, the occupied-slot mask and the cached ints must
         mirror what they cache; in sync, every posting must equal the one
-        rebuilt from ``_profiles`` and ``_slot_of``, the only record of what
-        was inserted. Out of sync, postings are stale until the next query.
+        rebuilt from ``_profiles``, the only record of what was inserted.
+        Out of sync, postings are stale until the next query.
         """
         violations: list[str] = []
         slot_of, ad_at, in_sync = self._slot_of, self._ad_at, self._in_sync()
-        if slot_of.keys() != self._profiles.keys() or any(
-            ad_at[slot] != ad_id for ad_id, slot in slot_of.items()
+        profiles = self._profiles
+        if (
+            len(profiles) != len(ad_at)
+            or any((p is None) != (a is None) for p, a in zip(profiles, ad_at))
+            or len(slot_of) != len(ad_at) - ad_at.count(None)
+            or any(ad_at[slot] != ad_id for ad_id, slot in slot_of.items())
         ):
             violations.append("slot table does not mirror the indexed profiles")
         if self._profiles_mask not in (None, self._bits_of(slot_of.values())):
@@ -600,8 +604,9 @@ class SemanticConceptIndex(ConceptIndexer):
             if cached != postings.get(where, 0):
                 violations.append(f"cached bitset {where} differs from its posting")
         rebuilt: dict[tuple[int, str], bytearray] = {}
-        for ad_id, profile in self._profiles.items() if in_sync else ():
-            slot = slot_of[ad_id]
+        for slot, profile in enumerate(profiles if in_sync else ()):
+            if profile is None:
+                continue
             for table_id, keys in enumerate(self._keys_of(profile)):
                 for key in keys:
                     bits = rebuilt.setdefault((table_id, key), bytearray(len(ad_at) // 8 + 1))

@@ -10,13 +10,15 @@ The :class:`LeaseManager` is pure bookkeeping over an injected clock (the
 simulator's ``now``), so it is unit-testable without a network. The
 registry node wires :meth:`expired_ads` to a periodic purge task; leases
 are kept in an expiry-ordered heap so a purge that finds nothing lapsed
-costs nothing, however many leases are live.
+costs nothing, however many leases are live. Each lease is its own heap
+entry, ordered by ``(due, grant_no)``.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable
 
 from repro.errors import LeaseError
@@ -31,6 +33,8 @@ DEFAULT_LEASE_DURATION = 60.0
 #: ``on_event`` kind -> its metric / trace event name (one shared string each).
 LEASE_EVENTS = {k: f"lease.{k}" for k in ("grant", "renew", "expire", "cancel", "restore")}
 
+_grant_order = attrgetter("grant_no")
+
 
 @dataclass(slots=True)
 class Lease:
@@ -41,10 +45,21 @@ class Lease:
     duration: float
     expires_at: float
     renewals: int = 0
+    #: The manager's expiry-heap key: when the purge looks at this lease
+    #: next (never after ``expires_at``), and the grant count that orders
+    #: leases due at the same time. Not part of the lease's value.
+    due: float = field(default=0.0, init=False, repr=False, compare=False)
+    grant_no: int = field(default=0, init=False, repr=False, compare=False)
 
     def expired(self, now: float) -> bool:
         """Whether the lease has lapsed at time ``now``."""
         return now >= self.expires_at
+
+    def __lt__(self, other: "Lease") -> bool:
+        """Heap order: ``(due, grant_no)``."""
+        if self.due != other.due:
+            return self.due < other.due
+        return self.grant_no < other.grant_no
 
 
 class LeaseManager:
@@ -77,13 +92,12 @@ class LeaseManager:
         self.on_event = on_event
         self._by_lease: dict[str, Lease] = {}
         self._by_ad: dict[str, str] = {}
-        #: Min-heap of ``(due, grant_no, lease)`` with ``due <=
-        #: lease.expires_at``, one entry per lease object, invalidated
-        #: lazily: an entry whose lease was dropped is skipped when popped,
-        #: and one whose lease was renewed since is pushed back under the
-        #: new expiry. ``grant_no`` orders leases as ``_by_lease`` does, and
-        #: breaks ties before the (unorderable) lease is ever compared.
-        self._expiry_heap: list[tuple[float, int, Lease]] = []
+        #: Min-heap of the leases themselves by ``(due, grant_no)``, with
+        #: ``due <= expires_at``, each lease at most once, invalidated
+        #: lazily: a lease that was dropped is skipped when popped, and one
+        #: renewed since is pushed back with ``due`` moved to its new
+        #: expiry. ``grant_no`` orders leases as ``_by_lease`` does.
+        self._expiry_heap: list[Lease] = []
         self._grants = 0
         self.expired_total = 0
 
@@ -130,9 +144,10 @@ class LeaseManager:
         if lease is None:
             raise LeaseError(f"unknown lease {lease_id!r}")
         if lease.expired(self.clock()):
-            # Expired but not yet purged: treat as unknown, forcing a
-            # republish, so expiry semantics don't depend on purge timing.
-            self._drop(lease)
+            # Expired but not yet purged: refuse like an unknown lease,
+            # forcing a republish, so expiry semantics don't depend on purge
+            # timing. The lease stays due, so the next purge still expires
+            # its advertisement if the republish never comes.
             raise LeaseError(f"lease {lease_id!r} has expired")
         lease.expires_at = self.clock() + lease.duration
         lease.renewals += 1
@@ -197,21 +212,22 @@ class LeaseManager:
         """
         now = self.clock()
         heap = self._expiry_heap
-        lapsed: list[tuple[int, Lease]] = []
-        while heap and heap[0][0] <= now:
-            _due, grant_no, lease = heapq.heappop(heap)
+        lapsed: list[Lease] = []
+        while heap and heap[0].due <= now:
+            lease = heapq.heappop(heap)
             if self._by_lease.get(lease.lease_id) is not lease:
                 continue  # cancelled, replaced or already purged
             if lease.expired(now):
-                lapsed.append((grant_no, lease))
-            else:  # renewed since the entry was pushed
-                heapq.heappush(heap, (lease.expires_at, grant_no, lease))
-        lapsed.sort()
-        for _grant_no, lease in lapsed:
+                lapsed.append(lease)
+            else:  # renewed since it was pushed
+                lease.due = lease.expires_at
+                heapq.heappush(heap, lease)
+        lapsed.sort(key=_grant_order)
+        for lease in lapsed:
             self._drop(lease)
             self._notify("expire", lease)
         self.expired_total += len(lapsed)
-        return sorted(lease.ad_id for _grant_no, lease in lapsed)
+        return sorted(lease.ad_id for lease in lapsed)
 
     def _track(self, lease: Lease) -> None:
         """Enter a new lease into both maps and the expiry heap."""
@@ -222,15 +238,16 @@ class LeaseManager:
             # Mostly dead entries (publish/remove churn under leases too
             # long to ever come due): keep only those of live leases.
             by_lease = self._by_lease
-            heap[:] = [e for e in heap if by_lease.get(e[2].lease_id) is e[2]]
+            heap[:] = [e for e in heap if by_lease.get(e.lease_id) is e]
             heapq.heapify(heap)
         self._grants += 1
-        # A renewal must never move the expiry before the entry's due
+        # A renewal must never move the expiry before the lease's due
         # time, or the sweep would find it late. ``renew`` sets now +
         # duration, so due <= now + duration guarantees it; that only
         # binds for a restored lease whose expiry lies beyond one duration.
-        due = min(lease.expires_at, self.clock() + lease.duration)
-        heapq.heappush(heap, (due, self._grants, lease))
+        lease.due = min(lease.expires_at, self.clock() + lease.duration)
+        lease.grant_no = self._grants
+        heapq.heappush(heap, lease)
 
     def _drop(self, lease: Lease) -> None:
         self._by_lease.pop(lease.lease_id, None)

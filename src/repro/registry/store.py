@@ -27,7 +27,9 @@ class AdvertisementStore:
 
     def __init__(self) -> None:
         self._by_id: dict[str, Advertisement] = {}
-        self._by_model: dict[str, set[str]] = defaultdict(set)
+        #: model id -> its ad ids, in insertion order (a dict used as an
+        #: ordered set: smaller than a ``set`` at registry sizes).
+        self._by_model: dict[str, dict[str, None]] = defaultdict(dict)
         self._indexes: dict[str, "ConceptIndexer"] = {}
 
     def __len__(self) -> int:
@@ -65,7 +67,7 @@ class AdvertisementStore:
         if existing is not None:
             self._unlink(existing)
         self._by_id[ad.ad_id] = ad
-        self._by_model[ad.model_id].add(ad.ad_id)
+        self._by_model[ad.model_id][ad.ad_id] = None
         indexer = self._indexes.get(ad.model_id)
         if indexer is not None:
             indexer.add(ad)
@@ -89,7 +91,7 @@ class AdvertisementStore:
         """Drop one record's secondary-index entries (not ``_by_id``)."""
         of_model = self._by_model.get(ad.model_id)
         if of_model is not None:
-            of_model.discard(ad.ad_id)
+            of_model.pop(ad.ad_id, None)
             if not of_model:
                 del self._by_model[ad.model_id]
         indexer = self._indexes.get(ad.model_id)

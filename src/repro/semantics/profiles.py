@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import Iterable
 
 from repro.errors import DescriptionError
 
@@ -32,6 +33,21 @@ _QOS_BYTES = 96
 
 #: Base size of a request template (no grounding section).
 _REQUEST_BASE_BYTES = 1024
+
+#: QoS attribute-name tuple -> its one shared instance. Profiles draw their
+#: QoS attributes from a small vocabulary, so every profile with the same
+#: attribute set holds the same names tuple. Process-wide like
+#: ``sys.intern``'s table: it decides which equal tuple is held, never a
+#: result.
+_QOS_NAMES: dict[tuple[str, ...], tuple[str, ...]] = {}
+
+
+def _shared_names(names: tuple[str, ...]) -> tuple[str, ...]:
+    """The shared instance of one sorted QoS attribute-name tuple."""
+    shared = _QOS_NAMES.get(names)
+    if shared is None:
+        shared = _QOS_NAMES[names] = tuple(map(sys.intern, names))
+    return shared
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,9 +84,11 @@ class ServiceProfile:
         Ontology concept classifying the service (e.g. ``"ont:RadarService"``).
     inputs / outputs:
         Ontology concepts the service consumes / produces.
-    qos:
+    qos_names / qos_values:
         Numeric quality-of-service attributes (latency, coverage radius,
-        confidence, ...).
+        confidence, ...): the sorted attribute names, one tuple shared by
+        every profile with the same attribute set, and their values in the
+        same order. :attr:`qos` is the ``(name, value)`` view.
     provider:
         Identifier of the providing organization/node.
     text:
@@ -81,7 +99,8 @@ class ServiceProfile:
     category: str
     inputs: tuple[str, ...] = ()
     outputs: tuple[str, ...] = ()
-    qos: tuple[tuple[str, float], ...] = ()
+    qos_names: tuple[str, ...] = ()
+    qos_values: tuple[float, ...] = ()
     provider: str = ""
     text: str = ""
 
@@ -90,6 +109,19 @@ class ServiceProfile:
             raise DescriptionError("service_name must be non-empty")
         if not self.category:
             raise DescriptionError("category must be non-empty")
+        if len(self.qos_names) != len(self.qos_values):
+            raise DescriptionError("qos_names and qos_values differ in length")
+
+    def __reduce__(self) -> tuple:
+        # Unpickling (WAL replay, snapshots) goes through _compact, so a
+        # recovered profile shares its strings and QoS names like a built one.
+        return (_compact, (self.service_name, self.category, self.inputs, self.outputs,
+                           self.qos_names, self.qos_values, self.provider, self.text))
+
+    @property
+    def qos(self) -> tuple[tuple[str, float], ...]:
+        """The QoS attributes as sorted ``(name, value)`` pairs (a view)."""
+        return tuple(zip(self.qos_names, self.qos_values))
 
     @staticmethod
     def build(
@@ -104,31 +136,28 @@ class ServiceProfile:
     ) -> "ServiceProfile":
         """Ergonomic constructor accepting lists and dicts.
 
-        Concept URIs are ``sys.intern``-ed: stores hold many profiles
-        drawn from a small concept vocabulary, so interning collapses the
-        duplicated strings and makes the matchmaker's per-pair cache keys
-        hash/compare on pointer-identical objects.
+        Concept URIs and the provider are ``sys.intern``-ed: stores hold
+        many profiles drawn from a small concept vocabulary and a few
+        providers, so interning collapses the duplicated strings and makes
+        the matchmaker's per-pair cache keys hash/compare on
+        pointer-identical objects. The QoS attribute names are one shared
+        tuple per attribute set.
         """
-        return ServiceProfile(
-            service_name=service_name,
-            category=sys.intern(category),
-            inputs=tuple(sys.intern(c) for c in inputs),
-            outputs=tuple(sys.intern(c) for c in outputs),
-            qos=tuple(sorted((qos or {}).items())),
-            provider=provider,
-            text=text,
+        pairs = sorted((qos or {}).items())
+        return _compact(
+            service_name, category, inputs, outputs,
+            tuple(name for name, _value in pairs), tuple(value for _name, value in pairs),
+            provider, text,
         )
 
     def qos_value(self, attribute: str) -> float | None:
         """The value of one QoS attribute, or ``None`` if absent."""
-        for name, value in self.qos:
-            if name == attribute:
-                return value
-        return None
+        names = self.qos_names
+        return self.qos_values[names.index(attribute)] if attribute in names else None
 
     def qos_dict(self) -> dict[str, float]:
         """QoS attributes as a plain dict."""
-        return dict(self.qos)
+        return dict(zip(self.qos_names, self.qos_values))
 
     def concepts(self) -> frozenset[str]:
         """Every ontology concept this profile references."""
@@ -144,9 +173,22 @@ class ServiceProfile:
             + len(self.service_name.encode("utf-8"))
             + len(self.category.encode("utf-8"))
             + concept_bytes
-            + len(self.qos) * _QOS_BYTES
+            + len(self.qos_names) * _QOS_BYTES
             + len(self.text.encode("utf-8"))
         )
+
+
+def _compact(service_name: str, category: str, inputs: Iterable[str], outputs: Iterable[str],
+             qos_names: tuple[str, ...], qos_values: tuple[float, ...], provider: str,
+             text: str) -> ServiceProfile:
+    """A :class:`ServiceProfile` with its concept URIs and provider interned
+    and its QoS names shared: what :meth:`ServiceProfile.build` and
+    unpickling make."""
+    return ServiceProfile(
+        service_name, sys.intern(category), tuple(map(sys.intern, inputs)),
+        tuple(map(sys.intern, outputs)), _shared_names(qos_names), qos_values,
+        sys.intern(provider), text,
+    )
 
 
 @dataclass(frozen=True, slots=True)

@@ -37,6 +37,22 @@ def test_phases_report_rss_after_each_set_up_phase():
     assert all(0 < r <= h for r, h in zip(rss, hwm)) and hwm == sorted(hwm)
 
 
+def test_inputs_attribute_the_generated_records_per_profile():
+    done = _run("--inputs", "--top", "40")
+    assert done.returncode == 0, done.stderr
+    out = done.stdout
+    assert "retained by Wan100k.inputs under tracemalloc" in out
+    assert "B/record over 300 generated profile records" in out
+    module_table, line_table = out.split("\nline ", 1)
+    rows = {line.split()[0]: float(line.split()[2])
+            for line in module_table.splitlines() if line.startswith(("src/", "benchmarks/"))}
+    # The profiles themselves, and the harness's advertisements around them.
+    assert rows["src/repro/semantics/profiles.py"] > 0
+    assert rows["benchmarks/perf/deployments.py"] > 0
+    assert "src/repro/semantics/profiles.py:" in line_table and "return ServiceProfile(" in line_table
+    assert "tracemalloc.py" not in out
+
+
 def test_growth_reports_bytes_per_operation_by_module_and_line():
     done = _run("--growth", "64", "--workload", "wan_small", "--top", "40")
     assert done.returncode == 0, done.stderr

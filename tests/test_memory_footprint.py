@@ -1,5 +1,5 @@
-"""Resident bytes per stored advertisement, and per discover: ceilings
-that only fall.
+"""Resident bytes per stored advertisement, per generated profile and per
+discover: ceilings that only fall.
 
 The paper's registries are "thick" and sit on the same resource-poor nodes
 as the services, so what one advertisement costs a registry *beyond the
@@ -24,7 +24,24 @@ PR 24 dropped the ``set[int]`` postings kept beside the bitsets, the
 per-advertisement key tuples, the store's per-service-node index and the
 lease's ``__dict__``.
 
-The second ceiling is what a run's trace recorder keeps per completed
+Then each lease became its own expiry-heap entry (no ``(due, grant_no,
+lease)`` tuple), the store's per-model id set an insertion-ordered dict,
+and the index's slot -> profile table a list: the first row below. The
+profile records themselves exist before any registry does, and on the
+``wan_100k`` benchmark they are half of the peak, so a second ceiling
+holds what one ``ProfileGenerator`` record keeps, over 5,000 of them.
+Its reading fell when QoS became one shared names tuple per attribute
+set plus a tuple of values (it was a tuple of ``(name, value)`` tuples
+per profile) and the provider was interned: the second row.
+
+=====================================  ===========  ===========
+bytes retained                         before       compact
+=====================================  ===========  ===========
+per advertisement (as above)           565          420
+per generated profile record           704          485
+=====================================  ===========  ===========
+
+The third ceiling is what a run's trace recorder keeps per completed
 query, read over discovers 128..384 of :func:`tests.deployments.e7_ring`
 with no trace capture attached — the way every benchmark deployment runs:
 
@@ -57,8 +74,11 @@ from tests.deployments import e7_ring
 from tests.test_query_path_properties import _ad, _request_corpus
 
 N_ADS = 5_000
-#: ~15 % above PR 24's reading. Lowered when a change earns it, never raised.
-CEILING_BYTES_PER_AD = 650
+#: ~15 % above the compact reading. Lowered when a change earns it, never
+#: raised.
+CEILING_BYTES_PER_AD = 485
+#: ~15 % above the compact reading; the same rule.
+CEILING_BYTES_PER_PROFILE = 560
 #: ~15 % above the capture-only reading; the same rule.
 CEILING_TRACE_BYTES_PER_DISCOVER = 435
 
@@ -99,12 +119,41 @@ def retained_bytes_per_ad() -> float:
     return retained / N_ADS
 
 
+def retained_bytes_per_profile() -> float:
+    """What one generated profile record holds: the ``ServiceProfile``, its
+    strings and tuples, and its slot in the list that keeps it."""
+    ontology = OntologyGenerator(7).random_ontology()
+    gen = ProfileGenerator(ontology, seed=7)
+    gen.profiles(16)  # first-use allocations (shared QoS names) happen here
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        profiles = gen.profiles(N_ADS)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(profiles) == N_ADS
+    return retained / N_ADS
+
+
 def test_bytes_retained_per_advertisement_stay_under_the_ceiling():
     per_ad = retained_bytes_per_ad()
     assert per_ad <= CEILING_BYTES_PER_AD, (
         f"{per_ad:.0f} bytes retained per advertisement (ceiling "
         f"{CEILING_BYTES_PER_AD}): a registry structure now keeps more per "
         "record. Find it with `make mem-attr`; store it more cheaply, or "
+        "justify the new ceiling in the pull request."
+    )
+
+
+def test_bytes_retained_per_generated_profile_stay_under_the_ceiling():
+    per_profile = retained_bytes_per_profile()
+    assert per_profile <= CEILING_BYTES_PER_PROFILE, (
+        f"{per_profile:.0f} bytes retained per generated profile (ceiling "
+        f"{CEILING_BYTES_PER_PROFILE}): a ServiceProfile now holds more. Find it "
+        "with `make mem-attr` (the inputs table); store it more cheaply, or "
         "justify the new ceiling in the pull request."
     )
 
@@ -140,4 +189,5 @@ def test_trace_bytes_retained_per_discover_stay_under_the_ceiling():
 
 if __name__ == "__main__":
     print(f"{retained_bytes_per_ad():.0f} bytes retained per advertisement")
+    print(f"{retained_bytes_per_profile():.0f} bytes retained per generated profile")
     print(f"{trace_bytes_per_discover():.0f} bytes retained by obs/tracing.py per discover")

@@ -79,8 +79,28 @@ def test_renew_after_expiry_raises_and_drops(leases, clock):
     clock.now = 11.0
     with pytest.raises(LeaseError):
         leases.renew(lease.lease_id)
-    # The lapsed lease is gone even before a purge sweep.
+    # The refused lease stays due: the next sweep drops it and expires its ad.
+    assert leases.expired_ads() == ["ad-1"]
     assert leases.lease_for_ad("ad-1") is None
+    with pytest.raises(LeaseError):
+        leases.renew(lease.lease_id)
+
+
+def test_late_renew_still_expires_at_the_next_purge(clock):
+    """A renew that arrives after expiry but before the purge is refused,
+    and the purge still expires the advertisement: refusing it must not
+    leave the ad without a lease for good."""
+    kinds = []
+    leases = LeaseManager(clock, default_duration=10.0,
+                          on_event=lambda kind, lease: kinds.append((kind, lease.ad_id)))
+    lease = leases.grant("ad-1")
+    clock.now = 11.0
+    with pytest.raises(LeaseError):
+        leases.renew(lease.lease_id)
+    clock.now = 12.0
+    assert leases.expired_ads() == ["ad-1"]
+    assert kinds == [("grant", "ad-1"), ("expire", "ad-1")]
+    assert leases.expired_total == 1 and len(leases) == 0
 
 
 def test_expired_ads_returns_and_removes(leases, clock):
@@ -128,6 +148,8 @@ def test_clear(leases):
 def test_lease_has_no_instance_dict(leases):
     lease = leases.grant("ad-1")
     assert not hasattr(lease, "__dict__")
+    (entry,) = leases._expiry_heap
+    assert entry is lease  # the lease is its own heap entry, not in a tuple
     with pytest.raises(AttributeError):
         lease.renewed_by = "someone"  # undeclared: a typo must not create a field
     lease.expires_at += 1.0  # declared fields stay writable (renew does this)
@@ -198,12 +220,15 @@ def _assert_heap_within_compaction_bound(manager: LeaseManager) -> None:
 
 
 def _assert_heap_covers_live_leases(manager: LeaseManager) -> None:
-    """Every live lease has exactly one entry, due no later than it expires."""
-    entries = [(due, lease) for due, _no, lease in manager._expiry_heap
-               if manager._by_lease.get(lease.lease_id) is lease]
-    assert sorted(id(lease) for _due, lease in entries) \
+    """Every live lease is in the heap exactly once, due no later than it
+    expires, and no two entries share a grant number."""
+    heap = manager._expiry_heap
+    entries = [lease for lease in heap if manager._by_lease.get(lease.lease_id) is lease]
+    assert sorted(id(lease) for lease in entries) \
         == sorted(id(lease) for lease in manager._by_lease.values())
-    assert all(due <= lease.expires_at for due, lease in entries)
+    assert all(lease.due <= lease.expires_at for lease in entries)
+    assert len({lease.grant_no for lease in heap}) == len(heap)
+    assert not any(heap[i] < heap[(i - 1) >> 1] for i in range(1, len(heap)))
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import math
+import pickle
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import DescriptionError
+from repro.semantics import profiles
 from repro.semantics.profiles import QoSConstraint, ServiceProfile, ServiceRequest
 
 
@@ -103,3 +108,75 @@ def test_request_size_bytes(sensor_request):
         qos={"q": (0.0, 1.0)}, keywords=["k1", "k2"],
     )
     assert bigger.size_bytes() > ServiceRequest.build("cat").size_bytes()
+
+
+# -- compact QoS: two parallel fields behind the old (name, value) view ------
+
+_QOS = st.dictionaries(
+    st.sampled_from(["latency_ms", "coverage_km", "confidence", "update_rate_hz"])
+    | st.text(max_size=6),
+    st.floats(allow_nan=True, allow_infinity=True),
+    max_size=6,
+)
+
+
+def _old_size_bytes(profile: ServiceProfile, qos: dict[str, float]) -> int:
+    """``size_bytes`` as written when QoS was a tuple of pairs."""
+    concept_bytes = sum(profiles._PARAMETER_BYTES + len(c.encode("utf-8"))
+                        for c in (*profile.inputs, *profile.outputs))
+    return (profiles._PROFILE_BASE_BYTES + len(profile.service_name.encode("utf-8"))
+            + len(profile.category.encode("utf-8")) + concept_bytes
+            + len(tuple(sorted(qos.items()))) * profiles._QOS_BYTES
+            + len(profile.text.encode("utf-8")))
+
+
+def _same_value(a: float, b: float) -> bool:
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(qos=_QOS, probe=st.text(max_size=6))
+def test_compact_qos_reads_as_the_old_pairs(qos, probe):
+    profile = ServiceProfile.build("svc", "ncw:RadarService", outputs=["ncw:AirTrack"],
+                                   qos=qos, provider="lan-0", text="radar")
+    assert profile.qos_dict() == qos
+    assert profile.qos == tuple(sorted(qos.items()))
+    assert profile.qos_names == tuple(sorted(qos))
+    for name, value in qos.items():
+        assert profile.qos_value(name) is value
+    assert profile.qos_value(probe) is qos.get(probe)
+    assert profile.size_bytes() == _old_size_bytes(profile, qos)
+
+
+@settings(max_examples=200, deadline=None)
+@given(qos=_QOS, data=st.data())
+def test_compact_qos_is_order_free_and_shares_its_names(qos, data):
+    shuffled = dict(data.draw(st.permutations(list(qos.items()))))
+    a = ServiceProfile.build("svc", "cat", qos=qos, provider="p")
+    b = ServiceProfile.build("svc", "cat", qos=shuffled, provider="p")
+    assert a == b and hash(a) == hash(b)
+    # Other values, the same attribute set: one names tuple between them.
+    c = ServiceProfile.build("other", "cat", qos={name: 0.0 for name in reversed(qos)})
+    assert a.qos_names is b.qos_names is c.qos_names
+    assert a.provider is b.provider
+
+
+@settings(max_examples=200, deadline=None)
+@given(qos=_QOS)
+def test_compact_qos_survives_a_pickle_round_trip(qos):
+    """The WAL pickles profiles: replay must give back an equal profile,
+    as compact as a built one."""
+    profile = ServiceProfile.build("svc", "ncw:RadarService", inputs=["ncw:GridPosition"],
+                                   outputs=["ncw:AirTrack"], qos=qos, provider="lan-0")
+    restored = pickle.loads(pickle.dumps(profile))
+    assert restored.qos_names is profile.qos_names
+    assert restored.provider is profile.provider and restored.category is profile.category
+    assert all(map(_same_value, restored.qos_values, profile.qos_values))
+    assert len(restored.qos_values) == len(profile.qos_values)
+    if not any(math.isnan(v) for v in qos.values()):
+        assert restored == profile and hash(restored) == hash(profile)
+
+
+def test_qos_fields_must_pair_up():
+    with pytest.raises(DescriptionError):
+        ServiceProfile("svc", "cat", qos_names=("a", "b"), qos_values=(1.0,))

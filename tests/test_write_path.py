@@ -210,3 +210,30 @@ def test_stale_copy_is_never_replayed_over_a_newer_one(deployment):
     assert registry.store.get("ad-x").version == 3
     assert _crash_and_replay(system, registry) == []
     assert registry.store.get("ad-x").version == 3
+
+
+def test_a_refused_late_renew_still_lets_the_purge_expire_the_ad():
+    """A renew that arrives after the lease lapsed but before the purge is
+    NACKed; if the service then dies instead of republishing, the next
+    purge must still remove its advertisement."""
+    config = DiscoveryConfig(lease_duration=10.0, purge_interval=20.0, beacon_interval=None)
+    system = DiscoverySystem(seed=3, ontology=battlefield_ontology(), config=config)
+    system.add_lan("lan-0")
+    registry = system.add_registry("lan-0")
+    service = system.network.add_node(Peer("svc"), "lan-0")  # ignores the NACK
+    system.run(until=0.5)
+    service.send(registry.node_id, *_publish("ad-x"))
+    system.run_for(0.2)
+    lease = registry.leases.lease_for_ad("ad-x")
+    assert lease is not None and lease.expires_at < 12.0 < 20.0
+    system.run(until=12.0)  # lapsed, not yet purged
+    assert "ad-x" in registry.store
+    nacks = registry.network.stats.messages_sent
+    service.send(registry.node_id, protocol.RENEW,
+                 protocol.RenewPayload(lease_id=lease.lease_id, ad_id="ad-x"))
+    system.run_for(0.2)
+    assert registry.network.stats.messages_sent == nacks + 2  # the renew and its NACK
+    system.run(until=45.0)  # the service never republishes
+    assert "ad-x" not in registry.store
+    assert registry.leases.expired_total == 1
+    assert check_invariants(system) == []

@@ -3,6 +3,7 @@
     make mem-attr [WORKLOAD=wan_100k] [SEED=1000] [TREE=<checkout>] [GROWTH=N]
     python3 tools/mem_attr.py [--workload W] [--seed N] [--scale F] [--tree DIR] [--top N]
     python3 tools/mem_attr.py --phases [...]
+    python3 tools/mem_attr.py --inputs [...]
     python3 tools/mem_attr.py --growth N [...]
 
 ``benchmarks/perf/run.py`` has one memory number, ``peak_rss_mb``, and the
@@ -20,6 +21,11 @@ generates the inputs, and then
   operations *without* ``tracemalloc`` (which would inflate them) and
   prints ``VmRSS`` and ``VmHWM`` from ``/proc/self/status`` after each, so
   the phase that sets ``peak_rss_mb`` can be read off;
+* with ``--inputs``, runs ``Workload.inputs`` under ``tracemalloc`` and
+  prints what the generated records hold — profiles, advertisements,
+  requests, the ontology — in MiB and in bytes per generated profile record, by
+  module and by line: the part of the high-water mark the default table
+  leaves out;
 * with ``--growth N``, builds and prepares the deployment and runs one
   round of operations untraced, then runs ``N`` more under ``tracemalloc``
   and prints what they leave behind in bytes per operation, by module and
@@ -63,19 +69,22 @@ def where(filename: str, tree: pathlib.Path) -> str:
         return "/".join(path.parts[-2:])
 
 
-def attribution(action, title: str, count: int, unit: str, noun: str,
+def attribution(action, title: str, count, unit: str, noun: str,
                 tree: pathlib.Path, top: int) -> None:
     """Run ``action()`` under ``tracemalloc`` and print what it leaves
-    allocated — in MiB and in bytes per ``unit`` over ``count`` of them —
-    by source module and by allocating line."""
+    allocated — in MiB and in bytes per ``unit`` over ``count`` of them (a
+    number, or a function of what ``action`` returned) — by source module
+    and by allocating line."""
     gc.collect()
     tracemalloc.start()
     try:
-        kept = action()  # noqa: F841 - alive until the snapshot is taken
+        kept = action()
         gc.collect()
         snapshot = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
+    if callable(count):
+        count = count(kept)
     snapshot = snapshot.filter_traces([tracemalloc.Filter(False, tracemalloc.__file__)])
     by_line = snapshot.statistics("lineno")
     total = sum(stat.size for stat in by_line)
@@ -101,6 +110,13 @@ def build(workload, inputs, tree: pathlib.Path, top: int) -> None:
     attribution(lambda: workload.build(inputs),
                 f"{type(workload).__name__}.build under tracemalloc (input records not counted)",
                 n_ads, "ad", "advertisements", tree, top)
+
+
+def generated(workload, seed: int, scale: float, tree: pathlib.Path, top: int) -> None:
+    attribution(lambda: workload.inputs(seed, scale),
+                f"{type(workload).__name__}.inputs under tracemalloc",
+                lambda inputs: len(inputs.profiles) + len(inputs.publish_pool),
+                "record", "generated profile records", tree, top)
 
 
 def growth(workload, inputs, tree: pathlib.Path, top: int, n_ops: int) -> None:
@@ -165,6 +181,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--top", type=int, default=15, help="rows per table")
     parser.add_argument("--phases", action="store_true",
                         help="VmRSS/VmHWM per set-up phase instead of tracemalloc")
+    parser.add_argument("--inputs", action="store_true",
+                        help="what the generated input records hold, instead of the build")
     parser.add_argument("--growth", type=int, metavar="N",
                         help="bytes retained per operation over N operations "
                              "after a warm round, instead of the build")
@@ -174,6 +192,8 @@ def main(argv: list[str] | None = None) -> int:
     print(f"# mem-attr {args.workload} seed={args.seed} scale={args.scale:g} tree={tree}")
     if args.phases:
         phases(workload, args.seed, args.scale)
+    elif args.inputs:
+        generated(workload, args.seed, args.scale, tree, args.top)
     elif args.growth:
         growth(workload, workload.inputs(args.seed, args.scale), tree, args.top, args.growth)
     else:
