@@ -9,7 +9,7 @@ SMOKES := perf:test_perf_matchmaking fault:test_fault_smoke obs:test_obs_smoke \
           recovery:test_e19_recovery health:test_e20_health shard:test_e21_sharding
 SMOKE_TARGETS := $(foreach s,$(SMOKES),$(firstword $(subst :, ,$(s)))-smoke)
 
-.PHONY: test bench all smoke results-check perf-pairs mem-attr $(SMOKE_TARGETS)
+.PHONY: test bench all smoke results-check perf-pairs mem-attr op-classes $(SMOKE_TARGETS)
 
 ## Tier 1: the full unit/integration suite. Must always be green.
 test:
@@ -122,5 +122,16 @@ else
 	$(MEM_ATTR) --inputs
 	$(MEM_ATTR)
 endif
+
+## op-classes: `make op-classes [WORKLOAD=lan_fallback] [SEED=1000]
+## [TREE=<checkout>]` runs the untraced pass of benchmarks/perf/run.py
+## (imported, untouched) and splits its discovers into plain ones, those
+## during which a registry probe was sent and those during which probe
+## copies arrived: per class the count, the kref median, that median over
+## the p50 and its share of the p98.5-p99.5 band (see tools/op_classes.py).
+## ~20 s for lan_fallback.
+op-classes:
+	$(PYTHON) tools/op_classes.py --workload $(or $(WORKLOAD),lan_fallback) \
+		--seed $(SEED) --tree $(TREE)
 
 all: test smoke

@@ -559,9 +559,12 @@ class ClientNode(Node):
         )
 
     def handle_artifact_reply(self, envelope: Envelope) -> None:
+        """Keep the artifact, and offer it to the models that cannot
+        evaluate yet: one that can keeps the matchmaker it has."""
         payload = envelope.payload
         if not payload.found:
             return
         self.artifacts_fetched[payload.artifact_name] = payload.artifact
         for model in self.models:
-            model.accept_artifact(payload.artifact)
+            if not model.can_evaluate():
+                model.accept_artifact(payload.artifact)

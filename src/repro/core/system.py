@@ -32,8 +32,10 @@ from repro.netsim.network import Network
 from repro.netsim.simulator import Simulator
 from repro.obs.health import HealthMonitor
 from repro.registry.advertisements import reset_uuids
+from repro.semantics.matchmaker import Matchmaker
 from repro.semantics.ontology import Ontology
 from repro.semantics.profiles import ServiceProfile, ServiceRequest
+from repro.semantics.reasoner import Reasoner
 
 #: Model sets selectable by name when building nodes.
 ALL_MODEL_IDS = ("uri", "template", "semantic")
@@ -44,13 +46,18 @@ def make_models(
     include: tuple[str, ...] = ALL_MODEL_IDS,
     *,
     with_ontology: bool = True,
+    matchmaker: Matchmaker | None = None,
 ) -> list[DescriptionModel]:
-    """Fresh description-model plug-ins for one node.
+    """Description-model plug-ins for one node.
 
-    Each node gets its own instances (so per-node counters stay separate)
-    while semantic models share the same :class:`Ontology` object.
-    ``with_ontology=False`` builds a semantic model that cannot evaluate
-    until it fetches the ontology from the registry network (E12).
+    The model objects are the node's own, so per-node counters
+    (``malformed_payloads``, ``missing_ontology_failures``) stay separate.
+    What they reason with is not: the semantic model evaluates on
+    ``matchmaker``, the deployment's one matchmaker over ``ontology``,
+    whenever that is the ontology it holds — from the start, or once
+    fetched when ``with_ontology=False`` leaves it unable to evaluate until
+    the registry network supplies the ontology (E12). Without a
+    ``matchmaker`` the semantic model builds one of its own.
     """
     models: list[DescriptionModel] = []
     for model_id in include:
@@ -59,7 +66,8 @@ def make_models(
         elif model_id == "template":
             models.append(TemplateModel())
         elif model_id == "semantic":
-            models.append(SemanticModel(ontology if with_ontology else None))
+            models.append(SemanticModel(ontology if with_ontology else None,
+                                        shared=matchmaker))
         else:
             raise ReproError(f"unknown description model {model_id!r}")
     return models
@@ -80,6 +88,9 @@ class DiscoverySystem:
         reset_uuids()  # ids restart per system: same seed ⇒ same ad ids
         self.config = config or DiscoveryConfig()
         self.ontology = ontology
+        #: The one matchmaker every node of this deployment evaluates on
+        #: (see :func:`make_models`); ``None`` without an ontology.
+        self.matchmaker = Matchmaker(Reasoner(ontology)) if ontology is not None else None
         self.sim = Simulator(seed=seed)
         self.network = Network(
             self.sim, size_model=size_model, loss_rate=loss_rate
@@ -128,7 +139,7 @@ class DiscoverySystem:
         registry = RegistryNode(
             node_id,
             self.config,
-            make_models(self.ontology, model_ids, with_ontology=with_ontology),
+            self._models(model_ids, with_ontology),
             seeds=seeds,
             capacity=capacity,
         )
@@ -161,7 +172,7 @@ class DiscoverySystem:
         standby = StandbyRegistry(
             node_id,
             self.config,
-            make_models(self.ontology, model_ids),
+            self._models(model_ids),
             lan_target=lan_target,
             seeds=seeds,
         )
@@ -189,7 +200,7 @@ class DiscoverySystem:
             node_id,
             self.config,
             profile,
-            make_models(self.ontology, model_ids),
+            self._models(model_ids),
             seeds=seeds,
         )
         self.network.add_node(service, lan)
@@ -211,7 +222,7 @@ class DiscoverySystem:
         client = ClientNode(
             node_id,
             self.config,
-            make_models(self.ontology, model_ids, with_ontology=with_ontology),
+            self._models(model_ids, with_ontology),
             seeds=seeds,
         )
         self.network.add_node(client, lan)
@@ -250,6 +261,11 @@ class DiscoverySystem:
         for i, left in enumerate(nodes):
             for right in nodes[i + 1:]:
                 self.federate(left, right)
+
+    def _models(self, model_ids: tuple[str, ...],
+                with_ontology: bool = True) -> list[DescriptionModel]:
+        return make_models(self.ontology, model_ids, with_ontology=with_ontology,
+                           matchmaker=self.matchmaker)
 
     def _schedule_start(self, node) -> None:
         self.sim.schedule(0.0, node.start)

@@ -10,6 +10,13 @@ evaluate and use services" — §2). A :class:`SemanticModel` constructed
 without an ontology reports ``can_evaluate() == False`` and fails all
 matches until :meth:`attach_ontology` is called — typically after fetching
 the ontology from the registry network's repository (§4.6, experiment E12).
+
+The nodes of one deployment reason over one ontology, so they share one
+:class:`~repro.semantics.Matchmaker` (see
+:func:`~repro.core.system.make_models`): a LAN multicast query answered by
+a hundred services builds its request plan once, and the closure, depth
+and pair caches are warmed once. The model wrapper stays per node, and
+with it the per-node counters.
 """
 
 from __future__ import annotations
@@ -28,15 +35,25 @@ class SemanticModel(DescriptionModel):
 
     model_id = "semantic"
 
-    def __init__(self, ontology: Ontology | None = None) -> None:
+    def __init__(self, ontology: Ontology | None = None, *,
+                 shared: Matchmaker | None = None) -> None:
+        """``shared`` is the deployment's matchmaker: used whenever the
+        attached ontology is the one it reasons over. Without it the
+        model builds a matchmaker of its own."""
+        self._shared = shared
         self._matchmaker: Matchmaker | None = None
         self.missing_ontology_failures = 0
         if ontology is not None:
             self.attach_ontology(ontology)
 
     def attach_ontology(self, ontology: Ontology) -> None:
-        """Install (or replace) the shared ontology used for evaluation."""
-        self._matchmaker = Matchmaker(Reasoner(ontology))
+        """Install (or replace) the ontology used for evaluation: the shared
+        matchmaker if it reasons over this very ontology, else a new one."""
+        shared = self._shared
+        if shared is not None and shared.reasoner.ontology is ontology:
+            self._matchmaker = shared
+        else:
+            self._matchmaker = Matchmaker(Reasoner(ontology))
 
     @property
     def ontology(self) -> Ontology | None:

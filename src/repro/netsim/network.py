@@ -463,45 +463,60 @@ class Network:
     def _deliver_multicast(self, envelope: Envelope, receivers: list[str]) -> None:
         """Multicast arrival, receiver by receiver in the order given.
 
-        A receiver that serves the type gets its *own envelope copy*
-        through :meth:`_deliver`, so a handler mutating headers or routing
-        metadata cannot contaminate sibling deliveries. A live receiver
-        that would only count the copy (:meth:`Node.discards`) costs that
-        one check: on the sender's LAN it is linked without asking
-        :meth:`_linked`, it gets its ``net.deliver`` event in the same
-        place and ``unknown_messages += 1``, but no copy and no
-        ``receive``. The traffic statistics and delivery histograms of
-        those copies are applied once, after the last receiver.
+        The loop holds what :meth:`_deliver` would look up again per copy:
+        the receiver, whether it is up, and the sender's LAN — read again
+        after each handler, which may have moved or removed the sender. A
+        receiver that is gone or down goes through :meth:`_deliver` (the
+        ``dead-dst`` drop); one no longer linked to the sender is dropped
+        as ``partition-in-flight``; one on the sender's LAN is linked
+        without asking :meth:`_linked`.
+
+        Every other receiver gets its ``net.deliver`` event. One that
+        serves the type then gets its *own envelope copy* through
+        ``receive``, so a handler mutating headers or routing metadata
+        cannot contaminate sibling deliveries. One that would only count
+        the copy (:meth:`Node.discards`) costs that one check: no copy and
+        no ``receive``, just ``unknown_messages += 1``. The traffic
+        statistics of the arrived copies (new keys in receiver order) and
+        their delivery histograms are applied once, after the last
+        receiver.
         """
         now = self.sim.now
         msg_type = envelope.msg_type
+        src = envelope.src
         latency = now - envelope.sent_at
         ctx = TraceRecorder.extract(envelope.headers)
         trace = self.sim.trace
         traced = ctx is not None and trace.listening
         nodes = self.nodes
-        sender = nodes.get(envelope.src)
+        sender = nodes.get(src)
         # A live receiver always has a LAN, so a sender that is gone
         # (``None``) never takes the same-LAN shortcut.
         src_lan = sender.lan_name if sender is not None else None
-        counted: list[str] = []
+        arrived: list[str] = []
         for dst_id in receivers:
             dst = nodes.get(dst_id)
-            if dst is None or not dst.alive or not dst.discards(msg_type):
-                self._deliver(envelope.copy_for(dst_id), dst_id)
-            elif dst.lan_name != src_lan and not self._linked(src_lan, dst.lan_name):
+            if dst is None or not dst.alive:
+                self._deliver(envelope, dst_id)
+                continue
+            if dst.lan_name != src_lan and not self._linked(src_lan, dst.lan_name):
                 self.stats.record_drop("partition-in-flight")
                 self._trace_drop(envelope, "partition-in-flight", dst=dst_id)
-            else:
-                if traced:
-                    trace.event("net.deliver", node=dst_id, ctx=ctx, attrs={
-                        "msg_type": msg_type, "src": envelope.src,
-                        "hops": envelope.hops, "latency": latency})
+                continue
+            arrived.append(dst_id)
+            if traced:
+                trace.event("net.deliver", node=dst_id, ctx=ctx, attrs={
+                    "msg_type": msg_type, "src": src,
+                    "hops": envelope.hops, "latency": latency})
+            if dst.discards(msg_type):
                 dst.unknown_messages += 1
-                counted.append(dst_id)
-        if counted:
-            n = len(counted)
-            self.stats.record_deliveries(counted, envelope.size_bytes)
+            else:
+                dst.receive(envelope.copy_for(dst_id))
+                sender = nodes.get(src)
+                src_lan = sender.lan_name if sender is not None else None
+        if arrived:
+            n = len(arrived)
+            self.stats.record_deliveries(arrived, envelope.size_bytes)
             latencies, hops = self._delivery_histograms_for(msg_type)
             latencies.observe_many(latency, n)
             hops.observe_many(envelope.hops, n)

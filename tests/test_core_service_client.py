@@ -295,7 +295,24 @@ def test_client_fetch_artifact_attaches_ontology(fast):
     client.fetch_artifact("battlefield")
     system.run_for(1.0)
     assert semantic.can_evaluate()
+    assert semantic.matchmaker is system.matchmaker
     assert "battlefield" in client.artifacts_fetched
+
+
+def test_an_evaluating_client_keeps_its_matchmaker_when_the_ontology_arrives(fast):
+    """A fetched artifact is offered only to models that cannot evaluate
+    yet: a client that can keeps its warm, shared matchmaker — even when
+    the registry hosts the ontology as another object."""
+    system = _system(fast)
+    system.registries[0].repository.store("battlefield", battlefield_ontology())
+    client = system.add_client("lan-0")
+    system.run(until=2.0)
+    semantic = client.models.get("semantic")
+    matchmaker = semantic.matchmaker
+    client.fetch_artifact("battlefield")
+    system.run_for(1.0)
+    assert "battlefield" in client.artifacts_fetched
+    assert semantic.matchmaker is matchmaker is system.matchmaker
 
 
 def test_thin_client_relies_on_registry_side_matching(fast):

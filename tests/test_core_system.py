@@ -192,3 +192,79 @@ def test_discover_timeout_clamps_to_deadline():
     assert system.sim.now == deadline
     # The client's own 120 s query timer is still queued, untouched.
     assert system.sim.pending() > 0
+
+
+# -- one matchmaker per deployment ---------------------------------------------
+
+
+def _semantic(node):
+    return node.models.get("semantic")
+
+
+def test_every_node_of_a_deployment_shares_one_matchmaker_and_reasoner():
+    system = DiscoverySystem(seed=1, ontology=battlefield_ontology())
+    system.add_lan("lan-0")
+    nodes = [system.add_registry("lan-0"), system.add_standby_registry("lan-0"),
+             system.add_service("lan-0", _radar()), system.add_service("lan-0", _radar("r2")),
+             system.add_client("lan-0"), system.add_client("lan-0")]
+    models = [_semantic(node) for node in nodes]
+    assert all(model.matchmaker is system.matchmaker for model in models)
+    assert all(model.reasoner is system.matchmaker.reasoner for model in models)
+    assert system.matchmaker.reasoner.ontology is system.ontology
+    # The model wrappers, and with them their counters, stay per node.
+    assert len({id(model) for model in models}) == len(nodes)
+
+
+def test_a_late_ontology_attaches_the_shared_matchmaker():
+    system = DiscoverySystem(seed=1, ontology=battlefield_ontology())
+    system.add_lan("lan-0")
+    model = _semantic(system.add_registry("lan-0", with_ontology=False))
+    assert not model.can_evaluate()
+    model.accept_artifact(system.ontology)
+    assert model.matchmaker is system.matchmaker
+    # Another ontology is reasoned over by a matchmaker of its own.
+    other = battlefield_ontology()
+    model.attach_ontology(other)
+    assert model.matchmaker is not system.matchmaker and model.ontology is other
+
+
+def test_a_model_built_on_its_own_keeps_its_own_matchmaker():
+    ontology = battlefield_ontology()
+    a, b = (make_models(ontology, include=("semantic",))[0] for _ in range(2))
+    assert a.matchmaker is not b.matchmaker
+    assert a.reasoner is not b.reasoner
+    assert DiscoverySystem(seed=1).matchmaker is None
+
+
+def test_a_class_added_mid_run_is_seen_by_every_node_in_one_rebuild(monkeypatch):
+    """Five services answer a LAN multicast on the one matchmaker: after
+    ``add_class`` the query that reads the new class drops the pair tables
+    once, and builds one request plan, for all five."""
+    from repro.semantics.matchmaker import Matchmaker
+
+    system = DiscoverySystem(seed=1, ontology=battlefield_ontology())
+    system.add_lan("lan-0")
+    for i in range(5):
+        system.add_service("lan-0", _radar(f"radar-{i}"))
+    client = system.add_client("lan-0")
+    system.run(until=2.0)
+    assert system.discover(client, REQUEST).via == "fallback"
+
+    rebuilds = []
+    table = Matchmaker._table
+
+    def counted(self, requested):
+        if self._tables_version != self.reasoner.ontology.version:
+            rebuilds.append(self)
+        return table(self, requested)
+
+    monkeypatch.setattr(Matchmaker, "_table", counted)
+    system.ontology.add_class("ncw:QuantumTrack", ["ncw:AirTrack"])
+    matchmaker = system.matchmaker
+    plans, evaluations = matchmaker.plans_built, matchmaker.evaluations
+    request = ServiceRequest.build("ncw:SensorService", outputs=["ncw:QuantumTrack"])
+    call = system.discover(client, request)
+    assert sorted(call.service_names()) == [f"radar-{i}" for i in range(5)]
+    assert rebuilds == [matchmaker]
+    assert matchmaker.plans_built - plans == 1
+    assert matchmaker.evaluations - evaluations == 5

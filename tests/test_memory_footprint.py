@@ -55,6 +55,20 @@ The left column is the recorder that kept every span and event for the
 whole run; the right one keeps them only in a capture somebody attached.
 What is left is the root span each ``DiscoveryCall`` in ``client.calls``
 holds, so it does not grow with the run's length.
+
+The fourth ceiling is what a registry-less LAN keeps per service node: a
+settled :func:`tests.deployments.fallback_lan` of 100 services, generated
+profiles included, after 32 discovers that every service evaluates. Each
+node's semantic model used to reason on a matchmaker and reasoner of its
+own, each warming its own closure, ancestor and pair caches; now the
+deployment's nodes share one (``make mem-attr WORKLOAD=lan_fallback``:
+``LanFallback.build`` retains 19,227 → 7,962 B per service node).
+
+=====================================  ===========  ===========
+bytes retained per service node        own          shared
+=====================================  ===========  ===========
+``fallback_lan``, 100 services         21,727       10,475
+=====================================  ===========  ===========
 """
 
 from __future__ import annotations
@@ -70,7 +84,7 @@ from repro.registry.leases import LeaseManager
 from repro.registry.matching import QueryEvaluator
 from repro.registry.store import AdvertisementStore
 from repro.semantics.generator import OntologyGenerator, ProfileGenerator
-from tests.deployments import e7_ring
+from tests.deployments import e7_ring, fallback_lan
 from tests.test_query_path_properties import _ad, _request_corpus
 
 N_ADS = 5_000
@@ -81,6 +95,9 @@ CEILING_BYTES_PER_AD = 485
 CEILING_BYTES_PER_PROFILE = 560
 #: ~15 % above the capture-only reading; the same rule.
 CEILING_TRACE_BYTES_PER_DISCOVER = 435
+#: ~15 % above the shared-matchmaker reading; the same rule.
+CEILING_BYTES_PER_SERVICE_NODE = 12_000
+N_SERVICE_NODES = 100
 
 
 def retained_bytes_per_ad() -> float:
@@ -187,7 +204,37 @@ def test_trace_bytes_retained_per_discover_stay_under_the_ceiling():
     )
 
 
+def retained_bytes_per_service_node() -> float:
+    """What a settled registry-less LAN of 100 services holds per service
+    node after 32 discovers: nodes, timers, profiles and the semantic
+    caches their discovers warmed."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        deployment = fallback_lan(services=N_SERVICE_NODES)
+        deployment.discover(32)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(deployment.system.services) == N_SERVICE_NODES
+    return retained / N_SERVICE_NODES
+
+
+def test_bytes_retained_per_service_node_stay_under_the_ceiling():
+    per_node = retained_bytes_per_service_node()
+    assert per_node <= CEILING_BYTES_PER_SERVICE_NODE, (
+        f"{per_node:.0f} bytes retained per service node (ceiling "
+        f"{CEILING_BYTES_PER_SERVICE_NODE}): a node, or the reasoning its "
+        "queries warm, now keeps more. Find it with `make mem-attr "
+        "WORKLOAD=lan_fallback`; keep it shared or cheaper, or justify the new "
+        "ceiling in the pull request."
+    )
+
+
 if __name__ == "__main__":
     print(f"{retained_bytes_per_ad():.0f} bytes retained per advertisement")
     print(f"{retained_bytes_per_profile():.0f} bytes retained per generated profile")
     print(f"{trace_bytes_per_discover():.0f} bytes retained by obs/tracing.py per discover")
+    print(f"{retained_bytes_per_service_node():.0f} bytes retained per service node")

@@ -12,6 +12,12 @@ state afterwards, same trace export — with no loss, ambient loss, a loss
 window on one LAN, and both at once, so the loss draws are compared in
 order and by reason too.
 
+A second family of plans adds multicasts whose first serving receiver
+upsets the rest of its own batch from inside its handler: it crashes a
+later receiver, roams the sender to the other LAN, or partitions the two
+LANs. Every later receiver must then get exactly what a delivery event of
+its own would have given it.
+
 Besides the ``Chatty`` nodes, which serve every type themselves, each
 LAN holds receivers the batched transport may count instead of
 delivering to — a plain ``Node`` that serves nothing, a ``Picky`` node
@@ -78,6 +84,9 @@ class Chatty(Node):
     def __init__(self, node_id: str, log: list) -> None:
         super().__init__(node_id)
         self.log = log
+        #: Multicasts whose first serving receiver has upset its batch;
+        #: one set shared by the play's ``Chatty`` nodes.
+        self.upset: set = set()
 
     def handle_message(self, envelope: Envelope) -> None:
         self.log.append((self.sim.now, self.node_id, envelope.msg_type,
@@ -95,6 +104,36 @@ class Chatty(Node):
         self.handle_message(envelope)
         if envelope.hops < 2:
             self.forward(envelope, RING[(RING.index(self.node_id) + 3) % len(RING)])
+
+    def first_to_serve(self, envelope: Envelope) -> bool:
+        """Logs the copy; whether this is the first receiver to serve its
+        multicast (the copies share the sender and the send instant)."""
+        self.handle_message(envelope)
+        key = (envelope.src, envelope.sent_at, envelope.msg_type)
+        first = key not in self.upset
+        self.upset.add(key)
+        return first
+
+    def handle_crash(self, envelope: Envelope) -> None:
+        """Crash the next live receiver after this one, if there is one."""
+        if self.first_to_serve(envelope):
+            network = self.network
+            later = [node_id for node_id in sorted(network.lans[self.lan_name].node_ids)
+                     if node_id > self.node_id and node_id != envelope.src
+                     and network.nodes[node_id].alive]
+            if later:
+                network.nodes[later[0]].crash()
+
+    def handle_roam(self, envelope: Envelope) -> None:
+        """Move the sender to the other LAN."""
+        if self.first_to_serve(envelope):
+            sender = self.network.nodes[envelope.src]
+            self.network.move_node(sender.node_id, "b" if sender.lan_name == "a" else "a")
+
+    def handle_split(self, envelope: Envelope) -> None:
+        """Partition the two LANs (the plan heals them at its end)."""
+        if self.first_to_serve(envelope):
+            self.network.partition([["a"], ["b"]])
 
 
 class Picky(Node):
@@ -153,8 +192,18 @@ CAST = {"a5": lambda node_id, log: Node(node_id), "a6": Gated,
 WINDOW = LossWindow(start=10 * TICK, end=20 * TICK, rate=0.5, lan="a")
 
 
+#: What the plans multicast; upsetting plans add the three upsets.
+PLAIN_TYPES = ("ping", "shout", "relay", "note")
+UPSET_TYPES = PLAIN_TYPES + ("crash", "roam", "split")
+
+
+def _slots(histogram) -> tuple:
+    return (histogram.counts, histogram.overflow, histogram.count,
+            histogram.total.hex(), histogram.vmin, histogram.vmax)
+
+
 def play(network_cls: type[Network], seed: int, loss_rate: float,
-         window: LossWindow | None = None):
+         window: LossWindow | None = None, multicast_types: tuple = PLAIN_TYPES):
     """Run plan ``seed`` on a fresh ``network_cls``; everything observable."""
     plan = random.Random(seed)
     sim = Simulator(seed=seed)
@@ -168,9 +217,12 @@ def play(network_cls: type[Network], seed: int, loss_rate: float,
     if window is not None:
         net.add_loss_window(window)
     log: list = []
+    upset: set = set()
     for lan, ids in NODES.items():
         for node_id in ids:
-            net.add_node(CAST.get(node_id, Chatty)(node_id, log), lan)
+            node = net.add_node(CAST.get(node_id, Chatty)(node_id, log), lan)
+            if isinstance(node, Chatty):
+                node.upset = upset
 
     def at() -> float:
         return plan.randrange(TICKS) * TICK
@@ -189,7 +241,7 @@ def play(network_cls: type[Network], seed: int, loss_rate: float,
         node = net.nodes[plan.choice(RING)]
         kind = plan.choice(("multicast", "multicast", "unicast", "timer"))
         if kind == "multicast":
-            action = (multicast, node, plan.choice(("ping", "shout", "relay", "note")))
+            action = (multicast, node, plan.choice(multicast_types))
         else:
             action = (unicast, node, plan.choice(RING), plan.choice(("ping", "relay")))
         if kind == "timer":
@@ -206,8 +258,12 @@ def play(network_cls: type[Network], seed: int, loss_rate: float,
     return {
         "log": log,
         "stats": net.stats.snapshot(),
+        "node_bytes": list(net.stats.node_bytes_received.items()),
         "drops": dict(net.stats.drops_by_reason),
         "metrics": net.metrics.snapshot(),
+        "histograms": {name: _slots(histogram)
+                       for name, histogram in net.metrics.histograms.items()},
+        "upsets": len(upset),
         "counts": {node_id: (node.unknown_messages, node.malformed_messages)
                    for node_id, node in net.nodes.items()},
         "rng": sim.rng.getstate(),
@@ -256,6 +312,27 @@ def test_batched_multicast_is_indistinguishable_from_per_receiver_events(
     assert counted_at["a5"] > 100 and counted_at["b3"] > 100
     assert counts["b3", "malformed"] and counts["a6", "unknown"]
     assert counts["b4", "unknown"] == counts["b4", "malformed"] == 0
+
+
+@pytest.mark.parametrize("loss_rate, window", (
+    pytest.param(0.0, None, id="0.0"),
+    pytest.param(0.3, WINDOW, id="0.3-window"),
+))
+def test_handlers_upsetting_their_own_batch_match_per_receiver_events(loss_rate, window):
+    """A serving receiver's handler crashes a later receiver, roams the
+    sender or partitions the LANs while the rest of its batch waits: the
+    batched loop must re-read what it holds and drop, deliver or count
+    each later copy as its own delivery event would."""
+    upsets = drops_at_dead = drops_in_flight = 0
+    for seed in SEEDS:
+        real = play(Network, seed, loss_rate, window, UPSET_TYPES)
+        reference = play(PerReceiverNetwork, seed, loss_rate, window, UPSET_TYPES)
+        for key in reference:
+            assert real[key] == reference[key], (seed, key)
+        upsets += real["upsets"]
+        drops_at_dead += real["drops"].get("dead-dst", 0)
+        drops_in_flight += real["drops"].get("partition-in-flight", 0)
+    assert upsets > 100 and drops_at_dead > 100 and drops_in_flight > 50
 
 
 def test_reference_really_schedules_one_event_per_copy():

@@ -306,6 +306,48 @@ def test_a_discarded_probe_arrival_is_one_call_per_receiver():
     assert calls["call"] <= n + DISCARDED_ARRIVAL_OVERHEAD
 
 
+#: Python-level calls a served multicast arrival may make per receiver. A
+#: served copy costs ``discards``, the copy (``copy_for`` and the
+#: ``Envelope`` it builds) and ``receive`` with what it calls down to the
+#: handler: 203 calls at N = 21 (9.7 per receiver), where the copy's own
+#: trip through ``Network._deliver`` — its re-checks, its accounting, two
+#: histogram observations and its trace context — made it 384 (18.3).
+SERVED_ARRIVAL_CALLS_PER_RECEIVER = 13
+
+
+def test_a_served_query_arrival_costs_no_per_copy_recheck():
+    """One ``decentral-query`` arriving at the 21 nodes of a registry-less
+    LAN, 20 of which serve it with a stub handler, makes at most 13
+    Python-level calls (``sys.setprofile`` "call" events) per receiver:
+    the loop hands each served copy to ``receive`` itself, without
+    asking again who the receiver is, whether it is up and linked, and
+    observes the delivery histograms once for the whole batch."""
+    dep = fallback_lan(services=20)
+    network = dep.system.network
+    dep.system.clients[0].discover(dep.requests[0])
+    (envelope, receivers), = [
+        entry[3] for entry in network.sim._heap
+        if entry[2] == network._deliver_multicast
+        and entry[3][0].msg_type == "decentral-query"]
+    served: list[str] = []
+    for service in dep.system.services:
+        service.handlers["decentral-query"] = lambda copy: served.append(copy.dst)
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        calls[event] += 1
+
+    sys.setprofile(profile)
+    try:
+        network._deliver_multicast(envelope, receivers)
+    finally:
+        sys.setprofile(None)
+    n = len(receivers)
+    assert n == 21
+    assert served == sorted(service.node_id for service in dep.system.services)
+    assert calls["call"] <= n * SERVED_ARRIVAL_CALLS_PER_RECEIVER
+
+
 # -- (vi) batched accounting is per-copy accounting, slot for slot -------------
 
 
