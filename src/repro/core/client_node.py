@@ -546,8 +546,10 @@ class ClientNode(Node):
     def fetch_artifact(self, name: str) -> None:
         """Ask the current registry for an artifact (e.g. an ontology).
 
-        On arrival, ontologies are automatically attached to this client's
-        semantic description model, enabling local evaluation (E12).
+        On arrival, an ontology is attached to this client's semantic
+        description model only if that model cannot evaluate yet, enabling
+        local evaluation (E12); a model that already evaluates keeps its
+        matchmaker.
         """
         registry = self.tracker.current
         if registry is None:

@@ -46,30 +46,26 @@ def make_models(
     include: tuple[str, ...] = ALL_MODEL_IDS,
     *,
     with_ontology: bool = True,
-    matchmaker: Matchmaker | None = None,
 ) -> list[DescriptionModel]:
-    """Description-model plug-ins for one node.
+    """Fresh description-model plug-ins for one node, standing alone.
 
-    The model objects are the node's own, so per-node counters
-    (``malformed_payloads``, ``missing_ontology_failures``) stay separate.
-    What they reason with is not: the semantic model evaluates on
-    ``matchmaker``, the deployment's one matchmaker over ``ontology``,
-    whenever that is the ontology it holds — from the start, or once
-    fetched when ``with_ontology=False`` leaves it unable to evaluate until
-    the registry network supplies the ontology (E12). Without a
-    ``matchmaker`` the semantic model builds one of its own.
+    The semantic model built here reasons with a matchmaker of its own;
+    the nodes of a :class:`DiscoverySystem` share the system's one
+    instead (see ``DiscoverySystem.matchmaker``). ``with_ontology=False``
+    builds a semantic model that cannot evaluate until it fetches the
+    ontology from the registry network (E12).
     """
+    return _plug_ins(include, lambda: SemanticModel(ontology if with_ontology else None))
+
+
+def _plug_ins(include: tuple[str, ...], semantic) -> list[DescriptionModel]:
+    """One model per id in ``include``; ``semantic()`` builds the semantic one."""
+    factories = {"uri": UriModel, "template": TemplateModel, "semantic": semantic}
     models: list[DescriptionModel] = []
     for model_id in include:
-        if model_id == "uri":
-            models.append(UriModel())
-        elif model_id == "template":
-            models.append(TemplateModel())
-        elif model_id == "semantic":
-            models.append(SemanticModel(ontology if with_ontology else None,
-                                        shared=matchmaker))
-        else:
+        if model_id not in factories:
             raise ReproError(f"unknown description model {model_id!r}")
+        models.append(factories[model_id]())
     return models
 
 
@@ -88,8 +84,9 @@ class DiscoverySystem:
         reset_uuids()  # ids restart per system: same seed ⇒ same ad ids
         self.config = config or DiscoveryConfig()
         self.ontology = ontology
-        #: The one matchmaker every node of this deployment evaluates on
-        #: (see :func:`make_models`); ``None`` without an ontology.
+        #: The one matchmaker every node of this deployment evaluates on:
+        #: each node's own ``SemanticModel`` is built on it (``_models``), so
+        #: per-node counters stay per node; ``None`` without an ontology.
         self.matchmaker = Matchmaker(Reasoner(ontology)) if ontology is not None else None
         self.sim = Simulator(seed=seed)
         self.network = Network(
@@ -264,8 +261,10 @@ class DiscoverySystem:
 
     def _models(self, model_ids: tuple[str, ...],
                 with_ontology: bool = True) -> list[DescriptionModel]:
-        return make_models(self.ontology, model_ids, with_ontology=with_ontology,
-                           matchmaker=self.matchmaker)
+        """A node's plug-ins, its semantic model on the shared matchmaker."""
+        ontology = self.ontology if with_ontology else None
+        return _plug_ins(model_ids,
+                         lambda: SemanticModel(ontology, shared=self.matchmaker))
 
     def _schedule_start(self, node) -> None:
         self.sim.schedule(0.0, node.start)

@@ -12,8 +12,8 @@ matches until :meth:`attach_ontology` is called — typically after fetching
 the ontology from the registry network's repository (§4.6, experiment E12).
 
 The nodes of one deployment reason over one ontology, so they share one
-:class:`~repro.semantics.Matchmaker` (see
-:func:`~repro.core.system.make_models`): a LAN multicast query answered by
+:class:`~repro.semantics.Matchmaker` (``DiscoverySystem.matchmaker``,
+passed to each node's model as ``shared``): a LAN multicast query answered by
 a hundred services builds its request plan once, and the closure, depth
 and pair caches are warmed once. The model wrapper stays per node, and
 with it the per-node counters.

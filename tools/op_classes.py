@@ -1,14 +1,15 @@
 """Which kind of discover sets a workload's tail: its operations by class.
 
     make op-classes [WORKLOAD=lan_fallback] [SEED=1000] [TREE=<checkout>]
-    python3 tools/op_classes.py [--workload W] [--seed N] [--seconds S] [--scale F] [--tree DIR]
+    python3 tools/op_classes.py [--workload W] [--seed N] [--scale F] [--tree DIR]
 
 ``benchmarks/perf/run.py --trace 0`` reports one ``discover_p50_kref`` and
 one ``discover_p99_kref``. On a registry-less LAN the discovers are not
 alike: the services' periodic registry probes fall inside some of them.
 This tool runs the same untraced pass as ``run.py`` — it imports the
 workload and the timing loop from ``benchmarks/perf`` (nothing there is
-edited or patched): same set-up, same number of rounds, same kref clock —
+edited or patched): same set-up, same kref clock, and the number of rounds
+``run.py`` derives from the checkout's ``BENCHMARK.json`` ``run_seconds`` —
 and sorts each discover by what the simulator did during it:
 
 * **probe arrival** — copies of a ``registry-probe`` multicast arrived;
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import json
 import math
 import pathlib
 import statistics
@@ -83,7 +85,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", default="lan_fallback")
     parser.add_argument("--seed", type=int, default=1000)
-    parser.add_argument("--seconds", type=float, default=12.0)
     parser.add_argument("--scale", type=float, default=1.0)
     parser.add_argument("--tree", type=pathlib.Path, default=ROOT)
     args = parser.parse_args(argv)
@@ -95,11 +96,14 @@ def main(argv: list[str] | None = None) -> int:
     if args.workload not in WORKLOADS:
         sys.exit(f"unknown workload {args.workload!r}; choose from {sorted(WORKLOADS)}")
     workload = WORKLOADS[args.workload]
-    # ``run.end_to_end`` up to its timed rounds, which keep every sample.
+    with open(tree / "BENCHMARK.json") as fh:
+        seconds = float(json.load(fh)["run_seconds"])
+    # ``run.end_to_end`` up to its timed rounds, which keep every sample
+    # (``end_to_end`` returns only their statistics).
     dep, _setup_s = set_up(workload, workload.inputs(args.seed, args.scale))
     workload.prepare(dep)
     gc.collect()
-    rounds = max(MIN_ROUNDS, round(workload.rounds_per_s * args.seconds * args.scale))
+    rounds = max(MIN_ROUNDS, round(workload.rounds_per_s * seconds * args.scale))
     classified = Classified(workload)
     latencies, _rates = timed_rounds(classified, dep, rounds,
                                      max(8, int(workload.round_ops * args.scale)))
