@@ -36,6 +36,7 @@ import json
 import math
 import pathlib
 import time
+from operator import attrgetter
 from unittest import mock
 
 import pytest
@@ -172,7 +173,7 @@ def _measure(ontology, profiles, requests, *, use_indexes: bool) -> dict:
         for _pass in range(5):
             expand_start = time.perf_counter()
             for bits in opened:
-                sorted(index._expand(bits))
+                sorted(index._expand(bits), key=attrgetter("ad_id"))
             expand_seconds = min(expand_seconds, time.perf_counter() - expand_start)
         result["expand_us_per_group"] = round(expand_seconds * 1e6 / len(opened), 3)
     return result

@@ -1,20 +1,20 @@
 """Post-scenario invariant checking.
 
 Fault scenarios exercise recovery code paths (retry, failover, fallback,
-lease expiry) whose bugs are silent: a stale wire-id entry or a lease
-outliving its advertisement does not crash anything, it just skews the
-next measurement. :func:`check_invariants` sweeps a quiesced
+lease expiry) whose bugs are silent: a stale wire-id entry or an
+advertisement no purge will remove does not crash anything, it just
+skews the next measurement. :func:`check_invariants` sweeps a quiesced
 :class:`~repro.core.system.DiscoverySystem` for the three classes of
 bookkeeping rot the recovery paths can leave behind:
 
 * **single completion** — no discovery call ever completes twice;
 * **wire-id drain** — no client keeps a wire-id entry for a completed
   call (after every call has resolved, the maps are empty);
-* **lease/store agreement** — no lease outlives its advertisement, with
-  leasing on no advertisement lives without a lease, the lease manager's
-  two maps mirror each other exactly, every live lease is due in the
-  expiry heap no later than it expires, and each concept index passes
-  its own :meth:`~repro.registry.index.ConceptIndexer.audit`;
+* **lease/store agreement** — with leasing on no advertisement lives
+  without a lease, the lease manager passes its own
+  :meth:`~repro.registry.leases.LeaseManager.audit` (every live lease is
+  due in the expiry heap no later than it expires), and each concept
+  index passes its own :meth:`~repro.registry.index.ConceptIndexer.audit`;
 * **queue drain** — every message a registry's admission controller
   intercepted was either dispatched, explicitly shed with exactly one
   BUSY, lost to a crash, or is still pending — and no message was both
@@ -68,42 +68,17 @@ def check_invariants(system: "DiscoverySystem") -> list[str]:
                 )
 
     for registry in system.registries:
-        leases, store = registry.leases, registry.store
-        in_heap = {id(lease) for lease in leases._expiry_heap}
-        for lease in leases._by_lease.values():
-            if id(lease) not in in_heap or lease.due > lease.expires_at:
-                violations.append(
-                    f"{registry.node_id}: lease {lease.lease_id} is not due "
-                    f"in the expiry heap by {lease.expires_at:g}; the purge "
-                    f"sweep would find it late or never"
-                )
-            if lease.ad_id not in store:
-                violations.append(
-                    f"{registry.node_id}: lease {lease.lease_id} outlives "
-                    f"advertisement {lease.ad_id}"
-                )
-            if leases._by_ad.get(lease.ad_id) != lease.lease_id:
-                violations.append(
-                    f"{registry.node_id}: lease {lease.lease_id} missing from "
-                    f"the per-advertisement map"
-                )
-        for ad_id, lease_id in leases._by_ad.items():
-            if lease_id not in leases._by_lease:
-                violations.append(
-                    f"{registry.node_id}: advertisement {ad_id} maps to "
-                    f"dropped lease {lease_id}"
-                )
+        node = registry.node_id
+        violations.extend(f"{node}: {v}" for v in registry.leases.audit())
         config = getattr(registry, "config", None)
         if config is not None and config.leasing_enabled:
-            for ad in store.all():
-                if ad.ad_id not in leases._by_ad:
+            for ad in registry.store.all():
+                if registry.leases.lease_for_ad(ad.ad_id) is None:
                     violations.append(
-                        f"{registry.node_id}: advertisement {ad.ad_id} has no "
+                        f"{node}: advertisement {ad.ad_id} has no "
                         f"lease; no purge will ever remove it"
                     )
-
-        for indexer in getattr(store, "_indexes", {}).values():
-            violations.extend(f"{registry.node_id}: index: {v}" for v in indexer.audit())
+        violations.extend(f"{node}: index: {v}" for v in registry.store.audit())
 
     for registry in system.registries:
         admission = getattr(registry, "admission", None)

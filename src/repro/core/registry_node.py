@@ -170,7 +170,7 @@ class RegistryNode(Node):
         #: ever populated by peers that stamp their replication traffic.
         self._peer_incarnations: dict[str, int] = {}
         self.leases = LeaseManager(
-            lambda: self.sim.now,
+            lambda: self.sim.now, self.store,
             default_duration=self.config.lease_duration,
             on_event=self.writes.lease_event,
         )

@@ -222,16 +222,16 @@ class WriteCoordinator:
         """Extend the lease of ``ad_id``; True when the ad is held here.
 
         The owning service renews by ``lease_id`` (an unknown or lapsed
-        one raises :class:`LeaseError` — the service must republish,
-        §4.8); a replica refresh names only the ad and gets a fresh lease
-        of ``duration``.
+        one, or one ``ad_id`` does not hold, raises :class:`LeaseError` —
+        the service must republish, §4.8); a replica refresh names only
+        the ad and gets a fresh lease of ``duration``.
         """
         registry = self.registry
         held = ad_id in registry.store
         lease = None
         if registry.config.leasing_enabled:
             if lease_id is not None:
-                lease = registry.leases.renew(lease_id)
+                lease = registry.leases.renew(ad_id, lease_id)
             elif held:
                 lease = registry.leases.grant(ad_id, duration)
         if held:
@@ -248,8 +248,8 @@ class WriteCoordinator:
         default the removed copy's own version is tombstoned.
         """
         registry = self.registry
-        removed = registry.store.discard(ad_id)
         registry.leases.cancel_for_ad(ad_id)
+        removed = registry.store.discard(ad_id)
         if removed is not None:
             registry.rim.removals += 1
             version = removed.version if version is None else version
@@ -262,8 +262,8 @@ class WriteCoordinator:
         hand-off): every replica's lease lapses on its own, and the ad
         may legitimately come back."""
         registry = self.registry
-        removed = registry.store.discard(ad_id)
         registry.leases.cancel_for_ad(ad_id)
+        removed = registry.store.discard(ad_id)
         if removed is not None:
             registry.rim.removals += 1
             for observer in self.observers:

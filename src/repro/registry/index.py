@@ -33,9 +33,10 @@ ancestor), so closure keys exclude it; an advertisement literally
 advertising THING still carries THING as its exact key, and a request for
 THING matches every indexed profile by construction.
 
-Representation: each advertisement occupies a dense integer *slot*. A
-posting is one ``bytearray`` bitset over the slot space per (table,
-concept), so a write flips one byte per key; a query reads the same bits
+Representation: each advertisement occupies the dense integer *slot* the
+store gave it (:class:`~repro.registry.store.AdvertisementStore`). A
+posting is one ``bytearray`` bitset over the store's slot space per
+(table, concept), so a write flips one byte per key; a query reads the same bits
 as an int, built from the bytes on first use and patched bit by bit from
 then on, and intersects them — the per-field candidate pulls AND together
 (smallest posting first, with early exit on empty), so selectivity
@@ -47,8 +48,8 @@ never raised), and the exact tables say which candidates advertise a
 requested concept itself or one of the concepts most similar to it —
 the levels that bound the similarity parts of its score. So
 :meth:`candidate_buckets` hands out candidates in groups of strictly
-descending **(degree, score) upper bounds**, ids ascending by ``ad_id``
-inside each, and the query evaluator stops at the first candidate whose
+descending **(degree, score) upper bounds**, advertisements ascending by
+``ad_id`` inside each, and the query evaluator stops at the first candidate whose
 best possible rank key its k-th hit already beats: before a group is
 opened, or in the middle of one (``QueryEvaluator.early_terminations``
 counts either). Each group's bound is handed out before its body; a
@@ -56,7 +57,8 @@ degree is split by score only when its body is first iterated, and only
 when it is large enough to pay for the split (``SPLIT_ABOVE``).
 Expansion scans bytes, not bits: ``bytes.translate`` marks the mask's
 non-zero bytes, ``bytes.find`` hops between them and a 256-entry table
-gives each byte's set bits — O(mask bytes + ids).
+gives each byte's set bits, and each bit's slot is the store's record —
+O(mask bytes + ids), with no id resolved.
 
 The candidate set is concept-exact per field; residual false positives
 (e.g. QoS-violating or input-incompatible profiles) are harmless because
@@ -69,8 +71,9 @@ The index is maintained incrementally on ``put``/``remove`` and rebuilt
 lazily when the ontology's version counter moves or the ontology object is
 swapped (mirroring ``Reasoner.sync``), so mid-run ontology growth — the
 repository experiments do this — never yields stale candidates. Nothing is
-kept per advertisement beyond its profile and slot: the keys it sits under
-are derived, not stored — ancestor-closure keys are memoized per *concept*
+kept per advertisement beyond its bits: the store's slot list is the
+rebuild source, and the keys an advertisement sits under are derived, not
+stored — ancestor-closure keys are memoized per *concept*
 (expanded once from the reasoner's closure bitsets) and a removal derives
 the same keys from the same memo, while a write that finds the ontology
 moved touches no posting and leaves the record to the pending rebuild. A
@@ -87,6 +90,7 @@ from __future__ import annotations
 import abc
 from functools import cache, partial
 from itertools import chain
+from operator import attrgetter
 from typing import Any, Callable, Collection, Iterable, Iterator, TYPE_CHECKING
 
 from repro.semantics.matchmaker import BEST_SCORE, combined_score
@@ -102,8 +106,8 @@ class ConceptIndexer(abc.ABC):
     """Store-side candidate pruning for one description model.
 
     The :class:`~repro.registry.store.AdvertisementStore` notifies an
-    attached indexer on every mutation; the query evaluator asks it for
-    candidate advertisement ids. Returning ``None`` from
+    attached indexer on every mutation, naming the record's slot; the
+    query evaluator asks it for candidates. Returning ``None`` from
     :meth:`candidate_ids` means "cannot prune this query" and routes the
     evaluator to the plain linear scan.
     """
@@ -112,16 +116,18 @@ class ConceptIndexer(abc.ABC):
     model_id: str = ""
 
     @abc.abstractmethod
-    def add(self, ad: "Advertisement") -> None:
-        """A record of this model entered the store (or was replaced)."""
+    def add(self, slot: int, ad: "Advertisement") -> None:
+        """A record of this model entered the store at ``slot`` (a
+        replacement is a :meth:`discard` of the old record first)."""
 
     @abc.abstractmethod
-    def discard(self, ad: "Advertisement") -> None:
-        """A record of this model left the store."""
+    def discard(self, slot: int, ad: "Advertisement") -> None:
+        """The record of this model at ``slot`` is leaving the store."""
 
     @abc.abstractmethod
-    def reset(self) -> None:
-        """Drop all index state (store cleared or index re-attached)."""
+    def reset(self, records: list["Advertisement | None"]) -> None:
+        """Drop all index state and index over ``records``, the store's
+        slot list (kept by reference: slot ``i`` holds ``records[i]``)."""
 
     @abc.abstractmethod
     def candidate_ids(self, query: Any) -> set[str] | None:
@@ -133,23 +139,24 @@ class ConceptIndexer(abc.ABC):
 
     def candidate_buckets(
         self, query: Any
-    ) -> Iterator[tuple[tuple[int, float], Iterable[str]]] | None:
+    ) -> Iterator[tuple[tuple[int, float], Iterable["Advertisement"]]] | None:
         """Candidates grouped by descending ``(degree, score)`` upper bound.
 
-        Yields disjoint ``((degree, score), ad_ids)`` groups whose bounds
-        strictly descend — groups with equal bounds are one group — and
-        whose ids ascend by ``ad_id``. Their union must obey the same
-        superset contract as :meth:`candidate_ids`, and no advertisement in
-        a group may match with a ``(degree, score)`` above the group's
-        bound. The best rank key an id can then reach is ``(-degree,
-        -score, ad_id)`` of its group, and every id after it, in its group
-        or a later one, ranks below that: a consumer holding k hits stops
-        at the first id whose best key its k-th hit beats. ``ad_ids`` is a
-        **single-pass iterable**: the consumer checks the bound first and
-        iterates the ids at most once, only if the group can still change
-        its answer, so an indexer may produce them on demand (a sorted list
-        is the simplest valid group). A group may be empty. Groups and the
-        iterator itself must be consumed before the next store mutation.
+        Yields disjoint ``((degree, score), advertisements)`` groups whose
+        bounds strictly descend — groups with equal bounds are one group —
+        and whose records ascend by ``ad_id``. Their union must obey the
+        same superset contract as :meth:`candidate_ids`, and no
+        advertisement in a group may match with a ``(degree, score)`` above
+        the group's bound. The best rank key a record can then reach is
+        ``(-degree, -score, ad_id)`` of its group, and every record after
+        it, in its group or a later one, ranks below that: a consumer
+        holding k hits stops at the first record whose best key its k-th
+        hit beats. The records are a **single-pass iterable**: the consumer
+        checks the bound first and iterates them at most once, only if the
+        group can still change its answer, so an indexer may produce them
+        on demand (a sorted list is the simplest valid group). Groups and
+        the iterator itself must be consumed before the next store
+        mutation.
         ``None`` (the default) means the indexer cannot rank this query and
         the evaluator should fall back to unranked candidates.
         """
@@ -171,6 +178,9 @@ SPLIT_ABOVE = 8
 _SET_BITS = tuple(tuple(bit for bit in range(8) if byte >> bit & 1) for byte in range(256))
 _NONZERO_BYTES = bytes([0] + [1] * 255)
 
+#: A group's sort key: candidates ascend by ``ad_id``.
+_AD_ID = attrgetter("ad_id")
+
 
 class SemanticConceptIndex(ConceptIndexer):
     """Inverted ancestor-closure index over semantic advertisements.
@@ -180,27 +190,24 @@ class SemanticConceptIndex(ConceptIndexer):
     fetch, experiment E12) or swap it, and the index follows along by
     rebuilding on the next lookup.
 
-    Indexable advertisements occupy dense integer slots, recycled when
-    freed; postings are ``bytearray`` bitsets over them with a lazily
-    cached int form, so the per-query field combination is a handful of
-    big-int AND/OR operations regardless of posting-list length, and every
-    mutation patches exactly the bitsets it touched (see the module doc).
+    Postings are ``bytearray`` bitsets over the store's slots with a
+    lazily cached int form, so the per-query field combination is a
+    handful of big-int AND/OR operations regardless of posting-list
+    length, and every mutation patches exactly the bitsets it touched (see
+    the module doc).
     """
 
     model_id = "semantic"
 
     def __init__(self, model: "SemanticModel") -> None:
         self._model = model
-        #: Records whose description is not a ServiceProfile; always kept
-        #: in the candidate set so indexed evaluation sees exactly what a
-        #: linear scan would.
-        self._unindexable: set[str] = set()
-        #: Dense slot space for indexable records: each slot's ad id and
-        #: profile (the rebuild source), ``None`` in both where it is free.
-        self._slot_of: dict[str, int] = {}
-        self._ad_at: list[str | None] = []
-        self._profiles: list[ServiceProfile | None] = []
-        self._free_slots: list[int] = []
+        #: The store's slot list (:meth:`reset`): the rebuild source, and
+        #: what an expanded bit resolves to.
+        self._records: list["Advertisement | None"] = []
+        #: Slots of records whose description is not a ServiceProfile;
+        #: always kept in the candidate set so indexed evaluation sees
+        #: exactly what a linear scan would.
+        self._unindexable: set[int] = set()
         #: Posting tables (see module doc), all mapping concept -> slot
         #: bitset, little-endian; each grows with the highest slot set in it.
         self._tables: tuple[dict[str, bytearray], ...] = tuple({} for _ in range(4))
@@ -214,68 +221,48 @@ class SemanticConceptIndex(ConceptIndexer):
         #: (table, concept) -> the posting as an int, built on first use
         #: and patched bit by bit whenever that posting mutates.
         self._mask_cache: dict[tuple[int, str], int] = {}
-        #: Bitset of every occupied slot, kept like a posting bitset:
-        #: ``None`` until a query first needs it, patched from then on.
+        #: Bitset of every indexed profile's slot, kept like a posting
+        #: bitset: ``None`` until a query first needs it, patched from then on.
         self._profiles_mask: int | None = None
         self._indexed_ontology: Any = None
         self._indexed_version: int | None = None
         self.rebuilds = 0
         self.lookups = 0
         self.fallbacks = 0
-        #: Ad ids handed out, across all queries: each id of a candidate set,
-        #: and each id of a ranked group that its consumer took. Every one
-        #: of them is scored by the evaluator.
+        #: Records handed out, across all queries: each of a candidate set,
+        #: and each of a ranked group that its consumer took. Every one of
+        #: them is scored by the evaluator.
         self.expanded = 0
 
     # -- store notifications ---------------------------------------------
 
-    def add(self, ad: "Advertisement") -> None:
-        description = ad.description
-        self._forget(ad.ad_id)
-        if not isinstance(description, ServiceProfile):
-            self._unindexable.add(ad.ad_id)
-            return
-        self._set_keys(self._allocate_slot(ad.ad_id, description), description, present=True)
+    def add(self, slot: int, ad: "Advertisement") -> None:
+        self._mark(slot, ad.description, present=True)
 
-    def discard(self, ad: "Advertisement") -> None:
-        self._forget(ad.ad_id)
+    def discard(self, slot: int, ad: "Advertisement") -> None:
+        self._mark(slot, ad.description, present=False)
 
-    def reset(self) -> None:
+    def reset(self, records: list["Advertisement | None"]) -> None:
+        self._records = records
         self._unindexable.clear()
-        self._slot_of.clear()
-        self._ad_at.clear()
-        self._profiles.clear()
-        self._free_slots.clear()
         self._clear_tables()
         self._profiles_mask = None
         self._indexed_ontology = None
         self._indexed_version = None
 
-    def _forget(self, ad_id: str) -> None:
-        """Drop every trace of one record (replacement or removal)."""
-        self._unindexable.discard(ad_id)
-        slot = self._slot_of.pop(ad_id, None)
-        if slot is None:
+    def _mark(self, slot: int, description: Any, *, present: bool) -> None:
+        """Enter or drop the record at ``slot``: its posting bits, or its
+        unindexable mark."""
+        if not isinstance(description, ServiceProfile):
+            if present:
+                self._unindexable.add(slot)
+            else:
+                self._unindexable.discard(slot)
             return
-        self._set_keys(slot, self._profiles[slot], present=False)
-        self._ad_at[slot] = self._profiles[slot] = None
-        self._free_slots.append(slot)
-        if self._profiles_mask is not None:
-            self._profiles_mask &= ~(1 << slot)
-
-    def _allocate_slot(self, ad_id: str, profile: ServiceProfile) -> int:
-        if self._free_slots:
-            slot = self._free_slots.pop()
-            self._ad_at[slot] = ad_id
-            self._profiles[slot] = profile
-        else:
-            slot = len(self._ad_at)
-            self._ad_at.append(ad_id)
-            self._profiles.append(profile)
-        self._slot_of[ad_id] = slot
-        if self._profiles_mask is not None:
-            self._profiles_mask |= 1 << slot
-        return slot
+        self._set_keys(slot, description, present=present)
+        mask = self._profiles_mask
+        if mask is not None:
+            self._profiles_mask = mask | 1 << slot if present else mask & ~(1 << slot)
 
     def _clear_tables(self) -> None:
         for table in self._tables:
@@ -298,14 +285,14 @@ class SemanticConceptIndex(ConceptIndexer):
         masks = self._query_masks(query)
         if masks is None:
             return None
-        found = set(self._ids_from_mask(masks[0] | masks[1] | masks[2]))
-        if self._unindexable:
-            found |= self._unindexable
-        return found
+        found = self._expand(masks[0] | masks[1] | masks[2])
+        self.expanded += len(found)
+        found += map(self._records.__getitem__, self._unindexable)
+        return {ad.ad_id for ad in found}
 
     def candidate_buckets(
         self, query: Any
-    ) -> Iterator[tuple[tuple[int, float], Iterator[str]]] | None:
+    ) -> Iterator[tuple[tuple[int, float], Iterator["Advertisement"]]] | None:
         """Candidates in groups of descending ``(degree, score)`` bound.
 
         The degree bound is the exact per-field degree implied by the
@@ -323,7 +310,7 @@ class SemanticConceptIndex(ConceptIndexer):
         first iterated — so a consumer whose hits already beat the degree
         pays for no split — then one group per weaker score bound.
         Unindexable records ride in the strongest group, so they are always
-        scored. A group's ids are expanded and sorted when the consumer
+        scored. A group's records are expanded and sorted when the consumer
         first asks for one, and each counts in ``expanded`` once taken.
         Each group is single-pass; consume it, and the iterator, before the
         next store mutation.
@@ -335,7 +322,7 @@ class SemanticConceptIndex(ConceptIndexer):
 
     def _groups(
         self, query: ServiceRequest, masks: tuple[int, int, int]
-    ) -> Iterator[tuple[tuple[int, float], Iterator[str]]]:
+    ) -> Iterator[tuple[tuple[int, float], Iterator["Advertisement"]]]:
         limit = query.max_results
         for degree, bits in zip((3, 2, 1), masks):
             riders = self._unindexable if degree == 3 else ()
@@ -351,27 +338,28 @@ class SemanticConceptIndex(ConceptIndexer):
                 yield (degree, split()[at][0]), self._split_group(split, at, ())
 
     def _split_group(
-        self, split: Callable[[], list[tuple[float, int]]], at: int, riders: Collection[str]
-    ) -> Iterator[str]:
-        """The ids of one score group of a split degree (split on first use)."""
+        self, split: Callable[[], list[tuple[float, int]]], at: int, riders: Collection[int]
+    ) -> Iterator["Advertisement"]:
+        """The records of one score group of a split degree (split on first use)."""
         yield from self._hand_out(split()[at][1], riders)
 
-    def _hand_out(self, bits: int, riders: Collection[str]) -> Iterator[str]:
-        """One group's ids, ``bits``'s and the ``riders``', in ascending
-        ``ad_id`` order, expanded and sorted at the first ``next()``.
+    def _hand_out(self, bits: int, riders: Collection[int]) -> Iterator["Advertisement"]:
+        """One group's records, ``bits``'s and those at the ``riders``'
+        slots, in ascending ``ad_id`` order, expanded and sorted at the
+        first ``next()``.
 
-        An id counts in ``expanded`` when the consumer comes back for the
-        next one (or the group ends): the id a consumer looks at and stops
-        on is not counted, so on the ranked path ``expanded`` moves exactly
-        with the evaluator's scored count. Riders — unindexable records,
-        not expanded from a bitset — never count.
+        A record counts in ``expanded`` when the consumer comes back for
+        the next one (or the group ends): the one a consumer looks at and
+        stops on is not counted, so on the ranked path ``expanded`` moves
+        exactly with the evaluator's scored count. Riders — unindexable
+        records, not expanded from a bitset — never count.
         """
-        ids = self._expand(bits)
-        ids += riders
-        ids.sort()
-        for ad_id in ids:
-            yield ad_id
-            if ad_id not in riders:
+        ads = self._expand(bits)
+        ads += map(self._records.__getitem__, riders)
+        ads.sort(key=_AD_ID)
+        for ad in ads:
+            yield ad
+            if not riders or isinstance(ad.description, ServiceProfile):
                 self.expanded += 1
 
     def _score_groups(self, bits: int, query: ServiceRequest) -> list[tuple[float, int]]:
@@ -515,42 +503,43 @@ class SemanticConceptIndex(ConceptIndexer):
         return cached
 
     def _all_profiles_mask(self) -> int:
-        """Bitset of every occupied slot, built on first use."""
+        """Bitset of every indexed profile's slot, built on first use."""
         if self._profiles_mask is None:
-            self._profiles_mask = self._bits_of(self._slot_of.values())
+            self._profiles_mask = self._bits_of(slot for slot, _ in self._indexed())
         return self._profiles_mask
+
+    def _indexed(self) -> Iterator[tuple[int, ServiceProfile]]:
+        """``(slot, profile)`` of every indexable record of this model in
+        the store, ascending by slot: what the postings must say."""
+        for slot, ad in enumerate(self._records):
+            if (ad is not None and ad.model_id == self.model_id
+                    and isinstance(ad.description, ServiceProfile)):
+                yield slot, ad.description
 
     def _bits_of(self, slots: Iterable[int]) -> int:
         """Build a bitset from slot numbers in O(slots + space/8)."""
-        buf = bytearray(len(self._ad_at) // 8 + 1)
+        buf = bytearray(len(self._records) // 8 + 1)
         for slot in slots:
             buf[slot >> 3] |= 1 << (slot & 7)
         return int.from_bytes(buf, "little")
 
-    def _expand(self, bits: int) -> list[str]:
-        """A slot bitset's ad ids in ascending slot order.
+    def _expand(self, bits: int) -> list["Advertisement"]:
+        """A slot bitset's records in ascending slot order.
 
         A scan of the mask's bytes (see the module docstring): no big-int
-        arithmetic per id.
+        arithmetic per record.
         """
-        ad_at = self._ad_at
+        records = self._records
         octets = bits.to_bytes((bits.bit_length() + 7) >> 3, "little")
         nonzero = octets.translate(_NONZERO_BYTES)
-        ids: list[str] = []
+        ads: list["Advertisement"] = []
         at = nonzero.find(1)
         while at >= 0:
             base = at << 3
             for offset in _SET_BITS[octets[at]]:
-                ids.append(ad_at[base + offset])
+                ads.append(records[base + offset])
             at = nonzero.find(1, at + 1)
-        return ids
-
-    def _ids_from_mask(self, bits: int) -> Iterator[str]:
-        """:meth:`_expand`, handed out lazily: nothing until the first id is
-        asked for, and each id counts in ``expanded`` as it is taken."""
-        for ad_id in self._expand(bits):
-            self.expanded += 1
-            yield ad_id
+        return ads
 
     # -- maintenance -----------------------------------------------------
 
@@ -571,30 +560,27 @@ class SemanticConceptIndex(ConceptIndexer):
         self._indexed_ontology = ontology
         self._indexed_version = ontology.version
         self.rebuilds += 1
-        for slot, profile in enumerate(self._profiles):
-            if profile is not None:
-                self._set_keys(slot, profile, present=True)
+        for slot, profile in self._indexed():
+            self._set_keys(slot, profile, present=True)
 
     def audit(self) -> list[str]:
         """Bookkeeping violations, empty when sound (``core.invariants``).
 
-        The slot table, the occupied-slot mask and the cached ints must
+        The unindexable slots, the profile mask and the cached ints must
         mirror what they cache; in sync, every posting must equal the one
-        rebuilt from ``_profiles``, the only record of what was inserted.
-        Out of sync, postings are stale until the next query.
+        rebuilt from the store's records. Out of sync, postings are stale
+        until the next query.
         """
         violations: list[str] = []
-        slot_of, ad_at, in_sync = self._slot_of, self._ad_at, self._in_sync()
-        profiles = self._profiles
-        if (
-            len(profiles) != len(ad_at)
-            or any((p is None) != (a is None) for p, a in zip(profiles, ad_at))
-            or len(slot_of) != len(ad_at) - ad_at.count(None)
-            or any(ad_at[slot] != ad_id for ad_id, slot in slot_of.items())
-        ):
-            violations.append("slot table does not mirror the indexed profiles")
-        if self._profiles_mask not in (None, self._bits_of(slot_of.values())):
-            violations.append("occupied-slot mask differs from the occupied slots")
+        records, in_sync = self._records, self._in_sync()
+        indexed = dict(self._indexed())
+        if self._unindexable != {
+            slot for slot, ad in enumerate(records)
+            if ad is not None and ad.model_id == self.model_id and slot not in indexed
+        }:
+            violations.append("unindexable slots differ from the store's records")
+        if self._profiles_mask not in (None, self._bits_of(indexed)):
+            violations.append("profile mask differs from the indexed profiles")
         postings = {
             (table_id, key): int.from_bytes(posting, "little")
             for table_id, table in enumerate(self._tables)
@@ -604,16 +590,14 @@ class SemanticConceptIndex(ConceptIndexer):
             if cached != postings.get(where, 0):
                 violations.append(f"cached bitset {where} differs from its posting")
         rebuilt: dict[tuple[int, str], bytearray] = {}
-        for slot, profile in enumerate(profiles if in_sync else ()):
-            if profile is None:
-                continue
+        for slot, profile in indexed.items() if in_sync else ():
             for table_id, keys in enumerate(self._keys_of(profile)):
                 for key in keys:
-                    bits = rebuilt.setdefault((table_id, key), bytearray(len(ad_at) // 8 + 1))
+                    bits = rebuilt.setdefault((table_id, key), bytearray(len(records) // 8 + 1))
                     bits[slot >> 3] |= 1 << (slot & 7)
         for where in sorted(postings.keys() | rebuilt.keys()):
             found = postings.get(where, 0)
-            if found >> len(ad_at):
+            if found >> len(records):
                 violations.append(f"posting {where} has a bit beyond the slot space")
             if in_sync and found != int.from_bytes(rebuilt.get(where, b""), "little"):
                 violations.append(f"posting {where} differs from its rebuild")

@@ -7,11 +7,15 @@ not be able to renew its lease, and the service description would be
 purged from the registry." (§4.8; mechanism as in Jini and JXTA.)
 
 The :class:`LeaseManager` is pure bookkeeping over an injected clock (the
-simulator's ``now``), so it is unit-testable without a network. The
-registry node wires :meth:`expired_ads` to a periodic purge task; leases
-are kept in an expiry-ordered heap so a purge that finds nothing lapsed
-costs nothing, however many leases are live. Each lease is its own heap
-entry, ordered by ``(due, grant_no)``.
+simulator's ``now``) and the registry's
+:class:`~repro.registry.store.AdvertisementStore`, so it is unit-testable
+without a network. A lease lives in its advertisement's store slot: it is
+found through its ad, and it leaves the store with it, so a lease without
+a stored advertisement cannot be represented. The registry node wires
+:meth:`expired_ads` to a periodic purge task; leases are also kept in an
+expiry-ordered heap so a purge that finds nothing lapsed costs nothing,
+however many leases are live. Each lease is its own heap entry, ordered
+by ``(due, grant_no)``.
 """
 
 from __future__ import annotations
@@ -19,10 +23,13 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Callable
+from typing import Callable, Iterator, TYPE_CHECKING
 
 from repro.errors import LeaseError
 from repro.registry.advertisements import new_uuid
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.registry.store import AdvertisementStore
 
 #: Default advertisement lease duration in seconds. Configurable per
 #: deployment — the paper lists "the advertisement lease period" among the
@@ -44,7 +51,6 @@ class Lease:
     ad_id: str
     duration: float
     expires_at: float
-    renewals: int = 0
     #: The manager's expiry-heap key: when the purge looks at this lease
     #: next (never after ``expires_at``), and the grant count that orders
     #: leases due at the same time. Not part of the lease's value.
@@ -69,6 +75,8 @@ class LeaseManager:
     ----------
     clock:
         Zero-argument callable returning the current time (``sim.now``).
+    store:
+        The advertisement store whose slots hold the leases.
     default_duration:
         Lease length granted when the publisher does not ask for one.
     on_event:
@@ -81,6 +89,7 @@ class LeaseManager:
     def __init__(
         self,
         clock: Callable[[], float],
+        store: "AdvertisementStore",
         *,
         default_duration: float = DEFAULT_LEASE_DURATION,
         on_event: Callable[[str, Lease], None] | None = None,
@@ -88,15 +97,14 @@ class LeaseManager:
         if default_duration <= 0:
             raise LeaseError(f"lease duration must be positive, got {default_duration}")
         self.clock = clock
+        self._store = store
         self.default_duration = default_duration
         self.on_event = on_event
-        self._by_lease: dict[str, Lease] = {}
-        self._by_ad: dict[str, str] = {}
         #: Min-heap of the leases themselves by ``(due, grant_no)``, with
         #: ``due <= expires_at``, each lease at most once, invalidated
-        #: lazily: a lease that was dropped is skipped when popped, and one
-        #: renewed since is pushed back with ``due`` moved to its new
-        #: expiry. ``grant_no`` orders leases as ``_by_lease`` does.
+        #: lazily: a lease its advertisement no longer holds is skipped
+        #: when popped, and a live one not yet expired is pushed back due
+        #: by its expiry, and never later than one duration from now.
         self._expiry_heap: list[Lease] = []
         self._grants = 0
         self.expired_total = 0
@@ -106,23 +114,23 @@ class LeaseManager:
             self.on_event(kind, lease)
 
     def __len__(self) -> int:
-        return len(self._by_lease)
+        """How many leases are live (a scan of the store)."""
+        return sum(1 for _ in self._live())
+
+    def _live(self) -> Iterator[Lease]:
+        """Every live lease, in its advertisement's UUID order."""
+        lease_of = self._store.lease_of
+        return filter(None, (lease_of(ad.ad_id) for ad in self._store.all()))
 
     def grant(self, ad_id: str, duration: float | None = None) -> Lease:
-        """Grant a lease for an advertisement.
+        """Grant a lease for a stored advertisement.
 
         Republishing an advertisement that already holds a lease replaces
-        the old lease (the new expiry wins).
+        the old lease (the new expiry wins); renewing the replaced lease
+        id afterwards raises :class:`LeaseError` like any unknown lease.
         """
         length = self.default_duration if duration is None else duration
-        if length <= 0:
-            raise LeaseError(f"lease duration must be positive, got {length}")
-        old = self.lease_for_ad(ad_id)
-        if old is not None:
-            # Retire the replaced lease through the same path as expiry and
-            # cancellation so both maps stay mirrored; renewing the retired
-            # lease id afterwards raises LeaseError like any unknown lease.
-            self._drop(old)
+        self._check(ad_id, length)
         lease = Lease(
             lease_id=new_uuid("lease"),
             ad_id=ad_id,
@@ -133,16 +141,17 @@ class LeaseManager:
         self._notify("grant", lease)
         return lease
 
-    def renew(self, lease_id: str) -> Lease:
-        """Extend a lease by its original duration from *now*.
+    def renew(self, ad_id: str, lease_id: str) -> Lease:
+        """Extend ``ad_id``'s lease by its original duration from *now*.
 
-        Renewing an unknown (e.g. already-expired-and-purged) lease raises
-        :class:`LeaseError`; the service node reacts by republishing from
-        scratch.
+        ``lease_id`` must be the lease the advertisement holds: renewing an
+        unknown (e.g. already-expired-and-purged or replaced) lease, or
+        another advertisement's, raises :class:`LeaseError`; the service
+        node reacts by republishing from scratch.
         """
-        lease = self._by_lease.get(lease_id)
-        if lease is None:
-            raise LeaseError(f"unknown lease {lease_id!r}")
+        lease = self._store.lease_of(ad_id)
+        if lease is None or lease.lease_id != lease_id:
+            raise LeaseError(f"advertisement {ad_id!r} holds no lease {lease_id!r}")
         if lease.expired(self.clock()):
             # Expired but not yet purged: refuse like an unknown lease,
             # forcing a republish, so expiry semantics don't depend on purge
@@ -150,19 +159,11 @@ class LeaseManager:
             # its advertisement if the republish never comes.
             raise LeaseError(f"lease {lease_id!r} has expired")
         lease.expires_at = self.clock() + lease.duration
-        lease.renewals += 1
         self._notify("renew", lease)
         return lease
 
-    def restore(
-        self,
-        ad_id: str,
-        *,
-        lease_id: str,
-        duration: float,
-        expires_at: float,
-        renewals: int = 0,
-    ) -> Lease:
+    def restore(self, ad_id: str, *, lease_id: str, duration: float,
+                expires_at: float) -> Lease:
         """Reinstate a lease with its *original* id and expiry (recovery).
 
         Crash recovery replays persisted leases through here instead of
@@ -171,35 +172,23 @@ class LeaseManager:
         the exact id (rather than minting a new one) is what lets those
         renewals succeed — no RENEW_NACK, no forced republish.
         """
-        if duration <= 0:
-            raise LeaseError(f"lease duration must be positive, got {duration}")
-        old = self.lease_for_ad(ad_id)
-        if old is not None:
-            self._drop(old)
-        lease = Lease(
-            lease_id=lease_id,
-            ad_id=ad_id,
-            duration=duration,
-            expires_at=expires_at,
-            renewals=renewals,
-        )
+        self._check(ad_id, duration)
+        lease = Lease(lease_id=lease_id, ad_id=ad_id, duration=duration,
+                      expires_at=expires_at)
         self._track(lease)
         self._notify("restore", lease)
         return lease
 
     def cancel_for_ad(self, ad_id: str) -> None:
         """Drop the lease backing an advertisement (explicit removal)."""
-        lease_id = self._by_ad.get(ad_id)
-        if lease_id is not None:
-            lease = self._by_lease.get(lease_id)
-            if lease is not None:
-                self._drop(lease)
-                self._notify("cancel", lease)
+        lease = self._store.lease_of(ad_id)
+        if lease is not None:
+            self._store.set_lease(ad_id, None)
+            self._notify("cancel", lease)
 
     def lease_for_ad(self, ad_id: str) -> Lease | None:
         """The live lease backing an advertisement, if any."""
-        lease_id = self._by_ad.get(ad_id)
-        return self._by_lease.get(lease_id) if lease_id else None
+        return self._store.lease_of(ad_id)
 
     def expired_ads(self) -> list[str]:
         """Advertisement ids whose leases have lapsed, removing the leases.
@@ -211,34 +200,51 @@ class LeaseManager:
         fire in the order the leases were granted.
         """
         now = self.clock()
-        heap = self._expiry_heap
+        heap, lease_of = self._expiry_heap, self._store.lease_of
         lapsed: list[Lease] = []
         while heap and heap[0].due <= now:
             lease = heapq.heappop(heap)
-            if self._by_lease.get(lease.lease_id) is not lease:
-                continue  # cancelled, replaced or already purged
+            if lease_of(lease.ad_id) is not lease:
+                continue  # cancelled, replaced, purged, or its ad is gone
             if lease.expired(now):
                 lapsed.append(lease)
-            else:  # renewed since it was pushed
-                lease.due = lease.expires_at
+            else:  # renewed since it was pushed, or restored long (see _track)
+                lease.due = min(lease.expires_at, now + lease.duration)
                 heapq.heappush(heap, lease)
         lapsed.sort(key=_grant_order)
         for lease in lapsed:
-            self._drop(lease)
+            self._store.set_lease(lease.ad_id, None)
             self._notify("expire", lease)
         self.expired_total += len(lapsed)
         return sorted(lease.ad_id for lease in lapsed)
 
+    def audit(self) -> list[str]:
+        """Bookkeeping violations, empty when sound (``core.invariants``):
+        every live lease must be due in the expiry heap no later than it
+        expires, or the purge sweep would find it late or never."""
+        in_heap = {id(lease) for lease in self._expiry_heap}
+        return [
+            f"lease {lease.lease_id} is not due in the expiry heap by "
+            f"{lease.expires_at:g}; the purge sweep would find it late or never"
+            for lease in self._live()
+            if id(lease) not in in_heap or lease.due > lease.expires_at
+        ]
+
+    def _check(self, ad_id: str, duration: float) -> None:
+        if duration <= 0:
+            raise LeaseError(f"lease duration must be positive, got {duration}")
+        if ad_id not in self._store:
+            raise LeaseError(f"advertisement {ad_id!r} is not stored; nothing to lease")
+
     def _track(self, lease: Lease) -> None:
-        """Enter a new lease into both maps and the expiry heap."""
-        self._by_lease[lease.lease_id] = lease
-        self._by_ad[lease.ad_id] = lease.lease_id
+        """Put a new lease in its advertisement's slot and the expiry heap."""
+        self._store.set_lease(lease.ad_id, lease)
         heap = self._expiry_heap
-        if len(heap) > 2 * len(self._by_lease) + 16:
+        if len(heap) > 2 * len(self._store) + 16:
             # Mostly dead entries (publish/remove churn under leases too
             # long to ever come due): keep only those of live leases.
-            by_lease = self._by_lease
-            heap[:] = [e for e in heap if by_lease.get(e.lease_id) is e]
+            lease_of = self._store.lease_of
+            heap[:] = [e for e in heap if lease_of(e.ad_id) is e]
             heapq.heapify(heap)
         self._grants += 1
         # A renewal must never move the expiry before the lease's due
@@ -248,14 +254,3 @@ class LeaseManager:
         lease.due = min(lease.expires_at, self.clock() + lease.duration)
         lease.grant_no = self._grants
         heapq.heappush(heap, lease)
-
-    def _drop(self, lease: Lease) -> None:
-        self._by_lease.pop(lease.lease_id, None)
-        if self._by_ad.get(lease.ad_id) == lease.lease_id:
-            del self._by_ad[lease.ad_id]
-
-    def clear(self) -> None:
-        """Drop all leases (registry crash)."""
-        self._by_lease.clear()
-        self._by_ad.clear()
-        self._expiry_heap.clear()

@@ -2,11 +2,15 @@
 
 "Thick" storage, per the paper: registries "contain all the information in
 the service advertisements, not just pointers to where the advertisements
-are". The store is indexed by advertisement UUID and by description
-model; pluggable :class:`~repro.registry.index.ConceptIndexer` plug-ins
-(attached per model) additionally maintain inverted concept indexes so
-query evaluation scales with the candidate set rather than the store
-size. There is no per-service-node index (no registry path asks for one):
+are". Each stored advertisement occupies one dense integer *slot*: the
+store's one ``ad_id -> slot`` map is the only place an id is resolved, and
+the slot holds the record and the lease backing it, so a lease leaves with
+its advertisement and a version upgrade keeps both slot and lease. A
+per-model id set serves :meth:`AdvertisementStore.of_model`; pluggable
+:class:`~repro.registry.index.ConceptIndexer` plug-ins (attached per
+model) keep their posting bitsets over the same slots, so query evaluation
+scales with the candidate set rather than the store size. There is no
+per-service-node index (no registry path asks for one):
 :meth:`AdvertisementStore.by_service` is a scan.
 """
 
@@ -20,75 +24,103 @@ from repro.registry.advertisements import Advertisement
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.registry.index import ConceptIndexer
+    from repro.registry.leases import Lease
 
 
 class AdvertisementStore:
-    """In-memory advertisement storage with UUID and model indexes."""
+    """In-memory advertisement storage: one slot per advertisement."""
 
     def __init__(self) -> None:
-        self._by_id: dict[str, Advertisement] = {}
+        self._slot_of: dict[str, int] = {}
+        #: Per slot: the advertisement and its lease, ``None`` where free
+        #: (a free slot is on ``_free`` until a put reuses it).
+        self._ads: list[Advertisement | None] = []
+        self._leases: list["Lease | None"] = []
+        self._free: list[int] = []
         #: model id -> its ad ids, in insertion order (a dict used as an
         #: ordered set: smaller than a ``set`` at registry sizes).
         self._by_model: dict[str, dict[str, None]] = defaultdict(dict)
         self._indexes: dict[str, "ConceptIndexer"] = {}
 
     def __len__(self) -> int:
-        return len(self._by_id)
+        return len(self._slot_of)
 
     def __contains__(self, ad_id: str) -> bool:
-        return ad_id in self._by_id
+        return ad_id in self._slot_of
 
     def attach_index(self, indexer: "ConceptIndexer") -> None:
         """Install (or replace) the concept indexer for one model.
 
-        The indexer is reset and bulk-loaded with the advertisements
-        already stored for its model, then kept current incrementally on
-        every ``put``/``remove``/``clear``.
+        The indexer is reset onto the store's slot list and bulk-loaded
+        with the advertisements already stored for its model, then kept
+        current incrementally on every ``put``/``remove``/``clear``.
         """
         self._indexes[indexer.model_id] = indexer
-        indexer.reset()
+        indexer.reset(self._ads)
         for ad_id in self._by_model.get(indexer.model_id, ()):
-            indexer.add(self._by_id[ad_id])
+            slot = self._slot_of[ad_id]
+            indexer.add(slot, self._ads[slot])
 
     def index_for(self, model_id: str) -> "ConceptIndexer | None":
         """The attached concept indexer for one model, if any."""
         return self._indexes.get(model_id)
+
+    def audit(self) -> list[str]:
+        """Every attached indexer's bookkeeping violations (``core.invariants``)."""
+        return [v for indexer in self._indexes.values() for v in indexer.audit()]
 
     def put(self, ad: Advertisement) -> Advertisement:
         """Insert or upgrade an advertisement.
 
         An existing record with the same UUID is replaced only by an equal
         or newer version (replication may deliver stale copies out of
-        order); the stored (possibly newer) record is returned.
+        order), in its slot and beside its lease; the stored (possibly
+        newer) record is returned.
         """
-        existing = self._by_id.get(ad.ad_id)
-        if existing is not None and existing.version > ad.version:
-            return existing
-        if existing is not None:
-            self._unlink(existing)
-        self._by_id[ad.ad_id] = ad
+        slot = self._slot_of.get(ad.ad_id)
+        if slot is None:
+            if self._free:
+                slot = self._free.pop()
+                self._ads[slot] = ad
+            else:
+                slot = len(self._ads)
+                self._ads.append(ad)
+                self._leases.append(None)
+            self._slot_of[ad.ad_id] = slot
+        else:
+            existing = self._ads[slot]
+            if existing.version > ad.version:
+                return existing
+            self._unlink(slot, existing)
+            self._ads[slot] = ad
         self._by_model[ad.model_id][ad.ad_id] = None
         indexer = self._indexes.get(ad.model_id)
         if indexer is not None:
-            indexer.add(ad)
+            indexer.add(slot, ad)
         return ad
 
-    def get(self, ad_id: str) -> Advertisement:
-        """Fetch by UUID; raises :class:`AdvertisementNotFoundError`."""
+    def _slot(self, ad_id: str) -> int:
         try:
-            return self._by_id[ad_id]
+            return self._slot_of[ad_id]
         except KeyError:
             raise AdvertisementNotFoundError(f"unknown advertisement {ad_id!r}") from None
 
+    def get(self, ad_id: str) -> Advertisement:
+        """Fetch by UUID; raises :class:`AdvertisementNotFoundError`."""
+        return self._ads[self._slot(ad_id)]
+
     def remove(self, ad_id: str) -> Advertisement:
-        """Delete by UUID; returns the removed record."""
-        ad = self.get(ad_id)
-        del self._by_id[ad_id]
-        self._unlink(ad)
+        """Delete by UUID, lease and all; returns the removed record."""
+        slot = self._slot(ad_id)
+        ad = self._ads[slot]
+        self._unlink(slot, ad)
+        del self._slot_of[ad_id]
+        self._ads[slot] = self._leases[slot] = None
+        self._free.append(slot)
         return ad
 
-    def _unlink(self, ad: Advertisement) -> None:
-        """Drop one record's secondary-index entries (not ``_by_id``)."""
+    def _unlink(self, slot: int, ad: Advertisement) -> None:
+        """Drop one record's per-model and index entries (not its slot)."""
         of_model = self._by_model.get(ad.model_id)
         if of_model is not None:
             of_model.pop(ad.ad_id, None)
@@ -96,22 +128,38 @@ class AdvertisementStore:
                 del self._by_model[ad.model_id]
         indexer = self._indexes.get(ad.model_id)
         if indexer is not None:
-            indexer.discard(ad)
+            indexer.discard(slot, ad)
 
     def discard(self, ad_id: str) -> Advertisement | None:
         """Delete by UUID if present; returns the record or ``None``."""
-        if ad_id in self._by_id:
+        if ad_id in self._slot_of:
             return self.remove(ad_id)
         return None
 
+    def lease_of(self, ad_id: str) -> "Lease | None":
+        """The lease in ``ad_id``'s slot; ``None`` for none or no such ad."""
+        slot = self._slot_of.get(ad_id)
+        return None if slot is None else self._leases[slot]
+
+    def set_lease(self, ad_id: str, lease: "Lease | None") -> None:
+        """Put ``lease`` in ``ad_id``'s slot (``None`` empties it). Raises
+        :class:`AdvertisementNotFoundError` for an ad not stored: a lease
+        lives only beside its advertisement."""
+        self._leases[self._slot(ad_id)] = lease
+
     def by_service(self, service_node: str) -> list[Advertisement]:
         """All advertisements published by one service node (a full scan)."""
-        owned = [ad for ad in self._by_id.values() if ad.service_node == service_node]
+        owned = [ad for ad in self._ads if ad is not None and ad.service_node == service_node]
         return sorted(owned, key=lambda ad: ad.ad_id)
+
+    def _resolve(self, ad_ids: Iterable[str]) -> list[Advertisement]:
+        """Stored records by id, in UUID order."""
+        ads, slot_of = self._ads, self._slot_of
+        return [ads[slot_of[aid]] for aid in sorted(ad_ids)]
 
     def all(self) -> list[Advertisement]:
         """Every stored advertisement, ordered by UUID."""
-        return [self._by_id[aid] for aid in sorted(self._by_id)]
+        return self._resolve(self._slot_of)
 
     def of_model(self, model_id: str) -> list[Advertisement]:
         """Stored advertisements using one description model.
@@ -119,7 +167,7 @@ class AdvertisementStore:
         Served from the per-model index — no full-store scan — in the
         same deterministic UUID order as before.
         """
-        return [self._by_id[aid] for aid in sorted(self._by_model.get(model_id, ()))]
+        return self._resolve(self._by_model.get(model_id, ()))
 
     def candidates(self, model_id: str, query: Any) -> list[Advertisement]:
         """Advertisements of one model plausibly matching ``query``.
@@ -133,7 +181,7 @@ class AdvertisementStore:
         if indexer is not None:
             ids = indexer.candidate_ids(query)
             if ids is not None:
-                return [self._by_id[aid] for aid in sorted(ids) if aid in self._by_id]
+                return self._resolve(ids)
         return self.of_model(model_id)
 
     def ranked_candidates(
@@ -141,36 +189,26 @@ class AdvertisementStore:
     ) -> Iterator[tuple[tuple[int, float], Iterable[Advertisement]]] | None:
         """Candidates grouped by descending ``(degree, score)`` upper bound.
 
-        Thin resolution layer over the model indexer's
+        The model indexer's
         :meth:`~repro.registry.index.ConceptIndexer.candidate_buckets`:
-        yields its ``(bound, advertisements)`` groups, strongest first and
-        in its ``ad_id`` order, for the evaluator's bounded top-k early
-        termination. ``None``
-        when no indexer is attached or the query cannot be ranked (the
-        evaluator then uses :meth:`candidates`). Each group is a
-        single-pass iterable that resolves ids to records only as it is
-        iterated — a consumer that checks the bound and stops never
-        materializes that group or any weaker one — so consume groups and
-        iterator before mutating the store. A group may turn out empty
-        (every id stale); the bound it carries is still valid.
+        its ``(bound, advertisements)`` groups, strongest first and in
+        ``ad_id`` order, for the evaluator's bounded top-k early
+        termination. ``None`` when no indexer is attached or the query
+        cannot be ranked (the evaluator then uses :meth:`candidates`).
+        Each group is a single-pass iterable that expands its slots only
+        as it is iterated — a consumer that checks the bound and stops
+        never materializes that group or any weaker one — so consume
+        groups and iterator before mutating the store.
         """
         indexer = self._indexes.get(model_id)
-        if indexer is None:
-            return None
-        buckets = indexer.candidate_buckets(query)
-        if buckets is None:
-            return None
-        lookup = self._by_id.get
-        # ``filter(None, …)`` drops the ``None`` a stale id resolves to.
-        return ((bound, filter(None, map(lookup, ad_ids))) for bound, ad_ids in buckets)
-
-    def service_nodes(self) -> list[str]:
-        """Service nodes with at least one stored advertisement (a full scan)."""
-        return sorted({ad.service_node for ad in self._by_id.values()})
+        return None if indexer is None else indexer.candidate_buckets(query)
 
     def clear(self) -> None:
-        """Drop all content (a registry crash loses volatile state)."""
-        self._by_id.clear()
+        """Drop all content, leases included (a crash loses volatile state)."""
+        self._slot_of.clear()
+        self._ads.clear()
+        self._leases.clear()
+        self._free.clear()
         self._by_model.clear()
         for indexer in self._indexes.values():
-            indexer.reset()
+            indexer.reset(self._ads)

@@ -16,7 +16,7 @@ from repro.core.config import DiscoveryConfig
 from repro.core.invariants import assert_invariants, check_invariants
 from repro.core.retry import RetryPolicy
 from repro.core.system import DiscoverySystem
-from repro.errors import InvariantError, NetworkError, SimulationError
+from repro.errors import InvariantError, LeaseError, NetworkError, SimulationError
 from repro.netsim.faults import FaultPlan
 from repro.netsim.messages import Envelope
 from repro.netsim.network import LatencySpike, LossWindow, Network
@@ -486,13 +486,27 @@ class TestInvariants:
         client._complete(call, [], via="again")
         assert any("completed 2 times" in v for v in check_invariants(system))
 
-    def test_lease_outliving_ad_detected(self, emergency):
+    def test_lease_leaves_with_its_advertisement(self, emergency):
+        """A lease lives in its advertisement's store slot, so removing the
+        ad behind the lease manager's back leaves no lease to outlive it."""
         system, _, _ = _quiesced_system(emergency)
+        for service in system.services:
+            service.crash()  # nobody republishes
         registry = system.registries[0]
-        for ad in registry.store.all():
-            registry.store.remove(ad.ad_id)
-        violations = check_invariants(system)
-        assert any("outlives" in v for v in violations)
+        leases = {ad.ad_id: registry.leases.lease_for_ad(ad.ad_id)
+                  for ad in registry.store.all()}
+        assert leases and all(leases.values())
+        for ad_id in leases:
+            registry.store.discard(ad_id)
+        expired = registry.leases.expired_total
+        for ad_id, lease in leases.items():
+            assert registry.leases.lease_for_ad(ad_id) is None
+            with pytest.raises(LeaseError):
+                registry.leases.renew(ad_id, lease.lease_id)
+        system.run_for(2 * system.config.lease_duration)
+        assert registry.leases.expired_total == expired
+        assert len(registry.leases) == 0
+        assert check_invariants(system) == []
 
 
 # -- lossy-network discovery end to end -----------------------------------

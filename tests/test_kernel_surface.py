@@ -361,6 +361,45 @@ def test_only_the_write_coordinator_changes_a_replica():
     assert found == []
 
 
+#: What a registry keeps its advertisements in: the store, the lease
+#: manager and a concept indexer, by the names the code reaches them by.
+REGISTRY_STRUCTURES = {"store", "leases", "indexer", "index"}
+
+
+def _private_reads(tree: ast.AST) -> list[tuple[int, str]]:
+    """``(line, name)`` of each ``<structure>._x`` or ``getattr(<structure>,
+    "_x", ...)`` in ``tree``, a structure named as in ``REGISTRY_STRUCTURES``."""
+    found = []
+    for node in ast.walk(tree):
+        owner = name = None
+        if isinstance(node, ast.Attribute):
+            owner, name = node.value, node.attr
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr" \
+                and isinstance(node.args[1], ast.Constant):
+            owner, name = node.args[0], node.args[1].value
+        if owner is not None and isinstance(name, str) and name.startswith("_") \
+                and not name.startswith("__") and _chain(owner)[-1] in REGISTRY_STRUCTURES:
+            found.append((node.lineno, name))
+    return found
+
+
+def test_the_registry_internals_stay_behind_repro_registry():
+    """No module under ``src/repro/`` outside ``registry/`` reads an
+    underscore attribute of a store, a lease manager or an indexer: where
+    the advertisement store keeps a record, its lease and its posting bits
+    is the registry package's business, and ``check_invariants`` asks each
+    structure's ``audit()`` instead of reading its maps."""
+    found = [f"{path.relative_to(SRC)}:{line} {name}"
+             for path in sorted(SRC.rglob("*.py"))
+             if not path.is_relative_to(SRC / "registry")
+             for line, name in _private_reads(ast.parse(path.read_text()))]
+    assert found == []
+    probe = ast.parse("registry.leases._expiry_heap; getattr(store, '_indexes', {});"
+                      " self.store._slot_of[x]; indexer.audit(); store.__len__()")
+    assert sorted(name for _, name in _private_reads(probe)) \
+        == ["_expiry_heap", "_indexes", "_slot_of"]
+
+
 def test_only_the_coordinator_keeps_queries_in_flight():
     """Queries in flight and the loop-avoidance table are the query
     coordinator's: no other module under ``core/`` touches ``_pending`` or

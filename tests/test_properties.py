@@ -8,6 +8,7 @@ from repro.netsim.simulator import Simulator
 from repro.registry.advertisements import Advertisement
 from repro.registry.leases import LeaseManager
 from repro.registry.matching import QueryEvaluator, QueryHit
+from repro.registry.store import AdvertisementStore
 from repro.semantics.generator import OntologyGenerator, ProfileGenerator
 from repro.semantics.matchmaker import DegreeOfMatch, Matchmaker
 from repro.semantics.ontology import THING
@@ -138,6 +139,11 @@ def test_match_results_are_deterministic(seed):
 # -- lease invariants -------------------------------------------------------------------
 
 
+def _lease_ad(ad_id):
+    return Advertisement(ad_id=ad_id, service_node="n", service_name="s",
+                         endpoint="e", model_id="uri", description="uri:s")
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     durations=st.lists(st.floats(min_value=0.1, max_value=100.0),
@@ -146,7 +152,10 @@ def test_match_results_are_deterministic(seed):
 )
 def test_lease_manager_never_serves_expired(durations, advance):
     clock = [0.0]
-    manager = LeaseManager(lambda: clock[0], default_duration=10.0)
+    store = AdvertisementStore()
+    for i in range(len(durations)):
+        store.put(_lease_ad(f"ad-{i}"))
+    manager = LeaseManager(lambda: clock[0], store, default_duration=10.0)
     leases = [manager.grant(f"ad-{i}", duration=d)
               for i, d in enumerate(durations)]
     clock[0] = advance
@@ -167,11 +176,13 @@ def test_lease_renewal_timeline(data):
     duration = data.draw(st.floats(min_value=1.0, max_value=10.0))
     renewals = data.draw(st.integers(min_value=0, max_value=10))
     clock = [0.0]
-    manager = LeaseManager(lambda: clock[0], default_duration=duration)
+    store = AdvertisementStore()
+    store.put(_lease_ad("ad-1"))
+    manager = LeaseManager(lambda: clock[0], store, default_duration=duration)
     lease = manager.grant("ad-1")
     for _ in range(renewals):
         clock[0] += duration * 0.5
-        manager.renew(lease.lease_id)
+        manager.renew("ad-1", lease.lease_id)
         assert manager.expired_ads() == []
     clock[0] += duration * 1.01
     assert manager.expired_ads() == ["ad-1"]

@@ -134,9 +134,9 @@ def test_candidate_superset_and_topk_bit_identical(seed):
         else:
             seen: list[int] = []
             grouped: set[str] = set()
-            for upper_bound, ad_ids in buckets:
+            for upper_bound, ads in buckets:
                 seen.append(upper_bound)
-                grouped |= set(ad_ids)
+                grouped |= {ad.ad_id for ad in ads}
             assert seen == sorted(seen, reverse=True)
             assert grouped == candidates
         # Bit-identical capped ranking, early termination included.
@@ -303,8 +303,8 @@ def _request_with_all_three_groups(gen, profiles, index):
     for anchor in profiles:
         request = gen.request_for(anchor, generalize=1, max_results=2)
         groups: dict[int, list[str]] = {}
-        for (degree, _score), ids in index.candidate_buckets(request):
-            groups.setdefault(degree, []).extend(ids)
+        for (degree, _score), ads in index.candidate_buckets(request):
+            groups.setdefault(degree, []).extend(ad.ad_id for ad in ads)
         if sorted(groups) == [1, 2, 3]:
             return request, groups
     raise AssertionError("no request produced EXACT, PLUGIN and SUBSUMES groups")
@@ -312,8 +312,10 @@ def _request_with_all_three_groups(gen, profiles, index):
 
 @pytest.mark.parametrize("stale_bound", (3, 2, 1))
 def test_all_stale_group_changes_neither_hits_nor_termination_count(stale_bound):
-    """A group whose every id left the store behind the indexer's back
-    resolves to an empty body; its bound is still checked like any other."""
+    """Every advertisement of one degree's group leaves the store. The
+    store tells the index in the same call, so no stale id can be handed
+    out: the emptied degree yields no group at all, and the groups around
+    it stop the query exactly as before."""
     ontology = OntologyGenerator(5).random_ontology()
     gen = ProfileGenerator(ontology, seed=5)
     paths = _TwinPaths(ontology)
@@ -323,8 +325,10 @@ def test_all_stale_group_changes_neither_hits_nor_termination_count(stale_bound)
     index = paths.indexed_store.index_for("semantic")
     request, groups = _request_with_all_three_groups(gen, profiles, index)
     for ad_id in groups[stale_bound]:
-        del paths.indexed_store._by_id[ad_id]  # the indexer is not told
+        paths.indexed_store.discard(ad_id)
         paths.linear_store.discard(ad_id)
+    degrees = [degree for (degree, _), _ in index.candidate_buckets(request)]
+    assert stale_bound not in degrees and len(set(degrees)) == 2
     for max_results in (1, 2, 5, 1000):
         before = paths.indexed.early_terminations
         capped = paths.indexed.evaluate("semantic", request, max_results=max_results)
@@ -343,14 +347,14 @@ def test_list_groups_from_a_third_party_indexer_still_work():
         def __init__(self, model):
             self.inner = SemanticConceptIndex(model)
 
-        def add(self, ad):
-            self.inner.add(ad)
+        def add(self, slot, ad):
+            self.inner.add(slot, ad)
 
-        def discard(self, ad):
-            self.inner.discard(ad)
+        def discard(self, slot, ad):
+            self.inner.discard(slot, ad)
 
-        def reset(self):
-            self.inner.reset()
+        def reset(self, records):
+            self.inner.reset(records)
 
         def candidate_ids(self, query):
             return self.inner.candidate_ids(query)
@@ -359,7 +363,7 @@ def test_list_groups_from_a_third_party_indexer_still_work():
             buckets = self.inner.candidate_buckets(query)
             if buckets is None:
                 return None
-            return iter([(bound, list(ids)) for bound, ids in buckets])
+            return iter([(bound, list(ads)) for bound, ads in buckets])
 
     ontology = OntologyGenerator(6).random_ontology()
     gen = ProfileGenerator(ontology, seed=6)
@@ -412,8 +416,8 @@ def test_every_candidate_scores_under_its_group_bound(seed, split_above, monkeyp
             continue
         bounds: list[tuple[int, float]] = []
         grouped: set[str] = set()
-        for bound, ad_ids in buckets:
-            ad_ids = list(ad_ids)
+        for bound, ads in buckets:
+            ad_ids = [ad.ad_id for ad in ads]
             assert ad_ids == sorted(ad_ids), (seed, request, bound)
             assert grouped.isdisjoint(ad_ids), (seed, request, bound)
             grouped.update(ad_ids)
@@ -466,7 +470,8 @@ def test_a_partner_at_similarity_one_shares_the_concepts_group(requested, partne
     assert _rows(capped) == _rows(exhaustive)[:k]
     assert [h.advertisement.ad_id for h in capped] == [f"ad-{i:06d}" for i in range(1, 1 + k)]
     index = paths.indexed_store.index_for("semantic")
-    groups = [(bound, list(ids)) for bound, ids in index.candidate_buckets(request)]
+    groups = [(bound, [ad.ad_id for ad in ads])
+              for bound, ads in index.candidate_buckets(request)]
     assert groups[0][0] == (3, 1.0) and len(groups) > 1  # the degree was split
     assert {"ad-000001", "ad-000100"} <= set(groups[0][1])
 

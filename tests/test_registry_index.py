@@ -317,12 +317,12 @@ def test_ontology_swap_rebuilds_index_even_at_same_version():
 # -- bitset expansion and write-patched posting bitsets -----------------------
 
 
-def _lowest_set_bit_expansion(ad_at: list, bits: int) -> list:
-    """The expansion loop ``_ids_from_mask`` replaced: the oracle."""
+def _lowest_set_bit_expansion(records: list, bits: int) -> list:
+    """The expansion loop ``_expand`` replaced: the oracle."""
     found = []
     while bits:
         low = bits & -bits
-        found.append(ad_at[low.bit_length() - 1])
+        found.append(records[low.bit_length() - 1])
         bits ^= low
     return found
 
@@ -330,7 +330,8 @@ def _lowest_set_bit_expansion(ad_at: list, bits: int) -> list:
 @pytest.mark.parametrize("width", (1, 7, 8, 9, 64, 1000))
 def test_mask_expansion_matches_the_lowest_set_bit_loop(width):
     index = SemanticConceptIndex(SemanticModel(OntologyGenerator(0).random_ontology()))
-    index._ad_at = [f"ad-{slot:06d}" for slot in range(width)]
+    records = [f"ad-{slot:06d}" for slot in range(width)]  # any object per slot
+    index.reset(records)
     rng = random.Random(width)
     masks = {
         "empty": 0,
@@ -348,41 +349,45 @@ def test_mask_expansion_matches_the_lowest_set_bit_loop(width):
         top = width - width % 8 - 1
         masks["top byte 0x80"] = 1 << top | (1 if top > 7 else 0)  # plus bit 0 when apart
     for name, bits in masks.items():
-        before = index.expanded
-        ids = list(index._ids_from_mask(bits))
-        assert ids == _lowest_set_bit_expansion(index._ad_at, bits), name
+        ids = index._expand(bits)
+        assert ids == _lowest_set_bit_expansion(records, bits), name
         assert ids == sorted(ids), name  # ascending slot order
-        assert index.expanded - before == bits.bit_count(), name
 
 
-def test_mask_expansion_is_lazy_and_counts_only_ids_taken():
-    index = SemanticConceptIndex(SemanticModel(OntologyGenerator(0).random_ontology()))
-    index._ad_at = [f"ad-{slot:06d}" for slot in range(500)]
-    ids = index._ids_from_mask((1 << 500) - 1)
-    assert index.expanded == 0  # nothing until the first id is asked for
-    assert [next(ids), next(ids), next(ids)] == ["ad-000000", "ad-000001", "ad-000002"]
-    assert index.expanded == 3
+def test_group_hand_out_is_lazy_and_counts_only_records_taken():
+    ontology = OntologyGenerator(0).random_ontology()
+    gen = ProfileGenerator(ontology, seed=0)
+    paths = _Paths(ontology)
+    for i, profile in reversed(list(enumerate(gen.profiles(50)))):
+        paths.put(_ad(i, profile))  # slot order is the reverse of ``ad_id`` order
+    index = paths.indexed_store.index_for("semantic")
+    group = index._hand_out(index._all_profiles_mask(), ())
+    assert index.expanded == 0  # nothing until the first record is asked for
+    taken = [next(group).ad_id for _ in range(3)]
+    assert taken == ["ad-000000", "ad-000001", "ad-000002"]
+    assert index.expanded == 2  # the third counts when the consumer comes back
 
 
 def test_mask_expansion_over_recycled_slots():
-    """Freed slots are holes the mask never names; reused ones yield the new id."""
+    """Freed slots are holes the mask never names; reused ones yield the new record."""
     ontology = OntologyGenerator(3).random_ontology()
     gen = ProfileGenerator(ontology, seed=3)
-    index = SemanticConceptIndex(SemanticModel(ontology))
+    paths = _Paths(ontology)
+    store, index = paths.indexed_store, paths.indexed_store.index_for("semantic")
     ads = [_ad(i, profile) for i, profile in enumerate(gen.profiles(70))]
     for ad in ads:
-        index.add(ad)
+        store.put(ad)
     for ad in ads[5:70:3]:  # frees slots 5, 8, …, 62, 65, 68
-        index.discard(ad)
+        store.discard(ad.ad_id)
     for i in range(100, 109):
-        index.add(_ad(i, gen.random_profile(i)))
-    assert index._free_slots and len(index._ad_at) == 70  # some reused, some still free
-    live = set(index._slot_of)
+        store.put(_ad(i, gen.random_profile(i)))
+    assert store._free and len(store._ads) == 70  # some reused, some still free
+    live = {ad.ad_id for ad in store.all()}
     assert {f"ad-{i:06d}" for i in range(100, 109)} <= live
     bits = index._all_profiles_mask()
-    ids = list(index._ids_from_mask(bits))
-    assert ids == _lowest_set_bit_expansion(index._ad_at, bits)
-    assert len(ids) == len(live) and set(ids) == live
+    found = index._expand(bits)
+    assert found == _lowest_set_bit_expansion(store._ads, bits)
+    assert len(found) == len(live) and {ad.ad_id for ad in found} == live
     assert index.candidate_ids(ServiceRequest.build(THING)) == live
 
 
@@ -391,10 +396,9 @@ def _assert_masks_mirror_tables(index: SemanticConceptIndex) -> None:
     for (table_id, concept), cached in index._mask_cache.items():
         posting = index._tables[table_id].get(concept, b"")
         assert cached == int.from_bytes(posting, "little"), (table_id, concept)
+    occupied = {slot for slot, ad in enumerate(index._records) if ad is not None}
     if index._profiles_mask is not None:
-        assert index._profiles_mask == index._bits_of(index._slot_of.values())
-    occupied = {slot for slot, ad_id in enumerate(index._ad_at) if ad_id is not None}
-    assert set(index._slot_of.values()) == occupied
+        assert index._profiles_mask == sum(1 << slot for slot in occupied)
     assert index._all_profiles_mask() == sum(1 << slot for slot in occupied)
 
 
@@ -437,7 +441,8 @@ def test_writes_patch_cached_masks_instead_of_dropping_them(seed):
         if step % 20 == 0:
             for request in requests:
                 paths.assert_equivalent(request, max_results=request.max_results)
-    assert index._free_slots or len(index._ad_at) < 60 + 200  # slots were recycled
+    store = paths.indexed_store
+    assert store._free or len(store._ads) < 60 + 200  # slots were recycled
     assert index.rebuilds == 1
 
     # A version bump, then an ontology swap, each still drop every mask.
@@ -500,7 +505,7 @@ def test_writes_after_a_version_bump_leave_no_stale_bit(seed):
     moved_hits = paths.assert_equivalent(ServiceRequest.build("gen:Moved"))
     assert "ad-000900" in {h.advertisement.ad_id for h in moved_hits}
     _assert_masks_mirror_tables(index)
-    freed = index._free_slots
+    freed = paths.indexed_store._free
     assert all(not int.from_bytes(p, "little") >> slot & 1
                for t in index._tables for p in t.values() for slot in freed)
 
@@ -551,15 +556,16 @@ def test_postings_grow_across_byte_boundaries_and_recycled_slots():
     for slot in (7, 8, 63, 64):
         paths.discard(f"ad-{slot:06d}")
         assert index.audit() == []
-    assert sorted(index._free_slots) == [7, 8, 63, 64]
+    store = paths.indexed_store
+    assert sorted(store._free) == [7, 8, 63, 64]
     for n, slot in enumerate((64, 63, 8, 7)):  # the free list pops from its end
         other = late if layout[slot] is early else early
         paths.put(_ad(200 + n, other))
-        assert index._slot_of[f"ad-{200 + n:06d}"] == slot
+        assert store._slot_of[f"ad-{200 + n:06d}"] == slot
         assert exact[other.category][slot >> 3] >> (slot & 7) & 1
         assert not exact[layout[slot].category][slot >> 3] >> (slot & 7) & 1
         assert index.audit() == []
-    assert len(index._ad_at) == 70 and not index._free_slots
+    assert len(store._ads) == 70 and not store._free
     for profile in (early, late):
         paths.assert_equivalent(gen.request_for(profile, generalize=0), max_results=70)
         paths.assert_equivalent(gen.request_for(profile, generalize=1), max_results=70)
@@ -578,7 +584,7 @@ def test_audit_names_each_kind_of_rot():
     paths.assert_equivalent(ServiceRequest.build(THING))
     index = paths.indexed_store.index_for("semantic")
     assert index.audit() == [] and (2, category) in index._mask_cache
-    slot = index._slot_of["ad-000000"]
+    slot = paths.indexed_store._slot_of["ad-000000"]
 
     index._tables[2][category][slot >> 3] &= ~(1 << (slot & 7))  # a lost bit
     assert any("differs from its rebuild" in v for v in index.audit())
@@ -595,12 +601,12 @@ def test_audit_names_each_kind_of_rot():
     index._tables[2][category] = posting
 
     index._profiles_mask ^= 1 << slot
-    assert index.audit() == ["occupied-slot mask differs from the occupied slots"]
+    assert index.audit() == ["profile mask differs from the indexed profiles"]
     index._profiles_mask ^= 1 << slot
 
-    index._ad_at[slot] = "ad-somebody-else"
-    assert index.audit() == ["slot table does not mirror the indexed profiles"]
-    index._ad_at[slot] = "ad-000000"
+    index._unindexable.add(slot)
+    assert index.audit() == ["unindexable slots differ from the store's records"]
+    index._unindexable.discard(slot)
     assert index.audit() == []
 
 
@@ -625,16 +631,17 @@ def test_thing_request_after_a_write_reads_the_patched_profiles_mask(monkeypatch
 def test_unindexable_records_ride_in_the_strongest_group_unexpanded():
     ontology = OntologyGenerator(9).random_ontology()
     gen = ProfileGenerator(ontology, seed=9)
-    index = SemanticConceptIndex(SemanticModel(ontology))
+    store, index = AdvertisementStore(), SemanticConceptIndex(SemanticModel(ontology))
+    store.attach_index(index)
     profiles = gen.profiles(15)
     for i, profile in enumerate(profiles):
-        index.add(_ad(i, profile))
-    index.add(Advertisement(ad_id="ad-opaque", service_node="n", service_name="s",
+        store.put(_ad(i, profile))
+    store.put(Advertisement(ad_id="ad-opaque", service_node="n", service_name="s",
                             endpoint="e", model_id="semantic", description="opaque"))
     request = gen.request_for(profiles[0], generalize=0)
     (bound, strongest), *weaker = index.candidate_buckets(request)
     assert index.expanded == 0  # bounds handed out, no body expanded yet
-    ids = list(strongest)
+    ids = [ad.ad_id for ad in strongest]
     assert bound == (3, 1.0) and ids[-1] == "ad-opaque" and "ad-000000" in ids
     assert index.expanded == len(ids) - 1
     assert "ad-opaque" in index.candidate_ids(request)

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import random
+from operator import attrgetter
 from types import SimpleNamespace
 
 import pytest
 
 from repro.core.invariants import check_invariants
 from repro.errors import LeaseError
+from repro.registry.advertisements import Advertisement
 from repro.registry.leases import DEFAULT_LEASE_DURATION, LEASE_EVENTS, Lease, LeaseManager
+from repro.registry.store import AdvertisementStore
 
 
 class Clock:
@@ -20,14 +23,30 @@ class Clock:
         return self.now
 
 
+def _ad(ad_id):
+    return Advertisement(ad_id=ad_id, service_node="svc", service_name="s",
+                         endpoint="svc://s", model_id="uri", description="uri:s")
+
+
+def _stored(store, *ad_ids):
+    for ad_id in ad_ids:
+        store.put(_ad(ad_id))
+    return store
+
+
 @pytest.fixture
 def clock():
     return Clock()
 
 
 @pytest.fixture
-def leases(clock):
-    return LeaseManager(clock, default_duration=10.0)
+def store():
+    return _stored(AdvertisementStore(), "ad-1", "ad-2")
+
+
+@pytest.fixture
+def leases(clock, store):
+    return LeaseManager(clock, store, default_duration=10.0)
 
 
 def test_grant_sets_expiry(leases, clock):
@@ -47,9 +66,17 @@ def test_grant_rejects_nonpositive_duration(leases):
         leases.grant("ad-1", duration=0.0)
 
 
+def test_grant_and_restore_refuse_an_ad_the_store_does_not_hold(leases):
+    with pytest.raises(LeaseError):
+        leases.grant("ad-unknown")
+    with pytest.raises(LeaseError):
+        leases.restore("ad-unknown", lease_id="lease-x", duration=5.0, expires_at=5.0)
+    assert len(leases) == 0 and leases.lease_for_ad("ad-unknown") is None
+
+
 def test_default_duration_validation():
     with pytest.raises(LeaseError):
-        LeaseManager(lambda: 0.0, default_duration=-1.0)
+        LeaseManager(lambda: 0.0, AdvertisementStore(), default_duration=-1.0)
 
 
 def test_regrant_replaces_old_lease(leases):
@@ -58,45 +85,55 @@ def test_regrant_replaces_old_lease(leases):
     assert len(leases) == 1
     assert leases.lease_for_ad("ad-1") is second
     with pytest.raises(LeaseError):
-        leases.renew(first.lease_id)
+        leases.renew("ad-1", first.lease_id)
 
 
 def test_renew_extends_from_now(leases, clock):
     lease = leases.grant("ad-1")
     clock.now = 7.0
-    leases.renew(lease.lease_id)
+    leases.renew("ad-1", lease.lease_id)
     assert lease.expires_at == 17.0
-    assert lease.renewals == 1
 
 
 def test_renew_unknown_raises(leases):
     with pytest.raises(LeaseError):
-        leases.renew("lease-nonexistent")
+        leases.renew("ad-1", "lease-nonexistent")
+
+
+def test_renew_naming_another_ads_lease_raises_and_moves_nothing(leases, clock):
+    mine = leases.grant("ad-1", duration=10.0)
+    theirs = leases.grant("ad-2", duration=10.0)
+    clock.now = 4.0
+    with pytest.raises(LeaseError):
+        leases.renew("ad-1", theirs.lease_id)
+    with pytest.raises(LeaseError):
+        leases.renew("ad-2", mine.lease_id)
+    assert (mine.expires_at, theirs.expires_at) == (10.0, 10.0)
 
 
 def test_renew_after_expiry_raises_and_drops(leases, clock):
     lease = leases.grant("ad-1")
     clock.now = 11.0
     with pytest.raises(LeaseError):
-        leases.renew(lease.lease_id)
+        leases.renew("ad-1", lease.lease_id)
     # The refused lease stays due: the next sweep drops it and expires its ad.
     assert leases.expired_ads() == ["ad-1"]
     assert leases.lease_for_ad("ad-1") is None
     with pytest.raises(LeaseError):
-        leases.renew(lease.lease_id)
+        leases.renew("ad-1", lease.lease_id)
 
 
-def test_late_renew_still_expires_at_the_next_purge(clock):
+def test_late_renew_still_expires_at_the_next_purge(clock, store):
     """A renew that arrives after expiry but before the purge is refused,
     and the purge still expires the advertisement: refusing it must not
     leave the ad without a lease for good."""
     kinds = []
-    leases = LeaseManager(clock, default_duration=10.0,
+    leases = LeaseManager(clock, store, default_duration=10.0,
                           on_event=lambda kind, lease: kinds.append((kind, lease.ad_id)))
     lease = leases.grant("ad-1")
     clock.now = 11.0
     with pytest.raises(LeaseError):
-        leases.renew(lease.lease_id)
+        leases.renew("ad-1", lease.lease_id)
     clock.now = 12.0
     assert leases.expired_ads() == ["ad-1"]
     assert kinds == [("grant", "ad-1"), ("expire", "ad-1")]
@@ -119,7 +156,7 @@ def test_never_serves_expired_entry(leases, clock):
     clock.now = 5.0  # boundary is inclusive expiry
     assert lease.expired(clock())
     with pytest.raises(LeaseError):
-        leases.renew(lease.lease_id)
+        leases.renew("ad-1", lease.lease_id)
 
 
 def test_cancel_for_ad(leases):
@@ -134,15 +171,40 @@ def test_renewal_keeps_ad_alive_across_sweeps(leases, clock):
     lease = leases.grant("ad-1", duration=5.0)
     for step in range(1, 6):
         clock.now = step * 4.0
-        leases.renew(lease.lease_id)
+        leases.renew("ad-1", lease.lease_id)
         assert leases.expired_ads() == []
-    assert lease.renewals == 5
+    assert lease.expires_at == 25.0
 
 
-def test_clear(leases):
-    leases.grant("ad-1")
-    leases.clear()
-    assert len(leases) == 0
+def test_lease_leaves_with_its_advertisement(leases, store, clock):
+    """The lease lives in the ad's store slot: discarding the ad takes the
+    lease with it, and the purge later skips its heap entry."""
+    kinds = []
+    leases.on_event = lambda kind, lease: kinds.append(kind)
+    lease = leases.grant("ad-1", duration=5.0)
+    store.discard("ad-1")
+    assert leases.lease_for_ad("ad-1") is None and len(leases) == 0
+    with pytest.raises(LeaseError):
+        leases.renew("ad-1", lease.lease_id)
+    store.put(_ad("ad-1"))  # republished: a new slot holds no lease yet
+    assert leases.lease_for_ad("ad-1") is None
+    clock.now = 6.0
+    assert leases.expired_ads() == [] and leases.expired_total == 0
+    assert kinds == ["grant"] and leases._expiry_heap == []
+
+
+def test_a_long_restored_lease_renewed_after_a_sweep_is_found_on_time(leases, clock):
+    """A restored lease may expire more than one duration ahead; a sweep
+    that pops it early must re-push it due no later than a renewal can
+    move its expiry, or the purge finds the renewed lease late."""
+    leases.restore("ad-1", lease_id="lease-x", duration=2.0, expires_at=8.0)
+    clock.now = 3.0
+    assert leases.expired_ads() == []  # due at 2.0, expires at 8.0: pushed back
+    clock.now = 4.0
+    assert leases.renew("ad-1", "lease-x").expires_at == 6.0
+    clock.now = 6.5
+    assert leases.expired_ads() == ["ad-1"]
+    assert leases.audit() == []
 
 
 def test_lease_has_no_instance_dict(leases):
@@ -156,11 +218,12 @@ def test_lease_has_no_instance_dict(leases):
     assert lease == Lease(lease.lease_id, "ad-1", 10.0, lease.expires_at)
 
 
-def test_lease_event_names_cover_every_transition(clock):
+def test_lease_event_names_cover_every_transition(clock, store):
     kinds = []
-    leases = LeaseManager(clock, default_duration=10.0, on_event=lambda k, _l: kinds.append(k))
+    leases = LeaseManager(clock, store, default_duration=10.0,
+                          on_event=lambda k, _l: kinds.append(k))
     first = leases.grant("ad-1")
-    leases.renew(first.lease_id)
+    leases.renew("ad-1", first.lease_id)
     leases.cancel_for_ad("ad-1")
     leases.restore("ad-2", lease_id="lease-x", duration=5.0, expires_at=5.0)
     clock.now = 6.0
@@ -174,28 +237,26 @@ def test_default_module_duration_positive():
     assert DEFAULT_LEASE_DURATION > 0
 
 
-def test_republish_retires_replaced_lease(leases):
+def test_republish_retires_replaced_lease(leases, store):
     old = leases.grant("ad-1")
     new = leases.grant("ad-1")
     assert new.lease_id != old.lease_id
     # The replaced lease is fully retired: renewing it raises like any
     # unknown lease, and the new lease is untouched by the attempt.
     with pytest.raises(LeaseError):
-        leases.renew(old.lease_id)
+        leases.renew("ad-1", old.lease_id)
     assert leases.lease_for_ad("ad-1") is new
-    leases.renew(new.lease_id)
+    leases.renew("ad-1", new.lease_id)
     assert len(leases) == 1
-    assert leases._by_ad == {"ad-1": new.lease_id}
-    assert list(leases._by_lease) == [new.lease_id]
+    assert store.lease_of("ad-1") is new
 
 
-def test_republish_then_cancel_leaves_no_residue(leases):
+def test_republish_then_cancel_leaves_no_residue(leases, store):
     leases.grant("ad-1")
     leases.grant("ad-1")
     leases.cancel_for_ad("ad-1")
     assert len(leases) == 0
-    assert leases._by_ad == {}
-    assert leases._by_lease == {}
+    assert store.lease_of("ad-1") is None and "ad-1" in store
 
 
 # -- expiry-ordered purge vs. the linear scan it replaced ---------------------
@@ -206,9 +267,10 @@ class _LinearScanLeases(LeaseManager):
 
     def expired_ads(self):
         now = self.clock()
-        lapsed = [lease for lease in self._by_lease.values() if lease.expired(now)]
+        lapsed = sorted((lease for lease in self._live() if lease.expired(now)),
+                        key=attrgetter("grant_no"))
         for lease in lapsed:
-            self._drop(lease)
+            self._store.set_lease(lease.ad_id, None)
             self._notify("expire", lease)
         self.expired_total += len(lapsed)
         return sorted(lease.ad_id for lease in lapsed)
@@ -216,19 +278,20 @@ class _LinearScanLeases(LeaseManager):
 
 def _assert_heap_within_compaction_bound(manager: LeaseManager) -> None:
     """Holds whenever a lease has just been entered (grant / restore)."""
-    assert len(manager._expiry_heap) <= 2 * len(manager) + 17
+    assert len(manager._expiry_heap) <= 2 * len(manager._store) + 17
 
 
 def _assert_heap_covers_live_leases(manager: LeaseManager) -> None:
     """Every live lease is in the heap exactly once, due no later than it
     expires, and no two entries share a grant number."""
     heap = manager._expiry_heap
-    entries = [lease for lease in heap if manager._by_lease.get(lease.lease_id) is lease]
+    entries = [lease for lease in heap if manager.lease_for_ad(lease.ad_id) is lease]
     assert sorted(id(lease) for lease in entries) \
-        == sorted(id(lease) for lease in manager._by_lease.values())
+        == sorted(id(lease) for lease in manager._live())
     assert all(lease.due <= lease.expires_at for lease in entries)
     assert len({lease.grant_no for lease in heap}) == len(heap)
     assert not any(heap[i] < heap[(i - 1) >> 1] for i in range(1, len(heap)))
+    assert manager.audit() == []
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -238,35 +301,58 @@ def test_heap_purge_matches_linear_scan_model(seed):
     logs = ([], [])
 
     def observer(log):
-        return lambda kind, lease: log.append(
-            (kind, lease.ad_id, lease.expires_at, lease.renewals))
+        return lambda kind, lease: log.append((kind, lease.ad_id, lease.expires_at))
 
-    heap = LeaseManager(clock, default_duration=10.0, on_event=observer(logs[0]))
-    scan = _LinearScanLeases(clock, default_duration=10.0, on_event=observer(logs[1]))
+    stores = (AdvertisementStore(), AdvertisementStore())
+    heap = LeaseManager(clock, stores[0], default_duration=10.0, on_event=observer(logs[0]))
+    scan = _LinearScanLeases(clock, stores[1], default_duration=10.0,
+                             on_event=observer(logs[1]))
     #: The k-th lease either manager ever issued (ids differ, roles match).
     issued: list[tuple[Lease, Lease]] = []
     ads = [f"ad-{i}" for i in range(12)]
     durations = (1.0, 2.0, 5.0, 10.0, 1e9)
 
+    def both(call):
+        """``call(manager)`` on both managers: the same result or both raise."""
+        outcomes = []
+        for manager in (heap, scan):
+            try:
+                outcomes.append(call(manager))
+            except LeaseError:
+                outcomes.append("raised")
+        assert (outcomes[0] == "raised") == (outcomes[1] == "raised")
+        return outcomes
+
     for step in range(600):
-        op = rng.choice(("grant", "grant", "renew", "renew", "cancel", "restore",
-                         "advance", "advance", "purge", "purge", "clear"))
-        if op == "grant":
+        op = rng.choice(("put", "put", "grant", "grant", "renew", "renew", "cancel",
+                         "restore", "discard", "advance", "advance", "purge", "purge",
+                         "clear"))
+        if op == "put":
+            ad = _ad(rng.choice(ads))
+            for store in stores:
+                store.put(ad)
+        elif op == "discard":
+            # The ad leaves the store behind the lease manager's back: its
+            # lease must leave with it, in both models.
+            ad = rng.choice(ads)
+            for store in stores:
+                store.discard(ad)
+        elif op == "grant":
             ad, duration = rng.choice(ads), rng.choice(durations)
-            issued.append((heap.grant(ad, duration), scan.grant(ad, duration)))
-            _assert_heap_within_compaction_bound(heap)
+            outcomes = both(lambda manager: manager.grant(ad, duration))
+            if outcomes[0] != "raised":
+                issued.append(tuple(outcomes))
+                _assert_heap_within_compaction_bound(heap)
         elif op == "renew" and issued:
-            # Any lease ever issued: live, lapsed-but-unpurged, or retired.
+            # Any lease ever issued: live, lapsed-but-unpurged, or retired,
+            # named with its own ad or, now and then, with another one.
             ours, theirs = rng.choice(issued)
+            ad = ours.ad_id if rng.random() < 0.8 else rng.choice(ads)
             lapsed = ours.expired(clock())
-            outcomes = []
-            for manager, lease in ((heap, ours), (scan, theirs)):
-                try:
-                    outcomes.append(manager.renew(lease.lease_id).expires_at)
-                except LeaseError:
-                    outcomes.append("raised")
+            outcomes = both(lambda manager: manager.renew(
+                ad, (ours if manager is heap else theirs).lease_id).expires_at)
             assert outcomes[0] == outcomes[1]
-            if lapsed:
+            if lapsed or ad != ours.ad_id:
                 assert outcomes[0] == "raised"
         elif op == "cancel":
             ad = rng.choice(ads)
@@ -275,22 +361,23 @@ def test_heap_purge_matches_linear_scan_model(seed):
         elif op == "restore":
             ad, duration = rng.choice(ads), rng.choice(durations)
             # May already be in the past: lapsed at the next sweep.
-            expires_at = clock() + rng.uniform(-2.0, 8.0)
             kwargs = dict(lease_id=f"restored-{step}", duration=duration,
-                          expires_at=expires_at, renewals=rng.randrange(3))
-            issued.append((heap.restore(ad, **kwargs), scan.restore(ad, **kwargs)))
-            _assert_heap_within_compaction_bound(heap)
+                          expires_at=clock() + rng.uniform(-2.0, 8.0))
+            outcomes = both(lambda manager: manager.restore(ad, **kwargs))
+            if outcomes[0] != "raised":
+                issued.append(tuple(outcomes))
+                _assert_heap_within_compaction_bound(heap)
         elif op == "advance":
             clock.now += rng.choice((0.0, 0.5, 1.0, 3.0, 7.0))
         elif op == "purge":
             assert heap.expired_ads() == scan.expired_ads()
         elif op == "clear" and rng.random() < 0.1:
-            heap.clear()
-            scan.clear()
+            for store in stores:
+                store.clear()
         assert logs[0] == logs[1]
         assert heap.expired_total == scan.expired_total
         assert len(heap) == len(scan)
-        assert sorted(heap._by_ad) == sorted(scan._by_ad)
+        assert [lease.ad_id for lease in heap._live()] == [lease.ad_id for lease in scan._live()]
         _assert_heap_covers_live_leases(heap)
 
     clock.now += 20.0  # everything but the 1e9 leases lapses, in grant order
@@ -300,9 +387,10 @@ def test_heap_purge_matches_linear_scan_model(seed):
     assert heap.expired_total == scan.expired_total > 0
 
 
-def test_expire_events_fire_in_grant_order_not_expiry_order(leases, clock):
+def test_expire_events_fire_in_grant_order_not_expiry_order(leases, store, clock):
     seen = []
     leases.on_event = lambda kind, lease: kind == "expire" and seen.append(lease.ad_id)
+    _stored(store, "ad-late", "ad-early", "ad-mid")
     leases.grant("ad-late", duration=9.0)
     leases.grant("ad-early", duration=1.0)
     leases.grant("ad-mid", duration=5.0)
@@ -311,8 +399,9 @@ def test_expire_events_fire_in_grant_order_not_expiry_order(leases, clock):
     assert seen == ["ad-late", "ad-early", "ad-mid"]
 
 
-def test_sweep_with_nothing_lapsed_looks_at_no_lease(leases, clock):
+def test_sweep_with_nothing_lapsed_looks_at_no_lease(leases, store, clock):
     for i in range(100):
+        _stored(store, f"ad-{i}")
         leases.grant(f"ad-{i}", duration=50.0)
     before = list(leases._expiry_heap)
     clock.now = 49.0
@@ -320,28 +409,33 @@ def test_sweep_with_nothing_lapsed_looks_at_no_lease(leases, clock):
     assert leases._expiry_heap == before  # nothing popped, nothing re-pushed
 
 
-def test_publish_remove_churn_under_long_leases_does_not_leak(leases):
+def test_publish_remove_churn_under_long_leases_does_not_leak(leases, store):
     for i in range(10):
+        _stored(store, f"resident-{i}")
         leases.grant(f"resident-{i}", duration=1e9)
     for i in range(10_000):
+        _stored(store, f"ad-{i % 7}")
         leases.grant(f"ad-{i % 7}", duration=1e9)
         _assert_heap_within_compaction_bound(leases)
         if i % 3:
             leases.cancel_for_ad(f"ad-{i % 7}")
+            store.discard(f"ad-{i % 7}")
     _assert_heap_covers_live_leases(leases)
     assert len(leases._expiry_heap) < 100
 
 
-def test_invariant_sweep_flags_a_lease_the_heap_would_miss(leases, clock):
+def test_invariant_sweep_flags_a_lease_the_heap_would_miss(leases, store, clock):
     lease = leases.grant("ad-1", duration=5.0)
-    registry = SimpleNamespace(node_id="reg-0", leases=leases, store={"ad-1"})
+    leases.grant("ad-2", duration=5.0)
+    registry = SimpleNamespace(node_id="reg-0", leases=leases, store=store)
     system = SimpleNamespace(clients=[], registries=[registry])
     assert check_invariants(system) == []
     clock.now = 2.0
-    leases.renew(lease.lease_id)  # entry now due before the lease expires: fine
+    leases.renew("ad-1", lease.lease_id)  # entry now due before the lease expires: fine
     assert check_invariants(system) == []
     lease.expires_at = 1.0  # moved behind the manager's back
     assert any("expiry heap" in v for v in check_invariants(system))
     lease.expires_at = 7.0
     leases._expiry_heap.clear()
-    assert any("expiry heap" in v for v in check_invariants(system))
+    assert [v.split(":")[0] for v in check_invariants(system)] == ["reg-0", "reg-0"]
+    assert all("expiry heap" in v for v in check_invariants(system))

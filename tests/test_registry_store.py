@@ -77,10 +77,10 @@ def test_by_service_index():
     store.put(_ad(ad_id="ad-2", service_node="node-a", model_id="semantic"))
     store.put(_ad(ad_id="ad-3", service_node="node-b"))
     assert [a.ad_id for a in store.by_service("node-a")] == ["ad-1", "ad-2"]
-    assert store.service_nodes() == ["node-a", "node-b"]
     store.remove("ad-1")
     store.remove("ad-2")
-    assert store.service_nodes() == ["node-b"]
+    assert store.by_service("node-a") == []
+    assert [a.ad_id for a in store.by_service("node-b")] == ["ad-3"]
 
 
 def test_by_service_scan_follows_every_kind_of_write():
@@ -88,8 +88,9 @@ def test_by_service_scan_follows_every_kind_of_write():
     store = AdvertisementStore()
 
     def view():
-        return {node: [a.ad_id for a in store.by_service(node)]
-                for node in store.service_nodes()}
+        nodes = ("node-a", "node-b", "node-c", "node-d")
+        return {node: [a.ad_id for a in owned]
+                for node in nodes if (owned := store.by_service(node))}
 
     store.put(_ad(ad_id="ad-2", service_node="node-a"))
     store.put(_ad(ad_id="ad-1", service_node="node-a", model_id="semantic"))
@@ -139,6 +140,28 @@ def test_candidates_without_index_is_linear_scan():
     assert store.index_for("uri") is None
 
 
+def test_one_slot_per_advertisement_reused_once_freed():
+    """An upgrade keeps the ad's slot and its lease; a removal frees both,
+    and the next new ad reuses the slot with no lease in it."""
+    store = AdvertisementStore()
+    for ad_id in ("ad-1", "ad-2", "ad-3"):
+        store.put(_ad(ad_id=ad_id))
+    lease = object()
+    store.set_lease("ad-2", lease)
+    store.put(_ad(ad_id="ad-2", version=2))
+    assert store.lease_of("ad-2") is lease
+    assert store.put(_ad(ad_id="ad-2", version=1)).version == 2  # stale: kept
+    assert store.lease_of("ad-2") is lease
+    assert store.discard("ad-2").version == 2
+    assert store.lease_of("ad-2") is None and "ad-2" not in store
+    store.put(_ad(ad_id="ad-4"))
+    assert store.lease_of("ad-4") is None
+    assert len(store._ads) == 3  # ad-4 took ad-2's slot
+    assert [a.ad_id for a in store.all()] == ["ad-1", "ad-3", "ad-4"]
+    with pytest.raises(AdvertisementNotFoundError):
+        store.set_lease("ad-2", lease)  # no lease without its advertisement
+
+
 def test_all_sorted_by_uuid():
     store = AdvertisementStore()
     store.put(_ad(ad_id="ad-9"))
@@ -151,7 +174,9 @@ def test_clear():
     store.put(_ad())
     store.clear()
     assert len(store) == 0
-    assert store.service_nodes() == []
+    assert store.all() == [] and store.by_service("svc-node-1") == []
+    store.put(_ad(ad_id="ad-2"))
+    assert [a.ad_id for a in store.all()] == ["ad-2"]
 
 
 def test_bumped_copy():

@@ -237,3 +237,39 @@ def test_a_refused_late_renew_still_lets_the_purge_expire_the_ad():
     assert "ad-x" not in registry.store
     assert registry.leases.expired_total == 1
     assert check_invariants(system) == []
+
+
+def test_a_renew_naming_another_ads_lease_is_nacked_and_renews_nothing():
+    """``RENEW(ad_id=a, lease_id=<b's lease>)`` must not pass for a renewal
+    of ``a``: it is NACKed (so ``a``'s service republishes), neither lease
+    moves, no WAL record is written, and ``b`` still lapses on time."""
+    config = DiscoveryConfig(lease_duration=10.0, purge_interval=1.0, beacon_interval=None,
+                             durability=DurabilityConfig(enabled=True, snapshot_interval=None))
+    system = DiscoverySystem(seed=3, ontology=battlefield_ontology(), config=config)
+    system.add_lan("lan-0")
+    registry = system.add_registry("lan-0")
+    replies = []
+
+    class Service(Node):
+        def handle_message(self, envelope):
+            replies.append(envelope.msg_type)
+
+    service = system.network.add_node(Service("svc"), "lan-0")
+    system.run(until=0.5)
+    for ad_id in ("ad-a", "ad-b"):
+        service.send(registry.node_id, *_publish(ad_id))
+    system.run_for(0.2)
+    lease_a, lease_b = map(registry.leases.lease_for_ad, ("ad-a", "ad-b"))
+    expiries = (lease_a.expires_at, lease_b.expires_at)
+    assert expiries[1] < 11.0
+    system.run(until=8.0)
+    appends = registry.durability.wal_appends
+    service.send(registry.node_id, protocol.RENEW,
+                 protocol.RenewPayload(lease_id=lease_b.lease_id, ad_id="ad-a"))
+    system.run_for(0.2)
+    assert replies[-1] == protocol.RENEW_NACK
+    assert (lease_a.expires_at, lease_b.expires_at) == expiries
+    assert registry.durability.wal_appends == appends
+    system.run(until=11.5)
+    assert "ad-a" not in registry.store and "ad-b" not in registry.store
+    assert check_invariants(system) == []
