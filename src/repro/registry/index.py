@@ -70,7 +70,8 @@ scan transparently.
 The index is maintained incrementally on ``put``/``remove`` and rebuilt
 lazily when the ontology's version counter moves or the ontology object is
 swapped (mirroring ``Reasoner.sync``), so mid-run ontology growth — the
-repository experiments do this — never yields stale candidates. Nothing is
+repository experiments do this — never yields stale candidates; the first
+query after a bulk load or a restart's replay pays the same rebuild. Nothing is
 kept per advertisement beyond its bits: the store's slot list is the
 rebuild source, and the keys an advertisement sits under are derived, not
 stored — ancestor-closure keys are memoized per *concept*
@@ -78,11 +79,17 @@ stored — ancestor-closure keys are memoized per *concept*
 the same keys from the same memo, while a write that finds the ontology
 moved touches no posting and leaves the record to the pending rebuild. A
 posting emptied by removals stays, as zero bytes, until that rebuild.
+A rebuild works per advertised concept, not per (advertisement, key): one
+pass over the records gathers each advertised category's and output's
+slots into one bitset, that concept's exact posting, and a closure posting
+is the OR of the bitsets of the concepts whose closure keys name it: one
+append per advertised concept of a record, then one big-int OR per
+(concept, closure key), where a key-by-key build pays per (record, key).
 The similarity levels of a requested concept are memoized per concept
 the same way; no cache is kept per request.
 Postings no query has asked for have no int form, which keeps the bulk
-load free of big-int work (:meth:`SemanticConceptIndex.audit` checks all
-of this against a rebuild).
+load's puts free of big-int work (:meth:`SemanticConceptIndex.audit`
+checks all of this against its own rebuild, advertisement by advertisement).
 """
 
 from __future__ import annotations
@@ -552,7 +559,8 @@ class SemanticConceptIndex(ConceptIndexer):
         )
 
     def _ensure_synced(self) -> None:
-        """Rebuild the concept maps if the ontology moved underneath us."""
+        """Rebuild the postings, per advertised concept (see the module
+        doc), if the ontology moved underneath us."""
         if self._in_sync():
             return
         ontology = self._model.ontology
@@ -560,8 +568,23 @@ class SemanticConceptIndex(ConceptIndexer):
         self._indexed_ontology = ontology
         self._indexed_version = ontology.version
         self.rebuilds += 1
+        categories: dict[str, list[int]] = {}
+        outputs: dict[str, list[int]] = {}
         for slot, profile in self._indexed():
-            self._set_keys(slot, profile, present=True)
+            categories.setdefault(profile.category, []).append(slot)
+            for output in profile.outputs:
+                outputs.setdefault(output, []).append(slot)
+        wide: tuple[dict[str, int], ...] = tuple({} for _ in self._tables)
+        for closure, exact, advertised in zip(wide[:2], wide[2:], (categories, outputs)):
+            for concept, slots in advertised.items():
+                bits = self._bits_of(slots)
+                if concept in ontology:
+                    exact[concept] = bits
+                for key in self._closure_keys(concept):
+                    closure[key] = closure.get(key, 0) | bits
+        for table, postings in zip(self._tables, wide):
+            for key, bits in postings.items():
+                table[key] = bytearray(bits.to_bytes((bits.bit_length() + 7) >> 3, "little"))
 
     def audit(self) -> list[str]:
         """Bookkeeping violations, empty when sound (``core.invariants``).

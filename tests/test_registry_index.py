@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.descriptions.base import ModelRegistry
 from repro.descriptions.semantic import SemanticModel
@@ -645,3 +646,93 @@ def test_unindexable_records_ride_in_the_strongest_group_unexpanded():
     assert bound == (3, 1.0) and ids[-1] == "ad-opaque" and "ad-000000" in ids
     assert index.expanded == len(ids) - 1
     assert "ad-opaque" in index.candidate_ids(request)
+
+
+def _postings(index: SemanticConceptIndex) -> dict[tuple[int, str], int]:
+    """Every posting of ``index`` as an int, keyed by (table, concept)."""
+    return {(table_id, key): int.from_bytes(posting, "little")
+            for table_id, table in enumerate(index._tables) for key, posting in table.items()}
+
+
+def _postings_key_by_key(index: SemanticConceptIndex) -> dict[tuple[int, str], int]:
+    """The postings built slot by slot from each profile's ``_keys_of``."""
+    rebuilt: dict[tuple[int, str], int] = {}
+    for slot, profile in index._indexed():
+        for table_id, keys in enumerate(index._keys_of(profile)):
+            for key in keys:
+                rebuilt[table_id, key] = rebuilt.get((table_id, key), 0) | 1 << slot
+    return rebuilt
+
+
+def _odd_profiles(gen: ProfileGenerator):
+    """Profiles over the generator's pools plus THING, concepts outside the
+    ontology and repeated outputs; ``None`` stands for a non-profile record."""
+    categories = st.sampled_from(gen.category_pool + [THING, "gen:NotAConcept"])
+    concepts = st.sampled_from(gen.data_pool + [THING, "gen:AlsoMissing"])
+    profiles = st.builds(ServiceProfile, service_name=st.just("svc"), category=categories,
+                         outputs=st.lists(concepts, max_size=4).map(tuple))
+    return st.one_of(profiles, st.none())
+
+
+def _record(index: int, profile: ServiceProfile | None) -> Advertisement:
+    if profile is not None:
+        return _ad(index, profile)
+    return Advertisement(ad_id=f"ad-{index:06d}", service_node="n", service_name="s",
+                         endpoint="e", model_id="semantic", description="opaque")
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000), data=st.data())
+def test_bulk_rebuild_builds_the_postings_the_per_advertisement_path_would(seed, data):
+    ontology = OntologyGenerator(seed).random_ontology(n_service_classes=8, n_data_classes=12)
+    gen = ProfileGenerator(ontology, seed=seed)
+    paths = _Paths(ontology)
+    index = paths.indexed_store.index_for("semantic")
+    records = data.draw(st.lists(_odd_profiles(gen), max_size=40), label="records")
+    for i, profile in enumerate(records):
+        paths.put(_record(i, profile))
+    for i in data.draw(st.sets(st.sampled_from(range(len(records)))) if records
+                       else st.just(set()), label="freed"):
+        paths.discard(f"ad-{i:06d}")
+    index._indexed_ontology = None
+    index._ensure_synced()
+    assert _postings(index) == _postings_key_by_key(index)
+    assert index.audit() == []
+
+    writes = data.draw(st.lists(st.tuples(st.booleans(), _odd_profiles(gen)), max_size=20),
+                       label="writes")
+    for step, (put, profile) in enumerate(writes):
+        live = sorted(paths.indexed_store._slot_of)
+        if put or not live:
+            paths.put(_record(100 + step, profile))
+        else:
+            paths.discard(data.draw(st.sampled_from(live), label="discarded"))
+        assert index.audit() == []
+    rng = random.Random(seed)
+    for request in _requests(gen, gen.profiles(3), rng):
+        paths.assert_equivalent(request, max_results=request.max_results)
+
+
+def test_a_rebuild_works_per_advertised_concept_not_per_key(monkeypatch):
+    ontology = OntologyGenerator(13).random_ontology()
+    gen = ProfileGenerator(ontology, seed=13)
+    store, index = AdvertisementStore(), SemanticConceptIndex(SemanticModel(ontology))
+    store.attach_index(index)
+    profiles = gen.profiles(300)
+    for i, profile in enumerate(profiles):
+        store.put(_ad(i, profile))
+    advertised = {p.category for p in profiles} | {o for p in profiles for o in p.outputs}
+    calls = {"_set_keys": 0, "_keys_of": 0, "_closure_keys": 0}
+    for name in calls:
+        def counted(*args, _name=name, _method=getattr(index, name), **kwargs):
+            calls[_name] += 1
+            return _method(*args, **kwargs)
+        monkeypatch.setattr(index, name, counted)
+    request = gen.request_for(profiles[0], generalize=1)
+    for bump in range(2):  # the first query after the bulk load, then after an ontology bump
+        calls.update(dict.fromkeys(calls, 0))
+        assert index.candidate_ids(request) and index.rebuilds == bump + 1
+        assert calls["_set_keys"] == calls["_keys_of"] == 0
+        assert 0 < calls["_closure_keys"] <= len(advertised)
+        assert index.audit() == []
+        ontology.add_class(f"gen:Bumped{bump}", parents=[profiles[0].category])
