@@ -9,7 +9,7 @@ SMOKES := perf:test_perf_matchmaking fault:test_fault_smoke obs:test_obs_smoke \
           recovery:test_e19_recovery health:test_e20_health shard:test_e21_sharding
 SMOKE_TARGETS := $(foreach s,$(SMOKES),$(firstword $(subst :, ,$(s)))-smoke)
 
-.PHONY: test bench all smoke results-check perf-pairs mem-attr op-classes $(SMOKE_TARGETS)
+.PHONY: test bench all smoke results-check perf-pairs mem-attr op-classes knobs $(SMOKE_TARGETS)
 
 ## Tier 1: the full unit/integration suite. Must always be green.
 test:
@@ -133,5 +133,12 @@ endif
 op-classes:
 	$(PYTHON) tools/op_classes.py --workload $(or $(WORKLOAD),lan_fallback) \
 		--seed $(SEED) --tree $(TREE)
+
+## knobs: regenerate docs/KNOBS.md, every configuration value with the
+## files under src/, benchmarks/ and tools/ that set it and the values
+## they pass (see tools/knob_audit.py). tests/test_config_surface.py
+## fails when the committed table is stale.
+knobs:
+	$(PYTHON) tools/knob_audit.py --write docs/KNOBS.md
 
 all: test smoke

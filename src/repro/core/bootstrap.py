@@ -86,9 +86,9 @@ class RegistryTracker:
             self._probe.cancel()
             self._probe = None
         self.current: str | None = None
-        #: Registries this node must not attach to (e.g. they NACKed a
-        #: publish at capacity).
-        self.excluded: set[str] = set()
+        #: Registries this node must not attach to, each until the sim
+        #: time given (see :meth:`exclude`); a lapsed entry is inert.
+        self.excluded: dict[str, float] = {}
         if forget:
             self.known: dict[str, RegistryDescription] = {}
 
@@ -205,6 +205,16 @@ class RegistryTracker:
         self.probe()
         return None
 
+    def exclude(self, registry_id: str) -> None:
+        """Keep off ``registry_id`` (it refused a publish at capacity) for
+        one lease period and one purge sweep: by then every advertisement
+        it held has been renewed or has left the store, so two services
+        that each got part of a nearly full registry, and so both excluded
+        it, cannot lock each other out for good."""
+        config = self.config
+        self.excluded[registry_id] = (
+            self.node.sim.now + config.lease_duration + config.purge_interval)
+
     # -- internals ------------------------------------------------------------
 
     def _best_candidate(self) -> str | None:
@@ -215,7 +225,8 @@ class RegistryTracker:
         distribution, load balancing could be obtained as well". The hash
         is deterministic, so runs stay reproducible.
         """
-        candidates = {rid for rid in self.known if rid not in self.excluded}
+        now = self.node.sim.now
+        candidates = {rid for rid in self.known if self.excluded.get(rid, now) <= now}
         if not candidates:
             return None
         local = sorted(

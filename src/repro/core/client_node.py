@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from repro.core import protocol
 from repro.core.bootstrap import RegistryTracker
 from repro.core.config import DiscoveryConfig
+from repro.core.retry import RetryPolicy
 from repro.core.routing import router_for
 from repro.descriptions.base import DescriptionModel, ModelRegistry
 from repro.netsim.messages import Envelope
@@ -30,6 +31,11 @@ from repro.obs.tracing import Span
 from repro.registry.advertisements import new_uuid
 from repro.registry.matching import QueryEvaluator, QueryHit
 from repro.semantics.profiles import ServiceRequest
+
+#: Backoff between query attempts (failover retries) and the attempt
+#: budget of one call.
+QUERY_RETRY = RetryPolicy(base=0.2, cap=2.0, max_attempts=3)
+
 
 @dataclass
 class Watch:
@@ -232,7 +238,7 @@ class ClientNode(Node):
             # Worst-case registry-phase budget: every attempt running its
             # full timeout. Server retry hints are clamped to what is left.
             deadline=self.sim.now
-            + self.config.query_retry.max_attempts * self.config.query_timeout,
+            + QUERY_RETRY.max_attempts * self.config.query_timeout,
         )
         # The root span of the whole discovery trace; every retry, forward,
         # and (late) response hangs off it.
@@ -272,7 +278,6 @@ class ClientNode(Node):
             local = sorted(
                 rid for rid, desc in self.tracker.known.items()
                 if desc.lan_name == self.lan_name
-                and rid not in self.tracker.excluded
             )
             registry = self.router.select(local, default=registry)
             # Register the wire id only on paths that await a response —
@@ -329,7 +334,7 @@ class ClientNode(Node):
         # "current": a concurrent failover already replaced it otherwise,
         # and the (possibly healthy) new attachment must not be evicted.
         attached = self.tracker.current == attempt.registry
-        policy = self.config.query_retry
+        policy = QUERY_RETRY
         call.attempts += 1
         retry = call.attempts <= policy.max_attempts
         hint = budget = None

@@ -86,7 +86,9 @@ class DiscoveryConfig:
     #: Forwarding strategy for WAN queries.
     strategy: str = STRATEGY_FLOODING
     #: Max registry-network hops for a query (the "number of registry
-    #: nodes to traverse").
+    #: nodes to traverse"). A query's TTL also bounds the other
+    #: strategies: an expanding ring runs rounds ``(0, 1, 2, ttl)`` up to
+    #: ``ttl``, and a random walk visits ``ttl`` registries.
     default_ttl: int = 4
     #: Seconds a registry waits for forwarded-query responses before
     #: answering upstream.
@@ -96,10 +98,6 @@ class DiscoveryConfig:
     #: ``aggregation_timeout * default_ttl`` or slow dead-branch waits get
     #: misread as registry death.
     query_timeout: float = 6.0
-    #: Expanding-ring TTL schedule.
-    ring_ttls: tuple[int, ...] = (0, 1, 2, 4)
-    #: Random-walk length (registries visited).
-    walk_length: int = 6
     #: Whether clients fall back to decentralized LAN multicast discovery
     #: when no registry is reachable (Fig. 3 right-hand mode).
     fallback_enabled: bool = True
@@ -113,9 +111,6 @@ class DiscoveryConfig:
     #: under ``COOPERATION_REPLICATE_ADS`` — forwarding registries hold
     #: disjoint stores by design, so there is nothing to reconcile.
     antientropy_interval: float | None = 10.0
-    #: Consecutive failures (missed pongs, aggregation timeouts) that trip
-    #: a neighbor's breaker from closed to open.
-    breaker_failure_threshold: int = 3
     #: Seconds an open breaker waits before allowing a half-open probe.
     breaker_reset_timeout: float = 10.0
 
@@ -165,17 +160,10 @@ class DiscoveryConfig:
     health: HealthConfig = HealthConfig()
 
     # -- recovery / retries ------------------------------------------------
-    #: Backoff between client query attempts (failover retries) and the
-    #: attempt budget of one call.
-    query_retry: RetryPolicy = RetryPolicy(
-        base=0.2, factor=2.0, cap=2.0, max_attempts=3, jitter=0.1
-    )
     #: Retransmission of unacked lease renewals. Keeping this shorter than
     #: the renew interval lets a transiently lost RENEW recover without
     #: tripping the registry-death failover heuristic.
-    renew_retry: RetryPolicy = RetryPolicy(
-        base=1.0, factor=2.0, cap=6.0, max_attempts=3, jitter=0.1
-    )
+    renew_retry: RetryPolicy = RetryPolicy(base=1.0, cap=6.0, max_attempts=3)
 
     def __post_init__(self) -> None:
         if self.strategy not in _STRATEGIES:
@@ -200,11 +188,6 @@ class DiscoveryConfig:
                 f"antientropy_interval must be positive or None, "
                 f"got {self.antientropy_interval}"
             )
-        if self.breaker_failure_threshold < 1:
-            raise ReproError(
-                f"breaker_failure_threshold must be >= 1, "
-                f"got {self.breaker_failure_threshold}"
-            )
         if self.breaker_reset_timeout <= 0:
             raise ReproError(
                 f"breaker_reset_timeout must be positive, got {self.breaker_reset_timeout}"
@@ -214,3 +197,8 @@ class DiscoveryConfig:
     def renew_interval(self) -> float:
         """Seconds between lease renewals by service nodes."""
         return self.lease_duration * self.renew_fraction
+
+
+#: Every configuration dataclass: their fields are the settable values.
+CONFIG_CLASSES = (DiscoveryConfig, AdmissionPolicy, RoutingConfig, DurabilityConfig,
+                  ShardingConfig, HealthConfig, RetryPolicy)

@@ -13,11 +13,9 @@ registry exactly that, without giving up determinism:
   expiry) appends a **checksummed record** to an append-only WAL;
 * a periodic **compacting snapshot** rewrites the full state and
   truncates the WAL, bounding replay work;
-* both are written through a small **storage port** — the default
-  backend is the :class:`~repro.netsim.disk.SimDisk` the network keeps
-  per node id (zero simulated time, survives crash/restart, reachable
-  by fault injection), and :class:`FileDisk` provides a real-filesystem
-  backend behind the same port for deployments outside the simulator;
+* both are written to the :class:`~repro.netsim.disk.SimDisk` the
+  network keeps per node id (zero simulated time, survives
+  crash/restart, reachable by fault injection);
 * on restart the registry **replays** snapshot+WAL, drops leases that
   expired while it was down, bumps a persisted **incarnation epoch** so
   peers fence its stale pre-crash messages, and lets the ordinary
@@ -36,7 +34,6 @@ bit-identical to a build without this module.
 
 from __future__ import annotations
 
-import os
 import pickle
 import struct
 import zlib
@@ -108,10 +105,6 @@ class DurabilityConfig:
     #: the periodic task (snapshots still happen every
     #: :data:`MAX_WAL_RECORDS` records and at recovery).
     snapshot_interval: float | None = 30.0
-    #: Root directory for the real-file backend. ``None`` (default)
-    #: uses the network's in-memory :class:`~repro.netsim.disk.SimDisk`;
-    #: a path stores each node's files under ``<directory>/<node_id>/``.
-    directory: str | None = None
 
     def __post_init__(self) -> None:
         if self.snapshot_interval is not None and self.snapshot_interval <= 0:
@@ -119,84 +112,6 @@ class DurabilityConfig:
                 f"snapshot_interval must be positive or None, "
                 f"got {self.snapshot_interval}"
             )
-
-
-class FileDisk:
-    """Real-filesystem backend implementing the SimDisk storage port.
-
-    One directory per node; each named blob is a file. Provides the same
-    fault-injection operations as :class:`~repro.netsim.disk.SimDisk` so
-    recovery tests run identically against both backends.
-    """
-
-    def __init__(self, directory: str) -> None:
-        self.directory = directory
-        os.makedirs(directory, exist_ok=True)
-        self._last_write: dict[str, int] = {}
-        self.torn_writes = 0
-        self.corruptions = 0
-
-    def _path(self, name: str) -> str:
-        return os.path.join(self.directory, name)
-
-    def read(self, name: str) -> bytes | None:
-        try:
-            with open(self._path(name), "rb") as fh:
-                return fh.read()
-        except FileNotFoundError:
-            return None
-
-    def write(self, name: str, data: bytes) -> None:
-        # Atomic replace so a crash mid-rewrite never leaves a half
-        # snapshot: the old file stays intact until the rename.
-        tmp = self._path(name) + ".tmp"
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, self._path(name))
-        self._last_write[name] = len(data)
-
-    def append(self, name: str, data: bytes) -> None:
-        with open(self._path(name), "ab") as fh:
-            fh.write(data)
-        self._last_write[name] = len(data)
-
-    def delete(self, name: str) -> None:
-        try:
-            os.remove(self._path(name))
-        except FileNotFoundError:
-            pass
-        self._last_write.pop(name, None)
-
-    def names(self) -> list[str]:
-        return sorted(
-            n for n in os.listdir(self.directory)
-            if not n.endswith(".tmp")
-        )
-
-    def size(self, name: str) -> int:
-        try:
-            return os.path.getsize(self._path(name))
-        except OSError:
-            return 0
-
-    def tear_tail(self, name: str) -> int:
-        data = self.read(name)
-        if not data:
-            return 0
-        last = self._last_write.get(name) or len(data)
-        cut = min(len(data), max(1, (last + 1) // 2))
-        self.write(name, data[: len(data) - cut])
-        self.torn_writes += 1
-        return cut
-
-    def corrupt(self, name: str) -> bool:
-        data = self.read(name)
-        if not data:
-            return False
-        mid = len(data) // 2
-        self.write(name, data[:mid] + bytes([data[mid] ^ 0xFF]) + data[mid + 1:])
-        self.corruptions += 1
-        return True
 
 
 # -- record framing -----------------------------------------------------------
@@ -294,14 +209,9 @@ class DurabilityManager:
         return self.config.enabled
 
     def port(self) -> Any:
-        """The storage backend for this node (resolved lazily)."""
+        """This node's disk (resolved lazily)."""
         if self._port is None:
-            if self.config.directory is not None:
-                self._port = FileDisk(
-                    os.path.join(self.config.directory, self.registry.node_id)
-                )
-            else:
-                self._port = self.registry.network.disk(self.registry.node_id)
+            self._port = self.registry.network.disk(self.registry.node_id)
         return self._port
 
     # -- lifecycle ---------------------------------------------------------

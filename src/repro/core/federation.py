@@ -291,7 +291,6 @@ class Federation:
         if breaker is None:
             breaker = CircuitBreaker(
                 lambda: self.registry.sim.now,
-                failure_threshold=self.config.breaker_failure_threshold,
                 reset_timeout=self.config.breaker_reset_timeout,
                 on_transition=lambda old, new, _n=neighbor:
                     self._on_breaker_transition(_n, old, new),

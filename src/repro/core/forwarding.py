@@ -264,6 +264,10 @@ BREAKER_CLOSED = "closed"
 BREAKER_OPEN = "open"
 BREAKER_HALF_OPEN = "half-open"
 
+#: Consecutive failures (missed pongs, aggregation timeouts) that trip a
+#: neighbor's breaker from closed to open.
+BREAKER_FAILURE_THRESHOLD = 3
+
 
 class CircuitBreaker:
     """Per-neighbor health: closed / open / half-open.
@@ -289,7 +293,7 @@ class CircuitBreaker:
         self,
         clock: Callable[[], float],
         *,
-        failure_threshold: int = 3,
+        failure_threshold: int = BREAKER_FAILURE_THRESHOLD,
         reset_timeout: float = 10.0,
         on_transition: Callable[[str, str], None] | None = None,
     ) -> None:

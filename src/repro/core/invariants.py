@@ -164,8 +164,7 @@ def _canonical_ring(system: "DiscoverySystem", members):
     """
     from repro.core.sharding import ConsistentHashRing
 
-    cfg = system.config.sharding
-    ring = ConsistentHashRing(virtual_nodes=cfg.virtual_nodes)
+    ring = ConsistentHashRing()
     for registry in members:
         ring.add(registry.node_id, getattr(registry, "ring_identity", registry.node_id))
     for registry in sorted(members, key=lambda r: r.node_id):

@@ -409,13 +409,13 @@ class QueryCoordinator:
                     span: Span | None = None) -> None:
         """"Increasing the reach of a query gradually in several rounds."
 
-        Round ``i`` is a flood with TTL ``config.ring_ttls[i]`` under the
-        round-scoped id ``{query_id}#r{i}``, so peers do not suppress it as
-        a duplicate. Hits accumulate across rounds until they are enough
-        or the schedule is exhausted; the answer counts one responder per
-        round run.
+        The rounds are floods with TTL 0, 1 and 2 while below the query's
+        own TTL, then with that TTL, each under the round-scoped id
+        ``{query_id}#r{i}``, so peers do not suppress it as a duplicate. Hits accumulate across
+        rounds until they are enough or the schedule is exhausted; the
+        answer counts one responder per round run.
         """
-        ttls = self.registry.config.ring_ttls
+        ttls = [t for t in (0, 1, 2) if t < payload.ttl] + [payload.ttl]
         batches: list[list[QueryHit]] = []
 
         def run(i: int) -> None:
@@ -445,23 +445,24 @@ class QueryCoordinator:
                    local: list[QueryHit]) -> ScatterPlan:
         """A next hop among the neighbors — unless the local hits are
         enough already, or a walk would end here anyway."""
-        if _satisfied(local, payload) or self.registry.config.walk_length <= 1:
+        if _satisfied(local, payload) or payload.ttl <= 1:
             return ScatterPlan([])
         return ScatterPlan(self.registry.federation.forward_targets({requester}))
 
     def _walk(self, payload: protocol.QueryPayload, plan: ScatterPlan,
               local: list[QueryHit], *, on_complete, parent: Span | None,
               hops: int) -> None:
-        """Start a walk to one of ``plan.targets`` and gather its reports."""
-        me, config = self.registry.node_id, self.registry.config
+        """Start a walk to one of ``plan.targets`` and gather its reports;
+        the walk visits ``payload.ttl`` registries, this one included."""
+        me = self.registry.node_id
         # The timeout bounds the wait when the walk dies mid-way (crashed
         # registry, partition).
         self._gather(payload.query_id, local, on_complete,
-                     timeout=config.aggregation_timeout * config.walk_length,
+                     timeout=self.registry.config.aggregation_timeout * payload.ttl,
                      max_results=payload.max_results)
         walk = protocol.WalkPayload(
             query_id=payload.query_id, model_id=payload.model_id, query=payload.query,
-            coordinator=me, remaining=config.walk_length - 1, visited=(me,),
+            coordinator=me, remaining=payload.ttl - 1, visited=(me,),
             max_results=payload.max_results,
         )
         self._hand_on(walk, plan.targets, hops=hops)

@@ -3,8 +3,9 @@
 Survey work on discovery in unreliable networks singles out *retry* as one
 of the recovery behaviours that separates robust architectures from
 fragile ones. Every protocol path that re-sends after silence (client
-queries, service publishes and renewals) shares this one policy object so
-the backoff shape is a deployment knob, not an ad-hoc constant.
+queries, service publishes and renewals) shares this one policy object:
+they differ in first delay, cap and attempt budget, and all double per
+retry with the same ±10 % spread.
 
 Jitter is **deterministic**: it is derived by hashing ``(seed, key,
 attempt)`` rather than drawing from the simulator RNG, so adding or
@@ -19,6 +20,12 @@ from dataclasses import dataclass
 
 from repro.errors import ReproError
 
+#: Multiplier applied per additional retry.
+FACTOR = 2.0
+#: Fractional spread: a delay is scaled into ``[1 - JITTER, 1 + JITTER]``
+#: by the deterministic hash.
+JITTER = 0.1
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -27,36 +34,25 @@ class RetryPolicy:
     Attributes
     ----------
     base:
-        Delay before the first retry (seconds).
-    factor:
-        Multiplier applied per additional retry.
+        Delay before the first retry (seconds); each further retry
+        waits :data:`FACTOR` times longer.
     cap:
         Upper bound on the un-jittered delay.
     max_attempts:
-        Total attempts allowed (the first try counts as attempt 1);
-        ``attempts_exhausted(n)`` is true once ``n >= max_attempts``.
-    jitter:
-        Fractional spread: the delay is scaled into
-        ``[1 - jitter, 1 + jitter]`` by the deterministic hash.
+        Total attempts allowed (the first try counts as attempt 1).
     """
 
     base: float = 0.5
-    factor: float = 2.0
     cap: float = 8.0
     max_attempts: int = 3
-    jitter: float = 0.1
 
     def __post_init__(self) -> None:
         if self.base <= 0:
             raise ReproError(f"retry base must be positive, got {self.base}")
-        if self.factor < 1.0:
-            raise ReproError(f"retry factor must be >= 1, got {self.factor}")
         if self.cap < self.base:
             raise ReproError(f"retry cap {self.cap} must be >= base {self.base}")
         if self.max_attempts < 1:
             raise ReproError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if not 0.0 <= self.jitter < 1.0:
-            raise ReproError(f"jitter must be in [0, 1), got {self.jitter}")
 
     def delay(
         self,
@@ -97,14 +93,9 @@ class RetryPolicy:
             if budget is not None:
                 raw = min(raw, budget)
         else:
-            raw = min(self.cap, self.base * self.factor ** (attempt - 1))
-        if self.jitter != 0.0:
-            unit = zlib.crc32(f"{seed}:{key}:{attempt}".encode("utf-8")) / 0xFFFFFFFF
-            raw *= 1.0 - self.jitter + 2.0 * self.jitter * unit
+            raw = min(self.cap, self.base * FACTOR ** (attempt - 1))
+        unit = zlib.crc32(f"{seed}:{key}:{attempt}".encode("utf-8")) / 0xFFFFFFFF
+        raw *= 1.0 - JITTER + 2.0 * JITTER * unit
         if budget is not None:
             raw = min(raw, budget)
         return raw
-
-    def attempts_exhausted(self, attempts: int) -> bool:
-        """Whether ``attempts`` tries have used up the budget."""
-        return attempts >= self.max_attempts

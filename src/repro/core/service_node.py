@@ -36,7 +36,7 @@ from repro.registry.matching import QueryHit
 from repro.semantics.profiles import ServiceProfile
 
 #: Retransmission of unacked publishes (lost on a lossy link).
-PUBLISH_RETRY = RetryPolicy(base=1.0, factor=2.0, cap=8.0, max_attempts=4, jitter=0.1)
+PUBLISH_RETRY = RetryPolicy(base=1.0, cap=8.0, max_attempts=4)
 
 #: The requests whose BUSY a service answers by resending on the hint.
 _RESENT_ON_BUSY = (protocol.RENEW, protocol.PUBLISH)
@@ -319,7 +319,8 @@ class ServiceNode(Node):
     def handle_publish_nack(self, envelope: Envelope) -> None:
         """The registry refused us (at capacity): publish elsewhere.
 
-        The refusing registry is excluded from future attachment choices
+        The refusing registry is excluded from attachment choices until
+        what it held has been renewed or purged (``RegistryTracker.exclude``),
         so beacon-driven re-homing does not bounce us back into the NACK.
         """
         payload = envelope.payload
@@ -333,7 +334,7 @@ class ServiceNode(Node):
             # excluding it. Arming a fresh chain here would stack one
             # more chain per NACK — an exponential publish storm.
             return
-        self.tracker.excluded.add(envelope.src)
+        self.tracker.exclude(envelope.src)
         self.tracker.registry_failed()
 
     def handle_busy(self, envelope: Envelope) -> None:

@@ -65,10 +65,6 @@ class ShardingConfig:
     replication_factor: int = 3
     #: W: replica acks required before the coordinator acks the service.
     write_quorum: int = 2
-    #: Virtual nodes per registry on the ring (uniformity knob).
-    virtual_nodes: int = 64
-    #: Seconds the write coordinator waits for quorum acks.
-    quorum_timeout: float = 1.0
 
     def __post_init__(self) -> None:
         if self.replication_factor < 1:
@@ -78,10 +74,6 @@ class ShardingConfig:
                 "write_quorum must be in 1..replication_factor, got "
                 f"{self.write_quorum} (R={self.replication_factor})"
             )
-        if self.virtual_nodes < 1:
-            raise ReproError("virtual_nodes must be >= 1")
-        if self.quorum_timeout <= 0:
-            raise ReproError("quorum_timeout must be positive")
 
 
 def _hash64(data: str) -> int:
@@ -254,9 +246,7 @@ class ShardManager:
         """Build the placement state: an empty ring view, no hint or
         identity claim — all of it dies with the incarnation."""
         #: This registry's view of the consistent-hash ring.
-        self.ring = ConsistentHashRing(
-            virtual_nodes=self.cfg.virtual_nodes
-        )
+        self.ring = ConsistentHashRing()
         #: Hinted handoff buffers: down replica → [(msg_type, payload)].
         self._hints: dict[str, list[tuple[str, object]]] = {}
         #: Ring-identity claims: ring_id → (claim time, member). The

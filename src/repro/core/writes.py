@@ -73,9 +73,13 @@ def hold_and_ack(kind: str, ad_id: str, **_write: Any) -> WritePlan:
     return HOLD_AND_ACK
 
 
+#: Seconds a tracked write waits for its quorum of target confirmations.
+QUORUM_TIMEOUT = 0.5
+
+
 class _PendingWrite:
     """One tracked write, awaiting ``plan.quorum`` target confirmations
-    until the quorum timeout."""
+    until :data:`QUORUM_TIMEOUT`."""
 
     def __init__(self, writes: "WriteCoordinator", request_id: str, plan: WritePlan,
                  on_success: Callable[[], None], on_failure: Callable[[], None]) -> None:
@@ -91,7 +95,7 @@ class _PendingWrite:
         self.on_failure = on_failure
         self.done = False
         registry = writes.registry
-        self._timer = registry.after(registry.config.sharding.quorum_timeout, self._timeout)
+        self._timer = registry.after(QUORUM_TIMEOUT, self._timeout)
         if self.acked >= self.needed:
             # Nothing to wait for (W=1 and this registry is a replica):
             # settled now; silent targets still get hints at the timeout.

@@ -92,13 +92,9 @@ def _config(policy: AdmissionPolicy) -> DiscoveryConfig:
         beacon_interval=2.0,
         signalling_interval=None,
         ping_interval=2.0,
-        breaker_failure_threshold=3,
         breaker_reset_timeout=5.0,
         admission=policy,
-        query_retry=RetryPolicy(base=0.2, factor=2.0, cap=2.0,
-                                max_attempts=3, jitter=0.1),
-        renew_retry=RetryPolicy(base=0.5, factor=2.0, cap=2.0,
-                                max_attempts=3, jitter=0.1),
+        renew_retry=RetryPolicy(base=0.5, cap=2.0, max_attempts=3),
     )
 
 

@@ -58,7 +58,7 @@ def ring_sweep(*, keys: int = SWEEP_KEYS, sizes=SWEEP_SIZES,
     rows = []
     for size in sizes:
         members = [f"registry-{i:02d}" for i in range(size)]
-        ring = ConsistentHashRing(virtual_nodes=64, seed=0)
+        ring = ConsistentHashRing()
         for member in members:
             ring.add(member)
         placement = {ad_id: ring.replicas_for(ad_id, r) for ad_id in ad_ids}
@@ -124,9 +124,7 @@ def _build_live(seed: int):
         antientropy_interval=2.0, lease_duration=30.0, purge_interval=2.0,
         query_timeout=2.0, aggregation_timeout=0.3,
         sharding=ShardingConfig(
-            enabled=True, replication_factor=R, write_quorum=2,
-            quorum_timeout=0.5,
-        ),
+            enabled=True, replication_factor=R, write_quorum=2),
     )
     system = DiscoverySystem(seed=seed, ontology=battlefield_ontology(),
                              config=config)

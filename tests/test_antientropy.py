@@ -115,8 +115,6 @@ def test_config_rejects_bad_selfhealing_knobs():
     with pytest.raises(ReproError):
         DiscoveryConfig(antientropy_interval=0.0)
     with pytest.raises(ReproError):
-        DiscoveryConfig(breaker_failure_threshold=0)
-    with pytest.raises(ReproError):
         DiscoveryConfig(breaker_reset_timeout=-1.0)
 
 

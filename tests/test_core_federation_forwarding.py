@@ -118,12 +118,13 @@ def _radar(name):
     return ServiceProfile.build(name, "ncw:RadarService", outputs=["ncw:AirTrack"])
 
 
-def _ring(radar_lans, *, ttls=(0, 1, 2, 4)):
+def _ring(radar_lans, *, ttl=4):
     """A chain of four registries (``lan-0`` … ``lan-3``) searching by
-    expanding ring, a radar on each LAN in ``radar_lans`` and a client on
-    ``lan-0``. Returns the system, the client, and the ``(query id, ttl)``
-    of every QUERY_FORWARD the client's registry sends."""
-    config = DiscoveryConfig(strategy=STRATEGY_EXPANDING_RING, ring_ttls=ttls,
+    expanding ring with default TTL ``ttl``, a radar on each LAN in
+    ``radar_lans`` and a client on ``lan-0``. Returns the system, the
+    client, and the ``(query id, ttl)`` of every QUERY_FORWARD the
+    client's registry sends."""
+    config = DiscoveryConfig(strategy=STRATEGY_EXPANDING_RING, default_ttl=ttl,
                              aggregation_timeout=0.3, ping_interval=50.0,
                              signalling_interval=None)
     system = DiscoverySystem(seed=3, ontology=battlefield_ontology(), config=config)
@@ -181,17 +182,17 @@ def test_ring_default_target_is_one_hit():
 
 
 def test_ring_advance_exhausts():
-    system, client, forwards = _ring([], ttls=(0, 2))
+    system, client, forwards = _ring([], ttl=2)
     call, wire_id = _ring_query(system, client)
-    # Nothing matches anywhere: every round of the schedule runs, then the
-    # (empty) answer leaves.
+    # Nothing matches anywhere: every round of the schedule (0, 1, 2)
+    # runs, then the (empty) answer leaves.
     assert call.hits == []
-    assert forwards == [(f"{wire_id}#r1", 1)]
-    assert call.responders == 2
+    assert forwards == [(f"{wire_id}#r1", 0), (f"{wire_id}#r2", 1)]
+    assert call.responders == 3
 
 
 def test_ring_merged_dedupes_across_rounds():
-    system, client, _ = _ring([0, 1], ttls=(0, 1))
+    system, client, _ = _ring([0, 1], ttl=1)
     call, _ = _ring_query(system, client, max_results=3)
     # The local radar is a hit of both rounds, and is answered once.
     assert sorted(call.service_names()) == ["radar-0", "radar-1"]
@@ -199,6 +200,43 @@ def test_ring_merged_dedupes_across_rounds():
 
 
 # -- PendingAggregation without a target set (a random walk) ---------------------------
+
+def test_query_ttl_bounds_the_ring():
+    # The configured TTL is 4, but this query's own TTL of 2 is the
+    # ring's last round: rounds 0, 1 and 2 run and nothing further.
+    system, client, forwards = _ring([])
+    call = system.discover(client, ServiceRequest.build(
+        "ncw:SensorService", outputs=["ncw:Track"]), ttl=2)
+    assert call.completed and call.hits == []
+    wire_id = f"{call.query_id}/1"
+    assert forwards == [(f"{wire_id}#r1", 0), (f"{wire_id}#r2", 1)]
+    assert call.responders == 3
+
+
+def test_query_ttl_bounds_the_walk():
+    # Six registries in a ring and nothing to find, so a walk goes as far
+    # as it may: under TTL 3 it visits three registries, handing on twice.
+    config = DiscoveryConfig(strategy=STRATEGY_RANDOM_WALK, aggregation_timeout=0.3,
+                             ping_interval=50.0, signalling_interval=None)
+    system = DiscoverySystem(seed=3, ontology=battlefield_ontology(), config=config)
+    for i in range(6):
+        system.add_lan(f"lan-{i}")
+        system.add_registry(f"lan-{i}")
+    system.federate_ring()
+    client = system.add_client("lan-0")
+    system.run(until=3.0)
+    walks = []
+    for registry in system.registries:
+        def logged_send(dst, msg_type, payload=None, *, _send=registry.send, **kwargs):
+            if msg_type == protocol.WALK:
+                walks.append(payload.remaining)
+            return _send(dst, msg_type, payload, **kwargs)
+        registry.send = logged_send
+    call = system.discover(client, ServiceRequest.build(
+        "ncw:SensorService", outputs=["ncw:Track"]), ttl=3)
+    assert call.completed and call.hits == []
+    assert walks == [2, 1]
+
 
 def _walk_hits(*hits):
     """What a visited registry reports: its matches, one responder."""
@@ -397,7 +435,7 @@ def test_graceful_leave_flushes_in_flight_walk():
     # A walk is an aggregation like any fan-out, so a departing
     # coordinator answers it at once with what has arrived instead of
     # leaving the client to its query timeout.
-    config = DiscoveryConfig(strategy=STRATEGY_RANDOM_WALK, walk_length=3,
+    config = DiscoveryConfig(strategy=STRATEGY_RANDOM_WALK, default_ttl=3,
                              aggregation_timeout=1.0, ping_interval=50.0,
                              signalling_interval=None)
     system = DiscoverySystem(seed=3, ontology=battlefield_ontology(),
@@ -421,8 +459,7 @@ def test_graceful_leave_flushes_in_flight_walk():
 
 
 def test_leave_and_rejoin_resets_failure_detector_state():
-    config = DiscoveryConfig(ping_interval=1.0, ping_failure_threshold=3,
-                             breaker_failure_threshold=2)
+    config = DiscoveryConfig(ping_interval=1.0, ping_failure_threshold=3)
     system, ra, rb = _two_registries(config)
     system.federate(ra, rb)
     system.run(until=1.0)

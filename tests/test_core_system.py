@@ -92,7 +92,7 @@ def test_federate_ring_closes_loop_and_queries_do_not_loop():
 
 def test_expanding_ring_strategy_finds_nearby_first():
     config = DiscoveryConfig(strategy=STRATEGY_EXPANDING_RING,
-                             ring_ttls=(0, 1, 2), aggregation_timeout=0.3)
+                             default_ttl=2, aggregation_timeout=0.3)
     system = DiscoverySystem(seed=3, ontology=battlefield_ontology(),
                              config=config)
     for i in range(3):
@@ -110,7 +110,7 @@ def test_expanding_ring_strategy_finds_nearby_first():
 
 def test_expanding_ring_widens_until_found():
     config = DiscoveryConfig(strategy=STRATEGY_EXPANDING_RING,
-                             ring_ttls=(0, 1, 2), aggregation_timeout=0.3)
+                             default_ttl=2, aggregation_timeout=0.3)
     system = DiscoverySystem(seed=3, ontology=battlefield_ontology(),
                              config=config)
     for i in range(3):
@@ -125,7 +125,7 @@ def test_expanding_ring_widens_until_found():
 
 
 def test_random_walk_strategy_completes():
-    config = DiscoveryConfig(strategy=STRATEGY_RANDOM_WALK, walk_length=4,
+    config = DiscoveryConfig(strategy=STRATEGY_RANDOM_WALK, default_ttl=4,
                              aggregation_timeout=0.3)
     system = DiscoverySystem(seed=4, ontology=battlefield_ontology(),
                              config=config)

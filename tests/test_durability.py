@@ -1,11 +1,10 @@
-"""Durable crash recovery: WAL codec, storage ports, replay, fencing.
+"""Durable crash recovery: WAL codec, the simulated disk, replay, fencing.
 
 Covers the durability subsystem end to end: record framing (CRC skip,
-torn-tail stop), the SimDisk/FileDisk storage-port parity, snapshot
-compaction, restart replay (original lease ids, expired-lease drop,
-tombstone restoration), incarnation fencing, disk-fault survival, the
-default-off inertness guarantee, and the crash→restart timer-leak
-regression.
+torn-tail stop), the SimDisk storage port, snapshot compaction, restart
+replay (original lease ids, expired-lease drop, tombstone restoration),
+incarnation fencing, disk-fault survival, the default-off inertness
+guarantee, and the crash→restart timer-leak regression.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from repro.core.config import COOPERATION_REPLICATE_ADS, DiscoveryConfig
 from repro.core.durability import (
     DurabilityConfig,
     FENCED_MSG_TYPES,
-    FileDisk,
     INCARNATION_HEADER,
     SNAPSHOT_FILE,
     WAL_FILE,
@@ -101,27 +99,24 @@ class TestFraming:
         assert corrupt == 1 and torn
 
 
-# -- storage ports ---------------------------------------------------------
-
-
-def _port_contract(disk):
-    assert disk.read("wal") is None
-    disk.append("wal", b"abc")
-    disk.append("wal", b"def")
-    assert disk.read("wal") == b"abcdef"
-    assert disk.size("wal") == 6
-    disk.write("wal", b"xyz")
-    assert disk.read("wal") == b"xyz"
-    disk.write("snap", b"s")
-    assert disk.names() == ["snap", "wal"]
-    disk.delete("snap")
-    assert disk.names() == ["wal"]
-    disk.delete("missing")  # no-op
+# -- the storage port ------------------------------------------------------
 
 
 class TestSimDisk:
     def test_port_contract(self):
-        _port_contract(SimDisk())
+        disk = SimDisk()
+        assert disk.read("wal") is None
+        disk.append("wal", b"abc")
+        disk.append("wal", b"def")
+        assert disk.read("wal") == b"abcdef"
+        assert disk.size("wal") == 6
+        disk.write("wal", b"xyz")
+        assert disk.read("wal") == b"xyz"
+        disk.write("snap", b"s")
+        assert disk.names() == ["snap", "wal"]
+        disk.delete("snap")
+        assert disk.names() == ["wal"]
+        disk.delete("missing")  # no-op
 
     def test_tear_tail_chops_half_the_last_write(self):
         disk = SimDisk()
@@ -150,25 +145,6 @@ class TestSimDisk:
         disk = SimDisk()
         assert not disk.corrupt("wal")
         assert disk.corruptions == 0
-
-
-class TestFileDisk:
-    def test_port_contract(self, tmp_path):
-        _port_contract(FileDisk(str(tmp_path / "node")))
-
-    def test_fault_parity_with_simdisk(self, tmp_path):
-        sim, real = SimDisk(), FileDisk(str(tmp_path / "node"))
-        for disk in (sim, real):
-            disk.append("wal", b"A" * 10)
-            disk.append("wal", b"B" * 8)
-            disk.tear_tail("wal")
-            disk.corrupt("wal")
-        assert sim.read("wal") == real.read("wal")
-
-    def test_write_leaves_no_tmp_files(self, tmp_path):
-        disk = FileDisk(str(tmp_path / "node"))
-        disk.write("snap", b"state")
-        assert disk.names() == ["snap"]
 
 
 # -- configuration ---------------------------------------------------------
@@ -337,21 +313,6 @@ class TestRecovery:
             )
 
         assert one() == one()
-
-    def test_file_disk_backend_recovers(self, tmp_path):
-        config = _durable_config(
-            durability=DurabilityConfig(enabled=True,
-                                        directory=str(tmp_path)),
-        )
-        system, registry, client = _single_lan(config)
-        system.run(until=5.0)
-        pre = store_snapshot(registry)
-        assert pre
-        registry.crash()
-        system.run_for(1.0)
-        registry.restart()
-        assert_recovery(registry, pre)
-        assert system.network.disks == {}  # the real-file port was used
 
 
 # -- disk-fault survival ---------------------------------------------------

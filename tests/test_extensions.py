@@ -628,16 +628,60 @@ def test_refused_service_is_not_locked_out_across_its_own_restart():
     system.run(until=5.0)
     (winner,) = [s for s in (first, second) if not s.tracker.excluded]
     (loser,) = [s for s in (first, second) if s.tracker.excluded]
-    assert loser.tracker.excluded == {registry.node_id}
+    assert list(loser.tracker.excluded) == [registry.node_id]
     winner.crash()
     system.run(until=41.0)
-    assert len(registry.store) == 0  # the winner's leases lapsed
+    # The winner's leases lapsed, and the loser's exclusion lapsed with
+    # them: it is published there without a restart.
+    assert [ad.service_name for ad in registry.store.all()] == [loser.profile.service_name] * 3
     loser.crash()
     loser.restart()
     system.run(until=80.0)
     assert loser.tracker.current == registry.node_id
-    assert loser.tracker.excluded == set()
+    assert loser.tracker.excluded == {}
     assert len(registry.store) == 3
+
+
+def test_services_split_over_a_nearly_full_registry_are_not_locked_out():
+    """Capacity is checked per advertisement but a refusal excludes the
+    whole registry. When a full registry takes one of radar-0's three
+    ads and two of radar-1's, *both* services are refused and exclude it;
+    the exclusion must lapse, or their stored ads lapse too and a live
+    service never publishes on the only registry of its LAN again."""
+    lease = 10.0
+    system = DiscoverySystem(seed=1, ontology=battlefield_ontology(),
+                             config=DiscoveryConfig(lease_duration=lease))
+    system.add_lan("lan-0")
+    registry = system.add_registry("lan-0", capacity=3)
+    held = []
+
+    class HoldPublishes:
+        def intercept(self, envelope):
+            if envelope.msg_type == protocol.PUBLISH:
+                held.append(envelope)
+                return True
+            return False
+
+    registry.interceptor = HoldPublishes()
+    services = [system.add_service("lan-0", _radar(f"radar-{i}")) for i in range(2)]
+    system.run(until=0.8)
+    assert len(held) == 6
+    registry.interceptor = None
+    by_src = {s.node_id: [e for e in held if e.src == s.node_id] for s in services}
+    first, second = (by_src[s.node_id] for s in services)
+    for envelope in first[:1] + second[:2] + first[1:] + second[2:]:
+        registry.receive(envelope)
+    lapsed_at = system.sim.now + lease  # nobody renews the split ads
+    system.run_for(0.5)
+    assert all(s.tracker.excluded for s in services)  # both were refused
+    # Within one lease period of the split ads lapsing, a live service is
+    # published on the registry again.
+    system.run(until=lapsed_at + lease)
+    stored = {ad.service_name for ad in registry.store.all()}
+    assert len(registry.store) == 3 and len(stored) == 1
+    (name,) = stored
+    (owner,) = [s for s in services if s.profile.service_name == name]
+    assert owner.tracker.current == registry.node_id
 
 
 def test_node_that_crashed_mid_probe_probes_again_after_restart(fast_cfg):

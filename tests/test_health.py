@@ -475,7 +475,6 @@ def test_breaker_observer_silent_without_state_change():
 
 def test_federation_breaker_gauge_and_flap_counter():
     config = DiscoveryConfig(
-        breaker_failure_threshold=3,
         breaker_reset_timeout=5.0,
         ping_interval=500.0,  # keep ping rounds out of the test window
         signalling_interval=None,

@@ -98,8 +98,7 @@ def _replicating(**overrides):
 #: subsystem -> a config that tunes it without enabling it.
 TUNED_OFF = {
     "sharding": DiscoveryConfig(sharding=ShardingConfig(
-        enabled=False, replication_factor=5, write_quorum=4, virtual_nodes=16,
-        quorum_timeout=9.0)),
+        enabled=False, replication_factor=5, write_quorum=4)),
     "anti-entropy rounds": DiscoveryConfig(antientropy_interval=2.0),
     "durability": DiscoveryConfig(durability=DurabilityConfig(
         enabled=False, snapshot_interval=3.0)),

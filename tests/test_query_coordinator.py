@@ -24,7 +24,7 @@ DIAMETER = 3
 MODES = {
     "flooding": DiscoveryConfig(default_ttl=DIAMETER),
     "expanding-ring": DiscoveryConfig(strategy=STRATEGY_EXPANDING_RING,
-                                      ring_ttls=(0, 1, DIAMETER)),
+                                      default_ttl=DIAMETER),
     "replicate-ads": DiscoveryConfig(cooperation=COOPERATION_REPLICATE_ADS,
                                      default_ttl=0, antientropy_interval=2.0),
     "sharded": DiscoveryConfig(cooperation=COOPERATION_REPLICATE_ADS, default_ttl=0,

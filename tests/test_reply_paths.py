@@ -125,7 +125,7 @@ def flood_with_crashed_neighbour() -> dict:
 
 def _walk_system(seed, *, admission=AdmissionPolicy()):
     config = DiscoveryConfig(
-        strategy=STRATEGY_RANDOM_WALK, walk_length=4,
+        strategy=STRATEGY_RANDOM_WALK, default_ttl=4,
         beacon_interval=1.0, lease_duration=60.0, purge_interval=5.0,
         ping_interval=50.0, signalling_interval=None,
         query_timeout=6.0, aggregation_timeout=0.3,
@@ -387,8 +387,7 @@ def service_quorum_nack_keeps_one_chain() -> dict:
         cooperation=COOPERATION_REPLICATE_ADS, default_ttl=0,
         antientropy_interval=2.0, lease_duration=30.0, purge_interval=2.0,
         query_timeout=2.0, aggregation_timeout=0.3,
-        sharding=ShardingConfig(enabled=True, replication_factor=3,
-                                write_quorum=3, quorum_timeout=0.5),
+        sharding=ShardingConfig(enabled=True, replication_factor=3, write_quorum=3),
     )
     system = DiscoverySystem(seed=22, ontology=battlefield_ontology(),
                              config=config)

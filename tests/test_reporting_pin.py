@@ -76,8 +76,7 @@ def _sharded(health=HealthConfig()):
     config = replace(
         ENABLED["sharding"][1], antientropy_interval=2.0, lease_duration=20.0,
         purge_interval=2.0, default_ttl=0, aggregation_timeout=0.3, health=health,
-        sharding=ShardingConfig(enabled=True, replication_factor=2, write_quorum=1,
-                                quorum_timeout=0.5),
+        sharding=ShardingConfig(enabled=True, replication_factor=2, write_quorum=1),
         durability=DurabilityConfig(enabled=True, snapshot_interval=5.0))
     built = _ring(config, seed=21, lans=5)
     system = built.system

@@ -35,9 +35,7 @@ def _cluster(seed=11, *, n=4, r=3, w=2, services=4, standby_on=None):
         antientropy_interval=2.0, lease_duration=30.0, purge_interval=2.0,
         query_timeout=2.0, aggregation_timeout=0.3,
         sharding=ShardingConfig(
-            enabled=True, replication_factor=r, write_quorum=w,
-            quorum_timeout=0.5,
-        ),
+            enabled=True, replication_factor=r, write_quorum=w),
     )
     system = DiscoverySystem(seed=seed, ontology=battlefield_ontology(),
                              config=config)
@@ -236,10 +234,8 @@ def test_standby_inheritance_limits_rebalance_movement():
     registries[0].crash()
     system.run_for(30.0)
     assert standby.active
-    cfg = system.config.sharding
-    r = cfg.replication_factor
-    before, inherited, fresh = (ConsistentHashRing(virtual_nodes=cfg.virtual_nodes)
-                                for _ in range(3))
+    r = system.config.sharding.replication_factor
+    before, inherited, fresh = (ConsistentHashRing() for _ in range(3))
     for registry in registries:
         before.add(registry.node_id)
     for registry in registries[1:]:

@@ -44,9 +44,7 @@ def _cluster(seed=7, *, n=4, r=3, w=2, durable=False, services=4, **overrides):
         antientropy_interval=2.0, lease_duration=30.0, purge_interval=2.0,
         query_timeout=2.0, aggregation_timeout=0.3,
         sharding=ShardingConfig(
-            enabled=True, replication_factor=r, write_quorum=w,
-            quorum_timeout=0.5,
-        ),
+            enabled=True, replication_factor=r, write_quorum=w),
         durability=DurabilityConfig(enabled=durable),
         **overrides,
     )

@@ -157,8 +157,4 @@ def test_sharding_config_validation():
         ShardingConfig(enabled=True, replication_factor=3, write_quorum=4)
     with pytest.raises(ReproError):
         ShardingConfig(enabled=True, write_quorum=0)
-    with pytest.raises(ReproError):
-        ShardingConfig(enabled=True, virtual_nodes=0)
-    with pytest.raises(ReproError):
-        ShardingConfig(enabled=True, quorum_timeout=0.0)
     assert not ShardingConfig().enabled  # default off

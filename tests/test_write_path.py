@@ -131,8 +131,7 @@ def test_every_store_entry_leaves_the_replica_consistent(entry):
 
 def _foreign_key(registry, peer):
     """An ad id the ring hands to ``peer`` once it joins (R = 1)."""
-    cfg = registry.config.sharding
-    ring = ConsistentHashRing(virtual_nodes=cfg.virtual_nodes)
+    ring = ConsistentHashRing()
     ring.add(registry.node_id)
     ring.add(peer.node_id)
     return next(f"ad-{i}" for i in range(1000)
