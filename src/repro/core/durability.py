@@ -11,8 +11,12 @@ registry exactly that, without giving up determinism:
 
 * every store mutation (publish/absorb, renew, explicit remove, lease
   expiry) appends a **checksummed record** to an append-only WAL;
-* a periodic **compacting snapshot** rewrites the full state and
-  truncates the WAL, bounding replay work;
+* a **compacting snapshot** rewrites the full state and truncates the
+  WAL, periodically and whenever the WAL holds as many records as the
+  last snapshot holds entries (never fewer than
+  :data:`MAX_WAL_RECORDS`): replay reads at most the snapshot and as
+  many WAL records again, and each snapshot is paid for by as many
+  appends as it writes, so a bulk load costs linear snapshot work;
 * both are written to the :class:`~repro.netsim.disk.SimDisk` the
   network keeps per node id (zero simulated time, survives
   crash/restart, reachable by fault injection);
@@ -80,7 +84,8 @@ SNAPSHOT_FILE = "snap"
 META_FILE = "meta"
 
 #: Compact as soon as this many WAL records accumulated since the last
-#: snapshot, whatever the periodic task is doing.
+#: snapshot, or as many as that snapshot holds entries if it holds more,
+#: whatever the periodic task is doing.
 MAX_WAL_RECORDS = 512
 
 #: Sanity bound on a single framed record; a length prefix beyond this
@@ -102,8 +107,8 @@ class DurabilityConfig:
     #: Master switch. Off: no disk attached, no WAL, no headers.
     enabled: bool = False
     #: Seconds between periodic compacting snapshots; ``None`` disables
-    #: the periodic task (snapshots still happen every
-    #: :data:`MAX_WAL_RECORDS` records and at recovery).
+    #: the periodic task (snapshots still happen when the WAL outgrows
+    #: the last snapshot, see :data:`MAX_WAL_RECORDS`, and at recovery).
     snapshot_interval: float | None = 30.0
 
     def __post_init__(self) -> None:
@@ -201,6 +206,8 @@ class DurabilityManager:
         self.snapshots = 0
         self.fenced = 0
         self._records_since_snapshot = 0
+        #: Entries in the snapshot on disk: the WAL may grow as long.
+        self._snapshot_entries = 0
         self._port: Any = None
         self._meta_loaded = False
 
@@ -238,7 +245,7 @@ class DurabilityManager:
         port = self.port()
         port.write(WAL_FILE, b"")
         port.write(SNAPSHOT_FILE, b"")
-        self._records_since_snapshot = 0
+        self._records_since_snapshot = self._snapshot_entries = 0
 
     def rebuild(self) -> None:
         """A crash loses nothing here: what was logged is on the disk."""
@@ -250,7 +257,7 @@ class DurabilityManager:
         self.wal_appends += 1
         self._records_since_snapshot += 1
         self.registry.count("durability.wal_appends")
-        if self._records_since_snapshot >= MAX_WAL_RECORDS:
+        if self._records_since_snapshot >= max(MAX_WAL_RECORDS, self._snapshot_entries):
             self.snapshot()
 
     def log_store(
@@ -315,6 +322,7 @@ class DurabilityManager:
         port.write(SNAPSHOT_FILE, frame_record(record))
         port.write(WAL_FILE, b"")
         self._records_since_snapshot = 0
+        self._snapshot_entries = len(entries)
         self.snapshots += 1
         registry.count("durability.snapshots")
 
@@ -403,6 +411,10 @@ class DurabilityManager:
         if registry.antientropy in registry.writes.observers:
             for ad_id in sorted(tombstones):
                 registry.antientropy.tombstones[ad_id] = tombstones[ad_id]
+            # A WAL older than a prune brings back tombstones the registry
+            # had aged out: age them out again, so what recovers does not
+            # depend on when the WAL was last compacted.
+            registry.antientropy.prune_tombstones()
 
         self.incarnation += 1
         self.recoveries += 1

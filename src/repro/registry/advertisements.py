@@ -39,6 +39,13 @@ def new_uuid(kind: str = "ad") -> str:
     return f"{kind}-{next(_uuid_counter):06d}"
 
 
+def new_serial() -> int:
+    """A fresh run-deterministic number from the counter behind
+    :func:`new_uuid`, for an id kept as an int (a lease's, rendered
+    ``lease-{n:06d}`` on demand)."""
+    return next(_uuid_counter)
+
+
 @dataclass(frozen=True, slots=True)
 class Advertisement:
     """One published service description as stored in a registry.

@@ -4,8 +4,10 @@
 the service advertisements, not just pointers to where the advertisements
 are". Each stored advertisement occupies one dense integer *slot*: the
 store's one ``ad_id -> slot`` map is the only place an id is resolved, and
-the slot holds the record and the lease backing it, so a lease leaves with
-its advertisement and a version upgrade keeps both slot and lease. A
+the slot holds the record and, in per-slot columns, the lease backing it
+(read and written by :class:`~repro.registry.leases.LeaseManager`), so a
+lease leaves with its advertisement and a version upgrade keeps both slot
+and lease. A
 per-model id set serves :meth:`AdvertisementStore.of_model`; pluggable
 :class:`~repro.registry.index.ConceptIndexer` plug-ins (attached per
 model) keep their posting bitsets over the same slots, so query evaluation
@@ -16,6 +18,7 @@ per-service-node index (no registry path asks for one):
 
 from __future__ import annotations
 
+from array import array
 from collections import defaultdict
 from typing import Any, Iterable, Iterator, TYPE_CHECKING
 
@@ -24,7 +27,6 @@ from repro.registry.advertisements import Advertisement
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.registry.index import ConceptIndexer
-    from repro.registry.leases import Lease
 
 
 class AdvertisementStore:
@@ -32,10 +34,18 @@ class AdvertisementStore:
 
     def __init__(self) -> None:
         self._slot_of: dict[str, int] = {}
-        #: Per slot: the advertisement and its lease, ``None`` where free
-        #: (a free slot is on ``_free`` until a put reuses it).
+        #: Per slot: the advertisement, ``None`` where free (a free slot is
+        #: on ``_free`` until a put reuses it).
         self._ads: list[Advertisement | None] = []
-        self._leases: list["Lease | None"] = []
+        #: Per slot, its lease: the grant number (0 where the slot holds
+        #: none), expiry, length, and the number ``n`` of its id
+        #: ``lease-{n:06d}``; -1 there means the id is kept as given in
+        #: ``_lease_ids``.
+        self._lease_grants = array("q")
+        self._lease_expiries = array("d")
+        self._lease_durations = array("d")
+        self._lease_numbers = array("q")
+        self._lease_ids: dict[int, str] = {}
         self._free: list[int] = []
         #: model id -> its ad ids, in insertion order (a dict used as an
         #: ordered set: smaller than a ``set`` at registry sizes).
@@ -85,7 +95,10 @@ class AdvertisementStore:
             else:
                 slot = len(self._ads)
                 self._ads.append(ad)
-                self._leases.append(None)
+                self._lease_grants.append(0)
+                self._lease_expiries.append(0.0)
+                self._lease_durations.append(0.0)
+                self._lease_numbers.append(0)
             self._slot_of[ad.ad_id] = slot
         else:
             existing = self._ads[slot]
@@ -115,7 +128,9 @@ class AdvertisementStore:
         ad = self._ads[slot]
         self._unlink(slot, ad)
         del self._slot_of[ad_id]
-        self._ads[slot] = self._leases[slot] = None
+        self._ads[slot] = None
+        self._lease_grants[slot] = 0
+        self._lease_ids.pop(slot, None)
         self._free.append(slot)
         return ad
 
@@ -135,17 +150,6 @@ class AdvertisementStore:
         if ad_id in self._slot_of:
             return self.remove(ad_id)
         return None
-
-    def lease_of(self, ad_id: str) -> "Lease | None":
-        """The lease in ``ad_id``'s slot; ``None`` for none or no such ad."""
-        slot = self._slot_of.get(ad_id)
-        return None if slot is None else self._leases[slot]
-
-    def set_lease(self, ad_id: str, lease: "Lease | None") -> None:
-        """Put ``lease`` in ``ad_id``'s slot (``None`` empties it). Raises
-        :class:`AdvertisementNotFoundError` for an ad not stored: a lease
-        lives only beside its advertisement."""
-        self._leases[self._slot(ad_id)] = lease
 
     def by_service(self, service_node: str) -> list[Advertisement]:
         """All advertisements published by one service node (a full scan)."""
@@ -207,7 +211,10 @@ class AdvertisementStore:
         """Drop all content, leases included (a crash loses volatile state)."""
         self._slot_of.clear()
         self._ads.clear()
-        self._leases.clear()
+        for column in (self._lease_grants, self._lease_expiries,
+                       self._lease_durations, self._lease_numbers):
+            del column[:]
+        self._lease_ids.clear()
         self._free.clear()
         self._by_model.clear()
         for indexer in self._indexes.values():

@@ -9,9 +9,11 @@ guarantee, and the crash→restart timer-leak regression.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from repro.core import durability
+from repro.core import durability, protocol
 from repro.core.config import COOPERATION_REPLICATE_ADS, DiscoveryConfig
 from repro.core.durability import (
     DurabilityConfig,
@@ -24,9 +26,11 @@ from repro.core.durability import (
 )
 from repro.core.invariants import assert_recovery, check_recovery, store_snapshot
 from repro.core.system import DiscoverySystem
-from repro.errors import ReproError
+from repro.errors import LeaseError, ReproError
 from repro.netsim.disk import SimDisk
+from repro.registry.advertisements import Advertisement, reset_uuids
 from repro.netsim.messages import Envelope
+from repro.netsim.node import Node
 from repro.semantics.generator import battlefield_ontology
 from repro.semantics.profiles import ServiceProfile, ServiceRequest
 from tests.deployments import e7_ring
@@ -273,10 +277,40 @@ class TestRecovery:
         system.run(until=20.0)
         disk = system.network.disk(registry.node_id)
         assert registry.durability.snapshots >= 1
-        records, _corrupt, _torn = scan_records(disk.read(WAL_FILE))
-        assert len(records) < 5
         snap_records, _c, _t = scan_records(disk.read(SNAPSHOT_FILE))
         assert snap_records and snap_records[0][0] == "snapshot"
+        # The WAL grows to as many records as the snapshot holds entries,
+        # never fewer than MAX_WAL_RECORDS, and is then compacted.
+        records, _corrupt, _torn = scan_records(disk.read(WAL_FILE))
+        assert len(records) < max(5, len(snap_records[0][1]))
+
+    def test_bulk_load_snapshots_each_entry_a_bounded_number_of_times(self, monkeypatch):
+        """Loading N ads writes at most 2N + MAX_WAL_RECORDS snapshot
+        entries in all (one snapshot per MAX_WAL_RECORDS appends would
+        write ~N^2 / 2 MAX_WAL_RECORDS)."""
+        written = []
+        frame = durability.frame_record
+
+        def counting(record):
+            if record[0] == "snapshot":
+                written.append(len(record[1]))
+            return frame(record)
+
+        monkeypatch.setattr(durability, "frame_record", counting)
+        system = DiscoverySystem(seed=7, ontology=battlefield_ontology(), config=_durable_config(
+            durability=DurabilityConfig(enabled=True, snapshot_interval=None)))
+        system.add_lan("lan-0")
+        registry = system.add_registry("lan-0")
+        system.run(until=1.0)
+        n = 3000
+        for i in range(n):
+            registry.writes.store_ad(
+                Advertisement(ad_id=f"bulk-{i:06d}", service_node=f"bulk-node-{i}",
+                              service_name=f"radar-{i}", endpoint=f"svc://radar-{i}",
+                              model_id="semantic", description=_radar(f"radar-{i}")),
+                lease_duration=1e9, epoch=0, notify=False)
+        assert len(registry.store) == n and len(written) >= 2
+        assert sum(written) <= 2 * n + durability.MAX_WAL_RECORDS
 
     def test_recovery_replays_snapshot_plus_wal(self, monkeypatch):
         monkeypatch.setattr(durability, "MAX_WAL_RECORDS", 4)
@@ -313,6 +347,120 @@ class TestRecovery:
             )
 
         assert one() == one()
+
+    def test_compaction_point_does_not_change_what_recovers(self, monkeypatch):
+        """The same seeded stream of stores, renewals, removals and expiries,
+        crashed at three points, recovers the same store, leases (ids and
+        expiries) and tombstones whether the WAL is compacted every 4
+        records or never but at recovery."""
+
+        def run(max_wal_records):
+            monkeypatch.setattr(durability, "MAX_WAL_RECORDS", max_wal_records)
+            reset_uuids()
+            system = DiscoverySystem(seed=7, ontology=battlefield_ontology(),
+                                     config=_durable_config(durability=DurabilityConfig(
+                                         enabled=True, snapshot_interval=None)))
+            system.add_lan("lan-0")
+            registry = system.add_registry("lan-0")
+            system.run(until=1.0)
+            rng = random.Random(11)
+            recovered = []
+            for step in range(1, 241):
+                ad_id = f"ad-{rng.randrange(24)}"
+                op = rng.choice(("store", "store", "renew", "renew", "remove", "advance"))
+                if op == "store":
+                    registry.writes.store_ad(
+                        Advertisement(ad_id=ad_id, service_node="svc", service_name=ad_id,
+                                      endpoint=f"svc://{ad_id}", model_id="semantic",
+                                      description=_radar(ad_id), version=rng.randrange(1, 4)),
+                        lease_duration=rng.choice((3.0, 8.0, 30.0)), epoch=0, notify=False)
+                elif op == "renew" and registry.leases.lease_for_ad(ad_id) is not None:
+                    try:
+                        registry.writes.renew_ad(
+                            ad_id, epoch=0, lease_id=registry.leases.lease_for_ad(ad_id).lease_id)
+                    except LeaseError:
+                        pass  # lapsed, not yet purged
+                elif op == "remove":
+                    registry.writes.remove_ad(ad_id)
+                elif op == "advance":
+                    system.run_for(rng.choice((0.5, 2.0, 5.0)))  # the purge expires leases
+                if step % 80 == 0:
+                    registry.crash()
+                    system.run_for(rng.choice((0.5, 4.0)))
+                    registry.restart()
+                    recovered.append((
+                        [(ad.ad_id, ad.version) for ad in registry.store.all()],
+                        list(registry.leases._live()),
+                        dict(registry.antientropy.tombstones),
+                    ))
+            return recovered, registry.durability.snapshots
+
+        compacted, snapshots = run(4)
+        logged, recovery_snapshots = run(10**9)
+        assert snapshots > 20 and recovery_snapshots == 3  # both sides ran as meant
+        assert all(store and leases and tombs for store, leases, tombs in logged)
+        assert compacted == logged
+
+    def test_restored_lease_ids_are_renewed_after_a_churn_restart(self):
+        """Ads published, renewed and removed over the wire, as the
+        ``churn_mix`` benchmark's publisher does, then a crash and restart:
+        every restored lease id is the one the publisher holds, and a
+        RENEW naming it is ACKed."""
+        system = DiscoverySystem(seed=7, ontology=battlefield_ontology(), config=DiscoveryConfig(
+            durability=DurabilityConfig(enabled=True, snapshot_interval=None)))
+        system.add_lan("lan-0")
+        registry = system.add_registry("lan-0")
+        publisher = system.network.add_node(_Publisher("publisher"), "lan-0")
+        system.run(until=2.0)
+        held = {}
+        for i in range(40):
+            reply = publisher.request(registry.node_id, protocol.PUBLISH, protocol.PublishPayload(
+                service_node=f"bench-{i}", service_name=f"radar-{i}",
+                endpoint=f"svc://radar-{i}", model_id="semantic",
+                description=_radar(f"radar-{i}"), ad_id=f"churn-{i:06d}", lease_duration=1e6))
+            assert reply.msg_type == protocol.PUBLISH_ACK
+            held[reply.payload.ad_id] = reply.payload.lease_id
+        rng = random.Random(5)
+        for ad_id in rng.sample(sorted(held), 10):
+            reply = publisher.request(registry.node_id, protocol.RENEW,
+                                      protocol.RenewPayload(lease_id=held[ad_id], ad_id=ad_id))
+            assert reply.msg_type == protocol.RENEW_ACK
+        for ad_id in rng.sample(sorted(held), 5):
+            publisher.request(registry.node_id, protocol.REMOVE, protocol.RemovePayload(ad_id=ad_id))
+            del held[ad_id]
+        registry.crash()
+        system.run_for(1.0)
+        registry.restart()
+        assert {lease.ad_id: lease.lease_id for lease in registry.leases._live()} == held
+        for ad_id, lease_id in held.items():
+            reply = publisher.request(registry.node_id, protocol.RENEW,
+                                      protocol.RenewPayload(lease_id=lease_id, ad_id=ad_id))
+            assert reply is not None and reply.msg_type == protocol.RENEW_ACK, ad_id
+
+
+class _Publisher(Node):
+    """A bare protocol agent that sends one request and steps the
+    simulator until the registry answers it."""
+
+    role = "bench"
+
+    def __init__(self, node_id: str) -> None:
+        super().__init__(node_id)
+        self.replies: list[Envelope] = []
+
+    def _collect(self, envelope: Envelope) -> None:
+        self.replies.append(envelope)
+
+    handle_publish_ack = handle_publish_nack = _collect
+    handle_renew_ack = handle_renew_nack = handle_remove_ack = _collect
+
+    def request(self, dst: str, msg_type: str, payload) -> Envelope | None:
+        self.replies.clear()
+        self.send(dst, msg_type, payload, payload_type="semantic")
+        deadline = self.sim.now + 30.0
+        while not self.replies and self.sim.step(until=deadline):
+            pass
+        return self.replies[0] if self.replies else None
 
 
 # -- disk-fault survival ---------------------------------------------------

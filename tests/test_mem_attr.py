@@ -24,7 +24,10 @@ def test_attribution_names_modules_and_lines_of_the_program():
     module_table, line_table = out.split("\nline ", 1)
     # Both tables are relative to the checkout and in bytes per advertisement.
     assert "src/repro/registry/leases.py " in module_table and "B/ad" in module_table
-    assert "src/repro/registry/leases.py:" in line_table and "lease = Lease(" in line_table
+    # A lease is four store columns and one packed expiry-heap key.
+    assert "src/repro/registry/leases.py:" in line_table \
+        and "heapq.heappush(heap, _ordered(due)" in line_table
+    assert "self._lease_expiries.append(0.0)" in line_table
     assert "tracemalloc.py" not in out
 
 

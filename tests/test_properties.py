@@ -166,7 +166,7 @@ def test_lease_manager_never_serves_expired(durations, advance):
             assert manager.lease_for_ad(lease.ad_id) is None
         else:
             assert lease.ad_id not in expired_ids
-            assert manager.lease_for_ad(lease.ad_id) is lease
+            assert manager.lease_for_ad(lease.ad_id) == lease
 
 
 @settings(max_examples=30, deadline=None)

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import AdvertisementNotFoundError
+from repro.errors import AdvertisementNotFoundError, LeaseError
 from repro.registry.advertisements import Advertisement, new_uuid
+from repro.registry.leases import LeaseManager
 from repro.registry.store import AdvertisementStore
 
 
@@ -144,22 +145,23 @@ def test_one_slot_per_advertisement_reused_once_freed():
     """An upgrade keeps the ad's slot and its lease; a removal frees both,
     and the next new ad reuses the slot with no lease in it."""
     store = AdvertisementStore()
+    leases = LeaseManager(lambda: 0.0, store)
     for ad_id in ("ad-1", "ad-2", "ad-3"):
         store.put(_ad(ad_id=ad_id))
-    lease = object()
-    store.set_lease("ad-2", lease)
+    lease = leases.restore("ad-2", lease_id="lease-x", duration=5.0, expires_at=5.0)
     store.put(_ad(ad_id="ad-2", version=2))
-    assert store.lease_of("ad-2") is lease
+    assert leases.lease_for_ad("ad-2") == lease
     assert store.put(_ad(ad_id="ad-2", version=1)).version == 2  # stale: kept
-    assert store.lease_of("ad-2") is lease
+    assert leases.lease_for_ad("ad-2") == lease
     assert store.discard("ad-2").version == 2
-    assert store.lease_of("ad-2") is None and "ad-2" not in store
+    assert leases.lease_for_ad("ad-2") is None and "ad-2" not in store
+    assert store._lease_ids == {}  # the foreign id left with its slot
     store.put(_ad(ad_id="ad-4"))
-    assert store.lease_of("ad-4") is None
-    assert len(store._ads) == 3  # ad-4 took ad-2's slot
+    assert leases.lease_for_ad("ad-4") is None
+    assert len(store._ads) == len(store._lease_grants) == 3  # ad-4 took ad-2's slot
     assert [a.ad_id for a in store.all()] == ["ad-1", "ad-3", "ad-4"]
-    with pytest.raises(AdvertisementNotFoundError):
-        store.set_lease("ad-2", lease)  # no lease without its advertisement
+    with pytest.raises(LeaseError):
+        leases.grant("ad-2")  # no lease without its advertisement
 
 
 def test_all_sorted_by_uuid():

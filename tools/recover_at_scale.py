@@ -8,8 +8,12 @@ the WAL or a snapshot — then crashed and restarted ``--repeats`` times.
 Each time it prints, in host seconds, ``restart()`` (replaying the snapshot
 and the WAL into the store and the leases) and the first discover after it,
 which pays the concept index's rebuild, then a second discover for
-comparison. The profiles and requests come from ``OntologyGenerator(42)``,
-the ontology of ``wan_100k``, whose three registries hold ~33k ads each.
+comparison, and what the restart replayed: the entries of the snapshot on
+disk and the records of the WAL beside it (the WAL is compacted once it
+holds as many records as the snapshot holds entries, never fewer than
+``MAX_WAL_RECORDS``, so the second is at most the larger of the two).
+The profiles and requests come from ``OntologyGenerator(42)``, the
+ontology of ``wan_100k``, whose three registries hold ~33k ads each.
 ``--tree`` points it at another checkout (``git archive <rev> | tar -x -C
 DIR``), which is how a parent/change pair of numbers is made.
 """
@@ -33,7 +37,7 @@ def main() -> None:
     args = parser.parse_args()
     sys.path.insert(0, str(args.tree.resolve() / "src"))
     from repro.core.config import DiscoveryConfig
-    from repro.core.durability import DurabilityConfig
+    from repro.core.durability import SNAPSHOT_FILE, WAL_FILE, DurabilityConfig, scan_records
     from repro.core.system import DiscoverySystem
     from repro.registry.advertisements import Advertisement
     from repro.semantics.generator import OntologyGenerator, ProfileGenerator
@@ -60,10 +64,14 @@ def main() -> None:
     requests = [generator.request_for(profiles[i * 37 % args.ads], generalize=1, max_results=5)
                 for i in range(2)]
     print(f"{'restart s':>10} {'first discover s':>17} {'second discover s':>18} "
-          f"{'stored':>7} {'rebuilds':>9}")
+          f"{'stored':>7} {'rebuilds':>9} {'snap entries':>13} {'wal records':>12}")
+    disk = system.network.disk(registry.node_id)
     for _ in range(args.repeats):
         registry.crash()
         system.run_for(1.0)
+        snapshot, _corrupt, _torn = scan_records(disk.read(SNAPSHOT_FILE))
+        wal, _corrupt, _torn = scan_records(disk.read(WAL_FILE))
+        entries = sum(len(record[1]) for record in snapshot)
         started = time.perf_counter()
         registry.restart()
         restart_s = time.perf_counter() - started
@@ -74,7 +82,8 @@ def main() -> None:
             timings.append(time.perf_counter() - started)
             assert call.hits, "a discover after the restart found nothing"
         print(f"{restart_s:>10.3f} {timings[0]:>17.3f} {timings[1]:>18.3f} "
-              f"{len(registry.store):>7} {registry.store.index_for('semantic').rebuilds:>9}")
+              f"{len(registry.store):>7} {registry.store.index_for('semantic').rebuilds:>9} "
+              f"{entries:>13} {len(wal):>12}")
 
 
 if __name__ == "__main__":
