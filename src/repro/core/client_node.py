@@ -30,6 +30,7 @@ from repro.netsim.node import Node
 from repro.obs.tracing import Span
 from repro.registry.advertisements import new_uuid
 from repro.registry.matching import QueryEvaluator, QueryHit
+from repro.semantics.ontology import Ontology
 from repro.semantics.profiles import ServiceRequest
 
 #: Backoff between query attempts (failover retries) and the attempt
@@ -165,7 +166,7 @@ class ClientNode(Node):
         self.fallback_queries = 0
         self.query_retries = 0
         self.busy_rejections = 0
-        self.artifacts_fetched: dict[str, object] = {}
+        self.artifacts_fetched: dict[str, Ontology] = {}
         self.rebuild()
 
     # -- lifecycle ------------------------------------------------------------
@@ -569,7 +570,7 @@ class ClientNode(Node):
         """Keep the artifact, and offer it to the models that cannot
         evaluate yet: one that can keeps the matchmaker it has."""
         payload = envelope.payload
-        if not payload.found:
+        if payload.artifact is None:
             return
         self.artifacts_fetched[payload.artifact_name] = payload.artifact
         for model in self.models:

@@ -36,7 +36,7 @@ from repro.core.client_node import ClientNode
 from repro.core.system import DiscoverySystem
 from repro.registry.matching import QueryHit
 from repro.semantics.matchmaker import DegreeOfMatch, Matchmaker
-from repro.semantics.profiles import ServiceProfile, ServiceRequest
+from repro.semantics.profiles import ServiceRequest
 from repro.semantics.reasoner import Reasoner
 
 
@@ -175,11 +175,7 @@ class MediationPlanner:
             timeout=timeout,
         )
         result.extra_queries += 1
-        return [
-            hit for hit in call.hits
-            if isinstance(hit.advertisement.description, ServiceProfile)
-            and hit.advertisement.description.inputs
-        ]
+        return [hit for hit in call.hits if hit.advertisement.description.inputs]
 
     def _translators_producing(self, concept: str,
                                translators: list[QueryHit]) -> list[QueryHit]:
@@ -206,8 +202,7 @@ class MediationPlanner:
             result.extra_queries += 1
             cache[concept] = [
                 hit for hit in call.hits
-                if not isinstance(hit.advertisement.description, ServiceProfile)
-                or not self._is_translator(hit.advertisement.description.category)
+                if not self._is_translator(hit.advertisement.description.category)
             ]
         return cache[concept]
 

@@ -6,9 +6,10 @@ classify such operations and messages in three categories: registry
 network maintenance, publishing, and querying."
 
 This module defines exactly those payload records and message types.
-Service descriptions and queries ride *inside* these payloads, typed by
-the envelope's ``payload_type`` field ("next header"), so the protocol
-never depends on any particular description model.
+Service descriptions and queries ride *inside* these payloads as any
+model's record, named by the envelope's ``payload_type`` ("next header");
+whether it is the named model's, the receiving node's model registry
+judges, so the protocol never depends on any particular description model.
 
 Each record is declared once (:func:`repro.records.record`): its
 annotations are the field kinds the construction-time check and
@@ -20,12 +21,14 @@ one line here (and a record, if it brings one) plus its handler.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Annotated, Any
+from typing import Annotated
 
+from repro.descriptions import Description, Query
 from repro.records import PerItem, Seconds, record
 from repro.registry.advertisements import Advertisement
 from repro.registry.matching import QueryHit
 from repro.registry.rim import RegistryDescription
+from repro.semantics.ontology import Ontology
 
 # -- payload records -------------------------------------------------------
 
@@ -42,7 +45,7 @@ class PublishPayload:
     service_name: str
     endpoint: str
     model_id: str
-    description: Any
+    description: Description
     ad_id: str = ""
     lease_duration: Seconds | None = None
 
@@ -110,7 +113,7 @@ class QueryPayload:
 
     query_id: str
     model_id: str
-    query: Any
+    query: Query
     max_results: int | None = None
     ttl: int = 0
 
@@ -163,7 +166,7 @@ class WalkPayload:
 
     query_id: str
     model_id: str
-    query: Any
+    query: Query
     coordinator: str
     remaining: int
     visited: tuple[str, ...] = ()
@@ -182,7 +185,7 @@ class SubscribePayload:
 
     sub_id: str
     model_id: str
-    query: Any
+    query: Query
     duration: Seconds
 
 
@@ -328,7 +331,7 @@ class ArtifactReplyPayload:
     """The artifact, or a not-found marker."""
 
     artifact_name: str
-    artifact: Any = None
+    artifact: Ontology | None = None
     found: bool = True
 
 

@@ -5,10 +5,9 @@ regular XML Schema and ontology import mechanisms may have to be bypassed.
 To remove dependency on Internet availability, a repository for ontologies
 and XML Schemas is needed. Our registry network could fill this role."
 
-Artifacts are named blobs; ontologies are the artifact type the semantic
-description model actually needs (experiment E12 shows discovery failing
-without it). The repository also accepts opaque artifacts (schemas,
-transformations) as sized byte strings.
+Artifacts are named ontologies, the artifact the semantic description
+model needs (experiment E12 shows discovery failing without it) and the
+one record an artifact reply declares.
 
 :class:`ArtifactRepository` is a registry component (``registry.repository``)
 that answers artifact requests, hosts what peers send back and — where
@@ -17,14 +16,14 @@ that answers artifact requests, hosts what peers send back and — where
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.core import protocol
-from repro.netsim.messages import estimate_payload_size
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.registry_node import RegistryNode
     from repro.netsim.messages import Envelope
+    from repro.semantics.ontology import Ontology
 
 
 class ArtifactRepository:
@@ -38,7 +37,7 @@ class ArtifactRepository:
 
     def rebuild(self) -> None:
         """Build an empty repository, its request counters at zero."""
-        self._artifacts: dict[str, Any] = {}
+        self._artifacts: dict[str, Ontology] = {}
         self.requests_served = 0
         self.requests_missed = 0
 
@@ -51,11 +50,11 @@ class ArtifactRepository:
     def __contains__(self, name: str) -> bool:
         return name in self._artifacts
 
-    def store(self, name: str, artifact: Any) -> None:
+    def store(self, name: str, artifact: Ontology) -> None:
         """Store or replace an artifact under ``name``."""
         self._artifacts[name] = artifact
 
-    def fetch(self, name: str) -> Any | None:
+    def fetch(self, name: str) -> Ontology | None:
         """Return the artifact, or ``None``; updates hit/miss counters."""
         artifact = self._artifacts.get(name)
         if artifact is None:
@@ -70,7 +69,7 @@ class ArtifactRepository:
 
     def total_bytes(self) -> int:
         """Modelled storage footprint of all artifacts."""
-        return sum(estimate_payload_size(a) for a in self._artifacts.values())
+        return sum(a.size_bytes() for a in self._artifacts.values())
 
     # -- the registry's artifact traffic ---------------------------------------
 
@@ -89,7 +88,7 @@ class ArtifactRepository:
         """An artifact arrived from a peer: host it, and offer it to the
         models that cannot evaluate yet (an ontology, in experiment E12)."""
         payload = envelope.payload
-        if not payload.found:
+        if payload.artifact is None:
             return
         self.store(payload.artifact_name, payload.artifact)
         for model in self.registry.models:

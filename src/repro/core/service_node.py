@@ -402,7 +402,7 @@ class ServiceNode(Node):
         other before they return their responses to the querying node."
         """
         payload = envelope.payload
-        model = self.models.get_or_discard(payload.model_id)
+        model = self.models.for_query(payload.model_id, payload.query)
         if model is None or not model.can_evaluate():
             return
         verdict = model.evaluate(self._descriptions[payload.model_id], payload.query)

@@ -57,8 +57,7 @@ class Subscriptions:
         """
         registry = self.registry
         payload = envelope.payload
-        if not registry.models.supports(payload.model_id):
-            registry.models.discarded_payloads += 1
+        if registry.models.for_query(payload.model_id, payload.query) is None:
             return
         expires_at = registry.sim.now + payload.duration
         self._subscriptions[payload.sub_id] = _Subscription(payload, envelope.src, expires_at)
@@ -85,11 +84,10 @@ class Subscriptions:
         A subscription whose expiry passed is dropped, not notified: the
         purge that lapses subscriptions runs only where leases are granted.
         """
-        registry = self.registry
-        models = registry.models
-        if not self._subscriptions or not models.supports(ad.model_id):
+        if not self._subscriptions:
             return
-        model = models.get(ad.model_id)
+        registry = self.registry
+        model = registry.models.get(ad.model_id)  # a stored ad passed its model's gate
         if not model.can_evaluate():
             return
         now = registry.sim.now

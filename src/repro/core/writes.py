@@ -282,7 +282,7 @@ class WriteCoordinator:
         anti-entropy sync); returns True when the advertisement was
         stored (or refreshed). Tombstoned advertisements are never
         resurrected; the store's version guard rejects stale copies on
-        its own.
+        its own; the model gate counts and drops what it refuses.
         """
         registry = self.registry
         ad = payload.advertisement
@@ -290,7 +290,9 @@ class WriteCoordinator:
             registry.antientropy.resurrections_blocked += 1
             registry.recovered("resurrection-blocked", traced=False)
             return False
-        if not (registry.models.supports(ad.model_id) and self._has_room_for(ad.ad_id)):
+        if registry.models.for_description(ad.model_id, ad.description) is None:
+            return False
+        if not self._has_room_for(ad.ad_id):
             registry.models.discarded_payloads += 1
             return False
         self.store_ad(
@@ -312,10 +314,9 @@ class WriteCoordinator:
     def handle_publish(self, envelope: "Envelope") -> None:
         registry = self.registry
         payload = envelope.payload
-        if not registry.models.supports(payload.model_id):
-            # Silently discard descriptions we cannot evaluate; the
-            # publisher will fail over to a capable registry on timeout.
-            registry.models.discarded_payloads += 1
+        if registry.models.for_description(payload.model_id, payload.description) is None:
+            # Silently discard descriptions we cannot evaluate (counted by
+            # the gate); the publisher fails over to a capable registry.
             return
         ad_id = payload.ad_id or new_uuid("ad")
         store = registry.store

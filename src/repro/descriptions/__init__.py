@@ -29,11 +29,19 @@ from repro.descriptions.base import DescriptionModel, ModelMatch, ModelRegistry
 from repro.descriptions.uri import UriDescription, UriModel, UriQuery
 from repro.descriptions.template import TemplateDescription, TemplateModel, TemplateQuery
 from repro.descriptions.semantic import SemanticModel
+from repro.semantics.profiles import ServiceProfile, ServiceRequest
+
+#: Any model's declared description record, and any model's query record:
+#: the types of the protocol's description and query slots.
+Description = ServiceProfile | TemplateDescription | UriDescription
+Query = ServiceRequest | TemplateQuery | UriQuery
 
 __all__ = [
+    "Description",
     "DescriptionModel",
     "ModelMatch",
     "ModelRegistry",
+    "Query",
     "SemanticModel",
     "TemplateDescription",
     "TemplateModel",

@@ -1,9 +1,9 @@
 """Description-model plug-in interface and dispatch registry.
 
 A registry node holds one :class:`ModelRegistry`; incoming payloads are
-dispatched on their ``payload_type`` ("next header"). Nodes receiving a
-payload whose model they do not support "quickly filter and silently
-discard" it — the registry counts those so E10 can report them.
+dispatched on their ``payload_type`` ("next header"). A payload of a model
+the node does not support, or not that model's own record, is "quickly
+filtered and silently discarded" at one gate, which counts it for E10.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import abc
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from repro.errors import UnsupportedModelError
-from repro.semantics.ontology import THING
+from repro.semantics.ontology import THING, Ontology
 from repro.semantics.profiles import ServiceProfile, ServiceRequest
 
 
@@ -40,16 +40,18 @@ NO_MATCH = ModelMatch(matched=False)
 class DescriptionModel(abc.ABC):
     """One way of describing and querying for services.
 
-    Subclasses define the payload types that flow inside envelopes with
-    ``payload_type == model_id``. Descriptions and queries must expose
-    ``size_bytes()`` so the transport can account for their wire cost.
+    Subclasses declare the two records that flow inside envelopes with
+    ``payload_type == model_id`` (both expose ``size_bytes()``); a node's
+    :class:`ModelRegistry` admits no other, so each method gets its own.
     """
 
     #: Unique "next header" value for this model.
     model_id: str = ""
-    #: Wrong-typed descriptions or queries offered to ``evaluate``,
-    #: ``summary_terms`` or ``query_terms`` (anything can arrive in a PUBLISH
-    #: or QUERY under a model's id): they match nothing and index nothing.
+    #: The record a description in this model is, and the one a query is.
+    description_record: type
+    query_record: type
+    #: Other models' records offered under this id: refused by the gate,
+    #: once per message, and then treated as an unsupported model's payload.
     malformed_payloads: int = 0
 
     @abc.abstractmethod
@@ -94,7 +96,7 @@ class DescriptionModel(abc.ABC):
 
     def summary_terms(self, description: Any) -> Iterable[str]:
         """The index terms one stored description adds to its registry's
-        content summary; none by default, and none for a wrong-typed one."""
+        content summary; none by default."""
         return ()
 
     def query_terms(self, query: Any) -> Iterable[str]:
@@ -106,14 +108,7 @@ class DescriptionModel(abc.ABC):
         of every summary, whichever model indexed it."""
         return False
 
-    def _well_typed(self, payload: Any, expected: type) -> bool:
-        """Whether ``payload`` is an ``expected``; a wrong-typed one is counted."""
-        if isinstance(payload, expected):
-            return True
-        self.malformed_payloads += 1
-        return False
-
-    def accept_artifact(self, artifact: Any) -> bool:
+    def accept_artifact(self, artifact: Ontology) -> bool:
         """Offered a repository artifact (§4.6); True when put to use."""
         return False
 
@@ -139,22 +134,36 @@ class ModelRegistry:
         self._models[model.model_id] = model
         return model
 
-    def supports(self, model_id: str | None) -> bool:
-        """Whether payloads of ``model_id`` can be handled here."""
-        return model_id in self._models
-
     def get(self, model_id: str | None) -> DescriptionModel:
         """The model for ``model_id``; raises if unsupported."""
         if model_id is None or model_id not in self._models:
             raise UnsupportedModelError(f"unsupported description model {model_id!r}")
         return self._models[model_id]
 
-    def get_or_discard(self, model_id: str | None) -> DescriptionModel | None:
-        """The model, or ``None`` (counted) when the payload must be discarded."""
+    def for_description(self, model_id: str | None,
+                        description: Any) -> DescriptionModel | None:
+        """The gate a description passes where it enters a node: the model
+        of ``model_id`` when ``description`` is that model's own record.
+        Otherwise ``None``, counted once: in ``discarded_payloads`` for a
+        model this node does not support, in the model's
+        ``malformed_payloads`` for another model's record."""
+        return self._admit(model_id, description, "description_record")
+
+    def for_query(self, model_id: str | None, query: Any) -> DescriptionModel | None:
+        """The same gate for a query (see :meth:`for_description`)."""
+        return self._admit(model_id, query, "query_record")
+
+    def _admit(self, model_id: str | None, record: Any, declared: str, *,
+               counted: bool = True) -> DescriptionModel | None:
         model = self._models.get(model_id or "")
-        if model is None:
-            self.discarded_payloads += 1
-        return model
+        if model is not None and isinstance(record, getattr(model, declared)):
+            return model
+        if counted:
+            if model is None:
+                self.discarded_payloads += 1
+            else:
+                model.malformed_payloads += 1
+        return None
 
     def model_ids(self) -> list[str]:
         """Supported model ids, sorted."""
@@ -177,6 +186,7 @@ class ModelRegistry:
         ))
 
     def query_terms(self, model_id: str | None, query: Any) -> frozenset[str]:
-        """The index terms ``query`` can meet in a content summary."""
-        model = self._models.get(model_id or "")
+        """The index terms ``query`` can meet in a content summary; none
+        for a query the gate refuses (counted where it was evaluated)."""
+        model = self._admit(model_id, query, "query_record", counted=False)
         return frozenset(model.query_terms(query)) if model is not None else frozenset()

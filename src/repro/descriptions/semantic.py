@@ -34,6 +34,8 @@ class SemanticModel(DescriptionModel):
     """Degree-of-match evaluation over OWL-S-like profiles."""
 
     model_id = "semantic"
+    description_record = ServiceProfile
+    query_record = ServiceRequest
 
     def __init__(self, ontology: Ontology | None = None, *,
                  shared: Matchmaker | None = None) -> None:
@@ -73,12 +75,10 @@ class SemanticModel(DescriptionModel):
     def can_evaluate(self) -> bool:
         return self._matchmaker is not None
 
-    def accept_artifact(self, artifact) -> bool:
+    def accept_artifact(self, artifact: Ontology) -> bool:
         """A fetched ontology is attached at once (experiment E12)."""
-        accepted = isinstance(artifact, Ontology)
-        if accepted:
-            self.attach_ontology(artifact)
-        return accepted
+        self.attach_ontology(artifact)
+        return True
 
     def make_index(self):
         """An inverted concept index over this model's advertisements.
@@ -105,12 +105,8 @@ class SemanticModel(DescriptionModel):
         A profile violating any hard QoS constraint evaluates to FAIL
         (``Matchmaker.match`` checks constraints before anything else), so
         rejecting it here skips the semantic scoring without changing the
-        hit list. Non-profile payloads pass through (``evaluate`` counts them).
+        hit list.
         """
-        if not isinstance(query, ServiceRequest) or not query.qos_constraints:
-            return True
-        if not isinstance(description, ServiceProfile):
-            return True
         for constraint in query.qos_constraints:
             if not constraint.satisfied_by(description.qos_value(constraint.attribute)):
                 return False
@@ -118,21 +114,15 @@ class SemanticModel(DescriptionModel):
 
     def prefilter_for(self, query: ServiceRequest):
         """``None`` unless ``query`` carries QoS constraints (see :meth:`prefilter`)."""
-        if not isinstance(query, ServiceRequest) or not query.qos_constraints:
-            return None
-        return self.prefilter
+        return self.prefilter if query.qos_constraints else None
 
     def summary_terms(self, description: ServiceProfile) -> set[str]:
         """Category and outputs *plus all their ancestors*: a summary
         holding ``Radar`` also answers to a request for ``Sensor`` —
         subsumption-aware routing without shipping the advertisements."""
-        if not self._well_typed(description, ServiceProfile):
-            return set()
         return self._with_ancestors({description.category, *description.outputs})
 
     def query_terms(self, query: ServiceRequest) -> set[str]:
-        if not self._well_typed(query, ServiceRequest):
-            return set()
         concepts = set(query.desired_outputs)
         if query.category is not None:
             concepts.add(query.category)
@@ -160,9 +150,6 @@ class SemanticModel(DescriptionModel):
     def evaluate(self, description: ServiceProfile, query: ServiceRequest) -> ModelMatch:
         if self._matchmaker is None:
             self.missing_ontology_failures += 1
-            return NO_MATCH
-        if not isinstance(description, ServiceProfile) or not isinstance(query, ServiceRequest):
-            self.malformed_payloads += 1
             return NO_MATCH
         verdict = self._matchmaker.verdict(description, query)
         if verdict[0] is _FAIL:

@@ -67,6 +67,8 @@ class TemplateModel(DescriptionModel):
     """All-tokens-present keyword matching over template records."""
 
     model_id = "template"
+    description_record = TemplateDescription
+    query_record = TemplateQuery
 
     def describe(self, profile: ServiceProfile, endpoint: str) -> TemplateDescription:
         keywords = (
@@ -95,9 +97,6 @@ class TemplateModel(DescriptionModel):
         return TemplateQuery(tokens=frozenset(tokens), max_results=request.max_results)
 
     def evaluate(self, description: TemplateDescription, query: TemplateQuery) -> ModelMatch:
-        if not (isinstance(description, TemplateDescription) and isinstance(query, TemplateQuery)):
-            self.malformed_payloads += 1
-            return ModelMatch.no_match()
         if not query.tokens:
             return ModelMatch.no_match()
         if query.tokens <= description.keywords:
@@ -108,9 +107,7 @@ class TemplateModel(DescriptionModel):
         return ModelMatch.no_match()
 
     def summary_terms(self, description: TemplateDescription) -> frozenset[str]:
-        if not self._well_typed(description, TemplateDescription):
-            return frozenset()
         return tokenize(description.category)
 
     def query_terms(self, query: TemplateQuery) -> frozenset[str]:
-        return query.tokens if self._well_typed(query, TemplateQuery) else frozenset()
+        return query.tokens

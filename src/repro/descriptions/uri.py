@@ -50,6 +50,8 @@ class UriModel(DescriptionModel):
     """
 
     model_id = "uri"
+    description_record = UriDescription
+    query_record = UriQuery
 
     def describe(self, profile: ServiceProfile, endpoint: str) -> UriDescription:
         return UriDescription(
@@ -67,15 +69,12 @@ class UriModel(DescriptionModel):
         return UriQuery(type_uri=type_uri, max_results=request.max_results)
 
     def evaluate(self, description: UriDescription, query: UriQuery) -> ModelMatch:
-        if not isinstance(description, UriDescription) or not isinstance(query, UriQuery):
-            self.malformed_payloads += 1
-            return ModelMatch.no_match()
         if description.type_uri == query.type_uri:
             return ModelMatch(matched=True, degree=1, score=1.0)
         return ModelMatch.no_match()
 
     def summary_terms(self, description: UriDescription) -> tuple[str, ...]:
-        return (description.type_uri,) if self._well_typed(description, UriDescription) else ()
+        return (description.type_uri,)
 
     def query_terms(self, query: UriQuery) -> tuple[str, ...]:
-        return (query.type_uri,) if self._well_typed(query, UriQuery) else ()
+        return (query.type_uri,)

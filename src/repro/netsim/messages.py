@@ -8,8 +8,9 @@ overhead standing in for the SOAP/WS-Addressing envelope the paper layers
 under its generic discovery protocol, plus the payload's own serialized
 size.
 
-Payload objects may implement ``size_bytes() -> int``; anything else is
-sized by a conservative structural estimate.
+A payload is a record that states its own ``size_bytes() -> int``, or
+text (the raw payloads of tests and probes that drive ``netsim`` without
+the protocol).
 """
 
 from __future__ import annotations
@@ -21,40 +22,19 @@ from typing import Any
 #: Default byte overhead per message: SOAP envelope + WS-Addressing headers.
 DEFAULT_ENVELOPE_OVERHEAD = 512
 
-#: Rough per-scalar serialization cost used by the structural fallback.
+#: XML-element overhead of a text payload, beyond its UTF-8 bytes.
 _SCALAR_COST = 16
 
 
 def estimate_payload_size(payload: Any) -> int:
-    """Estimate the serialized size of an arbitrary payload in bytes.
-
-    Objects exposing ``size_bytes()`` are authoritative. Strings count
-    their UTF-8 length plus XML-element overhead; containers recurse.
-    """
+    """The serialized size of a payload in bytes: 0 for none, a record's
+    own ``size_bytes()``, and text's UTF-8 length plus an element's
+    overhead. Anything else has no wire size and raises."""
     if payload is None:
         return 0
-    size_fn = getattr(payload, "size_bytes", None)
-    if callable(size_fn):
-        return int(size_fn())
     if isinstance(payload, str):
         return len(payload.encode("utf-8")) + _SCALAR_COST
-    if isinstance(payload, bytes):
-        return len(payload)
-    if isinstance(payload, (int, float, bool)):
-        return _SCALAR_COST
-    if isinstance(payload, dict):
-        return sum(
-            estimate_payload_size(k) + estimate_payload_size(v) for k, v in payload.items()
-        )
-    if isinstance(payload, (list, tuple, set, frozenset)):
-        return sum(estimate_payload_size(item) for item in payload)
-    # Dataclass-ish objects: size their public attributes.
-    attrs = getattr(payload, "__dict__", None)
-    if attrs:
-        return sum(
-            estimate_payload_size(v) for k, v in attrs.items() if not k.startswith("_")
-        )
-    return _SCALAR_COST
+    return payload.size_bytes()
 
 
 @dataclass(frozen=True)

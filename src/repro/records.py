@@ -22,10 +22,13 @@ annotation                  accepts                                bytes
 ``tuple[X, ...]``           a tuple of ``X``                       X's + :class:`PerItem`, each
 ``tuple[X, Y]``             a row of exactly that shape            its parts'
 a class with ``size_bytes`` a nested record                        its ``size_bytes()``
-``Any``                     an opaque slot (description, query,    ``estimate_payload_size``
-                            artifact): its description model's
-                            to judge, not the protocol's
+``X | Y | Z`` of such       one of several records (a description  its ``size_bytes()``
+classes                     or a query, whichever model's)
 =========================== ====================================== ====================
+
+A description or query slot (:data:`repro.descriptions.Description`,
+:data:`~repro.descriptions.Query`) checks the *shape*, some model's record;
+the node's model registry checks the *owner*, the named model's own.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from typing import (Annotated, Any, Callable, NamedTuple, Union, get_args, get_o
                     get_type_hints)
 
 from repro.errors import ProtocolError
-from repro.netsim.messages import estimate_payload_size
 
 
 class PerItem(NamedTuple):
@@ -70,9 +72,7 @@ _SCALARS = {
 def _compile(hint: Any, v: str, ns: dict[str, Any], *, per_item: int = 0,
              depth: int = 0) -> tuple[str, str, str]:
     """``(noun, check, size)`` of kind ``hint`` as source over the value
-    expression ``v``; an empty check accepts anything, an empty size is 0."""
-    if hint is Any:
-        return "anything", "", f"_estimate({v})"
+    expression ``v``; an empty size is 0."""
     origin, args = get_origin(hint), get_args(hint)
     if origin is Annotated:
         extras = {type(extra): extra for extra in hint.__metadata__}
@@ -85,25 +85,27 @@ def _compile(hint: Any, v: str, ns: dict[str, Any], *, per_item: int = 0,
         return scalar.noun, scalar.check.format(v=v), scalar.size.format(v=v)
     if origin in (Union, UnionType) and len(args) == 2 and args[1] is type(None):
         noun, check, size = _compile(args[0], v, ns, depth=depth)
-        return (f"None or {noun}", check and f"({v} is None or {check})",
+        return (f"None or {noun}", f"({v} is None or {check})",
                 size and f"(0 if {v} is None else {size})")
     if origin is tuple and args[-1] is Ellipsis:
         item = f"x{depth}"
         noun, check, size = _compile(args[0], item, ns, depth=depth + 1)
         each = " + ".join(filter(None, (size, str(per_item or ""))))
         return (f"a tuple of {noun}",
-                f"{v}.__class__ is tuple" + (check and f" and all({check} for {item} in {v})"),
+                f"{v}.__class__ is tuple and all({check} for {item} in {v})",
                 each and f"sum({each} for {item} in {v})")
     if origin is tuple:
         nouns, checks, sizes = zip(*(_compile(arg, f"{v}[{i}]", ns, depth=depth)
                                      for i, arg in enumerate(args)))
         return (f"a row ({', '.join(nouns)})",
-                " and ".join(filter(None, (
-                    f"{v}.__class__ is tuple and len({v}) == {len(args)}", *checks))),
+                " and ".join((f"{v}.__class__ is tuple and len({v}) == {len(args)}", *checks)),
                 " + ".join(filter(None, sizes)))
-    if isinstance(hint, type) and hasattr(hint, "size_bytes"):
-        ns[f"_{hint.__name__}"] = hint
-        return hint.__name__, f"isinstance({v}, _{hint.__name__})", f"{v}.size_bytes()"
+    members = args if origin in (Union, UnionType) else (hint,)
+    if all(isinstance(m, type) and hasattr(m, "size_bytes") for m in members):
+        names = [m.__name__ for m in members]
+        ns["_" + "_".join(names)] = members if len(members) > 1 else hint
+        noun = names[0] if len(names) == 1 else f"one of {', '.join(names)}"
+        return noun, f"isinstance({v}, _{'_'.join(names)})", f"{v}.size_bytes()"
     raise TypeError(f"no record kind for annotation {hint!r}")
 
 
@@ -115,17 +117,16 @@ def record(*, overhead: int, correlation: str = "") -> Callable[[type], type]:
     """
 
     def declare(cls: type) -> type:
-        ns: dict[str, Any] = {"_estimate": estimate_payload_size, "_Error": ProtocolError,
-                              "_REAL": (int, float), "_INF": math.inf}
+        ns: dict[str, Any] = {"_Error": ProtocolError, "_REAL": (int, float),
+                              "_INF": math.inf}
         hints = get_type_hints(cls, include_extras=True)
         if correlation and hints.get(correlation) is not str:
             raise TypeError(f"{cls.__name__}: correlation {correlation!r} is not a text field")
         checks, sizes = [], [str(overhead)]
         for name, hint in hints.items():
             noun, check, _ = _compile(hint, "v", ns)
-            if check:
-                checks.append(f"    v = self.{name}\n    if not ({check}):\n        raise _Error("
-                              f"'{cls.__name__}.{name} must be {noun}, got ' + repr(v))\n")
+            checks.append(f"    v = self.{name}\n    if not ({check}):\n        raise _Error("
+                          f"'{cls.__name__}.{name} must be {noun}, got ' + repr(v))\n")
             sizes.append(_compile(hint, f"self.{name}", ns)[2])
         exec(  # as dataclasses builds __init__: source once, no interpretation per call
             f"def __post_init__(self):\n{''.join(checks) or '    pass'}\n"

@@ -9,10 +9,11 @@ model for its identification convention.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
-from typing import Any
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
-from repro.netsim.messages import estimate_payload_size
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.descriptions import Description
 
 _uuid_counter = itertools.count(1)
 
@@ -65,7 +66,9 @@ class Advertisement:
     model_id:
         The description model of :attr:`description` ("next header").
     description:
-        Model-specific payload (URI record, template, semantic profile).
+        The model's description record (URI record, template, semantic
+        profile), admitted by the registry's model gate; the class checks
+        nothing itself, because a benchmark builds 100k of them.
     version:
         Incremented on republish; registries keep only the newest.
     home_registry:
@@ -78,16 +81,16 @@ class Advertisement:
     service_name: str
     endpoint: str
     model_id: str
-    description: Any
+    description: Description
     version: int = 1
     published_at: float = 0.0
     home_registry: str = ""
 
-    def bumped(self, description: Any, now: float) -> "Advertisement":
+    def bumped(self, description: Description, now: float) -> "Advertisement":
         """A republished copy with a newer version and description."""
         return replace(self, description=description, version=self.version + 1,
                        published_at=now)
 
     def size_bytes(self) -> int:
         """Wire size: the description payload plus record overhead."""
-        return estimate_payload_size(self.description) + _RECORD_OVERHEAD_BYTES
+        return self.description.size_bytes() + _RECORD_OVERHEAD_BYTES

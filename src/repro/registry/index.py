@@ -64,8 +64,9 @@ The candidate set is concept-exact per field; residual false positives
 (e.g. QoS-violating or input-incompatible profiles) are harmless because
 the matchmaker still scores every candidate, so indexed and linear query
 paths return bit-identical results. Requests carrying no concepts
-(keyword-only templates) and non-profile payloads fall back to the linear
-scan transparently.
+(keyword-only templates) fall back to the linear scan transparently. The
+store holds only this model's own records (the node's model gate admits
+nothing else), so every record the index sees is a profile.
 
 The index is maintained incrementally on ``put``/``remove`` and rebuilt
 lazily when the ontology's version counter moves or the ontology object is
@@ -98,7 +99,7 @@ import abc
 from functools import cache, partial
 from itertools import chain
 from operator import attrgetter
-from typing import Any, Callable, Collection, Iterable, Iterator, TYPE_CHECKING
+from typing import Any, Callable, Iterable, Iterator, TYPE_CHECKING
 
 from repro.semantics.matchmaker import BEST_SCORE, combined_score
 from repro.semantics.ontology import THING
@@ -211,10 +212,6 @@ class SemanticConceptIndex(ConceptIndexer):
         #: The store's slot list (:meth:`reset`): the rebuild source, and
         #: what an expanded bit resolves to.
         self._records: list["Advertisement | None"] = []
-        #: Slots of records whose description is not a ServiceProfile;
-        #: always kept in the candidate set so indexed evaluation sees
-        #: exactly what a linear scan would.
-        self._unindexable: set[int] = set()
         #: Posting tables (see module doc), all mapping concept -> slot
         #: bitset, little-endian; each grows with the highest slot set in it.
         self._tables: tuple[dict[str, bytearray], ...] = tuple({} for _ in range(4))
@@ -251,21 +248,13 @@ class SemanticConceptIndex(ConceptIndexer):
 
     def reset(self, records: list["Advertisement | None"]) -> None:
         self._records = records
-        self._unindexable.clear()
         self._clear_tables()
         self._profiles_mask = None
         self._indexed_ontology = None
         self._indexed_version = None
 
-    def _mark(self, slot: int, description: Any, *, present: bool) -> None:
-        """Enter or drop the record at ``slot``: its posting bits, or its
-        unindexable mark."""
-        if not isinstance(description, ServiceProfile):
-            if present:
-                self._unindexable.add(slot)
-            else:
-                self._unindexable.discard(slot)
-            return
+    def _mark(self, slot: int, description: ServiceProfile, *, present: bool) -> None:
+        """Enter or drop the record at ``slot``: its posting bits."""
         self._set_keys(slot, description, present=present)
         mask = self._profiles_mask
         if mask is not None:
@@ -294,7 +283,6 @@ class SemanticConceptIndex(ConceptIndexer):
             return None
         found = self._expand(masks[0] | masks[1] | masks[2])
         self.expanded += len(found)
-        found += map(self._records.__getitem__, self._unindexable)
         return {ad.ad_id for ad in found}
 
     def candidate_buckets(
@@ -316,8 +304,7 @@ class SemanticConceptIndex(ConceptIndexer):
         group of the best score, whose body splits the degree when it is
         first iterated — so a consumer whose hits already beat the degree
         pays for no split — then one group per weaker score bound.
-        Unindexable records ride in the strongest group, so they are always
-        scored. A group's records are expanded and sorted when the consumer
+        A group's records are expanded and sorted when the consumer
         first asks for one, and each counts in ``expanded`` once taken.
         Each group is single-pass; consume it, and the iterator, before the
         next store mutation.
@@ -332,42 +319,37 @@ class SemanticConceptIndex(ConceptIndexer):
     ) -> Iterator[tuple[tuple[int, float], Iterator["Advertisement"]]]:
         limit = query.max_results
         for degree, bits in zip((3, 2, 1), masks):
-            riders = self._unindexable if degree == 3 else ()
-            count = bits.bit_count() + len(riders)
+            count = bits.bit_count()
             if not count:
                 continue
             if limit is not None and count <= SPLIT_ABOVE * limit:
-                yield (degree, BEST_SCORE), self._hand_out(bits, riders)
+                yield (degree, BEST_SCORE), self._hand_out(bits)
                 continue
             split = cache(partial(self._score_groups, bits, query))
-            yield (degree, BEST_SCORE), self._split_group(split, 0, riders)
+            yield (degree, BEST_SCORE), self._split_group(split, 0)
             for at in range(1, len(split())):
-                yield (degree, split()[at][0]), self._split_group(split, at, ())
+                yield (degree, split()[at][0]), self._split_group(split, at)
 
     def _split_group(
-        self, split: Callable[[], list[tuple[float, int]]], at: int, riders: Collection[int]
+        self, split: Callable[[], list[tuple[float, int]]], at: int
     ) -> Iterator["Advertisement"]:
         """The records of one score group of a split degree (split on first use)."""
-        yield from self._hand_out(split()[at][1], riders)
+        yield from self._hand_out(split()[at][1])
 
-    def _hand_out(self, bits: int, riders: Collection[int]) -> Iterator["Advertisement"]:
-        """One group's records, ``bits``'s and those at the ``riders``'
-        slots, in ascending ``ad_id`` order, expanded and sorted at the
-        first ``next()``.
+    def _hand_out(self, bits: int) -> Iterator["Advertisement"]:
+        """One group's records, ``bits``'s, in ascending ``ad_id`` order,
+        expanded and sorted at the first ``next()``.
 
         A record counts in ``expanded`` when the consumer comes back for
         the next one (or the group ends): the one a consumer looks at and
         stops on is not counted, so on the ranked path ``expanded`` moves
-        exactly with the evaluator's scored count. Riders — unindexable
-        records, not expanded from a bitset — never count.
+        exactly with the evaluator's scored count.
         """
         ads = self._expand(bits)
-        ads += map(self._records.__getitem__, riders)
         ads.sort(key=_AD_ID)
         for ad in ads:
             yield ad
-            if not riders or isinstance(ad.description, ServiceProfile):
-                self.expanded += 1
+            self.expanded += 1
 
     def _score_groups(self, bits: int, query: ServiceRequest) -> list[tuple[float, int]]:
         """Split one degree's candidates by score bound: ``(bound, bitset)``
@@ -433,9 +415,9 @@ class SemanticConceptIndex(ConceptIndexer):
             fields.insert(0, (_CATEGORY_CLOSURE, _CATEGORY_EXACT, query.category))
         return fields
 
-    def _query_masks(self, query: Any) -> tuple[int, int, int] | None:
+    def _query_masks(self, query: ServiceRequest) -> tuple[int, int, int] | None:
         """Disjoint candidate bitsets by degree upper bound (3, 2, 1)."""
-        if self._model.ontology is None or not isinstance(query, ServiceRequest):
+        if self._model.ontology is None:
             self.fallbacks += 1
             return None
         if query.category is None and not query.desired_outputs:
@@ -516,11 +498,10 @@ class SemanticConceptIndex(ConceptIndexer):
         return self._profiles_mask
 
     def _indexed(self) -> Iterator[tuple[int, ServiceProfile]]:
-        """``(slot, profile)`` of every indexable record of this model in
-        the store, ascending by slot: what the postings must say."""
+        """``(slot, profile)`` of every record of this model in the store,
+        ascending by slot: what the postings must say."""
         for slot, ad in enumerate(self._records):
-            if (ad is not None and ad.model_id == self.model_id
-                    and isinstance(ad.description, ServiceProfile)):
+            if ad is not None and ad.model_id == self.model_id:
                 yield slot, ad.description
 
     def _bits_of(self, slots: Iterable[int]) -> int:
@@ -589,19 +570,14 @@ class SemanticConceptIndex(ConceptIndexer):
     def audit(self) -> list[str]:
         """Bookkeeping violations, empty when sound (``core.invariants``).
 
-        The unindexable slots, the profile mask and the cached ints must
-        mirror what they cache; in sync, every posting must equal the one
+        The profile mask and the cached ints must mirror what they cache;
+        in sync, every posting must equal the one
         rebuilt from the store's records. Out of sync, postings are stale
         until the next query.
         """
         violations: list[str] = []
         records, in_sync = self._records, self._in_sync()
         indexed = dict(self._indexed())
-        if self._unindexable != {
-            slot for slot, ad in enumerate(records)
-            if ad is not None and ad.model_id == self.model_id and slot not in indexed
-        }:
-            violations.append("unindexable slots differ from the store's records")
         if self._profiles_mask not in (None, self._bits_of(indexed)):
             violations.append("profile mask differs from the indexed profiles")
         postings = {

@@ -65,13 +65,13 @@ def _ordered(x: float) -> int:
 
 def _number_of(lease_id: str) -> int:
     """``n`` for an id :func:`~repro.registry.advertisements.new_uuid`
-    renders as ``lease-{n:06d}``; -1 for any other id."""
+    renders as ``lease-{n:06d}``; :class:`LeaseError` for any other id."""
     digits = lease_id[6:]
     if lease_id.startswith("lease-") and digits.isdecimal() and len(digits) < 19:
         number = int(digits)
         if f"lease-{number:06d}" == lease_id:
             return number
-    return -1
+    raise LeaseError(f"{lease_id!r} is not a lease id this registry minted")
 
 
 class Lease(NamedTuple):
@@ -149,8 +149,7 @@ class LeaseManager:
 
     def _id_at(self, slot: int) -> str:
         """The id of the lease ``slot`` holds."""
-        number = self._store._lease_numbers[slot]
-        return f"lease-{number:06d}" if number >= 0 else self._store._lease_ids[slot]
+        return f"lease-{self._store._lease_numbers[slot]:06d}"
 
     def _lease_at(self, slot: int, ad_id: str) -> Lease:
         """The lease ``slot`` holds, as a value."""
@@ -171,10 +170,7 @@ class LeaseManager:
 
     def _drop(self, slot: int) -> None:
         """Empty ``slot``'s lease; its heap key goes stale."""
-        store = self._store
-        store._lease_grants[slot] = 0
-        if store._lease_numbers[slot] < 0:
-            del store._lease_ids[slot]
+        self._store._lease_grants[slot] = 0
 
     def grant(self, ad_id: str, duration: float | None = None) -> Lease:
         """Grant a lease for a stored advertisement.
@@ -223,16 +219,14 @@ class LeaseManager:
         :meth:`grant`: the service node holds the original ``lease_id``
         and keeps renewing it across the registry outage, so restoring
         the exact id (rather than minting a new one) is what lets those
-        renewals succeed — no RENEW_NACK, no forced republish. Any id is
-        kept as given; one of the ``lease-000123`` form is held as its
-        number.
+        renewals succeed — no RENEW_NACK, no forced republish. The id must
+        be one a registry mints, ``lease-000123``, held as its number;
+        any other raises :class:`LeaseError`.
         """
+        number = _number_of(lease_id)
         slot = self._check(ad_id, duration)
         lease = Lease(lease_id, ad_id, duration, expires_at)
-        number = _number_of(lease_id)
         self._track(slot, number, lease)
-        if number < 0:
-            self._store._lease_ids[slot] = lease_id
         self._notify("restore", lease)
         return lease
 

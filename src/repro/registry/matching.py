@@ -113,12 +113,13 @@ class QueryEvaluator:
     ) -> list[QueryHit]:
         """All matching advertisements for ``query``, best first.
 
-        Queries in unsupported models are silently discarded (counted) —
+        Queries the model gate refuses — an unsupported model, or another
+        model's record — are silently discarded (counted once, there) —
         "nodes quickly filter and silently discard messages they cannot
         understand anyway". ``max_results`` of ``None`` returns every
         match (the no-response-control configuration).
         """
-        model = self.models.get_or_discard(model_id)
+        model = self.models.for_query(model_id, query)
         if model is None or not model.can_evaluate():
             self.queries_discarded += 1
             return []

@@ -39,13 +39,11 @@ class AdvertisementStore:
         self._ads: list[Advertisement | None] = []
         #: Per slot, its lease: the grant number (0 where the slot holds
         #: none), expiry, length, and the number ``n`` of its id
-        #: ``lease-{n:06d}``; -1 there means the id is kept as given in
-        #: ``_lease_ids``.
+        #: ``lease-{n:06d}``.
         self._lease_grants = array("q")
         self._lease_expiries = array("d")
         self._lease_durations = array("d")
         self._lease_numbers = array("q")
-        self._lease_ids: dict[int, str] = {}
         self._free: list[int] = []
         #: model id -> its ad ids, in insertion order (a dict used as an
         #: ordered set: smaller than a ``set`` at registry sizes).
@@ -130,7 +128,6 @@ class AdvertisementStore:
         del self._slot_of[ad_id]
         self._ads[slot] = None
         self._lease_grants[slot] = 0
-        self._lease_ids.pop(slot, None)
         self._free.append(slot)
         return ad
 
@@ -214,7 +211,6 @@ class AdvertisementStore:
         for column in (self._lease_grants, self._lease_expiries,
                        self._lease_durations, self._lease_numbers):
             del column[:]
-        self._lease_ids.clear()
         self._free.clear()
         self._by_model.clear()
         for indexer in self._indexes.values():

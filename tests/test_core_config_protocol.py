@@ -7,10 +7,13 @@ import pytest
 from repro.core import protocol
 from repro.core.config import DiscoveryConfig
 from repro.core.sharding import ShardingConfig
+from repro.descriptions.uri import UriDescription, UriQuery
 from repro.errors import ReproError
 from repro.registry.advertisements import Advertisement
 from repro.registry.matching import QueryHit
 from repro.registry.rim import RegistryDescription
+from repro.semantics.generator import battlefield_ontology
+from repro.semantics.profiles import ServiceProfile
 
 
 def test_defaults_are_valid():
@@ -67,13 +70,13 @@ def test_config_is_frozen():
 def _ad():
     return Advertisement(
         ad_id="ad-1", service_node="n", service_name="s", endpoint="e",
-        model_id="uri", description="desc",
+        model_id="uri", description=UriDescription("desc", "e"),
     )
 
 
 def test_query_payload_with_ttl_copy():
     payload = protocol.QueryPayload(query_id="q1", model_id="uri",
-                                    query="x", max_results=3, ttl=4)
+                                    query=UriQuery("x"), max_results=3, ttl=4)
     lowered = payload.with_ttl(2)
     assert lowered.ttl == 2
     assert payload.ttl == 4
@@ -92,11 +95,11 @@ def test_response_payload_size_scales_with_hits():
 def test_publish_payload_size_includes_description():
     small = protocol.PublishPayload(
         service_node="n", service_name="s", endpoint="e",
-        model_id="uri", description="tiny",
+        model_id="uri", description=UriDescription("tiny", "e"),
     )
     large = protocol.PublishPayload(
         service_node="n", service_name="s", endpoint="e",
-        model_id="semantic", description="x" * 4000,
+        model_id="semantic", description=ServiceProfile.build("s", "x", text="x" * 4000),
     )
     assert large.size_bytes() > small.size_bytes()
 
@@ -108,9 +111,9 @@ def test_ad_forward_dedup_key():
 
 
 def test_walk_payload_size_counts_visited():
-    short = protocol.WalkPayload(query_id="q", model_id="uri", query="x",
+    short = protocol.WalkPayload(query_id="q", model_id="uri", query=UriQuery("x"),
                                  coordinator="r0", remaining=3)
-    long = protocol.WalkPayload(query_id="q", model_id="uri", query="x",
+    long = protocol.WalkPayload(query_id="q", model_id="uri", query=UriQuery("x"),
                                 coordinator="r0", remaining=3,
                                 visited=("r1", "r2", "r3"))
     assert long.size_bytes() > short.size_bytes()
@@ -128,6 +131,6 @@ def test_registry_list_payload_size():
 def test_artifact_payloads():
     request = protocol.ArtifactRequestPayload(artifact_name="battlefield")
     assert request.size_bytes() > 0
-    found = protocol.ArtifactReplyPayload(artifact_name="x", artifact="y" * 100)
+    found = protocol.ArtifactReplyPayload(artifact_name="x", artifact=battlefield_ontology())
     missing = protocol.ArtifactReplyPayload(artifact_name="x", found=False)
     assert found.size_bytes() > missing.size_bytes()

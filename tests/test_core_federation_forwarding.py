@@ -13,6 +13,7 @@ from repro.core.config import (
 from repro.core.forwarding import PendingAggregation, SeenQueries
 from repro.core.registry_node import RegistryNode
 from repro.core.system import DiscoverySystem, make_models
+from repro.descriptions.uri import UriDescription
 from repro.netsim.network import Network
 from repro.netsim.node import Node
 from repro.netsim.simulator import Simulator
@@ -24,7 +25,7 @@ from repro.semantics.profiles import ServiceProfile, ServiceRequest
 
 def _hit(ad_id, degree=1, score=0.5):
     ad = Advertisement(ad_id=ad_id, service_node="n", service_name=ad_id,
-                       endpoint="e", model_id="uri", description="d")
+                       endpoint="e", model_id="uri", description=UriDescription("d", "e"))
     return QueryHit(advertisement=ad, degree=degree, score=score)
 
 

@@ -202,19 +202,55 @@ def test_query_returns_ranked_hits(setup):
     assert [h.advertisement.service_name for h in hits] == ["radar-1"]
 
 
+MODELS = ("semantic", "template", "uri")
+
+
+def _good_payloads(registry, model_id):
+    """A matching (description, query) pair rendered by the registry's own model."""
+    model = registry.models.get(model_id)
+    profile = ServiceProfile.build("radar-1", "ncw:RadarService", outputs=["ncw:AirTrack"])
+    request = ServiceRequest.build("ncw:RadarService", outputs=["ncw:AirTrack"])
+    return model.describe(profile, "svc://radar-1"), model.query_from(request)
+
+
+def _foreign(registry, model_id):
+    """The same pair rendered by another model: well-formed on the wire,
+    but not the record ``model_id`` declares."""
+    return _good_payloads(registry, MODELS[(MODELS.index(model_id) + 1) % len(MODELS)])
+
+
+def _holdings(registry):
+    """What a refused record must leave alone: the stored records, and the
+    postings of every model's index."""
+    store = registry.store
+    indexes = [store.index_for(m) for m in registry.models.model_ids()]
+    return store.all(), [
+        sorted((table_id, key, bytes(posting)) for table_id, table in enumerate(index._tables)
+               for key, posting in table.items())
+        for index in indexes if index is not None
+    ]
+
+
+def _query(probe, registry, query_id, model_id, query):
+    probe.send(registry.node_id, protocol.QUERY,
+               protocol.QueryPayload(query_id=query_id, model_id=model_id,
+                                     query=query, max_results=3))
+
+
 def test_malformed_semantic_publish_does_not_kill_later_queries(setup):
-    """Anything can arrive as a ``semantic`` description; a payload that is
-    not a profile is stored, matches nothing, and the next QUERY is still
-    answered (it used to raise out of the query handler)."""
+    """A ``semantic`` PUBLISH carrying another model's record is refused at
+    the model gate: counted once, never stored, and the next QUERY is
+    answered (a junk description used to raise out of the query handler)."""
     system, registry, probe = setup
     good = ServiceProfile.build("radar-1", "ncw:RadarService",
                                 outputs=["ncw:AirTrack"])
     _publish(probe, registry, name="radar-1", model_id="semantic",
              description=good)
     _publish(probe, registry, name="junk", model_id="semantic",
-             description="not a profile")
+             description=_uri_description(name="junk"))
     system.run_for(0.5)
-    assert len(registry.store) == 2
+    assert len(registry.store) == 1
+    assert len(probe.of_type(protocol.PUBLISH_ACK)) == 1
     probe.send(
         registry.node_id,
         protocol.QUERY,
@@ -228,43 +264,33 @@ def test_malformed_semantic_publish_does_not_kill_later_queries(setup):
     hits = responses[0].payload.hits
     assert [h.advertisement.service_name for h in hits] == ["radar-1"]
     assert registry.models.get("semantic").malformed_payloads == 1
-
-
-def _good_payloads(registry, model_id):
-    """A matching (description, query) pair rendered by the registry's own model."""
-    model = registry.models.get(model_id)
-    profile = ServiceProfile.build("radar-1", "ncw:RadarService", outputs=["ncw:AirTrack"])
-    request = ServiceRequest.build("ncw:RadarService", outputs=["ncw:AirTrack"])
-    return model.describe(profile, "svc://radar-1"), model.query_from(request)
-
-
-def _query(probe, registry, query_id, model_id, query):
-    probe.send(registry.node_id, protocol.QUERY,
-               protocol.QueryPayload(query_id=query_id, model_id=model_id,
-                                     query=query, max_results=3))
+    assert registry.models.discarded_payloads == 0
 
 
 @pytest.mark.parametrize("junk", ("description", "query",
                                   "description-informed", "query-informed"))
-@pytest.mark.parametrize("model_id", ("semantic", "template", "uri"))
+@pytest.mark.parametrize("model_id", MODELS)
 def test_malformed_payload_is_not_a_query_of_death(model_id, junk):
-    """For every model: a stored description or a query of the wrong type
-    matches nothing and is counted; it never raises out of the query
-    handler, and the next QUERY is answered from the good record. Under
-    the ``informed`` strategy the payload is also read for index terms —
-    the junk description by every beacon, the junk query by the plan."""
+    """For every model: a PUBLISH or QUERY carrying another model's record
+    is refused at the gate, counted once, and changes neither the store nor
+    the index; the next QUERY is answered from the good record. Under the
+    ``informed`` strategy the query is also read for index terms by the plan
+    (not counted again), and every beacon rebuilds the summary."""
     junk, _, informed = junk.partition("-")
     system, registry, probe = _setup(
         strategy="informed", beacon_interval=1.0) if informed else _setup()
     description, query = _good_payloads(registry, model_id)
+    foreign_description, foreign_query = _foreign(registry, model_id)
     _publish(probe, registry, name="radar-1", model_id=model_id, description=description)
+    system.run_for(0.5)
+    held = _holdings(registry)
     if junk == "description":
         _publish(probe, registry, name="junk", model_id=model_id,
-                 description="not a description")
+                 description=foreign_description)
     else:
-        _query(probe, registry, "q-junk", model_id, "not a query")
-    system.run_for(3.5 if informed else 0.5)  # informed: three beacons
-    assert len(registry.store) == (2 if junk == "description" else 1)
+        _query(probe, registry, "q-junk", model_id, foreign_query)
+    system.run_for(3.0 if informed else 0.5)  # informed: three beacons
+    assert _holdings(registry) == held
     _query(probe, registry, "q-good", model_id, query)
     system.run_for(0.5)
     by_id = {e.payload.query_id: e.payload.hits
@@ -272,23 +298,118 @@ def test_malformed_payload_is_not_a_query_of_death(model_id, junk):
     assert [h.advertisement.service_name for h in by_id["q-good"]] == ["radar-1"]
     if junk == "query":
         assert by_id["q-junk"] == ()
-    malformed = registry.models.get(model_id).malformed_payloads
     if informed:
         assert len(probe.of_type(protocol.REGISTRY_BEACON)) >= 3
-        assert malformed >= 1  # a summary is rebuilt per beacon
-    else:
-        assert malformed == 1
+    assert registry.models.get(model_id).malformed_payloads == 1
 
 
-@pytest.mark.parametrize("model_id", ("semantic", "template", "uri"))
+@pytest.mark.parametrize("model_id", MODELS)
+def test_a_malformed_query_is_counted_where_it_is_parsed(model_id):
+    """The count does not depend on the store: a QUERY carrying another
+    model's record is counted once against an empty store, where no
+    candidate is ever scored."""
+    system, registry, probe = _setup()
+    assert len(registry.store) == 0
+    _query(probe, registry, "q-junk", model_id, _foreign(registry, model_id)[1])
+    system.run_for(0.5)
+    assert [e.payload.hits for e in probe.of_type(protocol.QUERY_RESPONSE)] == [()]
+    assert registry.models.get(model_id).malformed_payloads == 1
+
+
+def _query_message(msg_type, query_id, model_id, query):
+    if msg_type == protocol.WALK:
+        return protocol.WalkPayload(query_id=query_id, model_id=model_id, query=query,
+                                    coordinator="probe", remaining=1, max_results=3)
+    return protocol.QueryPayload(query_id=query_id, model_id=model_id, query=query,
+                                 max_results=3)
+
+
+@pytest.mark.parametrize("msg_type", (protocol.QUERY, protocol.QUERY_FORWARD,
+                                      protocol.WALK))
+@pytest.mark.parametrize("model_id", MODELS)
+def test_each_query_entry_refuses_another_models_query(model_id, msg_type):
+    """A client query, a peer's forward and a random walk all reach local
+    evaluation through the gate: another model's query is counted once, not
+    once per stored candidate, and leaves the store and index alone; the
+    next good one is answered."""
+    system, registry, probe = _setup()
+    description, query = _good_payloads(registry, model_id)
+    for name in ("radar-1", "radar-2"):
+        _publish(probe, registry, name=name, model_id=model_id, description=description)
+    system.run_for(0.5)
+    held = _holdings(registry)
+    probe.send(registry.node_id, msg_type,
+               _query_message(msg_type, "q-junk", model_id, _foreign(registry, model_id)[1]))
+    system.run_for(0.5)
+    assert registry.models.get(model_id).malformed_payloads == 1
+    assert _holdings(registry) == held
+    probe.send(registry.node_id, msg_type, _query_message(msg_type, "q-good", model_id, query))
+    system.run_for(0.5)
+    answers = protocol.WALK_HITS if msg_type == protocol.WALK else protocol.QUERY_RESPONSE
+    hits = {e.payload.query_id: e.payload.hits for e in probe.of_type(answers)}
+    assert sorted(h.advertisement.service_name for h in hits["q-good"]) \
+        == ["radar-1", "radar-2"]
+    assert hits.get("q-junk", ()) == ()
+    assert registry.models.get(model_id).malformed_payloads == 1
+
+
+def _replica(ad_id, model_id, description):
+    from repro.registry.advertisements import Advertisement
+
+    return protocol.AdForwardPayload(
+        advertisement=Advertisement(ad_id=ad_id, service_node="svc", service_name=ad_id,
+                                    endpoint=f"svc://{ad_id}", model_id=model_id,
+                                    description=description),
+        lease_duration=30.0)
+
+
+#: Every peer path into ``WriteCoordinator.absorb_replica``: its message,
+#: whether the registry shards, and how the path wraps one replica.
+PEER_PATHS = {
+    protocol.AD_FORWARD: (False, lambda entry: entry),
+    protocol.ANTIENTROPY_ADS: (False, lambda entry: protocol.SyncAdsPayload(ads=(entry,))),
+    protocol.SHARD_STORE: (True, lambda entry: protocol.ShardStorePayload(
+        request_id="", entry=entry)),
+    protocol.SHARD_TRANSFER: (True, lambda entry: protocol.SyncAdsPayload(ads=(entry,))),
+}
+
+
+@pytest.mark.parametrize("msg_type", sorted(PEER_PATHS))
+@pytest.mark.parametrize("model_id", MODELS)
+def test_each_peer_path_refuses_another_models_replica(model_id, msg_type):
+    from repro.core.sharding import ShardingConfig
+
+    sharded, wrap = PEER_PATHS[msg_type]
+    system, registry, probe = _setup(
+        cooperation=COOPERATION_REPLICATE_ADS,
+        sharding=ShardingConfig(enabled=sharded))
+    description, _ = _good_payloads(registry, model_id)
+    held = _holdings(registry)
+    probe.send(registry.node_id, msg_type,
+               wrap(_replica("ad-junk", model_id, _foreign(registry, model_id)[0])))
+    system.run_for(0.5)
+    assert registry.models.get(model_id).malformed_payloads == 1
+    assert registry.models.discarded_payloads == 0
+    assert _holdings(registry) == held
+    probe.send(registry.node_id, msg_type, wrap(_replica("ad-good", model_id, description)))
+    system.run_for(0.5)
+    assert [ad.ad_id for ad in registry.store.all()] == ["ad-good"]
+    assert registry.models.get(model_id).malformed_payloads == 1
+
+
+@pytest.mark.parametrize("model_id", MODELS)
 def test_malformed_subscription_does_not_kill_the_next_publish(setup, model_id):
     system, registry, probe = setup
     description, query = _good_payloads(registry, model_id)
-    for sub_id, sub_query in (("sub-junk", "not a query"), ("sub-good", query)):
+    held = _holdings(registry)
+    for sub_id, sub_query in (("sub-junk", _foreign(registry, model_id)[1]),
+                              ("sub-good", query)):
         probe.send(registry.node_id, protocol.SUBSCRIBE,
                    protocol.SubscribePayload(sub_id=sub_id, model_id=model_id,
                                              query=sub_query, duration=30.0))
     system.run_for(0.5)
+    assert _holdings(registry) == held
+    assert [e.payload.sub_id for e in probe.of_type(protocol.SUBSCRIBE_ACK)] == ["sub-good"]
     _publish(probe, registry, name="radar-1", model_id=model_id, description=description)
     system.run_for(0.5)
     assert probe.of_type(protocol.PUBLISH_ACK)
@@ -296,7 +417,7 @@ def test_malformed_subscription_does_not_kill_the_next_publish(setup, model_id):
     assert registry.models.get(model_id).malformed_payloads == 1
 
 
-@pytest.mark.parametrize("model_id", ("semantic", "template", "uri"))
+@pytest.mark.parametrize("model_id", MODELS)
 def test_malformed_decentral_query_is_ignored_by_services(setup, model_id):
     """Registry-less fallback: every service evaluates a multicast query itself."""
     system, registry, probe = setup
@@ -304,7 +425,7 @@ def test_malformed_decentral_query_is_ignored_by_services(setup, model_id):
     service = system.add_service("lan-0", profile)
     system.run_for(0.5)
     _, query = _good_payloads(registry, model_id)
-    for query_id, decentral in (("d-junk", "not a query"), ("d-good", query)):
+    for query_id, decentral in (("d-junk", _foreign(registry, model_id)[1]), ("d-good", query)):
         probe.multicast(protocol.DECENTRAL_QUERY,
                         protocol.QueryPayload(query_id=query_id, model_id=model_id,
                                               query=decentral))

@@ -25,7 +25,6 @@ def profile():
 
 def test_model_registry_register_and_get():
     registry = ModelRegistry([UriModel(), TemplateModel()])
-    assert registry.supports("uri")
     assert registry.model_ids() == ["template", "uri"]
     assert isinstance(registry.get("uri"), UriModel)
 
@@ -36,13 +35,25 @@ def test_model_registry_unknown_raises():
         registry.get("semantic")
 
 
-def test_model_registry_discard_counts():
+def test_model_registry_discard_counts(profile):
+    """The gate: an unsupported model's payload is counted in
+    ``discarded_payloads``, another model's record under a supported id in
+    that model's ``malformed_payloads``; the model's own record passes."""
     registry = ModelRegistry([UriModel()])
-    assert registry.get_or_discard("nope") is None
-    assert registry.get_or_discard(None) is None
+    uri = registry.get("uri")
+    description = uri.describe(profile, "svc://x")
+    query = uri.query_from(ServiceRequest.build("ncw:GroundSurveillanceRadarService"))
+    assert registry.for_query("nope", query) is None
+    assert registry.for_description(None, description) is None
     assert registry.discarded_payloads == 2
-    assert registry.get_or_discard("uri") is not None
-    assert registry.discarded_payloads == 2
+    assert registry.for_description("uri", description) is uri
+    assert registry.for_query("uri", query) is uri
+    assert registry.for_description("uri", query) is None
+    assert registry.for_query("uri", description) is None
+    assert registry.for_query("uri", ServiceRequest.build("ncw:Radar")) is None
+    assert (registry.discarded_payloads, uri.malformed_payloads) == (2, 3)
+    assert registry.query_terms("uri", profile) == frozenset()  # refused, not counted
+    assert uri.malformed_payloads == 3
 
 
 def test_model_registry_rejects_empty_id():

@@ -19,6 +19,7 @@ import ast
 import importlib
 import importlib.util
 from pathlib import Path
+from typing import get_args
 
 import pytest
 
@@ -30,6 +31,7 @@ from repro.core.durability import DurabilityConfig, DurabilityManager, INCARNATI
 from repro.core.routing import ROUTING_LEAST_LOADED, ROUTING_STATIC, RoutingConfig
 from repro.core.sharding import ShardingConfig
 from repro.core.system import DiscoverySystem
+from repro.descriptions import Description, Query
 from repro.descriptions.uri import UriDescription, UriQuery
 from repro.experiments.e17_overload import shedding_policy
 from repro.netsim.node import Node
@@ -432,6 +434,33 @@ def test_no_handler_asks_what_it_was_handed():
                        for node in ast.walk(call.args[1])}
             if against & records:
                 found.append(f"core/{path.name}:{call.lineno}")
+    assert found == []
+
+
+def test_no_model_asks_what_it_was_handed():
+    """A description, query or ontology enters a node through one gate,
+    ``ModelRegistry._admit`` (the slot's model must declare it), so under
+    ``descriptions/`` and ``registry/`` nothing else tests a value against a
+    model's record, or against what a model declares."""
+    records = {cls.__name__ for hint in (Description, Query) for cls in get_args(hint)}
+    records |= {"Ontology", "description_record", "query_record"}
+    found = []
+    for package in ("descriptions", "registry"):
+        for path in sorted((SRC / package).glob("*.py")):
+            tree = ast.parse(path.read_text())
+            for function in ast.walk(tree):
+                if not isinstance(function, ast.FunctionDef):
+                    continue
+                for call in (node for node in ast.walk(function) if isinstance(node, ast.Call)):
+                    # isinstance(v, Record), and any helper handed a record
+                    # class to test against (the late ``_well_typed(v, Record)``)
+                    tested = call.args[1:] if getattr(call.func, "id", "") == "isinstance" \
+                        else call.args
+                    against = {getattr(node, "attr", getattr(node, "id", None))
+                               for arg in tested for node in ast.walk(arg)}
+                    where = f"{package}/{path.name}:{function.name}"
+                    if against & records and where != "descriptions/base.py:_admit":
+                        found.append(f"{where}:{call.lineno}")
     assert found == []
 
 

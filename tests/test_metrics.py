@@ -6,6 +6,7 @@ import networkx as nx
 import pytest
 
 from repro.core.client_node import DiscoveryCall
+from repro.descriptions.uri import UriDescription
 from repro.metrics.bandwidth import TrafficWindow
 from repro.metrics.retrieval import RetrievalScores, score_call, score_queries
 from repro.metrics.staleness import registry_staleness, response_staleness
@@ -34,7 +35,7 @@ def _call(names, query_id="q1"):
     call.hits = [
         QueryHit(
             Advertisement(ad_id=f"ad-{n}", service_node=n, service_name=n,
-                          endpoint="e", model_id="uri", description="d"),
+                          endpoint="e", model_id="uri", description=UriDescription("d", "e")),
             1, 0.5,
         )
         for n in names

@@ -96,11 +96,13 @@ def test_cancelling_an_entry_drops_its_callback_at_once():
 
 
 def _census() -> Counter:
-    """Live instances of this package's classes, by class name."""
+    """Live instances of this package's classes, by class name. A type's
+    ``__module__`` is not always text (Cython's metatypes, which numpy.random
+    brings in once hypothesis has run, hold a descriptor there)."""
     gc.collect()
     return Counter(
         type(obj).__qualname__ for obj in gc.get_objects()
-        if type(obj).__module__.startswith("repro.")
+        if str(type(obj).__module__).startswith("repro.")
     )
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
+from repro.descriptions.uri import UriDescription
 from repro.netsim.simulator import Simulator
 from repro.registry.advertisements import Advertisement
 from repro.registry.leases import LeaseManager
@@ -141,7 +142,7 @@ def test_match_results_are_deterministic(seed):
 
 def _lease_ad(ad_id):
     return Advertisement(ad_id=ad_id, service_node="n", service_name="s",
-                         endpoint="e", model_id="uri", description="uri:s")
+                         endpoint="e", model_id="uri", description=UriDescription("uri:s", "e"))
 
 
 @settings(max_examples=30, deadline=None)
@@ -195,7 +196,7 @@ def _hits(names_and_ranks):
     return [
         QueryHit(
             Advertisement(ad_id=name, service_node=name, service_name=name,
-                          endpoint="e", model_id="uri", description="d"),
+                          endpoint="e", model_id="uri", description=UriDescription("d", "e")),
             degree, score,
         )
         for name, degree, score in names_and_ranks

@@ -25,7 +25,9 @@ from repro.core.admission import MESSAGE_CLASS, AdmissionPolicy, request_id_of
 from repro.core.config import COOPERATION_REPLICATE_ADS, DiscoveryConfig
 from repro.core.durability import FENCED_MSG_TYPES
 from repro.core.sharding import ShardingConfig
-from repro.core.system import DiscoverySystem
+from repro.core.system import DiscoverySystem, make_models
+from repro.descriptions import Description, Query
+from repro.descriptions.template import TemplateDescription, TemplateQuery, tokenize
 from repro.descriptions.uri import UriDescription, UriQuery
 from repro.netsim.messages import Envelope
 from repro.netsim.node import Node
@@ -33,7 +35,8 @@ from repro.registry.advertisements import Advertisement
 from repro.registry.matching import QueryHit
 from repro.registry.rim import RegistryDescription
 from repro.semantics.generator import battlefield_ontology
-from repro.semantics.profiles import ServiceProfile
+from repro.semantics.ontology import Ontology
+from repro.semantics.profiles import ServiceProfile, ServiceRequest
 from repro.workloads.scenarios import ARCHITECTURES
 
 try:  # part (i) was recorded on the parent commit, which has none of these
@@ -66,6 +69,10 @@ QUERY = UriQuery("ncw:RadarService")
 #: One representative instance per record — every sequence non-empty, every
 #: optional both ways — against the byte count its hand-written
 #: ``size_bytes()`` returned on the commit before the declarations (b0a5568).
+#: Three rows carried a non-record in a description, query or artifact slot
+#: and were re-derived when those slots were typed by the models' records:
+#: "publish-first" (a string, 94 B), "query-uncapped" (a string, 54 B) and
+#: "artifact-reply" (a dict, 82 B).
 GOLDEN = {
     "publish": (p.PublishPayload(
         service_node="svc-node-001", service_name="radar-1", endpoint="svc://radar-1",
@@ -73,7 +80,9 @@ GOLDEN = {
         lease_duration=45.0), 104),
     "publish-first": (p.PublishPayload(
         service_node="svc-node-001", service_name="radar-1", endpoint="svc://radar-1",
-        model_id="template", description="a plain string"), 94),
+        model_id="template", description=TemplateDescription(
+            "radar-1", "ncw:RadarService", tokenize("ncw:RadarService"), "svc://radar-1")),
+        443),
     "publish-ack": (p.PublishAck(ad_id="ad-000001", lease_id="lease-000002",
                                  lease_duration=60.0, model_id="uri"), 40),
     "publish-ack-unleased": (p.PublishAck(ad_id="ad-000001", lease_id="",
@@ -85,8 +94,9 @@ GOLDEN = {
     "remove": (p.RemovePayload(ad_id="ad-000001"), 17),
     "query": (p.QueryPayload(query_id="q-000003/0", model_id="uri", query=QUERY,
                              max_results=5, ttl=2), 53),
-    "query-uncapped": (p.QueryPayload(query_id="q-000003/0", model_id="uri",
-                                      query="free text"), 54),
+    "query-uncapped": (p.QueryPayload(query_id="q-000003/0", model_id="template",
+                                      query=TemplateQuery(frozenset({"free", "text"}))),
+                       202),
     "response": (p.ResponsePayload(query_id="q-000003/0", hits=(HIT, HIT), responders=3,
                                    degraded=True, queue_depth=7), 322),
     "response-empty": (p.ResponsePayload(query_id="q-000003/0", hits=()), 26),
@@ -118,7 +128,7 @@ GOLDEN = {
                                           ad_id="ad-000001"), 40),
     "artifact-request": (p.ArtifactRequestPayload(artifact_name="battlefield"), 27),
     "artifact-reply": (p.ArtifactReplyPayload(
-        artifact_name="battlefield", artifact={"classes": ["ncw:RadarService"]}), 82),
+        artifact_name="battlefield", artifact=battlefield_ontology()), 9392),
     "artifact-reply-missing": (p.ArtifactReplyPayload(artifact_name="battlefield",
                                                       found=False), 27),
     "registry-description": (DESC, 151),
@@ -282,13 +292,13 @@ def _wrong(hint, good):
     """Values a field declared ``hint`` must refuse; ``good`` is a valid one
     (rows and items are bent out of shape from it). The generator a fuzzer
     can reuse: it reads nothing but the declaration."""
-    if hint is Any:
-        return []
     if hint == Seconds:
         return [None, "soon", True, 0, 0.0, -5.0, NAN, INF, -INF]
     origin, args = get_origin(hint), get_args(hint)
     if origin is Annotated:
         return _wrong(args[0], good)
+    if origin in (Union, UnionType) and type(None) not in args:  # one of several records
+        return [None, 7, "text", [good], _another_record(hint)]
     if origin in (Union, UnionType):
         return [w for w in _wrong(args[0], good) if w is not None]
     if origin is tuple and args[-1] is Ellipsis:
@@ -306,8 +316,7 @@ def _wrong(hint, good):
 
 
 FIELDS = [(cls, name, hint) for cls in SAMPLES
-          for name, hint in get_type_hints(cls, include_extras=True).items()
-          if hint is not Any]
+          for name, hint in get_type_hints(cls, include_extras=True).items()]
 
 
 @pytest.mark.parametrize("cls,name,hint", FIELDS,
@@ -322,17 +331,32 @@ def test_each_wrong_kind_raises_at_construction(cls, name, hint):
     dataclasses.replace(sample, **{name: getattr(sample, name)})  # the good one builds
 
 
-def test_opaque_slots_stay_with_the_description_model():
-    opaque = {(cls.__name__, name) for cls in SAMPLES
-              for name, hint in get_type_hints(cls).items() if hint is Any}
-    assert opaque == {
-        ("PublishPayload", "description"), ("QueryPayload", "query"),
-        ("WalkPayload", "query"), ("SubscribePayload", "query"),
-        ("ArtifactReplyPayload", "artifact"),
+def test_description_and_query_slots_take_only_declared_records():
+    """The five slots a description model fills are typed by the models'
+    records, and refuse junk at construction: nothing where a record is
+    required, a number, text, a list, and another slot's record. Every
+    model's own records build. Whether a record is the one the *named* model
+    declares is the node's model gate's to judge, not the protocol's."""
+    typed = {(cls.__name__, name): hint for cls in SAMPLES
+             for name, hint in get_type_hints(cls).items()
+             if hint in (Description, Query, Ontology | None)}
+    assert typed == {
+        ("PublishPayload", "description"): Description, ("QueryPayload", "query"): Query,
+        ("WalkPayload", "query"): Query, ("SubscribePayload", "query"): Query,
+        ("ArtifactReplyPayload", "artifact"): Ontology | None,
     }
-    for junk in (None, 7, "not a description", ["a"], object()):
-        dataclasses.replace(SAMPLES[p.PublishPayload], description=junk)
-        dataclasses.replace(SAMPLES[p.QueryPayload], query=junk)
+    other_slot = {Description: QUERY, Query: AD.description, Ontology | None: QUERY}
+    for (cls_name, name), hint in typed.items():
+        sample = SAMPLES[getattr(p, cls_name)]
+        junk = [7, "not a record", ["a"], other_slot[hint]]
+        for value in junk + ([] if hint == Ontology | None else [None]):
+            with pytest.raises(ProtocolError, match=f"{cls_name}.{name} must be"):
+                dataclasses.replace(sample, **{name: value})
+    profile = ServiceProfile.build("radar-1", "ncw:RadarService", outputs=["ncw:AirTrack"])
+    request = ServiceRequest.build("ncw:RadarService", outputs=["ncw:AirTrack"])
+    for model in make_models(battlefield_ontology()):
+        _publish(model_id=model.model_id, description=model.describe(profile, "svc://r"))
+        _query(model_id=model.model_id, query=model.query_from(request))
 
 
 def _publish(**fields):

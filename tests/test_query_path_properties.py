@@ -24,6 +24,8 @@ import pytest
 
 from repro.descriptions.base import ModelRegistry
 from repro.descriptions.semantic import SemanticModel
+from repro.descriptions.template import TemplateModel
+from repro.descriptions.uri import UriModel
 from repro.registry.advertisements import Advertisement
 from repro.registry import index as index_module
 from repro.registry import matching
@@ -270,7 +272,6 @@ def test_every_id_the_index_expands_is_scored(seed):
     for i, profile in enumerate(profiles):
         paths.put(_ad(i, profile))
     index = paths.indexed_store.index_for("semantic")
-    assert not index._unindexable
     skipped_a_group = 0
     for round_no in range(3):
         for request in _request_corpus(gen, profiles, rng):
@@ -481,21 +482,26 @@ def test_a_partner_at_similarity_one_shares_the_concepts_group(requested, partne
 
 @pytest.mark.parametrize("seed", range(3))
 def test_malformed_advertisement_changes_no_answer(seed):
-    """A stored description that is not a profile is offered to the model on
-    both paths ("unindexable, always scored") and matches nothing: hits are
-    the same with and without it, capped and uncapped."""
+    """Another model's record offered as a semantic description is refused at
+    the model gate, counted once per offer, and never stored; other models'
+    advertisements that *are* stored share the slot space and change no
+    semantic answer on either path, capped and uncapped."""
     ontology = OntologyGenerator(80 + seed).random_ontology()
     gen = ProfileGenerator(ontology, seed=80 + seed)
     clean, dirty = _TwinPaths(ontology), _TwinPaths(ontology)
     profiles = gen.profiles(STORE_SIZE)
+    others = [(model.model_id, model.describe(profile, "svc://other"))
+              for model in (UriModel(), TemplateModel()) for profile in profiles[:5]]
     for i, profile in enumerate(profiles):
         clean.put(_ad(i, profile))
         dirty.put(_ad(i, profile))
-    for i, junk in enumerate(("not a profile", None), start=STORE_SIZE):
-        dirty.put(Advertisement(
-            ad_id=f"ad-{i:06d}", service_node="svc-junk", service_name="junk",
-            endpoint="svc://junk", model_id="semantic", description=junk,
-        ))
+        if i < len(others):  # interleaved slots
+            model_id, description = others[i]
+            dirty.put(dataclasses.replace(_ad(STORE_SIZE + i, profile), model_id=model_id,
+                                          description=description))
+    for evaluator in (dirty.indexed, dirty.linear):
+        for _, description in others:
+            assert evaluator.models.for_description("semantic", description) is None
     requests = list(_request_corpus(gen, profiles, random.Random(seed)))
     for request in requests:
         for cap in (request.max_results, None):
@@ -506,22 +512,28 @@ def test_malformed_advertisement_changes_no_answer(seed):
                 == expected
     assert clean.indexed_model.malformed_payloads == 0
     assert clean.linear_model.malformed_payloads == 0
-    # The linear path offers both bad records to every query, twice.
-    assert dirty.linear_model.malformed_payloads == 2 * 2 * len(requests)
-    assert dirty.indexed_model.malformed_payloads > 0
+    assert dirty.linear_model.malformed_payloads == len(others)
+    assert dirty.indexed_model.malformed_payloads == len(others)
+    assert dirty.indexed_store.audit() == []
 
 
 def test_malformed_query_matches_nothing():
+    """A query that is not a ``ServiceRequest`` is refused once per query at
+    the gate, whatever the store holds: no candidate is scored."""
     ontology = OntologyGenerator(5).random_ontology()
     gen = ProfileGenerator(ontology, seed=5)
     paths = _TwinPaths(ontology)
-    for i, profile in enumerate(gen.profiles(10)):
+    profiles = gen.profiles(10)
+    for i, profile in enumerate(profiles):
         paths.put(_ad(i, profile))
+    uri_query = UriModel().query_from(gen.request_for(profiles[0]))
     for evaluator, model in ((paths.indexed, paths.indexed_model),
                              (paths.linear, paths.linear_model)):
+        assert evaluator.evaluate("semantic", uri_query, max_results=3) == []
         assert evaluator.evaluate("semantic", "not a request", max_results=3) == []
         assert evaluator.evaluate("semantic", {"category": "x"}) == []
-        assert model.malformed_payloads == 20
+        assert model.malformed_payloads == 3
+        assert evaluator.descriptions_evaluated == 0
         assert model.matchmaker.evaluations == 0
 
 
@@ -606,8 +618,6 @@ def test_ranking_equals_the_hit_per_match_reference(seed, size):
     rng.shuffle(ids)
     for i, profile in zip(ids, profiles):
         paths.put(_ad(i, profile))
-    for i, junk in enumerate(("not a profile", None), start=size):
-        paths.put(dataclasses.replace(_ad(i, distinct[0]), description=junk))
     stored = paths.linear_store.of_model("semantic")
     reference_model = SemanticModel(ontology)
 

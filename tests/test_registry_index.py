@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.descriptions.base import ModelRegistry
 from repro.descriptions.semantic import SemanticModel
+from repro.descriptions.uri import UriDescription
 from repro.registry.advertisements import Advertisement
 from repro.registry.index import SemanticConceptIndex
 from repro.registry.matching import QueryEvaluator
@@ -362,7 +363,7 @@ def test_group_hand_out_is_lazy_and_counts_only_records_taken():
     for i, profile in reversed(list(enumerate(gen.profiles(50)))):
         paths.put(_ad(i, profile))  # slot order is the reverse of ``ad_id`` order
     index = paths.indexed_store.index_for("semantic")
-    group = index._hand_out(index._all_profiles_mask(), ())
+    group = index._hand_out(index._all_profiles_mask())
     assert index.expanded == 0  # nothing until the first record is asked for
     taken = [next(group).ad_id for _ in range(3)]
     assert taken == ["ad-000000", "ad-000001", "ad-000002"]
@@ -604,10 +605,6 @@ def test_audit_names_each_kind_of_rot():
     index._profiles_mask ^= 1 << slot
     assert index.audit() == ["profile mask differs from the indexed profiles"]
     index._profiles_mask ^= 1 << slot
-
-    index._unindexable.add(slot)
-    assert index.audit() == ["unindexable slots differ from the store's records"]
-    index._unindexable.discard(slot)
     assert index.audit() == []
 
 
@@ -629,7 +626,10 @@ def test_thing_request_after_a_write_reads_the_patched_profiles_mask(monkeypatch
     assert "ad-000003" not in {h.advertisement.ad_id for h in hits}
 
 
-def test_unindexable_records_ride_in_the_strongest_group_unexpanded():
+def test_other_models_records_share_the_slots_and_ride_in_no_group():
+    """The store's slot space is shared by every model: the semantic index
+    keeps no bit for another model's record, hands none out, and counts
+    every record it does hand out."""
     ontology = OntologyGenerator(9).random_ontology()
     gen = ProfileGenerator(ontology, seed=9)
     store, index = AdvertisementStore(), SemanticConceptIndex(SemanticModel(ontology))
@@ -637,15 +637,17 @@ def test_unindexable_records_ride_in_the_strongest_group_unexpanded():
     profiles = gen.profiles(15)
     for i, profile in enumerate(profiles):
         store.put(_ad(i, profile))
-    store.put(Advertisement(ad_id="ad-opaque", service_node="n", service_name="s",
-                            endpoint="e", model_id="semantic", description="opaque"))
+        if i == 3:
+            store.put(_record(900, None))  # a URI record at slot 4
     request = gen.request_for(profiles[0], generalize=0)
     (bound, strongest), *weaker = index.candidate_buckets(request)
     assert index.expanded == 0  # bounds handed out, no body expanded yet
     ids = [ad.ad_id for ad in strongest]
-    assert bound == (3, 1.0) and ids[-1] == "ad-opaque" and "ad-000000" in ids
-    assert index.expanded == len(ids) - 1
-    assert "ad-opaque" in index.candidate_ids(request)
+    assert bound == (3, 1.0) and "ad-000000" in ids and "ad-000900" not in ids
+    assert index.expanded == len(ids)
+    assert "ad-000900" not in index.candidate_ids(request)
+    assert not index._all_profiles_mask() >> store._slot_of["ad-000900"] & 1
+    assert index.audit() == []
 
 
 def _postings(index: SemanticConceptIndex) -> dict[tuple[int, str], int]:
@@ -666,7 +668,7 @@ def _postings_key_by_key(index: SemanticConceptIndex) -> dict[tuple[int, str], i
 
 def _odd_profiles(gen: ProfileGenerator):
     """Profiles over the generator's pools plus THING, concepts outside the
-    ontology and repeated outputs; ``None`` stands for a non-profile record."""
+    ontology and repeated outputs; ``None`` stands for another model's record."""
     categories = st.sampled_from(gen.category_pool + [THING, "gen:NotAConcept"])
     concepts = st.sampled_from(gen.data_pool + [THING, "gen:AlsoMissing"])
     profiles = st.builds(ServiceProfile, service_name=st.just("svc"), category=categories,
@@ -678,7 +680,8 @@ def _record(index: int, profile: ServiceProfile | None) -> Advertisement:
     if profile is not None:
         return _ad(index, profile)
     return Advertisement(ad_id=f"ad-{index:06d}", service_node="n", service_name="s",
-                         endpoint="e", model_id="semantic", description="opaque")
+                         endpoint="e", model_id="uri",
+                         description=UriDescription("gen:Service1", "e"))
 
 
 @settings(max_examples=60, deadline=None)

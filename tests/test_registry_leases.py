@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.core.invariants import check_invariants
+from repro.descriptions.uri import UriDescription
 from repro.errors import LeaseError
 from repro.registry.advertisements import Advertisement
 from repro.registry import leases as leases_module
@@ -26,7 +27,7 @@ class Clock:
 
 def _ad(ad_id):
     return Advertisement(ad_id=ad_id, service_node="svc", service_name="s",
-                         endpoint="svc://s", model_id="uri", description="uri:s")
+                         endpoint="svc://s", model_id="uri", description=UriDescription("uri:s", "svc://s"))
 
 
 def _stored(store, *ad_ids):
@@ -71,7 +72,7 @@ def test_grant_and_restore_refuse_an_ad_the_store_does_not_hold(leases):
     with pytest.raises(LeaseError):
         leases.grant("ad-unknown")
     with pytest.raises(LeaseError):
-        leases.restore("ad-unknown", lease_id="lease-x", duration=5.0, expires_at=5.0)
+        leases.restore("ad-unknown", lease_id="lease-000001", duration=5.0, expires_at=5.0)
     assert len(leases) == 0 and leases.lease_for_ad("ad-unknown") is None
 
 
@@ -199,11 +200,11 @@ def test_a_long_restored_lease_renewed_after_a_sweep_is_found_on_time(leases, cl
     """A restored lease may expire more than one duration ahead; a sweep
     that pops it early must re-push it due no later than a renewal can
     move its expiry, or the purge finds the renewed lease late."""
-    leases.restore("ad-1", lease_id="lease-x", duration=2.0, expires_at=8.0)
+    leases.restore("ad-1", lease_id="lease-000042", duration=2.0, expires_at=8.0)
     clock.now = 3.0
     assert leases.expired_ads() == []  # due at 2.0, expires at 8.0: pushed back
     clock.now = 4.0
-    assert leases.renew("ad-1", "lease-x").expires_at == 6.0
+    assert leases.renew("ad-1", "lease-000042").expires_at == 6.0
     clock.now = 6.5
     assert leases.expired_ads() == ["ad-1"]
     assert leases.audit() == []
@@ -211,8 +212,8 @@ def test_a_long_restored_lease_renewed_after_a_sweep_is_found_on_time(leases, cl
 
 def test_a_lease_restored_already_lapsed_expires_at_the_next_sweep(leases, clock):
     """Heap keys order as their due times do, negative ones included."""
-    leases.restore("ad-1", lease_id="lease-x", duration=5.0, expires_at=-1.0)
-    leases.restore("ad-2", lease_id="lease-y", duration=5.0, expires_at=-0.0)
+    leases.restore("ad-1", lease_id="lease-000001", duration=5.0, expires_at=-1.0)
+    leases.restore("ad-2", lease_id="lease-000002", duration=5.0, expires_at=-0.0)
     assert leases.expired_ads() == ["ad-1", "ad-2"] and len(leases) == 0
 
 
@@ -236,7 +237,7 @@ def test_lease_event_names_cover_every_transition(clock, store):
     first = leases.grant("ad-1")
     leases.renew("ad-1", first.lease_id)
     leases.cancel_for_ad("ad-1")
-    leases.restore("ad-2", lease_id="lease-x", duration=5.0, expires_at=5.0)
+    leases.restore("ad-2", lease_id="lease-000077", duration=5.0, expires_at=5.0)
     clock.now = 6.0
     assert leases.expired_ads() == ["ad-2"]
     assert kinds == ["grant", "renew", "cancel", "restore", "expire"]
@@ -268,7 +269,7 @@ def test_republish_then_cancel_leaves_no_residue(leases, store):
     leases.cancel_for_ad("ad-1")
     assert len(leases) == 0
     assert leases.lease_for_ad("ad-1") is None and "ad-1" in store
-    assert not any(store._lease_grants) and store._lease_ids == {}
+    assert not any(store._lease_grants)
 
 
 # -- expiry-ordered purge vs. the linear scan it replaced ---------------------
@@ -377,7 +378,8 @@ def test_heap_purge_matches_linear_scan_model(seed):
             ad = ours.ad_id if rng.random() < 0.8 else rng.choice(ads)
             # A lease is a value: ``ours`` is as granted, so ask what it is now.
             # A retired id (replaced, cancelled, purged, or its ad discarded)
-            # is never held again: minted and ``restored-{step}`` ids are unique.
+            # is never held again: minted ids and restored ones (numbered
+            # from 10**9 + step, past anything minted) are unique.
             now_held = heap.lease_for_ad(ours.ad_id)
             retired = now_held is None or now_held.lease_id != ours.lease_id
             outcomes = both(lambda manager: manager.renew(
@@ -392,7 +394,7 @@ def test_heap_purge_matches_linear_scan_model(seed):
         elif op == "restore":
             ad, duration = rng.choice(ads), rng.choice(durations)
             # May already be in the past: lapsed at the next sweep.
-            kwargs = dict(lease_id=f"restored-{step}", duration=duration,
+            kwargs = dict(lease_id=f"lease-{10**9 + step:06d}", duration=duration,
                           expires_at=clock() + rng.uniform(-2.0, 8.0))
             outcomes = both(lambda manager: manager.restore(ad, **kwargs))
             if outcomes[0] != "raised":
@@ -474,23 +476,23 @@ def test_invariant_sweep_flags_a_lease_the_heap_would_miss(leases, store, clock)
 
 
 def test_lease_ids_round_trip_through_the_columns(leases, store):
-    """An id of the ``lease-{n:06d}`` form is held as ``n`` and rendered
-    back exactly; any other id ``restore`` is given is kept as given."""
-    _stored(store, "ad-3", "ad-4", "ad-5", "ad-6")
-    ids = {"ad-1": "lease-000123", "ad-2": "lease-1234567", "ad-3": "lease-x",
-           "ad-4": "lease-0123", "ad-5": "lease-٣", "ad-6": "restored-7"}
+    """An id of the ``lease-{n:06d}`` form a registry mints is held as ``n``
+    and rendered back exactly; ``restore`` refuses any other id with
+    :class:`LeaseError` and leaves the slot without a lease."""
+    _stored(store, "ad-3", "ad-4", "ad-5", "ad-6", "ad-7")
+    ids = {"ad-1": "lease-000123", "ad-2": "lease-1234567"}
     for ad_id, lease_id in ids.items():
         assert leases.restore(ad_id, lease_id=lease_id, duration=5.0,
                               expires_at=5.0).lease_id == lease_id
     assert {lease.ad_id: lease.lease_id for lease in leases._live()} == ids
     slot_of = store._slot_of
     assert [store._lease_numbers[slot_of[ad]] for ad in ("ad-1", "ad-2")] == [123, 1234567]
-    assert sorted(store._lease_ids.values()) == ["lease-0123", "lease-x", "lease-٣",
-                                                 "restored-7"]
     for ad_id, lease_id in ids.items():
         assert leases.renew(ad_id, lease_id).lease_id == lease_id
-    granted = leases.grant("ad-3")  # a minted id replaces the kept one
-    assert granted.lease_id.startswith("lease-") and leases.lease_for_ad("ad-3") == granted
-    leases.cancel_for_ad("ad-4")
-    store.discard("ad-6")
-    assert sorted(store._lease_ids.values()) == ["lease-٣"]
+    foreign = {"ad-3": "lease-x", "ad-4": "lease-0123", "ad-5": "lease-٣",
+               "ad-6": "restored-7", "ad-7": "lease-" + "9" * 19}
+    for ad_id, lease_id in foreign.items():
+        with pytest.raises(LeaseError, match="not a lease id"):
+            leases.restore(ad_id, lease_id=lease_id, duration=5.0, expires_at=5.0)
+        assert leases.lease_for_ad(ad_id) is None
+    assert len(leases) == 2 and leases.audit() == []

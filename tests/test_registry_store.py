@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.descriptions.uri import UriDescription
 from repro.errors import AdvertisementNotFoundError, LeaseError
 from repro.registry.advertisements import Advertisement, new_uuid
 from repro.registry.leases import LeaseManager
@@ -18,7 +19,7 @@ def _ad(ad_id="ad-1", service_node="svc-node-1", name="svc-1", version=1,
         service_name=name,
         endpoint=f"svc://{name}",
         model_id=model_id,
-        description=f"uri:{name}",
+        description=UriDescription(f"uri:{name}", f"svc://{name}"),
         version=version,
     )
 
@@ -148,14 +149,13 @@ def test_one_slot_per_advertisement_reused_once_freed():
     leases = LeaseManager(lambda: 0.0, store)
     for ad_id in ("ad-1", "ad-2", "ad-3"):
         store.put(_ad(ad_id=ad_id))
-    lease = leases.restore("ad-2", lease_id="lease-x", duration=5.0, expires_at=5.0)
+    lease = leases.restore("ad-2", lease_id="lease-000042", duration=5.0, expires_at=5.0)
     store.put(_ad(ad_id="ad-2", version=2))
     assert leases.lease_for_ad("ad-2") == lease
     assert store.put(_ad(ad_id="ad-2", version=1)).version == 2  # stale: kept
     assert leases.lease_for_ad("ad-2") == lease
     assert store.discard("ad-2").version == 2
     assert leases.lease_for_ad("ad-2") is None and "ad-2" not in store
-    assert store._lease_ids == {}  # the foreign id left with its slot
     store.put(_ad(ad_id="ad-4"))
     assert leases.lease_for_ad("ad-4") is None
     assert len(store._ads) == len(store._lease_grants) == 3  # ad-4 took ad-2's slot
@@ -183,9 +183,9 @@ def test_clear():
 
 def test_bumped_copy():
     ad = _ad(version=1)
-    bumped = ad.bumped("new-description", now=5.0)
+    bumped = ad.bumped(UriDescription("uri:new", "svc://svc-1"), now=5.0)
     assert bumped.version == 2
-    assert bumped.description == "new-description"
+    assert bumped.description == UriDescription("uri:new", "svc://svc-1")
     assert bumped.published_at == 5.0
     assert ad.version == 1  # original untouched
 
@@ -194,6 +194,7 @@ def test_advertisement_size_includes_description():
     small = _ad()
     large = Advertisement(
         ad_id="ad-x", service_node="n", service_name="s", endpoint="e",
-        model_id="m", description="x" * 5000,
+        model_id="uri", description=UriDescription("x" * 5000, "e"),
     )
     assert large.size_bytes() > small.size_bytes()
+    assert large.size_bytes() == 5001 + 96  # the description's bytes + the record's

@@ -9,7 +9,9 @@ from repro.core import protocol
 from repro.core.config import DiscoveryConfig
 from repro.core.registry_node import RegistryNode
 from repro.core.system import DiscoverySystem
+from repro.descriptions.uri import UriDescription
 from repro.semantics.generator import battlefield_ontology
+from repro.semantics.ontology import Ontology
 from repro.semantics.profiles import ServiceProfile, ServiceRequest
 
 
@@ -20,12 +22,21 @@ def _repository():
     return RegistryNode("registry-00", DiscoveryConfig(), []).repository
 
 
+def _ontology(name: str, classes: int = 1) -> Ontology:
+    """A small named ontology: the artifact a repository hosts."""
+    ontology = Ontology(name)
+    for i in range(classes):
+        ontology.add_class(f"{name}:C{i}")
+    return ontology
+
+
 def test_repository_store_fetch_counters():
     repo = _repository()
-    repo.store("ont", "data" * 100)
+    ont = _ontology("ont")
+    repo.store("ont", ont)
     assert "ont" in repo
     assert len(repo) == 1
-    assert repo.fetch("ont") == "data" * 100
+    assert repo.fetch("ont") is ont
     assert repo.fetch("missing") is None
     assert repo.requests_served == 1
     assert repo.requests_missed == 1
@@ -33,17 +44,19 @@ def test_repository_store_fetch_counters():
 
 def test_repository_replace_and_names():
     repo = _repository()
-    repo.store("b", 1)
-    repo.store("a", 2)
-    repo.store("b", 3)
+    first, second, third = _ontology("b"), _ontology("a"), _ontology("b", 2)
+    repo.store("b", first)
+    repo.store("a", second)
+    repo.store("b", third)
     assert repo.names() == ["a", "b"]
-    assert repo.fetch("b") == 3
+    assert repo.fetch("b") is third
 
 
 def test_repository_total_bytes_and_clear():
     repo = _repository()
-    repo.store("big", "z" * 5000)
-    assert repo.total_bytes() >= 5000
+    big = _ontology("big", 100)
+    repo.store("big", big)
+    assert repo.total_bytes() == big.size_bytes() >= 5000
     repo.rebuild()
     assert len(repo) == 0
     assert repo.total_bytes() == 0
@@ -60,7 +73,8 @@ def test_repository_hosts_ontologies():
 
 def test_subscription_payload_sizes():
     sub = protocol.SubscribePayload(sub_id="sub-1", model_id="semantic",
-                                    query="q" * 100, duration=30.0)
+                                    query=ServiceRequest.build(keywords=["q" * 100]),
+                                    duration=30.0)
     assert sub.size_bytes() > 100
     ack = protocol.SubscribeAck(sub_id="sub-1", expires_at=99.0)
     assert ack.size_bytes() > 0
@@ -139,7 +153,8 @@ def test_watch_service_names_order():
     for name in ("b", "a"):
         watch.hits.append(QueryHit(
             Advertisement(ad_id=name, service_node=name, service_name=name,
-                          endpoint="e", model_id="uri", description="d"),
+                          endpoint="e", model_id="uri",
+                          description=UriDescription("d", "e")),
             1, 0.5,
         ))
     assert watch.service_names() == ["b", "a"]  # arrival order, not sorted
