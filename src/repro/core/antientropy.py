@@ -188,7 +188,7 @@ class AntiEntropy:
         if not neighbors:
             return
         self.rounds_run += 1
-        # Also the heartbeat the health layer's staleness watchdog hears.
+        # Also the heartbeat the health layer's ``antientropy-stale`` row hears.
         self.registry.recovered("antientropy-round", attrs={"n": 1})
         for neighbor in neighbors:
             self.registry.send(neighbor, protocol.ANTIENTROPY_DIGEST,

@@ -152,7 +152,7 @@ class DiscoveryConfig:
     sharding: ShardingConfig = ShardingConfig()
 
     # -- runtime health ------------------------------------------------------
-    #: Flight recorders, windowed SLO tracking, and anomaly watchdogs
+    #: Flight recorders, windowed SLO tracking, and the alarm table
     #: (see :mod:`repro.obs.health`). The default has the layer off and
     #: fully inert: no periodic tick is scheduled, no trace observer is
     #: registered, and every run is byte-identical to a pre-health

@@ -307,7 +307,7 @@ class CircuitBreaker:
         #: Probe failures: open → half-open → open round trips. A rising
         #: flap count means the neighbor keeps looking back up and then
         #: failing its single probe — the signature of a struggling (not
-        #: cleanly dead) peer, and what the flapping watchdog keys on.
+        #: cleanly dead) peer, and what the ``breaker-flap`` alarm row keys on.
         self.flaps = 0
         #: True while the single half-open probe is unresolved.
         self.probing = False

@@ -328,11 +328,10 @@ class ArtifactRequestPayload:
 
 @record(overhead=16)
 class ArtifactReplyPayload:
-    """The artifact, or a not-found marker."""
+    """The artifact, or ``None`` when the repository does not hold it."""
 
     artifact_name: str
     artifact: Ontology | None = None
-    found: bool = True
 
 
 # -- message types ---------------------------------------------------------

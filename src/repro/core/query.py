@@ -224,12 +224,17 @@ class QueryCoordinator:
 
         ``plan(requester, payload, local)`` runs after local evaluation and
         returns a :class:`ScatterPlan`; naming nobody, the local hits are
-        the answer. ``gather`` asks the targets (default: the fan-out).
-        ``on_complete(hits, responders)`` defaults to answering
-        ``requester``.
+        the answer. A query the model gate refused as another model's
+        record is not planned: no registry can accept it, so its (empty)
+        local hits are the answer. ``gather`` asks the targets (default:
+        the fan-out). ``on_complete(hits, responders)`` defaults to
+        answering ``requester``.
         """
+        evaluator = self.registry.evaluator
+        malformed = evaluator.queries_malformed
         local = self._local_hits(payload, parent=span)
-        chosen = plan(requester, payload, local)
+        chosen = (plan(requester, payload, local)
+                  if evaluator.queries_malformed == malformed else ScatterPlan([]))
         if on_complete is None:
             on_complete = partial(self._respond, requester, payload.query_id, span=span)
         if not chosen.targets:

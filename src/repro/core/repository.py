@@ -79,9 +79,7 @@ class ArtifactRepository:
         self.registry.send(
             envelope.src,
             protocol.ARTIFACT_REPLY,
-            protocol.ArtifactReplyPayload(
-                artifact_name=name, artifact=artifact, found=artifact is not None,
-            ),
+            protocol.ArtifactReplyPayload(artifact_name=name, artifact=artifact),
         )
 
     def handle_artifact_reply(self, envelope: "Envelope") -> None:

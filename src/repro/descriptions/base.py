@@ -165,6 +165,9 @@ class ModelRegistry:
                 model.malformed_payloads += 1
         return None
 
+    def __contains__(self, model_id: object) -> bool:
+        return model_id in self._models
+
     def model_ids(self) -> list[str]:
         """Supported model ids, sorted."""
         return sorted(self._models)

@@ -9,7 +9,7 @@ each one raises at least one *correct* alarm — the right detector, in
 the right time window — with a flight-recorder dump attached:
 
 * **overload flood** (3× one registry's capacity for 6 s) — the
-  admission queue fills and sheds, so the ``shed-step`` watchdog (and
+  admission queue fills and sheds, so the ``shed-step`` row (and
   usually ``queue-growth`` and an SLO breach) must trip;
 * **registry crash** (one registry fail-stops for 14 s) — its
   anti-entropy rounds go silent (``antientropy-stale``) and the crash
@@ -57,7 +57,7 @@ PARTITION_AT, HEAL_AT = 62.0, 76.0
 END_AT = 90.0
 
 #: ``(phase, window_start, window_end, alarms that must fire inside)``.
-#: Windows extend past the fault to cover detection lag (watchdog tick,
+#: Windows extend past the fault to cover detection lag (health tick,
 #: staleness bound, lease expiry + purge).
 PHASES = (
     ("overload-flood", FLOOD_START, FLOOD_END + 6.0, ("shed-step",)),

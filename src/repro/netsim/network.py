@@ -174,7 +174,7 @@ class Network:
         #: first delivery and not again.
         self._delivery_histograms: dict[str, tuple[Histogram, Histogram]] = {}
         #: The run's health monitor (flight recorders, SLO windows,
-        #: watchdogs — see :mod:`repro.obs.health`) where the deployment
+        #: alarm rows — see :mod:`repro.obs.health`) where the deployment
         #: built one; the transport never touches it.
         self.health: "HealthMonitor | None" = None
         self.nodes: dict[str, Node] = {}

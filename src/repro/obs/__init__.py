@@ -10,6 +10,8 @@ experiments import directly) out of the package namespace.
 
 from repro.obs.health import (
     DEFAULT_OBJECTIVES,
+    Alarm,
+    Detector,
     FlightRecorder,
     HealthConfig,
     HealthDump,
@@ -29,7 +31,6 @@ from repro.obs.slo import (
     CLASS_QUERY,
     CLASS_RENEW,
     SLOObjective,
-    SLOStatus,
     SLOTracker,
 )
 from repro.obs.tracing import (
@@ -40,7 +41,6 @@ from repro.obs.tracing import (
     TraceEvent,
     TraceRecorder,
 )
-from repro.obs.watchdog import Alarm, Watchdog
 
 __all__ = [
     "Alarm",
@@ -50,6 +50,7 @@ __all__ = [
     "COUNT_BUCKETS",
     "DEFAULT_LATENCY_BUCKETS",
     "DEFAULT_OBJECTIVES",
+    "Detector",
     "HOP_BUCKETS",
     "Counter",
     "FlightRecorder",
@@ -60,7 +61,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "SLOObjective",
-    "SLOStatus",
     "SLOTracker",
     "SPAN_ID_HEADER",
     "TRACE_ID_HEADER",
@@ -68,5 +68,4 @@ __all__ = [
     "TraceCapture",
     "TraceEvent",
     "TraceRecorder",
-    "Watchdog",
 ]

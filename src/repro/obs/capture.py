@@ -72,7 +72,7 @@ def run_traced(experiment: str = "e7", seed: int = 0) -> TracedRun:
     if experiment == "e20":
         # The health capture: the e17 tiny-queue saturation with the
         # runtime health layer enabled and its thresholds tightened so
-        # the four-query burst trips the shed watchdog — the trace then
+        # the four-query burst trips the shed-step row — the trace then
         # shows health.alarm events and the metrics block carries the
         # health.alarms / health.dumps counters.
         config = DiscoveryConfig(

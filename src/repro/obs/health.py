@@ -1,4 +1,4 @@
-"""Runtime health: flight recorders, SLO windows, watchdog alarms.
+"""Runtime health: flight recorders, SLO windows, and one table of alarm rows.
 
 The observability built in earlier PRs is *post-hoc*: whole-run traces
 and cumulative metrics answer "what happened" after the fact. A dynamic
@@ -9,12 +9,19 @@ runtime layer:
 * :class:`FlightRecorder` — a bounded per-node ring of recent spans,
   events, and state transitions. Cheap enough to leave on, dumpable on
   demand and dumped automatically on crash, invariant violation, or
-  watchdog alarm: the forensic "last N records before the incident"
-  without whole-run trace cost.
-* :class:`HealthMonitor` — owns the per-node recorders, a windowed
-  :class:`~repro.obs.slo.SLOTracker`, and the
-  :mod:`~repro.obs.watchdog` detectors; evaluated on a periodic
-  sim-time tick.
+  alarm: the forensic "last N records before the incident" without
+  whole-run trace cost.
+* :class:`Detector` — one alarm row: a name, a help line, what it reads,
+  its window and threshold, and a condition. :func:`detectors` is the
+  table, one row per failure mode the experiments inject (the five
+  registry-transience detectors, then the SLO burn-rate check over a
+  :class:`~repro.obs.slo.SLOTracker`'s windows).
+* :class:`HealthMonitor` — owns the recorders, the SLO windows and the
+  table, and evaluates every row on a periodic sim-time tick. The tick
+  keeps the only rising-edge bookkeeping, keyed by (row, scope key): a
+  key that stays tripped across many ticks raises one alarm when it trips
+  and re-arms after it clears, so a dead registry produces one staleness
+  alarm, not one per second.
 
 **Absent unless enabled.** A deployment builds a monitor only where its
 :class:`HealthConfig` has ``enabled=True``. Under the default
@@ -22,36 +29,31 @@ runtime layer:
 observer is registered, and nobody asks whether the layer is on. A
 monitor that exists is on.
 
-Determinism: the monitor reads only the injected sim-time clock, the
-metrics registry, the trace records it observes and the few feeds that
+Determinism: the rows read only the injected sim-time clock, the metrics
+registry, the trace records the monitor observes and the few feeds that
 have no trace record to listen to; the tick never touches the simulator
-RNG. Same-seed runs therefore produce identical
-alarm streams and byte-identical flight-recorder dumps.
+RNG. Same-seed runs therefore produce identical alarm streams and
+byte-identical flight-recorder dumps.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
-from dataclasses import dataclass
+from collections import defaultdict, deque
+from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import ReproError
 from repro.obs.slo import (
+    BURN_THRESHOLD,
     CLASS_PUBLISH,
     CLASS_QUERY,
     CLASS_RENEW,
+    FAST_WINDOW,
+    MIN_SAMPLES,
     SLOObjective,
     SLOTracker,
-)
-from repro.obs.watchdog import (
-    Alarm,
-    AntiEntropyStaleness,
-    BreakerFlapping,
-    LeaseExpirySpike,
-    QueueDepthGrowth,
-    ShedRateStep,
-    Watchdog,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -68,14 +70,14 @@ DEFAULT_OBJECTIVES: tuple[SLOObjective, ...] = (
 )
 
 
-#: Watchdog windows (sim-seconds): queue-depth mean, breaker flap
+#: Detector windows (sim-seconds): queue-depth mean, breaker flap
 #: count, shed count, lease expiries.
 QUEUE_WINDOW = 5.0
 FLAP_WINDOW = 30.0
 SHED_WINDOW = 5.0
 LEASE_WINDOW = 10.0
-#: Seconds between watchdog/SLO evaluation ticks.
-WATCHDOG_INTERVAL = 1.0
+#: Seconds between health ticks (every row evaluated on each).
+TICK_INTERVAL = 1.0
 #: Breaker flapping: open→half-open→open cycles within :data:`FLAP_WINDOW`.
 BREAKER_FLAP_THRESHOLD = 2
 #: Lease-expiry spike: expiries within :data:`LEASE_WINDOW`.
@@ -108,8 +110,158 @@ class HealthConfig:
 
     def __post_init__(self) -> None:
         if self.antientropy_stale_after <= 0:
-            raise ReproError("watchdog windows must be positive, "
+            raise ReproError("detector windows must be positive, "
                              f"got {self.antientropy_stale_after}")
+
+
+@dataclass(frozen=True)
+class Alarm:
+    """One detector row firing at a point in sim time."""
+
+    name: str
+    node: str
+    time: float
+    details: dict[str, Any] = field(default_factory=dict)
+
+
+#: What a condition returns per scope key (a node id, a request class, or
+#: ``""`` for the whole run): the alarm the key is tripped into, ``None``
+#: when clear; the node the alarm names; its details.
+Verdicts = dict[str, tuple["str | None", str, dict[str, Any]]]
+
+
+@dataclass(frozen=True)
+class Detector:
+    """One row of the alarm table.
+
+    ``condition(monitor, row, now)`` judges every scope key the row
+    watches. A row raises the alarm named after it, except where
+    ``alarms`` lists the names its condition picks from. ``selftest``
+    names the test in ``tests/test_health.py`` that trips the row, asserts
+    its alarm names and counters, and re-arms it.
+    """
+
+    name: str
+    help: str
+    #: The instrument, trace record or feed the condition reads.
+    reads: str
+    window: float
+    threshold: float
+    condition: Callable[["HealthMonitor", "Detector", float], Verdicts]
+    selftest: str
+    alarms: tuple[str, ...] = ()
+
+    @property
+    def raises(self) -> tuple[str, ...]:
+        return self.alarms or (self.name,)
+
+
+def _still_rising(monitor: "HealthMonitor", row: Detector, now: float) -> Verdicts:
+    """The gauge's time-weighted mean over the window at or above the
+    threshold, and the gauge no lower than that mean."""
+    gauge = monitor.metrics.gauges.get(row.reads)
+    if gauge is None:
+        return {}
+    mean = gauge.mean_over(row.window, now=now)
+    tripped = mean >= row.threshold and gauge.value >= mean
+    return {"": (row.name if tripped else None, "",
+                 {"mean_depth": round(mean, 3), "depth": gauge.value})}
+
+
+def _counter_rise(monitor: "HealthMonitor", row: Detector, now: float, *,
+                  detail: str) -> Verdicts:
+    """The counter rose by at least the threshold over the window,
+    measured from the row's oldest sample inside it."""
+    counter = monitor.metrics.counters.get(row.reads)
+    value = counter.value if counter else 0
+    samples = monitor._samples[row.name]
+    samples.append((now, value))
+    horizon = now - row.window
+    while samples[0][0] < horizon:
+        samples.popleft()
+    rise = value - samples[0][1]
+    return {"": (row.name if rise >= row.threshold else None, "", {detail: rise})}
+
+
+def _silent(monitor: "HealthMonitor", row: Detector, now: float) -> Verdicts:
+    """Per node: no heartbeat within the window since the last one heard."""
+    return {
+        node: (row.name if now - last >= row.window else None, node,
+               {"silent_for": round(now - last, 3)})
+        for node, last in sorted(monitor._liveness.get(row.reads, {}).items())
+    }
+
+
+def _burst(monitor: "HealthMonitor", row: Detector, now: float) -> Verdicts:
+    """At least the threshold of the trace events within the window; the
+    alarm names the node when one node logged them all."""
+    since = now - row.window
+    heard = [node for t, name, node in monitor._lease_events
+             if name == row.reads and t >= since]
+    nodes = sorted(set(heard))
+    return {"": (row.name if len(heard) >= row.threshold else None,
+                 nodes[0] if len(nodes) == 1 else "",
+                 {"expiries_in_window": len(heard), "nodes": nodes})}
+
+
+def _slo_breach(monitor: "HealthMonitor", row: Detector, now: float) -> Verdicts:
+    """Per request class, with at least :data:`MIN_SAMPLES` in the fast
+    window: ``slo-burn`` when the error budget burns at the threshold in
+    both the fast and the slow window, else ``slo-latency`` when the fast
+    window's latency percentile is over target."""
+    verdicts: Verdicts = {}
+    for cls, ring in monitor.slo.windows.items():
+        fast_burn, fast_n = ring.burn(row.window, now)
+        slow_burn, _ = ring.burn(monitor.slo.slow_window, now)
+        latency = ring.latency(row.window, now)
+        alarm = None
+        if fast_n >= MIN_SAMPLES:
+            if fast_burn >= row.threshold and slow_burn >= row.threshold:
+                alarm = "slo-burn"
+            elif latency > ring.objective.latency_target:
+                alarm = "slo-latency"
+        verdicts[cls] = (alarm, "", {
+            "class": cls, "fast_burn": round(fast_burn, 3),
+            "slow_burn": round(slow_burn, 3), "latency": round(latency, 4),
+        })
+    return verdicts
+
+
+def detectors(config: HealthConfig) -> tuple[Detector, ...]:
+    """The alarm table in evaluation order, which is also the order of the
+    alarms one tick raises."""
+    return (
+        Detector("queue-growth",
+                 "admission queue deep and still growing: an overload flood, "
+                 "before goodput collapses",
+                 "registry.queue_depth", QUEUE_WINDOW, config.queue_depth_threshold,
+                 _still_rising, "test_queue_growth_uses_time_weighted_mean"),
+        Detector("breaker-flap",
+                 "breakers cycling open → half-open → open: a neighbor down or "
+                 "cut off long enough for probes to keep failing",
+                 "breaker.flaps", FLAP_WINDOW, BREAKER_FLAP_THRESHOLD,
+                 partial(_counter_rise, detail="flaps_in_window"),
+                 "test_breaker_flap_watchdog_reads_flap_counter"),
+        Detector("antientropy-stale",
+                 "a replicating registry's reconciliation rounds gone quiet: "
+                 "the node is dead or its periodic machinery wedged",
+                 "antientropy-round", config.antientropy_stale_after, 1, _silent,
+                 "test_antientropy_staleness_per_node_and_rearms"),
+        Detector("lease-expiry-spike",
+                 "a burst of lease expiries: renewals are not landing",
+                 "lease.expire", LEASE_WINDOW, LEASE_EXPIRY_SPIKE, _burst,
+                 "test_lease_expiry_spike_names_single_source_node"),
+        Detector("shed-step", "the admission controller started refusing work",
+                 "admission.shed", SHED_WINDOW, config.shed_step_threshold,
+                 partial(_counter_rise, detail="shed_in_window"),
+                 "test_shed_step_fires_on_rising_edge_only"),
+        Detector("slo",
+                 "a request class's error budget burning in both windows, or "
+                 "its latency percentile over target",
+                 "record_request", FAST_WINDOW, BURN_THRESHOLD, _slo_breach,
+                 "test_slo_burn_breaches_in_both_windows",
+                 alarms=("slo-burn", "slo-latency")),
+    )
 
 
 class FlightRecorder:
@@ -159,8 +311,10 @@ class HealthDump:
     records: int = 0
 
 
+
+
 class HealthMonitor:
-    """The per-run health brain: recorders + SLO windows + watchdogs.
+    """The per-run health brain: recorders + SLO windows + the alarm table.
 
     Built by :class:`~repro.core.system.DiscoverySystem` where the
     deployment enables the layer; :meth:`attach` then arms the periodic
@@ -181,40 +335,36 @@ class HealthMonitor:
         self.recorders: dict[str, FlightRecorder] = {}
         self.alarms: list[Alarm] = []
         self.dumps: list[HealthDump] = []
-        self._liveness: dict[str, dict[str, float]] = {}
-        self._lease_events: deque[tuple[float, str, str]] = deque(maxlen=4096)
-        self._slo_breached: set[str] = set()
         self.slo = SLOTracker(clock, objectives=DEFAULT_OBJECTIVES,
                               slow_window=config.slow_window)
-        self.watchdogs: list[Watchdog] = [
-            QueueDepthGrowth(window=QUEUE_WINDOW,
-                             threshold=config.queue_depth_threshold),
-            BreakerFlapping(window=FLAP_WINDOW,
-                            threshold=BREAKER_FLAP_THRESHOLD),
-            AntiEntropyStaleness(stale_after=config.antientropy_stale_after),
-            LeaseExpirySpike(window=LEASE_WINDOW,
-                             threshold=LEASE_EXPIRY_SPIKE),
-            ShedRateStep(window=SHED_WINDOW,
-                         threshold=config.shed_step_threshold),
-        ]
+        self.detectors = detectors(config)
+        #: The (row name, scope key) pairs tripped at the last tick.
+        self._tripped: set[tuple[str, str]] = set()
+        #: What the rows read beside the metrics: the last heartbeat per
+        #: node by record name, the lease lifecycle ``(t, name, node)``,
+        #: and each counter row's ``(t, value)`` samples.
+        self._liveness: dict[str, dict[str, float]] = {}
+        self._lease_events: deque[tuple[float, str, str]] = deque(maxlen=4096)
+        self._samples: defaultdict[str, deque[tuple[float, int]]] = defaultdict(
+            partial(deque, maxlen=4096))
 
     def attach(self, sim: "Simulator") -> None:
         """Listen to the run's trace and arm the periodic tick."""
         self.trace = sim.trace
         sim.trace.listen(self._on_trace_record)
-        sim.every(WATCHDOG_INTERVAL, self.tick)
+        sim.every(TICK_INTERVAL, self.tick)
 
     # -- feeds -------------------------------------------------------------
 
     def _on_trace_record(self, record: dict[str, Any]) -> None:
         """Trace observer: mirror every span/event into its node's ring,
-        and keep what the watchdogs ask about — a registry's lease
-        lifecycle (``lease.<kind>``) and its anti-entropy heartbeat."""
+        and keep what the rows ask about — a registry's lease lifecycle
+        (``lease.<kind>``) and its anti-entropy heartbeat."""
         node = record.get("node") or ""
         self.recorder_for(node).note(record)
         name = record["name"]
         if name.startswith("lease."):
-            self._lease_events.append((record["t"], name[6:], node))
+            self._lease_events.append((record["t"], name, node))
         elif name == "antientropy-round":
             self._liveness.setdefault(name, {})[node] = record["t"]
 
@@ -238,15 +388,6 @@ class HealthMonitor:
         """SLO feed: one finished QUERY/RENEW/PUBLISH request."""
         self.slo.record(request_class, ok=ok, latency=latency)
 
-    def liveness(self, name: str) -> dict[str, float]:
-        """Last-seen time per node for heartbeat ``name``."""
-        return self._liveness.get(name, {})
-
-    def lease_events(self, kind: str, *, since: float) -> list[tuple[float, str]]:
-        """``(time, node)`` lease events of ``kind`` since ``since``."""
-        return [(t, node) for t, k, node in self._lease_events
-                if k == kind and t >= since]
-
     # -- lifecycle events --------------------------------------------------
 
     def on_node_crash(self, node_id: str) -> None:
@@ -265,32 +406,20 @@ class HealthMonitor:
     # -- the tick ----------------------------------------------------------
 
     def tick(self) -> None:
-        """Evaluate watchdogs and SLO burn rates (periodic, sim-time)."""
+        """Evaluate every row (periodic, sim-time); raise an alarm for each
+        (row, scope key) that tripped since the last tick, in table order."""
         now = self.clock()
         raised: list[Alarm] = []
-        for watchdog in self.watchdogs:
-            raised.extend(watchdog.check(self, now))
-        raised.extend(self._check_slo(now))
+        for row in self.detectors:
+            for key, (alarm, node, details) in row.condition(self, row, now).items():
+                edge = (row.name, key)
+                if alarm is None:
+                    self._tripped.discard(edge)
+                elif edge not in self._tripped:
+                    self._tripped.add(edge)
+                    raised.append(Alarm(alarm, node, now, details))
         for alarm in raised:
             self._raise(alarm)
-
-    def _check_slo(self, now: float) -> list[Alarm]:
-        alarms = []
-        for status in self.slo.check():
-            cls = status.objective.request_class
-            if status.breached:
-                if cls not in self._slo_breached:
-                    self._slo_breached.add(cls)
-                    kind = "burn" if status.burn_breached else "latency"
-                    alarms.append(Alarm(f"slo-{kind}", "", now, {
-                        "class": cls,
-                        "fast_burn": round(status.fast_burn, 3),
-                        "slow_burn": round(status.slow_burn, 3),
-                        "latency": round(status.latency, 4),
-                    }))
-            else:
-                self._slo_breached.discard(cls)
-        return alarms
 
     def _raise(self, alarm: Alarm) -> None:
         self.alarms.append(alarm)

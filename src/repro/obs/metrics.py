@@ -78,7 +78,7 @@ class Gauge:
     __slots__ = ("name", "value", "last_set", "_history")
 
     #: Transition history bound: at one set per simulated event this
-    #: comfortably covers any watchdog window without unbounded growth.
+    #: comfortably covers any health detector window without unbounded growth.
     HISTORY = 4096
 
     def __init__(self, name: str) -> None:
@@ -192,6 +192,15 @@ class Histogram:
                 self.vmin = value
             if value > self.vmax:
                 self.vmax = value
+
+    def merge(self, other: "Histogram") -> None:
+        """Add ``other``'s observations (same bounds) to this one."""
+        self.counts = [a + b for a, b in zip(self.counts, other.counts)]
+        self.overflow += other.overflow
+        self.count += other.count
+        self.total += other.total
+        self.vmin = min(self.vmin, other.vmin)
+        self.vmax = max(self.vmax, other.vmax)
 
     def percentile(self, p: float) -> float:
         """Estimate the ``p``-quantile (``p`` in (0, 1]) from the buckets."""

@@ -89,6 +89,9 @@ class QueryEvaluator:
         self.models = models
         self.queries_evaluated = 0
         self.queries_discarded = 0
+        #: Of those, the ones refused as another model's record under a
+        #: model id this node supports: no node can accept such a query.
+        self.queries_malformed = 0
         #: Stored descriptions actually scored, across all queries — the
         #: number a concept index exists to shrink.
         self.descriptions_evaluated = 0
@@ -122,6 +125,8 @@ class QueryEvaluator:
         model = self.models.for_query(model_id, query)
         if model is None or not model.can_evaluate():
             self.queries_discarded += 1
+            if model is None and model_id in self.models:
+                self.queries_malformed += 1
             return []
         self.queries_evaluated += 1
         if max_results is not None:

@@ -132,5 +132,5 @@ def test_artifact_payloads():
     request = protocol.ArtifactRequestPayload(artifact_name="battlefield")
     assert request.size_bytes() > 0
     found = protocol.ArtifactReplyPayload(artifact_name="x", artifact=battlefield_ontology())
-    missing = protocol.ArtifactReplyPayload(artifact_name="x", found=False)
+    missing = protocol.ArtifactReplyPayload(artifact_name="x")
     assert found.size_bytes() > missing.size_bytes()

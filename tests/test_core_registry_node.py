@@ -11,6 +11,7 @@ from repro.errors import ReproError
 from repro.netsim.node import Node
 from repro.semantics.generator import battlefield_ontology
 from repro.semantics.profiles import ServiceProfile, ServiceRequest
+from tests.deployments import e7_ring
 
 
 class Probe(Node):
@@ -316,6 +317,31 @@ def test_a_malformed_query_is_counted_where_it_is_parsed(model_id):
     assert registry.models.get(model_id).malformed_payloads == 1
 
 
+@pytest.mark.parametrize("model_id, forwards", (("uri", 0), ("wsdl", 4)))
+def test_a_refused_malformed_query_is_not_forwarded(model_id, forwards):
+    """On the E7 ring (three registries, ttl=2 floods): another model's record
+    under a supported id is refused where it enters and goes no further, while
+    a model no registry here supports is still forwarded, since a neighbor
+    might support it."""
+    system = e7_ring().system
+    registry = system.registries[0]
+    probe = Probe()
+    system.network.add_node(probe, registry.lan_name)
+    registries = system.registries
+
+    def totals():
+        return (sum(r.rim.queries_forwarded for r in registries),
+                sum(r.models.get("uri").malformed_payloads for r in registries))
+
+    forwarded, malformed = totals()
+    probe.send(registry.node_id, protocol.QUERY, protocol.QueryPayload(
+        query_id="q-junk", model_id=model_id, ttl=2,
+        query=ServiceRequest.build("ncw:RadarService", outputs=["ncw:AirTrack"])))
+    system.run_for(5.0)
+    assert [e.payload.hits for e in probe.of_type(protocol.QUERY_RESPONSE)] == [()]
+    assert totals() == (forwarded + forwards, malformed + (model_id == "uri"))
+
+
 def _query_message(msg_type, query_id, model_id, query):
     if msg_type == protocol.WALK:
         return protocol.WalkPayload(query_id=query_id, model_id=model_id, query=query,
@@ -469,8 +495,8 @@ def test_artifact_request_served_and_missing(setup):
     replies = probe.of_type(protocol.ARTIFACT_REPLY)
     assert len(replies) == 2
     by_name = {r.payload.artifact_name: r.payload for r in replies}
-    assert by_name["battlefield"].found
-    assert not by_name["nonexistent"].found
+    assert by_name["battlefield"].artifact is not None
+    assert by_name["nonexistent"].artifact is None
     assert registry.repository.requests_served == 1
     assert registry.repository.requests_missed == 1
 

@@ -1,8 +1,9 @@
-"""Tests for the runtime health layer: recorders, SLOs, watchdogs.
+"""Tests for the runtime health layer: recorders, SLOs, the detector table.
 
 Covers the instruments in isolation (flight-recorder ring semantics,
-time-weighted gauge means, Prometheus rendering, SLO burn-rate edges,
-each watchdog's rising-edge behavior) and the wired monitor on a real
+time-weighted gauge means, Prometheus rendering), every detector row's
+rising-edge behavior through the monitor's tick (each row names one of
+these tests as its self-test), and the wired monitor on a real
 deployment: inert-by-default, crash dumps, and same-seed byte-identity
 of dumps — including across a crash/restart with durability enabled.
 """
@@ -23,6 +24,7 @@ from repro.core.forwarding import (
 )
 from repro.core.system import DiscoverySystem
 from repro.errors import ReproError
+from repro.experiments import e20_health
 from repro.obs import health
 from repro.obs.health import (
     FlightRecorder,
@@ -30,7 +32,7 @@ from repro.obs.health import (
     HealthMonitor,
 )
 from repro.obs.metrics import Gauge, MetricsRegistry
-from repro.obs.slo import SLOObjective, SLOTracker
+from repro.obs.slo import FAST_WINDOW, MIN_SAMPLES
 from repro.obs.tracing import TraceRecorder
 from repro.semantics.generator import battlefield_ontology
 from repro.semantics.profiles import ServiceProfile, ServiceRequest
@@ -184,82 +186,130 @@ def test_render_prom_empty_registry_is_empty():
     assert MetricsRegistry().render_prom() == ""
 
 
-# -- SLO tracker -------------------------------------------------------------
+# -- the detector table -------------------------------------------------------
+
+ROWS = health.detectors(HealthConfig())
 
 
-def _tracker(state, **kw):
-    defaults = dict(
-        objectives=(SLOObjective("query", success_target=0.9,
-                                 latency_target=1.0),),
-        fast_window=5.0, slow_window=10.0, burn_threshold=2.0, min_samples=5,
-    )
-    defaults.update(kw)
-    return SLOTracker(lambda: state["t"], **defaults)
+def _assert_alarms(monitor, *names):
+    """The monitor raised exactly ``names``, in order, and counted each in
+    ``health.alarm.<name>``."""
+    assert [a.name for a in monitor.alarms] == list(names)
+    for name in set(names):
+        assert monitor.metrics.counters[f"health.alarm.{name}"].value == names.count(name)
+
+
+@pytest.mark.parametrize("row", ROWS, ids=[row.name for row in ROWS])
+def test_every_row_names_a_selftest_that_trips_and_rearms_it(row, monkeypatch):
+    """A row's ``selftest`` is a test of this module that asserts (through
+    :func:`_assert_alarms`, names and counters) every alarm the row raises,
+    and one of them twice: alarms fire on the rising edge only, so the
+    second one shows the edge re-armed."""
+    selftest = globals().get(row.selftest)
+    assert callable(selftest) and row.selftest.startswith("test_"), row.selftest
+    asserted: list[tuple[str, ...]] = []
+    check = _assert_alarms
+
+    def recording(monitor, *names):
+        asserted.append(tuple(n for n in names if n in row.raises))
+        check(monitor, *names)
+
+    monkeypatch.setitem(globals(), "_assert_alarms", recording)
+    selftest()
+    assert {name for names in asserted for name in names} == set(row.raises)
+    assert max(map(len, asserted)) >= 2
+
+
+def test_every_alarm_e20_expects_is_raised_by_a_row():
+    raised = {name for row in ROWS for name in row.raises}
+    assert len(raised) == sum(len(row.raises) for row in ROWS)
+    for _phase, _start, _end, expected in e20_health.PHASES:
+        assert set(expected) <= raised, expected
+
+
+# -- SLO rows (through the monitor's tick) -----------------------------------
+#
+# The query objective: 5% error budget, 2 s at p95. With the slow window at
+# 10 s, the fast one is FAST_WINDOW (5 s).
+
+
+def _slo_monitor():
+    state, _metrics, monitor = _monitor(slow_window=10.0)
+    return state, monitor
+
+
+def _record(state, monitor, t, n, *, ok, latency=0.0):
+    state["t"] = t
+    for _ in range(n):
+        monitor.record_request("query", ok=ok, latency=latency)
 
 
 def test_slo_burn_breaches_in_both_windows():
-    state = {"t": 0.0}
-    tracker = _tracker(state)
+    """Six failures trip ``slo-burn`` (both windows all errors); once the
+    windows empty the class re-arms, and slow answers trip ``slo-latency``."""
+    state, monitor = _slo_monitor()
     for i in range(6):
-        state["t"] = 1.0 + i * 0.5
-        tracker.record("query", ok=False)
-    (status,) = tracker.check()
-    assert status.burn_breached and status.breached
-    assert status.fast_burn >= 2.0 and status.slow_burn >= 2.0
+        _record(state, monitor, 1.0 + i * 0.5, 1, ok=False)
+    monitor.tick()
+    (alarm,) = monitor.alarms
+    assert alarm.details == {"class": "query", "fast_burn": 20.0, "slow_burn": 20.0,
+                             "latency": 0.0}
+    state["t"] = 30.0
+    monitor.tick()  # both windows empty: the edge clears
+    _record(state, monitor, 31.0, 6, ok=True, latency=3.0)
+    monitor.tick()
+    _assert_alarms(monitor, "slo-burn", "slo-latency")
 
 
 def test_slo_needs_min_samples_to_breach():
-    state = {"t": 1.0}
-    tracker = _tracker(state)
-    for _ in range(3):
-        tracker.record("query", ok=False)
-    (status,) = tracker.check()
-    assert not status.breached and status.fast_samples == 3
+    state, monitor = _slo_monitor()
+    _record(state, monitor, 1.0, MIN_SAMPLES - 1, ok=False)
+    monitor.tick()
+    assert monitor.alarms == []
+    _record(state, monitor, 1.0, 1, ok=False)
+    monitor.tick()
+    _assert_alarms(monitor, "slo-burn")
 
 
 def test_slo_slow_window_suppresses_blips():
-    state = {"t": 0.0}
-    tracker = _tracker(state)
-    for i in range(40):  # a healthy slow window first
-        state["t"] = 1.0 + (i % 4)
-        tracker.record("query", ok=True)
-    state["t"] = 10.0
-    for _ in range(6):  # then a short error blip
-        tracker.record("query", ok=False)
-    (status,) = tracker.check()
-    assert status.fast_burn >= 2.0  # the fast window is all errors
-    assert status.slow_burn < 2.0  # but the slow window absorbs it
-    assert not status.burn_breached
+    """Six errors make the fast window all errors; after 80 good answers
+    the slow window burns at 6/86 / 0.05 < BURN_THRESHOLD, so no alarm.
+    The same blip without the good history trips it."""
+    healthy, blip_only = _slo_monitor(), _slo_monitor()
+    for i in range(80):  # a healthy slow window first
+        _record(*healthy, 1.0 + (i % 4), 1, ok=True)
+    for state, monitor in (healthy, blip_only):
+        _record(state, monitor, 10.0, 6, ok=False)  # then a short error blip
+        monitor.tick()
+    assert healthy[1].alarms == []
+    _assert_alarms(blip_only[1], "slo-burn")
 
 
 def test_slo_latency_breach_is_independent_of_errors():
-    state = {"t": 1.0}
-    tracker = _tracker(state)
-    for _ in range(6):
-        tracker.record("query", ok=True, latency=3.0)
-    (status,) = tracker.check()
-    assert status.latency_breached and not status.burn_breached
+    state, monitor = _slo_monitor()
+    _record(state, monitor, 1.0, 6, ok=True, latency=3.0)
+    monitor.tick()
+    _assert_alarms(monitor, "slo-latency")
+    assert monitor.alarms[0].details["fast_burn"] == 0.0
 
 
 def test_slo_empty_windows_are_healthy():
-    state = {"t": 5.0}
-    tracker = _tracker(state)
-    assert tracker.success_rate("query", 5.0) == 1.0
-    assert tracker.burn_rate("query", 5.0) == 0.0
-    (status,) = tracker.check()
-    assert not status.breached
+    state, monitor = _slo_monitor()
+    state["t"] = 5.0
+    monitor.tick()
+    assert monitor.alarms == []
+    assert monitor.snapshot()["slo"]["query"] == {
+        "ok": 0, "err": 0, "success_rate": 1.0, "success_target": 0.95,
+        "latency_target": 2.0, "window_success": 1.0, "window_latency": 0.0,
+    }
 
 
 def test_slo_rejects_slow_window_shorter_than_fast():
     with pytest.raises(ReproError):
-        _tracker({"t": 0.0}, fast_window=5.0, slow_window=1.0)
+        _monitor(slow_window=FAST_WINDOW - 1.0)
 
 
-# -- watchdogs (through the monitor's tick) ----------------------------------
-
-
-def _alarm_names(monitor):
-    return [a.name for a in monitor.alarms]
+# -- the registry-transience rows (through the monitor's tick) ----------------
 
 
 def test_shed_step_fires_on_rising_edge_only():
@@ -269,29 +319,36 @@ def test_shed_step_fires_on_rising_edge_only():
     metrics.counter("admission.shed").inc(12)
     state["t"] = 2.0
     monitor.tick()
-    assert _alarm_names(monitor) == ["shed-step"]
+    _assert_alarms(monitor, "shed-step")
     state["t"] = 3.0
     monitor.tick()  # condition persists: no second alarm
-    assert _alarm_names(monitor) == ["shed-step"]
+    _assert_alarms(monitor, "shed-step")
     state["t"] = 9.0
     monitor.tick()  # window drained: edge re-arms
     metrics.counter("admission.shed").inc(12)
     state["t"] = 10.0
     monitor.tick()
-    assert _alarm_names(monitor) == ["shed-step", "shed-step"]
+    _assert_alarms(monitor, "shed-step", "shed-step")
+    assert monitor.alarms[1].details == {"shed_in_window": 12}
 
 
 def test_queue_growth_uses_time_weighted_mean():
     state, metrics, monitor = _monitor(queue_depth_threshold=8.0)
-    metrics.gauge("registry.queue_depth").set(10.0, now=0.0)
+    depth = metrics.gauge("registry.queue_depth")
+    depth.set(10.0, now=0.0)
     state["t"] = 4.0
     monitor.tick()
-    assert _alarm_names(monitor) == ["queue-growth"]
+    _assert_alarms(monitor, "queue-growth")
     # Queue drains: the mean decays and the edge clears.
-    metrics.gauge("registry.queue_depth").set(0.0, now=4.5)
+    depth.set(0.0, now=4.5)
     state["t"] = 12.0
     monitor.tick()
-    assert _alarm_names(monitor) == ["queue-growth"]
+    _assert_alarms(monitor, "queue-growth")
+    depth.set(10.0, now=12.0)  # deep again for [12, 16]: mean 8 over 5 s
+    state["t"] = 16.0
+    monitor.tick()
+    _assert_alarms(monitor, "queue-growth", "queue-growth")
+    assert monitor.alarms[1].details == {"mean_depth": 8.0, "depth": 10.0}
 
 
 def test_antientropy_staleness_per_node_and_rearms():
@@ -300,7 +357,7 @@ def test_antientropy_staleness_per_node_and_rearms():
     trace.event("antientropy-round", node="r1", attrs={"n": 1})
     state["t"] = 30.0
     monitor.tick()
-    assert _alarm_names(monitor) == ["antientropy-stale"]
+    _assert_alarms(monitor, "antientropy-stale")
     assert monitor.alarms[0].node == "r1"
     trace.event("antientropy-round", node="r1", attrs={"n": 1})  # the node came back
     state["t"] = 31.0
@@ -308,22 +365,34 @@ def test_antientropy_staleness_per_node_and_rearms():
     assert len(monitor.alarms) == 1
     state["t"] = 61.0
     monitor.tick()  # silent again: the edge re-fires
-    assert _alarm_names(monitor) == ["antientropy-stale"] * 2
+    _assert_alarms(monitor, "antientropy-stale", "antientropy-stale")
 
 
 def test_lease_expiry_spike_names_single_source_node():
     state, _metrics, monitor = _monitor()  # LEASE_EXPIRY_SPIKE is 3
-    trace = _heard(state, monitor)
+
+    def expire(node, count):
+        trace = _heard(state, monitor)
+        for i in range(count):
+            trace.event("lease.expire", node=node,
+                        attrs={"ad": f"ad~{i}", "lease": f"lease~{i}"})
+
     state["t"] = 1.0
-    for i in range(3):
-        trace.event("lease.expire", node="r1",
-                    attrs={"ad": f"ad~{i}", "lease": f"lease~{i}"})
+    expire("r1", 3)
     state["t"] = 2.0
     monitor.tick()
     (alarm,) = monitor.alarms
-    assert alarm.name == "lease-expiry-spike"
     assert alarm.node == "r1"
     assert alarm.details["expiries_in_window"] == 3
+    state["t"] = 12.0
+    monitor.tick()  # the burst left the window: the edge re-arms
+    expire("r1", 2)
+    expire("r2", 1)
+    state["t"] = 13.0
+    monitor.tick()
+    _assert_alarms(monitor, "lease-expiry-spike", "lease-expiry-spike")
+    assert monitor.alarms[1].node == ""  # two sources: no single node named
+    assert monitor.alarms[1].details["nodes"] == ["r1", "r2"]
 
 
 def test_breaker_flap_watchdog_reads_flap_counter():
@@ -333,7 +402,14 @@ def test_breaker_flap_watchdog_reads_flap_counter():
     metrics.counter("breaker.flaps").inc(2)
     state["t"] = 2.0
     monitor.tick()
-    assert _alarm_names(monitor) == ["breaker-flap"]
+    _assert_alarms(monitor, "breaker-flap")
+    state["t"] = 40.0
+    monitor.tick()  # past FLAP_WINDOW: no flap in the window, the edge re-arms
+    metrics.counter("breaker.flaps").inc(2)
+    state["t"] = 41.0
+    monitor.tick()
+    _assert_alarms(monitor, "breaker-flap", "breaker-flap")
+    assert monitor.alarms[1].details == {"flaps_in_window": 2}
 
 
 def test_alarm_raises_counters_trace_event_and_dump():

@@ -16,10 +16,13 @@ from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
+from repro.core.config import DiscoveryConfig
 from repro.descriptions.template import TemplateModel
 from repro.descriptions.uri import UriModel
 from repro.semantics.generator import OntologyGenerator, ProfileGenerator
 from repro.semantics.ontology import THING, Ontology
+from repro.workloads.scenarios import ScenarioSpec, build_scenario
+from tests.deployments import SETTLE_AT
 from tests.test_query_path_properties import _TwinPaths, _ad, _request_corpus, _rows
 
 STORE_SIZE = 40
@@ -119,3 +122,49 @@ def test_an_ad_that_matches_nothing_changes_no_answer(seed):
                             model_id=model.model_id, description=description))
     assert foreign.indexed_model.malformed_payloads == STORE_SIZE
     assert _rankings(foreign, requests) == _rankings(baseline, requests)
+
+
+def _chain(seed: int):
+    """A settled four-LAN battlefield chain (flooding, four services a LAN),
+    its client at one end, and a request per service phrased one step more
+    generally, uncapped in effect (16 ads in all)."""
+    built = build_scenario(ScenarioSpec(lan_names=("lan-0", "lan-1", "lan-2", "lan-3"),
+                                        federation="chain", seed=seed),
+                           config=DiscoveryConfig())
+    built.system.run(until=SETTLE_AT)
+    requests = [built.generator.request_for(profile, generalize=1, max_results=100)
+                for profile in built.profiles]
+    return built.system, built.system.clients[0], requests
+
+
+def _answer(system, client, request, **kw) -> list:
+    call = system.discover(client, request, **kw)
+    assert call.completed and not call.timed_out
+    return [(h.advertisement.ad_id, h.degree, h.score) for h in call.hits]
+
+
+FEDERATION = settings(max_examples=6, deadline=None)
+
+
+@FEDERATION
+@given(seed=SEEDS)
+def test_a_longer_ttl_loses_no_hit(seed):
+    system, client, requests = _chain(seed)
+    grew = 0
+    for request in requests:
+        answers = [{row[0] for row in _answer(system, client, request, ttl=ttl)}
+                   for ttl in range(4)]
+        for shorter, longer in zip(answers, answers[1:]):
+            assert shorter <= longer, request
+        grew += answers[0] < answers[-1]
+    assert grew  # the far LANs hold hits the near one lacks
+
+
+@FEDERATION
+@given(seed=SEEDS)
+def test_a_smaller_max_results_keeps_the_prefix(seed):
+    system, client, requests = _chain(seed)
+    for request in requests:
+        full = _answer(system, client, request)
+        for k in (1, 2, 3, 5):
+            assert _answer(system, client, replace(request, max_results=k)) == full[:k]

@@ -101,6 +101,22 @@ def test_histogram_empty_summary_is_zeroes():
     }
 
 
+def test_merged_histograms_answer_as_one_fed_every_value():
+    values = (0.0004, 0.003, 0.2, 0.2, 1.7, 3.0, 70.0)
+    whole = Histogram("whole")
+    merged = Histogram("merged")
+    for chunk in (values[:2], values[2:5], (), values[5:]):
+        part = Histogram("part")
+        for value in chunk:
+            part.observe(value)
+            whole.observe(value)
+        merged.merge(part)
+    assert (merged.counts, merged.overflow, merged.count, merged.vmin, merged.vmax) \
+        == (whole.counts, whole.overflow, whole.count, whole.vmin, whole.vmax)
+    for p in (0.1, 0.5, 0.95, 1.0):
+        assert merged.percentile(p) == whole.percentile(p)
+
+
 def test_histogram_rejects_unsorted_buckets():
     with pytest.raises(ReproError):
         Histogram("bad", buckets=(2.0, 1.0))

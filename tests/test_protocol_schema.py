@@ -129,8 +129,7 @@ GOLDEN = {
     "artifact-request": (p.ArtifactRequestPayload(artifact_name="battlefield"), 27),
     "artifact-reply": (p.ArtifactReplyPayload(
         artifact_name="battlefield", artifact=battlefield_ontology()), 9392),
-    "artifact-reply-missing": (p.ArtifactReplyPayload(artifact_name="battlefield",
-                                                      found=False), 27),
+    "artifact-reply-missing": (p.ArtifactReplyPayload(artifact_name="battlefield"), 27),
     "registry-description": (DESC, 151),
     "registry-description-bare": (RegistryDescription(
         registry_id="registry-000", lan_name="lan-0", supported_models=("uri",),
