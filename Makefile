@@ -86,19 +86,21 @@ results-check:
 	git diff --exit-code --stat -- benchmarks/results \
 		':!benchmarks/results/e5.txt' ':!benchmarks/results/perf_*.txt'
 
-## perf-pairs: `make perf-pairs PARENT=<rev> WORKLOAD=<name> [PAIRS=10]
-## [SEED=1000]` runs benchmarks/perf/run.py at BENCHMARK.json's run length
-## on <rev> (exported to a temp dir) and on this tree, PAIRS times,
-## alternating which goes first, and prints per end-to-end metric both
-## medians and quartiles, wins/ties/losses and gain / regression /
-## unchanged / unresolved (see tools/perf_pairs.py). ~40 s per pair.
+## perf-pairs: `make perf-pairs PARENT=<rev> [CHANGE=<rev>] WORKLOAD=<name>
+## [PAIRS=10] [SEED=1000]` runs benchmarks/perf/run.py at BENCHMARK.json's
+## run length on <rev> (exported to a temp dir) and on this tree (or on
+## CHANGE, exported too), PAIRS times, alternating which goes first, and
+## prints per end-to-end metric both medians and quartiles,
+## wins/ties/losses and gain / regression / unchanged / unresolved (see
+## tools/perf_pairs.py). ~40 s per pair.
 ## WORKLOAD=all runs every workload of BENCHMARK.json in turn, one table
-## each, and fails if any regressed.
+## each, and fails if any regressed. CHANGE=$(PARENT) is an A/A run: the
+## noise floor a claim has to clear.
 PAIRS ?= 10
 SEED ?= 1000
 perf-pairs:
 	$(PYTHON) tools/perf_pairs.py --parent $(PARENT) --workload $(WORKLOAD) \
-		--pairs $(PAIRS) --seed $(SEED)
+		--pairs $(PAIRS) --seed $(SEED) $(if $(CHANGE),--change $(CHANGE))
 
 ## mem-attr: `make mem-attr [WORKLOAD=wan_100k] [SEED=1000] [TREE=<checkout>]
 ## [GROWTH=N]` builds one benchmark deployment (imported from

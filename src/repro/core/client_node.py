@@ -113,8 +113,8 @@ class DiscoveryCall:
     #: retry delay is never scheduled past this point (satellite fix for
     #: the "retry dies in the timeout instead of failing over" bug).
     deadline: float = float("inf")
-    #: Recorder-local trace id of this call's root span (None when the
-    #: recorder is unavailable). All retries share it.
+    #: Recorder-local trace id of this call's root span (None unless a
+    #: trace capture or observer listens). All retries share it.
     trace_id: int | None = None
     _fallback_batches: list[list[QueryHit]] = field(default_factory=list)
     _span: Span | None = field(default=None, repr=False)

@@ -418,16 +418,19 @@ class QueryCoordinator:
         own TTL, then with that TTL, each under the round-scoped id
         ``{query_id}#r{i}``, so peers do not suppress it as a duplicate. Hits accumulate across
         rounds until they are enough or the schedule is exhausted; the
-        answer counts one responder per round run.
+        answer counts one responder per round run. A query the model gate
+        refused in round 0 (local only, so done at once) runs no other round.
         """
         ttls = [t for t in (0, 1, 2) if t < payload.ttl] + [payload.ttl]
         batches: list[list[QueryHit]] = []
+        malformed = self.registry.evaluator.queries_malformed
 
         def run(i: int) -> None:
             def done(hits: list[QueryHit], _responders: int) -> None:
                 batches.append(hits)
                 merged = QueryEvaluator.merge(batches, max_results=payload.max_results)
-                if _satisfied(merged, payload) or i + 1 >= len(ttls):
+                if _satisfied(merged, payload) or i + 1 >= len(ttls) \
+                        or (i == 0 and self.registry.evaluator.queries_malformed != malformed):
                     self._respond(client, payload.query_id, merged, len(batches), span=span)
                 else:
                     run(i + 1)

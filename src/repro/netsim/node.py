@@ -207,8 +207,8 @@ class Node:
 
     def span(self, name: str, attrs: dict[str, Any] | None = None, *,
              ctx: tuple[int, int] | None = _CURRENT) -> Span | None:
-        """Open the span ``name`` at this node (``None`` while unattached);
-        ``ctx=None`` roots a new trace."""
+        """Open the span ``name`` at this node (``None`` while unattached or
+        unlistened); ``ctx=None`` roots a new trace."""
         trace = self.trace
         if trace is None:
             return None

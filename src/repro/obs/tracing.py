@@ -16,9 +16,10 @@ hands them to its listeners as they happen — a :class:`TraceCapture`
 after the run, and the ``observers`` registered with
 :meth:`TraceRecorder.listen` (the health layer's flight recorders), which
 get each closed span and each event as a plain dict. A recorder nobody
-listens to still allocates spans — their ids ride in envelope headers and
-in ``DiscoveryCall.trace_id`` — but builds no event and interns no id, so
-a long run's memory is bounded by what its agents hold, not by its length.
+listens to opens no span, builds no event and interns no id: a node's
+context stays ``None``, so no header carries one and
+``DiscoveryCall.trace_id`` is ``None``. A long run's memory is bounded by
+what its agents hold, not by its length.
 
 Determinism contract
 --------------------
@@ -167,8 +168,7 @@ class TraceRecorder:
         the numbering restarts per recorder — so exported attributes stay
         identical across same-seed runs even though the underlying UUID
         counters do not. With nobody listening the raw id comes back as
-        it is and nothing is interned: it can only reach a span's attrs,
-        which nobody will read.
+        it is and nothing is interned: no record will carry it.
         """
         if not self.listening:
             return raw_id
@@ -196,9 +196,13 @@ class TraceRecorder:
         node: str = "",
         ctx: tuple[int, int] | None = None,
         attrs: dict[str, Any] | None = None,
-    ) -> Span:
+    ) -> Span | None:
         """Open a span. ``ctx`` is the parent context; ``None`` starts a
-        new root trace."""
+        new root trace. Returns ``None`` when nobody listens: then only the
+        sequence number advances, as for :meth:`event`."""
+        seq = self._next_seq()
+        if not self.listening:
+            return None
         if ctx is None:
             self._next_trace += 1
             trace_id, parent_id = self._next_trace, None
@@ -213,7 +217,7 @@ class TraceRecorder:
             node=node,
             start=self.clock(),
             attrs=dict(attrs or {}),
-            seq=self._next_seq(),
+            seq=seq,
         )
         if self._capture is not None:
             self._capture.spans.append(span)

@@ -5,13 +5,18 @@ from __future__ import annotations
 import pytest
 
 from repro.core import protocol
-from repro.core.config import COOPERATION_REPLICATE_ADS, DiscoveryConfig
+from repro.core.config import (
+    COOPERATION_REPLICATE_ADS,
+    STRATEGY_EXPANDING_RING,
+    DiscoveryConfig,
+)
 from repro.core.system import DiscoverySystem
 from repro.errors import ReproError
 from repro.netsim.node import Node
 from repro.semantics.generator import battlefield_ontology
 from repro.semantics.profiles import ServiceProfile, ServiceRequest
-from tests.deployments import e7_ring
+from repro.workloads.scenarios import ScenarioSpec, build_scenario
+from tests.deployments import SETTLE_AT, e7_ring
 
 
 class Probe(Node):
@@ -340,6 +345,34 @@ def test_a_refused_malformed_query_is_not_forwarded(model_id, forwards):
     system.run_for(5.0)
     assert [e.payload.hits for e in probe.of_type(protocol.QUERY_RESPONSE)] == [()]
     assert totals() == (forwarded + forwards, malformed + (model_id == "uri"))
+
+
+@pytest.mark.parametrize("model_id, rounds", (("uri", 1), ("wsdl", 3)))
+def test_an_expanding_ring_counts_a_refused_query_once(model_id, rounds):
+    """Under an expanding ring, another model's record is refused in round 0
+    and runs no further round: counted once at its coordinator, no
+    round-scoped forward sent. A model no registry here supports still runs
+    every round (0, 1 and 2 for ttl=2)."""
+    built = build_scenario(
+        ScenarioSpec(name="ring", lan_names=("lan-0", "lan-1", "lan-2"),
+                     ontology_factory=battlefield_ontology, seed=7),
+        config=DiscoveryConfig(strategy=STRATEGY_EXPANDING_RING))
+    system = built.system
+    system.run(until=SETTLE_AT)
+    registry, registries = system.registries[0], system.registries
+    probe = Probe()
+    system.network.add_node(probe, registry.lan_name)
+    forwarded = sum(r.rim.queries_forwarded for r in registries)
+    probe.send(registry.node_id, protocol.QUERY, protocol.QueryPayload(
+        query_id="q-junk", model_id=model_id, ttl=2,
+        query=ServiceRequest.build("ncw:RadarService", outputs=["ncw:AirTrack"])))
+    system.run_for(5.0)
+    [answer] = probe.of_type(protocol.QUERY_RESPONSE)
+    assert (answer.payload.hits, answer.payload.responders) == ((), rounds)
+    assert [r.models.get("uri").malformed_payloads for r in registries] \
+        == [int(model_id == "uri"), 0, 0]
+    assert (sum(r.rim.queries_forwarded for r in registries) > forwarded) \
+        == (model_id == "wsdl")
 
 
 def _query_message(msg_type, query_id, model_id, query):

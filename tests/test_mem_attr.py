@@ -65,10 +65,11 @@ def test_growth_reports_bytes_per_operation_by_module_and_line():
     assert "B/op" in module_table and "over 64 operations" in out
     rows = {line.split()[0]: float(line.split()[2])
             for line in module_table.splitlines() if line.startswith("src/")}
-    # Each discover keeps its DiscoveryCall; the recorder keeps only the
-    # call's root span, with nobody listening.
+    # Each discover keeps its DiscoveryCall; with nobody listening, the
+    # recorder opens no span, so it keeps nothing per operation (at most
+    # its current record sequence number, one int for the whole run).
     assert rows["src/repro/core/client_node.py"] > 0
-    assert 0 < rows["src/repro/obs/tracing.py"] < 1000
+    assert rows.get("src/repro/obs/tracing.py", 0) == 0
     assert "src/repro/core/client_node.py:" in line_table and "call = DiscoveryCall(" in line_table
 
 

@@ -51,16 +51,18 @@ The third ceiling is what a run's trace recorder keeps per completed
 query, read over discovers 128..384 of :func:`tests.deployments.e7_ring`
 with no trace capture attached — the way every benchmark deployment runs:
 
-=====================================  ===========  ===========
-bytes retained per discover            all kept     if captured
-=====================================  ===========  ===========
-``obs/tracing.py``                     8,959        378
-=====================================  ===========  ===========
+=====================================  ===========  ===========  ===========
+bytes retained per discover            all kept     if captured  unlistened
+=====================================  ===========  ===========  ===========
+``obs/tracing.py``                     8,959        378          0
+=====================================  ===========  ===========  ===========
 
-The left column is the recorder that kept every span and event for the
-whole run; the right one keeps them only in a capture somebody attached.
-What is left is the root span each ``DiscoveryCall`` in ``client.calls``
-holds, so it does not grow with the run's length.
+The first column is the recorder that kept every span and event for the
+whole run; the second keeps them only in a capture somebody attached,
+which left the root span each ``DiscoveryCall`` in ``client.calls`` held.
+The third opens no span while nobody listens: what is left is the
+recorder's sequence number, one int for the whole run (0.1 B per
+discover over 256 of them).
 
 The fourth ceiling is what a registry-less LAN keeps per service node: a
 settled :func:`tests.deployments.fallback_lan` of 100 services, generated
@@ -99,8 +101,9 @@ N_ADS = 5_000
 CEILING_BYTES_PER_AD = 255
 #: ~15 % above the compact reading; the same rule.
 CEILING_BYTES_PER_PROFILE = 560
-#: ~15 % above the capture-only reading; the same rule.
-CEILING_TRACE_BYTES_PER_DISCOVER = 435
+#: Under one byte: the unlistened reading is one int for the whole run,
+#: and one object kept per discover would cost 16 or more. The same rule.
+CEILING_TRACE_BYTES_PER_DISCOVER = 1
 #: ~15 % above the shared-matchmaker reading; the same rule.
 CEILING_BYTES_PER_SERVICE_NODE = 12_000
 N_SERVICE_NODES = 100

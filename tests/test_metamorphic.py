@@ -6,7 +6,8 @@ values, so it needs no hand-labelled relevance: the same ads put in
 another order, the same ontology built in another order, and an extra ad
 that matches nothing must all leave every ranking bit for bit as it was —
 same ids, versions, degrees and score floats — on the indexed path and on
-the linear scan alike.
+the linear scan alike; discarding a returned ad must promote the next one
+and move nothing else.
 """
 
 from __future__ import annotations
@@ -122,6 +123,34 @@ def test_an_ad_that_matches_nothing_changes_no_answer(seed):
                             model_id=model.model_id, description=description))
     assert foreign.indexed_model.malformed_payloads == STORE_SIZE
     assert _rankings(foreign, requests) == _rankings(baseline, requests)
+
+
+@RELATION
+@given(seed=SEEDS)
+def test_discarding_a_returned_ad_promotes_the_next(seed):
+    """Discarding the i-th ad of an answer at ``max_results=k`` makes the
+    next answer the old top-(k+1) without it; uncapped, the old ranking
+    without it."""
+    ontology, _, profiles, requests = _case(seed)
+    ads = {ad.ad_id: ad for ad in (_ad(i, profile) for i, profile in enumerate(profiles))}
+    paths = _loaded(ontology, ads.values())
+    rng = random.Random(seed)
+    discarded = 0
+    for request in requests:
+        for cap in (request.max_results, None):
+            for evaluator in (paths.indexed, paths.linear):
+                before = _rows(evaluator.evaluate(
+                    "semantic", request, max_results=None if cap is None else cap + 1))
+                returned = before[:cap]
+                if not returned:
+                    continue
+                gone = returned[rng.randrange(len(returned))][0]
+                evaluator.store.discard(gone)
+                assert _rows(evaluator.evaluate("semantic", request, max_results=cap)) \
+                    == [row for row in before if row[0] != gone]
+                evaluator.store.put(ads[gone])
+                discarded += 1
+    assert discarded
 
 
 def _chain(seed: int):

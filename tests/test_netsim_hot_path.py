@@ -18,6 +18,7 @@ from repro.netsim.network import Network
 from repro.netsim.node import Node
 from repro.netsim.simulator import Simulator
 from repro.netsim.stats import TrafficStats
+from repro.obs import tracing
 from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS, Histogram
 from tests.deployments import e7_ring, fallback_lan
 
@@ -126,15 +127,37 @@ def _grown_by_256_discovers(deploy, traced: bool) -> tuple[dict, list]:
 @pytest.mark.parametrize("deploy", (e7_ring, fallback_lan))
 def test_only_the_documented_histories_grow_with_the_run(deploy):
     """A completed query leaves two things behind: its ``DiscoveryCall``
-    in ``client.calls`` with that call's root span, and the call's hits
-    (at most ``max_results``; a directly-answering service builds the
-    advertisement record of its hit per reply, so there each kept hit
-    keeps one). Nothing else may be held per query — not the timers,
-    aggregations and payloads of answered queries, not the responders'
-    batches of a completed fallback call, and with no trace capture
-    attached no trace record beyond the root span."""
-    grown, calls = _grown_by_256_discovers(deploy, traced=False)
-    assert grown == {"Span": len(calls)}
+    in ``client.calls`` and the call's hits (at most ``max_results``; a
+    directly-answering service builds the advertisement record of its hit
+    per reply, so there each kept hit keeps one). Nothing else may be held
+    per query — not the timers, aggregations and payloads of answered
+    queries, not the responders' batches of a completed fallback call, and
+    with no trace capture attached no trace record at all."""
+    grown, _calls = _grown_by_256_discovers(deploy, traced=False)
+    assert grown == {}
+
+
+def test_a_trace_nobody_listens_to_opens_no_span_and_sends_no_context(monkeypatch):
+    """With nobody listening, 256 ring discovers build no ``Span`` and no
+    envelope carries a trace context; with a capture attached, the same
+    discovers each have their spans under ``call.trace_id``."""
+    dep = e7_ring()
+    built, traced = [], []
+    span = tracing.Span
+    monkeypatch.setattr(tracing, "Span", lambda **kw: built.append(kw) or span(**kw))
+    for name in ("unicast", "multicast"):
+        send = getattr(Network, name)
+        monkeypatch.setattr(Network, name, lambda net, env, send=send: (
+            traced.append(env) if tracing.TRACE_ID_HEADER in env.headers else None,
+            send(net, env))[1])
+    calls = dep.discover(256)
+    assert (built, traced) == ([], [])
+    assert {call.trace_id for call in calls} == {None}
+    monkeypatch.undo()
+    dep = e7_ring(traced=True)
+    calls = dep.discover(256)
+    capture = dep.system.trace.capture()
+    assert all(capture.spans_of(call.trace_id) for call in calls)
 
 
 #: Trace records 256 discovers add to an attached capture — 25.3 per

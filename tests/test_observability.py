@@ -224,14 +224,16 @@ def test_export_jsonl_is_creation_ordered_and_parseable():
 
 def test_a_recorder_without_listeners_builds_no_event_and_interns_no_id():
     rec = TraceRecorder(lambda: 0.0)
-    span = rec.start_span("op", attrs={"k": 1})  # its ids ride in headers
-    assert span.context == (1, 1)
-    assert rec.event("mark", ctx=span.context, attrs={"k": 1}) is None
+    assert rec.start_span("op", attrs={"k": 1}) is None  # nor a span
+    # The quiet span still closes the door on late listeners.
+    with pytest.raises(RuntimeError, match="first trace record"):
+        rec.capture()
+    with pytest.raises(RuntimeError, match="first trace record"):
+        rec.listen(lambda record: None)
+    assert rec.event("mark", ctx=(1, 1), attrs={"k": 1}) is None
     assert rec.alias("q-000412") == "q-000412"
     assert rec._aliases == {} and rec._alias_counts == {}
     assert not rec.listening and rec.spans == () and rec.events == ()
-    rec.end_span(span, status="timeout")
-    assert (span.status, span.end) == ("timeout", 0.0)
 
 
 def test_listeners_attach_only_before_the_first_record():

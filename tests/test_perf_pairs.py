@@ -73,6 +73,7 @@ def _fake_harness(monkeypatch, worse_on: str = "") -> list:
                 "metrics": {m["name"]: {"value": value[m["better"]]}
                             for m in SPEC["end_to_end"]}}
 
+    monkeypatch.setattr(perf_pairs, "same_harness", lambda parent, change: None)
     monkeypatch.setattr(perf_pairs, "exported", exported)
     monkeypatch.setattr(perf_pairs, "run_once", run_once)
     return runs
@@ -90,6 +91,19 @@ def test_workload_all_runs_every_workload_against_one_export(monkeypatch, capsys
     assert [line.split(":")[0] for line in lines if line.startswith("# ") and ":" in line] \
         == [f"# {name}" for name in WORKLOADS]
     assert sum(line.startswith("metric ") for line in lines) == len(WORKLOADS)
+
+
+def test_change_pairs_a_second_export_instead_of_the_working_tree(monkeypatch, capsys):
+    runs = _fake_harness(monkeypatch)
+    checked = []
+    monkeypatch.setattr(perf_pairs, "same_harness",
+                        lambda parent, change: checked.append((parent, change)))
+    assert perf_pairs.main(["--parent", "a", "--change", "b", "--workload", "wan_small",
+                            "--pairs", "2", "--seed", "7"]) == 0
+    assert checked == [("a", "b")]
+    assert runs == [("a", "wan_small", 7), ("b", "wan_small", 7),
+                    ("b", "wan_small", 8), ("a", "wan_small", 8)]
+    assert "# wan_small: 2 pairs, parent a, change b," in capsys.readouterr().out
 
 
 def test_workload_all_exits_1_when_any_workload_regresses(monkeypatch):

@@ -1,18 +1,21 @@
 """Alternating parent/change pairs of the repo's benchmark, with a verdict.
 
-    make perf-pairs PARENT=<rev> WORKLOAD=<name>|all [PAIRS=10] [SEED=1000]
-    python3 tools/perf_pairs.py --parent <rev> --workload <name>|all [--pairs N] [--seed S]
+    make perf-pairs PARENT=<rev> [CHANGE=<rev>] WORKLOAD=<name>|all [PAIRS=10] [SEED=1000]
+    python3 tools/perf_pairs.py --parent <rev> [--change <rev>] --workload <name>|all \
+        [--pairs N] [--seed S]
 
-The *change* is this working tree; the *parent* is ``<rev>`` exported into
-a temporary directory (``git archive``: nothing is written under ``.git``,
-and the directory is removed on exit). Pair ``i`` runs
+The *change* is this working tree, or ``--change <rev>``; the *parent* is
+``<rev>``. A revision is exported into a temporary directory (``git
+archive``: nothing is written under ``.git``, and the directory is removed
+on exit). ``--change`` equal to ``--parent`` is an A/A run: what it reads
+is the noise a claim has to clear. Pair ``i`` runs
 
     python3 benchmarks/perf/run.py --workload W --seed S+i --seconds R --trace 0
 
 in both trees, one process at a time, the parent first on even pairs and
 the change first on odd ones; ``R`` is ``run_seconds`` of ``BENCHMARK.json``.
 It refuses to run when ``BENCHMARK.json`` or ``benchmarks/perf`` differ
-between the two trees: a pair is only a pair under the same harness.
+between the two sides: a pair is only a pair under the same harness.
 
 Per end-to-end metric it prints both sides' medians and quartiles, how
 many pairs the change won, and a verdict by the ``choosing-metrics`` rule:
@@ -101,13 +104,18 @@ def run_once(tree: pathlib.Path, workload: str, seed: int, seconds: float) -> di
     return json.loads(lines[-1])
 
 
+def same_harness(parent: str, change: str | None) -> None:
+    """Exit unless ``parent``'s harness equals ``change``'s (default: this
+    working tree's)."""
+    revs = [parent, change] if change else [parent]
+    if subprocess.run(["git", "diff", "--quiet", *revs, "--", *HARNESS], cwd=ROOT).returncode:
+        sys.exit(f"{' and '.join(HARNESS)} differ from {parent}: "
+                 "a change that edits the benchmark cannot be paired against it")
+
+
 @contextlib.contextmanager
 def exported(rev: str) -> Iterator[pathlib.Path]:
     """``rev`` exported into a temporary directory, removed on exit."""
-    if subprocess.run(["git", "diff", "--quiet", rev, "--", *HARNESS],
-                      cwd=ROOT).returncode:
-        sys.exit(f"{' and '.join(HARNESS)} differ from {rev}: "
-                 "a change that edits the benchmark cannot be paired against it")
     with tempfile.TemporaryDirectory(prefix="perf-pairs-") as tmp:
         archive = subprocess.run(["git", "archive", rev], cwd=ROOT,
                                  check=True, capture_output=True).stdout
@@ -116,13 +124,13 @@ def exported(rev: str) -> Iterator[pathlib.Path]:
 
 
 def compare(trees: dict[str, pathlib.Path], spec: dict, workload: str,
-            *, parent: str, pairs: int, seed: int) -> bool:
+            *, parent: str, change: str, pairs: int, seed: int) -> bool:
     """Run and print one workload's pairs and table; whether it regressed."""
     seconds = spec["run_seconds"]
     names = [m["name"] for m in spec["end_to_end"]]
     values = {side: {name: [] for name in names} for side in trees}
     ops = {side: [0, 0] for side in trees}  # failed, attempted
-    print(f"# {workload}: {pairs} pairs, parent {parent}, "
+    print(f"# {workload}: {pairs} pairs, parent {parent}, change {change}, "
           f"--seconds {seconds} --trace 0")
     print(f"# {'seed':>6} {'side':<7}" + "".join(f"{n:>19}" for n in names))
     for i in range(pairs):
@@ -158,6 +166,7 @@ def compare(trees: dict[str, pathlib.Path], spec: dict, workload: str,
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="revision to compare against")
+    parser.add_argument("--change", help="revision to compare (default: this working tree)")
     parser.add_argument("--workload", required=True,
                         help="a workload of BENCHMARK.json, or 'all' for each in turn")
     parser.add_argument("--pairs", type=int, default=10)
@@ -170,9 +179,12 @@ def main(argv: list[str] | None = None) -> int:
         if args.workload not in workloads:
             parser.error(f"unknown workload {args.workload!r}")
         workloads = [args.workload]
-    with exported(args.parent) as parent:
-        trees = {"parent": parent, "change": ROOT}
+    same_harness(args.parent, args.change)
+    with contextlib.ExitStack() as stack:
+        trees = {"parent": stack.enter_context(exported(args.parent)),
+                 "change": stack.enter_context(exported(args.change)) if args.change else ROOT}
         regressed = [compare(trees, spec, workload, parent=args.parent,
+                             change=args.change or "working tree",
                              pairs=args.pairs, seed=args.seed)
                      for workload in workloads]
     return 1 if any(regressed) else 0
