@@ -9,7 +9,7 @@ SMOKES := perf:test_perf_matchmaking fault:test_fault_smoke obs:test_obs_smoke \
           recovery:test_e19_recovery health:test_e20_health shard:test_e21_sharding
 SMOKE_TARGETS := $(foreach s,$(SMOKES),$(firstword $(subst :, ,$(s)))-smoke)
 
-.PHONY: test bench all smoke results-check perf-pairs mem-attr op-classes knobs $(SMOKE_TARGETS)
+.PHONY: test bench all smoke results-check perf-pairs mem-attr op-classes knobs knockouts $(SMOKE_TARGETS)
 
 ## Tier 1: the full unit/integration suite. Must always be green.
 test:
@@ -142,5 +142,17 @@ op-classes:
 ## fails when the committed table is stale.
 knobs:
 	$(PYTHON) tools/knob_audit.py --write docs/KNOBS.md
+
+## knockouts: `make knockouts [REV=HEAD]` exports REV (git archive, so
+## benchmarks/results here is never written) and, for each mechanism
+## declared in tools/knockout.py, replaces its method from outside src/ by
+## a no-op, runs the tier-1 tests naming its module, the pins and
+## results-check's test run, and rewrites docs/KNOCKOUTS.md: per mechanism
+## the tests that fail and the results lines that move. ~11 min for the
+## table on two cores; tests/test_knockout.py checks the declared targets
+## resolve and each has one row.
+REV ?= HEAD
+knockouts:
+	$(PYTHON) tools/knockout.py --rev $(REV) --write docs/KNOCKOUTS.md
 
 all: test smoke

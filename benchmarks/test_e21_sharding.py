@@ -14,8 +14,8 @@ Gates the PR's acceptance criteria:
   keeps finding every reachable service (success >= 0.99) because the
   read cover routes around the dead replicas.
 * **Self-healing** — the faulted run ends with zero shard-placement and
-  zero replica-convergence violations: hinted handoff and per-shard
-  anti-entropy re-fill the surviving replicas.
+  zero replica-convergence violations: per-shard anti-entropy re-fills
+  the surviving replicas.
 * **Determinism** — two same-seed faulted runs export byte-identical
   trace JSONL.
 

@@ -209,10 +209,6 @@ class AntiEntropy:
         the pair without waiting for the peer's next round.
         """
         src, payload = envelope.src, envelope.payload
-        # A digest is direct proof of life: replay any hinted writes
-        # before reconciling, so the peer's digest round converges on
-        # the post-handoff store.
-        self.registry.federation.peer_alive(src)
         placement = self.registry.writes.mode
         store = self.registry.store
         # Adopt the peer's tombstones: delete our replica of anything the

@@ -208,9 +208,8 @@ class RegistryTracker:
     def exclude(self, registry_id: str) -> None:
         """Keep off ``registry_id`` (it refused a publish at capacity) for
         one lease period and one purge sweep: by then every advertisement
-        it held has been renewed or has left the store, so two services
-        that each got part of a nearly full registry, and so both excluded
-        it, cannot lock each other out for good."""
+        it held has been renewed or has left the store, so a service it
+        refused tries again once a service it held is gone."""
         config = self.config
         self.excluded[registry_id] = (
             self.node.sim.now + config.lease_duration + config.purge_interval)

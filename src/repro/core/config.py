@@ -109,7 +109,8 @@ class DiscoveryConfig:
     #: neighbors; ``None`` disables the periodic rounds (join-time and
     #: promotion-time digest sync are disabled with it). Only effective
     #: under ``COOPERATION_REPLICATE_ADS`` — forwarding registries hold
-    #: disjoint stores by design, so there is nothing to reconcile.
+    #: disjoint stores by design, so there is nothing to reconcile. A
+    #: sharded ring needs it: anti-entropy is how its replicas catch up.
     antientropy_interval: float | None = 10.0
     #: Seconds an open breaker waits before allowing a half-open probe.
     breaker_reset_timeout: float = 10.0
@@ -176,6 +177,11 @@ class DiscoveryConfig:
             raise ReproError(
                 "sharding.enabled partitions what replicate-ads cooperation "
                 f"replicates; it cannot be combined with {self.cooperation!r}"
+            )
+        if self.sharding.enabled and self.antientropy_interval is None:
+            raise ReproError(
+                "sharding.enabled repairs replicas through anti-entropy rounds; "
+                "it needs an antientropy_interval"
             )
         if not 0.0 < self.renew_fraction < 1.0:
             raise ReproError(f"renew_fraction must be in (0, 1), got {self.renew_fraction}")

@@ -87,19 +87,15 @@ class Federation:
         """Have ``observer`` told of ``event`` from now on, after those
         registered before it — by the component that needs it:
         ``registry_observed(description, first_sighting=…)``,
-        ``neighbor_added(peer)``, ``peer_alive(peer)`` (direct proof of
-        life), ``peer_departed(peer)`` (a graceful leave or a neighbor
-        declared dead), ``drop_member(peer)`` (a graceful leave, after
-        ``peer_departed``) or ``departing()`` (we are leaving)."""
+        ``neighbor_added(peer)``, ``peer_departed(peer)`` (a graceful leave
+        or a neighbor declared dead), ``drop_member(peer)`` (a graceful
+        leave, after ``peer_departed``) or ``departing()`` (we are
+        leaving)."""
         self._observers.setdefault(event, []).append(observer)
 
     def _tell(self, event: str, *args: Any, **kwargs: Any) -> None:
         for observer in self._observers.get(event, ()):
             observer(*args, **kwargs)
-
-    def peer_alive(self, peer: str) -> None:
-        """Direct proof of life from ``peer``: a pong, a digest."""
-        self._tell("peer_alive", peer)
 
     # -- joining ------------------------------------------------------------
 
@@ -252,8 +248,6 @@ class Federation:
         if src in self.neighbors:
             self._missed_pongs[src] = 0
             self.record_neighbor_success(src)
-        # Proof of life: replay any writes hinted while the peer was down.
-        self.peer_alive(src)
 
     def _neighbor_lost(self, neighbor: str) -> None:
         """Failure detector fired: unlink and try to re-wire the network."""
@@ -263,8 +257,8 @@ class Federation:
         self.breakers.pop(neighbor, None)
         self.neighbors_lost += 1
         # A crash suspicion is NOT a ring departure: the shard ring keeps
-        # the member (health-aware replica selection and hinted handoff
-        # mask it) so a flapping registry does not thrash key placement.
+        # the member (health-aware replica selection masks it, anti-entropy
+        # repairs it) so a flapping registry does not thrash key placement.
         self._tell("peer_departed", neighbor)
         self._reconnect()
 

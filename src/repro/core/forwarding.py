@@ -1,7 +1,7 @@
 """Query forwarding bookkeeping, shared by every strategy.
 
-* :class:`ScatterPlan` — whom a query is forwarded to, and how their
-  answers are retargeted and observed,
+* :class:`ScatterPlan` — whom a query is forwarded to, and who stands in
+  for a target that stays silent,
 * :class:`SeenQueries` — query-id based loop avoidance with pruning,
 * :class:`PendingAggregation` — hits awaited from a fan-out's targets
   or from a random walk (or a timeout), completing exactly once,
@@ -34,9 +34,6 @@ class ScatterPlan(NamedTuple):
     #: ``retarget(failed, contacted)``: stand-ins for the targets still
     #: silent at the first timeout, asked once (sharded reads).
     retarget: Callable[[list[str], set[str]], list[str]] | None = None
-    #: ``observe(src, hits)`` sees every answer before it is merged (read
-    #: repair); whatever it keeps lives and dies with the query.
-    observe: Callable[[str | None, tuple[QueryHit, ...]], None] | None = None
 
 
 class SeenQueries:
@@ -146,7 +143,6 @@ class PendingAggregation:
         on_target_timeout: Callable[[str], None] | None = None,
         trace_ctx: tuple[int, int] | None = None,
         on_retarget: Callable[[list[str], tuple[str, ...]], list[str]] | None = None,
-        on_response: Callable[[str | None, tuple[QueryHit, ...]], None] | None = None,
     ) -> None:
         self.query_id = query_id
         self.batches: list[list[QueryHit]] = [local_hits]
@@ -168,9 +164,6 @@ class PendingAggregation:
         #: waits one more timeout round for them instead of completing.
         self._on_retarget = on_retarget
         self._retargeted = False
-        #: Called with ``(src, hits)`` for every response, before it is
-        #: batched (read repair of a sharded read).
-        self._on_response = on_response
         self._timeout_interval = timeout
         self._node = node
         self.trace_ctx = trace_ctx
@@ -184,8 +177,6 @@ class PendingAggregation:
         """A neighbor answered: record its hits, maybe complete."""
         if self._done:
             return
-        if self._on_response is not None:
-            self._on_response(src, payload.hits)
         if src is not None:
             self.silent.discard(src)
         self.batches.append(list(payload.hits))

@@ -156,7 +156,7 @@ def _canonical_ring(system: "DiscoverySystem", members):
     """The ring implied by the live active registries' ring identities.
 
     Crashed registries are *kept* on the live rings by design (replica
-    selection and hinted handoff mask them; only a graceful leave shrinks
+    selection masks them, anti-entropy repairs them; only a graceful leave shrinks
     the ring), so the canonical ring also includes any member a live
     registry still has on its own ring — with the ring identity that
     registry records for it. A gracefully-departed member appears on no

@@ -277,8 +277,7 @@ class ShardStorePayload:
 
     Wraps the classic :class:`AdForwardPayload` so replicas absorb it
     through the same tombstone/capacity/lease path as the flood, plus a
-    coordinator-scoped ``request_id`` correlating the ack.  Empty
-    ``request_id`` ⇒ no ack expected (hint replay / read repair).
+    coordinator-scoped ``request_id`` correlating the ack.
     """
 
     request_id: str
@@ -291,14 +290,12 @@ class ShardAckPayload:
 
     ``found`` is False when a renew targeted an advertisement the
     replica does not hold (the coordinator NACKs the service so it
-    republishes); ``version`` reports the replica's stored version for
-    read-repair bookkeeping.
+    republishes).
     """
 
     request_id: str
     ad_id: str
     found: bool = True
-    version: int = 0
 
 
 @record(overhead=24)
@@ -393,12 +390,11 @@ ANTIENTROPY_DIGEST = _message("antientropy-digest", DigestPayload)
 ANTIENTROPY_PULL = _message("antientropy-pull", DigestPullPayload)
 ANTIENTROPY_ADS = _message("antientropy-ads", SyncAdsPayload)
 #: Sharded federation (quorum replication): the write coordinator pushes
-#: one advertisement to a replica-set member and awaits its ack.  An
-#: empty ``request_id`` marks fire-and-forget traffic (hinted-handoff
-#: replay, read repair) that needs no ack.
+#: one advertisement to a replica-set member and awaits its ack.
 SHARD_STORE = _message("shard-store", ShardStorePayload)
 SHARD_STORE_ACK = _message("shard-store-ack", ShardAckPayload)
-#: Replica-lease refresh and tombstoning for quorum-replicated ads.
+#: Replica-lease refresh and tombstoning for quorum-replicated ads; an
+#: empty ``request_id`` marks a fire-and-forget refresh that needs no ack.
 SHARD_RENEW = _message("shard-renew", ShardRenewPayload)
 SHARD_RENEW_ACK = _message("shard-renew-ack", ShardAckPayload)
 SHARD_REMOVE = _message("shard-remove", ShardRemovePayload)

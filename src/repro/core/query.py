@@ -343,7 +343,7 @@ class QueryCoordinator:
             max_results=forwarded.max_results,
             on_target_timeout=self._target_timeout,
             trace_ctx=fanout.context if fanout is not None else None,
-            on_retarget=on_retarget, on_response=plan.observe,
+            on_retarget=on_retarget,
         )
         forward(allowed)
 
@@ -484,9 +484,12 @@ class QueryCoordinator:
         registry.rim.queries_forwarded += 1
 
     def handle_walk(self, envelope: "Envelope") -> None:
-        """A walk reached us: report our matches, pass it on or end it."""
+        """A walk reached us: report our matches, pass it on or end it. A
+        walk the model gate refused as another model's record ends here:
+        no registry can accept it."""
         payload = envelope.payload
         registry = self.registry
+        malformed = registry.evaluator.queries_malformed
         local = self._local_hits(payload)
         if local:
             registry.send(payload.coordinator, protocol.WALK_HITS,
@@ -495,7 +498,8 @@ class QueryCoordinator:
         visited = set(payload.visited) | {registry.node_id}
         candidates = [t for t in registry.federation.forward_targets({envelope.src})
                       if t not in visited]
-        if payload.remaining <= 1 or not candidates:
+        if payload.remaining <= 1 or not candidates \
+                or registry.evaluator.queries_malformed != malformed:
             registry.send(payload.coordinator, protocol.WALK_END,
                           protocol.ResponsePayload(query_id=payload.query_id, hits=(),
                                                    responders=0))

@@ -81,9 +81,9 @@ class RegistryNode(Node):
     ) -> None:
         super().__init__(node_id)
         self.config = config
-        #: Maximum stored advertisements ("capacity … distribution often
-        #: [is] asymmetric"); ``None`` = unbounded. Publishes beyond it
-        #: are NACKed, pushing the service to another registry.
+        #: Most services whose ads it stores ("capacity … distribution
+        #: often [is] asymmetric"); ``None`` = unbounded. A further
+        #: service's publishes are NACKed: it goes to another registry.
         self.capacity = capacity
         self.models = ModelRegistry(models)
         #: Static federation seeds (manual WAN configuration, §4.5);
@@ -110,7 +110,7 @@ class RegistryNode(Node):
         self.router = router_for(config.routing, self)
         #: WAL + snapshot persistence and epoch-fenced crash recovery.
         self.durability = DurabilityManager(self, config.durability)
-        #: Consistent-hash placement, rebalancing, hinted handoff.
+        #: Consistent-hash placement, quorum writes, replica-group reads.
         self.shard = ShardManager(self, config)
         #: How far a write travels beyond this store (§4.9), picked once:
         #: nowhere, the flood, or the shard ring — see ``writes.py``.

@@ -329,7 +329,7 @@ class ServiceNode(Node):
             return
         if payload.reason == "quorum":
             # A missed write quorum is transient (a replica is down and
-            # hinted handoff will replay): keep the retry chain armed at
+            # anti-entropy will repair it): keep the retry chain armed at
             # send time running against the same coordinator instead of
             # excluding it. Arming a fresh chain here would stack one
             # more chain per NACK — an exponential publish storm.

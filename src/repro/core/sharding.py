@@ -11,16 +11,18 @@ nodes, ads keyed by ``ad_id``) assigns each advertisement to
   the replica set: the registry a service talks to holds a copy only when
   it is in that set (else it hands out a ``shard:`` proxy lease), sends
   the write to the other replicas, and the write coordinator acks the
-  service once ``write_quorum`` of them confirmed.  A replica that stays
-  silent gets the write buffered as a *hint* and replayed on its next
-  proof of life (hinted handoff).
+  service once ``write_quorum`` of them confirmed.
 * **Queries route to replicas, not everyone** — the entry registry picks
   the healthiest member of each replica group (passive health + circuit
   breakers mask faults) and runs a bounded scatter-gather over that
-  cover set, ~S/R registries instead of all S.  Version mismatches
-  between replica answers trigger read repair.
+  cover set, ~S/R registries instead of all S; a silent pick is retried
+  once on a sibling replica.
 * **Rebalancing is bounded** — ring membership changes move only the
   ~K/S advertisements whose replica set actually changed.
+* **Repair is anti-entropy** — a replica that missed writes (down, or
+  partitioned away) catches up through shard-scoped digest rounds, and at
+  once through the digest a registry sends each neighbor it (re)links
+  with; a sharded configuration therefore needs ``antientropy_interval``.
 
 Everything here is **off by default**: a registry whose configuration
 does not enable sharding registers none of it — no handler, no federation
@@ -32,7 +34,7 @@ from __future__ import annotations
 import hashlib
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro.core import protocol
 from repro.core.forwarding import ScatterPlan
@@ -42,12 +44,6 @@ from repro.errors import ReproError
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from repro.core.registry_node import RegistryNode
     from repro.netsim.messages import Envelope
-
-
-#: Hints buffered per down replica (hinted handoff: writes for an
-#: unreachable replica are parked and replayed on its next proof of
-#: life) before the oldest are dropped.
-HANDOFF_LIMIT = 256
 
 
 @dataclass(frozen=True)
@@ -194,7 +190,7 @@ class ConsistentHashRing:
 
 
 class ShardManager:
-    """Per-registry sharding state: ring view, write plans, hints.
+    """Per-registry sharding state: ring view, write and read plans.
 
     Constructed by every :class:`RegistryNode` (its counters are read
     where it is off), but registered — as the write coordinator's mode,
@@ -206,20 +202,16 @@ class ShardManager:
     Ring membership follows the federation's gossip: every observed
     registry description adds a member, a graceful FEDERATION_LEAVE
     removes one.  *Crashes do not shrink the ring* — transient failures
-    are masked by health-aware replica selection and hinted handoff, so
-    flapping nodes cannot thrash K/S keys back and forth.
+    are masked by health-aware replica selection and repaired by
+    anti-entropy, so flapping nodes cannot thrash K/S keys back and forth.
     """
 
     #: Per-registry event counts, each an attribute of that name
     #: (surfaced via :meth:`counters` and the experiment tables; the
     #: quorum counts are the write coordinator's).
-    COUNTERS = (
-        "hints_buffered", "hints_replayed", "hints_dropped",
-        "read_repairs", "read_retries",
-        "rebalances", "ads_moved_out", "ads_moved_in",
-    )
+    COUNTERS = ("read_retries", "rebalances", "ads_moved_out", "ads_moved_in")
     #: The federation events it is told of.
-    FEDERATION_EVENTS = ("registry_observed", "neighbor_added", "peer_alive", "drop_member")
+    FEDERATION_EVENTS = ("registry_observed", "neighbor_added", "drop_member")
 
     def __init__(self, registry: "RegistryNode", config) -> None:
         self.registry = registry
@@ -243,12 +235,10 @@ class ShardManager:
                          at=registry.sim.now)
 
     def rebuild(self) -> None:
-        """Build the placement state: an empty ring view, no hint or
-        identity claim — all of it dies with the incarnation."""
+        """Build the placement state: an empty ring view, no identity
+        claim — all of it dies with the incarnation."""
         #: This registry's view of the consistent-hash ring.
         self.ring = ConsistentHashRing()
-        #: Hinted handoff buffers: down replica → [(msg_type, payload)].
-        self._hints: dict[str, list[tuple[str, object]]] = {}
         #: Ring-identity claims: ring_id → (claim time, member). The
         #: freshest claimant holds the identity's virtual-node positions;
         #: an older claimant is evicted (a promoted heir supersedes the
@@ -301,14 +291,11 @@ class ShardManager:
                     self.registry.send(neighbor, protocol.REGISTRY_LIST_REPLY, rumor)
 
     def neighbor_added(self, neighbor: str) -> None:
-        """Replay the new neighbor's hints, reconcile the shards shared
-        with it (without rounds, hinted handoff and rebalancing are the
-        only repair: the store is never shipped whole to a neighbor that
-        mostly does not own it), and hand it our membership view at once."""
+        """Reconcile the shards shared with the new neighbor — this is how
+        a restarted replica catches up on the writes it missed, without
+        waiting for a round — and hand it our membership view at once."""
         registry = self.registry
-        self.peer_alive(neighbor)
-        if registry.config.antientropy_interval is not None:
-            registry.antientropy.sync_with(neighbor)
+        registry.antientropy.sync_with(neighbor)
         registry.send(neighbor, protocol.REGISTRY_LIST_REPLY,
                       registry.federation.registry_list())
 
@@ -316,7 +303,6 @@ class ShardManager:
         """A registry *gracefully left*: its ranges move to successors."""
         prev = self.ring.clone() if len(self.ring) else None
         if self.ring.remove(member):
-            self._hints.pop(member, None)
             for rid, (_, claimant) in list(self._identity_claims.items()):
                 if claimant == member:
                     del self._identity_claims[rid]
@@ -356,9 +342,9 @@ class ShardManager:
         """A quorum over ``replicas_for(ad_id)``: a publish is held here
         only by a replica (else the service gets a ``shard:`` proxy lease)
         and acked at W of R, our own copy counting; a remove is acked at
-        once; both hint a replica silent at the quorum timeout. A renew
-        refreshes the other replicas fire-and-forget, or — of a ``shard:``
-        lease — is acked by the first replica still holding the ad."""
+        once. A renew refreshes the other replicas fire-and-forget, or — of
+        a ``shard:`` lease — is acked by the first replica still holding
+        the ad. A replica that stays silent is repaired by anti-entropy."""
         registry = self.registry
         me = registry.node_id
         replicas = self.replicas_for(ad_id)
@@ -381,7 +367,6 @@ class ShardManager:
             return WritePlan(
                 targets=others, message=protocol.SHARD_REMOVE, quorum=quorum,
                 body=lambda rid: protocol.ShardRemovePayload(request_id=rid, ad_id=ad_id),
-                hint=self.buffer_hint,
             )
         duration = lease_duration or registry.config.lease_duration
         entry = protocol.AdForwardPayload(
@@ -390,26 +375,19 @@ class ShardManager:
         return WritePlan(
             holds=me in replicas, targets=others, message=protocol.SHARD_STORE,
             body=lambda rid: protocol.ShardStorePayload(request_id=rid, entry=entry),
-            quorum=quorum, at_quorum=True, hint=self.buffer_hint,
+            quorum=quorum, at_quorum=True,
             proxy_lease=(f"shard:{ad_id}", duration),
         )
 
     # -- replica-side message handlers --------------------------------------
 
     def _ack(self, envelope: "Envelope", msg_type: str, ad_id: str, *, found: bool = True) -> None:
-        """Answer a write that asked for an ack (hint replays and
-        fire-and-forget refreshes carry no request id)."""
+        """Answer a write that asked for an ack (fire-and-forget refreshes
+        carry no request id)."""
         request_id = envelope.payload.request_id
-        if not request_id:
-            return
-        store = self.registry.store
-        self.registry.send(
-            envelope.src, msg_type,
-            protocol.ShardAckPayload(
-                request_id=request_id, ad_id=ad_id, found=found,
-                version=store.get(ad_id).version if ad_id in store else 0,
-            ),
-        )
+        if request_id:
+            self.registry.send(envelope.src, msg_type, protocol.ShardAckPayload(
+                request_id=request_id, ad_id=ad_id, found=found))
 
     def handle_shard_store(self, envelope: "Envelope") -> None:
         payload = envelope.payload
@@ -443,79 +421,8 @@ class ShardManager:
     def handle_shard_store_ack(self, envelope: "Envelope") -> None:
         payload = envelope.payload
         self.registry.writes.confirm(payload.request_id, envelope.src, found=payload.found)
-        # An ack is proof of life: flush any hints parked for the peer.
-        self.peer_alive(envelope.src)
 
     handle_shard_renew_ack = handle_shard_remove_ack = handle_shard_store_ack
-
-    # -- hinted handoff -----------------------------------------------------
-
-    def buffer_hint(self, target: str, msg_type: str, body) -> None:
-        queue = self._hints.setdefault(target, [])
-        queue.append((msg_type, body))
-        self.hints_buffered += 1
-        overflow = len(queue) - HANDOFF_LIMIT
-        if overflow > 0:
-            del queue[:overflow]
-            self.hints_dropped += overflow
-        self.registry.count("shard.hints_buffered")
-
-    def peer_alive(self, peer: str) -> None:
-        """Proof of life from ``peer``: replay its buffered hints."""
-        queue = self._hints.pop(peer, None)
-        if not queue:
-            return
-        for msg_type, body in queue:
-            self.registry.send(peer, msg_type, body)
-            self.hints_replayed += 1
-        self.registry.count("shard.hints_replayed", len(queue))
-        self.registry.note("shard.handoff_replay", {"peer": peer, "hints": len(queue)})
-
-    # -- read repair --------------------------------------------------------
-
-    def _read_repair(self) -> Callable[[str, tuple], None]:
-        """One read's repair: ``observe(src, hits)`` compares each replica's
-        answer versions with the freshest seen so far for this read and
-        pushes the newer copy to stale replicas. What it remembers is its
-        own, and goes when the read does."""
-        freshest: dict[str, tuple[int, str]] = {}
-
-        def observe(src: str, hits) -> None:
-            for hit in hits:
-                ad = hit.advertisement
-                known = freshest.get(ad.ad_id)
-                if known is None:
-                    freshest[ad.ad_id] = (ad.version, src)
-                elif ad.version > known[0]:
-                    self._repair(known[1], ad)
-                    freshest[ad.ad_id] = (ad.version, src)
-                elif ad.version < known[0]:
-                    # ``src`` answered stale; push it the fresh copy we hold
-                    # (the fresh holder's full ad came in an earlier batch —
-                    # re-fetch it from our own store or skip if we lack it).
-                    fresh = self.registry.store.get(ad.ad_id) \
-                        if ad.ad_id in self.registry.store else None
-                    if fresh is not None and fresh.version > ad.version:
-                        self._repair(src, fresh)
-        return observe
-
-    def _repair(self, stale_src: str, ad) -> None:
-        if stale_src == self.registry.node_id:
-            return
-        self.read_repairs += 1
-        self.registry.send(
-            stale_src,
-            protocol.SHARD_STORE,
-            protocol.ShardStorePayload(
-                request_id="",
-                entry=protocol.AdForwardPayload(
-                    advertisement=ad,
-                    lease_duration=self.registry.config.lease_duration,
-                    epoch=self.registry.writes.lease_epoch(),
-                ),
-            ),
-        )
-        self.registry.count("shard.read_repairs")
 
     # -- query planning -----------------------------------------------------
 
@@ -527,12 +434,9 @@ class ShardManager:
         The cover is ~S/R registries (vs all S under flooding), chosen
         health-first so fail-stopped replicas are masked; a chosen
         replica that stays silent is retried once on a sibling replica
-        before the aggregation gives up on its groups. Every answer, our
-        own first, goes through the read's repair.
+        before the aggregation gives up on its groups.
         """
-        observe = self._read_repair()
-        observe(self.registry.node_id, local)
-        return ScatterPlan(self.read_cover(), retarget=self._retarget, observe=observe)
+        return ScatterPlan(self.read_cover(), retarget=self._retarget)
 
     def _retarget(self, failed: list[str], contacted: set[str]) -> list[str]:
         """Alternate replicas for fan-out targets that stayed silent."""
@@ -667,7 +571,7 @@ class ShardManager:
         """Hand off advertisements this registry no longer owns.
 
         Ring-change rebalancing runs only on nodes whose *own* ring view
-        changed; a transfer or hint that landed here while the sender's
+        changed; a transfer or write that landed here while the sender's
         ring was still converging leaves a stray copy nobody reclaims
         (renewals never reach it, so it would linger until lease expiry).
         The periodic sweep — piggybacked on anti-entropy rounds — moves

@@ -129,8 +129,9 @@ class DiscoverySystem:
         ``with_ontology=False`` models a registry deployed without the
         shared ontology: it cannot evaluate semantic queries (and hosts no
         ontology artifact) until federation artifact sync delivers one
-        (experiment E12). ``capacity`` bounds stored advertisements
-        (asymmetric device resources); publishes beyond it are NACKed.
+        (experiment E12). ``capacity`` bounds the services whose
+        advertisements it stores (asymmetric device resources); a further
+        service's publishes are NACKed.
         """
         node_id = node_id or f"registry-{next(self._counters['registry']):02d}"
         registry = RegistryNode(

@@ -56,9 +56,6 @@ class WritePlan:
     #: Whether the service is answered at the quorum, else at once and
     #: before anything is sent.
     at_quorum: bool = False
-    #: Where a target still silent at the quorum timeout has the write
-    #: parked (hinted handoff), if anywhere.
-    hint: Callable[[str, str, Any], None] | None = None
     #: ``(lease_id, duration)`` acknowledged to a publisher this registry
     #: granted no lease of its own.
     proxy_lease: tuple[str, float] = ("", float("inf"))
@@ -86,9 +83,6 @@ class _PendingWrite:
         self.writes = writes
         self.request_id = request_id
         self.silent: set[str] = set(plan.targets)
-        #: ``(park, msg_type, body)``: the copy that needs no ack, parked at
-        #: the quorum timeout for every target still silent then.
-        self.hint = (plan.hint, plan.message, plan.body("")) if plan.hint else None
         self.needed = plan.quorum
         self.acked = 0
         self.on_success = on_success
@@ -98,7 +92,7 @@ class _PendingWrite:
         self._timer = registry.after(QUORUM_TIMEOUT, self._timeout)
         if self.acked >= self.needed:
             # Nothing to wait for (W=1 and this registry is a replica):
-            # settled now; silent targets still get hints at the timeout.
+            # settled now, retired at the timeout.
             self._finish(success=True)
 
     def answer(self, src: str, *, found: bool) -> None:
@@ -115,10 +109,6 @@ class _PendingWrite:
             self._finish(success=False)
 
     def _timeout(self) -> None:
-        if self.hint is not None:
-            park, msg_type, body = self.hint
-            for target in sorted(self.silent):
-                park(target, msg_type, body)
         if not self.done:
             self._finish(success=self.acked >= self.needed)
         self.writes.retire(self)
@@ -292,7 +282,7 @@ class WriteCoordinator:
             return False
         if registry.models.for_description(ad.model_id, ad.description) is None:
             return False
-        if not self._has_room_for(ad.ad_id):
+        if not self._has_room_for(ad):
             registry.models.discarded_payloads += 1
             return False
         self.store_ad(
@@ -301,13 +291,15 @@ class WriteCoordinator:
         )
         return True
 
-    def _has_room_for(self, ad_id: str) -> bool:
-        registry = self.registry
-        return (
-            registry.capacity is None
-            or len(registry.store) < registry.capacity
-            or ad_id in registry.store
-        )
+    def _has_room_for(self, ad: Advertisement) -> bool:
+        """Whether ``ad`` fits under the registry's capacity, counted in
+        services: a further ad of a service already held always fits, so
+        a registry refuses whole services and never splits two."""
+        capacity = self.registry.capacity
+        if capacity is None:
+            return True
+        services = {stored.service_node for stored in self.registry.store.all()}
+        return ad.service_node in services or len(services) < capacity
 
     # -- the service's requests ---------------------------------------------------
 
@@ -341,7 +333,7 @@ class WriteCoordinator:
                                      reason=reason),
             )
 
-        if plan.holds and not self._has_room_for(ad_id):
+        if plan.holds and not self._has_room_for(ad):
             nack("capacity")
             return
         registry.rim.publishes += 1

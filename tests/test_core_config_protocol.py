@@ -42,6 +42,17 @@ def test_sharding_requires_replication():
     DiscoveryConfig(sharding=ShardingConfig(enabled=False, replication_factor=5))
 
 
+def test_sharding_requires_antientropy_rounds():
+    """A sharded ring repairs a replica that missed writes only through
+    anti-entropy, so a sharded configuration without rounds is rejected."""
+    sharding = ShardingConfig(enabled=True)
+    with pytest.raises(ReproError, match="antientropy_interval"):
+        DiscoveryConfig(cooperation="replicate-ads", sharding=sharding,
+                        antientropy_interval=None)
+    DiscoveryConfig(cooperation="replicate-ads", antientropy_interval=None,
+                    sharding=ShardingConfig(enabled=False))
+
+
 def test_renew_fraction_bounds():
     with pytest.raises(ReproError):
         DiscoveryConfig(renew_fraction=0.0)

@@ -8,6 +8,7 @@ from repro.core import protocol
 from repro.core.config import (
     COOPERATION_REPLICATE_ADS,
     STRATEGY_EXPANDING_RING,
+    STRATEGY_RANDOM_WALK,
     DiscoveryConfig,
 )
 from repro.core.system import DiscoverySystem
@@ -373,6 +374,33 @@ def test_an_expanding_ring_counts_a_refused_query_once(model_id, rounds):
         == [int(model_id == "uri"), 0, 0]
     assert (sum(r.rim.queries_forwarded for r in registries) > forwarded) \
         == (model_id == "wsdl")
+
+
+def test_a_walk_refused_as_another_models_record_ends_where_it_is_refused():
+    """Under a random walk on a four-LAN chain whose coordinator lacks
+    ``uri``: the coordinator hands a ``uri`` query carrying a
+    ``ServiceRequest`` on (a neighbor might support the model), and the
+    first registry that refuses it as another model's record ends the walk:
+    one hop and one count, not one per registry left on the chain."""
+    system = DiscoverySystem(seed=7, ontology=battlefield_ontology(),
+                             config=DiscoveryConfig(strategy=STRATEGY_RANDOM_WALK))
+    for i in range(4):
+        system.add_lan(f"lan-{i}")
+    coordinator = system.add_registry("lan-0", model_ids=("template", "semantic"))
+    walked = [system.add_registry(f"lan-{i}") for i in range(1, 4)]
+    system.federate_chain()
+    system.run(until=SETTLE_AT)
+    probe = Probe()
+    system.network.add_node(probe, coordinator.lan_name)
+    registries = [coordinator, *walked]
+    forwarded = sum(r.rim.queries_forwarded for r in registries)
+    probe.send(coordinator.node_id, protocol.QUERY, protocol.QueryPayload(
+        query_id="q-junk", model_id="uri", ttl=4,
+        query=ServiceRequest.build("ncw:RadarService", outputs=["ncw:AirTrack"])))
+    system.run_for(5.0)
+    assert [e.payload.hits for e in probe.of_type(protocol.QUERY_RESPONSE)] == [()]
+    assert sum(r.rim.queries_forwarded for r in registries) - forwarded == 1
+    assert [r.models.get("uri").malformed_payloads for r in walked] == [1, 0, 0]
 
 
 def _query_message(msg_type, query_id, model_id, query):

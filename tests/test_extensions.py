@@ -577,13 +577,13 @@ def test_shorter_plans_ranked_first():
     assert outcome.plans[0].depth == 1
 
 
-# -- registry capacity (asymmetric resources) ------------------------------------
+# -- registry capacity (asymmetric resources): counted in services ---------------
 
 def test_capacity_nack_sheds_to_other_registry(fast_cfg):
     system = DiscoverySystem(seed=49, ontology=battlefield_ontology(),
                              config=fast_cfg)
     system.add_lan("lan-0")
-    small = system.add_registry("lan-0", capacity=3)
+    small = system.add_registry("lan-0", capacity=1)
     big = system.add_registry("lan-0")
     services = [
         system.add_service("lan-0", _radar(f"radar-{i}")) for i in range(4)
@@ -603,10 +603,10 @@ def test_capacity_allows_republish_of_existing_ad(fast_cfg):
     system = DiscoverySystem(seed=50, ontology=battlefield_ontology(),
                              config=fast_cfg)
     system.add_lan("lan-0")
-    registry = system.add_registry("lan-0", capacity=3)
+    registry = system.add_registry("lan-0", capacity=1)
     service = system.add_service("lan-0", _radar())
     system.run(until=3.0)
-    assert len(registry.store) == 3  # exactly at capacity
+    assert len(registry.store) == 3  # one service's three ads: at capacity
     service.update_profile(_radar())  # republish must NOT be NACKed
     system.run_for(2.0)
     assert len(registry.store) == 3
@@ -622,7 +622,7 @@ def test_refused_service_is_not_locked_out_across_its_own_restart():
     system = DiscoverySystem(seed=1, ontology=battlefield_ontology(),
                              config=DiscoveryConfig(lease_duration=10.0))
     system.add_lan("lan-0")
-    registry = system.add_registry("lan-0", capacity=3)
+    registry = system.add_registry("lan-0", capacity=1)
     first, second = (system.add_service("lan-0", _radar(f"radar-{i}"))
                      for i in range(2))
     system.run(until=5.0)
@@ -642,46 +642,75 @@ def test_refused_service_is_not_locked_out_across_its_own_restart():
     assert len(registry.store) == 3
 
 
-def test_services_split_over_a_nearly_full_registry_are_not_locked_out():
-    """Capacity is checked per advertisement but a refusal excludes the
-    whole registry. When a full registry takes one of radar-0's three
-    ads and two of radar-1's, *both* services are refused and exclude it;
-    the exclusion must lapse, or their stored ads lapse too and a live
-    service never publishes on the only registry of its LAN again."""
-    lease = 10.0
+class _HoldPublishes:
+    """An interceptor keeping every PUBLISH a registry receives, undelivered."""
+
+    def __init__(self):
+        self.held = []
+
+    def intercept(self, envelope):
+        if envelope.msg_type == protocol.PUBLISH:
+            self.held.append(envelope)
+            return True
+        return False
+
+
+def _deliver_interleaved(registry, held, services):
+    """Hand ``registry`` the held publishes of two services as one of the
+    first's, two of the second's, then the rest of each: the order in
+    which a per-advertisement count split a registry of room three."""
+    first, second = ([e for e in held if e.src == s.node_id] for s in services)
+    for envelope in first[:1] + second[:2] + first[1:] + second[2:]:
+        registry.receive(envelope)
+
+
+def _full_registry_of_one(lease):
     system = DiscoverySystem(seed=1, ontology=battlefield_ontology(),
                              config=DiscoveryConfig(lease_duration=lease))
     system.add_lan("lan-0")
-    registry = system.add_registry("lan-0", capacity=3)
-    held = []
-
-    class HoldPublishes:
-        def intercept(self, envelope):
-            if envelope.msg_type == protocol.PUBLISH:
-                held.append(envelope)
-                return True
-            return False
-
-    registry.interceptor = HoldPublishes()
+    registry = system.add_registry("lan-0", capacity=1)
+    holder = _HoldPublishes()
+    registry.interceptor = holder
     services = [system.add_service("lan-0", _radar(f"radar-{i}")) for i in range(2)]
     system.run(until=0.8)
-    assert len(held) == 6
+    assert len(holder.held) == 6
+    return system, registry, holder, services
+
+
+def test_capacity_never_splits_two_services():
+    """Capacity counts services: when two services' first publishes
+    arrive interleaved, the registry takes every ad of the service it
+    admitted first and refuses only the other, which alone excludes it."""
+    system, registry, holder, services = _full_registry_of_one(lease=10.0)
     registry.interceptor = None
-    by_src = {s.node_id: [e for e in held if e.src == s.node_id] for s in services}
-    first, second = (by_src[s.node_id] for s in services)
-    for envelope in first[:1] + second[:2] + first[1:] + second[2:]:
-        registry.receive(envelope)
-    lapsed_at = system.sim.now + lease  # nobody renews the split ads
+    _deliver_interleaved(registry, holder.held, services)
     system.run_for(0.5)
-    assert all(s.tracker.excluded for s in services)  # both were refused
-    # Within one lease period of the split ads lapsing, a live service is
-    # published on the registry again.
-    system.run(until=lapsed_at + lease)
-    stored = {ad.service_name for ad in registry.store.all()}
-    assert len(registry.store) == 3 and len(stored) == 1
-    (name,) = stored
-    (owner,) = [s for s in services if s.profile.service_name == name]
-    assert owner.tracker.current == registry.node_id
+    assert {ad.service_name for ad in registry.store.all()} == {"radar-0"}
+    assert len(registry.store) == 3
+    assert [bool(s.tracker.excluded) for s in services] == [False, True]
+    assert services[0].tracker.current == registry.node_id
+
+
+def test_republishes_at_the_lapse_leave_one_service_stored_for_good():
+    """The republishes that follow the refusal are held until the refused
+    service's exclusion has lapsed, then delivered in the same interleaved
+    order. One service is fully stored afterwards and stays so at every
+    sample; counted in advertisements, the same order split the registry
+    and then both services re-published, and were split, together at
+    every lapse."""
+    lease = 10.0
+    system, registry, holder, services = _full_registry_of_one(lease)
+    _deliver_interleaved(registry, holder.held, services)
+    holder.held.clear()
+    system.run_for(lease + 2 * registry.config.purge_interval)
+    assert holder.held  # the refused service re-published at the lapse
+    registry.interceptor = None
+    _deliver_interleaved(registry, holder.held, services)
+    names = {s.profile.service_name for s in services}
+    for _ in range(40):
+        system.run_for(2.5)
+        stored = [ad.service_name for ad in registry.store.all()]
+        assert len(stored) == 3 and set(stored) < names and len(set(stored)) == 1
 
 
 def test_node_that_crashed_mid_probe_probes_again_after_restart(fast_cfg):
@@ -723,7 +752,9 @@ def test_capacity_bounds_replication_too(fast_cfg):
         system.add_service("lan-0", _radar(f"radar-{i}"))
     system.run(until=5.0)
     assert len(home.store) == 9
-    assert len(tiny.store) <= 2
+    # Replicas are admitted per service too: two whole services, no part.
+    assert len({ad.service_node for ad in tiny.store.all()}) == 2
+    assert len(tiny.store) == 6
 
 
 # -- E16 mobility experiment shape --------------------------------------------------

@@ -122,9 +122,8 @@ ANTIENTROPY_TYPES = {
 #: subsystem -> (config without it, config with it, what it alone adds).
 ENABLED = {
     "sharding": (
-        _replicating(antientropy_interval=None),
-        _replicating(antientropy_interval=None,
-                     sharding=ShardingConfig(enabled=True)),
+        _replicating(),
+        _replicating(sharding=ShardingConfig(enabled=True)),
         # Replaces the flood: its own messages in, the flood's out.
         {"handlers": (SHARD_TYPES, {protocol.AD_FORWARD}),
          "components": [*CORE, "AntiEntropy", "ShardManager"],

@@ -279,9 +279,9 @@ class _Publisher(Node):
 
 def _sharded_registry(crash_at: float = 12.37):
     """``registry-01`` of the sharded federation at ``crash_at``, with a
-    hint parked and a quorum write pending: ``registry-02`` is down, and
-    ``registry-01`` was handed a publish whose replica set holds it
-    1.2 s (timed out: hinted) and 0.2 s (pending) before."""
+    quorum write pending: ``registry-02`` is down, and ``registry-01`` was
+    handed a publish whose replica set holds it 1.2 s (timed out) and
+    0.2 s (pending) before."""
     built = build_scenario(replace(SPEC, lan_names=("lan-0", "lan-1", "lan-2")),
                            config=SHARDED_CONFIG)
     system = built.system
@@ -301,7 +301,7 @@ def _sharded_registry(crash_at: float = 12.37):
             ad_id=ad_id,
         ))
     system.run(until=crash_at)
-    assert coordinator.writes._writes and coordinator.shard._hints
+    assert coordinator.writes._writes
     return built, coordinator
 
 

@@ -121,7 +121,7 @@ GOLDEN = {
     "sync-ads": (p.SyncAdsPayload(ads=(FORWARD, FORWARD)), 328),
     "shard-store": (p.ShardStorePayload(request_id="registry-000:w7", entry=FORWARD), 179),
     "shard-ack": (p.ShardAckPayload(request_id="registry-000:w7", ad_id="ad-000001",
-                                    found=False, version=2), 40),
+                                    found=False), 40),
     "shard-renew": (p.ShardRenewPayload(request_id="registry-000:w8", ad_id="ad-000001",
                                         epoch=4, duration=60.0), 48),
     "shard-remove": (p.ShardRemovePayload(request_id="registry-000:w9",

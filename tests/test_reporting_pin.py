@@ -126,7 +126,14 @@ def fingerprint(name: str) -> dict[str, object]:
 #: registry-03's fan-out now asks the recovered registry-01 (3 targets, not
 #: 2 with 1 skipped), which answers and closes the breaker, so
 #: ``recovery.breaker-skip`` is no longer reported. The alarm timeline did
-#: not move.
+#: not move. They were re-recorded again when read repair and hinted
+#: handoff were deleted: the ``shard.hints_buffered`` /
+#: ``shard.hints_replayed`` / ``shard.read_repairs`` counters are gone, the
+#: trace loses their sends and events, and ``ad~3``, whose service died
+#: at t=30, now lapses at t=46: a hint replayed to the recovered
+#: registry-01 at t=45.1 had given it a fresh full lease, which
+#: anti-entropy spread to two more replicas until t=67. The
+#: ``lease-expiry-spike`` alarm at t=46 counts 18 expiries, not 17.
 PINNED: dict[str, dict[str, object]] = {
     'overloaded': {
         "metrics": """
@@ -184,13 +191,12 @@ PINNED: dict[str, dict[str, object]] = {
             recovery.breaker-close recovery.breaker-half-open
             recovery.breaker-open
             recovery.durability-recover registry.queue_depth retry.query
-            retry.renew shard.ads_moved shard.hints_buffered
-            shard.hints_replayed shard.read_repairs shard.read_retries
+            retry.renew shard.ads_moved shard.read_retries
             shard.rebalances shard.ring_members shard.store_size.registry-00
             shard.store_size.registry-01 shard.store_size.registry-02
             shard.store_size.registry-03 shard.store_size.registry-04
         """.split(),
-        "trace": "7e860c960686bdfdc28ea9b9f2e19d57a627fe2e67ce7459d70a2a32163f4a35",
+        "trace": "416cf112409fc99414b099049dd4a66f25266ac957ab04526dad1a274fc22836",
     },
     'sharded-watched': {
         "metrics": """
@@ -220,15 +226,14 @@ PINNED: dict[str, dict[str, object]] = {
             recovery.breaker-close recovery.breaker-half-open
             recovery.breaker-open
             recovery.durability-recover registry.queue_depth retry.query
-            retry.renew shard.ads_moved shard.hints_buffered
-            shard.hints_replayed shard.read_repairs shard.read_retries
+            retry.renew shard.ads_moved shard.read_retries
             shard.rebalances shard.ring_members shard.store_size.registry-00
             shard.store_size.registry-01 shard.store_size.registry-02
             shard.store_size.registry-03 shard.store_size.registry-04
         """.split(),
-        "trace": "47af04599f0ac41d9974de8601a4a675be6d810316253dfa1e1f06df20d60356",
-        "alarms": "a3d8bf4cad76ede68d1b722fb10038c2fd6abc87579d0c946ae820362f362682",
-        "dumps": "953bf58f8d9d48df0089b0e158be29867fd6ae7d6bf55f3a06fd2e0e2656f674",
+        "trace": "22244c9fec1079e2fa5b1492b17e6168bace4b6f0643c1168eab1328bdb82932",
+        "alarms": "bc5285554e22d78051131d0ed9bf09144e290d1493eb0fbcb95d041cb2425058",
+        "dumps": "41de823fc1c2be62a188be2d6a55ba4d4437052c5daca918c5acad4d1d3ff558",
     },
 }
 

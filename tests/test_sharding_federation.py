@@ -1,8 +1,8 @@
 """Membership churn in the sharded federation.
 
 Graceful leaves shrink the ring and drain in-flight aggregation state;
-crashes do *not* shrink the ring (replica selection and hinted handoff
-mask them, so flapping cannot thrash keys); and a promoted warm standby
+crashes do *not* shrink the ring (replica selection masks them and
+anti-entropy repairs them, so flapping cannot thrash keys); and a promoted warm standby
 inherits the dead registry's ring identity so promotion moves no keys
 between the surviving members.
 """
