@@ -7,7 +7,9 @@ invoke the service directly."
 
 The client exposes an asynchronous :meth:`ClientNode.discover` returning a
 :class:`DiscoveryCall` handle that experiments inspect after running the
-simulator. Failure handling follows the paper:
+simulator. The client keeps no history of its calls: once a call is
+answered, the caller's handle is the only one. Failure handling follows
+the paper:
 
 * query timeout → the current registry is presumed dead → fail over to a
   signalling-provided alternative (E9) and retry;
@@ -86,7 +88,6 @@ class DiscoveryCall:
     model_id: str
     issued_at: float
     hits: list[QueryHit] = field(default_factory=list)
-    completed: bool = False
     via: str = ""
     attempts: int = 1
     ttl: int = 0
@@ -96,8 +97,9 @@ class DiscoveryCall:
     response_bytes: int = 0
     responders: int = 0
     completed_at: float = 0.0
-    #: Times :meth:`ClientNode._complete` ran for this call — the
-    #: invariant checker asserts it never exceeds one.
+    #: Times :meth:`ClientNode._complete` ran for this call: the only
+    #: count of it, so a call is completed exactly when it is positive.
+    #: The client reports a second completion to the invariant checker.
     completions: int = 0
     #: Set by the synchronous driver when its deadline elapsed first.
     timed_out: bool = False
@@ -106,8 +108,9 @@ class DiscoveryCall:
     #: True when the answering registry was overloaded and skipped WAN
     #: fan-out — hits are valid but coverage was best-effort.
     degraded: bool = False
-    #: Client-local call index; keys retry jitter (query ids come from a
-    #: process-global counter, so they are not stable run to run).
+    #: Client-local call index, from ``ClientNode.calls_issued``; keys
+    #: retry jitter (query ids come from a process-global counter, so they
+    #: are not stable run to run).
     seq: int = 0
     #: Absolute sim-time budget for registry attempts: a server-suggested
     #: retry delay is never scheduled past this point (satellite fix for
@@ -119,6 +122,11 @@ class DiscoveryCall:
     _fallback_batches: list[list[QueryHit]] = field(default_factory=list)
     _span: Span | None = field(default=None, repr=False)
     _attempt: _Attempt | None = field(default=None, repr=False)
+
+    @property
+    def completed(self) -> bool:
+        """Answered, failed or crashed: :meth:`ClientNode._complete` ran."""
+        return self.completions > 0
 
     @property
     def succeeded(self) -> bool:
@@ -161,7 +169,12 @@ class ClientNode(Node):
                                        on_attached=self._on_attached,
                                        router=self.router, seeds=seeds)
         self.adopt_handlers(self.tracker)
-        self.calls: list[DiscoveryCall] = []
+        #: Calls issued so far; the next call's ``seq``.
+        self.calls_issued = 0
+        #: ``(query_id, completions)`` of each call completed more than
+        #: once — what :func:`~repro.core.invariants.check_invariants`
+        #: reports; empty unless the bookkeeping is broken.
+        self.recompleted: list[tuple[str, int]] = []
         self.watches: dict[str, Watch] = {}
         self.fallback_queries = 0
         self.query_retries = 0
@@ -173,7 +186,8 @@ class ClientNode(Node):
 
     def rebuild(self) -> None:
         """No call awaiting an answer, a fresh router, no attachment; a
-        restart keeps the calls and watches, and the registries heard of."""
+        restart keeps the count of calls issued, the watches, and the
+        registries heard of."""
         #: Calls awaiting an answer, by the wire id of the attempt (or
         #: fallback multicast) in flight.
         self._by_wire_id: dict[str, DiscoveryCall] = {}
@@ -235,7 +249,7 @@ class ClientNode(Node):
             model_id=model_id,
             issued_at=self.sim.now,
             ttl=self.config.default_ttl if ttl is None else ttl,
-            seq=len(self.calls),
+            seq=self.calls_issued,
             # Worst-case registry-phase budget: every attempt running its
             # full timeout. Server retry hints are clamped to what is left.
             deadline=self.sim.now
@@ -248,7 +262,7 @@ class ClientNode(Node):
             ctx=None)
         if call._span is not None:
             call.trace_id = call._span.trace_id
-        self.calls.append(call)
+        self.calls_issued += 1
         self._dispatch(call)
         return call
 
@@ -466,9 +480,10 @@ class ClientNode(Node):
 
     def _complete(self, call: DiscoveryCall, hits: list[QueryHit], *, via: str) -> None:
         call.completions += 1
+        if call.completions > 1:
+            self.recompleted.append((call.query_id, call.completions))
         call.hits = hits
         call.via = via
-        call.completed = True
         call.completed_at = self.sim.now
         # Only ``hits`` is read from here on; late replies return early.
         call._fallback_batches.clear()

@@ -7,7 +7,9 @@ skews the next measurement. :func:`check_invariants` sweeps a quiesced
 :class:`~repro.core.system.DiscoverySystem` for the three classes of
 bookkeeping rot the recovery paths can leave behind:
 
-* **single completion** — no discovery call ever completes twice;
+* **single completion** — no discovery call ever completes twice (the
+  client notes a second completion where it happens, since it keeps no
+  history of its calls to sweep);
 * **wire-id drain** — no client keeps a wire-id entry for a completed
   call (after every call has resolved, the maps are empty);
 * **lease/store agreement** — with leasing on no advertisement lives
@@ -49,17 +51,10 @@ def check_invariants(system: "DiscoverySystem") -> list[str]:
     violations: list[str] = []
 
     for client in system.clients:
-        for call in getattr(client, "calls", ()):
-            if call.completions > 1:
-                violations.append(
-                    f"{client.node_id}: call {call.query_id} completed "
-                    f"{call.completions} times"
-                )
-            if call.completed and call.completions == 0:
-                violations.append(
-                    f"{client.node_id}: call {call.query_id} marked completed "
-                    f"without passing through _complete"
-                )
+        for query_id, completions in getattr(client, "recompleted", ()):
+            violations.append(
+                f"{client.node_id}: call {query_id} completed {completions} times"
+            )
         for wire_id, call in getattr(client, "_by_wire_id", {}).items():
             if call.completed:
                 violations.append(

@@ -475,6 +475,16 @@ class TestInvariants:
         client._complete(call, [], via="again")
         assert any("completed 2 times" in v for v in check_invariants(system))
 
+    def test_a_call_is_completed_only_through_complete(self, emergency):
+        """``completed`` is read off the count ``_complete`` keeps, so a
+        call marked completed without passing through it cannot exist."""
+        _system, _client, call = _quiesced_system(emergency)
+        assert call.completed and call.completions == 1
+        with pytest.raises(AttributeError):
+            call.completed = False
+        call.completions = 0
+        assert not call.completed and call.latency == 0.0
+
     def test_lease_leaves_with_its_advertisement(self, emergency):
         """A lease lives in its advertisement's store slot, so removing the
         ad behind the lease manager's back leaves no lease to outlive it."""

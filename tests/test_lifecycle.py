@@ -71,9 +71,13 @@ RESTART_SURVIVORS: dict[str, frozenset[str]] = {
         "lost_on_crash", "max_depth", "shed_by_class", "shed_log",
         "_shed_ids", "_dispatched_ids",
     }),
-    # Application handles, the artifacts its models accepted, statistics.
-    "ClientNode": frozenset({"calls", "watches", "artifacts_fetched",
-                             "fallback_queries", "query_retries", "busy_rejections"}),
+    # The count of calls issued (a call's ``seq`` keys its retry jitter and
+    # must not repeat across a restart), application handles, the artifacts
+    # its models accepted, the single-completion oracle's evidence,
+    # statistics.
+    "ClientNode": frozenset({"calls_issued", "watches", "artifacts_fetched",
+                             "recompleted", "fallback_queries", "query_retries",
+                             "busy_rejections"}),
     "ServiceNode": frozenset({"publishes_sent", "republish_events", "publish_retries",
                               "renew_retries", "busy_deferrals"}),
     # An advertisement's identity.

@@ -56,21 +56,48 @@ def test_inputs_attribute_the_generated_records_per_profile():
     assert "tracemalloc.py" not in out
 
 
-def test_growth_reports_bytes_per_operation_by_module_and_line():
-    done = _run("--growth", "64", "--workload", "wan_small", "--top", "40")
+def _growth(n_ops: int, *args: str) -> tuple[str, dict[str, float], dict[str, int]]:
+    """``--growth n_ops`` on ``wan_small``: the output, B/op by module, and
+    retained blocks by allocating source line."""
+    done = _run("--growth", str(n_ops), "--workload", "wan_small", "--top", "40", *args)
     assert done.returncode == 0, done.stderr
-    out = done.stdout
-    assert "retained by 64 x WanSmall.op after a warm round" in out
-    module_table, line_table = out.split("\nline ", 1)
-    assert "B/op" in module_table and "over 64 operations" in out
-    rows = {line.split()[0]: float(line.split()[2])
-            for line in module_table.splitlines() if line.startswith("src/")}
-    # Each discover keeps its DiscoveryCall; with nobody listening, the
-    # recorder opens no span, so it keeps nothing per operation (at most
-    # its current record sequence number, one int for the whole run).
-    assert rows["src/repro/core/client_node.py"] > 0
-    assert rows.get("src/repro/obs/tracing.py", 0) == 0
-    assert "src/repro/core/client_node.py:" in line_table and "call = DiscoveryCall(" in line_table
+    module_table, line_table = done.stdout.split("\nline ", 1)
+    modules = {line.split()[0]: float(line.split()[2])
+               for line in module_table.splitlines() if line.startswith("src/")}
+    blocks = {line.split("  ")[-1]: int(line.split()[3])
+              for line in line_table.splitlines()[1:] if line.startswith("src/")}
+    return done.stdout, modules, blocks
+
+
+def _calls_kept(blocks: dict[str, int]) -> int:
+    return next(n for source, n in blocks.items() if source.startswith("call = DiscoveryCall("))
+
+
+def test_growth_reports_bytes_per_operation_by_module_and_line():
+    out, modules, blocks = _growth(128)
+    assert "retained by 128 x WanSmall.op after a warm round" in out
+    assert "B/op" in out and "over 128 operations" in out
+    # With nobody listening, the recorder opens no span, so it keeps
+    # nothing per operation (at most its current record sequence number,
+    # one int for the whole run).
+    assert modules.get("src/repro/obs/tracing.py", 0) == 0
+    # The client keeps no history of its calls: the only ones left are
+    # those whose query timeout is still pending, which a run four times
+    # as long keeps just as many of.
+    kept = _calls_kept(blocks)
+    assert 0 < kept < 128
+    _out, _modules, longer = _growth(512)
+    assert _calls_kept(longer) == kept
+
+
+def test_growth_above_the_bound_exits_non_zero():
+    done = _run("--growth", "64", "--workload", "wan_small", "--max-bytes-per-op", "1")
+    assert done.returncode != 0
+    assert "B/op retained over 64 operations, above --max-bytes-per-op 1" in done.stderr
+    done = _run("--growth", "64", "--workload", "wan_small", "--max-bytes-per-op", "1e9")
+    assert done.returncode == 0, done.stderr
+    refused = _run("--max-bytes-per-op", "1")
+    assert refused.returncode != 0 and "--max-bytes-per-op bounds --growth" in refused.stderr
 
 
 def test_unknown_workload_is_refused():

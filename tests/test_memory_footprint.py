@@ -59,7 +59,8 @@ bytes retained per discover            all kept     if captured  unlistened
 
 The first column is the recorder that kept every span and event for the
 whole run; the second keeps them only in a capture somebody attached,
-which left the root span each ``DiscoveryCall`` in ``client.calls`` held.
+which left the root span each ``DiscoveryCall`` held (the client kept
+every call it issued then).
 The third opens no span while nobody listens: what is left is the
 recorder's sequence number, one int for the whole run (0.1 B per
 discover over 256 of them).
@@ -77,14 +78,31 @@ bytes retained per service node        own          shared
 =====================================  ===========  ===========
 ``fallback_lan``, 100 services         21,727       10,475
 =====================================  ===========  ===========
+
+The fifth ceiling is what the whole program keeps per discover: bytes
+retained by all of ``src/`` over discovers 128..384 of
+:func:`tests.deployments.e7_ring`, with no handle kept and read once the
+last call's query timeout has passed. The client used to keep every
+``DiscoveryCall`` it issued, with its hits and id strings; now the
+caller's handle is the only one. What is left is bounded by time, not by
+the run's length: forwarding's duplicate-suppression window and the wire
+ids it holds.
+
+=====================================  ===========  ===========
+bytes retained per discover            history      no history
+=====================================  ===========  ===========
+all of ``src/``                        1,056        348
+=====================================  ===========  ===========
 """
 
 from __future__ import annotations
 
 import gc
+import pathlib
 import random
 import tracemalloc
 
+import repro
 from repro.descriptions.base import ModelRegistry
 from repro.descriptions.semantic import SemanticModel
 from repro.obs import tracing
@@ -107,6 +125,8 @@ CEILING_TRACE_BYTES_PER_DISCOVER = 1
 #: ~15 % above the shared-matchmaker reading; the same rule.
 CEILING_BYTES_PER_SERVICE_NODE = 12_000
 N_SERVICE_NODES = 100
+#: ~15 % above the no-history reading; the same rule.
+CEILING_SRC_BYTES_PER_DISCOVER = 400
 
 
 def retained_bytes_per_ad() -> float:
@@ -213,6 +233,37 @@ def test_trace_bytes_retained_per_discover_stay_under_the_ceiling():
     )
 
 
+def src_bytes_per_discover() -> float:
+    """What all of ``src/`` allocates and still holds per discover, over
+    discovers 128..384 of a settled E7 ring, once the caller has dropped
+    every handle and the last query timeout has passed."""
+    deployment = e7_ring()
+    deployment.discover(128)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot()
+        issued = len(deployment.discover(256))
+        deployment.system.run_for(deployment.system.config.query_timeout)
+        gc.collect()
+        after = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    only = [tracemalloc.Filter(True, str(pathlib.Path(repro.__file__).parent / "*"))]
+    grown = after.filter_traces(only).compare_to(before.filter_traces(only), "filename")
+    return sum(stat.size_diff for stat in grown) / issued
+
+
+def test_src_bytes_retained_per_discover_stay_under_the_ceiling():
+    per_discover = src_bytes_per_discover()
+    assert per_discover <= CEILING_SRC_BYTES_PER_DISCOVER, (
+        f"{per_discover:.0f} bytes retained by src/ per discover (ceiling "
+        f"{CEILING_SRC_BYTES_PER_DISCOVER}): something now keeps what an "
+        "answered query leaves behind. Find it with `make mem-attr "
+        "WORKLOAD=wan_small GROWTH=2048`."
+    )
+
+
 def retained_bytes_per_service_node() -> float:
     """What a settled registry-less LAN of 100 services holds per service
     node after 32 discovers: nodes, timers, profiles and the semantic
@@ -247,3 +298,4 @@ if __name__ == "__main__":
     print(f"{retained_bytes_per_profile():.0f} bytes retained per generated profile")
     print(f"{trace_bytes_per_discover():.0f} bytes retained by obs/tracing.py per discover")
     print(f"{retained_bytes_per_service_node():.0f} bytes retained per service node")
+    print(f"{src_bytes_per_discover():.0f} bytes retained by src/ per discover")

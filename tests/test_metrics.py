@@ -31,7 +31,7 @@ def _call(names, query_id="q1"):
         model_id="uri",
         issued_at=0.0,
     )
-    call.completed = True
+    call.completions = 1
     call.hits = [
         QueryHit(
             Advertisement(ad_id=f"ad-{n}", service_node=n, service_name=n,
@@ -86,7 +86,7 @@ def test_score_queries_alive_only_filter():
 
 def test_score_queries_skips_incomplete():
     incomplete = _issued(["a"], {"a"})
-    incomplete.call.completed = False
+    incomplete.call.completions = 0
     assert score_queries([incomplete]).queries == 0
 
 

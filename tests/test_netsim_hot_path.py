@@ -107,33 +107,45 @@ def _census() -> Counter:
     )
 
 
-def _grown_by_256_discovers(deploy, traced: bool) -> tuple[dict, list]:
-    """Live instances gained by discovers 128..384, and those 256 calls."""
+def _past_the_timeouts(dep, calls) -> None:
+    """Run ``dep`` until the query timeout each of ``calls`` armed has
+    passed: a pending timeout is the last thing that holds an answered call."""
+    dep.system.run(until=max(call.issued_at for call in calls)
+                   + dep.system.config.query_timeout)
+
+
+def _records(trace) -> Counter:
+    return Counter(Span=len(trace.spans), TraceEvent=len(trace.events))
+
+
+def _grown_by_256_discovers(deploy, traced: bool) -> tuple[dict, Counter, Counter]:
+    """Live instances gained by discovers 128..384, counted once the test
+    holds none of their handles and their query timeouts have passed; the
+    trace records a capture gained over the same stretch; and those the
+    discovers themselves added (both empty without a capture)."""
     dep = deploy(traced=traced)
-    dep.discover(128)
-    before = _census()
+    trace = dep.system.trace
+    _past_the_timeouts(dep, dep.discover(128))
+    before, records = _census(), _records(trace)
     calls = dep.discover(256)
+    by_discovers = _records(trace) - records
+    _past_the_timeouts(dep, calls)
+    del calls
     after = _census()
     grown = {name: after[name] - before[name]
              for name in after if after[name] > before[name]}
-    kept_hits = sum(len(call.hits) for call in calls)
-    assert grown.pop("DiscoveryCall") == len(calls)
-    assert grown.pop("QueryHit") == kept_hits
-    if deploy is fallback_lan:
-        assert grown.pop("Advertisement") == kept_hits
-    return grown, calls
+    return grown, _records(trace) - records, by_discovers
 
 
 @pytest.mark.parametrize("deploy", (e7_ring, fallback_lan))
 def test_only_the_documented_histories_grow_with_the_run(deploy):
-    """A completed query leaves two things behind: its ``DiscoveryCall``
-    in ``client.calls`` and the call's hits (at most ``max_results``; a
-    directly-answering service builds the advertisement record of its hit
-    per reply, so there each kept hit keeps one). Nothing else may be held
-    per query — not the timers, aggregations and payloads of answered
-    queries, not the responders' batches of a completed fallback call, and
-    with no trace capture attached no trace record at all."""
-    grown, _calls = _grown_by_256_discovers(deploy, traced=False)
+    """An answered query leaves nothing behind once its caller drops the
+    handle and its query timeout has passed: the client keeps no history
+    of its calls, so no ``DiscoveryCall``, no hit and no advertisement
+    record of a hit stays — nor the timers, aggregations and payloads of
+    answered queries, the responders' batches of a completed fallback
+    call, or, with no trace capture attached, any trace record."""
+    grown = _grown_by_256_discovers(deploy, traced=False)[0]
     assert grown == {}
 
 
@@ -170,8 +182,11 @@ CAPTURED_PER_256_DISCOVERS = {
 
 @pytest.mark.parametrize("deploy", (e7_ring, fallback_lan))
 def test_a_capture_keeps_every_trace_record_and_nothing_else(deploy):
-    grown, _calls = _grown_by_256_discovers(deploy, traced=True)
-    assert grown == CAPTURED_PER_256_DISCOVERS[deploy.__name__]
+    """What a traced run grows by is its capture's records, one instance
+    each, and nothing else; the discovers' own records are pinned."""
+    grown, records, by_discovers = _grown_by_256_discovers(deploy, traced=True)
+    assert grown == dict(records)
+    assert by_discovers == CAPTURED_PER_256_DISCOVERS[deploy.__name__]
 
 
 # -- (iv) delivery instruments are fetched once, not per copy -----------------

@@ -4,7 +4,7 @@
     python3 tools/mem_attr.py [--workload W] [--seed N] [--scale F] [--tree DIR] [--top N]
     python3 tools/mem_attr.py --phases [...]
     python3 tools/mem_attr.py --inputs [...]
-    python3 tools/mem_attr.py --growth N [...]
+    python3 tools/mem_attr.py --growth N [--max-bytes-per-op B] [...]
 
 ``benchmarks/perf/run.py`` has one memory number, ``peak_rss_mb``, and the
 harness may not change under a pull request that claims a gain on it. This
@@ -29,7 +29,9 @@ generates the inputs, and then
 * with ``--growth N``, builds and prepares the deployment and runs one
   round of operations untraced, then runs ``N`` more under ``tracemalloc``
   and prints what they leave behind in bytes per operation, by module and
-  by line: memory that grows with the length of a run, not its size.
+  by line: memory that grows with the length of a run, not its size;
+  ``--max-bytes-per-op B`` then exits non-zero when they retain more than
+  ``B`` bytes per operation, which makes the table a gate.
 
 ``--tree`` points both at another checkout (``git archive <rev> | tar -x -C
 DIR``), which is how a parent/change pair of tables is made. One process,
@@ -70,11 +72,11 @@ def where(filename: str, tree: pathlib.Path) -> str:
 
 
 def attribution(action, title: str, count, unit: str, noun: str,
-                tree: pathlib.Path, top: int) -> None:
+                tree: pathlib.Path, top: int) -> float:
     """Run ``action()`` under ``tracemalloc`` and print what it leaves
     allocated — in MiB and in bytes per ``unit`` over ``count`` of them (a
     number, or a function of what ``action`` returned) — by source module
-    and by allocating line."""
+    and by allocating line; returns the bytes per ``unit``."""
     gc.collect()
     tracemalloc.start()
     try:
@@ -103,6 +105,7 @@ def attribution(action, title: str, count, unit: str, noun: str,
         at = f"{where(frame.filename, tree)}:{frame.lineno}"
         print(f"{at:<44}{stat.size / MIB:>9.2f}{stat.size / count:>9.0f}"
               f"{stat.count:>9}  {source[:60]}")
+    return total / count
 
 
 def build(workload, inputs, tree: pathlib.Path, top: int) -> None:
@@ -119,7 +122,8 @@ def generated(workload, seed: int, scale: float, tree: pathlib.Path, top: int) -
                 "record", "generated profile records", tree, top)
 
 
-def growth(workload, inputs, tree: pathlib.Path, top: int, n_ops: int) -> None:
+def growth(workload, inputs, tree: pathlib.Path, top: int, n_ops: int,
+           max_bytes_per_op: float | None = None) -> None:
     dep = workload.build(inputs)
     workload.prepare(dep)
     for _ in range(max(1, int(workload.round_ops * inputs.scale))):
@@ -129,11 +133,15 @@ def growth(workload, inputs, tree: pathlib.Path, top: int, n_ops: int) -> None:
         for _ in range(n_ops):
             workload.op(dep)
 
-    attribution(operations,
-                f"{n_ops} x {type(workload).__name__}.op after a warm round, under tracemalloc",
-                n_ops, "op", "operations", tree, top)
+    per_op = attribution(operations,
+                         f"{n_ops} x {type(workload).__name__}.op after a warm round, "
+                         "under tracemalloc", n_ops, "op", "operations", tree, top)
     if dep.failed:
         sys.exit(f"{dep.failed} of {dep.attempted} operations failed")
+    if max_bytes_per_op is not None and per_op > max_bytes_per_op:
+        sys.exit(f"{per_op:.0f} B/op retained over {n_ops} operations, above "
+                 f"--max-bytes-per-op {max_bytes_per_op:g}: something grows with "
+                 "the length of the run (see the tables above)")
 
 
 def vm_mib(field: str) -> float:
@@ -186,7 +194,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--growth", type=int, metavar="N",
                         help="bytes retained per operation over N operations "
                              "after a warm round, instead of the build")
+    parser.add_argument("--max-bytes-per-op", type=float, metavar="B",
+                        help="with --growth: exit non-zero above B bytes per operation")
     args = parser.parse_args(argv)
+    if args.max_bytes_per_op is not None and not args.growth:
+        parser.error("--max-bytes-per-op bounds --growth")
     tree = args.tree.resolve()
     workload = load_workload(tree, args.workload)
     print(f"# mem-attr {args.workload} seed={args.seed} scale={args.scale:g} tree={tree}")
@@ -195,7 +207,8 @@ def main(argv: list[str] | None = None) -> int:
     elif args.inputs:
         generated(workload, args.seed, args.scale, tree, args.top)
     elif args.growth:
-        growth(workload, workload.inputs(args.seed, args.scale), tree, args.top, args.growth)
+        growth(workload, workload.inputs(args.seed, args.scale), tree, args.top, args.growth,
+               args.max_bytes_per_op)
     else:
         build(workload, workload.inputs(args.seed, args.scale), tree, args.top)
     return 0
