@@ -103,9 +103,9 @@ def _counted_pass(evaluator, requests) -> tuple[int, list[int]]:
             built += 1
             super().__init__(*args, **kwargs)
 
-    def recording(index, bits: int, riders):
+    def recording(index, bits: int):
         opened.append(bits)  # runs at the group's first ``next()``
-        yield from hand_out(index, bits, riders)
+        yield from hand_out(index, bits)
 
     with mock.patch.object(matching, "QueryHit", CountedHit), \
             mock.patch.object(SemanticConceptIndex, "_hand_out", recording):

@@ -28,7 +28,7 @@ from repro.core.retry import RetryPolicy
 from repro.core.routing import router_for
 from repro.descriptions.base import DescriptionModel, ModelRegistry
 from repro.netsim.messages import Envelope
-from repro.netsim.node import Node
+from repro.netsim.node import Node, Timer
 from repro.obs.tracing import Span
 from repro.registry.advertisements import new_uuid
 from repro.registry.matching import QueryEvaluator, QueryHit
@@ -65,13 +65,14 @@ class Watch:
 
 @dataclass
 class _Attempt:
-    """The one registry attempt a call has in flight: who was asked,
-    when, and the span that closes when the attempt ends — by a
-    response, a timeout, a BUSY or a crash."""
+    """The one registry attempt a call has in flight: who was asked, when,
+    and the span that closes and the query timeout cancelled when the
+    attempt ends — by a response, a timeout, a BUSY or a crash."""
 
     registry: str
     sent_at: float
     span: Span | None
+    timeout: Timer
 
 
 @dataclass
@@ -258,7 +259,7 @@ class ClientNode(Node):
         # The root span of the whole discovery trace; every retry, forward,
         # and (late) response hangs off it.
         call._span = self.span(
-            "client.query", {"query": self.alias(call.query_id), "model": model_id},
+            "client.query", lambda: {"query": self.alias(call.query_id), "model": model_id},
             ctx=None)
         if call._span is not None:
             call.trace_id = call._span.trace_id
@@ -298,16 +299,18 @@ class ClientNode(Node):
             # Register the wire id only on paths that await a response —
             # an immediate failure must not strand a map entry.
             self._by_wire_id[wire_id] = call
-            call._attempt = attempt = _Attempt(registry, self.sim.now, None)
             call.via = f"registry:{registry}"
             call.sent_to = registry
+            span = None
             if call._span is not None:
-                attempt.span = self.span(
+                span = self.span(
                     "client.attempt", {"attempt": call.attempts, "registry": registry},
                     ctx=call._span.context)
             self.send(registry, protocol.QUERY, payload, payload_type=call.model_id,
-                      headers=self.headers_for(attempt.span))
-            self.after(self.config.query_timeout, lambda: self._query_timed_out(call, wire_id))
+                      headers=self.headers_for(span))
+            timeout = self.after(self.config.query_timeout,
+                                 lambda: self._query_timed_out(call, wire_id))
+            call._attempt = _Attempt(registry, self.sim.now, span, timeout)
         elif self.config.fallback_enabled:
             self._fallback(call, payload)
         else:
@@ -317,9 +320,11 @@ class ClientNode(Node):
         self, call: DiscoveryCall, *, status: str = "ok",
         attrs: dict[str, object] | None = None,
     ) -> _Attempt | None:
-        """Take ``call``'s in-flight attempt (if any), closing its span."""
+        """Take ``call``'s in-flight attempt (if any), closing its span and
+        cancelling its query timeout, the last thing that held the call."""
         attempt, call._attempt = call._attempt, None
         if attempt is not None:
+            attempt.timeout.cancel()
             self.end(attempt.span, status=status, attrs=attrs)
         return attempt
 

@@ -20,7 +20,6 @@ one line here (and a record, if it brings one) plus its handler.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Annotated
 
 from repro.descriptions import Description, Query
@@ -118,7 +117,8 @@ class QueryPayload:
     ttl: int = 0
 
     def with_ttl(self, ttl: int) -> "QueryPayload":
-        return replace(self, ttl=ttl)
+        """This query under another TTL (checked like any construction)."""
+        return QueryPayload(self.query_id, self.model_id, self.query, self.max_results, ttl)
 
 
 @record(overhead=16)

@@ -145,8 +145,8 @@ class QueryCoordinator:
         registry = self.registry
         span = registry.span(
             name,
-            {"query": registry.alias(payload.query_id), "from": envelope.src,
-             "ttl": payload.ttl},
+            lambda: {"query": registry.alias(payload.query_id), "from": envelope.src,
+                     "ttl": payload.ttl},
             ctx=TraceRecorder.extract(envelope.headers),
         )
         if span is not None:
@@ -309,8 +309,8 @@ class QueryCoordinator:
             return
         fanout = registry.span(
             "registry.fanout",
-            {"query": registry.alias(forwarded.query_id), "targets": len(allowed),
-             "skipped": skipped, "ttl": forwarded.ttl},
+            lambda: {"query": registry.alias(forwarded.query_id), "targets": len(allowed),
+                     "skipped": skipped, "ttl": forwarded.ttl},
             ctx=parent.context if parent is not None else registry._trace_ctx,
         )
 

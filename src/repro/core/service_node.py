@@ -127,6 +127,8 @@ class ServiceNode(Node):
             for model_id, record in self._published.items()
         }
         self._attached_at: float | None = None
+        #: Model id → :meth:`self_advertisement`'s last record.
+        self._self_ads: dict[str, Advertisement] = {}
 
     def start(self) -> None:
         """Bootstrap: find a registry, then keep leases alive."""
@@ -384,16 +386,21 @@ class ServiceNode(Node):
     # -- decentralized LAN mode -----------------------------------------------------------
 
     def self_advertisement(self, model_id: str) -> Advertisement:
-        """Our capability as an advertisement record (for direct replies)."""
-        return Advertisement(
-            ad_id=f"self-{self.node_id}-{model_id}",
-            service_node=self.node_id,
-            service_name=self.profile.service_name,
-            endpoint=self.endpoint,
-            model_id=model_id,
-            description=self._descriptions[model_id],
-            home_registry="",
-        )
+        """Our capability as an advertisement record (for direct replies),
+        built again only once its description or the endpoint changed."""
+        description = self._descriptions[model_id]
+        ad = self._self_ads.get(model_id)
+        if ad is None or ad.description is not description or ad.endpoint != self.endpoint:
+            ad = self._self_ads[model_id] = Advertisement(
+                ad_id=f"self-{self.node_id}-{model_id}",
+                service_node=self.node_id,
+                service_name=self.profile.service_name,
+                endpoint=self.endpoint,
+                model_id=model_id,
+                description=description,
+                home_registry="",
+            )
+        return ad
 
     def handle_decentral_query(self, envelope: Envelope) -> None:
         """Evaluate a multicast query against our own descriptions.

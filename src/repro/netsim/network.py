@@ -173,6 +173,8 @@ class Network:
         #: ``hops.delivered`` one, asked of the registry on the type's
         #: first delivery and not again.
         self._delivery_histograms: dict[str, tuple[Histogram, Histogram]] = {}
+        #: Message type → its ``hops.<type>`` histogram (:meth:`_hops_histogram`).
+        self._hop_histograms: dict[str, Histogram] = {}
         #: The run's health monitor (flight recorders, SLO windows,
         #: alarm rows — see :mod:`repro.obs.health`) where the deployment
         #: built one; the transport never touches it.
@@ -329,14 +331,6 @@ class Network:
             and src_lan.partition_group == dst_lan.partition_group
         )
 
-    def is_wan(self, src_id: str, dst_id: str) -> bool:
-        """Whether traffic between the two nodes crosses the WAN."""
-        src = self.nodes.get(src_id)
-        dst = self.nodes.get(dst_id)
-        if src is None or dst is None:
-            return False
-        return src.lan_name != dst.lan_name
-
     # -- fault hooks -----------------------------------------------------
 
     def add_loss_window(self, window: LossWindow) -> None:
@@ -382,37 +376,37 @@ class Network:
 
         The send is always accounted (the sender transmits regardless);
         unreachable destinations, loss, and crashed receivers turn into
-        recorded drops.
+        recorded drops. WAN, reachability and medium all come from the two
+        ends' LANs, each end looked up once.
         """
-        if envelope.dst is None:
+        dst_id = envelope.dst
+        if dst_id is None:
             raise NetworkError("unicast envelope has no destination")
+        now = self.sim.now
         size = self.size_model.message_size(envelope.payload)
         envelope.size_bytes = size
-        envelope.sent_at = self.sim.now
-        wan = self.is_wan(envelope.src, envelope.dst)
+        envelope.sent_at = now
+        sender = self.nodes.get(envelope.src)
+        receiver = self.nodes.get(dst_id)
+        # A node on the network always has a LAN: ``None`` means gone.
+        src_lan = sender.lan_name if sender is not None else None
+        dst_lan = receiver.lan_name if receiver is not None else None
+        wan = src_lan != dst_lan and src_lan is not None and dst_lan is not None
         self.stats.record_send(envelope.msg_type, envelope.src, size, wan=wan, multicast=False)
-        if not self.reachable(envelope.src, envelope.dst):
+        if not self._linked(src_lan, dst_lan):
             self.stats.record_drop("unreachable")
             self._trace_drop(envelope, "unreachable")
             return
-        sender = self.nodes.get(envelope.src)
-        receiver = self.nodes.get(envelope.dst)
-        src_lan = sender.lan_name if sender is not None else ""
-        dst_lan = receiver.lan_name if receiver is not None else ""
-        if self._lost(envelope, envelope.dst,
-                      self._fault_loss(src_lan or "", dst_lan or "")):
+        if (self.loss_rate or self.loss_windows) and self._lost(
+                envelope, dst_id, self._fault_loss(src_lan, dst_lan)):
             return
         latency = self.wan_latency if wan else self.lan_latency
-        latency += self._extra_latency(src_lan or "", dst_lan or "")
+        if self.latency_spikes:
+            latency += self._extra_latency(src_lan, dst_lan)
         # The sender's LAN medium serializes the transmission (the uplink
         # is the bottleneck for narrow-band deployments).
-        done_at = self.sim.now
-        if sender is not None and sender.lan_name in self.lans:
-            done_at = self.lans[sender.lan_name].transmission_done(
-                self.sim.now, size
-            )
-        self.sim.schedule_at(done_at + latency, self._deliver,
-                             envelope, envelope.dst)
+        done_at = self.lans[src_lan].transmission_done(now, size)
+        self.sim.schedule_at(done_at + latency, self._deliver, envelope, dst_id)
 
     def multicast(self, envelope: Envelope) -> None:
         """Deliver ``envelope`` to every other node on the sender's LAN.
@@ -521,9 +515,7 @@ class Network:
             latencies.observe_many(latency, n)
             hops.observe_many(envelope.hops, n)
             if envelope.hops > 0:
-                self.metrics.histogram(
-                    f"hops.{msg_type}", buckets=HOP_BUCKETS
-                ).observe_many(envelope.hops, n)
+                self._hops_histogram(msg_type).observe_many(envelope.hops, n)
 
     def _deliver(self, envelope: Envelope, dst_id: str) -> None:
         """Delivery event: hand the envelope to the destination if it is up."""
@@ -532,33 +524,35 @@ class Network:
             self.stats.record_drop("dead-dst")
             self._trace_drop(envelope, "dead-dst", dst=dst_id)
             return
-        if not self.reachable(envelope.src, dst_id):
-            # A partition formed while the message was in flight.
+        sender = self.nodes.get(envelope.src)
+        if not self._linked(sender.lan_name if sender is not None else None, dst.lan_name):
+            # The sender left, or a partition formed while it was in flight.
             self.stats.record_drop("partition-in-flight")
             self._trace_drop(envelope, "partition-in-flight", dst=dst_id)
             return
+        msg_type = envelope.msg_type
+        hops = envelope.hops
         self.stats.record_delivery(dst_id, envelope.size_bytes)
         latency = self.sim.now - envelope.sent_at
         try:
-            latencies, hops = self._delivery_histograms[envelope.msg_type]
+            latencies, delivered = self._delivery_histograms[msg_type]
         except KeyError:
-            latencies, hops = self._delivery_histograms_for(envelope.msg_type)
+            latencies, delivered = self._delivery_histograms_for(msg_type)
         latencies.observe(latency)
-        hops.observe(envelope.hops)
-        if envelope.hops > 0:
-            self.metrics.histogram(
-                f"hops.{envelope.msg_type}", buckets=HOP_BUCKETS
-            ).observe(envelope.hops)
-        ctx = TraceRecorder.extract(envelope.headers)
+        delivered.observe(hops)
+        if hops > 0:
+            self._hops_histogram(msg_type).observe(hops)
+        headers = envelope.headers
+        ctx = TraceRecorder.extract(headers) if headers else None
         if ctx is not None and self.sim.trace.listening:
             self.sim.trace.event(
                 "net.deliver",
                 node=dst_id,
                 ctx=ctx,
                 attrs={
-                    "msg_type": envelope.msg_type,
+                    "msg_type": msg_type,
                     "src": envelope.src,
-                    "hops": envelope.hops,
+                    "hops": hops,
                     "latency": latency,
                 },
             )
@@ -575,6 +569,15 @@ class Network:
                 self.metrics.histogram("hops.delivered", buckets=HOP_BUCKETS),
             )
         return pair
+
+    def _hops_histogram(self, msg_type: str) -> Histogram:
+        """The ``hops.<msg_type>`` histogram, asked of the registry on the
+        type's first delivery with hops > 0 only."""
+        histogram = self._hop_histograms.get(msg_type)
+        if histogram is None:
+            histogram = self._hop_histograms[msg_type] = self.metrics.histogram(
+                f"hops.{msg_type}", buckets=HOP_BUCKETS)
+        return histogram
 
     def _trace_drop(self, envelope: Envelope, reason: str, *, dst: str | None = None) -> None:
         """Attach a drop event to the envelope's trace, if it carries one."""

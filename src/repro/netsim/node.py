@@ -205,13 +205,18 @@ class Node:
             if traced:
                 self.note(kind, attrs)
 
-    def span(self, name: str, attrs: dict[str, Any] | None = None, *,
+    def span(self, name: str,
+             attrs: dict[str, Any] | Callable[[], dict[str, Any]] | None = None, *,
              ctx: tuple[int, int] | None = _CURRENT) -> Span | None:
         """Open the span ``name`` at this node (``None`` while unattached or
-        unlistened); ``ctx=None`` roots a new trace."""
+        unlistened); ``ctx=None`` roots a new trace. ``attrs`` may be a
+        function that builds them: a hot path passes one, and it is called
+        only when somebody listens."""
         trace = self.trace
         if trace is None:
             return None
+        if callable(attrs):
+            attrs = attrs() if trace.listening else None
         return trace.start_span(name, node=self.node_id, attrs=attrs,
                                 ctx=self._trace_ctx if ctx is _CURRENT else ctx)
 

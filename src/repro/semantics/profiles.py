@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.errors import DescriptionError
@@ -40,6 +40,11 @@ _REQUEST_BASE_BYTES = 1024
 #: ``sys.intern``'s table: it decides which equal tuple is held, never a
 #: result.
 _QOS_NAMES: dict[tuple[str, ...], tuple[str, ...]] = {}
+
+
+def _utf8_len(text: str) -> int:
+    """The UTF-8 length of ``text``, with no encoded copy of ASCII text."""
+    return len(text) if text.isascii() else len(text.encode("utf-8"))
 
 
 def _shared_names(names: tuple[str, ...]) -> tuple[str, ...]:
@@ -164,17 +169,14 @@ class ServiceProfile:
         return frozenset({self.category, *self.inputs, *self.outputs})
 
     def size_bytes(self) -> int:
-        """Modelled size of the OWL-S/XML serialization."""
-        concept_bytes = sum(
-            _PARAMETER_BYTES + len(c.encode("utf-8")) for c in (*self.inputs, *self.outputs)
-        )
+        """Modelled size of the OWL-S/XML serialization, computed on each
+        call: a stored size would cost every profile a registry holds."""
+        concepts = (*self.inputs, *self.outputs)
         return (
             _PROFILE_BASE_BYTES
-            + len(self.service_name.encode("utf-8"))
-            + len(self.category.encode("utf-8"))
-            + concept_bytes
+            + len(concepts) * _PARAMETER_BYTES
             + len(self.qos_names) * _QOS_BYTES
-            + len(self.text.encode("utf-8"))
+            + _utf8_len("".join((self.service_name, self.category, *concepts, self.text)))
         )
 
 
@@ -221,6 +223,9 @@ class ServiceRequest:
     qos_constraints: tuple[QoSConstraint, ...] = ()
     keywords: tuple[str, ...] = ()
     max_results: int | None = None
+    #: :meth:`size_bytes`, once asked; not part of the value. A request is
+    #: never written to the WAL, so this never reaches a pickle.
+    _size: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.category is None and not self.desired_outputs and not self.keywords:
@@ -255,17 +260,16 @@ class ServiceRequest:
         )
 
     def size_bytes(self) -> int:
-        """Modelled size of the serialized query template."""
-        concept_bytes = sum(
-            _PARAMETER_BYTES + len(c.encode("utf-8"))
-            for c in (*self.desired_outputs, *self.provided_inputs)
-        )
-        category_bytes = len(self.category.encode("utf-8")) if self.category else 0
-        keyword_bytes = sum(len(k.encode("utf-8")) for k in self.keywords)
-        return (
-            _REQUEST_BASE_BYTES
-            + category_bytes
-            + concept_bytes
-            + len(self.qos_constraints) * _QOS_BYTES
-            + keyword_bytes
-        )
+        """Modelled size of the serialized query template, kept after the
+        first call: every hop of a discover carries the same request."""
+        size = self._size
+        if size is None:
+            concepts = (*self.desired_outputs, *self.provided_inputs)
+            size = (
+                _REQUEST_BASE_BYTES
+                + len(concepts) * _PARAMETER_BYTES
+                + len(self.qos_constraints) * _QOS_BYTES
+                + _utf8_len("".join((self.category or "", *concepts, *self.keywords)))
+            )
+            object.__setattr__(self, "_size", size)
+        return size

@@ -205,6 +205,24 @@ def test_service_answers_decentral_queries_directly(fast):
     assert call.service_names() == ["radar-1"]
 
 
+def test_direct_replies_share_one_self_advertisement_until_it_changes(fast):
+    system = _system(fast, registries=False)
+    service = system.add_service("lan-0", _radar())
+    client = system.add_client("lan-0")
+    system.run(until=2.0)
+    first, second = (system.discover(client, REQUEST).hits[0].advertisement
+                     for _ in range(2))
+    assert first is second and first.endpoint == "svc://" + service.node_id
+    service.update_profile(ServiceProfile.build(
+        "radar-1", "ncw:AirSurveillanceRadarService", outputs=["ncw:AirTrack"],
+        qos={"latency_ms": 10.0}))
+    updated = system.discover(client, REQUEST).hits[0].advertisement
+    assert updated is not first and updated.description.qos_value("latency_ms") == 10.0
+    service.endpoint = "svc://moved"
+    moved = system.discover(client, REQUEST).hits[0].advertisement
+    assert moved.endpoint == "svc://moved" and moved.description is updated.description
+
+
 # -- client node --------------------------------------------------------------
 
 def test_client_discovers_via_registry(fast):

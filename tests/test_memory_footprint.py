@@ -81,18 +81,22 @@ bytes retained per service node        own          shared
 
 The fifth ceiling is what the whole program keeps per discover: bytes
 retained by all of ``src/`` over discovers 128..384 of
-:func:`tests.deployments.e7_ring`, with no handle kept and read once the
-last call's query timeout has passed. The client used to keep every
-``DiscoveryCall`` it issued, with its hits and id strings; now the
-caller's handle is the only one. What is left is bounded by time, not by
-the run's length: forwarding's duplicate-suppression window and the wire
-ids it holds.
+:func:`tests.deployments.e7_ring`, with no handle kept. The client used
+to keep every ``DiscoveryCall`` it issued, with its hits and id strings;
+now the caller's handle is the only one. The first two readings were
+taken once the last call's query timeout had passed, because until then
+the pending timeout held each answered call. An answered attempt now
+cancels its timeout, and the reading is taken right after the last
+answer, with no ``DiscoveryCall`` alive. What is left is bounded by
+time, not by the run's length: forwarding's duplicate-suppression window
+and the wire ids it holds, and the cancelled timeouts' heap entries
+until their time comes.
 
-=====================================  ===========  ===========
-bytes retained per discover            history      no history
-=====================================  ===========  ===========
-all of ``src/``                        1,056        348
-=====================================  ===========  ===========
+=====================================  ===========  ===========  ===========
+bytes retained per discover            history      no history   at answer
+=====================================  ===========  ===========  ===========
+all of ``src/``                        1,056        348          386
+=====================================  ===========  ===========  ===========
 """
 
 from __future__ import annotations
@@ -103,6 +107,7 @@ import random
 import tracemalloc
 
 import repro
+from repro.core.client_node import DiscoveryCall
 from repro.descriptions.base import ModelRegistry
 from repro.descriptions.semantic import SemanticModel
 from repro.obs import tracing
@@ -125,7 +130,8 @@ CEILING_TRACE_BYTES_PER_DISCOVER = 1
 #: ~15 % above the shared-matchmaker reading; the same rule.
 CEILING_BYTES_PER_SERVICE_NODE = 12_000
 N_SERVICE_NODES = 100
-#: ~15 % above the no-history reading; the same rule.
+#: ~15 % above the no-history reading, ~4 % above the at-answer one; the
+#: same rule.
 CEILING_SRC_BYTES_PER_DISCOVER = 400
 
 
@@ -233,10 +239,11 @@ def test_trace_bytes_retained_per_discover_stay_under_the_ceiling():
     )
 
 
-def src_bytes_per_discover() -> float:
+def src_bytes_per_discover() -> tuple[float, int]:
     """What all of ``src/`` allocates and still holds per discover, over
-    discovers 128..384 of a settled E7 ring, once the caller has dropped
-    every handle and the last query timeout has passed."""
+    discovers 128..384 of a settled E7 ring, read right after the last
+    answer once the caller has dropped every handle; and how many
+    ``DiscoveryCall`` objects are alive then."""
     deployment = e7_ring()
     deployment.discover(128)
     gc.collect()
@@ -244,18 +251,22 @@ def src_bytes_per_discover() -> float:
     try:
         before = tracemalloc.take_snapshot()
         issued = len(deployment.discover(256))
-        deployment.system.run_for(deployment.system.config.query_timeout)
         gc.collect()
         after = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
+    alive = sum(isinstance(obj, DiscoveryCall) for obj in gc.get_objects())
     only = [tracemalloc.Filter(True, str(pathlib.Path(repro.__file__).parent / "*"))]
     grown = after.filter_traces(only).compare_to(before.filter_traces(only), "filename")
-    return sum(stat.size_diff for stat in grown) / issued
+    return sum(stat.size_diff for stat in grown) / issued, alive
 
 
 def test_src_bytes_retained_per_discover_stay_under_the_ceiling():
-    per_discover = src_bytes_per_discover()
+    per_discover, alive = src_bytes_per_discover()
+    assert alive == 0, (
+        f"{alive} DiscoveryCall objects outlive their answers: an answered "
+        "attempt no longer cancels its query timeout, or the client keeps "
+        "a history again")
     assert per_discover <= CEILING_SRC_BYTES_PER_DISCOVER, (
         f"{per_discover:.0f} bytes retained by src/ per discover (ceiling "
         f"{CEILING_SRC_BYTES_PER_DISCOVER}): something now keeps what an "

@@ -7,6 +7,7 @@ still holds after its queries completed — never a time.
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import sys
 from collections import Counter
@@ -20,6 +21,7 @@ from repro.netsim.simulator import Simulator
 from repro.netsim.stats import TrafficStats
 from repro.obs import tracing
 from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS, Histogram
+from repro.semantics.profiles import ServiceRequest
 from tests.deployments import e7_ring, fallback_lan
 
 
@@ -426,3 +428,26 @@ def test_batched_deliveries_are_single_deliveries():
     assert at_once == one_by_one
     assert list(at_once.node_bytes_received.items()) \
         == list(one_by_one.node_bytes_received.items())
+
+
+# -- (vii) a discover sizes its request once -----------------------------------
+
+
+def test_a_ring_discover_computes_its_request_size_once(monkeypatch):
+    """A ring discover sends its request five times (to the client's
+    registry, then forwarded around the ring) and so sizes it five times;
+    only the first computes the size, the other four read what it kept."""
+    dep = e7_ring()
+    request = dataclasses.replace(dep.requests[0])
+    asked, computed = [], []
+    size_bytes = ServiceRequest.size_bytes
+
+    def counting(self):
+        (computed if self._size is None else asked).append(self)
+        return size_bytes(self)
+
+    monkeypatch.setattr(ServiceRequest, "size_bytes", counting)
+    call = dep.system.discover(dep.system.clients[0], request)
+    assert call.completed and call.hits
+    assert computed == [request]
+    assert len(asked) == 4 and all(r is request for r in asked)

@@ -9,6 +9,7 @@ from repro.netsim.messages import Envelope
 from repro.netsim.network import Network
 from repro.netsim.node import Node
 from repro.netsim.simulator import Simulator
+from repro.obs.tracing import TraceRecorder
 
 
 class Recorder(Node):
@@ -319,3 +320,65 @@ def test_multicast_delivers_per_receiver_copies(net):
     eb.hops += 1
     assert ec.headers == {"ttl": 3}
     assert ec.hops != eb.hops
+
+
+# -- every way a unicast ends, one row each -----------------------------------
+
+#: Bytes of a unicast carrying the text payload "x": the default envelope
+#: overhead, one byte of text and a text element's overhead.
+X_BYTES = 512 + 1 + 16
+
+
+def _ends(net):
+    """``a`` and ``b`` on lan-a, ``w`` on lan-b and ``i`` on a LAN with no
+    WAN link: the ends the rows below send between."""
+    net.add_lan("island", wan_connected=False)
+    for node_id, lan in (("a", "lan-a"), ("b", "lan-a"), ("w", "lan-b"), ("i", "island")):
+        _add(net, node_id, lan)
+
+
+#: name → (src, dst, what happens between the send and the run, reason the
+#: copy is dropped for ("" = delivered), whether the send is WAN traffic).
+UNICAST_ENDS = {
+    "delivered-lan": ("a", "b", None, "", False),
+    "delivered-wan": ("a", "w", None, "", True),
+    "unknown-src": ("ghost", "b", None, "unreachable", False),
+    "unknown-dst": ("a", "ghost", None, "unreachable", False),
+    "lan-not-wan-connected": ("a", "i", None, "unreachable", True),
+    "partition-at-send": ("a", "w", "partition-first", "unreachable", True),
+    "dead-dst": ("a", "b", "crash-dst", "dead-dst", False),
+    "sender-removed-in-flight": ("a", "w", "remove-src", "partition-in-flight", True),
+    "partition-in-flight": ("a", "w", "partition", "partition-in-flight", True),
+}
+
+
+@pytest.mark.parametrize("row", sorted(UNICAST_ENDS))
+def test_each_way_a_unicast_ends_is_counted_and_traced(net, row):
+    src, dst, meanwhile, reason, wan = UNICAST_ENDS[row]
+    capture = net.sim.trace.capture()
+    _ends(net)
+    if meanwhile == "partition-first":
+        net.partition([["lan-a", "island"], ["lan-b"]])
+    envelope = Envelope("ping", src, dst, payload="x",
+                        headers=TraceRecorder.inject({}, (1, 1)))
+    net.unicast(envelope)
+    if meanwhile == "crash-dst":
+        net.node(dst).crash()
+    elif meanwhile == "remove-src":
+        net.remove_node(src)
+    elif meanwhile == "partition":
+        net.partition([["lan-a", "island"], ["lan-b"]])
+    net.sim.run()
+    stats = net.stats
+    assert (stats.messages_sent, stats.bytes_sent, stats.bytes_wan) == (
+        1, X_BYTES, X_BYTES if wan else 0)
+    assert stats.messages_dropped == (1 if reason else 0)
+    assert dict(stats.drops_by_reason) == ({reason: 1} if reason else {})
+    assert stats.messages_delivered == (0 if reason else 1)
+    events = [(e.name, e.node, e.attrs) for e in capture.events]
+    if reason:
+        assert events == [("net.drop", src,
+                           {"msg_type": "ping", "dst": dst, "reason": reason})]
+    else:
+        assert [(name, node) for name, node, _ in events] == [("net.deliver", dst)]
+        assert net.node(dst).received == [envelope]

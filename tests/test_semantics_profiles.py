@@ -180,3 +180,50 @@ def test_compact_qos_survives_a_pickle_round_trip(qos):
 def test_qos_fields_must_pair_up():
     with pytest.raises(DescriptionError):
         ServiceProfile("svc", "cat", qos_names=("a", "b"), qos_values=(1.0,))
+
+
+# -- sizes: UTF-8 lengths without encoding ASCII -------------------------------
+
+def _utf8(text: str) -> int:
+    return len(text.encode("utf-8"))
+
+
+def _encoded_profile_size(profile: ServiceProfile) -> int:
+    return (profiles._PROFILE_BASE_BYTES + _utf8(profile.service_name) + _utf8(profile.category)
+            + sum(profiles._PARAMETER_BYTES + _utf8(c)
+                  for c in (*profile.inputs, *profile.outputs))
+            + len(profile.qos_names) * profiles._QOS_BYTES + _utf8(profile.text))
+
+
+def _encoded_request_size(request: ServiceRequest) -> int:
+    return (profiles._REQUEST_BASE_BYTES + (_utf8(request.category) if request.category else 0)
+            + sum(profiles._PARAMETER_BYTES + _utf8(c)
+                  for c in (*request.desired_outputs, *request.provided_inputs))
+            + len(request.qos_constraints) * profiles._QOS_BYTES
+            + sum(_utf8(k) for k in request.keywords))
+
+
+_WORD = st.text(min_size=1, max_size=8)
+_WORDS = st.lists(_WORD, max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=_WORD, category=_WORD, inputs=_WORDS, outputs=_WORDS, text=st.text(max_size=20),
+       keywords=_WORDS, qos=st.lists(_WORD, max_size=3, unique=True))
+def test_sizes_are_the_utf8_lengths_of_any_text(name, category, inputs, outputs, text,
+                                                keywords, qos):
+    profile = ServiceProfile.build(name, category, inputs=inputs, outputs=outputs,
+                                   qos={q: 1.0 for q in qos}, text=text)
+    assert profile.size_bytes() == _encoded_profile_size(profile)
+    request = ServiceRequest.build(category, outputs=outputs, inputs=inputs,
+                                   qos={q: (0.0, None) for q in qos}, keywords=keywords)
+    assert request.size_bytes() == request.size_bytes() == _encoded_request_size(request)
+
+
+def test_a_request_keeps_its_size_outside_its_value():
+    request = ServiceRequest.build("ncw:Sensör", outputs=["ncw:Track"], keywords=["ü"])
+    twin = ServiceRequest.build("ncw:Sensör", outputs=["ncw:Track"], keywords=["ü"])
+    assert request._size is None
+    size = request.size_bytes()
+    assert request._size == size == _encoded_request_size(request)
+    assert request == twin and hash(request) == hash(twin) and repr(request) == repr(twin)
