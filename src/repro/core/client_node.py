@@ -20,6 +20,7 @@ the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.core import protocol
 from repro.core.bootstrap import RegistryTracker
@@ -318,7 +319,7 @@ class ClientNode(Node):
 
     def _end_attempt(
         self, call: DiscoveryCall, *, status: str = "ok",
-        attrs: dict[str, object] | None = None,
+        attrs: Callable[[], dict[str, object]] | None = None,
     ) -> _Attempt | None:
         """Take ``call``'s in-flight attempt (if any), closing its span and
         cancelling its query timeout, the last thing that held the call."""
@@ -444,7 +445,7 @@ class ClientNode(Node):
         call = self._by_wire_id.pop(payload.query_id, None)
         if call is None or call.completed:
             return
-        attempt = self._end_attempt(call, attrs={"hits": len(payload.hits)})
+        attempt = self._end_attempt(call, attrs=lambda: {"hits": len(payload.hits)})
         if attempt is not None:
             # Passive health: the answered attempt's round-trip plus the
             # registry's piggybacked queue depth feed target selection.
@@ -496,7 +497,7 @@ class ClientNode(Node):
         self.observe("query.e2e_latency", call.latency)
         self.answered("query", ok=not failed, latency=call.latency)
         self.end(call._span, status=via if failed else ("ok" if hits else "empty"),
-                 attrs={"via": via, "hits": len(hits), "attempts": call.attempts})
+                 attrs=lambda: {"via": via, "hits": len(hits), "attempts": call.attempts})
 
     # -- standing queries (notification extension) ----------------------------------------
 

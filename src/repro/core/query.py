@@ -191,7 +191,7 @@ class QueryCoordinator:
             ),
             headers=registry.headers_for(span),
         )
-        registry.end(span, attrs={"hits": len(hits), "responders": responders})
+        registry.end(span, attrs=lambda: {"hits": len(hits), "responders": responders})
 
     def _overload_shortcut(self, requester: str, payload: protocol.QueryPayload,
                            span: Span | None) -> bool:
@@ -315,7 +315,7 @@ class QueryCoordinator:
         )
 
         def done(hits: list[QueryHit], responders: int) -> None:
-            registry.end(fanout, attrs={"hits": len(hits), "responders": responders})
+            registry.end(fanout, attrs=lambda: {"hits": len(hits), "responders": responders})
             on_complete(hits, responders)
 
         headers = registry.headers_for(fanout)

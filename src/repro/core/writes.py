@@ -445,8 +445,8 @@ class WriteCoordinator:
         registry = self.registry
         name = LEASE_EVENTS[kind]
         registry.count(name)
-        registry.note(name, {"ad": registry.alias(lease.ad_id),
-                             "lease": registry.alias(lease.lease_id)})
+        registry.note(name, lambda: {"ad": registry.alias(lease.ad_id),
+                                     "lease": registry.alias(lease.lease_id)})
 
 
 class FloodReplicator:

@@ -185,13 +185,18 @@ class Node:
         trace = self.trace
         return trace.alias(raw_id) if trace is not None else raw_id
 
-    def note(self, name: str, attrs: dict[str, Any] | None = None, *,
+    def note(self, name: str,
+             attrs: dict[str, Any] | Callable[[], dict[str, Any]] | None = None, *,
              ctx: tuple[int, int] | None = _CURRENT) -> None:
         """Record the instant event ``name`` at this node. ``attrs`` is a
         dict because its order is the export's order and ``"from"`` /
-        ``"class"`` are keys."""
+        ``"class"`` are keys; it may be a function that builds them, called
+        only when somebody listens (the event is still recorded, so the
+        sequence number advances either way)."""
         trace = self.trace
         if trace is not None:
+            if callable(attrs):
+                attrs = attrs() if trace.listening else None
             trace.event(name, node=self.node_id, attrs=attrs,
                         ctx=self._trace_ctx if ctx is _CURRENT else ctx)
 
@@ -221,10 +226,13 @@ class Node:
                                 ctx=self._trace_ctx if ctx is _CURRENT else ctx)
 
     def end(self, span: Span | None, *, status: str = "ok",
-            attrs: dict[str, Any] | None = None) -> None:
-        """Close ``span`` (the first close wins; ``None`` is nothing to close)."""
+            attrs: dict[str, Any] | Callable[[], dict[str, Any]] | None = None) -> None:
+        """Close ``span`` (the first close wins; ``None`` is nothing to
+        close). ``attrs`` may be a function that builds them, called only
+        for a real span."""
         if span is not None:
-            self.trace.end_span(span, status=status, attrs=attrs)
+            self.trace.end_span(span, status=status,
+                                attrs=attrs() if callable(attrs) else attrs)
 
     @staticmethod
     def headers_for(span: Span | None) -> dict[str, Any] | None:

@@ -181,9 +181,9 @@ class LeaseManager:
         """
         length = self.default_duration if duration is None else duration
         slot = self._check(ad_id, length)
-        number = new_serial()
-        lease = Lease(f"lease-{number:06d}", ad_id, length, self.clock() + length)
-        self._track(slot, number, lease)
+        number, now = new_serial(), self.clock()
+        lease = Lease(f"lease-{number:06d}", ad_id, length, now + length)
+        self._track(slot, number, lease, now)
         self._notify("grant", lease)
         return lease
 
@@ -226,7 +226,7 @@ class LeaseManager:
         number = _number_of(lease_id)
         slot = self._check(ad_id, duration)
         lease = Lease(lease_id, ad_id, duration, expires_at)
-        self._track(slot, number, lease)
+        self._track(slot, number, lease, self.clock())
         self._notify("restore", lease)
         return lease
 
@@ -302,25 +302,23 @@ class LeaseManager:
             raise LeaseError(f"advertisement {ad_id!r} is not stored; nothing to lease")
         return slot
 
-    def _track(self, slot: int, number: int, lease: Lease) -> None:
-        """Put a new lease in ``slot``'s columns and the expiry heap."""
+    def _track(self, slot: int, number: int, lease: Lease, now: float) -> None:
+        """Put a new lease in ``slot``'s columns and the expiry heap (the
+        new grant number leaves a replaced lease's heap key stale)."""
         store, heap = self._store, self._expiry_heap
-        grants = store._lease_grants
-        if grants[slot]:
-            self._drop(slot)  # the replaced lease
+        self._grants = grant_no = self._grants + 1
+        store._lease_grants[slot] = grant_no
+        store._lease_numbers[slot] = number
+        store._lease_durations[slot] = duration = lease.duration
+        store._lease_expiries[slot] = expires_at = lease.expires_at
         if len(heap) > 2 * len(store._slot_of) + 16:
             # Mostly dead entries (publish/remove churn under leases too
             # long to ever come due): keep only those of live leases.
             heap[:] = [key for key in heap if self._current(key)]
             heapq.heapify(heap)
-        self._grants = grant_no = self._grants + 1
-        grants[slot] = grant_no
-        store._lease_numbers[slot] = number
-        store._lease_durations[slot] = duration = lease.duration
-        store._lease_expiries[slot] = expires_at = lease.expires_at
         # A renewal must never move the expiry before the lease's due
         # time, or the sweep would find it late. ``renew`` sets now +
         # duration, so due <= now + duration guarantees it; that only
         # binds for a restored lease whose expiry lies beyond one duration.
-        due = min(expires_at, self.clock() + duration)
+        due = min(expires_at, now + duration)
         heapq.heappush(heap, _ordered(due) << _DUE_SHIFT | grant_no << _SLOT_BITS | slot)

@@ -7,19 +7,17 @@ store's one ``ad_id -> slot`` map is the only place an id is resolved, and
 the slot holds the record and, in per-slot columns, the lease backing it
 (read and written by :class:`~repro.registry.leases.LeaseManager`), so a
 lease leaves with its advertisement and a version upgrade keeps both slot
-and lease. A
-per-model id set serves :meth:`AdvertisementStore.of_model`; pluggable
-:class:`~repro.registry.index.ConceptIndexer` plug-ins (attached per
-model) keep their posting bitsets over the same slots, so query evaluation
-scales with the candidate set rather than the store size. There is no
-per-service-node index (no registry path asks for one):
-:meth:`AdvertisementStore.by_service` is a scan.
+and lease. Pluggable :class:`~repro.registry.index.ConceptIndexer`
+plug-ins (attached per model) keep their posting bitsets over the same
+slots, so query evaluation scales with the candidate set rather than the
+store size. There is no per-model or per-service-node id set (the indexed
+path needs neither): :meth:`AdvertisementStore.of_model` and
+:meth:`AdvertisementStore.by_service` scan the slots.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import defaultdict
 from typing import Any, Iterable, Iterator, TYPE_CHECKING
 
 from repro.errors import AdvertisementNotFoundError
@@ -45,9 +43,6 @@ class AdvertisementStore:
         self._lease_durations = array("d")
         self._lease_numbers = array("q")
         self._free: list[int] = []
-        #: model id -> its ad ids, in insertion order (a dict used as an
-        #: ordered set: smaller than a ``set`` at registry sizes).
-        self._by_model: dict[str, dict[str, None]] = defaultdict(dict)
         self._indexes: dict[str, "ConceptIndexer"] = {}
 
     def __len__(self) -> int:
@@ -65,9 +60,10 @@ class AdvertisementStore:
         """
         self._indexes[indexer.model_id] = indexer
         indexer.reset(self._ads)
-        for ad_id in self._by_model.get(indexer.model_id, ()):
-            slot = self._slot_of[ad_id]
-            indexer.add(slot, self._ads[slot])
+        model_id = indexer.model_id
+        for slot, ad in enumerate(self._ads):
+            if ad is not None and ad.model_id == model_id:
+                indexer.add(slot, ad)
 
     def index_for(self, model_id: str) -> "ConceptIndexer | None":
         """The attached concept indexer for one model, if any."""
@@ -104,7 +100,6 @@ class AdvertisementStore:
                 return existing
             self._unlink(slot, existing)
             self._ads[slot] = ad
-        self._by_model[ad.model_id][ad.ad_id] = None
         indexer = self._indexes.get(ad.model_id)
         if indexer is not None:
             indexer.add(slot, ad)
@@ -132,12 +127,7 @@ class AdvertisementStore:
         return ad
 
     def _unlink(self, slot: int, ad: Advertisement) -> None:
-        """Drop one record's per-model and index entries (not its slot)."""
-        of_model = self._by_model.get(ad.model_id)
-        if of_model is not None:
-            of_model.pop(ad.ad_id, None)
-            if not of_model:
-                del self._by_model[ad.model_id]
+        """Drop one record's index entries (not its slot)."""
         indexer = self._indexes.get(ad.model_id)
         if indexer is not None:
             indexer.discard(slot, ad)
@@ -163,12 +153,10 @@ class AdvertisementStore:
         return self._resolve(self._slot_of)
 
     def of_model(self, model_id: str) -> list[Advertisement]:
-        """Stored advertisements using one description model.
-
-        Served from the per-model index — no full-store scan — in the
-        same deterministic UUID order as before.
-        """
-        return self._resolve(self._by_model.get(model_id, ()))
+        """Stored advertisements using one description model, ordered by
+        UUID (a scan of the slots)."""
+        owned = [ad for ad in self._ads if ad is not None and ad.model_id == model_id]
+        return sorted(owned, key=lambda ad: ad.ad_id)
 
     def candidates(self, model_id: str, query: Any) -> list[Advertisement]:
         """Advertisements of one model plausibly matching ``query``.
@@ -212,6 +200,5 @@ class AdvertisementStore:
                        self._lease_durations, self._lease_numbers):
             del column[:]
         self._free.clear()
-        self._by_model.clear()
         for indexer in self._indexes.values():
             indexer.reset(self._ads)

@@ -34,18 +34,20 @@ Its reading fell when QoS became one shared names tuple per attribute
 set plus a tuple of values (it was a tuple of ``(name, value)`` tuples
 per profile) and the provider was interned: the second row.
 
-=====================================  ===========  ===========  ==========
-bytes retained                         before       compact      columnar
-                                                                 leases
-=====================================  ===========  ===========  ==========
-per advertisement (as above)           565          420          221
-per generated profile record           704          485          485
-=====================================  ===========  ===========  ==========
+=====================================  ===========  ===========  ==========  ==========
+bytes retained                         before       compact      columnar    one id
+                                                                 leases      map
+=====================================  ===========  ===========  ==========  ==========
+per advertisement (as above)           565          420          221         200
+per generated profile record           704          485          485         484
+=====================================  ===========  ===========  ==========  ==========
 
 The third column holds each lease in four columns of its store slot (two
 ``array('d')``, two ``array('q')``) and one packed int in the expiry heap,
 with no ``Lease`` object, grant-number int, expiry float or id string per
-advertisement: 348 -> 221 B per advertisement.
+advertisement: 348 -> 221 B per advertisement. The fourth drops the
+store's per-model id set, a second map of every id beside ``ad_id ->
+slot``: ``of_model`` scans the slots instead, 221 -> 200 B.
 
 The third ceiling is what a run's trace recorder keeps per completed
 query, read over discovers 128..384 of :func:`tests.deployments.e7_ring`
@@ -119,9 +121,9 @@ from tests.deployments import e7_ring, fallback_lan
 from tests.test_query_path_properties import _ad, _request_corpus
 
 N_ADS = 5_000
-#: ~15 % above the columnar-leases reading. Lowered when a change earns
-#: it, never raised.
-CEILING_BYTES_PER_AD = 255
+#: ~15 % above the one-id-map reading. Lowered when a change earns it,
+#: never raised.
+CEILING_BYTES_PER_AD = 230
 #: ~15 % above the compact reading; the same rule.
 CEILING_BYTES_PER_PROFILE = 560
 #: Under one byte: the unlistened reading is one int for the whole run,
@@ -309,4 +311,6 @@ if __name__ == "__main__":
     print(f"{retained_bytes_per_profile():.0f} bytes retained per generated profile")
     print(f"{trace_bytes_per_discover():.0f} bytes retained by obs/tracing.py per discover")
     print(f"{retained_bytes_per_service_node():.0f} bytes retained per service node")
-    print(f"{src_bytes_per_discover():.0f} bytes retained by src/ per discover")
+    per_discover, alive = src_bytes_per_discover()
+    print(f"{per_discover:.0f} bytes retained by src/ per discover "
+          f"({alive} DiscoveryCall objects alive)")

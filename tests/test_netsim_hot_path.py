@@ -451,3 +451,37 @@ def test_a_ring_discover_computes_its_request_size_once(monkeypatch):
     assert call.completed and call.hits
     assert computed == [request]
     assert len(asked) == 4 and all(r is request for r in asked)
+
+
+# -- (viii) a span's closing attrs are built only for a real span --------------
+
+
+def _ends_of(dep, count: int, monkeypatch) -> tuple[list, list]:
+    """What ``Node.end`` was handed over ``count`` discovers of ``dep``:
+    ``(span, attrs)`` per call, and the attrs functions that were called."""
+    handed, called = [], []
+    end = Node.end
+
+    def recording(node, span, *, status="ok", attrs=None):
+        handed.append((span, attrs))
+        if callable(attrs):
+            attrs = lambda build=attrs: called.append(build) or build()
+        end(node, span, status=status, attrs=attrs)
+
+    monkeypatch.setattr(Node, "end", recording)
+    dep.discover(count)
+    monkeypatch.undo()
+    return handed, called
+
+
+def test_an_unlistened_span_end_builds_no_attrs(monkeypatch):
+    """Over unlistened ring discovers no ``Node.end`` call gets a dict and
+    no attrs function runs; with a capture attached each function runs
+    once, for its real span (the trace pins hold the attrs themselves)."""
+    handed, called = _ends_of(e7_ring(), 256, monkeypatch)
+    assert handed and all(span is None for span, _ in handed)
+    assert not any(isinstance(attrs, dict) for _, attrs in handed)
+    assert any(callable(attrs) for _, attrs in handed) and called == []
+    handed, called = _ends_of(e7_ring(traced=True), 256, monkeypatch)
+    built = [attrs for span, attrs in handed if span is not None and callable(attrs)]
+    assert called == built and len(built) >= 3 * 256

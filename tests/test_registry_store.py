@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.descriptions.semantic import SemanticModel
 from repro.descriptions.uri import UriDescription
 from repro.errors import AdvertisementNotFoundError, LeaseError
 from repro.registry.advertisements import Advertisement, new_uuid
+from repro.registry.index import ConceptIndexer, SemanticConceptIndex
 from repro.registry.leases import LeaseManager
 from repro.registry.store import AdvertisementStore
+from repro.semantics.generator import OntologyGenerator, ProfileGenerator
+from tests.test_registry_index import _requests
 
 
 def _ad(ad_id="ad-1", service_node="svc-node-1", name="svc-1", version=1,
@@ -133,6 +140,84 @@ def test_of_model_index_stays_current():
     assert [a.ad_id for a in store.of_model("semantic")] == ["ad-2"]
     store.clear()
     assert store.of_model("semantic") == []
+
+
+_ONTOLOGY = OntologyGenerator(11).random_ontology(n_service_classes=8, n_data_classes=12)
+_GEN = ProfileGenerator(_ONTOLOGY, seed=11)
+_PROFILES = _GEN.profiles(12)
+
+#: One write: ``(kind, ad number, model, version, profile number)``. Ids
+#: repeat, so puts upgrade (possibly into the other model), go stale, and
+#: land in slots that removes and clears freed.
+_WRITES = st.lists(st.tuples(
+    st.sampled_from(["put", "put", "put", "remove", "clear"]),
+    st.integers(0, 9), st.sampled_from(["semantic", "uri"]), st.integers(1, 3),
+    st.integers(0, len(_PROFILES) - 1)), max_size=40)
+
+
+class _Ledger(ConceptIndexer):
+    """An eager indexer: the slots it was told hold a ``uri`` record. (The
+    semantic index rebuilds from the slot list at its first query, so only
+    an indexer like this one sees what a bulk load hands it.)"""
+
+    model_id = "uri"
+
+    def reset(self, records) -> None:
+        self.records, self.slots = records, set()
+
+    def add(self, slot, ad) -> None:
+        self.slots.add(slot)
+
+    def discard(self, slot, ad) -> None:
+        self.slots.remove(slot)
+
+    def candidate_ids(self, query) -> set[str]:
+        return {self.records[slot].ad_id for slot in self.slots}
+
+    def audit(self) -> list[str]:
+        held = {slot for slot, ad in enumerate(self.records)
+                if ad is not None and ad.model_id == self.model_id}
+        return [] if held == self.slots else [f"ledger {sorted(self.slots)} != {sorted(held)}"]
+
+
+def _written(store: AdvertisementStore, writes) -> None:
+    for kind, n, model_id, version, profile in writes:
+        ad_id = f"ad-{n}"
+        if kind == "clear":
+            store.clear()
+        elif kind == "remove":
+            store.discard(ad_id)
+        elif model_id == "uri":
+            store.put(_ad(ad_id=ad_id, version=version))
+        else:
+            store.put(Advertisement(
+                ad_id=ad_id, service_node="svc-node-1", service_name="svc",
+                endpoint="svc://svc", model_id="semantic",
+                description=_PROFILES[profile], version=version))
+
+
+@settings(max_examples=80, deadline=None)
+@given(writes=_WRITES)
+def test_of_model_and_a_late_index_read_the_slots_alone(writes):
+    """With no per-model id set, ``of_model`` is the filtered UUID-ordered
+    store, and an index attached after any write sequence holds what one
+    attached before it does: sound, and handing out the same candidates."""
+    early, late = AdvertisementStore(), AdvertisementStore()
+    for indexer in (SemanticConceptIndex(SemanticModel(_ONTOLOGY)), _Ledger()):
+        early.attach_index(indexer)
+    _written(early, writes)
+    _written(late, writes)
+    for indexer in (SemanticConceptIndex(SemanticModel(_ONTOLOGY)), _Ledger()):
+        late.attach_index(indexer)
+    for model_id in ("semantic", "uri", "template"):
+        expected = sorted((a for a in late.all() if a.model_id == model_id),
+                          key=lambda a: a.ad_id)
+        assert late.of_model(model_id) == early.of_model(model_id) == expected
+    assert early.audit() == late.audit() == []
+    assert late.index_for("uri").candidate_ids(None) == early.index_for("uri").candidate_ids(None)
+    for request in _requests(_GEN, _PROFILES, random.Random(len(writes))):
+        assert (late.index_for("semantic").candidate_ids(request)
+                == early.index_for("semantic").candidate_ids(request))
 
 
 def test_candidates_without_index_is_linear_scan():

@@ -21,7 +21,10 @@ from repro.core.sharding import ShardingConfig
 from repro.core.system import DiscoverySystem
 from repro.descriptions.uri import UriDescription
 from repro.netsim.node import Node
+from repro.obs.tracing import TraceRecorder
+from repro.registry.advertisements import Advertisement
 from repro.semantics.generator import battlefield_ontology
+from tests.deployments import e7_ring
 
 REGISTRIES = 3
 #: Off the one-second op grid, so no renew races a lease expiry.
@@ -166,3 +169,73 @@ def test_every_mode_settles_a_write_stream_alike():
     assert {protocol.PUBLISH_ACK, protocol.RENEW_ACK, protocol.RENEW_NACK,
             protocol.REMOVE_ACK} <= replies
     assert len(live) < len({ad_id for _t, a in steps for k, ad_id, _ in a if k == "publish"})
+
+
+
+#: One registry's lease work: grants, the renewals of every third lease,
+#: and the one purge that expires them all.
+GRANTS, RENEWED = 1_000, 334
+
+
+def _lease_work(traced: bool, monkeypatch) -> dict:
+    """Run the lease work on a settled ring registry under a test clock:
+    the ``TraceRecorder.alias`` calls it made, how far it moved the trace
+    sequence, what it added to the ``lease.*`` counters, its lease events
+    (with a capture), the leases in grant order and the recorder."""
+    dep = e7_ring(traced=traced)
+    system, registry = dep.system, dep.system.registries[0]
+    trace, now = system.trace, [system.sim.now]
+    monkeypatch.setattr(registry.leases, "clock", lambda: now[0])
+    aliased, alias = [], TraceRecorder.alias
+    monkeypatch.setattr(TraceRecorder, "alias",
+                        lambda rec, raw: aliased.append(raw) or alias(rec, raw))
+    counters = {name: system.metrics.counter(name)
+                for name in ("lease.grant", "lease.renew", "lease.expire")}
+    counted = {name: counter.value for name, counter in counters.items()}
+    seq, events = trace._seq, len(trace.events)
+    writes, leases = registry.writes, []
+    for n in range(GRANTS):
+        ad = Advertisement(ad_id=f"ad-work-{n}", service_node="svc-node-x",
+                           service_name="svc", endpoint="svc://x", model_id="uri",
+                           description=UriDescription("ncw:RadarService", "svc://x"))
+        leases.append(writes.store_ad(ad, lease_duration=5.0, epoch=0, notify=False))
+    for lease in leases[::3]:
+        assert writes.renew_ad(lease.ad_id, epoch=0, lease_id=lease.lease_id)
+    now[0] += 10.0
+    writes._purge()
+    assert not any(lease.ad_id in registry.store for lease in leases)
+    return {
+        "aliased": len(aliased),
+        "seq": trace._seq - seq,
+        "counted": {name: counters[name].value - was for name, was in counted.items()},
+        "events": list(trace.events)[events:],
+        "leases": leases,
+        "trace": trace,
+    }
+
+
+def test_a_lease_report_nobody_hears_builds_nothing_and_counts_alike(monkeypatch):
+    """With nobody listening, lease grants, renewals and expiries alias no
+    id, yet count and advance the trace sequence one record each, as with a
+    capture attached; there each ``lease.*`` event names its ad and lease
+    by their run-local tokens, ``ad`` first."""
+    unheard = _lease_work(False, monkeypatch)
+    monkeypatch.undo()
+    heard = _lease_work(True, monkeypatch)
+    records = GRANTS + RENEWED + GRANTS
+    counted = {"lease.grant": GRANTS, "lease.renew": RENEWED, "lease.expire": GRANTS}
+    assert (unheard["aliased"], unheard["events"]) == (0, [])
+    assert unheard["seq"] == heard["seq"] == records
+    assert unheard["counted"] == heard["counted"] == counted
+
+    leases, trace = heard["leases"], heard["trace"]
+    reported = ([("lease.grant", lease) for lease in leases]
+                + [("lease.renew", lease) for lease in leases[::3]]
+                + [("lease.expire", lease) for lease in leases])
+    assert heard["aliased"] == 2 * records
+    assert [(e.name, e.attrs) for e in heard["events"]] == [
+        (name, {"ad": trace.alias(lease.ad_id), "lease": trace.alias(lease.lease_id)})
+        for name, lease in reported]
+    for head, raw in (("ad~", lambda lease: lease.ad_id), ("lease~", lambda lease: lease.lease_id)):
+        tokens = {trace.alias(raw(lease)) for lease in leases}
+        assert len(tokens) == GRANTS and all(token.startswith(head) for token in tokens)
