@@ -14,6 +14,8 @@ evaluations-per-query per size). Its CI gates are **count-based only** —
 deterministic across machines: the fitted log-log growth exponent of
 evaluations-per-query vs. store size must stay below 1.0 (sub-linear),
 the absolute evaluations-per-query at 100k must stay under a hard cap,
+the most descriptions any single query scores must stay under a ceiling
+at every size of both sweeps,
 and the index must hand out exactly the ids the evaluator scores
 (``ids_expanded_per_query == descriptions_scored_per_query``: no
 candidate group is opened before its bound is checked, and the id a
@@ -74,6 +76,12 @@ MAX_EVALUATIONS_GROWTH_EXPONENT = 1.0
 #: Absolute ceiling on evaluations-per-query at 100k advertisements
 #: (a linear scan would be 100_000; score-bounded groups stop at ~5).
 MAX_EVALUATIONS_PER_QUERY_AT_100K = 50.0
+#: Ceilings on the descriptions the costliest single query scores, per
+#: store size: the tail the mean hides (indexed path, both sweeps; the
+#: readings once score bounds were refined over every similarity level —
+#: before, 19 / 30 / 42 and 30 / 69 / 20).
+MAX_SCORED_IN_ONE_QUERY = {100: 19, 1_000: 29, 10_000: 41}
+MAX_SCORED_IN_ONE_QUERY_SCALING = {1_000: 30, 10_000: 41, 100_000: 20}
 
 
 def _advertise(profile, index: int) -> Advertisement:
@@ -87,11 +95,12 @@ def _advertise(profile, index: int) -> Advertisement:
     )
 
 
-def _counted_pass(evaluator, requests) -> tuple[int, list[int]]:
+def _counted_pass(evaluator, requests) -> tuple[int, list[int], int]:
     """One more, untimed pass over ``requests``: how many ``QueryHit``
-    objects it builds, and the bitset of every candidate group the
-    evaluator opened (a group whose bound ends the query is never started)."""
-    built = 0
+    objects it builds, the bitset of every candidate group the evaluator
+    opened (a group whose bound ends the query is never started), and the
+    most descriptions any one query scored."""
+    built = most_scored = 0
     opened: list[int] = []
     hand_out = SemanticConceptIndex._hand_out
 
@@ -110,8 +119,10 @@ def _counted_pass(evaluator, requests) -> tuple[int, list[int]]:
     with mock.patch.object(matching, "QueryHit", CountedHit), \
             mock.patch.object(SemanticConceptIndex, "_hand_out", recording):
         for request in requests:
+            scored = evaluator.descriptions_evaluated
             evaluator.evaluate("semantic", request, max_results=MAX_RESULTS)
-    return built, opened
+            most_scored = max(most_scored, evaluator.descriptions_evaluated - scored)
+    return built, opened, most_scored
 
 
 def _measure(ontology, profiles, requests, *, use_indexes: bool) -> dict:
@@ -171,8 +182,9 @@ def _measure(ontology, profiles, requests, *, use_indexes: bool) -> dict:
     }
     if index is not None:
         result["ids_expanded_per_query"] = (index.expanded - expanded_before) / n
-    built, opened = _counted_pass(evaluator, requests)
+    built, opened, most_scored = _counted_pass(evaluator, requests)
     result["hits_built_per_query"] = built / n
+    result["descriptions_scored_max_per_query"] = most_scored
     if opened:
         # Expanding and sorting alone, replayed over those groups; the best
         # of five passes.
@@ -303,6 +315,7 @@ def test_query_100k_trajectory_written(scaling_results, results_dir):
             "ontology": "OntologyGenerator(42).random_ontology()  # 40+60 classes",
             "requests": "anchored, generalize=1 (selective)",
             "gates": "count-based only: growth exponent + absolute cap "
+                     "+ most scored by one query, per size "
                      "+ ids expanded == descriptions scored "
                      "+ one request plan per query "
                      "+ hits built <= max_results",
@@ -314,7 +327,8 @@ def test_query_100k_trajectory_written(scaling_results, results_dir):
     BENCH_100K_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     lines = [
         f"{'store':>7} {'build s':>9} {'first q s':>10} {'idx q/s':>10} {'idx ev/q':>9} "
-        f"{'scored/q':>9} {'expanded/q':>11} {'hits built/q':>13} {'expand us/group':>16}"
+        f"{'scored/q':>9} {'max scored':>11} {'expanded/q':>11} {'hits built/q':>13} "
+        f"{'expand us/group':>16}"
     ]
     for row in scaling_results:
         lines.append(
@@ -322,6 +336,7 @@ def test_query_100k_trajectory_written(scaling_results, results_dir):
             f"{row['first_query_seconds']:>10.3f} "
             f"{row['queries_per_sec']:>10} {row['evaluations_per_query']:>9.1f} "
             f"{row['descriptions_scored_per_query']:>9.1f} "
+            f"{row['descriptions_scored_max_per_query']:>11} "
             f"{row['ids_expanded_per_query']:>11.1f} "
             f"{row['hits_built_per_query']:>13.1f} {row['expand_us_per_group']:>16.1f}"
         )
@@ -341,6 +356,19 @@ def test_scaling_is_sublinear_through_100k(scaling_results):
     assert exponent < MAX_EVALUATIONS_GROWTH_EXPONENT, scaling_results
     assert largest["evaluations_per_query"] \
         <= MAX_EVALUATIONS_PER_QUERY_AT_100K, largest
+
+
+def test_no_query_scores_more_than_its_ceiling(bench_results, scaling_results):
+    """Gate on the tail: at every store size of both sweeps, the costliest
+    single query scores no more descriptions than the recorded ceiling."""
+    most = {row["store_size"]: row["indexed"]["descriptions_scored_max_per_query"]
+            for row in bench_results}
+    assert most.keys() == MAX_SCORED_IN_ONE_QUERY.keys()
+    assert all(most[size] <= MAX_SCORED_IN_ONE_QUERY[size] for size in most), most
+    most = {row["store_size"]: row["descriptions_scored_max_per_query"]
+            for row in scaling_results}
+    assert most.keys() == MAX_SCORED_IN_ONE_QUERY_SCALING.keys()
+    assert all(most[size] <= MAX_SCORED_IN_ONE_QUERY_SCALING[size] for size in most), most
 
 
 def test_every_expanded_id_is_scored_at_100k(scaling_results):

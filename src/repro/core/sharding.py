@@ -31,7 +31,7 @@ observer, no ring membership, no write or read plan.
 
 from __future__ import annotations
 
-import hashlib
+from _blake2 import blake2b
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -73,8 +73,12 @@ class ShardingConfig:
 
 
 def _hash64(data: str) -> int:
-    """Stable 64-bit ring point (Python's ``hash`` is salted per run)."""
-    return int.from_bytes(hashlib.blake2b(data.encode(), digest_size=8).digest(), "big")
+    """Stable 64-bit ring point (Python's ``hash`` is salted per run).
+
+    ``_blake2.blake2b`` is the very class ``hashlib.blake2b`` names;
+    importing it directly does not load ``_hashlib`` (OpenSSL's libcrypto,
+    about 3 MiB of resident memory in a process that never shards)."""
+    return int.from_bytes(blake2b(data.encode(), digest_size=8).digest(), "big")
 
 
 class ConsistentHashRing:

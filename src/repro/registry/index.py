@@ -44,17 +44,32 @@ multiplies across the requested category and *every* desired output
 instead of being bounded by one field. The same per-field table
 membership classifies every candidate with its exact per-field degree
 (the overall degree can only be lowered further by input/QoS checks,
-never raised), and the exact tables say which candidates advertise a
-requested concept itself or one of the concepts most similar to it —
-the levels that bound the similarity parts of its score. So
-:meth:`candidate_buckets` hands out candidates in groups of strictly
-descending **(degree, score) upper bounds**, advertisements ascending by
-``ad_id`` inside each, and the query evaluator stops at the first candidate whose
-best possible rank key its k-th hit already beats: before a group is
-opened, or in the middle of one (``QueryEvaluator.early_terminations``
-counts either). Each group's bound is handed out before its body; a
-degree is split by score only when its body is first iterated, and only
-when it is large enough to pay for the split (``SPLIT_ABOVE``).
+never raised), and the exact tables say at which **similarity level** a
+candidate advertises each requested concept: the ontology's classes
+grouped by their similarity to that concept, descending
+(``Matchmaker.similarity_levels``, one copy per deployment). A
+candidate's score part for a field is the value of the highest level at
+which it advertises a concept there, so a set of candidates known to
+sit at or below one level per field is bounded by the matchmaker's own
+score formula over those levels' values — and scores exactly that where
+every field is *resolved* (known to sit at its level), since a matched
+verdict's score is that very formula over its per-field best
+similarities. So :meth:`candidate_buckets` hands out candidates in
+groups of strictly descending **(degree, score) upper bounds**,
+advertisements ascending by ``ad_id`` inside each, and the query
+evaluator stops at the first candidate whose best possible rank key its
+k-th hit already beats: before a group is opened, or in the middle of
+one (``QueryEvaluator.early_terminations`` counts either) — right after
+the k-th hit, inside a resolved group. A degree large enough to pay for
+it (``SPLIT_ABOVE``) is refined best-first: the pending group of the
+highest bound is split on one unresolved field (the one whose value falls
+furthest at its next level) into the candidates at that field's level (the OR of the level's exact postings: resolved, same
+bound) and those below it (one level down, a lower bound), until it is
+resolved or holds at most ``max_results`` candidates; settled groups of
+equal bound are handed out as one. Each group's bound is handed out
+before its body, and a degree's first group is refined only when its
+body is first iterated, so a consumer whose hits already beat the degree
+pays for no refinement.
 Expansion scans bytes, not bits: ``bytes.translate`` marks the mask's
 non-zero bytes, ``bytes.find`` hops between them and a 256-entry table
 gives each byte's set bits, and each bit's slot is the store's record —
@@ -86,8 +101,8 @@ slots into one bitset, that concept's exact posting, and a closure posting
 is the OR of the bitsets of the concepts whose closure keys name it: one
 append per advertised concept of a record, then one big-int OR per
 (concept, closure key), where a key-by-key build pays per (record, key).
-The similarity levels of a requested concept are memoized per concept
-the same way; no cache is kept per request.
+The OR of a similarity level's postings is kept for one query only;
+no cache is kept per request.
 Postings no query has asked for have no int form, which keeps the bulk
 load's puts free of big-int work (:meth:`SemanticConceptIndex.audit`
 checks all of this against its own rebuild, advertisement by advertisement).
@@ -97,6 +112,7 @@ from __future__ import annotations
 
 import abc
 from functools import cache, partial
+from heapq import heappop, heappush
 from itertools import chain
 from operator import attrgetter
 from typing import Any, Callable, Iterable, Iterator, TYPE_CHECKING
@@ -134,8 +150,10 @@ class ConceptIndexer(abc.ABC):
 
     @abc.abstractmethod
     def reset(self, records: list["Advertisement | None"]) -> None:
-        """Drop all index state and index over ``records``, the store's
-        slot list (kept by reference: slot ``i`` holds ``records[i]``)."""
+        """Drop all index state and index what ``records`` already holds:
+        the store's slot list, kept by reference (slot ``i`` holds
+        ``records[i]``), whose records of this model are this indexer's
+        bulk load. The store calls no :meth:`add` for them."""
 
     @abc.abstractmethod
     def candidate_ids(self, query: Any) -> set[str] | None:
@@ -174,11 +192,12 @@ class ConceptIndexer(abc.ABC):
 #: Table order used throughout: closure tables first, exact tables second.
 _CATEGORY_CLOSURE, _OUTPUT_CLOSURE, _CATEGORY_EXACT, _OUTPUT_EXACT = range(4)
 
-#: A degree's candidates are split by score bound only when there are more
-#: than this many times the request's ``max_results`` of them. A split costs
-#: about what scoring seven candidates does, and on 10k- and 100k-ad stores
-#: splitting a degree of 10-35 candidates saved 1-7 scorings, one of 40 or
-#: more 14-47.
+#: A degree's candidates are refined by score bound only when there are
+#: more than this many times the request's ``max_results`` of them. Below
+#: that, refining saves fewer scorings than it costs: on 10k- and 100k-ad
+#: stores a three-level split of a degree of 10-35 candidates saved 1-7
+#: scorings, one of 40 or more 14-47, and splitting every degree above
+#: ``max_results`` slowed a store under writes (``churn_mix`` p50 +10 %).
 SPLIT_ABOVE = 8
 
 #: Bitset expansion: byte value -> its set bits, ascending; and the
@@ -219,9 +238,6 @@ class SemanticConceptIndex(ConceptIndexer):
         #: the concept (the bulk-put fix: closures expand once per concept
         #: per ontology version, not once per advertisement).
         self._closure_key_cache: dict[str, tuple[str, ...]] = {}
-        #: requested concept -> its similarity levels (:meth:`_score_levels`),
-        #: memoized per ontology version like the closure keys.
-        self._level_cache: dict[str, tuple[float, tuple[str, ...], float]] = {}
         #: (table, concept) -> the posting as an int, built on first use
         #: and patched bit by bit whenever that posting mutates.
         self._mask_cache: dict[tuple[int, str], int] = {}
@@ -264,7 +280,6 @@ class SemanticConceptIndex(ConceptIndexer):
         for table in self._tables:
             table.clear()
         self._closure_key_cache.clear()
-        self._level_cache.clear()
         self._mask_cache.clear()
 
     # -- candidate lookup ------------------------------------------------
@@ -299,13 +314,18 @@ class SemanticConceptIndex(ConceptIndexer):
         A degree of at most ``SPLIT_ABOVE`` times the request's
         ``max_results`` candidates is one group bounded by the best score
         any match has: a consumer that wants that many hits scores most of
-        them anyway, and the split would cost more than it saves. A larger
-        one is split by score bound (:meth:`_score_groups`): first the
-        group of the best score, whose body splits the degree when it is
-        first iterated — so a consumer whose hits already beat the degree
-        pays for no split — then one group per weaker score bound.
-        A group's records are expanded and sorted when the consumer
-        first asks for one, and each counts in ``expanded`` once taken.
+        them anyway, and refining would cost more than it saves. A larger
+        one is refined by score bound (:meth:`_refined`): first the group
+        of the best score, whose body refines the degree when it is first
+        iterated — so a consumer whose hits already beat the degree pays
+        for no refinement — then one group per weaker score bound. Each
+        bound is the matchmaker's score formula over one similarity level
+        per requested field, and every match of a group resolved in all
+        fields scores exactly its bound (a matched verdict's score is the
+        same formula over its per-field best similarities), so a consumer
+        holding k hits stops right after the k-th. A group's records are
+        expanded and sorted when the consumer first asks for one, and each
+        counts in ``expanded`` once taken.
         Each group is single-pass; consume it, and the iterator, before the
         next store mutation.
         """
@@ -318,6 +338,7 @@ class SemanticConceptIndex(ConceptIndexer):
         self, query: ServiceRequest, masks: tuple[int, int, int]
     ) -> Iterator[tuple[tuple[int, float], Iterator["Advertisement"]]]:
         limit = query.max_results
+        reaches: dict[tuple[int, int], int] = {}
         for degree, bits in zip((3, 2, 1), masks):
             count = bits.bit_count()
             if not count:
@@ -325,16 +346,16 @@ class SemanticConceptIndex(ConceptIndexer):
             if limit is not None and count <= SPLIT_ABOVE * limit:
                 yield (degree, BEST_SCORE), self._hand_out(bits)
                 continue
-            split = cache(partial(self._score_groups, bits, query))
-            yield (degree, BEST_SCORE), self._split_group(split, 0)
-            for at in range(1, len(split())):
-                yield (degree, split()[at][0]), self._split_group(split, at)
+            settled = self._refined(bits, count, query, reaches)
+            top = cache(partial(next, settled))  # refined at first use
+            yield (degree, BEST_SCORE), self._hand_out_top(top)
+            top()
+            for bound, group in settled:
+                yield (degree, bound), self._hand_out(group)
 
-    def _split_group(
-        self, split: Callable[[], list[tuple[float, int]]], at: int
-    ) -> Iterator["Advertisement"]:
-        """The records of one score group of a split degree (split on first use)."""
-        yield from self._hand_out(split()[at][1])
+    def _hand_out_top(self, top: Callable[[], tuple[float, int]]) -> Iterator["Advertisement"]:
+        """The best-score group of a refined degree, refined when first iterated."""
+        yield from self._hand_out(top()[1])
 
     def _hand_out(self, bits: int) -> Iterator["Advertisement"]:
         """One group's records, ``bits``'s, in ascending ``ad_id`` order,
@@ -351,60 +372,81 @@ class SemanticConceptIndex(ConceptIndexer):
             yield ad
             self.expanded += 1
 
-    def _score_groups(self, bits: int, query: ServiceRequest) -> list[tuple[float, int]]:
-        """Split one degree's candidates by score bound: ``(bound, bitset)``
-        groups, bounds descending, the first bounded by ``BEST_SCORE`` (and
-        empty when no candidate reaches it).
+    def _refined(
+        self, bits: int, count: int, query: ServiceRequest, reaches: dict[tuple[int, int], int]
+    ) -> Iterator[tuple[float, int]]:
+        """One degree's ``count`` candidates, ``bits``, by score bound, best first:
+        ``(bound, bitset)`` with bounds strictly descending, the first
+        bounded by ``BEST_SCORE`` (and empty when no candidate reaches it),
+        the others non-empty.
 
-        Per requested field, a candidate sits at one of three levels of its
-        best similarity to the requested concept (:meth:`_score_levels`):
-        it advertises the concept itself (1.0), one of the concepts most
-        similar to it (``top``), or neither (at most ``rest``). Each
-        combination of levels across the fields is bounded by the
-        matchmaker's own score formula over the level values — the very
-        score where no field is at ``rest`` — and combinations with equal
-        bounds share one group (``top`` may be 1.0).
+        Per requested field, a candidate's score part is the value of the
+        highest similarity level (:meth:`Matchmaker.similarity_levels
+        <repro.semantics.matchmaker.Matchmaker.similarity_levels>`) at
+        which it advertises a concept, 0.0 below them all. A pending group
+        holds candidates known to sit at or below one level per field,
+        some fields *resolved* (at exactly that level); its bound is the
+        matchmaker's own score formula over those levels' values. The
+        heap's best group is split on the unresolved field whose value
+        falls furthest one level down into the candidates advertising a
+        concept at the field's level (the OR of that level's exact
+        postings, kept in ``reaches`` for the query) — the field resolved,
+        the bound unchanged — and the rest, one level down. A group is
+        settled once every field is resolved — its bound is then each
+        member's score — or once it holds at most ``max_results``
+        candidates; the settled groups of one bound are handed out as one.
         """
-        if not bits:
-            return [(BEST_SCORE, 0)]
-        combos: list[tuple[tuple[float, ...], int]] = [((), bits)]
-        for _, table, concept in self._fields(query):
-            top, top_concepts, rest = self._score_levels(concept)
-            at_self = bits & self._mask(table, concept)
-            at_top = 0
-            for other in top_concepts:
-                at_top |= self._mask(table, other)
-            at_top &= bits ^ at_self
-            levels = ((1.0, at_self), (top, at_top), (rest, bits ^ at_self ^ at_top))
-            combos = [(parts + (value,), narrowed) for parts, within in combos
-                      for value, at in levels if (narrowed := within & at)]
-        by_bound = {BEST_SCORE: 0}
-        for parts, at in combos:
-            bound = combined_score(parts, query.qos_constraints)
-            by_bound[bound] = by_bound.get(bound, 0) | at
-        return sorted(by_bound.items(), reverse=True)
-
-    def _score_levels(self, concept: str) -> tuple[float, tuple[str, ...], float]:
-        """``(top, top_concepts, rest)`` of one requested concept, memoized.
-
-        ``top`` is the highest similarity any *other* class of the ontology
-        has to ``concept`` (1.0 is possible: the reasoner clamps
-        multi-parent ratios), ``top_concepts`` the classes that reach it,
-        and ``rest`` the next value down — a bound on every other class,
-        and on a concept outside the ontology (similarity 0.0).
-        """
-        cached = self._level_cache.get(concept)
-        if cached is None:
-            reasoner = self._model.reasoner
-            ontology = reasoner.ontology
-            by_value: dict[float, list[str]] = {}
-            for other in ontology.classes() if concept in ontology else ():
-                if other != concept:
-                    by_value.setdefault(reasoner.similarity(concept, other), []).append(other)
-            top, rest = (sorted(by_value, reverse=True) + [0.0, 0.0])[:2]
-            cached = (top, tuple(by_value[top]), rest) if top else (0.0, (), 0.0)
-            self._level_cache[concept] = cached
-        return cached
+        # With no cap every group is refined to full resolution.
+        limit = -1 if query.max_results is None else query.max_results
+        constrained = query.qos_constraints
+        matchmaker = self._model.matchmaker
+        # Per field: its exact table, its levels' values (and 0.0 below
+        # them all), and the classes at each level.
+        fields = [(exact, *matchmaker.similarity_levels(concept))
+                  for _, exact, concept in self._fields(query)]
+        whole = (1 << len(fields)) - 1
+        # Pending groups: (-bound, push order, level per field, resolved
+        # fields as a bitset, candidate count, slots).
+        heap = [(-BEST_SCORE, 0, (0,) * len(fields), 0, count, bits)]
+        pushed = 0
+        while heap:
+            bound = -heap[0][0]
+            settled = 0
+            while heap and heap[0][0] == -bound:
+                _, _, at, resolved, count, group = heappop(heap)
+                while resolved != whole and count > limit:
+                    # Split where the bound falls furthest one level down.
+                    drop = -1.0
+                    for f, (_, values, _) in enumerate(fields):
+                        if not resolved >> f & 1:
+                            step = values[at[f]] - values[at[f] + 1]
+                            if step > drop:
+                                drop, field = step, f
+                    level = at[field]
+                    table, _, classes = fields[field]
+                    reach = reaches.get((field, level))
+                    if reach is None:
+                        reach = 0
+                        for concept in classes[level]:
+                            reach |= self._mask(table, concept)
+                        reaches[field, level] = reach
+                    inside = group & reach
+                    if inside != group:
+                        lower = at[:field] + (level + 1,) + at[field + 1:]
+                        parts = [values[i] for i, (_, values, _) in zip(lower, fields)]
+                        # Below the last level a part is 0.0 exactly: resolved.
+                        below = resolved | 1 << field if level + 1 == len(classes) else resolved
+                        inside_count = inside.bit_count() if inside else 0
+                        pushed += 1
+                        heappush(heap, (-combined_score(parts, constrained), pushed, lower,
+                                        below, count - inside_count, group ^ inside))
+                        group, count = inside, inside_count
+                        if not group:
+                            break
+                    resolved |= 1 << field
+                settled |= group
+            if settled or bound == BEST_SCORE:
+                yield bound, settled
 
     @staticmethod
     def _fields(query: ServiceRequest) -> list[tuple[int, int, str]]:

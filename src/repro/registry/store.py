@@ -54,16 +54,13 @@ class AdvertisementStore:
     def attach_index(self, indexer: "ConceptIndexer") -> None:
         """Install (or replace) the concept indexer for one model.
 
-        The indexer is reset onto the store's slot list and bulk-loaded
-        with the advertisements already stored for its model, then kept
-        current incrementally on every ``put``/``remove``/``clear``.
+        The indexer is reset onto the store's slot list — which bulk-loads
+        the advertisements already stored for its model (the
+        :meth:`~repro.registry.index.ConceptIndexer.reset` contract) — then
+        kept current incrementally on every ``put``/``remove``/``clear``.
         """
         self._indexes[indexer.model_id] = indexer
         indexer.reset(self._ads)
-        model_id = indexer.model_id
-        for slot, ad in enumerate(self._ads):
-            if ad is not None and ad.model_id == model_id:
-                indexer.add(slot, ad)
 
     def index_for(self, model_id: str) -> "ConceptIndexer | None":
         """The attached concept indexer for one model, if any."""

@@ -32,7 +32,10 @@ request is read once per query, not once per candidate: a single-slot
 request's constraints and, for its category and each desired output, that
 concept's **pair table** ``advertised -> (degree, similarity)``. Tables
 fill on a miss, live for one ontology version, and make scoring a
-candidate one string-keyed lookup per advertised concept.
+candidate one string-keyed lookup per advertised concept. Beside them,
+for the concept index's score bounds, each requested concept's
+**similarity levels** (:meth:`Matchmaker.similarity_levels`) are kept for
+the same version: one copy for every node sharing the matchmaker.
 """
 
 from __future__ import annotations
@@ -164,6 +167,9 @@ class Matchmaker:
         #: draw their concepts from a small vocabulary, so the pair space
         #: is tiny next to the number of (profile, request) evaluations.
         self._pair_tables: dict[str, _PairTable] = {}
+        #: requested -> its similarity levels (:meth:`similarity_levels`),
+        #: valid for the same ontology version as the pair tables.
+        self._levels: dict[str, tuple[tuple[float, ...], tuple[tuple[str, ...], ...]]] = {}
         self._tables_version = reasoner.ontology.version
         #: The single-slot request plan (see :meth:`_plan_for`).
         self._plan: tuple = (None,)
@@ -177,18 +183,55 @@ class Matchmaker:
     def _table(self, requested: str) -> _PairTable:
         """Pair table of ``requested`` under the current ontology version.
 
-        The one place the matchmaker compares versions: every table is
-        dropped when the ontology moved (the reasoner's public methods
-        sync their own caches on the misses that follow).
+        Every table, and every concept's similarity levels, is dropped
+        when the ontology moved (the reasoner's public methods sync their
+        own caches on the misses that follow).
         """
         version = self.reasoner.ontology.version
         if version != self._tables_version:
-            self._pair_tables.clear()
-            self._tables_version = version
+            self._drop_tables(version)
         table = self._pair_tables.get(requested)
         if table is None:
             table = self._pair_tables[requested] = _PairTable(requested, self)
         return table
+
+    def _drop_tables(self, version: int) -> None:
+        self._pair_tables.clear()
+        self._levels.clear()
+        self._tables_version = version
+
+    def similarity_levels(
+        self, requested: str
+    ) -> tuple[tuple[float, ...], tuple[tuple[str, ...], ...]]:
+        """The ontology's classes by their similarity to ``requested``:
+        ``(values, classes)``, ``classes[i]`` the classes at similarity
+        ``values[i]``, values strictly descending from ``requested``
+        itself at 1.0 (the reasoner clamps multi-parent ratios, so other
+        classes may share it). ``values`` ends with one more entry, 0.0:
+        the similarity of a concept outside the ontology, below every
+        level. Both are empty but for that 0.0 when ``requested`` is
+        outside the ontology.
+
+        The pair tables' similarities, grouped: an advertised concept's
+        score part is the value of the level holding it, which is what the
+        concept index bounds a score with. A pure function of the concept
+        and the ontology version, memoized for that version like the pair
+        tables.
+        """
+        version = self.reasoner.ontology.version
+        if version != self._tables_version:
+            self._drop_tables(version)
+        levels = self._levels.get(requested)
+        if levels is None:
+            reasoner = self.reasoner
+            ontology = reasoner.ontology
+            by_value: dict[float, list[str]] = {}
+            for other in ontology.classes() if requested in ontology else ():
+                by_value.setdefault(reasoner.similarity(requested, other), []).append(other)
+            values = sorted(by_value, reverse=True)
+            levels = self._levels[requested] = (
+                (*values, 0.0), tuple(tuple(by_value[value]) for value in values))
+        return levels
 
     def _compute_pair(self, requested: str, advertised: str, *, degree: bool = True) -> tuple:
         """Degree (unless declined) and Wu-Palmer similarity of one pair.

@@ -16,11 +16,13 @@ assert, for every request shape the registries serve:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.descriptions.base import ModelRegistry
 from repro.descriptions.semantic import SemanticModel
@@ -396,7 +398,10 @@ def test_every_candidate_scores_under_its_group_bound(seed, split_above, monkeyp
     plus requests carrying inputs, with degrees split by score always and at
     the default size: bounds strictly descend, ids ascend inside a group,
     groups are disjoint and make up the candidate set, and every
-    candidate's verdict ``(degree, score)`` is at most its group's bound."""
+    candidate's verdict ``(degree, score)`` is at most its group's bound.
+    With k = 1 a split degree refines until each group is resolved or holds
+    one candidate; with no cap at all, every group is resolved, and every
+    match in it scores its bound exactly."""
     monkeypatch.setattr(index_module, "SPLIT_ABOVE", split_above)
     ontology = OntologyGenerator(90 + seed).random_ontology()
     gen = ProfileGenerator(ontology, seed=90 + seed)
@@ -408,7 +413,9 @@ def test_every_candidate_scores_under_its_group_bound(seed, split_above, monkeyp
     index = paths.indexed_store.index_for("semantic")
     requests = list(_request_corpus(gen, profiles, rng))
     requests += [_with_inputs(request, gen, rng) for request in requests[:5]]
-    split = 0
+    requests += [dataclasses.replace(request, max_results=cap)
+                 for request in requests[:6] for cap in (1, None)]
+    split = exact = 0
     for request in requests:
         candidates = index.candidate_ids(request)
         buckets = index.candidate_buckets(request)
@@ -417,6 +424,7 @@ def test_every_candidate_scores_under_its_group_bound(seed, split_above, monkeyp
             continue
         bounds: list[tuple[int, float]] = []
         grouped: set[str] = set()
+        resolved = request.max_results is None
         for bound, ads in buckets:
             ad_ids = [ad.ad_id for ad in ads]
             assert ad_ids == sorted(ad_ids), (seed, request, bound)
@@ -427,10 +435,14 @@ def test_every_candidate_scores_under_its_group_bound(seed, split_above, monkeyp
                 description = paths.linear_store.get(ad_id).description
                 verdict = paths.linear_model.evaluate(description, request)
                 assert (verdict.degree, verdict.score) <= bound, (seed, request, ad_id)
+                if resolved and verdict.matched:
+                    assert verdict.score == bound[1], (seed, request, ad_id, bound)
+                    exact += 1
         assert all(a > b for a, b in zip(bounds, bounds[1:])), (seed, request, bounds)
         assert grouped == candidates
         split += len(bounds) > len({degree for degree, _ in bounds})
     assert split > 0  # some degree was split by score
+    assert exact > 0  # and some match scored a resolved bound
 
 
 @pytest.mark.parametrize("requested, partner, field", [
@@ -475,6 +487,80 @@ def test_a_partner_at_similarity_one_shares_the_concepts_group(requested, partne
               for bound, ads in index.candidate_buckets(request)]
     assert groups[0][0] == (3, 1.0) and len(groups) > 1  # the degree was split
     assert {"ad-000001", "ad-000100"} <= set(groups[0][1])
+
+
+@functools.cache
+def _twin_pairs(seed: int) -> tuple[list[tuple[str, str, str, str]], list[str], list[str]]:
+    """For one generated ontology: ``(category, its parent, output, its
+    parent)`` wherever the two parents are equally similar to their
+    children, and the category and data pools."""
+    ontology = OntologyGenerator(seed).random_ontology()
+    gen = ProfileGenerator(ontology, seed=seed)
+    reasoner = Reasoner(ontology)
+    parent = {concept: min(ontology.parents(concept))
+              for concept in gen.category_pool + gen.data_pool}
+    pairs = [(c, parent[c], o, parent[o]) for c in gen.category_pool for o in gen.data_pool
+             if parent[c] != THING != parent[o]
+             and reasoner.similarity(c, parent[c]) == reasoner.similarity(o, parent[o])]
+    return pairs, gen.category_pool, gen.data_pool
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.sampled_from((0, 1, 2, 42)), copies=st.integers(8, 40),
+       k=st.integers(1, 8), data=st.data())
+def test_a_store_full_of_ties_answers_like_the_linear_scan(seed, copies, k, data):
+    """Few concepts, many advertisements per concept: most candidates share
+    their ``(degree, score)`` with dozens of others, in slots that are not in
+    id order. The request's category and output each have a parent exactly
+    as similar to it as the other's, so advertising one parent and the
+    other requested concept ties across two refinement paths, and only a
+    few advertisements, if any, rank above those ties. The capped
+    indexed top k equals the linear scan's prefix, bounds strictly descend,
+    and the evaluator scores exactly the candidates that could still enter
+    the top k, walking the groups in order: it stops at the first whose
+    best rank key — its group's bound, then its id — the k-th best key
+    among those scored before it beats, even inside a group."""
+    pairs, category_pool, data_pool = _twin_pairs(seed)
+    category, category_parent, output, output_parent = data.draw(st.sampled_from(pairs))
+    rng = random.Random(copies)
+    shapes = [(category, [output_parent]), (category_parent, [output]),
+              (category_parent, [output_parent])]
+    shapes += [(c, [o]) for c in rng.sample(category_pool, 2) for o in rng.sample(data_pool, 2)]
+    shapes.append((category, [output_parent, rng.choice(data_pool)]))
+    stored = shapes * copies + [(category, [output])] * data.draw(st.integers(0, 2))
+    ids = list(range(len(stored)))
+    rng.shuffle(ids)
+    ontology = OntologyGenerator(seed).random_ontology()
+    paths = _TwinPaths(ontology)
+    for n, (advertised_category, advertised) in enumerate(stored):
+        paths.put(_ad(ids[n], ServiceProfile.build(
+            f"svc-{n % len(shapes)}", advertised_category, outputs=advertised)))
+    request = ServiceRequest.build(category, outputs=[output], max_results=k)
+    exhaustive = paths.linear.evaluate("semantic", request, max_results=None)
+    before = paths.indexed.descriptions_evaluated
+    capped = paths.indexed.evaluate("semantic", request, max_results=k)
+    scored = paths.indexed.descriptions_evaluated - before
+    assert _rows(capped) == _rows(exhaustive)[:k]
+
+    index = paths.indexed_store.index_for("semantic")
+    oracle = {h.advertisement.ad_id: (-h.degree, -h.score, h.advertisement.ad_id)
+              for h in exhaustive}
+    taken: list[tuple] = []
+    could_enter = 0
+    bounds = []
+    for (degree, score), ads in index.candidate_buckets(request):
+        bounds.append((degree, score))
+        for ad in ads:
+            if len(taken) >= k and sorted(taken)[k - 1] < (-degree, -score, ad.ad_id):
+                break
+            could_enter += 1
+            if ad.ad_id in oracle:
+                taken.append(oracle[ad.ad_id])
+        else:
+            continue
+        break
+    assert all(a > b for a, b in zip(bounds, bounds[1:])), bounds
+    assert scored == could_enter
 
 
 # -- malformed payloads: a bad record is not a query of death -----------------
@@ -559,7 +645,8 @@ def test_plans_and_reasoning_counts_on_a_fixed_10k_query_set():
     about a pair when, and only when, the two memo dicts they replaced did
     (linear values recorded before the plans existed; the indexed ones
     re-recorded when the top-k stop moved inside score-bounded groups,
-    from 2,126 checks and 21,702 matches)."""
+    from 2,126 checks and 21,702 matches, and when score bounds were
+    refined over every similarity level, from 1,616 and 10,975)."""
     paths, requests = _fixed_10k_query_set()
 
     def run(evaluator, model, request, cap):
@@ -574,7 +661,7 @@ def test_plans_and_reasoning_counts_on_a_fixed_10k_query_set():
     for request in requests[::5]:
         run(paths.linear, linear, request, None)
     assert (indexed.reasoner.subsumption_checks, indexed.matchmaker.evaluations) \
-        == (1616, 10975)
+        == (1341, 10789)
     assert (linear.reasoner.subsumption_checks, linear.matchmaker.evaluations) \
         == (2067, 91123)
 
@@ -651,7 +738,8 @@ def test_allocation_and_model_call_counts_on_the_fixed_10k_query_set(monkeypatch
     constraints — where the hits are the ones the per-candidate loop
     produced (literals recorded before rank keys; the indexed rejected count
     re-recorded, from 19,799, when the top-k stop moved inside
-    score-bounded groups)."""
+    score-bounded groups, and from 7,002 when score bounds were refined
+    over every similarity level)."""
     paths, requests = _fixed_10k_query_set()
     unconstrained = [r for r in requests if not r.qos_constraints]
     calls: Counter = Counter()
@@ -693,6 +781,6 @@ def test_allocation_and_model_call_counts_on_the_fixed_10k_query_set(monkeypatch
     rows = [run(paths.indexed, _constrained(request)) for request in unconstrained]
     assert rows[::5] == [run(paths.linear, _constrained(request))
                          for request in unconstrained[::5]]
-    assert (paths.indexed.prefiltered, paths.linear.prefiltered) == (7002, 62500)
+    assert (paths.indexed.prefiltered, paths.linear.prefiltered) == (6877, 62500)
     assert (sum(map(len, rows)), hashlib.sha256(repr(rows).encode()).hexdigest()[:16]) \
         == (226, "d0c0fa296093fd11")

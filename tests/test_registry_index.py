@@ -260,6 +260,7 @@ def test_mid_run_growth_refreshes_every_cache_layer():
     paths.assert_equivalent(request)
     assert any(matchmaker._pair_tables.values()) and index._mask_cache
     parent_bits_before = reasoner.closure_bits(parent)
+    levels_before = matchmaker.similarity_levels(parent)
 
     ontology.add_class("gen:DataLate", parents=[parent])
     # (1) closure bitsets: the new class gets an id, its closure embeds
@@ -274,6 +275,12 @@ def test_mid_run_growth_refreshes_every_cache_layer():
         == DegreeOfMatch.SUBSUMES
     assert matchmaker.concept_degree("gen:DataLate", parent) \
         == DegreeOfMatch.EXACT  # direct parent rule
+    # (2b) similarity levels, which bound the index's scores: rebuilt with
+    # the new class at its similarity to the parent.
+    values, classes = matchmaker.similarity_levels(parent)
+    at = next(i for i, level in enumerate(classes) if "gen:DataLate" in level)
+    assert values[at] == reasoner.similarity(parent, "gen:DataLate")
+    assert "gen:DataLate" not in {c for level in levels_before[1] for c in level}
     # (3) candidate sets: an ad in the new vocabulary is found through the
     # requested parent concept (the index rebuilt its posting tables).
     rebuilds_before = index.rebuilds

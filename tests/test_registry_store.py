@@ -156,14 +156,17 @@ _WRITES = st.lists(st.tuples(
 
 
 class _Ledger(ConceptIndexer):
-    """An eager indexer: the slots it was told hold a ``uri`` record. (The
-    semantic index rebuilds from the slot list at its first query, so only
-    an indexer like this one sees what a bulk load hands it.)"""
+    """An eager indexer: the slots holding a ``uri`` record, bulk-loaded in
+    ``reset`` and kept by ``add``/``discard``. (The semantic index rebuilds
+    from the slot list at its first query, so only an indexer like this one
+    holds what its own bulk load took.)"""
 
     model_id = "uri"
 
     def reset(self, records) -> None:
-        self.records, self.slots = records, set()
+        self.records = records
+        self.slots = {slot for slot, ad in enumerate(records)
+                      if ad is not None and ad.model_id == self.model_id}
 
     def add(self, slot, ad) -> None:
         self.slots.add(slot)

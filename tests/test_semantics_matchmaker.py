@@ -192,6 +192,26 @@ def test_evaluation_counter(mm):
     assert mm.evaluations == before + 1
 
 
+def test_similarity_levels_group_every_class_by_its_pair_similarity(ont, mm):
+    """Each class sits at exactly one level, whose value is the similarity
+    the pair tables score it with; values strictly descend from the concept
+    itself at 1.0 and end with the 0.0 of a concept outside the ontology.
+    The levels are memoized and follow the ontology version."""
+    values, classes = mm.similarity_levels("AirTrack")
+    assert values[0] == 1.0 and "AirTrack" in classes[0]
+    assert list(values[:-1]) == sorted(set(values[:-1]), reverse=True) and values[-1] == 0.0
+    assert len(values) == len(classes) + 1
+    placed = [c for level in classes for c in level]
+    assert sorted(placed) == ont.classes()
+    for value, level in zip(values, classes):
+        for advertised in level:
+            assert mm._table("AirTrack")[advertised][1] == value
+    assert mm.similarity_levels("AirTrack") is mm.similarity_levels("AirTrack")
+    assert mm.similarity_levels("NoSuchConcept") == ((0.0,), ())
+    ont.add_class("NewTrack", ["Track"])
+    assert "NewTrack" in {c for level in mm.similarity_levels("AirTrack")[1] for c in level}
+
+
 # -- the request plan and the pair tables can never go stale -------------------
 #
 # ``match`` resolves a request once (a single-slot plan keyed by request

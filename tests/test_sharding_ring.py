@@ -10,7 +10,16 @@ acceptance criteria quote.
 
 from __future__ import annotations
 
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.core.sharding import ConsistentHashRing, ShardingConfig
 from repro.errors import ReproError
@@ -145,6 +154,42 @@ def test_ring_identity_inheritance_moves_no_other_keys():
         for key, replicas in before.items()
     }
     assert after == renamed
+
+
+# -- no OpenSSL -------------------------------------------------------------
+
+_PLACE_WITHOUT_HASHLIB = """
+import json, sys
+import repro
+from repro.core.sharding import ConsistentHashRing
+ring = ConsistentHashRing(virtual_nodes=4, seed=7)
+for member in ("registry-a", "registry-b"):
+    ring.add(member)
+print(json.dumps({"hashlib_loaded": "_hashlib" in sys.modules,
+                  "points": [point for point, _ in ring._points],
+                  "owners": [ring.replicas_for(key, 1)[0] for key in ("ad-1", "ad-2", "ad-3")]}))
+"""
+
+
+def test_placing_keys_loads_no_openssl_and_keeps_hashlib_points():
+    """The ring hashes with the builtin BLAKE2 module, not through
+    ``hashlib`` (whose import maps OpenSSL's libcrypto, megabytes of
+    resident memory in every process): a fresh interpreter that imports
+    ``repro`` and places keys never loads ``_hashlib``, and every ring point
+    is the ``hashlib.blake2b`` digest it always was."""
+    src = Path(repro.__file__).parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    run = subprocess.run([sys.executable, "-c", _PLACE_WITHOUT_HASHLIB], env=env,
+                         capture_output=True, text=True, timeout=60, check=True)
+    placed = json.loads(run.stdout)
+    assert placed["hashlib_loaded"] is False
+    golden = sorted(
+        int.from_bytes(hashlib.blake2b(f"{member}#{vnode}#7".encode(), digest_size=8)
+                       .digest(), "big")
+        for member in ("registry-a", "registry-b") for vnode in range(4))
+    assert placed["points"] == golden
+    ring = _ring(("registry-a", "registry-b"), virtual_nodes=4, seed=7)
+    assert placed["owners"] == [ring.replicas_for(key, 1)[0] for key in ("ad-1", "ad-2", "ad-3")]
 
 
 # -- config validation -----------------------------------------------------
