@@ -9,7 +9,8 @@ SMOKES := perf:test_perf_matchmaking fault:test_fault_smoke obs:test_obs_smoke \
           recovery:test_e19_recovery health:test_e20_health shard:test_e21_sharding
 SMOKE_TARGETS := $(foreach s,$(SMOKES),$(firstword $(subst :, ,$(s)))-smoke)
 
-.PHONY: test bench all smoke results-check perf-pairs mem-attr op-classes knobs knockouts $(SMOKE_TARGETS)
+.PHONY: test bench all smoke results-check perf-pairs mem-attr op-classes knobs knockouts \
+        reach reach-check $(SMOKE_TARGETS)
 
 ## Tier 1: the full unit/integration suite. Must always be green.
 test:
@@ -142,6 +143,20 @@ op-classes:
 ## fails when the committed table is stale.
 knobs:
 	$(PYTHON) tools/knob_audit.py --write docs/KNOBS.md
+
+## reach: rewrite docs/REACH.md, the census of the function-body lines
+## of src/repro that tier-1 never runs, and of those that tier-1 plus the
+## smoke gates never run, each range with its function (see
+## tools/reach.py; a sys.settrace tracer, ~5 min on two cores).
+## reach-check runs the tier-1 half alone (~3 min) and fails when it
+## leaves more lines unrun outside experiments/ than docs/REACH.md
+## records. tests/test_reach.py checks that every range in the committed
+## census still names an existing function.
+reach:
+	$(PYTHON) tools/reach.py --write docs/REACH.md
+
+reach-check:
+	$(PYTHON) tools/reach.py --check docs/REACH.md
 
 ## knockouts: `make knockouts [REV=HEAD]` exports REV (git archive, so
 ## benchmarks/results here is never written) and, for each mechanism

@@ -81,9 +81,8 @@ class AntiEntropy:
         self.tombstones: dict[str, tuple[int, float]] = {}
 
     def start(self) -> None:
-        """Arm the periodic digest round, where the deployment has one."""
-        if self.config.antientropy_interval is not None:
-            self.registry.every(self.config.antientropy_interval, self.run_round)
+        """Arm the periodic digest round."""
+        self.registry.every(self.config.antientropy_interval, self.run_round)
 
     # -- store bookkeeping: a write observer, in DurabilityManager.log_*'s shape
 
@@ -120,8 +119,8 @@ class AntiEntropy:
 
     def prune_tombstones(self) -> None:
         """Bound tombstone growth: age horizon plus a hard size cap. Runs
-        before every digest and — for deployments without digest rounds —
-        on the registry's purge sweep.
+        before every digest and, on a flooding registry, on the purge
+        sweep too.
 
         The age prune drops tombstones older than ``2 * lease_duration`` —
         by then every replica's lease lapsed on its own. Under

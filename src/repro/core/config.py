@@ -106,21 +106,18 @@ class DiscoveryConfig:
 
     # -- self-healing -------------------------------------------------------
     #: Seconds between anti-entropy digest rounds among replicating
-    #: neighbors; ``None`` disables the periodic rounds (join-time and
-    #: promotion-time digest sync are disabled with it). Only effective
-    #: under ``COOPERATION_REPLICATE_ADS`` — forwarding registries hold
-    #: disjoint stores by design, so there is nothing to reconcile. A
-    #: sharded ring needs it: anti-entropy is how its replicas catch up.
-    antientropy_interval: float | None = 10.0
+    #: neighbors. Only effective under ``COOPERATION_REPLICATE_ADS`` —
+    #: forwarding registries hold disjoint stores by design, so there is
+    #: nothing to reconcile. A replicating registry always runs the rounds
+    #: (and the digest sync at join and promotion): they are how a replica
+    #: that missed writes, flooded or sharded, catches up.
+    antientropy_interval: float = 10.0
     #: Seconds an open breaker waits before allowing a half-open probe.
     breaker_reset_timeout: float = 10.0
 
     def antientropy_enabled(self) -> bool:
         """Anti-entropy runs only for replicating registries."""
-        return (
-            self.antientropy_interval is not None
-            and self.cooperation == COOPERATION_REPLICATE_ADS
-        )
+        return self.cooperation == COOPERATION_REPLICATE_ADS
 
     # -- overload protection ----------------------------------------------
     #: Per-registry admission control: service-time costs per message
@@ -178,21 +175,15 @@ class DiscoveryConfig:
                 "sharding.enabled partitions what replicate-ads cooperation "
                 f"replicates; it cannot be combined with {self.cooperation!r}"
             )
-        if self.sharding.enabled and self.antientropy_interval is None:
-            raise ReproError(
-                "sharding.enabled repairs replicas through anti-entropy rounds; "
-                "it needs an antientropy_interval"
-            )
         if not 0.0 < self.renew_fraction < 1.0:
             raise ReproError(f"renew_fraction must be in (0, 1), got {self.renew_fraction}")
         if self.lease_duration <= 0:
             raise ReproError(f"lease_duration must be positive, got {self.lease_duration}")
         if self.default_ttl < 0:
             raise ReproError(f"default_ttl must be >= 0, got {self.default_ttl}")
-        if self.antientropy_interval is not None and self.antientropy_interval <= 0:
+        if not isinstance(self.antientropy_interval, (int, float)) or self.antientropy_interval <= 0:
             raise ReproError(
-                f"antientropy_interval must be positive or None, "
-                f"got {self.antientropy_interval}"
+                f"antientropy_interval must be positive, got {self.antientropy_interval}"
             )
         if self.breaker_reset_timeout <= 0:
             raise ReproError(

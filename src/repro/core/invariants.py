@@ -238,15 +238,6 @@ def check_shard_placement(system: "DiscoverySystem") -> list[str]:
     return violations
 
 
-def assert_shard_placement(system: "DiscoverySystem") -> None:
-    """Raise :class:`InvariantError` on shard-placement violations."""
-    violations = check_shard_placement(system)
-    if violations:
-        raise InvariantError(
-            "shard placement violations:\n  " + "\n  ".join(violations)
-        )
-
-
 def assert_convergence(system: "DiscoverySystem") -> None:
     """Raise :class:`InvariantError` when replicated stores disagree."""
     violations = check_convergence(system)

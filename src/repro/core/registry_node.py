@@ -143,12 +143,10 @@ class RegistryNode(Node):
             self.components.append(mode)
         if config.admission.active():
             self.interceptor = self.admission
-        # Components serve their own message types (anti-entropy only where
-        # it runs rounds); one not in use serves none, so its traffic is an
-        # unknown message type here.
+        # Components serve their own message types; one not in use serves
+        # none, so its traffic is an unknown message type here.
         for component in self.components:
-            if component is not self.antientropy or config.antientropy_enabled():
-                self.adopt_handlers(component)
+            self.adopt_handlers(component)
         self.rebuild()
 
     # -- lifecycle ----------------------------------------------------------

@@ -22,7 +22,8 @@ nodes, ads keyed by ``ad_id``) assigns each advertisement to
 * **Repair is anti-entropy** — a replica that missed writes (down, or
   partitioned away) catches up through shard-scoped digest rounds, and at
   once through the digest a registry sends each neighbor it (re)links
-  with; a sharded configuration therefore needs ``antientropy_interval``.
+  with. Every replicating registry runs these rounds, so a sharded one
+  always has its repair path.
 
 Everything here is **off by default**: a registry whose configuration
 does not enable sharding registers none of it — no handler, no federation

@@ -519,14 +519,8 @@ class FloodReplicator:
             self.seen_pushes = {key for key in self.seen_pushes if key[2] >= floor}
 
     def neighbor_added(self, neighbor: str) -> None:
-        """With reconciliation rounds a (re)joining member catches up by
-        digest and delta pull; without them it is pushed the whole store."""
-        registry = self.registry
-        if registry.config.antientropy_interval is not None:
-            registry.antientropy.sync_with(neighbor)
-            return
-        for ad in registry.store.all():
-            registry.send(neighbor, protocol.AD_FORWARD, self._seen(self._payload(ad)))
+        """A (re)joining member catches up by digest and delta pull."""
+        self.registry.antientropy.sync_with(neighbor)
 
     def handle_ad_forward(self, envelope: "Envelope") -> None:
         payload = envelope.payload

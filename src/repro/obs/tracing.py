@@ -320,11 +320,6 @@ class TraceCapture:
         """The events attached to one trace in creation order."""
         return [ev for ev in self.events if ev.trace_id == trace_id]
 
-    def clear(self) -> None:
-        """Drop recorded data (the recorder's id counters keep advancing)."""
-        self.spans.clear()
-        self.events.clear()
-
     # -- export ------------------------------------------------------------
 
     def export_jsonl(self) -> str:

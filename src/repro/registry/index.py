@@ -194,10 +194,21 @@ _CATEGORY_CLOSURE, _OUTPUT_CLOSURE, _CATEGORY_EXACT, _OUTPUT_EXACT = range(4)
 
 #: A degree's candidates are refined by score bound only when there are
 #: more than this many times the request's ``max_results`` of them. Below
-#: that, refining saves fewer scorings than it costs: on 10k- and 100k-ad
-#: stores a three-level split of a degree of 10-35 candidates saved 1-7
-#: scorings, one of 40 or more 14-47, and splitting every degree above
-#: ``max_results`` slowed a store under writes (``churn_mix`` p50 +10 %).
+#: that, refining saves scorings but costs more time than they do.
+#: Measured on the best-first refinement (``tools/perf_pairs.py``, 5
+#: pairs per workload, seeds 1000-1004, no failed operation):
+#:
+#: * refining every capped degree (no constant) scores fewer
+#:   descriptions per discover (``wan_100k`` 24.93 -> 20.36, ``churn_mix``
+#:   17.51 -> 12.72), yet loses every pair on ``churn_mix`` p50 (x1.10)
+#:   and on ``wan_small`` ops (x0.89) and p50 (x1.13), and gains nothing
+#:   on ``wan_100k`` (p50 x1.04). It hands out twice the groups (one
+#:   ``churn_mix`` run: 7,126 -> 14,703 ``_expand`` calls), and each
+#:   expansion is as wide as the slot space;
+#: * refining to full resolution (ignoring ``max_results``) reaches the
+#:   exact-bound floor (15.00 scored per ``wan_100k`` discover) and loses
+#:   every pair on ``churn_mix`` ops (x0.66) and p50 (x1.55) and on
+#:   ``wan_small`` ops (x0.78).
 SPLIT_ABOVE = 8
 
 #: Bitset expansion: byte value -> its set bits, ascending; and the
@@ -313,8 +324,9 @@ class SemanticConceptIndex(ConceptIndexer):
 
         A degree of at most ``SPLIT_ABOVE`` times the request's
         ``max_results`` candidates is one group bounded by the best score
-        any match has: a consumer that wants that many hits scores most of
-        them anyway, and refining would cost more than it saves. A larger
+        any match has: refining it would save scorings, but the extra
+        groups cost more time than those scorings (measured: see
+        ``SPLIT_ABOVE``). A larger
         one is refined by score bound (:meth:`_refined`): first the group
         of the best score, whose body refines the degree when it is first
         iterated — so a consumer whose hits already beat the degree pays

@@ -119,13 +119,14 @@ def test_config_rejects_bad_selfhealing_knobs():
 
 
 def test_antientropy_gated_to_replication():
+    """Every replicating registry runs the rounds; there is no way to
+    switch them off."""
     assert not DiscoveryConfig().antientropy_enabled()
     assert DiscoveryConfig(
         cooperation=COOPERATION_REPLICATE_ADS
     ).antientropy_enabled()
-    assert not DiscoveryConfig(
-        cooperation=COOPERATION_REPLICATE_ADS, antientropy_interval=None
-    ).antientropy_enabled()
+    with pytest.raises(ReproError, match="antientropy_interval must be positive, got None"):
+        DiscoveryConfig(cooperation=COOPERATION_REPLICATE_ADS, antientropy_interval=None)
 
 
 # -- anti-entropy reconciliation ----------------------------------------------
@@ -500,15 +501,16 @@ def test_forwarding_registry_keeps_no_tombstones():
 
 
 def test_flood_only_registry_prunes_tombstones_on_the_purge_sweep():
-    """``replicate-ads`` without digest rounds: the tombstones are kept
-    while they guard something — a replayed stale AD_FORWARD is still
-    blocked — and go with the purge sweep past ``2 * lease_duration``."""
+    """A flooding registry whose digest rounds come later than the test
+    runs: the tombstones are kept while they guard something — a replayed
+    stale AD_FORWARD is still blocked — and go with the purge sweep past
+    ``2 * lease_duration``, not only with a round."""
     from repro.core import protocol
     from repro.netsim.node import Node
 
     config = DiscoveryConfig(
         cooperation=COOPERATION_REPLICATE_ADS, default_ttl=0,
-        antientropy_interval=None, lease_duration=10.0, purge_interval=1.0,
+        antientropy_interval=1000.0, lease_duration=10.0, purge_interval=1.0,
     )
     system, registry, held = _publish_then_remove_everything(config)
     antientropy = registry.antientropy

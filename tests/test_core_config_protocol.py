@@ -44,13 +44,12 @@ def test_sharding_requires_replication():
 
 def test_sharding_requires_antientropy_rounds():
     """A sharded ring repairs a replica that missed writes only through
-    anti-entropy, so a sharded configuration without rounds is rejected."""
-    sharding = ShardingConfig(enabled=True)
-    with pytest.raises(ReproError, match="antientropy_interval"):
-        DiscoveryConfig(cooperation="replicate-ads", sharding=sharding,
-                        antientropy_interval=None)
-    DiscoveryConfig(cooperation="replicate-ads", antientropy_interval=None,
-                    sharding=ShardingConfig(enabled=False))
+    anti-entropy, and no configuration can go without rounds: ``None`` is
+    rejected, sharded or not."""
+    for sharding in (ShardingConfig(enabled=True), ShardingConfig(enabled=False)):
+        with pytest.raises(ReproError, match="antientropy_interval must be positive, got None"):
+            DiscoveryConfig(cooperation="replicate-ads", sharding=sharding,
+                            antientropy_interval=None)
 
 
 def test_renew_fraction_bounds():

@@ -21,6 +21,7 @@ from repro.registry.advertisements import Advertisement
 from repro.registry.matching import QueryHit
 from repro.semantics.generator import battlefield_ontology
 from repro.semantics.profiles import ServiceProfile, ServiceRequest
+from tests.deployments import e7_ring
 
 
 def _hit(ad_id, degree=1, score=0.5):
@@ -606,3 +607,20 @@ def test_seen_queries_protected_eviction_at_default_bound():
     for live_id in live:
         assert live_id in seen
         assert not seen.check_and_mark(live_id)
+
+
+def test_each_flooded_discover_on_a_settled_ring_sends_its_closed_form_counts():
+    """Flooding on E7's three-registry ring, settled and fault-free: one
+    ``query`` to the coordinator, a ``query-forward`` to each neighbour
+    and one onward from each (4), and a ``query-response`` per forward
+    plus the one to the client (5) — discover after discover."""
+    deployment = e7_ring()
+    stats = deployment.system.network.stats
+    for i in range(60):
+        before = stats.snapshot()
+        deployment.discover(1)
+        moved = stats.delta_since(before)["by_type"]
+        counts = {kind: moved.get(kind, {}).get("count", 0)
+                  for kind in (protocol.QUERY, protocol.QUERY_FORWARD, protocol.QUERY_RESPONSE)}
+        assert counts == {protocol.QUERY: 1, protocol.QUERY_FORWARD: 4,
+                          protocol.QUERY_RESPONSE: 5}, i

@@ -10,6 +10,8 @@ guarantee, and the crash→restart timer-leak regression.
 from __future__ import annotations
 
 import random
+import struct
+import zlib
 
 import pytest
 
@@ -17,8 +19,10 @@ from repro.core import durability, protocol
 from repro.core.config import COOPERATION_REPLICATE_ADS, DiscoveryConfig
 from repro.core.durability import (
     DurabilityConfig,
+    DurabilityManager,
     FENCED_MSG_TYPES,
     INCARNATION_HEADER,
+    META_FILE,
     SNAPSHOT_FILE,
     WAL_FILE,
     frame_record,
@@ -101,6 +105,13 @@ class TestFraming:
         records, corrupt, torn = scan_records(good + garbage)
         assert records == [("a", 1)]
         assert corrupt == 1 and torn
+
+    def test_a_short_tail_is_torn_and_an_unpicklable_payload_corrupt(self):
+        good = frame_record(("a", 1))
+        assert scan_records(good + b"\x01\x02") == ([("a", 1)], 0, True)
+        junk = b"not a pickle"
+        framed = struct.pack("<II", len(junk), zlib.crc32(junk)) + junk
+        assert scan_records(framed + good) == ([("a", 1)], 1, False)
 
 
 # -- the storage port ------------------------------------------------------
@@ -490,6 +501,33 @@ class TestDiskFaults:
         system.run_for(0.5)
         registry.restart()  # must not raise
         assert registry.durability.corrupt_skipped >= 1
+
+    def test_records_of_the_wrong_kind_are_skipped_and_counted(self):
+        system, registry, client = _single_lan(_durable_config())
+        system.run(until=5.0)
+        pre = store_snapshot(registry)
+        registry.crash()
+        disk = system.network.disk(registry.node_id)
+        for name, record in ((SNAPSHOT_FILE, ("store",)), (WAL_FILE, ("bogus", 1))):
+            disk.write(name, (disk.read(name) or b"") + frame_record(record))
+        system.run_for(0.5)
+        registry.restart()
+        assert registry.durability.corrupt_skipped == 2
+        assert_recovery(registry, pre)
+
+    def test_a_standby_giving_up_the_role_keeps_only_its_incarnation(self):
+        system, registry, client = _single_lan(_durable_config())
+        system.run(until=5.0)
+        registry.crash()
+        registry.restart()
+        disk = system.network.disk(registry.node_id)
+        registry.durability.discard()
+        assert disk.read(WAL_FILE) == b"" and disk.read(SNAPSHOT_FILE) == b""
+        # A manager built afresh on the same disk reads the incarnation back.
+        fresh = DurabilityManager(registry, system.config.durability)
+        assert scan_records(disk.read(META_FILE))[0] == [("meta", 1)]
+        fresh.start()
+        assert fresh.incarnation == 1
 
 
 # -- incarnation fencing ---------------------------------------------------

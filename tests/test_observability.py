@@ -9,6 +9,8 @@ responses that arrive after their aggregation already timed out.
 from __future__ import annotations
 
 import json
+import re
+from types import SimpleNamespace
 
 import pytest
 
@@ -23,6 +25,8 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
+from repro.obs.report import build_capacity_report, render_report
+from repro.obs.slo import SLOObjective
 from repro.obs.tracing import (
     SPAN_ID_HEADER,
     TRACE_ID_HEADER,
@@ -391,3 +395,56 @@ def test_delta_since_after_reset_is_all_zero():
     delta = stats.delta_since(baseline)
     assert delta["by_type"] == {}
     assert all(value == 0 for key, value in delta.items() if key != "by_type")
+
+
+# -- capacity reports and SLO objectives --------------------------------------------
+
+
+#: What a capacity report reads of a health monitor.
+_MONITOR = SimpleNamespace(
+    slo=SimpleNamespace(snapshot=lambda: {"query": {"breached": False}}),
+    alarm_timeline=lambda: [{"t": 3.5, "alarm": "shed-step", "node": "registry-0"},
+                            {"t": 4.0, "alarm": "partition", "node": None}],
+)
+
+
+def test_capacity_report_carries_latency_shed_alarms_and_notes():
+    metrics = MetricsRegistry()
+    for value in (0.1, 0.2, 0.4):
+        metrics.histogram("query.e2e_latency").observe(value)
+    latency = metrics.histograms["query.e2e_latency"]
+    report = build_capacity_report(
+        "E99", seed=3, metrics=metrics, monitor=_MONITOR, shed=2, issued=20,
+        notes=("toy",),
+        points=[{"qps": 40, "success": 0.5, "latency": 3.0},
+                {"qps": 10, "success": 1.0, "latency": 0.5}],
+    )
+    assert report["max_sustainable_qps"] == 10.0
+    assert report["latency"]["count"] == 3
+    assert report["shed_rate"] == 0.1 and "shed" not in report
+    assert report["slo"] == {"query": {"breached": False}} and report["notes"] == ["toy"]
+    assert render_report(report).splitlines() == [
+        "capacity report — E99 (seed 3)",
+        "  max sustainable qps: 10 (success >= 0.95, latency <= 2s)",
+        f"  query latency: p50={latency.percentile(0.5):.4g}s "
+        f"p95={latency.percentile(0.95):.4g}s p99={latency.percentile(0.99):.4g}s (3 queries)",
+        "  shed rate: 0.100",
+        "  sweep:",
+        "    [ok ] qps=   10.00  success=1.000  latency=0.5s",
+        "    [FAIL] qps=   40.00  success=0.500  latency=3s",
+        "  alarms: 2",
+        "    t=3.5 shed-step [registry-0]",
+        "    t=4 partition",
+    ]
+    # Shed work without an issued count is reported as a count.
+    assert build_capacity_report("E99", seed=3, points=[], shed=2)["shed"] == 2
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("success_target", 1.0, "success_target must be in (0, 1), got 1.0"),
+    ("latency_target", 0.0, "latency_target must be positive, got 0.0"),
+    ("latency_percentile", 0.0, "latency_percentile must be in (0, 1], got 0.0"),
+])
+def test_slo_objective_rejects_out_of_range_targets(field, value, message):
+    with pytest.raises(ReproError, match=re.escape(message)):
+        SLOObjective("query", **{field: value})

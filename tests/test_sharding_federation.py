@@ -11,12 +11,16 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import pytest
+
 from repro.core import protocol
 from repro.core.config import COOPERATION_REPLICATE_ADS, DiscoveryConfig
 from repro.core.forwarding import PendingAggregation
 from repro.core.invariants import check_convergence, check_shard_placement
 from repro.core.sharding import ConsistentHashRing, ShardingConfig
 from repro.core.system import DiscoverySystem
+from repro.errors import SimulationError
+from repro.netsim.faults import FaultPlan
 from repro.netsim.messages import Envelope
 from repro.semantics.generator import battlefield_ontology
 from repro.semantics.profiles import ServiceProfile, ServiceRequest
@@ -286,6 +290,31 @@ def test_placement_checker_detects_stray_copy():
     outsider.store.put(replace(ad))
     violations = check_shard_placement(system)
     assert any(ad.ad_id in v and outsider.node_id in v for v in violations)
+
+
+def test_kill_replicas_crashes_the_replicas_the_ring_names_when_it_fires():
+    """E21's adversarial fault in miniature: the victims are resolved at
+    fire time from the live ring, and a plan firing on a deployment with
+    no sharded registry alive is a no-op."""
+    with pytest.raises(SimulationError, match="kill_replicas count must be >= 1, got 0"):
+        FaultPlan().kill_replicas(1.0, key="k", count=0)
+    system, registries, _ = _cluster()
+    system.run(until=10.0)
+    registries[0].crash()
+    replicas = registries[1].writes.ring.replicas_for("ad-kill-probe")
+    victims = [node for node in replicas if node != registries[0].node_id][:2]
+    applied = FaultPlan().kill_replicas(12.0, key="ad-kill-probe", count=2).apply(system)
+    system.run(until=13.0)
+    assert [(event.kind, event.node_id) for event in applied.history] == [
+        *(("crash", node) for node in victims), ("replica-kill", "")]
+    assert sorted(r.node_id for r in registries if not r.alive) == sorted(
+        [registries[0].node_id, *victims])
+
+    for registry in registries:
+        registry.crash()
+    applied = FaultPlan().kill_replicas(14.0, key="ad-kill-probe", count=1).apply(system)
+    system.run(until=15.0)
+    assert applied.history == []
 
 
 def test_placement_checker_vacuous_when_sharding_off():
