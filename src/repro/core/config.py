@@ -112,8 +112,6 @@ class DiscoveryConfig:
     #: (and the digest sync at join and promotion): they are how a replica
     #: that missed writes, flooded or sharded, catches up.
     antientropy_interval: float = 10.0
-    #: Seconds an open breaker waits before allowing a half-open probe.
-    breaker_reset_timeout: float = 10.0
 
     def antientropy_enabled(self) -> bool:
         """Anti-entropy runs only for replicating registries."""
@@ -184,10 +182,6 @@ class DiscoveryConfig:
         if not isinstance(self.antientropy_interval, (int, float)) or self.antientropy_interval <= 0:
             raise ReproError(
                 f"antientropy_interval must be positive, got {self.antientropy_interval}"
-            )
-        if self.breaker_reset_timeout <= 0:
-            raise ReproError(
-                f"breaker_reset_timeout must be positive, got {self.breaker_reset_timeout}"
             )
 
     @property

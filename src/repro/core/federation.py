@@ -26,11 +26,7 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core import protocol
 from repro.core.config import DiscoveryConfig
-from repro.core.forwarding import (
-    BREAKER_HALF_OPEN,
-    BREAKER_OPEN,
-    CircuitBreaker,
-)
+from repro.core.forwarding import BREAKER_OPEN, CircuitBreaker
 from repro.registry.rim import RegistryDescription
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -218,6 +214,10 @@ class Federation:
     def _ping_round(self) -> None:
         """Ping every neighbor; drop those that missed too many pongs.
 
+        Every other peer with an open breaker (a shard replica or routing
+        target the fan-out stopped waiting on) is pinged too: its pong is
+        what closes the breaker, so it is read again once it is back.
+
         Seeded peers that are currently not neighbors are re-joined each
         round: seeds are durable manual configuration, so a link severed
         by a partition (or a peer's crash) re-forms as soon as the peer is
@@ -235,6 +235,9 @@ class Federation:
                 self._neighbor_lost(neighbor)
             else:
                 self.registry.send(neighbor, protocol.REGISTRY_PING)
+        for peer, breaker in sorted(self.breakers.items()):
+            if breaker.state == BREAKER_OPEN and peer not in self.neighbors:
+                self.registry.send(peer, protocol.REGISTRY_PING)
         for seed in self.registry.seeds:
             if seed not in self.neighbors and seed != self.registry.node_id:
                 self.join(seed)
@@ -243,11 +246,12 @@ class Federation:
         self.registry.send(envelope.src, protocol.REGISTRY_PONG)
 
     def handle_registry_pong(self, envelope: "Envelope") -> None:
-        """A neighbor answered: reset its failure counter."""
+        """A peer answered: close its breaker, and reset a neighbor's
+        failure counter."""
         src = envelope.src
         if src in self.neighbors:
             self._missed_pongs[src] = 0
-            self.record_neighbor_success(src)
+        self.record_neighbor_success(src)
 
     def _neighbor_lost(self, neighbor: str) -> None:
         """Failure detector fired: unlink and try to re-wire the network."""
@@ -277,29 +281,20 @@ class Federation:
 
     # -- circuit breakers -------------------------------------------------------------
 
-    #: Breaker-state gauge levels (Prometheus-style enum encoding).
-    _BREAKER_LEVELS = {BREAKER_OPEN: 2.0, BREAKER_HALF_OPEN: 1.0}
-
     def _breaker(self, neighbor: str) -> CircuitBreaker:
         breaker = self.breakers.get(neighbor)
         if breaker is None:
             breaker = CircuitBreaker(
-                lambda: self.registry.sim.now,
-                reset_timeout=self.config.breaker_reset_timeout,
                 on_transition=lambda old, new, _n=neighbor:
-                    self._on_breaker_transition(_n, old, new),
+                    self._on_breaker_transition(_n, new),
             )
             self.breakers[neighbor] = breaker
         return breaker
 
-    def _on_breaker_transition(self, neighbor: str, old: str, new: str) -> None:
-        """Mirror breaker state into metrics: a per-link state gauge
-        (closed=0 / half-open=1 / open=2) and a global flap counter for
-        open → half-open → open round trips (failed probes)."""
+    def _on_breaker_transition(self, neighbor: str, new: str) -> None:
+        """Mirror breaker state into a per-link gauge: closed=0, open=2."""
         self.registry.gauge(f"breaker.state.{self.registry.node_id}:{neighbor}",
-                            self._BREAKER_LEVELS.get(new, 0.0))
-        if old == BREAKER_HALF_OPEN and new == BREAKER_OPEN:
-            self.registry.count("breaker.flaps")
+                            2.0 if new == BREAKER_OPEN else 0.0)
 
     def record_neighbor_failure(self, neighbor: str) -> None:
         """Feed one failure signal (missed pong, aggregation timeout)."""
@@ -313,27 +308,11 @@ class Federation:
             self.registry.recovered("breaker-close", attrs={"neighbor": neighbor})
 
     def breaker_allows(self, neighbor: str) -> bool:
-        """Whether the fan-out may wait on ``neighbor`` right now.
-
-        Open breakers whose reset timeout elapsed flip to half-open and
-        admit the caller as the probe; otherwise the neighbor is skipped
-        (and not counted as outstanding by the aggregation).
-        """
+        """Whether the fan-out may wait on ``neighbor`` right now: its
+        breaker is closed (or it has none). A skipped peer is not counted
+        as outstanding by the aggregation."""
         breaker = self.breakers.get(neighbor)
-        if breaker is None:
-            return True
-        was_open = breaker.state == BREAKER_OPEN
-        allowed = breaker.allows()
-        if was_open and allowed:
-            self.registry.recovered("breaker-half-open", attrs={"neighbor": neighbor})
-        return allowed
-
-    def breaker_would_allow(self, neighbor: str) -> bool:
-        """:meth:`breaker_allows` without its side effect: asking it of
-        every candidate would spend the probe of a recovered peer that is
-        then not picked, and refuse it to the one that is."""
-        breaker = self.breakers.get(neighbor)
-        return breaker is None or breaker.would_allow()
+        return breaker is None or breaker.allows()
 
     def breaker_states(self) -> dict[str, str]:
         """Current breaker state per tracked neighbor (reporting)."""

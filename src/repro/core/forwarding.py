@@ -253,7 +253,6 @@ class PendingAggregation:
 #: Circuit-breaker states.
 BREAKER_CLOSED = "closed"
 BREAKER_OPEN = "open"
-BREAKER_HALF_OPEN = "half-open"
 
 #: Consecutive failures (missed pongs, aggregation timeouts) that trip a
 #: neighbor's breaker from closed to open.
@@ -261,47 +260,28 @@ BREAKER_FAILURE_THRESHOLD = 3
 
 
 class CircuitBreaker:
-    """Per-neighbor health: closed / open / half-open.
+    """Per-peer health: closed or open.
 
     Fed by the registry's existing aliveness signals — missed pongs from
     the federation ping round and silent targets from aggregation
     timeouts. After ``failure_threshold`` consecutive failures the breaker
-    *opens*: the fan-out skips the neighbor (not counted as outstanding),
-    so degraded-mode queries complete without eating the aggregation
-    timeout for a peer that is already suspected dead. After
-    ``reset_timeout`` seconds the breaker turns *half-open* and lets
-    exactly **one** probe through (in practice the next ping/gossip round
-    or a single forwarded query); a success closes it, a failure re-opens
-    it. While that probe is in flight every other caller is refused —
-    without the :attr:`probing` latch, several sends queued in the same
-    tick would all read the elapsed reset timeout, all pass as "the one
-    probe", and a still-down neighbor would re-trip the breaker with
-    inflated failure counts (and eat one aggregation timeout per extra
-    probe).
+    *opens*: the fan-out skips the peer (not counted as outstanding), so
+    degraded-mode queries complete without eating the aggregation timeout
+    for a peer that is already suspected dead. It stays open, however
+    long, until a success closes it: the federation's ping round pings
+    every peer with an open breaker, and its pong is that success.
     """
 
     def __init__(
         self,
-        clock: Callable[[], float],
         *,
         failure_threshold: int = BREAKER_FAILURE_THRESHOLD,
-        reset_timeout: float = 10.0,
         on_transition: Callable[[str, str], None] | None = None,
     ) -> None:
-        self._clock = clock
         self.failure_threshold = failure_threshold
-        self.reset_timeout = reset_timeout
         self.state = BREAKER_CLOSED
         self.failures = 0
-        self.opened_at = 0.0
         self.times_opened = 0
-        #: Probe failures: open → half-open → open round trips. A rising
-        #: flap count means the neighbor keeps looking back up and then
-        #: failing its single probe — the signature of a struggling (not
-        #: cleanly dead) peer, and what the ``breaker-flap`` alarm row keys on.
-        self.flaps = 0
-        #: True while the single half-open probe is unresolved.
-        self.probing = False
         #: Observer called as ``(old_state, new_state)`` on every state
         #: change (the metrics bridge lives in the federation layer).
         self.on_transition = on_transition
@@ -314,17 +294,8 @@ class CircuitBreaker:
 
     def record_failure(self) -> bool:
         """One failure signal; returns True when this trip *opened* it."""
-        if self.state == BREAKER_HALF_OPEN:
-            # The probe failed: straight back to open, timer re-armed.
-            self.opened_at = self._clock()
-            self.times_opened += 1
-            self.flaps += 1
-            self.probing = False
-            self._transition(BREAKER_OPEN)
-            return True
         self.failures += 1
         if self.state == BREAKER_CLOSED and self.failures >= self.failure_threshold:
-            self.opened_at = self._clock()
             self.times_opened += 1
             self._transition(BREAKER_OPEN)
             return True
@@ -334,29 +305,9 @@ class CircuitBreaker:
         """One success signal; returns True when it *closed* the breaker."""
         was = self.state
         self.failures = 0
-        self.probing = False
         self._transition(BREAKER_CLOSED)
         return was != BREAKER_CLOSED
 
     def allows(self) -> bool:
-        """Whether traffic may flow to the neighbor right now.
-
-        An open breaker whose reset timeout has elapsed flips to
-        half-open as a side effect and admits the caller as the single
-        probe; until that probe resolves (success or failure), every
-        further caller — including others queued in the same simulation
-        tick — is refused.
-        """
-        if not self.would_allow():
-            return False
-        if self.state != BREAKER_CLOSED:
-            self.probing = True
-            self._transition(BREAKER_HALF_OPEN)
-        return True
-
-    def would_allow(self) -> bool:
-        """What :meth:`allows` would answer now, without taking the probe
-        slot — for callers that rank peers before they pick whom to ask."""
-        if self.state == BREAKER_OPEN:
-            return self._clock() - self.opened_at >= self.reset_timeout
-        return not (self.state == BREAKER_HALF_OPEN and self.probing)
+        """Whether traffic may flow to the peer: the breaker is closed."""
+        return self.state == BREAKER_CLOSED

@@ -463,8 +463,8 @@ class ShardManager:
         the most still-uncovered groups (deterministic tie-break by id;
         this registry's own groups are pre-covered — we answer locally).
         Members with open circuit breakers are avoided unless a group has
-        no other member, masking fail-stopped replicas. Health is read
-        without asking: the fan-out asks each picked target's breaker, once.
+        no other member, masking fail-stopped replicas; the ping round
+        closes a replica's breaker once it answers again.
         """
         me = self.registry.node_id
         uncovered = [
@@ -474,7 +474,7 @@ class ShardManager:
         registry = self.registry
         healthy = {
             m for m in self.ring.members()
-            if m != me and registry.federation.breaker_would_allow(m)
+            if m != me and registry.federation.breaker_allows(m)
             and not registry.router.cooldowns.in_cooldown(m)
         }
         cover: list[str] = []
@@ -503,11 +503,9 @@ class ShardManager:
         candidates.discard(target)
         candidates.discard(me)
         federation = self.registry.federation
-        allowed = [m for m in sorted(candidates) if federation.breaker_would_allow(m)]
-        # Only the stand-in picked is asked (and may be a recovering
-        # peer's probe).
-        ordered = self.registry.router.order(allowed)
-        return ordered[0] if ordered and federation.breaker_allows(ordered[0]) else None
+        ordered = self.registry.router.order(
+            [m for m in sorted(candidates) if federation.breaker_allows(m)])
+        return ordered[0] if ordered else None
 
     # -- rebalancing --------------------------------------------------------
 

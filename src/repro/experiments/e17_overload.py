@@ -92,7 +92,6 @@ def _config(policy: AdmissionPolicy) -> DiscoveryConfig:
         beacon_interval=2.0,
         signalling_interval=None,
         ping_interval=2.0,
-        breaker_reset_timeout=5.0,
         admission=policy,
         renew_retry=RetryPolicy(base=0.5, cap=2.0, max_attempts=3),
     )

@@ -41,9 +41,8 @@ class TrafficStats:
     #: Self-healing events by kind, recorded by the recovery machinery:
     #: "antientropy-round", "antientropy-pull", "antientropy-ads-sent",
     #: "antientropy-ads-applied", "antientropy-removal",
-    #: "resurrection-blocked", "breaker-open", "breaker-half-open",
-    #: "breaker-close", "breaker-skip", "standby-warm-sync",
-    #: "late-response".
+    #: "resurrection-blocked", "breaker-open", "breaker-close",
+    #: "breaker-skip", "standby-warm-sync", "late-response".
     recoveries: Counter = field(default_factory=Counter)
     #: Optional :class:`~repro.obs.metrics.MetricsRegistry` mirror (set by
     #: the owning :class:`~repro.netsim.network.Network`): retries, faults,
@@ -119,10 +118,6 @@ class TrafficStats:
             "bytes_delivered": self.bytes_delivered,
             "bytes_wan": self.bytes_wan,
             "bytes_multicast": self.bytes_multicast,
-            "drops_fault": self.drops_by_reason["fault-loss"],
-            "retries_total": sum(self.retries.values()),
-            "faults_total": sum(self.faults.values()),
-            "recoveries_total": sum(self.recoveries.values()),
             "by_type": {
                 msg_type: {
                     "count": self.by_type_count[msg_type],

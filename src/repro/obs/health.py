@@ -70,16 +70,13 @@ DEFAULT_OBJECTIVES: tuple[SLOObjective, ...] = (
 )
 
 
-#: Detector windows (sim-seconds): queue-depth mean, breaker flap
-#: count, shed count, lease expiries.
+#: Detector windows (sim-seconds): queue-depth mean, shed count, lease
+#: expiries.
 QUEUE_WINDOW = 5.0
-FLAP_WINDOW = 30.0
 SHED_WINDOW = 5.0
 LEASE_WINDOW = 10.0
 #: Seconds between health ticks (every row evaluated on each).
 TICK_INTERVAL = 1.0
-#: Breaker flapping: open→half-open→open cycles within :data:`FLAP_WINDOW`.
-BREAKER_FLAP_THRESHOLD = 2
 #: Lease-expiry spike: expiries within :data:`LEASE_WINDOW`.
 LEASE_EXPIRY_SPIKE = 3
 
@@ -168,8 +165,7 @@ def _still_rising(monitor: "HealthMonitor", row: Detector, now: float) -> Verdic
                  {"mean_depth": round(mean, 3), "depth": gauge.value})}
 
 
-def _counter_rise(monitor: "HealthMonitor", row: Detector, now: float, *,
-                  detail: str) -> Verdicts:
+def _counter_rise(monitor: "HealthMonitor", row: Detector, now: float) -> Verdicts:
     """The counter rose by at least the threshold over the window,
     measured from the row's oldest sample inside it."""
     counter = monitor.metrics.counters.get(row.reads)
@@ -180,7 +176,7 @@ def _counter_rise(monitor: "HealthMonitor", row: Detector, now: float, *,
     while samples[0][0] < horizon:
         samples.popleft()
     rise = value - samples[0][1]
-    return {"": (row.name if rise >= row.threshold else None, "", {detail: rise})}
+    return {"": (row.name if rise >= row.threshold else None, "", {"shed_in_window": rise})}
 
 
 def _silent(monitor: "HealthMonitor", row: Detector, now: float) -> Verdicts:
@@ -236,12 +232,6 @@ def detectors(config: HealthConfig) -> tuple[Detector, ...]:
                  "before goodput collapses",
                  "registry.queue_depth", QUEUE_WINDOW, config.queue_depth_threshold,
                  _still_rising, "test_queue_growth_uses_time_weighted_mean"),
-        Detector("breaker-flap",
-                 "breakers cycling open → half-open → open: a neighbor down or "
-                 "cut off long enough for probes to keep failing",
-                 "breaker.flaps", FLAP_WINDOW, BREAKER_FLAP_THRESHOLD,
-                 partial(_counter_rise, detail="flaps_in_window"),
-                 "test_breaker_flap_watchdog_reads_flap_counter"),
         Detector("antientropy-stale",
                  "a replicating registry's reconciliation rounds gone quiet: "
                  "the node is dead or its periodic machinery wedged",
@@ -253,7 +243,7 @@ def detectors(config: HealthConfig) -> tuple[Detector, ...]:
                  "test_lease_expiry_spike_names_single_source_node"),
         Detector("shed-step", "the admission controller started refusing work",
                  "admission.shed", SHED_WINDOW, config.shed_step_threshold,
-                 partial(_counter_rise, detail="shed_in_window"),
+                 _counter_rise,
                  "test_shed_step_fires_on_rising_edge_only"),
         Detector("slo",
                  "a request class's error budget burning in both windows, or "

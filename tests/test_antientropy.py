@@ -8,7 +8,7 @@ import pytest
 from repro.core.config import COOPERATION_REPLICATE_ADS, DiscoveryConfig
 from repro.core.forwarding import (
     BREAKER_CLOSED,
-    BREAKER_HALF_OPEN,
+    BREAKER_FAILURE_THRESHOLD,
     BREAKER_OPEN,
     CircuitBreaker,
 )
@@ -53,9 +53,7 @@ def _cluster(seed=7, *, lans=3, antientropy_interval=2.0, **overrides):
 
 
 def test_breaker_opens_after_threshold():
-    clock = [0.0]
-    breaker = CircuitBreaker(lambda: clock[0], failure_threshold=3,
-                             reset_timeout=10.0)
+    breaker = CircuitBreaker(failure_threshold=3)
     assert breaker.state == BREAKER_CLOSED
     assert not breaker.record_failure()
     assert not breaker.record_failure()
@@ -65,40 +63,30 @@ def test_breaker_opens_after_threshold():
     assert not breaker.allows()
 
 
-def test_breaker_half_open_probe_closes_on_success():
-    clock = [0.0]
-    breaker = CircuitBreaker(lambda: clock[0], failure_threshold=1,
-                             reset_timeout=5.0)
-    breaker.record_failure()
-    assert breaker.state == BREAKER_OPEN
-    clock[0] = 4.9
-    assert not breaker.allows()
-    clock[0] = 5.0
-    assert breaker.allows()  # admitted as the probe
-    assert breaker.state == BREAKER_HALF_OPEN
-    assert breaker.record_success()
-    assert breaker.state == BREAKER_CLOSED
-    assert breaker.allows()
-
-
-def test_breaker_reopens_on_probe_failure():
-    clock = [0.0]
-    breaker = CircuitBreaker(lambda: clock[0], failure_threshold=1,
-                             reset_timeout=5.0)
-    breaker.record_failure()
-    clock[0] = 5.0
-    assert breaker.allows()
-    assert breaker.record_failure()  # probe failed: straight back to open
-    assert breaker.state == BREAKER_OPEN
-    clock[0] = 9.0  # timer re-armed from the re-open, not the first open
-    assert not breaker.allows()
-    clock[0] = 10.0
-    assert breaker.allows()
+def test_an_open_breaker_admits_nothing_until_a_success():
+    """No time-out re-admits a suspected peer: while it stays silent to
+    every ping round its breaker stays open, and one success closes it."""
+    config = DiscoveryConfig(ping_interval=5.0, signalling_interval=None)
+    system = DiscoverySystem(seed=0, config=config)
+    system.add_lan("lan-0")
+    system.add_lan("lan-1")
+    left = system.add_registry("lan-0")
+    right = system.add_registry("lan-1")
+    right.crash()
+    for _ in range(BREAKER_FAILURE_THRESHOLD):
+        left.federation.record_neighbor_failure(right.node_id)
+    breaker = left.federation.breakers[right.node_id]
+    for until in (1.0, 100.0, 1_000.0):
+        system.run(until=until)
+        assert not left.federation.breaker_allows(right.node_id)
+        assert breaker.state == BREAKER_OPEN
+    left.federation.record_neighbor_success(right.node_id)
+    assert left.federation.breaker_allows(right.node_id)
+    assert breaker.state == BREAKER_CLOSED and breaker.failures == 0
 
 
 def test_breaker_success_resets_failure_count():
-    clock = [0.0]
-    breaker = CircuitBreaker(lambda: clock[0], failure_threshold=3)
+    breaker = CircuitBreaker(failure_threshold=3)
     breaker.record_failure()
     breaker.record_failure()
     assert not breaker.record_success()  # already closed: no state change
@@ -114,8 +102,6 @@ def test_breaker_success_resets_failure_count():
 def test_config_rejects_bad_selfhealing_knobs():
     with pytest.raises(ReproError):
         DiscoveryConfig(antientropy_interval=0.0)
-    with pytest.raises(ReproError):
-        DiscoveryConfig(breaker_reset_timeout=-1.0)
 
 
 def test_antientropy_gated_to_replication():

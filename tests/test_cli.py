@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import hashlib
+import pathlib
 
 import pytest
 
 from repro.cli import EXPERIMENTS, build_parser, main
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def test_list_shows_all_experiments(capsys):
@@ -42,6 +45,13 @@ def test_demo_runs(capsys):
     out = capsys.readouterr().out
     assert "medevac-dispatch" in out
     assert "fallback" in out
+
+
+def test_ablations_prints_the_committed_table(capsys):
+    """``repro ablations`` at seed 0 is ``benchmarks/results/a-all.txt``."""
+    assert main(["ablations", "--seed", "0"]) == 0
+    committed = ROOT / "benchmarks" / "results" / "a-all.txt"
+    assert capsys.readouterr().out == committed.read_text(encoding="utf-8")
 
 
 def test_parser_requires_command():

@@ -392,45 +392,6 @@ def test_seen_queries_unbounded_when_disabled():
     assert seen.evictions == 0
 
 
-# -- CircuitBreaker flapping ---------------------------------------------------
-
-def test_breaker_flapping_reopens_on_each_failed_probe():
-    from repro.core.forwarding import (
-        BREAKER_CLOSED,
-        BREAKER_HALF_OPEN,
-        BREAKER_OPEN,
-        CircuitBreaker,
-    )
-
-    clock = [0.0]
-    breaker = CircuitBreaker(lambda: clock[0], failure_threshold=2,
-                             reset_timeout=5.0)
-    assert breaker.record_failure() is False
-    assert breaker.record_failure() is True  # threshold trips it open
-    assert breaker.state == BREAKER_OPEN
-    for round_ in range(1, 4):
-        # Before the reset timeout nothing gets through.
-        clock[0] += 4.9
-        assert not breaker.allows()
-        # At the timeout one probe is admitted (half-open) ...
-        clock[0] += 0.2
-        assert breaker.allows()
-        assert breaker.state == BREAKER_HALF_OPEN
-        # ... and its failure slams the breaker shut again, re-arming
-        # the timer from *now* — a flapping neighbor never half-opens
-        # its way back to closed.
-        assert breaker.record_failure() is True
-        assert breaker.state == BREAKER_OPEN
-        assert breaker.opened_at == clock[0]
-        assert breaker.times_opened == 1 + round_
-    # A successful probe finally closes it and clears the count.
-    clock[0] += 5.1
-    assert breaker.allows()
-    assert breaker.record_success() is True
-    assert breaker.state == BREAKER_CLOSED
-    assert breaker.failures == 0
-
-
 # -- Federation leave / re-join ------------------------------------------------
 
 def test_graceful_leave_flushes_in_flight_walk():
@@ -492,44 +453,52 @@ def test_leave_and_rejoin_resets_failure_detector_state():
     assert rb.node_id in ra.federation.neighbors
 
 
-# -- CircuitBreaker half-open probe stampede -----------------------------------
+# -- the ping round probes every suspected peer ------------------------------
 
-def test_breaker_half_open_admits_exactly_one_probe():
-    from repro.core.forwarding import (
-        BREAKER_CLOSED,
-        BREAKER_HALF_OPEN,
-        BREAKER_OPEN,
-        CircuitBreaker,
-    )
+def test_ping_round_pings_a_suspected_peer_until_its_pong_closes_the_breaker(monkeypatch):
+    # ra's neighbor is rb; rc is no neighbor of ra, only a peer the
+    # fan-out stopped waiting on (a shard replica, a routing target).
+    config = DiscoveryConfig(ping_interval=1.0, signalling_interval=None)
+    system = DiscoverySystem(seed=3, config=config)
+    for lan in ("lan-a", "lan-b", "lan-c"):
+        system.add_lan(lan)
+    ra, rb, rc = (system.add_registry(lan) for lan in ("lan-a", "lan-b", "lan-c"))
+    system.federate(ra, rb)
+    system.run(until=0.5)
+    rc.crash()
+    # Both breakers open: the neighbor's too, which its next pong closes.
+    for _ in range(3):
+        ra.federation.record_neighbor_failure(rb.node_id)
+        ra.federation.record_neighbor_failure(rc.node_id)
+    assert not ra.federation.breaker_allows(rc.node_id)
+    pings: list[tuple[float, str]] = []
+    send = ra.send
 
-    clock = [0.0]
-    breaker = CircuitBreaker(lambda: clock[0], failure_threshold=2,
-                             reset_timeout=5.0)
-    breaker.record_failure()
-    breaker.record_failure()
-    assert breaker.state == BREAKER_OPEN
-    clock[0] += 5.0
-    # The reset timeout elapses: the FIRST caller gets the probe slot ...
-    assert breaker.allows()
-    assert breaker.state == BREAKER_HALF_OPEN
-    # ... and every concurrent caller is refused while the probe is in
-    # flight. The historical bug admitted them all: a fan-out arriving
-    # in one batch stampeded a barely-recovered neighbor with N
-    # simultaneous "probes".
-    assert not breaker.allows()
-    assert not breaker.allows()
-    # The probe's failure re-opens the breaker and re-arms the timer;
-    # the next window again admits exactly one.
-    assert breaker.record_failure() is True
-    assert breaker.state == BREAKER_OPEN
-    clock[0] += 5.0
-    assert breaker.allows()
-    assert not breaker.allows()
-    # A successful probe closes the breaker, clearing the latch: traffic
-    # flows freely again.
-    assert breaker.record_success() is True
-    assert breaker.state == BREAKER_CLOSED
-    assert breaker.allows() and breaker.allows()
+    def recording_send(dst, msg_type, *args, **kwargs):
+        if msg_type == protocol.REGISTRY_PING:
+            pings.append((system.sim.now, dst))
+        return send(dst, msg_type, *args, **kwargs)
+
+    monkeypatch.setattr(ra, "send", recording_send)
+    system.run_for(3.0)
+    # Each round pings the neighbor once and the suspected peer once.
+    rounds = sorted({t for t, _ in pings})
+    assert len(rounds) == 3
+    for t in rounds:
+        assert sorted(dst for at, dst in pings if at == t) == [rb.node_id, rc.node_id]
+    assert rc.node_id not in ra.federation.neighbors
+    assert ra.federation.breaker_allows(rb.node_id)
+    assert not ra.federation.breaker_allows(rc.node_id)
+
+    closes = system.network.stats.recoveries["breaker-close"]
+    rc.restart()
+    system.run_for(1.0)
+    assert ra.federation.breaker_allows(rc.node_id)
+    assert system.network.stats.recoveries["breaker-close"] == closes + 1
+    # A closed breaker is not pinged: only the neighbor is, from now on.
+    pings.clear()
+    system.run_for(2.0)
+    assert [dst for _, dst in pings] == [rb.node_id, rb.node_id]
 
 
 # -- SeenQueries eviction vs in-flight aggregations ----------------------------

@@ -16,12 +16,7 @@ import pytest
 
 from repro.core.config import DiscoveryConfig
 from repro.core.durability import DurabilityConfig
-from repro.core.forwarding import (
-    BREAKER_CLOSED,
-    BREAKER_HALF_OPEN,
-    BREAKER_OPEN,
-    CircuitBreaker,
-)
+from repro.core.forwarding import BREAKER_CLOSED, BREAKER_OPEN, CircuitBreaker
 from repro.core.system import DiscoverySystem
 from repro.errors import ReproError
 from repro.experiments import e20_health
@@ -395,23 +390,6 @@ def test_lease_expiry_spike_names_single_source_node():
     assert monitor.alarms[1].details["nodes"] == ["r1", "r2"]
 
 
-def test_breaker_flap_watchdog_reads_flap_counter():
-    state, metrics, monitor = _monitor()  # BREAKER_FLAP_THRESHOLD is 2
-    state["t"] = 1.0
-    monitor.tick()
-    metrics.counter("breaker.flaps").inc(2)
-    state["t"] = 2.0
-    monitor.tick()
-    _assert_alarms(monitor, "breaker-flap")
-    state["t"] = 40.0
-    monitor.tick()  # past FLAP_WINDOW: no flap in the window, the edge re-arms
-    metrics.counter("breaker.flaps").inc(2)
-    state["t"] = 41.0
-    monitor.tick()
-    _assert_alarms(monitor, "breaker-flap", "breaker-flap")
-    assert monitor.alarms[1].details == {"flaps_in_window": 2}
-
-
 def test_alarm_raises_counters_trace_event_and_dump():
     state, metrics, monitor = _monitor(shed_step_threshold=1)
     state["t"] = 1.0
@@ -512,46 +490,20 @@ def test_small_ring_truncates_deterministically(monkeypatch):
     assert len(dump.splitlines()) == 8
 
 
-# -- breaker state gauge + flap counter (core/forwarding satellite) ----------
-
-
-def test_circuit_breaker_reports_transitions_and_flaps():
-    state = {"t": 0.0}
-    seen: list[tuple[str, str]] = []
-    breaker = CircuitBreaker(
-        lambda: state["t"], failure_threshold=2, reset_timeout=5.0,
-        on_transition=lambda old, new: seen.append((old, new)),
-    )
-    breaker.record_failure()
-    breaker.record_failure()  # trips open
-    state["t"] = 6.0
-    assert breaker.allows()  # half-open probe admitted
-    breaker.record_failure()  # probe failed: a flap
-    state["t"] = 12.0
-    assert breaker.allows()
-    breaker.record_success()
-    assert seen == [
-        (BREAKER_CLOSED, BREAKER_OPEN),
-        (BREAKER_OPEN, BREAKER_HALF_OPEN),
-        (BREAKER_HALF_OPEN, BREAKER_OPEN),
-        (BREAKER_OPEN, BREAKER_HALF_OPEN),
-        (BREAKER_HALF_OPEN, BREAKER_CLOSED),
-    ]
-    assert breaker.flaps == 1
+# -- breaker state gauge (core/forwarding satellite) ------------------------
 
 
 def test_breaker_observer_silent_without_state_change():
     seen: list[tuple[str, str]] = []
-    breaker = CircuitBreaker(lambda: 0.0, failure_threshold=3,
+    breaker = CircuitBreaker(failure_threshold=3,
                              on_transition=lambda o, n: seen.append((o, n)))
     breaker.record_failure()  # below threshold: still closed
     breaker.record_success()  # closed -> closed
     assert seen == []
 
 
-def test_federation_breaker_gauge_and_flap_counter():
+def test_federation_breaker_state_gauge():
     config = DiscoveryConfig(
-        breaker_reset_timeout=5.0,
         ping_interval=500.0,  # keep ping rounds out of the test window
         signalling_interval=None,
     )
@@ -569,14 +521,9 @@ def test_federation_breaker_gauge_and_flap_counter():
     for _ in range(3):
         left.federation.record_neighbor_failure(right.node_id)
     assert metrics.gauges[gauge_name].value == 2.0  # open
-
-    system.run_for(6.0)  # past the reset timeout
-    assert left.federation.breaker_allows(right.node_id)
-    assert metrics.gauges[gauge_name].value == 1.0  # half-open
-
-    left.federation.record_neighbor_failure(right.node_id)  # probe fails
-    assert metrics.gauges[gauge_name].value == 2.0  # flapped back open
-    assert metrics.counters["breaker.flaps"].value == 1
+    system.run_for(6.0)
+    assert not left.federation.breaker_allows(right.node_id)
+    assert metrics.gauges[gauge_name].value == 2.0  # still open
 
     left.federation.record_neighbor_success(right.node_id)
     assert metrics.gauges[gauge_name].value == 0.0  # closed

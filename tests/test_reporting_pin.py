@@ -188,15 +188,14 @@ PINNED: dict[str, dict[str, object]] = {
             matchmaker.evals_per_query query.e2e_latency
             recovery.antientropy-ads-applied recovery.antientropy-ads-sent
             recovery.antientropy-pull recovery.antientropy-round
-            recovery.breaker-close recovery.breaker-half-open
-            recovery.breaker-open
+            recovery.breaker-close recovery.breaker-open
             recovery.durability-recover registry.queue_depth retry.query
             retry.renew shard.ads_moved shard.read_retries
             shard.rebalances shard.ring_members shard.store_size.registry-00
             shard.store_size.registry-01 shard.store_size.registry-02
             shard.store_size.registry-03 shard.store_size.registry-04
         """.split(),
-        "trace": "416cf112409fc99414b099049dd4a66f25266ac957ab04526dad1a274fc22836",
+        "trace": "257f1dc4a9868f4b4561c397c47d556c20aaad0bdd9e74036e381dc4530660c9",
     },
     'sharded-watched': {
         "metrics": """
@@ -223,17 +222,16 @@ PINNED: dict[str, dict[str, object]] = {
             matchmaker.evals_per_query query.e2e_latency
             recovery.antientropy-ads-applied recovery.antientropy-ads-sent
             recovery.antientropy-pull recovery.antientropy-round
-            recovery.breaker-close recovery.breaker-half-open
-            recovery.breaker-open
+            recovery.breaker-close recovery.breaker-open
             recovery.durability-recover registry.queue_depth retry.query
             retry.renew shard.ads_moved shard.read_retries
             shard.rebalances shard.ring_members shard.store_size.registry-00
             shard.store_size.registry-01 shard.store_size.registry-02
             shard.store_size.registry-03 shard.store_size.registry-04
         """.split(),
-        "trace": "22244c9fec1079e2fa5b1492b17e6168bace4b6f0643c1168eab1328bdb82932",
+        "trace": "9e7178daafade3c17da0dc70ee437d416754d2a2e9e464cea065c09e91cf3b6a",
         "alarms": "bc5285554e22d78051131d0ed9bf09144e290d1493eb0fbcb95d041cb2425058",
-        "dumps": "41de823fc1c2be62a188be2d6a55ba4d4437052c5daca918c5acad4d1d3ff558",
+        "dumps": "38ef77d019f4b9f225e083123bf051df94ab86d288cd221de0dcb6b5e79f3046",
     },
 }
 

@@ -156,9 +156,10 @@ def test_a_read_with_every_target_breaker_open_leaves_nothing_behind():
 def test_a_recovered_replica_is_read_again():
     """A replica that is not a federation neighbor of the coordinator
     crashes until the coordinator's breaker for it opens, then comes back.
-    Classifying replica health used to take the half-open breaker's one
-    probe, so the fan-out then refused the replica for good: it was never
-    read again, and once its partner crashed its advertisements were
+    The ping round pings every peer with an open breaker, neighbor or not,
+    and the replica's pong closes it. Were nothing to close it, the
+    fan-out would refuse the replica for good: it would never be read
+    again, and once its partner crashed its advertisements would be
     missing from every answer."""
     system, registries, _ = _cluster(n=6, r=2, w=1, services=12)
     client = system.add_client("lan-0")

@@ -80,11 +80,11 @@ MECHANISMS = (
               caller="repro.core.sharding:ShardManager.neighbor_added"),
     Mechanism("read retarget", "repro.core.sharding:ShardManager._retarget", returns=[]),
     Mechanism("rebalance transfer", "repro.core.sharding:ShardManager._schedule_rebalance"),
-    Mechanism("breaker half-open probe", "repro.core.forwarding:CircuitBreaker.would_allow",
-              returns=lambda breaker: breaker.state == "closed", part=_NEXT),
     Mechanism("artifact sync on neighbor_added",
               "repro.core.repository:ArtifactRepository.neighbor_added", part=_NEXT),
     Mechanism("standby promotion", "repro.core.standby:StandbyRegistry._promote", part=_NEXT),
+    Mechanism("durable state dropped on demotion",
+              "repro.core.durability:DurabilityManager.discard", part=_NEXT),
 )
 
 
