@@ -89,8 +89,8 @@ results-check:
 
 ## perf-pairs: `make perf-pairs PARENT=<rev> [CHANGE=<rev>] WORKLOAD=<name>
 ## [PAIRS=10] [SEED=1000]` runs benchmarks/perf/run.py at BENCHMARK.json's
-## run length on <rev> (exported to a temp dir) and on this tree (or on
-## CHANGE, exported too), PAIRS times, alternating which goes first, and
+## run length on <rev> (exported to a temp dir) and on a copy of this tree's
+## files that git does not ignore (or on CHANGE, exported too), PAIRS times, alternating which goes first, and
 ## prints per end-to-end metric both medians and quartiles,
 ## wins/ties/losses and gain / regression / unchanged / unresolved (see
 ## tools/perf_pairs.py). ~40 s per pair.

@@ -60,6 +60,12 @@ PRIORITY: dict[str, int] = {
     CLASS_SYNC: 4,
 }
 
+#: Seconds of BUSY back-off per queued message: the hint is
+#: ``RETRY_AFTER_BASE * (1 + queue_depth)``, deterministic and monotone in
+#: the backlog, so repeated BUSYs push clients off a saturated registry
+#: progressively harder.
+RETRY_AFTER_BASE = 0.1
+
 #: Which protocol messages fall under which admission class. Everything
 #: *not* listed here — probes, beacons, pings, federation handshakes,
 #: query responses, artifact transfers — is control plane: it is never
@@ -103,10 +109,8 @@ class AdmissionPolicy:
         Fraction of ``queue_limit`` at which the registry enters
         *degraded mode*: WAN fan-out is skipped and queries are answered
         from the local store with ``degraded=True``.
-    retry_after_base:
-        The BUSY hint is ``retry_after_base * (1 + queue_depth)`` —
-        deterministic and monotone in the backlog, so repeated BUSYs
-        push clients off a saturated registry progressively harder.
+
+    The BUSY hint's scale is the module constant :data:`RETRY_AFTER_BASE`.
     """
 
     renew_cost: float = 0.0
@@ -117,7 +121,6 @@ class AdmissionPolicy:
     queue_limit: int | None = 64
     prioritized: bool = True
     degrade_at: float = 0.5
-    retry_after_base: float = 0.25
 
     def __post_init__(self) -> None:
         for name in ("renew_cost", "publish_cost", "query_cost",
@@ -131,10 +134,6 @@ class AdmissionPolicy:
             )
         if not 0.0 < self.degrade_at <= 1.0:
             raise ReproError(f"degrade_at must be in (0, 1], got {self.degrade_at}")
-        if self.retry_after_base <= 0:
-            raise ReproError(
-                f"retry_after_base must be positive, got {self.retry_after_base}"
-            )
 
     def cost_for(self, admission_class: str) -> float:
         """Service time for one message of ``admission_class``."""
@@ -150,7 +149,7 @@ class AdmissionPolicy:
 
     def retry_after(self, queue_depth: int) -> float:
         """The BUSY back-off hint for a shed at ``queue_depth``."""
-        return self.retry_after_base * (1 + queue_depth)
+        return RETRY_AFTER_BASE * (1 + queue_depth)
 
 
 @dataclass

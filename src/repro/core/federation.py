@@ -166,8 +166,7 @@ class Federation:
         # detector rather than inheriting a stale pre-departure count.
         self._missed_pongs[other_id] = 0
         self.record_neighbor_success(other_id)
-        self.known[other_id] = description
-        self._tell("registry_observed", description)
+        self.observe(description)
         if is_new:
             self._tell("neighbor_added", other_id)
 

@@ -51,7 +51,9 @@ class WritePlan:
     message: str = ""
     body: Callable[[str], Any] | None = None
     #: Target confirmations awaited under a request id; ``None`` sends
-    #: untracked. A tracked write with no target settles at once.
+    #: untracked, and so does a quorum this registry's own copy already
+    #: meets (0 or less), which settles at once. A tracked write with no
+    #: target fails at once.
     quorum: int | None = None
     #: Whether the service is answered at the quorum, else at once and
     #: before anything is sent.
@@ -76,7 +78,8 @@ QUORUM_TIMEOUT = 0.5
 
 class _PendingWrite:
     """One tracked write, awaiting ``plan.quorum`` target confirmations
-    until :data:`QUORUM_TIMEOUT`."""
+    until :data:`QUORUM_TIMEOUT`, and retired the moment it settles: an ack
+    that arrives after that is a late one."""
 
     def __init__(self, writes: "WriteCoordinator", request_id: str, plan: WritePlan,
                  on_success: Callable[[], None], on_failure: Callable[[], None]) -> None:
@@ -87,13 +90,7 @@ class _PendingWrite:
         self.acked = 0
         self.on_success = on_success
         self.on_failure = on_failure
-        self.done = False
-        registry = writes.registry
-        self._timer = registry.after(QUORUM_TIMEOUT, self._timeout)
-        if self.acked >= self.needed:
-            # Nothing to wait for (W=1 and this registry is a replica):
-            # settled now, retired at the timeout.
-            self._finish(success=True)
+        self._timer = writes.registry.after(QUORUM_TIMEOUT, lambda: self._finish(success=False))
 
     def answer(self, src: str, *, found: bool) -> None:
         """``src`` confirmed the write, or refused it (capacity) and will
@@ -101,20 +98,19 @@ class _PendingWrite:
         if src in self.silent:
             self.silent.discard(src)
             self.acked += found
-        if self.done:
-            return
         if self.acked >= self.needed:
             self._finish(success=True)
         elif self.acked + len(self.silent) < self.needed:
             self._finish(success=False)
 
-    def _timeout(self) -> None:
-        if not self.done:
-            self._finish(success=self.acked >= self.needed)
-        self.writes.retire(self)
-
     def _finish(self, *, success: bool) -> None:
-        self.done = True
+        self._timer.cancel()
+        writes = self.writes
+        del writes._writes[self.request_id]
+        if success:
+            writes.quorum_acked += 1
+        else:
+            writes.quorum_failed += 1
         (self.on_success if success else self.on_failure)()
 
 
@@ -395,10 +391,16 @@ class WriteCoordinator:
         if not plan.at_quorum:
             ack()
             ack = nack = _nothing
-        if plan.quorum is None:
+        quorum = plan.quorum
+        if quorum is not None and quorum <= 0:
+            # This registry's own copy meets the quorum (W=1 at a replica):
+            # settled now, and nobody is asked to ack.
+            ack()
+            quorum = None
+        if quorum is None:
             self._send(plan, "")
         elif not plan.targets:
-            (ack if plan.quorum <= 0 else nack)()
+            nack()
         else:
             self._write_seq += 1
             request_id = f"{self.registry.node_id}/w{self._write_seq}"
@@ -419,13 +421,6 @@ class WriteCoordinator:
             self.late_acks += 1
         else:
             write.answer(src, found=found)
-
-    def retire(self, write: _PendingWrite) -> None:
-        self._writes.pop(write.request_id, None)
-        if write.done and write.acked >= write.needed:
-            self.quorum_acked += 1
-        else:
-            self.quorum_failed += 1
 
     # -- leases -------------------------------------------------------------------------
 

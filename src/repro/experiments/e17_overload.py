@@ -35,7 +35,7 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 
-from repro.core.admission import AdmissionPolicy
+from repro.core.admission import RETRY_AFTER_BASE, AdmissionPolicy
 from repro.core.config import DiscoveryConfig
 from repro.core.invariants import assert_invariants
 from repro.core.retry import RetryPolicy
@@ -65,7 +65,6 @@ def shedding_policy() -> AdmissionPolicy:
         queue_limit=32,
         prioritized=True,
         degrade_at=0.5,
-        retry_after_base=0.1,
         **_COSTS,
     )
 
@@ -317,5 +316,5 @@ def run_overload_smoke(*, seed: int = 0) -> dict:
         "baseline_4x": baseline_4x,
         "shed_pairs": shed_pairs,
         "baseline_shed_pairs": baseline_pairs,
-        "retry_after_base": shedding_policy().retry_after_base,
+        "retry_after_base": RETRY_AFTER_BASE,
     }

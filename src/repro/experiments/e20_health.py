@@ -67,19 +67,11 @@ PHASES = (
 
 
 def health_config() -> HealthConfig:
-    """E20's health tuning: fast-clock bounds matched to the deployment.
-
-    The deployment runs anti-entropy every 2 s and 6 s leases, so the
-    default 30 s staleness bound would never fire inside the scenario;
-    8 s (four missed rounds) is the matched bound. Queue depth alarms at
-    a sustained mean of 6 (the flood drives the 32-slot queue to full).
-    """
-    return HealthConfig(
-        enabled=True,
-        slow_window=30.0,
-        queue_depth_threshold=6.0,
-        antientropy_stale_after=8.0,
-    )
+    """E20's health tuning: queue depth alarms at a sustained mean of 6
+    (the flood drives the 32-slot queue to full). The staleness bound,
+    ``health.ANTIENTROPY_STALE_AFTER`` (8 s), is four missed rounds of
+    this deployment's 2 s anti-entropy."""
+    return HealthConfig(enabled=True, queue_depth_threshold=6.0)
 
 
 def _config(health: HealthConfig) -> DiscoveryConfig:

@@ -38,8 +38,7 @@ MULTI_LAN_EXPERIMENTS = frozenset(
 #: A deliberately tiny admission queue: a four-query burst saturates the
 #: registry, so the trace shows admission.shed events and query.busy
 #: retries (the e17, e18 and e20 captures, and E18's routing trace).
-TINY_QUEUE = AdmissionPolicy(query_cost=0.4, queue_limit=1, degrade_at=1.0,
-                             retry_after_base=0.1)
+TINY_QUEUE = AdmissionPolicy(query_cost=0.4, queue_limit=1, degrade_at=1.0)
 
 
 @dataclass

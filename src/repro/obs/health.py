@@ -44,7 +44,6 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.errors import ReproError
 from repro.obs.slo import (
     BURN_THRESHOLD,
     CLASS_PUBLISH,
@@ -79,6 +78,9 @@ LEASE_WINDOW = 10.0
 TICK_INTERVAL = 1.0
 #: Lease-expiry spike: expiries within :data:`LEASE_WINDOW`.
 LEASE_EXPIRY_SPIKE = 3
+#: Anti-entropy staleness: silence bound for a registry's rounds (four
+#: missed rounds at a 2 s ``antientropy_interval``).
+ANTIENTROPY_STALE_AFTER = 8.0
 
 #: Records retained per node ring (oldest evicted beyond this), and
 #: automatic dumps retained per run (oldest dropped beyond this).
@@ -94,21 +96,11 @@ class HealthConfig:
 
     #: Master switch. Off = no monitor, so nothing to feed or ask.
     enabled: bool = False
-    #: Slow burn-rate window (suppresses blips; the fast one is
-    #: :data:`repro.obs.slo.FAST_WINDOW`).
-    slow_window: float = 60.0
     #: Queue-depth growth: time-weighted mean depth over
     #: :data:`QUEUE_WINDOW`.
     queue_depth_threshold: float = 8.0
-    #: Anti-entropy staleness: silence bound for a registry's rounds.
-    antientropy_stale_after: float = 30.0
     #: Shed-rate step: sheds within :data:`SHED_WINDOW`.
     shed_step_threshold: int = 10
-
-    def __post_init__(self) -> None:
-        if self.antientropy_stale_after <= 0:
-            raise ReproError("detector windows must be positive, "
-                             f"got {self.antientropy_stale_after}")
 
 
 @dataclass(frozen=True)
@@ -235,7 +227,7 @@ def detectors(config: HealthConfig) -> tuple[Detector, ...]:
         Detector("antientropy-stale",
                  "a replicating registry's reconciliation rounds gone quiet: "
                  "the node is dead or its periodic machinery wedged",
-                 "antientropy-round", config.antientropy_stale_after, 1, _silent,
+                 "antientropy-round", ANTIENTROPY_STALE_AFTER, 1, _silent,
                  "test_antientropy_staleness_per_node_and_rearms"),
         Detector("lease-expiry-spike",
                  "a burst of lease expiries: renewals are not landing",
@@ -325,8 +317,7 @@ class HealthMonitor:
         self.recorders: dict[str, FlightRecorder] = {}
         self.alarms: list[Alarm] = []
         self.dumps: list[HealthDump] = []
-        self.slo = SLOTracker(clock, objectives=DEFAULT_OBJECTIVES,
-                              slow_window=config.slow_window)
+        self.slo = SLOTracker(clock, objectives=DEFAULT_OBJECTIVES)
         self.detectors = detectors(config)
         #: The (row name, scope key) pairs tripped at the last tick.
         self._tripped: set[tuple[str, str]] = set()

@@ -11,7 +11,7 @@ histograms. The burn-rate row of :mod:`repro.obs.health`'s detector
 table reads two windows at once:
 
 * a **fast** window (:data:`FAST_WINDOW`) that reacts quickly, and
-* a **slow** window (``HealthConfig.slow_window``) that suppresses blips,
+* a **slow** window (:data:`SLOW_WINDOW`) that suppresses blips,
 
 the classic multi-window burn-rate scheme: an objective *breaches* only
 when the error budget burns faster than :data:`BURN_THRESHOLD` in *both*
@@ -39,12 +39,13 @@ CLASS_PUBLISH = "publish"
 
 REQUEST_CLASSES = (CLASS_QUERY, CLASS_RENEW, CLASS_PUBLISH)
 
-#: Seconds of sim time per bucket. The fast window reacts quickly (the
-#: slow one, ``HealthConfig.slow_window``, suppresses blips); an objective
-#: breaches at this error-budget burn multiple in BOTH windows, and only
-#: with this many fast-window samples.
+#: Seconds of sim time per bucket. The fast window reacts quickly and the
+#: slow one suppresses blips; an objective breaches at this error-budget
+#: burn multiple in BOTH windows, and only with this many fast-window
+#: samples.
 BUCKET = 1.0
 FAST_WINDOW = 5.0
+SLOW_WINDOW = 30.0
 BURN_THRESHOLD = 2.0
 MIN_SAMPLES = 5
 
@@ -139,14 +140,12 @@ class SLOTracker:
     """Rolling-window outcomes for the request classes with an objective."""
 
     def __init__(self, clock: Callable[[], float], *,
-                 objectives: tuple[SLOObjective, ...], slow_window: float) -> None:
-        if slow_window < FAST_WINDOW:
-            raise ReproError(f"the slow SLO window must be at least the fast "
-                             f"one ({FAST_WINDOW}), got {slow_window}")
+                 objectives: tuple[SLOObjective, ...]) -> None:
         self.clock = clock
-        self.slow_window = slow_window
+        #: :data:`SLOW_WINDOW` as this tracker was built with it.
+        self.slow_window = SLOW_WINDOW
         #: Request class → its window, in sorted class order.
-        self.windows = {obj.request_class: ClassWindow(obj, slow_window)
+        self.windows = {obj.request_class: ClassWindow(obj, self.slow_window)
                         for obj in sorted(objectives, key=lambda o: o.request_class)}
 
     def record(self, request_class: str, *, ok: bool, latency: float = 0.0) -> None:

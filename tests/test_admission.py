@@ -9,6 +9,7 @@ from repro.core.admission import (
     CLASS_FORWARD,
     CLASS_QUERY,
     CLASS_RENEW,
+    RETRY_AFTER_BASE,
     AdmissionController,
     AdmissionPolicy,
     request_id_of,
@@ -37,8 +38,6 @@ def test_policy_validation():
         AdmissionPolicy(degrade_at=0.0)
     with pytest.raises(ReproError):
         AdmissionPolicy(degrade_at=1.5)
-    with pytest.raises(ReproError):
-        AdmissionPolicy(retry_after_base=0.0)
 
 
 def test_policy_classifies_data_plane_only():
@@ -53,10 +52,10 @@ def test_policy_classifies_data_plane_only():
 
 
 def test_retry_after_is_monotone_in_depth():
-    policy = AdmissionPolicy(retry_after_base=0.25)
+    policy = AdmissionPolicy()
     hints = [policy.retry_after(depth) for depth in range(10)]
     assert hints == sorted(hints)
-    assert hints[0] == 0.25  # depth 0 still backs off
+    assert hints[0] == RETRY_AFTER_BASE > 0  # depth 0 still backs off
 
 
 def test_request_id_of_payloads():
@@ -150,8 +149,7 @@ def test_renew_jumps_the_query_queue():
 
 
 def test_overflow_sheds_with_busy():
-    policy = AdmissionPolicy(query_cost=0.1, queue_limit=2,
-                             retry_after_base=0.25)
+    policy = AdmissionPolicy(query_cost=0.1, queue_limit=2)
     sim, sink, src = _rig(policy)
     for i in range(5):  # 1 in service + 2 queued + 2 shed
         sink.admission.intercept(_query(src, i))
@@ -242,8 +240,7 @@ def test_negative_retry_after_hint_rejected():
 
 def _active_policy(**overrides):
     kwargs = dict(query_cost=0.2, forward_cost=0.1, publish_cost=0.01,
-                  renew_cost=0.01, queue_limit=4, degrade_at=0.25,
-                  retry_after_base=0.2)
+                  renew_cost=0.01, queue_limit=4, degrade_at=0.25)
     kwargs.update(overrides)
     return AdmissionPolicy(**kwargs)
 

@@ -19,7 +19,7 @@ from repro.core.config import CONFIG_CLASSES
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
-CEILING = 47
+CEILING = 44
 
 
 def test_settable_values_do_not_grow():

@@ -529,6 +529,39 @@ class TestDiskFaults:
         fresh.start()
         assert fresh.incarnation == 1
 
+    def test_a_demoted_standby_promoted_again_replays_none_of_the_ads_it_handed_back(self):
+        """A standby that stepped down hands its content back to the LAN's
+        live registry. An ad removed there while the standby is dormant
+        must not come back from the standby's own log when it is promoted
+        again, even though the lease it logged has not run out."""
+        config = DiscoveryConfig(
+            beacon_interval=1.0, lease_duration=120.0, renew_fraction=0.05,
+            purge_interval=1.0, query_timeout=2.0, aggregation_timeout=0.3,
+            durability=DurabilityConfig(enabled=True),
+        )
+        system = DiscoverySystem(seed=31, ontology=battlefield_ontology(), config=config)
+        system.add_lan("lan-0")
+        primary = system.add_registry("lan-0")
+        standby = system.add_standby_registry("lan-0", lan_target=1)
+        service = system.add_service("lan-0", _radar("radar-0"))
+        system.run(until=3.0)
+        primary.crash()
+        system.run_for(25.0)
+        held = {ad.ad_id for ad in standby.store.all()}
+        assert standby.active and held
+        primary.restart()
+        system.run_for(20.0)
+        assert standby.demotions == 1 and service.tracker.current == primary.node_id
+        service.deregister()  # graceful shutdown: the ads are removed at the primary
+        system.run_for(2.0)
+        service.crash()
+        assert not held & {ad.ad_id for ad in primary.store.all()}
+        primary.crash()
+        while not standby.active:
+            system.run_for(0.1)
+        assert standby.promotions == 2
+        assert not held & {ad.ad_id for ad in standby.store.all()}
+
 
 # -- incarnation fencing ---------------------------------------------------
 

@@ -11,6 +11,7 @@ of dumps — including across a crash/restart with durability enabled.
 from __future__ import annotations
 
 import json
+from unittest import mock
 
 import pytest
 
@@ -20,14 +21,14 @@ from repro.core.forwarding import BREAKER_CLOSED, BREAKER_OPEN, CircuitBreaker
 from repro.core.system import DiscoverySystem
 from repro.errors import ReproError
 from repro.experiments import e20_health
-from repro.obs import health
+from repro.obs import health, slo
 from repro.obs.health import (
     FlightRecorder,
     HealthConfig,
     HealthMonitor,
 )
 from repro.obs.metrics import Gauge, MetricsRegistry
-from repro.obs.slo import FAST_WINDOW, MIN_SAMPLES
+from repro.obs.slo import MIN_SAMPLES
 from repro.obs.tracing import TraceRecorder
 from repro.semantics.generator import battlefield_ontology
 from repro.semantics.profiles import ServiceProfile, ServiceRequest
@@ -73,11 +74,6 @@ def _system(health: HealthConfig, *, seed: int = 0,
 
 
 # -- config validation -------------------------------------------------------
-
-
-def test_health_config_rejects_bad_window():
-    with pytest.raises(ReproError):
-        HealthConfig(antientropy_stale_after=-1.0)
 
 
 def test_default_health_config_is_disabled():
@@ -229,7 +225,9 @@ def test_every_alarm_e20_expects_is_raised_by_a_row():
 
 
 def _slo_monitor():
-    state, _metrics, monitor = _monitor(slow_window=10.0)
+    """A monitor whose SLO windows were built with a 10 s slow window."""
+    with mock.patch.object(slo, "SLOW_WINDOW", 10.0):
+        state, _metrics, monitor = _monitor()
     return state, monitor
 
 
@@ -299,11 +297,6 @@ def test_slo_empty_windows_are_healthy():
     }
 
 
-def test_slo_rejects_slow_window_shorter_than_fast():
-    with pytest.raises(ReproError):
-        _monitor(slow_window=FAST_WINDOW - 1.0)
-
-
 # -- the registry-transience rows (through the monitor's tick) ----------------
 
 
@@ -347,18 +340,19 @@ def test_queue_growth_uses_time_weighted_mean():
 
 
 def test_antientropy_staleness_per_node_and_rearms():
-    state, _metrics, monitor = _monitor(antientropy_stale_after=30.0)
+    stale = health.ANTIENTROPY_STALE_AFTER
+    state, _metrics, monitor = _monitor()
     trace = _heard(state, monitor)
     trace.event("antientropy-round", node="r1", attrs={"n": 1})
-    state["t"] = 30.0
+    state["t"] = stale
     monitor.tick()
     _assert_alarms(monitor, "antientropy-stale")
     assert monitor.alarms[0].node == "r1"
     trace.event("antientropy-round", node="r1", attrs={"n": 1})  # the node came back
-    state["t"] = 31.0
+    state["t"] = stale + 1.0
     monitor.tick()
     assert len(monitor.alarms) == 1
-    state["t"] = 61.0
+    state["t"] = 2 * stale + 1.0
     monitor.tick()  # silent again: the edge re-fires
     _assert_alarms(monitor, "antientropy-stale", "antientropy-stale")
 

@@ -7,6 +7,7 @@ import contextlib
 import importlib.util
 import json
 import pathlib
+import subprocess
 
 import pytest
 
@@ -56,18 +57,22 @@ SPEC = json.loads((perf_pairs.ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = [w["name"] for w in SPEC["workloads"]]
 
 
+#: The name the fake export gives the working tree's copy.
+WORKING = "working-tree"
+
+
 def _fake_harness(monkeypatch, worse_on: str = "") -> list:
-    """Replace the parent export and the benchmark run; returns the runs made.
+    """Replace the exports and the benchmark run; returns the runs made.
     The change reads twice as bad as the parent on workload ``worse_on``."""
     runs = []
 
     @contextlib.contextmanager
     def exported(rev):
-        yield pathlib.Path("/exported") / rev
+        yield pathlib.Path("/exported") / (rev or WORKING)
 
     def run_once(tree, workload, seed, seconds):
         runs.append((tree.name, workload, seed))
-        worse = workload == worse_on and tree == perf_pairs.ROOT
+        worse = workload == worse_on and tree.name == WORKING
         value = {"higher": 0.5, "lower": 2.0} if worse else {"higher": 1.0, "lower": 1.0}
         return {"failed": 0, "attempted": 8,
                 "metrics": {m["name"]: {"value": value[m["better"]]}
@@ -83,9 +88,8 @@ def test_workload_all_runs_every_workload_against_one_export(monkeypatch, capsys
     runs = _fake_harness(monkeypatch)
     assert perf_pairs.main(["--parent", "rev", "--workload", "all",
                             "--pairs", "2", "--seed", "7"]) == 0
-    change = perf_pairs.ROOT.name
     assert runs == [(side, name, seed) for name in WORKLOADS
-                    for seed, sides in ((7, ("rev", change)), (8, (change, "rev")))
+                    for seed, sides in ((7, ("rev", WORKING)), (8, (WORKING, "rev")))
                     for side in sides]
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in lines if line.startswith("# ") and ":" in line] \
@@ -118,3 +122,26 @@ def test_unknown_workload_is_refused_before_anything_runs(monkeypatch):
     with pytest.raises(SystemExit):
         perf_pairs.main(["--parent", "rev", "--workload", "nope"])
     assert runs == []
+
+
+def test_the_working_tree_runs_from_a_copy_of_what_git_does_not_ignore(monkeypatch, tmp_path):
+    """Without ``--change`` the change side is a fresh copy too: tracked and
+    untracked files, not ignored ones, nor a tracked file deleted here."""
+    def git(*args):
+        subprocess.run(["git", *args], cwd=tmp_path, check=True, capture_output=True)
+
+    git("init", "-q")
+    for name, text in {".gitignore": "build/\n", "tracked.py": "1", "gone.py": "2",
+                       "pkg/edited.py": "3", "pkg/new.py": "4", "build/out.bin": "5"}.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    git("add", ".gitignore", "tracked.py", "gone.py", "pkg/edited.py")
+    (tmp_path / "gone.py").unlink()
+    (tmp_path / "pkg" / "edited.py").write_text("edited")
+    monkeypatch.setattr(perf_pairs, "ROOT", tmp_path)
+    with perf_pairs.exported(None) as tree:
+        copied = {str(path.relative_to(tree)): path.read_text()
+                  for path in tree.rglob("*") if path.is_file()}
+    assert copied == {".gitignore": "build/\n", "tracked.py": "1",
+                      "pkg/edited.py": "edited", "pkg/new.py": "4"}
+    assert not tree.exists()

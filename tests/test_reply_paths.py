@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from unittest import mock
 
 import pytest
 
@@ -354,11 +355,11 @@ def service_busy_deferred() -> dict:
     """A registry that takes 0.3 s per renew and queues one: the three
     renews of a tick are served, queued and shed — the shed one comes
     back on the BUSY's hint, beside the still-armed retry chain. Then a
-    republish under the same squeeze (publishes are shed too)."""
+    republish under the same squeeze (publishes are shed too), with BUSY
+    hints of 0.4 s per queued message."""
     config = DiscoveryConfig(
         lease_duration=10.0, purge_interval=1.0,
-        admission=AdmissionPolicy(renew_cost=0.3, publish_cost=0.3,
-                                  queue_limit=1, retry_after_base=0.4),
+        admission=AdmissionPolicy(renew_cost=0.3, publish_cost=0.3, queue_limit=1),
     )
     system = DiscoverySystem(seed=21, ontology=battlefield_ontology(),
                              config=config)
@@ -369,7 +370,8 @@ def service_busy_deferred() -> dict:
     log: list = []
     _tap(service, log)
     system.sim.schedule_at(9.0, lambda: service.update_profile(service.profile))
-    system.run(until=30.0)
+    with mock.patch("repro.core.admission.RETRY_AFTER_BASE", 0.4):
+        system.run(until=30.0)
     assert service.busy_deferrals > 0
     assert registry.admission.shed > 0
     assert_invariants(system)
@@ -430,6 +432,9 @@ SCENARIOS = [
 ]
 
 #: Recorded on the parent of the consolidation (commit 75978d2).
+#: ``walk_ended_by_busy``'s trace was re-recorded when the BUSY hint's
+#: base became the constant ``admission.RETRY_AFTER_BASE`` (0.1 s; the
+#: run had the old 0.25 s default): only the hint the trace records moved.
 EXPECTED: dict[str, dict] = {'flood_with_crashed_neighbour': {'trace': '0bdec14cb66562917ecb18f3e1f9b7434a779d52f66560662d3c6aa78655a433',
                                   'wire': '89da817a7112d475aae7481d3568663f46a53a6648e94bdd6da74deb02b23a85',
                                   'retries': {},
@@ -514,7 +519,7 @@ EXPECTED: dict[str, dict] = {'flood_with_crashed_neighbour': {'trace': '0bdec14c
                                                'registry-00',
                                                [],
                                                '1.2020000000000004']]},
- 'walk_ended_by_busy': {'trace': 'aedc888bf04ca432daf853eaaeaf9d07f1283ea5b38b978fa0de95901458e23f',
+ 'walk_ended_by_busy': {'trace': '1ffedbb8a8745a6e1a1a12cdae1d4071f733cc644e2a5909afd95d0292e909b5',
                         'wire': 'ac10d89ef168747d5cf05f1efd00d9e94b506bd73ed31995fcf74a0be1e3ae82',
                         'retries': {},
                         'recoveries': {},

@@ -358,3 +358,27 @@ def test_rebalance_moves_no_lapsed_advertisement():
     assert joiner.alive and joiner.node_id in first.shard.ring
     assert len(joiner.store) == 0
     assert first.shard.ads_moved_out == 0 and joiner.shard.ads_moved_in == 0
+
+
+# -- a registry that joins --------------------------------------------------
+
+
+@pytest.mark.parametrize("n, r", [(4, 2), (4, 3), (6, 2)])
+def test_a_joining_registry_is_placed_everywhere_within_a_second(n, r):
+    """A registry that joins by ``FEDERATION_JOIN`` is rumored to the whole
+    federation at once, as a beaconed or gossiped one is: placement and
+    convergence are clean within a second of the join, not at the next
+    signalling round, and a discover finds every advertisement."""
+    system, registries, _ = _cluster(n=n, r=r, services=12)
+    client = system.add_client("lan-0")
+    system.run(until=10.0)
+    system.add_lan("lan-joiner")
+    joiner = system.add_registry("lan-joiner", node_id="registry-joiner",
+                                 seeds=(registries[0].node_id,))
+    system.run_for(1.0)
+    for registry in registries:
+        assert joiner.node_id in registry.shard.ring, registry.node_id
+    assert check_shard_placement(system) == []
+    assert check_convergence(system) == []
+    call = system.discover(client, REQUEST, timeout=20.0)
+    assert call.completed and len(call.hits) == 12

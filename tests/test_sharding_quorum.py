@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import pytest
+
 from repro.core import protocol
 from repro.core.config import COOPERATION_REPLICATE_ADS, DiscoveryConfig
 from repro.core.durability import (
@@ -24,6 +26,7 @@ from repro.core.invariants import (
 )
 from repro.core.sharding import ShardingConfig
 from repro.core.system import DiscoverySystem
+from repro.core.writes import WriteCoordinator
 from repro.netsim.messages import Envelope
 from repro.semantics.generator import battlefield_ontology
 from repro.semantics.profiles import ServiceProfile, ServiceRequest
@@ -96,6 +99,56 @@ def test_quorum_failure_nacks_and_service_retries():
     assert coordinator.writes.quorum_failed > 0
     assert coordinator.node_id not in late.tracker.excluded
     assert late.publish_retries > 0
+
+
+# -- tracked writes in closed form -------------------------------------------
+
+
+ACKS = (protocol.SHARD_STORE_ACK, protocol.SHARD_RENEW_ACK, protocol.SHARD_REMOVE_ACK)
+
+
+@pytest.mark.parametrize("n, r, w", [(4, 3, 2), (5, 3, 1), (4, 3, 3), (4, 2, 2)])
+def test_each_tracked_write_is_acked_once_per_target(monkeypatch, n, r, w):
+    """On a settled, fault-free ring, every write a registry settles obeys:
+
+    * a quorum of 0 or less (this registry's own copy meets it) is not
+      tracked, and no replica acks it;
+    * every other write is tracked and asks each target for one ack; each
+      ack is counted once, toward its quorum or in ``late_acks``;
+    * so a tracked write adds ``len(targets) - quorum`` to ``late_acks``.
+    """
+    system, registries = _cluster(n=n, r=r, w=w, services=0)
+    settled = []
+    settle = WriteCoordinator._settle
+
+    def recording(writes, plan, *args):
+        settled.append(plan)
+        settle(writes, plan, *args)
+
+    system.run(until=5.0)
+    monkeypatch.setattr(WriteCoordinator, "_settle", recording)
+    before = [dict(reg.writes.counters()) for reg in registries]
+    acks_before = sum(system.network.stats.by_type_count[t] for t in ACKS)
+    for i in range(18):
+        system.sim.schedule_at(5.0 + i / 6, lambda i=i: system.add_service(
+            f"lan-{i % n}", _radar(f"radar-{i}")))
+    system.run(until=12.0)
+
+    tracked = [p for p in settled if p.quorum is not None and p.quorum > 0]
+    untracked = [p for p in settled if p.quorum is not None and p.quorum <= 0]
+    assert len(tracked) + len(untracked) >= 18  # every publish is a quorum write
+    assert (len(untracked) > 0) == (w == 1)
+    assert all(p.targets for p in tracked)
+    delta = {name: sum(reg.writes.counters()[name] - b[name]
+                       for reg, b in zip(registries, before))
+             for name in WriteCoordinator.COUNTERS}
+    asked = sum(len(p.targets) for p in tracked)
+    assert delta == {
+        "quorum_writes": len(tracked), "quorum_acked": len(tracked), "quorum_failed": 0,
+        "late_acks": sum(len(p.targets) - p.quorum for p in tracked),
+    }
+    acks = sum(system.network.stats.by_type_count[t] for t in ACKS) - acks_before
+    assert acks == asked == sum(p.quorum for p in tracked) + delta["late_acks"]
 
 
 # -- catching up after a restart --------------------------------------------

@@ -17,6 +17,7 @@ from repro.core.durability import DurabilityConfig
 from repro.core.invariants import check_invariants, check_recovery, store_snapshot
 from repro.core.sharding import ConsistentHashRing, ShardingConfig
 from repro.core.system import DiscoverySystem
+from repro.core.writes import QUORUM_TIMEOUT
 from repro.descriptions.uri import UriDescription
 from repro.netsim.node import Node
 from repro.registry.advertisements import Advertisement
@@ -272,3 +273,30 @@ def test_a_renew_naming_another_ads_lease_is_nacked_and_renews_nothing():
     system.run(until=11.5)
     assert "ad-a" not in registry.store and "ad-b" not in registry.store
     assert check_invariants(system) == []
+
+
+def test_a_proxy_lease_renew_with_no_replica_to_ask_is_nacked_at_once():
+    """A ``shard:`` lease is renewed by the first other replica still
+    holding the ad. Where the ring names no other replica the write has no
+    target to wait for: it is NACKed at once (the service republishes), not
+    after ``QUORUM_TIMEOUT``, and nothing is tracked."""
+    config = DiscoveryConfig(cooperation=COOPERATION_REPLICATE_ADS, beacon_interval=None,
+                             sharding=ShardingConfig(enabled=True))
+    system = DiscoverySystem(seed=3, ontology=battlefield_ontology(), config=config)
+    system.add_lan("lan-0")
+    registry = system.add_registry("lan-0")
+    replies = []
+
+    class Service(Node):
+        def handle_message(self, envelope):
+            if envelope.msg_type in (protocol.RENEW_ACK, protocol.RENEW_NACK):
+                replies.append((envelope.msg_type, self.sim.now))
+
+    service = system.network.add_node(Service("svc"), "lan-0")
+    system.run(until=0.5)
+    service.send(registry.node_id, protocol.RENEW,
+                 protocol.RenewPayload(lease_id="shard:ad-x", ad_id="ad-x"))
+    system.run_for(1.0)
+    (kind, at), = replies
+    assert kind == protocol.RENEW_NACK and at < 0.5 + QUORUM_TIMEOUT / 2
+    assert registry.writes.counters()["quorum_writes"] == 0

@@ -84,7 +84,7 @@ MECHANISMS = (
               "repro.core.repository:ArtifactRepository.neighbor_added", part=_NEXT),
     Mechanism("standby promotion", "repro.core.standby:StandbyRegistry._promote", part=_NEXT),
     Mechanism("durable state dropped on demotion",
-              "repro.core.durability:DurabilityManager.discard", part=_NEXT),
+              "repro.core.durability:DurabilityManager.discard", part="durable standby"),
 )
 
 

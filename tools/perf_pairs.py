@@ -5,10 +5,12 @@
         [--pairs N] [--seed S]
 
 The *change* is this working tree, or ``--change <rev>``; the *parent* is
-``<rev>``. A revision is exported into a temporary directory (``git
-archive``: nothing is written under ``.git``, and the directory is removed
-on exit). ``--change`` equal to ``--parent`` is an A/A run: what it reads
-is the noise a claim has to clear. Pair ``i`` runs
+``<rev>``. Both sides run from a fresh copy in a temporary directory,
+removed on exit: a revision is exported with ``git archive`` (nothing is
+written under ``.git``), the working tree by copying its tracked and
+untracked files, ignored ones left out. ``--change`` equal to
+``--parent`` is an A/A run: what it reads is the noise a claim has to
+clear. Pair ``i`` runs
 
     python3 benchmarks/perf/run.py --workload W --seed S+i --seconds R --trace 0
 
@@ -43,6 +45,7 @@ import argparse
 import contextlib
 import json
 import pathlib
+import shutil
 import statistics
 import subprocess
 import sys
@@ -114,12 +117,23 @@ def same_harness(parent: str, change: str | None) -> None:
 
 
 @contextlib.contextmanager
-def exported(rev: str) -> Iterator[pathlib.Path]:
-    """``rev`` exported into a temporary directory, removed on exit."""
+def exported(rev: str | None) -> Iterator[pathlib.Path]:
+    """``rev`` exported into a temporary directory, removed on exit;
+    ``None`` copies this working tree's files that git does not ignore."""
     with tempfile.TemporaryDirectory(prefix="perf-pairs-") as tmp:
-        archive = subprocess.run(["git", "archive", rev], cwd=ROOT,
-                                 check=True, capture_output=True).stdout
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        if rev is None:
+            listed = subprocess.run(
+                ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+                cwd=ROOT, check=True, capture_output=True).stdout.decode()
+            for name in filter(None, listed.split("\0")):
+                source, target = ROOT / name, pathlib.Path(tmp, name)
+                if source.is_file():  # a tracked file deleted here is listed too
+                    target.parent.mkdir(parents=True, exist_ok=True)
+                    shutil.copy2(source, target)
+        else:
+            archive = subprocess.run(["git", "archive", rev], cwd=ROOT,
+                                     check=True, capture_output=True).stdout
+            subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
         yield pathlib.Path(tmp)
 
 
@@ -182,7 +196,7 @@ def main(argv: list[str] | None = None) -> int:
     same_harness(args.parent, args.change)
     with contextlib.ExitStack() as stack:
         trees = {"parent": stack.enter_context(exported(args.parent)),
-                 "change": stack.enter_context(exported(args.change)) if args.change else ROOT}
+                 "change": stack.enter_context(exported(args.change))}
         regressed = [compare(trees, spec, workload, parent=args.parent,
                              change=args.change or "working tree",
                              pairs=args.pairs, seed=args.seed)
