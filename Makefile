@@ -163,7 +163,7 @@ reach-check:
 ## declared in tools/knockout.py, replaces its method from outside src/ by
 ## a no-op, runs the tier-1 tests naming its module, the pins and
 ## results-check's test run, and rewrites docs/KNOCKOUTS.md: per mechanism
-## the tests that fail and the results lines that move. ~11 min for the
+## the tests that fail and the results lines that move. ~16 min for the
 ## table on two cores; tests/test_knockout.py checks the declared targets
 ## resolve and each has one row.
 REV ?= HEAD

@@ -382,7 +382,7 @@ class ClientNode(Node):
             # clients de-synchronize instead of stampeding the
             # replacement registry.
             self.query_retries += 1
-            self.network.stats.record_retry("query" if busy is None else "query-busy")
+            self.count("retry.query" if busy is None else "retry.query-busy")
             delay = policy.delay(
                 call.attempts - 1, seed=self.sim.seed,
                 key=f"{self.node_id}/{call.seq}",

@@ -238,7 +238,7 @@ class ServiceNode(Node):
                 self.renew_retries += 1
             else:
                 self.publish_retries += 1
-            self.network.stats.record_retry(kind)
+            self.count(f"retry.{kind}")
             (self._send_renew if renew else self._send_publish)(registry_id, record)
             if hint is None:
                 self._resend_unless_answered(
@@ -319,11 +319,14 @@ class ServiceNode(Node):
                       latency=self.sim.now - sent_at if sent_at is not None else 0.0)
 
     def handle_publish_nack(self, envelope: Envelope) -> None:
-        """The registry refused us (at capacity): publish elsewhere.
+        """The registry refused us (at capacity, or it is a standby that
+        stepped down): publish elsewhere.
 
-        The refusing registry is excluded from attachment choices until
+        A registry at capacity is excluded from attachment choices until
         what it held has been renewed or purged (``RegistryTracker.exclude``),
-        so beacon-driven re-homing does not bounce us back into the NACK.
+        so beacon-driven re-homing does not bounce us back into the NACK. A
+        dormant standby is not: failing over forgets it, it beacons nothing
+        until it promotes again, and then it is a registry we may need.
         """
         payload = envelope.payload
         self.answered(protocol.PUBLISH, ok=False)
@@ -336,7 +339,8 @@ class ServiceNode(Node):
             # excluding it. Arming a fresh chain here would stack one
             # more chain per NACK — an exponential publish storm.
             return
-        self.tracker.exclude(envelope.src)
+        if payload.reason != "dormant":
+            self.tracker.exclude(envelope.src)
         self.tracker.registry_failed()
 
     def handle_busy(self, envelope: Envelope) -> None:

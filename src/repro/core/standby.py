@@ -36,6 +36,10 @@ from repro.errors import ReproError
 from repro.netsim.messages import Envelope
 from repro.registry.rim import RegistryDescription
 
+#: What a dormant standby does not ignore.
+_ANSWERED_WHILE_DORMANT = frozenset({
+    protocol.REGISTRY_BEACON, protocol.RENEW, protocol.PUBLISH})
+
 
 class StandbyRegistry(RegistryNode):
     """A node willing to take the registry role when its LAN needs one."""
@@ -93,12 +97,25 @@ class StandbyRegistry(RegistryNode):
     # -- dormant behaviour -----------------------------------------------------
 
     def receive(self, envelope: Envelope) -> None:
-        """While dormant, observe beacons and silently ignore the rest."""
+        """While dormant, observe beacons, turn away the renews and
+        publishes of a service still attached here from an active life (its
+        lease is gone: ``RENEW_NACK``; this is no registry:
+        ``PUBLISH_NACK`` ``"dormant"``, so it re-attaches to a live one at
+        once), and silently ignore the rest."""
+        msg_type = envelope.msg_type
         if self.active:
             super().receive(envelope)
-        elif self.alive and envelope.msg_type == protocol.REGISTRY_BEACON \
-                and not self.malformed(envelope):
+        elif not self.alive or msg_type not in _ANSWERED_WHILE_DORMANT \
+                or self.malformed(envelope):
+            return
+        elif msg_type == protocol.REGISTRY_BEACON:
             self._note_beacon(envelope.payload)
+        elif msg_type == protocol.RENEW:
+            self.send(envelope.src, protocol.RENEW_NACK, envelope.payload)
+        else:
+            payload = envelope.payload
+            self.send(envelope.src, protocol.PUBLISH_NACK, protocol.PublishNack(
+                ad_id=payload.ad_id, model_id=payload.model_id, reason="dormant"))
 
     def _note_beacon(self, description: RegistryDescription) -> None:
         """Remember when (and on which ring identity) a registry beaconed."""

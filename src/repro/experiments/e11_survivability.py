@@ -132,6 +132,6 @@ def run_fault_scenario(
         "connected_before": before,
         "connected_during": during,
         "connected_after": after,
-        "recoveries": dict(system.network.stats.recoveries),
+        "recoveries": system.network.metrics.tallies("recovery"),
     }
 

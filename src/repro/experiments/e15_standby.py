@@ -167,5 +167,5 @@ def _run_warm_one(warm: bool, outage_at: float, window: float, seed: int) -> dic
         "staleness": staleness,
         "standby_store": len(standby.store),
         "served_after": call.succeeded,
-        "warm_syncs": system.network.stats.recoveries.get("standby-warm-sync", 0),
+        "warm_syncs": system.network.metrics.tallies("recovery").get("standby-warm-sync", 0),
     }

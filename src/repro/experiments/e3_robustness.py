@@ -174,7 +174,7 @@ def run_fault_scenario(
         "completed": sum(1 for q in issued if q.call.completed),
         "queries": len(issued),
         "alive_registries": sum(1 for r in system.registries if r.alive),
-        "recoveries": dict(system.network.stats.recoveries),
+        "recoveries": system.network.metrics.tallies("recovery"),
     }
 
 
@@ -237,7 +237,7 @@ def run_convergence_scenario(
         "rounds_to_converge": rounds,
         "max_rounds": max_rounds,
         "antientropy": counters,
-        "recoveries": dict(system.network.stats.recoveries),
+        "recoveries": system.network.metrics.tallies("recovery"),
     }
 
 
@@ -294,5 +294,5 @@ def run_degraded_latency(
         "after_open_mean": sum(after_open) / len(after_open),
         "aggregation_timeout": config.aggregation_timeout,
         "breaker_states": system.registries[0].federation.breaker_states(),
-        "recoveries": dict(system.network.stats.recoveries),
+        "recoveries": system.network.metrics.tallies("recovery"),
     }

@@ -14,6 +14,14 @@ from typing import Any
 
 from repro.netsim.stats import TrafficStats
 
+#: The message types that carry queries and their answers; everything else
+#: a window sees is maintenance.
+QUERY_TYPES = frozenset({
+    "query", "query-forward", "query-response",
+    "walk", "walk-hits", "walk-end",
+    "decentral-query", "decentral-response",
+})
+
 
 @dataclass
 class TrafficWindow:
@@ -55,28 +63,15 @@ class TrafficWindow:
             if bytes_ != before.get(msg_type, 0)
         }
 
-    def maintenance_bytes(self) -> int:
-        """Bytes spent on registry-network upkeep rather than queries."""
-        maintenance_types = {
-            "registry-beacon", "registry-probe", "registry-probe-reply",
-            "registry-ping", "registry-pong", "registry-list-request",
-            "registry-list-reply", "federation-join", "federation-join-ack",
-            "federation-leave", "renew", "renew-ack", "renew-nack",
-            "publish", "publish-ack", "ad-forward",
-        }
-        return sum(
-            bytes_ for msg_type, bytes_ in self.bytes_by_type().items()
-            if msg_type in maintenance_types
-        )
-
     def query_bytes(self) -> int:
         """Bytes spent carrying queries and responses."""
-        query_types = {
-            "query", "query-forward", "query-response",
-            "walk", "walk-hits", "walk-end",
-            "decentral-query", "decentral-response",
-        }
         return sum(
             bytes_ for msg_type, bytes_ in self.bytes_by_type().items()
-            if msg_type in query_types
+            if msg_type in QUERY_TYPES
         )
+
+    def maintenance_bytes(self) -> int:
+        """Bytes spent on registry-network upkeep: every byte that is not
+        query traffic (beacons, pings, renewals, gossip, anti-entropy,
+        shard placement)."""
+        return sum(self.bytes_by_type().values()) - self.query_bytes()

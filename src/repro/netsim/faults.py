@@ -15,8 +15,8 @@ Two properties make plans useful for experiments:
   plan to two identically seeded deployments produces bit-identical runs
   (the stochastic churn builder draws from its *own* seeded RNG at build
   time, and :func:`removal_order` shuffles with the RNG it is handed).
-* **Accounting** — every injected fault is counted in
-  ``network.stats.faults`` and recorded in the applied plan's history, so
+* **Accounting** — every injected fault is counted in the run's
+  ``fault.<kind>`` counter and recorded in the applied plan's history, so
   an experiment row can state exactly what it survived.
 
 Example
@@ -406,7 +406,7 @@ class AppliedFaults:
                 self.history.append(FailureEvent(now, KIND_CRASH, node_id))
         # Loss windows and latency spikes were installed at apply time
         # (they are time-scoped); this event just marks their onset.
-        self.network.stats.record_fault(action.kind)
+        self.network.metrics.counter(f"fault.{action.kind}").inc()
         self.history.append(FailureEvent(now, action.kind, action.node_id))
 
     def _resolve_replicas(self, key: str, count: int) -> list[str]:

@@ -165,10 +165,9 @@ class Network:
         #: The run's metrics facade. The transport feeds per-message-type
         #: delivery-latency and hop-count histograms; protocol agents add
         #: their own instruments (query latency, matchmaker work) through
-        #: the same registry. TrafficStats mirrors its retry/fault/
-        #: recovery/drop counters here so event rates are queryable too.
+        #: the same registry, and every drop is counted here by reason
+        #: (``drop.<reason>``).
         self.metrics = MetricsRegistry()
-        self.stats.metrics = self.metrics
         #: Message type → its ``latency.<type>`` histogram and the shared
         #: ``hops.delivered`` one, asked of the registry on the type's
         #: first delivery and not again.
@@ -394,8 +393,7 @@ class Network:
         wan = src_lan != dst_lan and src_lan is not None and dst_lan is not None
         self.stats.record_send(envelope.msg_type, envelope.src, size, wan=wan, multicast=False)
         if not self._linked(src_lan, dst_lan):
-            self.stats.record_drop("unreachable")
-            self._trace_drop(envelope, "unreachable")
+            self._dropped(envelope, "unreachable")
             return
         if (self.loss_rate or self.loss_windows) and self._lost(
                 envelope, dst_id, self._fault_loss(src_lan, dst_lan)):
@@ -450,8 +448,7 @@ class Network:
             reason = "fault-loss"
         else:
             return False
-        self.stats.record_drop(reason)
-        self._trace_drop(envelope, reason, dst=dst_id)
+        self._dropped(envelope, reason, dst=dst_id)
         return True
 
     def _deliver_multicast(self, envelope: Envelope, receivers: list[str]) -> None:
@@ -494,8 +491,7 @@ class Network:
                 self._deliver(envelope, dst_id)
                 continue
             if dst.lan_name != src_lan and not self._linked(src_lan, dst.lan_name):
-                self.stats.record_drop("partition-in-flight")
-                self._trace_drop(envelope, "partition-in-flight", dst=dst_id)
+                self._dropped(envelope, "partition-in-flight", dst=dst_id)
                 continue
             arrived.append(dst_id)
             if traced:
@@ -521,14 +517,12 @@ class Network:
         """Delivery event: hand the envelope to the destination if it is up."""
         dst = self.nodes.get(dst_id)
         if dst is None or not dst.alive:
-            self.stats.record_drop("dead-dst")
-            self._trace_drop(envelope, "dead-dst", dst=dst_id)
+            self._dropped(envelope, "dead-dst", dst=dst_id)
             return
         sender = self.nodes.get(envelope.src)
         if not self._linked(sender.lan_name if sender is not None else None, dst.lan_name):
             # The sender left, or a partition formed while it was in flight.
-            self.stats.record_drop("partition-in-flight")
-            self._trace_drop(envelope, "partition-in-flight", dst=dst_id)
+            self._dropped(envelope, "partition-in-flight", dst=dst_id)
             return
         msg_type = envelope.msg_type
         hops = envelope.hops
@@ -579,8 +573,12 @@ class Network:
                 f"hops.{msg_type}", buckets=HOP_BUCKETS)
         return histogram
 
-    def _trace_drop(self, envelope: Envelope, reason: str, *, dst: str | None = None) -> None:
-        """Attach a drop event to the envelope's trace, if it carries one."""
+    def _dropped(self, envelope: Envelope, reason: str, *, dst: str | None = None) -> None:
+        """Count a copy that never arrived, in the traffic statistics and
+        as ``drop.<reason>``, and attach a drop event to the envelope's
+        trace, if it carries one."""
+        self.stats.record_drop()
+        self.metrics.counter(f"drop.{reason}").inc()
         ctx = TraceRecorder.extract(envelope.headers)
         if ctx is None or not self.sim.trace.listening:
             return

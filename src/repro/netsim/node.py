@@ -202,13 +202,12 @@ class Node:
 
     def recovered(self, kind: str, n: int = 1, attrs: dict[str, Any] | None = None,
                   *, traced: bool = True) -> None:
-        """``n`` self-healing events of ``kind``: the traffic statistics,
-        their ``recovery.<kind>`` counter and (unless ``traced=False``) an
-        event of the same name move together."""
-        if self.network is not None:
-            self.network.stats.record_recovery(kind, n)
-            if traced:
-                self.note(kind, attrs)
+        """``n`` self-healing events of ``kind``: the ``recovery.<kind>``
+        counter and (unless ``traced=False``) an event of the same name move
+        together."""
+        self.count(f"recovery.{kind}", n)
+        if traced:
+            self.note(kind, attrs)
 
     def span(self, name: str,
              attrs: dict[str, Any] | Callable[[], dict[str, Any]] | None = None, *,

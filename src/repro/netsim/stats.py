@@ -3,7 +3,9 @@
 Every byte the transport moves is recorded here, broken down by message
 type, by node, and by scope (LAN-local unicast, multicast, WAN). The
 experiment harness reads these counters to produce the bandwidth columns
-of E1/E6/E7/E8/E10.
+of E1/E6/E7/E8/E10. What the protocol did about it (retries, injected
+faults, recoveries, drops by reason) is counted once, in the run's
+:class:`~repro.obs.metrics.MetricsRegistry`.
 """
 
 from __future__ import annotations
@@ -28,28 +30,6 @@ class TrafficStats:
     by_type_bytes: Counter = field(default_factory=Counter)
     #: Bytes delivered per receiving node (E1's ``max_node_load``).
     node_bytes_received: Counter = field(default_factory=Counter)
-    #: Drops broken down by cause: "loss" (ambient loss_rate),
-    #: "fault-loss" (an injected loss window), "unreachable", "dead-dst",
-    #: "partition-in-flight".
-    drops_by_reason: Counter = field(default_factory=Counter)
-    #: Protocol retries by kind ("query", "publish", "renew"), recorded by
-    #: the nodes that re-send.
-    retries: Counter = field(default_factory=Counter)
-    #: Injected fault events by kind ("crash", "restart", "partition",
-    #: "heal", "loss-window", "latency-spike"), recorded by FaultPlan.
-    faults: Counter = field(default_factory=Counter)
-    #: Self-healing events by kind, recorded by the recovery machinery:
-    #: "antientropy-round", "antientropy-pull", "antientropy-ads-sent",
-    #: "antientropy-ads-applied", "antientropy-removal",
-    #: "resurrection-blocked", "breaker-open", "breaker-close",
-    #: "breaker-skip", "standby-warm-sync", "late-response".
-    recoveries: Counter = field(default_factory=Counter)
-    #: Optional :class:`~repro.obs.metrics.MetricsRegistry` mirror (set by
-    #: the owning :class:`~repro.netsim.network.Network`): retries, faults,
-    #: recoveries, and drops are echoed as ``retry.<kind>``-style counters
-    #: so the metrics facade sees event *rates* without a second wiring
-    #: pass. Duck-typed to keep this module free of obs imports.
-    metrics: Any = field(default=None, repr=False, compare=False)
 
     def record_send(self, msg_type: str, src: str, size: int, *, wan: bool, multicast: bool) -> None:
         """Account for one transmission leaving ``src``."""
@@ -79,30 +59,9 @@ class TrafficStats:
         for dst in dsts:
             node_bytes[dst] = get(dst, 0) + size
 
-    def record_drop(self, reason: str = "loss") -> None:
+    def record_drop(self) -> None:
         """Account for a transmission that never arrived (loss/partition/crash)."""
         self.messages_dropped += 1
-        self.drops_by_reason[reason] += 1
-        if self.metrics is not None:
-            self.metrics.counter(f"drop.{reason}").inc()
-
-    def record_retry(self, kind: str) -> None:
-        """Account for one protocol-level retransmission of ``kind``."""
-        self.retries[kind] += 1
-        if self.metrics is not None:
-            self.metrics.counter(f"retry.{kind}").inc()
-
-    def record_fault(self, kind: str) -> None:
-        """Account for one injected fault event of ``kind``."""
-        self.faults[kind] += 1
-        if self.metrics is not None:
-            self.metrics.counter(f"fault.{kind}").inc()
-
-    def record_recovery(self, kind: str, n: int = 1) -> None:
-        """Account for ``n`` self-healing events of ``kind``."""
-        self.recoveries[kind] += n
-        if self.metrics is not None:
-            self.metrics.counter(f"recovery.{kind}").inc(n)
 
     def snapshot(self) -> dict[str, Any]:
         """A plain-dict copy of the counters (for experiment tables).
@@ -163,20 +122,3 @@ class TrafficStats:
             return None, 0
         node, load = max(self.node_bytes_received.items(), key=lambda item: (item[1], item[0]))
         return node, load
-
-    def reset(self) -> None:
-        """Zero every counter (used between experiment phases)."""
-        self.messages_sent = 0
-        self.messages_delivered = 0
-        self.messages_dropped = 0
-        self.bytes_sent = 0
-        self.bytes_delivered = 0
-        self.bytes_wan = 0
-        self.bytes_multicast = 0
-        self.by_type_count.clear()
-        self.by_type_bytes.clear()
-        self.node_bytes_received.clear()
-        self.drops_by_reason.clear()
-        self.retries.clear()
-        self.faults.clear()
-        self.recoveries.clear()

@@ -288,6 +288,13 @@ class MetricsRegistry:
             instrument = self.histograms[name] = Histogram(name, buckets=buckets)
         return instrument
 
+    def tallies(self, family: str) -> dict[str, int]:
+        """The counters named ``<family>.<kind>``, as ``kind → value`` in
+        the order they were first counted (``tallies("recovery")``)."""
+        prefix = family + "."
+        return {name[len(prefix):]: counter.value
+                for name, counter in self.counters.items() if name.startswith(prefix)}
+
     def snapshot(self) -> dict[str, Any]:
         """Plain-dict dump of every instrument, names sorted."""
         return {

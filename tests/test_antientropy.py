@@ -263,7 +263,7 @@ def test_late_response_counted_after_aggregation_timeout():
     system.discover(client, REQUEST, timeout=5.0)
     system.run_for(1.0)  # let the straggler response arrive
     assert r0.queries.late_responses >= 1
-    assert system.network.stats.recoveries.get("late-response", 0) >= 1
+    assert system.network.metrics.tallies("recovery").get("late-response", 0) >= 1
 
 
 def test_leave_clears_failure_detector_and_breakers():

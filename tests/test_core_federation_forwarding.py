@@ -490,11 +490,11 @@ def test_ping_round_pings_a_suspected_peer_until_its_pong_closes_the_breaker(mon
     assert ra.federation.breaker_allows(rb.node_id)
     assert not ra.federation.breaker_allows(rc.node_id)
 
-    closes = system.network.stats.recoveries["breaker-close"]
+    closes = system.network.metrics.tallies("recovery").get("breaker-close", 0)
     rc.restart()
     system.run_for(1.0)
     assert ra.federation.breaker_allows(rc.node_id)
-    assert system.network.stats.recoveries["breaker-close"] == closes + 1
+    assert system.network.metrics.tallies("recovery")["breaker-close"] == closes + 1
     # A closed breaker is not pinged: only the neighbor is, from now on.
     pings.clear()
     system.run_for(2.0)

@@ -165,7 +165,7 @@ def _armed_resend(fast, kind, hint):
 
 def _retry_counters(system, service):
     return (service.publish_retries, service.renew_retries,
-            dict(system.network.stats.retries))
+            system.network.metrics.tallies("retry"))
 
 
 @pytest.mark.parametrize("hint", [None, 0.3], ids=["policy", "busy-hint"])
@@ -190,7 +190,7 @@ def test_resend_fires_while_unanswered(fast, kind):
     system.run_for(1.0)
     assert sent == [kind]
     assert not record.awaiting(kind)
-    assert system.network.stats.retries[kind] == 1
+    assert system.network.metrics.tallies("retry")[kind] == 1
     assert (service.publish_retries, service.renew_retries) == (
         (1, 0) if kind == protocol.PUBLISH else (0, 1))
 
@@ -458,5 +458,5 @@ def test_query_retry_counters_match_network_stats(fast):
     assert call.via.startswith("registry:")
     assert call.attempts == 2
     assert client.query_retries == 1
-    assert system.network.stats.retries.get("query", 0) == 1
+    assert system.network.metrics.tallies("retry").get("query", 0) == 1
     assert client._by_wire_id == {}

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import protocol
 from repro.core.config import DiscoveryConfig, STRATEGY_INFORMED
+from repro.core.durability import DurabilityConfig
 from repro.core.mediation import MediationPlanner
 from repro.core.standby import StandbyRegistry
 from repro.core.system import DiscoverySystem, make_models
@@ -291,6 +292,46 @@ def test_standby_demotes_when_primary_returns(fast_cfg):
     system.run_for(15.0)
     assert not standby.active
     assert standby.demotions == 1
+
+
+def test_a_demoted_standby_sends_its_services_back_to_the_primary():
+    """A service that failed over to a promoted standby keeps renewing
+    into it after the returned primary makes it step down. The dormant
+    standby NACKs that renew and refuses the republish it provokes as
+    ``"dormant"``, so two round trips after its first renew past the
+    demotion the service is attached to the primary, and one one-way later
+    its ads are in the primary's store, not a whole renew interval later."""
+    cfg = DiscoveryConfig(beacon_interval=1.0, lease_duration=30.0,
+                          purge_interval=1.0, query_timeout=2.0,
+                          durability=DurabilityConfig(enabled=True))
+    system = _single_lan(cfg)
+    primary = system.registries[0]
+    standby = system.add_standby_registry("lan-0", lan_target=1)
+    service = system.add_service("lan-0", _radar())
+    system.run(until=3.0)
+    primary.crash()
+    system.run_for(24.0)
+    assert standby.active and service.tracker.current == standby.node_id
+    primary.restart()
+    renews = []
+    send = service.send
+    service.send = lambda dst, msg_type, *a, **k: (
+        msg_type == protocol.RENEW and renews.append((system.sim.now, dst)),
+        send(dst, msg_type, *a, **k))[1]
+    while standby.active:
+        system.run_for(0.5)
+    demoted_at = system.sim.now
+    while not [at for at, _ in renews if at >= demoted_at]:
+        system.run_for(0.5)
+    renewed_at, renewed_to = next((at, dst) for at, dst in renews if at >= demoted_at)
+    assert renewed_to == standby.node_id
+    latency = system.network.lan_latency
+    system.run(until=renewed_at + 4 * latency + latency / 2)
+    assert service.tracker.current == primary.node_id
+    system.run(until=renewed_at + 5 * latency + latency / 2)
+    held = {ad.service_node for ad in primary.store.all()}
+    assert held == {service.node_id}
+    assert len(standby.store) == 0
 
 
 def test_two_standbys_only_one_promotes(fast_cfg):

@@ -93,7 +93,7 @@ class TestLossWindows:
         a.send("b", "m1")
         net.sim.run(until=1.0)
         assert b.received == []
-        assert net.stats.drops_by_reason["fault-loss"] == 1
+        assert net.metrics.tallies("drop")["fault-loss"] == 1
         net.sim.run(until=6.0)
         a.send("b", "m2")
         net.sim.run(until=7.0)
@@ -123,7 +123,7 @@ class TestLossWindows:
         a.send("b", "doomed")
         net.sim.run(until=1.0)
         assert b.received == []
-        assert net.stats.drops_by_reason["fault-loss"] == 1
+        assert net.metrics.tallies("drop")["fault-loss"] == 1
 
     def test_multicast_respects_fault_loss(self, net):
         a = _add(net, "a", "lan-a")
@@ -132,7 +132,7 @@ class TestLossWindows:
         net.add_loss_window(LossWindow(start=0.0, end=5.0, rate=1.0))
         a.multicast("hello")
         net.sim.run(until=1.0)
-        assert net.stats.drops_by_reason["fault-loss"] == 2
+        assert net.metrics.tallies("drop")["fault-loss"] == 2
 
     def test_unknown_lan_rejected(self, net):
         with pytest.raises(NetworkError):
@@ -212,8 +212,8 @@ class TestFaultPlan:
         net.sim.run(until=12.0)
         assert node.alive
         assert applied.counts() == {"crash": 1, "restart": 1}
-        assert net.stats.faults["crash"] == 1
-        assert net.stats.faults["restart"] == 1
+        assert net.metrics.tallies("fault")["crash"] == 1
+        assert net.metrics.tallies("fault")["restart"] == 1
 
     def test_crash_on_dead_node_is_a_noop(self, net):
         node = _add(net, "n1", "lan-a")
@@ -311,7 +311,7 @@ class TestMoveAction:
         assert client.tracker.current == service.tracker.current == local_b.node_id
         assert len(local_b.store.by_service(service.node_id)) == 3
         assert applied.counts() == {"move": 2}
-        assert system.network.stats.faults["move"] == 2
+        assert system.network.metrics.tallies("fault")["move"] == 2
 
     def test_a_down_node_or_one_already_there_is_not_moved(self):
         system, _local_b, client, service = self._two_lans()
@@ -361,8 +361,8 @@ class TestDiskFaultActions:
         assert applied.counts() == {"disk-torn-write": 1,
                                     "disk-corruption": 1}
         assert disk.torn_writes == 1 and disk.corruptions == 1
-        assert net.stats.faults["disk-torn-write"] == 1
-        assert net.stats.faults["disk-corruption"] == 1
+        assert net.metrics.tallies("fault")["disk-torn-write"] == 1
+        assert net.metrics.tallies("fault")["disk-corruption"] == 1
 
 
 class TestFaultComposition:
@@ -384,7 +384,7 @@ class TestFaultComposition:
         # Cross-link traffic died in the loss window; intra-LAN traffic
         # rode the concurrent latency spike — both faults applied.
         assert b.received == []
-        assert net.stats.drops_by_reason["fault-loss"] == 1
+        assert net.metrics.tallies("drop")["fault-loss"] == 1
         assert arrival["t"] == pytest.approx(1.2 + net.lan_latency + 0.5)
 
     def test_crash_while_partitioned_heal_before_restart(self, net):
@@ -403,7 +403,7 @@ class TestFaultComposition:
         assert net.reachable("a", "b") and not a.alive
         b.send("a", "into-the-void")
         net.sim.run(until=3.9)
-        assert net.stats.drops_by_reason["dead-dst"] == 1
+        assert net.metrics.tallies("drop")["dead-dst"] == 1
         net.sim.run(until=4.5)
         assert a.alive
         b.send("a", "welcome-back")
@@ -430,7 +430,7 @@ class TestFaultComposition:
         net.sim.run(until=5.0)
         assert [env.msg_type for env in a2.received] == ["local"]
         assert b.received == []
-        assert net.stats.drops_by_reason["unreachable"] >= 1
+        assert net.metrics.tallies("drop")["unreachable"] >= 1
         net.sim.run(until=7.0)
         a.send("b", "after-heal")
         net.sim.run(until=8.0)
@@ -544,7 +544,7 @@ def test_retry_exhaustion_falls_back_to_lan_multicast(emergency):
     assert call.via == "fallback"
     assert call.service_names() == ["aid-1"]
     assert client.query_retries >= 1
-    assert system.network.stats.retries["query"] == client.query_retries
+    assert system.network.metrics.tallies("retry")["query"] == client.query_retries
     assert client._by_wire_id == {}
     assert_invariants(system)
 
@@ -630,7 +630,7 @@ def test_lease_republish_after_lan_blackout(emergency):
     system.run(until=40.0)
     assert len(registry.store) == 3  # autonomous re-probe + republish
     assert all(r.acked for r in service._published.values())
-    assert system.network.stats.drops_by_reason["fault-loss"] > 0
+    assert system.network.metrics.tallies("drop")["fault-loss"] > 0
     assert_invariants(system)
 
 
@@ -650,7 +650,7 @@ def test_publish_retry_recovers_from_single_lost_publish(emergency):
     system.sim.schedule_at(3.1, lambda: service.update_profile(service.profile))
     system.run(until=10.0)
     assert service.publish_retries >= 1
-    assert system.network.stats.retries["publish"] >= 1
+    assert system.network.metrics.tallies("retry")["publish"] >= 1
     assert all(r.acked for r in service._published.values())
     assert service.tracker.failovers == 0
     assert len(registry.store) == 3
@@ -669,7 +669,7 @@ def test_renew_retry_survives_transient_loss(emergency):
     FaultPlan().loss_burst(23.9, 0.5, 1.0, lan="lan-0").apply(system)
     system.run(until=40.0)
     assert service.renew_retries >= 1
-    assert system.network.stats.retries["renew"] >= 1
+    assert system.network.metrics.tallies("retry")["renew"] >= 1
     assert service.tracker.failovers == 0
     assert service.tracker.current == registry.node_id
     assert all(not r.renew_outstanding for r in service._published.values())

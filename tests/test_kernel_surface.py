@@ -586,10 +586,10 @@ def _chain(node: ast.AST) -> list[str]:
 
 
 def test_what_happened_is_said_through_the_seam():
-    """No protocol agent reaches the metrics registry, the recovery
-    statistics or the trace recorder itself: it calls ``count`` /
-    ``observe`` / ``gauge`` / ``note`` / ``recovered`` / ``span`` / ``end``
-    on its node, which alone knows whether there is anything to write to."""
+    """No protocol agent reaches the metrics registry or the trace recorder
+    itself: it calls ``count`` / ``observe`` / ``gauge`` / ``note`` /
+    ``recovered`` / ``span`` / ``end`` on its node, which alone knows
+    whether there is anything to write to."""
     found = []
     for label, tree in _reporting_sources():
         for call in ast.walk(tree):
@@ -597,7 +597,7 @@ def test_what_happened_is_said_through_the_seam():
                 continue
             chain = _chain(call.func)
             if chain[-2:] in (["metrics", "counter"], ["metrics", "histogram"],
-                              ["metrics", "gauge"], ["stats", "record_recovery"]) \
+                              ["metrics", "gauge"]) \
                     or chain[-1] in ("event", "start_span", "end_span"):
                 found.append(f"{label}:{call.lineno} {'.'.join(chain)}")
     assert found == []

@@ -23,7 +23,7 @@ def test_every_declared_target_resolves(mechanism):
     owner, method, function = knockout.resolve(mechanism.target)
     assert getattr(owner, method) is function
     if mechanism.caller is not None:
-        assert knockout.resolve(mechanism.caller)[2].__code__
+        assert knockout.code_of(mechanism.caller)
 
 
 def test_each_mechanism_has_exactly_one_row():
@@ -50,3 +50,21 @@ def test_a_caller_scoped_knock_out_replaces_only_the_calls_from_that_caller():
         caller=f"{__name__}:_Toy.scoped"))
     toy = _Toy()
     assert (toy.scoped(), toy.elsewhere(), toy.inner()) == ("knocked out", "ran", "ran")
+
+
+class _Nesting:
+    def inner(self):
+        return "ran"
+
+    def outer(self):
+        def nested():
+            return self.inner()
+
+        return nested(), self.inner()
+
+
+def test_a_caller_may_be_a_function_nested_in_a_method():
+    knockout.knock_out(knockout.Mechanism(
+        "toy", f"{__name__}:_Nesting.inner", returns="knocked out",
+        caller=f"{__name__}:_Nesting.outer.nested"))
+    assert _Nesting().outer() == ("knocked out", "ran")

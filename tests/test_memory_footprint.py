@@ -135,6 +135,8 @@ N_SERVICE_NODES = 100
 #: ~15 % above the no-history reading, ~4 % above the at-answer one; the
 #: same rule.
 CEILING_SRC_BYTES_PER_DISCOVER = 400
+#: How many allocation sites a failing profile gate names.
+TOP_SITES = 5
 
 
 def retained_bytes_per_ad() -> float:
@@ -173,23 +175,29 @@ def retained_bytes_per_ad() -> float:
     return retained / N_ADS
 
 
-def retained_bytes_per_profile() -> float:
+def retained_bytes_per_profile() -> tuple[float, list[str]]:
     """What one generated profile record holds: the ``ServiceProfile``, its
-    strings and tuples, and its slot in the list that keeps it."""
+    strings and tuples, and its slot in the list that keeps it; and the
+    window's largest allocation sites (``file:line`` and bytes), from
+    snapshots taken outside the reading."""
     ontology = OntologyGenerator(7).random_ontology()
     gen = ProfileGenerator(ontology, seed=7)
     gen.profiles(16)  # first-use allocations (shared QoS names) happen here
     gc.collect()
     tracemalloc.start()
     try:
+        start = tracemalloc.take_snapshot()
         before = tracemalloc.get_traced_memory()[0]
         profiles = gen.profiles(N_ADS)
         gc.collect()
         retained = tracemalloc.get_traced_memory()[0] - before
+        end = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
     assert len(profiles) == N_ADS
-    return retained / N_ADS
+    sites = [f"{stat.traceback[0].filename}:{stat.traceback[0].lineno} {stat.size_diff:+,} B"
+             for stat in end.compare_to(start, "lineno")[:TOP_SITES]]
+    return retained / N_ADS, sites
 
 
 def test_bytes_retained_per_advertisement_stay_under_the_ceiling():
@@ -203,12 +211,13 @@ def test_bytes_retained_per_advertisement_stay_under_the_ceiling():
 
 
 def test_bytes_retained_per_generated_profile_stay_under_the_ceiling():
-    per_profile = retained_bytes_per_profile()
+    per_profile, sites = retained_bytes_per_profile()
     assert per_profile <= CEILING_BYTES_PER_PROFILE, (
         f"{per_profile:.0f} bytes retained per generated profile (ceiling "
         f"{CEILING_BYTES_PER_PROFILE}): a ServiceProfile now holds more. Find it "
         "with `make mem-attr` (the inputs table); store it more cheaply, or "
-        "justify the new ceiling in the pull request."
+        "justify the new ceiling in the pull request. The window's largest "
+        "allocation sites:\n  " + "\n  ".join(sites)
     )
 
 
@@ -308,7 +317,7 @@ def test_bytes_retained_per_service_node_stay_under_the_ceiling():
 
 if __name__ == "__main__":
     print(f"{retained_bytes_per_ad():.0f} bytes retained per advertisement")
-    print(f"{retained_bytes_per_profile():.0f} bytes retained per generated profile")
+    print(f"{retained_bytes_per_profile()[0]:.0f} bytes retained per generated profile")
     print(f"{trace_bytes_per_discover():.0f} bytes retained by obs/tracing.py per discover")
     print(f"{retained_bytes_per_service_node():.0f} bytes retained per service node")
     per_discover, alive = src_bytes_per_discover()

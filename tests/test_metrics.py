@@ -137,6 +137,18 @@ def test_traffic_window_deltas():
     assert window.maintenance_bytes() == 50
 
 
+def test_maintenance_is_every_byte_that_is_not_a_query():
+    stats = TrafficStats()
+    window = TrafficWindow.open(stats, now=0.0)
+    stats.record_send("antientropy-digest", "a", 70, wan=True, multicast=False)
+    stats.record_send("shard-store", "a", 200, wan=False, multicast=False)
+    stats.record_send("query-response", "b", 40, wan=False, multicast=False)
+    assert window.maintenance_bytes() == 270
+    assert window.query_bytes() == 40
+    report = window.close(now=1.0)
+    assert window.maintenance_bytes() + window.query_bytes() == report["bytes_sent"]
+
+
 def test_traffic_window_ignores_pre_window_traffic():
     stats = TrafficStats()
     stats.record_send("publish", "a", 1000, wan=False, multicast=False)
@@ -151,13 +163,6 @@ def test_stats_max_node_load():
     stats.record_delivery("b", 99)
     node, load = stats.max_node_load()
     assert (node, load) == ("b", 99)
-
-
-def test_stats_reset():
-    stats = TrafficStats()
-    stats.record_send("x", "a", 5, wan=True, multicast=True)
-    stats.reset()
-    assert stats.snapshot() == TrafficStats().snapshot()
 
 
 # -- topology ------------------------------------------------------------------------------

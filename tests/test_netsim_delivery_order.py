@@ -67,12 +67,10 @@ class PerReceiverNetwork(Network):
             if dst_id == envelope.src:
                 continue
             if self.loss_rate and self.sim.rng.random() < self.loss_rate:
-                self.stats.record_drop("loss")
-                self._trace_drop(envelope, "loss", dst=dst_id)
+                self._dropped(envelope, "loss", dst=dst_id)
                 continue
             if fault_loss and self.sim.rng.random() < fault_loss:
-                self.stats.record_drop("fault-loss")
-                self._trace_drop(envelope, "fault-loss", dst=dst_id)
+                self._dropped(envelope, "fault-loss", dst=dst_id)
                 continue
             self.sim.schedule_at(done_at + latency, self._deliver,
                                  envelope.copy_for(dst_id), dst_id)
@@ -259,7 +257,7 @@ def play(network_cls: type[Network], seed: int, loss_rate: float,
         "log": log,
         "stats": net.stats.snapshot(),
         "node_bytes": list(net.stats.node_bytes_received.items()),
-        "drops": dict(net.stats.drops_by_reason),
+        "drops": net.metrics.tallies("drop"),
         "metrics": net.metrics.snapshot(),
         "histograms": {name: _slots(histogram)
                        for name, histogram in net.metrics.histograms.items()},

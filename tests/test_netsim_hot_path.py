@@ -58,7 +58,7 @@ def test_multicast_that_loses_every_copy_schedules_nothing():
     net.loss_rate = 0.5
     net.sim.rng = AlwaysLow()
     assert _delta_after(net, lambda: nodes[0].multicast("beacon")) == (0, 0)
-    assert net.stats.drops_by_reason["loss"] == 19
+    assert net.metrics.tallies("drop")["loss"] == 19
 
 
 def test_multicast_from_a_node_alone_on_its_lan_schedules_nothing():

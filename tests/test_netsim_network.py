@@ -373,7 +373,7 @@ def test_each_way_a_unicast_ends_is_counted_and_traced(net, row):
     assert (stats.messages_sent, stats.bytes_sent, stats.bytes_wan) == (
         1, X_BYTES, X_BYTES if wan else 0)
     assert stats.messages_dropped == (1 if reason else 0)
-    assert dict(stats.drops_by_reason) == ({reason: 1} if reason else {})
+    assert net.metrics.tallies("drop") == ({reason: 1} if reason else {})
     assert stats.messages_delivered == (0 if reason else 1)
     events = [(e.name, e.node, e.attrs) for e in capture.events]
     if reason:

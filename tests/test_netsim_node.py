@@ -342,7 +342,7 @@ def test_recovered_moves_statistics_counter_and_trace_together(net):
     node = net.add_node(Typed("n"), "lan")
     node.recovered("healed", 3, {"n": 3})
     node.recovered("skipped", 2, traced=False)
-    assert net.stats.recoveries == {"healed": 3, "skipped": 2}
+    assert net.metrics.tallies("recovery") == {"healed": 3, "skipped": 2}
     assert net.metrics.counters["recovery.healed"].value == 3
     assert net.metrics.counters["recovery.skipped"].value == 2
     assert [(e.name, e.node, e.attrs) for e in net.sim.trace.events] == [

@@ -368,7 +368,7 @@ def test_lease_lifecycle_emits_events(fast):
     assert len(renews) > 1 and all(name is renews[0] for name in renews)
 
 
-# -- TrafficStats by_type / reset regression ---------------------------------
+# -- TrafficStats by_type regression -------------------------------------------
 
 
 def test_snapshot_carries_by_type_and_delta_diffs_it():
@@ -385,12 +385,10 @@ def test_snapshot_carries_by_type_and_delta_diffs_it():
     }
 
 
-def test_delta_since_after_reset_is_all_zero():
+def test_delta_since_a_fresh_snapshot_is_all_zero():
     stats = TrafficStats()
     stats.record_send("query", "n0", 100, wan=True, multicast=False)
     stats.record_delivery("n1", 100)
-    stats.record_retry("query")
-    stats.reset()
     baseline = stats.snapshot()
     delta = stats.delta_since(baseline)
     assert delta["by_type"] == {}

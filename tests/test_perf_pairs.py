@@ -145,3 +145,26 @@ def test_the_working_tree_runs_from_a_copy_of_what_git_does_not_ignore(monkeypat
     assert copied == {".gitignore": "build/\n", "tracked.py": "1",
                       "pkg/edited.py": "edited", "pkg/new.py": "4"}
     assert not tree.exists()
+
+
+def test_an_untracked_harness_file_is_refused_without_change(monkeypatch, tmp_path):
+    """The working-tree copy runs untracked files too, so one under the
+    harness paths differs from the parent even though ``git diff`` is quiet;
+    against a second export it is not in either tree."""
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=tmp_path, check=True,
+                              capture_output=True).stdout.decode().strip()
+
+    git("init", "-q")
+    (tmp_path / "BENCHMARK.json").write_text("{}")
+    (tmp_path / "benchmarks" / "perf").mkdir(parents=True)
+    (tmp_path / "benchmarks" / "perf" / "run.py").write_text("1")
+    git("add", ".")
+    git("-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q", "-m", "parent")
+    parent = git("rev-parse", "HEAD")
+    monkeypatch.setattr(perf_pairs, "ROOT", tmp_path)
+    perf_pairs.same_harness(parent, None)
+    (tmp_path / "benchmarks" / "perf" / "extra.py").write_text("2")
+    with pytest.raises(SystemExit):
+        perf_pairs.same_harness(parent, None)
+    perf_pairs.same_harness(parent, parent)

@@ -66,12 +66,12 @@ def _tap(node, log: list) -> None:
 
 
 def _fingerprint(system: DiscoverySystem, log: list, **extra) -> dict:
-    stats = system.network.stats
+    metrics = system.network.metrics
     return {
         "trace": _sha(system.trace.capture().export_jsonl()),
         "wire": _sha(json.dumps(log)),
-        "retries": dict(sorted(stats.retries.items())),
-        "recoveries": dict(sorted(stats.recoveries.items())),
+        "retries": dict(sorted(metrics.tallies("retry").items())),
+        "recoveries": dict(sorted(metrics.tallies("recovery").items())),
         **extra,
     }
 

@@ -382,3 +382,53 @@ def test_a_joining_registry_is_placed_everywhere_within_a_second(n, r):
     assert check_convergence(system) == []
     call = system.discover(client, REQUEST, timeout=20.0)
     assert call.completed and len(call.hits) == 12
+
+
+def test_a_stray_copy_goes_to_its_owners_within_one_round_and_never_answers_after_a_remove():
+    """A write sent from a ring view that has not yet learned a joining
+    member lands on a registry that already has, and that no longer owns
+    the key: its own rebalance ran before the copy arrived, renews and
+    removes go only to the owners, and anti-entropy digests only what two
+    registries co-own. Here the stale views are those of the coordinators
+    the join rumor has not reached yet, and the writes are republishes.
+    Within one anti-entropy round each stray copy is at its owners and gone
+    from the registry holding it; after its service's remove, no discover
+    on any LAN returns it."""
+    system, registries, _ = _cluster(n=4, r=2, services=12)
+    clients = [system.add_client(f"lan-{i}") for i in range(4)]
+    system.run(until=10.0)
+    system.add_lan("lan-joiner")
+    joiner = system.add_registry("lan-joiner", node_id="registry-joiner",
+                                 seeds=(registries[0].node_id,))
+    system.run_for(0.05)
+    knows = [r.node_id for r in registries if joiner.node_id in r.shard.ring]
+    assert knows == [registries[0].node_id]
+    for service in system.services:
+        service.update_profile(service.profile)
+    system.run_for(0.6)
+    members = [*registries, joiner]
+    ring = registries[1].shard.ring
+    strays = {(registry.node_id, ad.ad_id, ad.service_node)
+              for registry in members for ad in registry.store.all()
+              if not registry.shard.owns_local(ad.ad_id)}
+    assert strays
+    assert all(r.shard.ring.members() == ring.members() for r in members)
+
+    system.run_for(system.config.antientropy_interval)
+    by_id = {r.node_id: r for r in members}
+    for holder, ad_id, _ in strays:
+        assert ad_id not in by_id[holder].store
+        assert all(ad_id in by_id[owner].store for owner in ring.replicas_for(ad_id, 2))
+    assert check_shard_placement(system) == []
+
+    leaving = {service_node for _, _, service_node in strays}
+    for service in system.services:
+        if service.node_id in leaving:
+            service.deregister()
+    system.run_for(1.0)
+    gone = {service.profile.service_name for service in system.services
+            if service.node_id in leaving}
+    for client in clients:
+        call = system.discover(client, REQUEST, timeout=20.0)
+        assert call.completed
+        assert not gone & set(call.service_names()), client.lan_name

@@ -6,8 +6,9 @@
 Each entry of :data:`MECHANISMS` names a method under ``src/`` that carries
 one mechanism. Knocking it out replaces that method, from outside, by a
 no-op or by a declared return value; with ``caller`` set, only the calls
-made from inside that one method are replaced (the mechanism is one call
-in a method that does more). Nothing under ``src/`` knows about this.
+made from inside that one method, or from a function nested in it, are
+replaced (the mechanism is one call in a method that does more). Nothing
+under ``src/`` knows about this.
 
 For each mechanism the tool exports ``REV`` (``git archive``, as
 ``tools/perf_pairs.py`` does: nothing in this working tree is written) and
@@ -22,8 +23,8 @@ runs there, with the knock-out loaded as a pytest plugin (``-p knockout``):
 A row lists the tests that fail and the results lines that move, both
 beyond what the same runs give with nothing knocked out (the baseline,
 run first). Prints the Markdown table, or writes it with ``--write``. One
-process runs at a time; a row takes a minute or two (eight rows and the
-baseline: ~11 min on two cores).
+process runs at a time; a row takes one to three minutes (seventeen rows
+and the baseline: ~16 min on two cores).
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ import re
 import shutil
 import subprocess
 import sys
+from types import CodeType
 from typing import Any, Callable, NamedTuple
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -59,7 +61,8 @@ class Mechanism(NamedTuple):
     #: What the replacement returns: a value, or a function of the call's
     #: arguments (``self`` first).
     returns: Any = None
-    #: ``module:Class.method``: only calls made from inside it are replaced.
+    #: ``module:Class.method``, or ``module:Class.method.inner`` for a
+    #: function nested in it: only calls made from inside it are replaced.
     caller: str | None = None
     #: Which part of the table the row belongs to.
     part: str = "sharded ring"
@@ -85,6 +88,25 @@ MECHANISMS = (
     Mechanism("standby promotion", "repro.core.standby:StandbyRegistry._promote", part=_NEXT),
     Mechanism("durable state dropped on demotion",
               "repro.core.durability:DurabilityManager.discard", part="durable standby"),
+    Mechanism("promotion beacon", "repro.core.registry_node:RegistryNode._beacon",
+              caller="repro.core.standby:StandbyRegistry._promote", part="durable standby"),
+    Mechanism("periodic snapshot", "repro.core.durability:DurabilityManager.snapshot",
+              caller="repro.netsim.node:Node.every.guarded", part="durability"),
+    Mechanism("WAL-length snapshot", "repro.core.durability:DurabilityManager.snapshot",
+              caller="repro.core.durability:DurabilityManager._append", part="durability"),
+    Mechanism("departure drains aggregations",
+              "repro.core.query:QueryCoordinator.on_peer_departed", part="federation"),
+    Mechanism("leave flushes aggregations",
+              "repro.core.query:QueryCoordinator.on_departing", part="federation"),
+    Mechanism("reconnect after neighbor loss", "repro.core.federation:Federation._reconnect",
+              part="federation"),
+    Mechanism("flood join-time digest", "repro.core.antientropy:AntiEntropy.sync_with",
+              caller="repro.core.writes:FloodReplicator.neighbor_added", part="federation"),
+    Mechanism("a join closes the breaker",
+              "repro.core.federation:Federation.record_neighbor_success",
+              caller="repro.core.federation:Federation._add_neighbor", part=_NEXT),
+    Mechanism("watch refresh", "repro.core.client_node:ClientNode._refresh_watches",
+              part="subscriptions"),
 )
 
 
@@ -101,11 +123,24 @@ def resolve(spec: str) -> tuple[type, str, Callable]:
     return owner, method, function
 
 
+def code_of(spec: str) -> CodeType:
+    """The code of ``module:Class.method``, or of the function ``inner``
+    nested in it for ``module:Class.method.inner``."""
+    try:
+        return resolve(spec)[2].__code__
+    except AttributeError:
+        outer, _, inner = spec.rpartition(".")
+        for const in resolve(outer)[2].__code__.co_consts:
+            if isinstance(const, CodeType) and const.co_name == inner:
+                return const
+        raise
+
+
 def knock_out(mechanism: Mechanism) -> None:
     """Replace the mechanism's method on its class, for this process."""
     owner, method, original = resolve(mechanism.target)
     returns = mechanism.returns
-    caller = resolve(mechanism.caller)[2].__code__ if mechanism.caller else None
+    caller = code_of(mechanism.caller) if mechanism.caller else None
 
     def knocked(*args, **kwargs):
         if caller is not None and sys._getframe(1).f_code is not caller:

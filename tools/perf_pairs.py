@@ -109,9 +109,13 @@ def run_once(tree: pathlib.Path, workload: str, seed: int, seconds: float) -> di
 
 def same_harness(parent: str, change: str | None) -> None:
     """Exit unless ``parent``'s harness equals ``change``'s (default: this
-    working tree's)."""
+    working tree's, whose untracked harness files the copy would run too)."""
     revs = [parent, change] if change else [parent]
-    if subprocess.run(["git", "diff", "--quiet", *revs, "--", *HARNESS], cwd=ROOT).returncode:
+    untracked = not change and subprocess.run(
+        ["git", "ls-files", "--others", "--exclude-standard", "--", *HARNESS],
+        cwd=ROOT, check=True, capture_output=True).stdout
+    if untracked or subprocess.run(
+            ["git", "diff", "--quiet", *revs, "--", *HARNESS], cwd=ROOT).returncode:
         sys.exit(f"{' and '.join(HARNESS)} differ from {parent}: "
                  "a change that edits the benchmark cannot be paired against it")
 
