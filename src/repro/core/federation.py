@@ -26,12 +26,15 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core import protocol
 from repro.core.config import DiscoveryConfig
-from repro.core.forwarding import BREAKER_OPEN, CircuitBreaker
 from repro.registry.rim import RegistryDescription
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.registry_node import RegistryNode
     from repro.netsim.messages import Envelope
+
+#: Consecutive failures (missed pongs, aggregation timeouts) that open a
+#: peer's breaker: the fan-out stops waiting on it until a success.
+BREAKER_FAILURE_THRESHOLD = 3
 
 
 class Federation:
@@ -61,9 +64,10 @@ class Federation:
         self.neighbors: set[str] = set()
         self.known: dict[str, RegistryDescription] = {}
         self._missed_pongs: dict[str, int] = {}
-        #: Per-neighbor circuit breakers fed by missed pongs and
-        #: aggregation timeouts; consulted by the query fan-out.
-        self.breakers: dict[str, CircuitBreaker] = {}
+        #: Each peer's consecutive failures (missed pongs, aggregation
+        #: timeouts) since its last success; its breaker is open at
+        #: :data:`BREAKER_FAILURE_THRESHOLD` or more.
+        self.failures: dict[str, int] = {}
         #: Departure tombstones: member -> time its leave was learned.
         #: Gossip relaying a pre-departure snapshot must not resurrect
         #: the member (ring membership would thrash); a snapshot issued
@@ -128,7 +132,7 @@ class Federation:
         self.neighbors.discard(member)
         self.known.pop(member, None)
         self._missed_pongs.pop(member, None)
-        self.breakers.pop(member, None)
+        self.failures.pop(member, None)
         for neighbor in sorted(self.neighbors):
             if neighbor != src:
                 self.registry.send(neighbor, protocol.FEDERATION_LEAVE,
@@ -153,7 +157,7 @@ class Federation:
                                protocol.LeavePayload(member=self.registry.node_id))
         self.neighbors.clear()
         self._missed_pongs.clear()
-        self.breakers.clear()
+        self.failures.clear()
 
     def _add_neighbor(self, envelope: "Envelope") -> None:
         """Link with the sender of a join or join-ack, which carries its
@@ -234,8 +238,8 @@ class Federation:
                 self._neighbor_lost(neighbor)
             else:
                 self.registry.send(neighbor, protocol.REGISTRY_PING)
-        for peer, breaker in sorted(self.breakers.items()):
-            if breaker.state == BREAKER_OPEN and peer not in self.neighbors:
+        for peer in sorted(self.failures):
+            if not self.breaker_allows(peer) and peer not in self.neighbors:
                 self.registry.send(peer, protocol.REGISTRY_PING)
         for seed in self.registry.seeds:
             if seed not in self.neighbors and seed != self.registry.node_id:
@@ -257,7 +261,7 @@ class Federation:
         self.neighbors.discard(neighbor)
         self.known.pop(neighbor, None)
         self._missed_pongs.pop(neighbor, None)
-        self.breakers.pop(neighbor, None)
+        self.failures.pop(neighbor, None)
         self.neighbors_lost += 1
         # A crash suspicion is NOT a ring departure: the shard ring keeps
         # the member (health-aware replica selection masks it, anti-entropy
@@ -280,42 +284,40 @@ class Federation:
 
     # -- circuit breakers -------------------------------------------------------------
 
-    def _breaker(self, neighbor: str) -> CircuitBreaker:
-        breaker = self.breakers.get(neighbor)
-        if breaker is None:
-            breaker = CircuitBreaker(
-                on_transition=lambda old, new, _n=neighbor:
-                    self._on_breaker_transition(_n, new),
-            )
-            self.breakers[neighbor] = breaker
-        return breaker
-
-    def _on_breaker_transition(self, neighbor: str, new: str) -> None:
-        """Mirror breaker state into a per-link gauge: closed=0, open=2."""
-        self.registry.gauge(f"breaker.state.{self.registry.node_id}:{neighbor}",
-                            2.0 if new == BREAKER_OPEN else 0.0)
+    def _breaker_gauge(self, neighbor: str, value: float) -> None:
+        """Mirror a breaker's state into its per-link gauge: closed=0, open=2."""
+        self.registry.gauge(f"breaker.state.{self.registry.node_id}:{neighbor}", value)
 
     def record_neighbor_failure(self, neighbor: str) -> None:
         """Feed one failure signal (missed pong, aggregation timeout)."""
-        if self._breaker(neighbor).record_failure():
+        failures = self.failures.get(neighbor, 0) + 1
+        self.failures[neighbor] = failures
+        if failures == BREAKER_FAILURE_THRESHOLD:
+            self._breaker_gauge(neighbor, 2.0)
             self.registry.recovered("breaker-open", attrs={"neighbor": neighbor})
 
     def record_neighbor_success(self, neighbor: str) -> None:
         """Feed one success signal (pong, query response, join)."""
-        breaker = self.breakers.get(neighbor)
-        if breaker is not None and breaker.record_success():
+        failures = self.failures.get(neighbor)
+        if failures is None:
+            return
+        self.failures[neighbor] = 0
+        if failures >= BREAKER_FAILURE_THRESHOLD:
+            self._breaker_gauge(neighbor, 0.0)
             self.registry.recovered("breaker-close", attrs={"neighbor": neighbor})
 
     def breaker_allows(self, neighbor: str) -> bool:
         """Whether the fan-out may wait on ``neighbor`` right now: its
         breaker is closed (or it has none). A skipped peer is not counted
         as outstanding by the aggregation."""
-        breaker = self.breakers.get(neighbor)
-        return breaker is None or breaker.allows()
+        return self.failures.get(neighbor, 0) < BREAKER_FAILURE_THRESHOLD
 
     def breaker_states(self) -> dict[str, str]:
-        """Current breaker state per tracked neighbor (reporting)."""
-        return {nid: b.state for nid, b in sorted(self.breakers.items())}
+        """Current breaker state per tracked peer (reporting)."""
+        return {
+            peer: "closed" if self.breaker_allows(peer) else "open"
+            for peer in sorted(self.failures)
+        }
 
     # -- signalling -------------------------------------------------------------------
 

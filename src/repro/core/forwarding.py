@@ -4,10 +4,11 @@
   for a target that stays silent,
 * :class:`SeenQueries` — query-id based loop avoidance with pruning,
 * :class:`PendingAggregation` — hits awaited from a fan-out's targets
-  or from a random walk (or a timeout), completing exactly once,
-* :class:`CircuitBreaker` — per-neighbor health gating the fan-out, so
-  degraded-mode queries stop paying the aggregation timeout for peers
-  the failure detector already suspects.
+  or from a random walk (or a timeout), completing exactly once.
+
+Which targets the fan-out stops waiting on is the
+:class:`~repro.core.federation.Federation`'s breaker table: a peer's
+consecutive failures since its last success.
 
 The strategies themselves, and the registry's query handlers, are the
 :class:`~repro.core.query.QueryCoordinator`'s.
@@ -248,66 +249,3 @@ class PendingAggregation:
     @property
     def done(self) -> bool:
         return self._done
-
-
-#: Circuit-breaker states.
-BREAKER_CLOSED = "closed"
-BREAKER_OPEN = "open"
-
-#: Consecutive failures (missed pongs, aggregation timeouts) that trip a
-#: neighbor's breaker from closed to open.
-BREAKER_FAILURE_THRESHOLD = 3
-
-
-class CircuitBreaker:
-    """Per-peer health: closed or open.
-
-    Fed by the registry's existing aliveness signals — missed pongs from
-    the federation ping round and silent targets from aggregation
-    timeouts. After ``failure_threshold`` consecutive failures the breaker
-    *opens*: the fan-out skips the peer (not counted as outstanding), so
-    degraded-mode queries complete without eating the aggregation timeout
-    for a peer that is already suspected dead. It stays open, however
-    long, until a success closes it: the federation's ping round pings
-    every peer with an open breaker, and its pong is that success.
-    """
-
-    def __init__(
-        self,
-        *,
-        failure_threshold: int = BREAKER_FAILURE_THRESHOLD,
-        on_transition: Callable[[str, str], None] | None = None,
-    ) -> None:
-        self.failure_threshold = failure_threshold
-        self.state = BREAKER_CLOSED
-        self.failures = 0
-        self.times_opened = 0
-        #: Observer called as ``(old_state, new_state)`` on every state
-        #: change (the metrics bridge lives in the federation layer).
-        self.on_transition = on_transition
-
-    def _transition(self, new_state: str) -> None:
-        old = self.state
-        self.state = new_state
-        if self.on_transition is not None and old != new_state:
-            self.on_transition(old, new_state)
-
-    def record_failure(self) -> bool:
-        """One failure signal; returns True when this trip *opened* it."""
-        self.failures += 1
-        if self.state == BREAKER_CLOSED and self.failures >= self.failure_threshold:
-            self.times_opened += 1
-            self._transition(BREAKER_OPEN)
-            return True
-        return False
-
-    def record_success(self) -> bool:
-        """One success signal; returns True when it *closed* the breaker."""
-        was = self.state
-        self.failures = 0
-        self._transition(BREAKER_CLOSED)
-        return was != BREAKER_CLOSED
-
-    def allows(self) -> bool:
-        """Whether traffic may flow to the peer: the breaker is closed."""
-        return self.state == BREAKER_CLOSED

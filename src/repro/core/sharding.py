@@ -475,7 +475,7 @@ class ShardManager:
         healthy = {
             m for m in self.ring.members()
             if m != me and registry.federation.breaker_allows(m)
-            and not registry.router.cooldowns.in_cooldown(m)
+            and not registry.router.cooling(m)
         }
         cover: list[str] = []
         while uncovered:

@@ -29,6 +29,7 @@ from __future__ import annotations
 import zlib
 
 from repro.core import protocol
+from repro.core.client_node import QUERY_RETRY
 from repro.core.config import DiscoveryConfig
 from repro.core.registry_node import RegistryNode
 from repro.descriptions.base import DescriptionModel
@@ -38,7 +39,7 @@ from repro.registry.rim import RegistryDescription
 
 #: What a dormant standby does not ignore.
 _ANSWERED_WHILE_DORMANT = frozenset({
-    protocol.REGISTRY_BEACON, protocol.RENEW, protocol.PUBLISH})
+    protocol.REGISTRY_BEACON, protocol.RENEW, protocol.PUBLISH, protocol.QUERY})
 
 
 class StandbyRegistry(RegistryNode):
@@ -101,7 +102,10 @@ class StandbyRegistry(RegistryNode):
         publishes of a service still attached here from an active life (its
         lease is gone: ``RENEW_NACK``; this is no registry:
         ``PUBLISH_NACK`` ``"dormant"``, so it re-attaches to a live one at
-        once), and silently ignore the rest."""
+        once) and the queries of a client still attached here (a ``BUSY``
+        whose ``retry_after`` outlasts a query's whole registry budget, so
+        the client fails over at once instead of riding out its query
+        timeout), and silently ignore the rest."""
         msg_type = envelope.msg_type
         if self.active:
             super().receive(envelope)
@@ -112,6 +116,11 @@ class StandbyRegistry(RegistryNode):
             self._note_beacon(envelope.payload)
         elif msg_type == protocol.RENEW:
             self.send(envelope.src, protocol.RENEW_NACK, envelope.payload)
+        elif msg_type == protocol.QUERY:
+            self.send(envelope.src, protocol.BUSY, protocol.BusyPayload(
+                request_id=envelope.payload.query_id, msg_type=msg_type,
+                retry_after=QUERY_RETRY.max_attempts * self.config.query_timeout,
+                queue_depth=0))
         else:
             payload = envelope.payload
             self.send(envelope.src, protocol.PUBLISH_NACK, protocol.PublishNack(

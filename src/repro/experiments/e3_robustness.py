@@ -15,7 +15,7 @@ recall against the still-alive service population.
 from __future__ import annotations
 
 from repro.core.config import DiscoveryConfig
-from repro.core.forwarding import BREAKER_FAILURE_THRESHOLD
+from repro.core.federation import BREAKER_FAILURE_THRESHOLD
 from repro.core.invariants import assert_convergence, assert_invariants, check_convergence
 from repro.experiments.common import ExperimentResult, radar
 from repro.metrics.retrieval import score_queries

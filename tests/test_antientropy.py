@@ -6,12 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.config import COOPERATION_REPLICATE_ADS, DiscoveryConfig
-from repro.core.forwarding import (
-    BREAKER_CLOSED,
-    BREAKER_FAILURE_THRESHOLD,
-    BREAKER_OPEN,
-    CircuitBreaker,
-)
+from repro.core.federation import BREAKER_FAILURE_THRESHOLD
 from repro.core.invariants import assert_invariants, check_convergence
 from repro.core.system import DiscoverySystem
 from repro.errors import ReproError
@@ -52,48 +47,58 @@ def _cluster(seed=7, *, lans=3, antientropy_interval=2.0, **overrides):
 # -- circuit breaker unit behaviour ------------------------------------------
 
 
+def _pair():
+    """Two registries on two LANs, no gossip."""
+    config = DiscoveryConfig(ping_interval=5.0, signalling_interval=None)
+    system = DiscoverySystem(seed=0, config=config)
+    system.add_lan("lan-0")
+    system.add_lan("lan-1")
+    return system, system.add_registry("lan-0"), system.add_registry("lan-1")
+
+
 def test_breaker_opens_after_threshold():
-    breaker = CircuitBreaker(failure_threshold=3)
-    assert breaker.state == BREAKER_CLOSED
-    assert not breaker.record_failure()
-    assert not breaker.record_failure()
-    assert breaker.record_failure()  # third strike opens it
-    assert breaker.state == BREAKER_OPEN
-    assert breaker.times_opened == 1
-    assert not breaker.allows()
+    system, left, right = _pair()
+    federation, peer = left.federation, right.node_id
+    for strike in range(1, BREAKER_FAILURE_THRESHOLD + 1):
+        assert federation.breaker_allows(peer)
+        federation.record_neighbor_failure(peer)
+        assert federation.failures[peer] == strike
+    # The last strike opened it, once.
+    assert not federation.breaker_allows(peer)
+    assert federation.breaker_states() == {peer: "open"}
+    federation.record_neighbor_failure(peer)
+    assert system.network.metrics.tallies("recovery").get("breaker-open") == 1
 
 
 def test_an_open_breaker_admits_nothing_until_a_success():
     """No time-out re-admits a suspected peer: while it stays silent to
     every ping round its breaker stays open, and one success closes it."""
-    config = DiscoveryConfig(ping_interval=5.0, signalling_interval=None)
-    system = DiscoverySystem(seed=0, config=config)
-    system.add_lan("lan-0")
-    system.add_lan("lan-1")
-    left = system.add_registry("lan-0")
-    right = system.add_registry("lan-1")
+    system, left, right = _pair()
     right.crash()
     for _ in range(BREAKER_FAILURE_THRESHOLD):
         left.federation.record_neighbor_failure(right.node_id)
-    breaker = left.federation.breakers[right.node_id]
     for until in (1.0, 100.0, 1_000.0):
         system.run(until=until)
         assert not left.federation.breaker_allows(right.node_id)
-        assert breaker.state == BREAKER_OPEN
+        assert left.federation.breaker_states() == {right.node_id: "open"}
     left.federation.record_neighbor_success(right.node_id)
     assert left.federation.breaker_allows(right.node_id)
-    assert breaker.state == BREAKER_CLOSED and breaker.failures == 0
+    assert left.federation.failures == {right.node_id: 0}
+    assert left.federation.breaker_states() == {right.node_id: "closed"}
 
 
 def test_breaker_success_resets_failure_count():
-    breaker = CircuitBreaker(failure_threshold=3)
-    breaker.record_failure()
-    breaker.record_failure()
-    assert not breaker.record_success()  # already closed: no state change
-    assert breaker.failures == 0
-    breaker.record_failure()
-    breaker.record_failure()
-    assert breaker.state == BREAKER_CLOSED
+    system, left, right = _pair()
+    federation, peer = left.federation, right.node_id
+    federation.record_neighbor_failure(peer)
+    federation.record_neighbor_failure(peer)
+    federation.record_neighbor_success(peer)  # still closed: no recovery
+    assert federation.failures[peer] == 0
+    federation.record_neighbor_failure(peer)
+    federation.record_neighbor_failure(peer)
+    # Two strikes since the success, not four: still closed.
+    assert federation.breaker_allows(peer)
+    assert "breaker-close" not in system.network.metrics.tallies("recovery")
 
 
 # -- config validation --------------------------------------------------------
@@ -239,7 +244,7 @@ def test_breaker_avoids_aggregation_timeout_for_crashed_neighbor():
     assert row["after_open_mean"] < row["aggregation_timeout"]
     assert row["recoveries"].get("breaker-open", 0) >= 1
     assert row["recoveries"].get("breaker-skip", 0) >= 1
-    assert BREAKER_OPEN in row["breaker_states"].values()
+    assert "open" in row["breaker_states"].values()
 
 
 def test_late_response_counted_after_aggregation_timeout():
@@ -278,7 +283,7 @@ def test_leave_clears_failure_detector_and_breakers():
     r0.federation.record_neighbor_failure(peer)
     r0.federation.leave()
     assert r0.federation._missed_pongs == {}
-    assert r0.federation.breakers == {}
+    assert r0.federation.failures == {}
 
     r0.federation.join(peer)
     system.run_for(6.0)  # a full ping round after the rejoin

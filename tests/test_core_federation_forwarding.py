@@ -10,6 +10,7 @@ from repro.core.config import (
     STRATEGY_RANDOM_WALK,
     DiscoveryConfig,
 )
+from repro.core.federation import BREAKER_FAILURE_THRESHOLD
 from repro.core.forwarding import PendingAggregation, SeenQueries
 from repro.core.registry_node import RegistryNode
 from repro.core.system import DiscoverySystem, make_models
@@ -429,17 +430,17 @@ def test_leave_and_rejoin_resets_failure_detector_state():
     # Accumulate suspicion against rb just short of removal.
     ra.federation._missed_pongs[rb.node_id] = 2
     ra.federation.record_neighbor_failure(rb.node_id)
-    assert rb.node_id in ra.federation.breakers
+    assert rb.node_id in ra.federation.failures
     ra.federation.leave()
     system.run_for(1.0)
     # The links AND the per-neighbor detector state are gone on both
     # sides: nothing stale survives the departure.
     assert not ra.federation.neighbors
     assert rb.node_id not in ra.federation._missed_pongs
-    assert not ra.federation.breakers
+    assert not ra.federation.failures
     assert ra.node_id not in rb.federation.neighbors
     assert ra.node_id not in rb.federation._missed_pongs
-    assert ra.node_id not in rb.federation.breakers
+    assert ra.node_id not in rb.federation.failures
     # Re-joining starts from a clean slate ...
     ra.federation.join(rb.node_id)
     system.run_for(1.0)
@@ -499,6 +500,35 @@ def test_ping_round_pings_a_suspected_peer_until_its_pong_closes_the_breaker(mon
     pings.clear()
     system.run_for(2.0)
     assert [dst for _, dst in pings] == [rb.node_id, rb.node_id]
+
+
+def test_a_rejoin_closes_the_breaker_its_aggregation_timeouts_opened():
+    """A neighbor whose breaker aggregation timeouts opened restarts and
+    re-joins before the ping round has dropped it. Its join is proof of
+    life: the very next fan-out waits on it again, instead of skipping it
+    until the next pong, up to one ``ping_interval`` later."""
+    config = DiscoveryConfig(ping_interval=10.0, signalling_interval=None,
+                             aggregation_timeout=0.5)
+    system = DiscoverySystem(seed=3, ontology=battlefield_ontology(), config=config)
+    system.add_lan("lan-a")
+    system.add_lan("lan-b")
+    ra = system.add_registry("lan-a")
+    rb = system.add_registry("lan-b", seeds=(ra.node_id,))
+    client = system.add_client("lan-a")
+    system.run(until=1.0)
+    assert rb.node_id in ra.federation.neighbors
+    rb.crash()
+    request = ServiceRequest.build("ncw:SensorService", outputs=["ncw:Track"])
+    while ra.federation.breaker_allows(rb.node_id):
+        system.discover(client, request, timeout=5.0)
+    opened_at = system.sim.now
+    rb.restart()
+    system.run_for(0.2)  # the join and its ack, well before the next ping round
+    assert rb.node_id in ra.federation.neighbors
+    assert ra.federation.breaker_allows(rb.node_id)
+    call = system.discover(client, request, timeout=5.0)
+    assert call.responders == 2  # rb was waited on, not skipped
+    assert system.sim.now < opened_at + config.ping_interval / 2
 
 
 # -- SeenQueries eviction vs in-flight aggregations ----------------------------
@@ -593,3 +623,47 @@ def test_each_flooded_discover_on_a_settled_ring_sends_its_closed_form_counts():
                   for kind in (protocol.QUERY, protocol.QUERY_FORWARD, protocol.QUERY_RESPONSE)}
         assert counts == {protocol.QUERY: 1, protocol.QUERY_FORWARD: 4,
                           protocol.QUERY_RESPONSE: 5}, i
+
+
+def test_a_flooded_discover_under_open_breakers_sends_its_closed_form_counts():
+    """The same ring with both other registries' breakers open toward one
+    live registry. A discover coordinated by either of them forwards only
+    to the other, which skips the live one too: 1 ``query``, 1
+    ``query-forward``, 2 ``query-response``, 2 ``breaker-skip``
+    recoveries, and one WAN round trip instead of two. A discover
+    coordinated by the live registry still floods (1 / 4 / 5). The next
+    ping round's pong closes both breakers, and every discover is back to
+    1 / 4 / 5."""
+    deployment = e7_ring()
+    system = deployment.system
+    stats, metrics = system.network.stats, system.network.metrics
+    live = system.registries[2]
+    for registry in system.registries[:2]:
+        for _ in range(BREAKER_FAILURE_THRESHOLD):
+            registry.federation.record_neighbor_failure(live.node_id)
+
+    def discover(i):
+        before = stats.snapshot()
+        skips = metrics.tallies("recovery").get("breaker-skip", 0)
+        client = system.clients[i % len(system.clients)]
+        call = system.discover(client, deployment.requests[i % len(deployment.requests)])
+        moved = stats.delta_since(before)["by_type"]
+        counts = tuple(moved.get(kind, {}).get("count", 0)
+                       for kind in (protocol.QUERY, protocol.QUERY_FORWARD,
+                                    protocol.QUERY_RESPONSE))
+        skipped = metrics.tallies("recovery").get("breaker-skip", 0) - skips
+        return client.tracker.current, counts, skipped, round(call.latency, 3)
+
+    flooded = ((1, 4, 5), 0, 0.202)
+    for i in range(6):
+        coordinator, *seen = discover(i)
+        expected = flooded if coordinator == live.node_id else ((1, 1, 2), 2, 0.102)
+        assert tuple(seen) == expected, i
+    assert [r.federation.breaker_states() for r in system.registries] == [
+        {live.node_id: "open"}, {live.node_id: "open"}, {}]
+
+    system.run_for(system.config.ping_interval)
+    assert [r.federation.breaker_states() for r in system.registries] == [
+        {live.node_id: "closed"}, {live.node_id: "closed"}, {}]
+    for i in range(6):
+        assert tuple(discover(i)[1:]) == flooded, i

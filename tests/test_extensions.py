@@ -334,6 +334,40 @@ def test_a_demoted_standby_sends_its_services_back_to_the_primary():
     assert len(standby.store) == 0
 
 
+def test_a_dormant_standby_turns_a_query_away_so_the_client_fails_over_at_once():
+    """A client still attached to a standby after it steps down sends its
+    next discover there. The dormant standby answers with a ``BUSY`` whose
+    ``retry_after`` the client cannot afford, so the client fails over to
+    the returned primary at once: the discover completes through the
+    primary in well under one ``query_timeout``, on its second attempt."""
+    cfg = DiscoveryConfig(beacon_interval=1.0, lease_duration=30.0,
+                          purge_interval=1.0, query_timeout=2.0,
+                          durability=DurabilityConfig(enabled=True))
+    system = _single_lan(cfg)
+    primary = system.registries[0]
+    standby = system.add_standby_registry("lan-0", lan_target=1)
+    service = system.add_service("lan-0", _radar())
+    client = system.add_client("lan-0")
+    system.run(until=3.0)
+    primary.crash()
+    system.run_for(24.0)
+    assert standby.active
+    first = system.discover(client, REQUEST, timeout=30.0)
+    assert first.via == f"registry:{standby.node_id}"
+    primary.restart()
+    while standby.active or service.tracker.current != primary.node_id:
+        system.run_for(0.5)
+    system.run_for(1.0)
+    # The service is back on the primary; the client has not moved.
+    assert client.tracker.current == standby.node_id
+    call = system.discover(client, REQUEST, timeout=30.0)
+    assert call.via == f"registry:{primary.node_id}"
+    assert call.service_names() == ["radar-1"]
+    assert call.attempts == 2 and call.busy_responses == 1
+    assert call.latency < cfg.query_timeout / 2
+    assert client.tracker.current == primary.node_id
+
+
 def test_two_standbys_only_one_promotes(fast_cfg):
     system = _single_lan(fast_cfg)
     primary = system.registries[0]

@@ -17,7 +17,6 @@ import pytest
 
 from repro.core.config import DiscoveryConfig
 from repro.core.durability import DurabilityConfig
-from repro.core.forwarding import BREAKER_CLOSED, BREAKER_OPEN, CircuitBreaker
 from repro.core.system import DiscoverySystem
 from repro.errors import ReproError
 from repro.experiments import e20_health
@@ -484,16 +483,20 @@ def test_small_ring_truncates_deterministically(monkeypatch):
     assert len(dump.splitlines()) == 8
 
 
-# -- breaker state gauge (core/forwarding satellite) ------------------------
+# -- breaker state gauge (federation) ---------------------------------------
 
 
 def test_breaker_observer_silent_without_state_change():
-    seen: list[tuple[str, str]] = []
-    breaker = CircuitBreaker(failure_threshold=3,
-                             on_transition=lambda o, n: seen.append((o, n)))
-    breaker.record_failure()  # below threshold: still closed
-    breaker.record_success()  # closed -> closed
-    assert seen == []
+    """The gauge is written only when a count crosses the threshold."""
+    config = DiscoveryConfig(ping_interval=500.0, signalling_interval=None)
+    system = DiscoverySystem(seed=0, config=config)
+    system.add_lan("lan-0")
+    system.add_lan("lan-1")
+    left = system.add_registry("lan-0")
+    right = system.add_registry("lan-1")
+    left.federation.record_neighbor_failure(right.node_id)  # below threshold
+    left.federation.record_neighbor_success(right.node_id)  # closed -> closed
+    assert f"breaker.state.{left.node_id}:{right.node_id}" not in system.network.metrics.gauges
 
 
 def test_federation_breaker_state_gauge():

@@ -33,6 +33,17 @@ def test_each_mechanism_has_exactly_one_row():
     assert sorted(rows) == sorted(m.name for m in MECHANISMS)
 
 
+def test_a_row_scoped_to_netsim_plumbing_runs_the_tests_of_its_target():
+    rows = {m.name: m for m in MECHANISMS}
+    assert rows["periodic snapshot"].module == "repro.core.durability"
+    assert rows["first-sighting rumor"].module == "repro.core.sharding"
+    assert rows["stray sweep"].module == "repro.core.sharding"
+    periodic = knockout._tests_naming(ROOT, rows["periodic snapshot"].module)
+    assert "tests/test_durability.py" in periodic
+    assert periodic == knockout._tests_naming(ROOT, rows["WAL-length snapshot"].module)
+    assert len(periodic) < len(knockout._tests_naming(ROOT, "repro.netsim.node"))
+
+
 class _Toy:
     def inner(self):
         return "ran"

@@ -470,8 +470,8 @@ def _routed(role: str):
     node.router.on_busy("registry-01", retry_after=3.0, queue_depth=4)
     node.router.on_response("registry-01", rtt=0.2)
     node.router.on_timeout("registry-01")
-    assert node.router.cooldowns._until == {"registry-01": 3.5}
-    assert node.router.health.latency("registry-01") == 0.2
+    assert node.router.remaining("registry-01") == 0.5
+    assert node.router.latency("registry-01") == 0.2
     return system, node
 
 
@@ -480,15 +480,15 @@ def test_a_restarted_node_starts_with_a_fresh_router(role):
     _system, node = _routed(role)
     node.crash()
     node.restart()
-    assert node.router.cooldowns._until == {}
-    assert node.router.health.latency("registry-01") is None
-    assert node.router.health.queue_depth("registry-01") is None
+    assert not node.router.cooling("registry-01")
+    assert node.router.latency("registry-01") is None
+    assert node.router.queue_depth("registry-01") is None
 
 
 @pytest.mark.parametrize("role", ["client", "service"])
 def test_a_roamed_node_starts_with_a_fresh_router(role):
     system, node = _routed(role)
     system.move(node, "lan-1")
-    assert node.router.cooldowns._until == {}
-    assert node.router.health.latency("registry-01") is None
+    assert not node.router.cooling("registry-01")
+    assert node.router.latency("registry-01") is None
 

@@ -111,7 +111,7 @@ def test_leave_drains_pending_aggregations():
     assert pending.done and completed == [1]
     # The departed member's ring slot and router state went with it.
     assert "registry-03" not in coordinator.shard.ring
-    assert not coordinator.router.cooldowns.in_cooldown("registry-03")
+    assert not coordinator.router.cooling("registry-03")
 
     flushed = []
     ours = PendingAggregation(

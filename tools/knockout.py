@@ -14,7 +14,8 @@ For each mechanism the tool exports ``REV`` (``git archive``, as
 ``tools/perf_pairs.py`` does: nothing in this working tree is written) and
 runs there, with the knock-out loaded as a pytest plugin (``-p knockout``):
 
-* the tier-1 test files that name the mechanism's module, plus the pins
+* the tier-1 test files that name the mechanism's module (the last word
+  of its dotted name), plus the pins
   (``tests/test_reporting_pin.py``, ``tests/test_reply_paths.py``,
   ``tests/test_cli.py``);
 * the test run of ``make results-check``, which regenerates every table
@@ -69,8 +70,13 @@ class Mechanism(NamedTuple):
 
     @property
     def module(self) -> str:
-        """The module the mechanism lives in: its caller's, if scoped."""
-        return (self.caller or self.target).split(":")[0]
+        """The module whose tests the row runs: its caller's, if scoped —
+        unless the caller is generic plumbing under ``repro.netsim``
+        (nearly every test file names ``node``), then its target's."""
+        caller = self.caller and self.caller.split(":")[0]
+        if caller and not caller.startswith("repro.netsim."):
+            return caller
+        return self.target.split(":")[0]
 
 
 _NEXT = "next to audit"
@@ -100,11 +106,11 @@ MECHANISMS = (
               "repro.core.query:QueryCoordinator.on_departing", part="federation"),
     Mechanism("reconnect after neighbor loss", "repro.core.federation:Federation._reconnect",
               part="federation"),
-    Mechanism("flood join-time digest", "repro.core.antientropy:AntiEntropy.sync_with",
-              caller="repro.core.writes:FloodReplicator.neighbor_added", part="federation"),
     Mechanism("a join closes the breaker",
               "repro.core.federation:Federation.record_neighbor_success",
-              caller="repro.core.federation:Federation._add_neighbor", part=_NEXT),
+              caller="repro.core.federation:Federation._add_neighbor", part="federation"),
+    Mechanism("flood join-time digest", "repro.core.antientropy:AntiEntropy.sync_with",
+              caller="repro.core.writes:FloodReplicator.neighbor_added", part="federation"),
     Mechanism("watch refresh", "repro.core.client_node:ClientNode._refresh_watches",
               part="subscriptions"),
 )
